@@ -1,14 +1,16 @@
 //! Measured (not modelled) communication for the three domain shapes of
-//! paper Fig. 2, using the three real simulator implementations: plane
-//! (ring), square pillar (2-D torus) and cube (3-D torus) on the same
-//! physical workload. Complements the analytic `shapes` bench with actual
-//! message counts and wire bytes, validating the model's trade-offs.
+//! paper Fig. 2, on the one step engine: plane (ring), square pillar (2-D
+//! torus) and cube (3-D torus) run the same physical workload through the
+//! same wire protocol — two step frames per distinct neighbour rank per
+//! step — so the rows differ only by shape. Complements the analytic
+//! `shapes` bench with actual message counts and wire bytes, validating
+//! the model's trade-offs.
 //!
-//! The three decompositions need compatible PE counts: the default uses
-//! P_plane = P_pillar = 4 and P_cube = 8 at the same nc (per-PE numbers
-//! are normalised), with `--big` for a heavier configuration.
+//! The three decompositions need compatible PE counts: the small regime
+//! uses P_plane = P_pillar = 4 and P_cube = 8 at the same nc, the
+//! mid-size one 16 / 16 / 64 (per-PE numbers are normalised).
 //!
-//! Usage: shapes_measured [--steps N] [--big]
+//! Usage: shapes_measured [--steps N]
 
 use pcdlb_bench::{print_header, Args};
 use pcdlb_sim::cube::run_cube;
@@ -58,8 +60,10 @@ fn main() {
     regime("small machine", 8, 4, 8, steps);
     // Mid-size: the pillar's ring of columns beats whole planes.
     regime("mid-size machine", 16, 16, 64, steps.min(25));
-    println!("\n# model_ms uses the T3E postal cost model. Expected: plane");
-    println!("# cheapest on the small machine; pillar moves the fewest bytes at");
-    println!("# mid-size; the cube always trades many small messages for volume —");
-    println!("# the regimes the analytic `shapes` bench predicts (paper Sec. 2.2).");
+    println!("\n# model_ms uses the T3E postal cost model. Expected: plane cheapest");
+    println!("# on the small machine (~5 msgs/PE/step; the 2x2x2 block grid has only");
+    println!("# 7 distinct neighbour ranks, ~15 msgs). At mid-size the plane ships");
+    println!("# the most bytes, the cube the fewest but in ~54 small messages (26");
+    println!("# neighbours), and the pillar sits between on both axes — the regimes");
+    println!("# the analytic `shapes` bench predicts (paper Sec. 2.2).");
 }

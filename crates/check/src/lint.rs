@@ -22,19 +22,20 @@
 //!   just-checked index) that no remote input can violate.
 //! - `unbounded-recv-in-recovery-path`: no indefinitely blocking
 //!   `.recv(...)` in the files recovery and takeover flow through
-//!   (`pe.rs`, `recover.rs`, `takeover.rs` in `pcdlb-sim`). A recovery
-//!   path waiting forever on a peer that may already be dead defeats the
-//!   no-hang guarantee; waits there must be `recv_deadline` (which
+//!   (`pcdlb-sim`'s step engine — `pe.rs`, `takeover.rs` and the
+//!   decompositions — plus `recover.rs`). A recovery path waiting
+//!   forever on a peer that may already be dead defeats the no-hang
+//!   guarantee; waits there must be `recv_deadline` (which
 //!   escalates to a world abort) or an audited step-schedule receive
 //!   whose matching send the static verifier proves and whose liveness
 //!   the watchdog bounds — each allowlisted individually.
 //! - `per-step-allocation-in-hot-path`: no allocating constructors
 //!   (`Vec::new`, `vec![`, `BTreeMap::new`, `BTreeSet::new`, `.to_vec()`,
 //!   `.collect()`) in the files the steady-state step flows through
-//!   (`frame.rs`, `pe.rs`, `takeover.rs` in `pcdlb-sim`). The overlapped
-//!   step is
-//!   allocation-free by construction — pooled frames, retained scratch —
-//!   and a stray allocation silently reintroduces per-step heap churn.
+//!   (`frame.rs` and the step engine in `pcdlb-sim`). The overlapped
+//!   step is allocation-free by construction — pooled frames, retained
+//!   scratch — and a stray allocation silently reintroduces per-step
+//!   heap churn.
 //!   Cold paths (scaffolding, checkpointing, recovery, reporting) are
 //!   audited line by line in `lint-allow.txt`.
 //! - `hardcoded-duration-in-comm-path`: no inline `Duration::from_*`
@@ -158,9 +159,15 @@ const RULES: &[Rule] = &[
         name: "unbounded-recv-in-recovery-path",
         dirs: &[],
         files: &[
+            // The step engine, whole: the per-PE phases, the run loop, and
+            // the three decompositions it asks for ownership (which must
+            // stay free of communication altogether).
             "crates/sim/src/pe.rs",
-            "crates/sim/src/recover.rs",
             "crates/sim/src/takeover.rs",
+            "crates/sim/src/decomp.rs",
+            "crates/sim/src/plane.rs",
+            "crates/sim/src/cube.rs",
+            "crates/sim/src/recover.rs",
         ],
         // `.recv(` / `.recv::<` match the indefinitely blocking receive
         // only: `recv_deadline` and `try_recv` have a different character
@@ -174,6 +181,9 @@ const RULES: &[Rule] = &[
             "crates/sim/src/frame.rs",
             "crates/sim/src/pe.rs",
             "crates/sim/src/takeover.rs",
+            "crates/sim/src/decomp.rs",
+            "crates/sim/src/plane.rs",
+            "crates/sim/src/cube.rs",
             // The SoA/Verlet force path runs every step: scratch must be
             // retained (reset + reuse), never reallocated per pass.
             "crates/md/src/soa.rs",

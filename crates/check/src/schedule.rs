@@ -1,13 +1,15 @@
 //! Extraction of the per-step SPMD send/recv schedule.
 //!
-//! The square-pillar simulator's step (`pcdlb-sim`'s `pe` module) has a
-//! fixed communication structure per phase: sends to the distinct torus
-//! 8-neighbours in ascending rank order, then the matching receives in the
-//! same order; collectives are gathers and binomial-tree broadcasts over
-//! namespaced tags. This module re-derives that structure from the same
-//! sources the simulator uses — [`Torus2d::distinct_neighbors8`] and
-//! [`tags::TAG_TABLE`] — so the verifier and the simulator agree on the
-//! wire protocol by construction, not by transcription.
+//! The simulator's step (`pcdlb-sim`'s one engine, for every domain
+//! shape) has a fixed communication structure per phase: sends to the
+//! rank's distinct neighbours in ascending rank order, then the matching
+//! receives in the same order; collectives are gathers and binomial-tree
+//! broadcasts over namespaced tags. This module re-derives that structure
+//! from the topology each shape lays its ranks out on —
+//! [`Torus2d::distinct_neighbors8`] for the square pillar, the ring for
+//! the plane, [`Torus3d`] for the cube — and from [`tags::TAG_TABLE`], so
+//! the verifier and the simulator agree on the wire protocol by
+//! construction, not by transcription.
 //!
 //! The one data-dependent part is the DLB cell transfer (`CELL_XFER`):
 //! which columns move depends on runtime loads. The schedule is therefore
@@ -16,8 +18,9 @@
 //! every single legal transfer, dense simultaneous transfers).
 
 use pcdlb_core::protocol::tags::{self, CommPhase};
+use pcdlb_domain::DomainShape;
 use pcdlb_mp::collectives::ctag;
-use pcdlb_mp::Torus2d;
+use pcdlb_mp::{Torus2d, Torus3d};
 
 /// One point-to-point operation of the schedule. Tags are *wire* tags:
 /// collective rounds already carry their namespaced
@@ -95,16 +98,40 @@ impl ScheduleOpts {
     }
 }
 
-/// Build the per-step schedule for a `side × side` torus.
+/// Build the square pillar's per-step schedule for a `side × side` torus.
 pub fn step_schedule(side: usize, opts: &ScheduleOpts) -> StepSchedule {
-    let torus = Torus2d::new(side, side);
-    let p = torus.len();
+    shape_schedule(DomainShape::SquarePillar, side * side, opts)
+}
+
+/// Rank `r`'s distinct neighbours (ascending, `r` excluded) when `p`
+/// ranks are laid out for `shape` — the ranks the step engine exchanges
+/// its two step frames with.
+pub fn shape_neighbors(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
+    let mut nbrs = match shape {
+        DomainShape::SquarePillar => return Torus2d::square(p).distinct_neighbors8(r),
+        DomainShape::Plane => vec![(r + p - 1) % p, (r + 1) % p],
+        DomainShape::Cube => {
+            let t = Torus3d::cube(p);
+            (0..27i64)
+                .map(|d| t.neighbor(r, d / 9 - 1, d / 3 % 3 - 1, d % 3 - 1))
+                .collect()
+        }
+    };
+    nbrs.sort_unstable();
+    nbrs.dedup();
+    nbrs.retain(|&n| n != r);
+    nbrs
+}
+
+/// Build the per-step schedule of `p` ranks decomposed as `shape`: the
+/// same phases for every shape, over that shape's neighbour sets.
+pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> StepSchedule {
     let mut decisions = opts.decisions.clone();
     decisions.sort_unstable_by_key(|&(from, _)| from);
     let mut ranks = Vec::with_capacity(p);
     for r in 0..p {
         let mut ops: Vec<PhasedOp> = Vec::new();
-        let nbrs = torus.distinct_neighbors8(r);
+        let nbrs = shape_neighbors(shape, p, r);
         // Phase: migration — round 1 of the coalesced step message
         // (migrants + DLB load when due): sends to all distinct
         // neighbours (ascending), then the matching receives in the same
@@ -162,7 +189,7 @@ pub fn step_schedule(side: usize, opts: &ScheduleOpts) -> StepSchedule {
 }
 
 /// The simulator's neighbourhood pattern: send one message to every
-/// distinct 8-neighbour (ascending rank), then receive one from each in
+/// distinct neighbour (ascending rank), then receive one from each in
 /// the same order.
 fn neighbourhood_exchange(
     ops: &mut Vec<PhasedOp>,
@@ -280,6 +307,52 @@ mod tests {
         let s = step_schedule(2, &ScheduleOpts::default());
         for ops in &s.ranks {
             assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 3);
+        }
+    }
+
+    #[test]
+    fn ring_and_block_grids_exchange_with_their_distinct_neighbours() {
+        // The ring's two neighbours coincide at P = 2; on the 2×2×2
+        // torus all 26 directions lead to the same 7 ranks, and from
+        // k = 3 up they are 26 different ones.
+        assert_eq!(shape_neighbors(DomainShape::Plane, 5, 0), [1, 4]);
+        assert_eq!(shape_neighbors(DomainShape::Plane, 2, 1), [0]);
+        assert!(shape_neighbors(DomainShape::Plane, 1, 0).is_empty());
+        assert_eq!(shape_neighbors(DomainShape::Cube, 8, 3).len(), 7);
+        assert_eq!(shape_neighbors(DomainShape::Cube, 27, 13).len(), 26);
+        let s = shape_schedule(DomainShape::Cube, 8, &ScheduleOpts::default());
+        for ops in &s.ranks {
+            assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 7);
+            assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 7);
+        }
+    }
+
+    #[test]
+    fn neighbour_sets_are_the_ones_the_engine_derives() {
+        // The engine finds its neighbours from `owner_of` adjacency; the
+        // schedules here use ring / torus arithmetic. Pin the two together
+        // for every rank of every shape, so the verified schedules are the
+        // engine's.
+        use pcdlb_sim::{pe::PeState, RunConfig};
+        for (shape, p) in [
+            (DomainShape::SquarePillar, 4),
+            (DomainShape::SquarePillar, 9),
+            (DomainShape::SquarePillar, 16),
+            (DomainShape::Plane, 2),
+            (DomainShape::Plane, 3),
+            (DomainShape::Plane, 6),
+            (DomainShape::Cube, 8),
+            (DomainShape::Cube, 27),
+        ] {
+            let mut cfg = RunConfig::new(216, 12, p, 0.005);
+            cfg.dlb = false;
+            for r in 0..p {
+                assert_eq!(
+                    PeState::new(r, &cfg, shape).neighbors(),
+                    shape_neighbors(shape, p, r),
+                    "{shape:?} P = {p} rank {r}"
+                );
+            }
         }
     }
 

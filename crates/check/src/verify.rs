@@ -21,10 +21,11 @@
 use std::collections::BTreeMap;
 
 use pcdlb_core::protocol::tags::TAG_TABLE;
+use pcdlb_domain::DomainShape;
 use pcdlb_mp::collectives::COLLECTIVE_BIT;
 use pcdlb_mp::Torus2d;
 
-use crate::schedule::{step_schedule, Op, ScheduleOpts, StepSchedule};
+use crate::schedule::{shape_schedule, Op, ScheduleOpts, StepSchedule};
 
 /// One verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -291,52 +292,86 @@ pub struct VerifyReport {
 /// and 3); the decision-scenario sweep instantiates each.
 pub const LEGAL_DELTAS: [(i64, i64); 6] = [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)];
 
-/// Verify the protocol on every square grid with side `2..=max_side`:
-/// the base schedule, the full schedule with no transfers, every
-/// single-transfer scenario along each legal delta, and two dense
-/// all-ranks-transfer scenarios.
-pub fn verify_protocol(max_side: usize) -> VerifyReport {
-    let mut report = VerifyReport {
-        sides: (2..=max_side.max(2)).collect(),
-        schedules_checked: 0,
-        violations: check_tag_table(),
+/// The decision scenarios swept on one grid: the base schedule, the full
+/// schedule with no transfers, every single transfer the shape's balancer
+/// can make, and two dense all-at-once scenarios. Shapes (or grids)
+/// without a balancer get the first two, DLB phases off.
+fn scenarios(shape: DomainShape, p: usize) -> Vec<ScheduleOpts> {
+    let single = |from, to| ScheduleOpts {
+        dlb: true,
+        decisions: vec![(from, to)],
+        ..Default::default()
     };
-    for &side in &report.sides {
-        let torus = Torus2d::new(side, side);
-        let p = torus.len();
-        let mut scenarios: Vec<ScheduleOpts> = vec![
-            ScheduleOpts::default(),
-            ScheduleOpts {
-                // DLB needs distinct directional neighbour roles (side ≥ 3).
-                dlb: side >= 3,
-                ..ScheduleOpts::full()
-            },
-        ];
-        if side >= 3 {
+    let dense = |decisions| ScheduleOpts {
+        dlb: true,
+        decisions,
+        ..ScheduleOpts::full()
+    };
+    let mut out = Vec::new();
+    match shape {
+        // DLB needs distinct directional neighbour roles (side ≥ 3);
+        // transfers travel along the six legal tile deltas.
+        DomainShape::SquarePillar if p >= 9 => {
+            let torus = Torus2d::square(p);
             for r in 0..p {
                 for (di, dj) in LEGAL_DELTAS {
-                    scenarios.push(ScheduleOpts {
-                        dlb: true,
-                        decisions: vec![(r, torus.neighbor(r, di, dj))],
-                        ..Default::default()
-                    });
+                    out.push(single(r, torus.neighbor(r, di, dj)));
                 }
             }
             for (di, dj) in [(-1i64, -1i64), (1, 1)] {
-                scenarios.push(ScheduleOpts {
-                    dlb: true,
-                    decisions: (0..p).map(|r| (r, torus.neighbor(r, di, dj))).collect(),
-                    ..ScheduleOpts::full()
-                });
+                out.push(dense(
+                    (0..p).map(|r| (r, torus.neighbor(r, di, dj))).collect(),
+                ));
             }
         }
-        for opts in &scenarios {
-            let s = step_schedule(side, opts);
-            let vs = verify_schedule(&s);
-            for v in vs {
+        // The moving boundary: a plane crosses one interior boundary,
+        // either way; boundaries of one parity move in the same step.
+        DomainShape::Plane if p >= 2 => {
+            for b in 1..p {
+                out.push(single(b, b - 1));
+                out.push(single(b - 1, b));
+            }
+            out.push(dense((1..p).step_by(2).map(|b| (b, b - 1)).collect()));
+            out.push(dense((1..p).step_by(2).map(|b| (b - 1, b)).collect()));
+        }
+        _ => {}
+    }
+    let dlb = !out.is_empty();
+    out.push(ScheduleOpts::default());
+    out.push(ScheduleOpts {
+        dlb,
+        ..ScheduleOpts::full()
+    });
+    out
+}
+
+/// Verify the protocol on every grid up to `max_side`: square tori of
+/// side `2..=max_side` (pillar), rings of `1..=max_side` ranks (plane)
+/// and block grids of side `2..=min(max_side, 3)` (cube) — all on the one
+/// tag table, each over its decision scenarios.
+pub fn verify_protocol(max_side: usize) -> VerifyReport {
+    let max_side = max_side.max(2);
+    let mut report = VerifyReport {
+        sides: (2..=max_side).collect(),
+        schedules_checked: 0,
+        violations: check_tag_table(),
+    };
+    let grids = (2..=max_side)
+        .map(|side| (DomainShape::SquarePillar, side * side))
+        .chain((1..=max_side).map(|p| (DomainShape::Plane, p)))
+        .chain((2..=max_side.min(3)).map(|k| (DomainShape::Cube, k * k * k)));
+    for (shape, p) in grids {
+        for opts in &scenarios(shape, p) {
+            let s = shape_schedule(shape, p, opts);
+            for v in verify_schedule(&s) {
                 report.violations.push(Violation {
                     check: v.check,
-                    detail: format!("side {side}, scenario {:?}: {}", opts.decisions, v.detail),
+                    detail: format!(
+                        "{} P = {p}, scenario {:?}: {}",
+                        shape.name(),
+                        opts.decisions,
+                        v.detail
+                    ),
                 });
             }
             report.schedules_checked += 1;
@@ -348,7 +383,7 @@ pub fn verify_protocol(max_side: usize) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::PhasedOp;
+    use crate::schedule::{step_schedule, PhasedOp};
     use pcdlb_core::protocol::tags::{self, CommPhase};
 
     #[test]

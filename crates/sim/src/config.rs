@@ -191,7 +191,9 @@ pub struct RunConfig {
     /// output (forces, energies, work counters, digests) — the split
     /// only reorders *which pass* evaluates a pair, never the canonical
     /// per-slot summation order. Default on; `false` restores the fully
-    /// sequenced exchange-then-compute step.
+    /// sequenced exchange-then-compute step. A rank whose interior is too
+    /// small for the split to pay (it evaluates interior×frontier cell
+    /// pairs twice; see `pe::split_pays`) runs the sequenced pass anyway.
     pub overlap: bool,
     /// Run the global invariant sentinel every this many steps. 0 disables
     /// (the default). When it fires, the ranks gather their particle count
@@ -385,63 +387,12 @@ impl RunConfig {
         self.nc * self.nc * self.nc
     }
 
-    /// Validate geometric consistency; call before running. Panics with a
-    /// description of the first violated constraint.
+    /// Validate geometric consistency for the square-pillar layout; call
+    /// before running. Panics with a description of the first violated
+    /// constraint. (The plane and cube wrappers validate their own
+    /// geometry — see `plane::validate_plane` and `cube::validate_cube`.)
     pub fn validate(&self) {
-        assert!(self.n_particles > 1, "need at least two particles");
-        assert!(self.density > 0.0 && self.t_ref > 0.0);
-        assert!(self.dt > 0.0 && self.steps > 0);
-        assert!(self.dlb_interval > 0, "dlb_interval must be ≥ 1");
-        let t = self.torus();
-        assert!(
-            self.nc.is_multiple_of(t.rows()),
-            "nc = {} must be a multiple of √P = {}",
-            self.nc,
-            t.rows()
-        );
-        assert!(
-            self.cell_len() >= self.lj.rcut - 1e-12,
-            "cell length {:.4} below cutoff {}; reduce nc or density",
-            self.cell_len(),
-            self.lj.rcut
-        );
-        if self.dlb {
-            assert!(
-                t.rows() >= 3,
-                "DLB needs a torus side ≥ 3 (P ≥ 9); got P = {}",
-                self.p
-            );
-        }
-        if let Some(s) = &self.speed {
-            assert!(
-                matches!(self.load_metric, LoadMetric::WorkModel { .. }),
-                "a speed schedule models time on top of the work model; \
-                 it cannot combine with the WallClock metric"
-            );
-            assert!(!s.base.is_empty(), "speed schedule needs base factors");
-            assert!(s.base.iter().all(|&b| b > 0.0), "speed factors must be > 0");
-            assert!(
-                (0.0..1.0).contains(&s.amplitude),
-                "speed drift amplitude must be in [0, 1); got {}",
-                s.amplitude
-            );
-        }
-        assert!(self.skin >= 0.0, "skin must be non-negative");
-        assert!(
-            !self.verlet || self.skin > 0.0,
-            "verlet replay requires a positive skin"
-        );
-        if self.skin > 0.0 {
-            assert!(
-                self.cell_len() >= self.lj.rcut + self.skin - 1e-12,
-                "cell length {:.4} below cutoff {} + skin {}: the one-cell \
-                 ghost shell cannot stay exhaustive over a skin epoch",
-                self.cell_len(),
-                self.lj.rcut,
-                self.skin
-            );
-        }
-        self.comm.validate();
+        crate::decomp::validate(self, pcdlb_domain::DomainShape::SquarePillar);
     }
 }
 

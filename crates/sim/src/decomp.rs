@@ -1,0 +1,255 @@
+//! The decomposition seam: what genuinely differs between the paper's
+//! three domain shapes (Sec. 2.2, Fig. 2), and nothing else.
+//!
+//! The step engine in [`crate::pe`] is one program for every shape. A
+//! [`Decomposition`] tells it who owns each cell of the `nc³` grid, which
+//! z cells a rank holds of each of its columns, and — when the shape has
+//! a balancer — which cells to hand over. Neighbour sets, ghost routes,
+//! cell classes, migration routing and everything downstream are derived
+//! from those answers by the engine.
+//!
+//! The square pillar lives here; the plane ([`crate::plane`]) and the
+//! cube ([`crate::cube`]) sit beside their public wrappers.
+
+use std::ops::Range;
+
+use pcdlb_core::protocol::{DlbDecision, DlbProtocol};
+use pcdlb_domain::{Col, DomainShape, OwnershipMap, PillarLayout};
+use pcdlb_mp::CostModel;
+
+use crate::config::{LoadMetric, RunConfig};
+
+/// One rank's view of who owns what, plus its shape's balancer rule.
+pub(crate) trait Decomposition {
+    /// The rank owning cell `(col, cz)` in this rank's current view.
+    /// Exact for every cell this rank owns or borders; further away the
+    /// answer only has to differ from this rank and its neighbours.
+    fn owner_of(&self, col: Col, cz: usize) -> usize;
+
+    /// The z cells `rank` owns of every column it holds: all of them for
+    /// the z-invariant shapes (plane, pillar), one block for the cube.
+    fn z_extent(&self, rank: usize) -> Range<usize>;
+
+    /// Balancer hook: what this rank gives away this step, judged from
+    /// its own load and the loads its neighbours reported. Shapes
+    /// without a balancer never decide anything.
+    fn decide(
+        &self,
+        _step: u64,
+        _own_load: f64,
+        _nbr_loads: &[(usize, f64)],
+    ) -> Option<DlbDecision> {
+        None
+    }
+
+    /// Fold one decision — this rank's or a neighbour's — into the view.
+    fn apply(&mut self, _d: &DlbDecision) {
+        unreachable!("a shape without a balancer hears no decisions")
+    }
+
+    /// The columns a decision moves, ascending.
+    fn granule(&self, d: &DlbDecision) -> Vec<Col> {
+        vec![d.col]
+    }
+}
+
+/// The decomposition of `shape` as `rank` sees it at the start of a run.
+pub(crate) fn decomposition(
+    shape: DomainShape,
+    rank: usize,
+    cfg: &RunConfig,
+) -> Box<dyn Decomposition> {
+    match shape {
+        DomainShape::SquarePillar => Box::new(Pillar::new(rank, cfg)),
+        DomainShape::Plane => Box::new(crate::plane::Plane::new(rank, cfg)),
+        DomainShape::Cube => Box::new(crate::cube::Cube::new(cfg)),
+    }
+}
+
+/// The communication-cost model a shape's world runs under: the pillar
+/// maps its 2-D torus onto the machine, ring and 3-D torus pay the flat
+/// per-message cost.
+pub(crate) fn cost_model(shape: DomainShape, cfg: &RunConfig) -> CostModel {
+    CostModel::t3e((shape == DomainShape::SquarePillar).then(|| cfg.torus()))
+}
+
+/// Validate `cfg` for `shape`: the rules every run shares, then the
+/// shape's own geometry. Panics with a description of the first violated
+/// constraint.
+pub(crate) fn validate(cfg: &RunConfig, shape: DomainShape) {
+    assert!(cfg.n_particles > 1, "need at least two particles");
+    assert!(cfg.density > 0.0 && cfg.t_ref > 0.0);
+    assert!(cfg.dt > 0.0 && cfg.steps > 0);
+    assert!(cfg.dlb_interval > 0, "dlb_interval must be ≥ 1");
+    match shape {
+        DomainShape::SquarePillar => {
+            let side = cfg.torus().rows();
+            assert!(
+                cfg.nc.is_multiple_of(side),
+                "nc = {} must be a multiple of √P = {side}",
+                cfg.nc
+            );
+            assert!(
+                !cfg.dlb || side >= 3,
+                "DLB needs a torus side ≥ 3 (P ≥ 9); got P = {}",
+                cfg.p
+            );
+        }
+        DomainShape::Plane => crate::plane::validate_shape(cfg),
+        DomainShape::Cube => crate::cube::validate_shape(cfg),
+    }
+    assert!(
+        cfg.cell_len() >= cfg.lj.rcut - 1e-12,
+        "cell length {:.4} below cutoff {}; reduce nc or density",
+        cfg.cell_len(),
+        cfg.lj.rcut
+    );
+    if let Some(s) = &cfg.speed {
+        assert!(
+            matches!(cfg.load_metric, LoadMetric::WorkModel { .. }),
+            "a speed schedule models time on top of the work model; \
+             it cannot combine with the WallClock metric"
+        );
+        assert!(!s.base.is_empty(), "speed schedule needs base factors");
+        assert!(s.base.iter().all(|&b| b > 0.0), "speed factors must be > 0");
+        assert!(
+            (0.0..1.0).contains(&s.amplitude),
+            "speed drift amplitude must be in [0, 1); got {}",
+            s.amplitude
+        );
+    }
+    assert!(cfg.skin >= 0.0, "skin must be non-negative");
+    assert!(
+        !cfg.verlet || cfg.skin > 0.0,
+        "verlet replay requires a positive skin"
+    );
+    if cfg.skin > 0.0 {
+        assert!(
+            cfg.cell_len() >= cfg.lj.rcut + cfg.skin - 1e-12,
+            "cell length {:.4} below cutoff {} + skin {}: the one-cell \
+             ghost shell cannot stay exhaustive over a skin epoch",
+            cfg.cell_len(),
+            cfg.lj.rcut,
+            cfg.skin
+        );
+    }
+    cfg.comm.validate();
+}
+
+/// The square pillar (paper Fig. 2(b)): full-z columns, an `m × m` home
+/// tile per PE on a 2-D torus, and the permanent-cell balancer moving
+/// single columns between torus neighbours.
+struct Pillar {
+    layout: PillarLayout,
+    rank: usize,
+    /// This PE's (windowed) ownership view.
+    ownership: OwnershipMap,
+    protocol: Option<DlbProtocol>,
+}
+
+impl Pillar {
+    fn new(rank: usize, cfg: &RunConfig) -> Self {
+        let layout = PillarLayout::new(cfg.nc, cfg.torus());
+        Self {
+            layout,
+            rank,
+            ownership: OwnershipMap::initial(layout),
+            protocol: cfg
+                .dlb
+                .then(|| DlbProtocol::new(layout, rank).with_min_relative_gain(cfg.dlb_min_gain)),
+        }
+    }
+
+    /// True when `col`'s home tile lies in this PE's readable 3×3 tile
+    /// window (own tile ± 1 in each torus direction).
+    fn in_window(&self, col: Col) -> bool {
+        let home = self.layout.home_rank(col);
+        let (di, dj) = self.layout.tile_delta(self.rank, home);
+        di.abs() <= 1 && dj.abs() <= 1
+    }
+}
+
+impl Decomposition for Pillar {
+    fn owner_of(&self, col: Col, _cz: usize) -> usize {
+        self.ownership.owner_of(col)
+    }
+
+    fn z_extent(&self, _rank: usize) -> Range<usize> {
+        0..self.layout.grid().nc()
+    }
+
+    /// Paper Sec. 2.3, steps 2–3: find the fastest PE of the
+    /// neighbourhood and apply the Case 1–3 rules.
+    fn decide(&self, _step: u64, own_load: f64, nbr_loads: &[(usize, f64)]) -> Option<DlbDecision> {
+        let protocol = self.protocol.as_ref()?;
+        let fastest = protocol.fastest_pe(own_load, nbr_loads);
+        let decision = protocol.decide(&self.ownership, fastest);
+        if let Some(d) = &decision {
+            debug_assert!(DlbProtocol::validate(&self.layout, &self.ownership, d).is_ok());
+        }
+        decision
+    }
+
+    /// The windowed view ignores decisions about unreadable columns.
+    fn apply(&mut self, d: &DlbDecision) {
+        if self.in_window(d.col) {
+            self.ownership.set_owner(d.col, d.to);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pillar_window_covers_exactly_the_3x3_tiles() {
+        let cfg = RunConfig::from_p_m_density(16, 2, 0.2); // 4×4 torus
+        let d = Pillar::new(5, &cfg); // tile (1,1)
+        let l = d.layout;
+        // A column in tile (1,1) and all 8 neighbouring tiles: in window.
+        for (di, dj) in [(0i64, 0i64), (-1, 0), (1, 1), (0, -1)] {
+            let rank = l.torus().rank_wrapped(1 + di, 1 + dj);
+            assert!(
+                d.in_window(l.tile_origin(rank)),
+                "tile delta ({di},{dj}) should be in window"
+            );
+        }
+        // Tile (3,3) is two steps away on a 4×4 torus: out of window.
+        let far = l.tile_origin(l.torus().rank_wrapped(3, 3));
+        assert!(!d.in_window(far));
+    }
+
+    #[test]
+    fn every_shape_partitions_the_grid_among_its_ranks() {
+        // owner_of is total over the cells a rank can be asked about, and
+        // z_extent agrees with it: each rank owns exactly the z cells of
+        // its columns that z_extent names.
+        let mut cfg = RunConfig::new(1000, 6, 9, 0.05);
+        cfg.dlb = false;
+        for (shape, p) in [
+            (DomainShape::SquarePillar, 9),
+            (DomainShape::Plane, 3),
+            (DomainShape::Cube, 27),
+        ] {
+            cfg.p = p;
+            validate(&cfg, shape);
+            let mut owned = 0usize;
+            for rank in 0..p {
+                let d = decomposition(shape, rank, &cfg);
+                let z = d.z_extent(rank);
+                for cx in 0..cfg.nc {
+                    for cy in 0..cfg.nc {
+                        for cz in 0..cfg.nc {
+                            if d.owner_of(Col::new(cx, cy), cz) == rank {
+                                assert!(z.contains(&cz), "{shape:?} rank {rank} cz {cz}");
+                                owned += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(owned, cfg.total_cells(), "{shape:?}");
+        }
+    }
+}

@@ -1,7 +1,8 @@
 //! Launching parallel runs and assembling their reports.
 
+use pcdlb_domain::DomainShape;
 use pcdlb_md::Particle;
-use pcdlb_mp::{CostModel, World};
+use pcdlb_mp::World;
 
 use crate::config::RunConfig;
 use crate::pe::{pe_main, PeResult};
@@ -10,7 +11,7 @@ use crate::report::{PhaseTimes, RunReport, WireBytes};
 /// Run a configuration to completion; returns rank 0's report with
 /// communication totals aggregated over all ranks.
 pub fn run(cfg: &RunConfig) -> RunReport {
-    run_inner(cfg, false).0
+    run_inner(cfg, DomainShape::SquarePillar, false).0
 }
 
 /// Like [`run`], but also returns the wall-clock phase breakdown and the
@@ -20,11 +21,8 @@ pub fn run(cfg: &RunConfig) -> RunReport {
 /// scaling bench uses both to report where each configuration spends its
 /// time and its wire budget.
 pub fn run_with_phase_times(cfg: &RunConfig) -> (RunReport, PhaseTimes, WireBytes) {
-    cfg.validate();
-    let world = World::new(cfg.p)
-        .with_cost_model(CostModel::t3e(Some(cfg.torus())))
-        .with_comm_config(&cfg.comm);
-    let results: Vec<PeResult> = world.run(|comm| pe_main(comm, cfg, false));
+    let shape = DomainShape::SquarePillar;
+    let results: Vec<PeResult> = world(cfg, shape).run(|comm| pe_main(comm, cfg, shape, false));
     let mut phases = PhaseTimes::default();
     let mut wire = WireBytes::default();
     for r in &results {
@@ -38,17 +36,26 @@ pub fn run_with_phase_times(cfg: &RunConfig) -> (RunReport, PhaseTimes, WireByte
 /// id) — the snapshot validation tests compare against the serial
 /// reference.
 pub fn run_with_snapshot(cfg: &RunConfig) -> (RunReport, Vec<Particle>) {
-    let (report, snap) = run_inner(cfg, true);
+    let (report, snap) = run_inner(cfg, DomainShape::SquarePillar, true);
     (report, snap.expect("snapshot requested"))
 }
 
-fn run_inner(cfg: &RunConfig, want_snapshot: bool) -> (RunReport, Option<Vec<Particle>>) {
-    cfg.validate();
-    let world = World::new(cfg.p)
-        .with_cost_model(CostModel::t3e(Some(cfg.torus())))
-        .with_comm_config(&cfg.comm);
-    let results: Vec<PeResult> = world.run(|comm| pe_main(comm, cfg, want_snapshot));
-    assemble(results)
+/// Validate `cfg` for `shape` and build the world it runs in.
+fn world(cfg: &RunConfig, shape: DomainShape) -> World {
+    crate::decomp::validate(cfg, shape);
+    World::new(cfg.p)
+        .with_cost_model(crate::decomp::cost_model(shape, cfg))
+        .with_comm_config(&cfg.comm)
+}
+
+/// The one launch path of every plain run: any domain shape, with or
+/// without the final snapshot.
+pub(crate) fn run_inner(
+    cfg: &RunConfig,
+    shape: DomainShape,
+    want_snapshot: bool,
+) -> (RunReport, Option<Vec<Particle>>) {
+    assemble(world(cfg, shape).run(|comm| pe_main(comm, cfg, shape, want_snapshot)))
 }
 
 pub(crate) fn assemble(mut results: Vec<PeResult>) -> (RunReport, Option<Vec<Particle>>) {
@@ -80,12 +87,9 @@ pub fn run_digest_with_policy<P>(cfg: &RunConfig, policy_for_rank: P) -> u64
 where
     P: Fn(usize) -> Box<dyn pcdlb_mp::check::DeliveryPolicy> + Sync,
 {
-    cfg.validate();
-    let world = World::new(cfg.p)
-        .with_cost_model(CostModel::t3e(Some(cfg.torus())))
-        .with_comm_config(&cfg.comm);
-    let results: Vec<PeResult> =
-        world.run_with_delivery(policy_for_rank, |comm| pe_main(comm, cfg, true));
+    let shape = DomainShape::SquarePillar;
+    let results: Vec<PeResult> = world(cfg, shape)
+        .run_with_delivery(policy_for_rank, |comm| pe_main(comm, cfg, shape, true));
     let (report, snapshot) = assemble(results);
     crate::digest::digest_run(
         &report,
@@ -105,13 +109,11 @@ where
     P: Fn(usize) -> Box<dyn pcdlb_mp::check::DeliveryPolicy> + Sync,
     L: Fn(usize) -> pcdlb_mp::check::EventLog + Sync,
 {
-    cfg.validate();
-    let world = World::new(cfg.p)
-        .with_cost_model(CostModel::t3e(Some(cfg.torus())))
-        .with_comm_config(&cfg.comm);
-    let results: Vec<PeResult> = world.run_instrumented(policy_for_rank, log_for_rank, |comm| {
-        pe_main(comm, cfg, true)
-    });
+    let shape = DomainShape::SquarePillar;
+    let results: Vec<PeResult> =
+        world(cfg, shape).run_instrumented(policy_for_rank, log_for_rank, |comm| {
+            pe_main(comm, cfg, shape, true)
+        });
     let (report, snapshot) = assemble(results);
     crate::digest::digest_run(
         &report,

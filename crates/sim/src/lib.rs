@@ -1,20 +1,25 @@
 //! `pcdlb-sim` — the parallel SPMD molecular-dynamics simulator.
 //!
 //! Ties the substrates together: `pcdlb-mp` ranks run the per-PE program
-//! in [`pe`], each owning square-pillar columns from `pcdlb-domain`,
-//! integrating `pcdlb-md` physics, balanced by the `pcdlb-core`
-//! permanent-cell protocol. [`driver::run`] launches a [`config::RunConfig`]
-//! and returns a [`report::RunReport`] with the per-step series the paper
-//! plots (Tt, Fmax/Fave/Fmin, the concentration trajectory).
+//! in [`pe`] — one step engine for all three domain shapes of the paper's
+//! Fig. 2 — integrating `pcdlb-md` physics. A shape is a small
+//! `Decomposition` (who owns which cell, what its balancer may move): the
+//! square pillar over `pcdlb-domain`'s columns balanced by the
+//! `pcdlb-core` permanent-cell protocol, the [`plane`] ring with its
+//! moving boundaries, the DDM-only [`cube`]. [`driver::run`] launches a
+//! [`config::RunConfig`] and returns a [`report::RunReport`] with the
+//! per-step series the paper plots (Tt, Fmax/Fave/Fmin, the concentration
+//! trajectory).
 //!
-//! The headline correctness property: [`driver::run_with_snapshot`] and
-//! [`driver::run_serial`] produce **bitwise identical** particle states
-//! for any PE count, with and without load balancing — DLB moves
-//! ownership, never physics.
+//! The headline correctness property: [`driver::run_with_snapshot`] (and
+//! the plane and cube wrappers) and [`driver::run_serial`] produce
+//! **bitwise identical** particle states for any PE count, with and
+//! without load balancing — DLB moves ownership, never physics.
 
 pub mod clock;
 pub mod config;
 pub mod cube;
+mod decomp;
 pub mod digest;
 pub mod driver;
 pub mod elastic;

@@ -1,33 +1,42 @@
 //! The per-rank SPMD program (paper Sec. 3): DDM molecular dynamics with
-//! optional permanent-cell DLB.
+//! optional dynamic load balancing — one step engine for all three domain
+//! shapes of paper Fig. 2.
 //!
-//! Each PE owns a set of cell *columns* (square-pillar decomposition) and
-//! advances the same velocity-Verlet step as the serial reference, with
-//! communication phases in between:
+//! Each PE owns a set of cell *columns* — all of a column's z cells for
+//! the plane and the square pillar, one z block of it for the cube — as
+//! told by its [`Decomposition`] (see [`crate::decomp`]), and advances the
+//! same velocity-Verlet step as the serial reference, with communication
+//! phases in between:
 //!
 //! 1. half-kick + drift (positions move);
 //! 2. **round 1** — one coalesced [`StepFrame`] per neighbour under
 //!    `tags::STEP_FRAME`: particles that crossed into a neighbour-owned
-//!    column are shipped to their new owner, with the sender's last-step
+//!    cell are shipped to their new owner, with the sender's last-step
 //!    force time riding along on DLB steps;
-//! 3. **DLB** (optional) — from the round-1 loads, pick the fastest PE
-//!    locally, apply the Case 1–3 rules, broadcast the decision, and
-//!    transfer the moved column's particles;
+//! 3. **DLB** (optional) — from the round-1 loads, apply the shape's
+//!    balancer rule locally (pillar: fastest PE + the Case 1–3 rules;
+//!    plane: the moving boundary), broadcast the decision, and transfer
+//!    the moved columns' particles;
 //! 4. **ghost exchange (round 2)** — the boundary-shell ghosts of every
-//!    owned column adjacent to a neighbour-owned column are sent to that
+//!    owned cell adjacent to a neighbour-owned cell are sent to that
 //!    neighbour as `(id, pos)` pairs, delta-encoded against the previous
 //!    step's frame per channel (see [`crate::frame`]);
 //! 5. force computation over own + ghost cells (work counted). By
 //!    default this is *overlapped* with phase 4: after the ghost sends
-//!    are posted, forces among **interior** columns (whose half-shell
-//!    stencil touches no ghost column) are computed while the neighbour
+//!    are posted, forces among **interior** cells (whose half-shell
+//!    stencil touches no ghost cell) are computed while the neighbour
 //!    payloads are in flight; the receives are drained only then, and a
-//!    second pass finishes the **frontier** pairs. See
+//!    second pass finishes the **frontier** pairs — on ranks whose
+//!    interior is large enough for that to pay (`split_pays`). See
 //!    [`RunConfig::overlap`] and the pass rules on `force_pass`;
 //! 6. second half-kick;
 //! 7. periodic thermostat (id-ordered global kinetic-energy sum, so the
 //!    scale factor is bitwise identical to the serial reference);
 //! 8. statistics gather to rank 0.
+//!
+//! The neighbour set, ghost routes, cell classes and migration routing
+//! are all derived here from `Decomposition::owner_of`; the sequence of
+//! the phases lives in [`crate::takeover`]'s `step_multi`.
 //!
 //! Determinism: every receive names its source, particle storage is kept
 //! (cell, id)-sorted, and the force pass visits home cells — owned *and*
@@ -35,16 +44,18 @@
 //! exactly once at the canonical half-shell home (the same order as
 //! `pcdlb_md::serial`). Every owned particle therefore accumulates its
 //! force terms in exactly the serial sequence: the parallel trajectory is
-//! **bitwise identical** to the serial one for any `P`, with or without
-//! DLB. Work counters still report the paper's full-shell directed-pair
-//! counts (a both-sides half-shell evaluation counts as two checks), so
-//! the load model and DLB decisions match the full-shell seed kernel.
+//! **bitwise identical** to the serial one for any shape and `P`, with or
+//! without DLB. Work counters still report the paper's full-shell
+//! directed-pair counts (a both-sides half-shell evaluation counts as two
+//! checks), so the load model and DLB decisions match the full-shell seed
+//! kernel.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use pcdlb_core::protocol::{DlbDecision, DlbProtocol};
-use pcdlb_domain::{Col, OwnershipMap, PillarLayout};
+use pcdlb_core::protocol::DlbDecision;
+use pcdlb_domain::{Col, DomainShape};
 use pcdlb_md::cells::CellSlab;
 use pcdlb_md::checkpoint::Checkpoint;
 use pcdlb_md::force::{disjoint_ranges_mut, PairKernel, WorkCounters};
@@ -57,6 +68,7 @@ use pcdlb_mp::{collectives, BufferPool, Comm, WireSize};
 
 use crate::clock::WallTimer;
 use crate::config::{Lattice, LoadMetric, RunConfig};
+use crate::decomp::{decomposition, Decomposition};
 use crate::frame::{DeltaChannel, ParticleFrame, StepFrame};
 use crate::recover::SimCheckpoint;
 use crate::report::{PhaseTimes, RunReport, StepRecord, WireBytes};
@@ -72,19 +84,34 @@ use pcdlb_core::protocol::tags;
 /// they enumerate `pcdlb_md::cells::HALF_OFFSETS_13` in canonical order.
 const FORWARD_XY: [(i64, i64); 5] = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)];
 
-/// How a column relates to this PE's ghost frontier. Derived purely from
-/// the ownership map, so it only changes when ownership does.
+/// The dz list of forward group `gi` (see [`FORWARD_XY`]).
+fn forward_dz(gi: usize) -> &'static [i64] {
+    if gi == 0 {
+        &[1]
+    } else {
+        &[-1, 0, 1]
+    }
+}
+
+/// How a cell relates to this PE's ghost frontier. Derived purely from
+/// the decomposition's ownership answers, so it only changes when
+/// ownership does. The class is per *cell*, not per column: the plane and
+/// the pillar own whole columns, but a cube rank's column holds its own
+/// block, one ghost cell above and below it, and cells it never sees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ColClass {
-    /// Owned, and all 8 cross-section neighbours are owned too: none of
-    /// its pairs involve ghost data, so its forces can be computed while
-    /// ghost payloads are still in flight.
+#[repr(u8)]
+enum CellClass {
+    /// Owned, and all 26 neighbours are owned too: none of its pairs
+    /// involve ghost data, so its forces can be computed while ghost
+    /// payloads are still in flight.
     Interior,
-    /// Owned, but at least one cross-section neighbour is a ghost column:
-    /// its pairs must wait for the ghost receive.
+    /// Owned, but at least one neighbour is a ghost cell: its pairs must
+    /// wait for the ghost receive.
     Frontier,
     /// Not owned; mirrored from a neighbour each step.
     Ghost,
+    /// Neither owned nor adjacent to an owned cell: not stored here.
+    Unseen,
 }
 
 /// Which force pass is running. `Fused` is the sequenced single pass
@@ -99,43 +126,34 @@ enum ForcePass {
     Boundary,
 }
 
-/// Which pass stores force contributions into a column of this class.
-fn stores_in(pass: ForcePass, class: ColClass) -> bool {
+/// Which pass stores force contributions into a cell of this class.
+fn stores_in(pass: ForcePass, class: CellClass) -> bool {
     match pass {
-        ForcePass::Fused => class != ColClass::Ghost,
-        ForcePass::Interior => class == ColClass::Interior,
-        ForcePass::Boundary => class == ColClass::Frontier,
+        ForcePass::Fused => class != CellClass::Ghost,
+        ForcePass::Interior => class == CellClass::Interior,
+        ForcePass::Boundary => class == CellClass::Frontier,
     }
 }
 
-/// Whether a home column of `class` runs its own-home work — the
+/// Whether a home cell of `class` runs its own-home work — the
 /// intra-cell triangle, the external pull, and the energy credit for its
 /// ring pairs — in `pass`. Exactly one of `Interior`/`Boundary` is true
 /// for every class, so the overlapped schedule credits each pair's
 /// energy once, at its canonical home position.
-fn home_runs_in(pass: ForcePass, class: ColClass) -> bool {
+fn home_runs_in(pass: ForcePass, class: CellClass) -> bool {
     match pass {
         ForcePass::Fused => true,
-        ForcePass::Interior => class == ColClass::Interior,
-        ForcePass::Boundary => class != ColClass::Interior,
+        ForcePass::Interior => class == CellClass::Interior,
+        ForcePass::Boundary => class != CellClass::Interior,
     }
 }
 
-/// Wire form of a [`ColClass`] for the recorded Verlet segments.
-fn class_code(class: ColClass) -> u8 {
-    match class {
-        ColClass::Interior => 0,
-        ColClass::Frontier => 1,
-        ColClass::Ghost => 2,
-    }
-}
-
-/// Inverse of [`class_code`].
-fn code_class(code: u8) -> ColClass {
+/// A recorded Verlet segment's class code (`class as u8`) back as a class.
+fn code_class(code: u8) -> CellClass {
     match code {
-        0 => ColClass::Interior,
-        1 => ColClass::Frontier,
-        _ => ColClass::Ghost,
+        0 => CellClass::Interior,
+        1 => CellClass::Frontier,
+        _ => CellClass::Ghost,
     }
 }
 
@@ -160,7 +178,7 @@ fn replay_action(pass: ForcePass, seg: &Segment) -> Option<SegAction> {
             if !sa && !sb {
                 return None;
             }
-            let owned_sides = (ca != ColClass::Ghost) as u64 + (cb != ColClass::Ghost) as u64;
+            let owned_sides = (ca != CellClass::Ghost) as u64 + (cb != CellClass::Ghost) as u64;
             Some(SegAction {
                 sa,
                 sb,
@@ -171,14 +189,242 @@ fn replay_action(pass: ForcePass, seg: &Segment) -> Option<SegAction> {
     }
 }
 
-/// A resolved forward neighbour column in the force pass: its slab, x/y
-/// periodic shifts, its force-array base (when owned), and its class.
-struct ColRef<'a> {
-    slab: &'a CellSlab,
-    sx: f64,
-    sy: f64,
-    base: Option<usize>,
-    class: ColClass,
+/// One column this PE sees: owned, ghost, or — a cube rank's own columns,
+/// with the ghost cells above and below its block — both.
+struct Home {
+    col: Col,
+    /// Has a slab in `columns`.
+    owned: bool,
+    /// Has a slab in `ghosts`.
+    ghost: bool,
+    /// The five forward cross-section columns ([`FORWARD_XY`]) as indices
+    /// into the home list with their x/y periodic shifts; `None` where
+    /// this PE sees no such column (only ever next to a ghost home —
+    /// those pairs belong to other PEs).
+    ring: [Option<(usize, f64, f64)>; 5],
+}
+
+/// One non-empty cell of the half-shell walk.
+#[derive(Clone, Copy)]
+struct CellRef<'a> {
+    class: CellClass,
+    parts: &'a [Particle],
+    /// First slot of the cell in the flat force / SoA layout: owned cells
+    /// in ascending column order, ghost cells appended behind them.
+    at: usize,
+}
+
+impl CellRef<'_> {
+    fn slots(&self) -> Range<usize> {
+        self.at..self.at + self.parts.len()
+    }
+}
+
+/// One kernel block of the canonical half-shell walk.
+enum Block<'a> {
+    /// The intra-cell triangle of an owned home cell.
+    Intra(CellRef<'a>),
+    /// A home cell against one forward neighbour cell displaced by the
+    /// periodic shift; at least one side is stored in the walking pass.
+    Pair(CellRef<'a>, CellRef<'a>, Vec3),
+    /// The external pull on an owned home cell.
+    Pull(CellRef<'a>),
+}
+
+/// One column of the walk: its slab(s), slot bases and per-cell classes.
+struct ColView<'a> {
+    owned: Option<&'a CellSlab>,
+    ghost: Option<&'a CellSlab>,
+    /// Slot base of the owned slab, then of the ghost slab.
+    base: [usize; 2],
+    class: &'a [CellClass],
+}
+
+impl<'a> ColView<'a> {
+    /// Whether the PE sees cell `cz` of this column at all.
+    fn sees(&self, cz: usize) -> bool {
+        self.class[cz] != CellClass::Unseen
+    }
+
+    /// Cell `cz` of this column, from whichever slab its class says holds
+    /// it; `None` when the PE does not see that cell.
+    fn cell(&self, cz: usize) -> Option<CellRef<'a>> {
+        let class = self.class[cz];
+        let (slab, base) = match class {
+            CellClass::Unseen => return None,
+            CellClass::Ghost => (self.ghost?, self.base[1]),
+            _ => (self.owned?, self.base[0]),
+        };
+        Some(CellRef {
+            class,
+            parts: slab.cell(cz),
+            at: base + slab.range(cz).start,
+        })
+    }
+}
+
+/// The half-shell walk over everything this PE sees — the one place the
+/// canonical pair order is spelled out. Borrowed apart from the force
+/// and work arrays its two consumers (the live kernel, the Verlet
+/// recorder) write.
+struct Walk<'a> {
+    nc: usize,
+    box_len: f64,
+    rank: usize,
+    homes: &'a [Home],
+    class: &'a [CellClass],
+    base: &'a [[usize; 2]],
+    columns: &'a BTreeMap<Col, CellSlab>,
+    ghosts: &'a BTreeMap<Col, CellSlab>,
+}
+
+impl<'a> Walk<'a> {
+    fn view(&self, hi: usize) -> ColView<'a> {
+        let home = &self.homes[hi];
+        ColView {
+            owned: home.owned.then(|| &self.columns[&home.col]),
+            ghost: home.ghost.then(|| &self.ghosts[&home.col]),
+            base: self.base[hi],
+            class: &self.class[hi * self.nc..(hi + 1) * self.nc],
+        }
+    }
+
+    /// Visit the kernel blocks of `pass` in canonical order, each with
+    /// its home cell's energy bucket.
+    ///
+    /// Home cells are all cells this PE can see — owned *and* ghost — in
+    /// ascending global order; each home runs its intra-cell triangle
+    /// (owned homes only), then the 13 forward offsets, then its pull.
+    /// Pairs between two ghost cells are other PEs' work and are never
+    /// visited; `Interior` and `Boundary` visit only the blocks with a
+    /// side (or the home-side work) that pass owns.
+    fn for_each_block(&self, pass: ForcePass, mut visit: impl FnMut(usize, Block<'a>)) {
+        for (hi, home) in self.homes.iter().enumerate() {
+            if pass == ForcePass::Interior && !home.owned {
+                // A ghost home's pairs all involve ghost data: nothing to
+                // do before the receive.
+                continue;
+            }
+            let hv = self.view(hi);
+            // Settle per column what can be settled there: a forward
+            // column is dead for this home when no cell of either stores
+            // in this pass (ghost beside ghost; for a shape owning whole
+            // columns, everything the other split pass owns), and its z
+            // loops and slab lookups are skipped whole.
+            let stores_any = |v: &[CellClass]| v.iter().any(|&c| stores_in(pass, c));
+            let column = |i: usize| &self.class[i * self.nc..(i + 1) * self.nc];
+            let home_stores = stores_any(hv.class);
+            let live: [bool; 5] = std::array::from_fn(|g| {
+                home.ring[g].is_none_or(|(ni, ..)| home_stores || stores_any(column(ni)))
+            });
+            let ring: [Option<(ColView<'a>, f64, f64)>; 5] = std::array::from_fn(|g| {
+                home.ring[g]
+                    .filter(|_| live[g])
+                    .map(|(ni, sx, sy)| (self.view(ni), sx, sy))
+            });
+            for cz in 0..self.nc {
+                let Some(h) = hv.cell(cz) else {
+                    continue;
+                };
+                if h.parts.is_empty()
+                    || (pass == ForcePass::Interior && h.class == CellClass::Ghost)
+                {
+                    // The ghost cells of an owned column wait likewise.
+                    // (Frontier homes DO run in the interior pass — their
+                    // pairs with interior neighbours must store the
+                    // interior side then, at its canonical slot position.)
+                    continue;
+                }
+                let bucket = work_bucket(hi, h.class);
+                let own_home = h.class != CellClass::Ghost;
+                let home_here = own_home && home_runs_in(pass, h.class);
+                let store_h = stores_in(pass, h.class);
+                if home_here {
+                    visit(bucket, Block::Intra(h));
+                }
+                // The z neighbours of this cell, by dz + 1.
+                let zs = [
+                    wrap_z(self.nc, self.box_len, cz, -1),
+                    (cz, 0.0),
+                    wrap_z(self.nc, self.box_len, cz, 1),
+                ];
+                for (gi, entry) in ring.iter().enumerate() {
+                    if !live[gi] {
+                        continue;
+                    }
+                    for &dz in forward_dz(gi) {
+                        let (nz, sz) = zs[(dz + 1) as usize];
+                        let Some((nv, sx, sy)) = entry.as_ref().filter(|e| e.0.sees(nz)) else {
+                            assert!(
+                                !own_home,
+                                "rank {}: missing forward neighbour of cell {:?}/{cz}",
+                                self.rank, home.col
+                            );
+                            continue;
+                        };
+                        // Nothing of the pair stored in this pass: both
+                        // sides ghost (another PE's pair, skipped in every
+                        // pass) or the other pass owns both stores. Judged
+                        // from the classes alone, before touching a slab.
+                        if !(store_h || stores_in(pass, nv.class[nz])) {
+                            continue;
+                        }
+                        let n = nv.cell(nz).expect("a seen cell has a slab");
+                        if !n.parts.is_empty() {
+                            visit(bucket, Block::Pair(h, n, Vec3::new(*sx, *sy, sz)));
+                        }
+                    }
+                }
+                if home_here {
+                    visit(bucket, Block::Pull(h));
+                }
+            }
+        }
+    }
+}
+
+/// Whether the overlapped schedule can pay on a rank with these classes.
+/// Splitting the pass evaluates every interior×frontier cell pair twice
+/// (once per pass, each storing its own side) to hide the ghost latency
+/// behind the interior-only blocks — so the time it can win is bounded by
+/// the interior-only work and the time it costs is the repeated work, on
+/// any host. Where the repeats outnumber the blocks that hide anything
+/// (a 6³ cube block: 728 against 532) the fused pass is the faster
+/// schedule whatever the latency. Counted in cell blocks off the class
+/// map alone, so it changes only when ownership does; both schedules are
+/// bitwise identical, so ranks may choose differently.
+fn split_pays(nc: usize, homes: &[Home], class: &[CellClass]) -> bool {
+    use CellClass::{Frontier, Interior};
+    let (mut hidden, mut repeated) = (0usize, 0usize);
+    for (hi, home) in homes.iter().enumerate() {
+        for cz in 0..nc {
+            let h = class[hi * nc + cz];
+            hidden += (h == Interior) as usize; // the intra-cell triangle
+            for (gi, entry) in home.ring.iter().enumerate() {
+                let Some((ni, ..)) = *entry else { continue };
+                for &dz in forward_dz(gi) {
+                    let nz = wrap_z(nc, 0.0, cz, dz).0;
+                    match (h, class[ni * nc + nz]) {
+                        (Interior, Interior) => hidden += 1,
+                        (Interior, Frontier) | (Frontier, Interior) => repeated += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    hidden > repeated
+}
+
+/// The energy bucket of a home cell: two per home column, one for each
+/// overlapped pass that can run a home cell's own work. Whichever
+/// schedule runs, a bucket receives the same addends in the same order,
+/// and the buckets are folded ascending — so fused and overlapped energy
+/// sums are bitwise identical even where one column mixes interior and
+/// frontier cells (the cube). For the z-invariant shapes one bucket of
+/// each pair stays zero and the fold is the per-column fold.
+fn work_bucket(hi: usize, class: CellClass) -> usize {
+    2 * hi + (class == CellClass::Interior) as usize
 }
 
 /// What each rank hands back to the driver when the run finishes.
@@ -227,16 +473,18 @@ pub fn initial_particles(cfg: &RunConfig) -> Vec<Particle> {
 /// The state of one PE.
 pub struct PeState {
     cfg: RunConfig,
-    layout: PillarLayout,
     rank: usize,
     nc: usize,
     box_len: f64,
     cell_len: f64,
     kernel: PairKernel,
-    protocol: Option<DlbProtocol>,
-    /// This PE's (windowed) ownership view.
-    ownership: OwnershipMap,
-    /// Distinct torus 8-neighbours, ascending.
+    /// Who owns which cell, and the shape's balancer rule.
+    decomp: Box<dyn Decomposition>,
+    /// The z cells this PE owns of each of its columns.
+    own_z: Range<usize>,
+    /// The distinct ranks owning a cell adjacent to one of this PE's home
+    /// cells, ascending. Fixed for the run: balancers only ever move
+    /// cells between ranks that are neighbours already.
     neighbors: Vec<usize>,
     /// Owned columns: contiguous (cell, id)-sorted particle storage with
     /// `nc` cells per column, indexed by the z cell index.
@@ -245,6 +493,7 @@ pub struct PeState {
     /// order, aligned with each slab's particle order. Valid from
     /// `compute_forces` until the next `migrate` reshuffles particles.
     forces: Vec<Vec3>,
+    /// Ghost cells, by column like the owned ones.
     ghosts: BTreeMap<Col, CellSlab>,
     last_work: WorkCounters,
     last_force_virtual: f64,
@@ -261,17 +510,26 @@ pub struct PeState {
     /// True when ownership (or the owned-column set) changed since the
     /// ownership-derived caches below were rebuilt.
     routes_dirty: bool,
-    /// Per-neighbour ghost routing (parallel to `neighbors`): the owned
-    /// columns each neighbour needs as ghosts, ascending, deduplicated.
-    ghost_routes: Vec<Vec<Col>>,
-    /// Home columns this PE sees — owned ∪ ghost, ascending — with each
-    /// column's frontier class. The force passes iterate this list; the
-    /// ghost entries' keys double as the expected ghost-receive set.
-    home_cols: Vec<(Col, ColClass)>,
-    /// Per-home force-array base offsets (`None` for ghost homes),
-    /// parallel to `home_cols`; refilled by `force_prologue` each step.
-    home_base: Vec<Option<usize>>,
-    /// Per-home work-counter buckets, parallel to `home_cols`, folded
+    /// Per-neighbour ghost routing (parallel to `neighbors`): the runs of
+    /// owned cells each neighbour needs as ghosts, as (column, z range),
+    /// ascending and merged.
+    ghost_routes: Vec<Vec<(Col, Range<usize>)>>,
+    /// Home columns this PE sees — owned ∪ ghost, ascending. The force
+    /// passes iterate this list; the ghost entries' keys double as the
+    /// expected ghost-receive set.
+    homes: Vec<Home>,
+    /// Per-cell frontier classes, `nc` per home column.
+    cell_class: Vec<CellClass>,
+    /// Whether this PE splits its force pass for the overlapped schedule:
+    /// `cfg.overlap` allows it and the rank's interior is large enough
+    /// for it to pay (see [`split_pays`]).
+    split_force: bool,
+    /// Per-home slot bases (owned slab, ghost slab) in the flat force /
+    /// SoA layout, parallel to `homes`; refilled by `force_prologue`
+    /// each step (slab sizes — hence the bases — are frozen across a
+    /// skin epoch).
+    home_base: Vec<[usize; 2]>,
+    /// Per-home work-counter buckets (see [`work_bucket`]), folded
     /// ascending into `last_work` — the same fold in both schedules, so
     /// fused and overlapped energy sums are bitwise identical.
     col_work: Vec<WorkCounters>,
@@ -319,9 +577,6 @@ pub struct PeState {
     soa: SoaField,
     /// The recorded half-shell walk replayed between rebuilds.
     vlist: VerletList,
-    /// Per-home SoA base offsets (owned *and* ghost), parallel to
-    /// `home_cols`; frozen across a skin epoch.
-    soa_base: Vec<usize>,
     /// Ghost id → (column, slot) index, sorted by id; recorded at each
     /// rebuild step to derive the in-place update routes below.
     ghost_index: Vec<(u64, Col, u32)>,
@@ -348,28 +603,19 @@ pub struct PeState {
 }
 
 impl PeState {
-    /// Build the PE's state and take ownership of its home-tile particles.
-    pub fn new(rank: usize, cfg: &RunConfig) -> Self {
-        let mut pe = Self::scaffold(rank, cfg);
-        let layout = pe.layout;
-        let mut staging: BTreeMap<Col, Vec<Particle>> =
-            layout.tile_columns(rank).map(|c| (c, Vec::new())).collect();
-        for p in initial_particles(cfg) {
-            let col = pe.col_of(p.pos);
-            if layout.home_rank(col) == rank {
-                staging.get_mut(&col).expect("home column exists").push(p);
-            }
-        }
-        pe.columns = staging
-            .into_iter()
-            .map(|(c, v)| (c, pe.build_column(v)))
-            .collect();
+    /// Build the PE's state and take ownership of its home particles.
+    pub fn new(rank: usize, cfg: &RunConfig, shape: DomainShape) -> Self {
+        let mut pe = Self::scaffold(rank, cfg, shape);
+        pe.adopt_particles(initial_particles(cfg));
         pe
     }
 
-    /// Rebuild a PE's state from a distributed checkpoint: replay the
-    /// checkpointed ownership into this rank's readable window and stage
+    /// Rebuild a square-pillar PE's state from a distributed checkpoint:
+    /// replay the checkpointed ownership into this rank's view and stage
     /// the checkpointed particles into the columns this rank owns.
+    /// Pillar only — a checkpoint records one owner per column, which is
+    /// what the pillar's balancer moves; recovery, takeover and elastic
+    /// runs are validated pillar-only upstream.
     ///
     /// Forces are *not* stored in the checkpoint — the caller recomputes
     /// them, which reproduces the checkpointed run's force array bitwise:
@@ -377,33 +623,22 @@ impl PeState {
     /// evaluated at (velocity Verlet only touches velocities after the
     /// force pass).
     pub fn from_checkpoint(rank: usize, cfg: &RunConfig, ck: &SimCheckpoint) -> Self {
-        let mut pe = Self::scaffold(rank, cfg);
+        let mut pe = Self::scaffold(rank, cfg, DomainShape::SquarePillar);
         assert_eq!(
             ck.md.particles.len(),
             cfg.n_particles,
             "checkpoint particle count does not match the configuration"
         );
+        // Replayed as decisions already made — "`col` now belongs to
+        // `owner`" — so the windowed view filters them as it did live.
         for &(col, owner) in &ck.ownership {
-            if pe.in_window(col) {
-                pe.ownership.set_owner(col, owner);
-            }
+            pe.decomp.apply(&DlbDecision {
+                col,
+                from: owner,
+                to: owner,
+            });
         }
-        let mut staging: BTreeMap<Col, Vec<Particle>> = pe
-            .ownership
-            .owned_columns(rank)
-            .into_iter()
-            .map(|c| (c, Vec::new()))
-            .collect();
-        for p in &ck.md.particles {
-            let col = pe.col_of(p.pos);
-            if pe.ownership.owner_of(col) == rank {
-                staging.get_mut(&col).expect("owned column exists").push(*p);
-            }
-        }
-        pe.columns = staging
-            .into_iter()
-            .map(|(c, v)| (c, pe.build_column(v)))
-            .collect();
+        pe.adopt_particles(ck.md.particles.iter().copied());
         // The initial force pass after a restore recomputes the
         // checkpointed step's forces — with drifting speeds, its
         // published load numbers must use the checkpointed step too.
@@ -413,24 +648,31 @@ impl PeState {
 
     /// The state shell shared by [`PeState::new`] and
     /// [`PeState::from_checkpoint`]: everything but the particle columns.
-    fn scaffold(rank: usize, cfg: &RunConfig) -> Self {
-        let layout = PillarLayout::new(cfg.nc, cfg.torus());
-        let ownership = OwnershipMap::initial(layout);
-        let protocol = cfg
-            .dlb
-            .then(|| DlbProtocol::new(layout, rank).with_min_relative_gain(cfg.dlb_min_gain));
-        let neighbors = layout.torus().distinct_neighbors8(rank);
+    fn scaffold(rank: usize, cfg: &RunConfig, shape: DomainShape) -> Self {
+        let decomp = decomposition(shape, rank, cfg);
+        let own_z = decomp.z_extent(rank);
+        // The neighbour set, from the decomposition's starting state:
+        // every other rank owning a cell adjacent to one of ours.
+        let nc = cfg.nc;
+        let mut nbrs: BTreeSet<usize> = BTreeSet::new();
+        for col in all_columns(nc) {
+            if decomp.owner_of(col, own_z.start) == rank {
+                for span in owned_spans(nc, &own_z) {
+                    nbrs.extend(foreign_around(&*decomp, nc, rank, col, span).map(|f| f.2));
+                }
+            }
+        }
+        let neighbors: Vec<usize> = nbrs.into_iter().collect();
         let n_nbrs = neighbors.len();
         Self {
             cfg: cfg.clone(),
-            layout,
             rank,
-            nc: cfg.nc,
+            nc,
             box_len: cfg.box_len(),
             cell_len: cfg.cell_len(),
             kernel: PairKernel::new(cfg.lj),
-            protocol,
-            ownership,
+            decomp,
+            own_z,
             neighbors,
             columns: BTreeMap::new(),
             forces: Vec::new(),
@@ -442,7 +684,9 @@ impl PeState {
             cur_step: 0,
             routes_dirty: true,
             ghost_routes: vec![Vec::new(); n_nbrs],
-            home_cols: Vec::new(),
+            homes: Vec::new(),
+            cell_class: Vec::new(),
+            split_force: false,
             home_base: Vec::new(),
             col_work: Vec::new(),
             migrate_staging: BTreeMap::new(),
@@ -458,7 +702,6 @@ impl PeState {
             rebuild_now: true,
             soa: SoaField::new(),
             vlist: VerletList::new(),
-            soa_base: Vec::new(),
             ghost_index: Vec::new(),
             ghost_ids: vec![Vec::new(); n_nbrs],
             ghost_slot_routes: vec![Vec::new(); n_nbrs],
@@ -470,14 +713,43 @@ impl PeState {
         }
     }
 
+    /// Create a column for every column this PE owns a cell of and fill
+    /// them with the particles of `all` that lie in its cells.
+    fn adopt_particles(&mut self, all: impl IntoIterator<Item = Particle>) {
+        let (nc, rank, z0) = (self.nc, self.rank, self.own_z.start);
+        let mut staging: BTreeMap<Col, Vec<Particle>> = all_columns(nc)
+            .filter(|&col| self.decomp.owner_of(col, z0) == rank)
+            .map(|col| (col, Vec::new()))
+            .collect();
+        for p in all {
+            let (col, cz) = self.cell_of(p.pos);
+            if self.decomp.owner_of(col, cz) == rank {
+                staging.get_mut(&col).expect("owned column exists").push(p);
+            }
+        }
+        self.columns = staging
+            .into_iter()
+            .map(|(c, v)| (c, self.build_column(v)))
+            .collect();
+    }
+
+    /// The ranks this PE exchanges its step frames with, ascending.
+    pub fn neighbors(&self) -> &[usize] {
+        &self.neighbors
+    }
+
     /// Number of particles this PE currently owns.
     pub fn num_particles(&self) -> usize {
         self.columns.values().map(CellSlab::len).sum()
     }
 
     fn col_of(&self, pos: Vec3) -> Col {
+        self.cell_of(pos).0
+    }
+
+    fn cell_of(&self, pos: Vec3) -> (Col, usize) {
         let f = |v: f64| axis_bin(v, self.cell_len, self.nc);
-        Col::new(f(pos.x), f(pos.y))
+        (Col::new(f(pos.x), f(pos.y)), f(pos.z))
     }
 
     /// Bin a flat particle list into one column's `nc` z cells.
@@ -485,14 +757,6 @@ impl PeState {
         let cell_len = self.cell_len;
         let nc = self.nc;
         CellSlab::build(nc, parts, move |p| axis_bin(p.pos.z, cell_len, nc))
-    }
-
-    /// True when `col`'s home tile lies in this PE's readable 3×3 tile
-    /// window (own tile ± 1 in each torus direction).
-    fn in_window(&self, col: Col) -> bool {
-        let home = self.layout.home_rank(col);
-        let (di, dj) = self.layout.tile_delta(self.rank, home);
-        di.abs() <= 1 && dj.abs() <= 1
     }
 
     /// The load value fed to the balancer (per the configured metric and
@@ -593,61 +857,90 @@ impl PeState {
         rebuild
     }
 
-    fn ownership_owner(&self, col: Col) -> usize {
-        debug_assert!(self.in_window(col), "reading owner outside window");
-        self.ownership.owner_of(col)
-    }
-
     /// Rebuild the ownership-derived caches when ownership (or the
-    /// owned-column set) changed: the per-neighbour ghost routes, the
-    /// classified home-column list, and the ghost/staging key sets. Cold
-    /// path — runs at startup and after a DLB transfer, never in the
-    /// steady state, so its allocations stay off the hot path.
+    /// owned-column set) changed: the per-cell classes, the per-neighbour
+    /// ghost routes, the home-column list with its forward rings, and the
+    /// ghost/staging key sets. Cold path — runs at startup and after a
+    /// DLB transfer, never in the steady state, so its allocations stay
+    /// off the hot path.
     fn refresh_caches(&mut self) {
         if !self.routes_dirty {
             return;
         }
         self.routes_dirty = false;
-        let grid = self.layout.grid();
+        let (nc, rank) = (self.nc, self.rank);
         for r in &mut self.ghost_routes {
             r.clear();
         }
-        self.home_cols.clear();
-        let mut ghost_cols: BTreeSet<Col> = BTreeSet::new();
+        // Classify every owned cell by who owns the cells around it, on a
+        // scratch grid over the whole box (indexed like the cell grid).
+        let mut grid = vec![CellClass::Unseen; nc * nc * nc];
+        let column = |col: Col| (col.cx * nc + col.cy) * nc..(col.cx * nc + col.cy + 1) * nc;
         for &col in self.columns.keys() {
-            let mut class = ColClass::Interior;
-            for n in grid.neighbors8(col) {
-                let owner = self.ownership_owner(n);
-                if owner != self.rank {
-                    class = ColClass::Frontier;
-                    ghost_cols.insert(n);
+            for span in owned_spans(nc, &self.own_z) {
+                let mut class = CellClass::Interior;
+                for (ncol, nspan, owner) in
+                    foreign_around(&*self.decomp, nc, rank, col, span.clone())
+                {
+                    class = CellClass::Frontier;
+                    grid[column(ncol)][nspan].fill(CellClass::Ghost);
                     let i = self.neighbors.binary_search(&owner).unwrap_or_else(|_| {
-                        panic!(
-                            "rank {}: ghost target {owner} is not a neighbour",
-                            self.rank
-                        )
+                        panic!("rank {rank}: ghost target {owner} is not a neighbour")
                     });
-                    // `columns.keys()` is ascending, so deduplicating
-                    // against the route's tail keeps it sorted and unique.
-                    if self.ghost_routes[i].last() != Some(&col) {
-                        self.ghost_routes[i].push(col);
+                    // Owned cells are visited in ascending (column, z)
+                    // order, so merging into the route's tail keeps it
+                    // sorted and free of repeats.
+                    match self.ghost_routes[i].last_mut() {
+                        Some((c, r)) if *c == col && r.end >= span.start => {
+                            r.end = r.end.max(span.end)
+                        }
+                        _ => self.ghost_routes[i].push((col, span.clone())),
                     }
                 }
+                grid[column(col)][span].fill(class);
             }
-            self.home_cols.push((col, class));
         }
+        // The home list: every column with a cell this PE sees, ascending,
+        // each with its forward cross-section columns resolved.
+        self.homes.clear();
+        self.cell_class.clear();
+        for col in all_columns(nc) {
+            let classes = &grid[column(col)];
+            if classes.iter().any(|&c| c != CellClass::Unseen) {
+                self.homes.push(Home {
+                    col,
+                    owned: self.columns.contains_key(&col),
+                    ghost: classes.contains(&CellClass::Ghost),
+                    ring: [None; 5],
+                });
+                self.cell_class.extend_from_slice(classes);
+            }
+        }
+        for hi in 0..self.homes.len() {
+            let col = self.homes[hi].col;
+            self.homes[hi].ring = std::array::from_fn(|g| {
+                let (dx, dy) = FORWARD_XY[g];
+                let (ncol, sx, sy) = wrap_col(nc, self.box_len, col, dx, dy);
+                self.homes
+                    .binary_search_by_key(&ncol, |h| h.col)
+                    .ok()
+                    .map(|ni| (ni, sx, sy))
+            });
+        }
+        self.split_force = self.cfg.overlap && split_pays(nc, &self.homes, &self.cell_class);
         // Keep the ghost slabs' (and ghost staging's) key sets equal to
         // the expected receive set, preserving the allocations of
         // surviving columns.
-        let nc = self.nc;
-        self.ghosts.retain(|c, _| ghost_cols.contains(c));
-        self.ghost_staging.retain(|c, _| ghost_cols.contains(c));
-        for &c in &ghost_cols {
-            self.ghosts.entry(c).or_insert_with(|| CellSlab::empty(nc));
-            self.ghost_staging.entry(c).or_default();
-            self.home_cols.push((c, ColClass::Ghost));
+        self.ghosts
+            .retain(|&c, _| grid[column(c)].contains(&CellClass::Ghost));
+        self.ghost_staging
+            .retain(|c, _| self.ghosts.contains_key(c));
+        for home in self.homes.iter().filter(|h| h.ghost) {
+            self.ghosts
+                .entry(home.col)
+                .or_insert_with(|| CellSlab::empty(nc));
+            self.ghost_staging.entry(home.col).or_default();
         }
-        self.home_cols.sort_unstable_by_key(|&(c, _)| c);
         // Keep the migration staging key set equal to the owned columns'.
         let columns = &self.columns;
         self.migrate_staging.retain(|c, _| columns.contains_key(c));
@@ -684,19 +977,16 @@ impl PeState {
                 v.clear();
             }
             let (cell_len, nc, rank) = (self.cell_len, self.nc, self.rank);
-            let col_at = move |pos: Vec3| {
-                let f = |v: f64| axis_bin(v, cell_len, nc);
-                Col::new(f(pos.x), f(pos.y))
-            };
+            let bin = move |v: f64| axis_bin(v, cell_len, nc);
             let columns = &self.columns;
-            let ownership = &self.ownership;
+            let decomp = &*self.decomp;
             let neighbors = &self.neighbors;
             let staging = &mut self.migrate_staging;
             let out = &mut self.migrate_out;
             for slab in columns.values() {
                 for p in slab.particles() {
-                    let ncol = col_at(p.pos);
-                    let owner = ownership.owner_of(ncol);
+                    let ncol = Col::new(bin(p.pos.x), bin(p.pos.y));
+                    let owner = decomp.owner_of(ncol, bin(p.pos.z));
                     if owner == rank {
                         staging
                             .get_mut(&ncol)
@@ -775,9 +1065,9 @@ impl PeState {
                 continue;
             }
             for p in &incoming.migrants.parts {
-                let ncol = self.col_of(p.pos);
+                let (ncol, ncz) = self.cell_of(p.pos);
                 debug_assert_eq!(
-                    self.ownership.owner_of(ncol),
+                    self.decomp.owner_of(ncol, ncz),
                     rank,
                     "rank {rank}: received particle {} for column {ncol:?} it does not own",
                     p.id
@@ -805,21 +1095,15 @@ impl PeState {
     }
 
     /// Phase 3 (DLB), steps 2–3: from the neighbour loads collected in
-    /// round 1, find the fastest PE and apply the case rules — purely
-    /// local now that the loads ride the round-1 frames. Returns this
-    /// PE's decision in wire form, ready for
-    /// [`PeState::dlb_send_decision`]. All DLB halves are no-ops when DLB
-    /// is off.
+    /// round 1, apply the shape's balancer rule — purely local now that
+    /// the loads ride the round-1 frames. Returns this PE's decision in
+    /// wire form, ready for [`PeState::dlb_send_decision`].
     pub(crate) fn dlb_decide(&mut self) -> Option<(Col, u64, u64)> {
-        let protocol = self.protocol?;
         let t0 = WallTimer::start();
-        let own_load = self.last_load();
         debug_assert_eq!(self.nbr_loads.len(), self.neighbors.len());
-        let fastest = protocol.fastest_pe(own_load, &self.nbr_loads);
-        let my_decision = protocol.decide(&self.ownership, fastest);
-        if let Some(d) = &my_decision {
-            debug_assert!(DlbProtocol::validate(&self.layout, &self.ownership, d).is_ok());
-        }
+        let my_decision = self
+            .decomp
+            .decide(self.cur_step, self.last_load(), &self.nbr_loads);
         self.phase.dlb += t0.elapsed_s();
         my_decision.map(|d| (d.col, d.from as u64, d.to as u64))
     }
@@ -828,9 +1112,6 @@ impl PeState {
     /// neighbourhood (`None` travels too — every neighbour expects one
     /// message).
     pub(crate) fn dlb_send_decision(&mut self, comm: &mut Comm, wire: Option<(Col, u64, u64)>) {
-        if self.protocol.is_none() {
-            return;
-        }
         let t0 = WallTimer::start();
         for &nb in &self.neighbors {
             self.wire.dlb += wire.encoded_size() as u64;
@@ -840,18 +1121,14 @@ impl PeState {
     }
 
     /// Phase 3, step 4 receive half: collect the neighbourhood's
-    /// decisions, merge this PE's own, and apply the ownership updates in
-    /// deterministic order (the windowed view ignores decisions about
-    /// unreadable columns). Returns the merged decision list for the
-    /// cell-transfer halves.
+    /// decisions, merge this PE's own, and fold them into the ownership
+    /// view in deterministic order. Returns the merged decision list for
+    /// the cell-transfer halves.
     pub(crate) fn dlb_recv_decisions(
         &mut self,
         comm: &mut Comm,
         wire: Option<(Col, u64, u64)>,
     ) -> Vec<DlbDecision> {
-        if self.protocol.is_none() {
-            return Vec::new();
-        }
         let t0 = WallTimer::start();
         let to_decision = |(col, from, to): (Col, u64, u64)| DlbDecision {
             col,
@@ -866,9 +1143,7 @@ impl PeState {
         }
         decisions.sort_unstable_by_key(|d| d.from);
         for d in &decisions {
-            if self.in_window(d.col) {
-                self.ownership.set_owner(d.col, d.to);
-            }
+            self.decomp.apply(d);
         }
         // Ownership moved: the routing/class caches must be rebuilt
         // before the next ghost exchange or force pass.
@@ -879,21 +1154,24 @@ impl PeState {
         decisions
     }
 
-    /// Phase 3, data-movement send half: ship the particles of columns
-    /// this PE gave away. Returns the number of transfers sent.
+    /// Phase 3, data-movement send half: ship the particles of the
+    /// columns this PE gave away, one id-sorted frame per decision.
+    /// Returns the number of transfers sent.
     pub(crate) fn dlb_send_cells(&mut self, comm: &mut Comm, decisions: &[DlbDecision]) -> u64 {
         let t0 = WallTimer::start();
         let mut sent = 0u64;
         for d in decisions {
             if d.from == self.rank {
-                let slab = self
-                    .columns
-                    .remove(&d.col)
-                    .expect("sender owns the column data");
                 let mut buf = self.part_pool.checkout();
                 let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
                 frame.parts.clear();
-                frame.parts.extend_from_slice(slab.particles());
+                for col in self.decomp.granule(d) {
+                    let slab = self
+                        .columns
+                        .remove(&col)
+                        .expect("sender owns the column data");
+                    frame.parts.extend_from_slice(slab.particles());
+                }
                 frame.parts.sort_unstable_by_key(|p| p.id);
                 self.wire.dlb += frame.encoded_size() as u64;
                 comm.send(d.to, tags::CELL_XFER, Arc::clone(&buf));
@@ -912,16 +1190,29 @@ impl PeState {
         for d in decisions {
             if d.to == self.rank {
                 let flat: Arc<ParticleFrame> = comm.recv(d.from, tags::CELL_XFER);
-                debug_assert!(flat.parts.iter().all(|p| self.col_of(p.pos) == d.col));
-                let slab = self.build_column(flat.parts.clone());
-                self.columns.insert(d.col, slab);
+                let mut staging: BTreeMap<Col, Vec<Particle>> = self
+                    .decomp
+                    .granule(d)
+                    .into_iter()
+                    .map(|c| (c, Vec::new()))
+                    .collect();
+                for p in &flat.parts {
+                    staging
+                        .get_mut(&self.col_of(p.pos))
+                        .expect("transferred particle lies in a transferred column")
+                        .push(*p);
+                }
+                for (col, parts) in staging {
+                    let slab = self.build_column(parts);
+                    self.columns.insert(col, slab);
+                }
             }
         }
         self.phase.dlb += t0.elapsed_s();
     }
 
     /// Phase 4 (round 2), send half: post the boundary-shell ghosts to
-    /// the 8 neighbours, one pooled round-2 [`StepFrame`] per neighbour
+    /// the neighbours, one pooled round-2 [`StepFrame`] per neighbour
     /// along the cached routes. Each frame ships `(id, pos)` pairs only —
     /// no velocities, no column directory, nothing for empty cells — and
     /// is delta-encoded against the previous step's frame on the same
@@ -935,8 +1226,10 @@ impl PeState {
             let chan = &mut self.send_chan[i];
             chan.sync_epoch(epoch);
             let mut baseline = 8u64;
-            for &col in &self.ghost_routes[i] {
-                let parts = self.columns[&col].particles();
+            for (col, span) in &self.ghost_routes[i] {
+                let slab = &self.columns[col];
+                let parts =
+                    &slab.particles()[slab.range(span.start).start..slab.range(span.end - 1).end];
                 baseline += 24 + 56 * parts.len() as u64;
                 chan.scratch.extend(parts.iter().map(|p| (p.id, p.pos)));
             }
@@ -1079,40 +1372,41 @@ impl PeState {
     }
 
     /// Lay out the flat force array over the owned columns (home-column
-    /// order, ghost entries skipped — the same ascending concatenation as
-    /// before) and reset the per-home work buckets. Runs at the start of
-    /// a `Fused` or `Interior` pass; a `Boundary` pass continues the
-    /// arrays its `Interior` pass laid out.
+    /// order, so the same ascending concatenation `kick_all` walks), give
+    /// the ghost slabs the slots behind it, and reset the per-home work
+    /// buckets. Runs at the start of a `Fused` or `Interior` pass; a
+    /// `Boundary` pass continues the arrays its `Interior` pass laid out.
     fn force_prologue(&mut self) {
         self.home_base.clear();
-        self.home_base.resize(self.home_cols.len(), None);
+        self.home_base.resize(self.homes.len(), [0; 2]);
         let mut total = 0usize;
-        for (i, &(col, class)) in self.home_cols.iter().enumerate() {
-            if class != ColClass::Ghost {
-                self.home_base[i] = Some(total);
-                total += self.columns[&col].len();
+        for (home, base) in self.homes.iter().zip(&mut self.home_base) {
+            if home.owned {
+                base[0] = total;
+                total += self.columns[&home.col].len();
             }
         }
         self.forces.clear();
         self.forces.resize(total, Vec3::ZERO);
+        for (home, base) in self.homes.iter().zip(&mut self.home_base) {
+            if home.ghost {
+                base[1] = total;
+                total += self.ghosts[&home.col].len();
+            }
+        }
         self.col_work.clear();
         self.col_work
-            .resize(self.home_cols.len(), WorkCounters::default());
+            .resize(2 * self.homes.len(), WorkCounters::default());
         self.force_wall_accum = 0.0;
     }
 
     /// Phase 5: one force pass in the canonical half-shell order (see
-    /// module docs); counts full-shell work and measures wall time.
+    /// module docs and [`Walk::for_each_block`]); counts full-shell work
+    /// and measures wall time.
     ///
-    /// Home cells are all columns this PE can see — owned *and* ghost — in
-    /// ascending global order; each home runs its intra-cell triangle
-    /// (owned homes only) and then the 13 forward offsets, storing into
-    /// whichever side(s) of each pair this PE owns. Pairs between two
-    /// ghost cells are other PEs' work and are skipped.
-    ///
-    /// `Fused` does all of that in one pass. `Interior` + `Boundary`
+    /// `Fused` does everything in one pass. `Interior` + `Boundary`
     /// split it for the overlapped schedule: the `Interior` pass stores
-    /// only into interior columns (which by definition touch no ghost
+    /// only into interior cells (which by definition touch no ghost
     /// data) and so can run while ghost payloads are in flight; the
     /// `Boundary` pass stores the frontier remainder after `ghosts_recv`.
     /// A pair that straddles the frontier (interior home or neighbour,
@@ -1133,161 +1427,62 @@ impl PeState {
         if pass != ForcePass::Boundary {
             self.force_prologue();
         }
-        let nc = self.nc;
         let box_len = self.box_len;
         let pull = self.cfg.pull();
-        let rank = self.rank;
         let kernel = &self.kernel;
-        let columns = &self.columns;
-        let ghosts = &self.ghosts;
-        let home_cols = &self.home_cols;
-        let home_base = &self.home_base;
         let forces = &mut self.forces;
         let col_work = &mut self.col_work;
-        let slab_of = |col: Col, class: ColClass| -> &CellSlab {
-            match class {
-                ColClass::Ghost => &ghosts[&col],
-                _ => &columns[&col],
-            }
+        let walk = Walk {
+            nc: self.nc,
+            box_len,
+            rank: self.rank,
+            homes: &self.homes,
+            class: &self.cell_class,
+            base: &self.home_base,
+            columns: &self.columns,
+            ghosts: &self.ghosts,
         };
-        for (hi, &(col, class)) in home_cols.iter().enumerate() {
-            if pass == ForcePass::Interior && class == ColClass::Ghost {
-                // A ghost home's pairs all involve ghost data: nothing to
-                // do before the receive. (Frontier homes DO run here —
-                // their pairs with interior neighbours must store the
-                // interior side now, at its canonical slot position.)
-                continue;
-            }
-            let home_here = home_runs_in(pass, class);
-            let store_h = stores_in(pass, class);
-            let slab = slab_of(col, class);
-            let hbase = home_base[hi];
-            let w = &mut col_work[hi];
-            // Prefetch the forward cross-section columns with their
-            // periodic shifts, classes, and (if owned) force bases. A
-            // ghost home may lack forward neighbours — those pairs belong
-            // to other PEs; an owned home never may.
-            let ring: [Option<ColRef>; 5] = std::array::from_fn(|g| {
-                let (dx, dy) = FORWARD_XY[g];
-                let (ncol, sx, sy) = wrap_col(nc, box_len, col, dx, dy);
-                match home_cols.binary_search_by_key(&ncol, |&(c, _)| c) {
-                    Ok(ni) => {
-                        let nclass = home_cols[ni].1;
-                        Some(ColRef {
-                            slab: slab_of(ncol, nclass),
-                            sx,
-                            sy,
-                            base: home_base[ni],
-                            class: nclass,
-                        })
-                    }
-                    Err(_) => {
-                        assert!(
-                            hbase.is_none(),
-                            "rank {rank}: missing neighbour column {ncol:?} of {col:?}"
-                        );
-                        None
-                    }
-                }
-            });
-            for cz in 0..nc {
-                let hr = slab.range(cz);
-                if hr.is_empty() {
-                    continue;
-                }
-                let targets = slab.cell(cz);
-                if home_here {
-                    if let Some(hb) = hbase {
-                        kernel.accumulate_intra(
-                            targets,
-                            &mut forces[hb + hr.start..hb + hr.end],
-                            w,
-                        );
-                    }
-                }
-                for (gi, entry) in ring.iter().enumerate() {
-                    let Some(nref) = entry else {
-                        continue;
-                    };
-                    let store_n = stores_in(pass, nref.class);
-                    if !store_h && !store_n {
-                        // Nothing of this pair is stored in this pass:
-                        // either both sides are ghost (another PE's pair,
-                        // skipped in every pass) or the other pass owns
-                        // both stores.
-                        continue;
-                    }
-                    // Exactly one pass runs the home's side of the ring
-                    // (`home_here`) and credits the pair's energy with
-                    // the weight the fused pass would use.
-                    let owned_sides =
-                        (class != ColClass::Ghost) as u64 + (nref.class != ColClass::Ghost) as u64;
-                    let credit = home_here.then_some(0.5 * owned_sides as f64);
-                    let dzs: &[i64] = if gi == 0 { &[1] } else { &[-1, 0, 1] };
-                    for &dz in dzs {
-                        let (nz, sz) = wrap_z(nc, box_len, cz, dz);
-                        let nr = nref.slab.range(nz);
-                        if nr.is_empty() {
-                            continue;
-                        }
-                        let neighbors = nref.slab.cell(nz);
-                        let shift = Vec3::new(nref.sx, nref.sy, sz);
-                        let ha = store_h.then(|| hbase.expect("stored home column is owned"));
-                        let na = store_n.then(|| nref.base.expect("stored neighbour is owned"));
-                        match (ha, na) {
-                            (Some(hb), Some(nb)) => {
-                                let (fa, fb) = disjoint_ranges_mut(
-                                    forces,
-                                    hb + hr.start..hb + hr.end,
-                                    nb + nr.start..nb + nr.end,
-                                );
-                                kernel.accumulate_pair_credited(
-                                    targets,
-                                    Some(fa),
-                                    neighbors,
-                                    Some(fb),
-                                    shift,
-                                    credit,
-                                    w,
-                                );
+        // (Inlined into the walk, so each `match` arm below is resolved
+        // at its one call site and no `Block` is ever built in memory.)
+        walk.for_each_block(
+            pass,
+            #[inline(always)]
+            |bucket, block| {
+                let w = &mut col_work[bucket];
+                match block {
+                    Block::Intra(h) => kernel.accumulate_intra(h.parts, &mut forces[h.slots()], w),
+                    Block::Pair(h, n, shift) => {
+                        let (fa, fb) = match (stores_in(pass, h.class), stores_in(pass, n.class)) {
+                            (true, true) => {
+                                let (fa, fb) = disjoint_ranges_mut(forces, h.slots(), n.slots());
+                                (Some(fa), Some(fb))
                             }
-                            (Some(hb), None) => kernel.accumulate_pair_credited(
-                                targets,
-                                Some(&mut forces[hb + hr.start..hb + hr.end]),
-                                neighbors,
-                                None,
-                                shift,
-                                credit,
-                                w,
-                            ),
-                            (None, Some(nb)) => kernel.accumulate_pair_credited(
-                                targets,
-                                None,
-                                neighbors,
-                                Some(&mut forces[nb + nr.start..nb + nr.end]),
-                                shift,
-                                credit,
-                                w,
-                            ),
-                            (None, None) => unreachable!("pair with no stored side was skipped"),
-                        }
+                            (true, false) => (Some(&mut forces[h.slots()]), None),
+                            (false, true) => (None, Some(&mut forces[n.slots()])),
+                            (false, false) => {
+                                unreachable!("pair with no stored side is not visited")
+                            }
+                        };
+                        // Exactly one pass runs the home's side of the ring
+                        // and credits the pair's energy, with the weight the
+                        // fused pass would use.
+                        let owned_sides = (h.class != CellClass::Ghost) as u64
+                            + (n.class != CellClass::Ghost) as u64;
+                        let credit =
+                            home_runs_in(pass, h.class).then_some(0.5 * owned_sides as f64);
+                        kernel.accumulate_pair_credited(h.parts, fa, n.parts, fb, shift, credit, w);
                     }
-                }
-                if home_here {
-                    if let Some(hb) = hbase {
+                    Block::Pull(h) => {
                         if !pull.is_none() {
-                            for (p, f) in targets
-                                .iter()
-                                .zip(forces[hb + hr.start..hb + hr.end].iter_mut())
-                            {
+                            for (p, f) in h.parts.iter().zip(forces[h.slots()].iter_mut()) {
                                 *f += pull.force(p.pos, box_len);
                                 w.potential += pull.energy(p.pos, box_len);
                             }
                         }
                     }
                 }
-            }
-        }
+            },
+        );
         self.force_epilogue(pass, t0);
     }
 
@@ -1306,9 +1501,8 @@ impl PeState {
         }
         if self.rebuild_now && pass != ForcePass::Boundary {
             // Rebuild step: fresh binning, fresh SoA layout, fresh list.
-            // (Under the overlapped schedule the caller drains the ghost
-            // receive before this pass on rebuild steps, so the ghosts
-            // recorded here are this step's.)
+            // (The step sequence runs rebuild steps fused, after the ghost
+            // receive, so the ghosts recorded here are this step's.)
             self.rebuild_verlet();
         } else {
             if pass != ForcePass::Boundary {
@@ -1338,137 +1532,63 @@ impl PeState {
     /// pass touches no ghost slots, and under the overlapped schedule it
     /// runs before the ghost refresh lands).
     fn reload_soa(&mut self, pass: ForcePass) {
-        for (hi, &(col, class)) in self.home_cols.iter().enumerate() {
-            if class == ColClass::Ghost {
-                if pass != ForcePass::Interior {
-                    self.soa
-                        .load_positions(self.soa_base[hi], self.ghosts[&col].particles());
-                }
-            } else if pass != ForcePass::Boundary {
+        for (home, base) in self.homes.iter().zip(&self.home_base) {
+            if home.ghost && pass != ForcePass::Interior {
                 self.soa
-                    .load_positions(self.soa_base[hi], self.columns[&col].particles());
+                    .load_positions(base[1], self.ghosts[&home.col].particles());
+            }
+            if home.owned && pass != ForcePass::Boundary {
+                self.soa
+                    .load_positions(base[0], self.columns[&home.col].particles());
             }
         }
     }
 
     /// Re-record the Verlet list at a rebuild step: lay the SoA out over
-    /// the home columns (owned slots reuse the flat force layout, ghost
-    /// slots are appended in ascending ghost-column order) and run the
-    /// exact fused half-shell walk with the widened reach `r_c + skin`,
-    /// recording every kernel block — classes and work buckets ride
-    /// along so the overlapped schedule can replay the same recording
-    /// with complementary stores. Assumes `force_prologue` has laid out
-    /// `home_base` for this step.
+    /// the home columns (the slot layout `force_prologue` just made) and
+    /// run the exact fused half-shell walk with the widened reach
+    /// `r_c + skin`, recording every kernel block — classes and work
+    /// buckets ride along so the overlapped schedule can replay the same
+    /// recording with complementary stores.
     fn rebuild_verlet(&mut self) {
-        self.soa_base.clear();
-        self.soa_base.resize(self.home_cols.len(), 0);
         let n_owned = self.forces.len();
-        let mut total = n_owned;
-        for (hi, &(col, _)) in self.home_cols.iter().enumerate() {
-            match self.home_base[hi] {
-                Some(b) => self.soa_base[hi] = b,
-                None => {
-                    self.soa_base[hi] = total;
-                    total += self.ghosts[&col].len();
-                }
-            }
-        }
-        self.soa.reset(n_owned, total);
-        for (hi, &(col, class)) in self.home_cols.iter().enumerate() {
-            let slab = match class {
-                ColClass::Ghost => &self.ghosts[&col],
-                _ => &self.columns[&col],
-            };
-            self.soa.load_positions(self.soa_base[hi], slab.particles());
-        }
+        let n_ghost: usize = self.ghosts.values().map(CellSlab::len).sum();
+        self.soa.reset(n_owned, n_owned + n_ghost);
+        self.reload_soa(ForcePass::Fused);
         self.vlist.clear();
         let reach = self.kernel.lj.rcut + self.cfg.skin;
         let reach2 = reach * reach;
-        let nc = self.nc;
-        let box_len = self.box_len;
-        let rank = self.rank;
-        let home_cols = &self.home_cols;
-        let soa_base = &self.soa_base;
-        let columns = &self.columns;
-        let ghosts = &self.ghosts;
-        let slab_of = |col: Col, class: ColClass| -> &CellSlab {
-            match class {
-                ColClass::Ghost => &ghosts[&col],
-                _ => &columns[&col],
-            }
+        let soa = &self.soa;
+        let vlist = &mut self.vlist;
+        let walk = Walk {
+            nc: self.nc,
+            box_len: self.box_len,
+            rank: self.rank,
+            homes: &self.homes,
+            class: &self.cell_class,
+            base: &self.home_base,
+            columns: &self.columns,
+            ghosts: &self.ghosts,
         };
-        for (hi, &(col, class)) in home_cols.iter().enumerate() {
-            let slab = slab_of(col, class);
-            let hb = soa_base[hi];
-            let owned_home = class != ColClass::Ghost;
-            let bucket = hi as u32;
-            // The same forward-ring resolution as the live walk: a ghost
-            // home may lack forward neighbours (other PEs' pairs).
-            let ring: [Option<(usize, f64, f64)>; 5] = std::array::from_fn(|g| {
-                let (dx, dy) = FORWARD_XY[g];
-                let (ncol, sx, sy) = wrap_col(nc, box_len, col, dx, dy);
-                match home_cols.binary_search_by_key(&ncol, |&(c, _)| c) {
-                    Ok(ni) => Some((ni, sx, sy)),
-                    Err(_) => {
-                        assert!(
-                            !owned_home,
-                            "rank {rank}: missing neighbour column {ncol:?} of {col:?}"
-                        );
-                        None
-                    }
+        walk.for_each_block(ForcePass::Fused, |bucket, block| {
+            let bucket = bucket as u32;
+            match block {
+                Block::Intra(h) => {
+                    vlist.record_intra(soa, h.slots(), reach2, h.class as u8, bucket)
                 }
-            });
-            for cz in 0..nc {
-                let hr = slab.range(cz);
-                if hr.is_empty() {
-                    continue;
-                }
-                let habs = hb + hr.start..hb + hr.end;
-                if owned_home {
-                    self.vlist.record_intra(
-                        &self.soa,
-                        habs.clone(),
-                        reach2,
-                        class_code(class),
-                        bucket,
-                    );
-                }
-                for (gi, entry) in ring.iter().enumerate() {
-                    let Some((ni, sx, sy)) = *entry else {
-                        continue;
-                    };
-                    let (ncol, nclass) = home_cols[ni];
-                    if !owned_home && nclass == ColClass::Ghost {
-                        // Both sides ghost: another PE's pair, skipped in
-                        // every pass (and never counted).
-                        continue;
-                    }
-                    let nslab = slab_of(ncol, nclass);
-                    let nb = soa_base[ni];
-                    let dzs: &[i64] = if gi == 0 { &[1] } else { &[-1, 0, 1] };
-                    for &dz in dzs {
-                        let (nz, sz) = wrap_z(nc, box_len, cz, dz);
-                        let nr = nslab.range(nz);
-                        if nr.is_empty() {
-                            continue;
-                        }
-                        self.vlist.record_pair(
-                            &self.soa,
-                            habs.clone(),
-                            nb + nr.start..nb + nr.end,
-                            Vec3::new(sx, sy, sz),
-                            reach2,
-                            class_code(class),
-                            class_code(nclass),
-                            bucket,
-                        );
-                    }
-                }
-                if owned_home {
-                    self.vlist.record_pull(habs, class_code(class), bucket);
-                }
+                Block::Pair(h, n, shift) => vlist.record_pair(
+                    soa,
+                    h.slots(),
+                    n.slots(),
+                    shift,
+                    reach2,
+                    h.class as u8,
+                    n.class as u8,
+                    bucket,
+                ),
+                Block::Pull(h) => vlist.record_pull(h.slots(), h.class as u8, bucket),
             }
-        }
+        });
     }
 
     /// Shared tail of every force pass: accumulate wall time and — on
@@ -1521,6 +1641,12 @@ impl PeState {
     /// Phase 5b (overlap): the frontier remainder, after [`PeState::ghosts_recv`].
     pub(crate) fn compute_forces_boundary(&mut self) {
         self.force_pass(ForcePass::Boundary);
+    }
+
+    /// Whether this PE runs phases 5a + 5b rather than the fused pass.
+    /// Valid once [`PeState::ghosts_send`] has refreshed the caches.
+    pub(crate) fn splits_force_pass(&self) -> bool {
+        self.split_force
     }
 
     /// This PE's accumulated wall-clock phase breakdown (all zeros
@@ -1618,7 +1744,14 @@ impl PeState {
         // running total's rounding base; laps always start from 0.0).
         let comm_delta = comm.lap_virtual_comm();
 
-        let empty: usize = self.columns.values().map(CellSlab::empty_cells).sum();
+        // A slab spans all `nc` z cells; those outside `own_z` are not
+        // this PE's (and always empty here).
+        let foreign = self.nc - self.own_z.len();
+        let empty: usize = self
+            .columns
+            .values()
+            .map(|slab| slab.empty_cells() - foreign)
+            .sum();
         let kinetic: f64 = self
             .columns
             .values()
@@ -1626,7 +1759,7 @@ impl PeState {
             .map(|p| 0.5 * p.vel.norm2())
             .sum();
         let packet = StatsPacket {
-            cells: (self.columns.len() * self.nc) as u64,
+            cells: (self.columns.len() * self.own_z.len()) as u64,
             empty_cells: empty as u64,
             particles: self.num_particles() as u64,
             force_virtual: self.last_force_virtual,
@@ -1651,67 +1784,6 @@ impl PeState {
         // past gathers) then reproduces every t_step bitwise.
         let _ = comm.lap_virtual_comm();
         rec
-    }
-
-    /// Run one full step on a single-role rank. Returns `Some(record)` on
-    /// rank 0. The dual-role degraded path in [`crate::takeover`] drives
-    /// the same halves in its interleaved order; this is the reference
-    /// single-role sequence.
-    pub fn step(&mut self, comm: &mut Comm, step: u64) -> Option<StepRecord> {
-        let t0 = WallTimer::start();
-        self.begin_step(step);
-        // Rebuild decision first (skin > 0): a collective pure function
-        // of replicated state, so every rank picks the same schedule.
-        // With skin == 0 every step rebuilds and no messages flow.
-        let rebuild = match self.rebuild_gather(comm) {
-            None => true,
-            Some(root) => self.rebuild_apply(comm, step, root),
-        };
-        // Migration, DLB, and ghost-membership changes only happen on
-        // rebuild steps — mid-epoch the binning (and hence the recorded
-        // list and the ghost routes) is frozen.
-        let dlb_now = self.cfg.dlb && step.is_multiple_of(self.cfg.dlb_interval) && rebuild;
-        self.kick_drift_all();
-        self.step_send_round1(comm, dlb_now, rebuild);
-        self.step_recv_round1(comm, dlb_now, rebuild);
-        let transferred = if dlb_now {
-            let wire = self.dlb_decide();
-            self.dlb_send_decision(comm, wire);
-            let decisions = self.dlb_recv_decisions(comm, wire);
-            let sent = self.dlb_send_cells(comm, &decisions);
-            self.dlb_recv_cells(comm, &decisions);
-            sent
-        } else {
-            0
-        };
-        self.ghosts_send(comm);
-        if self.cfg.overlap && !(self.cfg.verlet && rebuild) {
-            // Overlapped schedule: interior pairs run while the ghost
-            // payloads posted above are still in flight; the receive is
-            // drained only when the frontier remainder needs it.
-            self.compute_forces_interior();
-            self.ghosts_recv(comm, rebuild);
-            self.compute_forces_boundary();
-        } else if self.cfg.overlap {
-            // Verlet rebuild step under the overlapped schedule: the
-            // list must be recorded over this step's ghosts, so the
-            // receive is drained first; the split passes still replay
-            // with complementary stores (the wire sequence is unchanged
-            // — the sends were posted above — and split == fused holds
-            // bitwise).
-            self.ghosts_recv(comm, rebuild);
-            self.compute_forces_interior();
-            self.compute_forces_boundary();
-        } else {
-            self.ghosts_recv(comm, rebuild);
-            self.compute_forces();
-        }
-        self.kick_all();
-        if let Some(scale) = self.thermostat_gather(comm, step) {
-            self.thermostat_apply(comm, scale);
-        }
-        let wall = t0.elapsed_s();
-        self.collect_stats(comm, step, transferred, wall)
     }
 
     /// Gather a restartable distributed checkpoint to rank 0
@@ -1754,8 +1826,9 @@ impl PeState {
     /// Runtime invariant sentinel: every `cfg.sentinel_interval` steps
     /// (collective; 0 disables), gather each rank's particle count and
     /// owned-column set to rank 0 and check the two global invariants the
-    /// whole scheme rests on — particle-count conservation and the
-    /// ownership map being an exact partition of the `nc²` columns. A
+    /// whole scheme rests on — particle-count conservation and ownership
+    /// being an exact partition of the grid into the shape's granules
+    /// (whole columns; a cube rank's z block of a column). A
     /// violation means state corruption that checkpoints would silently
     /// propagate, so the world is aborted with a structured diagnostic;
     /// under the recovery/takeover drivers that escalates to a rollback
@@ -1774,7 +1847,8 @@ impl PeState {
             count,
         });
         if let Some(chunks) = collectives::gather(comm, tags::SENTINEL, (count, own_cols)) {
-            if let Err(report) = validate_sentinel(&self.cfg, step, &chunks) {
+            let z_extent = |rank| self.decomp.z_extent(rank);
+            if let Err(report) = validate_sentinel(&self.cfg, step, &chunks, z_extent) {
                 // Raise the abort flag first: this panic is an intentional
                 // escalation, not a rank death — a takeover world must
                 // tear down and relaunch, not adopt the sentinel's rank.
@@ -1798,6 +1872,55 @@ impl PeState {
             all
         })
     }
+}
+
+/// Every column of the `nc × nc` cross-section, ascending.
+fn all_columns(nc: usize) -> impl Iterator<Item = Col> {
+    (0..nc * nc).map(move |i| Col::new(i / nc, i % nc))
+}
+
+/// The spans in which a rank owning the z cells `own_z` of its columns
+/// is classified: a z-invariant shape (it owns whole columns) settles a
+/// column at once, any other goes cell by cell.
+fn owned_spans(nc: usize, own_z: &Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let len = if *own_z == (0..nc) { nc } else { 1 };
+    own_z.clone().step_by(len).map(move |z| z..z + len)
+}
+
+/// The cells around the owned span `(col, span)` that another rank owns,
+/// as `(column, z span, owner)`: for a whole column its 8 cross-section
+/// neighbours (whole columns too — ownership does not depend on z), for
+/// a single cell its 26 periodic neighbours.
+fn foreign_around(
+    decomp: &dyn Decomposition,
+    nc: usize,
+    rank: usize,
+    col: Col,
+    span: Range<usize>,
+) -> impl Iterator<Item = (Col, Range<usize>, usize)> + '_ {
+    let whole = span.len() == nc;
+    let dzs: &[i64] = if whole { &[0] } else { &[-1, 0, 1] };
+    // One step off either edge of the periodic grid (no division: the
+    // cube's scaffold asks this some 6000 times per rank).
+    let wrap = move |c: usize, d: i64| match c as i64 + d {
+        -1 => nc - 1,
+        v if v == nc as i64 => 0,
+        v => v as usize,
+    };
+    (-1..=1)
+        .flat_map(|dx| (-1..=1).map(move |dy| (dx, dy)))
+        .flat_map(move |(dx, dy)| dzs.iter().map(move |&dz| (dx, dy, dz)))
+        .filter_map(move |(dx, dy, dz)| {
+            let ncol = Col::new(wrap(col.cx, dx), wrap(col.cy, dy));
+            let nspan = if whole {
+                0..nc
+            } else {
+                let nz = wrap(span.start, dz);
+                nz..nz + 1
+            };
+            let owner = decomp.owner_of(ncol, nspan.start);
+            (owner != rank).then_some((ncol, nspan, owner))
+        })
 }
 
 /// Canonical cross-section neighbour of a column with periodic shift.
@@ -1853,12 +1976,14 @@ impl std::fmt::Display for SentinelReport {
 
 /// Check the gathered per-rank `(particle count, owned columns)` chunks
 /// against the two global invariants: the counts sum to `cfg.n_particles`
-/// and the owned-column sets form an exact partition of the `nc²`
-/// columns. Pure so it unit-tests without a world.
+/// and the claimed granules — each claimed column over the claiming
+/// rank's `z_extent` — form an exact partition of the `nc³` cells. Pure
+/// so it unit-tests without a world.
 pub(crate) fn validate_sentinel(
     cfg: &RunConfig,
     step: u64,
     chunks: &[(u64, Vec<Col>)],
+    z_extent: impl Fn(usize) -> Range<usize>,
 ) -> Result<(), SentinelReport> {
     let mut violations = Vec::new();
     let total: u64 = chunks.iter().map(|(n, _)| n).sum();
@@ -1869,23 +1994,30 @@ pub(crate) fn validate_sentinel(
             chunks.iter().map(|(n, _)| *n).collect::<Vec<_>>()
         ));
     }
-    let mut owners: BTreeMap<Col, Vec<usize>> = BTreeMap::new();
+    let mut owners: BTreeMap<(Col, usize), Vec<usize>> = BTreeMap::new();
+    let mut cells = 0usize;
     for (rank, (_, cols)) in chunks.iter().enumerate() {
+        let z = z_extent(rank);
         for &c in cols {
-            owners.entry(c).or_default().push(rank);
+            let claimants = owners.entry((c, z.start)).or_default();
+            if claimants.is_empty() && c.cx < cfg.nc && c.cy < cfg.nc {
+                cells += z.len();
+            }
+            claimants.push(rank);
         }
     }
-    for (c, ranks) in &owners {
+    for ((c, z0), ranks) in &owners {
         if ranks.len() > 1 {
-            violations.push(format!("column {c:?} owned by multiple ranks {ranks:?}"));
+            violations.push(format!(
+                "column {c:?} (z from {z0}) owned by multiple ranks {ranks:?}"
+            ));
         }
     }
-    let owned = owners.len();
-    let expect = cfg.nc * cfg.nc;
-    if owned != expect || owners.keys().any(|c| c.cx >= cfg.nc || c.cy >= cfg.nc) {
+    if cells != cfg.total_cells() || owners.keys().any(|(c, _)| c.cx >= cfg.nc || c.cy >= cfg.nc) {
         violations.push(format!(
-            "ownership covers {owned} distinct columns, expected the full {expect} ({}×{}) grid",
-            cfg.nc, cfg.nc
+            "ownership covers {cells} distinct cells, expected the full {} ({nc}×{nc}×{nc}) grid",
+            cfg.total_cells(),
+            nc = cfg.nc
         ));
     }
     if violations.is_empty() {
@@ -1895,17 +2027,23 @@ pub(crate) fn validate_sentinel(
     }
 }
 
-/// The SPMD entry point: run the whole simulation on this rank.
-pub fn pe_main(comm: &mut Comm, cfg: &RunConfig, want_snapshot: bool) -> PeResult {
-    pe_main_recoverable(comm, cfg, want_snapshot, None, None)
+/// The SPMD entry point: run the whole simulation on this rank under
+/// the given domain shape.
+pub fn pe_main(
+    comm: &mut Comm,
+    cfg: &RunConfig,
+    shape: DomainShape,
+    want_snapshot: bool,
+) -> PeResult {
+    run_own_role(comm, cfg, shape, want_snapshot, None, None)
 }
 
-/// [`pe_main`] with checkpoint/restart hooks: `start` resumes from a
-/// distributed checkpoint (every rank must pass the same one), and when
-/// `cfg.checkpoint_interval > 0` the ranks gather a fresh checkpoint to
-/// rank 0 every interval, deposited into `sink`. The trajectory, the
-/// per-step records, and the final snapshot are bitwise identical to an
-/// uninterrupted, uncheckpointed run.
+/// [`pe_main`] for the square pillar with checkpoint/restart hooks:
+/// `start` resumes from a distributed checkpoint (every rank must pass
+/// the same one), and when `cfg.checkpoint_interval > 0` the ranks gather
+/// a fresh checkpoint to rank 0 every interval, deposited into `sink`.
+/// The trajectory, the per-step records, and the final snapshot are
+/// bitwise identical to an uninterrupted, uncheckpointed run.
 pub(crate) fn pe_main_recoverable(
     comm: &mut Comm,
     cfg: &RunConfig,
@@ -1913,11 +2051,24 @@ pub(crate) fn pe_main_recoverable(
     start: Option<&SimCheckpoint>,
     sink: Option<&Mutex<Option<SimCheckpoint>>>,
 ) -> PeResult {
-    // One role — this rank's own. The multi-role loop degenerates to
-    // exactly the historical single-role phase order, message for
-    // message, so digests are unchanged.
+    let shape = DomainShape::SquarePillar;
+    run_own_role(comm, cfg, shape, want_snapshot, start, sink)
+}
+
+/// One role — this rank's own. The multi-role loop degenerates to
+/// exactly the historical single-role phase order, message for message,
+/// so digests are unchanged.
+fn run_own_role(
+    comm: &mut Comm,
+    cfg: &RunConfig,
+    shape: DomainShape,
+    want_snapshot: bool,
+    start: Option<&SimCheckpoint>,
+    sink: Option<&Mutex<Option<SimCheckpoint>>>,
+) -> PeResult {
     let roles = [comm.rank()];
-    let mut out = crate::takeover::run_roles(comm, cfg, &roles, start, sink, want_snapshot, false);
+    let mut out =
+        crate::takeover::run_roles(comm, cfg, shape, &roles, start, sink, want_snapshot, false);
     out.swap_remove(0).1
 }
 
@@ -1930,8 +2081,7 @@ mod tests {
     fn forward_groups_enumerate_the_half_shell_in_order() {
         let mut offsets = Vec::new();
         for (gi, &(dx, dy)) in FORWARD_XY.iter().enumerate() {
-            let dzs: &[i64] = if gi == 0 { &[1] } else { &[-1, 0, 1] };
-            for &dz in dzs {
+            for &dz in forward_dz(gi) {
                 offsets.push([dx, dy, dz]);
             }
         }
@@ -1957,34 +2107,192 @@ mod tests {
         assert_eq!(wrap_z(6, 12.0, 3, 1), (4, 0.0));
     }
 
-    #[test]
-    fn pe_state_takes_exactly_its_tile_particles() {
-        let cfg = {
-            let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
-            c.seed = 3;
-            c
+    /// One config per shape on the same physics: roomy cells (≈3.0) so a
+    /// skin fits, a clustered start so the ghost shells actually change.
+    fn shape_cfg(shape: DomainShape) -> RunConfig {
+        let p = match shape {
+            DomainShape::SquarePillar => 4,
+            DomainShape::Plane => 3,
+            DomainShape::Cube => 8,
         };
-        let total: usize = (0..9).map(|r| PeState::new(r, &cfg).num_particles()).sum();
-        assert_eq!(total, cfg.n_particles, "tiles must partition the particles");
+        let mut cfg = RunConfig::new(583, 6, p, 583.0 / 18.0f64.powi(3));
+        cfg.dlb = false;
+        cfg.lattice = Lattice::Cluster { fill: 0.8 };
+        cfg.seed = 11;
+        crate::decomp::validate(&cfg, shape);
+        cfg
+    }
+
+    fn run_world(cfg: &RunConfig, shape: DomainShape) -> Vec<PeResult> {
+        pcdlb_mp::World::new(cfg.p)
+            .with_cost_model(crate::decomp::cost_model(shape, cfg))
+            .run(|comm| pe_main(comm, cfg, shape, true))
     }
 
     #[test]
-    fn in_window_covers_exactly_the_3x3_tiles() {
-        let cfg = RunConfig::from_p_m_density(16, 2, 0.2); // 4×4 torus
-        let pe = PeState::new(5, &cfg); // tile (1,1)
-        let l = pe.layout;
-        // A column in tile (1,1) and all 8 neighbouring tiles: in window.
-        for (di, dj) in [(0i64, 0i64), (-1, 0), (1, 1), (0, -1)] {
-            let rank = l.torus().rank_wrapped(1 + di, 1 + dj);
-            let col = l.tile_origin(rank);
-            assert!(
-                pe.in_window(col),
-                "tile delta ({di},{dj}) should be in window"
-            );
+    fn pe_states_partition_the_particles_in_every_shape() {
+        for shape in DomainShape::ALL {
+            let cfg = shape_cfg(shape);
+            let total: usize = (0..cfg.p)
+                .map(|r| PeState::new(r, &cfg, shape).num_particles())
+                .sum();
+            assert_eq!(total, cfg.n_particles, "{shape:?}");
         }
-        // Tile (3,3) is two steps away on a 4×4 torus: out of window.
-        let far = l.tile_origin(l.torus().rank_wrapped(3, 3));
-        assert!(!pe.in_window(far));
+    }
+
+    #[test]
+    fn neighbour_sets_follow_from_ownership() {
+        // Pillar: exactly the distinct torus 8-neighbours — the set the
+        // wire protocol has always used.
+        let cfg = RunConfig::from_p_m_density(16, 2, 0.2);
+        for rank in 0..16 {
+            let pe = PeState::new(rank, &cfg, DomainShape::SquarePillar);
+            assert_eq!(pe.neighbors, cfg.torus().distinct_neighbors8(rank));
+        }
+        // Ring: two neighbours, one when they coincide. Cube: 7 distinct
+        // ranks on the 2×2×2 torus, the full 26 from k = 3.
+        let mut cfg = RunConfig::new(1000, 6, 3, 0.05);
+        cfg.dlb = false;
+        assert_eq!(PeState::new(1, &cfg, DomainShape::Plane).neighbors, [0, 2]);
+        cfg.p = 2;
+        assert_eq!(PeState::new(0, &cfg, DomainShape::Plane).neighbors, [1]);
+        cfg.p = 8;
+        assert_eq!(PeState::new(0, &cfg, DomainShape::Cube).neighbors.len(), 7);
+        cfg.p = 27;
+        assert_eq!(
+            PeState::new(13, &cfg, DomainShape::Cube).neighbors.len(),
+            26
+        );
+    }
+
+    #[test]
+    fn cube_classes_are_per_cell() {
+        // k = 3, s = 2: a rank's own column holds its two block cells
+        // (frontier — every cell of a 2³ block touches the shell), one
+        // ghost cell above and below, and two cells it never sees.
+        let mut cfg = RunConfig::new(1000, 6, 27, 0.05);
+        cfg.dlb = false;
+        let mut pe = PeState::new(13, &cfg, DomainShape::Cube); // block (1,1,1)
+        pe.refresh_caches();
+        let hi = pe
+            .homes
+            .binary_search_by_key(&Col::new(2, 2), |h| h.col)
+            .unwrap();
+        assert!(pe.homes[hi].owned && pe.homes[hi].ghost);
+        use CellClass::{Frontier, Ghost, Unseen};
+        assert_eq!(
+            pe.cell_class[hi * 6..(hi + 1) * 6],
+            [Unseen, Ghost, Frontier, Frontier, Ghost, Unseen]
+        );
+        // A 4³ block (k = 2 over nc = 8) has a 2³ interior.
+        cfg.nc = 8;
+        cfg.p = 8;
+        let mut pe = PeState::new(0, &cfg, DomainShape::Cube);
+        pe.refresh_caches();
+        let interior = pe
+            .cell_class
+            .iter()
+            .filter(|&&c| c == CellClass::Interior)
+            .count();
+        assert_eq!(interior, 8);
+    }
+
+    #[test]
+    fn force_pass_is_split_only_where_the_interior_pays() {
+        let splits = |shape, p, nc, overlap| {
+            // Sparse enough that nc = 16 still has cells wider than r_c.
+            let mut cfg = RunConfig::new(1000, nc, p, 0.015);
+            cfg.dlb = false;
+            cfg.overlap = overlap;
+            let mut pe = PeState::new(0, &cfg, shape);
+            pe.refresh_caches();
+            pe.splits_force_pass()
+        };
+        use DomainShape::{Cube, Plane, SquarePillar};
+        // Blocks hidden against blocks repeated, per z layer: 6×6 columns
+        // 158 / 132, 4×4 columns 26 / 60.
+        assert!(splits(SquarePillar, 4, 12, true));
+        assert!(!splits(SquarePillar, 9, 12, true));
+        // Four planes 19·nc / 18·nc, three planes 5·nc / 18·nc.
+        assert!(splits(Plane, 3, 12, true));
+        assert!(!splits(Plane, 4, 12, true));
+        // A 6³ block 532 / 728, an 8³ block 2156 / 1736.
+        assert!(!splits(Cube, 8, 12, true));
+        assert!(splits(Cube, 8, 16, true));
+        // And never without the knob.
+        assert!(!splits(SquarePillar, 4, 12, false));
+    }
+
+    #[test]
+    fn split_passes_equal_the_fused_pass_bitwise_in_every_shape() {
+        // `split_pays` runs most small grids fused, so the split is proven
+        // here directly, on every rank of every shape, live and replayed:
+        // same force array, same work counters, bit for bit.
+        for shape in DomainShape::ALL {
+            for verlet in [false, true] {
+                let p = if shape == DomainShape::Plane {
+                    3
+                } else {
+                    shape_cfg(shape).p
+                };
+                let mut cfg = RunConfig::new(4664, 12, p, 4664.0 / 36.0f64.powi(3));
+                cfg.dlb = false;
+                cfg.lattice = Lattice::Cluster { fill: 0.8 };
+                cfg.verlet = verlet;
+                cfg.skin = if verlet { 0.3 } else { 0.0 };
+                crate::decomp::validate(&cfg, shape);
+                let same = pcdlb_mp::World::new(cfg.p).run(|comm| {
+                    let mut pe = PeState::new(comm.rank(), &cfg, shape);
+                    pe.ghosts_send(comm);
+                    pe.ghosts_recv(comm, true);
+                    pe.compute_forces();
+                    let fused = (pe.forces.clone(), pe.last_work);
+                    let interior = pe
+                        .cell_class
+                        .iter()
+                        .filter(|&&c| c == CellClass::Interior)
+                        .count();
+                    pe.compute_forces_interior();
+                    pe.compute_forces_boundary();
+                    let bits = |f: &[Vec3]| -> Vec<[u64; 3]> {
+                        f.iter()
+                            .map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+                            .collect()
+                    };
+                    interior > 0
+                        && bits(&fused.0) == bits(&pe.forces)
+                        && fused.1.potential.to_bits() == pe.last_work.potential.to_bits()
+                        && fused.1 == pe.last_work
+                });
+                assert!(
+                    same.iter().all(|&s| s),
+                    "{shape:?} verlet {verlet}: {same:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bookkeeping_collectives_leave_the_comm_lap_empty() {
+        // A step's comm delta must cover exactly its own phases: after
+        // every step — stats gather, checkpoint gather and sentinel
+        // included — the lap accumulator reads zero on every rank, for
+        // every shape, so nothing of step k is ever charged to k + 1.
+        for shape in DomainShape::ALL {
+            let mut cfg = shape_cfg(shape);
+            cfg.steps = 6;
+            cfg.thermostat_interval = 2;
+            cfg.checkpoint_interval = 3;
+            cfg.sentinel_interval = 2;
+            let laps: Vec<f64> = pcdlb_mp::World::new(cfg.p)
+                .with_cost_model(crate::decomp::cost_model(shape, &cfg))
+                .run(|comm| {
+                    let roles = [comm.rank()];
+                    crate::takeover::run_roles(comm, &cfg, shape, &roles, None, None, false, false);
+                    comm.lap_virtual_comm()
+                });
+            assert!(laps.iter().all(|&l| l == 0.0), "{shape:?}: {laps:?}");
+        }
     }
 
     #[test]
@@ -2005,103 +2313,82 @@ mod tests {
             .all(|q| q.pos.x < half + 1e-9 && q.pos.y < half + 1e-9 && q.pos.z < half + 1e-9));
     }
 
+    /// `shape_cfg` with a poisoned ghost receive channel on rank 1.
+    fn desync_cfg(shape: DomainShape, steps: u64, times: u32) -> RunConfig {
+        let mut cfg = shape_cfg(shape);
+        cfg.steps = steps;
+        cfg.sentinel_interval = 2;
+        cfg.ghost_desync_inject = Some(crate::config::DesyncInject {
+            rank: 1,
+            nbr: 0,
+            times,
+        });
+        cfg
+    }
+
     #[test]
     fn ghost_desync_degrades_one_step_and_resyncs() {
-        use crate::config::DesyncInject;
-        use pcdlb_mp::{CostModel, World};
         // A poisoned ghost delta channel must not kill the world: the
         // receiver degrades for one step, requests a full-frame resync
         // via the round-1 bit, and the stream heals — exactly one desync
         // over the whole run, with conservation intact (the sentinel
-        // would abort the run otherwise).
-        let mut cfg = RunConfig::new(216, 4, 4, 0.2);
-        cfg.dlb = false;
-        cfg.steps = 12;
-        cfg.lattice = Lattice::Cluster { fill: 0.8 };
-        cfg.seed = 11;
-        cfg.sentinel_interval = 2;
-        cfg.ghost_desync_inject = Some(DesyncInject {
-            rank: 1,
-            nbr: 0,
-            times: 1,
-        });
-        cfg.validate();
-        let world = World::new(cfg.p).with_cost_model(CostModel::t3e(Some(cfg.torus())));
-        let results: Vec<PeResult> = world.run(|comm| pe_main(comm, &cfg, true));
-        let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
-        assert_eq!(
-            desyncs, 1,
-            "the poisoned stream desyncs once and the resync heals it"
-        );
-        let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
-        assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
-        // The uninjected run is desync-free.
-        let mut clean_cfg = cfg.clone();
-        clean_cfg.ghost_desync_inject = None;
-        let clean_world = World::new(cfg.p).with_cost_model(CostModel::t3e(Some(cfg.torus())));
-        let clean: Vec<PeResult> = clean_world.run(|comm| pe_main(comm, &clean_cfg, true));
-        assert_eq!(clean.iter().map(|r| r.ghost_desyncs).sum::<u64>(), 0);
+        // would abort the run otherwise). In every shape.
+        for shape in DomainShape::ALL {
+            let cfg = desync_cfg(shape, 12, 1);
+            let results = run_world(&cfg, shape);
+            let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
+            assert_eq!(
+                desyncs, 1,
+                "{shape:?}: the poisoned stream desyncs once and the resync heals it"
+            );
+            let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
+            assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
+            // The uninjected run is desync-free.
+            let mut clean_cfg = cfg.clone();
+            clean_cfg.ghost_desync_inject = None;
+            let clean = run_world(&clean_cfg, shape);
+            assert_eq!(clean.iter().map(|r| r.ghost_desyncs).sum::<u64>(), 0);
+        }
     }
 
     #[test]
     fn ghost_resync_storm_degrades_one_step_per_mismatch() {
-        use crate::config::DesyncInject;
-        use pcdlb_mp::{CostModel, World};
         // Back-to-back fingerprint mismatches on one link: each desync
         // degrades exactly one step (so `times` corruptions produce
         // exactly `times` desyncs — never more), the stream heals after
         // the storm, and the run completes with conservation intact
         // rather than livelocking in degrade/resync ping-pong.
-        let mut cfg = RunConfig::new(216, 4, 4, 0.2);
-        cfg.dlb = false;
-        cfg.steps = 16;
-        cfg.lattice = Lattice::Cluster { fill: 0.8 };
-        cfg.seed = 11;
-        cfg.sentinel_interval = 2;
-        cfg.ghost_desync_inject = Some(DesyncInject {
-            rank: 1,
-            nbr: 0,
-            times: 3,
-        });
-        cfg.validate();
-        let world = World::new(cfg.p).with_cost_model(CostModel::t3e(Some(cfg.torus())));
-        let results: Vec<PeResult> = world.run(|comm| pe_main(comm, &cfg, true));
-        let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
-        assert_eq!(desyncs, 3, "one desync per injected mismatch, no echo");
-        let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
-        assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
+        for shape in DomainShape::ALL {
+            let cfg = desync_cfg(shape, 16, 3);
+            let results = run_world(&cfg, shape);
+            let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
+            assert_eq!(
+                desyncs, 3,
+                "{shape:?}: one desync per injected mismatch, no echo"
+            );
+            let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
+            assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
+        }
     }
 
     #[test]
     fn ghost_resync_storm_in_full_frame_mode_never_desyncs() {
-        use crate::config::DesyncInject;
-        use pcdlb_mp::{CostModel, World};
         // With delta encoding off the sender always ships full frames, so
         // membership poison has nothing to mismatch against: the storm
         // injector is inert and the run completes without a single desync
         // (the full-frame path cannot livelock on resync requests).
-        let mut cfg = RunConfig::new(216, 4, 4, 0.2);
-        cfg.dlb = false;
-        cfg.steps = 16;
-        cfg.lattice = Lattice::Cluster { fill: 0.8 };
-        cfg.seed = 11;
-        cfg.sentinel_interval = 2;
-        cfg.delta_ghosts = false;
-        cfg.ghost_desync_inject = Some(DesyncInject {
-            rank: 1,
-            nbr: 0,
-            times: 3,
-        });
-        cfg.validate();
-        let world = World::new(cfg.p).with_cost_model(CostModel::t3e(Some(cfg.torus())));
-        let results: Vec<PeResult> = world.run(|comm| pe_main(comm, &cfg, true));
-        assert_eq!(
-            results.iter().map(|r| r.ghost_desyncs).sum::<u64>(),
-            0,
-            "full frames decode unconditionally; poison cannot desync them"
-        );
-        let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
-        assert_eq!(snapshot.len(), cfg.n_particles);
+        for shape in DomainShape::ALL {
+            let mut cfg = desync_cfg(shape, 16, 3);
+            cfg.delta_ghosts = false;
+            let results = run_world(&cfg, shape);
+            assert_eq!(
+                results.iter().map(|r| r.ghost_desyncs).sum::<u64>(),
+                0,
+                "{shape:?}: full frames decode unconditionally; poison cannot desync them"
+            );
+            let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
+            assert_eq!(snapshot.len(), cfg.n_particles);
+        }
     }
 
     #[test]
@@ -2114,7 +2401,7 @@ mod tests {
                 (54, cols)
             })
             .collect();
-        assert_eq!(validate_sentinel(&cfg, 7, &chunks), Ok(()));
+        assert_eq!(validate_sentinel(&cfg, 7, &chunks, |_| 0..4), Ok(()));
     }
 
     #[test]
@@ -2126,20 +2413,30 @@ mod tests {
         // Lost particles.
         let mut lost = good.clone();
         lost[2].0 = 53;
-        let e = validate_sentinel(&cfg, 9, &lost).unwrap_err();
+        let e = validate_sentinel(&cfg, 9, &lost, |_| 0..4).unwrap_err();
         assert_eq!(e.step, 9);
         assert!(e.to_string().contains("particle count 215"), "{e}");
         // A column claimed twice (and therefore one missing).
         let mut dup = good.clone();
         dup[0].1[0] = Col::new(1, 0);
-        let e = validate_sentinel(&cfg, 9, &dup).unwrap_err();
+        let e = validate_sentinel(&cfg, 9, &dup, |_| 0..4).unwrap_err();
         assert!(e.to_string().contains("owned by multiple ranks"), "{e}");
-        assert!(e.to_string().contains("15 distinct columns"), "{e}");
+        assert!(e.to_string().contains("60 distinct cells"), "{e}");
         // A column off the grid.
         let mut off = good;
         off[3].1[3] = Col::new(9, 9);
-        let e = validate_sentinel(&cfg, 9, &off).unwrap_err();
-        assert!(e.to_string().contains("expected the full 16"), "{e}");
+        let e = validate_sentinel(&cfg, 9, &off, |_| 0..4).unwrap_err();
+        assert!(e.to_string().contains("expected the full 64"), "{e}");
+        // The cube's granule is a z block of a column: two ranks may hold
+        // the same column, but not the same block of it.
+        let halves: Vec<(u64, Vec<Col>)> = (0..2)
+            .map(|_| (108, (0..16).map(|i| Col::new(i / 4, i % 4)).collect()))
+            .collect();
+        let z_half = |rank: usize| 2 * rank..2 * rank + 2;
+        assert_eq!(validate_sentinel(&cfg, 9, &halves, z_half), Ok(()));
+        let e = validate_sentinel(&cfg, 9, &halves, |_| 0..2).unwrap_err();
+        assert!(e.to_string().contains("owned by multiple ranks"), "{e}");
+        assert!(e.to_string().contains("32 distinct cells"), "{e}");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Per-step statistics collection shared by the square-pillar simulator
-//! ([`crate::pe`]) and the plane-domain baseline ([`crate::plane`]).
+//! Per-step statistics collection of the step engine ([`crate::pe`]).
 //!
 //! Every rank builds a [`StatsPacket`] at the end of a step; a gather to
 //! rank 0 assembles the [`StepRecord`] the paper's figures are drawn

@@ -47,6 +47,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
 use pcdlb_core::protocol::tags;
+use pcdlb_domain::DomainShape;
 use pcdlb_md::Particle;
 use pcdlb_mp::{Comm, CommError, CommErrorKind, TakeoverInterrupt};
 
@@ -89,6 +90,7 @@ pub(crate) fn takeover_main(
             run_roles(
                 comm,
                 cfg,
+                DomainShape::SquarePillar,
                 &roles,
                 start.as_ref(),
                 Some(sink),
@@ -226,19 +228,22 @@ fn resize_barrier(comm: &mut Comm) {
     }
 }
 
-/// Drive one or two virtual ranks through the whole simulation. With a
-/// single role this emits exactly the historical single-role message
-/// sequence; with two, [`step_multi`]'s interleaving keeps the world
-/// deadlock-free. Checkpoints land in `sink`; in takeover worlds a
+/// Drive one or two virtual ranks through the whole simulation — the one
+/// SPMD run loop, for every domain shape. With a single role this emits
+/// exactly the historical single-role message sequence; with two (the
+/// pillar's buddy takeover), [`step_multi`]'s interleaving keeps the
+/// world deadlock-free. Checkpoints land in `sink`; in takeover worlds a
 /// deadline-bounded completion handshake keeps every thread alive until
 /// the whole world has finished, so a late death still interrupts
 /// someone who can absorb it. With `drain` set, a final checkpoint
 /// gather runs at `cfg.steps` even though no step follows it — the
 /// elastic resize drain, which hands the whole world state to the next
 /// generation.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_roles(
     comm: &mut Comm,
     cfg: &RunConfig,
+    shape: DomainShape,
     roles: &[usize],
     start: Option<&SimCheckpoint>,
     sink: Option<&Mutex<Option<SimCheckpoint>>>,
@@ -257,57 +262,25 @@ pub(crate) fn run_roles(
         .iter()
         .map(|&v| {
             let pe = match start {
-                Some(ck) => PeState::from_checkpoint(v, cfg, ck),
-                None => PeState::new(v, cfg),
+                Some(ck) => {
+                    assert_eq!(
+                        shape,
+                        DomainShape::SquarePillar,
+                        "only the square pillar restores from a checkpoint"
+                    );
+                    PeState::from_checkpoint(v, cfg, ck)
+                }
+                None => PeState::new(v, cfg, shape),
             };
             (v, pe)
         })
         .collect();
 
-    // Initial forces need an initial ghost exchange (split-phase across
-    // roles). On a restore this recomputes exactly the force array the
-    // checkpointed run held (see `PeState::from_checkpoint`). The
-    // overlapped schedule applies here too: both roles' sends are posted,
-    // then both run their interior pairs, before either drains a receive.
-    // Construction/restore is a rebuild boundary, so the initial exchange
-    // always re-bins; with the Verlet replay the list must be recorded
-    // over the received ghosts, so the receive is drained before the
-    // interior pass (wire sequence unchanged — the sends are posted).
-    for (v, pe) in pes.iter_mut() {
-        comm.act_as(*v);
-        pe.ghosts_send(comm);
-    }
-    if cfg.overlap && !cfg.verlet {
-        for (_, pe) in pes.iter_mut() {
-            pe.compute_forces_interior();
-        }
-        for (v, pe) in pes.iter_mut() {
-            comm.act_as(*v);
-            pe.ghosts_recv(comm, true);
-        }
-        for (_, pe) in pes.iter_mut() {
-            pe.compute_forces_boundary();
-        }
-    } else if cfg.overlap {
-        for (v, pe) in pes.iter_mut() {
-            comm.act_as(*v);
-            pe.ghosts_recv(comm, true);
-        }
-        for (_, pe) in pes.iter_mut() {
-            pe.compute_forces_interior();
-        }
-        for (_, pe) in pes.iter_mut() {
-            pe.compute_forces_boundary();
-        }
-    } else {
-        for (v, pe) in pes.iter_mut() {
-            comm.act_as(*v);
-            pe.ghosts_recv(comm, true);
-        }
-        for (_, pe) in pes.iter_mut() {
-            pe.compute_forces();
-        }
-    }
+    // Initial forces need an initial ghost exchange. On a restore this
+    // recomputes exactly the force array the checkpointed run held (see
+    // `PeState::from_checkpoint`). Construction/restore is a rebuild
+    // boundary, so the initial exchange always re-bins.
+    exchange_ghosts_and_compute(comm, cfg, &mut pes, true);
     for (v, _) in pes.iter() {
         comm.act_as(*v);
         let _ = comm.lap_virtual_comm();
@@ -386,8 +359,8 @@ pub(crate) fn run_roles(
 /// interleaving: point-to-point phases post every role's sends
 /// (ascending) before any role receives (ascending); gather-shaped
 /// phases run whole-role descending; the thermostat broadcast runs
-/// ascending. With one role this is byte-identical to
-/// [`PeState::step`]'s sequence.
+/// ascending. This is the step sequence — the only one; with one role
+/// the interleaving degenerates to the plain single-rank order.
 fn step_multi(
     comm: &mut Comm,
     cfg: &RunConfig,
@@ -462,49 +435,9 @@ fn step_multi(
             pe.dlb_recv_cells(comm, &decisions[i]);
         }
     }
-    // Ghost exchange, then the local force pass(es) and second
-    // half-kick. Under the overlapped schedule every role posts its
-    // sends and computes its interior pairs before any role drains a
-    // receive, so dual-role threads overlap both personas' exchanges.
-    for (v, pe) in pes.iter_mut() {
-        comm.act_as(*v);
-        pe.ghosts_send(comm);
-    }
-    if cfg.overlap && !(cfg.verlet && rebuild) {
-        for (_, pe) in pes.iter_mut() {
-            pe.compute_forces_interior();
-        }
-        for (v, pe) in pes.iter_mut() {
-            comm.act_as(*v);
-            pe.ghosts_recv(comm, rebuild);
-        }
-        for (_, pe) in pes.iter_mut() {
-            pe.compute_forces_boundary();
-        }
-    } else if cfg.overlap {
-        // Verlet rebuild step: the list is recorded over this step's
-        // ghosts, so every role drains its receive first; the split
-        // passes then replay with complementary stores (wire sequence
-        // unchanged — the sends were posted above).
-        for (v, pe) in pes.iter_mut() {
-            comm.act_as(*v);
-            pe.ghosts_recv(comm, rebuild);
-        }
-        for (_, pe) in pes.iter_mut() {
-            pe.compute_forces_interior();
-        }
-        for (_, pe) in pes.iter_mut() {
-            pe.compute_forces_boundary();
-        }
-    } else {
-        for (v, pe) in pes.iter_mut() {
-            comm.act_as(*v);
-            pe.ghosts_recv(comm, rebuild);
-        }
-        for (_, pe) in pes.iter_mut() {
-            pe.compute_forces();
-        }
-    }
+    // Ghost exchange and the local force pass(es), then the second
+    // half-kick.
+    exchange_ghosts_and_compute(comm, cfg, pes, rebuild);
     for (_, pe) in pes.iter_mut() {
         pe.kick_all();
     }
@@ -528,6 +461,46 @@ fn step_multi(
         recs[i] = pe.collect_stats(comm, step, transferred[i], wall);
     }
     recs
+}
+
+/// Phases 4–5 over this thread's role set (split-phase across roles):
+/// post every role's ghost sends, then receive and compute. A role on the
+/// overlapped schedule (`cfg.overlap`, where its interior is large enough
+/// to pay — `PeState::splits_force_pass`) computes its interior pairs
+/// before any role drains a receive, so dual-role threads overlap both
+/// personas' exchanges, and finishes the frontier afterwards; any other
+/// role runs the fused pass after its receive. The exception is a Verlet
+/// rebuild step: the list must be recorded over this step's ghosts, so
+/// nothing can run ahead of the receive and every role runs fused (the
+/// wire sequence is the same in all cases — the sends are posted first —
+/// and split == fused holds bitwise).
+fn exchange_ghosts_and_compute(
+    comm: &mut Comm,
+    cfg: &RunConfig,
+    pes: &mut [(usize, PeState)],
+    rebuild: bool,
+) {
+    for (v, pe) in pes.iter_mut() {
+        comm.act_as(*v);
+        pe.ghosts_send(comm);
+    }
+    let split = |pe: &PeState| pe.splits_force_pass() && !(cfg.verlet && rebuild);
+    for (_, pe) in pes.iter_mut() {
+        if split(pe) {
+            pe.compute_forces_interior();
+        }
+    }
+    for (v, pe) in pes.iter_mut() {
+        comm.act_as(*v);
+        pe.ghosts_recv(comm, rebuild);
+    }
+    for (_, pe) in pes.iter_mut() {
+        if split(pe) {
+            pe.compute_forces_boundary();
+        } else {
+            pe.compute_forces();
+        }
+    }
 }
 
 /// Completion handshake for takeover worlds: every virtual rank ≠ 0

@@ -1,10 +1,12 @@
-//! Validation of the cube-domain decomposition (paper Fig. 2(c)): the
-//! third independent implementation of the same physics must agree with
-//! the serial reference bitwise, across PE-grid sizes including the
-//! degenerate k = 2 torus where opposite neighbours coincide.
+//! The cube-domain decomposition's own behaviour (paper Fig. 2(c)): it
+//! conserves energy through the full stack, trades message count for
+//! volume the way the shape analysis predicts, and rejects what it
+//! cannot do. (Bitwise parity of the cube rows — including the k = 2
+//! torus where every direction leads to the same 7 ranks — is in
+//! `parity_matrix.rs`, shared with the other shapes.)
 
-use pcdlb_md::Particle;
 use pcdlb_sim::cube::{run_cube, run_cube_with_snapshot};
+use pcdlb_sim::plane::run_plane;
 use pcdlb_sim::{run_serial, RunConfig};
 
 fn cfg(p: usize, nc: usize, steps: u64) -> RunConfig {
@@ -16,33 +18,6 @@ fn cfg(p: usize, nc: usize, steps: u64) -> RunConfig {
     cfg.seed = 17;
     cfg.thermostat_interval = 10;
     cfg
-}
-
-fn assert_bitwise_equal(a: &[Particle], b: &[Particle]) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert!(
-            x.id == y.id && x.pos == y.pos && x.vel == y.vel,
-            "particle {} diverged",
-            x.id
-        );
-    }
-}
-
-#[test]
-fn eight_blocks_match_serial_bitwise() {
-    // k = 2: every direction's neighbour is the same small set of ranks;
-    // the direction-tagged exchanges must stay unambiguous.
-    let c = cfg(8, 4, 25);
-    let (_, snap) = run_cube_with_snapshot(&c);
-    assert_bitwise_equal(&snap, &run_serial(&c));
-}
-
-#[test]
-fn twenty_seven_blocks_match_serial_bitwise() {
-    let c = cfg(27, 6, 25);
-    let (_, snap) = run_cube_with_snapshot(&c);
-    assert_bitwise_equal(&snap, &run_serial(&c));
 }
 
 #[test]
@@ -63,65 +38,54 @@ fn cube_conserves_particles_and_energy_shape() {
 }
 
 #[test]
-fn cube_and_pillar_agree_on_the_same_workload() {
-    // Different decomposition, same physics: both bitwise-match serial,
-    // hence each other. P must satisfy both shapes: 4-PE pillar (2×2,
-    // DDM-only) vs 8-PE cube on the same nc requires separate configs —
-    // compare through the serial snapshot instead.
-    let c_cube = cfg(8, 8, 20);
-    let mut c_pillar = c_cube.clone();
-    c_pillar.p = 4;
-    let (_, snap_cube) = run_cube_with_snapshot(&c_cube);
-    let (_, snap_pillar) = pcdlb_sim::run_with_snapshot(&c_pillar);
-    assert_bitwise_equal(&snap_cube, &snap_pillar);
+fn one_cell_blocks_on_the_smallest_torus_match_serial() {
+    // nc = 2, k = 2: every rank owns a single cell and sees the other
+    // seven, each through two periodic images. The former halo-array
+    // engine had to reject this grid (one halo slot, two images); with
+    // ghosts stored by cell and images resolved in the walk it is just
+    // another row.
+    let c = cfg(8, 2, 100);
+    let (_, snap) = run_cube_with_snapshot(&c);
+    assert_eq!(snap, run_serial(&c));
 }
 
 #[test]
 fn cube_trades_message_count_for_volume_as_the_model_predicts() {
-    // The Fig. 2 trade measured on real traffic: the cube sends many more
-    // messages (26 neighbours vs the ring's 2) but each carries a much
-    // smaller slab, so total bytes stay in the same ballpark even at a
-    // size where the analytic model says the two are close
-    // (nc = 8, P = 8: plane 2·64 = 128 cells vs cube 10³−8³·(1/8)… ≈ 152).
-    let c = cfg(8, 8, 10);
-    let rep_cube = run_cube(&c);
-    let rep_plane = pcdlb_sim::plane::run_plane(&c);
-    assert!(
-        rep_cube.msgs_sent > 3 * rep_plane.msgs_sent,
-        "cube {} msgs vs plane {} msgs",
-        rep_cube.msgs_sent,
-        rep_plane.msgs_sent
+    // The Fig. 2 trade measured on real traffic, on the same gas
+    // (nc = 9): 27 blocks of 3³ cells against a ring of 9 three-plane
+    // slabs. P = 27 is the smallest cube grid where a rank really has 26
+    // distinct neighbours (at k = 2 there are 7). Per rank, the cube
+    // sends many more messages (26 neighbours vs the ring's 2), each
+    // carrying a much smaller piece of shell, and imports less in total
+    // (5³ − 3³ = 98 ghost cells vs 2·9² = 162).
+    let steps = 10;
+    let rep_cube = run_cube(&cfg(27, 9, steps));
+    let rep_plane = run_plane(&cfg(9, 9, steps));
+    let per_rank = |total: u64, p: u64| total as f64 / p as f64;
+    let (msgs_cube, msgs_plane) = (
+        per_rank(rep_cube.msgs_sent, 27),
+        per_rank(rep_plane.msgs_sent, 9),
     );
+    assert!(
+        msgs_cube > 3.0 * msgs_plane,
+        "per rank: cube {msgs_cube:.0} msgs vs plane {msgs_plane:.0} msgs"
+    );
+    // Two point-to-point rounds per neighbour per step dominate the count.
+    assert!(msgs_cube >= (2 * 26 * steps) as f64);
     let per_msg_cube = rep_cube.bytes_sent as f64 / rep_cube.msgs_sent as f64;
     let per_msg_plane = rep_plane.bytes_sent as f64 / rep_plane.msgs_sent as f64;
     assert!(
         per_msg_cube < 0.5 * per_msg_plane,
         "cube messages should be much smaller: {per_msg_cube:.0} vs {per_msg_plane:.0} bytes"
     );
-    assert!(
-        rep_cube.bytes_sent < 3 * rep_plane.bytes_sent,
-        "total volumes stay comparable: cube {} vs plane {}",
-        rep_cube.bytes_sent,
-        rep_plane.bytes_sent
+    let (bytes_cube, bytes_plane) = (
+        per_rank(rep_cube.bytes_sent, 27),
+        per_rank(rep_plane.bytes_sent, 9),
     );
-}
-
-#[test]
-fn cube_delta_ghost_encoding_never_changes_results() {
-    // Delta vs full ghost frames across the 26 directions — including
-    // the k = 2 torus where duplicate deliveries are deduplicated —
-    // must never change results; only actual bytes shipped differ.
-    for (p, nc) in [(8usize, 4usize), (27, 6)] {
-        let on = cfg(p, nc, 25);
-        let mut off = on.clone();
-        off.delta_ghosts = false;
-        let (rep_on, snap_on) = run_cube_with_snapshot(&on);
-        let (rep_off, snap_off) = run_cube_with_snapshot(&off);
-        assert_bitwise_equal(&snap_on, &snap_off);
-        assert_eq!(rep_on.records, rep_off.records, "P = {p}");
-        assert_eq!(rep_on.comm_virtual_s, rep_off.comm_virtual_s);
-        assert_eq!(rep_on.bytes_sent, rep_off.bytes_sent);
-    }
+    assert!(
+        bytes_cube < bytes_plane,
+        "per rank the cube imports the smaller shell: {bytes_cube:.0} vs {bytes_plane:.0} bytes"
+    );
 }
 
 #[test]

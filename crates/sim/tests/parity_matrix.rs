@@ -1,0 +1,271 @@
+//! The bitwise spine, as one table: every domain shape × PE count ×
+//! force schedule × skin mode × ghost encoding must reproduce the serial
+//! reference exactly, and none of the schedule/encoding knobs may move a
+//! single reported number.
+//!
+//! One step engine runs all three shapes, so one matrix covers them:
+//! what used to be three per-decomposition suites (pillar skin parity,
+//! the plane baseline's ring cases, the cube's block cases) are rows
+//! here. Shape-specific behaviour — the plane's moving boundaries, the
+//! cube's DDM-only rule and its message/volume trade — stays in
+//! `plane_baseline.rs` and `cube_decomposition.rs`.
+
+use pcdlb_domain::DomainShape;
+use pcdlb_md::Particle;
+use pcdlb_sim::cube::run_cube_with_snapshot;
+use pcdlb_sim::plane::run_plane_with_snapshot;
+use pcdlb_sim::{digest_report, run_serial, run_with_snapshot, serial_sim, RunConfig, RunReport};
+
+/// The (shape, P) rows. `nc = 6` hosts them all: 1×1, 2×2 and 3×3 pillar
+/// tori, rings of 1–3 (3 is deliberately non-square, 2 is the ring whose
+/// two neighbours coincide), and the 2³ and 3³ block grids (on the 2³
+/// torus every rank meets the same 7 ranks in all 26 directions).
+const ROWS: [(DomainShape, usize); 9] = [
+    (DomainShape::SquarePillar, 1),
+    (DomainShape::SquarePillar, 4),
+    (DomainShape::SquarePillar, 9),
+    (DomainShape::Plane, 1),
+    (DomainShape::Plane, 2),
+    (DomainShape::Plane, 3),
+    (DomainShape::Cube, 1),
+    (DomainShape::Cube, 8),
+    (DomainShape::Cube, 27),
+];
+
+/// How the neighbour search runs: re-bin every step, frozen skin epochs
+/// walked live, or frozen skin epochs replayed from the Verlet list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    EveryStep,
+    Epochs,
+    Verlet,
+}
+
+const STEPS: u64 = 40;
+
+/// Roomy cells (≈3.0 ≥ r_c + skin): nc = 6, box = 18, so every row can
+/// host a 0.4 skin.
+fn cfg(p: usize, mode: Mode) -> RunConfig {
+    let n = 583;
+    let mut cfg = RunConfig::new(n, 6, p, n as f64 / 18.0f64.powi(3));
+    cfg.steps = STEPS;
+    cfg.dlb = false; // the cube has no balancer; DLB rows live below
+    cfg.seed = 7;
+    cfg.thermostat_interval = 10;
+    if mode != Mode::EveryStep {
+        cfg.skin = 0.4;
+    }
+    cfg.verlet = mode == Mode::Verlet;
+    cfg
+}
+
+fn run_shape(shape: DomainShape, cfg: &RunConfig) -> (RunReport, Vec<Particle>) {
+    match shape {
+        DomainShape::SquarePillar => run_with_snapshot(cfg),
+        DomainShape::Plane => run_plane_with_snapshot(cfg),
+        DomainShape::Cube => run_cube_with_snapshot(cfg),
+    }
+}
+
+fn assert_bitwise_equal(parallel: &[Particle], serial: &[Particle], what: &str) {
+    assert_eq!(
+        parallel.len(),
+        serial.len(),
+        "{what}: particle counts differ"
+    );
+    for (p, s) in parallel.iter().zip(serial) {
+        assert_eq!(p.id, s.id, "{what}: id order diverged");
+        assert!(
+            p.pos == s.pos && p.vel == s.vel,
+            "{what}: particle {} diverged:\n  parallel pos {:?} vel {:?}\n  serial   pos {:?} vel {:?}",
+            p.id,
+            p.pos,
+            p.vel,
+            s.pos,
+            s.vel
+        );
+    }
+}
+
+/// The serial reference's rebuild-step sequence for a config.
+fn serial_rebuild_sequence(cfg: &RunConfig) -> Vec<bool> {
+    let mut sim = serial_sim(cfg);
+    (0..cfg.steps)
+        .map(|_| {
+            sim.step();
+            sim.last_step_rebuilt()
+        })
+        .collect()
+}
+
+#[test]
+fn every_shape_schedule_and_encoding_matches_serial_bitwise() {
+    for mode in [Mode::EveryStep, Mode::Epochs, Mode::Verlet] {
+        let reference = cfg(1, mode);
+        let serial = run_serial(&reference);
+        let serial_seq = serial_rebuild_sequence(&reference);
+        if mode != Mode::EveryStep {
+            // The epochs actually engage: some steps rebuild, most do not.
+            let rebuilds = serial_seq.iter().filter(|&&r| r).count();
+            assert!(
+                (1..STEPS as usize / 2).contains(&rebuilds),
+                "{mode:?}: degenerate epoch schedule, {rebuilds}/{STEPS} rebuilds"
+            );
+        }
+        for (shape, p) in ROWS {
+            let mut baseline: Option<RunReport> = None;
+            for overlap in [true, false] {
+                for delta_ghosts in [true, false] {
+                    let what = format!(
+                        "{shape:?} P = {p}, {mode:?}, overlap {overlap}, delta {delta_ghosts}"
+                    );
+                    let mut c = cfg(p, mode);
+                    c.overlap = overlap;
+                    c.delta_ghosts = delta_ghosts;
+                    let (report, snap) = run_shape(shape, &c);
+                    assert_bitwise_equal(&snap, &serial, &what);
+                    // The rebuild decision is a pure function of
+                    // replicated global state: every grid picks the
+                    // serial reference's step sequence.
+                    let seq: Vec<bool> = report.records.iter().map(|r| r.rebuilt).collect();
+                    assert_eq!(seq, serial_seq, "{what}: rebuild schedule diverged");
+                    // Neither the force schedule nor the ghost encoding
+                    // may move a reported number: records, modelled comm
+                    // time, canonical message and byte totals.
+                    match &baseline {
+                        None => baseline = Some(report),
+                        Some(base) => {
+                            assert_eq!(report.records, base.records, "{what}: records moved");
+                            assert_eq!(
+                                report.comm_virtual_s, base.comm_virtual_s,
+                                "{what}: modelled comm time moved"
+                            );
+                            assert_eq!(
+                                digest_report(&report, c.load_metric),
+                                digest_report(base, c.load_metric),
+                                "{what}: message totals moved"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn grids_large_enough_to_split_the_force_pass_match_serial_bitwise() {
+    // On the `nc = 6` rows above every rank's interior is too small for
+    // the overlapped split to pay, so `overlap` runs the fused pass there
+    // (`pe::split_pays`). These grids are the smallest per shape where the
+    // ranks really split (pinned by the in-crate test
+    // `force_pass_is_split_only_where_the_interior_pays`): 6×6-column
+    // pillar tiles, four planes per ring rank, 8³ cube blocks.
+    for (shape, p, nc) in [
+        (DomainShape::SquarePillar, 4, 12),
+        (DomainShape::Plane, 3, 12),
+        (DomainShape::Cube, 8, 16),
+    ] {
+        for mode in [Mode::EveryStep, Mode::Verlet] {
+            let box_len = 3.0 * nc as f64;
+            let n = (0.1 * box_len.powi(3)) as usize;
+            let mut c = cfg(p, mode);
+            (c.n_particles, c.nc, c.density) = (n, nc, n as f64 / box_len.powi(3));
+            c.steps = 12;
+            let serial = run_serial(&c);
+            let (split, snap) = run_shape(shape, &c);
+            let what = format!("{shape:?} P = {p} nc = {nc}, {mode:?}");
+            assert_bitwise_equal(&snap, &serial, &what);
+            c.overlap = false;
+            let (fused, snap) = run_shape(shape, &c);
+            assert_bitwise_equal(&snap, &serial, &what);
+            assert_eq!(split.records, fused.records, "{what}: records moved");
+        }
+    }
+}
+
+#[test]
+fn verlet_replay_reports_the_frozen_walks_numbers() {
+    // The replay must report the paper's full-shell directed-check units
+    // — identical pair_checks, energies and rebuild schedule to walking
+    // the frozen binning live — in every shape.
+    for (shape, p) in ROWS {
+        let (walked, _) = run_shape(shape, &cfg(p, Mode::Epochs));
+        let (replayed, _) = run_shape(shape, &cfg(p, Mode::Verlet));
+        assert_eq!(
+            replayed.records, walked.records,
+            "{shape:?} P = {p}: step records diverged between replay and frozen walk"
+        );
+    }
+}
+
+#[test]
+fn checkpoint_cadence_forces_rebuild_boundaries() {
+    let mut c = cfg(4, Mode::Verlet);
+    c.checkpoint_interval = 7;
+    let (report, snap) = run_with_snapshot(&c);
+    assert_bitwise_equal(&snap, &run_serial(&c), "checkpoint cadence");
+    for r in &report.records {
+        if r.step.is_multiple_of(7) {
+            assert!(r.rebuilt, "step {} should be a forced rebuild", r.step);
+        }
+    }
+}
+
+#[test]
+fn balancers_under_skin_epochs_preserve_parity() {
+    // DLB only acts on rebuild steps under skin epochs — and must still
+    // never change the physics, for either balancer.
+    for (shape, p) in [(DomainShape::SquarePillar, 9), (DomainShape::Plane, 3)] {
+        let mut c = cfg(p, Mode::Verlet);
+        c.dlb = true;
+        c.dlb_min_gain = 0.0;
+        let (_, snap) = run_shape(shape, &c);
+        assert_bitwise_equal(
+            &snap,
+            &run_serial(&c),
+            &format!("{shape:?} DLB + skin epochs"),
+        );
+    }
+}
+
+#[test]
+fn bookkeeping_collectives_never_touch_t_step() {
+    // t_step is the paper's per-step time: a step's force time plus the
+    // modelled cost of *its own* communication phases. The invariant
+    // sentinel and the checkpoint gather are bookkeeping; switching them
+    // on adds messages but must leave every reported step bitwise
+    // unchanged — in every shape, because every shape charges its comm
+    // time through the same per-step lap. (The plane and cube engines
+    // this replaced ignored both knobs and billed each step for the
+    // previous step's stats gather.)
+    for (shape, p) in [
+        (DomainShape::SquarePillar, 4),
+        (DomainShape::Plane, 3),
+        (DomainShape::Cube, 8),
+    ] {
+        let plain = cfg(p, Mode::EveryStep);
+        let mut watched = plain.clone();
+        watched.sentinel_interval = 3;
+        watched.checkpoint_interval = 5;
+        let (rep_plain, snap_plain) = run_shape(shape, &plain);
+        let (rep_watched, snap_watched) = run_shape(shape, &watched);
+        assert_eq!(
+            snap_plain, snap_watched,
+            "{shape:?}: bookkeeping touched physics"
+        );
+        for (a, b) in rep_plain.records.iter().zip(&rep_watched.records) {
+            assert_eq!(
+                a.t_step.to_bits(),
+                b.t_step.to_bits(),
+                "{shape:?}: step {} t_step moved with the bookkeeping on",
+                a.step
+            );
+        }
+        assert_eq!(rep_plain.records, rep_watched.records, "{shape:?}");
+        assert!(
+            rep_watched.msgs_sent > rep_plain.msgs_sent,
+            "{shape:?}: the sentinel and checkpoint gathers really ran"
+        );
+    }
+}

@@ -1,0 +1,27 @@
+//! Tier-1's view of the step engine: the three domain shapes of paper
+//! Fig. 2 — square pillar, plane, cube — run the same 20-step gas through
+//! the one SPMD engine and all land on the serial reference, bit for bit.
+
+use pcdlb::sim::cube::run_cube_with_snapshot;
+use pcdlb::sim::plane::run_plane_with_snapshot;
+use pcdlb::sim::{run_serial, run_with_snapshot, RunConfig};
+
+#[test]
+fn pillar_plane_and_cube_all_match_serial_bitwise() {
+    let nc = 6;
+    let density = 0.25;
+    let n = (density * (2.56 * nc as f64).powi(3)).round() as usize;
+    let mut cfg = RunConfig::new(n, nc, 1, density);
+    cfg.steps = 20;
+    cfg.dlb = false;
+    cfg.seed = 5;
+    cfg.thermostat_interval = 10;
+    let serial = run_serial(&cfg);
+    let with_p = |p| RunConfig { p, ..cfg.clone() };
+    let (_, pillar) = run_with_snapshot(&with_p(4));
+    let (_, plane) = run_plane_with_snapshot(&with_p(3));
+    let (_, cube) = run_cube_with_snapshot(&with_p(8));
+    for (shape, snap) in [("pillar", pillar), ("plane", plane), ("cube", cube)] {
+        assert_eq!(snap, serial, "{shape} diverged from the serial reference");
+    }
+}
