@@ -72,8 +72,8 @@ fn bench_neighbor_list_vs_cells(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("force_evaluation");
     g.bench_function("cell_search_27", |b| {
-        // SerialSim recomputes forces on construction; reuse one instance
-        // per iteration by stepping (forces recomputed inside).
+        // Reuse one instance, stepping it per iteration (each step
+        // recomputes the forces).
         let mut sim = SerialSim::new(ps.clone(), 6, box_len, lj, 1e-9, Thermostat::off());
         b.iter(|| {
             sim.step();

@@ -14,8 +14,10 @@
 //!    `r_c + skin`, including the per-call position reload production
 //!    pays). All four book identical full-shell `WorkCounters`, so
 //!    checks/sec are directly comparable; `speedup` (half vs full,
-//!    target ≥ 1.6×) and `soa_ratio` (best SoA-path vs half-shell,
-//!    target ≥ 1.3×) are the headline numbers, and
+//!    target ≥ 1.6×), `soa_speedup` (SoA walk vs half-shell, reported
+//!    and ungated) and `verlet_speedup` (replay vs half-shell, target
+//!    ≥ 2×) each stand on their own, `verlet_record_ms` is what the
+//!    list costs to record at a rebuild step, and
 //!    `checks_per_sec_trend` records the whole progression.
 //! 2. **Whole steps per second** — the serial reference and the SPMD
 //!    simulator swept over P ∈ {1, 4, 9, 16} PE grids (ranks are
@@ -41,11 +43,12 @@
 //! Usage: `cargo run --release -p pcdlb-bench --bin steps_per_sec`
 //! (options: `--nc`, `--density`, `--iters`, `--steps`, `--out`,
 //! `--scaling-out`, `--assert-p4-ratio <min>`,
-//! `--assert-soa-ratio <min>`, `--assert-p9-ghost-ratio <min>`,
-//! `--assert-hetero-gain <min>`). `--assert-soa-ratio` makes the run
-//! fail when neither SoA-path kernel (SoA walk or Verlet replay) beats
-//! the half-shell baseline by `<min>`× — a same-host, same-run timing
-//! comparison, so no hardware-thread caveat applies.
+//! `--assert-verlet-ratio <min>`, `--assert-p9-ghost-ratio <min>`,
+//! `--assert-hetero-gain <min>`). `--assert-verlet-ratio` makes the run
+//! fail when the Verlet replay does not beat the half-shell baseline by
+//! `<min>`× — a same-host, same-run timing comparison, so no
+//! hardware-thread caveat applies. The SoA walk and the list recorder
+//! have no gate: their rows say what they are worth.
 //! `--assert-p4-ratio` makes the run fail when the P = 4 speedup is
 //! below `<min>`, but downgrades to a warning on hosts with fewer than
 //! 4 hardware threads, where a parallel speedup is physically
@@ -213,7 +216,7 @@ fn main() {
     let scaling_path = args.get("scaling-out", "BENCH_scaling.json").to_string();
     // 0.0 disables the assertions (the default).
     let assert_p4 = args.get_f64("assert-p4-ratio", 0.0);
-    let assert_soa = args.get_f64("assert-soa-ratio", 0.0);
+    let assert_verlet = args.get_f64("assert-verlet-ratio", 0.0);
     let assert_p9_ghost = args.get_f64("assert-p9-ghost-ratio", 0.0);
     let assert_hetero = args.get_f64("assert-hetero-gain", 0.0);
 
@@ -242,33 +245,38 @@ fn main() {
             .pair_checks
     });
 
-    // Verlet replay: record the CSR candidate list once (a rebuild step),
-    // then time the steady-state replay — including the per-call position
-    // reload and force fold the production epochs pay every step. The
-    // paper-tight cells leave `cell_len − r_c` of slack, which is exactly
-    // the skin budget a production epoch on this grid would have.
+    // Verlet: time recording the CSR candidate list (what a rebuild step
+    // adds: SoA reset + position load + the candidate sweep), then the
+    // steady-state replay — including the per-call position reload and
+    // force fold the production epochs pay every step. The paper-tight
+    // cells leave `cell_len − r_c` of slack, which is exactly the skin
+    // budget a production epoch on this grid would have.
     let skin = (grid.box_len() / nc as f64 - kernel.lj.rcut).max(0.0);
     let reach2 = (kernel.lj.rcut + skin).powi(2);
     let np = grid.num_particles();
-    soa.reset(np, np);
-    soa.load_positions(0, grid.particles());
     let mut vlist = VerletList::new();
-    for idx in 0..grid.total_cells() {
-        let hr = grid.cell_range(idx);
-        if hr.is_empty() {
-            continue;
-        }
-        let home = grid.coord_of(idx);
-        vlist.record_intra(&soa, hr.clone(), reach2, 0, 0);
-        for offset in HALF_OFFSETS_13 {
-            let (ncell, shift) = grid.wrap_neighbor(home, offset);
-            let nr = grid.cell_range(grid.index(ncell));
-            if nr.is_empty() {
+    let record = time_kernel(iters, || {
+        soa.reset(np, np);
+        soa.load_positions(0, grid.particles());
+        vlist.clear();
+        for idx in 0..grid.total_cells() {
+            let hr = grid.cell_range(idx);
+            if hr.is_empty() {
                 continue;
             }
-            vlist.record_pair(&soa, hr.clone(), nr, shift, reach2, 0, 0, 0);
+            let home = grid.coord_of(idx);
+            vlist.record_intra(&soa, hr.clone(), reach2, 0, 0);
+            for offset in HALF_OFFSETS_13 {
+                let (ncell, shift) = grid.wrap_neighbor(home, offset);
+                let nr = grid.cell_range(grid.index(ncell));
+                if nr.is_empty() {
+                    continue;
+                }
+                vlist.record_pair(&soa, hr.clone(), nr, shift, reach2, 0, 0, 0);
+            }
         }
-    }
+        vlist.num_pairs() as u64
+    });
     let box_len_grid = grid.box_len();
     let verlet = time_kernel(iters, || {
         soa.load_positions(0, grid.particles());
@@ -295,7 +303,7 @@ fn main() {
     let speedup = full.seconds_per_call / half.seconds_per_call;
     let soa_speedup = half.seconds_per_call / soa_row.seconds_per_call;
     let verlet_speedup = half.seconds_per_call / verlet.seconds_per_call;
-    let soa_ratio = soa_speedup.max(verlet_speedup);
+    let verlet_record_ms = record.seconds_per_call * 1e3;
     eprintln!(
         "force phase: N = {n}, nc = {nc}, {} full-shell checks/pass, verlet skin {skin:.3}",
         full.pair_checks
@@ -307,7 +315,7 @@ fn main() {
     );
     eprintln!(
         "  soa {:.3} ms/pass ({soa_speedup:.2}x vs half), verlet replay {:.3} ms/pass \
-         ({verlet_speedup:.2}x vs half) -> soa_ratio {soa_ratio:.2}x",
+         ({verlet_speedup:.2}x vs half), verlet record {verlet_record_ms:.3} ms/rebuild",
         soa_row.seconds_per_call * 1e3,
         verlet.seconds_per_call * 1e3
     );
@@ -461,7 +469,7 @@ fn main() {
     let _ = writeln!(json, "    \"speedup\": {speedup:.3},");
     let _ = writeln!(json, "    \"soa_speedup\": {soa_speedup:.3},");
     let _ = writeln!(json, "    \"verlet_speedup\": {verlet_speedup:.3},");
-    let _ = writeln!(json, "    \"soa_ratio\": {soa_ratio:.3}");
+    let _ = writeln!(json, "    \"verlet_record_ms\": {verlet_record_ms:.3}");
     json.push_str("  },\n");
     json.push_str("  \"steps_per_sec\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -540,17 +548,16 @@ fn main() {
         }
     }
 
-    if assert_soa > 0.0 {
+    if assert_verlet > 0.0 {
         // Both sides of this ratio come from the same single-threaded
         // run on the same host, so unlike the P = 4 gate there is no
         // hardware-thread caveat.
         assert!(
-            soa_ratio >= assert_soa,
-            "SoA force-path speedup {soa_ratio:.2}x over the half-shell baseline is below \
-             the required {assert_soa}x (soa {soa_speedup:.2}x, verlet replay \
-             {verlet_speedup:.2}x)"
+            verlet_speedup >= assert_verlet,
+            "Verlet replay speedup {verlet_speedup:.2}x over the half-shell baseline is \
+             below the required {assert_verlet}x"
         );
-        eprintln!("SoA force-path speedup {soa_ratio:.2}x meets the {assert_soa}x goal");
+        eprintln!("Verlet replay speedup {verlet_speedup:.2}x meets the {assert_verlet}x goal");
     }
 
     if assert_p9_ghost > 0.0 {

@@ -46,13 +46,15 @@ pub mod tags {
     pub const DECISION: u64 = 2;
     /// Phase 2 (DLB data movement): particle payload of a transferred column.
     pub const CELL_XFER: u64 = 3;
-    /// The coalesced per-neighbour step message: each step a rank sends
-    /// exactly two framed messages to each of its 8 neighbours under this
-    /// one tag — round 1 carries boundary-crossing migrants plus (on DLB
-    /// steps) the sender's last-step load, round 2 carries the
-    /// delta-encodable boundary-shell ghost frame. Sub-frame presence
-    /// headers inside the frame distinguish the rounds; per-(src,dst,tag)
-    /// FIFO ordering keeps the two rounds matched.
+    /// The coalesced per-neighbour step message: each rebuild step (every
+    /// step without a Verlet skin) a rank sends exactly two framed
+    /// messages to each of its 8 neighbours under this one tag — round 1
+    /// carries boundary-crossing migrants plus (on DLB steps) the
+    /// sender's last-step load, round 2 carries the delta-encodable
+    /// boundary-shell ghost frame. Sub-frame presence headers inside the
+    /// frame distinguish the rounds; per-(src,dst,tag) FIFO ordering keeps
+    /// the two rounds matched. Between the rebuilds of a skin epoch a step
+    /// sends one message per neighbour: the positions-only ghost refresh.
     pub const STEP_FRAME: u64 = 16;
     /// Phase 5 (collective): kinetic-energy gather to rank 0.
     pub const KE_GATHER: u64 = 10;

@@ -248,7 +248,8 @@ mod tests {
         let list = NeighborList::build(&ps, box_len, &lj, 0.5);
         let (forces, w) = list.compute_forces(&ps, &lj);
         // Reference: one force evaluation through the serial simulator.
-        let sim = SerialSim::new(ps.clone(), 4, box_len, lj, 0.001, Thermostat::off());
+        let mut sim = SerialSim::new(ps.clone(), 4, box_len, lj, 0.001, Thermostat::off());
+        sim.ensure_forces();
         let ref_work = sim.last_work();
         // Potential energies agree to high precision (different summation
         // order, so not bitwise).

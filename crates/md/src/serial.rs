@@ -46,6 +46,10 @@ pub struct SerialSim {
     grid: CellGrid,
     /// Flat force array aligned with the grid's particle storage.
     forces: Vec<Vec3>,
+    /// The forces (and, with Verlet replay, the recorded list) do not
+    /// reflect the current positions, pull and skin settings yet: set-up
+    /// calls only mark them, and the first use evaluates once.
+    forces_stale: bool,
     kernel: PairKernel,
     dt: f64,
     thermostat: Thermostat,
@@ -117,7 +121,9 @@ pub fn compute_forces_half_shell(
 impl SerialSim {
     /// Build a simulator over `nc³` cells in a box of side `box_len`,
     /// asserting the cell size is compatible with the cutoff. Initial
-    /// forces are computed immediately so the first step can half-kick.
+    /// forces are evaluated by the first [`SerialSim::step`], after
+    /// [`SerialSim::set_pull`] and [`SerialSim::with_skin`] have had
+    /// their say — once, not per call.
     pub fn new(
         particles: Vec<Particle>,
         nc: usize,
@@ -134,8 +140,9 @@ impl SerialSim {
             grid.insert(p);
         }
         grid.canonicalize();
-        let mut sim = Self {
+        Self {
             forces: Vec::new(),
+            forces_stale: true,
             grid,
             kernel: PairKernel::new(lj),
             dt,
@@ -150,9 +157,7 @@ impl SerialSim {
             soa: SoaField::new(),
             vlist: VerletList::new(),
             last_rebuild: true,
-        };
-        sim.compute_forces();
-        sim
+        }
     }
 
     /// Enable skin epochs: the cell binning is frozen between rebuild
@@ -180,9 +185,7 @@ impl SerialSim {
         self.skin = skin;
         self.verlet = verlet;
         self.tracker.reset();
-        if self.verlet {
-            self.rebuild_verlet();
-        }
+        self.forces_stale = true;
         self
     }
 
@@ -199,18 +202,18 @@ impl SerialSim {
     }
 
     /// Enable the harmonic central-well concentration driver with spring
-    /// constant `k` (see [`crate::force::central_pull_force`]); forces are
-    /// recomputed so the next step feels it immediately.
+    /// constant `k` (see [`crate::force::central_pull_force`]); the next
+    /// step feels it immediately.
     pub fn set_central_pull(&mut self, k: f64) {
         assert!(k >= 0.0);
         self.set_pull(crate::force::ExternalPull::Center { k });
     }
 
-    /// Set an arbitrary external pull field; forces are recomputed so the
-    /// next step feels it immediately.
+    /// Set an arbitrary external pull field; the next step feels it
+    /// immediately.
     pub fn set_pull(&mut self, pull: crate::force::ExternalPull) {
         self.pull = pull;
-        self.compute_forces();
+        self.forces_stale = true;
     }
 
     /// The cell grid (read access for metrics like `C₀`).
@@ -230,9 +233,26 @@ impl SerialSim {
         self.step_count = step;
     }
 
-    /// Work counters of the most recent force evaluation.
+    /// Work counters of the most recent force evaluation. A fresh or
+    /// reconfigured simulator has none until its next step.
     pub fn last_work(&self) -> WorkCounters {
+        assert!(
+            !self.forces_stale,
+            "no force evaluation since set-up: step the simulator first"
+        );
         self.last_work
+    }
+
+    /// Bring forces (and the Verlet recording) up to date with the
+    /// set-up calls made since they were last evaluated.
+    pub(crate) fn ensure_forces(&mut self) {
+        if self.forces_stale {
+            self.forces_stale = false;
+            if self.verlet {
+                self.rebuild_verlet();
+            }
+            self.compute_forces();
+        }
     }
 
     /// All particles, sorted by id — the canonical snapshot used to
@@ -248,6 +268,7 @@ impl SerialSim {
     pub fn step(&mut self) -> SerialStepInfo {
         let dt = self.dt;
         let box_len = self.grid.box_len();
+        self.ensure_forces();
         debug_assert_eq!(self.grid.num_particles(), self.forces.len());
 
         // 0. Rebuild decision — before any state mutates, from exactly
@@ -514,7 +535,8 @@ mod tests {
         // The half-shell kernel must still report the paper's full-shell
         // candidate count: Σ over home cells of Σ over the 27 offsets of
         // |home|·|neighbour| − |home| (self-pairs excluded at offset 0).
-        let sim = small_gas(150, 3, 0.25, 8);
+        let mut sim = small_gas(150, 3, 0.25, 8);
+        sim.ensure_forces();
         let grid = sim.grid();
         let mut expect = 0u64;
         for (c, ps) in grid.iter_cells() {

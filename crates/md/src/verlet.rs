@@ -101,7 +101,12 @@ impl SegAction {
 /// rebuilds are allocation-free once capacity has grown.
 #[derive(Debug, Clone, Default)]
 pub struct VerletList {
+    /// Pair storage. Only `pairs[..n_pairs]` is recorded; the tail is
+    /// room the recorder has already written through and keeps, so a
+    /// rebuild neither grows nor re-initialises it.
     pairs: Vec<(u32, u32)>,
+    /// The recorder's cursor: number of recorded pairs.
+    n_pairs: usize,
     segs: Vec<Segment>,
 }
 
@@ -113,13 +118,24 @@ impl VerletList {
 
     /// Drop the recording, retaining capacity.
     pub fn clear(&mut self) {
-        self.pairs.clear();
+        self.n_pairs = 0;
         self.segs.clear();
     }
 
     /// Total recorded (half) pairs.
     pub fn num_pairs(&self) -> usize {
-        self.pairs.len()
+        self.n_pairs
+    }
+
+    /// Room for `candidates` more pairs behind the cursor, as a slice
+    /// the sweep can write every candidate into. Grows the storage only
+    /// past its high-water mark, once per block — never per candidate.
+    fn room(&mut self, candidates: usize) -> &mut [(u32, u32)] {
+        let end = self.n_pairs + candidates;
+        if self.pairs.len() < end {
+            self.pairs.resize(end, (0, 0));
+        }
+        &mut self.pairs[self.n_pairs..end]
     }
 
     /// Number of recorded segments.
@@ -152,25 +168,32 @@ impl VerletList {
         if a.is_empty() || b.is_empty() {
             return;
         }
-        let start = self.pairs.len() as u32;
+        // Branch-free sweep: every candidate is written at the cursor
+        // and the cursor advances by the comparison result, so a miss is
+        // simply overwritten by the next candidate. Same pairs, same
+        // order as testing first and pushing the hits.
+        let start = self.n_pairs;
+        let out = self.room(a.len() * b.len());
+        let (xs, ys, zs) = (&soa.xs[b.clone()], &soa.ys[b.clone()], &soa.zs[b.clone()]);
+        let mut at = 0usize;
         for i in a.clone() {
             let (xi, yi, zi) = (soa.xs[i], soa.ys[i], soa.zs[i]);
-            for j in b.clone() {
-                let rx = (soa.xs[j] + shift.x) - xi;
-                let ry = (soa.ys[j] + shift.y) - yi;
-                let rz = (soa.zs[j] + shift.z) - zi;
-                if rx * rx + ry * ry + rz * rz < reach2 {
-                    self.pairs.push((i as u32, j as u32));
-                }
+            for (k, j) in b.clone().enumerate() {
+                let rx = (xs[k] + shift.x) - xi;
+                let ry = (ys[k] + shift.y) - yi;
+                let rz = (zs[k] + shift.z) - zi;
+                out[at] = (i as u32, j as u32);
+                at += (rx * rx + ry * ry + rz * rz < reach2) as usize;
             }
         }
+        self.n_pairs += at;
         self.segs.push(Segment {
             kind: SegKind::Pair,
             ca,
             cb,
             bucket,
-            start,
-            end: self.pairs.len() as u32,
+            start: start as u32,
+            end: self.n_pairs as u32,
             shift,
             occ: a.len() as u64 * b.len() as u64,
         });
@@ -190,25 +213,27 @@ impl VerletList {
         if r.len() < 2 {
             return;
         }
-        let start = self.pairs.len() as u32;
+        let start = self.n_pairs;
+        let out = self.room(r.len() * (r.len() - 1) / 2);
+        let mut at = 0usize;
         for i in r.clone() {
             for j in (i + 1)..r.end {
                 let rx = soa.xs[j] - soa.xs[i];
                 let ry = soa.ys[j] - soa.ys[i];
                 let rz = soa.zs[j] - soa.zs[i];
-                if rx * rx + ry * ry + rz * rz < reach2 {
-                    self.pairs.push((i as u32, j as u32));
-                }
+                out[at] = (i as u32, j as u32);
+                at += (rx * rx + ry * ry + rz * rz < reach2) as usize;
             }
         }
+        self.n_pairs += at;
         let n = r.len() as u64;
         self.segs.push(Segment {
             kind: SegKind::Intra,
             ca,
             cb: ca,
             bucket,
-            start,
-            end: self.pairs.len() as u32,
+            start: start as u32,
+            end: self.n_pairs as u32,
             shift: Vec3::ZERO,
             occ: n * (n - 1),
         });
@@ -381,8 +406,7 @@ impl VerletList {
     /// as particles drift — which is exactly what the negative shell
     /// test asserts.
     pub fn audit_missing(&self, soa: &SoaField, box_len: f64, rcut: f64) -> usize {
-        let mut have: Vec<(u32, u32)> = self
-            .pairs
+        let mut have: Vec<(u32, u32)> = self.pairs[..self.n_pairs]
             .iter()
             .map(|&(i, j)| if i < j { (i, j) } else { (j, i) })
             .collect();
@@ -654,6 +678,136 @@ mod tests {
             list.audit_missing(&soa, grid.box_len(), kernel.lj.rcut) > 0,
             "a reach of r_c only must start missing pairs once particles drift"
         );
+    }
+
+    /// The test-then-push recorder the branch-free sweep replaced, kept
+    /// as its reference: the candidates of one block within reach, in
+    /// scan order. `a == b` with a zero shift is the intra triangle.
+    fn reference_block(
+        soa: &SoaField,
+        a: Range<usize>,
+        b: Range<usize>,
+        shift: Vec3,
+        reach2: f64,
+        intra: bool,
+    ) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        for i in a {
+            let js = if intra { (i + 1)..b.end } else { b.clone() };
+            for j in js {
+                let d = (soa.pos(j) + shift) - soa.pos(i);
+                if d.x * d.x + d.y * d.y + d.z * d.z < reach2 {
+                    pairs.push((i as u32, j as u32));
+                }
+            }
+        }
+        pairs
+    }
+
+    /// A 3×3×3 grid (every forward offset wraps somewhere, so shifts are
+    /// non-zero) with `occ[c]` particles in cell `c`, on a jittered
+    /// sub-lattice so no two coincide.
+    fn grid_with_occupancy(occ: &[usize]) -> CellGrid {
+        let mut grid = CellGrid::new(3, 9.0);
+        let mut id = 0u64;
+        for (c, &n) in occ.iter().enumerate() {
+            let origin = Vec3::new((c / 9) as f64, (c / 3 % 3) as f64, (c % 3) as f64) * 3.0;
+            for k in 0..n {
+                let jitter = (id.wrapping_mul(0x9e37_79b9) % 101) as f64 * 1e-3;
+                let slot = Vec3::new((k / 25) as f64, (k / 5 % 5) as f64, (k % 5) as f64);
+                grid.insert(Particle::at_rest(
+                    id,
+                    origin + slot * 0.58 + Vec3::new(0.1 + jitter, 0.1, 0.1 + 0.5 * jitter),
+                ));
+                id += 1;
+            }
+        }
+        grid.canonicalize();
+        grid
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn prop_branch_free_recorder_equals_the_push_recorder(
+            draws in proptest::collection::vec(0usize..100, 27..28)
+        ) {
+            use proptest::prelude::*;
+            // A third of the cells empty, some with one particle (no
+            // intra segment), most small, a few above 64.
+            let occ: Vec<usize> = draws
+                .iter()
+                .map(|&d| match d {
+                    0..=32 => 0,
+                    33..=45 => 1,
+                    46..=85 => d - 44,
+                    _ => d - 20,
+                })
+                .collect();
+            let grid = grid_with_occupancy(&occ);
+            let kernel = PairKernel::new(LennardJones::paper());
+            let reach = kernel.lj.rcut + 0.4;
+            let mut soa = SoaField::new();
+            let mut list = VerletList::new();
+            // Record twice: the second pass reuses the written-through
+            // tail of the pair storage, which must not leak into it.
+            record_walk(&grid, &mut soa, &mut list, reach);
+            record_walk(&grid, &mut soa, &mut list, reach);
+            let mut expect = Vec::new();
+            let mut seg = list.segs.iter().filter(|s| s.kind != SegKind::Pull);
+            for idx in 0..grid.total_cells() {
+                let hr = grid.cell_range(idx);
+                if hr.len() >= 2 {
+                    let s = seg.next().expect("intra segment recorded");
+                    prop_assert_eq!(s.kind, SegKind::Intra);
+                    prop_assert_eq!(s.start as usize, expect.len());
+                    expect.extend(reference_block(
+                        &soa, hr.clone(), hr.clone(), Vec3::ZERO, reach * reach, true,
+                    ));
+                    prop_assert_eq!(s.end as usize, expect.len());
+                }
+                if hr.is_empty() {
+                    continue;
+                }
+                for offset in HALF_OFFSETS_13 {
+                    let (ncell, shift) = grid.wrap_neighbor(grid.coord_of(idx), offset);
+                    let nr = grid.cell_range(grid.index(ncell));
+                    if nr.is_empty() {
+                        continue;
+                    }
+                    let s = seg.next().expect("pair segment recorded");
+                    prop_assert_eq!((s.kind, s.shift), (SegKind::Pair, shift));
+                    prop_assert_eq!(s.start as usize, expect.len());
+                    expect.extend(reference_block(&soa, hr.clone(), nr, shift, reach * reach, false));
+                    prop_assert_eq!(s.end as usize, expect.len());
+                }
+            }
+            prop_assert!(seg.next().is_none());
+            prop_assert_eq!(&list.pairs[..list.num_pairs()], &expect[..]);
+            prop_assert_eq!(list.audit_missing(&soa, grid.box_len(), kernel.lj.rcut), 0);
+            // And the replay of the recording is the walk, bit for bit.
+            let mut walk_forces = Vec::new();
+            let w_walk =
+                compute_forces_half_shell(&grid, &kernel, &ExternalPull::None, &mut walk_forces);
+            soa.zero_forces();
+            let mut work = [WorkCounters::default()];
+            list.replay(
+                &kernel,
+                &ExternalPull::None,
+                grid.box_len(),
+                &mut soa,
+                |_| Some(SegAction::fused()),
+                &mut work,
+            );
+            let mut replay_forces = Vec::new();
+            soa.fold_forces(&mut replay_forces);
+            let bits = |f: &[Vec3]| -> Vec<[u64; 3]> {
+                f.iter().map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect()
+            };
+            prop_assert_eq!(bits(&walk_forces), bits(&replay_forces));
+            prop_assert_eq!(w_walk.pair_checks, work[0].pair_checks);
+            prop_assert_eq!(w_walk.potential.to_bits(), work[0].potential.to_bits());
+        }
     }
 
     #[test]

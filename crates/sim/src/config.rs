@@ -96,7 +96,9 @@ pub struct DesyncInject {
     /// How many desyncs to force, back to back (a "resync storm"). Each
     /// corruption fires on the first delta frame after the previous
     /// resync completes, so `times` mismatches degrade exactly `times`
-    /// steps. 0 is treated as 1.
+    /// steps with `skin == 0`; inside a skin epoch delta frames flow on
+    /// rebuild steps only, and one mismatch degrades that neighbour until
+    /// the next rebuild (each degraded step counts). 0 is treated as 1.
     pub times: u32,
 }
 

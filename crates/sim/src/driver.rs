@@ -137,8 +137,8 @@ pub fn run_serial(cfg: &RunConfig) -> Vec<Particle> {
     sim.snapshot()
 }
 
-/// Construct the serial reference simulator for a config (initial forces
-/// computed, ready to step). Threads the skin/Verlet settings and the
+/// Construct the serial reference simulator for a config, ready to step
+/// (its initial forces are evaluated once, by the first step). Threads the skin/Verlet settings and the
 /// checkpoint cadence through, so the serial rebuild-step sequence is
 /// the identical pure function the parallel ranks agree on — bitwise
 /// parity includes the epoch schedule.

@@ -7,12 +7,15 @@
 //!
 //! # The coalesced step message
 //!
-//! Each step a rank sends exactly two [`StepFrame`]s to each neighbour
-//! under the single `tags::STEP_FRAME` tag. Round 1 carries boundary
-//! crossers (migrants) plus — on DLB steps — the sender's last-step load;
-//! round 2 carries the boundary-shell ghost frame. One-byte sub-frame
-//! presence headers say which sections are populated, and per-(src, dst,
-//! tag) FIFO ordering keeps the rounds matched.
+//! On a rebuild step (every step with `skin == 0`) a rank sends exactly
+//! two [`StepFrame`]s to each neighbour under the single
+//! `tags::STEP_FRAME` tag. Round 1 carries boundary crossers (migrants)
+//! plus — on DLB steps — the sender's last-step load; round 2 carries
+//! the boundary-shell ghost frame. One-byte sub-frame presence headers
+//! say which sections are populated, and per-(src, dst, tag) FIFO
+//! ordering keeps the rounds matched. Between rebuilds of a skin epoch
+//! nothing migrates and no shell changes membership, so a step sends one
+//! frame per neighbour, carrying only a [`GhostRefresh`] section.
 //!
 //! # Ghost shell frames and delta encoding
 //!
@@ -43,6 +46,21 @@
 //! is clean again. One desynced channel costs one degraded step on one
 //! rank instead of killing the world.
 //!
+//! # The frozen-epoch refresh
+//!
+//! With `skin > 0` the binning, ownership and shell membership are
+//! frozen between rebuild steps, and the rebuild schedule is replicated
+//! state: both ends of a link know, without exchanging a byte, that a
+//! mid-epoch frame holds exactly the ghosts of the last rebuild frame.
+//! Such a frame therefore carries positions only ([`GhostRefresh`], 24
+//! bytes per ghost, no ids, no bitmap, no fingerprint) in the order the
+//! sender packs its frozen shell cells — ascending (column, z cell, id),
+//! which the receiver reproduces from its own frozen ghost slabs — and
+//! never touches a [`DeltaChannel`]: the channels roll forward on
+//! rebuild steps only, each delta diffing against the previous rebuild
+//! frame. A refresh whose length disagrees with the receiver's recorded
+//! routes is a [`DesyncError::Refresh`], absorbed like any other desync.
+//!
 //! # Canonical vs encoded bytes
 //!
 //! [`WireSize::wire_size`] — what the interconnect cost model charges —
@@ -52,7 +70,11 @@
 //! non-deterministic events (takeovers), so charging the actual encoding
 //! would break bitwise reproducibility. The actual layout size is
 //! reported separately through [`WireSize::encoded_size`], which feeds
-//! the `bytes_on_wire` counters only.
+//! the `bytes_on_wire` counters only. A refresh section is charged what
+//! it ships, `1 + 8 + 24·n`: whether a step refreshes or rebuilds is a
+//! pure function of replicated state (the displacement tracker and the
+//! checkpoint cadence, on which restores land), never of a fallback, so
+//! that size is as reproducible as the shell frame's.
 //!
 //! `wire_check.rs` pins both layouts against a reference encoder.
 
@@ -113,6 +135,15 @@ pub enum DesyncError {
         /// `prev_check` the frame carried.
         framed: u64,
     },
+    /// A mid-epoch positions-only refresh does not cover the ghosts the
+    /// receiver recorded routes for at the last rebuild step (that
+    /// step's own decode desynced, so it holds none of them).
+    Refresh {
+        /// Slots the recorded routes cover.
+        have: usize,
+        /// Positions the refresh carried.
+        framed: usize,
+    },
 }
 
 impl std::fmt::Display for DesyncError {
@@ -127,6 +158,11 @@ impl std::fmt::Display for DesyncError {
                 f,
                 "delta ghost frame fingerprint mismatch \
                  (have {have:#018x}, frame diffed {framed:#018x})"
+            ),
+            DesyncError::Refresh { have, framed } => write!(
+                f,
+                "ghost refresh against a desynchronised epoch \
+                 (routes cover {have} ghosts, frame refreshed {framed})"
             ),
         }
     }
@@ -199,6 +235,40 @@ impl WireSize for GhostShellFrame {
     }
 }
 
+/// The positions-only ghost refresh of a frozen skin epoch: the new
+/// position of every ghost of the last rebuild frame on this link, in
+/// the sender's pack order (see the module docs). On the wire it is the
+/// third encoding of the ghost section — kind byte, then the
+/// length-prefixed positions.
+#[derive(Debug, Clone, Default)]
+pub struct GhostRefresh {
+    /// One position per ghost of the frozen shell.
+    pub pos: Vec<Vec3>,
+}
+
+impl GhostRefresh {
+    /// Check the refresh against the `have` slots the receiver recorded
+    /// routes for; `Ok` yields the positions to write through them.
+    pub fn positions_for(&self, have: usize) -> Result<&[Vec3], DesyncError> {
+        if self.pos.len() == have {
+            Ok(&self.pos)
+        } else {
+            Err(DesyncError::Refresh {
+                have,
+                framed: self.pos.len(),
+            })
+        }
+    }
+}
+
+impl WireSize for GhostRefresh {
+    fn wire_size(&self) -> usize {
+        // Section kind byte + length-prefixed positions. Canonical and
+        // encoded sizes coincide: there is one layout.
+        1 + 8 + 24 * self.pos.len()
+    }
+}
+
 /// Sender- or receiver-side state of one delta stream: the membership of
 /// the previous frame, kept in ascending id order. One channel per
 /// (neighbour, direction); symmetric on both ends because every frame
@@ -222,6 +292,12 @@ impl DeltaChannel {
     pub fn reset(&mut self) {
         self.valid = false;
         self.ids.clear();
+    }
+
+    /// The membership of the last frame that went through the channel,
+    /// ascending id; empty on a fresh or reset channel.
+    pub fn membership(&self) -> &[u64] {
+        &self.ids
     }
 
     /// Reset the channel if the takeover epoch moved (the peer's channel
@@ -391,7 +467,8 @@ impl WireSize for ParticleFrame {
 
 /// The coalesced per-neighbour step message: one-byte presence headers
 /// select which sections travel. Round 1 = migrants (+ load on DLB
-/// steps); round 2 = the ghost shell.
+/// steps); round 2 = the ghost shell; a mid-epoch step's only frame =
+/// the ghost refresh.
 #[derive(Debug, Clone, Default)]
 pub struct StepFrame {
     /// Round-1 marker: the migrant section travels.
@@ -410,58 +487,70 @@ pub struct StepFrame {
     pub has_ghosts: bool,
     /// Boundary-shell ghosts.
     pub ghosts: GhostShellFrame,
+    /// Mid-epoch marker: the ghost section travels as a positions-only
+    /// refresh (never together with `has_ghosts`).
+    pub has_refresh: bool,
+    /// New positions of the frozen shell's ghosts.
+    pub refresh: GhostRefresh,
 }
 
 impl StepFrame {
-    /// Reshape a pooled frame for round 1, keeping buffer capacity.
-    pub fn begin_round1(&mut self, load: Option<f64>) {
-        self.has_migrants = true;
-        self.resync = false;
-        self.migrants.parts.clear();
-        self.load = load;
-        self.has_ghosts = false;
-        self.ghosts.clear();
-    }
-
-    /// Reshape a pooled frame for round 2, keeping buffer capacity.
-    pub fn begin_round2(&mut self) {
+    /// Empty every section, keeping buffer capacity.
+    fn clear(&mut self) {
         self.has_migrants = false;
         self.resync = false;
         self.migrants.parts.clear();
         self.load = None;
-        self.has_ghosts = true;
+        self.has_ghosts = false;
         self.ghosts.clear();
+        self.has_refresh = false;
+        self.refresh.pos.clear();
+    }
+
+    /// Reshape a pooled frame for round 1, keeping buffer capacity.
+    pub fn begin_round1(&mut self, load: Option<f64>) {
+        self.clear();
+        self.has_migrants = true;
+        self.load = load;
+    }
+
+    /// Reshape a pooled frame for round 2, keeping buffer capacity.
+    pub fn begin_round2(&mut self) {
+        self.clear();
+        self.has_ghosts = true;
+    }
+
+    /// Reshape a pooled frame for a mid-epoch ghost refresh, keeping
+    /// buffer capacity.
+    pub fn begin_refresh(&mut self) {
+        self.clear();
+        self.has_refresh = true;
+    }
+
+    /// The frame's size given the sizes of its migrant section and its
+    /// shell frame (canonical or encoded; the other parts have one size).
+    fn size_with(&self, migrants: usize, shell: usize) -> usize {
+        debug_assert!(!(self.has_ghosts && self.has_refresh));
+        let m = if self.has_migrants { migrants } else { 0 };
+        let g = if self.has_ghosts {
+            shell
+        } else if self.has_refresh {
+            self.refresh.wire_size()
+        } else {
+            0
+        };
+        // migrant header + section, load Option, ghost header + section.
+        1 + m + self.load.wire_size() + 1 + g
     }
 }
 
 impl WireSize for StepFrame {
     fn wire_size(&self) -> usize {
-        // migrant header + section, load Option, ghost header + section.
-        let m = if self.has_migrants {
-            self.migrants.wire_size()
-        } else {
-            0
-        };
-        let g = if self.has_ghosts {
-            self.ghosts.wire_size()
-        } else {
-            0
-        };
-        1 + m + self.load.wire_size() + 1 + g
+        self.size_with(self.migrants.wire_size(), self.ghosts.wire_size())
     }
 
     fn encoded_size(&self) -> usize {
-        let m = if self.has_migrants {
-            self.migrants.encoded_size()
-        } else {
-            0
-        };
-        let g = if self.has_ghosts {
-            self.ghosts.encoded_size()
-        } else {
-            0
-        };
-        1 + m + self.load.wire_size() + 1 + g
+        self.size_with(self.migrants.encoded_size(), self.ghosts.encoded_size())
     }
 }
 
@@ -680,5 +769,37 @@ mod tests {
         f.begin_round2();
         assert_eq!(f.wire_size(), 1 + 1 + 1 + (1 + 8));
         assert_eq!(f.wire_size(), f.encoded_size());
+        f.begin_refresh();
+        assert_eq!(f.wire_size(), 1 + 1 + 1 + (1 + 8));
+        f.refresh.pos.extend([Vec3::ZERO; 3]);
+        assert_eq!(f.wire_size(), 1 + 1 + 1 + (1 + 8 + 24 * 3));
+        assert_eq!(f.wire_size(), f.encoded_size());
+    }
+
+    #[test]
+    fn refresh_round_trips_through_a_pooled_frame_and_checks_its_length() {
+        // A pooled frame last used for a shell frame is reshaped for the
+        // refresh: nothing of the old sections travels, the positions
+        // come back in send order, and a receiver whose routes cover a
+        // different number of ghosts gets a typed error, not a prefix.
+        let mut tx = DeltaChannel::default();
+        let mut f = StepFrame::default();
+        f.begin_round2();
+        tx.scratch.extend(shell(5, 0.0));
+        tx.encode_into(true, &mut f.ghosts);
+        f.begin_refresh();
+        assert!(!f.has_ghosts && !f.has_migrants && f.ghosts.content_len() == 0);
+        let sent: Vec<Vec3> = shell(5, 0.25).into_iter().map(|e| e.1).collect();
+        f.refresh.pos.extend(sent.iter().copied());
+        assert_eq!(
+            f.refresh.positions_for(5).expect("lengths agree"),
+            &sent[..]
+        );
+        let err = f.refresh.positions_for(0).expect_err("no routes recorded");
+        assert_eq!(err, DesyncError::Refresh { have: 0, framed: 5 });
+        assert!(err.to_string().contains("routes cover 0"), "{err}");
+        // And back: a refresh frame reshaped for round 1 carries none of it.
+        f.begin_round1(None);
+        assert!(!f.has_refresh && f.refresh.pos.is_empty());
     }
 }

@@ -9,7 +9,8 @@
 //! phases in between:
 //!
 //! 1. half-kick + drift (positions move);
-//! 2. **round 1** — one coalesced [`StepFrame`] per neighbour under
+//! 2. **round 1** (rebuild steps only — every step with `skin == 0`) —
+//!    one coalesced [`StepFrame`] per neighbour under
 //!    `tags::STEP_FRAME`: particles that crossed into a neighbour-owned
 //!    cell are shipped to their new owner, with the sender's last-step
 //!    force time riding along on DLB steps;
@@ -20,7 +21,9 @@
 //! 4. **ghost exchange (round 2)** — the boundary-shell ghosts of every
 //!    owned cell adjacent to a neighbour-owned cell are sent to that
 //!    neighbour as `(id, pos)` pairs, delta-encoded against the previous
-//!    step's frame per channel (see [`crate::frame`]);
+//!    rebuild step's frame per channel (see [`crate::frame`]); between
+//!    the rebuilds of a skin epoch this is the step's only frame per
+//!    neighbour and carries positions alone;
 //! 5. force computation over own + ghost cells (work counted). By
 //!    default this is *overlapped* with phase 4: after the ghost sends
 //!    are posted, forces among **interior** cells (whose half-shell
@@ -550,11 +553,15 @@ pub struct PeState {
     /// resets the channel and raises the matching `ghost_resync_req` bit.
     recv_chan: Vec<DeltaChannel>,
     /// Per-neighbour ghost-resync requests (parallel to `neighbors`): set
-    /// when a delta decode from that neighbour failed; rides the next
-    /// round-1 frame so the peer restarts the stream with a full frame.
+    /// when a ghost frame from that neighbour could not be applied; rides
+    /// the next round-1 frame — the next rebuild step's, which is when a
+    /// delta stream can first heal — so the peer restarts the stream with
+    /// a full frame.
     ghost_resync_req: Vec<bool>,
-    /// Ghost delta decodes that failed and were absorbed by degrading
-    /// (skip that neighbour's ghosts for one step, request a resync).
+    /// Ghost frames that could not be applied — a delta decode that
+    /// failed, a mid-epoch refresh that did not fit the recorded routes —
+    /// and were absorbed by degrading (skip that neighbour's ghosts for
+    /// the step, request a resync).
     ghost_desyncs: u64,
     /// Retained ghost re-binning staging; key set kept equal to
     /// `ghosts`' so the per-step scatter reuses every allocation.
@@ -577,19 +584,15 @@ pub struct PeState {
     soa: SoaField,
     /// The recorded half-shell walk replayed between rebuilds.
     vlist: VerletList,
-    /// Ghost id → (column, slot) index, sorted by id; recorded at each
-    /// rebuild step to derive the in-place update routes below.
-    ghost_index: Vec<(u64, Col, u32)>,
-    /// Per-neighbour ghost-frame id order as decoded at the last rebuild
-    /// step (scratch for the route recording), parallel to `neighbors`.
-    ghost_ids: Vec<Vec<u64>>,
     /// Per-neighbour in-place ghost update routes, parallel to
-    /// `neighbors`: frame position `k` → the (column, slot) where that
-    /// ghost lives in the frozen slabs. Mid-epoch ghost frames carry the
-    /// identical membership in the identical order (nothing migrates or
-    /// re-bins between rebuilds), so each decoded position is written
-    /// straight through the route — no re-binning, no sorting.
-    ghost_slot_routes: Vec<Vec<(Col, u32)>>,
+    /// `neighbors`, recorded at each rebuild step: the slot runs of the
+    /// frozen ghost slabs that hold that neighbour's ghosts, in the order
+    /// it packs them — ascending (column, z cell, id), the order of its
+    /// `ghost_routes` over its own frozen slabs. Mid-epoch refresh frames
+    /// carry the identical membership in that order (nothing migrates or
+    /// re-bins between rebuilds), so the positions are written straight
+    /// through the runs — no ids, no re-binning, no sorting.
+    ghost_slot_routes: Vec<Vec<(Col, Range<usize>)>>,
     /// Pooled coalesced step-message send buffers, reused across steps.
     step_pool: BufferPool<StepFrame>,
     /// Pooled flat-particle send buffers (cell transfer).
@@ -702,8 +705,6 @@ impl PeState {
             rebuild_now: true,
             soa: SoaField::new(),
             vlist: VerletList::new(),
-            ghost_index: Vec::new(),
-            ghost_ids: vec![Vec::new(); n_nbrs],
             ghost_slot_routes: vec![Vec::new(); n_nbrs],
             step_pool: BufferPool::new(),
             part_pool: BufferPool::new(),
@@ -962,48 +963,44 @@ impl PeState {
     /// sends before either blocks in a receive. Allocation-free in the
     /// steady state: the staging lists, per-neighbour outboxes, and
     /// pooled send frames are all reused across steps.
-    /// `migrate` is false on mid-epoch steps (`skin > 0`, no rebuild):
-    /// the binning is frozen, so nothing is restaged and the round-1
-    /// frames ship empty migrant sections — but they still flow, because
-    /// the resync bit and the comm pattern ride on them.
-    pub(crate) fn step_send_round1(&mut self, comm: &mut Comm, dlb_now: bool, migrate: bool) {
+    /// Rebuild steps only: mid-epoch the binning is frozen, nothing
+    /// migrates, and no round-1 frame is sent at all.
+    pub(crate) fn step_send_round1(&mut self, comm: &mut Comm, dlb_now: bool) {
         self.refresh_caches();
         let t0 = WallTimer::start();
-        if migrate {
-            for v in self.migrate_staging.values_mut() {
-                v.clear();
-            }
-            for v in &mut self.migrate_out {
-                v.clear();
-            }
-            let (cell_len, nc, rank) = (self.cell_len, self.nc, self.rank);
-            let bin = move |v: f64| axis_bin(v, cell_len, nc);
-            let columns = &self.columns;
-            let decomp = &*self.decomp;
-            let neighbors = &self.neighbors;
-            let staging = &mut self.migrate_staging;
-            let out = &mut self.migrate_out;
-            for slab in columns.values() {
-                for p in slab.particles() {
-                    let ncol = Col::new(bin(p.pos.x), bin(p.pos.y));
-                    let owner = decomp.owner_of(ncol, bin(p.pos.z));
-                    if owner == rank {
-                        staging
-                            .get_mut(&ncol)
-                            .unwrap_or_else(|| {
-                                panic!("rank {rank}: missing storage for owned column {ncol:?}")
-                            })
-                            .push(*p);
-                    } else {
-                        let i = neighbors.binary_search(&owner).unwrap_or_else(|_| {
-                            panic!(
-                                "rank {rank}: particle {} jumped to column {ncol:?} owned by \
-                                 non-neighbour {owner} — time step too large",
-                                p.id
-                            )
-                        });
-                        out[i].push(*p);
-                    }
+        for v in self.migrate_staging.values_mut() {
+            v.clear();
+        }
+        for v in &mut self.migrate_out {
+            v.clear();
+        }
+        let (cell_len, nc, rank) = (self.cell_len, self.nc, self.rank);
+        let bin = move |v: f64| axis_bin(v, cell_len, nc);
+        let columns = &self.columns;
+        let decomp = &*self.decomp;
+        let neighbors = &self.neighbors;
+        let staging = &mut self.migrate_staging;
+        let out = &mut self.migrate_out;
+        for slab in columns.values() {
+            for p in slab.particles() {
+                let ncol = Col::new(bin(p.pos.x), bin(p.pos.y));
+                let owner = decomp.owner_of(ncol, bin(p.pos.z));
+                if owner == rank {
+                    staging
+                        .get_mut(&ncol)
+                        .unwrap_or_else(|| {
+                            panic!("rank {rank}: missing storage for owned column {ncol:?}")
+                        })
+                        .push(*p);
+                } else {
+                    let i = neighbors.binary_search(&owner).unwrap_or_else(|_| {
+                        panic!(
+                            "rank {rank}: particle {} jumped to column {ncol:?} owned by \
+                             non-neighbour {owner} — time step too large",
+                            p.id
+                        )
+                    });
+                    out[i].push(*p);
                 }
             }
         }
@@ -1012,15 +1009,14 @@ impl PeState {
             let mut buf = self.step_pool.checkout();
             let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
             frame.begin_round1(load);
-            // A failed ghost decode last step asks this neighbour to
-            // restart its delta stream with a full frame (zero wire
-            // bytes: the request rides the presence header).
+            // A ghost frame that could not be applied since the last
+            // rebuild step asks this neighbour to restart its delta
+            // stream with a full frame (zero wire bytes: the request
+            // rides the presence header).
             frame.resync = std::mem::take(&mut self.ghost_resync_req[i]);
-            if migrate {
-                frame.migrants.parts.extend_from_slice(&self.migrate_out[i]);
-                // Deterministic payloads: order emigrants by id.
-                frame.migrants.parts.sort_unstable_by_key(|p| p.id);
-            }
+            frame.migrants.parts.extend_from_slice(&self.migrate_out[i]);
+            // Deterministic payloads: order emigrants by id.
+            frame.migrants.parts.sort_unstable_by_key(|p| p.id);
             self.wire.migrate += frame.encoded_size() as u64;
             // Pre-diet layout: one flat particle message, plus a separate
             // 8-byte load message on DLB steps.
@@ -1035,7 +1031,7 @@ impl PeState {
     /// Phase 2, receive half: collect immigrants (and, on DLB steps, the
     /// neighbour loads riding in the same frames) and rebuild the columns
     /// in place, reusing every slab's storage.
-    pub(crate) fn step_recv_round1(&mut self, comm: &mut Comm, dlb_now: bool, migrate: bool) {
+    pub(crate) fn step_recv_round1(&mut self, comm: &mut Comm, dlb_now: bool) {
         let t0 = WallTimer::start();
         let rank = self.rank;
         self.nbr_loads.clear();
@@ -1046,7 +1042,7 @@ impl PeState {
                 "rank {rank}: round-1 frame from {nb} has the wrong sections"
             );
             if incoming.resync {
-                // The peer failed to decode our last ghost delta:
+                // The peer could not apply one of our ghost frames:
                 // restart the stream so this step's round-2 frame (sent
                 // after round-1 receives) arrives full and resyncs it.
                 self.send_chan[i].reset();
@@ -1056,13 +1052,6 @@ impl PeState {
                     .load
                     .expect("round-1 frame on a DLB step carries the sender's load");
                 self.nbr_loads.push((nb, load));
-            }
-            if !migrate {
-                debug_assert!(
-                    incoming.migrants.parts.is_empty(),
-                    "rank {rank}: mid-epoch round-1 frame from {nb} carries migrants"
-                );
-                continue;
             }
             for p in &incoming.migrants.parts {
                 let (ncol, ncz) = self.cell_of(p.pos);
@@ -1080,16 +1069,14 @@ impl PeState {
                     .push(*p);
             }
         }
-        if migrate {
-            let (cell_len, nc) = (self.cell_len, self.nc);
-            let zbin = move |p: &Particle| axis_bin(p.pos.z, cell_len, nc);
-            let staging = &mut self.migrate_staging;
-            for (col, slab) in self.columns.iter_mut() {
-                let staged = staging
-                    .get_mut(col)
-                    .expect("staging key set matches the owned columns");
-                slab.rebuild_from(nc, staged, zbin);
-            }
+        let (cell_len, nc) = (self.cell_len, self.nc);
+        let zbin = move |p: &Particle| axis_bin(p.pos.z, cell_len, nc);
+        let staging = &mut self.migrate_staging;
+        for (col, slab) in self.columns.iter_mut() {
+            let staged = staging
+                .get_mut(col)
+                .expect("staging key set matches the owned columns");
+            slab.rebuild_from(nc, staged, zbin);
         }
         self.phase.migrate += t0.elapsed_s();
     }
@@ -1215,28 +1202,41 @@ impl PeState {
     /// the neighbours, one pooled round-2 [`StepFrame`] per neighbour
     /// along the cached routes. Each frame ships `(id, pos)` pairs only —
     /// no velocities, no column directory, nothing for empty cells — and
-    /// is delta-encoded against the previous step's frame on the same
-    /// channel whenever the channel is valid (see [`DeltaChannel`]).
-    pub(crate) fn ghosts_send(&mut self, comm: &mut Comm) {
+    /// is delta-encoded against the previous rebuild step's frame on the
+    /// same channel whenever the channel is valid (see [`DeltaChannel`]).
+    /// Mid-epoch (`rebuild` false) the shells are frozen: the frame is a
+    /// positions-only refresh packed straight off the same routes, and
+    /// the delta channels are not touched.
+    pub(crate) fn ghosts_send(&mut self, comm: &mut Comm, rebuild: bool) {
         self.refresh_caches();
         let t0 = WallTimer::start();
         let delta_ok = self.cfg.delta_ghosts;
         let epoch = comm.epoch();
         for (i, &nb) in self.neighbors.iter().enumerate() {
+            let mut buf = self.step_pool.checkout();
+            let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
             let chan = &mut self.send_chan[i];
-            chan.sync_epoch(epoch);
+            if rebuild {
+                frame.begin_round2();
+                chan.sync_epoch(epoch);
+            } else {
+                frame.begin_refresh();
+            }
             let mut baseline = 8u64;
             for (col, span) in &self.ghost_routes[i] {
                 let slab = &self.columns[col];
                 let parts =
                     &slab.particles()[slab.range(span.start).start..slab.range(span.end - 1).end];
                 baseline += 24 + 56 * parts.len() as u64;
-                chan.scratch.extend(parts.iter().map(|p| (p.id, p.pos)));
+                if rebuild {
+                    chan.scratch.extend(parts.iter().map(|p| (p.id, p.pos)));
+                } else {
+                    frame.refresh.pos.extend(parts.iter().map(|p| p.pos));
+                }
             }
-            let mut buf = self.step_pool.checkout();
-            let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
-            frame.begin_round2();
-            chan.encode_into(delta_ok, &mut frame.ghosts);
+            if rebuild {
+                chan.encode_into(delta_ok, &mut frame.ghosts);
+            }
             self.wire.ghost += frame.encoded_size() as u64;
             // Pre-diet layout: full particles with a per-column directory.
             self.wire.ghost_baseline += baseline;
@@ -1251,28 +1251,44 @@ impl PeState {
     /// through the per-channel delta state, re-bin each ghost by its
     /// position into the retained staging lists, and rebuild the ghost
     /// slabs in place — same `(cell, id)` order as before, no allocation
-    /// in the steady state. Mid-epoch (`rebin` false): the frames carry
-    /// the identical membership in the identical order, so each decoded
-    /// position is written straight into its frozen slab slot through
-    /// the routes recorded at the last rebuild.
+    /// in the steady state. Mid-epoch (`rebin` false): the frames are
+    /// positions-only refreshes of the identical membership, written
+    /// straight into the frozen slab slots through the routes recorded at
+    /// the last rebuild.
     pub(crate) fn ghosts_recv(&mut self, comm: &mut Comm, rebin: bool) {
         let t0 = WallTimer::start();
+        if rebin {
+            self.ghosts_recv_rebin(comm);
+        } else {
+            self.ghosts_recv_refresh(comm);
+        }
+        self.phase.ghost += t0.elapsed_s();
+    }
+
+    /// A ghost frame from neighbour `i` could not be applied: degrade —
+    /// run this step without that neighbour's (fresh) ghosts — and ask
+    /// for a full-frame resync in the next round-1 frame rather than
+    /// killing the world over one bad stream.
+    fn ghost_desync(&mut self, i: usize) {
+        self.ghost_resync_req[i] = true;
+        self.ghost_desyncs += 1;
+    }
+
+    fn ghosts_recv_rebin(&mut self, comm: &mut Comm) {
         let rank = self.rank;
         let (cell_len, nc) = (self.cell_len, self.nc);
         let col_at = move |pos: Vec3| {
             let f = |v: f64| axis_bin(v, cell_len, nc);
             Col::new(f(pos.x), f(pos.y))
         };
-        if rebin {
-            for v in self.ghost_staging.values_mut() {
-                v.clear();
-            }
+        for v in self.ghost_staging.values_mut() {
+            v.clear();
         }
-        let record_routes = rebin && self.cfg.skin > 0.0;
-        for (i, &nb) in self.neighbors.iter().enumerate() {
+        for i in 0..self.neighbors.len() {
+            let nb = self.neighbors[i];
             let frame: Arc<StepFrame> = comm.recv(nb, tags::STEP_FRAME);
             debug_assert!(
-                frame.has_ghosts && !frame.has_migrants,
+                frame.has_ghosts && !frame.has_migrants && !frame.has_refresh,
                 "rank {rank}: round-2 frame from {nb} has the wrong sections"
             );
             if let Some(inject) = self.cfg.ghost_desync_inject {
@@ -1291,84 +1307,149 @@ impl PeState {
                 .is_err()
             {
                 // A desynchronised delta stream: the decode delivered
-                // nothing and reset the channel. Degrade — run this step
-                // without that neighbour's ghosts — and request a
-                // full-frame resync in the next round-1 frame rather
-                // than killing the world over one bad stream.
-                self.ghost_resync_req[i] = true;
-                self.ghost_desyncs += 1;
+                // nothing and reset the channel.
+                self.ghost_desync(i);
             }
-            if record_routes {
-                self.ghost_ids[i].clear();
-                self.ghost_ids[i].extend(self.ghost_decode.iter().map(|&(id, _)| id));
+            for &(id, pos) in &self.ghost_decode {
+                let col = col_at(pos);
+                self.ghost_staging
+                    .get_mut(&col)
+                    .unwrap_or_else(|| {
+                        panic!("rank {rank}: received unexpected ghost column {col:?}")
+                    })
+                    .push(Particle::at_rest(id, pos));
             }
-            if rebin {
-                for &(id, pos) in &self.ghost_decode {
-                    let col = col_at(pos);
-                    self.ghost_staging
-                        .get_mut(&col)
-                        .unwrap_or_else(|| {
-                            panic!("rank {rank}: received unexpected ghost column {col:?}")
-                        })
-                        .push(Particle::at_rest(id, pos));
+        }
+        let zbin = move |p: &Particle| axis_bin(p.pos.z, cell_len, nc);
+        let staging = &mut self.ghost_staging;
+        for (col, slab) in self.ghosts.iter_mut() {
+            let staged = staging
+                .get_mut(col)
+                .expect("ghost staging key set matches the expected ghost columns");
+            slab.rebuild_from(nc, staged, zbin);
+        }
+        if self.cfg.skin > 0.0 {
+            self.record_ghost_slot_routes();
+        }
+    }
+
+    /// Record the in-place update routes for the epoch that starts here.
+    /// A neighbour packs its frames off its `ghost_routes`: its owned
+    /// shell cells in ascending (column, z) order, each cell's particles
+    /// by id. Those are exactly this PE's ghost cells owned by that
+    /// neighbour, and the freshly rebuilt ghost slabs hold them in the
+    /// same (cell, id) order — so walking the ghost cells ascending and
+    /// handing each cell's slot run to its owner reproduces every
+    /// neighbour's pack order without a sort or an id lookup. Each route
+    /// is proven against the membership its receive channel just decoded
+    /// (count and id sum; empty after a desync, like the cells) — and in
+    /// debug builds id for id, with every cell's run in ascending id
+    /// order, since a refresh carries no ids to catch a slot mix-up
+    /// later. All buffers are retained.
+    fn record_ghost_slot_routes(&mut self) {
+        let (nc, rank) = (self.nc, self.rank);
+        for route in &mut self.ghost_slot_routes {
+            route.clear();
+        }
+        for (hi, home) in self.homes.iter().enumerate().filter(|(_, h)| h.ghost) {
+            let slab = &self.ghosts[&home.col];
+            for cz in 0..nc {
+                let slots = slab.range(cz);
+                if self.cell_class[hi * nc + cz] != CellClass::Ghost || slots.is_empty() {
+                    continue;
                 }
-            } else {
-                // Frozen epoch: positions-only refresh through the
-                // recorded routes. A desynced decode delivered nothing —
-                // that neighbour's ghosts stay one step stale (layout
-                // intact) and the resync request heals the stream.
-                let route = &self.ghost_slot_routes[i];
                 debug_assert!(
-                    self.ghost_decode.is_empty() || self.ghost_decode.len() == route.len(),
-                    "rank {rank}: mid-epoch ghost frame from {nb} changed membership"
+                    slab.particles()[slots.clone()]
+                        .windows(2)
+                        .all(|w| w[0].id < w[1].id),
+                    "rank {rank}: ghost cell ({:?}, {cz}) is not in ascending id order",
+                    home.col
                 );
-                for (&(id, pos), &(col, slot)) in self.ghost_decode.iter().zip(route) {
-                    let slab = self
-                        .ghosts
-                        .get_mut(&col)
-                        .expect("route targets an expected ghost column");
-                    let p = &mut slab.particles_mut()[slot as usize];
-                    debug_assert_eq!(p.id, id, "rank {rank}: ghost route out of order");
+                let owner = self.decomp.owner_of(home.col, cz);
+                let i = self
+                    .neighbors
+                    .binary_search(&owner)
+                    .unwrap_or_else(|_| panic!("rank {rank}: ghost owner {owner} is no neighbour"));
+                match self.ghost_slot_routes[i].last_mut() {
+                    Some((c, run)) if *c == home.col && run.end == slots.start => {
+                        run.end = slots.end
+                    }
+                    _ => self.ghost_slot_routes[i].push((home.col, slots)),
+                }
+            }
+        }
+        for (i, route) in self.ghost_slot_routes.iter().enumerate() {
+            let routed = route
+                .iter()
+                .flat_map(|(col, run)| &self.ghosts[col].particles()[run.clone()])
+                .fold((0usize, 0u64), |(n, sum), p| {
+                    (n + 1, sum.wrapping_add(p.id))
+                });
+            let sent = self.recv_chan[i].membership();
+            assert_eq!(
+                routed,
+                (
+                    sent.len(),
+                    sent.iter().fold(0u64, |s, &id| s.wrapping_add(id))
+                ),
+                "rank {rank}: ghost routes for neighbour {} do not cover its rebuild frame",
+                self.neighbors[i]
+            );
+            if cfg!(debug_assertions) {
+                let ids = &mut self.ghost_decode;
+                ids.clear();
+                for (col, run) in route {
+                    ids.extend(
+                        self.ghosts[col].particles()[run.clone()]
+                            .iter()
+                            .map(|p| (p.id, p.pos)),
+                    );
+                }
+                ids.sort_unstable_by_key(|e| e.0);
+                assert!(
+                    ids.iter().map(|e| e.0).eq(sent.iter().copied()),
+                    "rank {rank}: ghost routes for neighbour {} hold other ids than its \
+                     rebuild frame",
+                    self.neighbors[i]
+                );
+            }
+        }
+    }
+
+    fn ghosts_recv_refresh(&mut self, comm: &mut Comm) {
+        let rank = self.rank;
+        for i in 0..self.neighbors.len() {
+            let nb = self.neighbors[i];
+            let frame: Arc<StepFrame> = comm.recv(nb, tags::STEP_FRAME);
+            debug_assert!(
+                frame.has_refresh && !frame.has_ghosts && !frame.has_migrants,
+                "rank {rank}: mid-epoch frame from {nb} has the wrong sections"
+            );
+            let have = self.ghost_slot_routes[i]
+                .iter()
+                .map(|(_, run)| run.len())
+                .sum();
+            let Ok(mut fresh) = frame.refresh.positions_for(have) else {
+                // The rebuild step's decode from this neighbour desynced,
+                // so none of its ghosts were binned and no route covers
+                // them: they stay out for the rest of the epoch (the
+                // layout is intact) and the next rebuild step heals the
+                // stream.
+                self.ghost_desync(i);
+                continue;
+            };
+            for (col, run) in &self.ghost_slot_routes[i] {
+                let slab = self
+                    .ghosts
+                    .get_mut(col)
+                    .expect("route targets an expected ghost column");
+                let (now, rest) = fresh.split_at(run.len());
+                for (p, &pos) in slab.particles_mut()[run.clone()].iter_mut().zip(now) {
                     p.pos = pos;
                 }
+                fresh = rest;
             }
         }
-        if rebin {
-            let zbin = move |p: &Particle| axis_bin(p.pos.z, cell_len, nc);
-            let staging = &mut self.ghost_staging;
-            for (col, slab) in self.ghosts.iter_mut() {
-                let staged = staging
-                    .get_mut(col)
-                    .expect("ghost staging key set matches the expected ghost columns");
-                slab.rebuild_from(nc, staged, zbin);
-            }
-        }
-        if record_routes {
-            // Index the freshly (cell, id)-sorted ghost slabs by id, then
-            // translate each neighbour's frame order into slab slots —
-            // the in-place update routes for the rest of the epoch. All
-            // buffers are retained, so steady-state rebuilds stop
-            // allocating once capacities have grown.
-            self.ghost_index.clear();
-            for (&col, slab) in &self.ghosts {
-                for (slot, p) in slab.particles().iter().enumerate() {
-                    self.ghost_index.push((p.id, col, slot as u32));
-                }
-            }
-            self.ghost_index.sort_unstable_by_key(|&(id, _, _)| id);
-            let index = &self.ghost_index;
-            for (ids, route) in self.ghost_ids.iter().zip(&mut self.ghost_slot_routes) {
-                route.clear();
-                for &id in ids {
-                    let k = index
-                        .binary_search_by_key(&id, |&(id, _, _)| id)
-                        .expect("decoded ghost id is present in a ghost slab");
-                    let (_, col, slot) = index[k];
-                    route.push((col, slot));
-                }
-            }
-        }
-        self.phase.ghost += t0.elapsed_s();
     }
 
     /// Lay out the flat force array over the owned columns (home-column
@@ -2243,7 +2324,7 @@ mod tests {
                 crate::decomp::validate(&cfg, shape);
                 let same = pcdlb_mp::World::new(cfg.p).run(|comm| {
                     let mut pe = PeState::new(comm.rank(), &cfg, shape);
-                    pe.ghosts_send(comm);
+                    pe.ghosts_send(comm, true);
                     pe.ghosts_recv(comm, true);
                     pe.compute_forces();
                     let fused = (pe.forces.clone(), pe.last_work);
@@ -2388,6 +2469,128 @@ mod tests {
             );
             let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
             assert_eq!(snapshot.len(), cfg.n_particles);
+        }
+    }
+
+    #[test]
+    fn ghost_desync_inside_a_skin_epoch_degrades_until_the_next_rebuild() {
+        // With frozen epochs a delta stream only flows — and can only
+        // heal — on rebuild steps. One poisoned rebuild-step decode
+        // leaves that neighbour's ghosts out of the slabs, so no route
+        // covers its mid-epoch refreshes: each is a typed, counted
+        // degrade (never a silently refreshed prefix), the resync bit
+        // rides the next rebuild step's round 1, and the full frame it
+        // elicits heals the link. Conservation holds throughout (the
+        // sentinel would abort the run otherwise). In every shape, walked
+        // and replayed.
+        for shape in DomainShape::ALL {
+            for verlet in [false, true] {
+                let mut cfg = desync_cfg(shape, 40, 1);
+                cfg.skin = 0.1;
+                cfg.verlet = verlet;
+                let results = run_world(&cfg, shape);
+                let report = results[0].report.as_ref().expect("rank 0 report");
+                let rebuilds: Vec<u64> = report
+                    .records
+                    .iter()
+                    .filter(|r| r.rebuilt)
+                    .map(|r| r.step)
+                    .collect();
+                assert!(
+                    (3..20).contains(&rebuilds.len()),
+                    "{shape:?}: epochs engage and the run outlasts the heal: {rebuilds:?}"
+                );
+                // The first rebuild step's delta hits the poison; every
+                // step up to the second rebuild step is degraded.
+                let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
+                assert_eq!(
+                    desyncs,
+                    rebuilds[1] - rebuilds[0],
+                    "{shape:?} verlet {verlet}: degraded from step {} until the rebuild at {}",
+                    rebuilds[0],
+                    rebuilds[1]
+                );
+                let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
+                assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
+                // The uninjected epochs are desync-free.
+                cfg.ghost_desync_inject = None;
+                let clean = run_world(&cfg, shape);
+                assert_eq!(clean.iter().map(|r| r.ghost_desyncs).sum::<u64>(), 0);
+            }
+        }
+    }
+
+    /// Ids in the order this PE packs a refresh for each neighbour, and
+    /// in the order it writes each neighbour's refresh into its slabs.
+    fn refresh_orders(pe: &PeState) -> [Vec<Vec<u64>>; 2] {
+        let packed = pe.ghost_routes.iter().map(|route| {
+            let cells = route.iter().flat_map(|(col, span)| {
+                let slab = &pe.columns[col];
+                &slab.particles()[slab.range(span.start).start..slab.range(span.end - 1).end]
+            });
+            cells.map(|p| p.id).collect()
+        });
+        let routed = pe.ghost_slot_routes.iter().map(|route| {
+            let slots = route
+                .iter()
+                .flat_map(|(col, run)| &pe.ghosts[col].particles()[run.clone()]);
+            slots.map(|p| p.id).collect()
+        });
+        [packed.collect(), routed.collect()]
+    }
+
+    #[test]
+    fn refresh_pack_order_is_the_receivers_route_order_in_every_shape() {
+        // A refresh carries no ids: position k of the frame lands in slot
+        // k of the receiver's route, so the sender's pack order and the
+        // receiver's route order must name the same ghosts in the same
+        // sequence — after every step, rebuild or not, and across the
+        // ownership changes of both balancers.
+        for shape in DomainShape::ALL {
+            let mut cfg = shape_cfg(shape);
+            if shape == DomainShape::SquarePillar {
+                cfg.p = 9; // DLB needs a torus side ≥ 3
+            }
+            cfg.dlb = shape != DomainShape::Cube;
+            cfg.skin = 0.1;
+            cfg.steps = 24;
+            crate::decomp::validate(&cfg, shape);
+            let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
+                let mut pes = [(comm.rank(), PeState::new(comm.rank(), &cfg, shape))];
+                crate::takeover::exchange_ghosts_and_compute(comm, &cfg, &mut pes, true);
+                let mut orders = vec![refresh_orders(&pes[0].1)];
+                let mut transfers = 0;
+                for step in 1..=cfg.steps {
+                    let recs = crate::takeover::step_multi(comm, &cfg, &mut pes, step);
+                    transfers += recs[0].as_ref().map_or(0, |r| r.transfers);
+                    orders.push(refresh_orders(&pes[0].1));
+                }
+                (pes[0].1.neighbors.clone(), orders, transfers)
+            });
+            let transfers = ranks[0].2;
+            assert_eq!(
+                transfers > 0,
+                cfg.dlb,
+                "{shape:?}: {transfers} DLB transfers"
+            );
+            let mut compared = 0;
+            for (rank, (nbrs, orders, _)) in ranks.iter().enumerate() {
+                for (i, &nb) in nbrs.iter().enumerate() {
+                    let back = ranks[nb].0.binary_search(&rank).expect("symmetric");
+                    for (step, [_, routed]) in orders.iter().enumerate() {
+                        let [packed, _] = &ranks[nb].1[step];
+                        compared += routed[i].len();
+                        assert_eq!(
+                            routed[i], packed[back],
+                            "{shape:?} step {step}: {nb} packs for {rank} in another order"
+                        );
+                    }
+                }
+            }
+            assert!(
+                compared > 1000,
+                "{shape:?}: only {compared} ghosts compared"
+            );
         }
     }
 

@@ -361,7 +361,7 @@ pub(crate) fn run_roles(
 /// phases run whole-role descending; the thermostat broadcast runs
 /// ascending. This is the step sequence — the only one; with one role
 /// the interleaving degenerates to the plain single-rank order.
-fn step_multi(
+pub(crate) fn step_multi(
     comm: &mut Comm,
     cfg: &RunConfig,
     pes: &mut [(usize, PeState)],
@@ -400,14 +400,18 @@ fn step_multi(
         pe.kick_drift_all();
     }
     // Round 1: migration plus the DLB load ride-along (retained
-    // particles stay staged inside each PE).
-    for (v, pe) in pes.iter_mut() {
-        comm.act_as(*v);
-        pe.step_send_round1(comm, dlb_now, rebuild);
-    }
-    for (v, pe) in pes.iter_mut() {
-        comm.act_as(*v);
-        pe.step_recv_round1(comm, dlb_now, rebuild);
+    // particles stay staged inside each PE). A mid-epoch step has
+    // neither, so it has no round 1: its one frame per neighbour is the
+    // ghost refresh below.
+    if rebuild {
+        for (v, pe) in pes.iter_mut() {
+            comm.act_as(*v);
+            pe.step_send_round1(comm, dlb_now);
+        }
+        for (v, pe) in pes.iter_mut() {
+            comm.act_as(*v);
+            pe.step_recv_round1(comm, dlb_now);
+        }
     }
     // DLB: a local decision from the round-1 loads, then two send/recv
     // rounds (decisions, cell transfers).
@@ -473,8 +477,9 @@ fn step_multi(
 /// rebuild step: the list must be recorded over this step's ghosts, so
 /// nothing can run ahead of the receive and every role runs fused (the
 /// wire sequence is the same in all cases — the sends are posted first —
-/// and split == fused holds bitwise).
-fn exchange_ghosts_and_compute(
+/// and split == fused holds bitwise). Mid-epoch (`rebuild` false) the
+/// exchange is the positions-only refresh.
+pub(crate) fn exchange_ghosts_and_compute(
     comm: &mut Comm,
     cfg: &RunConfig,
     pes: &mut [(usize, PeState)],
@@ -482,7 +487,7 @@ fn exchange_ghosts_and_compute(
 ) {
     for (v, pe) in pes.iter_mut() {
         comm.act_as(*v);
-        pe.ghosts_send(comm);
+        pe.ghosts_send(comm, rebuild);
     }
     let split = |pe: &PeState| pe.splits_force_pass() && !(cfg.verlet && rebuild);
     for (_, pe) in pes.iter_mut() {

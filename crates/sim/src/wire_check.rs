@@ -15,7 +15,9 @@ use pcdlb_domain::Col;
 use pcdlb_md::{Particle, Vec3};
 use pcdlb_mp::WireSize;
 
-use crate::frame::{DeltaChannel, GhostPart, GhostShellFrame, ParticleFrame, StepFrame};
+use crate::frame::{
+    DeltaChannel, GhostPart, GhostRefresh, GhostShellFrame, ParticleFrame, StepFrame,
+};
 use crate::stats::StatsPacket;
 
 /// Reference encoder: actually serialize the value and count the bytes.
@@ -160,20 +162,32 @@ impl RefEncode for GhostShellFrame {
     }
 }
 
+impl RefEncode for GhostRefresh {
+    /// The ghost section's third encoding, after full (kind byte 0) and
+    /// delta (1): kind byte 2, then the length-prefixed positions.
+    fn encode(&self, out: &mut Vec<u8>) {
+        2u8.encode(out);
+        self.pos.encode(out);
+    }
+}
+
 impl RefEncode for StepFrame {
     /// The actual layout: 1-byte presence header + migrant section,
-    /// Option-encoded load, 1-byte presence header + ghost section. The
-    /// ghost-resync request bit rides bit 1 of the round-1 presence
-    /// header, so it costs no wire bytes.
+    /// Option-encoded load, 1-byte presence header + ghost section (a
+    /// shell frame or a mid-epoch refresh; its own first byte says
+    /// which). The ghost-resync request bit rides bit 1 of the round-1
+    /// presence header, so it costs no wire bytes.
     fn encode(&self, out: &mut Vec<u8>) {
         ((self.has_migrants as u8) | ((self.resync as u8) << 1)).encode(out);
         if self.has_migrants {
             self.migrants.encode(out);
         }
         self.load.encode(out);
-        (self.has_ghosts as u8).encode(out);
+        ((self.has_ghosts || self.has_refresh) as u8).encode(out);
         if self.has_ghosts {
             self.ghosts.encode(out);
+        } else if self.has_refresh {
+            self.refresh.encode(out);
         }
     }
 }
@@ -280,6 +294,23 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
         // The canonical charge stays content-based under either encoding.
         assert_eq!(frame.ghosts.wire_size(), 1 + 8 + 32 * 6);
         check(&GhostShellFrame::default(), "empty ghost shell");
+    }
+    // pe.rs: STEP_FRAME on a mid-epoch step carries the positions-only
+    // refresh and nothing else — one layout, so canonical == encoded, at
+    // 24 bytes per ghost where the shell frame is charged 32.
+    {
+        let mut frame = StepFrame::default();
+        frame.begin_refresh();
+        check(&frame.refresh, "empty ghost refresh");
+        check(&Arc::new(frame.clone()), "empty refresh step frame");
+        for i in 0..6 {
+            frame.refresh.pos.push(Vec3::new(i as f64, 1.25, 1.5));
+        }
+        check(&frame.refresh, "ghost refresh");
+        check_encoded(&frame.refresh, "ghost refresh");
+        assert_eq!(frame.refresh.wire_size(), 1 + 8 + 24 * 6);
+        check(&Arc::new(frame.clone()), "refresh step frame");
+        check_encoded(&Arc::new(frame), "refresh step frame");
     }
     // pe.rs / plane.rs / cube.rs: KE_GATHER carries Vec<(u64, f64)>.
     check(&vec![(0u64, 0.5f64), (3u64, 1.25f64)], "KE gather");

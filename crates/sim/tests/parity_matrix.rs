@@ -212,6 +212,44 @@ fn checkpoint_cadence_forces_rebuild_boundaries() {
     }
 }
 
+/// A restore lands on a forced rebuild boundary (the checkpoint
+/// cadence), where the restored ranks re-bin, re-record and start a
+/// fresh epoch exactly as the uninterrupted run did — so the mid-epoch
+/// refresh frames that follow carry the same ghosts and are charged the
+/// same canonical bytes: every reported `t_step` and the final state are
+/// bitwise those of the uninterrupted run, whether the death is healed by
+/// a relaunch or absorbed in place by the buddy.
+#[cfg(feature = "check")]
+#[test]
+fn skin_epochs_restore_across_the_checkpoint_cadence_bitwise() {
+    use pcdlb_mp::FaultPlan;
+    use pcdlb_sim::{
+        digest_recovery, run_with_recovery_faulted, run_with_takeover_faulted, RecoveryOptions,
+    };
+    let mut c = cfg(4, Mode::Verlet);
+    c.checkpoint_interval = 7;
+    let (report, snap) = run_with_snapshot(&c);
+    let mid_epoch = report.records.iter().filter(|r| !r.rebuilt).count();
+    assert!(mid_epoch > STEPS as usize / 2, "the epochs engage");
+    let reference = digest_recovery(&report, &snap, c.load_metric);
+    let opts = RecoveryOptions {
+        max_attempts: 3,
+        poll: std::time::Duration::from_millis(2),
+        watchdog: std::time::Duration::from_secs(20),
+    };
+    // Rank 2's 120th send falls in the teens of the 40 steps: past the
+    // first cadence checkpoints, well before the end.
+    let kill = |attempt, rank| (attempt == 0 && rank == 2).then(|| FaultPlan::kill_at(120));
+    let relaunched = run_with_recovery_faulted(&c, &opts, kill).expect("the relaunch recovers");
+    assert_eq!(relaunched.attempts, 2, "the run was restored, not replayed");
+    assert_eq!(relaunched.digest, reference, "relaunch from a checkpoint");
+    assert_bitwise_equal(&relaunched.snapshot, &snap, "relaunch from a checkpoint");
+    let absorbed = run_with_takeover_faulted(&c, &opts, kill).expect("the buddy absorbs it");
+    assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));
+    assert_eq!(absorbed.digest, reference, "buddy takeover");
+    assert_bitwise_equal(&absorbed.snapshot, &snap, "buddy takeover");
+}
+
 #[test]
 fn balancers_under_skin_epochs_preserve_parity() {
     // DLB only acts on rebuild steps under skin epochs — and must still
