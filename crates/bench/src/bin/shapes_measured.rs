@@ -1,8 +1,8 @@
 //! Measured (not modelled) communication for the three domain shapes of
 //! paper Fig. 2, on the one step engine: plane (ring), square pillar (2-D
 //! torus) and cube (3-D torus) run the same physical workload through the
-//! same wire protocol — two step frames per distinct neighbour rank per
-//! step — so the rows differ only by shape. Complements the analytic
+//! same wire protocol — per step two frames per distinct neighbour rank,
+//! one for the balancer-less cube — so the rows differ only by shape. Complements the analytic
 //! `shapes` bench with actual message counts and wire bytes, validating
 //! the model's trade-offs.
 //!
@@ -62,8 +62,9 @@ fn main() {
     regime("mid-size machine", 16, 16, 64, steps.min(25));
     println!("\n# model_ms uses the T3E postal cost model. Expected: plane cheapest");
     println!("# on the small machine (~5 msgs/PE/step; the 2x2x2 block grid has only");
-    println!("# 7 distinct neighbour ranks, ~15 msgs). At mid-size the plane ships");
-    println!("# the most bytes, the cube the fewest but in ~54 small messages (26");
-    println!("# neighbours), and the pillar sits between on both axes — the regimes");
-    println!("# the analytic `shapes` bench predicts (paper Sec. 2.2).");
+    println!("# 7 distinct neighbour ranks and, having no balancer, sends them one");
+    println!("# frame each per step, ~8 msgs). At mid-size the plane ships the most");
+    println!("# bytes, the cube the fewest but in ~28 small messages (26 neighbours),");
+    println!("# and the pillar sits between on both axes — the regimes the analytic");
+    println!("# `shapes` bench predicts (paper Sec. 2.2).");
 }

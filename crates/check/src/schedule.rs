@@ -9,7 +9,9 @@
 //! [`Torus2d::distinct_neighbors8`] for the square pillar, the ring for
 //! the plane, [`Torus3d`] for the cube — and from [`tags::TAG_TABLE`], so
 //! the verifier and the simulator agree on the wire protocol by
-//! construction, not by transcription.
+//! construction, not by transcription. Whether a step has two
+//! neighbourhood exchanges or one is the engine's own answer
+//! ([`exchanges_once`]).
 //!
 //! The one data-dependent part is the DLB cell transfer (`CELL_XFER`):
 //! which columns move depends on runtime loads. The schedule is therefore
@@ -21,6 +23,7 @@ use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_domain::DomainShape;
 use pcdlb_mp::collectives::ctag;
 use pcdlb_mp::{Torus2d, Torus3d};
+use pcdlb_sim::{pe::PeState, RunConfig};
 
 /// One point-to-point operation of the schedule. Tags are *wire* tags:
 /// collective rounds already carry their namespaced
@@ -105,7 +108,7 @@ pub fn step_schedule(side: usize, opts: &ScheduleOpts) -> StepSchedule {
 
 /// Rank `r`'s distinct neighbours (ascending, `r` excluded) when `p`
 /// ranks are laid out for `shape` — the ranks the step engine exchanges
-/// its two step frames with.
+/// its step frames with.
 pub fn shape_neighbors(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
     let mut nbrs = match shape {
         DomainShape::SquarePillar => return Torus2d::square(p).distinct_neighbors8(r),
@@ -123,11 +126,35 @@ pub fn shape_neighbors(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
     nbrs
 }
 
+/// Whether the step engine sends migrants and ghosts in one frame per
+/// neighbour when `p` ranks are laid out for `shape` — its own predicate
+/// ([`PeState::exchanges_once`]: no balancer, neighbour set closed two
+/// cells out), asked of rank 0 (every rank agrees) on a grid with two
+/// cells per rank and axis. Up to a torus side of 3 — all `verify`
+/// sweeps for the shape that can say yes — the cell count does not
+/// matter.
+pub fn exchanges_once(shape: DomainShape, p: usize) -> bool {
+    let side = match shape {
+        DomainShape::SquarePillar => Torus2d::square(p).rows(),
+        DomainShape::Plane => p,
+        DomainShape::Cube => (p as f64).cbrt().round() as usize,
+    };
+    // Only ownership is asked about: no particles, no physics.
+    let mut cfg = RunConfig::new(0, 2 * side, p, 1.0);
+    cfg.dlb = false;
+    PeState::new(0, &cfg, shape, &[]).exchanges_once()
+}
+
 /// Build the per-step schedule of `p` ranks decomposed as `shape`: the
 /// same phases for every shape, over that shape's neighbour sets.
 pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> StepSchedule {
     let mut decisions = opts.decisions.clone();
     decisions.sort_unstable_by_key(|&(from, _)| from);
+    let single = exchanges_once(shape, p);
+    assert!(
+        !(single && opts.dlb),
+        "{shape:?} has no balancer to schedule"
+    );
     let mut ranks = Vec::with_capacity(p);
     for r in 0..p {
         let mut ops: Vec<PhasedOp> = Vec::new();
@@ -136,8 +163,11 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
         // (migrants + DLB load when due): sends to all distinct
         // neighbours (ascending), then the matching receives in the same
         // order. Per-(src, dst, tag) FIFO keeps round 1 and round 2 of
-        // the shared STEP_FRAME tag matched.
-        neighbourhood_exchange(&mut ops, CommPhase::Migrate, r, &nbrs, tags::STEP_FRAME);
+        // the shared STEP_FRAME tag matched. A single-exchange step has
+        // no round 1: its migrants ride the ghost frames below.
+        if !single {
+            neighbourhood_exchange(&mut ops, CommPhase::Migrate, r, &nbrs, tags::STEP_FRAME);
+        }
         if opts.dlb {
             neighbourhood_exchange(&mut ops, CommPhase::DlbDecision, r, &nbrs, tags::DECISION);
             // Cell transfers: senders first, then receivers, each walking
@@ -165,7 +195,8 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
                 }
             }
         }
-        // Phase: ghosts — round 2 of the coalesced step message.
+        // Phase: ghosts — round 2 of the coalesced step message, or the
+        // one frame of a single-exchange step.
         neighbourhood_exchange(&mut ops, CommPhase::Ghost, r, &nbrs, tags::STEP_FRAME);
         if opts.thermostat {
             gather_ops(&mut ops, CommPhase::Thermostat, p, r, tags::KE_GATHER);
@@ -320,10 +351,22 @@ mod tests {
         assert!(shape_neighbors(DomainShape::Plane, 1, 0).is_empty());
         assert_eq!(shape_neighbors(DomainShape::Cube, 8, 3).len(), 7);
         assert_eq!(shape_neighbors(DomainShape::Cube, 27, 13).len(), 26);
-        let s = shape_schedule(DomainShape::Cube, 8, &ScheduleOpts::default());
+        // The cube has no balancer: one exchange per step on both grids
+        // `verify` sweeps; pillar and plane keep their two rounds.
+        for (p, nbrs) in [(8, 7), (27, 26)] {
+            assert!(exchanges_once(DomainShape::Cube, p));
+            let s = shape_schedule(DomainShape::Cube, p, &ScheduleOpts::default());
+            for ops in &s.ranks {
+                assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 0);
+                assert_eq!(sends_in(ops, CommPhase::Ghost).len(), nbrs);
+            }
+        }
+        assert!(!exchanges_once(DomainShape::SquarePillar, 9));
+        assert!(!exchanges_once(DomainShape::Plane, 3));
+        let s = shape_schedule(DomainShape::Plane, 3, &ScheduleOpts::default());
         for ops in &s.ranks {
-            assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 7);
-            assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 7);
+            assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 2);
+            assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 2);
         }
     }
 
@@ -333,7 +376,7 @@ mod tests {
         // schedules here use ring / torus arithmetic. Pin the two together
         // for every rank of every shape, so the verified schedules are the
         // engine's.
-        use pcdlb_sim::{pe::PeState, RunConfig};
+        use pcdlb_sim::pe::initial_particles;
         for (shape, p) in [
             (DomainShape::SquarePillar, 4),
             (DomainShape::SquarePillar, 9),
@@ -346,9 +389,10 @@ mod tests {
         ] {
             let mut cfg = RunConfig::new(216, 12, p, 0.005);
             cfg.dlb = false;
+            let initial = initial_particles(&cfg);
             for r in 0..p {
                 assert_eq!(
-                    PeState::new(r, &cfg, shape).neighbors(),
+                    PeState::new(r, &cfg, shape, &initial).neighbors(),
                     shape_neighbors(shape, p, r),
                     "{shape:?} P = {p} rank {r}"
                 );

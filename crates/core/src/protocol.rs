@@ -53,8 +53,10 @@ pub mod tags {
     /// sender's last-step load, round 2 carries the delta-encodable
     /// boundary-shell ghost frame. Sub-frame presence headers inside the
     /// frame distinguish the rounds; per-(src,dst,tag) FIFO ordering keeps
-    /// the two rounds matched. Between the rebuilds of a skin epoch a step
-    /// sends one message per neighbour: the positions-only ghost refresh.
+    /// the two rounds matched. A decomposition whose ownership never
+    /// changes sends both sections in one frame per neighbour instead.
+    /// Between the rebuilds of a skin epoch a step sends one message per
+    /// neighbour: the positions-only ghost refresh.
     pub const STEP_FRAME: u64 = 16;
     /// Phase 5 (collective): kinetic-energy gather to rank 0.
     pub const KE_GATHER: u64 = 10;

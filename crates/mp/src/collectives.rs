@@ -124,9 +124,6 @@ where
             let v: T = comm.recv(src, ctag(tag, step as u64));
             have = Some(v);
         }
-        if step == 0 {
-            break;
-        }
         step >>= 1;
     }
     have.expect("bcast: every rank holds the value at the end")

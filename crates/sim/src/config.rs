@@ -95,10 +95,13 @@ pub struct DesyncInject {
     pub nbr: usize,
     /// How many desyncs to force, back to back (a "resync storm"). Each
     /// corruption fires on the first delta frame after the previous
-    /// resync completes, so `times` mismatches degrade exactly `times`
-    /// steps with `skin == 0`; inside a skin epoch delta frames flow on
-    /// rebuild steps only, and one mismatch degrades that neighbour until
-    /// the next rebuild (each degraded step counts). 0 is treated as 1.
+    /// resync completes (the hook leaves a stream that is waiting for its
+    /// full frame alone), so with `skin == 0` `times` mismatches degrade
+    /// exactly `times` steps on the two-round path and `2 × times` on the
+    /// single-exchange path, where the frame in flight behind the failed
+    /// one is lost too; inside a skin epoch delta frames flow on rebuild
+    /// steps only, and one mismatch degrades that neighbour until the
+    /// next rebuild (each degraded step counts). 0 is treated as 1.
     pub times: u32,
 }
 

@@ -15,6 +15,13 @@
 //! The cube is the one shape whose ownership depends on z: a rank holds
 //! only its block's z cells of each of its columns, and the cells just
 //! above and below are ghosts under the same column key.
+//!
+//! Having no balancer buys the cube back part of that price: nothing can
+//! move ownership between a step's migration and its ghost exchange, so
+//! the engine sends both in one frame per neighbour — 26 (or 7) messages
+//! per rank-step instead of twice that — wherever blocks are at least two
+//! cells wide or the torus side is at most 3 (the closure test of
+//! [`PeState::exchanges_once`](crate::pe::PeState::exchanges_once)).
 
 use std::ops::Range;
 

@@ -23,12 +23,21 @@ use crate::config::{LoadMetric, RunConfig};
 pub(crate) trait Decomposition {
     /// The rank owning cell `(col, cz)` in this rank's current view.
     /// Exact for every cell this rank owns or borders; further away the
-    /// answer only has to differ from this rank and its neighbours.
+    /// answer is either exact or differs from this rank and all of its
+    /// neighbours (which is what lets the engine's closure test trust
+    /// every answer two cells out once none of them names a stranger).
     fn owner_of(&self, col: Col, cz: usize) -> usize;
 
     /// The z cells `rank` owns of every column it holds: all of them for
     /// the z-invariant shapes (plane, pillar), one block for the cube.
     fn z_extent(&self, rank: usize) -> Range<usize>;
+
+    /// Whether the shape implements the balancer hook below, i.e. whether
+    /// ownership can ever change. Where it cannot, migrants and ghosts
+    /// share one exchange per rebuild step (see [`crate::pe`]).
+    fn has_balancer(&self) -> bool {
+        false
+    }
 
     /// Balancer hook: what this rank gives away this step, judged from
     /// its own load and the loads its neighbours reported. Shapes
@@ -176,6 +185,10 @@ impl Decomposition for Pillar {
 
     fn z_extent(&self, _rank: usize) -> Range<usize> {
         0..self.layout.grid().nc()
+    }
+
+    fn has_balancer(&self) -> bool {
+        true
     }
 
     /// Paper Sec. 2.3, steps 2–3: find the fastest PE of the

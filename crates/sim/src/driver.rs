@@ -5,7 +5,7 @@ use pcdlb_md::Particle;
 use pcdlb_mp::World;
 
 use crate::config::RunConfig;
-use crate::pe::{pe_main, PeResult};
+use crate::pe::{initial_particles, pe_main, PeResult};
 use crate::report::{PhaseTimes, RunReport, WireBytes};
 
 /// Run a configuration to completion; returns rank 0's report with
@@ -21,8 +21,7 @@ pub fn run(cfg: &RunConfig) -> RunReport {
 /// scaling bench uses both to report where each configuration spends its
 /// time and its wire budget.
 pub fn run_with_phase_times(cfg: &RunConfig) -> (RunReport, PhaseTimes, WireBytes) {
-    let shape = DomainShape::SquarePillar;
-    let results: Vec<PeResult> = world(cfg, shape).run(|comm| pe_main(comm, cfg, shape, false));
+    let results = run_ranks(cfg, DomainShape::SquarePillar, false);
     let mut phases = PhaseTimes::default();
     let mut wire = WireBytes::default();
     for r in &results {
@@ -55,7 +54,15 @@ pub(crate) fn run_inner(
     shape: DomainShape,
     want_snapshot: bool,
 ) -> (RunReport, Option<Vec<Particle>>) {
-    assemble(world(cfg, shape).run(|comm| pe_main(comm, cfg, shape, want_snapshot)))
+    assemble(run_ranks(cfg, shape, want_snapshot))
+}
+
+/// Launch the world: the initial condition is generated once and every
+/// rank adopts its cells' share of the one read-only slice.
+fn run_ranks(cfg: &RunConfig, shape: DomainShape, want_snapshot: bool) -> Vec<PeResult> {
+    let world = world(cfg, shape);
+    let initial = initial_particles(cfg);
+    world.run(|comm| pe_main(comm, cfg, shape, &initial, want_snapshot))
 }
 
 pub(crate) fn assemble(mut results: Vec<PeResult>) -> (RunReport, Option<Vec<Particle>>) {
@@ -88,8 +95,11 @@ where
     P: Fn(usize) -> Box<dyn pcdlb_mp::check::DeliveryPolicy> + Sync,
 {
     let shape = DomainShape::SquarePillar;
-    let results: Vec<PeResult> = world(cfg, shape)
-        .run_with_delivery(policy_for_rank, |comm| pe_main(comm, cfg, shape, true));
+    let world = world(cfg, shape);
+    let initial = initial_particles(cfg);
+    let results: Vec<PeResult> = world.run_with_delivery(policy_for_rank, |comm| {
+        pe_main(comm, cfg, shape, &initial, true)
+    });
     let (report, snapshot) = assemble(results);
     crate::digest::digest_run(
         &report,
@@ -110,10 +120,11 @@ where
     L: Fn(usize) -> pcdlb_mp::check::EventLog + Sync,
 {
     let shape = DomainShape::SquarePillar;
-    let results: Vec<PeResult> =
-        world(cfg, shape).run_instrumented(policy_for_rank, log_for_rank, |comm| {
-            pe_main(comm, cfg, shape, true)
-        });
+    let world = world(cfg, shape);
+    let initial = initial_particles(cfg);
+    let results: Vec<PeResult> = world.run_instrumented(policy_for_rank, log_for_rank, |comm| {
+        pe_main(comm, cfg, shape, &initial, true)
+    });
     let (report, snapshot) = assemble(results);
     crate::digest::digest_run(
         &report,
@@ -144,7 +155,7 @@ pub fn run_serial(cfg: &RunConfig) -> Vec<Particle> {
 /// parity includes the epoch schedule.
 pub fn serial_sim(cfg: &RunConfig) -> pcdlb_md::SerialSim {
     let mut sim = pcdlb_md::SerialSim::new(
-        crate::pe::initial_particles(cfg),
+        initial_particles(cfg),
         cfg.nc,
         cfg.box_len(),
         cfg.lj,

@@ -44,7 +44,7 @@ use pcdlb_mp::{CostModel, DegradedOutcome, Torus2d, World, WorldError};
 use crate::config::RunConfig;
 use crate::digest::digest_recovery;
 use crate::driver::assemble;
-use crate::pe::PeResult;
+use crate::pe::{initial_particles, PeResult};
 use crate::recover::{RecoveryError, RecoveryOptions, SimCheckpoint};
 use crate::report::RunReport;
 use crate::takeover::takeover_main;
@@ -206,8 +206,10 @@ pub fn run_elastic(
         cfg,
         plan,
         opts,
-        |_launch, world, seg_cfg, sink, drain, sync| {
-            world.try_run_degraded(|comm| takeover_main(comm, seg_cfg, true, sink, drain, sync))
+        |_launch, world, seg_cfg, initial, sink, drain, sync| {
+            world.try_run_degraded(|comm| {
+                takeover_main(comm, seg_cfg, initial, true, sink, drain, sync)
+            })
         },
     )
 }
@@ -232,10 +234,10 @@ where
         cfg,
         plan,
         opts,
-        |launch, world, seg_cfg, sink, drain, sync| {
+        |launch, world, seg_cfg, initial, sink, drain, sync| {
             world.try_run_degraded_with_faults(
                 |rank| plans(launch, rank),
-                |comm| takeover_main(comm, seg_cfg, true, sink, drain, sync),
+                |comm| takeover_main(comm, seg_cfg, initial, true, sink, drain, sync),
             )
         },
     )
@@ -254,6 +256,7 @@ where
         usize,
         &World,
         &RunConfig,
+        &[Particle],
         &Mutex<Option<SimCheckpoint>>,
         bool,
         bool,
@@ -273,6 +276,9 @@ where
     // One sink across all generations: each generation drains into it and
     // the next resumes from it (after the ownership remap).
     let sink: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
+    // The initial condition does not depend on P: generated once for
+    // every generation, launch and rank.
+    let initial = initial_particles(cfg);
     let mut failures = Vec::new();
     let mut launches = 0usize;
     let mut takeovers_total = 0usize;
@@ -307,7 +313,7 @@ where
                 .with_watchdog(opts.watchdog)
                 .with_takeover()
                 .with_base_epoch(gen as u64 * GENERATION_EPOCH_STRIDE);
-            match attempt_fn(launch, &world, &seg_cfg, &sink, drain, sync) {
+            match attempt_fn(launch, &world, &seg_cfg, &initial, &sink, drain, sync) {
                 Ok(outcome) => {
                     let takeovers = outcome.dead.len();
                     let mut by_vrank: Vec<Option<PeResult>> = (0..seg.p).map(|_| None).collect();

@@ -13,9 +13,15 @@
 //! plus — on DLB steps — the sender's last-step load; round 2 carries
 //! the boundary-shell ghost frame. One-byte sub-frame presence headers
 //! say which sections are populated, and per-(src, dst, tag) FIFO
-//! ordering keeps the rounds matched. Between rebuilds of a skin epoch
-//! nothing migrates and no shell changes membership, so a step sends one
-//! frame per neighbour, carrying only a [`GhostRefresh`] section.
+//! ordering keeps the rounds matched. A decomposition whose ownership
+//! can never change has nothing to decide between the rounds and sends
+//! them as one frame with both sections populated
+//! ([`StepFrame::begin_single`]): the sender's migrants for that
+//! neighbour, and as ghosts every other particle it held before the step
+//! whose new cell borders the neighbour's. Between rebuilds of a skin
+//! epoch nothing migrates and no shell changes membership, so a step
+//! sends one frame per neighbour, carrying only a [`GhostRefresh`]
+//! section.
 //!
 //! # Ghost shell frames and delta encoding
 //!
@@ -44,7 +50,11 @@
 //! bit in its next round-1 [`StepFrame`], which makes the peer reset its
 //! send channel so the very next ghost frame arrives full and the stream
 //! is clean again. One desynced channel costs one degraded step on one
-//! rank instead of killing the world.
+//! rank instead of killing the world. On a single-exchange frame only
+//! the ghost section is dropped — the migrants are applied regardless —
+//! and the bit rides the rank's next frame, which crosses the peer's in
+//! flight: that one is lost as well, and the full frame arrives a
+//! rebuild step later (two degraded steps).
 //!
 //! # The frozen-epoch refresh
 //!
@@ -294,10 +304,9 @@ impl DeltaChannel {
         self.ids.clear();
     }
 
-    /// The membership of the last frame that went through the channel,
-    /// ascending id; empty on a fresh or reset channel.
-    pub fn membership(&self) -> &[u64] {
-        &self.ids
+    /// Whether the channel holds a previous frame a delta can apply to.
+    pub fn is_valid(&self) -> bool {
+        self.valid
     }
 
     /// Reset the channel if the takeover epoch moved (the peer's channel
@@ -467,17 +476,19 @@ impl WireSize for ParticleFrame {
 
 /// The coalesced per-neighbour step message: one-byte presence headers
 /// select which sections travel. Round 1 = migrants (+ load on DLB
-/// steps); round 2 = the ghost shell; a mid-epoch step's only frame =
-/// the ghost refresh.
+/// steps); round 2 = the ghost shell; a single-exchange rebuild step's
+/// only frame = both; a mid-epoch step's only frame = the ghost refresh.
 #[derive(Debug, Clone, Default)]
 pub struct StepFrame {
     /// Round-1 marker: the migrant section travels.
     pub has_migrants: bool,
-    /// Round-1 ghost-resync request: the receiver of the *previous* ghost
-    /// frame on this neighbour pair hit a [`DesyncError`] and asks the
-    /// sender to reset its delta channel, so this step's round-2 frame
-    /// arrives full. Rides bit 1 of the round-1 presence header byte —
-    /// zero extra wire bytes, and never set on a healthy stream.
+    /// Ghost-resync request: the receiver of the *previous* ghost frame
+    /// on this neighbour pair hit a [`DesyncError`] and asks the sender to
+    /// reset its delta channel, so its next shell frame — this step's
+    /// round 2 — arrives full. Rides bit 1 of the migrant presence header
+    /// byte, which every frame has: round-1 frames carry it on the
+    /// two-round path, every frame of a single-exchange rank. Zero extra
+    /// wire bytes, and never set on a healthy stream.
     pub resync: bool,
     /// Particles that crossed into the destination's columns, id-sorted.
     pub migrants: ParticleFrame,
@@ -517,6 +528,15 @@ impl StepFrame {
     /// Reshape a pooled frame for round 2, keeping buffer capacity.
     pub fn begin_round2(&mut self) {
         self.clear();
+        self.has_ghosts = true;
+    }
+
+    /// Reshape a pooled frame for a single-exchange rebuild step — the
+    /// migrant and the ghost section travel together — keeping buffer
+    /// capacity.
+    pub fn begin_single(&mut self) {
+        self.clear();
+        self.has_migrants = true;
         self.has_ghosts = true;
     }
 

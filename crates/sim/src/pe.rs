@@ -13,7 +13,11 @@
 //!    one coalesced [`StepFrame`] per neighbour under
 //!    `tags::STEP_FRAME`: particles that crossed into a neighbour-owned
 //!    cell are shipped to their new owner, with the sender's last-step
-//!    force time riding along on DLB steps;
+//!    force time riding along on DLB steps. Where ownership can never
+//!    change (no balancer: the cube) and the neighbour set is closed two
+//!    cells out, there is no round 1: the migrants ride the phase-4
+//!    frames — one exchange per step, see
+//!    [`PeState::exchanges_once`] and [`PeState::ghosts_send`];
 //! 3. **DLB** (optional) — from the round-1 loads, apply the shape's
 //!    balancer rule locally (pillar: fastest PE + the Case 1–3 rules;
 //!    plane: the moving boundary), broadcast the decision, and transfer
@@ -76,6 +80,7 @@ use crate::frame::{DeltaChannel, ParticleFrame, StepFrame};
 use crate::recover::SimCheckpoint;
 use crate::report::{PhaseTimes, RunReport, StepRecord, WireBytes};
 use crate::stats::StatsPacket;
+use crate::takeover::Start;
 
 // Wire tags live next to the protocol rules in `pcdlb-core`, where the
 // static verifier (`pcdlb-check`) reads the same table this simulator
@@ -106,15 +111,32 @@ fn forward_dz(gi: usize) -> &'static [i64] {
 enum CellClass {
     /// Owned, and all 26 neighbours are owned too: none of its pairs
     /// involve ghost data, so its forces can be computed while ghost
-    /// payloads are still in flight.
+    /// payloads are still in flight. A single-exchange step's frames also
+    /// bring its arrivals, which land in cells bordering a ghost cell — so
+    /// a rank that overlaps such steps counts a cell interior only if
+    /// every cell within *two* of it is owned, and none of its pairs can
+    /// touch an arrival either.
     Interior,
-    /// Owned, but at least one neighbour is a ghost cell: its pairs must
-    /// wait for the ghost receive.
+    /// Owned, but its pairs must wait for the receive: a neighbour is a
+    /// ghost cell (or, single-exchange, may still take an arrival).
     Frontier,
     /// Not owned; mirrored from a neighbour each step.
     Ghost,
     /// Neither owned nor adjacent to an owned cell: not stored here.
     Unseen,
+}
+
+/// What a step's neighbourhood exchange carries, one frame per neighbour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Exchange {
+    /// Round 2 of a two-round rebuild step, and the initial exchange of
+    /// every run: the boundary shells.
+    Shells,
+    /// A mid-epoch step's only frame: new positions of the frozen shells.
+    Refresh,
+    /// A single-exchange rebuild step's only frame: migrants and ghosts
+    /// together (see [`PeState::exchanges_once`]).
+    Single,
 }
 
 /// Which force pass is running. `Fused` is the sequenced single pass
@@ -450,8 +472,9 @@ pub struct PeResult {
 }
 
 /// Generate the full initial particle set for a config — deterministic,
-/// shared by the parallel PEs (each keeps its own slice) and the serial
-/// baseline (keeps everything).
+/// shared by the parallel PEs (generated once per world by the launch
+/// path; each PE adopts its own cells' share of the one slice) and the
+/// serial baseline (keeps everything).
 pub fn initial_particles(cfg: &RunConfig) -> Vec<Particle> {
     let mut ps = match cfg.lattice {
         Lattice::SimpleCubic => init::simple_cubic(cfg.n_particles, cfg.box_len()),
@@ -489,6 +512,9 @@ pub struct PeState {
     /// cells, ascending. Fixed for the run: balancers only ever move
     /// cells between ranks that are neighbours already.
     neighbors: Vec<usize>,
+    /// Whether a rebuild step is one exchange (see
+    /// [`PeState::exchanges_once`]). Fixed for the run.
+    single_exchange: bool,
     /// Owned columns: contiguous (cell, id)-sorted particle storage with
     /// `nc` cells per column, indexed by the z cell index.
     columns: BTreeMap<Col, CellSlab>,
@@ -527,6 +553,11 @@ pub struct PeState {
     /// `cfg.overlap` allows it and the rank's interior is large enough
     /// for it to pay (see [`split_pays`]).
     split_force: bool,
+    /// Whether a rebuild step's interior pass may run ahead of the
+    /// receive: always under two rounds (the arrivals are in before the
+    /// ghost sends), under one exchange only on the narrowed class map
+    /// (see `refresh_caches`).
+    rebuilds_overlap: bool,
     /// Per-home slot bases (owned slab, ghost slab) in the flat force /
     /// SoA layout, parallel to `homes`; refilled by `force_prologue`
     /// each step (slab sizes — hence the bases — are frozen across a
@@ -556,13 +587,25 @@ pub struct PeState {
     /// when a ghost frame from that neighbour could not be applied; rides
     /// the next round-1 frame — the next rebuild step's, which is when a
     /// delta stream can first heal — so the peer restarts the stream with
-    /// a full frame.
+    /// a full frame. A single-exchange rank has no round 1: the request
+    /// rides its next frame of any kind.
     ghost_resync_req: Vec<bool>,
     /// Ghost frames that could not be applied — a delta decode that
     /// failed, a mid-epoch refresh that did not fit the recorded routes —
     /// and were absorbed by degrading (skip that neighbour's ghosts for
     /// the step, request a resync).
     ghost_desyncs: u64,
+    /// Desyncs the test-only [`DesyncInject`](crate::config::DesyncInject)
+    /// hook has forced so far.
+    desyncs_injected: u32,
+    /// A single-exchange step's own departers whose new cell borders this
+    /// PE: it ships them away and keeps seeing them as ghosts, so they
+    /// are staged at the send and binned with the received ghosts.
+    kept_ghosts: Vec<(u64, Vec3)>,
+    /// Per-neighbour `(count, id sum)` of the ghosts binned this rebuild
+    /// step into cells that neighbour owns — what the slot routes are
+    /// proven against (`skin > 0` only).
+    ghost_tally: Vec<(usize, u64)>,
     /// Retained ghost re-binning staging; key set kept equal to
     /// `ghosts`' so the per-step scatter reuses every allocation.
     ghost_staging: BTreeMap<Col, Vec<Particle>>,
@@ -599,6 +642,9 @@ pub struct PeState {
     part_pool: BufferPool<ParticleFrame>,
     /// Per-phase actual-vs-baseline byte accounting for this rank.
     wire: WireBytes,
+    /// The interior pass's forces, parked while a single-exchange receive
+    /// re-lays the slots around this step's arrivals (retained scratch).
+    interior_carry: Vec<Vec3>,
     /// Wall time of the current step's force pass(es) so far.
     force_wall_accum: f64,
     /// Accumulated per-phase wall times over the run.
@@ -606,10 +652,11 @@ pub struct PeState {
 }
 
 impl PeState {
-    /// Build the PE's state and take ownership of its home particles.
-    pub fn new(rank: usize, cfg: &RunConfig, shape: DomainShape) -> Self {
+    /// Build the PE's state and adopt its home particles out of
+    /// `initial`, the world's whole [`initial_particles`] set.
+    pub fn new(rank: usize, cfg: &RunConfig, shape: DomainShape, initial: &[Particle]) -> Self {
         let mut pe = Self::scaffold(rank, cfg, shape);
-        pe.adopt_particles(initial_particles(cfg));
+        pe.adopt_particles(initial.iter().copied());
         pe
     }
 
@@ -655,18 +702,35 @@ impl PeState {
         let decomp = decomposition(shape, rank, cfg);
         let own_z = decomp.z_extent(rank);
         // The neighbour set, from the decomposition's starting state:
-        // every other rank owning a cell adjacent to one of ours.
+        // every other rank owning a cell adjacent to one of ours. Those
+        // cells are the shell the closure test below looks out from.
         let nc = cfg.nc;
         let mut nbrs: BTreeSet<usize> = BTreeSet::new();
+        let mut shell: BTreeSet<(Col, usize, usize)> = BTreeSet::new();
+        let fixed = !decomp.has_balancer();
         for col in all_columns(nc) {
             if decomp.owner_of(col, own_z.start) == rank {
                 for span in owned_spans(nc, &own_z) {
-                    nbrs.extend(foreign_around(&*decomp, nc, rank, col, span).map(|f| f.2));
+                    for (ncol, nspan, owner) in foreign_around(&*decomp, nc, rank, col, span) {
+                        nbrs.insert(owner);
+                        if fixed {
+                            shell.insert((ncol, nspan.start, nspan.end));
+                        }
+                    }
                 }
             }
         }
         let neighbors: Vec<usize> = nbrs.into_iter().collect();
         let n_nbrs = neighbors.len();
+        // One exchange per rebuild step needs ownership that never moves
+        // and a neighbour set closed two cells out: a particle leaving
+        // for a cell next to ours is announced by us to every rank
+        // bordering that cell, so each of those must be a neighbour.
+        let single_exchange = fixed
+            && shell.iter().all(|&(col, z0, z1)| {
+                foreign_around(&*decomp, nc, rank, col, z0..z1)
+                    .all(|f| neighbors.binary_search(&f.2).is_ok())
+            });
         Self {
             cfg: cfg.clone(),
             rank,
@@ -677,6 +741,7 @@ impl PeState {
             decomp,
             own_z,
             neighbors,
+            single_exchange,
             columns: BTreeMap::new(),
             forces: Vec::new(),
             ghosts: BTreeMap::new(),
@@ -690,6 +755,7 @@ impl PeState {
             homes: Vec::new(),
             cell_class: Vec::new(),
             split_force: false,
+            rebuilds_overlap: false,
             home_base: Vec::new(),
             col_work: Vec::new(),
             migrate_staging: BTreeMap::new(),
@@ -699,6 +765,9 @@ impl PeState {
             recv_chan: (0..n_nbrs).map(|_| DeltaChannel::default()).collect(),
             ghost_resync_req: vec![false; n_nbrs],
             ghost_desyncs: 0,
+            desyncs_injected: 0,
+            kept_ghosts: Vec::new(),
+            ghost_tally: vec![(0, 0); n_nbrs],
             ghost_staging: BTreeMap::new(),
             ghost_decode: Vec::new(),
             tracker: DispTracker::new(),
@@ -709,6 +778,7 @@ impl PeState {
             step_pool: BufferPool::new(),
             part_pool: BufferPool::new(),
             wire: WireBytes::default(),
+            interior_carry: Vec::new(),
             force_wall_accum: 0.0,
             phase: PhaseTimes::default(),
         }
@@ -737,6 +807,19 @@ impl PeState {
     /// The ranks this PE exchanges its step frames with, ascending.
     pub fn neighbors(&self) -> &[usize] {
         &self.neighbors
+    }
+
+    /// Whether a rebuild step of this run is a single exchange — migrants
+    /// and ghosts in one frame per neighbour — rather than two rounds.
+    /// True when the decomposition has no balancer (ownership can never
+    /// change, so no decision ever sits between migration and the ghost
+    /// shells) and the closure test holds: every rank owning a cell within
+    /// two cells of one of this PE's is the PE itself or a neighbour.
+    /// Block grids pass with blocks at least two cells wide or a torus
+    /// side of at most 3. The layouts are translation-symmetric, so every
+    /// rank of a world reaches the same answer.
+    pub fn exchanges_once(&self) -> bool {
+        self.single_exchange
     }
 
     /// Number of particles this PE currently owns.
@@ -929,6 +1012,32 @@ impl PeState {
             });
         }
         self.split_force = self.cfg.overlap && split_pays(nc, &self.homes, &self.cell_class);
+        self.rebuilds_overlap = !self.single_exchange;
+        if self.single_exchange {
+            // A single-exchange step's arrivals come with the ghosts and
+            // land in frontier cells, so an interior pass ahead of the
+            // receive may only touch cells ringed by interior cells. That
+            // narrower map is adopted where the split pays on it (judged
+            // without the `overlap` knob: both schedules must report from
+            // one map); elsewhere the map stands, rebuild steps run fused,
+            // and the rank's numbers are those of the two-round engine.
+            let mut narrow = self.cell_class.clone();
+            for (hi, home) in self.homes.iter().enumerate().filter(|(_, h)| h.owned) {
+                for span in owned_spans(nc, &self.own_z) {
+                    if grid[column(home.col)][span.start] == CellClass::Interior
+                        && cells_around(nc, home.col, span.clone())
+                            .any(|(c, s)| grid[column(c)][s.start] == CellClass::Frontier)
+                    {
+                        narrow[hi * nc..][span].fill(CellClass::Frontier);
+                    }
+                }
+            }
+            if split_pays(nc, &self.homes, &narrow) {
+                self.cell_class = narrow;
+                self.split_force = self.cfg.overlap;
+                self.rebuilds_overlap = true;
+            }
+        }
         // Keep the ghost slabs' (and ghost staging's) key sets equal to
         // the expected receive set, preserving the allocations of
         // surviving columns.
@@ -954,6 +1063,120 @@ impl PeState {
         // ships as a full frame and both ends roll forward off it.
     }
 
+    /// Re-bin every owned particle by its drifted position: stayers into
+    /// `migrate_staging`, departers into `migrate_out` by new owner. With
+    /// `announce` (the single-exchange step) a departer is also staged as
+    /// a ghost for everyone but its new owner whose cells border its new
+    /// cell — on the neighbour's send channel, or in `kept_ghosts` when
+    /// that is this PE — since no round 2 of the new owner will carry it.
+    /// Allocation-free in the steady state.
+    fn rebin_owned(&mut self, announce: bool) {
+        for v in self.migrate_staging.values_mut() {
+            v.clear();
+        }
+        for v in &mut self.migrate_out {
+            v.clear();
+        }
+        self.kept_ghosts.clear();
+        let (cell_len, nc, rank) = (self.cell_len, self.nc, self.rank);
+        let bin = move |v: f64| axis_bin(v, cell_len, nc);
+        let whole = self.own_z.len() == nc;
+        let decomp = &*self.decomp;
+        let neighbors = &self.neighbors;
+        let staging = &mut self.migrate_staging;
+        let out = &mut self.migrate_out;
+        let nbr_index = |owner: usize, p: &Particle, cell: (Col, usize)| {
+            neighbors.binary_search(&owner).unwrap_or_else(|_| {
+                panic!(
+                    "rank {rank}: particle {} jumped to cell {cell:?}, which concerns \
+                     non-neighbour {owner} — time step too large",
+                    p.id
+                )
+            })
+        };
+        for slab in self.columns.values() {
+            for p in slab.particles() {
+                let (ncol, ncz) = (Col::new(bin(p.pos.x), bin(p.pos.y)), bin(p.pos.z));
+                let owner = decomp.owner_of(ncol, ncz);
+                if owner == rank {
+                    staging
+                        .get_mut(&ncol)
+                        .unwrap_or_else(|| {
+                            panic!("rank {rank}: missing storage for owned column {ncol:?}")
+                        })
+                        .push(*p);
+                    continue;
+                }
+                out[nbr_index(owner, p, (ncol, ncz))].push(*p);
+                if announce {
+                    let span = if whole { 0..nc } else { ncz..ncz + 1 };
+                    let mut told = [usize::MAX; 27];
+                    let mut n = 0;
+                    for (.., r) in foreign_around(decomp, nc, owner, ncol, span) {
+                        if told[..n].contains(&r) {
+                            continue;
+                        }
+                        told[n] = r;
+                        n += 1;
+                        if r == rank {
+                            self.kept_ghosts.push((p.id, p.pos));
+                        } else {
+                            let chan = &mut self.send_chan[nbr_index(r, p, (ncol, ncz))];
+                            chan.scratch.push((p.id, p.pos));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rebuild every owned column in place from its staged particles.
+    fn rebuild_columns(&mut self) {
+        let (cell_len, nc) = (self.cell_len, self.nc);
+        let zbin = move |p: &Particle| axis_bin(p.pos.z, cell_len, nc);
+        let staging = &mut self.migrate_staging;
+        for (col, slab) in self.columns.iter_mut() {
+            let staged = staging
+                .get_mut(col)
+                .expect("staging key set matches the owned columns");
+            slab.rebuild_from(nc, staged, zbin);
+        }
+    }
+
+    /// Fill the migrant section of the frame for neighbour `i` — its
+    /// emigrants by id, plus a pending ghost-resync request (zero wire
+    /// bytes: it rides the presence header) — and account its bytes.
+    fn fill_migrants(&mut self, i: usize, frame: &mut StepFrame, dlb_now: bool) {
+        // A ghost frame that could not be applied asks this neighbour to
+        // restart its delta stream with a full frame.
+        frame.resync = std::mem::take(&mut self.ghost_resync_req[i]);
+        frame.migrants.parts.extend_from_slice(&self.migrate_out[i]);
+        // Deterministic payloads: order emigrants by id.
+        frame.migrants.parts.sort_unstable_by_key(|p| p.id);
+        // Pre-diet layout: one flat particle message, plus a separate
+        // 8-byte load message on DLB steps.
+        self.wire.migrate_baseline +=
+            (8 + 56 * frame.migrants.parts.len() as u64) + if dlb_now { 8 } else { 0 };
+    }
+
+    /// Stage the immigrants of one received frame into their columns.
+    fn stage_immigrants(&mut self, parts: &[Particle]) {
+        let rank = self.rank;
+        for p in parts {
+            let (ncol, ncz) = self.cell_of(p.pos);
+            debug_assert_eq!(
+                self.decomp.owner_of(ncol, ncz),
+                rank,
+                "rank {rank}: received particle {} for column {ncol:?} it does not own",
+                p.id
+            );
+            self.migrate_staging
+                .get_mut(&ncol)
+                .unwrap_or_else(|| panic!("rank {rank}: missing storage for owned column {ncol:?}"))
+                .push(*p);
+        }
+    }
+
     /// Phase 2 (+ the DLB load ride-along), send half: rebin locally and
     /// ship one round-1 [`StepFrame`] — emigrants, plus this PE's
     /// last-step load on DLB steps — to each neighbour owner under
@@ -963,65 +1186,21 @@ impl PeState {
     /// sends before either blocks in a receive. Allocation-free in the
     /// steady state: the staging lists, per-neighbour outboxes, and
     /// pooled send frames are all reused across steps.
-    /// Rebuild steps only: mid-epoch the binning is frozen, nothing
-    /// migrates, and no round-1 frame is sent at all.
+    /// Two-round rebuild steps only: mid-epoch the binning is frozen,
+    /// nothing migrates, and no round-1 frame is sent at all; a
+    /// single-exchange step migrates inside [`PeState::ghosts_send`].
     pub(crate) fn step_send_round1(&mut self, comm: &mut Comm, dlb_now: bool) {
         self.refresh_caches();
         let t0 = WallTimer::start();
-        for v in self.migrate_staging.values_mut() {
-            v.clear();
-        }
-        for v in &mut self.migrate_out {
-            v.clear();
-        }
-        let (cell_len, nc, rank) = (self.cell_len, self.nc, self.rank);
-        let bin = move |v: f64| axis_bin(v, cell_len, nc);
-        let columns = &self.columns;
-        let decomp = &*self.decomp;
-        let neighbors = &self.neighbors;
-        let staging = &mut self.migrate_staging;
-        let out = &mut self.migrate_out;
-        for slab in columns.values() {
-            for p in slab.particles() {
-                let ncol = Col::new(bin(p.pos.x), bin(p.pos.y));
-                let owner = decomp.owner_of(ncol, bin(p.pos.z));
-                if owner == rank {
-                    staging
-                        .get_mut(&ncol)
-                        .unwrap_or_else(|| {
-                            panic!("rank {rank}: missing storage for owned column {ncol:?}")
-                        })
-                        .push(*p);
-                } else {
-                    let i = neighbors.binary_search(&owner).unwrap_or_else(|_| {
-                        panic!(
-                            "rank {rank}: particle {} jumped to column {ncol:?} owned by \
-                             non-neighbour {owner} — time step too large",
-                            p.id
-                        )
-                    });
-                    out[i].push(*p);
-                }
-            }
-        }
+        self.rebin_owned(false);
         let load = dlb_now.then(|| self.last_load());
-        for (i, &nb) in self.neighbors.iter().enumerate() {
+        for i in 0..self.neighbors.len() {
+            let nb = self.neighbors[i];
             let mut buf = self.step_pool.checkout();
             let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
             frame.begin_round1(load);
-            // A ghost frame that could not be applied since the last
-            // rebuild step asks this neighbour to restart its delta
-            // stream with a full frame (zero wire bytes: the request
-            // rides the presence header).
-            frame.resync = std::mem::take(&mut self.ghost_resync_req[i]);
-            frame.migrants.parts.extend_from_slice(&self.migrate_out[i]);
-            // Deterministic payloads: order emigrants by id.
-            frame.migrants.parts.sort_unstable_by_key(|p| p.id);
+            self.fill_migrants(i, frame, dlb_now);
             self.wire.migrate += frame.encoded_size() as u64;
-            // Pre-diet layout: one flat particle message, plus a separate
-            // 8-byte load message on DLB steps.
-            self.wire.migrate_baseline +=
-                (8 + 56 * frame.migrants.parts.len() as u64) + if dlb_now { 8 } else { 0 };
             comm.send(nb, tags::STEP_FRAME, Arc::clone(&buf));
             self.step_pool.checkin(buf);
         }
@@ -1035,7 +1214,8 @@ impl PeState {
         let t0 = WallTimer::start();
         let rank = self.rank;
         self.nbr_loads.clear();
-        for (i, &nb) in self.neighbors.iter().enumerate() {
+        for i in 0..self.neighbors.len() {
+            let nb = self.neighbors[i];
             let incoming: Arc<StepFrame> = comm.recv(nb, tags::STEP_FRAME);
             debug_assert!(
                 incoming.has_migrants && !incoming.has_ghosts,
@@ -1053,31 +1233,9 @@ impl PeState {
                     .expect("round-1 frame on a DLB step carries the sender's load");
                 self.nbr_loads.push((nb, load));
             }
-            for p in &incoming.migrants.parts {
-                let (ncol, ncz) = self.cell_of(p.pos);
-                debug_assert_eq!(
-                    self.decomp.owner_of(ncol, ncz),
-                    rank,
-                    "rank {rank}: received particle {} for column {ncol:?} it does not own",
-                    p.id
-                );
-                self.migrate_staging
-                    .get_mut(&ncol)
-                    .unwrap_or_else(|| {
-                        panic!("rank {rank}: missing storage for owned column {ncol:?}")
-                    })
-                    .push(*p);
-            }
+            self.stage_immigrants(&incoming.migrants.parts);
         }
-        let (cell_len, nc) = (self.cell_len, self.nc);
-        let zbin = move |p: &Particle| axis_bin(p.pos.z, cell_len, nc);
-        let staging = &mut self.migrate_staging;
-        for (col, slab) in self.columns.iter_mut() {
-            let staged = staging
-                .get_mut(col)
-                .expect("staging key set matches the owned columns");
-            slab.rebuild_from(nc, staged, zbin);
-        }
+        self.rebuild_columns();
         self.phase.migrate += t0.elapsed_s();
     }
 
@@ -1199,45 +1357,71 @@ impl PeState {
     }
 
     /// Phase 4 (round 2), send half: post the boundary-shell ghosts to
-    /// the neighbours, one pooled round-2 [`StepFrame`] per neighbour
-    /// along the cached routes. Each frame ships `(id, pos)` pairs only —
-    /// no velocities, no column directory, nothing for empty cells — and
-    /// is delta-encoded against the previous rebuild step's frame on the
+    /// the neighbours, one pooled [`StepFrame`] per neighbour along the
+    /// cached routes. Each frame ships `(id, pos)` pairs only — no
+    /// velocities, no column directory, nothing for empty cells — and is
+    /// delta-encoded against the previous rebuild step's frame on the
     /// same channel whenever the channel is valid (see [`DeltaChannel`]).
-    /// Mid-epoch (`rebuild` false) the shells are frozen: the frame is a
-    /// positions-only refresh packed straight off the same routes, and
-    /// the delta channels are not touched.
-    pub(crate) fn ghosts_send(&mut self, comm: &mut Comm, rebuild: bool) {
+    ///
+    /// [`Exchange::Refresh`] (mid-epoch): the shells are frozen, the frame
+    /// is a positions-only refresh packed straight off the same routes,
+    /// and the delta channels are not touched.
+    ///
+    /// [`Exchange::Single`]: phase 2 happens here too. The PE re-bins
+    /// locally first and each frame carries both sections — *migrants*,
+    /// the PE's particles whose new cell the neighbour owns, and *ghosts*,
+    /// every other particle it held whose new cell borders a cell of the
+    /// neighbour's: its stayers along the routes plus its departers to a
+    /// third rank (see [`PeState::rebin_owned`]). Each particle is thus
+    /// announced by the one rank that held it before the step, to exactly
+    /// the ranks that hold it as a ghost under two rounds.
+    pub(crate) fn ghosts_send(&mut self, comm: &mut Comm, exchange: Exchange) {
         self.refresh_caches();
         let t0 = WallTimer::start();
+        if exchange == Exchange::Single {
+            self.rebin_owned(true);
+            self.rebuild_columns();
+        }
         let delta_ok = self.cfg.delta_ghosts;
         let epoch = comm.epoch();
-        for (i, &nb) in self.neighbors.iter().enumerate() {
+        for i in 0..self.neighbors.len() {
+            let nb = self.neighbors[i];
             let mut buf = self.step_pool.checkout();
             let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
-            let chan = &mut self.send_chan[i];
-            if rebuild {
-                frame.begin_round2();
-                chan.sync_epoch(epoch);
-            } else {
-                frame.begin_refresh();
+            let mut migrant_bytes = 0;
+            match exchange {
+                Exchange::Shells => frame.begin_round2(),
+                Exchange::Single => {
+                    frame.begin_single();
+                    self.fill_migrants(i, frame, false);
+                    migrant_bytes = frame.migrants.encoded_size();
+                }
+                Exchange::Refresh => {
+                    frame.begin_refresh();
+                    if self.single_exchange {
+                        frame.resync = std::mem::take(&mut self.ghost_resync_req[i]);
+                    }
+                }
             }
+            let chan = &mut self.send_chan[i];
             let mut baseline = 8u64;
             for (col, span) in &self.ghost_routes[i] {
                 let slab = &self.columns[col];
                 let parts =
                     &slab.particles()[slab.range(span.start).start..slab.range(span.end - 1).end];
                 baseline += 24 + 56 * parts.len() as u64;
-                if rebuild {
-                    chan.scratch.extend(parts.iter().map(|p| (p.id, p.pos)));
-                } else {
+                if exchange == Exchange::Refresh {
                     frame.refresh.pos.extend(parts.iter().map(|p| p.pos));
+                } else {
+                    chan.scratch.extend(parts.iter().map(|p| (p.id, p.pos)));
                 }
             }
-            if rebuild {
+            if exchange != Exchange::Refresh {
+                chan.sync_epoch(epoch);
                 chan.encode_into(delta_ok, &mut frame.ghosts);
             }
-            self.wire.ghost += frame.encoded_size() as u64;
+            self.wire.migrate += migrant_bytes as u64;
+            self.wire.ghost += (frame.encoded_size() - migrant_bytes) as u64;
             // Pre-diet layout: full particles with a per-column directory.
             self.wire.ghost_baseline += baseline;
             comm.send(nb, tags::STEP_FRAME, Arc::clone(&buf));
@@ -1246,80 +1430,120 @@ impl PeState {
         self.phase.ghost += t0.elapsed_s();
     }
 
-    /// Phase 4 (round 2), receive half. On rebuild steps (`rebin` true —
-    /// every step with `skin == 0`): decode the neighbours' ghost frames
-    /// through the per-channel delta state, re-bin each ghost by its
-    /// position into the retained staging lists, and rebuild the ghost
-    /// slabs in place — same `(cell, id)` order as before, no allocation
-    /// in the steady state. Mid-epoch (`rebin` false): the frames are
-    /// positions-only refreshes of the identical membership, written
-    /// straight into the frozen slab slots through the routes recorded at
-    /// the last rebuild.
-    pub(crate) fn ghosts_recv(&mut self, comm: &mut Comm, rebin: bool) {
+    /// Phase 4 (round 2), receive half. On rebuild steps (every step with
+    /// `skin == 0`): decode the neighbours' ghost frames through the
+    /// per-channel delta state, re-bin each ghost by its position into
+    /// the retained staging lists, and rebuild the ghost slabs in place —
+    /// same `(cell, id)` order as before, no allocation in the steady
+    /// state; an [`Exchange::Single`] frame also brings the step's
+    /// immigrants, which are merged into the owned columns. Mid-epoch
+    /// ([`Exchange::Refresh`]): the frames are positions-only refreshes of
+    /// the identical membership, written straight into the frozen slab
+    /// slots through the routes recorded at the last rebuild.
+    pub(crate) fn ghosts_recv(&mut self, comm: &mut Comm, exchange: Exchange) {
         let t0 = WallTimer::start();
-        if rebin {
-            self.ghosts_recv_rebin(comm);
-        } else {
-            self.ghosts_recv_refresh(comm);
+        match exchange {
+            Exchange::Refresh => self.ghosts_recv_refresh(comm),
+            _ => self.ghosts_recv_rebin(comm, exchange == Exchange::Single),
         }
         self.phase.ghost += t0.elapsed_s();
     }
 
     /// A ghost frame from neighbour `i` could not be applied: degrade —
     /// run this step without that neighbour's (fresh) ghosts — and ask
-    /// for a full-frame resync in the next round-1 frame rather than
-    /// killing the world over one bad stream.
+    /// for a full-frame resync in the next frame that can carry the
+    /// request rather than killing the world over one bad stream. On the
+    /// two-round path that is the next rebuild step's round 1, and the
+    /// same step's round 2 heals the stream. A single-exchange rank's
+    /// next frame crosses the peer's next frame in flight: that one is
+    /// still a delta against the lost state and is dropped (and counted)
+    /// the same way, and the full frame arrives one rebuild step later.
     fn ghost_desync(&mut self, i: usize) {
         self.ghost_resync_req[i] = true;
         self.ghost_desyncs += 1;
     }
 
-    fn ghosts_recv_rebin(&mut self, comm: &mut Comm) {
+    /// Stage one ghost into its column's re-binning list and, when slot
+    /// routes will be recorded, tally it under the neighbour owning its
+    /// cell.
+    fn stage_ghost(&mut self, id: u64, pos: Vec3) {
         let rank = self.rank;
-        let (cell_len, nc) = (self.cell_len, self.nc);
-        let col_at = move |pos: Vec3| {
-            let f = |v: f64| axis_bin(v, cell_len, nc);
-            Col::new(f(pos.x), f(pos.y))
-        };
+        let col = self.col_of(pos);
+        self.ghost_staging
+            .get_mut(&col)
+            .unwrap_or_else(|| panic!("rank {rank}: received unexpected ghost column {col:?}"))
+            .push(Particle::at_rest(id, pos));
+        if self.cfg.skin > 0.0 {
+            let cz = axis_bin(pos.z, self.cell_len, self.nc);
+            let owner = self.decomp.owner_of(col, cz);
+            let i = self
+                .neighbors
+                .binary_search(&owner)
+                .unwrap_or_else(|_| panic!("rank {rank}: ghost owner {owner} is no neighbour"));
+            let (n, sum) = &mut self.ghost_tally[i];
+            *n += 1;
+            *sum = sum.wrapping_add(id);
+        }
+    }
+
+    fn ghosts_recv_rebin(&mut self, comm: &mut Comm, single: bool) {
+        let rank = self.rank;
         for v in self.ghost_staging.values_mut() {
             v.clear();
         }
+        self.ghost_tally.fill((0, 0));
+        // (Empty except on a single-exchange step.)
+        let mut staged = std::mem::take(&mut self.kept_ghosts);
+        for (id, pos) in staged.drain(..) {
+            self.stage_ghost(id, pos);
+        }
+        self.kept_ghosts = staged;
         for i in 0..self.neighbors.len() {
             let nb = self.neighbors[i];
             let frame: Arc<StepFrame> = comm.recv(nb, tags::STEP_FRAME);
             debug_assert!(
-                frame.has_ghosts && !frame.has_migrants && !frame.has_refresh,
-                "rank {rank}: round-2 frame from {nb} has the wrong sections"
+                frame.has_ghosts && frame.has_migrants == single && !frame.has_refresh,
+                "rank {rank}: rebuild-step ghost frame from {nb} has the wrong sections"
             );
-            if let Some(inject) = self.cfg.ghost_desync_inject {
-                // Fault-injection hook (tests only): corrupt this
-                // channel's membership record until `times` desyncs have
-                // fired — back-to-back corruptions model a resync storm.
-                if inject.rank == rank
-                    && inject.nbr == i
-                    && self.ghost_desyncs < inject.times.max(1) as u64
-                {
-                    self.recv_chan[i].poison_membership();
+            if single {
+                if frame.resync {
+                    // Too late for the frame in hand (the peer sent it
+                    // before it saw ours): its next rebuild frame is full.
+                    self.send_chan[i].reset();
                 }
+                // Whatever becomes of the ghost section, the migrants are
+                // applied: they exist nowhere else any more.
+                self.stage_immigrants(&frame.migrants.parts);
             }
+            // Fault-injection hook (tests only): corrupt this channel's
+            // membership record, whenever the stream is healthy, until
+            // `times` desyncs have fired — back-to-back corruptions model
+            // a resync storm.
+            let poisoned = self.cfg.ghost_desync_inject.is_some_and(|inject| {
+                inject.rank == rank
+                    && inject.nbr == i
+                    && self.desyncs_injected < inject.times.max(1)
+                    && self.recv_chan[i].is_valid()
+            });
+            if poisoned {
+                self.recv_chan[i].poison_membership();
+            }
+            let mut decoded = std::mem::take(&mut self.ghost_decode);
             if self.recv_chan[i]
-                .decode_into(&frame.ghosts, &mut self.ghost_decode)
+                .decode_into(&frame.ghosts, &mut decoded)
                 .is_err()
             {
                 // A desynchronised delta stream: the decode delivered
                 // nothing and reset the channel.
                 self.ghost_desync(i);
+                self.desyncs_injected += poisoned as u32;
             }
-            for &(id, pos) in &self.ghost_decode {
-                let col = col_at(pos);
-                self.ghost_staging
-                    .get_mut(&col)
-                    .unwrap_or_else(|| {
-                        panic!("rank {rank}: received unexpected ghost column {col:?}")
-                    })
-                    .push(Particle::at_rest(id, pos));
+            for &(id, pos) in &decoded {
+                self.stage_ghost(id, pos);
             }
+            self.ghost_decode = decoded;
         }
+        let (cell_len, nc) = (self.cell_len, self.nc);
         let zbin = move |p: &Particle| axis_bin(p.pos.z, cell_len, nc);
         let staging = &mut self.ghost_staging;
         for (col, slab) in self.ghosts.iter_mut() {
@@ -1328,9 +1552,70 @@ impl PeState {
                 .expect("ghost staging key set matches the expected ghost columns");
             slab.rebuild_from(nc, staged, zbin);
         }
+        if single {
+            self.adopt_arrivals();
+        }
         if self.cfg.skin > 0.0 {
             self.record_ghost_slot_routes();
         }
+    }
+
+    /// Merge a single-exchange step's staged immigrants into the owned
+    /// columns, which [`PeState::ghosts_send`] rebuilt from the stayers.
+    /// Where the interior pass already ran on that layout, its forces are
+    /// carried over: arrivals land in frontier cells only, so every
+    /// interior cell keeps its content and only its slots move — they are
+    /// parked, the slots laid out afresh over the merged slabs, and the
+    /// forces put back into their cells for the boundary pass.
+    fn adopt_arrivals(&mut self) {
+        let carried = self.splits_force_pass(true);
+        let mut carry = std::mem::take(&mut self.interior_carry);
+        carry.clear();
+        if carried {
+            for run in self.interior_runs() {
+                carry.extend_from_slice(&self.forces[run]);
+            }
+        }
+        let (cell_len, nc) = (self.cell_len, self.nc);
+        let zbin = move |p: &Particle| axis_bin(p.pos.z, cell_len, nc);
+        for (col, staged) in self.migrate_staging.iter_mut() {
+            if !staged.is_empty() {
+                let slab = self
+                    .columns
+                    .get_mut(col)
+                    .expect("staging key set matches the owned columns");
+                staged.extend_from_slice(slab.particles());
+                slab.rebuild_from(nc, staged, zbin);
+            }
+        }
+        if carried {
+            self.layout_slots();
+            let mut forces = std::mem::take(&mut self.forces);
+            let mut at = 0;
+            for run in self.interior_runs() {
+                let n = run.len();
+                forces[run].copy_from_slice(&carry[at..at + n]);
+                at += n;
+            }
+            debug_assert_eq!(at, carry.len());
+            self.forces = forces;
+        }
+        self.interior_carry = carry;
+    }
+
+    /// The slot runs of this PE's interior cells in the current force
+    /// layout, ascending.
+    fn interior_runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let nc = self.nc;
+        let owned = self.homes.iter().enumerate().filter(|(_, h)| h.owned);
+        owned.flat_map(move |(hi, home)| {
+            let slab = &self.columns[&home.col];
+            let base = self.home_base[hi][0];
+            self.own_z
+                .clone()
+                .filter(move |cz| self.cell_class[hi * nc + cz] == CellClass::Interior)
+                .map(move |cz| base + slab.range(cz).start..base + slab.range(cz).end)
+        })
     }
 
     /// Record the in-place update routes for the epoch that starts here.
@@ -1341,9 +1626,12 @@ impl PeState {
     /// same (cell, id) order — so walking the ghost cells ascending and
     /// handing each cell's slot run to its owner reproduces every
     /// neighbour's pack order without a sort or an id lookup. Each route
-    /// is proven against the membership its receive channel just decoded
-    /// (count and id sum; empty after a desync, like the cells) — and in
-    /// debug builds id for id, with every cell's run in ascending id
+    /// is proven against the ghosts this step's frames brought for the
+    /// cells that neighbour owns (count and id sum, tallied as they were
+    /// binned — whichever channel carried them: on a single-exchange step
+    /// a particle entering a neighbour's shell is announced by the rank
+    /// it left; after a desync the lost ghosts are in neither), and in
+    /// debug builds every cell's run is checked to be in ascending id
     /// order, since a refresh carries no ids to catch a slot mix-up
     /// later. All buffers are retained.
     fn record_ghost_slot_routes(&mut self) {
@@ -1385,34 +1673,12 @@ impl PeState {
                 .fold((0usize, 0u64), |(n, sum), p| {
                     (n + 1, sum.wrapping_add(p.id))
                 });
-            let sent = self.recv_chan[i].membership();
             assert_eq!(
-                routed,
-                (
-                    sent.len(),
-                    sent.iter().fold(0u64, |s, &id| s.wrapping_add(id))
-                ),
-                "rank {rank}: ghost routes for neighbour {} do not cover its rebuild frame",
+                routed, self.ghost_tally[i],
+                "rank {rank}: ghost routes for neighbour {} do not cover the ghosts received \
+                 for its cells",
                 self.neighbors[i]
             );
-            if cfg!(debug_assertions) {
-                let ids = &mut self.ghost_decode;
-                ids.clear();
-                for (col, run) in route {
-                    ids.extend(
-                        self.ghosts[col].particles()[run.clone()]
-                            .iter()
-                            .map(|p| (p.id, p.pos)),
-                    );
-                }
-                ids.sort_unstable_by_key(|e| e.0);
-                assert!(
-                    ids.iter().map(|e| e.0).eq(sent.iter().copied()),
-                    "rank {rank}: ghost routes for neighbour {} hold other ids than its \
-                     rebuild frame",
-                    self.neighbors[i]
-                );
-            }
         }
     }
 
@@ -1425,6 +1691,12 @@ impl PeState {
                 frame.has_refresh && !frame.has_ghosts && !frame.has_migrants,
                 "rank {rank}: mid-epoch frame from {nb} has the wrong sections"
             );
+            if frame.resync {
+                // Only a single-exchange peer asks mid-epoch: its next
+                // rebuild frame is its first chance otherwise, and ours
+                // would cross it.
+                self.send_chan[i].reset();
+            }
             let have = self.ghost_slot_routes[i]
                 .iter()
                 .map(|(_, run)| run.len())
@@ -1458,6 +1730,16 @@ impl PeState {
     /// buckets. Runs at the start of a `Fused` or `Interior` pass; a
     /// `Boundary` pass continues the arrays its `Interior` pass laid out.
     fn force_prologue(&mut self) {
+        self.layout_slots();
+        self.col_work.clear();
+        self.col_work
+            .resize(2 * self.homes.len(), WorkCounters::default());
+        self.force_wall_accum = 0.0;
+    }
+
+    /// The slot layout of [`PeState::force_prologue`] over the slabs as
+    /// they stand, with the force array zeroed.
+    fn layout_slots(&mut self) {
         self.home_base.clear();
         self.home_base.resize(self.homes.len(), [0; 2]);
         let mut total = 0usize;
@@ -1475,10 +1757,6 @@ impl PeState {
                 total += self.ghosts[&home.col].len();
             }
         }
-        self.col_work.clear();
-        self.col_work
-            .resize(2 * self.homes.len(), WorkCounters::default());
-        self.force_wall_accum = 0.0;
     }
 
     /// Phase 5: one force pass in the canonical half-shell order (see
@@ -1724,10 +2002,14 @@ impl PeState {
         self.force_pass(ForcePass::Boundary);
     }
 
-    /// Whether this PE runs phases 5a + 5b rather than the fused pass.
+    /// Whether this PE runs phases 5a + 5b rather than the fused pass on
+    /// a step that is (not) a rebuild step. A Verlet rebuild step cannot
+    /// split: the list must be recorded over this step's ghosts, so
+    /// nothing can run ahead of the receive; neither can a single-exchange
+    /// rebuild step on a class map that is not safe from its arrivals.
     /// Valid once [`PeState::ghosts_send`] has refreshed the caches.
-    pub(crate) fn splits_force_pass(&self) -> bool {
-        self.split_force
+    pub(crate) fn splits_force_pass(&self, rebuild: bool) -> bool {
+        self.split_force && !(rebuild && (self.cfg.verlet || !self.rebuilds_overlap))
     }
 
     /// This PE's accumulated wall-clock phase breakdown (all zeros
@@ -1979,6 +2261,20 @@ fn foreign_around(
     col: Col,
     span: Range<usize>,
 ) -> impl Iterator<Item = (Col, Range<usize>, usize)> + '_ {
+    cells_around(nc, col, span).filter_map(move |(ncol, nspan)| {
+        let owner = decomp.owner_of(ncol, nspan.start);
+        (owner != rank).then_some((ncol, nspan, owner))
+    })
+}
+
+/// The span `(col, span)` and the spans around it, as `(column, z span)`:
+/// a whole column and its 8 cross-section neighbours, or a single cell
+/// and its 26 periodic neighbours.
+fn cells_around(
+    nc: usize,
+    col: Col,
+    span: Range<usize>,
+) -> impl Iterator<Item = (Col, Range<usize>)> {
     let whole = span.len() == nc;
     let dzs: &[i64] = if whole { &[0] } else { &[-1, 0, 1] };
     // One step off either edge of the periodic grid (no division: the
@@ -1991,7 +2287,7 @@ fn foreign_around(
     (-1..=1)
         .flat_map(|dx| (-1..=1).map(move |dy| (dx, dy)))
         .flat_map(move |(dx, dy)| dzs.iter().map(move |&dz| (dx, dy, dz)))
-        .filter_map(move |(dx, dy, dz)| {
+        .map(move |(dx, dy, dz)| {
             let ncol = Col::new(wrap(col.cx, dx), wrap(col.cy, dy));
             let nspan = if whole {
                 0..nc
@@ -1999,8 +2295,7 @@ fn foreign_around(
                 let nz = wrap(span.start, dz);
                 nz..nz + 1
             };
-            let owner = decomp.owner_of(ncol, nspan.start);
-            (owner != rank).then_some((ncol, nspan, owner))
+            (ncol, nspan)
         })
 }
 
@@ -2109,18 +2404,20 @@ pub(crate) fn validate_sentinel(
 }
 
 /// The SPMD entry point: run the whole simulation on this rank under
-/// the given domain shape.
+/// the given domain shape, from the world's shared `initial` condition
+/// ([`initial_particles`], generated once by the launch path).
 pub fn pe_main(
     comm: &mut Comm,
     cfg: &RunConfig,
     shape: DomainShape,
+    initial: &[Particle],
     want_snapshot: bool,
 ) -> PeResult {
-    run_own_role(comm, cfg, shape, want_snapshot, None, None)
+    run_own_role(comm, cfg, shape, want_snapshot, Start::Fresh(initial), None)
 }
 
 /// [`pe_main`] for the square pillar with checkpoint/restart hooks:
-/// `start` resumes from a distributed checkpoint (every rank must pass
+/// `start` may resume from a distributed checkpoint (every rank must pass
 /// the same one), and when `cfg.checkpoint_interval > 0` the ranks gather
 /// a fresh checkpoint to rank 0 every interval, deposited into `sink`.
 /// The trajectory, the per-step records, and the final snapshot are
@@ -2129,7 +2426,7 @@ pub(crate) fn pe_main_recoverable(
     comm: &mut Comm,
     cfg: &RunConfig,
     want_snapshot: bool,
-    start: Option<&SimCheckpoint>,
+    start: Start,
     sink: Option<&Mutex<Option<SimCheckpoint>>>,
 ) -> PeResult {
     let shape = DomainShape::SquarePillar;
@@ -2144,7 +2441,7 @@ fn run_own_role(
     cfg: &RunConfig,
     shape: DomainShape,
     want_snapshot: bool,
-    start: Option<&SimCheckpoint>,
+    start: Start,
     sink: Option<&Mutex<Option<SimCheckpoint>>>,
 ) -> PeResult {
     let roles = [comm.rank()];
@@ -2204,10 +2501,16 @@ mod tests {
         cfg
     }
 
+    /// A PE adopting its share of the config's own initial condition.
+    fn fresh(rank: usize, cfg: &RunConfig, shape: DomainShape) -> PeState {
+        PeState::new(rank, cfg, shape, &initial_particles(cfg))
+    }
+
     fn run_world(cfg: &RunConfig, shape: DomainShape) -> Vec<PeResult> {
+        let initial = initial_particles(cfg);
         pcdlb_mp::World::new(cfg.p)
             .with_cost_model(crate::decomp::cost_model(shape, cfg))
-            .run(|comm| pe_main(comm, cfg, shape, true))
+            .run(|comm| pe_main(comm, cfg, shape, &initial, true))
     }
 
     #[test]
@@ -2215,7 +2518,7 @@ mod tests {
         for shape in DomainShape::ALL {
             let cfg = shape_cfg(shape);
             let total: usize = (0..cfg.p)
-                .map(|r| PeState::new(r, &cfg, shape).num_particles())
+                .map(|r| fresh(r, &cfg, shape).num_particles())
                 .sum();
             assert_eq!(total, cfg.n_particles, "{shape:?}");
         }
@@ -2227,23 +2530,20 @@ mod tests {
         // wire protocol has always used.
         let cfg = RunConfig::from_p_m_density(16, 2, 0.2);
         for rank in 0..16 {
-            let pe = PeState::new(rank, &cfg, DomainShape::SquarePillar);
+            let pe = fresh(rank, &cfg, DomainShape::SquarePillar);
             assert_eq!(pe.neighbors, cfg.torus().distinct_neighbors8(rank));
         }
         // Ring: two neighbours, one when they coincide. Cube: 7 distinct
         // ranks on the 2×2×2 torus, the full 26 from k = 3.
         let mut cfg = RunConfig::new(1000, 6, 3, 0.05);
         cfg.dlb = false;
-        assert_eq!(PeState::new(1, &cfg, DomainShape::Plane).neighbors, [0, 2]);
+        assert_eq!(fresh(1, &cfg, DomainShape::Plane).neighbors, [0, 2]);
         cfg.p = 2;
-        assert_eq!(PeState::new(0, &cfg, DomainShape::Plane).neighbors, [1]);
+        assert_eq!(fresh(0, &cfg, DomainShape::Plane).neighbors, [1]);
         cfg.p = 8;
-        assert_eq!(PeState::new(0, &cfg, DomainShape::Cube).neighbors.len(), 7);
+        assert_eq!(fresh(0, &cfg, DomainShape::Cube).neighbors.len(), 7);
         cfg.p = 27;
-        assert_eq!(
-            PeState::new(13, &cfg, DomainShape::Cube).neighbors.len(),
-            26
-        );
+        assert_eq!(fresh(13, &cfg, DomainShape::Cube).neighbors.len(), 26);
     }
 
     #[test]
@@ -2253,7 +2553,7 @@ mod tests {
         // ghost cell above and below, and two cells it never sees.
         let mut cfg = RunConfig::new(1000, 6, 27, 0.05);
         cfg.dlb = false;
-        let mut pe = PeState::new(13, &cfg, DomainShape::Cube); // block (1,1,1)
+        let mut pe = fresh(13, &cfg, DomainShape::Cube); // block (1,1,1)
         pe.refresh_caches();
         let hi = pe
             .homes
@@ -2265,30 +2565,48 @@ mod tests {
             pe.cell_class[hi * 6..(hi + 1) * 6],
             [Unseen, Ghost, Frontier, Frontier, Ghost, Unseen]
         );
-        // A 4³ block (k = 2 over nc = 8) has a 2³ interior.
-        cfg.nc = 8;
-        cfg.p = 8;
-        let mut pe = PeState::new(0, &cfg, DomainShape::Cube);
-        pe.refresh_caches();
-        let interior = pe
-            .cell_class
-            .iter()
-            .filter(|&&c| c == CellClass::Interior)
-            .count();
-        assert_eq!(interior, 8);
+        // The cube exchanges once per step. Where overlapping such a step
+        // pays, the interior starts two cells in — a 10³ block (k = 2 over
+        // nc = 20) has a 6³ interior; a 6³ block keeps its 4³ one and runs
+        // its rebuild steps fused. Where the closure test fails (one-cell
+        // blocks on a 4³ torus) the step keeps two rounds.
+        let interior = |nc, p| {
+            let mut cfg = RunConfig::new(1000, nc, p, 0.007);
+            cfg.dlb = false;
+            let mut pe = fresh(0, &cfg, DomainShape::Cube);
+            pe.refresh_caches();
+            let cells = pe.cell_class.iter();
+            (
+                pe.exchanges_once(),
+                cells.filter(|&&c| c == CellClass::Interior).count(),
+            )
+        };
+        assert_eq!(interior(20, 8), (true, 216));
+        assert_eq!(interior(12, 8), (true, 64));
+        assert_eq!(interior(3, 27), (true, 0));
+        assert_eq!(interior(4, 64), (false, 0));
+        assert_eq!(interior(8, 64), (true, 0));
+        // The shapes with a balancer never do, whatever the geometry.
+        let cfg = shape_cfg(DomainShape::SquarePillar);
+        assert!(!fresh(0, &cfg, DomainShape::SquarePillar).exchanges_once());
+        let cfg = shape_cfg(DomainShape::Plane);
+        assert!(!fresh(0, &cfg, DomainShape::Plane).exchanges_once());
     }
 
     #[test]
     fn force_pass_is_split_only_where_the_interior_pays() {
-        let splits = |shape, p, nc, overlap| {
-            // Sparse enough that nc = 16 still has cells wider than r_c.
-            let mut cfg = RunConfig::new(1000, nc, p, 0.015);
-            cfg.dlb = false;
-            cfg.overlap = overlap;
-            let mut pe = PeState::new(0, &cfg, shape);
-            pe.refresh_caches();
-            pe.splits_force_pass()
+        let splits_on = |rebuild| {
+            move |shape, p, nc, overlap| {
+                // Sparse enough that nc = 20 still has cells wider than r_c.
+                let mut cfg = RunConfig::new(1000, nc, p, 0.007);
+                cfg.dlb = false;
+                cfg.overlap = overlap;
+                let mut pe = fresh(0, &cfg, shape);
+                pe.refresh_caches();
+                pe.splits_force_pass(rebuild)
+            }
         };
+        let splits = splits_on(true);
         use DomainShape::{Cube, Plane, SquarePillar};
         // Blocks hidden against blocks repeated, per z layer: 6×6 columns
         // 158 / 132, 4×4 columns 26 / 60.
@@ -2297,9 +2615,14 @@ mod tests {
         // Four planes 19·nc / 18·nc, three planes 5·nc / 18·nc.
         assert!(splits(Plane, 3, 12, true));
         assert!(!splits(Plane, 4, 12, true));
-        // A 6³ block 532 / 728, an 8³ block 2156 / 1736.
-        assert!(!splits(Cube, 8, 12, true));
-        assert!(splits(Cube, 8, 16, true));
+        // A 6³ block 532 / 728, an 8³ block 2156 / 1736 — between the
+        // cube's rebuild steps. Those are one exchange, arrivals and all,
+        // and overlap only on an interior two cells in: 8³ 532 / 728
+        // (fused), 10³ 2156 / 1736.
+        assert!(!splits_on(false)(Cube, 8, 12, true));
+        assert!(splits_on(false)(Cube, 8, 16, true));
+        assert!(!splits(Cube, 8, 16, true));
+        assert!(splits(Cube, 8, 20, true));
         // And never without the knob.
         assert!(!splits(SquarePillar, 4, 12, false));
     }
@@ -2323,9 +2646,9 @@ mod tests {
                 cfg.skin = if verlet { 0.3 } else { 0.0 };
                 crate::decomp::validate(&cfg, shape);
                 let same = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                    let mut pe = PeState::new(comm.rank(), &cfg, shape);
-                    pe.ghosts_send(comm, true);
-                    pe.ghosts_recv(comm, true);
+                    let mut pe = fresh(comm.rank(), &cfg, shape);
+                    pe.ghosts_send(comm, Exchange::Shells);
+                    pe.ghosts_recv(comm, Exchange::Shells);
                     pe.compute_forces();
                     let fused = (pe.forces.clone(), pe.last_work);
                     let interior = pe
@@ -2365,11 +2688,15 @@ mod tests {
             cfg.thermostat_interval = 2;
             cfg.checkpoint_interval = 3;
             cfg.sentinel_interval = 2;
+            let initial = initial_particles(&cfg);
             let laps: Vec<f64> = pcdlb_mp::World::new(cfg.p)
                 .with_cost_model(crate::decomp::cost_model(shape, &cfg))
                 .run(|comm| {
                     let roles = [comm.rank()];
-                    crate::takeover::run_roles(comm, &cfg, shape, &roles, None, None, false, false);
+                    let start = Start::Fresh(&initial);
+                    crate::takeover::run_roles(
+                        comm, &cfg, shape, &roles, start, None, false, false,
+                    );
                     comm.lap_virtual_comm()
                 });
             assert!(laps.iter().all(|&l| l == 0.0), "{shape:?}: {laps:?}");
@@ -2407,19 +2734,33 @@ mod tests {
         cfg
     }
 
+    /// Ghost frames one forced desync costs with `skin == 0`. Two rounds:
+    /// the resync bit rides the next step's round 1 and that step's
+    /// round 2 is already full — one. Single exchange: the bit rides the
+    /// next step's only frame, which crosses the peer's in flight; that
+    /// one is still a delta against the lost state and is dropped too,
+    /// and the full frame arrives the step after — two.
+    fn frames_lost_per_desync(cfg: &RunConfig, shape: DomainShape) -> u64 {
+        1 + fresh(0, cfg, shape).exchanges_once() as u64
+    }
+
     #[test]
-    fn ghost_desync_degrades_one_step_and_resyncs() {
+    fn ghost_desync_degrades_and_resyncs() {
         // A poisoned ghost delta channel must not kill the world: the
-        // receiver degrades for one step, requests a full-frame resync
-        // via the round-1 bit, and the stream heals — exactly one desync
-        // over the whole run, with conservation intact (the sentinel
-        // would abort the run otherwise). In every shape.
+        // receiver degrades, requests a full-frame resync via the resync
+        // bit of its next frame, and the stream heals — one forced desync
+        // over the whole run costs exactly the frames in flight until the
+        // full frame can arrive, with conservation intact (the sentinel
+        // would abort the run otherwise; a single-exchange frame's
+        // migrants are applied even when its ghost section is dropped).
+        // In every shape.
         for shape in DomainShape::ALL {
             let cfg = desync_cfg(shape, 12, 1);
             let results = run_world(&cfg, shape);
             let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
             assert_eq!(
-                desyncs, 1,
+                desyncs,
+                frames_lost_per_desync(&cfg, shape),
                 "{shape:?}: the poisoned stream desyncs once and the resync heals it"
             );
             let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
@@ -2433,19 +2774,21 @@ mod tests {
     }
 
     #[test]
-    fn ghost_resync_storm_degrades_one_step_per_mismatch() {
-        // Back-to-back fingerprint mismatches on one link: each desync
-        // degrades exactly one step (so `times` corruptions produce
-        // exactly `times` desyncs — never more), the stream heals after
-        // the storm, and the run completes with conservation intact
-        // rather than livelocking in degrade/resync ping-pong.
+    fn ghost_resync_storm_degrades_a_fixed_number_of_steps_per_mismatch() {
+        // Back-to-back fingerprint mismatches on one link: each forced
+        // desync degrades exactly the steps its resync takes (so `times`
+        // corruptions drop exactly `times` × that many frames — never
+        // more), the stream heals after the storm, and the run completes
+        // with conservation intact rather than livelocking in
+        // degrade/resync ping-pong.
         for shape in DomainShape::ALL {
             let cfg = desync_cfg(shape, 16, 3);
             let results = run_world(&cfg, shape);
             let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
             assert_eq!(
-                desyncs, 3,
-                "{shape:?}: one desync per injected mismatch, no echo"
+                desyncs,
+                3 * frames_lost_per_desync(&cfg, shape),
+                "{shape:?}: a fixed price per injected mismatch, no further echo"
             );
             let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
             assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
@@ -2556,8 +2899,8 @@ mod tests {
             cfg.steps = 24;
             crate::decomp::validate(&cfg, shape);
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                let mut pes = [(comm.rank(), PeState::new(comm.rank(), &cfg, shape))];
-                crate::takeover::exchange_ghosts_and_compute(comm, &cfg, &mut pes, true);
+                let mut pes = [(comm.rank(), fresh(comm.rank(), &cfg, shape))];
+                crate::takeover::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
                 let mut orders = vec![refresh_orders(&pes[0].1)];
                 let mut transfers = 0;
                 for step in 1..=cfg.steps {
@@ -2592,6 +2935,172 @@ mod tests {
                 "{shape:?}: only {compared} ghosts compared"
             );
         }
+    }
+
+    /// Run `cfg.steps` steps of the cube on the engine, one role per
+    /// rank, after `setup` has had its way with each fresh PE; `look`
+    /// reads each PE when the steps are done.
+    fn drive_cube<T: Send>(
+        cfg: &RunConfig,
+        initial: &[Particle],
+        setup: impl Fn(&mut PeState) + Sync,
+        look: impl Fn(&PeState, &mut Comm) -> T + Sync,
+    ) -> Vec<(Vec<StepRecord>, T)> {
+        let shape = DomainShape::Cube;
+        pcdlb_mp::World::new(cfg.p)
+            .with_cost_model(crate::decomp::cost_model(shape, cfg))
+            .run(|comm| {
+                let mut pe = PeState::new(comm.rank(), cfg, shape, initial);
+                setup(&mut pe);
+                let mut pes = [(comm.rank(), pe)];
+                crate::takeover::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
+                let _ = comm.lap_virtual_comm();
+                let mut records = Vec::new();
+                for step in 1..=cfg.steps {
+                    let recs = crate::takeover::step_multi(comm, cfg, &mut pes, step);
+                    records.extend(recs.into_iter().flatten());
+                }
+                (records, look(&pes[0].1, comm))
+            })
+    }
+
+    #[test]
+    fn a_particle_crossing_an_edge_or_a_corner_lands_once_in_every_halo_that_needs_it() {
+        // 27 blocks of 3³ cells (cell length 3): the mover starts in the
+        // top corner cell (5, 5, 4) or (5, 5, 5) of block (1, 1, 1) — rank
+        // 13 — a hair below the block's faces and crosses two or three of
+        // them in one step. Its new owner is not the rank that ships it as
+        // a ghost: rank 13 tells the third parties and keeps its own copy.
+        let mut cfg = RunConfig::new(2, 9, 27, 2.0 / 27.0f64.powi(3));
+        cfg.dlb = false;
+        cfg.thermostat_interval = 0;
+        cfg.steps = 1;
+        let block = |bx: usize, by: usize, bz: usize| (bz * 3 + by) * 3 + bx;
+        let edge = 18.0 - 1e-4;
+        for (z, vz, owner, halos) in [
+            // Across the x and y faces in the block's middle z layer: the
+            // new cell (6, 6, 4) touches blocks {1, 2} × {1, 2} × {1}.
+            (
+                13.5,
+                0.0,
+                block(2, 2, 1),
+                vec![block(1, 1, 1), block(2, 1, 1), block(1, 2, 1)],
+            ),
+            // Across the corner into (6, 6, 6): {1, 2}³ but the owner.
+            (edge, 1.0, block(2, 2, 2), {
+                let all = (0..8).map(|i| block(1 + i % 2, 1 + i / 2 % 2, 1 + i / 4));
+                all.filter(|&r| r != block(2, 2, 2)).collect()
+            }),
+        ] {
+            let mut mover = Particle::at_rest(0, Vec3::new(edge, edge, z));
+            mover.vel = Vec3::new(1.0, 1.0, vz);
+            let far = Particle::at_rest(1, Vec3::new(1.0, 1.0, 1.0));
+            let seen = drive_cube(
+                &cfg,
+                &[mover, far],
+                |pe| assert!(pe.exchanges_once()),
+                |pe, _| {
+                    let count = |slabs: &BTreeMap<Col, CellSlab>| {
+                        let all = slabs.values().flat_map(|s| s.particles());
+                        all.filter(|p| p.id == 0).count()
+                    };
+                    (count(&pe.columns), count(&pe.ghosts))
+                },
+            );
+            for (rank, (_, (owned, ghost))) in seen.iter().enumerate() {
+                assert_eq!(*owned, (rank == owner) as usize, "rank {rank} owns it");
+                assert_eq!(
+                    *ghost,
+                    halos.contains(&rank) as usize,
+                    "rank {rank}'s halo (new owner {owner}, needed by {halos:?})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_exchange_moves_only_the_comm_part_of_t_step() {
+        // The same cube run with the rebuild step as one exchange and —
+        // the flag forced off on every rank — as the two rounds it
+        // replaces: same physics, same work, same loads, bit for bit;
+        // one message per neighbour and step fewer, and a shorter modelled
+        // step for it.
+        let mut cfg = shape_cfg(DomainShape::Cube);
+        cfg.steps = 20;
+        let initial = initial_particles(&cfg);
+        let run = |two_rounds: bool| {
+            drive_cube(
+                &cfg,
+                &initial,
+                |pe| pe.single_exchange &= !two_rounds,
+                |pe, comm| (comm.stats().msgs_sent, pe.neighbors.len() as u64),
+            )
+        };
+        let (one, two) = (run(false), run(true));
+        for ((_, (sent_one, nbrs)), (_, (sent_two, _))) in one.iter().zip(&two) {
+            assert_eq!(sent_two - sent_one, nbrs * cfg.steps);
+        }
+        let (one, two) = (&one[0].0, &two[0].0);
+        assert_eq!(one.len(), cfg.steps as usize);
+        for (a, b) in one.iter().zip(two) {
+            let physics = |r: &StepRecord| {
+                let floats = [r.f_max, r.f_ave, r.f_min, r.kinetic, r.potential];
+                (floats.map(f64::to_bits), r.pair_checks)
+            };
+            assert_eq!(physics(a), physics(b), "step {}", a.step);
+            assert!(
+                a.t_step < b.t_step,
+                "step {}: {} vs {}",
+                a.step,
+                a.t_step,
+                b.t_step
+            );
+        }
+    }
+
+    #[test]
+    fn a_desynced_single_exchange_frame_still_delivers_its_migrants() {
+        // Rank 1's first delta from rank 0 is poisoned, and that very
+        // frame carries a particle leaving rank 0 for rank 1: the ghost
+        // section is dropped, the migrant is not — it exists nowhere else
+        // any more.
+        let cfg = desync_cfg(DomainShape::Cube, 1, 1);
+        let initial = initial_particles(&cfg);
+        // Rank 0 is block (0, 0, 0) of 3³ cells; rank 1 lies across
+        // x = L/2, the far face of cell column (2, 0).
+        let half = 0.5 * cfg.box_len();
+        let bin = |v: f64| axis_bin(v, cfg.cell_len(), cfg.nc);
+        let in_edge_column =
+            |p: &&Particle| (bin(p.pos.x), bin(p.pos.y)) == (2, 0) && bin(p.pos.z) < 3;
+        // (The one nearest the face, so the nudge crowds nobody.)
+        let nearest = |a: &&Particle, b: &&Particle| a.pos.x.total_cmp(&b.pos.x);
+        let mover = initial.iter().filter(in_edge_column).max_by(nearest);
+        let mover = mover.expect("the column is populated").id;
+        let seen = drive_cube(
+            &cfg,
+            &initial,
+            |pe| {
+                if pe.rank == 0 {
+                    let slab = pe.columns.get_mut(&Col::new(2, 0)).unwrap();
+                    let p = slab.particles_mut().iter_mut().find(|p| p.id == mover);
+                    let p = p.expect("rank 0 adopted it");
+                    p.pos.x = half - 1e-6;
+                    p.vel.x = 1.0;
+                }
+            },
+            |pe, _| {
+                let mine = pe.columns.values().flat_map(|s| s.particles());
+                (pe.ghost_desyncs, mine.map(|p| p.id).collect::<Vec<_>>())
+            },
+        );
+        let (desyncs, owned): (Vec<u64>, Vec<&Vec<u64>>) =
+            seen.iter().map(|(_, (d, ids))| (*d, ids)).unzip();
+        assert_eq!(desyncs, [0, 1, 0, 0, 0, 0, 0, 0]);
+        assert!(owned[1].contains(&mover) && !owned[0].contains(&mover));
+        assert_eq!(
+            owned.iter().map(|ids| ids.len()).sum::<usize>(),
+            cfg.n_particles
+        );
     }
 
     #[test]

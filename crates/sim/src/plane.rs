@@ -100,6 +100,10 @@ impl Decomposition for Plane {
         0..self.nc
     }
 
+    fn has_balancer(&self) -> bool {
+        true
+    }
+
     /// The moving-boundary rule: the heavier side of an interior boundary
     /// sheds its edge plane to the lighter side, as long as it keeps one.
     /// Boundary `i` (between ranks `i − 1` and `i`) may move only on

@@ -32,8 +32,9 @@ use pcdlb_mp::{CostModel, World, WorldError};
 use crate::config::RunConfig;
 use crate::digest::digest_recovery;
 use crate::driver::assemble;
-use crate::pe::{pe_main_recoverable, PeResult};
+use crate::pe::{initial_particles, pe_main_recoverable, PeResult};
 use crate::report::{RunReport, StepRecord};
+use crate::takeover::Start;
 
 /// A restartable distributed simulation state: the global MD state (as a
 /// [`Checkpoint`] in `pcdlb-md`'s exact format), the DLB ownership map,
@@ -295,9 +296,9 @@ pub fn run_with_takeover(
     cfg: &RunConfig,
     opts: &RecoveryOptions,
 ) -> Result<RecoveryOutcome, RecoveryError> {
-    run_takeover_attempts(cfg, opts, |_attempt, world, sink| {
+    run_takeover_attempts(cfg, opts, |_attempt, world, initial, sink| {
         world.try_run_degraded(|comm| {
-            crate::takeover::takeover_main(comm, cfg, true, sink, false, false)
+            crate::takeover::takeover_main(comm, cfg, initial, true, sink, false, false)
         })
     })
 }
@@ -315,10 +316,10 @@ pub fn run_with_takeover_faulted<P>(
 where
     P: Fn(usize, usize) -> Option<pcdlb_mp::FaultPlan> + Sync,
 {
-    run_takeover_attempts(cfg, opts, |attempt, world, sink| {
+    run_takeover_attempts(cfg, opts, |attempt, world, initial, sink| {
         world.try_run_degraded_with_faults(
             |rank| plans(attempt, rank),
-            |comm| crate::takeover::takeover_main(comm, cfg, true, sink, false, false),
+            |comm| crate::takeover::takeover_main(comm, cfg, initial, true, sink, false, false),
         )
     })
 }
@@ -343,12 +344,12 @@ where
     Q: Fn(usize, usize) -> Box<dyn pcdlb_mp::check::DeliveryPolicy> + Sync,
     L: Fn(usize, usize) -> pcdlb_mp::check::EventLog + Sync,
 {
-    run_takeover_attempts(cfg, opts, |attempt, world, sink| {
+    run_takeover_attempts(cfg, opts, |attempt, world, initial, sink| {
         world.try_run_degraded_instrumented(
             |rank| plans(attempt, rank),
             |rank| policies(attempt, rank),
             |rank| logs(attempt, rank),
-            |comm| crate::takeover::takeover_main(comm, cfg, true, sink, false, false),
+            |comm| crate::takeover::takeover_main(comm, cfg, initial, true, sink, false, false),
         )
     })
 }
@@ -364,12 +365,15 @@ where
     A: Fn(
         usize,
         &World,
+        &[Particle],
         &Mutex<Option<SimCheckpoint>>,
     ) -> Result<pcdlb_mp::DegradedOutcome<RolePeResults>, WorldError>,
 {
     cfg.validate();
     assert!(opts.max_attempts > 0, "need at least one attempt");
     let sink: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
+    // Generated once for every launch and every rank of it.
+    let initial = initial_particles(cfg);
     let mut failures = Vec::new();
     for attempt in 0..opts.max_attempts {
         let world = World::new(cfg.p)
@@ -378,7 +382,7 @@ where
             .with_poll_interval(opts.poll)
             .with_watchdog(opts.watchdog)
             .with_takeover();
-        match attempt_fn(attempt, &world, &sink) {
+        match attempt_fn(attempt, &world, &initial, &sink) {
             Ok(outcome) => {
                 // Reassemble the virtual-rank results from whichever
                 // threads ended up holding them.
@@ -439,27 +443,25 @@ fn run_recovery_attempts<A>(
     attempt_fn: A,
 ) -> Result<RecoveryOutcome, RecoveryError>
 where
-    A: Fn(
-        usize,
-        &World,
-        Option<&SimCheckpoint>,
-        &Mutex<Option<SimCheckpoint>>,
-    ) -> Result<Vec<PeResult>, WorldError>,
+    A: Fn(usize, &World, Start, &Mutex<Option<SimCheckpoint>>) -> Result<Vec<PeResult>, WorldError>,
 {
     cfg.validate();
     assert!(opts.max_attempts > 0, "need at least one attempt");
     // The sink outlives every world: rank 0 deposits checkpoints here, and
     // the next attempt (if any) restores whatever arrived last.
     let sink: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
+    // Generated once for every launch and every rank of it.
+    let initial = initial_particles(cfg);
     let mut failures = Vec::new();
     for attempt in 0..opts.max_attempts {
-        let start = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        let ckpt = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        let start = ckpt.as_ref().map_or(Start::Fresh(&initial), Start::Restore);
         let world = World::new(cfg.p)
             .with_cost_model(CostModel::t3e(Some(cfg.torus())))
             .with_comm_config(&cfg.comm)
             .with_poll_interval(opts.poll)
             .with_watchdog(opts.watchdog);
-        match attempt_fn(attempt, &world, start.as_ref(), &sink) {
+        match attempt_fn(attempt, &world, start, &sink) {
             Ok(results) => {
                 let (report, snapshot) = assemble(results);
                 let snapshot = snapshot.expect("recovery runs always gather a snapshot");
@@ -488,7 +490,6 @@ mod tests {
     use crate::config::Lattice;
     use crate::digest::digest_records;
     use crate::driver::{run, run_with_snapshot};
-    use crate::pe::initial_particles;
 
     /// A small but non-trivial 2×2 recovery workload: DDM only (P = 4
     /// cannot run DLB), clustered start so migration and ghost traffic

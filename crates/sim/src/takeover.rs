@@ -53,7 +53,7 @@ use pcdlb_mp::{Comm, CommError, CommErrorKind, TakeoverInterrupt};
 
 use crate::clock::WallTimer;
 use crate::config::RunConfig;
-use crate::pe::{PeResult, PeState};
+use crate::pe::{Exchange, PeResult, PeState};
 use crate::recover::SimCheckpoint;
 use crate::report::{RunReport, StepRecord};
 
@@ -62,13 +62,16 @@ use crate::report::{RunReport, StepRecord};
 /// buddy takeover. Returns one [`PeResult`] per virtual rank this thread
 /// ended the run holding.
 ///
-/// `drain` forces a final checkpoint gather at `cfg.steps` (the elastic
-/// resize drain — see [`crate::elastic`]); `resize_sync` runs the
-/// deadline-bounded resize barrier before the first step, so a relaunched
-/// generation only proceeds once every rank of the remapped torus is up.
+/// `initial` is the world's shared initial condition, adopted from while
+/// the sink holds no checkpoint. `drain` forces a final checkpoint gather
+/// at `cfg.steps` (the elastic resize drain — see [`crate::elastic`]);
+/// `resize_sync` runs the deadline-bounded resize barrier before the
+/// first step, so a relaunched generation only proceeds once every rank
+/// of the remapped torus is up.
 pub(crate) fn takeover_main(
     comm: &mut Comm,
     cfg: &RunConfig,
+    initial: &[Particle],
     want_snapshot: bool,
     sink: &Mutex<Option<SimCheckpoint>>,
     drain: bool,
@@ -79,7 +82,8 @@ pub(crate) fn takeover_main(
         // Every (re-)entry resumes from whatever checkpoint the sink
         // holds: the previous attempt's on a relaunch, the current run's
         // own after a takeover, or none at all (step 0).
-        let start = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        let ckpt = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        let start = ckpt.as_ref().map_or(Start::Fresh(initial), Start::Restore);
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             // The barrier sits inside the catch: a death mid-barrier
             // unwinds as a TakeoverInterrupt like any other phase, and
@@ -92,7 +96,7 @@ pub(crate) fn takeover_main(
                 cfg,
                 DomainShape::SquarePillar,
                 &roles,
-                start.as_ref(),
+                start,
                 Some(sink),
                 want_snapshot,
                 drain,
@@ -228,6 +232,16 @@ fn resize_barrier(comm: &mut Comm) {
     }
 }
 
+/// Where a launch's particles come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Start<'a> {
+    /// The world's shared initial condition ([`crate::pe::initial_particles`],
+    /// generated once per world, not once per rank).
+    Fresh(&'a [Particle]),
+    /// A distributed checkpoint (square pillar only).
+    Restore(&'a SimCheckpoint),
+}
+
 /// Drive one or two virtual ranks through the whole simulation — the one
 /// SPMD run loop, for every domain shape. With a single role this emits
 /// exactly the historical single-role message sequence; with two (the
@@ -245,16 +259,17 @@ pub(crate) fn run_roles(
     cfg: &RunConfig,
     shape: DomainShape,
     roles: &[usize],
-    start: Option<&SimCheckpoint>,
+    start: Start,
     sink: Option<&Mutex<Option<SimCheckpoint>>>,
     want_snapshot: bool,
     drain: bool,
 ) -> Vec<(usize, PeResult)> {
     let run_start = WallTimer::start();
-    let start_step = start.map_or(0, |ck| ck.md.step);
+    let mut start_step = 0;
     let mut records: Vec<StepRecord> = Vec::new();
-    if roles.contains(&0) {
-        if let Some(ck) = start {
+    if let Start::Restore(ck) = start {
+        start_step = ck.md.step;
+        if roles.contains(&0) {
             records = ck.records.clone();
         }
     }
@@ -262,7 +277,7 @@ pub(crate) fn run_roles(
         .iter()
         .map(|&v| {
             let pe = match start {
-                Some(ck) => {
+                Start::Restore(ck) => {
                     assert_eq!(
                         shape,
                         DomainShape::SquarePillar,
@@ -270,7 +285,7 @@ pub(crate) fn run_roles(
                     );
                     PeState::from_checkpoint(v, cfg, ck)
                 }
-                None => PeState::new(v, cfg, shape),
+                Start::Fresh(initial) => PeState::new(v, cfg, shape, initial),
             };
             (v, pe)
         })
@@ -280,7 +295,7 @@ pub(crate) fn run_roles(
     // recomputes exactly the force array the checkpointed run held (see
     // `PeState::from_checkpoint`). Construction/restore is a rebuild
     // boundary, so the initial exchange always re-bins.
-    exchange_ghosts_and_compute(comm, cfg, &mut pes, true);
+    exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
     for (v, _) in pes.iter() {
         comm.act_as(*v);
         let _ = comm.lap_virtual_comm();
@@ -399,11 +414,19 @@ pub(crate) fn step_multi(
     for (_, pe) in pes.iter_mut() {
         pe.kick_drift_all();
     }
+    // What travels this step. Mid-epoch: one positions-only refresh per
+    // neighbour. Rebuild steps: two rounds with the balancer's decisions
+    // in between — or, where ownership cannot change and the neighbour
+    // set is closed two cells out (every role of a world agrees on
+    // that), migrants and ghosts in one frame.
+    let exchange = match (rebuild, pes[0].1.exchanges_once()) {
+        (false, _) => Exchange::Refresh,
+        (true, false) => Exchange::Shells,
+        (true, true) => Exchange::Single,
+    };
     // Round 1: migration plus the DLB load ride-along (retained
-    // particles stay staged inside each PE). A mid-epoch step has
-    // neither, so it has no round 1: its one frame per neighbour is the
-    // ghost refresh below.
-    if rebuild {
+    // particles stay staged inside each PE).
+    if exchange == Exchange::Shells {
         for (v, pe) in pes.iter_mut() {
             comm.act_as(*v);
             pe.step_send_round1(comm, dlb_now);
@@ -416,6 +439,7 @@ pub(crate) fn step_multi(
     // DLB: a local decision from the round-1 loads, then two send/recv
     // rounds (decisions, cell transfers).
     let mut transferred = vec![0u64; pes.len()];
+    debug_assert!(!(dlb_now && exchange == Exchange::Single));
     if dlb_now {
         let mut wires = Vec::with_capacity(pes.len());
         for (_, pe) in pes.iter_mut() {
@@ -441,7 +465,7 @@ pub(crate) fn step_multi(
     }
     // Ghost exchange and the local force pass(es), then the second
     // half-kick.
-    exchange_ghosts_and_compute(comm, cfg, pes, rebuild);
+    exchange_ghosts_and_compute(comm, pes, exchange);
     for (_, pe) in pes.iter_mut() {
         pe.kick_all();
     }
@@ -468,39 +492,37 @@ pub(crate) fn step_multi(
 }
 
 /// Phases 4–5 over this thread's role set (split-phase across roles):
-/// post every role's ghost sends, then receive and compute. A role on the
+/// post every role's frames, then receive and compute. A role on the
 /// overlapped schedule (`cfg.overlap`, where its interior is large enough
-/// to pay — `PeState::splits_force_pass`) computes its interior pairs
-/// before any role drains a receive, so dual-role threads overlap both
-/// personas' exchanges, and finishes the frontier afterwards; any other
-/// role runs the fused pass after its receive. The exception is a Verlet
-/// rebuild step: the list must be recorded over this step's ghosts, so
-/// nothing can run ahead of the receive and every role runs fused (the
-/// wire sequence is the same in all cases — the sends are posted first —
-/// and split == fused holds bitwise). Mid-epoch (`rebuild` false) the
-/// exchange is the positions-only refresh.
+/// to pay and the step lets it — `PeState::splits_force_pass`) computes
+/// its interior pairs before any role drains a receive, so dual-role
+/// threads overlap both personas' exchanges, and finishes the frontier
+/// afterwards; any other role runs the fused pass after its receive. The
+/// wire sequence is the same either way — the sends are posted first —
+/// and split == fused holds bitwise. `exchange` says what the frames
+/// carry: the shells, a mid-epoch refresh, or a single-exchange step's
+/// migrants and ghosts together.
 pub(crate) fn exchange_ghosts_and_compute(
     comm: &mut Comm,
-    cfg: &RunConfig,
     pes: &mut [(usize, PeState)],
-    rebuild: bool,
+    exchange: Exchange,
 ) {
     for (v, pe) in pes.iter_mut() {
         comm.act_as(*v);
-        pe.ghosts_send(comm, rebuild);
+        pe.ghosts_send(comm, exchange);
     }
-    let split = |pe: &PeState| pe.splits_force_pass() && !(cfg.verlet && rebuild);
+    let rebuild = exchange != Exchange::Refresh;
     for (_, pe) in pes.iter_mut() {
-        if split(pe) {
+        if pe.splits_force_pass(rebuild) {
             pe.compute_forces_interior();
         }
     }
     for (v, pe) in pes.iter_mut() {
         comm.act_as(*v);
-        pe.ghosts_recv(comm, rebuild);
+        pe.ghosts_recv(comm, exchange);
     }
     for (_, pe) in pes.iter_mut() {
-        if split(pe) {
+        if pe.splits_force_pass(rebuild) {
             pe.compute_forces_boundary();
         } else {
             pe.compute_forces();

@@ -160,15 +160,20 @@ fn grids_large_enough_to_split_the_force_pass_match_serial_bitwise() {
     // (`pe::split_pays`). These grids are the smallest per shape where the
     // ranks really split (pinned by the in-crate test
     // `force_pass_is_split_only_where_the_interior_pays`): 6×6-column
-    // pillar tiles, four planes per ring rank, 8³ cube blocks.
-    for (shape, p, nc) in [
-        (DomainShape::SquarePillar, 4, 12),
-        (DomainShape::Plane, 3, 12),
-        (DomainShape::Cube, 8, 16),
+    // pillar tiles, four planes per ring rank, and two cube rows — 8³
+    // blocks split between rebuild steps only, 10³ blocks on every step:
+    // their rebuild steps are one exchange, so the interior pass (two
+    // cells in) runs before the step's arrivals are merged, and its
+    // forces are carried over to the slots behind them.
+    for (shape, p, nc, density) in [
+        (DomainShape::SquarePillar, 4, 12, 0.1),
+        (DomainShape::Plane, 3, 12, 0.1),
+        (DomainShape::Cube, 8, 16, 0.05),
+        (DomainShape::Cube, 8, 20, 0.03),
     ] {
-        for mode in [Mode::EveryStep, Mode::Verlet] {
+        for mode in [Mode::EveryStep, Mode::Epochs, Mode::Verlet] {
             let box_len = 3.0 * nc as f64;
-            let n = (0.1 * box_len.powi(3)) as usize;
+            let n = (density * box_len.powi(3)) as usize;
             let mut c = cfg(p, mode);
             (c.n_particles, c.nc, c.density) = (n, nc, n as f64 / box_len.powi(3));
             c.steps = 12;
