@@ -14,6 +14,15 @@
 //! consistent view), so any state a multi-decision step reaches is also
 //! reached by applying the decisions one at a time — singleton-step BFS
 //! covers the full reachable set.
+//!
+//! The search is independent of *which* neighbour a PE picks: from every
+//! state it expands `decide(&om, nb)` for **every** neighbour `nb` of
+//! every PE, whatever the loads. The simulator's selection rule,
+//! [`DlbProtocol::choose`] (offer to the fastest neighbour that may take
+//! a cell), only ever returns one of those `decide` results, so every
+//! state reachable through `choose` — under any load pattern — lies
+//! inside the set searched here; a unit test below asserts exactly that
+//! on BFS-visited states.
 
 use std::collections::BTreeSet;
 
@@ -86,53 +95,63 @@ pub fn check_state(layout: &PillarLayout, om: &OwnershipMap) -> Result<(), Strin
 /// `(states visited, truncated?)`, or the first invariant violation.
 fn search_config(side: usize, m: usize, cap: usize) -> Result<(usize, bool), String> {
     let layout = PillarLayout::from_p_and_m(side * side, m);
-    let torus = layout.torus();
-    let p = layout.num_ranks();
     let initial = OwnershipMap::initial(layout);
     check_state(&layout, &initial)
         .map_err(|e| format!("side {side}, m {m}: initial state: {e}"))?;
-    let key = |om: &OwnershipMap| -> Vec<u16> {
-        layout
-            .grid()
-            .iter()
-            .map(|c| om.owner_of(c) as u16)
-            .collect()
-    };
     let mut visited: BTreeSet<Vec<u16>> = BTreeSet::new();
-    visited.insert(key(&initial));
+    visited.insert(state_key(&layout, &initial));
     let mut frontier = vec![initial];
     let mut truncated = false;
     'bfs: while let Some(om) = frontier.pop() {
-        for r in 0..p {
-            let proto = DlbProtocol::new(layout, r);
-            for nb in torus.distinct_neighbors8(r) {
-                let Some(d) = proto.decide(&om, nb) else {
-                    continue;
-                };
-                // Every decision the protocol produces on a reachable
-                // state must validate.
-                if let Err(e) = DlbProtocol::validate(&layout, &om, &d) {
-                    return Err(format!(
-                        "side {side}, m {m}: decide produced an illegal transfer: {e}"
-                    ));
-                }
-                let mut next = om.clone();
-                DlbProtocol::apply(&mut next, &d);
-                if !visited.insert(key(&next)) {
-                    continue;
-                }
-                check_state(&layout, &next).map_err(|e| {
-                    format!("side {side}, m {m}: reachable state violates invariant: {e}")
-                })?;
-                if visited.len() >= cap {
-                    truncated = true;
-                    break 'bfs;
-                }
-                frontier.push(next);
+        for d in transfers_from(&layout, &om) {
+            // Every decision the protocol produces on a reachable
+            // state must validate.
+            if let Err(e) = DlbProtocol::validate(&layout, &om, &d) {
+                return Err(format!(
+                    "side {side}, m {m}: decide produced an illegal transfer: {e}"
+                ));
             }
+            let mut next = om.clone();
+            DlbProtocol::apply(&mut next, &d);
+            if !visited.insert(state_key(&layout, &next)) {
+                continue;
+            }
+            check_state(&layout, &next).map_err(|e| {
+                format!("side {side}, m {m}: reachable state violates invariant: {e}")
+            })?;
+            if visited.len() >= cap {
+                truncated = true;
+                break 'bfs;
+            }
+            frontier.push(next);
         }
     }
     Ok((visited.len(), truncated))
+}
+
+/// A state's identity in the visited set: every column's owner, in grid
+/// order.
+fn state_key(layout: &PillarLayout, om: &OwnershipMap) -> Vec<u16> {
+    layout
+        .grid()
+        .iter()
+        .map(|c| om.owner_of(c) as u16)
+        .collect()
+}
+
+/// The successors the search generates from `om`: what each PE would
+/// send toward each of its neighbours, were that neighbour the receiver.
+fn transfers_from(layout: &PillarLayout, om: &OwnershipMap) -> Vec<DlbDecision> {
+    let torus = layout.torus();
+    (0..layout.num_ranks())
+        .flat_map(|r| {
+            let proto = DlbProtocol::new(*layout, r);
+            torus
+                .distinct_neighbors8(r)
+                .into_iter()
+                .filter_map(move |nb| proto.decide(om, nb))
+        })
+        .collect()
 }
 
 /// Sweep all `(side, m)` configurations within the bounds.
@@ -191,6 +210,54 @@ mod tests {
         .expect("invariant holds");
         // 9 movable columns, each at home or lent: much more than 1 state.
         assert!(r.states_visited > 100, "visited {}", r.states_visited);
+    }
+
+    #[test]
+    fn every_choice_is_a_successor_the_search_generates() {
+        // Walk the search's own state graph (3×3, m = 2, the first few
+        // hundred states) and, on every state expanded, let every PE choose under
+        // several load patterns — coarse ones, so ties and blocked
+        // fastest neighbours are common. Whatever `choose` returns must
+        // be one of the transfers the BFS expands from that state.
+        let layout = PillarLayout::from_p_and_m(9, 2);
+        let p = layout.num_ranks();
+        let mut visited = BTreeSet::new();
+        let mut frontier = vec![OwnershipMap::initial(layout)];
+        let mut lcg = 0x2545_f491_4f6c_dd1d_u64;
+        let mut chosen = 0;
+        for _ in 0..300 {
+            let Some(om) = frontier.pop() else { break };
+            let successors = transfers_from(&layout, &om);
+            for _ in 0..4 {
+                let loads: Vec<f64> = (0..p)
+                    .map(|_| {
+                        lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        (lcg >> 61) as f64
+                    })
+                    .collect();
+                for r in 0..p {
+                    let nbrs: Vec<(usize, f64)> = layout
+                        .torus()
+                        .distinct_neighbors8(r)
+                        .into_iter()
+                        .map(|q| (q, loads[q]))
+                        .collect();
+                    let proto = DlbProtocol::new(layout, r);
+                    if let Some(d) = proto.choose(loads[r], &nbrs, &om) {
+                        assert!(successors.contains(&d), "{d:?} not expanded from {om:?}");
+                        chosen += 1;
+                    }
+                }
+            }
+            for d in successors {
+                let mut next = om.clone();
+                DlbProtocol::apply(&mut next, &d);
+                if visited.insert(state_key(&layout, &next)) {
+                    frontier.push(next);
+                }
+            }
+        }
+        assert!(chosen > 1000, "only {chosen} choices were checked");
     }
 
     #[test]

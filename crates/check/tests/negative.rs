@@ -9,6 +9,7 @@ use pcdlb_check::verify::{
 };
 use pcdlb_core::permanent::is_permanent;
 use pcdlb_core::protocol::tags::{self, CommPhase, TagSpec};
+use pcdlb_core::protocol::ProtocolError;
 use pcdlb_domain::{Col, OwnershipMap, PillarLayout};
 
 #[test]
@@ -160,4 +161,49 @@ fn over_accumulation_is_caught() {
     // Either the structural tile-distance check or the explicit limit
     // fires first, depending on which column it scans first.
     assert!(err.contains("limit") || err.contains("tile delta"), "{err}");
+}
+
+#[test]
+fn mutated_choosers_are_caught() {
+    // `choose` walks past a fastest neighbour that may take nothing. Two
+    // ways to get that walk wrong, both seeded on the state it exists
+    // for — 3×3, m = 4, the fastest PE in a direction nothing moves in.
+    let layout = PillarLayout::from_p_and_m(9, 4);
+    let torus = layout.torus();
+    let me = torus.rank_wrapped(1, 1);
+    let mut om = OwnershipMap::initial(layout);
+
+    // Mutation: instead of skipping the anti-diagonal (Case 2) neighbour,
+    // the chooser offers it the column it would have sent north-west.
+    let ne = torus.rank_wrapped(0, 2);
+    let d = DlbDecision {
+        col: layout.tile_origin(me),
+        from: me,
+        to: ne,
+    };
+    let err = validate_decision(&layout, &om, &d).expect_err("Case 2 send must be rejected");
+    assert!(
+        matches!(err, ProtocolError::IllegalDirection { delta: (-1, 1), .. }),
+        "{err}"
+    );
+    let mut bad = om.clone();
+    bad.set_owner(d.col, ne);
+    check_state(&layout, &bad).expect_err("a column parked on the anti-diagonal breaks the state");
+
+    // Mutation: with the south neighbour's column on loan here, the
+    // chooser treats it as one of its own and forwards it north-west.
+    let south = torus.rank_wrapped(2, 1);
+    let borrowed = layout.tile_origin(south);
+    om.transfer(borrowed, south, me);
+    check_state(&layout, &om).expect("one legal loan keeps every invariant");
+    let d = DlbDecision {
+        col: borrowed,
+        from: me,
+        to: torus.rank_wrapped(0, 0),
+    };
+    let err = validate_decision(&layout, &om, &d).expect_err("forwarding must be rejected");
+    assert!(
+        matches!(err, ProtocolError::ForeignForward { home, .. } if home == south),
+        "{err}"
+    );
 }

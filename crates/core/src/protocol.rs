@@ -1,11 +1,12 @@
 //! The cell-redistribution protocol (paper Sec. 2.3).
 //!
 //! Every time step each PE: (1) exchanges its last-step execution time
-//! with its 8 neighbours, (2) identifies the fastest PE among itself and
-//! the 8, (3) decides which cell — if any — to send to that PE, and (4)
-//! broadcasts the decision to its neighbours so everyone's ownership view
-//! stays consistent. The decision rule, with `PE(i, j)` deciding and
-//! `PE_fast` the fastest (paper's exact cases):
+//! with its 8 neighbours, (2) offers a cell to the fastest neighbour that
+//! may take one, (3) the cell being picked by the paper's Case 1–3 rules
+//! below, and (4) broadcasts the decision to its neighbours so everyone's
+//! ownership view stays consistent. The decision rule, with `PE(i, j)`
+//! deciding and `PE_fast` the receiver under consideration (paper's
+//! exact cases):
 //!
 //! - **Case 1** — `PE_fast ∈ {NW, N, W}` = `(i−1,j−1), (i−1,j), (i,j−1)`:
 //!   send one of its *own movable* cells it still owns, else nothing.
@@ -20,10 +21,32 @@
 //! permanent-cell wall, preserves the 8-neighbour communication pattern
 //! (property-tested below against arbitrary protocol executions).
 //!
+//! **Step 2 deviates from the paper's wording.** The paper finds the one
+//! fastest PE among self and the 8 and only then asks whether a cell may
+//! move that way; when it may not (Case 2, or Case 1 / 3 with nothing
+//! left to send) the PE sends nothing, however overloaded it is and
+//! however idle its other neighbours are. On an exact work model the
+//! fastest PE is the same one for hundreds of steps, so a hot PE whose
+//! fastest neighbour lies south-east stops shedding load for good.
+//! [`DlbProtocol::choose`] instead walks the neighbours in ascending
+//! `(load, rank)` and returns the first [`DlbProtocol::decide`] that
+//! moves a cell. This is a strict superset of the paper's rule: its
+//! first candidate *is* the paper's fastest PE ([`DlbProtocol::fastest_pe`]
+//! is that first candidate), so whenever the paper's rule transfers, the
+//! identical transfer comes out; the two differ only where the paper
+//! sends nothing although a slower-than-fastest, faster-than-me
+//! neighbour may legally take a cell. Cases 1–3, their directions and the
+//! permanent wall are untouched — `choose` emits nothing `decide` would
+//! not.
+//!
 //! Determinism notes (the paper ran on wall clocks, we also run on an
-//! exact work model where ties are real): the "fastest" choice prefers
-//! the deciding PE itself on ties and then the lowest rank, so a
-//! perfectly balanced system performs no transfers.
+//! exact work model where ties are real): a neighbour is a candidate
+//! only if it is strictly faster than the deciding PE — by more than
+//! `min_relative_gain` of the PE's own load when that hysteresis is set
+//! — and equal loads are ordered by rank, so a perfectly balanced system
+//! performs no transfers. Both tests are applied per candidate exactly as
+//! the paper's rule applied them to the fastest PE; the walk stops at the
+//! first candidate that fails, every later one being slower still.
 
 use std::fmt;
 
@@ -408,31 +431,60 @@ impl DlbProtocol {
         &self.layout
     }
 
-    /// Find the fastest PE among this PE and its neighbours (paper step
-    /// 2). `neighbor_loads` carries `(rank, last-step load)` for the
-    /// distinct 8-neighbours. Self wins ties; among neighbours the lowest
-    /// rank wins ties — fully deterministic.
-    pub fn fastest_pe(&self, own_load: f64, neighbor_loads: &[(usize, f64)]) -> usize {
-        let mut best_rank = self.rank;
-        let mut best_load = own_load;
-        for &(r, l) in neighbor_loads {
+    /// The neighbours a cell may be offered to, fastest first: ascending
+    /// `(load, rank)`, cut off at the first one that is not strictly
+    /// faster than this PE by more than `min_relative_gain` of its own
+    /// load — every later neighbour is slower still. Allocation-free:
+    /// the (at most 8) neighbours are sorted in a stack array.
+    fn faster_neighbors(
+        &self,
+        own_load: f64,
+        neighbor_loads: &[(usize, f64)],
+    ) -> impl Iterator<Item = usize> {
+        let n = neighbor_loads.len();
+        assert!(n <= 8, "a PE has at most 8 distinct neighbours, got {n}");
+        let mut sorted = [(0.0, 0); 8];
+        for (slot, &(r, l)) in sorted.iter_mut().zip(neighbor_loads) {
             debug_assert_ne!(r, self.rank, "neighbour list must not contain self");
-            if l < best_load || (l == best_load && best_rank != self.rank && r < best_rank) {
-                best_rank = r;
-                best_load = l;
-            }
+            *slot = (l, r);
         }
-        if best_rank == self.rank {
-            return self.rank;
-        }
-        // Hysteresis: with a non-zero threshold, require the fastest PE's
-        // relative advantage to exceed it; otherwise keep the load here.
-        if self.min_relative_gain > 0.0
-            && (own_load <= 0.0 || (own_load - best_load) / own_load <= self.min_relative_gain)
-        {
-            return self.rank;
-        }
-        best_rank
+        sorted[..n].sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let gate = self.min_relative_gain;
+        // Self wins ties; with a non-zero threshold the relative
+        // advantage must exceed it, otherwise the load stays here.
+        sorted
+            .into_iter()
+            .take(n)
+            .take_while(move |&(load, _)| {
+                load < own_load && (gate == 0.0 || (own_load - load) / own_load > gate)
+            })
+            .map(|(_, rank)| rank)
+    }
+
+    /// Find the fastest PE among this PE and its neighbours (the paper's
+    /// step 2). `neighbor_loads` carries `(rank, last-step load)` for the
+    /// distinct 8-neighbours. Self wins ties; among neighbours the lowest
+    /// rank wins ties — fully deterministic. This is the first candidate
+    /// [`Self::choose`] considers.
+    pub fn fastest_pe(&self, own_load: f64, neighbor_loads: &[(usize, f64)]) -> usize {
+        self.faster_neighbors(own_load, neighbor_loads)
+            .next()
+            .unwrap_or(self.rank)
+    }
+
+    /// Steps 2–3 as this crate runs them: offer a cell to the fastest
+    /// neighbour that may take one. Walks the neighbours that are faster
+    /// than this PE (by more than `min_relative_gain`) from the fastest
+    /// up and returns the first [`Self::decide`] that moves a cell;
+    /// `None` when no faster neighbour may legally receive anything.
+    pub fn choose(
+        &self,
+        own_load: f64,
+        neighbor_loads: &[(usize, f64)],
+        ownership: &OwnershipMap,
+    ) -> Option<DlbDecision> {
+        self.faster_neighbors(own_load, neighbor_loads)
+            .find_map(|to| self.decide(ownership, to))
     }
 
     /// Decide what to send to `fastest` (paper step 3, Cases 1–3), given
@@ -462,23 +514,9 @@ impl DlbProtocol {
     /// `(cx, cy)`), so domains stay compact as in the paper's Fig. 4.
     fn pick_own_movable(&self, ownership: &OwnershipMap, to: usize) -> Option<DlbDecision> {
         let l = &self.layout;
-        let target_origin = l.tile_origin(to);
-        let m = l.m();
-        let grid = l.grid();
         l.tile_columns(self.rank)
             .filter(|&c| is_movable(l, c) && ownership.owner_of(c) == self.rank)
-            .min_by_key(|&c| {
-                // Distance from the column to the nearest column of the
-                // receiving tile (periodic Chebyshev).
-                let d = (0..m)
-                    .flat_map(|dx| (0..m).map(move |dy| (dx, dy)))
-                    .map(|(dx, dy)| {
-                        grid.chebyshev(c, Col::new(target_origin.cx + dx, target_origin.cy + dy))
-                    })
-                    .min()
-                    .expect("tile has columns");
-                (d, c.cx, c.cy)
-            })
+            .min_by_key(|&c| (l.distance_to_tile(c, to), c.cx, c.cy))
             .map(|col| DlbDecision {
                 col,
                 from: self.rank,
@@ -490,11 +528,9 @@ impl DlbProtocol {
     /// (lowest `(cx, cy)` for determinism; the paper says only "returns
     /// one of these cells").
     fn pick_return(&self, ownership: &OwnershipMap, to: usize) -> Option<DlbDecision> {
-        let l = &self.layout;
-        ownership
-            .owned_columns(self.rank)
-            .into_iter()
-            .find(|&c| l.home_rank(c) == to)
+        self.layout
+            .tile_columns(to)
+            .find(|&c| ownership.owner_of(c) == self.rank)
             .map(|col| DlbDecision {
                 col,
                 from: self.rank,
@@ -618,6 +654,114 @@ mod tests {
         assert_eq!(p.fastest_pe(1.0, &nbrs), 4, "5% gain under 10% threshold");
         let nbrs = vec![(0usize, 0.85)];
         assert_eq!(p.fastest_pe(1.0, &nbrs), 0, "15% gain over threshold");
+    }
+
+    /// `(rank, load)` for the distinct 8-neighbours of `me`, every load
+    /// `base` except the listed overrides.
+    fn loads_around(
+        l: &PillarLayout,
+        me: usize,
+        base: f64,
+        set: &[(usize, f64)],
+    ) -> Vec<(usize, f64)> {
+        l.torus()
+            .distinct_neighbors8(me)
+            .into_iter()
+            .map(|r| {
+                let load = set.iter().find(|&&(q, _)| q == r).map_or(base, |&(_, x)| x);
+                (r, load)
+            })
+            .collect()
+    }
+
+    /// Test oracle: step 2 as the paper words it — the fastest PE among
+    /// self and the 8 is found first, and only then is it asked whether a
+    /// cell may move that way. Written out independently of
+    /// `faster_neighbors` so the two can be compared.
+    fn paper_rule(
+        p: &DlbProtocol,
+        own_load: f64,
+        nbrs: &[(usize, f64)],
+        om: &OwnershipMap,
+    ) -> Option<DlbDecision> {
+        let (mut best_rank, mut best_load) = (p.rank, own_load);
+        for &(r, l) in nbrs {
+            if l < best_load || (l == best_load && best_rank != p.rank && r < best_rank) {
+                (best_rank, best_load) = (r, l);
+            }
+        }
+        let held_back = p.min_relative_gain > 0.0
+            && (own_load <= 0.0 || (own_load - best_load) / own_load <= p.min_relative_gain);
+        if best_rank == p.rank || held_back {
+            return None;
+        }
+        assert_eq!(p.fastest_pe(own_load, nbrs), best_rank);
+        p.decide(om, best_rank)
+    }
+
+    #[test]
+    fn choose_offers_to_the_second_fastest_when_the_fastest_may_take_nothing() {
+        // The state cluster_dlb_p9 sticks in: 3×3, m = 4, nothing lent
+        // yet, and the fastest PE lies in a direction that can receive
+        // nothing — SE (Case 3, nothing to return) or NE (Case 2).
+        let (l, om) = setup(9, 4);
+        let me = at(&l, 1, 1);
+        let nw = at(&l, 0, 0);
+        let p = DlbProtocol::new(l, me);
+        for blocked in [at(&l, 2, 2), at(&l, 0, 2)] {
+            let nbrs = loads_around(&l, me, 8.0, &[(blocked, 1.0), (nw, 3.0)]);
+            assert_eq!(p.fastest_pe(10.0, &nbrs), blocked);
+            assert_eq!(paper_rule(&p, 10.0, &nbrs, &om), None);
+            let d = p.choose(10.0, &nbrs, &om).expect("NW may take a cell");
+            assert_eq!(
+                d,
+                DlbDecision {
+                    col: l.tile_origin(me),
+                    from: me,
+                    to: nw
+                }
+            );
+            DlbProtocol::validate(&l, &om, &d).unwrap();
+        }
+    }
+
+    #[test]
+    fn choose_sends_nothing_without_a_sufficiently_faster_receiver() {
+        let (l, om) = setup(9, 4);
+        let me = at(&l, 1, 1);
+        let (nw, se) = (at(&l, 0, 0), at(&l, 2, 2));
+        // Balanced: no transfer, with or without hysteresis.
+        let flat = loads_around(&l, me, 1.0, &[]);
+        assert_eq!(DlbProtocol::new(l, me).choose(1.0, &flat, &om), None);
+        let p = DlbProtocol::new(l, me).with_min_relative_gain(0.10);
+        assert_eq!(p.choose(1.0, &flat, &om), None);
+        // Every faster neighbour inside the threshold: nothing moves.
+        let near = loads_around(&l, me, 1.2, &[(se, 0.92), (nw, 0.95)]);
+        assert_eq!(p.choose(1.0, &near, &om), None);
+        // The walk stops at the first neighbour that fails the gate: SE
+        // clears it but may take nothing, NW is the next candidate and
+        // does not clear it.
+        let mixed = loads_around(&l, me, 1.2, &[(se, 0.5), (nw, 0.95)]);
+        assert_eq!(p.choose(1.0, &mixed, &om), None);
+        // … and NW is taken as soon as it clears the gate too.
+        let clear = loads_around(&l, me, 1.2, &[(se, 0.5), (nw, 0.85)]);
+        assert_eq!(p.choose(1.0, &clear, &om).map(|d| d.to), Some(nw));
+    }
+
+    #[test]
+    fn choose_prefers_the_fastest_receiver_whenever_it_may_take_a_cell() {
+        let (l, mut om) = setup(9, 4);
+        let me = at(&l, 1, 1);
+        let (n, se) = (at(&l, 0, 1), at(&l, 2, 2));
+        let p = DlbProtocol::new(l, me);
+        // SE lends `me` a column, so SE — still the fastest — has one to
+        // take back: Case 3 wins over the slower Case 1 receiver.
+        let lend = DlbProtocol::new(l, se).decide(&om, me).expect("movable");
+        DlbProtocol::apply(&mut om, &lend);
+        let nbrs = loads_around(&l, me, 8.0, &[(se, 1.0), (n, 2.0)]);
+        let d = p.choose(10.0, &nbrs, &om).expect("returns SE's column");
+        assert_eq!((d.col, d.to), (lend.col, se));
+        assert_eq!(paper_rule(&p, 10.0, &nbrs, &om), Some(d));
     }
 
     #[test]
@@ -805,10 +949,20 @@ mod tests {
     }
 
     /// The central safety theorem, property-tested: under ANY sequence of
-    /// protocol-legal decisions driven by arbitrary load patterns, the
+    /// decisions `choose` makes from arbitrary load patterns, the
     /// ownership map keeps all structural invariants — tile distance,
-    /// 8-neighbour preservation and ghost containment.
-    fn arbitrary_protocol_run(p_side: usize, m: usize, loads_seed: u64, steps: usize) {
+    /// 8-neighbour preservation and ghost containment — and wherever the
+    /// paper's literal rule transfers, `choose` makes the same transfer.
+    /// Loads are drawn from `levels` equally spaced values, so a small
+    /// `levels` makes ties (and sub-threshold gains) common.
+    fn arbitrary_protocol_run(
+        p_side: usize,
+        m: usize,
+        loads_seed: u64,
+        steps: usize,
+        levels: u32,
+        gain: f64,
+    ) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let l = PillarLayout::from_p_and_m(p_side * p_side, m);
@@ -816,20 +970,27 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(loads_seed);
         let nranks = l.num_ranks();
         for _ in 0..steps {
-            let loads: Vec<f64> = (0..nranks).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let loads: Vec<f64> = (0..nranks)
+                .map(|_| f64::from(rng.gen_range(0..levels)) / f64::from(levels))
+                .collect();
             // Every PE decides from the same global view (the simulator
             // keeps views consistent through neighbour broadcasts).
             let decisions: Vec<DlbDecision> = (0..nranks)
                 .filter_map(|r| {
-                    let proto = DlbProtocol::new(l, r);
+                    let proto = DlbProtocol::new(l, r).with_min_relative_gain(gain);
                     let nbrs: Vec<(usize, f64)> = l
                         .torus()
                         .distinct_neighbors8(r)
                         .into_iter()
                         .map(|q| (q, loads[q]))
                         .collect();
-                    let fast = proto.fastest_pe(loads[r], &nbrs);
-                    proto.decide(&om, fast)
+                    let chosen = proto.choose(loads[r], &nbrs, &om);
+                    // Superset of the paper's rule: wherever that
+                    // transfers, this makes the identical transfer.
+                    if let Some(d) = paper_rule(&proto, loads[r], &nbrs, &om) {
+                        assert_eq!(chosen, Some(d), "rank {r}");
+                    }
+                    chosen
                 })
                 .collect();
             for d in &decisions {
@@ -854,8 +1015,11 @@ mod tests {
             p_side in 3usize..6,
             m in 1usize..5,
             seed in any::<u64>(),
+            levels_log2 in 1u32..21,
+            gain_tenths in 0u32..4,
         ) {
-            arbitrary_protocol_run(p_side, m, seed, 30);
+            let gain = f64::from(gain_tenths) / 10.0;
+            arbitrary_protocol_run(p_side, m, seed, 30, 1 << levels_log2, gain);
         }
     }
 
@@ -863,6 +1027,6 @@ mod tests {
     fn long_execution_on_paper_configuration() {
         // P = 36, m = 4 (the paper's Fig. 5(a) layout), 200 steps of
         // random load churn.
-        arbitrary_protocol_run(6, 4, 20260705, 200);
+        arbitrary_protocol_run(6, 4, 20260705, 200, 1 << 20, 0.0);
     }
 }

@@ -93,6 +93,24 @@ impl PillarLayout {
         (0..m).flat_map(move |dx| (0..m).map(move |dy| Col::new(o.cx + dx, o.cy + dy)))
     }
 
+    /// Periodic Chebyshev distance from `c` to the nearest column of
+    /// `rank`'s home tile, in closed form: a tile is a product of two
+    /// intervals, so the distance is the larger of the two per-axis gaps.
+    pub fn distance_to_tile(&self, c: Col, rank: usize) -> usize {
+        let o = self.tile_origin(rank);
+        let (nc, m) = (self.grid.nc(), self.m);
+        // Steps from `p` up to the interval's first column or down to its
+        // last, whichever is nearer; 0 inside the interval.
+        let gap = |p: usize, lo: usize| {
+            if (lo..lo + m).contains(&p) {
+                0
+            } else {
+                ((lo + nc - p) % nc).min((p + nc - (lo + m - 1)) % nc)
+            }
+        };
+        gap(c.cx, o.cx).max(gap(c.cy, o.cy))
+    }
+
     /// Tile-to-tile displacement from `from`'s tile to `to`'s tile on the
     /// torus, each component folded into `-side/2 ..= side/2` (the
     /// shortest wrap). `(0, 0)` means the same PE; `(±1, ±1)` etc. are the
@@ -174,6 +192,29 @@ mod tests {
         assert_eq!(l.tile_delta(r00, r00), (0, 0));
         let r30 = t.rank_wrapped(3, 0);
         assert_eq!(l.tile_delta(r00, r30), (3, 0)); // 3 = side/2 stays +3
+    }
+
+    #[test]
+    fn distance_to_tile_equals_the_scan_over_the_tile() {
+        for side in 3..=5 {
+            for m in 1..=4 {
+                let l = PillarLayout::new(side * m, Torus2d::new(side, side));
+                for c in l.grid().iter() {
+                    for r in 0..l.num_ranks() {
+                        let scanned = l
+                            .tile_columns(r)
+                            .map(|t| l.grid().chebyshev(c, t))
+                            .min()
+                            .expect("tile has columns");
+                        assert_eq!(
+                            l.distance_to_tile(c, r),
+                            scanned,
+                            "side {side}, m {m}, column {c:?}, tile {r}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

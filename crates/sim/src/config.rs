@@ -155,8 +155,8 @@ pub struct RunConfig {
     pub dlb: bool,
     /// Run DLB every this many steps (paper: 1).
     pub dlb_interval: u64,
-    /// DLB hysteresis: minimum relative load advantage of the fastest PE
-    /// for a transfer to fire (paper: 0 — wall-clock noise provides its
+    /// DLB hysteresis: minimum relative load advantage a neighbour needs
+    /// over this PE to be offered a cell (paper: 0 — wall-clock noise provides its
     /// own dead band; with the exact work model a small threshold avoids
     /// transfer churn on noise-level imbalance).
     pub dlb_min_gain: f64,

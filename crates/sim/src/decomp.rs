@@ -191,12 +191,11 @@ impl Decomposition for Pillar {
         true
     }
 
-    /// Paper Sec. 2.3, steps 2–3: find the fastest PE of the
-    /// neighbourhood and apply the Case 1–3 rules.
+    /// Paper Sec. 2.3, steps 2–3: offer a cell, by the Case 1–3 rules,
+    /// to the fastest neighbour that may take one.
     fn decide(&self, _step: u64, own_load: f64, nbr_loads: &[(usize, f64)]) -> Option<DlbDecision> {
         let protocol = self.protocol.as_ref()?;
-        let fastest = protocol.fastest_pe(own_load, nbr_loads);
-        let decision = protocol.decide(&self.ownership, fastest);
+        let decision = protocol.choose(own_load, nbr_loads, &self.ownership);
         if let Some(d) = &decision {
             debug_assert!(DlbProtocol::validate(&self.layout, &self.ownership, d).is_ok());
         }

@@ -72,6 +72,7 @@ pub(crate) fn assemble(mut results: Vec<PeResult>) -> (RunReport, Option<Vec<Par
     let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
     let retransmits: u64 = results.iter().map(|r| r.comm_stats.retransmits).sum();
     let suspicions: u64 = results.iter().map(|r| r.comm_stats.suspicions).sum();
+    let cells_per_rank: Vec<usize> = results.iter().map(|r| r.cells).collect();
     let rank0 = results.swap_remove(0);
     let mut report = rank0.report.expect("rank 0 produces the report");
     report.comm_virtual_s = comm_virtual;
@@ -80,6 +81,7 @@ pub(crate) fn assemble(mut results: Vec<PeResult>) -> (RunReport, Option<Vec<Par
     report.ghost_desyncs = desyncs;
     report.retransmits = retransmits;
     report.suspicions = suspicions;
+    report.cells_per_rank = cells_per_rank;
     (report, rank0.snapshot)
 }
 

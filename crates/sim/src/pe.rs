@@ -19,9 +19,10 @@
 //!    frames — one exchange per step, see
 //!    [`PeState::exchanges_once`] and [`PeState::ghosts_send`];
 //! 3. **DLB** (optional) — from the round-1 loads, apply the shape's
-//!    balancer rule locally (pillar: fastest PE + the Case 1–3 rules;
-//!    plane: the moving boundary), broadcast the decision, and transfer
-//!    the moved columns' particles;
+//!    balancer rule locally (pillar: the Case 1–3 rules toward the
+//!    fastest neighbour that may take a cell; plane: the moving
+//!    boundary), broadcast the decision, and transfer the moved
+//!    columns' particles;
 //! 4. **ghost exchange (round 2)** — the boundary-shell ghosts of every
 //!    owned cell adjacent to a neighbour-owned cell are sent to that
 //!    neighbour as `(id, pos)` pairs, delta-encoded against the previous
@@ -469,6 +470,8 @@ pub struct PeResult {
     /// neighbour's ghosts for a step + full-frame resync). Always 0 on a
     /// healthy protocol.
     pub ghost_desyncs: u64,
+    /// Cells this rank owned after the last step.
+    pub cells: usize,
 }
 
 /// Generate the full initial particle set for a config — deterministic,
@@ -536,8 +539,9 @@ pub struct PeState {
     /// restore, before the first live step). Feeds the speed schedule so
     /// drifting speeds replay bitwise across restarts and takeovers.
     cur_step: u64,
-    /// True when ownership (or the owned-column set) changed since the
-    /// ownership-derived caches below were rebuilt.
+    /// True when the owned-column set, or the ownership of a column
+    /// bordering it, changed since the ownership-derived caches below
+    /// were rebuilt.
     routes_dirty: bool,
     /// Per-neighbour ghost routing (parallel to `neighbors`): the runs of
     /// owned cells each neighbour needs as ghosts, as (column, z range),
@@ -820,6 +824,11 @@ impl PeState {
     /// rank of a world reaches the same answer.
     pub fn exchanges_once(&self) -> bool {
         self.single_exchange
+    }
+
+    /// Number of cells this PE currently owns (its columns × its z extent).
+    pub fn owned_cells(&self) -> usize {
+        self.columns.len() * self.own_z.len()
     }
 
     /// Number of particles this PE currently owns.
@@ -1291,12 +1300,26 @@ impl PeState {
             self.decomp.apply(d);
         }
         // Ownership moved: the routing/class caches must be rebuilt
-        // before the next ghost exchange or force pass.
-        if !decisions.is_empty() {
+        // before the next ghost exchange or force pass — but only here
+        // if they can differ. They are a function of the owned column set
+        // and of who owns the columns around it, so a transfer between
+        // two other PEs of a column that touches none of ours leaves
+        // them as they are (on a 3×3 torus every PE hears every decision).
+        if decisions.iter().any(|d| self.redraws_caches(d)) {
             self.routes_dirty = true;
         }
         self.phase.dlb += t0.elapsed_s();
         decisions
+    }
+
+    /// Whether decision `d` can change what [`PeState::refresh_caches`]
+    /// derives: this PE gives or takes the column, or the column touches
+    /// one this PE owns (judged before the cells move — a column gained
+    /// in the same step comes with a decision that names this PE).
+    fn redraws_caches(&self, d: &DlbDecision) -> bool {
+        d.from == self.rank
+            || d.to == self.rank
+            || cells_around(self.nc, d.col, 0..self.nc).any(|(c, _)| self.columns.contains_key(&c))
     }
 
     /// Phase 3, data-movement send half: ship the particles of the
@@ -2122,7 +2145,7 @@ impl PeState {
             .map(|p| 0.5 * p.vel.norm2())
             .sum();
         let packet = StatsPacket {
-            cells: (self.columns.len() * self.own_z.len()) as u64,
+            cells: self.owned_cells() as u64,
             empty_cells: empty as u64,
             particles: self.num_particles() as u64,
             force_virtual: self.last_force_virtual,
@@ -2544,6 +2567,56 @@ mod tests {
         assert_eq!(fresh(0, &cfg, DomainShape::Cube).neighbors.len(), 7);
         cfg.p = 27;
         assert_eq!(fresh(13, &cfg, DomainShape::Cube).neighbors.len(), 26);
+    }
+
+    #[test]
+    fn decisions_that_touch_no_owned_column_leave_the_caches_as_they_are() {
+        // 4×4 torus, m = 3: every first-step decision any PE can make,
+        // heard by every PE it does not name. Wherever `redraws_caches`
+        // says no, a forced rebuild on the updated ownership view must
+        // reproduce the caches exactly.
+        use pcdlb_core::protocol::DlbProtocol;
+        use pcdlb_domain::{OwnershipMap, PillarLayout};
+        let mut cfg = RunConfig::from_p_m_density(16, 3, 0.2);
+        cfg.dlb = true;
+        let layout = PillarLayout::new(cfg.nc, cfg.torus());
+        let fresh_map = OwnershipMap::initial(layout);
+        let decisions: Vec<DlbDecision> = (0..cfg.p)
+            .flat_map(|from| {
+                let proto = DlbProtocol::new(layout, from);
+                let fresh_map = &fresh_map;
+                (cfg.torus().distinct_neighbors8(from).into_iter())
+                    .filter_map(move |to| proto.decide(fresh_map, to))
+            })
+            .collect();
+        let caches = |pe: &PeState| {
+            let homes: Vec<_> = (pe.homes.iter())
+                .map(|h| (h.col, h.owned, h.ghost, h.ring))
+                .collect();
+            (homes, pe.cell_class.clone(), pe.ghost_routes.clone())
+        };
+        let (mut skipped, mut redrawn) = (0, 0);
+        for rank in 0..cfg.p {
+            for d in decisions.iter().filter(|d| d.from != rank && d.to != rank) {
+                let mut pe = fresh(rank, &cfg, DomainShape::SquarePillar);
+                pe.refresh_caches();
+                let before = caches(&pe);
+                let redraws = pe.redraws_caches(d);
+                pe.decomp.apply(d);
+                pe.routes_dirty = true;
+                pe.refresh_caches();
+                if redraws {
+                    redrawn += usize::from(caches(&pe) != before);
+                } else {
+                    assert!(caches(&pe) == before, "rank {rank} missed {d:?}");
+                    skipped += 1;
+                }
+            }
+        }
+        assert!(
+            skipped > 0 && redrawn > 0,
+            "{skipped} skipped, {redrawn} redrawn"
+        );
     }
 
     #[test]

@@ -689,6 +689,42 @@ mod tests {
 
     #[cfg(feature = "check")]
     #[test]
+    fn a_working_balancer_survives_a_death_bitwise() {
+        use pcdlb_mp::FaultPlan;
+        // 3×3, m = 4, the cluster on rank 0's tile: the balancer sheds a
+        // column nearly every step, most of them past a fastest neighbour
+        // that may take nothing. Which neighbour is offered the cell is a
+        // pure function of the loads and the ownership view, so a run
+        // restored from a checkpoint — or carried on by a buddy — makes
+        // the same transfers as the uninterrupted one.
+        let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
+        cfg.lattice = Lattice::Cluster { fill: 0.45 };
+        cfg.dlb = true;
+        cfg.steps = 16;
+        cfg.checkpoint_interval = 5;
+        let reference = run_with_recovery(&cfg, &quick_opts()).expect("fault-free");
+        let transfers: u32 = reference.report.records.iter().map(|r| r.transfers).sum();
+        assert!(
+            transfers > 16,
+            "the balancer is busy: {transfers} transfers"
+        );
+        // Rank 4 is the south-east neighbour the hot rank cannot send to.
+        let kill = |attempt, rank| (attempt == 0 && rank == 4).then(|| FaultPlan::kill_at(200));
+        let relaunched = run_with_recovery_faulted(&cfg, &quick_opts(), kill).expect("recovers");
+        assert_eq!(relaunched.attempts, 2, "the run was restored, not replayed");
+        assert_eq!(
+            relaunched.digest, reference.digest,
+            "relaunch from a checkpoint"
+        );
+        assert_eq!(relaunched.snapshot, reference.snapshot);
+        let absorbed = run_with_takeover_faulted(&cfg, &quick_opts(), kill).expect("absorbed");
+        assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));
+        assert_eq!(absorbed.digest, reference.digest, "buddy takeover");
+        assert_eq!(absorbed.snapshot, reference.snapshot);
+    }
+
+    #[cfg(feature = "check")]
+    #[test]
     fn recovery_gives_up_after_max_attempts_with_all_diagnostics() {
         use pcdlb_mp::FaultPlan;
         let cfg = recovery_cfg();

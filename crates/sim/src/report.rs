@@ -35,7 +35,8 @@ pub struct StepRecord {
     pub c0_over_c: f64,
     /// Concentration factor estimate `n` (paper Sec. 4.2 estimator).
     pub n_factor: f64,
-    /// Cells owned by the most-loaded PE (tracks the DLB limit).
+    /// Cells owned by the PE with the largest domain (tracks the DLB
+    /// limit).
     pub max_cells: usize,
     /// Ownership transfers performed by DLB this step.
     pub transfers: u32,
@@ -163,6 +164,12 @@ pub struct RunReport {
     pub suspicions: u64,
     /// Wall-clock duration of the whole run, seconds.
     pub wall_s: f64,
+    /// Cells each PE owned after the last step, in rank order — where the
+    /// balancer left the domains. One entry per rank of the world that
+    /// finished the run: after a resize that is the last generation's
+    /// ranks only, and after a takeover an adopted rank is still listed
+    /// under its own number. Not part of any digest.
+    pub cells_per_rank: Vec<usize>,
 }
 
 impl RunReport {

@@ -346,13 +346,10 @@ pub(crate) fn run_roles(
             let comm_stats = comm.stats();
             let report = (v == 0).then(|| RunReport {
                 records: records.take().expect("role 0 appears once"),
-                comm_virtual_s: 0.0, // aggregated by the driver from all ranks
-                msgs_sent: 0,
-                bytes_sent: 0,
-                ghost_desyncs: 0,
-                retransmits: 0,
-                suspicions: 0,
                 wall_s: run_start.elapsed_s(),
+                // Totals and the per-rank view are filled in by the
+                // driver from all ranks' results.
+                ..RunReport::default()
             });
             let snapshot = if v == 0 { snapshot0.take() } else { None };
             (
@@ -364,6 +361,7 @@ pub(crate) fn run_roles(
                     phase_times: pe.phase_times(),
                     wire_bytes: pe.wire_bytes(),
                     ghost_desyncs: pe.ghost_desyncs(),
+                    cells: pe.owned_cells(),
                 },
             )
         })

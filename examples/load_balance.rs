@@ -5,9 +5,10 @@
 //! Starts from a deliberately unbalanced state — all particles clustered
 //! in one corner of the box (`Lattice::Cluster`) — and runs the same
 //! workload twice: plain DDM, then DLB-DDM. Prints each PE's owned-cell
-//! count and the force-time spread, showing ownership flow toward the
+//! count and the force-time spread, showing ownership flow away from the
 //! loaded corner while the 8-neighbour pattern stays intact (the run
-//! would panic otherwise — ghost exchange asserts it).
+//! would panic otherwise — ghost exchange asserts it). Exits non-zero if
+//! DLB-DDM's late-phase `Fmax/Fave` is not below DDM's (CI runs it).
 
 use pcdlb::core::theory;
 use pcdlb::sim::{run, Lattice, RunConfig};
@@ -28,6 +29,7 @@ fn main() {
         theory::dlb_limit_ratio(cfg.m())
     );
 
+    let mut imbalance = [0.0; 2];
     for dlb in [false, true] {
         let mut c = cfg.clone();
         c.dlb = dlb;
@@ -39,11 +41,13 @@ fn main() {
         let fmin = late.iter().map(|r| r.f_min).sum::<f64>() / late.len() as f64;
         let transfers: u32 = report.records.iter().map(|r| r.transfers).sum();
         let max_cells = late.last().expect("records").max_cells;
+        imbalance[usize::from(dlb)] = fmax / fave;
         println!("{label:8}: Fmax {fmax:.6}s  Fave {fave:.6}s  Fmin {fmin:.6}s");
         println!(
-            "          imbalance (Fmax/Fave) {:.2}, busiest PE holds {max_cells} cells, {transfers} transfers",
+            "          imbalance (Fmax/Fave) {:.2}, largest domain holds {max_cells} cells, {transfers} transfers",
             fmax / fave
         );
+        println!("          cells per PE: {:?}", report.cells_per_rank);
         if dlb {
             println!(
                 "          largest domain grew to {:.2}× its initial size (limit {:.2}×)",
@@ -52,5 +56,20 @@ fn main() {
             );
         }
         println!();
+    }
+
+    // The cluster sits on PE 0's tile. Each step PE 0 offers a column to
+    // the fastest neighbour that may take one, so it ends on its
+    // 2m − 1 = 5 permanent columns (45 of its 81 cells) and the imbalance
+    // falls from ~4.4 to ~2.5 — about 5/9 of DDM's, the share of the hot
+    // tile that may never move.
+    let [ddm, dlb] = imbalance;
+    println!(
+        "Expected: PE 0 shed down to its {} permanent cells; DLB-DDM imbalance ~2.5 against DDM ~4.4.",
+        (2 * cfg.m() - 1) * cfg.nc
+    );
+    if dlb >= ddm {
+        eprintln!("FAILED: DLB-DDM imbalance {dlb:.2} is not below DDM's {ddm:.2}");
+        std::process::exit(1);
     }
 }

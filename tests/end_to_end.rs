@@ -39,6 +39,45 @@ fn dlb_limit_is_never_exceeded() {
 }
 
 #[test]
+fn balancer_sheds_a_hot_tile_down_to_its_permanent_cells() {
+    // All particles start in the corner that covers rank 0's tile, so
+    // rank 0 is the most loaded PE from the first step. Its south-east
+    // neighbour soon becomes the least loaded PE of the whole 3×3 torus —
+    // a direction nothing may move in — while NW / N / W can still take
+    // its movable columns: the balancer must keep offering to them until
+    // only the 2m − 1 permanent columns are left, one column per step.
+    let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
+    cfg.lattice = Lattice::Cluster { fill: 0.45 };
+    cfg.dlb = true;
+    cfg.steps = 12;
+    let floor = (2 * cfg.m() - 1) * cfg.nc;
+    let early = run(&cfg);
+    assert_eq!(
+        early.cells_per_rank.iter().sum::<usize>(),
+        cfg.total_cells()
+    );
+    assert_eq!(
+        early.cells_per_rank[0], floor,
+        "rank 0 should be down to its permanent columns by step 12: {:?}",
+        early.cells_per_rank
+    );
+
+    cfg.steps = 40;
+    let dlb = run(&cfg);
+    let mut ddm_cfg = cfg.clone();
+    ddm_cfg.dlb = false;
+    let ddm = run(&ddm_cfg);
+    assert_eq!(dlb.cells_per_rank[0], floor);
+    let cap = theory::max_domain_cells(cfg.m(), cfg.nc);
+    assert!(dlb.records.iter().all(|r| r.max_cells <= cap));
+    let (with, without) = (dlb.records[19].f_max, ddm.records[19].f_max);
+    assert!(
+        with < 0.6 * without,
+        "step 20: Fmax with DLB {with} should be well below DDM's {without}"
+    );
+}
+
+#[test]
 fn dlb_beats_ddm_on_a_concentrated_workload() {
     // The paper's headline claim, end to end: on a concentrating system,
     // DLB-DDM's late-phase execution time beats plain DDM's.
@@ -79,8 +118,11 @@ fn concentration_metrics_are_consistent_with_run_state() {
 #[test]
 fn boundary_pipeline_finds_a_point_below_theory() {
     // Full Fig.-10 style pipeline on one cell: the experimental boundary
-    // exists and sits below the theoretical bound (E/T < 1).
-    let b = pcdlb_bench::measure_boundary(9, 3, 0.256, 1500, 0.10, 1)
+    // exists and sits below the theoretical bound (E/T < 1). The pull
+    // has to be this hard for the gas to outrun the DLB limit inside the
+    // budget: at 0.10 the balancer stays effective for all 1500 steps
+    // and there is no boundary to find.
+    let b = pcdlb_bench::measure_boundary(9, 3, 0.256, 1500, 0.20, 1)
         .expect("boundary within 1500 steps");
     assert!(b.n >= 1.0);
     assert!(b.c0_over_c > 0.0);
