@@ -16,8 +16,7 @@
 //! Usage: baseline1d [--p P] [--m M] [--steps N] [--pull K]
 
 use pcdlb_bench::{print_header, Args};
-use pcdlb_sim::plane::run_plane;
-use pcdlb_sim::{run, Lattice, RunConfig, RunReport};
+use pcdlb_sim::{run, DomainShape, Lattice, Launch, RunConfig, RunReport};
 
 fn late_imbalance(rep: &RunReport) -> (f64, f64) {
     let from = rep.records.len() * 3 / 4;
@@ -46,10 +45,11 @@ fn run_all_four(base: &RunConfig) {
     report_row("pillar-static", &run(&c));
     c.dlb = true;
     report_row("pillar-dlb", &run(&c));
+    let plane = Launch::new().shape(DomainShape::Plane);
     c.dlb = false;
-    report_row("plane-static", &run_plane(&c));
+    report_row("plane-static", &plane.run(&c).report);
     c.dlb = true;
-    report_row("plane-1d-dlb", &run_plane(&c));
+    report_row("plane-1d-dlb", &plane.run(&c).report);
 }
 
 fn main() {

@@ -13,9 +13,7 @@
 //! Usage: shapes_measured [--steps N]
 
 use pcdlb_bench::{print_header, Args};
-use pcdlb_sim::cube::run_cube;
-use pcdlb_sim::plane::run_plane;
-use pcdlb_sim::{run, RunConfig, RunReport};
+use pcdlb_sim::{DomainShape, Launch, RunConfig, RunReport};
 
 fn row(label: &str, rep: &RunReport, p: usize, steps: u64) {
     let per_pe_step = p as f64 * steps as f64;
@@ -39,15 +37,16 @@ fn regime(label: &str, nc: usize, p_2d: usize, p_3d: usize, steps: u64) {
         "KiB/PE/step",
         "model_ms/PE/step",
     ]);
-    let base = |p: usize| {
+    for (label, shape, p) in [
+        ("plane", DomainShape::Plane, p_2d),
+        ("pillar", DomainShape::SquarePillar, p_2d),
+        ("cube", DomainShape::Cube, p_3d),
+    ] {
         let mut c = RunConfig::new(n, nc, p, density);
         c.steps = steps;
         c.dlb = false;
-        c
-    };
-    row("plane", &run_plane(&base(p_2d)), p_2d, steps);
-    row("pillar", &run(&base(p_2d)), p_2d, steps);
-    row("cube", &run_cube(&base(p_3d)), p_3d, steps);
+        row(label, &Launch::new().shape(shape).run(&c).report, p, steps);
+    }
 }
 
 fn main() {

@@ -21,7 +21,7 @@
 //!   escalation would fail it).
 //! - **Takeover-escalating partition**: a permanent isolation of one
 //!   rank must fence the minority side, register its death, and let the
-//!   recovery ladder absorb it — `run_with_takeover` must report at
+//!   recovery ladder absorb it — the resilient launch must report at
 //!   least one takeover and a `digest_recovery` bitwise equal to the
 //!   fault-free reference.
 //! - **Reliable baseline**: the same workloads over [`InProcTransport`]
@@ -43,11 +43,9 @@ use std::time::Duration;
 
 use pcdlb_mp::{LossyProfile, Partition};
 use pcdlb_sim::config::{Lattice, RunConfig};
-use pcdlb_sim::cube::run_cube_with_snapshot;
-use pcdlb_sim::plane::run_plane_with_snapshot;
 use pcdlb_sim::{
-    digest_particles, digest_run, run_serial, run_with_phase_times, run_with_snapshot,
-    run_with_takeover, RecoveryOptions,
+    digest_particles, digest_run, run_serial, run_with_phase_times, run_with_snapshot, DomainShape,
+    Ladder, Launch,
 };
 
 use crate::faults::run_under_timeout;
@@ -213,7 +211,8 @@ pub fn chaos_sweep(seeds: u64) -> ChaosOutcome {
             let mut cfg = base.clone();
             cfg.p = 3;
             cfg.comm.chaos = Some(chaos.clone());
-            let (report, snap) = run_plane_with_snapshot(&cfg);
+            let plane = Launch::new().shape(DomainShape::Plane).snapshot();
+            let (report, snap) = plane.run(&cfg).into_snapshot();
             out.parity_runs += 1;
             out.retransmits += report.retransmits;
             out.suspicions += report.suspicions;
@@ -226,7 +225,8 @@ pub fn chaos_sweep(seeds: u64) -> ChaosOutcome {
             let mut cfg = base.clone();
             cfg.p = 8;
             cfg.comm.chaos = Some(chaos);
-            let (report, snap) = run_cube_with_snapshot(&cfg);
+            let cube = Launch::new().shape(DomainShape::Cube).snapshot();
+            let (report, snap) = cube.run(&cfg).into_snapshot();
             out.parity_runs += 1;
             out.retransmits += report.retransmits;
             out.suspicions += report.suspicions;
@@ -267,13 +267,14 @@ pub fn chaos_sweep(seeds: u64) -> ChaosOutcome {
     // mid-run. The minority side must fence itself, die, and be adopted
     // by its buddy; the degraded (or relaunched) completion must match
     // the fault-free recovery digest bitwise.
-    let cfg = crate::faults::sweep_config();
-    let opts = RecoveryOptions {
+    let mut cfg = crate::faults::sweep_config();
+    cfg.comm.poll = Duration::from_millis(2);
+    cfg.comm.watchdog = Duration::from_secs(30);
+    let ladder = Ladder {
         max_attempts: 6,
-        poll: Duration::from_millis(2),
-        watchdog: Duration::from_secs(30),
+        ..Ladder::default()
     };
-    match run_with_takeover(&cfg, &opts) {
+    match Launch::new().run_resilient(&cfg, &ladder) {
         Err(e) => out.violations.push(format!(
             "takeover partition: fault-free reference failed: {e}"
         )),
@@ -286,7 +287,7 @@ pub fn chaos_sweep(seeds: u64) -> ChaosOutcome {
             lossy_cfg.comm.suspicion_max = Duration::from_millis(1200);
             lossy_cfg.comm.chaos = Some(LossyProfile::new(31).isolate(2, cfg.p, 30, u64::MAX));
             out.takeover_partitions += 1;
-            match run_with_takeover(&lossy_cfg, &opts) {
+            match Launch::new().run_resilient(&lossy_cfg, &ladder) {
                 Ok(o) => {
                     if o.takeovers == 0 {
                         out.violations.push(format!(

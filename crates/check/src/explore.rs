@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use pcdlb_mp::check::{ChoiceTrace, DeliveryPolicy, ReplayPolicy, SeededPolicy, TraceHandle};
 use pcdlb_sim::config::RunConfig;
 use pcdlb_sim::digest::Fnv1a;
-use pcdlb_sim::driver::run_digest_with_policy;
+use pcdlb_sim::{digest_run, Launch};
 
 /// What an exploration observed.
 #[derive(Debug, Clone)]
@@ -42,18 +42,19 @@ pub struct ExploreOutcome {
 }
 
 /// A factory of per-rank policies for one run.
-enum RunKind<'a> {
-    Replay(&'a [Vec<usize>]),
+enum RunKind {
+    Replay(Vec<Vec<usize>>),
     Seeded(u64),
 }
 
 /// Run the simulator once under controlled delivery; returns the digest
 /// and each rank's observed choice trace.
-fn run_once(cfg: &RunConfig, kind: RunKind<'_>) -> (u64, Vec<ChoiceTrace>) {
+fn run_once(cfg: &RunConfig, kind: RunKind) -> (u64, Vec<ChoiceTrace>) {
     let handles: Arc<Mutex<Vec<Option<TraceHandle>>>> = Arc::new(Mutex::new(vec![None; cfg.p]));
     let handles_in = Arc::clone(&handles);
-    let digest = run_digest_with_policy(cfg, move |rank| {
-        let (policy, handle): (Box<dyn DeliveryPolicy>, TraceHandle) = match kind {
+    let launch = Launch::new().snapshot().on_start(move |_launch, comm| {
+        let rank = comm.rank();
+        let (policy, handle): (Box<dyn DeliveryPolicy>, TraceHandle) = match &kind {
             RunKind::Replay(prefixes) => {
                 let (p, h) = ReplayPolicy::new(prefixes.get(rank).cloned().unwrap_or_default());
                 (Box::new(p), h)
@@ -67,8 +68,10 @@ fn run_once(cfg: &RunConfig, kind: RunKind<'_>) -> (u64, Vec<ChoiceTrace>) {
             }
         };
         handles_in.lock().expect("handle table")[rank] = Some(handle);
-        policy
+        comm.set_delivery_policy(policy);
     });
+    let (report, snapshot) = launch.run(cfg).into_snapshot();
+    let digest = digest_run(&report, &snapshot, cfg.load_metric);
     let traces = handles
         .lock()
         .expect("handle table")
@@ -115,7 +118,7 @@ pub fn explore(cfg: &RunConfig, dfs_runs: usize, seeded_runs: usize) -> ExploreO
         if out.runs >= dfs_runs {
             break;
         }
-        let (digest, traces) = run_once(cfg, RunKind::Replay(&prefixes));
+        let (digest, traces) = run_once(cfg, RunKind::Replay(prefixes.clone()));
         out.runs += 1;
         out.digests.insert(digest);
         orders.insert(trace_hash(&traces));

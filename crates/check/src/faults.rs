@@ -41,7 +41,7 @@ use pcdlb_mp::collectives::ctag;
 use pcdlb_mp::fault::splitmix64;
 use pcdlb_mp::FaultPlan;
 use pcdlb_sim::config::{Lattice, RunConfig};
-use pcdlb_sim::{run_with_recovery, run_with_recovery_faulted, RecoveryOptions};
+use pcdlb_sim::{Ladder, LadderOutcome, Launch, RecoveryError, ResizePlan};
 
 /// What a fault sweep observed.
 #[derive(Debug, Clone)]
@@ -67,11 +67,11 @@ pub struct FaultSweepOutcome {
     pub violations: Vec<String>,
 }
 
-/// The sweep workload: the same small-but-busy 2×2 recovery
-/// configuration the `pcdlb-sim` recovery tests use — DDM only (P = 4
-/// cannot run DLB), clustered start so migration and ghost traffic are
-/// heavy, the thermostat firing mid-run, a checkpoint gathered every 5
-/// of 24 steps.
+/// The sweep workload, shared by every sweep of the ladder: the same
+/// small-but-busy 2×2 recovery configuration the `pcdlb-sim` recovery
+/// tests use — DDM only (P = 4 cannot run DLB), clustered start so
+/// migration and ghost traffic are heavy, the thermostat firing mid-run,
+/// a checkpoint gathered every 5 of 24 steps.
 pub fn sweep_config() -> RunConfig {
     let mut cfg = RunConfig::new(216, 4, 4, 0.2);
     cfg.dlb = false;
@@ -83,15 +83,114 @@ pub fn sweep_config() -> RunConfig {
     cfg
 }
 
-/// Recovery knobs for sweep runs: a tight poll so aborts propagate
-/// fast, a watchdog generous enough for a loaded CI machine but short
-/// enough that a genuinely wedged receive fails the run promptly, and
-/// enough attempts that a multi-rank seeded plan cannot exhaust them.
-fn sweep_opts() -> RecoveryOptions {
-    RecoveryOptions {
-        max_attempts: 6,
-        poll: Duration::from_millis(2),
-        watchdog: Duration::from_secs(10),
+/// One sweep's fixture: a workload, the ladder it runs under, and the
+/// fault-free reference every faulted run of it is compared against.
+pub(crate) struct Sweep {
+    pub cfg: RunConfig,
+    pub ladder: Ladder,
+    pub reference: LadderOutcome,
+}
+
+/// How the faulted runs of one kind went.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Tally {
+    /// Runs performed.
+    pub runs: usize,
+    /// Runs whose fault actually fired: a death absorbed or a relaunch.
+    pub fired: usize,
+    /// Fired runs absorbed fully in place (no relaunch, ≥ 1 takeover).
+    pub degraded: usize,
+    /// Fired runs that fell back to a relaunch.
+    pub relaunched: usize,
+}
+
+impl Sweep {
+    /// Run the fault-free reference of `cfg` under the rungs `takeover`
+    /// and `plan` select. Sweep runs wait on sweep deadlines: a tight poll
+    /// so aborts propagate fast, a watchdog generous enough for a loaded
+    /// CI machine but short enough that a genuinely wedged receive fails
+    /// the run promptly — and enough attempts that a multi-rank seeded
+    /// plan cannot exhaust them.
+    pub(crate) fn new(
+        mut cfg: RunConfig,
+        takeover: bool,
+        plan: ResizePlan,
+    ) -> Result<Self, RecoveryError> {
+        cfg.comm.poll = Duration::from_millis(2);
+        cfg.comm.watchdog = Duration::from_secs(10);
+        let ladder = Ladder {
+            max_attempts: 6,
+            takeover,
+            plan,
+        };
+        let reference = Launch::new().run_resilient(&cfg, &ladder)?;
+        Ok(Self {
+            cfg,
+            ladder,
+            reference,
+        })
+    }
+
+    /// A per-rank send-count bound for kill-point sweeps: ranks of these
+    /// symmetric worlds send near-identical counts, so mean-plus-margin
+    /// covers the busiest one; ops past a rank's real count never fire.
+    pub(crate) fn max_op(&self) -> u64 {
+        self.reference.report.msgs_sent / self.cfg.p as u64 + self.cfg.steps
+    }
+
+    /// One faulted run: every rank thread of every launch starts under
+    /// the plan `plans(launch, rank)` gives it. The run is counted in
+    /// `tally`, and a run that does not complete, or completes on a
+    /// digest other than the reference's, is a violation under `label`.
+    pub(crate) fn faulted(
+        &self,
+        label: &str,
+        plans: impl Fn(usize, usize) -> Option<FaultPlan> + Send + Sync + 'static,
+        tally: &mut Tally,
+        violations: &mut Vec<String>,
+    ) -> Option<LadderOutcome> {
+        let launch = Launch::new().on_start(move |launch, comm| {
+            if let Some(plan) = plans(launch, comm.rank()) {
+                comm.set_fault_plan(plan);
+            }
+        });
+        tally.runs += 1;
+        match launch.run_resilient(&self.cfg, &self.ladder) {
+            Ok(o) => {
+                let relaunched = o.attempts > o.generations.len();
+                tally.fired += usize::from(relaunched || o.takeovers > 0);
+                tally.relaunched += usize::from(relaunched);
+                tally.degraded += usize::from(!relaunched && o.takeovers > 0);
+                if o.digest != self.reference.digest {
+                    violations.push(format!(
+                        "{label}: digest {:#018x} != reference {:#018x} \
+                         ({} launch(es), {} takeover(s))",
+                        o.digest, self.reference.digest, o.attempts, o.takeovers
+                    ));
+                }
+                Some(o)
+            }
+            Err(e) => {
+                violations.push(format!("{label}: unrecovered: {e}"));
+                None
+            }
+        }
+    }
+}
+
+impl Sweep {
+    /// [`Sweep::faulted`] with a single fault site: `rank` of launch
+    /// `launch` runs under `plan`, everyone else fault-free.
+    pub(crate) fn kill(
+        &self,
+        label: &str,
+        (launch, rank): (usize, usize),
+        plan: FaultPlan,
+        tally: &mut Tally,
+        violations: &mut Vec<String>,
+    ) {
+        let plans = move |l, r| (l == launch && r == rank).then(|| plan.clone());
+        self.faulted(label, plans, tally, violations);
     }
 }
 
@@ -99,8 +198,6 @@ fn sweep_opts() -> RecoveryOptions {
 /// mixed-fault schedules, asserting recovery parity for each.
 pub fn fault_sweep(stride: u64, seeds: usize) -> FaultSweepOutcome {
     let stride = stride.max(1);
-    let cfg = sweep_config();
-    let opts = sweep_opts();
     let mut out = FaultSweepOutcome {
         reference_digest: 0,
         kill_runs: 0,
@@ -111,42 +208,29 @@ pub fn fault_sweep(stride: u64, seeds: usize) -> FaultSweepOutcome {
         ckpt_kills_fired: 0,
         violations: Vec::new(),
     };
-    let reference = match run_with_recovery(&cfg, &opts) {
-        Ok(r) => r,
+    // The relaunch rung alone: with takeover on these kills would be
+    // absorbed in place and the relaunch path would lose its coverage.
+    let sweep = match Sweep::new(sweep_config(), false, ResizePlan::new()) {
+        Ok(s) => s,
         Err(e) => {
             out.violations
                 .push(format!("fault-free reference run failed: {e}"));
             return out;
         }
     };
-    out.reference_digest = reference.digest;
-    // A per-rank send-count bound: ranks of this symmetric world send
-    // near-identical counts, so mean-plus-margin covers the busiest one;
-    // ops past a rank's real count just never fire.
-    let max_op = reference.report.msgs_sent / cfg.p as u64 + cfg.steps;
+    out.reference_digest = sweep.reference.digest;
+    let (cfg, max_op) = (&sweep.cfg, sweep.max_op());
 
+    let mut kills = Tally::default();
     for rank in 0..cfg.p {
         for op in (0..max_op).step_by(stride as usize) {
-            let res = run_with_recovery_faulted(&cfg, &opts, |attempt, r| {
-                (attempt == 0 && r == rank).then(|| FaultPlan::kill_at(op))
-            });
-            out.kill_runs += 1;
-            match res {
-                Ok(o) => {
-                    if o.attempts > 1 {
-                        out.kills_fired += 1;
-                    }
-                    if o.digest != reference.digest {
-                        out.violations.push(format!(
-                            "kill(rank {rank}, op {op}): digest {:#018x} != reference {:#018x} after {} attempt(s)",
-                            o.digest, reference.digest, o.attempts
-                        ));
-                    }
-                }
-                Err(e) => out
-                    .violations
-                    .push(format!("kill(rank {rank}, op {op}): unrecovered: {e}")),
-            }
+            sweep.kill(
+                &format!("kill(rank {rank}, op {op})"),
+                (0, rank),
+                FaultPlan::kill_at(op),
+                &mut kills,
+                &mut out.violations,
+            );
         }
     }
 
@@ -162,60 +246,40 @@ pub fn fault_sweep(stride: u64, seeds: usize) -> FaultSweepOutcome {
         .saturating_sub(1)
         .checked_div(cfg.checkpoint_interval)
         .unwrap_or(0);
+    let mut ckpt_kills = Tally::default();
     for rank in 1..cfg.p {
         for nth in 0..ckpt_gathers {
-            let res = run_with_recovery_faulted(&cfg, &opts, |attempt, r| {
-                (attempt == 0 && r == rank).then(|| FaultPlan::kill_on_tag(ckpt_wire_tag, nth))
-            });
-            out.ckpt_runs += 1;
-            match res {
-                Ok(o) => {
-                    if o.attempts > 1 {
-                        out.ckpt_kills_fired += 1;
-                    }
-                    if o.digest != reference.digest {
-                        out.violations.push(format!(
-                            "ckpt-kill(rank {rank}, gather {nth}): digest {:#018x} != reference {:#018x} after {} attempt(s)",
-                            o.digest, reference.digest, o.attempts
-                        ));
-                    }
-                }
-                Err(e) => out.violations.push(format!(
-                    "ckpt-kill(rank {rank}, gather {nth}): unrecovered: {e}"
-                )),
-            }
+            sweep.kill(
+                &format!("ckpt-kill(rank {rank}, gather {nth})"),
+                (0, rank),
+                FaultPlan::kill_on_tag(ckpt_wire_tag, nth),
+                &mut ckpt_kills,
+                &mut out.violations,
+            );
         }
     }
 
+    let mut seeded = Tally::default();
     for seed in 1..=seeds as u64 {
-        let res = run_with_recovery_faulted(&cfg, &opts, |attempt, rank| {
-            if attempt > 0 {
-                return None;
-            }
-            // Derive each rank's plan seed from the matrix seed with the
-            // same splitmix64 stream seeded plans use internally.
-            let mut state = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(rank as u64 + 1);
-            let plan = FaultPlan::seeded(splitmix64(&mut state), max_op, 2);
-            (!plan.is_empty()).then_some(plan)
-        });
-        out.seeded_runs += 1;
-        match res {
-            Ok(o) => {
-                if o.attempts > 1 {
-                    out.faults_fired += 1;
+        sweep.faulted(
+            &format!("seeded(seed {seed})"),
+            move |launch, rank| {
+                if launch > 0 {
+                    return None;
                 }
-                if o.digest != reference.digest {
-                    out.violations.push(format!(
-                        "seeded(seed {seed}): digest {:#018x} != reference {:#018x} after {} attempt(s)",
-                        o.digest, reference.digest, o.attempts
-                    ));
-                }
-            }
-            Err(e) => out
-                .violations
-                .push(format!("seeded(seed {seed}): unrecovered: {e}")),
-        }
+                // Derive each rank's plan seed from the matrix seed with the
+                // same splitmix64 stream seeded plans use internally.
+                let mut state = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(rank as u64 + 1);
+                let plan = FaultPlan::seeded(splitmix64(&mut state), max_op, 2);
+                (!plan.is_empty()).then_some(plan)
+            },
+            &mut seeded,
+            &mut out.violations,
+        );
     }
+    (out.kill_runs, out.kills_fired) = (kills.runs, kills.fired);
+    (out.ckpt_runs, out.ckpt_kills_fired) = (ckpt_kills.runs, ckpt_kills.fired);
+    (out.seeded_runs, out.faults_fired) = (seeded.runs, seeded.fired);
     out
 }
 

@@ -23,7 +23,8 @@
 //! - `unbounded-recv-in-recovery-path`: no indefinitely blocking
 //!   `.recv(...)` in the files recovery and takeover flow through
 //!   (`pcdlb-sim`'s step engine — `pe.rs`, `takeover.rs` and the
-//!   decompositions — plus `recover.rs`). A recovery path waiting
+//!   decompositions — plus `driver.rs`' ladder loop and `recover.rs`). A
+//!   recovery path waiting
 //!   forever on a peer that may already be dead defeats the no-hang
 //!   guarantee; waits there must be `recv_deadline` (which
 //!   escalates to a world abort) or an audited step-schedule receive
@@ -40,11 +41,11 @@
 //!   audited line by line in `lint-allow.txt`.
 //! - `hardcoded-duration-in-comm-path`: no inline `Duration::from_*`
 //!   literals in the communication and recovery paths (`comm.rs`,
-//!   `world.rs`, `transport.rs` in `pcdlb-mp`; `recover.rs` in
-//!   `pcdlb-sim`). Timing knobs there — polls, watchdogs, retransmit
-//!   backoffs, heartbeat and suspicion horizons — must flow from the
-//!   named `DEFAULT_*` constants and `CommConfig`/`RecoveryOptions` so
-//!   callers can tune them; a literal buried mid-function is an
+//!   `world.rs`, `transport.rs` in `pcdlb-mp`; `driver.rs` and
+//!   `recover.rs` in `pcdlb-sim`). Timing knobs there — polls, watchdogs,
+//!   retransmit backoffs, heartbeat and suspicion horizons — must flow
+//!   from the named `DEFAULT_*` constants and `CommConfig` so callers can
+//!   tune them; a literal buried mid-function is an
 //!   untunable magic timeout. The sanctioned definitions of the default
 //!   constants themselves are allowlisted individually.
 //!
@@ -167,6 +168,9 @@ const RULES: &[Rule] = &[
             "crates/sim/src/decomp.rs",
             "crates/sim/src/plane.rs",
             "crates/sim/src/cube.rs",
+            // The ladder's generations × attempts loop and the checkpoint
+            // it restores.
+            "crates/sim/src/driver.rs",
             "crates/sim/src/recover.rs",
         ],
         // `.recv(` / `.recv::<` match the indefinitely blocking receive
@@ -205,6 +209,7 @@ const RULES: &[Rule] = &[
             "crates/mp/src/comm.rs",
             "crates/mp/src/world.rs",
             "crates/mp/src/transport.rs",
+            "crates/sim/src/driver.rs",
             "crates/sim/src/recover.rs",
         ],
         // Integer-literal constructors only: `from_secs_f64(` has a

@@ -6,7 +6,7 @@
 //! # How it works
 //!
 //! Each run executes the actual simulator under a
-//! [`ReplayPolicy`](pcdlb_mp::check::ReplayPolicy) prefix (exactly like
+//! [`ReplayPolicy`] prefix (exactly like
 //! [`crate::explore`]) with every rank thread bound to a protocol event
 //! log ([`ProtocolEvent`]): sends, admissions, delivery choices (with the
 //! full candidate set), consumptions (flagged when made through a
@@ -69,10 +69,10 @@
 //! | `adopt-once`        | a virtual rank is adopted at most once per registered death            |
 //! | `sentinel-conservation` | every complete sentinel round sums to the configured particle count |
 //!
-//! Takeover runs reuse the same machinery through
-//! [`run_with_takeover_instrumented`]: the replay prefix drives attempt
-//! 0 (where the kill fires), logs accumulate across attempts segmented
-//! by `Birth` markers, and the probe-consumed barrier traffic makes the
+//! Takeover runs reuse the same machinery through the resilient launch
+//! and the same start hook: the replay prefix drives launch 0 (where the
+//! kill fires), logs accumulate across launches segmented by `Birth`
+//! markers, and the probe-consumed barrier traffic makes the
 //! post-death window exactly where the checker forks.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,13 +80,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pcdlb_mp::check::{
-    new_event_log, ChoiceTrace, DeliveryPolicy, EventLog, ProtocolEvent, ReplayPolicy, TraceHandle,
+    install_event_log, new_event_log, ChoiceTrace, EventLog, ProtocolEvent, ReplayPolicy,
+    TraceHandle,
 };
 use pcdlb_mp::{FaultPlan, Tag};
 use pcdlb_sim::config::{Lattice, RunConfig};
 use pcdlb_sim::digest::Fnv1a;
-use pcdlb_sim::driver::run_digest_instrumented;
-use pcdlb_sim::{run_with_takeover, run_with_takeover_instrumented, RecoveryOptions};
+use pcdlb_sim::{digest_run, Ladder, Launch};
 
 // ---------------------------------------------------------------------------
 // Outcome types
@@ -787,14 +787,21 @@ pub struct ModelCase {
     pub kill: Option<(usize, u64)>,
 }
 
-/// Recovery knobs for takeover cases (short watchdog: these runs inject
-/// real deaths and must not hang the matrix).
-fn model_recovery_opts() -> RecoveryOptions {
-    RecoveryOptions {
+/// The ladder of takeover cases: the full one.
+fn model_ladder() -> Ladder {
+    Ladder {
         max_attempts: 6,
-        poll: Duration::from_millis(2),
-        watchdog: Duration::from_secs(10),
+        ..Ladder::default()
     }
+}
+
+/// A takeover case's configuration: the case's, on deadlines short enough
+/// that a run injecting a real death cannot hang the matrix.
+fn takeover_cfg(case: &ModelCase) -> RunConfig {
+    let mut cfg = case.cfg.clone();
+    cfg.comm.poll = Duration::from_millis(2);
+    cfg.comm.watchdog = Duration::from_secs(10);
+    cfg
 }
 
 /// Execute one run under replay `prefixes`, with full instrumentation.
@@ -807,48 +814,38 @@ fn run_once(
     let p = case.cfg.p;
     let handles: Arc<Mutex<Vec<Option<TraceHandle>>>> = Arc::new(Mutex::new(vec![None; p]));
     let logs: Vec<EventLog> = (0..p).map(|_| new_event_log()).collect();
+    let (handles_in, logs_in) = (Arc::clone(&handles), logs.clone());
+    let (prefixes, kill) = (prefixes.to_vec(), case.kill);
+    // One log per physical rank across every launch of the run: each
+    // launch opens its segment with a `Birth` marker, before anything
+    // else the rank does.
+    let launch = Launch::new().snapshot().on_start(move |launch, comm| {
+        let rank = comm.rank();
+        install_event_log(logs_in[rank].clone(), rank);
+        // The replay prefix steers launch 0 (where a kill fires);
+        // relaunches run the deterministic default order.
+        let prefix = match launch {
+            0 => prefixes.get(rank).cloned().unwrap_or_default(),
+            _ => Vec::new(),
+        };
+        let (policy, handle) = ReplayPolicy::new(prefix);
+        if launch == 0 {
+            handles_in.lock().expect("handle table")[rank] = Some(handle);
+        }
+        comm.set_delivery_policy(Box::new(policy));
+        if let Some((_, op)) = kill.filter(|k| launch == 0 && k.0 == rank) {
+            comm.set_fault_plan(FaultPlan::kill_at(op));
+        }
+    });
     let digest = match case.kill {
         None => {
-            let handles_in = Arc::clone(&handles);
-            let logs_in = logs.clone();
-            run_digest_instrumented(
-                &case.cfg,
-                move |rank| {
-                    let (policy, handle) =
-                        ReplayPolicy::new(prefixes.get(rank).cloned().unwrap_or_default());
-                    handles_in.lock().expect("handle table")[rank] = Some(handle);
-                    Box::new(policy) as Box<dyn DeliveryPolicy>
-                },
-                move |rank| logs_in[rank].clone(),
-            )
+            let (report, snapshot) = launch.run(&case.cfg).into_snapshot();
+            digest_run(&report, &snapshot, case.cfg.load_metric)
         }
-        Some((kill_rank, kill_op)) => {
-            let handles_in = Arc::clone(&handles);
-            let logs_in = logs.clone();
-            let outcome = run_with_takeover_instrumented(
-                &case.cfg,
-                &model_recovery_opts(),
-                |attempt, rank| {
-                    (attempt == 0 && rank == kill_rank).then(|| FaultPlan::kill_at(kill_op))
-                },
-                move |attempt, rank| {
-                    // The replay prefix steers attempt 0 (where the kill
-                    // fires); relaunches run the deterministic default
-                    // order.
-                    let prefix = if attempt == 0 {
-                        prefixes.get(rank).cloned().unwrap_or_default()
-                    } else {
-                        Vec::new()
-                    };
-                    let (policy, handle) = ReplayPolicy::new(prefix);
-                    if attempt == 0 {
-                        handles_in.lock().expect("handle table")[rank] = Some(handle);
-                    }
-                    Box::new(policy) as Box<dyn DeliveryPolicy>
-                },
-                move |_attempt, rank| logs_in[rank].clone(),
-            )
-            .map_err(|e| format!("takeover run failed to complete: {e:?}"))?;
+        Some(_) => {
+            let outcome = launch
+                .run_resilient(&takeover_cfg(case), &model_ladder())
+                .map_err(|e| format!("takeover run failed to complete: {e:?}"))?;
             outcome.digest
         }
     };
@@ -893,7 +890,8 @@ pub fn model_check(case: &ModelCase) -> Result<ModelOutcome, String> {
     // For takeover cases the explored digests must also equal the
     // fault-free reference — recovery parity folded into the digest set.
     if case.kill.is_some() {
-        let reference = run_with_takeover(&case.cfg, &model_recovery_opts())
+        let reference = Launch::new()
+            .run_resilient(&takeover_cfg(case), &model_ladder())
             .map_err(|e| format!("fault-free takeover reference failed: {e:?}"))?;
         out.digests.insert(reference.digest);
     }

@@ -1,8 +1,8 @@
 //! The elastic-resize sweep: parity and fault absorption across world
 //! generations.
 //!
-//! `pcdlb-sim`'s elastic driver ([`pcdlb_sim::run_elastic`]) claims that
-//! a run which drains, remaps its torus to a different PE count, and
+//! `pcdlb-sim`'s elastic rung (a [`ResizePlan`] in a resilient launch's
+//! [`Ladder`](pcdlb_sim::Ladder)) claims that a run which drains, remaps its torus to a different PE count, and
 //! resumes — possibly several times, in both directions — produces the
 //! **bitwise identical** particle state of an uninterrupted serial run,
 //! and that the full recovery ladder (buddy takeover, checkpoint
@@ -41,13 +41,9 @@ use pcdlb_core::protocol::tags;
 use pcdlb_mp::collectives::ctag;
 use pcdlb_mp::FaultPlan;
 use pcdlb_sim::config::{Lattice, RunConfig};
-use pcdlb_sim::cube::run_cube_with_snapshot;
-use pcdlb_sim::plane::run_plane_with_snapshot;
-use pcdlb_sim::{
-    run_elastic, run_elastic_faulted, run_serial, RecoveryOptions, ResizeOutcome, ResizePlan,
-};
+use pcdlb_sim::{run_serial, DomainShape, Launch, ResizePlan};
 
-use crate::faults::run_under_timeout;
+use crate::faults::{run_under_timeout, Sweep, Tally};
 
 /// What a resize sweep observed.
 #[derive(Debug, Clone)]
@@ -73,16 +69,11 @@ pub struct ResizeSweepOutcome {
     pub violations: Vec<String>,
 }
 
-/// The 4³-grid sweep workload: the recovery tests' small-but-busy 2×2
+/// The 4³-grid sweep workload: the fault sweep's small-but-busy 2×2
 /// configuration (clustered start, mid-run thermostat), extended with a
 /// sentinel cadence so every generation audits conservation.
 fn cfg_4(checkpoint_interval: u64) -> RunConfig {
-    let mut cfg = RunConfig::new(216, 4, 4, 0.2);
-    cfg.dlb = false;
-    cfg.steps = 24;
-    cfg.thermostat_interval = 10;
-    cfg.lattice = Lattice::Cluster { fill: 0.8 };
-    cfg.seed = 11;
+    let mut cfg = crate::faults::sweep_config();
     cfg.checkpoint_interval = checkpoint_interval;
     cfg.sentinel_interval = 4;
     cfg
@@ -102,30 +93,11 @@ fn cfg_6() -> RunConfig {
     cfg
 }
 
-fn sweep_opts() -> RecoveryOptions {
-    RecoveryOptions {
-        max_attempts: 6,
-        poll: Duration::from_millis(2),
-        watchdog: Duration::from_secs(10),
-    }
-}
-
-/// The PE count of each world generation a plan launches, `cfg.p` first.
-fn generation_ps(cfg: &RunConfig, plan: &ResizePlan) -> Vec<usize> {
-    let mut ps = vec![cfg.p];
-    ps.extend(plan.stages.iter().map(|s| s.p));
-    ps
-}
-
-/// Check one elastic outcome against the serial reference: conservation,
-/// complete records, one launch per generation, bitwise snapshot parity.
-fn check_parity(
-    label: &str,
-    cfg: &RunConfig,
-    plan: &ResizePlan,
-    out: &ResizeOutcome,
-    violations: &mut Vec<String>,
-) {
+/// Check a sweep's fault-free elastic outcome against the serial
+/// reference: conservation, complete records, one launch per generation,
+/// bitwise snapshot parity.
+fn check_parity(label: &str, sweep: &Sweep, violations: &mut Vec<String>) {
+    let (cfg, out) = (&sweep.cfg, &sweep.reference);
     if out.snapshot.len() != cfg.n_particles {
         violations.push(format!(
             "{label}: snapshot holds {} of {} particles",
@@ -147,11 +119,11 @@ fn check_parity(
             cfg.steps
         ));
     }
-    if out.attempts != generation_ps(cfg, plan).len() {
+    if out.attempts != out.generations.len() {
         violations.push(format!(
             "{label}: {} launches for {} generations on a fault-free run",
             out.attempts,
-            generation_ps(cfg, plan).len()
+            out.generations.len()
         ));
     }
     if out.snapshot != run_serial(cfg) {
@@ -175,8 +147,6 @@ pub fn resize_sweep(stride: u64) -> ResizeSweepOutcome {
         kills_fired: 0,
         violations: Vec::new(),
     };
-    let opts = sweep_opts();
-
     // ---- Parity sweep: boundaries and directions on the 4³ grid. ----
     let parity_plans = [
         ResizePlan::new().resize(8, 16).resize(16, 4), // grow, shrink back
@@ -184,38 +154,34 @@ pub fn resize_sweep(stride: u64) -> ResizeSweepOutcome {
         ResizePlan::new().resize(5, 1).resize(10, 16).resize(18, 4), // through serial
         ResizePlan::new().resize(4, 16).resize(8, 1).resize(20, 16), // every direction
     ];
-    for (i, plan) in parity_plans.iter().enumerate() {
-        let cfg = cfg_4(5);
+    for (i, plan) in parity_plans.into_iter().enumerate() {
         let label = format!("parity[4³ plan {i}]");
         out.parity_runs += 1;
-        match run_elastic(&cfg, plan, &opts) {
-            Ok(o) => check_parity(&label, &cfg, plan, &o, &mut out.violations),
+        match Sweep::new(cfg_4(5), true, plan) {
+            Ok(s) => check_parity(&label, &s, &mut out.violations),
             Err(e) => out.violations.push(format!("{label}: failed: {e}")),
         }
     }
     // The 6³ DLB grid, additionally checked against the plane and cube
     // decompositions — the same physics under all three.
     {
-        let cfg = cfg_6();
         let plan = ResizePlan::new().resize(6, 4).resize(12, 9);
         let label = "parity[6³ dlb]";
         out.parity_runs += 1;
-        match run_elastic(&cfg, &plan, &opts) {
-            Ok(o) => {
-                check_parity(label, &cfg, &plan, &o, &mut out.violations);
-                let mut plane_cfg = cfg.clone();
-                plane_cfg.p = 3;
-                plane_cfg.dlb = false;
-                if o.snapshot != run_plane_with_snapshot(&plane_cfg).1 {
-                    out.violations
-                        .push(format!("{label}: diverged from the plane decomposition"));
-                }
-                let mut cube_cfg = cfg.clone();
-                cube_cfg.p = 8;
-                cube_cfg.dlb = false;
-                if o.snapshot != run_cube_with_snapshot(&cube_cfg).1 {
-                    out.violations
-                        .push(format!("{label}: diverged from the cube decomposition"));
+        match Sweep::new(cfg_6(), true, plan) {
+            Ok(s) => {
+                let o = &s.reference;
+                check_parity(label, &s, &mut out.violations);
+                for (shape, p) in [(DomainShape::Plane, 3), (DomainShape::Cube, 8)] {
+                    let mut cfg = s.cfg.clone();
+                    cfg.p = p;
+                    cfg.dlb = false;
+                    let other = Launch::new().shape(shape).snapshot().run(&cfg);
+                    if Some(&o.snapshot) != other.snapshot.as_ref() {
+                        out.violations.push(format!(
+                            "{label}: diverged from the {shape:?} decomposition"
+                        ));
+                    }
                 }
             }
             Err(e) => out.violations.push(format!("{label}: failed: {e}")),
@@ -227,51 +193,31 @@ pub fn resize_sweep(stride: u64) -> ResizeSweepOutcome {
     // resize drains, so drain kills land in the drain window by
     // construction (and every relaunch replays from the drain boundary
     // or step 0, exercising the generation restart path).
-    let cfg = cfg_4(0);
     let plan = ResizePlan::new().resize(8, 16).resize(16, 4);
-    let gen_ps = generation_ps(&cfg, &plan);
-    let reference = match run_elastic(&cfg, &plan, &opts) {
-        Ok(r) => r,
+    let sweep = match Sweep::new(cfg_4(0), true, plan) {
+        Ok(s) => s,
         Err(e) => {
             out.violations
                 .push(format!("fault-free elastic reference failed: {e}"));
             return out;
         }
     };
-    out.reference_digest = reference.digest;
-    let mut check_faulted =
-        |label: String, runs: &mut usize, fired: &mut usize, res: Result<ResizeOutcome, _>| {
-            *runs += 1;
-            match res {
-                Ok(o) => {
-                    if o.takeovers > 0 || o.attempts > gen_ps.len() {
-                        *fired += 1;
-                    }
-                    if o.digest != reference.digest {
-                        out.violations.push(format!(
-                            "{label}: digest {:#018x} != reference {:#018x} after {} launch(es)",
-                            o.digest, reference.digest, o.attempts
-                        ));
-                    }
-                }
-                Err(e) => out.violations.push(format!("{label}: unrecovered: {e}")),
-            }
-        };
+    // The PE count of each world generation, `cfg.p` first.
+    let gen_ps: Vec<usize> = sweep.reference.generations.iter().map(|g| g.p).collect();
+    out.reference_digest = sweep.reference.digest;
 
     // Drain-gather kills: each non-root rank of each draining generation
     // (the root only receives in a gather) at its contribution send.
     let drain_tag = ctag(tags::CKPT_GATHER, 0);
-    let (mut drain_runs, mut drain_fired) = (0, 0);
+    let mut drains = Tally::default();
     for (launch, &p) in gen_ps.iter().enumerate().take(gen_ps.len() - 1) {
         for rank in 1..p {
-            let res = run_elastic_faulted(&cfg, &plan, &opts, |l, r| {
-                (l == launch && r == rank).then(|| FaultPlan::kill_on_tag(drain_tag, 0))
-            });
-            check_faulted(
-                format!("drain-kill(launch {launch}, rank {rank})"),
-                &mut drain_runs,
-                &mut drain_fired,
-                res,
+            sweep.kill(
+                &format!("drain-kill(launch {launch}, rank {rank})"),
+                (launch, rank),
+                FaultPlan::kill_on_tag(drain_tag, 0),
+                &mut drains,
+                &mut out.violations,
             );
         }
     }
@@ -279,22 +225,20 @@ pub fn resize_sweep(stride: u64) -> ResizeSweepOutcome {
     // Barrier kills: each rank of each resumed generation inside the
     // READY/GO barrier — non-root ranks die at their READY send, the
     // root at its first GO send.
-    let (mut barrier_runs, mut barrier_fired) = (0, 0);
+    let mut barriers = Tally::default();
     for (launch, &p) in gen_ps.iter().enumerate().skip(1) {
         for rank in 0..p {
-            let fault = if rank == 0 {
-                FaultPlan::kill_on_tag(tags::RESIZE_GO, 0)
+            let tag = if rank == 0 {
+                tags::RESIZE_GO
             } else {
-                FaultPlan::kill_on_tag(tags::RESIZE_READY, 0)
+                tags::RESIZE_READY
             };
-            let res = run_elastic_faulted(&cfg, &plan, &opts, |l, r| {
-                (l == launch && r == rank).then(|| fault.clone())
-            });
-            check_faulted(
-                format!("barrier-kill(launch {launch}, rank {rank})"),
-                &mut barrier_runs,
-                &mut barrier_fired,
-                res,
+            sweep.kill(
+                &format!("barrier-kill(launch {launch}, rank {rank})"),
+                (launch, rank),
+                FaultPlan::kill_on_tag(tag, 0),
+                &mut barriers,
+                &mut out.violations,
             );
         }
     }
@@ -302,29 +246,24 @@ pub fn resize_sweep(stride: u64) -> ResizeSweepOutcome {
     // Strided kill sweep across every generation: op indices past a
     // rank's real send count simply never fire, so a generous shared
     // bound covers each generation without per-rank totals.
-    let max_op = reference.report.msgs_sent / cfg.p as u64 + cfg.steps;
-    let (mut kill_runs, mut kills_fired) = (0, 0);
+    let max_op = sweep.max_op();
+    let mut kills = Tally::default();
     for (launch, &p) in gen_ps.iter().enumerate() {
         for rank in 0..p {
             for op in (0..max_op).step_by(stride as usize) {
-                let res = run_elastic_faulted(&cfg, &plan, &opts, |l, r| {
-                    (l == launch && r == rank).then(|| FaultPlan::kill_at(op))
-                });
-                check_faulted(
-                    format!("kill(launch {launch}, rank {rank}, op {op})"),
-                    &mut kill_runs,
-                    &mut kills_fired,
-                    res,
+                sweep.kill(
+                    &format!("kill(launch {launch}, rank {rank}, op {op})"),
+                    (launch, rank),
+                    FaultPlan::kill_at(op),
+                    &mut kills,
+                    &mut out.violations,
                 );
             }
         }
     }
-    out.drain_runs = drain_runs;
-    out.drain_kills_fired = drain_fired;
-    out.barrier_runs = barrier_runs;
-    out.barrier_kills_fired = barrier_fired;
-    out.kill_runs = kill_runs;
-    out.kills_fired = kills_fired;
+    (out.drain_runs, out.drain_kills_fired) = (drains.runs, drains.fired);
+    (out.barrier_runs, out.barrier_kills_fired) = (barriers.runs, barriers.fired);
+    (out.kill_runs, out.kills_fired) = (kills.runs, kills.fired);
     out
 }
 

@@ -27,7 +27,7 @@ use pcdlb_sim::{pe::PeState, RunConfig};
 
 /// One point-to-point operation of the schedule. Tags are *wire* tags:
 /// collective rounds already carry their namespaced
-/// [`ctag`](pcdlb_mp::collectives::ctag) value.
+/// [`ctag`] value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// A non-blocking send to `to`.

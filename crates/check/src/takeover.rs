@@ -39,9 +39,9 @@ use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_mp::collectives::COLLECTIVE_BIT;
 use pcdlb_mp::{FaultPlan, Torus2d};
 use pcdlb_sim::config::{Lattice, RunConfig};
-use pcdlb_sim::{run_with_takeover, run_with_takeover_faulted, RecoveryOptions};
+use pcdlb_sim::ResizePlan;
 
-use crate::faults::run_under_timeout;
+use crate::faults::{run_under_timeout, Sweep, Tally};
 use crate::schedule::{step_schedule, Op, PhasedOp, ScheduleOpts, StepSchedule};
 use crate::verify::LEGAL_DELTAS;
 
@@ -315,15 +315,6 @@ pub struct TakeoverSweepOutcome {
     pub violations: Vec<String>,
 }
 
-/// Recovery knobs for sweep runs (mirrors the fault sweep's rationale).
-fn sweep_opts() -> RecoveryOptions {
-    RecoveryOptions {
-        max_attempts: 6,
-        poll: Duration::from_millis(2),
-        watchdog: Duration::from_secs(10),
-    }
-}
-
 /// The two sweep workloads: the 2×2 DDM-only recovery configuration the
 /// fault sweep uses, and a 3×3 clustered DLB run — the smallest grid on
 /// which a takeover thread drives two ranks through the load/decision/
@@ -366,57 +357,37 @@ pub fn takeover_sweep(stride: u64, max_side: usize) -> TakeoverSweepOutcome {
     out.merged_schedules = merged;
     out.violations.append(&mut v);
 
-    let opts = sweep_opts();
+    let mut kills = Tally::default();
     for (name, cfg) in sweep_configs() {
-        let reference = match run_with_takeover(&cfg, &opts) {
-            Ok(r) => r,
+        let sweep = match Sweep::new(cfg, true, ResizePlan::new()) {
+            Ok(s) => s,
             Err(e) => {
                 out.violations
                     .push(format!("{name}: fault-free reference run failed: {e}"));
                 continue;
             }
         };
+        let reference = &sweep.reference;
         if reference.attempts != 1 || reference.takeovers != 0 {
             out.violations.push(format!(
                 "{name}: fault-free reference took {} attempt(s), {} takeover(s)",
                 reference.attempts, reference.takeovers
             ));
         }
-        // Mean-plus-margin per-rank send bound, as in the fault sweep.
-        let max_op = reference.report.msgs_sent / cfg.p as u64 + cfg.steps;
-        let mut config_degraded = 0usize;
-        for rank in 0..cfg.p {
+        let max_op = sweep.max_op();
+        let degraded_before = kills.degraded;
+        for rank in 0..sweep.cfg.p {
             for op in (0..max_op).step_by(stride as usize) {
-                let res = run_with_takeover_faulted(&cfg, &opts, |attempt, r| {
-                    (attempt == 0 && r == rank).then(|| FaultPlan::kill_at(op))
-                });
-                out.kill_runs += 1;
-                match res {
-                    Ok(o) => {
-                        if o.attempts > 1 || o.takeovers > 0 {
-                            out.kills_fired += 1;
-                        }
-                        if o.attempts == 1 && o.takeovers > 0 {
-                            out.degraded += 1;
-                            config_degraded += 1;
-                        } else if o.attempts > 1 {
-                            out.relaunched += 1;
-                        }
-                        if o.digest != reference.digest {
-                            out.violations.push(format!(
-                                "{name} kill(rank {rank}, op {op}): digest {:#018x} != reference \
-                                 {:#018x} ({} attempt(s), {} takeover(s))",
-                                o.digest, reference.digest, o.attempts, o.takeovers
-                            ));
-                        }
-                    }
-                    Err(e) => out.violations.push(format!(
-                        "{name} kill(rank {rank}, op {op}): unrecovered: {e}"
-                    )),
-                }
+                sweep.kill(
+                    &format!("{name} kill(rank {rank}, op {op})"),
+                    (0, rank),
+                    FaultPlan::kill_at(op),
+                    &mut kills,
+                    &mut out.violations,
+                );
             }
         }
-        if config_degraded == 0 {
+        if kills.degraded == degraded_before {
             out.violations.push(format!(
                 "{name}: no kill point was absorbed in place — the takeover rung never engaged"
             ));
@@ -424,38 +395,31 @@ pub fn takeover_sweep(stride: u64, max_side: usize) -> TakeoverSweepOutcome {
         // Escalation rung: a second death in the same launch must fall
         // back to a clean full relaunch (no hang, parity preserved).
         let (op_a, op_b) = (max_op / 2, max_op * 3 / 4);
-        let res = run_with_takeover_faulted(&cfg, &opts, |attempt, r| {
-            if attempt != 0 {
-                return None;
-            }
-            match r {
-                1 => Some(FaultPlan::kill_at(op_a)),
-                2 => Some(FaultPlan::kill_at(op_b)),
+        let label = format!("{name} second-death(ops {op_a}/{op_b})");
+        let mut second_death = Tally::default();
+        let completed = sweep.faulted(
+            &label,
+            move |launch, r| match (launch, r) {
+                (0, 1) => Some(FaultPlan::kill_at(op_a)),
+                (0, 2) => Some(FaultPlan::kill_at(op_b)),
                 _ => None,
-            }
-        });
-        out.second_death_runs += 1;
-        match res {
-            Ok(o) => {
-                if o.attempts < 2 {
-                    out.violations.push(format!(
-                        "{name} second-death(ops {op_a}/{op_b}): completed in {} attempt(s) — \
-                         the second kill never fired or was wrongly absorbed",
-                        o.attempts
-                    ));
-                }
-                if o.digest != reference.digest {
-                    out.violations.push(format!(
-                        "{name} second-death(ops {op_a}/{op_b}): digest {:#018x} != reference {:#018x}",
-                        o.digest, reference.digest
-                    ));
-                }
-            }
-            Err(e) => out.violations.push(format!(
-                "{name} second-death(ops {op_a}/{op_b}): unrecovered: {e}"
-            )),
+            },
+            &mut second_death,
+            &mut out.violations,
+        );
+        out.second_death_runs += second_death.runs;
+        if let Some(o) = completed.filter(|o| o.attempts < 2) {
+            out.violations.push(format!(
+                "{label}: completed in {} attempt(s) — \
+                 the second kill never fired or was wrongly absorbed",
+                o.attempts
+            ));
         }
     }
+    out.kill_runs = kills.runs;
+    out.kills_fired = kills.fired;
+    out.degraded = kills.degraded;
+    out.relaunched = kills.relaunched;
     out
 }
 

@@ -6,7 +6,7 @@
 use std::collections::BTreeSet;
 
 use pcdlb_check::explore::{config_2x2, explore};
-use pcdlb_mp::check::{DeliveryPolicy, ReplayPolicy, SeededPolicy};
+use pcdlb_mp::check::{ReplayPolicy, SeededPolicy};
 use pcdlb_mp::World;
 
 #[test]
@@ -38,40 +38,38 @@ fn digest_identical_across_at_least_24_delivery_orders_on_2x2() {
 /// policies must be able to produce different outcomes, proving the
 /// explorer can distinguish delivery orders at all.
 fn racy_first_seen(rank0_prefix: Vec<usize>) -> u64 {
-    let world = World::new(3);
-    let outs = world.run_with_delivery(
-        move |rank| -> Box<dyn DeliveryPolicy> {
-            if rank == 0 {
-                Box::new(ReplayPolicy::new(rank0_prefix.clone()).0)
-            } else {
-                Box::new(ReplayPolicy::new(Vec::new()).0)
-            }
-        },
-        |comm| {
-            if comm.rank() == 0 {
-                // Let both messages physically arrive so the first poll
-                // faces a genuine two-candidate choice point.
-                std::thread::sleep(std::time::Duration::from_millis(100));
-                let mut order = Vec::new();
-                while order.len() < 2 {
-                    if !order.contains(&1) {
-                        if let Some(v) = comm.try_recv::<u64>(1, 9) {
-                            order.push(v);
-                        }
-                    }
-                    if !order.contains(&2) {
-                        if let Some(v) = comm.try_recv::<u64>(2, 9) {
-                            order.push(v);
-                        }
+    let world = World::new(3).with_start_hook(move |comm| {
+        let prefix = if comm.rank() == 0 {
+            rank0_prefix.clone()
+        } else {
+            Vec::new()
+        };
+        comm.set_delivery_policy(Box::new(ReplayPolicy::new(prefix).0));
+    });
+    let outs = world.run(|comm| {
+        if comm.rank() == 0 {
+            // Let both messages physically arrive so the first poll
+            // faces a genuine two-candidate choice point.
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let mut order = Vec::new();
+            while order.len() < 2 {
+                if !order.contains(&1) {
+                    if let Some(v) = comm.try_recv::<u64>(1, 9) {
+                        order.push(v);
                     }
                 }
-                order[0]
-            } else {
-                comm.send(0, 9, comm.rank() as u64);
-                0
+                if !order.contains(&2) {
+                    if let Some(v) = comm.try_recv::<u64>(2, 9) {
+                        order.push(v);
+                    }
+                }
             }
-        },
-    );
+            order[0]
+        } else {
+            comm.send(0, 9, comm.rank() as u64);
+            0
+        }
+    });
     outs[0]
 }
 
@@ -92,22 +90,20 @@ fn deterministic_blocking_program_is_policy_independent() {
     // is constant.
     let mut results = BTreeSet::new();
     for seed in 0..8u64 {
-        let world = World::new(3);
-        let outs = world.run_with_delivery(
-            move |rank| -> Box<dyn DeliveryPolicy> {
-                Box::new(SeededPolicy::new(seed * 100 + rank as u64).0)
-            },
-            |comm| {
-                if comm.rank() == 0 {
-                    let a: u64 = comm.recv(1, 9);
-                    let b: u64 = comm.recv(2, 9);
-                    a * 10 + b
-                } else {
-                    comm.send(0, 9, comm.rank() as u64);
-                    0
-                }
-            },
-        );
+        let world = World::new(3).with_start_hook(move |comm| {
+            let policy = SeededPolicy::new(seed * 100 + comm.rank() as u64).0;
+            comm.set_delivery_policy(Box::new(policy));
+        });
+        let outs = world.run(|comm| {
+            if comm.rank() == 0 {
+                let a: u64 = comm.recv(1, 9);
+                let b: u64 = comm.recv(2, 9);
+                a * 10 + b
+            } else {
+                comm.send(0, 9, comm.rank() as u64);
+                0
+            }
+        });
         results.insert(outs[0]);
     }
     assert_eq!(results, BTreeSet::from([12]));

@@ -8,8 +8,8 @@ use pcdlb_check::model::{
     check_all_properties, check_global_properties, check_thread_properties, model_check,
     standard_cases,
 };
-use pcdlb_mp::check::{new_event_log, DeliveryPolicy, EventLog, ProtocolEvent, ReplayPolicy};
-use pcdlb_sim::driver::run_digest_instrumented;
+use pcdlb_mp::check::{install_event_log, new_event_log, EventLog, ProtocolEvent, ReplayPolicy};
+use pcdlb_sim::Launch;
 
 // ---------------------------------------------------------------------------
 // Hand-built traces
@@ -204,14 +204,11 @@ fn captured_2x2_logs() -> (Vec<Vec<ProtocolEvent>>, u64, usize) {
     let case = &standard_cases(4, 4, 50, 5, 2)[0];
     let logs: Vec<EventLog> = (0..case.cfg.p).map(|_| new_event_log()).collect();
     let log_refs = logs.clone();
-    run_digest_instrumented(
-        &case.cfg,
-        |_rank| {
-            let (policy, _trace) = ReplayPolicy::new(Vec::new());
-            Box::new(policy) as Box<dyn DeliveryPolicy>
-        },
-        move |rank| log_refs[rank].clone(),
-    );
+    let launch = Launch::new().on_start(move |_launch, comm| {
+        install_event_log(log_refs[comm.rank()].clone(), comm.rank());
+        comm.set_delivery_policy(Box::new(ReplayPolicy::new(Vec::new()).0));
+    });
+    launch.snapshot().run(&case.cfg);
     let rank_logs = logs
         .iter()
         .map(|l| l.lock().expect("log lock").clone())
@@ -224,7 +221,13 @@ fn captured_2x2_logs() -> (Vec<Vec<ProtocolEvent>>, u64, usize) {
 #[test]
 fn captured_logs_are_clean_and_mutations_are_caught() {
     let (logs, n_particles, p) = captured_2x2_logs();
-    assert!(logs.iter().all(|l| !l.is_empty()), "instrumentation ran");
+    for (rank, log) in logs.iter().enumerate() {
+        assert_eq!(
+            log.first(),
+            Some(&ProtocolEvent::Birth { rank }),
+            "the launch's marker opens rank {rank}'s log"
+        );
+    }
     assert!(
         check_all_properties(n_particles, p, &logs).is_empty(),
         "real run must satisfy every property"

@@ -91,7 +91,7 @@ pub mod tags {
     pub const SNAPSHOT: u64 = 13;
     /// Periodic (collective): distributed checkpoint gather to rank 0 —
     /// every owned column's particles plus the ownership view, so rank 0
-    /// can assemble a restartable [`pcdlb-sim`] checkpoint.
+    /// can assemble a restartable `pcdlb-sim` checkpoint.
     pub const CKPT_GATHER: u64 = 14;
     /// Periodic (collective): runtime invariant sentinel gather to rank 0
     /// — per-rank particle counts and owned columns, checked for global

@@ -12,7 +12,7 @@
 //! cross-section coordinate. Each PE's home *tile* is an `m × m` block of
 //! columns, `m = C^(1/3) / P^(1/2)` (paper Fig. 7).
 //!
-//! - [`column`]: the cross-section grid of columns and its 8-adjacency;
+//! - [`mod@column`]: the cross-section grid of columns and its 8-adjacency;
 //! - [`pillar`]: the tile layout mapping columns to home PEs;
 //! - [`ownership`]: the dynamic column→owner map plus the structural
 //!   invariants the permanent-cell scheme guarantees;

@@ -453,7 +453,7 @@ impl std::fmt::Display for ProtocolEvent {
     }
 }
 
-/// A shared per-thread event log. The world launcher installs one per
+/// A shared per-thread event log. A world's start hook installs one per
 /// rank thread; the model checker reads them back after the run.
 pub type EventLog = Arc<Mutex<Vec<ProtocolEvent>>>;
 
@@ -468,11 +468,14 @@ thread_local! {
     static EVENT_SINK: RefCell<Option<EventLog>> = const { RefCell::new(None) };
 }
 
-/// Bind this thread's protocol events to `log`. Installed by the
-/// instrumented world launchers from each rank's own thread before the
-/// rank body runs; logs may be shared across launches (events append).
-pub fn install_event_log(log: EventLog) {
+/// Bind this thread's protocol events to `log` and open the launch's
+/// segment with its [`Birth`](ProtocolEvent::Birth) marker. Call it first
+/// thing in [`World::with_start_hook`](crate::World::with_start_hook), on
+/// the rank's own thread, so the marker precedes every event of the
+/// launch; logs may be shared across launches (events append).
+pub fn install_event_log(log: EventLog, rank: usize) {
     EVENT_SINK.with(|s| *s.borrow_mut() = Some(log));
+    emit(ProtocolEvent::Birth { rank });
 }
 
 /// Record one protocol event on this thread's installed log; a no-op when
@@ -535,8 +538,7 @@ mod tests {
         // No sink installed on this thread yet: emission is a no-op.
         emit(ProtocolEvent::Birth { rank: 9 });
         let log = new_event_log();
-        install_event_log(Arc::clone(&log));
-        emit(ProtocolEvent::Birth { rank: 1 });
+        install_event_log(Arc::clone(&log), 1);
         emit(ProtocolEvent::EpochAdvance { rank: 1, epoch: 2 });
         let got = log.lock().unwrap().clone();
         assert_eq!(

@@ -24,7 +24,7 @@
 //! (its own), but in a takeover-enabled world
 //! ([`crate::world::World::with_takeover`]) a survivor may [`Comm::adopt`]
 //! a dead rank's virtual rank and then serve both, switching between them
-//! with [`Comm::act_as`]. Each adopted identity is a [`Persona`]-internal
+//! with [`Comm::act_as`]. Each adopted identity is a `Persona`-internal
 //! record with its own stats, virtual-time lap, and (in `check` builds)
 //! sequence counters, so per-virtual-rank accounting is unchanged by who
 //! physically hosts the rank. Envelopes carry their virtual destination
@@ -812,16 +812,18 @@ impl Comm {
 
     /// Install a delivery policy: from now on, arrived messages become
     /// visible to receives only when the policy delivers them (`check`
-    /// builds; see [`crate::check`]).
+    /// builds; see [`crate::check`]). Call it from
+    /// [`World::with_start_hook`](crate::World::with_start_hook).
     #[cfg(feature = "check")]
-    pub(crate) fn set_delivery_policy(&mut self, policy: Box<dyn crate::check::DeliveryPolicy>) {
+    pub fn set_delivery_policy(&mut self, policy: Box<dyn crate::check::DeliveryPolicy>) {
         self.delivery = Some(policy);
     }
 
     /// Arm the fault injector with a schedule of send-op faults (`check`
-    /// builds; see [`crate::fault`]).
+    /// builds; see [`crate::fault`]). Call it from
+    /// [`World::with_start_hook`](crate::World::with_start_hook).
     #[cfg(feature = "check")]
-    pub(crate) fn set_fault_plan(&mut self, plan: crate::fault::FaultPlan) {
+    pub fn set_fault_plan(&mut self, plan: crate::fault::FaultPlan) {
         self.injector = Some(crate::fault::FaultInjector::new(plan));
     }
 

@@ -6,8 +6,9 @@
 //! deterministic (that is the substrate's core guarantee), a plan pins each
 //! fault to an exact protocol site — the same seed and schedule always
 //! corrupts the same message of the same phase, producing the same
-//! diagnostics. Plans are installed per rank via
-//! [`crate::world::World::try_run_with_faults`].
+//! diagnostics. Plans are installed per rank with
+//! [`Comm::set_fault_plan`](crate::Comm::set_fault_plan) from
+//! [`World::with_start_hook`](crate::World::with_start_hook).
 //!
 //! Injectable faults ([`FaultKind`]):
 //!
@@ -228,14 +229,16 @@ mod tests {
     use crate::world::World;
     use std::time::Duration;
 
-    fn fault_world() -> World {
+    /// A two-rank world whose rank 0 runs under `plan`.
+    fn fault_world(plan: FaultPlan) -> World {
         World::new(2)
             .with_poll_interval(DEFAULT_POLL_INTERVAL)
             .with_watchdog(Duration::from_secs(2))
-    }
-
-    fn plans_for_rank0(plan: FaultPlan) -> impl Fn(usize) -> Option<FaultPlan> + Sync {
-        move |rank| (rank == 0).then(|| plan.clone())
+            .with_start_hook(move |comm| {
+                if comm.rank() == 0 {
+                    comm.set_fault_plan(plan.clone());
+                }
+            })
     }
 
     #[test]
@@ -286,22 +289,19 @@ mod tests {
         // Rank 0's first send is swallowed; the second arrives with seq 1
         // while rank 1 expects seq 0 — a structured transport fault, not a
         // wrong value or a hang.
-        let res = fault_world().try_run_with_faults(
-            plans_for_rank0(FaultPlan::single(0, FaultKind::DropMessage)),
-            |comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 1, 10u64);
-                    comm.send(1, 2, 20u64);
-                    String::new()
-                } else {
-                    let err = comm
-                        .recv_deadline::<u64>(0, 2, Duration::from_secs(2))
-                        .expect_err("the gap must be detected");
-                    assert_eq!(err.kind, CommErrorKind::Transport);
-                    err.message().to_string()
-                }
-            },
-        );
+        let res = fault_world(FaultPlan::single(0, FaultKind::DropMessage)).try_run(|comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 1, 10u64);
+                comm.send(1, 2, 20u64);
+                String::new()
+            } else {
+                let err = comm
+                    .recv_deadline::<u64>(0, 2, Duration::from_secs(2))
+                    .expect_err("the gap must be detected");
+                assert_eq!(err.kind, CommErrorKind::Transport);
+                err.message().to_string()
+            }
+        });
         let out = res.expect("faults were handled structurally; no rank panicked");
         assert!(
             out[1].contains("expected seq 0, got 1") && out[1].contains("lost or reordered"),
@@ -313,26 +313,23 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "short watchdog/deadline budgets race the interpreter")]
     fn duplicated_message_is_detected_as_a_replay() {
-        let res = fault_world().try_run_with_faults(
-            plans_for_rank0(FaultPlan::single(0, FaultKind::DuplicateMessage)),
-            |comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 1, 10u64);
-                    String::new()
-                } else {
-                    let v = comm
-                        .recv_deadline::<u64>(0, 1, Duration::from_secs(2))
-                        .expect("the original copy is intact");
-                    assert_eq!(v, 10);
-                    // Admitting the duplicate (same seq) fails the check.
-                    let err = comm
-                        .recv_deadline::<u64>(0, 99, Duration::from_millis(300))
-                        .expect_err("the replayed envelope must be flagged");
-                    assert_eq!(err.kind, CommErrorKind::Transport);
-                    err.message().to_string()
-                }
-            },
-        );
+        let res = fault_world(FaultPlan::single(0, FaultKind::DuplicateMessage)).try_run(|comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 1, 10u64);
+                String::new()
+            } else {
+                let v = comm
+                    .recv_deadline::<u64>(0, 1, Duration::from_secs(2))
+                    .expect("the original copy is intact");
+                assert_eq!(v, 10);
+                // Admitting the duplicate (same seq) fails the check.
+                let err = comm
+                    .recv_deadline::<u64>(0, 99, Duration::from_millis(300))
+                    .expect_err("the replayed envelope must be flagged");
+                assert_eq!(err.kind, CommErrorKind::Transport);
+                err.message().to_string()
+            }
+        });
         let out = res.expect("handled structurally");
         assert!(out[1].contains("duplicated or replayed"), "got: {}", out[1]);
     }
@@ -340,23 +337,20 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "short watchdog/deadline budgets race the interpreter")]
     fn delayed_message_is_detected_as_a_reordering() {
-        let res = fault_world().try_run_with_faults(
-            plans_for_rank0(FaultPlan::single(0, FaultKind::DelayMessage)),
-            |comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 1, 10u64); // parked
-                    comm.send(1, 2, 20u64); // overtakes, then releases seq 0
-                    String::new()
-                } else {
-                    // The first arrival carries seq 1: out of order.
-                    let err = comm
-                        .recv_deadline::<u64>(0, 2, Duration::from_secs(2))
-                        .expect_err("overtaking must be detected");
-                    assert_eq!(err.kind, CommErrorKind::Transport);
-                    err.message().to_string()
-                }
-            },
-        );
+        let res = fault_world(FaultPlan::single(0, FaultKind::DelayMessage)).try_run(|comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 1, 10u64); // parked
+                comm.send(1, 2, 20u64); // overtakes, then releases seq 0
+                String::new()
+            } else {
+                // The first arrival carries seq 1: out of order.
+                let err = comm
+                    .recv_deadline::<u64>(0, 2, Duration::from_secs(2))
+                    .expect_err("overtaking must be detected");
+                assert_eq!(err.kind, CommErrorKind::Transport);
+                err.message().to_string()
+            }
+        });
         let out = res.expect("handled structurally");
         assert!(out[1].contains("expected seq 0, got 1"), "got: {}", out[1]);
     }
@@ -364,21 +358,18 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "short watchdog/deadline budgets race the interpreter")]
     fn truncated_payload_is_detected_before_unpacking() {
-        let res = fault_world().try_run_with_faults(
-            plans_for_rank0(FaultPlan::single(0, FaultKind::TruncatePayload)),
-            |comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 4, vec![1u64, 2, 3]);
-                    String::new()
-                } else {
-                    let err = comm
-                        .recv_deadline::<Vec<u64>>(0, 4, Duration::from_secs(2))
-                        .expect_err("truncation must be detected");
-                    assert_eq!(err.kind, CommErrorKind::Truncated);
-                    err.message().to_string()
-                }
-            },
-        );
+        let res = fault_world(FaultPlan::single(0, FaultKind::TruncatePayload)).try_run(|comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 4, vec![1u64, 2, 3]);
+                String::new()
+            } else {
+                let err = comm
+                    .recv_deadline::<Vec<u64>>(0, 4, Duration::from_secs(2))
+                    .expect_err("truncation must be detected");
+                assert_eq!(err.kind, CommErrorKind::Truncated);
+                err.message().to_string()
+            }
+        });
         let out = res.expect("handled structurally");
         assert!(out[1].contains("truncated on the wire"), "got: {}", out[1]);
     }
@@ -386,8 +377,8 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "short watchdog/deadline budgets race the interpreter")]
     fn killed_rank_surfaces_on_itself_and_its_blocked_peer() {
-        let err = fault_world()
-            .try_run_with_faults(plans_for_rank0(FaultPlan::kill_at(1)), |comm| {
+        let err = fault_world(FaultPlan::kill_at(1))
+            .try_run(|comm| {
                 if comm.rank() == 0 {
                     comm.send(1, 1, 1u64);
                     comm.send(1, 2, 2u64); // killed here
@@ -408,8 +399,8 @@ mod tests {
     #[cfg_attr(miri, ignore = "short watchdog/deadline budgets race the interpreter")]
     fn same_plan_produces_identical_diagnostics() {
         let run = || {
-            fault_world()
-                .try_run_with_faults(plans_for_rank0(FaultPlan::kill_at(0)), |comm| {
+            fault_world(FaultPlan::kill_at(0))
+                .try_run(|comm| {
                     if comm.rank() == 0 {
                         comm.send(1, 1, 1u64);
                     } else {
@@ -440,18 +431,15 @@ mod tests {
     fn transient_send_failures_are_retried_through() {
         // Every retry consumes a send-op index, so a burst equal to the
         // retry limit still goes through — the glitch never escalates.
-        let out = fault_world()
-            .try_run_with_faults(
-                plans_for_rank0(FaultPlan::fail_sends(0, crate::comm::SEND_RETRY_LIMIT)),
-                |comm| {
-                    if comm.rank() == 0 {
-                        comm.send(1, 1, 42u64);
-                        0
-                    } else {
-                        comm.recv::<u64>(0, 1)
-                    }
-                },
-            )
+        let out = fault_world(FaultPlan::fail_sends(0, crate::comm::SEND_RETRY_LIMIT))
+            .try_run(|comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 1, 42u64);
+                    0
+                } else {
+                    comm.recv::<u64>(0, 1)
+                }
+            })
             .expect("retries absorb the transient failure");
         assert_eq!(out[1], 42);
     }
@@ -461,28 +449,25 @@ mod tests {
     fn persistent_send_failure_exhausts_the_retry_budget() {
         // One more consecutive failure than the budget: try_send must
         // surface a structured Transport error, not spin forever.
-        let out = fault_world()
-            .try_run_with_faults(
-                plans_for_rank0(FaultPlan::fail_sends(0, crate::comm::SEND_RETRY_LIMIT + 1)),
-                |comm| {
-                    if comm.rank() == 0 {
-                        let err = comm
-                            .try_send(1, 1, 42u64)
-                            .expect_err("the failure persists past every retry");
-                        assert_eq!(err.kind, CommErrorKind::Transport);
-                        assert_eq!((err.peer, err.tag), (1, 1));
-                        // Later sends succeed: the budget is per call.
-                        comm.send(1, 2, 7u64);
-                        err.message().to_string()
-                    } else {
-                        let v = comm
-                            .recv_deadline::<u64>(0, 2, Duration::from_secs(2))
-                            .expect("the post-failure send arrives");
-                        assert_eq!(v, 7);
-                        String::new()
-                    }
-                },
-            )
+        let out = fault_world(FaultPlan::fail_sends(0, crate::comm::SEND_RETRY_LIMIT + 1))
+            .try_run(|comm| {
+                if comm.rank() == 0 {
+                    let err = comm
+                        .try_send(1, 1, 42u64)
+                        .expect_err("the failure persists past every retry");
+                    assert_eq!(err.kind, CommErrorKind::Transport);
+                    assert_eq!((err.peer, err.tag), (1, 1));
+                    // Later sends succeed: the budget is per call.
+                    comm.send(1, 2, 7u64);
+                    err.message().to_string()
+                } else {
+                    let v = comm
+                        .recv_deadline::<u64>(0, 2, Duration::from_secs(2))
+                        .expect("the post-failure send arrives");
+                    assert_eq!(v, 7);
+                    String::new()
+                }
+            })
             .expect("handled structurally");
         assert!(
             out[0].contains("transient transport failure") && out[0].contains("retries"),
@@ -493,18 +478,15 @@ mod tests {
 
     #[test]
     fn empty_plans_change_nothing() {
-        let out = fault_world()
-            .try_run_with_faults(
-                |_rank| None,
-                |comm| {
-                    if comm.rank() == 0 {
-                        comm.send(1, 1, 7u64);
-                        0
-                    } else {
-                        comm.recv::<u64>(0, 1)
-                    }
-                },
-            )
+        let out = fault_world(FaultPlan::new(Vec::new()))
+            .try_run(|comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 1, 7u64);
+                    0
+                } else {
+                    comm.recv::<u64>(0, 1)
+                }
+            })
             .expect("faultless run succeeds");
         assert_eq!(out, vec![0, 7]);
     }

@@ -10,7 +10,12 @@
 //! [`World::try_run`] is the recoverable form: instead of re-raising one
 //! winning panic it joins every rank and returns a [`WorldError`] carrying
 //! one diagnostic per failed rank — the clean-teardown surface a recovery
-//! driver (e.g. `pcdlb-sim`'s `run_with_recovery`) builds on.
+//! driver (e.g. `pcdlb-sim`'s resilient launch) builds on.
+//! [`World::try_run_degraded`] additionally reports registered rank
+//! deaths as degradation. Those three are the only launchers; `check`
+//! builds add one hook, [`World::with_start_hook`], for what each rank
+//! thread does before the program (install a delivery policy, arm a fault
+//! plan, bind an event log).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -70,6 +75,18 @@ pub struct DegradedOutcome<R> {
     pub dead: Vec<usize>,
 }
 
+/// What each rank thread runs before the program (`check` builds).
+#[cfg(feature = "check")]
+#[derive(Clone)]
+struct StartHook(Arc<dyn Fn(&mut Comm) + Send + Sync>);
+
+#[cfg(feature = "check")]
+impl std::fmt::Debug for StartHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("StartHook(..)")
+    }
+}
+
 /// Configuration for an SPMD launch.
 #[derive(Debug, Clone)]
 pub struct World {
@@ -81,6 +98,8 @@ pub struct World {
     base_epoch: u64,
     transport: Arc<dyn Transport>,
     rel: ReliabilityParams,
+    #[cfg(feature = "check")]
+    start: Option<StartHook>,
 }
 
 impl World {
@@ -97,6 +116,8 @@ impl World {
             base_epoch: 0,
             transport: Arc::new(InProcTransport),
             rel: ReliabilityParams::default(),
+            #[cfg(feature = "check")]
+            start: None,
         }
     }
 
@@ -176,6 +197,18 @@ impl World {
         self
     }
 
+    /// Run `hook` on every rank's own thread, once, before the program
+    /// starts (`check` builds) — the one place a model checker or fault
+    /// sweep prepares a rank: [`Comm::set_delivery_policy`],
+    /// [`Comm::set_fault_plan`],
+    /// [`install_event_log`](crate::check::install_event_log). Applies to
+    /// every launcher.
+    #[cfg(feature = "check")]
+    pub fn with_start_hook(mut self, hook: impl Fn(&mut Comm) + Send + Sync + 'static) -> Self {
+        self.start = Some(StartHook(Arc::new(hook)));
+        self
+    }
+
     /// Number of ranks this world will launch.
     pub fn size(&self) -> usize {
         self.size
@@ -192,7 +225,7 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        let (results, mut panics, _dead) = self.launch(f, |_comm| {});
+        let (results, mut panics, _dead) = self.launch(f);
         if let Some((_rank, payload)) = panics.drain(..).next() {
             std::panic::resume_unwind(payload);
         }
@@ -209,146 +242,25 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        let (results, panics, _dead) = self.launch(f, |_comm| {});
+        let (results, panics, _dead) = self.launch(f);
         Self::collect(results, panics)
     }
 
-    /// Run `f` on every rank of a [`World::with_takeover`] world, treating
-    /// registered (absorbed) rank deaths as expected degradation rather
-    /// than failure: `Ok` as long as every panic belongs to a registered
-    /// dead rank, with `None` results in the dead slots. Any *other* panic
-    /// — including survivors aborted by a second death — is a
-    /// [`WorldError`] and the caller should relaunch from the checkpoint.
+    /// Run `f` on every rank, treating registered (absorbed) rank deaths
+    /// as expected degradation rather than failure: `Ok` as long as every
+    /// panic belongs to a registered dead rank, with `None` results in the
+    /// dead slots. Any *other* panic — including survivors aborted by a
+    /// second death — is a [`WorldError`] and the caller should relaunch
+    /// from the checkpoint. Deaths are only registered in a
+    /// [`World::with_takeover`] world; without it this is
+    /// [`World::try_run`] with every result slot `Some`.
     pub fn try_run_degraded<R, F>(&self, f: F) -> Result<DegradedOutcome<R>, WorldError>
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        assert!(self.takeover, "try_run_degraded requires with_takeover()");
-        let (results, panics, dead) = self.launch(f, |_comm| {});
+        let (results, panics, dead) = self.launch(f);
         Self::collect_degraded(results, panics, dead)
-    }
-
-    /// [`World::try_run_degraded`] with per-rank fault plans installed
-    /// first (`check` builds) — the takeover kill-point sweep's entry.
-    #[cfg(feature = "check")]
-    pub fn try_run_degraded_with_faults<R, F, P>(
-        &self,
-        plan_for_rank: P,
-        f: F,
-    ) -> Result<DegradedOutcome<R>, WorldError>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-        P: Fn(usize) -> Option<crate::fault::FaultPlan> + Sync,
-    {
-        assert!(self.takeover, "try_run_degraded requires with_takeover()");
-        let (results, panics, dead) = self.launch(f, |comm| {
-            if let Some(plan) = plan_for_rank(comm.rank()) {
-                comm.set_fault_plan(plan);
-            }
-        });
-        Self::collect_degraded(results, panics, dead)
-    }
-
-    /// Like [`World::run`], but installs a [`crate::check::DeliveryPolicy`]
-    /// on each rank before the program starts: `policy_for_rank(rank)` is
-    /// called once per rank on that rank's thread. The policy then controls
-    /// the cross-source message-delivery order the rank observes.
-    #[cfg(feature = "check")]
-    pub fn run_with_delivery<R, F, P>(&self, policy_for_rank: P, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-        P: Fn(usize) -> Box<dyn crate::check::DeliveryPolicy> + Sync,
-    {
-        let (results, mut panics, _dead) = self.launch(f, |comm| {
-            comm.set_delivery_policy(policy_for_rank(comm.rank()));
-        });
-        if let Some((_rank, payload)) = panics.drain(..).next() {
-            std::panic::resume_unwind(payload);
-        }
-        Self::unwrap_results(results)
-    }
-
-    /// Like [`World::run_with_delivery`], but additionally binds each rank
-    /// thread to an event log before the program starts:
-    /// `log_for_rank(rank)` is called once per rank on that rank's own
-    /// thread and every protocol-level action the rank performs is
-    /// appended to the returned log (see [`crate::check::ProtocolEvent`]),
-    /// starting with a [`Birth`](crate::check::ProtocolEvent::Birth)
-    /// marker. The model checker in `pcdlb-check` runs worlds through this
-    /// entry and checks its safety properties over the collected logs.
-    #[cfg(feature = "check")]
-    pub fn run_instrumented<R, F, P, L>(&self, policy_for_rank: P, log_for_rank: L, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-        P: Fn(usize) -> Box<dyn crate::check::DeliveryPolicy> + Sync,
-        L: Fn(usize) -> crate::check::EventLog + Sync,
-    {
-        let (results, mut panics, _dead) = self.launch(f, |comm| {
-            crate::check::install_event_log(log_for_rank(comm.rank()));
-            crate::check::emit(crate::check::ProtocolEvent::Birth { rank: comm.rank() });
-            comm.set_delivery_policy(policy_for_rank(comm.rank()));
-        });
-        if let Some((_rank, payload)) = panics.drain(..).next() {
-            std::panic::resume_unwind(payload);
-        }
-        Self::unwrap_results(results)
-    }
-
-    /// The instrumented form of [`World::try_run_degraded_with_faults`]:
-    /// per-rank fault plans *and* a delivery policy *and* an event log are
-    /// installed on every rank thread before the program starts. Logs may
-    /// be shared across launches — each launch appends a fresh
-    /// [`Birth`](crate::check::ProtocolEvent::Birth) marker, which is how
-    /// the model checker segments relaunch attempts.
-    #[cfg(feature = "check")]
-    pub fn try_run_degraded_instrumented<R, F, P, Q, L>(
-        &self,
-        plan_for_rank: Q,
-        policy_for_rank: P,
-        log_for_rank: L,
-        f: F,
-    ) -> Result<DegradedOutcome<R>, WorldError>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-        P: Fn(usize) -> Box<dyn crate::check::DeliveryPolicy> + Sync,
-        Q: Fn(usize) -> Option<crate::fault::FaultPlan> + Sync,
-        L: Fn(usize) -> crate::check::EventLog + Sync,
-    {
-        assert!(self.takeover, "try_run_degraded requires with_takeover()");
-        let (results, panics, dead) = self.launch(f, |comm| {
-            crate::check::install_event_log(log_for_rank(comm.rank()));
-            crate::check::emit(crate::check::ProtocolEvent::Birth { rank: comm.rank() });
-            comm.set_delivery_policy(policy_for_rank(comm.rank()));
-            if let Some(plan) = plan_for_rank(comm.rank()) {
-                comm.set_fault_plan(plan);
-            }
-        });
-        Self::collect_degraded(results, panics, dead)
-    }
-
-    /// Like [`World::try_run`], but arms each rank's fault injector first:
-    /// `plan_for_rank(rank)` returning `Some` installs that
-    /// [`crate::fault::FaultPlan`] on the rank. Injected faults surface as
-    /// rank diagnostics in the returned [`WorldError`] (or as handled
-    /// `CommError`s inside the program), never as hangs.
-    #[cfg(feature = "check")]
-    pub fn try_run_with_faults<R, F, P>(&self, plan_for_rank: P, f: F) -> Result<Vec<R>, WorldError>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-        P: Fn(usize) -> Option<crate::fault::FaultPlan> + Sync,
-    {
-        let (results, panics, _dead) = self.launch(f, |comm| {
-            if let Some(plan) = plan_for_rank(comm.rank()) {
-                comm.set_fault_plan(plan);
-            }
-        });
-        Self::collect(results, panics)
     }
 
     fn unwrap_results<R>(results: Vec<Option<R>>) -> Vec<R> {
@@ -400,12 +312,11 @@ impl World {
 
     /// Spawn all ranks, join all of them, and hand back per-rank results
     /// plus the captured panic payloads in rank order. The common core of
-    /// every launch flavour.
-    fn launch<R, F, S>(&self, f: F, setup: S) -> LaunchOutcome<R>
+    /// the three launchers.
+    fn launch<R, F>(&self, f: F) -> LaunchOutcome<R>
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
-        S: Fn(&mut Comm) + Sync,
     {
         let epoch = Instant::now();
         let (senders, receivers): (Vec<_>, Vec<_>) =
@@ -427,7 +338,8 @@ impl World {
                     let senders = senders.clone();
                     let model = self.model;
                     let f = &f;
-                    let setup = &setup;
+                    #[cfg(feature = "check")]
+                    let start = self.start.as_ref();
                     let abort = Arc::clone(&abort);
                     let deaths = Arc::clone(&deaths);
                     let dead = Arc::clone(&dead);
@@ -456,7 +368,10 @@ impl World {
                                 rel,
                             },
                         );
-                        setup(&mut comm);
+                        #[cfg(feature = "check")]
+                        if let Some(StartHook(hook)) = start {
+                            hook(&mut comm);
+                        }
                         let result =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
                         if result.is_ok() {
@@ -643,6 +558,35 @@ mod tests {
                 .is_err()
         });
         assert_eq!(res.ok(), Some(true), "try_run must contain the panic");
+    }
+
+    #[cfg(feature = "check")]
+    #[test]
+    fn start_hook_runs_once_per_rank_on_its_thread_before_the_program() {
+        use std::sync::Mutex;
+        use std::thread::{current, ThreadId};
+        let calls: Arc<Mutex<Vec<(usize, ThreadId)>>> = Arc::default();
+        let seen = Arc::clone(&calls);
+        let world = World::new(3).with_start_hook(move |comm| {
+            seen.lock().unwrap().push((comm.rank(), current().id()));
+        });
+        // How often the hook has already run for this rank on this thread
+        // when the program starts.
+        let program = |comm: &mut Comm| {
+            let me = (comm.rank(), current().id());
+            calls.lock().unwrap().iter().filter(|&&c| c == me).count()
+        };
+        let expect_one_each = |launcher: &str, counts: Vec<usize>| {
+            assert_eq!(counts, [1, 1, 1], "{launcher}: before the program");
+            let mut ranks: Vec<usize> = calls.lock().unwrap().drain(..).map(|c| c.0).collect();
+            ranks.sort_unstable();
+            assert_eq!(ranks, [0, 1, 2], "{launcher}: once per rank");
+        };
+        expect_one_each("run", world.run(program));
+        expect_one_each("try_run", world.try_run(program).expect("no failures"));
+        let degraded = world.with_takeover().try_run_degraded(program);
+        let counts = degraded.expect("no failures").results;
+        expect_one_each("try_run_degraded", counts.into_iter().flatten().collect());
     }
 
     #[test]

@@ -394,8 +394,7 @@ impl RunConfig {
 
     /// Validate geometric consistency for the square-pillar layout; call
     /// before running. Panics with a description of the first violated
-    /// constraint. (The plane and cube wrappers validate their own
-    /// geometry — see `plane::validate_plane` and `cube::validate_cube`.)
+    /// constraint. (Every launch validates the config for its own shape.)
     pub fn validate(&self) {
         crate::decomp::validate(self, pcdlb_domain::DomainShape::SquarePillar);
     }

@@ -39,7 +39,7 @@ pub fn validate_cube(cfg: &RunConfig) {
 }
 
 /// The cube's own geometry rules (the shared ones are in
-/// [`crate::decomp::validate`]).
+/// `crate::decomp::validate`).
 pub(crate) fn validate_shape(cfg: &RunConfig) {
     let k = (cfg.p as f64).cbrt().round() as usize;
     assert_eq!(
@@ -95,13 +95,9 @@ impl Decomposition for Cube {
     }
 }
 
-/// Run the cube-domain simulator; rank 0's report with comm totals.
-pub fn run_cube(cfg: &RunConfig) -> RunReport {
-    crate::driver::run_inner(cfg, DomainShape::Cube, false).0
-}
-
-/// Like [`run_cube`] but also gathers the final particle state.
+/// Run the cube-domain simulator and gather the final particle state: a
+/// forward to [`Launch::shape`](crate::driver::Launch::shape).
 pub fn run_cube_with_snapshot(cfg: &RunConfig) -> (RunReport, Vec<Particle>) {
-    let (rep, snap) = crate::driver::run_inner(cfg, DomainShape::Cube, true);
-    (rep, snap.expect("snapshot requested"))
+    let launch = crate::driver::Launch::new().shape(DomainShape::Cube);
+    launch.snapshot().run(cfg).into_snapshot()
 }

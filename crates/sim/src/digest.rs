@@ -7,7 +7,7 @@
 //! particle phase-space (ids, position bits, velocity bits) and the
 //! deterministic per-step report series — and excludes wall-clock
 //! measurements (`wall_s`, and the force times under
-//! [`LoadMetric::WallClock`](crate::config::LoadMetric::WallClock)),
+//! [`LoadMetric::WallClock`]),
 //! which legitimately vary run to run.
 
 use pcdlb_md::Particle;

@@ -1,71 +1,371 @@
-//! Launching parallel runs and assembling their reports.
+//! The front door: every parallel run starts here.
+//!
+//! A run is described by data, not by which function is called. A
+//! [`Launch`] says *how* a [`RunConfig`] is started — the domain shape,
+//! whether the final particle state is gathered and, in `check` builds,
+//! what every rank thread does before the program — and has two terminals:
+//!
+//! - [`Launch::run`], the **plain** launch: any shape, one world; a rank's
+//!   panic resurfaces on the caller with its original payload.
+//! - [`Launch::run_resilient`], the **resilient** launch (square pillar
+//!   only): the recovery ladder as a [`Ladder`] value — relaunch from the
+//!   last checkpoint, optionally buddy takeover in place
+//!   ([`crate::takeover`]), optionally a [`ResizePlan`] of world
+//!   generations ([`crate::elastic`]). One generations × attempts loop runs
+//!   every rung; a rung is switched on by data.
+//!
+//! [`run`], [`run_with_snapshot`] and [`run_with_phase_times`] are one-line
+//! forwards for the common plain launches.
+//!
+//! The headline property of the ladder (tested in [`crate::recover`] and
+//! [`crate::elastic`], swept by `pcdlb-check faults | takeover | resize`):
+//! a recovered, degraded or resized run's particle state and per-step
+//! record series are **bitwise identical** to an uninterrupted run's, no
+//! matter where a fault struck. Only the run-total message counters differ
+//! (retransmission), which is why parity is asserted on
+//! [`digest_recovery`] rather than [`digest_run`](crate::digest::digest_run).
+
+use std::sync::{Mutex, PoisonError};
 
 use pcdlb_domain::DomainShape;
 use pcdlb_md::Particle;
-use pcdlb_mp::World;
+use pcdlb_mp::{Comm, RankFailure, World, WorldError};
 
 use crate::config::RunConfig;
-use crate::pe::{initial_particles, pe_main, PeResult};
+use crate::digest::digest_recovery;
+use crate::elastic::{
+    remap_drained_checkpoint, ResizeGeneration, ResizePlan, GENERATION_EPOCH_STRIDE,
+};
+use crate::pe::{initial_particles, PeResult};
+use crate::recover::{RecoveryError, SimCheckpoint};
 use crate::report::{PhaseTimes, RunReport, WireBytes};
+use crate::takeover::{run_roles, takeover_main, Start};
 
-/// Run a configuration to completion; returns rank 0's report with
-/// communication totals aggregated over all ranks.
+/// What every rank thread runs before the program, given the launch
+/// number and the rank's endpoint (`check` builds).
+#[cfg(feature = "check")]
+type StartHook = std::sync::Arc<dyn Fn(usize, &mut Comm) + Send + Sync>;
+
+/// How to launch a [`RunConfig`] — see the [module docs](self).
+#[derive(Clone)]
+pub struct Launch {
+    shape: DomainShape,
+    snapshot: bool,
+    #[cfg(feature = "check")]
+    on_start: Option<StartHook>,
+}
+
+impl Default for Launch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// What a plain launch produced.
+#[derive(Debug)]
+pub struct Run {
+    /// Rank 0's report with communication totals aggregated over all ranks.
+    pub report: RunReport,
+    /// Final particle state, id-sorted, when [`Launch::snapshot`] asked for
+    /// it (the gather costs P − 1 messages).
+    pub snapshot: Option<Vec<Particle>>,
+    /// Wall-clock phase breakdown summed over all ranks: all zeros unless
+    /// the `wallclock-instrumentation` feature is enabled.
+    pub phases: PhaseTimes,
+    /// Per-phase bytes on the wire summed over all ranks: always live, and
+    /// deterministic.
+    pub wire: WireBytes,
+}
+
+impl Run {
+    /// The report and the snapshot of a launch that gathered one.
+    pub fn into_snapshot(self) -> (RunReport, Vec<Particle>) {
+        (self.report, self.snapshot.expect("snapshot requested"))
+    }
+}
+
+/// The recovery ladder of a resilient launch, as data.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ladder {
+    /// Launches a world generation may take (first run + relaunches) before
+    /// the run gives up with a [`RecoveryError`]. Every relaunch restores
+    /// the last checkpoint: set `cfg.checkpoint_interval > 0` to bound the
+    /// re-executed work (with it at 0 a relaunch restarts the generation).
+    pub max_attempts: usize,
+    /// Absorb a single rank death per launch *in place*: the dead rank's
+    /// buddy adopts its virtual rank and the launch completes degraded on
+    /// `n − 1` threads (see [`crate::takeover`]). Anything worse — a second
+    /// death, a barrier timeout, a sentinel violation — still relaunches.
+    /// `false` keeps only the relaunch rung.
+    pub takeover: bool,
+    /// Planned changes of the PE count (see [`crate::elastic`]); empty for
+    /// a run that keeps its world. A non-empty plan needs `cfg.skin == 0`.
+    pub plan: ResizePlan,
+}
+
+impl Default for Ladder {
+    /// The full ladder over one world: takeover, then up to 8 launches.
+    fn default() -> Self {
+        Self {
+            max_attempts: 8,
+            takeover: true,
+            plan: ResizePlan::new(),
+        }
+    }
+}
+
+/// What a resilient launch produced.
+#[derive(Debug)]
+pub struct LadderOutcome {
+    /// Rank 0's assembled report: the **complete** record series from
+    /// step 1 across every launch and generation (records ride the
+    /// checkpoints), bitwise identical to an uninterrupted run's, with
+    /// run-total message counters from the final launch only.
+    pub report: RunReport,
+    /// Final particle state, id-sorted — bitwise identical to an
+    /// uninterrupted serial run.
+    pub snapshot: Vec<Particle>,
+    /// [`digest_recovery`] of the outcome — the parity invariant.
+    pub digest: u64,
+    /// Total launches across all generations (= number of generations
+    /// when nothing failed).
+    pub attempts: usize,
+    /// Total rank deaths absorbed in place across all generations.
+    pub takeovers: usize,
+    /// Per-launch failure diagnostics for launches that died.
+    pub failures: Vec<WorldError>,
+    /// One entry per generation, in run order.
+    pub generations: Vec<ResizeGeneration>,
+}
+
+impl Launch {
+    /// The default launch: square pillar, no snapshot.
+    pub fn new() -> Self {
+        Self {
+            shape: DomainShape::SquarePillar,
+            snapshot: false,
+            #[cfg(feature = "check")]
+            on_start: None,
+        }
+    }
+
+    /// Decompose the box into `shape` domains.
+    pub fn shape(mut self, shape: DomainShape) -> Self {
+        self.shape = shape;
+        self
+    }
+
+    /// Gather the final particle state to rank 0 after the last step.
+    pub fn snapshot(mut self) -> Self {
+        self.snapshot = true;
+        self
+    }
+
+    /// Run `hook(launch, comm)` on every rank's own thread before the
+    /// program (`check` builds): the one place a sweep or model checker
+    /// installs an event log, a delivery policy or a fault plan. `launch`
+    /// numbers the worlds of a run from 0, across generations and
+    /// relaunches alike (a plain launch is launch 0).
+    #[cfg(feature = "check")]
+    pub fn on_start(mut self, hook: impl Fn(usize, &mut Comm) + Send + Sync + 'static) -> Self {
+        self.on_start = Some(std::sync::Arc::new(hook));
+        self
+    }
+
+    /// The world one launch of the (validated) `cfg` runs in: the only
+    /// place a `World` is built.
+    #[cfg_attr(not(feature = "check"), allow(unused_variables))]
+    fn world(&self, cfg: &RunConfig, launch: usize) -> World {
+        let world = World::new(cfg.p)
+            .with_cost_model(crate::decomp::cost_model(self.shape, cfg))
+            .with_comm_config(&cfg.comm);
+        #[cfg(feature = "check")]
+        if let Some(hook) = self.on_start.clone() {
+            return world.with_start_hook(move |comm| hook(launch, comm));
+        }
+        world
+    }
+
+    /// The plain launch: run `cfg` to completion in one world. The initial
+    /// condition is generated once and every rank adopts its cells' share
+    /// of the one read-only slice.
+    pub fn run(&self, cfg: &RunConfig) -> Run {
+        crate::decomp::validate(cfg, self.shape);
+        let world = self.world(cfg, 0);
+        let initial = initial_particles(cfg);
+        assemble(world.run(|comm| {
+            let roles = [comm.rank()];
+            let start = Start::Fresh(&initial);
+            let (shape, snapshot) = (self.shape, self.snapshot);
+            run_roles(comm, cfg, shape, &roles, start, None, snapshot, false)
+                .swap_remove(0)
+                .1
+        }))
+    }
+
+    /// The resilient launch: run `cfg` under `ladder`. On any rank failure
+    /// the world is torn down cleanly (collecting per-rank diagnostics)
+    /// and relaunched from the last checkpoint — or the initial condition
+    /// if none was taken yet — up to `ladder.max_attempts` times per
+    /// generation; `ladder.takeover` and `ladder.plan` switch on the rungs
+    /// above that. The snapshot is always gathered (the parity digest
+    /// needs it).
+    ///
+    /// Panics before any rank thread starts when the composition is not
+    /// legal: only the square pillar restores from a checkpoint, and a
+    /// resize cannot cut a skin epoch.
+    pub fn run_resilient(
+        &self,
+        cfg: &RunConfig,
+        ladder: &Ladder,
+    ) -> Result<LadderOutcome, RecoveryError> {
+        assert_eq!(
+            self.shape,
+            DomainShape::SquarePillar,
+            "a resilient launch needs the square pillar: \
+             only that shape restores from a checkpoint"
+        );
+        cfg.validate();
+        ladder.plan.validate(cfg);
+        assert!(
+            ladder.plan.stages.is_empty() || cfg.skin == 0.0,
+            "elastic resizing does not support skin epochs yet: a resize \
+             boundary re-bins mid-epoch, which would break the frozen-binning \
+             invariant the Verlet replay depends on"
+        );
+        assert!(ladder.max_attempts > 0, "need at least one attempt");
+        let segments = ladder.plan.segments(cfg);
+        let last_gen = segments.len() - 1;
+        // One sink across all launches and generations: rank 0 deposits
+        // checkpoints here, a relaunch restores whatever arrived last, and
+        // a generation resumes from its predecessor's drain.
+        let sink: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
+        // The initial condition does not depend on P: generated once for
+        // every generation, launch and rank.
+        let initial = initial_particles(cfg);
+        let mut failures = Vec::new();
+        let mut launches = 0;
+        let mut generations = Vec::with_capacity(segments.len());
+        let mut last_results = Vec::new();
+
+        for (gen, seg) in segments.iter().enumerate() {
+            let mut seg_cfg = cfg.clone();
+            seg_cfg.p = seg.p;
+            seg_cfg.steps = seg.end;
+            // DLB needs a torus side ≥ 3: a generation too small for it
+            // runs DDM-only, and DLB resumes on the next big-enough torus.
+            seg_cfg.dlb = cfg.dlb && seg.p >= 9;
+            if gen > 0 {
+                let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
+                let ck = guard
+                    .as_mut()
+                    .expect("the previous generation drained a checkpoint");
+                remap_drained_checkpoint(ck, cfg, seg.start, seg.p);
+            }
+            let (drain, sync) = (gen < last_gen, gen > 0);
+            let completed = (0..ladder.max_attempts).find_map(|attempt| {
+                let mut world = self
+                    .world(&seg_cfg, launches)
+                    .with_base_epoch(gen as u64 * GENERATION_EPOCH_STRIDE);
+                if ladder.takeover {
+                    world = world.with_takeover();
+                }
+                launches += 1;
+                let program =
+                    |comm: &mut Comm| takeover_main(comm, &seg_cfg, &initial, &sink, drain, sync);
+                let outcome = match world.try_run_degraded(program) {
+                    Ok(outcome) => outcome,
+                    Err(e) => {
+                        failures.push(e);
+                        return None;
+                    }
+                };
+                // Reassemble the virtual-rank results from whichever
+                // threads ended up holding them.
+                let mut by_vrank: Vec<Option<PeResult>> = (0..seg.p).map(|_| None).collect();
+                for (v, r) in outcome.results.into_iter().flatten().flatten() {
+                    by_vrank[v] = Some(r);
+                }
+                if by_vrank.iter().any(Option::is_none) {
+                    // A death slipped into the post-handshake tail: some
+                    // virtual rank finished nowhere. The degraded result
+                    // is incomplete — relaunch the generation.
+                    failures.push(unaccounted(&by_vrank));
+                    return None;
+                }
+                let results: Vec<PeResult> = by_vrank.into_iter().flatten().collect();
+                Some((attempt + 1, outcome.dead.len(), results))
+            });
+            let Some((attempts, takeovers, results)) = completed else {
+                return Err(RecoveryError {
+                    attempts: launches,
+                    failures,
+                });
+            };
+            if drain {
+                let guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
+                let ck = guard.as_ref().expect("drain deposits a checkpoint");
+                assert_eq!(
+                    ck.md.step, seg.end,
+                    "drain checkpoint must sit exactly on the resize boundary"
+                );
+            }
+            generations.push(ResizeGeneration {
+                p: seg.p,
+                first_step: seg.start + 1,
+                last_step: seg.end,
+                attempts,
+                takeovers,
+            });
+            last_results = results;
+        }
+
+        let Run {
+            report, snapshot, ..
+        } = assemble(last_results);
+        let snapshot = snapshot.expect("resilient launches always gather a snapshot");
+        let digest = digest_recovery(&report, &snapshot, cfg.load_metric);
+        Ok(LadderOutcome {
+            report,
+            snapshot,
+            digest,
+            attempts: launches,
+            takeovers: generations.iter().map(|g| g.takeovers).sum(),
+            failures,
+            generations,
+        })
+    }
+}
+
+/// Run a configuration to completion on the square pillar; returns rank
+/// 0's report with communication totals aggregated over all ranks.
 pub fn run(cfg: &RunConfig) -> RunReport {
-    run_inner(cfg, DomainShape::SquarePillar, false).0
+    Launch::new().run(cfg).report
 }
 
 /// Like [`run`], but also returns the wall-clock phase breakdown and the
-/// per-phase bytes-on-wire counters, both summed over all ranks. Phase
-/// times are all zeros unless the `wallclock-instrumentation` feature is
-/// enabled; the byte counters are always live (and deterministic). The
-/// scaling bench uses both to report where each configuration spends its
-/// time and its wire budget.
+/// per-phase bytes-on-wire counters (see [`Run`]); gathers no snapshot.
 pub fn run_with_phase_times(cfg: &RunConfig) -> (RunReport, PhaseTimes, WireBytes) {
-    let results = run_ranks(cfg, DomainShape::SquarePillar, false);
-    let mut phases = PhaseTimes::default();
-    let mut wire = WireBytes::default();
-    for r in &results {
-        phases.merge(&r.phase_times);
-        wire.merge(&r.wire_bytes);
-    }
-    (assemble(results).0, phases, wire)
+    let out = Launch::new().run(cfg);
+    (out.report, out.phases, out.wire)
 }
 
 /// Like [`run`], but also gathers the final particle state (sorted by
 /// id) — the snapshot validation tests compare against the serial
 /// reference.
 pub fn run_with_snapshot(cfg: &RunConfig) -> (RunReport, Vec<Particle>) {
-    let (report, snap) = run_inner(cfg, DomainShape::SquarePillar, true);
-    (report, snap.expect("snapshot requested"))
+    Launch::new().snapshot().run(cfg).into_snapshot()
 }
 
-/// Validate `cfg` for `shape` and build the world it runs in.
-fn world(cfg: &RunConfig, shape: DomainShape) -> World {
-    crate::decomp::validate(cfg, shape);
-    World::new(cfg.p)
-        .with_cost_model(crate::decomp::cost_model(shape, cfg))
-        .with_comm_config(&cfg.comm)
-}
-
-/// The one launch path of every plain run: any domain shape, with or
-/// without the final snapshot.
-pub(crate) fn run_inner(
-    cfg: &RunConfig,
-    shape: DomainShape,
-    want_snapshot: bool,
-) -> (RunReport, Option<Vec<Particle>>) {
-    assemble(run_ranks(cfg, shape, want_snapshot))
-}
-
-/// Launch the world: the initial condition is generated once and every
-/// rank adopts its cells' share of the one read-only slice.
-fn run_ranks(cfg: &RunConfig, shape: DomainShape, want_snapshot: bool) -> Vec<PeResult> {
-    let world = world(cfg, shape);
-    let initial = initial_particles(cfg);
-    world.run(|comm| pe_main(comm, cfg, shape, &initial, want_snapshot))
-}
-
-pub(crate) fn assemble(mut results: Vec<PeResult>) -> (RunReport, Option<Vec<Particle>>) {
+/// Fold the per-rank results of a completed world, in rank order, into
+/// rank 0's report with the totals over all ranks filled in.
+fn assemble(mut results: Vec<PeResult>) -> Run {
+    let mut phases = PhaseTimes::default();
+    let mut wire = WireBytes::default();
+    for r in &results {
+        phases.merge(&r.phase_times);
+        wire.merge(&r.wire_bytes);
+    }
     let comm_virtual: f64 = results.iter().map(|r| r.comm_stats.virtual_comm_s).sum();
     let msgs: u64 = results.iter().map(|r| r.comm_stats.msgs_sent).sum();
     let bytes: u64 = results.iter().map(|r| r.comm_stats.bytes_sent).sum();
@@ -82,57 +382,30 @@ pub(crate) fn assemble(mut results: Vec<PeResult>) -> (RunReport, Option<Vec<Par
     report.retransmits = retransmits;
     report.suspicions = suspicions;
     report.cells_per_rank = cells_per_rank;
-    (report, rank0.snapshot)
+    Run {
+        report,
+        snapshot: rank0.snapshot,
+        phases,
+        wire,
+    }
 }
 
-/// Run a configuration under a controlled message-delivery schedule
-/// (`check` feature) and return the determinism digest of the outcome —
-/// see [`crate::digest`]. `policy_for_rank` builds each rank's
-/// [`DeliveryPolicy`](pcdlb_mp::check::DeliveryPolicy); the interleaving
-/// explorer in `pcdlb-check` calls this with many schedules and asserts
-/// every returned digest is identical.
-#[cfg(feature = "check")]
-pub fn run_digest_with_policy<P>(cfg: &RunConfig, policy_for_rank: P) -> u64
-where
-    P: Fn(usize) -> Box<dyn pcdlb_mp::check::DeliveryPolicy> + Sync,
-{
-    let shape = DomainShape::SquarePillar;
-    let world = world(cfg, shape);
-    let initial = initial_particles(cfg);
-    let results: Vec<PeResult> = world.run_with_delivery(policy_for_rank, |comm| {
-        pe_main(comm, cfg, shape, &initial, true)
-    });
-    let (report, snapshot) = assemble(results);
-    crate::digest::digest_run(
-        &report,
-        &snapshot.expect("snapshot requested"),
-        cfg.load_metric,
-    )
-}
-
-/// Like [`run_digest_with_policy`], but additionally binds each rank
-/// thread to a protocol event log (`log_for_rank`), so the model checker
-/// in `pcdlb-check` gets both the determinism digest and the full
-/// per-rank [`ProtocolEvent`](pcdlb_mp::check::ProtocolEvent) traces of
-/// the run.
-#[cfg(feature = "check")]
-pub fn run_digest_instrumented<P, L>(cfg: &RunConfig, policy_for_rank: P, log_for_rank: L) -> u64
-where
-    P: Fn(usize) -> Box<dyn pcdlb_mp::check::DeliveryPolicy> + Sync,
-    L: Fn(usize) -> pcdlb_mp::check::EventLog + Sync,
-{
-    let shape = DomainShape::SquarePillar;
-    let world = world(cfg, shape);
-    let initial = initial_particles(cfg);
-    let results: Vec<PeResult> = world.run_instrumented(policy_for_rank, log_for_rank, |comm| {
-        pe_main(comm, cfg, shape, &initial, true)
-    });
-    let (report, snapshot) = assemble(results);
-    crate::digest::digest_run(
-        &report,
-        &snapshot.expect("snapshot requested"),
-        cfg.load_metric,
-    )
+/// The diagnostic of a degraded launch that left a virtual rank's result
+/// nowhere.
+fn unaccounted(by_vrank: &[Option<PeResult>]) -> WorldError {
+    WorldError {
+        failures: by_vrank
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.is_none())
+            .map(|(rank, _)| RankFailure {
+                rank,
+                message: "virtual rank unaccounted for after a degraded run \
+                          — relaunching the generation from its last checkpoint"
+                    .to_string(),
+            })
+            .collect(),
+    }
 }
 
 /// Run the serial reference simulator on the same configuration,

@@ -1,18 +1,19 @@
 //! Elastic world resizing: survive PEs that join or leave mid-run.
 //!
-//! The recovery ladder so far handles PEs that *die*: buddy takeover
-//! absorbs one death in place ([`crate::takeover`]) and checkpoint
-//! relaunch handles anything worse ([`crate::recover`]). This module adds
-//! the rung above both: a planned change of the PE count itself. A
-//! [`ResizePlan`] names step boundaries at which the world switches from
-//! `P` to `P ± k` ranks; [`run_elastic`] executes the run as a sequence of
-//! world *generations*, one per PE count:
+//! The lower rungs of the recovery ladder handle PEs that *die*: buddy
+//! takeover absorbs one death in place ([`crate::takeover`]) and
+//! checkpoint relaunch handles anything worse ([`crate::recover`]). This
+//! module holds the rung above both: a planned change of the PE count
+//! itself. A [`ResizePlan`] names step boundaries at which the world
+//! switches from `P` to `P ± k` ranks; a resilient launch
+//! ([`Launch::run_resilient`](crate::driver::Launch::run_resilient) with
+//! the plan in its [`Ladder`](crate::driver::Ladder)) executes the run as
+//! a sequence of world *generations*, one per PE count:
 //!
 //! 1. **Drain** — the outgoing generation runs to the boundary step and
-//!    takes a forced checkpoint gather there (the `drain` flag of
-//!    [`crate::takeover::run_roles`]), so the complete world state — MD
-//!    phase space, ownership view, rank 0's record history — sits in the
-//!    shared [`SimCheckpoint`] sink.
+//!    takes a forced checkpoint gather there (the `drain` flag of the run
+//!    loop), so the complete world state — MD phase space, ownership view,
+//!    rank 0's record history — sits in the shared [`SimCheckpoint`] sink.
 //! 2. **Remap** — the virtual torus is rebuilt for the new PE count
 //!    ([`Torus2d::remap`]) and the drained ownership view is rewritten to
 //!    the new layout's initial home map, which satisfies the
@@ -26,33 +27,25 @@
 //!    barrier holds the first step until every rank of the remapped torus
 //!    is up.
 //!
-//! Each generation keeps the full escalation ladder underneath it: one
-//! rank death is absorbed by buddy takeover inside the generation, and
-//! anything worse relaunches the generation from its own last checkpoint
-//! (at worst the drain boundary). The headline property carries over:
+//! Each generation keeps the rest of the ladder underneath it: with
+//! `takeover` on, one rank death is absorbed by buddy takeover inside the
+//! generation, and anything worse relaunches the generation from its own
+//! last checkpoint (at worst the drain boundary). The headline property carries over:
 //! because DLB and domain decomposition move ownership but never physics,
 //! an elastic run's final particle state is **bitwise identical** to an
 //! uninterrupted serial run — no matter how many resizes, in which
 //! direction, at which boundaries.
 
-use std::sync::{Mutex, PoisonError};
-
 use pcdlb_domain::PillarLayout;
-use pcdlb_md::Particle;
-use pcdlb_mp::{CostModel, DegradedOutcome, Torus2d, World, WorldError};
+use pcdlb_mp::Torus2d;
 
 use crate::config::RunConfig;
-use crate::digest::digest_recovery;
-use crate::driver::assemble;
-use crate::pe::{initial_particles, PeResult};
-use crate::recover::{RecoveryError, RecoveryOptions, SimCheckpoint};
-use crate::report::RunReport;
-use crate::takeover::takeover_main;
+use crate::recover::SimCheckpoint;
 
 /// Wire-epoch stride between world generations. Within one launch the
 /// epoch advances by one per absorbed death (capacity: one), so any
 /// stride ≥ 2 keeps generations disjoint; 64 leaves room to spare.
-const GENERATION_EPOCH_STRIDE: u64 = 64;
+pub(crate) const GENERATION_EPOCH_STRIDE: u64 = 64;
 
 /// One planned resize: after `at_step` completes, the world continues on
 /// `p` PEs.
@@ -66,8 +59,7 @@ pub struct ResizeStage {
 }
 
 /// An ordered set of [`ResizeStage`]s applied over one run. An empty
-/// plan makes [`run_elastic`] equivalent to
-/// [`run_with_takeover`](crate::recover::run_with_takeover).
+/// plan is a run of one generation: it keeps its world.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResizePlan {
     /// The stages, strictly increasing in `at_step`.
@@ -89,7 +81,7 @@ impl ResizePlan {
     /// Panics on an ill-formed plan: boundaries must be strictly
     /// increasing inside `(0, cfg.steps)`, and every target PE count must
     /// be a perfect square whose torus side divides `nc`.
-    fn validate(&self, cfg: &RunConfig) {
+    pub(crate) fn validate(&self, cfg: &RunConfig) {
         let mut prev = 0u64;
         for s in &self.stages {
             assert!(
@@ -121,7 +113,7 @@ impl ResizePlan {
 
     /// The run as generations: `(start, end]` step ranges with their PE
     /// counts, `cfg.p` first.
-    fn segments(&self, cfg: &RunConfig) -> Vec<Segment> {
+    pub(crate) fn segments(&self, cfg: &RunConfig) -> Vec<Segment> {
         let mut segs = Vec::with_capacity(self.stages.len() + 1);
         let (mut start, mut p) = (0, cfg.p);
         for s in &self.stages {
@@ -143,13 +135,14 @@ impl ResizePlan {
 
 /// One world generation: steps `(start, end]` on `p` PEs.
 #[derive(Debug, Clone, Copy)]
-struct Segment {
-    start: u64,
-    end: u64,
-    p: usize,
+pub(crate) struct Segment {
+    pub(crate) start: u64,
+    pub(crate) end: u64,
+    pub(crate) p: usize,
 }
 
-/// Per-generation audit record in a [`ResizeOutcome`].
+/// Per-generation audit record in a
+/// [`LadderOutcome`](crate::driver::LadderOutcome).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResizeGeneration {
     /// PE count of this generation.
@@ -165,217 +158,6 @@ pub struct ResizeGeneration {
     pub takeovers: usize,
 }
 
-/// What an elastic run produced — the resize rung of the recovery
-/// ladder, mirroring [`RecoveryOutcome`](crate::recover::RecoveryOutcome)
-/// plus the per-generation history.
-#[derive(Debug)]
-pub struct ResizeOutcome {
-    /// Rank 0's assembled report: the **complete** record series from
-    /// step 1 across every generation (records ride the drain
-    /// checkpoints), with run-total message counters from the final
-    /// generation only.
-    pub report: RunReport,
-    /// Final particle state, id-sorted — bitwise identical to an
-    /// uninterrupted serial run.
-    pub snapshot: Vec<Particle>,
-    /// [`digest_recovery`] of the outcome.
-    pub digest: u64,
-    /// Total launches across all generations (= number of generations
-    /// when nothing failed).
-    pub attempts: usize,
-    /// Total rank deaths absorbed in place across all generations.
-    pub takeovers: usize,
-    /// Per-launch failure diagnostics for launches that died.
-    pub failures: Vec<WorldError>,
-    /// One entry per generation, in run order.
-    pub generations: Vec<ResizeGeneration>,
-}
-
-/// Run a configuration elastically over `plan`: the world starts on
-/// `cfg.p` PEs and, at each planned boundary, drains to a checkpoint,
-/// remaps the torus to the new PE count, and resumes on a fresh PE set —
-/// with buddy takeover and checkpoint relaunch underneath each
-/// generation exactly as in
-/// [`run_with_takeover`](crate::recover::run_with_takeover).
-pub fn run_elastic(
-    cfg: &RunConfig,
-    plan: &ResizePlan,
-    opts: &RecoveryOptions,
-) -> Result<ResizeOutcome, RecoveryError> {
-    run_elastic_attempts(
-        cfg,
-        plan,
-        opts,
-        |_launch, world, seg_cfg, initial, sink, drain, sync| {
-            world.try_run_degraded(|comm| {
-                takeover_main(comm, seg_cfg, initial, true, sink, drain, sync)
-            })
-        },
-    )
-}
-
-/// [`run_elastic`] under seeded fault injection (`check` feature):
-/// `plans(launch, rank)` supplies each rank's fault plan per world
-/// launch, numbered globally across generations and relaunches. The
-/// resize kill sweep in `pcdlb-check` drives this through the drain
-/// gather and the resize barrier and asserts digest parity at every kill
-/// site.
-#[cfg(feature = "check")]
-pub fn run_elastic_faulted<P>(
-    cfg: &RunConfig,
-    plan: &ResizePlan,
-    opts: &RecoveryOptions,
-    plans: P,
-) -> Result<ResizeOutcome, RecoveryError>
-where
-    P: Fn(usize, usize) -> Option<pcdlb_mp::FaultPlan> + Sync,
-{
-    run_elastic_attempts(
-        cfg,
-        plan,
-        opts,
-        |launch, world, seg_cfg, initial, sink, drain, sync| {
-            world.try_run_degraded_with_faults(
-                |rank| plans(launch, rank),
-                |comm| takeover_main(comm, seg_cfg, initial, true, sink, drain, sync),
-            )
-        },
-    )
-}
-
-type RolePeResults = Vec<(usize, PeResult)>;
-
-fn run_elastic_attempts<A>(
-    cfg: &RunConfig,
-    plan: &ResizePlan,
-    opts: &RecoveryOptions,
-    attempt_fn: A,
-) -> Result<ResizeOutcome, RecoveryError>
-where
-    A: Fn(
-        usize,
-        &World,
-        &RunConfig,
-        &[Particle],
-        &Mutex<Option<SimCheckpoint>>,
-        bool,
-        bool,
-    ) -> Result<DegradedOutcome<RolePeResults>, WorldError>,
-{
-    cfg.validate();
-    plan.validate(cfg);
-    assert!(
-        cfg.skin == 0.0,
-        "elastic resizing does not support skin epochs yet: a resize \
-         boundary re-bins mid-epoch, which would break the frozen-binning \
-         invariant the Verlet replay depends on"
-    );
-    assert!(opts.max_attempts > 0, "need at least one attempt");
-    let segments = plan.segments(cfg);
-    let last_gen = segments.len() - 1;
-    // One sink across all generations: each generation drains into it and
-    // the next resumes from it (after the ownership remap).
-    let sink: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
-    // The initial condition does not depend on P: generated once for
-    // every generation, launch and rank.
-    let initial = initial_particles(cfg);
-    let mut failures = Vec::new();
-    let mut launches = 0usize;
-    let mut takeovers_total = 0usize;
-    let mut generations = Vec::new();
-    let mut final_results: Option<Vec<PeResult>> = None;
-
-    for (gen, seg) in segments.iter().enumerate() {
-        let mut seg_cfg = cfg.clone();
-        seg_cfg.p = seg.p;
-        seg_cfg.steps = seg.end;
-        // DLB needs a torus side ≥ 3: a generation too small for it runs
-        // DDM-only, and DLB resumes on the next big-enough torus.
-        seg_cfg.dlb = cfg.dlb && seg.p >= 9;
-        if gen > 0 {
-            let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
-            let ck = guard
-                .as_mut()
-                .expect("the previous generation drained a checkpoint");
-            remap_drained_checkpoint(ck, cfg, seg.start, seg.p);
-        }
-        let drain = gen < last_gen;
-        let sync = gen > 0;
-        let mut seg_ok = false;
-        for seg_attempt in 0..opts.max_attempts {
-            let seg_attempts = seg_attempt + 1;
-            let launch = launches;
-            launches += 1;
-            let world = World::new(seg.p)
-                .with_cost_model(CostModel::t3e(Some(Torus2d::square(seg.p))))
-                .with_comm_config(&seg_cfg.comm)
-                .with_poll_interval(opts.poll)
-                .with_watchdog(opts.watchdog)
-                .with_takeover()
-                .with_base_epoch(gen as u64 * GENERATION_EPOCH_STRIDE);
-            match attempt_fn(launch, &world, &seg_cfg, &initial, &sink, drain, sync) {
-                Ok(outcome) => {
-                    let takeovers = outcome.dead.len();
-                    let mut by_vrank: Vec<Option<PeResult>> = (0..seg.p).map(|_| None).collect();
-                    for (v, r) in outcome.results.into_iter().flatten().flatten() {
-                        by_vrank[v] = Some(r);
-                    }
-                    if by_vrank.iter().any(Option::is_none) {
-                        // A death slipped into the post-handshake tail:
-                        // incomplete degraded result, relaunch the
-                        // generation (same as the takeover ladder).
-                        failures.push(unaccounted(&by_vrank));
-                        continue;
-                    }
-                    if drain {
-                        let guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
-                        let ck = guard.as_ref().expect("drain deposits a checkpoint");
-                        assert_eq!(
-                            ck.md.step, seg.end,
-                            "drain checkpoint must sit exactly on the resize boundary"
-                        );
-                    }
-                    takeovers_total += takeovers;
-                    generations.push(ResizeGeneration {
-                        p: seg.p,
-                        first_step: seg.start + 1,
-                        last_step: seg.end,
-                        attempts: seg_attempts,
-                        takeovers,
-                    });
-                    if gen == last_gen {
-                        final_results =
-                            Some(by_vrank.into_iter().map(|r| r.expect("checked")).collect());
-                    }
-                    seg_ok = true;
-                    break;
-                }
-                Err(e) => failures.push(e),
-            }
-        }
-        if !seg_ok {
-            return Err(RecoveryError {
-                attempts: launches,
-                failures,
-            });
-        }
-    }
-
-    let results = final_results.expect("the final generation completed");
-    let (report, snapshot) = assemble(results);
-    let snapshot = snapshot.expect("elastic runs always gather a snapshot");
-    let digest = digest_recovery(&report, &snapshot, cfg.load_metric);
-    Ok(ResizeOutcome {
-        report,
-        snapshot,
-        digest,
-        attempts: launches,
-        takeovers: takeovers_total,
-        failures,
-        generations,
-    })
-}
-
 /// Audit a drained checkpoint and rewrite its ownership view onto the
 /// `new_p` torus. The audits are the resize-boundary conservation laws:
 /// the checkpoint sits exactly on the boundary step, holds every
@@ -383,7 +165,12 @@ where
 /// column. The rewrite resets every column to its home pillar under the
 /// new layout — the unique assignment that satisfies the permanent-cell
 /// invariant on any torus.
-fn remap_drained_checkpoint(ck: &mut SimCheckpoint, cfg: &RunConfig, boundary: u64, new_p: usize) {
+pub(crate) fn remap_drained_checkpoint(
+    ck: &mut SimCheckpoint,
+    cfg: &RunConfig,
+    boundary: u64,
+    new_p: usize,
+) {
     assert_eq!(
         ck.md.step, boundary,
         "drain checkpoint at step {} but the resize boundary is {boundary}",
@@ -417,63 +204,54 @@ fn remap_drained_checkpoint(ck: &mut SimCheckpoint, cfg: &RunConfig, boundary: u
     }
 }
 
-fn unaccounted(by_vrank: &[Option<PeResult>]) -> WorldError {
-    WorldError {
-        failures: by_vrank
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_none())
-            .map(|(v, _)| pcdlb_mp::RankFailure {
-                rank: v,
-                message: "virtual rank unaccounted for after a degraded run \
-                          — relaunching the generation from its last checkpoint"
-                    .to_string(),
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+
+    use pcdlb_domain::DomainShape;
 
     use crate::config::Lattice;
-    use crate::cube::run_cube_with_snapshot;
-    use crate::driver::{run, run_serial};
-    use crate::plane::run_plane_with_snapshot;
-    use crate::recover::run_with_takeover;
+    use crate::driver::{run, run_serial, Ladder, LadderOutcome, Launch};
+    #[cfg(feature = "check")]
+    use crate::recover::tests::faulted;
+    use crate::recover::tests::recovery_cfg;
     use crate::SpeedSchedule;
 
-    /// The recovery workload from `crate::recover`'s tests: 2×2 DDM,
-    /// clustered start, thermostat mid-run, periodic checkpoints.
+    /// The 2×2 recovery workload with a sentinel cadence, so every
+    /// generation audits conservation.
     fn elastic_cfg() -> RunConfig {
-        let mut cfg = RunConfig::new(216, 4, 4, 0.2);
-        cfg.dlb = false;
-        cfg.steps = 24;
-        cfg.thermostat_interval = 10;
-        cfg.lattice = Lattice::Cluster { fill: 0.8 };
-        cfg.seed = 11;
-        cfg.checkpoint_interval = 5;
+        let mut cfg = recovery_cfg();
         cfg.sentinel_interval = 4;
         cfg
     }
 
-    fn quick_opts() -> RecoveryOptions {
-        RecoveryOptions {
+    /// The full ladder over `plan`.
+    fn ladder(plan: ResizePlan) -> Ladder {
+        Ladder {
             max_attempts: 3,
-            poll: Duration::from_millis(2),
-            watchdog: Duration::from_secs(20),
+            plan,
+            ..Ladder::default()
         }
     }
 
+    /// A fault-free resilient launch of `cfg` over `plan`.
+    fn run_plan(cfg: &RunConfig, plan: ResizePlan) -> LadderOutcome {
+        let launch = Launch::new();
+        launch.run_resilient(cfg, &ladder(plan)).expect("no faults")
+    }
+
     #[test]
-    fn empty_plan_matches_takeover_bitwise() {
+    fn an_empty_plan_is_no_plan_bitwise() {
+        // With no stage the generations loop runs once, on the configured
+        // world: the report and state of a launch that has no ladder.
         let cfg = elastic_cfg();
-        let out = run_elastic(&cfg, &ResizePlan::new(), &quick_opts()).expect("no faults");
-        let reference = run_with_takeover(&cfg, &quick_opts()).expect("no faults");
-        assert_eq!(out.digest, reference.digest);
-        assert_eq!(out.snapshot, reference.snapshot);
+        let out = run_plan(&cfg, ResizePlan::new());
+        let (report, snapshot) = Launch::new().snapshot().run(&cfg).into_snapshot();
+        assert_eq!(
+            out.digest,
+            crate::digest_recovery(&report, &snapshot, cfg.load_metric)
+        );
+        assert_eq!(out.snapshot, snapshot);
         assert_eq!(out.attempts, 1);
         assert_eq!(out.takeovers, 0);
         assert_eq!(out.generations.len(), 1);
@@ -493,7 +271,7 @@ mod tests {
     fn grow_then_shrink_preserves_physics_bitwise() {
         let cfg = elastic_cfg();
         let plan = ResizePlan::new().resize(8, 16).resize(16, 4);
-        let out = run_elastic(&cfg, &plan, &quick_opts()).expect("no faults");
+        let out = run_plan(&cfg, plan);
         // Conservation plus bitwise physics parity with the serial
         // reference, across a grow to 4×4 and a shrink back to 2×2 — the
         // decomposition (and how often it changes) never touches physics.
@@ -525,7 +303,7 @@ mod tests {
         // degenerate torus is a legal generation like any other.
         let cfg = elastic_cfg();
         let plan = ResizePlan::new().resize(8, 1).resize(16, 4);
-        let out = run_elastic(&cfg, &plan, &quick_opts()).expect("no faults");
+        let out = run_plan(&cfg, plan);
         assert_eq!(out.snapshot, run_serial(&cfg));
         let ps: Vec<usize> = out.generations.iter().map(|g| g.p).collect();
         assert_eq!(ps, vec![4, 1, 4]);
@@ -549,7 +327,7 @@ mod tests {
     fn resize_parity_across_grids_and_decompositions() {
         let cfg = dlb_cfg();
         let plan = ResizePlan::new().resize(6, 4).resize(12, 9);
-        let out = run_elastic(&cfg, &plan, &quick_opts()).expect("no faults");
+        let out = run_plan(&cfg, plan);
         // Sentinel ran every 3 steps in every generation (a violation
         // would have aborted the run) — this run completing IS the
         // sentinel-clean continuation claim.
@@ -560,12 +338,13 @@ mod tests {
         let mut plane_cfg = cfg.clone();
         plane_cfg.p = 3;
         plane_cfg.dlb = false;
-        let (_, plane_snap) = run_plane_with_snapshot(&plane_cfg);
+        let shape = |s| Launch::new().shape(s).snapshot();
+        let (_, plane_snap) = shape(DomainShape::Plane).run(&plane_cfg).into_snapshot();
         assert_eq!(out.snapshot, plane_snap, "elastic vs plane");
         let mut cube_cfg = cfg.clone();
         cube_cfg.p = 8;
         cube_cfg.dlb = false;
-        let (_, cube_snap) = run_cube_with_snapshot(&cube_cfg);
+        let (_, cube_snap) = shape(DomainShape::Cube).run(&cube_cfg).into_snapshot();
         assert_eq!(out.snapshot, cube_snap, "elastic vs cube");
     }
 
@@ -573,16 +352,14 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn unordered_plans_are_rejected() {
         let cfg = elastic_cfg();
-        let plan = ResizePlan::new().resize(16, 16).resize(8, 4);
-        let _ = run_elastic(&cfg, &plan, &quick_opts());
+        run_plan(&cfg, ResizePlan::new().resize(16, 16).resize(8, 4));
     }
 
     #[test]
     #[should_panic(expected = "does not divide nc")]
     fn incompatible_grid_targets_are_rejected() {
         let cfg = elastic_cfg(); // nc = 4: side 3 does not divide it
-        let plan = ResizePlan::new().resize(8, 9);
-        let _ = run_elastic(&cfg, &plan, &quick_opts());
+        run_plan(&cfg, ResizePlan::new().resize(8, 9));
     }
 
     #[cfg(feature = "check")]
@@ -597,12 +374,14 @@ mod tests {
         // drain window by construction.
         cfg.checkpoint_interval = 0;
         let plan = ResizePlan::new().resize(8, 16).resize(16, 4);
-        let reference = run_elastic(&cfg, &plan, &quick_opts()).expect("fault-free");
-        let out = run_elastic_faulted(&cfg, &plan, &quick_opts(), |launch, rank| {
+        let reference = run_plan(&cfg, plan.clone());
+        let kill = |launch, rank| {
             (launch == 0 && rank == 1)
                 .then(|| FaultPlan::kill_on_tag(ctag(tags::CKPT_GATHER, 0), 0))
-        })
-        .expect("the drain-window death is absorbed");
+        };
+        let out = faulted(kill)
+            .run_resilient(&cfg, &ladder(plan))
+            .expect("the drain-window death is absorbed");
         assert_eq!(out.attempts, 3, "no generation needed a relaunch");
         assert_eq!(out.takeovers, 1);
         assert_eq!(out.digest, reference.digest);
@@ -616,15 +395,17 @@ mod tests {
         use pcdlb_mp::FaultPlan;
         let cfg = elastic_cfg();
         let plan = ResizePlan::new().resize(8, 16).resize(16, 4);
-        let reference = run_elastic(&cfg, &plan, &quick_opts()).expect("fault-free");
+        let reference = run_plan(&cfg, plan.clone());
         // Launch 1 is the first post-remap generation; rank 2 dies on its
         // RESIZE_READY send, i.e. inside the barrier itself. The barrier
         // unwinds as a takeover, the buddy adopts, and the survivors
         // re-run the barrier at the advanced epoch.
-        let out = run_elastic_faulted(&cfg, &plan, &quick_opts(), |launch, rank| {
+        let kill = |launch, rank| {
             (launch == 1 && rank == 2).then(|| FaultPlan::kill_on_tag(tags::RESIZE_READY, 0))
-        })
-        .expect("the barrier death is absorbed");
+        };
+        let out = faulted(kill)
+            .run_resilient(&cfg, &ladder(plan))
+            .expect("the barrier death is absorbed");
         assert_eq!(out.attempts, 3, "no generation needed a relaunch");
         assert_eq!(out.takeovers, 1);
         assert_eq!(out.digest, reference.digest);
@@ -728,7 +509,7 @@ mod tests {
         });
         cfg.speed_aware = true;
         let plan = ResizePlan::new().resize(6, 4).resize(12, 9);
-        let out = run_elastic(&cfg, &plan, &quick_opts()).expect("no faults");
+        let out = run_plan(&cfg, plan);
         assert_eq!(out.snapshot, run_serial(&cfg));
     }
 }

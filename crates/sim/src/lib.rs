@@ -6,15 +6,21 @@
 //! `Decomposition` (who owns which cell, what its balancer may move): the
 //! square pillar over `pcdlb-domain`'s columns balanced by the
 //! `pcdlb-core` permanent-cell protocol, the [`plane`] ring with its
-//! moving boundaries, the DDM-only [`cube`]. [`driver::run`] launches a
-//! [`config::RunConfig`] and returns a [`report::RunReport`] with the
-//! per-step series the paper plots (Tt, Fmax/Fave/Fmin, the concentration
-//! trajectory).
+//! moving boundaries, the DDM-only [`cube`].
 //!
-//! The headline correctness property: [`driver::run_with_snapshot`] (and
-//! the plane and cube wrappers) and [`driver::run_serial`] produce
-//! **bitwise identical** particle states for any PE count, with and
-//! without load balancing — DLB moves ownership, never physics.
+//! [`driver`] is the one front door. A [`Launch`] describes how a
+//! [`config::RunConfig`] is started (shape, final snapshot) and
+//! [`Launch::run`] returns a [`report::RunReport`] with the per-step series
+//! the paper plots (Tt, Fmax/Fave/Fmin, the concentration trajectory);
+//! [`run`]`(&cfg)` is the square-pillar shorthand. [`Launch::run_resilient`]
+//! runs the same program under a [`Ladder`] — checkpoint relaunch
+//! ([`recover`]), buddy takeover ([`takeover`]), elastic resizing
+//! ([`elastic`]) — each rung selected by data.
+//!
+//! The headline correctness property: a snapshot-gathering launch of any
+//! shape and [`driver::run_serial`] produce **bitwise identical** particle
+//! states for any PE count, with and without load balancing — DLB moves
+//! ownership, never physics.
 
 pub mod clock;
 pub mod config;
@@ -35,16 +41,11 @@ mod wire_check;
 
 pub use config::{Lattice, LoadMetric, RunConfig, SpeedSchedule};
 pub use digest::{digest_particles, digest_records, digest_recovery, digest_report, digest_run};
-pub use driver::{run, run_serial, run_with_phase_times, run_with_snapshot, serial_sim};
-#[cfg(feature = "check")]
-pub use elastic::run_elastic_faulted;
-pub use elastic::{run_elastic, ResizeOutcome, ResizePlan, ResizeStage};
-pub use recover::{
-    run_with_recovery, run_with_takeover, RecoveryError, RecoveryOptions, RecoveryOutcome,
-    SimCheckpoint,
+pub use driver::{
+    run, run_serial, run_with_phase_times, run_with_snapshot, serial_sim, Ladder, LadderOutcome,
+    Launch, Run,
 };
-#[cfg(feature = "check")]
-pub use recover::{
-    run_with_recovery_faulted, run_with_takeover_faulted, run_with_takeover_instrumented,
-};
+pub use elastic::{ResizeGeneration, ResizePlan, ResizeStage};
+pub use pcdlb_domain::DomainShape;
+pub use recover::{RecoveryError, SimCheckpoint};
 pub use report::{PhaseTimes, RunReport, StepRecord, WireBytes};

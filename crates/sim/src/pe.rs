@@ -4,7 +4,7 @@
 //!
 //! Each PE owns a set of cell *columns* — all of a column's z cells for
 //! the plane and the square pillar, one z block of it for the cube — as
-//! told by its [`Decomposition`] (see [`crate::decomp`]), and advances the
+//! told by its `Decomposition` (see `crate::decomp`), and advances the
 //! same velocity-Verlet step as the serial reference, with communication
 //! phases in between:
 //!
@@ -17,7 +17,7 @@
 //!    change (no balancer: the cube) and the neighbour set is closed two
 //!    cells out, there is no round 1: the migrants ride the phase-4
 //!    frames — one exchange per step, see
-//!    [`PeState::exchanges_once`] and [`PeState::ghosts_send`];
+//!    [`PeState::exchanges_once`] and `PeState::ghosts_send`;
 //! 3. **DLB** (optional) — from the round-1 loads, apply the shape's
 //!    balancer rule locally (pillar: the Case 1–3 rules toward the
 //!    fastest neighbour that may take a cell; plane: the moving
@@ -60,7 +60,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use pcdlb_core::protocol::DlbDecision;
 use pcdlb_domain::{Col, DomainShape};
@@ -81,7 +81,6 @@ use crate::frame::{DeltaChannel, ParticleFrame, StepFrame};
 use crate::recover::SimCheckpoint;
 use crate::report::{PhaseTimes, RunReport, StepRecord, WireBytes};
 use crate::stats::StatsPacket;
-use crate::takeover::Start;
 
 // Wire tags live next to the protocol rules in `pcdlb-core`, where the
 // static verifier (`pcdlb-check`) reads the same table this simulator
@@ -2426,53 +2425,6 @@ pub(crate) fn validate_sentinel(
     }
 }
 
-/// The SPMD entry point: run the whole simulation on this rank under
-/// the given domain shape, from the world's shared `initial` condition
-/// ([`initial_particles`], generated once by the launch path).
-pub fn pe_main(
-    comm: &mut Comm,
-    cfg: &RunConfig,
-    shape: DomainShape,
-    initial: &[Particle],
-    want_snapshot: bool,
-) -> PeResult {
-    run_own_role(comm, cfg, shape, want_snapshot, Start::Fresh(initial), None)
-}
-
-/// [`pe_main`] for the square pillar with checkpoint/restart hooks:
-/// `start` may resume from a distributed checkpoint (every rank must pass
-/// the same one), and when `cfg.checkpoint_interval > 0` the ranks gather
-/// a fresh checkpoint to rank 0 every interval, deposited into `sink`.
-/// The trajectory, the per-step records, and the final snapshot are
-/// bitwise identical to an uninterrupted, uncheckpointed run.
-pub(crate) fn pe_main_recoverable(
-    comm: &mut Comm,
-    cfg: &RunConfig,
-    want_snapshot: bool,
-    start: Start,
-    sink: Option<&Mutex<Option<SimCheckpoint>>>,
-) -> PeResult {
-    let shape = DomainShape::SquarePillar;
-    run_own_role(comm, cfg, shape, want_snapshot, start, sink)
-}
-
-/// One role — this rank's own. The multi-role loop degenerates to
-/// exactly the historical single-role phase order, message for message,
-/// so digests are unchanged.
-fn run_own_role(
-    comm: &mut Comm,
-    cfg: &RunConfig,
-    shape: DomainShape,
-    want_snapshot: bool,
-    start: Start,
-    sink: Option<&Mutex<Option<SimCheckpoint>>>,
-) -> PeResult {
-    let roles = [comm.rank()];
-    let mut out =
-        crate::takeover::run_roles(comm, cfg, shape, &roles, start, sink, want_snapshot, false);
-    out.swap_remove(0).1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2529,11 +2481,11 @@ mod tests {
         PeState::new(rank, cfg, shape, &initial_particles(cfg))
     }
 
-    fn run_world(cfg: &RunConfig, shape: DomainShape) -> Vec<PeResult> {
-        let initial = initial_particles(cfg);
-        pcdlb_mp::World::new(cfg.p)
-            .with_cost_model(crate::decomp::cost_model(shape, cfg))
-            .run(|comm| pe_main(comm, cfg, shape, &initial, true))
+    fn run_world(cfg: &RunConfig, shape: DomainShape) -> crate::driver::Run {
+        crate::driver::Launch::new()
+            .shape(shape)
+            .snapshot()
+            .run(cfg)
     }
 
     #[test]
@@ -2766,7 +2718,7 @@ mod tests {
                 .with_cost_model(crate::decomp::cost_model(shape, &cfg))
                 .run(|comm| {
                     let roles = [comm.rank()];
-                    let start = Start::Fresh(&initial);
+                    let start = crate::takeover::Start::Fresh(&initial);
                     crate::takeover::run_roles(
                         comm, &cfg, shape, &roles, start, None, false, false,
                     );
@@ -2830,19 +2782,18 @@ mod tests {
         for shape in DomainShape::ALL {
             let cfg = desync_cfg(shape, 12, 1);
             let results = run_world(&cfg, shape);
-            let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
             assert_eq!(
-                desyncs,
+                results.report.ghost_desyncs,
                 frames_lost_per_desync(&cfg, shape),
                 "{shape:?}: the poisoned stream desyncs once and the resync heals it"
             );
-            let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
+            let snapshot = results.snapshot.as_ref().expect("rank 0 snapshot");
             assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
             // The uninjected run is desync-free.
             let mut clean_cfg = cfg.clone();
             clean_cfg.ghost_desync_inject = None;
             let clean = run_world(&clean_cfg, shape);
-            assert_eq!(clean.iter().map(|r| r.ghost_desyncs).sum::<u64>(), 0);
+            assert_eq!(clean.report.ghost_desyncs, 0);
         }
     }
 
@@ -2857,13 +2808,12 @@ mod tests {
         for shape in DomainShape::ALL {
             let cfg = desync_cfg(shape, 16, 3);
             let results = run_world(&cfg, shape);
-            let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
             assert_eq!(
-                desyncs,
+                results.report.ghost_desyncs,
                 3 * frames_lost_per_desync(&cfg, shape),
                 "{shape:?}: a fixed price per injected mismatch, no further echo"
             );
-            let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
+            let snapshot = results.snapshot.as_ref().expect("rank 0 snapshot");
             assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
         }
     }
@@ -2879,11 +2829,10 @@ mod tests {
             cfg.delta_ghosts = false;
             let results = run_world(&cfg, shape);
             assert_eq!(
-                results.iter().map(|r| r.ghost_desyncs).sum::<u64>(),
-                0,
+                results.report.ghost_desyncs, 0,
                 "{shape:?}: full frames decode unconditionally; poison cannot desync them"
             );
-            let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
+            let snapshot = results.snapshot.as_ref().expect("rank 0 snapshot");
             assert_eq!(snapshot.len(), cfg.n_particles);
         }
     }
@@ -2905,8 +2854,8 @@ mod tests {
                 cfg.skin = 0.1;
                 cfg.verlet = verlet;
                 let results = run_world(&cfg, shape);
-                let report = results[0].report.as_ref().expect("rank 0 report");
-                let rebuilds: Vec<u64> = report
+                let rebuilds: Vec<u64> = results
+                    .report
                     .records
                     .iter()
                     .filter(|r| r.rebuilt)
@@ -2918,20 +2867,19 @@ mod tests {
                 );
                 // The first rebuild step's delta hits the poison; every
                 // step up to the second rebuild step is degraded.
-                let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
                 assert_eq!(
-                    desyncs,
+                    results.report.ghost_desyncs,
                     rebuilds[1] - rebuilds[0],
                     "{shape:?} verlet {verlet}: degraded from step {} until the rebuild at {}",
                     rebuilds[0],
                     rebuilds[1]
                 );
-                let snapshot = results[0].snapshot.as_ref().expect("rank 0 snapshot");
+                let snapshot = results.snapshot.as_ref().expect("rank 0 snapshot");
                 assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
                 // The uninjected epochs are desync-free.
                 cfg.ghost_desync_inject = None;
                 let clean = run_world(&cfg, shape);
-                assert_eq!(clean.iter().map(|r| r.ghost_desyncs).sum::<u64>(), 0);
+                assert_eq!(clean.report.ghost_desyncs, 0);
             }
         }
     }

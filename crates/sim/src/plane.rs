@@ -14,26 +14,20 @@
 //! planes along x, and the balancer moves `lo`/`hi`. The step itself —
 //! migration, ghost exchange, forces, skin epochs — is the shared engine
 //! in [`crate::pe`], so this simulator is **bitwise identical** to the
-//! serial reference like every other shape.
+//! serial reference like every other shape. Launch it with
+//! [`Launch::shape`](crate::driver::Launch::shape).
 
 use std::ops::Range;
 
 use pcdlb_core::protocol::DlbDecision;
-use pcdlb_domain::{Col, DomainShape};
-use pcdlb_md::Particle;
+use pcdlb_domain::Col;
 
 use crate::config::RunConfig;
 use crate::decomp::Decomposition;
-use crate::report::RunReport;
 
-/// Validate a config for the plane decomposition (which, unlike the
-/// square pillar, accepts any `P ≤ nc`, square or not).
-pub fn validate_plane(cfg: &RunConfig) {
-    crate::decomp::validate(cfg, DomainShape::Plane);
-}
-
-/// The plane's own geometry rules (the shared ones are in
-/// [`crate::decomp::validate`]).
+/// The plane's own geometry rules — unlike the square pillar it accepts
+/// any `P ≤ nc`, square or not (the shared rules are in
+/// `crate::decomp::validate`).
 pub(crate) fn validate_shape(cfg: &RunConfig) {
     assert!(cfg.p >= 1, "need at least one PE");
     assert!(
@@ -160,17 +154,6 @@ impl Decomposition for Plane {
     fn granule(&self, d: &DlbDecision) -> Vec<Col> {
         (0..self.nc).map(|cy| Col::new(d.col.cx, cy)).collect()
     }
-}
-
-/// Run the plane-domain simulator; rank 0's report, comm totals filled.
-pub fn run_plane(cfg: &RunConfig) -> RunReport {
-    crate::driver::run_inner(cfg, DomainShape::Plane, false).0
-}
-
-/// Like [`run_plane`] but also gathers the final particle state.
-pub fn run_plane_with_snapshot(cfg: &RunConfig) -> (RunReport, Vec<Particle>) {
-    let (rep, snap) = crate::driver::run_inner(cfg, DomainShape::Plane, true);
-    (rep, snap.expect("snapshot requested"))
 }
 
 #[cfg(test)]

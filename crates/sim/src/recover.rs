@@ -1,14 +1,16 @@
-//! Distributed checkpoint/restart and the driver-level recovery loop.
+//! Distributed checkpoint/restart: the bottom rung of the recovery ladder.
 //!
 //! A long SPMD campaign must survive a rank dying mid-run (on the T3E: a
 //! node failure; here: an injected fault or a real bug). The scheme is
 //! the classic coordinated checkpoint: every `cfg.checkpoint_interval`
 //! steps the ranks gather their particles and ownership view to rank 0
 //! ([`SimCheckpoint`]), which embeds `pcdlb_md::checkpoint`'s exact
-//! bit-preserving text format. [`run_with_recovery`] launches the world,
-//! and when any rank fails it tears the world down cleanly (collecting
-//! per-rank diagnostics), restores the last checkpoint, and relaunches
-//! from there — repeating until the run completes or attempts run out.
+//! bit-preserving text format. A resilient launch
+//! ([`Launch::run_resilient`](crate::driver::Launch::run_resilient))
+//! launches the world, and when any rank fails it tears the world down
+//! cleanly (collecting per-rank diagnostics), restores the last
+//! checkpoint, and relaunches from there — repeating until the run
+//! completes or attempts run out ([`RecoveryError`]).
 //!
 //! The headline property (tested here and swept exhaustively by
 //! `pcdlb-check faults`): a recovered run's particle state and per-step
@@ -20,21 +22,12 @@
 
 use std::fmt;
 use std::io::{self, BufRead, BufWriter, Write};
-use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
 
 use pcdlb_domain::Col;
 use pcdlb_md::checkpoint::Checkpoint;
-use pcdlb_md::Particle;
-use pcdlb_mp::comm::{DEFAULT_POLL_INTERVAL, DEFAULT_WATCHDOG};
-use pcdlb_mp::{CostModel, World, WorldError};
+use pcdlb_mp::WorldError;
 
-use crate::config::RunConfig;
-use crate::digest::digest_recovery;
-use crate::driver::assemble;
-use crate::pe::{initial_particles, pe_main_recoverable, PeResult};
-use crate::report::{RunReport, StepRecord};
-use crate::takeover::Start;
+use crate::report::StepRecord;
 
 /// A restartable distributed simulation state: the global MD state (as a
 /// [`Checkpoint`] in `pcdlb-md`'s exact format), the DLB ownership map,
@@ -177,57 +170,11 @@ impl SimCheckpoint {
     }
 }
 
-/// Knobs of the recovery loop.
-#[derive(Debug, Clone)]
-pub struct RecoveryOptions {
-    /// Maximum number of launches (first run + relaunches) before giving
-    /// up and returning [`RecoveryError`].
-    pub max_attempts: usize,
-    /// Mailbox poll interval for every launched world.
-    pub poll: Duration,
-    /// Watchdog deadline: how long a blocking receive may wait with no
-    /// matching message and no abort before the rank panics with a
-    /// diagnostic. Tests inject faults and want this short; production
-    /// runs want it generous.
-    pub watchdog: Duration,
-}
-
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        Self {
-            max_attempts: 8,
-            poll: DEFAULT_POLL_INTERVAL,
-            watchdog: DEFAULT_WATCHDOG,
-        }
-    }
-}
-
-/// What a (possibly recovered) run produced.
-#[derive(Debug)]
-pub struct RecoveryOutcome {
-    /// Rank 0's assembled report (records bitwise identical to an
-    /// uninterrupted run; message totals include retransmission).
-    pub report: RunReport,
-    /// Final particle state, id-sorted (bitwise identical to an
-    /// uninterrupted run).
-    pub snapshot: Vec<Particle>,
-    /// [`digest_recovery`] of the outcome — the crash-recovery parity
-    /// invariant.
-    pub digest: u64,
-    /// Number of launches it took (1 = no fault).
-    pub attempts: usize,
-    /// Number of rank deaths the completing launch absorbed *in place*
-    /// by buddy takeover ([`run_with_takeover`]) instead of a relaunch.
-    /// Always 0 on the plain [`run_with_recovery`] path.
-    pub takeovers: usize,
-    /// Per-launch failure diagnostics for the attempts that died.
-    pub failures: Vec<WorldError>,
-}
-
-/// The run kept failing: every allowed attempt died.
+/// The run kept failing: a world generation died on every attempt its
+/// ladder allowed.
 #[derive(Debug)]
 pub struct RecoveryError {
-    /// Attempts made (= `max_attempts`).
+    /// Launches made, over all generations.
     pub attempts: usize,
     /// Per-launch failure diagnostics, in attempt order.
     pub failures: Vec<WorldError>,
@@ -245,256 +192,23 @@ impl fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
-/// Run a configuration with checkpoint/restart recovery: launch, and on
-/// any rank failure tear the world down, restore the last checkpoint
-/// (or the initial condition if none was taken yet), and relaunch —
-/// up to `opts.max_attempts` times.
-///
-/// Set `cfg.checkpoint_interval > 0` to bound the re-executed work;
-/// with it at 0 every relaunch restarts from step 0 (still correct,
-/// just slower).
-pub fn run_with_recovery(
-    cfg: &RunConfig,
-    opts: &RecoveryOptions,
-) -> Result<RecoveryOutcome, RecoveryError> {
-    run_recovery_attempts(cfg, opts, |_attempt, world, start, sink| {
-        world.try_run(|comm| pe_main_recoverable(comm, cfg, true, start, Some(sink)))
-    })
-}
-
-/// [`run_with_recovery`] under seeded fault injection (`check` feature):
-/// `plans(attempt, rank)` supplies each rank's fault plan for each
-/// launch. The fault-schedule explorer in `pcdlb-check` drives this with
-/// kill-point sweeps and asserts digest parity at every one.
-#[cfg(feature = "check")]
-pub fn run_with_recovery_faulted<P>(
-    cfg: &RunConfig,
-    opts: &RecoveryOptions,
-    plans: P,
-) -> Result<RecoveryOutcome, RecoveryError>
-where
-    P: Fn(usize, usize) -> Option<pcdlb_mp::FaultPlan> + Sync,
-{
-    run_recovery_attempts(cfg, opts, |attempt, world, start, sink| {
-        world.try_run_with_faults(
-            |rank| plans(attempt, rank),
-            |comm| pe_main_recoverable(comm, cfg, true, start, Some(sink)),
-        )
-    })
-}
-
-/// Run a configuration with the full escalation ladder: the world is
-/// launched in takeover mode, so a single rank death is absorbed *in
-/// place* — the dead rank's buddy survivor adopts its virtual rank and
-/// the run continues degraded on `n − 1` threads (see
-/// [`crate::takeover`]) — while anything worse (a second death, a
-/// takeover barrier timeout, an invariant-sentinel violation) tears the
-/// world down and relaunches from the last checkpoint like
-/// [`run_with_recovery`]. Degraded completions satisfy the same
-/// [`digest_recovery`] parity invariant as uninterrupted runs.
-pub fn run_with_takeover(
-    cfg: &RunConfig,
-    opts: &RecoveryOptions,
-) -> Result<RecoveryOutcome, RecoveryError> {
-    run_takeover_attempts(cfg, opts, |_attempt, world, initial, sink| {
-        world.try_run_degraded(|comm| {
-            crate::takeover::takeover_main(comm, cfg, initial, true, sink, false, false)
-        })
-    })
-}
-
-/// [`run_with_takeover`] under seeded fault injection (`check` feature):
-/// `plans(attempt, rank)` supplies each rank's fault plan for each
-/// launch. The takeover kill-point sweep in `pcdlb-check` drives this
-/// and asserts digest parity and degraded completion at every kill site.
-#[cfg(feature = "check")]
-pub fn run_with_takeover_faulted<P>(
-    cfg: &RunConfig,
-    opts: &RecoveryOptions,
-    plans: P,
-) -> Result<RecoveryOutcome, RecoveryError>
-where
-    P: Fn(usize, usize) -> Option<pcdlb_mp::FaultPlan> + Sync,
-{
-    run_takeover_attempts(cfg, opts, |attempt, world, initial, sink| {
-        world.try_run_degraded_with_faults(
-            |rank| plans(attempt, rank),
-            |comm| crate::takeover::takeover_main(comm, cfg, initial, true, sink, false, false),
-        )
-    })
-}
-
-/// [`run_with_takeover_faulted`] with full model-checker instrumentation:
-/// besides the per-attempt fault plans, `policies(attempt, rank)` installs
-/// each rank's delivery policy and `logs(attempt, rank)` binds each rank
-/// thread to a protocol event log (see
-/// [`ProtocolEvent`](pcdlb_mp::check::ProtocolEvent)). Returning the same
-/// log for every attempt accumulates one trace per physical rank,
-/// segmented by `Birth` markers — the shape the model checker consumes.
-#[cfg(feature = "check")]
-pub fn run_with_takeover_instrumented<P, Q, L>(
-    cfg: &RunConfig,
-    opts: &RecoveryOptions,
-    plans: P,
-    policies: Q,
-    logs: L,
-) -> Result<RecoveryOutcome, RecoveryError>
-where
-    P: Fn(usize, usize) -> Option<pcdlb_mp::FaultPlan> + Sync,
-    Q: Fn(usize, usize) -> Box<dyn pcdlb_mp::check::DeliveryPolicy> + Sync,
-    L: Fn(usize, usize) -> pcdlb_mp::check::EventLog + Sync,
-{
-    run_takeover_attempts(cfg, opts, |attempt, world, initial, sink| {
-        world.try_run_degraded_instrumented(
-            |rank| plans(attempt, rank),
-            |rank| policies(attempt, rank),
-            |rank| logs(attempt, rank),
-            |comm| crate::takeover::takeover_main(comm, cfg, initial, true, sink, false, false),
-        )
-    })
-}
-
-type RolePeResults = Vec<(usize, PeResult)>;
-
-fn run_takeover_attempts<A>(
-    cfg: &RunConfig,
-    opts: &RecoveryOptions,
-    attempt_fn: A,
-) -> Result<RecoveryOutcome, RecoveryError>
-where
-    A: Fn(
-        usize,
-        &World,
-        &[Particle],
-        &Mutex<Option<SimCheckpoint>>,
-    ) -> Result<pcdlb_mp::DegradedOutcome<RolePeResults>, WorldError>,
-{
-    cfg.validate();
-    assert!(opts.max_attempts > 0, "need at least one attempt");
-    let sink: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
-    // Generated once for every launch and every rank of it.
-    let initial = initial_particles(cfg);
-    let mut failures = Vec::new();
-    for attempt in 0..opts.max_attempts {
-        let world = World::new(cfg.p)
-            .with_cost_model(CostModel::t3e(Some(cfg.torus())))
-            .with_comm_config(&cfg.comm)
-            .with_poll_interval(opts.poll)
-            .with_watchdog(opts.watchdog)
-            .with_takeover();
-        match attempt_fn(attempt, &world, &initial, &sink) {
-            Ok(outcome) => {
-                // Reassemble the virtual-rank results from whichever
-                // threads ended up holding them.
-                let takeovers = outcome.dead.len();
-                let mut by_vrank: Vec<Option<PeResult>> = (0..cfg.p).map(|_| None).collect();
-                for (v, r) in outcome.results.into_iter().flatten().flatten() {
-                    by_vrank[v] = Some(r);
-                }
-                if by_vrank.iter().any(Option::is_none) {
-                    // A death slipped into the post-handshake tail: some
-                    // virtual rank finished nowhere. The degraded result
-                    // is incomplete — fall back to a full relaunch.
-                    let missing: Vec<usize> = by_vrank
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.is_none())
-                        .map(|(v, _)| v)
-                        .collect();
-                    failures.push(WorldError {
-                        failures: missing
-                            .into_iter()
-                            .map(|rank| pcdlb_mp::RankFailure {
-                                rank,
-                                message: "virtual rank unaccounted for after a degraded run \
-                                          — relaunching from the last checkpoint"
-                                    .to_string(),
-                            })
-                            .collect(),
-                    });
-                    continue;
-                }
-                let results: Vec<PeResult> =
-                    by_vrank.into_iter().map(|r| r.expect("checked")).collect();
-                let (report, snapshot) = assemble(results);
-                let snapshot = snapshot.expect("recovery runs always gather a snapshot");
-                let digest = digest_recovery(&report, &snapshot, cfg.load_metric);
-                return Ok(RecoveryOutcome {
-                    report,
-                    snapshot,
-                    digest,
-                    attempts: attempt + 1,
-                    takeovers,
-                    failures,
-                });
-            }
-            Err(e) => failures.push(e),
-        }
-    }
-    Err(RecoveryError {
-        attempts: opts.max_attempts,
-        failures,
-    })
-}
-
-fn run_recovery_attempts<A>(
-    cfg: &RunConfig,
-    opts: &RecoveryOptions,
-    attempt_fn: A,
-) -> Result<RecoveryOutcome, RecoveryError>
-where
-    A: Fn(usize, &World, Start, &Mutex<Option<SimCheckpoint>>) -> Result<Vec<PeResult>, WorldError>,
-{
-    cfg.validate();
-    assert!(opts.max_attempts > 0, "need at least one attempt");
-    // The sink outlives every world: rank 0 deposits checkpoints here, and
-    // the next attempt (if any) restores whatever arrived last.
-    let sink: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
-    // Generated once for every launch and every rank of it.
-    let initial = initial_particles(cfg);
-    let mut failures = Vec::new();
-    for attempt in 0..opts.max_attempts {
-        let ckpt = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
-        let start = ckpt.as_ref().map_or(Start::Fresh(&initial), Start::Restore);
-        let world = World::new(cfg.p)
-            .with_cost_model(CostModel::t3e(Some(cfg.torus())))
-            .with_comm_config(&cfg.comm)
-            .with_poll_interval(opts.poll)
-            .with_watchdog(opts.watchdog);
-        match attempt_fn(attempt, &world, start, &sink) {
-            Ok(results) => {
-                let (report, snapshot) = assemble(results);
-                let snapshot = snapshot.expect("recovery runs always gather a snapshot");
-                let digest = digest_recovery(&report, &snapshot, cfg.load_metric);
-                return Ok(RecoveryOutcome {
-                    report,
-                    snapshot,
-                    digest,
-                    attempts: attempt + 1,
-                    takeovers: 0,
-                    failures,
-                });
-            }
-            Err(e) => failures.push(e),
-        }
-    }
-    Err(RecoveryError {
-        attempts: opts.max_attempts,
-        failures,
-    })
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::time::Duration;
+
     use super::*;
-    use crate::config::Lattice;
-    use crate::digest::digest_records;
-    use crate::driver::{run, run_with_snapshot};
+    use crate::config::{Lattice, RunConfig};
+    use crate::digest::{digest_records, digest_recovery};
+    use crate::driver::{run, run_with_snapshot, Ladder, LadderOutcome, Launch};
+    use crate::elastic::ResizePlan;
+    use crate::pe::initial_particles;
 
     /// A small but non-trivial 2×2 recovery workload: DDM only (P = 4
     /// cannot run DLB), clustered start so migration and ghost traffic
-    /// are busy, thermostat firing mid-run.
-    fn recovery_cfg() -> RunConfig {
+    /// are busy, thermostat firing mid-run. A tight poll so aborts
+    /// propagate fast, a watchdog short enough that a wedged receive
+    /// fails the test promptly.
+    pub(crate) fn recovery_cfg() -> RunConfig {
         let mut cfg = RunConfig::new(216, 4, 4, 0.2);
         cfg.dlb = false;
         cfg.steps = 24;
@@ -502,15 +216,39 @@ mod tests {
         cfg.lattice = Lattice::Cluster { fill: 0.8 };
         cfg.seed = 11;
         cfg.checkpoint_interval = 5;
+        cfg.comm.poll = Duration::from_millis(2);
+        cfg.comm.watchdog = Duration::from_secs(20);
         cfg
     }
 
-    fn quick_opts() -> RecoveryOptions {
-        RecoveryOptions {
+    /// Relaunch from the last checkpoint, with or without the takeover
+    /// rung above it.
+    fn ladder(takeover: bool) -> Ladder {
+        Ladder {
             max_attempts: 3,
-            poll: Duration::from_millis(2),
-            watchdog: Duration::from_secs(20),
+            takeover,
+            plan: ResizePlan::new(),
         }
+    }
+
+    fn fault_free(cfg: &RunConfig, takeover: bool) -> LadderOutcome {
+        let launch = Launch::new();
+        launch
+            .run_resilient(cfg, &ladder(takeover))
+            .expect("no faults")
+    }
+
+    /// A launch whose rank threads run under the plans `plans(launch,
+    /// rank)` gives them.
+    #[cfg(feature = "check")]
+    pub(crate) fn faulted(
+        plans: impl Fn(usize, usize) -> Option<pcdlb_mp::FaultPlan> + Send + Sync + 'static,
+    ) -> Launch {
+        Launch::new().on_start(move |launch, comm| {
+            if let Some(plan) = plans(launch, comm.rank()) {
+                comm.set_fault_plan(plan);
+            }
+        })
     }
 
     #[test]
@@ -568,7 +306,7 @@ mod tests {
     #[test]
     fn recovery_without_faults_completes_in_one_attempt() {
         let cfg = recovery_cfg();
-        let out = run_with_recovery(&cfg, &quick_opts()).expect("no faults");
+        let out = fault_free(&cfg, false);
         assert_eq!(out.attempts, 1);
         assert!(out.failures.is_empty());
         let (rep, snap) = run_with_snapshot(&cfg);
@@ -581,13 +319,13 @@ mod tests {
     fn recovery_restores_the_last_checkpoint_and_matches_bitwise() {
         use pcdlb_mp::FaultPlan;
         let cfg = recovery_cfg();
-        let reference = run_with_recovery(&cfg, &quick_opts()).expect("fault-free");
+        let reference = fault_free(&cfg, false);
         // Kill rank 2 deep enough into the run that a checkpoint exists
         // (step 5's gather is well past rank 2's 40th send).
-        let out = run_with_recovery_faulted(&cfg, &quick_opts(), |attempt, rank| {
-            (attempt == 0 && rank == 2).then(|| FaultPlan::kill_at(160))
-        })
-        .expect("second attempt recovers");
+        let kill = |launch, rank| (launch == 0 && rank == 2).then(|| FaultPlan::kill_at(160));
+        let out = faulted(kill)
+            .run_resilient(&cfg, &ladder(false))
+            .expect("second attempt recovers");
         assert_eq!(out.attempts, 2);
         assert_eq!(out.failures.len(), 1);
         assert!(
@@ -612,13 +350,16 @@ mod tests {
     }
 
     #[test]
-    fn takeover_without_faults_matches_plain_recovery_bitwise() {
+    fn takeover_on_and_off_agree_bitwise_without_faults() {
+        // The same loop on a world with and without takeover mode: with no
+        // death to register, the completion handshake is all that differs,
+        // and it is digest-neutral.
         let cfg = recovery_cfg();
-        let out = run_with_takeover(&cfg, &quick_opts()).expect("no faults");
+        let out = fault_free(&cfg, true);
         assert_eq!(out.attempts, 1);
         assert_eq!(out.takeovers, 0);
         assert!(out.failures.is_empty());
-        let reference = run_with_recovery(&cfg, &quick_opts()).expect("no faults");
+        let reference = fault_free(&cfg, false);
         assert_eq!(out.digest, reference.digest);
         assert_eq!(out.snapshot, reference.snapshot);
     }
@@ -628,9 +369,9 @@ mod tests {
         let cfg = recovery_cfg();
         let mut watched = recovery_cfg();
         watched.sentinel_interval = 4;
-        let plain = run_with_takeover(&cfg, &quick_opts()).expect("no faults");
-        let out = run_with_takeover(&watched, &quick_opts()).expect("sentinel is quiet");
-        assert_eq!(out.attempts, 1);
+        let plain = fault_free(&cfg, true);
+        let out = fault_free(&watched, true);
+        assert_eq!(out.attempts, 1, "the sentinel is quiet");
         assert_eq!(
             out.digest, plain.digest,
             "a quiet sentinel must not perturb any reported step"
@@ -643,14 +384,14 @@ mod tests {
     fn takeover_absorbs_one_death_without_a_relaunch() {
         use pcdlb_mp::FaultPlan;
         let cfg = recovery_cfg();
-        let reference = run_with_recovery(&cfg, &quick_opts()).expect("fault-free");
+        let reference = fault_free(&cfg, false);
         // Kill rank 2 mid-run: its east buddy (rank 3 on the 2×2 torus)
         // must adopt virtual rank 2 and the same launch must complete
         // degraded on 3 OS threads.
-        let out = run_with_takeover_faulted(&cfg, &quick_opts(), |attempt, rank| {
-            (attempt == 0 && rank == 2).then(|| FaultPlan::kill_at(160))
-        })
-        .expect("the launch absorbs the death in place");
+        let kill = |launch, rank| (launch == 0 && rank == 2).then(|| FaultPlan::kill_at(160));
+        let out = faulted(kill)
+            .run_resilient(&cfg, &ladder(true))
+            .expect("the launch absorbs the death in place");
         assert_eq!(out.attempts, 1, "a single death must not cost a relaunch");
         assert_eq!(out.takeovers, 1);
         assert!(out.failures.is_empty());
@@ -666,20 +407,17 @@ mod tests {
     fn second_death_escalates_to_a_full_relaunch() {
         use pcdlb_mp::FaultPlan;
         let cfg = recovery_cfg();
-        let reference = run_with_recovery(&cfg, &quick_opts()).expect("fault-free");
-        // Two ranks die in attempt 0: the first is absorbed, the second
-        // aborts the degraded world, and attempt 1 completes clean.
-        let out = run_with_takeover_faulted(&cfg, &quick_opts(), |attempt, rank| {
-            if attempt != 0 {
-                return None;
-            }
-            match rank {
-                1 => Some(FaultPlan::kill_at(120)),
-                2 => Some(FaultPlan::kill_at(160)),
-                _ => None,
-            }
-        })
-        .expect("the relaunch recovers");
+        let reference = fault_free(&cfg, false);
+        // Two ranks die in launch 0: the first is absorbed, the second
+        // aborts the degraded world, and launch 1 completes clean.
+        let kills = |launch, rank| match (launch, rank) {
+            (0, 1) => Some(FaultPlan::kill_at(120)),
+            (0, 2) => Some(FaultPlan::kill_at(160)),
+            _ => None,
+        };
+        let out = faulted(kills)
+            .run_resilient(&cfg, &ladder(true))
+            .expect("the relaunch recovers");
         assert_eq!(out.attempts, 2, "two deaths must fall back to a relaunch");
         assert_eq!(out.takeovers, 0, "the completing launch was undegraded");
         assert_eq!(out.failures.len(), 1);
@@ -702,22 +440,25 @@ mod tests {
         cfg.dlb = true;
         cfg.steps = 16;
         cfg.checkpoint_interval = 5;
-        let reference = run_with_recovery(&cfg, &quick_opts()).expect("fault-free");
+        cfg.comm = recovery_cfg().comm;
+        let reference = fault_free(&cfg, false);
         let transfers: u32 = reference.report.records.iter().map(|r| r.transfers).sum();
         assert!(
             transfers > 16,
             "the balancer is busy: {transfers} transfers"
         );
         // Rank 4 is the south-east neighbour the hot rank cannot send to.
-        let kill = |attempt, rank| (attempt == 0 && rank == 4).then(|| FaultPlan::kill_at(200));
-        let relaunched = run_with_recovery_faulted(&cfg, &quick_opts(), kill).expect("recovers");
+        let kill = |launch, rank| (launch == 0 && rank == 4).then(|| FaultPlan::kill_at(200));
+        let relaunched = faulted(kill).run_resilient(&cfg, &ladder(false));
+        let relaunched = relaunched.expect("recovers");
         assert_eq!(relaunched.attempts, 2, "the run was restored, not replayed");
         assert_eq!(
             relaunched.digest, reference.digest,
             "relaunch from a checkpoint"
         );
         assert_eq!(relaunched.snapshot, reference.snapshot);
-        let absorbed = run_with_takeover_faulted(&cfg, &quick_opts(), kill).expect("absorbed");
+        let absorbed = faulted(kill).run_resilient(&cfg, &ladder(true));
+        let absorbed = absorbed.expect("absorbed");
         assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));
         assert_eq!(absorbed.digest, reference.digest, "buddy takeover");
         assert_eq!(absorbed.snapshot, reference.snapshot);
@@ -728,12 +469,32 @@ mod tests {
     fn recovery_gives_up_after_max_attempts_with_all_diagnostics() {
         use pcdlb_mp::FaultPlan;
         let cfg = recovery_cfg();
-        let err = run_with_recovery_faulted(&cfg, &quick_opts(), |_attempt, rank| {
-            (rank == 1).then(|| FaultPlan::kill_at(3))
-        })
-        .expect_err("every attempt dies");
+        let err = faulted(|_launch, rank| (rank == 1).then(|| FaultPlan::kill_at(3)))
+            .run_resilient(&cfg, &ladder(false))
+            .expect_err("every attempt dies");
         assert_eq!(err.attempts, 3);
         assert_eq!(err.failures.len(), 3);
         assert!(err.to_string().contains("all 3 attempt(s)"), "{err}");
+    }
+
+    #[cfg(feature = "check")]
+    #[test]
+    fn a_resilient_launch_takes_its_deadlines_from_the_config() {
+        // The ladder has no timing of its own: every world it launches
+        // waits as `cfg.comm` says.
+        use std::sync::{Arc, Mutex};
+        let mut cfg = recovery_cfg();
+        cfg.comm.watchdog = Duration::from_secs(7);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let watchdogs = Arc::clone(&seen);
+        let launch = Launch::new().on_start(move |_launch, comm| {
+            watchdogs.lock().unwrap().push(comm.watchdog());
+        });
+        for takeover in [false, true] {
+            launch
+                .run_resilient(&cfg, &ladder(takeover))
+                .expect("no faults");
+        }
+        assert_eq!(*seen.lock().unwrap(), [cfg.comm.watchdog; 8]);
     }
 }

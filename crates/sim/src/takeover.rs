@@ -1,10 +1,12 @@
 //! Degraded-mode survivor takeover: continue the run on PE death without
 //! a global restart.
 //!
-//! The recovery loop in [`crate::recover`] treats any rank death as fatal
+//! The relaunch rung ([`crate::recover`]) treats any rank death as fatal
 //! to the whole world: tear down all `P` threads, restore the last
 //! checkpoint, relaunch. This module implements the cheaper middle rung
-//! of the escalation ladder — when one rank dies mid-run, a
+//! of the escalation ladder, switched on by
+//! [`Ladder::takeover`](crate::driver::Ladder::takeover) — when one rank
+//! dies mid-run, a
 //! deterministically chosen *buddy* survivor adopts the dead rank's
 //! **virtual rank** (its permanent cells, its current DLB ownership, its
 //! slot in every 8-neighbour exchange) and the world continues on `n − 1`
@@ -12,15 +14,15 @@
 //!
 //! 1. the dead rank's panic is registered by the launch layer; every
 //!    survivor's next communication call raises
-//!    [`TakeoverInterrupt`](pcdlb_mp::TakeoverInterrupt);
-//! 2. each survivor unwinds to [`takeover_main`]'s catch point, drops its
-//!    in-progress [`PeState`]s, and runs [`handle_takeover`]: the buddy
+//!    [`TakeoverInterrupt`];
+//! 2. each survivor unwinds to `takeover_main`'s catch point, drops its
+//!    in-progress [`PeState`]s, and runs `handle_takeover`: the buddy
 //!    ([`Torus2d::buddy`](pcdlb_mp::Torus2d::buddy), the east neighbour)
 //!    adopts the dead virtual rank, everyone advances the wire epoch
 //!    (flushing in-flight traffic from the dead world generation), and a
 //!    deadline-bounded READY/GO barrier re-synchronises the survivors;
 //! 3. all survivors re-read the shared checkpoint sink and re-enter
-//!    [`run_roles`] from the last checkpoint (or step 0), the adopting
+//!    `run_roles` from the last checkpoint (or step 0), the adopting
 //!    thread now driving **two** virtual ranks through every phase.
 //!
 //! Dual-role phase interleaving is what keeps the degraded world
@@ -40,8 +42,8 @@
 //! Escalation: a transient send failure is retried inside `pcdlb-mp`; a
 //! first rank death is absorbed here; a second death in the same launch,
 //! a takeover barrier timeout, or an invariant-sentinel violation aborts
-//! the world and falls back to the full relaunch loop in
-//! [`crate::recover`].
+//! the world and falls back to a full relaunch — the next attempt of the
+//! one loop in [`crate::driver`].
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
@@ -49,7 +51,7 @@ use std::sync::{Mutex, PoisonError};
 use pcdlb_core::protocol::tags;
 use pcdlb_domain::DomainShape;
 use pcdlb_md::Particle;
-use pcdlb_mp::{Comm, CommError, CommErrorKind, TakeoverInterrupt};
+use pcdlb_mp::{Comm, CommError, CommErrorKind, Tag, TakeoverInterrupt};
 
 use crate::clock::WallTimer;
 use crate::config::RunConfig;
@@ -57,9 +59,12 @@ use crate::pe::{Exchange, PeResult, PeState};
 use crate::recover::SimCheckpoint;
 use crate::report::{RunReport, StepRecord};
 
-/// The degraded-capable SPMD entry point: run this thread's virtual
-/// rank(s) to completion, absorbing at most one rank death per launch by
-/// buddy takeover. Returns one [`PeResult`] per virtual rank this thread
+/// The SPMD entry point of every resilient launch: run this thread's
+/// virtual rank(s) of the square pillar to completion from whatever
+/// checkpoint `sink` holds, gathering the final snapshot. In a takeover
+/// world it absorbs at most one rank death per launch by buddy takeover;
+/// in any other world no [`TakeoverInterrupt`] ever fires and the loop
+/// below runs once. Returns one [`PeResult`] per virtual rank this thread
 /// ended the run holding.
 ///
 /// `initial` is the world's shared initial condition, adopted from while
@@ -72,7 +77,6 @@ pub(crate) fn takeover_main(
     comm: &mut Comm,
     cfg: &RunConfig,
     initial: &[Particle],
-    want_snapshot: bool,
     sink: &Mutex<Option<SimCheckpoint>>,
     drain: bool,
     resize_sync: bool,
@@ -89,7 +93,7 @@ pub(crate) fn takeover_main(
             // unwinds as a TakeoverInterrupt like any other phase, and
             // every survivor re-runs the barrier at the advanced epoch.
             if resize_sync {
-                resize_barrier(comm);
+                survivor_barrier(comm, "resize", tags::RESIZE_READY, tags::RESIZE_GO, true);
             }
             run_roles(
                 comm,
@@ -98,7 +102,7 @@ pub(crate) fn takeover_main(
                 &roles,
                 start,
                 Some(sink),
-                want_snapshot,
+                true,
                 drain,
             )
         }));
@@ -142,17 +146,31 @@ fn handle_takeover(comm: &mut Comm, cfg: &RunConfig, roles: &mut Vec<usize>) {
     // from before the death is dropped, early traffic from faster
     // survivors is parked until this endpoint catches up.
     comm.advance_epoch(comm.base_epoch() + deaths as u64);
-    takeover_barrier(comm);
+    survivor_barrier(
+        comm,
+        "takeover",
+        tags::TAKEOVER_READY,
+        tags::TAKEOVER_GO,
+        false,
+    );
 }
 
 /// Deadline-bounded survivor barrier: every live thread reports READY to
 /// the lowest live physical rank, which answers GO once all have
-/// reported. Run *after* adoption and the epoch advance, so when the
-/// barrier opens every virtual rank is routable again and nobody can
-/// race ahead into the new generation against a survivor still
-/// unwinding. Any timeout aborts the world (full relaunch) — the barrier
-/// can never hang.
-fn takeover_barrier(comm: &mut Comm) {
+/// reported. Any timeout aborts the world (full relaunch) — the barrier
+/// can never hang. It runs in two places, on two tag pairs so the
+/// schedule verifier can tell them apart:
+///
+/// - the **takeover** barrier, *after* adoption and the epoch advance, so
+///   when it opens every virtual rank is routable again and nobody can
+///   race ahead into the new generation against a survivor still
+///   unwinding. A receive interrupted here means a second death: not
+///   `absorbable`, the world aborts.
+/// - the **resize** barrier, before the first step of a resized
+///   generation, so no rank races ahead into the new torus against a peer
+///   that has not come up yet. A death here is the launch's first and is
+///   `absorbable` like one in any other phase.
+fn survivor_barrier(comm: &mut Comm, name: &str, ready: Tag, go: Tag, absorbable: bool) {
     let dead = comm.dead_ranks();
     let live: Vec<usize> = (0..comm.size()).filter(|r| !dead.contains(r)).collect();
     let root = live[0];
@@ -164,72 +182,38 @@ fn takeover_barrier(comm: &mut Comm) {
     comm.act_as(me);
     if me == root {
         for &r in live.iter().filter(|&&r| r != root) {
-            if let Err(e) = comm.recv_deadline::<u64>(r, tags::TAKEOVER_READY, timeout) {
-                comm.abort_world();
-                panic!("takeover barrier failed awaiting READY: {e}");
+            if let Err(e) = comm.recv_deadline::<u64>(r, ready, timeout) {
+                let what = format!("{name} barrier failed awaiting READY");
+                escalate(comm, &what, e, absorbable);
             }
         }
         for &r in live.iter().filter(|&&r| r != root) {
-            comm.send(r, tags::TAKEOVER_GO, epoch);
+            comm.send(r, go, epoch);
         }
     } else {
-        comm.send(root, tags::TAKEOVER_READY, epoch);
-        match comm.recv_deadline::<u64>(root, tags::TAKEOVER_GO, timeout) {
-            Ok(e) => debug_assert_eq!(e, epoch, "takeover barrier epoch mismatch"),
+        comm.send(root, ready, epoch);
+        match comm.recv_deadline::<u64>(root, go, timeout) {
+            Ok(e) => debug_assert_eq!(e, epoch, "{name} barrier epoch mismatch"),
             Err(e) => {
-                comm.abort_world();
-                panic!("takeover barrier failed awaiting GO: {e}");
+                let what = format!("{name} barrier failed awaiting GO");
+                escalate(comm, &what, e, absorbable);
             }
         }
     }
 }
 
-/// Deadline-bounded generation barrier for elastic resizes: every live
-/// thread of a freshly remapped world reports READY to the lowest live
-/// physical rank, which answers GO once all have reported. Runs before
-/// the first step of a resized generation so no rank races ahead into
-/// the new torus against a peer that has not come up yet. Structurally
-/// identical to [`takeover_barrier`] but on its own tags, so the
-/// schedule verifier can tell the two apart. Any timeout aborts the
-/// world (relaunch of the generation) — the barrier can never hang.
 /// Escalate a failed deadline-bounded control-flow receive from inside
-/// [`takeover_main`]'s catch region. An absorbable rank death surfaces
-/// as an interrupted receive and re-raises [`TakeoverInterrupt`] so the
-/// catch point absorbs it in place; anything else — a timeout, a world
-/// already aborting — raises the abort flag and escalates to a full
-/// relaunch. Never returns.
-fn escalate(comm: &mut Comm, what: &str, e: CommError) -> ! {
-    if e.kind == CommErrorKind::Interrupted {
+/// [`takeover_main`]'s catch region. Where a rank death is `absorbable`
+/// it surfaces as an interrupted receive and re-raises
+/// [`TakeoverInterrupt`] so the catch point absorbs it in place; anything
+/// else — a timeout, a world already aborting — raises the abort flag and
+/// escalates to a full relaunch. Never returns.
+fn escalate(comm: &mut Comm, what: &str, e: CommError, absorbable: bool) -> ! {
+    if absorbable && e.kind == CommErrorKind::Interrupted {
         std::panic::panic_any(TakeoverInterrupt);
     }
     comm.abort_world();
     panic!("{what}: {e}");
-}
-
-fn resize_barrier(comm: &mut Comm) {
-    let dead = comm.dead_ranks();
-    let live: Vec<usize> = (0..comm.size()).filter(|r| !dead.contains(r)).collect();
-    let root = live[0];
-    let me = comm.phys_rank();
-    let timeout = comm.watchdog();
-    let epoch = comm.epoch();
-    comm.act_as(me);
-    if me == root {
-        for &r in live.iter().filter(|&&r| r != root) {
-            if let Err(e) = comm.recv_deadline::<u64>(r, tags::RESIZE_READY, timeout) {
-                escalate(comm, "resize barrier failed awaiting READY", e);
-            }
-        }
-        for &r in live.iter().filter(|&&r| r != root) {
-            comm.send(r, tags::RESIZE_GO, epoch);
-        }
-    } else {
-        comm.send(root, tags::RESIZE_READY, epoch);
-        match comm.recv_deadline::<u64>(root, tags::RESIZE_GO, timeout) {
-            Ok(e) => debug_assert_eq!(e, epoch, "resize barrier epoch mismatch"),
-            Err(e) => escalate(comm, "resize barrier failed awaiting GO", e),
-        }
-    }
 }
 
 /// Where a launch's particles come from.
@@ -549,7 +533,7 @@ fn completion_handshake(comm: &mut Comm, roles: &[usize]) {
         comm.act_as(0);
         for src in 1..n {
             if let Err(e) = comm.recv_deadline::<()>(src, tags::TAKEOVER_DONE, timeout) {
-                escalate(comm, "completion handshake failed awaiting DONE", e);
+                escalate(comm, "completion handshake failed awaiting DONE", e, true);
             }
         }
         for dst in 1..n {
@@ -559,7 +543,7 @@ fn completion_handshake(comm: &mut Comm, roles: &[usize]) {
     for &v in roles.iter().filter(|&&v| v != 0) {
         comm.act_as(v);
         if let Err(e) = comm.recv_deadline::<()>(0, tags::TAKEOVER_ACK, timeout) {
-            escalate(comm, "completion handshake failed awaiting ACK", e);
+            escalate(comm, "completion handshake failed awaiting ACK", e, true);
         }
     }
 }

@@ -5,9 +5,12 @@
 //! it cannot do. (The cube rows of the shared bitwise matrix — schedules,
 //! encodings, the split force pass — are in `parity_matrix.rs`.)
 
-use pcdlb_sim::cube::{run_cube, run_cube_with_snapshot};
-use pcdlb_sim::plane::run_plane;
-use pcdlb_sim::{run_serial, serial_sim, RunConfig};
+use pcdlb_sim::cube::run_cube_with_snapshot;
+use pcdlb_sim::{run_serial, serial_sim, DomainShape, Launch, RunConfig, RunReport};
+
+fn run_shape(shape: DomainShape, cfg: &RunConfig) -> RunReport {
+    Launch::new().shape(shape).run(cfg).report
+}
 
 fn cfg(p: usize, nc: usize, steps: u64) -> RunConfig {
     let density = 0.25;
@@ -133,8 +136,8 @@ fn cube_trades_message_count_for_volume_as_the_model_predicts() {
     // carrying a much smaller piece of shell, and imports less in total
     // (5³ − 3³ = 98 ghost cells vs 2·9² = 162).
     let steps = 10;
-    let rep_cube = run_cube(&cfg(27, 9, steps));
-    let rep_plane = run_plane(&cfg(9, 9, steps));
+    let rep_cube = run_shape(DomainShape::Cube, &cfg(27, 9, steps));
+    let rep_plane = run_shape(DomainShape::Plane, &cfg(9, 9, steps));
     let per_rank = |total: u64, p: u64| total as f64 / p as f64;
     let (msgs_cube, msgs_plane) = (
         per_rank(rep_cube.msgs_sent, 27),
@@ -166,7 +169,7 @@ fn cube_trades_message_count_for_volume_as_the_model_predicts() {
 #[should_panic(expected = "P = k³")]
 fn non_cube_pe_count_rejected() {
     let c = cfg(9, 6, 5);
-    let _ = run_cube(&c);
+    run_shape(DomainShape::Cube, &c);
 }
 
 #[test]
@@ -174,5 +177,5 @@ fn non_cube_pe_count_rejected() {
 fn dlb_flag_rejected() {
     let mut c = cfg(8, 4, 5);
     c.dlb = true;
-    let _ = run_cube(&c);
+    run_shape(DomainShape::Cube, &c);
 }

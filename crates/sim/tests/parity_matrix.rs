@@ -12,9 +12,9 @@
 
 use pcdlb_domain::DomainShape;
 use pcdlb_md::Particle;
-use pcdlb_sim::cube::run_cube_with_snapshot;
-use pcdlb_sim::plane::run_plane_with_snapshot;
-use pcdlb_sim::{digest_report, run_serial, run_with_snapshot, serial_sim, RunConfig, RunReport};
+use pcdlb_sim::{
+    digest_report, run_serial, run_with_snapshot, serial_sim, Launch, RunConfig, RunReport,
+};
 
 /// The (shape, P) rows. `nc = 6` hosts them all: 1×1, 2×2 and 3×3 pillar
 /// tori, rings of 1–3 (3 is deliberately non-square, 2 is the ring whose
@@ -57,14 +57,6 @@ fn cfg(p: usize, mode: Mode) -> RunConfig {
     }
     cfg.verlet = mode == Mode::Verlet;
     cfg
-}
-
-fn run_shape(shape: DomainShape, cfg: &RunConfig) -> (RunReport, Vec<Particle>) {
-    match shape {
-        DomainShape::SquarePillar => run_with_snapshot(cfg),
-        DomainShape::Plane => run_plane_with_snapshot(cfg),
-        DomainShape::Cube => run_cube_with_snapshot(cfg),
-    }
 }
 
 fn assert_bitwise_equal(parallel: &[Particle], serial: &[Particle], what: &str) {
@@ -122,7 +114,11 @@ fn every_shape_schedule_and_encoding_matches_serial_bitwise() {
                     let mut c = cfg(p, mode);
                     c.overlap = overlap;
                     c.delta_ghosts = delta_ghosts;
-                    let (report, snap) = run_shape(shape, &c);
+                    let (report, snap) = Launch::new()
+                        .shape(shape)
+                        .snapshot()
+                        .run(&c)
+                        .into_snapshot();
                     assert_bitwise_equal(&snap, &serial, &what);
                     // The rebuild decision is a pure function of
                     // replicated global state: every grid picks the
@@ -178,11 +174,19 @@ fn grids_large_enough_to_split_the_force_pass_match_serial_bitwise() {
             (c.n_particles, c.nc, c.density) = (n, nc, n as f64 / box_len.powi(3));
             c.steps = 12;
             let serial = run_serial(&c);
-            let (split, snap) = run_shape(shape, &c);
+            let (split, snap) = Launch::new()
+                .shape(shape)
+                .snapshot()
+                .run(&c)
+                .into_snapshot();
             let what = format!("{shape:?} P = {p} nc = {nc}, {mode:?}");
             assert_bitwise_equal(&snap, &serial, &what);
             c.overlap = false;
-            let (fused, snap) = run_shape(shape, &c);
+            let (fused, snap) = Launch::new()
+                .shape(shape)
+                .snapshot()
+                .run(&c)
+                .into_snapshot();
             assert_bitwise_equal(&snap, &serial, &what);
             assert_eq!(split.records, fused.records, "{what}: records moved");
         }
@@ -195,8 +199,16 @@ fn verlet_replay_reports_the_frozen_walks_numbers() {
     // — identical pair_checks, energies and rebuild schedule to walking
     // the frozen binning live — in every shape.
     for (shape, p) in ROWS {
-        let (walked, _) = run_shape(shape, &cfg(p, Mode::Epochs));
-        let (replayed, _) = run_shape(shape, &cfg(p, Mode::Verlet));
+        let (walked, _) = Launch::new()
+            .shape(shape)
+            .snapshot()
+            .run(&cfg(p, Mode::Epochs))
+            .into_snapshot();
+        let (replayed, _) = Launch::new()
+            .shape(shape)
+            .snapshot()
+            .run(&cfg(p, Mode::Verlet))
+            .into_snapshot();
         assert_eq!(
             replayed.records, walked.records,
             "{shape:?} P = {p}: step records diverged between replay and frozen walk"
@@ -228,28 +240,34 @@ fn checkpoint_cadence_forces_rebuild_boundaries() {
 #[test]
 fn skin_epochs_restore_across_the_checkpoint_cadence_bitwise() {
     use pcdlb_mp::FaultPlan;
-    use pcdlb_sim::{
-        digest_recovery, run_with_recovery_faulted, run_with_takeover_faulted, RecoveryOptions,
-    };
+    use pcdlb_sim::{digest_recovery, Ladder};
     let mut c = cfg(4, Mode::Verlet);
     c.checkpoint_interval = 7;
+    c.comm.poll = std::time::Duration::from_millis(2);
+    c.comm.watchdog = std::time::Duration::from_secs(20);
     let (report, snap) = run_with_snapshot(&c);
     let mid_epoch = report.records.iter().filter(|r| !r.rebuilt).count();
     assert!(mid_epoch > STEPS as usize / 2, "the epochs engage");
     let reference = digest_recovery(&report, &snap, c.load_metric);
-    let opts = RecoveryOptions {
-        max_attempts: 3,
-        poll: std::time::Duration::from_millis(2),
-        watchdog: std::time::Duration::from_secs(20),
-    };
     // Rank 2's 120th send falls in the teens of the 40 steps: past the
     // first cadence checkpoints, well before the end.
-    let kill = |attempt, rank| (attempt == 0 && rank == 2).then(|| FaultPlan::kill_at(120));
-    let relaunched = run_with_recovery_faulted(&c, &opts, kill).expect("the relaunch recovers");
+    let killed = Launch::new().on_start(|launch, comm| {
+        if launch == 0 && comm.rank() == 2 {
+            comm.set_fault_plan(FaultPlan::kill_at(120));
+        }
+    });
+    let ladder = |takeover| Ladder {
+        max_attempts: 3,
+        takeover,
+        ..Ladder::default()
+    };
+    let relaunched = killed.run_resilient(&c, &ladder(false));
+    let relaunched = relaunched.expect("the relaunch recovers");
     assert_eq!(relaunched.attempts, 2, "the run was restored, not replayed");
     assert_eq!(relaunched.digest, reference, "relaunch from a checkpoint");
     assert_bitwise_equal(&relaunched.snapshot, &snap, "relaunch from a checkpoint");
-    let absorbed = run_with_takeover_faulted(&c, &opts, kill).expect("the buddy absorbs it");
+    let absorbed = killed.run_resilient(&c, &ladder(true));
+    let absorbed = absorbed.expect("the buddy absorbs it");
     assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));
     assert_eq!(absorbed.digest, reference, "buddy takeover");
     assert_bitwise_equal(&absorbed.snapshot, &snap, "buddy takeover");
@@ -263,7 +281,11 @@ fn balancers_under_skin_epochs_preserve_parity() {
         let mut c = cfg(p, Mode::Verlet);
         c.dlb = true;
         c.dlb_min_gain = 0.0;
-        let (_, snap) = run_shape(shape, &c);
+        let (_, snap) = Launch::new()
+            .shape(shape)
+            .snapshot()
+            .run(&c)
+            .into_snapshot();
         assert_bitwise_equal(
             &snap,
             &run_serial(&c),
@@ -291,8 +313,16 @@ fn bookkeeping_collectives_never_touch_t_step() {
         let mut watched = plain.clone();
         watched.sentinel_interval = 3;
         watched.checkpoint_interval = 5;
-        let (rep_plain, snap_plain) = run_shape(shape, &plain);
-        let (rep_watched, snap_watched) = run_shape(shape, &watched);
+        let (rep_plain, snap_plain) = Launch::new()
+            .shape(shape)
+            .snapshot()
+            .run(&plain)
+            .into_snapshot();
+        let (rep_watched, snap_watched) = Launch::new()
+            .shape(shape)
+            .snapshot()
+            .run(&watched)
+            .into_snapshot();
         assert_eq!(
             snap_plain, snap_watched,
             "{shape:?}: bookkeeping touched physics"

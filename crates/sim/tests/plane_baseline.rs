@@ -4,8 +4,11 @@
 //! physics. (Bitwise parity of the plane's DDM rows is in
 //! `parity_matrix.rs`, shared with the other shapes.)
 
-use pcdlb_sim::plane::{run_plane, run_plane_with_snapshot};
-use pcdlb_sim::{run_serial, Lattice, RunConfig};
+use pcdlb_sim::{run_serial, DomainShape, Lattice, Launch, RunConfig};
+
+fn plane() -> Launch {
+    Launch::new().shape(DomainShape::Plane)
+}
 
 fn cfg(p: usize, nc: usize, steps: u64, dlb: bool) -> RunConfig {
     let density = 0.25;
@@ -24,8 +27,8 @@ fn moving_boundaries_do_not_change_physics() {
     let on = cfg(4, 8, 40, true);
     let mut off = on.clone();
     off.dlb = false;
-    let (rep_on, snap_on) = run_plane_with_snapshot(&on);
-    let (_, snap_off) = run_plane_with_snapshot(&off);
+    let (rep_on, snap_on) = plane().snapshot().run(&on).into_snapshot();
+    let (_, snap_off) = plane().snapshot().run(&off).into_snapshot();
     assert_eq!(snap_on, snap_off);
     assert_eq!(snap_on, run_serial(&on));
     // Boundedness: every record still partitions all cells.
@@ -37,7 +40,7 @@ fn moving_boundaries_do_not_change_physics() {
     // must still only differ in actual bytes shipped, never in results.
     let mut full = on.clone();
     full.delta_ghosts = false;
-    let (rep_full, snap_full) = run_plane_with_snapshot(&full);
+    let (rep_full, snap_full) = plane().snapshot().run(&full).into_snapshot();
     assert_eq!(snap_on, snap_full);
     assert_eq!(rep_on.records, rep_full.records);
     assert_eq!(rep_on.comm_virtual_s, rep_full.comm_virtual_s);
@@ -51,7 +54,7 @@ fn plane_dlb_balances_a_slab_imbalance() {
     let mut c = cfg(4, 8, 150, true);
     c.lattice = Lattice::Cluster { fill: 0.5 };
     c.density = 0.05;
-    let rep = run_plane(&c);
+    let rep = plane().run(&c).report;
     let early = rep.records[2].f_max / rep.records[2].f_ave;
     let late = {
         let r = rep.records.last().unwrap();
@@ -72,7 +75,7 @@ fn every_pe_keeps_at_least_one_plane() {
     let mut c = cfg(6, 6, 120, true);
     c.lattice = Lattice::Cluster { fill: 0.3 };
     c.density = 0.03;
-    let rep = run_plane(&c);
+    let rep = plane().run(&c).report;
     let min_cells = c.nc * c.nc; // one plane
     for r in &rep.records {
         // max_cells is the max; the min isn't recorded directly, but the

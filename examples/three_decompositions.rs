@@ -10,9 +10,7 @@
 //! exactly the way the paper's Sec. 2.2 argues.
 
 use pcdlb::md::Particle;
-use pcdlb::sim::cube::run_cube_with_snapshot;
-use pcdlb::sim::plane::run_plane_with_snapshot;
-use pcdlb::sim::{run_serial, run_with_snapshot, RunConfig, RunReport};
+use pcdlb::sim::{run_serial, DomainShape, Launch, RunConfig, RunReport};
 
 fn check(label: &str, snap: &[Particle], reference: &[Particle], rep: &RunReport, p: usize) {
     let identical = snap.len() == reference.len()
@@ -49,16 +47,21 @@ fn main() {
     let reference = run_serial(&cfg);
     println!("serial reference: {} particles evolved", reference.len());
 
-    let (rep, snap) = run_with_snapshot(&cfg);
-    check("square pillar", &snap, &reference, &rep, cfg.p);
-
-    let (rep, snap) = run_plane_with_snapshot(&cfg);
-    check("plane (ring)", &snap, &reference, &rep, cfg.p);
-
+    // One launch description per shape; the cube needs a cubic PE count.
     let mut cube_cfg = cfg.clone();
     cube_cfg.p = 8;
-    let (rep, snap) = run_cube_with_snapshot(&cube_cfg);
-    check("cube (3-D)", &snap, &reference, &rep, cube_cfg.p);
+    for (label, shape, cfg) in [
+        ("square pillar", DomainShape::SquarePillar, &cfg),
+        ("plane (ring)", DomainShape::Plane, &cfg),
+        ("cube (3-D)", DomainShape::Cube, &cube_cfg),
+    ] {
+        let (rep, snap) = Launch::new()
+            .shape(shape)
+            .snapshot()
+            .run(cfg)
+            .into_snapshot();
+        check(label, &snap, &reference, &rep, cfg.p);
+    }
 
     println!(
         "\nAll three parallel decompositions reproduced the serial trajectory \

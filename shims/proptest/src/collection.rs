@@ -11,7 +11,7 @@ pub fn vec<S: Strategy>(element: S, len: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, len }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     len: Range<usize>,

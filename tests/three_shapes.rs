@@ -2,9 +2,7 @@
 //! Fig. 2 — square pillar, plane, cube — run the same 20-step gas through
 //! the one SPMD engine and all land on the serial reference, bit for bit.
 
-use pcdlb::sim::cube::run_cube_with_snapshot;
-use pcdlb::sim::plane::run_plane_with_snapshot;
-use pcdlb::sim::{run_serial, run_with_snapshot, RunConfig};
+use pcdlb::sim::{run_serial, DomainShape, Launch, RunConfig};
 
 #[test]
 fn pillar_plane_and_cube_all_match_serial_bitwise() {
@@ -17,11 +15,13 @@ fn pillar_plane_and_cube_all_match_serial_bitwise() {
     cfg.seed = 5;
     cfg.thermostat_interval = 10;
     let serial = run_serial(&cfg);
-    let with_p = |p| RunConfig { p, ..cfg.clone() };
-    let (_, pillar) = run_with_snapshot(&with_p(4));
-    let (_, plane) = run_plane_with_snapshot(&with_p(3));
-    let (_, cube) = run_cube_with_snapshot(&with_p(8));
-    for (shape, snap) in [("pillar", pillar), ("plane", plane), ("cube", cube)] {
-        assert_eq!(snap, serial, "{shape} diverged from the serial reference");
+    for (shape, p) in [
+        (DomainShape::SquarePillar, 4),
+        (DomainShape::Plane, 3),
+        (DomainShape::Cube, 8),
+    ] {
+        let launch = Launch::new().shape(shape).snapshot();
+        let (_, snap) = launch.run(&RunConfig { p, ..cfg.clone() }).into_snapshot();
+        assert_eq!(snap, serial, "{shape:?} diverged from the serial reference");
     }
 }
