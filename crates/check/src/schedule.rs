@@ -13,8 +13,9 @@
 //! neighbourhood exchanges or one is the engine's own answer
 //! ([`exchanges_once`]).
 //!
-//! The one data-dependent part is the DLB cell transfer (`CELL_XFER`):
-//! which columns move depends on runtime loads. The schedule is therefore
+//! A balancing step has no exchange of its own: loads and decisions ride
+//! round 1. Its one data-dependent part is the DLB cell transfer
+//! (`CELL_XFER`): which columns move depends on runtime loads. The schedule is therefore
 //! parameterised over a *decision scenario* — a set of `(from, to)`
 //! transfers — and the verifier sweeps representative scenarios (none,
 //! every single legal transfer, dense simultaneous transfers).
@@ -69,7 +70,8 @@ pub struct StepSchedule {
 /// scenario to instantiate.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleOpts {
-    /// Include the DLB load/decision exchanges.
+    /// The run balances (`cfg.dlb` on a shape with a balancer): rebuild
+    /// steps keep two rounds, and `decisions` move their cells.
     pub dlb: bool,
     /// DLB cell transfers `(from, to)` for this step, in the simulator's
     /// apply order (sorted by `from`; one decision per sending rank).
@@ -127,13 +129,14 @@ pub fn shape_neighbors(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
 }
 
 /// Whether the step engine sends migrants and ghosts in one frame per
-/// neighbour when `p` ranks are laid out for `shape` — its own predicate
-/// ([`PeState::exchanges_once`]: no balancer, neighbour set closed two
-/// cells out), asked of rank 0 (every rank agrees) on a grid with two
-/// cells per rank and axis. Up to a torus side of 3 — all `verify`
-/// sweeps for the shape that can say yes — the cell count does not
-/// matter.
-pub fn exchanges_once(shape: DomainShape, p: usize) -> bool {
+/// neighbour when `p` ranks are laid out for `shape` and the run does
+/// (not) balance — its own predicate ([`PeState::exchanges_once`]:
+/// ownership fixed for the run, neighbour set closed two cells out),
+/// asked of rank 0 (every rank agrees) on a grid with two cells per rank
+/// and axis, where every grid that can say yes does. (A grid one cell
+/// per rank wide says no from a torus side of 4 up and runs the
+/// two-round step: the balancing schedule without a transfer.)
+pub fn exchanges_once(shape: DomainShape, p: usize, dlb: bool) -> bool {
     let side = match shape {
         DomainShape::SquarePillar => Torus2d::square(p).rows(),
         DomainShape::Plane => p,
@@ -141,7 +144,7 @@ pub fn exchanges_once(shape: DomainShape, p: usize) -> bool {
     };
     // Only ownership is asked about: no particles, no physics.
     let mut cfg = RunConfig::new(0, 2 * side, p, 1.0);
-    cfg.dlb = false;
+    cfg.dlb = dlb;
     PeState::new(0, &cfg, shape, &[]).exchanges_once()
 }
 
@@ -150,7 +153,7 @@ pub fn exchanges_once(shape: DomainShape, p: usize) -> bool {
 pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> StepSchedule {
     let mut decisions = opts.decisions.clone();
     decisions.sort_unstable_by_key(|&(from, _)| from);
-    let single = exchanges_once(shape, p);
+    let single = exchanges_once(shape, p, opts.dlb);
     assert!(
         !(single && opts.dlb),
         "{shape:?} has no balancer to schedule"
@@ -160,16 +163,15 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
         let mut ops: Vec<PhasedOp> = Vec::new();
         let nbrs = shape_neighbors(shape, p, r);
         // Phase: migration — round 1 of the coalesced step message
-        // (migrants + DLB load when due): sends to all distinct
-        // neighbours (ascending), then the matching receives in the same
-        // order. Per-(src, dst, tag) FIFO keeps round 1 and round 2 of
+        // (migrants + the balancer's loads and decisions): sends to all
+        // distinct neighbours (ascending), then the matching receives in
+        // the same order. Per-(src, dst, tag) FIFO keeps round 1 and round 2 of
         // the shared STEP_FRAME tag matched. A single-exchange step has
         // no round 1: its migrants ride the ghost frames below.
         if !single {
             neighbourhood_exchange(&mut ops, CommPhase::Migrate, r, &nbrs, tags::STEP_FRAME);
         }
         if opts.dlb {
-            neighbourhood_exchange(&mut ops, CommPhase::DlbDecision, r, &nbrs, tags::DECISION);
             // Cell transfers: senders first, then receivers, each walking
             // the decision list in `from` order (the simulator's order).
             for &(from, to) in &decisions {
@@ -312,9 +314,17 @@ mod tests {
             .collect()
     }
 
+    /// A balancing run's step without a transfer: two rounds, nothing else.
+    fn balancing() -> ScheduleOpts {
+        ScheduleOpts {
+            dlb: true,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn migrate_phase_is_one_message_per_distinct_neighbour() {
-        let s = step_schedule(3, &ScheduleOpts::default());
+        let s = step_schedule(3, &balancing());
         assert_eq!(s.p, 9);
         for (r, ops) in s.ranks.iter().enumerate() {
             let sends = sends_in(ops, CommPhase::Migrate);
@@ -334,10 +344,12 @@ mod tests {
 
     #[test]
     fn small_torus_dedups_neighbours() {
-        // On 2×2 every rank has only 3 distinct neighbours.
+        // On 2×2 every rank has only 3 distinct neighbours — and, too
+        // small a torus to balance, sends them its one frame per step.
         let s = step_schedule(2, &ScheduleOpts::default());
         for ops in &s.ranks {
-            assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 3);
+            assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 0);
+            assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 3);
         }
     }
 
@@ -352,18 +364,25 @@ mod tests {
         assert_eq!(shape_neighbors(DomainShape::Cube, 8, 3).len(), 7);
         assert_eq!(shape_neighbors(DomainShape::Cube, 27, 13).len(), 26);
         // The cube has no balancer: one exchange per step on both grids
-        // `verify` sweeps; pillar and plane keep their two rounds.
-        for (p, nbrs) in [(8, 7), (27, 26)] {
-            assert!(exchanges_once(DomainShape::Cube, p));
-            let s = shape_schedule(DomainShape::Cube, p, &ScheduleOpts::default());
+        // `verify` sweeps. Pillar and plane keep their two rounds where
+        // the run balances, and only there.
+        for (shape, p, nbrs) in [
+            (DomainShape::Cube, 8, 7),
+            (DomainShape::Cube, 27, 26),
+            (DomainShape::SquarePillar, 9, 8),
+            (DomainShape::SquarePillar, 16, 8),
+            (DomainShape::Plane, 3, 2),
+        ] {
+            assert!(exchanges_once(shape, p, false));
+            let s = shape_schedule(shape, p, &ScheduleOpts::default());
             for ops in &s.ranks {
                 assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 0);
                 assert_eq!(sends_in(ops, CommPhase::Ghost).len(), nbrs);
             }
         }
-        assert!(!exchanges_once(DomainShape::SquarePillar, 9));
-        assert!(!exchanges_once(DomainShape::Plane, 3));
-        let s = shape_schedule(DomainShape::Plane, 3, &ScheduleOpts::default());
+        assert!(!exchanges_once(DomainShape::SquarePillar, 9, true));
+        assert!(!exchanges_once(DomainShape::Plane, 3, true));
+        let s = shape_schedule(DomainShape::Plane, 3, &balancing());
         for ops in &s.ranks {
             assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 2);
             assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 2);

@@ -126,12 +126,7 @@ fn ops_of<'a>(
 /// With a single role this reproduces the rank's schedule order exactly.
 pub fn merge_roles(s: &StepSchedule, roles: &[usize]) -> Vec<(usize, PhasedOp)> {
     let mut out = Vec::new();
-    for phase in [
-        CommPhase::Migrate,
-        CommPhase::DlbDecision,
-        CommPhase::DlbCellXfer,
-        CommPhase::Ghost,
-    ] {
+    for phase in [CommPhase::Migrate, CommPhase::DlbCellXfer, CommPhase::Ghost] {
         for &v in roles {
             out.extend(
                 ops_of(s, v, phase)

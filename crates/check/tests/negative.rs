@@ -41,20 +41,21 @@ fn tag_collision_in_table_is_caught() {
 
 #[test]
 fn tag_collision_in_schedule_is_caught() {
-    // Mutation: one rank's DECISION send goes out with the STEP_FRAME
+    // Mutation: one rank's CELL_XFER send goes out with the STEP_FRAME
     // tag — a stray third round on that (src, dst) stream plus a
-    // matching failure on the starved DECISION receive.
+    // matching failure on the starved CELL_XFER receive.
     let mut s = step_schedule(
         3,
         &ScheduleOpts {
             dlb: true,
+            decisions: vec![(4, 0)],
             ..Default::default()
         },
     );
     let victim = s.ranks[4]
         .iter_mut()
-        .find(|po| po.phase == CommPhase::DlbDecision && matches!(po.op, Op::Send { .. }))
-        .expect("rank 4 sends decisions");
+        .find(|po| po.phase == CommPhase::DlbCellXfer && matches!(po.op, Op::Send { .. }))
+        .expect("rank 4 gives a column away");
     let Op::Send { to, .. } = victim.op else {
         unreachable!()
     };
@@ -80,7 +81,7 @@ fn tag_collision_in_schedule_is_caught() {
 #[test]
 fn dropped_send_is_caught() {
     let mut s = step_schedule(4, &ScheduleOpts::default());
-    // Mutation: rank 7 forgets its first migrate send.
+    // Mutation: rank 7 forgets the first send of its step.
     let idx = s.ranks[7]
         .iter()
         .position(|po| matches!(po.op, Op::Send { .. }))
@@ -99,7 +100,12 @@ fn dropped_send_is_caught() {
 fn recv_before_send_deadlock_is_caught() {
     // Mutation: every rank posts its migrate receives before its sends —
     // the classic head-to-head deadlock the sends-first discipline avoids.
-    let mut s = step_schedule(3, &ScheduleOpts::default());
+    // (A balancing run's step: the one that has a migrate round.)
+    let opts = ScheduleOpts {
+        dlb: true,
+        ..Default::default()
+    };
+    let mut s = step_schedule(3, &opts);
     for ops in &mut s.ranks {
         let (mut recvs, rest): (Vec<_>, Vec<_>) = ops
             .drain(..)

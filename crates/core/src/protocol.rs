@@ -1,12 +1,49 @@
 //! The cell-redistribution protocol (paper Sec. 2.3).
 //!
-//! Every time step each PE: (1) exchanges its last-step execution time
-//! with its 8 neighbours, (2) offers a cell to the fastest neighbour that
-//! may take one, (3) the cell being picked by the paper's Case 1–3 rules
-//! below, and (4) broadcasts the decision to its neighbours so everyone's
-//! ownership view stays consistent. The decision rule, with `PE(i, j)`
-//! deciding and `PE_fast` the receiver under consideration (paper's
-//! exact cases):
+//! The paper spends three dependent message rounds on a balancing step:
+//! execution times out, the decision out, then cells and ghosts. Here the
+//! decision is taken a step ahead, so it needs no round of its own. On a
+//! balancing step each PE:
+//!
+//! 1. **decides at the top of the step**, before anything is sent, on the
+//!    loads it already holds: its own last-step execution time and its 8
+//!    neighbours' as they arrived with the *previous* round-1 frames —
+//!    each brought up to date by the transfers still **in flight** (see
+//!    below);
+//! 2. offers a cell to the fastest neighbour that may take one,
+//! 3. the cell being picked by the paper's Case 1–3 rules below;
+//! 4. ships the decision, with the work that moves with it, **inside its
+//!    round-1 frame** beside its load — the frame every step sends
+//!    anyway — and applies its neighbourhood's decisions, in `from`
+//!    order, as soon as round 1 is in, so everyone's ownership view stays
+//!    consistent. The cells follow (`CELL_XFER`), then the ghosts: a
+//!    balancing step sends what a plain domain-decomposition step sends,
+//!    plus one message per column that moves.
+//!
+//! **In flight.** A neighbour's load in hand was measured by the force
+//! pass *before* the step that announced it, so a transfer applied on
+//! that announcing step is not in it yet. Deciding on such a load would
+//! make every over-loaded PE offer twice before it saw its first offer
+//! land. A decision therefore travels as a [`Transfer`]: the decision
+//! plus the **work** that changes hands with the column — its full-shell
+//! candidate-pair count, which does not depend on who owns the column,
+//! expressed as a share of the giver's load — and every PE that hears it
+//! books that work off the giver's load and onto the receiver's before it
+//! next decides ([`book_in_flight`]). Only transfers applied after the
+//! force pass that measured the loads in hand are booked: the next
+//! round-1 frames bring loads that have seen them, and the list is
+//! dropped. With nothing in flight the decision is, call for call, the
+//! one the paper's order would have produced from the same loads.
+//!
+//! Each PE now holds its own estimate of a neighbour's load, so two
+//! neighbours may each take the other for the faster one — something one
+//! shared set of loads ruled out. Here that is harmless: the two
+//! decisions concern different columns, each legal against the ownership
+//! view both read, and any set of per-PE decisions equals some sequence
+//! of them (the property test below draws every PE its own loads).
+//!
+//! The decision rule, with `PE(i, j)` deciding and `PE_fast` the receiver
+//! under consideration (paper's exact cases):
 //!
 //! - **Case 1** — `PE_fast ∈ {NW, N, W}` = `(i−1,j−1), (i−1,j), (i,j−1)`:
 //!   send one of its *own movable* cells it still owns, else nothing.
@@ -37,7 +74,10 @@
 //! sends nothing although a slower-than-fastest, faster-than-me
 //! neighbour may legally take a cell. Cases 1–3, their directions and the
 //! permanent wall are untouched — `choose` emits nothing `decide` would
-//! not.
+//! not. Deciding a step ahead changes none of this: the superset
+//! property is a statement about `choose` on *whatever* loads it is
+//! given, and only its inputs changed — the ownership view it reads is
+//! the one every earlier decision has already been folded into.
 //!
 //! Determinism notes (the paper ran on wall clocks, we also run on an
 //! exact work model where ties are real): a neighbour is a candidate
@@ -59,21 +99,21 @@ use crate::permanent::is_movable;
 /// simulator (`pcdlb-sim`) and the static protocol verifier
 /// (`pcdlb-check`) agree on the wire protocol by construction.
 ///
-/// Tags 1–5 are matched point-to-point; 10–13 are *collective* tags,
-/// which `pcdlb_mp::collectives` moves into a disjoint namespace by
-/// setting [`pcdlb_mp::collectives::COLLECTIVE_BIT`] on the wire, so a
-/// collective tag can never collide with a point-to-point tag even if
-/// the numbers overlap.
+/// Tags below 10 and 16–18 are matched point-to-point; 10–15 and 19–20
+/// are *collective* tags, which `pcdlb_mp::collectives` moves into a
+/// disjoint namespace by setting
+/// [`pcdlb_mp::collectives::COLLECTIVE_BIT`] on the wire, so a collective
+/// tag can never collide with a point-to-point tag even if the numbers
+/// overlap.
 pub mod tags {
-    /// Phase 2 (DLB step 4): chosen `Option<DlbDecision>` to the 8-neighbourhood.
-    pub const DECISION: u64 = 2;
     /// Phase 2 (DLB data movement): particle payload of a transferred column.
     pub const CELL_XFER: u64 = 3;
     /// The coalesced per-neighbour step message: each rebuild step (every
     /// step without a Verlet skin) a rank sends exactly two framed
     /// messages to each of its 8 neighbours under this one tag — round 1
-    /// carries boundary-crossing migrants plus (on DLB steps) the
-    /// sender's last-step load, round 2 carries the delta-encodable
+    /// carries boundary-crossing migrants plus, in a balancing run, the
+    /// sender's last-step load and (on DLB steps) the decision it took
+    /// at the top of the step, round 2 carries the delta-encodable
     /// boundary-shell ghost frame. Sub-frame presence headers inside the
     /// frame distinguish the rounds; per-(src,dst,tag) FIFO ordering keeps
     /// the two rounds matched. A decomposition whose ownership never
@@ -135,11 +175,10 @@ pub mod tags {
         /// decision is a pure function of the pre-step state.
         Rebuild,
         /// Round-1 coalesced exchange (8-neighbourhood): boundary-crossing
-        /// particle migration, with last-step loads riding along on DLB
-        /// steps (the former standalone load exchange).
+        /// particle migration, with the balancer's traffic riding along —
+        /// last-step loads (the former standalone load exchange) and, on
+        /// DLB steps, the decisions (the former decision broadcast).
         Migrate,
-        /// DLB decision broadcast (8-neighbourhood).
-        DlbDecision,
         /// DLB column payload movement (decision-driven).
         DlbCellXfer,
         /// Ghost-layer exchange (8-neighbourhood).
@@ -193,12 +232,6 @@ pub mod tags {
             tag: STEP_FRAME,
             name: "STEP_FRAME",
             phase: CommPhase::Migrate,
-            collective: false,
-        },
-        TagSpec {
-            tag: DECISION,
-            name: "DECISION",
-            phase: CommPhase::DlbDecision,
             collective: false,
         },
         TagSpec {
@@ -381,6 +414,46 @@ pub struct DlbDecision {
 impl WireSize for DlbDecision {
     fn wire_size(&self) -> usize {
         16 + 8 + 8
+    }
+}
+
+/// A decision as it travels and is remembered: with the work that moves
+/// with it (see the module docs, *in flight*).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Transfer {
+    /// What changes hands.
+    pub decision: DlbDecision,
+    /// The load that goes with it, as a share of the giver's own load —
+    /// in whatever unit the run balances (modelled or measured seconds).
+    pub work: f64,
+}
+
+impl WireSize for Transfer {
+    fn wire_size(&self) -> usize {
+        self.decision.wire_size() + 8
+    }
+}
+
+/// Bring the neighbour `loads` in hand up to date with the transfers
+/// applied since they were measured: each one's work comes off the
+/// giver's load and goes onto the receiver's, wherever this PE holds a
+/// load for that rank. `on_receiver(from, to)` is what a unit of the
+/// giver's load weighs on the receiver — 1 on a homogeneous machine, the
+/// ratio of the two processor speeds where the run balances time.
+pub fn book_in_flight(
+    loads: &mut [(usize, f64)],
+    in_flight: &[Transfer],
+    on_receiver: impl Fn(usize, usize) -> f64,
+) {
+    for t in in_flight {
+        let DlbDecision { from, to, .. } = t.decision;
+        for (rank, load) in loads.iter_mut() {
+            if *rank == from {
+                *load -= t.work;
+            } else if *rank == to {
+                *load += t.work * on_receiver(from, to);
+            }
+        }
     }
 }
 
@@ -765,6 +838,39 @@ mod tests {
     }
 
     #[test]
+    fn in_flight_work_is_booked_off_the_giver_and_onto_the_receiver() {
+        let transfer = |from, to, work| Transfer {
+            decision: DlbDecision {
+                col: Col::new(0, 0),
+                from,
+                to,
+            },
+            work,
+        };
+        let mut loads = [(1, 10.0), (2, 4.0), (5, 7.0)];
+        // Rank 3 and rank 8 are not in hand: their halves are dropped.
+        let in_flight = [
+            transfer(1, 2, 1.5),
+            transfer(5, 3, 2.0),
+            transfer(8, 1, 0.25),
+        ];
+        book_in_flight(&mut loads, &in_flight, |_, _| 1.0);
+        assert_eq!(loads, [(1, 8.75), (2, 5.5), (5, 5.0)]);
+        // Where the run balances time, the receiver's share is rescaled:
+        // here it runs at half the giver's speed.
+        let mut loads = [(1, 10.0), (2, 4.0)];
+        book_in_flight(&mut loads, &in_flight[..1], |from, to| {
+            assert_eq!((from, to), (1, 2));
+            2.0
+        });
+        assert_eq!(loads, [(1, 8.5), (2, 7.0)]);
+        // Nothing in flight: the loads are the loads.
+        let before = loads;
+        book_in_flight(&mut loads, &[], |_, _| unreachable!());
+        assert_eq!(loads, before);
+    }
+
+    #[test]
     fn case1_sends_own_movable_toward_nw() {
         let (l, om) = setup(9, 3);
         let me = at(&l, 1, 1);
@@ -954,7 +1060,9 @@ mod tests {
     /// 8-neighbour preservation and ghost containment — and wherever the
     /// paper's literal rule transfers, `choose` makes the same transfer.
     /// Loads are drawn from `levels` equally spaced values, so a small
-    /// `levels` makes ties (and sub-threshold gains) common.
+    /// `levels` makes ties (and sub-threshold gains) common. Every PE
+    /// draws its *own* view of everyone's load: deciding a step ahead,
+    /// two PEs need not agree on a third one's (or each other's) load.
     fn arbitrary_protocol_run(
         p_side: usize,
         m: usize,
@@ -970,13 +1078,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(loads_seed);
         let nranks = l.num_ranks();
         for _ in 0..steps {
-            let loads: Vec<f64> = (0..nranks)
-                .map(|_| f64::from(rng.gen_range(0..levels)) / f64::from(levels))
-                .collect();
-            // Every PE decides from the same global view (the simulator
-            // keeps views consistent through neighbour broadcasts).
+            // Every PE decides from the same ownership view (the simulator
+            // keeps views consistent: each decision reaches the whole
+            // neighbourhood) but from its own view of the loads.
             let decisions: Vec<DlbDecision> = (0..nranks)
                 .filter_map(|r| {
+                    let loads: Vec<f64> = (0..nranks)
+                        .map(|_| f64::from(rng.gen_range(0..levels)) / f64::from(levels))
+                        .collect();
                     let proto = DlbProtocol::new(l, r).with_min_relative_gain(gain);
                     let nbrs: Vec<(usize, f64)> = l
                         .torus()

@@ -32,16 +32,18 @@ pub(crate) trait Decomposition {
     /// the z-invariant shapes (plane, pillar), one block for the cube.
     fn z_extent(&self, rank: usize) -> Range<usize>;
 
-    /// Whether the shape implements the balancer hook below, i.e. whether
-    /// ownership can ever change. Where it cannot, migrants and ghosts
-    /// share one exchange per rebuild step (see [`crate::pe`]).
+    /// Whether the shape implements the balancer hook below. Where it
+    /// does not — or `cfg.dlb` leaves the hook idle — ownership cannot
+    /// change, and migrants and ghosts share one exchange per rebuild
+    /// step (see [`crate::pe`]).
     fn has_balancer(&self) -> bool {
         false
     }
 
     /// Balancer hook: what this rank gives away this step, judged from
-    /// its own load and the loads its neighbours reported. Shapes
-    /// without a balancer never decide anything.
+    /// its own load and the loads it holds for its neighbours — called at
+    /// the top of the step, before anything is sent. Shapes without a
+    /// balancer never decide anything.
     fn decide(
         &self,
         _step: u64,
@@ -49,6 +51,15 @@ pub(crate) trait Decomposition {
         _nbr_loads: &[(usize, f64)],
     ) -> Option<DlbDecision> {
         None
+    }
+
+    /// Whether decisions `a` and `b` of one step cannot both stand — then
+    /// neither does. Every PE decides on its own estimate of its
+    /// neighbours' loads, so two neighbours may each take the other for
+    /// the faster one; a shape whose granules cannot cross each other says
+    /// so here. Both parties hear both decisions, so both drop them.
+    fn excludes(&self, _a: &DlbDecision, _b: &DlbDecision) -> bool {
+        false
     }
 
     /// Fold one decision — this rank's or a neighbour's — into the view.

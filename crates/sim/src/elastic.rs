@@ -164,7 +164,9 @@ pub struct ResizeGeneration {
 /// particle, and partitions the column grid with exactly one owner per
 /// column. The rewrite resets every column to its home pillar under the
 /// new layout — the unique assignment that satisfies the permanent-cell
-/// invariant on any torus.
+/// invariant on any torus. The loads and in-flight transfers the old
+/// torus's balancer held say nothing about the new one's ranks: they are
+/// dropped, and the new generation announces its loads afresh.
 pub(crate) fn remap_drained_checkpoint(
     ck: &mut SimCheckpoint,
     cfg: &RunConfig,
@@ -202,6 +204,8 @@ pub(crate) fn remap_drained_checkpoint(
         seen[idx] = true;
         *owner = layout.home_rank(*c);
     }
+    ck.loads.clear();
+    ck.transfers.clear();
 }
 
 #[cfg(test)]

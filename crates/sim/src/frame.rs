@@ -10,10 +10,11 @@
 //! On a rebuild step (every step with `skin == 0`) a rank sends exactly
 //! two [`StepFrame`]s to each neighbour under the single
 //! `tags::STEP_FRAME` tag. Round 1 carries boundary crossers (migrants)
-//! plus — on DLB steps — the sender's last-step load; round 2 carries
-//! the boundary-shell ghost frame. One-byte sub-frame presence headers
-//! say which sections are populated, and per-(src, dst, tag) FIFO
-//! ordering keeps the rounds matched. A decomposition whose ownership
+//! plus — in a balancing run — the sender's last-step load and, on DLB
+//! steps, the decision it took at the top of the step with the work that
+//! moves with it; round 2 carries the boundary-shell ghost frame.
+//! One-byte sub-frame presence headers say which sections are populated,
+//! and per-(src, dst, tag) FIFO ordering keeps the rounds matched. A decomposition whose ownership
 //! can never change has nothing to decide between the rounds and sends
 //! them as one frame with both sections populated
 //! ([`StepFrame::begin_single`]): the sender's migrants for that
@@ -88,6 +89,7 @@
 //!
 //! `wire_check.rs` pins both layouts against a reference encoder.
 
+use pcdlb_core::protocol::Transfer;
 use pcdlb_md::{Particle, Vec3};
 use pcdlb_mp::WireSize;
 
@@ -475,8 +477,8 @@ impl WireSize for ParticleFrame {
 }
 
 /// The coalesced per-neighbour step message: one-byte presence headers
-/// select which sections travel. Round 1 = migrants (+ load on DLB
-/// steps); round 2 = the ghost shell; a single-exchange rebuild step's
+/// select which sections travel. Round 1 = migrants (+ load in a
+/// balancing run, + decision on DLB steps); round 2 = the ghost shell; a single-exchange rebuild step's
 /// only frame = both; a mid-epoch step's only frame = the ghost refresh.
 #[derive(Debug, Clone, Default)]
 pub struct StepFrame {
@@ -492,8 +494,15 @@ pub struct StepFrame {
     pub resync: bool,
     /// Particles that crossed into the destination's columns, id-sorted.
     pub migrants: ParticleFrame,
-    /// Sender's last-step load; `Some` only in round 1 of a DLB step.
+    /// Sender's last-step load; `Some` in every round-1 frame of a
+    /// balancing run.
     pub load: Option<f64>,
+    /// The sender's balancer decision for this step, taken before the
+    /// frame was packed, with the work that moves with it; `Some` only in
+    /// round 1 of a DLB step on which the sender gives a cell away. Its
+    /// presence rides bit 2 of the migrant presence header byte, so a
+    /// frame without a decision is byte for byte the frame it always was.
+    pub decision: Option<Transfer>,
     /// Round-2 marker: the ghost section travels.
     pub has_ghosts: bool,
     /// Boundary-shell ghosts.
@@ -512,6 +521,7 @@ impl StepFrame {
         self.resync = false;
         self.migrants.parts.clear();
         self.load = None;
+        self.decision = None;
         self.has_ghosts = false;
         self.ghosts.clear();
         self.has_refresh = false;
@@ -519,10 +529,16 @@ impl StepFrame {
     }
 
     /// Reshape a pooled frame for round 1, keeping buffer capacity.
-    pub fn begin_round1(&mut self, load: Option<f64>) {
+    pub fn begin_round1(&mut self, load: Option<f64>, decision: Option<Transfer>) {
         self.clear();
         self.has_migrants = true;
         self.load = load;
+        self.decision = decision;
+    }
+
+    /// Bytes of the decision section (canonical = encoded: one layout).
+    pub fn decision_size(&self) -> usize {
+        self.decision.map_or(0, |t| t.wire_size())
     }
 
     /// Reshape a pooled frame for round 2, keeping buffer capacity.
@@ -559,8 +575,9 @@ impl StepFrame {
         } else {
             0
         };
-        // migrant header + section, load Option, ghost header + section.
-        1 + m + self.load.wire_size() + 1 + g
+        // migrant header + section, load Option, decision section (its
+        // presence is a header bit), ghost header + section.
+        1 + m + self.load.wire_size() + self.decision_size() + 1 + g
     }
 }
 
@@ -577,6 +594,19 @@ impl WireSize for StepFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn transfer() -> Transfer {
+        let col = pcdlb_domain::Col::new(5, 7);
+        let decision = pcdlb_core::protocol::DlbDecision {
+            col,
+            from: 4,
+            to: 0,
+        };
+        Transfer {
+            decision,
+            work: 0.125,
+        }
+    }
 
     fn shell(n: usize, off: f64) -> Vec<(u64, Vec3)> {
         (0..n)
@@ -778,14 +808,20 @@ mod tests {
     #[test]
     fn step_frame_sections_toggle_their_bytes() {
         let mut f = StepFrame::default();
-        f.begin_round1(None);
+        f.begin_round1(None, None);
         assert_eq!(f.wire_size(), 1 + 8 + 1 + 1); // header + empty migrants + None + header
-        f.begin_round1(Some(0.25));
+        f.begin_round1(Some(0.25), None);
         assert_eq!(f.wire_size(), 1 + 8 + 9 + 1);
         f.migrants
             .parts
             .push(pcdlb_md::Particle::at_rest(0, Vec3::ZERO));
         assert_eq!(f.wire_size(), 1 + 8 + 56 + 9 + 1);
+        // A decision costs its section and nothing else: the presence bit
+        // rides the migrant header.
+        f.begin_round1(Some(0.25), Some(transfer()));
+        assert_eq!(f.decision_size(), 16 + 8 + 8 + 8);
+        assert_eq!(f.wire_size(), 1 + 8 + 9 + 40 + 1);
+        assert_eq!(f.wire_size(), f.encoded_size());
         f.begin_round2();
         assert_eq!(f.wire_size(), 1 + 1 + 1 + (1 + 8));
         assert_eq!(f.wire_size(), f.encoded_size());
@@ -818,8 +854,13 @@ mod tests {
         let err = f.refresh.positions_for(0).expect_err("no routes recorded");
         assert_eq!(err, DesyncError::Refresh { have: 0, framed: 5 });
         assert!(err.to_string().contains("routes cover 0"), "{err}");
-        // And back: a refresh frame reshaped for round 1 carries none of it.
-        f.begin_round1(None);
+        // And back: a refresh frame reshaped for round 1 carries none of
+        // it, and brings its decision out as it went in; the next use of
+        // the pooled frame carries that decision no further.
+        f.begin_round1(Some(1.5), Some(transfer()));
         assert!(!f.has_refresh && f.refresh.pos.is_empty());
+        assert_eq!((f.load, f.decision), (Some(1.5), Some(transfer())));
+        f.begin_round2();
+        assert_eq!((f.load, f.decision), (None, None));
     }
 }

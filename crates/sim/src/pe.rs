@@ -12,17 +12,21 @@
 //! 2. **round 1** (rebuild steps only — every step with `skin == 0`) —
 //!    one coalesced [`StepFrame`] per neighbour under
 //!    `tags::STEP_FRAME`: particles that crossed into a neighbour-owned
-//!    cell are shipped to their new owner, with the sender's last-step
-//!    force time riding along on DLB steps. Where ownership can never
-//!    change (no balancer: the cube) and the neighbour set is closed two
-//!    cells out, there is no round 1: the migrants ride the phase-4
-//!    frames — one exchange per step, see
+//!    cell are shipped to their new owner; in a balancing run the
+//!    sender's last-step force time rides along, and on DLB steps the
+//!    decision it took at the top of the step. Where ownership cannot
+//!    change this run (no balancer — the cube — or `dlb` off) and the
+//!    neighbour set is closed two cells out, there is no round 1: the
+//!    migrants ride the phase-4 frames — one exchange per step, see
 //!    [`PeState::exchanges_once`] and `PeState::ghosts_send`;
-//! 3. **DLB** (optional) — from the round-1 loads, apply the shape's
-//!    balancer rule locally (pillar: the Case 1–3 rules toward the
-//!    fastest neighbour that may take a cell; plane: the moving
-//!    boundary), broadcast the decision, and transfer the moved
-//!    columns' particles;
+//! 3. **DLB** (optional) — the decision was taken ahead of phase 1, at
+//!    the top of the step, by the shape's balancer rule (pillar: the
+//!    Case 1–3 rules toward the fastest neighbour that may take a cell;
+//!    plane: the moving boundary) on the loads in hand, brought up to
+//!    date by the transfers still in flight (see
+//!    [`pcdlb_core::protocol`]). Once round 1 is in, every PE folds its
+//!    neighbourhood's decisions into its ownership view and the moved
+//!    columns' particles change hands;
 //! 4. **ghost exchange (round 2)** — the boundary-shell ghosts of every
 //!    owned cell adjacent to a neighbour-owned cell are sent to that
 //!    neighbour as `(id, pos)` pairs, delta-encoded against the previous
@@ -62,7 +66,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
 
-use pcdlb_core::protocol::DlbDecision;
+use pcdlb_core::protocol::{book_in_flight, DlbDecision, Transfer};
 use pcdlb_domain::{Col, DomainShape};
 use pcdlb_md::cells::CellSlab;
 use pcdlb_md::checkpoint::Checkpoint;
@@ -514,6 +518,9 @@ pub struct PeState {
     /// cells, ascending. Fixed for the run: balancers only ever move
     /// cells between ranks that are neighbours already.
     neighbors: Vec<usize>,
+    /// Whether ownership can change this run: the shape has a balancer
+    /// and `cfg.dlb` switches it on. Fixed for the run.
+    balances: bool,
     /// Whether a rebuild step is one exchange (see
     /// [`PeState::exchanges_once`]). Fixed for the run.
     single_exchange: bool,
@@ -575,8 +582,30 @@ pub struct PeState {
     migrate_staging: BTreeMap<Col, Vec<Particle>>,
     /// Per-neighbour emigrant staging, parallel to `neighbors`.
     migrate_out: Vec<Vec<Particle>>,
-    /// DLB neighbour-load scratch, filled from the round-1 step frames.
+    /// The neighbours' loads in hand, as the last round-1 frames brought
+    /// them (balancing runs only): each measured by the force pass before
+    /// the step that announced it.
     nbr_loads: Vec<(usize, f64)>,
+    /// `nbr_loads` with the in-flight transfers booked: what the balancer
+    /// decides on (retained scratch).
+    booked_loads: Vec<(usize, f64)>,
+    /// The load this PE put into its last round-1 frames (balancing runs
+    /// only) — what its neighbours hold for it, and so what a checkpoint
+    /// must carry.
+    announced_load: Option<f64>,
+    /// This step's own decision, taken at the top of the step and waiting
+    /// for round 1 to carry it.
+    my_decision: Option<Transfer>,
+    /// The neighbourhood's decisions of the last round-1 step (this PE's
+    /// and its neighbours', ascending `from`), retained across steps:
+    /// the step's cell transfers walk it, and until the next round-1
+    /// frames bring loads that have seen them these are the transfers in
+    /// flight.
+    decisions: Vec<Transfer>,
+    /// The last rebuild step (the checkpointed step after a restore): a
+    /// balancing step is due at the first rebuild that has a multiple of
+    /// `dlb_interval` behind it since this one.
+    last_rebuild: u64,
     /// Per-neighbour ghost delta channels, send side (parallel to
     /// `neighbors`): reset whenever a DLB decision dirties the routes, so
     /// the next frame is a full fallback.
@@ -696,6 +725,29 @@ impl PeState {
         // checkpointed step's forces — with drifting speeds, its
         // published load numbers must use the checkpointed step too.
         pe.cur_step = ck.md.step;
+        // Checkpoint steps are rebuild steps in every schedule.
+        pe.last_rebuild = ck.md.step;
+        // What the balancer holds between steps: the loads its neighbours
+        // last announced and the transfers those loads have not seen. A
+        // checkpoint without them (a drain remapped onto another torus, a
+        // generation that did not balance) makes the launch announce.
+        if pe.balances && !ck.loads.is_empty() {
+            assert_eq!(
+                ck.loads.len(),
+                cfg.p,
+                "checkpoint announces {} loads for {} ranks",
+                ck.loads.len(),
+                cfg.p
+            );
+            pe.announced_load = Some(ck.loads[rank]);
+            pe.nbr_loads
+                .extend(pe.neighbors.iter().map(|&nb| (nb, ck.loads[nb])));
+            let heard = |t: &&Transfer| {
+                let from = t.decision.from;
+                from == rank || pe.neighbors.binary_search(&from).is_ok()
+            };
+            pe.decisions.extend(ck.transfers.iter().filter(heard));
+        }
         pe
     }
 
@@ -710,7 +762,8 @@ impl PeState {
         let nc = cfg.nc;
         let mut nbrs: BTreeSet<usize> = BTreeSet::new();
         let mut shell: BTreeSet<(Col, usize, usize)> = BTreeSet::new();
-        let fixed = !decomp.has_balancer();
+        let balances = decomp.has_balancer() && cfg.dlb;
+        let fixed = !balances;
         for col in all_columns(nc) {
             if decomp.owner_of(col, own_z.start) == rank {
                 for span in owned_spans(nc, &own_z) {
@@ -744,6 +797,7 @@ impl PeState {
             decomp,
             own_z,
             neighbors,
+            balances,
             single_exchange,
             columns: BTreeMap::new(),
             forces: Vec::new(),
@@ -764,6 +818,11 @@ impl PeState {
             migrate_staging: BTreeMap::new(),
             migrate_out: vec![Vec::new(); n_nbrs],
             nbr_loads: Vec::new(),
+            booked_loads: Vec::new(),
+            announced_load: None,
+            my_decision: None,
+            decisions: Vec::new(),
+            last_rebuild: 0,
             send_chan: (0..n_nbrs).map(|_| DeltaChannel::default()).collect(),
             recv_chan: (0..n_nbrs).map(|_| DeltaChannel::default()).collect(),
             ghost_resync_req: vec![false; n_nbrs],
@@ -814,15 +873,22 @@ impl PeState {
 
     /// Whether a rebuild step of this run is a single exchange — migrants
     /// and ghosts in one frame per neighbour — rather than two rounds.
-    /// True when the decomposition has no balancer (ownership can never
-    /// change, so no decision ever sits between migration and the ghost
-    /// shells) and the closure test holds: every rank owning a cell within
-    /// two cells of one of this PE's is the PE itself or a neighbour.
-    /// Block grids pass with blocks at least two cells wide or a torus
-    /// side of at most 3. The layouts are translation-symmetric, so every
-    /// rank of a world reaches the same answer.
+    /// True when ownership cannot change this run (the shape has no
+    /// balancer or `cfg.dlb` leaves it off, so no decision ever sits
+    /// between migration and the ghost shells) and the closure test holds:
+    /// every rank owning a cell within two cells of one of this PE's is
+    /// the PE itself or a neighbour. Block grids and pillar tori pass with
+    /// blocks / tiles at least two cells wide or a torus side of at most
+    /// 3. The layouts are translation-symmetric, so every rank of a world
+    /// reaches the same answer.
     pub fn exchanges_once(&self) -> bool {
         self.single_exchange
+    }
+
+    /// Whether this run balances: the shape has a balancer and `cfg.dlb`
+    /// is on. Loads then ride every round-1 frame.
+    pub(crate) fn balances(&self) -> bool {
+        self.balances
     }
 
     /// Number of cells this PE currently owns (its columns × its z extent).
@@ -1154,7 +1220,7 @@ impl PeState {
     /// Fill the migrant section of the frame for neighbour `i` — its
     /// emigrants by id, plus a pending ghost-resync request (zero wire
     /// bytes: it rides the presence header) — and account its bytes.
-    fn fill_migrants(&mut self, i: usize, frame: &mut StepFrame, dlb_now: bool) {
+    fn fill_migrants(&mut self, i: usize, frame: &mut StepFrame) {
         // A ghost frame that could not be applied asks this neighbour to
         // restart its delta stream with a full frame.
         frame.resync = std::mem::take(&mut self.ghost_resync_req[i]);
@@ -1162,9 +1228,9 @@ impl PeState {
         // Deterministic payloads: order emigrants by id.
         frame.migrants.parts.sort_unstable_by_key(|p| p.id);
         // Pre-diet layout: one flat particle message, plus a separate
-        // 8-byte load message on DLB steps.
+        // 8-byte load message where a load rides along.
         self.wire.migrate_baseline +=
-            (8 + 56 * frame.migrants.parts.len() as u64) + if dlb_now { 8 } else { 0 };
+            (8 + 56 * frame.migrants.parts.len() as u64) + if frame.load.is_some() { 8 } else { 0 };
     }
 
     /// Stage the immigrants of one received frame into their columns.
@@ -1185,10 +1251,87 @@ impl PeState {
         }
     }
 
-    /// Phase 2 (+ the DLB load ride-along), send half: rebin locally and
-    /// ship one round-1 [`StepFrame`] — emigrants, plus this PE's
-    /// last-step load on DLB steps — to each neighbour owner under
-    /// `tags::STEP_FRAME`; retained particles stay staged in
+    /// Whether the balancer runs on this step, and the step's entry in
+    /// the rebuild history that answer depends on. Balancing is due at the
+    /// first rebuild step at or after each multiple of `dlb_interval` — a
+    /// multiple lies in `(previous rebuild, step]` — which is replicated
+    /// state, is "every `dlb_interval`-th step" where every step rebuilds,
+    /// and survives a restore (checkpoint steps are forced rebuilds).
+    pub(crate) fn dlb_due(&mut self, step: u64, rebuild: bool) -> bool {
+        if !rebuild {
+            return false;
+        }
+        let k = self.cfg.dlb_interval;
+        let due = self.balances && step / k > self.last_rebuild / k;
+        self.last_rebuild = step;
+        due
+    }
+
+    /// Phase 3 (DLB), steps 1–3, run at the top of the step: apply the
+    /// shape's balancer rule to the loads in hand — this PE's own, which
+    /// its last force pass measured, and its neighbours' as the last
+    /// round-1 frames brought them, with the transfers applied since
+    /// those were measured booked onto them. Purely local; the decision
+    /// waits in `my_decision` for [`PeState::step_send_round1`].
+    pub(crate) fn dlb_decide(&mut self) {
+        let t0 = WallTimer::start();
+        debug_assert_eq!(self.nbr_loads.len(), self.neighbors.len());
+        self.booked_loads.clear();
+        self.booked_loads.extend_from_slice(&self.nbr_loads);
+        let (cfg, step) = (&self.cfg, self.cur_step);
+        // Where the run balances time, a share of the giver's time is
+        // worth the two speeds' ratio on the receiver.
+        let speeds = cfg.speed.as_ref().filter(|_| cfg.speed_aware);
+        book_in_flight(&mut self.booked_loads, &self.decisions, |from, to| {
+            speeds.map_or(1.0, |s| s.speed(from, step) / s.speed(to, step))
+        });
+        let decision = self
+            .decomp
+            .decide(step, self.last_load(), &self.booked_loads);
+        // The load that changes hands, as a share of this PE's own: the
+        // moved columns' candidate pairs over the last pass's total.
+        self.my_decision = decision.map(|decision| Transfer {
+            decision,
+            work: match self.last_work.pair_checks {
+                0 => 0.0,
+                total => self.last_load() * (self.granule_checks(&decision) as f64 / total as f64),
+            },
+        });
+        self.phase.dlb += t0.elapsed_s();
+    }
+
+    /// The full-shell candidate-pair count of the columns decision `d`
+    /// moves — for every particle of theirs, the particles in its cell
+    /// and the 26 around it, read off the occupancies of the owned and
+    /// ghost slabs the last force pass ran on. That count is what the
+    /// work model charges this PE (the giver) for them, and it does not
+    /// depend on who owns the columns.
+    fn granule_checks(&self, d: &DlbDecision) -> u64 {
+        let nc = self.nc;
+        let occupancy = |col: Col, cz: usize| {
+            let slab = self.columns.get(&col).or_else(|| self.ghosts.get(&col));
+            slab.map_or(0, |s| s.cell(cz).len()) as u64
+        };
+        let mut checks = 0u64;
+        for col in self.decomp.granule(d) {
+            for cz in 0..nc {
+                let here = occupancy(col, cz);
+                if here > 0 {
+                    let around: u64 = cells_around(nc, col, cz..cz + 1)
+                        .map(|(c, z)| occupancy(c, z.start))
+                        .sum();
+                    checks += here * (around - 1);
+                }
+            }
+        }
+        checks
+    }
+
+    /// Phase 2 (+ the balancer's ride-along), send half: rebin locally
+    /// and ship one round-1 [`StepFrame`] — emigrants, plus in a
+    /// balancing run this PE's last-step load and, when it decided to
+    /// give a cell away this step, the decision — to each neighbour owner
+    /// under `tags::STEP_FRAME`; retained particles stay staged in
     /// `migrate_staging` for [`PeState::step_recv_round1`]. Splitting the
     /// phase lets a thread running two virtual ranks post *both* ranks'
     /// sends before either blocks in a receive. Allocation-free in the
@@ -1197,31 +1340,44 @@ impl PeState {
     /// Two-round rebuild steps only: mid-epoch the binning is frozen,
     /// nothing migrates, and no round-1 frame is sent at all; a
     /// single-exchange step migrates inside [`PeState::ghosts_send`].
-    pub(crate) fn step_send_round1(&mut self, comm: &mut Comm, dlb_now: bool) {
+    /// A launch that starts without loads in hand runs this round once
+    /// before its first step, migrant-free, to announce them.
+    pub(crate) fn step_send_round1(&mut self, comm: &mut Comm) {
         self.refresh_caches();
         let t0 = WallTimer::start();
         self.rebin_owned(false);
-        let load = dlb_now.then(|| self.last_load());
+        let load = self.balances.then(|| self.last_load());
+        self.announced_load = load;
         for i in 0..self.neighbors.len() {
             let nb = self.neighbors[i];
             let mut buf = self.step_pool.checkout();
             let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
-            frame.begin_round1(load);
-            self.fill_migrants(i, frame, dlb_now);
-            self.wire.migrate += frame.encoded_size() as u64;
+            frame.begin_round1(load, self.my_decision);
+            self.fill_migrants(i, frame);
+            // The decision section stays on the balancer's account.
+            let decision_bytes = frame.decision_size();
+            self.wire.dlb += decision_bytes as u64;
+            self.wire.migrate += (frame.encoded_size() - decision_bytes) as u64;
             comm.send(nb, tags::STEP_FRAME, Arc::clone(&buf));
             self.step_pool.checkin(buf);
         }
         self.phase.migrate += t0.elapsed_s();
     }
 
-    /// Phase 2, receive half: collect immigrants (and, on DLB steps, the
-    /// neighbour loads riding in the same frames) and rebuild the columns
-    /// in place, reusing every slab's storage.
-    pub(crate) fn step_recv_round1(&mut self, comm: &mut Comm, dlb_now: bool) {
+    /// Phase 2, receive half: collect immigrants and rebuild the columns
+    /// in place, reusing every slab's storage. In a balancing run the
+    /// same frames bring the neighbours' loads — kept for the next
+    /// decision — and, on DLB steps, their decisions: merged with this
+    /// PE's own and folded into the ownership view in ascending `from`
+    /// order (phase 3, step 4), ready for the cell-transfer halves. The
+    /// loads just received have seen every earlier transfer, so this
+    /// step's decisions are all that stays in flight.
+    pub(crate) fn step_recv_round1(&mut self, comm: &mut Comm) {
         let t0 = WallTimer::start();
         let rank = self.rank;
         self.nbr_loads.clear();
+        self.decisions.clear();
+        self.decisions.extend(self.my_decision.take());
         for i in 0..self.neighbors.len() {
             let nb = self.neighbors[i];
             let incoming: Arc<StepFrame> = comm.recv(nb, tags::STEP_FRAME);
@@ -1229,74 +1385,40 @@ impl PeState {
                 incoming.has_migrants && !incoming.has_ghosts,
                 "rank {rank}: round-1 frame from {nb} has the wrong sections"
             );
+            debug_assert_eq!(
+                incoming.load.is_some(),
+                self.balances,
+                "rank {rank}: loads ride exactly the round-1 frames of a balancing run"
+            );
             if incoming.resync {
                 // The peer could not apply one of our ghost frames:
                 // restart the stream so this step's round-2 frame (sent
                 // after round-1 receives) arrives full and resyncs it.
                 self.send_chan[i].reset();
             }
-            if dlb_now {
-                let load = incoming
-                    .load
-                    .expect("round-1 frame on a DLB step carries the sender's load");
-                self.nbr_loads.push((nb, load));
-            }
+            self.nbr_loads.extend(incoming.load.map(|load| (nb, load)));
+            self.decisions.extend(incoming.decision);
             self.stage_immigrants(&incoming.migrants.parts);
         }
         self.rebuild_columns();
         self.phase.migrate += t0.elapsed_s();
-    }
-
-    /// Phase 3 (DLB), steps 2–3: from the neighbour loads collected in
-    /// round 1, apply the shape's balancer rule — purely local now that
-    /// the loads ride the round-1 frames. Returns this PE's decision in
-    /// wire form, ready for [`PeState::dlb_send_decision`].
-    pub(crate) fn dlb_decide(&mut self) -> Option<(Col, u64, u64)> {
         let t0 = WallTimer::start();
-        debug_assert_eq!(self.nbr_loads.len(), self.neighbors.len());
-        let my_decision = self
-            .decomp
-            .decide(self.cur_step, self.last_load(), &self.nbr_loads);
-        self.phase.dlb += t0.elapsed_s();
-        my_decision.map(|d| (d.col, d.from as u64, d.to as u64))
-    }
-
-    /// Phase 3, step 4 send half: broadcast this PE's decision to the
-    /// neighbourhood (`None` travels too — every neighbour expects one
-    /// message).
-    pub(crate) fn dlb_send_decision(&mut self, comm: &mut Comm, wire: Option<(Col, u64, u64)>) {
-        let t0 = WallTimer::start();
-        for &nb in &self.neighbors {
-            self.wire.dlb += wire.encoded_size() as u64;
-            comm.send(nb, tags::DECISION, wire);
+        self.decisions.sort_unstable_by_key(|t| t.decision.from);
+        // Decisions that exclude each other are void, all of them: judged
+        // on the whole list (at most one per neighbour and this PE's own)
+        // before any is dropped.
+        let mut void = 0u64;
+        for (i, a) in self.decisions.iter().enumerate() {
+            let clashes = |b: &Transfer| self.decomp.excludes(&a.decision, &b.decision);
+            void |= u64::from(self.decisions.iter().any(clashes)) << i;
         }
-        self.phase.dlb += t0.elapsed_s();
-    }
-
-    /// Phase 3, step 4 receive half: collect the neighbourhood's
-    /// decisions, merge this PE's own, and fold them into the ownership
-    /// view in deterministic order. Returns the merged decision list for
-    /// the cell-transfer halves.
-    pub(crate) fn dlb_recv_decisions(
-        &mut self,
-        comm: &mut Comm,
-        wire: Option<(Col, u64, u64)>,
-    ) -> Vec<DlbDecision> {
-        let t0 = WallTimer::start();
-        let to_decision = |(col, from, to): (Col, u64, u64)| DlbDecision {
-            col,
-            from: from as usize,
-            to: to as usize,
-        };
-        let mut decisions: Vec<DlbDecision> = wire.map(to_decision).into_iter().collect();
-        for &nb in &self.neighbors {
-            if let Some(w) = comm.recv::<Option<(Col, u64, u64)>>(nb, tags::DECISION) {
-                decisions.push(to_decision(w));
-            }
-        }
-        decisions.sort_unstable_by_key(|d| d.from);
-        for d in &decisions {
-            self.decomp.apply(d);
+        let mut at = 0;
+        self.decisions.retain(|_| {
+            at += 1;
+            void >> (at - 1) & 1 == 0
+        });
+        for t in &self.decisions {
+            self.decomp.apply(&t.decision);
         }
         // Ownership moved: the routing/class caches must be rebuilt
         // before the next ghost exchange or force pass — but only here
@@ -1304,11 +1426,14 @@ impl PeState {
         // and of who owns the columns around it, so a transfer between
         // two other PEs of a column that touches none of ours leaves
         // them as they are (on a 3×3 torus every PE hears every decision).
-        if decisions.iter().any(|d| self.redraws_caches(d)) {
+        if self
+            .decisions
+            .iter()
+            .any(|t| self.redraws_caches(&t.decision))
+        {
             self.routes_dirty = true;
         }
         self.phase.dlb += t0.elapsed_s();
-        decisions
     }
 
     /// Whether decision `d` can change what [`PeState::refresh_caches`]
@@ -1322,17 +1447,18 @@ impl PeState {
     }
 
     /// Phase 3, data-movement send half: ship the particles of the
-    /// columns this PE gave away, one id-sorted frame per decision.
-    /// Returns the number of transfers sent.
-    pub(crate) fn dlb_send_cells(&mut self, comm: &mut Comm, decisions: &[DlbDecision]) -> u64 {
+    /// columns this PE gave away this step, one id-sorted frame per
+    /// decision. Returns the number of transfers sent.
+    pub(crate) fn dlb_send_cells(&mut self, comm: &mut Comm) -> u64 {
         let t0 = WallTimer::start();
         let mut sent = 0u64;
-        for d in decisions {
+        for i in 0..self.decisions.len() {
+            let d = self.decisions[i].decision;
             if d.from == self.rank {
                 let mut buf = self.part_pool.checkout();
                 let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
                 frame.parts.clear();
-                for col in self.decomp.granule(d) {
+                for col in self.decomp.granule(&d) {
                     let slab = self
                         .columns
                         .remove(&col)
@@ -1352,14 +1478,15 @@ impl PeState {
 
     /// Phase 3, data-movement receive half: collect columns granted to
     /// this PE (ordered by sender rank).
-    pub(crate) fn dlb_recv_cells(&mut self, comm: &mut Comm, decisions: &[DlbDecision]) {
+    pub(crate) fn dlb_recv_cells(&mut self, comm: &mut Comm) {
         let t0 = WallTimer::start();
-        for d in decisions {
+        for i in 0..self.decisions.len() {
+            let d = self.decisions[i].decision;
             if d.to == self.rank {
                 let flat: Arc<ParticleFrame> = comm.recv(d.from, tags::CELL_XFER);
                 let mut staging: BTreeMap<Col, Vec<Particle>> = self
                     .decomp
-                    .granule(d)
+                    .granule(&d)
                     .into_iter()
                     .map(|c| (c, Vec::new()))
                     .collect();
@@ -1415,7 +1542,7 @@ impl PeState {
                 Exchange::Shells => frame.begin_round2(),
                 Exchange::Single => {
                     frame.begin_single();
-                    self.fill_migrants(i, frame, false);
+                    self.fill_migrants(i, frame);
                     migrant_bytes = frame.migrants.encoded_size();
                 }
                 Exchange::Refresh => {
@@ -2174,8 +2301,10 @@ impl PeState {
     /// Gather a restartable distributed checkpoint to rank 0
     /// (collective; every rank must call it at the same step). `records`
     /// is rank 0's per-step series so far, embedded so a restore can
-    /// reproduce the full report. The gather's virtual comm cost is
-    /// excluded from the next step's delta, so checkpointing never
+    /// reproduce the full report. A balancing run also gathers what its
+    /// next decision rests on: the load each rank last announced and the
+    /// transfer it gave this step, if any. The gather's virtual comm cost
+    /// is excluded from the next step's delta, so checkpointing never
     /// changes any reported `t_step`.
     pub(crate) fn take_checkpoint(
         &mut self,
@@ -2189,11 +2318,16 @@ impl PeState {
             .values()
             .flat_map(|slab| slab.particles().iter().copied())
             .collect();
-        let gathered = collectives::gather(comm, tags::CKPT_GATHER, (own_parts, own_cols));
+        let given = self.decisions.iter().find(|t| t.decision.from == self.rank);
+        let payload = (own_parts, own_cols, self.announced_load, given.copied());
+        let gathered = collectives::gather(comm, tags::CKPT_GATHER, payload);
         let ck = gathered.map(|chunks| {
+            let loads = chunks.iter().filter_map(|chunk| chunk.2).collect();
+            // Rank order is `from` order: the order they were applied in.
+            let transfers = chunks.iter().filter_map(|chunk| chunk.3).collect();
             let mut particles = Vec::new();
             let mut ownership = Vec::new();
-            for (rank, (parts, cols)) in chunks.into_iter().enumerate() {
+            for (rank, (parts, cols, ..)) in chunks.into_iter().enumerate() {
                 particles.extend(parts);
                 ownership.extend(cols.into_iter().map(|c| (c, rank)));
             }
@@ -2202,6 +2336,8 @@ impl PeState {
                 md: Checkpoint::new(step, self.box_len, particles),
                 ownership,
                 records: records.to_vec(),
+                loads,
+                transfers,
             }
         });
         let _ = comm.lap_virtual_comm();
@@ -2611,45 +2747,72 @@ mod tests {
         assert_eq!(interior(3, 27), (true, 0));
         assert_eq!(interior(4, 64), (false, 0));
         assert_eq!(interior(8, 64), (true, 0));
-        // The shapes with a balancer never do, whatever the geometry.
-        let cfg = shape_cfg(DomainShape::SquarePillar);
-        assert!(!fresh(0, &cfg, DomainShape::SquarePillar).exchanges_once());
-        let cfg = shape_cfg(DomainShape::Plane);
-        assert!(!fresh(0, &cfg, DomainShape::Plane).exchanges_once());
+        // The shapes with a balancer do where it is switched off — a
+        // tile or slab one cell wide fails the closure test from a torus
+        // side of 4 up — and never while it runs.
+        for (shape, p, nc, once) in [
+            (DomainShape::SquarePillar, 4, 6, true),
+            (DomainShape::SquarePillar, 9, 6, true),
+            (DomainShape::SquarePillar, 16, 8, true),
+            (DomainShape::SquarePillar, 16, 4, false),
+            (DomainShape::Plane, 3, 6, true),
+            (DomainShape::Plane, 3, 3, true),
+            (DomainShape::Plane, 4, 8, true),
+            (DomainShape::Plane, 4, 4, false),
+        ] {
+            let mut cfg = RunConfig::new(1000, nc, p, 0.007);
+            cfg.dlb = false;
+            let pe = fresh(0, &cfg, shape);
+            assert_eq!(pe.exchanges_once(), once, "{shape:?} P = {p} nc = {nc}");
+            if p >= 9 || shape == DomainShape::Plane {
+                cfg.dlb = true;
+                assert!(!fresh(0, &cfg, shape).exchanges_once());
+            }
+        }
     }
 
     #[test]
     fn force_pass_is_split_only_where_the_interior_pays() {
-        let splits_on = |rebuild| {
-            move |shape, p, nc, overlap| {
+        let splits_with = |rebuild: bool, dlb: bool, overlap: bool| {
+            move |shape, p, nc| {
                 // Sparse enough that nc = 20 still has cells wider than r_c.
                 let mut cfg = RunConfig::new(1000, nc, p, 0.007);
-                cfg.dlb = false;
+                cfg.dlb = dlb;
                 cfg.overlap = overlap;
                 let mut pe = fresh(0, &cfg, shape);
                 pe.refresh_caches();
                 pe.splits_force_pass(rebuild)
             }
         };
-        let splits = splits_on(true);
+        let between = splits_with(false, false, true);
+        let rebuilding = splits_with(true, false, true);
+        let balancing = splits_with(true, true, true);
         use DomainShape::{Cube, Plane, SquarePillar};
         // Blocks hidden against blocks repeated, per z layer: 6×6 columns
         // 158 / 132, 4×4 columns 26 / 60.
-        assert!(splits(SquarePillar, 4, 12, true));
-        assert!(!splits(SquarePillar, 9, 12, true));
+        assert!(between(SquarePillar, 4, 12));
+        assert!(!between(SquarePillar, 9, 12));
+        assert!(balancing(SquarePillar, 9, 18));
+        assert!(!balancing(SquarePillar, 9, 12));
         // Four planes 19·nc / 18·nc, three planes 5·nc / 18·nc.
-        assert!(splits(Plane, 3, 12, true));
-        assert!(!splits(Plane, 4, 12, true));
-        // A 6³ block 532 / 728, an 8³ block 2156 / 1736 — between the
-        // cube's rebuild steps. Those are one exchange, arrivals and all,
-        // and overlap only on an interior two cells in: 8³ 532 / 728
-        // (fused), 10³ 2156 / 1736.
-        assert!(!splits_on(false)(Cube, 8, 12, true));
-        assert!(splits_on(false)(Cube, 8, 16, true));
-        assert!(!splits(Cube, 8, 16, true));
-        assert!(splits(Cube, 8, 20, true));
+        assert!(between(Plane, 3, 12));
+        assert!(!between(Plane, 4, 12));
+        assert!(balancing(Plane, 3, 12));
+        // A 6³ block 532 / 728, an 8³ block 2156 / 1736.
+        assert!(!between(Cube, 8, 12));
+        assert!(between(Cube, 8, 16));
+        // The rebuild steps of a run that does not balance are one
+        // exchange, arrivals and all, and overlap only on an interior two
+        // cells in, where that pays: the numbers of a tile, slab or block
+        // two cells narrower.
+        assert!(!rebuilding(SquarePillar, 4, 12));
+        assert!(rebuilding(SquarePillar, 4, 16));
+        assert!(!rebuilding(Plane, 3, 12));
+        assert!(rebuilding(Plane, 2, 12));
+        assert!(!rebuilding(Cube, 8, 16));
+        assert!(rebuilding(Cube, 8, 20));
         // And never without the knob.
-        assert!(!splits(SquarePillar, 4, 12, false));
+        assert!(!splits_with(false, false, false)(SquarePillar, 4, 12));
     }
 
     #[test]
@@ -2922,6 +3085,7 @@ mod tests {
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
                 let mut pes = [(comm.rank(), fresh(comm.rank(), &cfg, shape))];
                 crate::takeover::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
+                crate::takeover::announce_loads(comm, &mut pes);
                 let mut orders = vec![refresh_orders(&pes[0].1)];
                 let mut transfers = 0;
                 for step in 1..=cfg.steps {
@@ -2955,6 +3119,180 @@ mod tests {
                 compared > 1000,
                 "{shape:?}: only {compared} ghosts compared"
             );
+        }
+    }
+
+    /// A 3×3 pillar PE (m = 3) that has just come up, holding `loads` for
+    /// its neighbours and `own` for itself.
+    fn pe_with_loads(rank: usize, gain: f64, own: f64, loads: &[f64]) -> PeState {
+        let mut cfg = RunConfig::from_p_m_density(9, 3, 0.05);
+        cfg.dlb = true;
+        cfg.dlb_min_gain = gain;
+        let mut pe = PeState::new(rank, &cfg, DomainShape::SquarePillar, &[]);
+        pe.last_balance = own;
+        pe.nbr_loads = pe
+            .neighbors
+            .iter()
+            .copied()
+            .zip(loads.iter().copied())
+            .collect();
+        pe
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn deciding_ahead_is_the_same_choice_on_the_loads_in_hand(
+            rank in 0usize..9,
+            gain_tenths in 0u32..3,
+            own in 0u32..8,
+            loads in proptest::collection::vec(0u32..8, 8..9),
+            (giver, taker) in (0usize..8, 0usize..8),
+            work in 0u32..4,
+        ) {
+            // With nothing in flight the engine hands the balancer the
+            // loads exactly as round 1 brought them: the decision is the
+            // one deciding after that round 1 would have been — the same
+            // `choose` call on the same view. (Few load levels: ties and
+            // sub-threshold gains are common.)
+            use pcdlb_core::protocol::DlbProtocol;
+            use pcdlb_domain::{OwnershipMap, PillarLayout};
+            let gain = f64::from(gain_tenths) / 10.0;
+            let loads: Vec<f64> = loads.into_iter().map(f64::from).collect();
+            let mut pe = pe_with_loads(rank, gain, f64::from(own), &loads);
+            let layout = PillarLayout::new(pe.cfg.nc, pe.cfg.torus());
+            let protocol = DlbProtocol::new(layout, rank).with_min_relative_gain(gain);
+            let view = OwnershipMap::initial(layout);
+            pe.dlb_decide();
+            let ahead = pe.my_decision.map(|t| t.decision);
+            proptest::prop_assert_eq!(ahead, protocol.choose(f64::from(own), &pe.nbr_loads, &view));
+            // A transfer in flight between two neighbours moves its work
+            // from the one's load to the other's first, and only there.
+            let (from, to) = (pe.neighbors[giver], pe.neighbors[taker]);
+            let decision = DlbDecision { col: Col::new(0, 0), from, to };
+            pe.decisions.push(Transfer { decision, work: f64::from(work) });
+            pe.dlb_decide();
+            let mut booked = pe.nbr_loads.clone();
+            if giver != taker {
+                booked[giver].1 -= f64::from(work);
+                booked[taker].1 += f64::from(work);
+            }
+            let ahead = pe.my_decision.map(|t| t.decision);
+            proptest::prop_assert_eq!(ahead, protocol.choose(f64::from(own), &booked, &view));
+        }
+    }
+
+    #[test]
+    fn two_ranks_that_each_take_the_other_for_the_faster_move_no_plane() {
+        // Deciding ahead, each PE has its own estimate of its neighbour's
+        // load. On a ring of two, each is made to hold half its own load
+        // for the other: both shed across the one boundary in the same
+        // step. The plane excludes such a pair, both ranks hear both
+        // decisions, and nothing moves — two planes crossing would have
+        // left both slabs in pieces.
+        let mut cfg = RunConfig::new(500, 4, 2, 500.0 / 12.0f64.powi(3));
+        cfg.dlb = true;
+        cfg.dlb_min_gain = 0.0;
+        let shape = DomainShape::Plane;
+        crate::decomp::validate(&cfg, shape);
+        let moved = pcdlb_mp::World::new(cfg.p).run(|comm| {
+            let mut pes = [(comm.rank(), fresh(comm.rank(), &cfg, shape))];
+            crate::takeover::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
+            crate::takeover::announce_loads(comm, &mut pes);
+            let pe = &mut pes[0].1;
+            pe.nbr_loads[0].1 = 0.5 * pe.last_balance;
+            pe.begin_step(1); // the step the ring's one boundary may move on
+            pe.dlb_decide();
+            assert!(pe.my_decision.is_some(), "rank {} sheds", pe.rank);
+            let before = pe.owned_cells();
+            let recs = crate::takeover::step_multi(comm, &cfg, &mut pes, 1);
+            let transfers = recs[0].as_ref().map_or(0, |r| r.transfers);
+            let pe = &pes[0].1;
+            (pe.owned_cells() - before, pe.decisions.len(), transfers)
+        });
+        assert_eq!(moved, [(0, 0, 0); 2]);
+    }
+
+    #[test]
+    fn the_work_a_decision_announces_is_the_load_both_ends_then_measure() {
+        // A transfer travels with the work that moves with it, read off
+        // the giver's cell occupancies before anything moves. On the next
+        // force pass the giver measures that much less and the receiver
+        // that much more — to the motion of one step — whoever they are,
+        // column (pillar) or plane. Checked on every transfer whose two
+        // ends take part in no other transfer that step.
+        for (shape, p) in [(DomainShape::SquarePillar, 9), (DomainShape::Plane, 3)] {
+            let mut cfg = RunConfig::new(2000, 9, p, 2000.0 / 27.0f64.powi(3));
+            cfg.lattice = Lattice::Cluster { fill: 0.7 };
+            cfg.dlb = true;
+            cfg.dlb_min_gain = 0.0;
+            cfg.steps = 12;
+            crate::decomp::validate(&cfg, shape);
+            let initial = initial_particles(&cfg);
+            // Per rank and step: the load before, the transfers heard, the
+            // load after.
+            let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
+                let mut pes = [(
+                    comm.rank(),
+                    PeState::new(comm.rank(), &cfg, shape, &initial),
+                )];
+                crate::takeover::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
+                crate::takeover::announce_loads(comm, &mut pes);
+                let mut steps = Vec::new();
+                for step in 1..=cfg.steps {
+                    let before = pes[0].1.last_balance;
+                    crate::takeover::step_multi(comm, &cfg, &mut pes, step);
+                    let pe = &pes[0].1;
+                    // Column by column, the counts are the pass's total.
+                    if shape == DomainShape::SquarePillar {
+                        let column = |&col| {
+                            pe.granule_checks(&DlbDecision {
+                                col,
+                                from: 0,
+                                to: 0,
+                            })
+                        };
+                        let all: u64 = pe.columns.keys().map(column).sum();
+                        assert_eq!(
+                            all, pe.last_work.pair_checks,
+                            "rank {} step {step}",
+                            pe.rank
+                        );
+                    }
+                    steps.push((before, pe.decisions.clone(), pe.last_balance));
+                }
+                steps
+            });
+            let mut checked = 0;
+            // Every rank hears every decision on these small rings.
+            for (step, (_, heard, _)) in ranks[0].iter().enumerate() {
+                for t in heard {
+                    let DlbDecision { from, to, .. } = t.decision;
+                    let busy = |r: usize| {
+                        let parts = heard
+                            .iter()
+                            .filter(|o| o.decision.from == r || o.decision.to == r);
+                        parts.count() > 1
+                    };
+                    if busy(from) || busy(to) {
+                        continue;
+                    }
+                    let (giver, receiver) = (&ranks[from][step], &ranks[to][step]);
+                    for (what, measured) in [
+                        ("giver", giver.0 - giver.2),
+                        ("receiver", receiver.2 - receiver.0),
+                    ] {
+                        assert!(
+                            (measured - t.work).abs() <= 0.02 * t.work,
+                            "{shape:?} step {}: {what} measured {measured}, announced {}",
+                            step + 1,
+                            t.work
+                        );
+                    }
+                    checked += usize::from(t.work > 0.0);
+                }
+            }
+            assert!(checked >= 3, "{shape:?}: only {checked} transfers checked");
         }
     }
 

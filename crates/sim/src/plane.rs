@@ -48,6 +48,8 @@ pub(crate) struct Plane {
     /// Owned plane range `[lo, hi)`; never empty.
     lo: usize,
     hi: usize,
+    /// Whether the boundaries may move this run (`cfg.dlb`).
+    balances: bool,
     min_gain: f64,
 }
 
@@ -59,6 +61,7 @@ impl Plane {
             nc: cfg.nc,
             lo: rank * cfg.nc / cfg.p,
             hi: (rank + 1) * cfg.nc / cfg.p,
+            balances: cfg.dlb,
             min_gain: cfg.dlb_min_gain.max(0.0),
         }
     }
@@ -76,7 +79,9 @@ impl Decomposition for Plane {
     /// Slabs are contiguous and every PE keeps at least one plane, so the
     /// plane below `lo` is always the previous rank's and the plane at
     /// `hi` the next rank's (wrapped at the seam). Anything further away
-    /// belongs to "someone beyond the ring neighbours".
+    /// belongs to "someone beyond the ring neighbours" — unless the
+    /// boundaries never move: then plane `cx` is still in the slab
+    /// `[r·nc/P, (r + 1)·nc/P)` that `Plane::new` cut for rank `r`.
     fn owner_of(&self, col: Col, _cz: usize) -> usize {
         let cx = col.cx;
         if (self.lo..self.hi).contains(&cx) {
@@ -85,8 +90,10 @@ impl Decomposition for Plane {
             self.next()
         } else if (cx + 1) % self.nc == self.lo {
             self.prev()
-        } else {
+        } else if self.balances {
             usize::MAX
+        } else {
+            ((cx + 1) * self.p - 1) / self.nc
         }
     }
 
@@ -129,6 +136,12 @@ impl Decomposition for Plane {
             from: self.rank,
             to,
         })
+    }
+
+    /// One boundary cannot move both ways in a step: two planes crossing
+    /// it would leave both slabs in pieces.
+    fn excludes(&self, a: &DlbDecision, b: &DlbDecision) -> bool {
+        (a.from, a.to) == (b.to, b.from)
     }
 
     /// A decision names the plane by its x index (`col.cx`); only moves
@@ -199,6 +212,45 @@ mod tests {
         assert_eq!(giver.owner_of(Col::new(2, 0), 0), 0);
         assert_eq!(taker.owner_of(Col::new(2, 5), 0), 0);
         assert_eq!(giver.granule(&d).len(), 6);
+    }
+
+    #[test]
+    fn boundaries_that_never_move_name_every_plane_s_owner() {
+        // With the balancer off a rank can say who owns any plane — what
+        // the engine's closure test asks two cells out — and says what
+        // the owner itself says.
+        for (p, nc) in [(3, 6), (3, 8), (4, 9), (5, 5), (1, 4)] {
+            let mut cfg = RunConfig::new(1000, nc, p, 0.05);
+            cfg.dlb = false;
+            for cx in 0..nc {
+                let col = Col::new(cx, 0);
+                let owners: Vec<usize> = (0..p)
+                    .map(|rank| Plane::new(rank, &cfg).owner_of(col, 0))
+                    .collect();
+                let owner = owners[0];
+                assert!(owners.iter().all(|&o| o == owner), "{p} {nc} {cx}");
+                let slab = Plane::new(owner, &cfg);
+                assert!((slab.lo..slab.hi).contains(&cx), "{p} {nc} {cx}");
+            }
+        }
+        // While they may move, only the slab and its two borders are known.
+        let pl = plane(0, 4, 8);
+        assert_eq!(pl.owner_of(Col::new(4, 0), 0), usize::MAX);
+    }
+
+    #[test]
+    fn one_boundary_moving_both_ways_is_excluded() {
+        let pl = plane(1, 3, 6);
+        let decision = |cx, from, to| DlbDecision {
+            col: Col::new(cx, 0),
+            from,
+            to,
+        };
+        let (down, up) = (decision(2, 1, 0), decision(1, 0, 1));
+        assert!(pl.excludes(&down, &up) && pl.excludes(&up, &down));
+        // Another boundary, or the decision itself, is no clash.
+        assert!(!pl.excludes(&down, &decision(3, 1, 2)));
+        assert!(!pl.excludes(&down, &down));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use std::fmt;
 use std::io::{self, BufRead, BufWriter, Write};
 
+use pcdlb_core::protocol::{DlbDecision, Transfer};
 use pcdlb_domain::Col;
 use pcdlb_md::checkpoint::Checkpoint;
 use pcdlb_mp::WorldError;
@@ -31,7 +32,8 @@ use crate::report::StepRecord;
 
 /// A restartable distributed simulation state: the global MD state (as a
 /// [`Checkpoint`] in `pcdlb-md`'s exact format), the DLB ownership map,
-/// and rank 0's per-step records up to the checkpointed step.
+/// rank 0's per-step records up to the checkpointed step, and — the
+/// balancer decides a step ahead — what its next decision rests on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimCheckpoint {
     /// Particle phase space + step counter + box, id-sorted.
@@ -40,13 +42,21 @@ pub struct SimCheckpoint {
     pub ownership: Vec<(Col, usize)>,
     /// Rank 0's step records for steps `1..=md.step`.
     pub records: Vec<StepRecord>,
+    /// The load each rank last announced to its neighbours, by rank: what
+    /// every neighbour holds for it when the next step decides. Empty when
+    /// the run does not balance, or when the state was remapped onto
+    /// another torus — a launch restored from it announces afresh.
+    pub loads: Vec<f64>,
+    /// The transfers applied at the checkpointed step, ascending `from`,
+    /// with their work: still in flight with respect to `loads`.
+    pub transfers: Vec<Transfer>,
 }
 
 impl SimCheckpoint {
     /// Serialise to any writer: a sim magic line, the embedded MD
-    /// checkpoint text, then `ownership` and `records` sections. All
-    /// `f64`s travel as IEEE-754 bit patterns in hex, so a round trip is
-    /// exact.
+    /// checkpoint text, then `ownership`, `records`, `loads` and
+    /// `transfers` sections. All `f64`s travel as IEEE-754 bit patterns in
+    /// hex, so a round trip is exact.
     pub fn write_to(&self, w: impl Write) -> io::Result<()> {
         let mut w = BufWriter::new(w);
         writeln!(w, "pcdlb-sim-checkpoint v1")?;
@@ -76,6 +86,16 @@ impl SimCheckpoint {
                 r.temperature.to_bits(),
                 r.rebuilt as u8,
             )?;
+        }
+        writeln!(w, "loads {}", self.loads.len())?;
+        for load in &self.loads {
+            writeln!(w, "{:016x}", load.to_bits())?;
+        }
+        writeln!(w, "transfers {}", self.transfers.len())?;
+        for t in &self.transfers {
+            let DlbDecision { col, from, to } = t.decision;
+            let work = t.work.to_bits();
+            writeln!(w, "{} {} {from} {to} {work:016x}", col.cx, col.cy)?;
         }
         w.flush()
     }
@@ -124,6 +144,11 @@ impl SimCheckpoint {
         }
         let rec_line = it.next().ok_or_else(|| bad("missing records section"))?;
         let n_rec = parse_header(rec_line, "records")?;
+        let hex = |s: &str| -> io::Result<f64> {
+            Ok(f64::from_bits(
+                u64::from_str_radix(s, 16).map_err(|_| bad("bad f64 bits"))?,
+            ))
+        };
         let mut records = Vec::with_capacity(n_rec);
         for _ in 0..n_rec {
             let line = it.next().ok_or_else(|| bad("truncated records section"))?;
@@ -131,11 +156,6 @@ impl SimCheckpoint {
             if f.len() != 15 {
                 return Err(bad(&format!("bad record line: `{line}`")));
             }
-            let hex = |s: &str| -> io::Result<f64> {
-                Ok(f64::from_bits(
-                    u64::from_str_radix(s, 16).map_err(|_| bad("bad f64 bits"))?,
-                ))
-            };
             records.push(StepRecord {
                 step: f[0].parse().map_err(|_| bad("bad step"))?,
                 t_step: hex(f[1])?,
@@ -154,10 +174,41 @@ impl SimCheckpoint {
                 rebuilt: f[14].parse::<u8>().map_err(|_| bad("bad rebuilt"))? != 0,
             });
         }
+        let loads_line = it.next().ok_or_else(|| bad("missing loads section"))?;
+        let n_loads = parse_header(loads_line, "loads")?;
+        let mut loads = Vec::new();
+        for _ in 0..n_loads {
+            let line = it.next().ok_or_else(|| bad("truncated loads section"))?;
+            loads.push(hex(line.trim()).map_err(|_| bad(&format!("bad load line: `{line}`")))?);
+        }
+        let transfers_line = it.next().ok_or_else(|| bad("missing transfers section"))?;
+        let n_transfers = parse_header(transfers_line, "transfers")?;
+        let mut transfers = Vec::new();
+        for _ in 0..n_transfers {
+            let line = it
+                .next()
+                .ok_or_else(|| bad("truncated transfers section"))?;
+            let parsed = match line.split_whitespace().collect::<Vec<_>>()[..] {
+                [cx, cy, from, to, work] => (|| {
+                    let col = Col::new(cx.parse().ok()?, cy.parse().ok()?);
+                    let (from, to) = (from.parse().ok()?, to.parse().ok()?);
+                    let decision = DlbDecision { col, from, to };
+                    let work = hex(work).ok()?;
+                    Some(Transfer { decision, work })
+                })(),
+                _ => None,
+            };
+            transfers.push(parsed.ok_or_else(|| bad(&format!("bad transfer line: `{line}`")))?);
+        }
+        if it.any(|line| !line.trim().is_empty()) {
+            return Err(bad("trailing lines after the transfers section"));
+        }
         Ok(Self {
             md,
             ownership,
             records,
+            loads,
+            transfers,
         })
     }
 
@@ -251,6 +302,12 @@ pub(crate) mod tests {
         })
     }
 
+    fn transfer(from: usize, to: usize, work: f64) -> Transfer {
+        let col = Col::new(from, to);
+        let decision = DlbDecision { col, from, to };
+        Transfer { decision, work }
+    }
+
     #[test]
     fn sim_checkpoint_round_trip_is_exact() {
         let cfg = recovery_cfg();
@@ -258,11 +315,16 @@ pub(crate) mod tests {
             md: Checkpoint::new(7, cfg.box_len(), initial_particles(&cfg)),
             ownership: vec![(Col::new(0, 0), 0), (Col::new(3, 2), 3)],
             records: run(&cfg).records,
+            loads: vec![0.1, 0.25, -0.0, 1e-300],
+            transfers: vec![transfer(3, 0, 0.1 / 3.0), transfer(1, 2, 0.0)],
         };
         let text = ck.to_string_repr();
         let back = SimCheckpoint::read_from(text.as_bytes()).expect("parse");
         assert_eq!(ck.md, back.md);
         assert_eq!(ck.ownership, back.ownership);
+        let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ck.loads), bits(&back.loads));
+        assert_eq!(ck.transfers, back.transfers);
         assert_eq!(ck.records.len(), back.records.len());
         for (a, b) in ck.records.iter().zip(&back.records) {
             assert_eq!(a, b, "record round trip must be bitwise exact");
@@ -282,25 +344,104 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn malformed_decide_ahead_sections_are_typed_errors() {
+        // What the balancer's next decision rests on rides the tail of
+        // the checkpoint. Cut that tail anywhere, mis-size its counts or
+        // garble a line: the reader answers with an error naming the
+        // section — it never panics, never allocates for a count it has
+        // not seen the lines of, and never hands back a shortened state.
+        let head = "pcdlb-sim-checkpoint v1\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
+                    ownership 0\nrecords 0\n";
+        let load = format!("{:016x}", 0.5f64.to_bits());
+        let tail = format!("loads 2\n{load}\n{load}\ntransfers 1\n3 0 3 0 {load}\n");
+        let whole = format!("{head}{tail}");
+        let ck = SimCheckpoint::read_from(whole.as_bytes()).expect("well-formed");
+        assert_eq!(ck.loads, [0.5, 0.5]);
+        assert_eq!(ck.transfers, [transfer(3, 0, 0.5)]);
+        // Every proper prefix that ends on a line boundary is short of
+        // something, and the error says of what.
+        for (cut, _) in tail.match_indices('\n').rev().skip(1) {
+            let text = format!("{head}{}", &tail[..=cut]);
+            let e = SimCheckpoint::read_from(text.as_bytes()).expect_err(&text);
+            let msg = e.to_string();
+            assert!(
+                msg.contains("missing") || msg.contains("truncated"),
+                "cut at {cut}: {msg}"
+            );
+        }
+        let e = SimCheckpoint::read_from(head.as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("missing loads"), "{e}");
+        for (garbled, what) in [
+            // Counts that disagree with the lines that follow.
+            (tail.replace("loads 2", "loads 3"), "bad load line"),
+            (tail.replace("loads 2", "loads 1"), "bad transfers header"),
+            (
+                tail.replace("transfers 1", "transfers 2"),
+                "truncated transfers",
+            ),
+            (tail.replace("transfers 1", "transfers 0"), "trailing lines"),
+            (
+                tail.replace("loads 2", "loads 18446744073709551615"),
+                "bad load line",
+            ),
+            (tail.replace("loads 2", "loads -1"), "bad loads count"),
+            (
+                tail.replace("transfers 1", "transfers many"),
+                "bad transfers count",
+            ),
+            (
+                tail.replace("transfers 1", "transfers"),
+                "bad transfers header",
+            ),
+            // Lines of the wrong shape.
+            (tail.replace("3 0 3 0", "3 0 3"), "bad transfer line"),
+            (tail.replace("3 0 3 0", "3 0 3 0 0"), "bad transfer line"),
+            (tail.replace("3 0 3 0", "3 0 -3 0"), "bad transfer line"),
+            (tail.replacen(&load, "0.5", 1), "bad load line"),
+            (tail.replacen(&load, "", 1), "bad load line"),
+        ] {
+            let text = format!("{head}{garbled}");
+            let e = SimCheckpoint::read_from(text.as_bytes()).expect_err(&text);
+            assert!(e.to_string().contains(what), "`{garbled}`: {e}");
+        }
+    }
+
+    /// 3×3, m = 4, the cluster on rank 0's tile: the balancer sheds a
+    /// column nearly every step, most of them past a fastest neighbour
+    /// that may take nothing.
+    fn busy_balancer_cfg() -> RunConfig {
+        let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
+        cfg.lattice = Lattice::Cluster { fill: 0.45 };
+        cfg.dlb = true;
+        cfg.steps = 16;
+        cfg.checkpoint_interval = 5;
+        cfg.comm = recovery_cfg().comm;
+        cfg
+    }
+
+    #[test]
     fn checkpointing_is_digest_neutral() {
         // The same run with and without periodic checkpoints must report
         // identical records and final state — the gathers add messages
-        // but never perturb a t_step or the physics.
-        let mut plain = recovery_cfg();
-        plain.checkpoint_interval = 0;
-        let checkpointed = recovery_cfg();
-        let (rep_a, snap_a) = run_with_snapshot(&plain);
-        let (rep_b, snap_b) = run_with_snapshot(&checkpointed);
-        assert_eq!(snap_a, snap_b, "checkpoint gathers must not touch physics");
-        assert_eq!(
-            digest_records(&rep_a, plain.load_metric),
-            digest_records(&rep_b, checkpointed.load_metric),
-            "checkpoint gathers must not perturb any reported step"
-        );
-        assert!(
-            rep_b.msgs_sent > rep_a.msgs_sent,
-            "the checkpointed run did send extra gather messages"
-        );
+        // but never perturb a t_step or the physics. Nor a decision: a
+        // balancer deciding a step ahead carries loads across the
+        // checkpoint step like across any other.
+        for checkpointed in [recovery_cfg(), busy_balancer_cfg()] {
+            let mut plain = checkpointed.clone();
+            plain.checkpoint_interval = 0;
+            let (rep_a, snap_a) = run_with_snapshot(&plain);
+            let (rep_b, snap_b) = run_with_snapshot(&checkpointed);
+            assert_eq!(snap_a, snap_b, "checkpoint gathers must not touch physics");
+            assert_eq!(
+                digest_records(&rep_a, plain.load_metric),
+                digest_records(&rep_b, checkpointed.load_metric),
+                "checkpoint gathers must not perturb any reported step"
+            );
+            assert!(
+                rep_b.msgs_sent > rep_a.msgs_sent,
+                "the checkpointed run did send extra gather messages"
+            );
+        }
     }
 
     #[test]
@@ -321,8 +462,9 @@ pub(crate) mod tests {
         let cfg = recovery_cfg();
         let reference = fault_free(&cfg, false);
         // Kill rank 2 deep enough into the run that a checkpoint exists
-        // (step 5's gather is well past rank 2's 40th send).
-        let kill = |launch, rank| (launch == 0 && rank == 2).then(|| FaultPlan::kill_at(160));
+        // (it sends some four messages a step: step 5's gather is its
+        // 25th or so).
+        let kill = |launch, rank| (launch == 0 && rank == 2).then(|| FaultPlan::kill_at(90));
         let out = faulted(kill)
             .run_resilient(&cfg, &ladder(false))
             .expect("second attempt recovers");
@@ -388,7 +530,7 @@ pub(crate) mod tests {
         // Kill rank 2 mid-run: its east buddy (rank 3 on the 2×2 torus)
         // must adopt virtual rank 2 and the same launch must complete
         // degraded on 3 OS threads.
-        let kill = |launch, rank| (launch == 0 && rank == 2).then(|| FaultPlan::kill_at(160));
+        let kill = |launch, rank| (launch == 0 && rank == 2).then(|| FaultPlan::kill_at(90));
         let out = faulted(kill)
             .run_resilient(&cfg, &ladder(true))
             .expect("the launch absorbs the death in place");
@@ -411,8 +553,8 @@ pub(crate) mod tests {
         // Two ranks die in launch 0: the first is absorbed, the second
         // aborts the degraded world, and launch 1 completes clean.
         let kills = |launch, rank| match (launch, rank) {
-            (0, 1) => Some(FaultPlan::kill_at(120)),
-            (0, 2) => Some(FaultPlan::kill_at(160)),
+            (0, 1) => Some(FaultPlan::kill_at(68)),
+            (0, 2) => Some(FaultPlan::kill_at(90)),
             _ => None,
         };
         let out = faulted(kills)
@@ -428,19 +570,15 @@ pub(crate) mod tests {
     #[cfg(feature = "check")]
     #[test]
     fn a_working_balancer_survives_a_death_bitwise() {
+        use pcdlb_core::protocol::tags;
+        use pcdlb_mp::collectives::ctag;
         use pcdlb_mp::FaultPlan;
-        // 3×3, m = 4, the cluster on rank 0's tile: the balancer sheds a
-        // column nearly every step, most of them past a fastest neighbour
-        // that may take nothing. Which neighbour is offered the cell is a
-        // pure function of the loads and the ownership view, so a run
-        // restored from a checkpoint — or carried on by a buddy — makes
-        // the same transfers as the uninterrupted one.
-        let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
-        cfg.lattice = Lattice::Cluster { fill: 0.45 };
-        cfg.dlb = true;
-        cfg.steps = 16;
-        cfg.checkpoint_interval = 5;
-        cfg.comm = recovery_cfg().comm;
+        // Which neighbour is offered the cell is a pure function of the
+        // loads in hand, the transfers in flight and the ownership view
+        // — all of which a checkpoint carries — so a run restored from a
+        // checkpoint, or carried on by a buddy, makes the same transfers
+        // as the uninterrupted one.
+        let cfg = busy_balancer_cfg();
         let reference = fault_free(&cfg, false);
         let transfers: u32 = reference.report.records.iter().map(|r| r.transfers).sum();
         assert!(
@@ -448,7 +586,10 @@ pub(crate) mod tests {
             "the balancer is busy: {transfers} transfers"
         );
         // Rank 4 is the south-east neighbour the hot rank cannot send to.
-        let kill = |launch, rank| (launch == 0 && rank == 4).then(|| FaultPlan::kill_at(200));
+        // It dies on its sixth stats gather: in step 6, the step that
+        // decided on what the checkpoint at step 5 had to carry.
+        let in_step_6 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 5);
+        let kill = move |launch, rank| (launch == 0 && rank == 4).then(in_step_6);
         let relaunched = faulted(kill).run_resilient(&cfg, &ladder(false));
         let relaunched = relaunched.expect("recovers");
         assert_eq!(relaunched.attempts, 2, "the run was restored, not replayed");

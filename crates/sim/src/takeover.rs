@@ -280,6 +280,13 @@ pub(crate) fn run_roles(
     // `PeState::from_checkpoint`). Construction/restore is a rebuild
     // boundary, so the initial exchange always re-bins.
     exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
+    // A launch that starts with no neighbour loads in hand — a fresh run,
+    // a generation restarted on another torus — announces the ones just
+    // measured. The run is not charged for it (the lap below).
+    let loads_in_hand = matches!(start, Start::Restore(ck) if !ck.loads.is_empty());
+    if !loads_in_hand {
+        announce_loads(comm, &mut pes);
+    }
     for (v, _) in pes.iter() {
         comm.act_as(*v);
         let _ = comm.lap_virtual_comm();
@@ -352,6 +359,24 @@ pub(crate) fn run_roles(
         .collect()
 }
 
+/// The launch announcement of a balancing run (a no-op in any other):
+/// the balancer decides each step on loads announced the step before, so
+/// before the first step every role sends its neighbours one migrant-free
+/// round 1 carrying the load the initial force pass measured.
+pub(crate) fn announce_loads(comm: &mut Comm, pes: &mut [(usize, PeState)]) {
+    if !pes[0].1.balances() {
+        return;
+    }
+    for (v, pe) in pes.iter_mut() {
+        comm.act_as(*v);
+        pe.step_send_round1(comm);
+    }
+    for (v, pe) in pes.iter_mut() {
+        comm.act_as(*v);
+        pe.step_recv_round1(comm);
+    }
+}
+
 /// One full step over this thread's role set, with the dual-role-safe
 /// interleaving: point-to-point phases post every role's sends
 /// (ascending) before any role receives (ascending); gather-shaped
@@ -363,8 +388,11 @@ pub(crate) fn step_multi(
     cfg: &RunConfig,
     pes: &mut [(usize, PeState)],
     step: u64,
-) -> Vec<Option<StepRecord>> {
+) -> [Option<StepRecord>; 2] {
     let t0 = WallTimer::start();
+    // A thread drives at most two roles (one buddy takeover per launch),
+    // so fixed arrays keep the per-role scratch off the heap.
+    assert!(pes.len() <= 2, "at most two roles per thread");
     for (_, pe) in pes.iter_mut() {
         pe.begin_step(step);
     }
@@ -375,9 +403,6 @@ pub(crate) fn step_multi(
     // pattern. Every role lands on the identical decision.
     let mut rebuild = true;
     if cfg.skin > 0.0 {
-        // A thread drives at most two roles (one buddy takeover per
-        // launch), so a fixed array keeps the hot path allocation-free.
-        assert!(pes.len() <= 2, "at most two roles per thread");
         let mut roots: [Option<f64>; 2] = [None, None];
         for (i, (v, pe)) in pes.iter_mut().enumerate().rev() {
             comm.act_as(*v);
@@ -391,8 +416,16 @@ pub(crate) fn step_multi(
         }
     }
     // Migration, DLB, and ghost-membership changes only happen on
-    // rebuild steps — mid-epoch the binning is frozen everywhere.
-    let dlb_now = cfg.dlb && step.is_multiple_of(cfg.dlb_interval) && rebuild;
+    // rebuild steps — mid-epoch the binning is frozen everywhere. The
+    // balancer decides here, before anything moves or is sent, on the
+    // loads it already holds: its decision rides round 1.
+    let mut dlb_now = false;
+    for (_, pe) in pes.iter_mut() {
+        dlb_now = pe.dlb_due(step, rebuild);
+        if dlb_now {
+            pe.dlb_decide();
+        }
+    }
     for (_, pe) in pes.iter_mut() {
         pe.kick_drift_all();
     }
@@ -406,43 +439,31 @@ pub(crate) fn step_multi(
         (true, false) => Exchange::Shells,
         (true, true) => Exchange::Single,
     };
-    // Round 1: migration plus the DLB load ride-along (retained
-    // particles stay staged inside each PE).
+    // Round 1: migration plus the balancer's ride-along — loads, and
+    // the decisions just taken, which every PE folds into its ownership
+    // view as the frames come in (retained particles stay staged inside
+    // each PE).
     if exchange == Exchange::Shells {
         for (v, pe) in pes.iter_mut() {
             comm.act_as(*v);
-            pe.step_send_round1(comm, dlb_now);
+            pe.step_send_round1(comm);
         }
         for (v, pe) in pes.iter_mut() {
             comm.act_as(*v);
-            pe.step_recv_round1(comm, dlb_now);
+            pe.step_recv_round1(comm);
         }
     }
-    // DLB: a local decision from the round-1 loads, then two send/recv
-    // rounds (decisions, cell transfers).
-    let mut transferred = vec![0u64; pes.len()];
+    // DLB: the decided columns change hands.
+    let mut transferred = [0u64; 2];
     debug_assert!(!(dlb_now && exchange == Exchange::Single));
     if dlb_now {
-        let mut wires = Vec::with_capacity(pes.len());
-        for (_, pe) in pes.iter_mut() {
-            wires.push(pe.dlb_decide());
-        }
         for (i, (v, pe)) in pes.iter_mut().enumerate() {
             comm.act_as(*v);
-            pe.dlb_send_decision(comm, wires[i]);
+            transferred[i] = pe.dlb_send_cells(comm);
         }
-        let mut decisions = Vec::with_capacity(pes.len());
-        for (i, (v, pe)) in pes.iter_mut().enumerate() {
+        for (v, pe) in pes.iter_mut() {
             comm.act_as(*v);
-            decisions.push(pe.dlb_recv_decisions(comm, wires[i]));
-        }
-        for (i, (v, pe)) in pes.iter_mut().enumerate() {
-            comm.act_as(*v);
-            transferred[i] = pe.dlb_send_cells(comm, &decisions[i]);
-        }
-        for (i, (v, pe)) in pes.iter_mut().enumerate() {
-            comm.act_as(*v);
-            pe.dlb_recv_cells(comm, &decisions[i]);
+            pe.dlb_recv_cells(comm);
         }
     }
     // Ghost exchange and the local force pass(es), then the second
@@ -452,7 +473,7 @@ pub(crate) fn step_multi(
         pe.kick_all();
     }
     // Thermostat: KE gather descending, scale broadcast ascending.
-    let mut scales: Vec<Option<Option<f64>>> = vec![None; pes.len()];
+    let mut scales: [Option<Option<f64>>; 2] = [None; 2];
     for (i, (v, pe)) in pes.iter_mut().enumerate().rev() {
         comm.act_as(*v);
         scales[i] = pe.thermostat_gather(comm, step);
@@ -465,7 +486,7 @@ pub(crate) fn step_multi(
     }
     // Statistics gather: whole-role, descending.
     let wall = t0.elapsed_s();
-    let mut recs: Vec<Option<StepRecord>> = vec![None; pes.len()];
+    let mut recs: [Option<StepRecord>; 2] = [None; 2];
     for (i, (v, pe)) in pes.iter_mut().enumerate().rev() {
         comm.act_as(*v);
         recs[i] = pe.collect_stats(comm, step, transferred[i], wall);

@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 
+use pcdlb_core::protocol::{DlbDecision, Transfer};
 use pcdlb_domain::Col;
 use pcdlb_md::{Particle, Vec3};
 use pcdlb_mp::WireSize;
@@ -123,6 +124,15 @@ impl RefEncode for Col {
     }
 }
 
+impl RefEncode for Transfer {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.decision.col.encode(out);
+        (self.decision.from as u64).encode(out);
+        (self.decision.to as u64).encode(out);
+        self.work.encode(out);
+    }
+}
+
 impl<T: RefEncode> RefEncode for Arc<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         // Arc is a local-ownership wrapper; only the inner value is wired.
@@ -173,16 +183,24 @@ impl RefEncode for GhostRefresh {
 
 impl RefEncode for StepFrame {
     /// The actual layout: 1-byte presence header + migrant section,
-    /// Option-encoded load, 1-byte presence header + ghost section (a
-    /// shell frame or a mid-epoch refresh; its own first byte says
-    /// which). The ghost-resync request bit rides bit 1 of the round-1
-    /// presence header, so it costs no wire bytes.
+    /// Option-encoded load, the decision section when its header bit is
+    /// set, 1-byte presence header + ghost section (a shell frame or a
+    /// mid-epoch refresh; its own first byte says which). The
+    /// ghost-resync request bit rides bit 1 of the round-1 presence
+    /// header and the decision's presence bit 2, so neither costs a wire
+    /// byte.
     fn encode(&self, out: &mut Vec<u8>) {
-        ((self.has_migrants as u8) | ((self.resync as u8) << 1)).encode(out);
+        let header = (self.has_migrants as u8)
+            | ((self.resync as u8) << 1)
+            | ((self.decision.is_some() as u8) << 2);
+        header.encode(out);
         if self.has_migrants {
             self.migrants.encode(out);
         }
         self.load.encode(out);
+        if let Some(transfer) = &self.decision {
+            transfer.encode(out);
+        }
         ((self.has_ghosts || self.has_refresh) as u8).encode(out);
         if self.has_ghosts {
             self.ghosts.encode(out);
@@ -251,20 +269,35 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
     );
     // pe.rs / plane.rs: KE_BCAST broadcasts the f64 scale.
     check(&1.5f64, "f64 scale");
-    // pe.rs: DECISION carries Option<(Col, u64, u64)>.
-    check(&None::<(Col, u64, u64)>, "DECISION None");
-    check(&Some((Col::new(2, 3), 4u64, 5u64)), "DECISION Some");
-    // pe.rs: STEP_FRAME round 1 carries migrants (+ load on DLB steps).
+    // pe.rs: STEP_FRAME round 1 carries migrants, in a balancing run the
+    // sender's load, and on DLB steps its decision with the work that
+    // moves with it.
     {
         let mut frame = StepFrame::default();
-        frame.begin_round1(None);
+        frame.begin_round1(None, None);
         frame.migrants.parts.push(particle(7));
         check(&Arc::new(frame), "round-1 step frame");
         let mut dlb = StepFrame::default();
-        dlb.begin_round1(Some(0.75));
-        check(&Arc::new(dlb), "round-1 step frame with load");
+        dlb.begin_round1(Some(0.75), None);
+        check(&Arc::new(dlb.clone()), "round-1 step frame with load");
+        let plain = dlb.wire_size();
+        let decision = DlbDecision {
+            col: Col::new(2, 3),
+            from: 4,
+            to: 5,
+        };
+        let transfer = Transfer {
+            decision,
+            work: 0.0625,
+        };
+        check(&transfer, "decision section");
+        dlb.begin_round1(Some(0.75), Some(transfer));
+        check(&Arc::new(dlb.clone()), "round-1 step frame with decision");
+        check_encoded(&Arc::new(dlb.clone()), "round-1 step frame with decision");
+        // Canonical = encoded = the frame it always was + the section.
+        assert_eq!(dlb.wire_size(), plain + 40);
         let mut resync = StepFrame::default();
-        resync.begin_round1(None);
+        resync.begin_round1(None, None);
         resync.resync = true;
         // The resync bit packs into the presence header: same byte count.
         check(&Arc::new(resync), "round-1 step frame with resync bit");
@@ -316,9 +349,15 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
     check(&vec![(0u64, 0.5f64), (3u64, 1.25f64)], "KE gather");
     // plane.rs: LOAD_UP / LOAD_DOWN carry (u64, u64, f64).
     check(&(0u64, 4u64, 2.5f64), "plane load triple");
-    // pe.rs: CKPT_GATHER carries (Vec<Particle>, Vec<Col>).
+    // pe.rs: CKPT_GATHER carries (Vec<Particle>, Vec<Col>, the load the
+    // rank last announced, the transfer it gave this step).
     check(
-        &(vec![particle(4), particle(5)], vec![Col::new(0, 1)]),
+        &(
+            vec![particle(4), particle(5)],
+            vec![Col::new(0, 1)],
+            Some(0.5f64),
+            None::<Transfer>,
+        ),
         "checkpoint gather payload",
     );
     // stats.rs: STATS gathers a StatsPacket per rank.

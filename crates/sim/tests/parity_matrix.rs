@@ -155,15 +155,18 @@ fn grids_large_enough_to_split_the_force_pass_match_serial_bitwise() {
     // the overlapped split to pay, so `overlap` runs the fused pass there
     // (`pe::split_pays`). These grids are the smallest per shape where the
     // ranks really split (pinned by the in-crate test
-    // `force_pass_is_split_only_where_the_interior_pays`): 6×6-column
-    // pillar tiles, four planes per ring rank, and two cube rows — 8³
-    // blocks split between rebuild steps only, 10³ blocks on every step:
-    // their rebuild steps are one exchange, so the interior pass (two
-    // cells in) runs before the step's arrivals are merged, and its
-    // forces are carried over to the slots behind them.
+    // `force_pass_is_split_only_where_the_interior_pays`), two rows each:
+    // 6×6-column pillar tiles, four planes per ring rank and 8³ blocks
+    // split between rebuild steps only; 8×8-column tiles, six planes and
+    // 10³ blocks on every step. None of these runs balances, so their
+    // rebuild steps are one exchange: the interior pass (two cells in)
+    // runs before the step's arrivals are merged, and its forces are
+    // carried over to the slots behind them.
     for (shape, p, nc, density) in [
         (DomainShape::SquarePillar, 4, 12, 0.1),
+        (DomainShape::SquarePillar, 4, 16, 0.05),
         (DomainShape::Plane, 3, 12, 0.1),
+        (DomainShape::Plane, 2, 12, 0.1),
         (DomainShape::Cube, 8, 16, 0.05),
         (DomainShape::Cube, 8, 20, 0.03),
     ] {
@@ -239,6 +242,8 @@ fn checkpoint_cadence_forces_rebuild_boundaries() {
 #[cfg(feature = "check")]
 #[test]
 fn skin_epochs_restore_across_the_checkpoint_cadence_bitwise() {
+    use pcdlb_core::protocol::tags;
+    use pcdlb_mp::collectives::ctag;
     use pcdlb_mp::FaultPlan;
     use pcdlb_sim::{digest_recovery, Ladder};
     let mut c = cfg(4, Mode::Verlet);
@@ -249,11 +254,11 @@ fn skin_epochs_restore_across_the_checkpoint_cadence_bitwise() {
     let mid_epoch = report.records.iter().filter(|r| !r.rebuilt).count();
     assert!(mid_epoch > STEPS as usize / 2, "the epochs engage");
     let reference = digest_recovery(&report, &snap, c.load_metric);
-    // Rank 2's 120th send falls in the teens of the 40 steps: past the
-    // first cadence checkpoints, well before the end.
+    // Rank 2 dies on its eighth stats gather: in step 8, the first step
+    // of the epoch the checkpoint at step 7 opened.
     let killed = Launch::new().on_start(|launch, comm| {
         if launch == 0 && comm.rank() == 2 {
-            comm.set_fault_plan(FaultPlan::kill_at(120));
+            comm.set_fault_plan(FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 7));
         }
     });
     let ladder = |takeover| Ladder {

@@ -1,20 +1,29 @@
-//! Tier-1's view of the frozen skin epochs (the recommended
-//! configuration: `skin > 0`, `verlet`, overlap on): the run lands on the
-//! serial reference bit for bit, and a mid-epoch step costs exactly one
-//! message per neighbour — the positions-only ghost refresh — where a
-//! rebuild step costs two. The message count is checked against its
-//! closed form, so an empty mid-epoch round cannot creep back unnoticed.
+//! Tier-1's view of what a step sends, in closed form, so that an empty
+//! round cannot creep back unnoticed:
+//!
+//! - the frozen skin epochs (the recommended configuration: `skin > 0`,
+//!   `verlet`, overlap on) land on the serial reference bit for bit, and a
+//!   mid-epoch step costs exactly one message per neighbour — the
+//!   positions-only ghost refresh;
+//! - a run that does not balance sends one message per neighbour on its
+//!   rebuild steps too: migrants and ghosts share the frame;
+//! - a run that does balance sends two — the decision was taken a step
+//!   ahead and rides round 1, so a DLB step sends what a DDM step with two
+//!   rounds sends, plus one message per column that changes hands and, once
+//!   per launch, the announcement of the initial loads.
 
-use pcdlb::sim::{digest_particles, run_serial, run_with_snapshot, RunConfig};
+use pcdlb::sim::{
+    digest_particles, run_serial, DomainShape, Lattice, Launch, RunConfig, RunReport,
+};
 
 const STEPS: u64 = 40;
 const THERMOSTAT_EVERY: u64 = 10;
 
-/// The paper-density gas on a 2×2 pillar torus, DDM.
-fn pillar_p4(skin: f64) -> RunConfig {
-    let (nc, density) = (6, 0.256);
+/// The paper-density gas on `p` PEs.
+fn gas(p: usize, nc: usize, skin: f64) -> RunConfig {
+    let density = 0.256;
     let n = (density * (2.56 * nc as f64).powi(3)).round() as usize;
-    let mut cfg = RunConfig::new(n, nc, 4, density);
+    let mut cfg = RunConfig::new(n, nc, p, density);
     cfg.steps = STEPS;
     cfg.dlb = false;
     cfg.seed = 3;
@@ -24,55 +33,133 @@ fn pillar_p4(skin: f64) -> RunConfig {
     cfg
 }
 
-/// Messages a healthy `STEPS`-step run sends over all ranks when
-/// `rebuilds` of its steps are rebuild steps.
-fn expected_msgs(cfg: &RunConfig, rebuilds: u64) -> u64 {
+fn run(cfg: &RunConfig, shape: DomainShape) -> RunReport {
+    let (report, snapshot) = Launch::new()
+        .shape(shape)
+        .snapshot()
+        .run(cfg)
+        .into_snapshot();
+    assert_eq!(
+        digest_particles(&snapshot),
+        digest_particles(&run_serial(cfg)),
+        "{shape:?} diverged from the serial reference"
+    );
+    assert_eq!(report.ghost_desyncs, 0);
+    report
+}
+
+/// Messages a healthy `STEPS`-step run sends over all ranks, each rank
+/// having `nbrs` neighbours, given what its report says happened: which
+/// steps rebuilt and how many columns changed hands.
+fn expected_msgs(cfg: &RunConfig, nbrs: u64, report: &RunReport) -> u64 {
     let p = cfg.p as u64;
-    let nbrs: u64 = (0..cfg.p)
-        .map(|rank| cfg.torus().distinct_neighbors8(rank).len() as u64)
-        .sum();
+    let nbrs = p * nbrs;
+    let rebuilds = report.records.iter().filter(|r| r.rebuilt).count() as u64;
+    let transfers: u64 = report.records.iter().map(|r| u64::from(r.transfers)).sum();
     // A gather or a broadcast over P ranks is P − 1 sends.
     let coll = p - 1;
-    // Point to point: the initial ghost exchange, two rounds per rebuild
-    // step, the refresh alone on every other step.
-    let p2p = nbrs + rebuilds * 2 * nbrs + (STEPS - rebuilds) * nbrs;
+    // Point to point: the initial ghost exchange; a balancing run's
+    // announcement of its initial loads; per rebuild step two rounds where
+    // the run balances and one exchange where it does not; the refresh
+    // alone on every other step; one message per column that moves.
+    let (announcement, rounds) = if cfg.dlb { (nbrs, 2) } else { (0, 1) };
+    let p2p = nbrs + announcement + rebuilds * rounds * nbrs + (STEPS - rebuilds) * nbrs;
     // Collectives: the rebuild decision (gather + broadcast, every step,
     // skin epochs only), the thermostat (gather + broadcast), the stats
     // gather (every step) and the final snapshot gather.
     let decision = if cfg.skin > 0.0 { STEPS * 2 * coll } else { 0 };
     let thermostat = (STEPS / THERMOSTAT_EVERY) * 2 * coll;
-    p2p + decision + thermostat + STEPS * coll + coll
+    p2p + transfers + decision + thermostat + STEPS * coll + coll
 }
 
 #[test]
 fn frozen_epochs_match_serial_and_send_one_message_per_neighbour_mid_epoch() {
-    let cfg = pillar_p4(0.06);
-    let (report, snapshot) = run_with_snapshot(&cfg);
-    assert_eq!(
-        digest_particles(&snapshot),
-        digest_particles(&run_serial(&cfg)),
-        "skin epochs diverged from the serial reference"
-    );
+    let cfg = gas(4, 6, 0.06);
+    let report = run(&cfg, DomainShape::SquarePillar);
     let rebuilds = report.records.iter().filter(|r| r.rebuilt).count() as u64;
     assert!(
         (2..STEPS / 2).contains(&rebuilds),
         "degenerate epoch schedule: {rebuilds}/{STEPS} rebuilds"
     );
-    assert_eq!(report.ghost_desyncs, 0);
-    assert_eq!(report.msgs_sent, expected_msgs(&cfg, rebuilds));
+    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 3, &report));
 }
 
 #[test]
-fn every_step_rebuilds_without_a_skin_and_keeps_both_rounds() {
-    let cfg = pillar_p4(0.0);
-    let (report, snapshot) = run_with_snapshot(&cfg);
-    assert_eq!(
-        digest_particles(&snapshot),
-        digest_particles(&run_serial(&cfg))
-    );
+fn every_step_rebuilds_without_a_skin_in_one_exchange_where_nothing_balances() {
+    let cfg = gas(4, 6, 0.0);
+    let report = run(&cfg, DomainShape::SquarePillar);
     assert!(report.records.iter().all(|r| r.rebuilt));
-    assert_eq!(report.msgs_sent, expected_msgs(&cfg, STEPS));
-    // The legacy wire, message for message: the count this configuration
-    // sent before mid-epoch steps had a frame of their own.
-    assert_eq!(report.msgs_sent, 1119);
+    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 3, &report));
+    // Message for message: the initial exchange and one frame per
+    // neighbour and step (12 + 40 · 12), the collectives (147). The same
+    // run sent 1119 while migrants and ghosts travelled apart.
+    assert_eq!(report.msgs_sent, 639);
+}
+
+#[test]
+fn a_balancing_step_sends_what_a_two_round_step_sends_plus_the_columns_that_move() {
+    // Pillar: 3×3, m = 2, the gas squeezed into a corner so the balancer
+    // has work from the first step. Plane: a ring of three over the same
+    // corner. Every step is a DLB step; none has a message of its own.
+    for (shape, p, nbrs) in [
+        (DomainShape::SquarePillar, 9, 8),
+        (DomainShape::Plane, 3, 2),
+    ] {
+        let mut cfg = gas(p, 6, 0.0);
+        cfg.dlb = true;
+        cfg.lattice = Lattice::Cluster { fill: 0.6 };
+        let report = run(&cfg, shape);
+        let transfers: u32 = report.records.iter().map(|r| r.transfers).sum();
+        assert!(transfers > 0, "{shape:?}: the balancer is idle");
+        assert!(
+            report.records[0].transfers > 0,
+            "{shape:?}: step 1 decides on the loads the launch announced"
+        );
+        assert_eq!(
+            report.msgs_sent,
+            expected_msgs(&cfg, nbrs, &report),
+            "{shape:?}"
+        );
+    }
+}
+
+#[test]
+fn the_balancer_is_due_at_the_first_rebuild_after_each_multiple_of_its_interval() {
+    // Under skin epochs the balancer can only act on rebuild steps. With
+    // `dlb_interval = 3` it is due once a multiple of 3 has gone by since
+    // the last rebuild — not only when a rebuild happens to fall on one.
+    // The corner cluster makes it willing (while the one movable column
+    // per tile lasts), so "due" shows as transfers.
+    let k = 3;
+    let mut cfg = gas(9, 6, 0.06);
+    cfg.steps = 60;
+    cfg.dlb = true;
+    cfg.dlb_interval = k;
+    cfg.lattice = Lattice::Cluster { fill: 0.6 };
+    let report = run(&cfg, DomainShape::SquarePillar);
+    let mut last_rebuild = 0;
+    let (mut due, mut acted, mut off_multiple) = (0, 0, 0);
+    for r in &report.records {
+        if !r.rebuilt {
+            assert_eq!(r.transfers, 0, "step {}: mid-epoch transfer", r.step);
+            continue;
+        }
+        // A multiple of `k` in (last rebuild, this step]: the first
+        // rebuild step of its window of `k`.
+        let is_due = r.step / k > last_rebuild / k;
+        assert!(is_due || r.transfers == 0, "step {}: not due", r.step);
+        due += u32::from(is_due);
+        acted += u32::from(r.transfers > 0);
+        off_multiple += u32::from(r.transfers > 0 && r.step % k != 0);
+        last_rebuild = r.step;
+    }
+    assert!(
+        due >= 5,
+        "degenerate schedule: {due} windows with a rebuild"
+    );
+    assert!(acted >= 3, "{acted} of {due} due steps transferred");
+    assert!(
+        off_multiple > 0,
+        "no transfer off a multiple of {k}: a rebuild has to fall on one to balance"
+    );
 }
