@@ -23,12 +23,26 @@
 //! state reachable through `choose` — under any load pattern — lies
 //! inside the set searched here; a unit test below asserts exactly that
 //! on BFS-visited states.
+//!
+//! The **launch plan** (`pcdlb_sim::launch_plan`) is one more source of
+//! decision sequences: before a rank thread starts it iterates that same
+//! `choose` on the exact loads of the initial condition. It has no rule
+//! of its own to get wrong, but it does have a loop — which decisions of
+//! one iteration stand together, which views hear them — so every
+//! configuration swept here also replays the plans of a spread of
+//! clustered starts ([`check_pillar_plan`]): each planned transfer must
+//! validate against the map as it stands and each state must hold the
+//! invariants. The plane's plans are replayed on its slabs
+//! ([`check_plane_plan`]): only a slab's edge plane may cross, only to
+//! the neighbour across that edge, and nobody gives its last plane away.
 
 use std::collections::BTreeSet;
 
 use pcdlb_core::permanent::is_permanent;
 use pcdlb_core::protocol::{DlbProtocol, ProtocolError};
-use pcdlb_domain::{OwnershipMap, PillarLayout};
+use pcdlb_domain::{DomainShape, OwnershipMap, PillarLayout};
+use pcdlb_sim::pe::initial_particles;
+use pcdlb_sim::{launch_plan, Lattice, Placed, RunConfig};
 
 /// Search bounds.
 #[derive(Debug, Clone, Copy)]
@@ -62,6 +76,10 @@ pub struct InvariantReport {
     pub states_visited: usize,
     /// Configurations whose state space was truncated by the cap.
     pub truncated: usize,
+    /// Launch plans replayed (pillar and plane).
+    pub plans: usize,
+    /// Transfers those plans made, each validated.
+    pub planned_transfers: usize,
 }
 
 /// Check one ownership state against the paper's invariants: the
@@ -154,7 +172,116 @@ fn transfers_from(layout: &PillarLayout, om: &OwnershipMap) -> Vec<DlbDecision> 
         .collect()
 }
 
-/// Sweep all `(side, m)` configurations within the bounds.
+/// Replay a pillar launch plan from the home tiles: every transfer must
+/// validate against the ownership map as it stands, and every state the
+/// plan passes through must hold the invariants. Returns the map the
+/// plan ends on.
+pub fn check_pillar_plan(
+    layout: &PillarLayout,
+    plan: &[DlbDecision],
+) -> Result<OwnershipMap, String> {
+    let mut om = OwnershipMap::initial(*layout);
+    for (i, d) in plan.iter().enumerate() {
+        DlbProtocol::validate(layout, &om, d)
+            .map_err(|e| format!("planned transfer #{i} is illegal: {e}"))?;
+        DlbProtocol::apply(&mut om, d);
+        check_state(layout, &om)
+            .map_err(|e| format!("planned transfer #{i} ({d:?}) breaks the state: {e}"))?;
+    }
+    Ok(om)
+}
+
+/// Replay a plane launch plan on the ring's slabs (`p` ranks over `nc`
+/// planes): a transfer hands the giver's edge plane to the ring
+/// neighbour across that edge — never across the periodic seam — and the
+/// giver keeps at least one plane. Two planes crossing one boundary in
+/// one iteration (what `excludes` rules out) fail here: after the first,
+/// the second is no longer its giver's edge plane. Returns the slabs
+/// `[lo, hi)` the plan ends on.
+pub fn check_plane_plan(
+    nc: usize,
+    p: usize,
+    plan: &[DlbDecision],
+) -> Result<Vec<(usize, usize)>, String> {
+    let mut slabs: Vec<(usize, usize)> = (0..p).map(|r| (r * nc / p, (r + 1) * nc / p)).collect();
+    for (i, d) in plan.iter().enumerate() {
+        let bad = |why: &str| Err(format!("planned transfer #{i} ({d:?}) {why}"));
+        if d.from >= p || d.to >= p || d.from.abs_diff(d.to) != 1 {
+            return bad("is not between ring neighbours off the seam");
+        }
+        let (lo, hi) = slabs[d.from];
+        if hi - lo < 2 {
+            return bad("takes its giver's last plane");
+        }
+        if d.to < d.from {
+            if d.col.cx != lo {
+                return bad("does not move the giver's lower edge plane");
+            }
+            slabs[d.from].0 += 1;
+            slabs[d.to].1 += 1;
+        } else {
+            if d.col.cx + 1 != hi {
+                return bad("does not move the giver's upper edge plane");
+            }
+            slabs[d.from].1 -= 1;
+            slabs[d.to].0 -= 1;
+        }
+    }
+    Ok(slabs)
+}
+
+/// The clustered starts whose plans are replayed: the gas squeezed into
+/// the origin corner (a cube, over one tile or several) or against the
+/// `y = 0` face (a slab across a torus row).
+const PLANNED_STARTS: [Lattice; 6] = [
+    Lattice::Cluster { fill: 0.2 },
+    Lattice::Cluster { fill: 0.3 },
+    Lattice::Cluster { fill: 0.45 },
+    Lattice::Cluster { fill: 0.7 },
+    Lattice::SlabY { fill: 0.25 },
+    Lattice::SlabY { fill: 0.5 },
+];
+
+/// Plan every start of [`PLANNED_STARTS`] for `shape` on `cfg` — with the
+/// paper's gate of 0 and with a hysteresis — and replay the plans.
+/// Returns `(plans, transfers)`.
+fn replay_plans(shape: DomainShape, cfg: &RunConfig) -> Result<(usize, usize), String> {
+    let mut cfg = cfg.clone();
+    cfg.dlb = true;
+    let (mut plans, mut transfers) = (0, 0);
+    for lattice in PLANNED_STARTS {
+        for gain in [0.0, 0.05] {
+            cfg.lattice = lattice;
+            cfg.dlb_min_gain = gain;
+            let placed = Placed::new(&cfg, &initial_particles(&cfg));
+            let plan = launch_plan(shape, &cfg, 0, &placed);
+            let context = |e| {
+                format!(
+                    "{} P = {}, nc = {}, {lattice:?}: {e}",
+                    shape.name(),
+                    cfg.p,
+                    cfg.nc
+                )
+            };
+            match shape {
+                DomainShape::SquarePillar => {
+                    let layout = PillarLayout::new(cfg.nc, cfg.torus());
+                    check_pillar_plan(&layout, &plan.decisions).map_err(context)?;
+                }
+                _ => {
+                    check_plane_plan(cfg.nc, cfg.p, &plan.decisions).map_err(context)?;
+                }
+            }
+            plans += 1;
+            transfers += plan.decisions.len();
+        }
+    }
+    Ok((plans, transfers))
+}
+
+/// Sweep all `(side, m)` configurations within the bounds: the search
+/// over reachable states and the launch plans of the same layout — and,
+/// per side, of the rings of that many ranks the plane balances.
 pub fn verify_invariant(cfg: &InvariantConfig) -> Result<InvariantReport, String> {
     let mut report = InvariantReport::default();
     for side in 3..=cfg.max_side.max(3) {
@@ -164,6 +291,20 @@ pub fn verify_invariant(cfg: &InvariantConfig) -> Result<InvariantReport, String
             report.states_visited += states;
             if truncated {
                 report.truncated += 1;
+            }
+            // `m` planes per rank and one to spare on the ring.
+            let nc = side * m + 1;
+            let n = (0.128 * (2.56 * nc as f64).powi(3)).round() as usize;
+            for (shape, run) in [
+                (
+                    DomainShape::SquarePillar,
+                    RunConfig::from_p_m_density(side * side, m, 0.128),
+                ),
+                (DomainShape::Plane, RunConfig::new(n, nc, side, 0.128)),
+            ] {
+                let (plans, transfers) = replay_plans(shape, &run)?;
+                report.plans += plans;
+                report.planned_transfers += transfers;
             }
         }
     }

@@ -168,6 +168,10 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
             String::new()
         }
     );
+    println!(
+        "verify: {} launch plans replayed, {} planned transfers legal",
+        inv.plans, inv.planned_transfers
+    );
     Ok(())
 }
 

@@ -21,9 +21,12 @@
 use std::collections::BTreeMap;
 
 use pcdlb_core::protocol::tags::TAG_TABLE;
+use pcdlb_core::protocol::DlbDecision;
 use pcdlb_domain::DomainShape;
 use pcdlb_mp::collectives::COLLECTIVE_BIT;
 use pcdlb_mp::Torus2d;
+use pcdlb_sim::pe::initial_particles;
+use pcdlb_sim::{launch_plan, Lattice, Placed, RunConfig};
 
 use crate::schedule::{shape_schedule, Op, ScheduleOpts, StepSchedule};
 
@@ -292,10 +295,38 @@ pub struct VerifyReport {
 /// and 3); the decision-scenario sweep instantiates each.
 pub const LEGAL_DELTAS: [(i64, i64); 6] = [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)];
 
+/// The transfers the balancer makes step after step from a clustered
+/// start — the gas over the origin corner, a tile and a half wide — as
+/// the launch plan replays them: one `(from, to)` set per iteration, from
+/// the home tiles through to the planned ownership. Sets no hand-written
+/// scenario has: several PEs giving at once, toward different neighbours,
+/// some returning what others lent.
+fn planned_rounds(shape: DomainShape, p: usize) -> Vec<Vec<(usize, usize)>> {
+    let (side, mut cfg) = match shape {
+        DomainShape::SquarePillar => {
+            let cfg = RunConfig::from_p_m_density(p, 3, 0.128);
+            (cfg.torus().rows(), cfg)
+        }
+        _ => {
+            let n = (0.128 * (2.56 * 3.0 * p as f64).powi(3)).round() as usize;
+            (p, RunConfig::new(n, 3 * p, p, 0.128))
+        }
+    };
+    cfg.dlb = true;
+    cfg.lattice = Lattice::Cluster {
+        fill: 1.5 / side as f64,
+    };
+    let placed = Placed::new(&cfg, &initial_particles(&cfg));
+    let plan = launch_plan(shape, &cfg, 0, &placed);
+    let pairs = |round: &[DlbDecision]| round.iter().map(|d| (d.from, d.to)).collect();
+    plan.rounds().map(pairs).collect()
+}
+
 /// The decision scenarios swept on one grid: the base schedule, the full
 /// schedule with no transfers, every single transfer the shape's balancer
-/// can make, and two dense all-at-once scenarios. Shapes (or grids)
-/// without a balancer get the first two, DLB phases off.
+/// can make, two dense all-at-once scenarios, and every iteration of a
+/// clustered start's launch plan. Shapes (or grids) without a balancer
+/// get the first two, DLB phases off.
 fn scenarios(shape: DomainShape, p: usize) -> Vec<ScheduleOpts> {
     let single = |from, to| ScheduleOpts {
         dlb: true,
@@ -323,6 +354,7 @@ fn scenarios(shape: DomainShape, p: usize) -> Vec<ScheduleOpts> {
                     (0..p).map(|r| (r, torus.neighbor(r, di, dj))).collect(),
                 ));
             }
+            out.extend(planned_rounds(shape, p).into_iter().map(dense));
         }
         // The moving boundary: a plane crosses one interior boundary,
         // either way; boundaries of one parity move in the same step.
@@ -333,6 +365,7 @@ fn scenarios(shape: DomainShape, p: usize) -> Vec<ScheduleOpts> {
             }
             out.push(dense((1..p).step_by(2).map(|b| (b, b - 1)).collect()));
             out.push(dense((1..p).step_by(2).map(|b| (b - 1, b)).collect()));
+            out.extend(planned_rounds(shape, p).into_iter().map(dense));
         }
         _ => {}
     }

@@ -2,7 +2,9 @@
 //! introduced protocol bug. A verifier that passes a clean tree proves
 //! nothing unless these fail loudly.
 
-use pcdlb_check::invariant::{check_state, validate_decision, DlbDecision};
+use pcdlb_check::invariant::{
+    check_pillar_plan, check_plane_plan, check_state, validate_decision, DlbDecision,
+};
 use pcdlb_check::schedule::{step_schedule, Op, ScheduleOpts};
 use pcdlb_check::verify::{
     check_deadlock_freedom, check_matching, check_tag_uniqueness, check_tags, verify_schedule,
@@ -10,7 +12,9 @@ use pcdlb_check::verify::{
 use pcdlb_core::permanent::is_permanent;
 use pcdlb_core::protocol::tags::{self, CommPhase, TagSpec};
 use pcdlb_core::protocol::ProtocolError;
-use pcdlb_domain::{Col, OwnershipMap, PillarLayout};
+use pcdlb_domain::{Col, DomainShape, OwnershipMap, PillarLayout};
+use pcdlb_sim::pe::initial_particles;
+use pcdlb_sim::{launch_plan, Lattice, Placed, RunConfig};
 
 #[test]
 fn tag_collision_in_table_is_caught() {
@@ -212,4 +216,56 @@ fn mutated_choosers_are_caught() {
         matches!(err, ProtocolError::ForeignForward { home, .. } if home == south),
         "{err}"
     );
+}
+
+/// The launch plan of `cfg` with the gas squeezed into the origin corner.
+fn corner_plan(shape: DomainShape, mut cfg: RunConfig, fill: f64) -> Vec<DlbDecision> {
+    cfg.dlb = true;
+    cfg.lattice = Lattice::Cluster { fill };
+    let placed = Placed::new(&cfg, &initial_particles(&cfg));
+    launch_plan(shape, &cfg, 0, &placed).decisions
+}
+
+#[test]
+fn mutated_planners_are_caught() {
+    // The launch plan iterates the balancer's own rule, so what it can get
+    // wrong is its loop. Two seeded ways, each on a real plan.
+
+    // Mutation: a planner that, once the hot tile's movable columns are
+    // gone, keeps shedding — a permanent column goes where the last
+    // movable one went.
+    let cfg = RunConfig::from_p_m_density(9, 3, 0.128);
+    let layout = PillarLayout::new(cfg.nc, cfg.torus());
+    let mut plan = corner_plan(DomainShape::SquarePillar, cfg, 0.3);
+    let shed = plan.iter().filter(|d| d.from == 0).count();
+    assert_eq!(shed, 4, "the hot tile sheds its (m − 1)² movable columns");
+    check_pillar_plan(&layout, &plan).expect("the real plan replays clean");
+    let last = *plan.iter().rfind(|d| d.from == 0).expect("rank 0 sheds");
+    let origin = layout.tile_origin(0);
+    let wall = Col::new(origin.cx + 2, origin.cy);
+    assert!(is_permanent(&layout, wall));
+    plan.push(DlbDecision { col: wall, ..last });
+    let err = check_pillar_plan(&layout, &plan).expect_err("the wall must hold");
+    assert!(err.contains("permanent"), "{err}");
+
+    // Mutation: a planner that skips `excludes` on the plane — the two
+    // sides of one boundary each take the other for the lighter one, and
+    // both planes cross it in one iteration.
+    let ring = RunConfig::new(1000, 6, 3, 0.05);
+    let plan = corner_plan(DomainShape::Plane, ring.clone(), 0.3);
+    assert!(!plan.is_empty(), "rank 0's slab sheds toward rank 1");
+    check_plane_plan(ring.nc, ring.p, &plan).expect("the real plan replays clean");
+    let crossing = |cx, from, to| DlbDecision {
+        col: Col::new(cx, 0),
+        from,
+        to,
+    };
+    let err = check_plane_plan(6, 3, &[crossing(2, 1, 0), crossing(1, 0, 1)])
+        .expect_err("two planes crossing one boundary must be caught");
+    assert!(err.contains("edge plane"), "{err}");
+    // Nor may a planner squeeze a one-plane PE, or reach across the seam.
+    let err = check_plane_plan(3, 3, &[crossing(1, 1, 0)]).expect_err("last plane");
+    assert!(err.contains("last plane"), "{err}");
+    let err = check_plane_plan(6, 3, &[crossing(0, 0, 2)]).expect_err("seam");
+    assert!(err.contains("seam"), "{err}");
 }

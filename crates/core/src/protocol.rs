@@ -42,6 +42,26 @@
 //! view both read, and any set of per-PE decisions equals some sequence
 //! of them (the property test below draws every PE its own loads).
 //!
+//! **The launch plan is steps 2–3, iterated on exact loads.** A run that
+//! *starts* unbalanced would spend its first (m − 1)² steps shedding one
+//! column per PE and step, so before a rank thread exists the launch
+//! (`pcdlb_sim::launch_plan`) runs this module's own rule to its floor on
+//! the initial condition: under the work model a column's load is an
+//! exact function of the cell occupancies, so every PE's load under any
+//! ownership is known without a force pass; each iteration lets every PE
+//! [`DlbProtocol::choose`] on those loads, applies the decisions to every
+//! view, re-sums the loads from the map, and stops at the first iteration
+//! that does not lower the largest load (which is not applied). Nothing
+//! is *in flight* in a plan: an iteration's loads are summed from the map
+//! its predecessor left — there is no stale load to bring up to date, so
+//! no [`Transfer`], no [`book_in_flight`], and the decision is call for
+//! call the paper's order on the same loads. Every planned transfer is a
+//! `choose` result on a map every earlier one has been folded into —
+//! Cases 1–3, the permanent wall and the checker's search cover a plan as
+//! they cover a run — and the run itself starts as before: it announces
+//! the loads its first force pass measured (they are the plan's, to the
+//! bit) and step 1 decides on them.
+//!
 //! The decision rule, with `PE(i, j)` deciding and `PE_fast` the receiver
 //! under consideration (paper's exact cases):
 //!

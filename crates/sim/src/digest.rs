@@ -177,8 +177,48 @@ mod tests {
     }
 
     #[test]
-    fn report_digest_ignores_wall_clock_fields() {
-        let rec = crate::report::StepRecord {
+    fn the_launch_plan_is_in_no_digest() {
+        // How many columns the launch plan moved is a fact about where the
+        // run started, not about any step: a report hashes the same with
+        // and without it.
+        let a = RunReport {
+            records: vec![record()],
+            ..Default::default()
+        };
+        let mut b = a.clone();
+        b.launch_transfers = 55;
+        b.cells_per_rank = vec![84, 180];
+        let wm = LoadMetric::default();
+        assert_eq!(digest_report(&a, wm), digest_report(&b, wm));
+        assert_eq!(digest_records(&a, wm), digest_records(&b, wm));
+        // Run for run: the plan moves ownership, never physics. A uniform
+        // start (12³ particles on 6³ cells) plans nothing and a clustered
+        // one plans a shed; either way the balancing run ends on its DDM
+        // twin's particles, and only the clustered one reports a plan.
+        for (lattice, planned) in [
+            (crate::Lattice::SimpleCubic, false),
+            (crate::Lattice::Cluster { fill: 0.6 }, true),
+        ] {
+            let mut dlb = crate::RunConfig::new(1728, 6, 9, 0.1);
+            dlb.steps = 4;
+            dlb.dlb = true;
+            dlb.lattice = lattice;
+            let mut ddm = dlb.clone();
+            ddm.dlb = false;
+            let (dlb_report, dlb_snapshot) = crate::run_with_snapshot(&dlb);
+            let (ddm_report, ddm_snapshot) = crate::run_with_snapshot(&ddm);
+            assert_eq!(dlb_report.launch_transfers > 0, planned, "{lattice:?}");
+            assert_eq!(ddm_report.launch_transfers, 0);
+            assert_eq!(
+                digest_particles(&dlb_snapshot),
+                digest_particles(&ddm_snapshot),
+                "{lattice:?}"
+            );
+        }
+    }
+
+    fn record() -> crate::report::StepRecord {
+        crate::report::StepRecord {
             step: 1,
             t_step: 0.25,
             f_max: 0.2,
@@ -194,7 +234,12 @@ mod tests {
             potential: -1.0,
             temperature: 0.7,
             rebuilt: true,
-        };
+        }
+    }
+
+    #[test]
+    fn report_digest_ignores_wall_clock_fields() {
+        let rec = record();
         let mut a = RunReport {
             records: vec![rec],
             ..Default::default()

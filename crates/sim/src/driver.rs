@@ -27,6 +27,7 @@
 
 use std::sync::{Mutex, PoisonError};
 
+use pcdlb_core::protocol::DlbDecision;
 use pcdlb_domain::DomainShape;
 use pcdlb_md::Particle;
 use pcdlb_mp::{Comm, RankFailure, World, WorldError};
@@ -36,6 +37,7 @@ use crate::digest::digest_recovery;
 use crate::elastic::{
     remap_drained_checkpoint, ResizeGeneration, ResizePlan, GENERATION_EPOCH_STRIDE,
 };
+use crate::launch::{launch_plan, Placed};
 use crate::pe::{initial_particles, PeResult};
 use crate::recover::{RecoveryError, SimCheckpoint};
 use crate::report::{PhaseTimes, RunReport, WireBytes};
@@ -186,21 +188,32 @@ impl Launch {
         world
     }
 
-    /// The plain launch: run `cfg` to completion in one world. The initial
-    /// condition is generated once and every rank adopts its cells' share
-    /// of the one read-only slice.
+    /// What every rank of a world that starts at step 0 starts from: the
+    /// initial condition, generated and placed in its cells once, and —
+    /// where the run balances — the transfers its launch plan makes
+    /// ([`launch_plan`]).
+    fn fresh(&self, cfg: &RunConfig) -> (Placed, Vec<DlbDecision>) {
+        let placed = Placed::new(cfg, &initial_particles(cfg));
+        let plan = launch_plan(self.shape, cfg, 0, &placed).decisions;
+        (placed, plan)
+    }
+
+    /// The plain launch: run `cfg` to completion in one world. Every rank
+    /// replays the launch plan and adopts its cells' runs of the one
+    /// read-only placement.
     pub fn run(&self, cfg: &RunConfig) -> Run {
         crate::decomp::validate(cfg, self.shape);
         let world = self.world(cfg, 0);
-        let initial = initial_particles(cfg);
-        assemble(world.run(|comm| {
+        let (placed, plan) = self.fresh(cfg);
+        let results = world.run(|comm| {
             let roles = [comm.rank()];
-            let start = Start::Fresh(&initial);
+            let start = Start::Fresh(&placed, &plan);
             let (shape, snapshot) = (self.shape, self.snapshot);
             run_roles(comm, cfg, shape, &roles, start, None, snapshot, false)
                 .swap_remove(0)
                 .1
-        }))
+        });
+        assemble(results, plan.len())
     }
 
     /// The resilient launch: run `cfg` under `ladder`. On any rank failure
@@ -240,9 +253,12 @@ impl Launch {
         // checkpoints here, a relaunch restores whatever arrived last, and
         // a generation resumes from its predecessor's drain.
         let sink: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
-        // The initial condition does not depend on P: generated once for
-        // every generation, launch and rank.
-        let initial = initial_particles(cfg);
+        // The initial condition does not depend on P: generated, placed and
+        // planned once for every launch and rank of the first generation
+        // (later ones start from their predecessor's drain, planned in
+        // `remap_drained_checkpoint`).
+        let (placed, plan) = self.fresh(cfg);
+        let mut launch_transfers = plan.len();
         let mut failures = Vec::new();
         let mut launches = 0;
         let mut generations = Vec::with_capacity(segments.len());
@@ -260,7 +276,7 @@ impl Launch {
                 let ck = guard
                     .as_mut()
                     .expect("the previous generation drained a checkpoint");
-                remap_drained_checkpoint(ck, cfg, seg.start, seg.p);
+                launch_transfers += remap_drained_checkpoint(ck, &seg_cfg, seg.start);
             }
             let (drain, sync) = (gen < last_gen, gen > 0);
             let completed = (0..ladder.max_attempts).find_map(|attempt| {
@@ -271,8 +287,9 @@ impl Launch {
                     world = world.with_takeover();
                 }
                 launches += 1;
+                let fresh = Start::Fresh(&placed, &plan);
                 let program =
-                    |comm: &mut Comm| takeover_main(comm, &seg_cfg, &initial, &sink, drain, sync);
+                    |comm: &mut Comm| takeover_main(comm, &seg_cfg, fresh, &sink, drain, sync);
                 let outcome = match world.try_run_degraded(program) {
                     Ok(outcome) => outcome,
                     Err(e) => {
@@ -322,7 +339,7 @@ impl Launch {
 
         let Run {
             report, snapshot, ..
-        } = assemble(last_results);
+        } = assemble(last_results, launch_transfers);
         let snapshot = snapshot.expect("resilient launches always gather a snapshot");
         let digest = digest_recovery(&report, &snapshot, cfg.load_metric);
         Ok(LadderOutcome {
@@ -358,8 +375,9 @@ pub fn run_with_snapshot(cfg: &RunConfig) -> (RunReport, Vec<Particle>) {
 }
 
 /// Fold the per-rank results of a completed world, in rank order, into
-/// rank 0's report with the totals over all ranks filled in.
-fn assemble(mut results: Vec<PeResult>) -> Run {
+/// rank 0's report with the totals over all ranks — and the transfers the
+/// run's launches planned — filled in.
+fn assemble(mut results: Vec<PeResult>, launch_transfers: usize) -> Run {
     let mut phases = PhaseTimes::default();
     let mut wire = WireBytes::default();
     for r in &results {
@@ -382,6 +400,7 @@ fn assemble(mut results: Vec<PeResult>) -> Run {
     report.retransmits = retransmits;
     report.suspicions = suspicions;
     report.cells_per_rank = cells_per_rank;
+    report.launch_transfers = launch_transfers;
     Run {
         report,
         snapshot: rank0.snapshot,

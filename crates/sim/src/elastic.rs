@@ -15,10 +15,13 @@
 //!    loop), so the complete world state — MD phase space, ownership view,
 //!    rank 0's record history — sits in the shared [`SimCheckpoint`] sink.
 //! 2. **Remap** — the virtual torus is rebuilt for the new PE count
-//!    ([`Torus2d::remap`]) and the drained ownership view is rewritten to
-//!    the new layout's initial home map, which satisfies the
-//!    permanent-cell invariant by construction; DLB re-adapts from there.
-//!    The drain is audited on the way through: exact particle-count
+//!    ([`Torus2d::remap`](pcdlb_mp::Torus2d::remap)) and the drained
+//!    ownership view is rewritten: the new layout's home map, which
+//!    satisfies the permanent-cell invariant by construction, with the
+//!    launch plan of the drained particles replayed onto it
+//!    ([`crate::launch::launch_plan`]) — so a generation starts where its
+//!    balancer would have taken it rather than shedding every hot tile
+//!    anew. The drain is audited on the way through: exact particle-count
 //!    conservation and an exact one-owner-per-column partition.
 //! 3. **Resume** — a fresh world launches on the new PE set with a bumped
 //!    wire-epoch base ([`pcdlb_mp::World::with_base_epoch`]), so any
@@ -36,10 +39,10 @@
 //! uninterrupted serial run — no matter how many resizes, in which
 //! direction, at which boundaries.
 
-use pcdlb_domain::PillarLayout;
-use pcdlb_mp::Torus2d;
+use pcdlb_domain::{DomainShape, PillarLayout};
 
 use crate::config::RunConfig;
+use crate::launch::{launch_plan, Placed};
 use crate::recover::SimCheckpoint;
 
 /// Wire-epoch stride between world generations. Within one launch the
@@ -159,20 +162,24 @@ pub struct ResizeGeneration {
 }
 
 /// Audit a drained checkpoint and rewrite its ownership view onto the
-/// `new_p` torus. The audits are the resize-boundary conservation laws:
-/// the checkpoint sits exactly on the boundary step, holds every
-/// particle, and partitions the column grid with exactly one owner per
-/// column. The rewrite resets every column to its home pillar under the
-/// new layout — the unique assignment that satisfies the permanent-cell
-/// invariant on any torus. The loads and in-flight transfers the old
-/// torus's balancer held say nothing about the new one's ranks: they are
-/// dropped, and the new generation announces its loads afresh.
+/// torus of `cfg`, the next generation's configuration. The audits are
+/// the resize-boundary conservation laws: the checkpoint sits exactly on
+/// the boundary step, holds every particle, and partitions the column
+/// grid with exactly one owner per column. The rewrite starts every
+/// column at its home pillar under the new layout — the one assignment
+/// that satisfies the permanent-cell invariant on any torus — and, where
+/// the generation balances, replays the launch plan of the drained
+/// particles onto it ([`launch_plan`]): a generation starts where its
+/// balancer would have taken it, as a fresh run does, instead of shedding
+/// its hot tiles one column a step all over again. Returns the number of
+/// transfers planned. The loads and in-flight transfers the old torus's
+/// balancer held say nothing about the new one's ranks: they are dropped,
+/// and the new generation announces its loads afresh.
 pub(crate) fn remap_drained_checkpoint(
     ck: &mut SimCheckpoint,
     cfg: &RunConfig,
     boundary: u64,
-    new_p: usize,
-) {
+) -> usize {
     assert_eq!(
         ck.md.step, boundary,
         "drain checkpoint at step {} but the resize boundary is {boundary}",
@@ -185,7 +192,7 @@ pub(crate) fn remap_drained_checkpoint(
         ck.md.particles.len(),
         cfg.n_particles
     );
-    let layout = PillarLayout::new(cfg.nc, Torus2d::square(new_p));
+    let layout = PillarLayout::new(cfg.nc, cfg.torus());
     let grid = layout.grid();
     assert_eq!(
         ck.ownership.len(),
@@ -194,25 +201,29 @@ pub(crate) fn remap_drained_checkpoint(
         ck.ownership.len(),
         grid.len()
     );
-    let mut seen = vec![false; grid.len()];
-    for (c, owner) in ck.ownership.iter_mut() {
+    let mut slot = vec![usize::MAX; grid.len()];
+    for (i, (c, owner)) in ck.ownership.iter_mut().enumerate() {
         let idx = grid.index(*c);
         assert!(
-            !seen[idx],
+            slot[idx] == usize::MAX,
             "column {c:?} owned twice in the drained checkpoint"
         );
-        seen[idx] = true;
+        slot[idx] = i;
         *owner = layout.home_rank(*c);
+    }
+    let placed = Placed::new(cfg, &ck.md.particles);
+    let plan = launch_plan(DomainShape::SquarePillar, cfg, boundary, &placed).decisions;
+    for d in &plan {
+        ck.ownership[slot[grid.index(d.col)]].1 = d.to;
     }
     ck.loads.clear();
     ck.transfers.clear();
+    plan.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use pcdlb_domain::DomainShape;
 
     use crate::config::Lattice;
     use crate::driver::{run, run_serial, Ladder, LadderOutcome, Launch};
@@ -350,6 +361,43 @@ mod tests {
         cube_cfg.dlb = false;
         let (_, cube_snap) = shape(DomainShape::Cube).run(&cube_cfg).into_snapshot();
         assert_eq!(out.snapshot, cube_snap, "elastic vs cube");
+    }
+
+    #[test]
+    fn a_resized_generation_starts_where_its_balancer_would_have_taken_it() {
+        // The paper's scenario — 3×3, m = 4, the whole gas over rank 0's
+        // tile — grown to 4×4 (m = 3) and shrunk back. The remap plans
+        // every new torus on the drained particles, so no generation goes
+        // through a second shedding transient: its first step's largest
+        // load is within one column's work of its own seventh step's (a
+        // hot tile's floor is 2m − 1 columns; unplanned, its first step
+        // would carry all m² of them, and shed one per step). All inside
+        // the 24 steps for which no particle of the lattice changes cell:
+        // later the cluster spreads, and loads move for that reason.
+        let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
+        cfg.lattice = Lattice::Cluster { fill: 0.45 };
+        cfg.dlb = true;
+        cfg.steps = 24;
+        cfg.sentinel_interval = 4;
+        let plan = ResizePlan::new().resize(8, 16).resize(16, 9);
+        let out = run_plan(&cfg, plan);
+        assert_eq!(out.snapshot, run_serial(&cfg), "elastic vs serial");
+        let records = &out.report.records;
+        assert_eq!(records.len(), cfg.steps as usize);
+        for (first_step, m) in [(1, 4), (9, 3), (17, 4)] {
+            let (first, later) = (&records[first_step - 1], &records[first_step + 5]);
+            let column = later.f_max / (2 * m - 1) as f64;
+            assert!(
+                (first.f_max - later.f_max).abs() < column,
+                "generation from step {first_step}: Fmax {} at its first step, {} six \
+                 steps on, a column being {column}",
+                first.f_max,
+                later.f_max
+            );
+        }
+        // Each generation's plan is counted: the first launch's and the
+        // two remaps' (a hot tile alone sheds (m − 1)² columns).
+        assert!(out.report.launch_transfers >= 9 + 4 + 9);
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod digest;
 pub mod driver;
 pub mod elastic;
 pub mod frame;
+pub mod launch;
 pub mod pe;
 pub mod plane;
 pub mod recover;
@@ -46,6 +47,7 @@ pub use driver::{
     Launch, Run,
 };
 pub use elastic::{ResizeGeneration, ResizePlan, ResizeStage};
+pub use launch::{launch_plan, LaunchPlan, Placed};
 pub use pcdlb_domain::DomainShape;
 pub use recover::{RecoveryError, SimCheckpoint};
 pub use report::{PhaseTimes, RunReport, StepRecord, WireBytes};

@@ -82,6 +82,7 @@ use crate::clock::WallTimer;
 use crate::config::{Lattice, LoadMetric, RunConfig};
 use crate::decomp::{decomposition, Decomposition};
 use crate::frame::{DeltaChannel, ParticleFrame, StepFrame};
+use crate::launch::Placed;
 use crate::recover::SimCheckpoint;
 use crate::report::{PhaseTimes, RunReport, StepRecord, WireBytes};
 use crate::stats::StatsPacket;
@@ -684,11 +685,23 @@ pub struct PeState {
 }
 
 impl PeState {
-    /// Build the PE's state and adopt its home particles out of
-    /// `initial`, the world's whole [`initial_particles`] set.
-    pub fn new(rank: usize, cfg: &RunConfig, shape: DomainShape, initial: &[Particle]) -> Self {
+    /// Build the PE's state on a fresh world: replay `plan` — the launch
+    /// plan's transfers ([`crate::launch::launch_plan`]; none for a run
+    /// that does not balance) — into this rank's view, as decisions
+    /// already made, and adopt the cells it then owns out of `placed`,
+    /// the world's whole initial condition.
+    pub fn new(
+        rank: usize,
+        cfg: &RunConfig,
+        shape: DomainShape,
+        placed: &Placed,
+        plan: &[DlbDecision],
+    ) -> Self {
         let mut pe = Self::scaffold(rank, cfg, shape);
-        pe.adopt_particles(initial.iter().copied());
+        for d in plan {
+            pe.decomp.apply(d);
+        }
+        pe.adopt_particles(placed);
         pe
     }
 
@@ -720,7 +733,7 @@ impl PeState {
                 to: owner,
             });
         }
-        pe.adopt_particles(ck.md.particles.iter().copied());
+        pe.adopt_particles(&Placed::new(cfg, &ck.md.particles));
         // The initial force pass after a restore recomputes the
         // checkpointed step's forces — with drifting speeds, its
         // published load numbers must use the checkpointed step too.
@@ -846,23 +859,19 @@ impl PeState {
         }
     }
 
-    /// Create a column for every column this PE owns a cell of and fill
-    /// them with the particles of `all` that lie in its cells.
-    fn adopt_particles(&mut self, all: impl IntoIterator<Item = Particle>) {
-        let (nc, rank, z0) = (self.nc, self.rank, self.own_z.start);
-        let mut staging: BTreeMap<Col, Vec<Particle>> = all_columns(nc)
-            .filter(|&col| self.decomp.owner_of(col, z0) == rank)
-            .map(|col| (col, Vec::new()))
-            .collect();
-        for p in all {
-            let (col, cz) = self.cell_of(p.pos);
-            if self.decomp.owner_of(col, cz) == rank {
-                staging.get_mut(&col).expect("owned column exists").push(p);
-            }
-        }
-        self.columns = staging
-            .into_iter()
-            .map(|(c, v)| (c, self.build_column(v)))
+    /// Create a column for every column this PE owns a cell of, filled
+    /// with its cells' run of `placed` — which is in the slab's
+    /// (cell, id) order already.
+    fn adopt_particles(&mut self, placed: &Placed) {
+        let (nc, cell_len, rank) = (self.nc, self.cell_len, self.rank);
+        self.columns = all_columns(nc)
+            .filter(|&col| self.decomp.owner_of(col, self.own_z.start) == rank)
+            .map(|col| {
+                let mut slab = CellSlab::empty(nc);
+                let parts = placed.column(col, self.own_z.clone());
+                slab.rebuild_sorted(nc, parts, |p| axis_bin(p.pos.z, cell_len, nc));
+                (col, slab)
+            })
             .collect();
     }
 
@@ -2396,7 +2405,7 @@ impl PeState {
 }
 
 /// Every column of the `nc × nc` cross-section, ascending.
-fn all_columns(nc: usize) -> impl Iterator<Item = Col> {
+pub(crate) fn all_columns(nc: usize) -> impl Iterator<Item = Col> {
     (0..nc * nc).map(move |i| Col::new(i / nc, i % nc))
 }
 
@@ -2428,7 +2437,7 @@ fn foreign_around(
 /// The span `(col, span)` and the spans around it, as `(column, z span)`:
 /// a whole column and its 8 cross-section neighbours, or a single cell
 /// and its 26 periodic neighbours.
-fn cells_around(
+pub(crate) fn cells_around(
     nc: usize,
     col: Col,
     span: Range<usize>,
@@ -2612,9 +2621,15 @@ mod tests {
         cfg
     }
 
-    /// A PE adopting its share of the config's own initial condition.
+    /// The config's own initial condition, placed.
+    fn placed(cfg: &RunConfig) -> Placed {
+        Placed::new(cfg, &initial_particles(cfg))
+    }
+
+    /// A PE adopting its home cells' share of the config's own initial
+    /// condition (no launch plan).
     fn fresh(rank: usize, cfg: &RunConfig, shape: DomainShape) -> PeState {
-        PeState::new(rank, cfg, shape, &initial_particles(cfg))
+        PeState::new(rank, cfg, shape, &placed(cfg), &[])
     }
 
     fn run_world(cfg: &RunConfig, shape: DomainShape) -> crate::driver::Run {
@@ -2876,12 +2891,12 @@ mod tests {
             cfg.thermostat_interval = 2;
             cfg.checkpoint_interval = 3;
             cfg.sentinel_interval = 2;
-            let initial = initial_particles(&cfg);
+            let initial = placed(&cfg);
             let laps: Vec<f64> = pcdlb_mp::World::new(cfg.p)
                 .with_cost_model(crate::decomp::cost_model(shape, &cfg))
                 .run(|comm| {
                     let roles = [comm.rank()];
-                    let start = crate::takeover::Start::Fresh(&initial);
+                    let start = crate::takeover::Start::Fresh(&initial, &[]);
                     crate::takeover::run_roles(
                         comm, &cfg, shape, &roles, start, None, false, false,
                     );
@@ -3128,7 +3143,8 @@ mod tests {
         let mut cfg = RunConfig::from_p_m_density(9, 3, 0.05);
         cfg.dlb = true;
         cfg.dlb_min_gain = gain;
-        let mut pe = PeState::new(rank, &cfg, DomainShape::SquarePillar, &[]);
+        let nobody = Placed::new(&cfg, &[]);
+        let mut pe = PeState::new(rank, &cfg, DomainShape::SquarePillar, &nobody, &[]);
         pe.last_balance = own;
         pe.nbr_loads = pe
             .neighbors
@@ -3228,13 +3244,14 @@ mod tests {
             cfg.dlb_min_gain = 0.0;
             cfg.steps = 12;
             crate::decomp::validate(&cfg, shape);
-            let initial = initial_particles(&cfg);
+            // No launch plan: the balancer has the whole shed before it.
+            let initial = placed(&cfg);
             // Per rank and step: the load before, the transfers heard, the
             // load after.
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
                 let mut pes = [(
                     comm.rank(),
-                    PeState::new(comm.rank(), &cfg, shape, &initial),
+                    PeState::new(comm.rank(), &cfg, shape, &initial, &[]),
                 )];
                 crate::takeover::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
                 crate::takeover::announce_loads(comm, &mut pes);
@@ -3296,6 +3313,42 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_planned_launch_measures_the_loads_its_plan_ends_on() {
+        // A column's work is a function of the cell occupancies alone, so
+        // the loads the plan ends on are — to the bit — what the launch's
+        // first force pass measures on every rank, in work (`WorkModel`)
+        // and in time (a `SpeedSchedule` balanced `speed_aware`).
+        let drifting = crate::SpeedSchedule {
+            base: vec![1.0, 0.7, 1.3],
+            amplitude: 0.2,
+            period: 8,
+        };
+        for (shape, p) in [(DomainShape::SquarePillar, 9), (DomainShape::Plane, 3)] {
+            for speed in [None, Some(drifting.clone())] {
+                let mut cfg = RunConfig::new(2000, 9, p, 2000.0 / 27.0f64.powi(3));
+                // Everything over rank 0's tile (its slab).
+                cfg.lattice = Lattice::Cluster { fill: 0.4 };
+                cfg.dlb = true;
+                cfg.dlb_min_gain = 0.0;
+                cfg.speed_aware = speed.is_some();
+                cfg.speed = speed;
+                crate::decomp::validate(&cfg, shape);
+                let initial = placed(&cfg);
+                let plan = crate::launch::launch_plan(shape, &cfg, 0, &initial);
+                assert!(!plan.decisions.is_empty(), "{shape:?}: nothing planned");
+                let measured = pcdlb_mp::World::new(cfg.p).run(|comm| {
+                    let pe = PeState::new(comm.rank(), &cfg, shape, &initial, &plan.decisions);
+                    let mut pes = [(comm.rank(), pe)];
+                    crate::takeover::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
+                    pes[0].1.last_balance.to_bits()
+                });
+                let planned: Vec<u64> = plan.loads.iter().map(|l| l.to_bits()).collect();
+                assert_eq!(measured, planned, "{shape:?}, time: {}", cfg.speed_aware);
+            }
+        }
+    }
+
     /// Run `cfg.steps` steps of the cube on the engine, one role per
     /// rank, after `setup` has had its way with each fresh PE; `look`
     /// reads each PE when the steps are done.
@@ -3306,10 +3359,11 @@ mod tests {
         look: impl Fn(&PeState, &mut Comm) -> T + Sync,
     ) -> Vec<(Vec<StepRecord>, T)> {
         let shape = DomainShape::Cube;
+        let initial = Placed::new(cfg, initial);
         pcdlb_mp::World::new(cfg.p)
             .with_cost_model(crate::decomp::cost_model(shape, cfg))
             .run(|comm| {
-                let mut pe = PeState::new(comm.rank(), cfg, shape, initial);
+                let mut pe = PeState::new(comm.rank(), cfg, shape, &initial, &[]);
                 setup(&mut pe);
                 let mut pes = [(comm.rank(), pe)];
                 crate::takeover::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);

@@ -607,6 +607,49 @@ pub(crate) mod tests {
 
     #[cfg(feature = "check")]
     #[test]
+    fn a_planned_launch_survives_a_death_before_its_first_checkpoint_bitwise() {
+        use pcdlb_core::protocol::tags;
+        use pcdlb_mp::collectives::ctag;
+        use pcdlb_mp::FaultPlan;
+        // The launch plan is a pure function of the configuration and the
+        // initial condition, so a world that starts over from step 0 — a
+        // relaunch with no checkpoint to restore, a buddy carrying on a
+        // rank that died before the first one — starts where the first
+        // launch started, and ends where an uninterrupted run ends.
+        let cfg = busy_balancer_cfg();
+        let reference = fault_free(&cfg, false);
+        assert!(
+            reference.report.launch_transfers >= 9,
+            "the hot tile's shed is planned: {} transfers",
+            reference.report.launch_transfers
+        );
+        // Rank 4 dies on its third stats gather: in step 3, two steps
+        // before the first checkpoint.
+        let in_step_3 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 2);
+        let kill = move |launch, rank| (launch == 0 && rank == 4).then(in_step_3);
+        let relaunched = faulted(kill).run_resilient(&cfg, &ladder(false));
+        let relaunched = relaunched.expect("recovers");
+        assert_eq!(relaunched.attempts, 2);
+        assert_eq!(
+            relaunched.digest, reference.digest,
+            "relaunch from the initial condition"
+        );
+        assert_eq!(relaunched.report.records, reference.report.records);
+        assert_eq!(relaunched.snapshot, reference.snapshot);
+        assert_eq!(
+            relaunched.report.launch_transfers,
+            reference.report.launch_transfers
+        );
+        let absorbed = faulted(kill).run_resilient(&cfg, &ladder(true));
+        let absorbed = absorbed.expect("absorbed");
+        assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));
+        assert_eq!(absorbed.digest, reference.digest, "buddy takeover");
+        assert_eq!(absorbed.report.records, reference.report.records);
+        assert_eq!(absorbed.snapshot, reference.snapshot);
+    }
+
+    #[cfg(feature = "check")]
+    #[test]
     fn recovery_gives_up_after_max_attempts_with_all_diagnostics() {
         use pcdlb_mp::FaultPlan;
         let cfg = recovery_cfg();

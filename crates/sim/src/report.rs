@@ -170,6 +170,12 @@ pub struct RunReport {
     /// ranks only, and after a takeover an adopted rank is still listed
     /// under its own number. Not part of any digest.
     pub cells_per_rank: Vec<usize>,
+    /// Transfers the run's launch plans made before a first step ran
+    /// (`launch_plan` in `pcdlb_sim`; summed over the generations of a
+    /// resized run): where the balancer's own rule took the initial
+    /// condition. `StepRecord::transfers` counts only what moved during a
+    /// step. Not part of any digest.
+    pub launch_transfers: usize,
 }
 
 impl RunReport {
@@ -192,8 +198,9 @@ impl RunReport {
 
     /// Dump the per-step records as tab-separated text with a header row
     /// (one column per [`StepRecord`] field) followed by run totals as
-    /// `# key value` comment lines. Floats use `{:?}` so the round-trip
-    /// through text is lossless for plotting scripts that re-parse it.
+    /// `# key value` comment lines (the message totals, the wall time and
+    /// `launch_transfers`). Floats use `{:?}` so the round-trip through
+    /// text is lossless for plotting scripts that re-parse it.
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();
         out.push_str(
@@ -226,6 +233,7 @@ impl RunReport {
         writeln!(out, "# msgs_sent {}", self.msgs_sent).unwrap();
         writeln!(out, "# bytes_sent {}", self.bytes_sent).unwrap();
         writeln!(out, "# wall_s {:?}", self.wall_s).unwrap();
+        writeln!(out, "# launch_transfers {}", self.launch_transfers).unwrap();
         out
     }
 }
@@ -282,7 +290,7 @@ mod tests {
         let lines: Vec<&str> = tsv.lines().collect();
         assert!(lines[0].starts_with("step\tt_step\t"));
         assert_eq!(lines[0].split('\t').count(), 14);
-        assert_eq!(lines.len(), 1 + 3 + 4);
+        assert_eq!(lines.len(), 1 + 3 + 5);
         assert_eq!(lines[1].split('\t').count(), 14);
         assert!(lines.contains(&"# msgs_sent 7"));
     }

@@ -48,13 +48,14 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
-use pcdlb_core::protocol::tags;
+use pcdlb_core::protocol::{tags, DlbDecision};
 use pcdlb_domain::DomainShape;
 use pcdlb_md::Particle;
 use pcdlb_mp::{Comm, CommError, CommErrorKind, Tag, TakeoverInterrupt};
 
 use crate::clock::WallTimer;
 use crate::config::RunConfig;
+use crate::launch::Placed;
 use crate::pe::{Exchange, PeResult, PeState};
 use crate::recover::SimCheckpoint;
 use crate::report::{RunReport, StepRecord};
@@ -67,16 +68,16 @@ use crate::report::{RunReport, StepRecord};
 /// below runs once. Returns one [`PeResult`] per virtual rank this thread
 /// ended the run holding.
 ///
-/// `initial` is the world's shared initial condition, adopted from while
-/// the sink holds no checkpoint. `drain` forces a final checkpoint gather
-/// at `cfg.steps` (the elastic resize drain — see [`crate::elastic`]);
-/// `resize_sync` runs the deadline-bounded resize barrier before the
-/// first step, so a relaunched generation only proceeds once every rank
-/// of the remapped torus is up.
+/// `fresh` is how the world starts while the sink holds no checkpoint: its
+/// shared initial condition and launch plan. `drain` forces a final
+/// checkpoint gather at `cfg.steps` (the elastic resize drain — see
+/// [`crate::elastic`]); `resize_sync` runs the deadline-bounded resize
+/// barrier before the first step, so a relaunched generation only proceeds
+/// once every rank of the remapped torus is up.
 pub(crate) fn takeover_main(
     comm: &mut Comm,
     cfg: &RunConfig,
-    initial: &[Particle],
+    fresh: Start,
     sink: &Mutex<Option<SimCheckpoint>>,
     drain: bool,
     resize_sync: bool,
@@ -87,7 +88,7 @@ pub(crate) fn takeover_main(
         // holds: the previous attempt's on a relaunch, the current run's
         // own after a takeover, or none at all (step 0).
         let ckpt = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
-        let start = ckpt.as_ref().map_or(Start::Fresh(initial), Start::Restore);
+        let start = ckpt.as_ref().map_or(fresh, Start::Restore);
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             // The barrier sits inside the catch: a death mid-barrier
             // unwinds as a TakeoverInterrupt like any other phase, and
@@ -220,8 +221,10 @@ fn escalate(comm: &mut Comm, what: &str, e: CommError, absorbable: bool) -> ! {
 #[derive(Clone, Copy)]
 pub(crate) enum Start<'a> {
     /// The world's shared initial condition ([`crate::pe::initial_particles`],
-    /// generated once per world, not once per rank).
-    Fresh(&'a [Particle]),
+    /// generated and placed in its cells once per world, not once per
+    /// rank) and the launch plan's transfers
+    /// ([`crate::launch::launch_plan`], computed once per world too).
+    Fresh(&'a Placed, &'a [DlbDecision]),
     /// A distributed checkpoint (square pillar only).
     Restore(&'a SimCheckpoint),
 }
@@ -269,7 +272,7 @@ pub(crate) fn run_roles(
                     );
                     PeState::from_checkpoint(v, cfg, ck)
                 }
-                Start::Fresh(initial) => PeState::new(v, cfg, shape, initial),
+                Start::Fresh(placed, plan) => PeState::new(v, cfg, shape, placed, plan),
             };
             (v, pe)
         })

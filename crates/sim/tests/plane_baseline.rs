@@ -23,12 +23,17 @@ fn cfg(p: usize, nc: usize, steps: u64, dlb: bool) -> RunConfig {
 
 #[test]
 fn moving_boundaries_do_not_change_physics() {
-    // 1-D DLB on vs off: identical trajectories (ownership only).
-    let on = cfg(4, 8, 40, true);
+    // 1-D DLB on vs off: identical trajectories (ownership only) — the
+    // boundaries the launch plan moved before the first step included.
+    let mut on = cfg(4, 8, 40, true);
+    on.lattice = Lattice::Cluster { fill: 0.2 };
+    on.density = 0.005;
     let mut off = on.clone();
     off.dlb = false;
     let (rep_on, snap_on) = plane().snapshot().run(&on).into_snapshot();
-    let (_, snap_off) = plane().snapshot().run(&off).into_snapshot();
+    let (rep_off, snap_off) = plane().snapshot().run(&off).into_snapshot();
+    assert!(rep_on.launch_transfers > 0, "the slab start plans a shed");
+    assert_eq!(rep_off.launch_transfers, 0);
     assert_eq!(snap_on, snap_off);
     assert_eq!(snap_on, run_serial(&on));
     // Boundedness: every record still partitions all cells.
@@ -82,5 +87,24 @@ fn every_pe_keeps_at_least_one_plane() {
         // run completing at all proves no PE lost its last plane, and the
         // busiest PE can hold at most nc − (P − 1) planes.
         assert!(r.max_cells <= (c.nc - (c.p - 1)) * min_cells);
+    }
+}
+
+#[test]
+fn a_planned_start_squeezes_no_one_plane_pe() {
+    // Four PEs over six planes: ranks 0 and 2 hold a single plane, rank 1
+    // two, and the gas lies over planes 0–2. The plan hands rank 1's upper
+    // plane to rank 2 — and may take nothing from the one-plane PEs beside
+    // it, however loaded: the run would panic in its first ghost exchange
+    // if a slab had been planned away.
+    let mut c = cfg(4, 6, 30, true);
+    c.lattice = Lattice::Cluster { fill: 0.5 };
+    c.density = 0.05;
+    let (rep, snap) = plane().snapshot().run(&c).into_snapshot();
+    assert!(rep.launch_transfers > 0, "rank 1 sheds a plane at launch");
+    assert_eq!(snap, run_serial(&c));
+    let plane_cells = c.nc * c.nc;
+    for r in &rep.records {
+        assert!(r.max_cells <= (c.nc - (c.p - 1)) * plane_cells);
     }
 }

@@ -41,15 +41,18 @@ fn dlb_limit_is_never_exceeded() {
 #[test]
 fn balancer_sheds_a_hot_tile_down_to_its_permanent_cells() {
     // All particles start in the corner that covers rank 0's tile, so
-    // rank 0 is the most loaded PE from the first step. Its south-east
-    // neighbour soon becomes the least loaded PE of the whole 3×3 torus —
-    // a direction nothing may move in — while NW / N / W can still take
-    // its movable columns: the balancer must keep offering to them until
-    // only the 2m − 1 permanent columns are left, one column per step.
+    // rank 0 is the most loaded PE before the first step. Its south-east
+    // neighbour is soon the least loaded PE of the whole 3×3 torus — a
+    // direction nothing may move in — while NW / N / W can still take its
+    // movable columns: the balancer must keep offering to them until only
+    // the 2m − 1 permanent columns are left. The launch plan runs that
+    // rule on the initial condition's work map, so the run *starts* on the
+    // floor: one step in, rank 0 holds its permanent columns and nothing
+    // else, and it never grows back.
     let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
     cfg.lattice = Lattice::Cluster { fill: 0.45 };
     cfg.dlb = true;
-    cfg.steps = 12;
+    cfg.steps = 1;
     let floor = (2 * cfg.m() - 1) * cfg.nc;
     let early = run(&cfg);
     assert_eq!(
@@ -58,8 +61,14 @@ fn balancer_sheds_a_hot_tile_down_to_its_permanent_cells() {
     );
     assert_eq!(
         early.cells_per_rank[0], floor,
-        "rank 0 should be down to its permanent columns by step 12: {:?}",
+        "rank 0 should launch on its permanent columns: {:?}",
         early.cells_per_rank
+    );
+    let movable = (cfg.m() - 1) * (cfg.m() - 1);
+    assert!(
+        early.launch_transfers >= movable,
+        "the plan moves at least rank 0's {movable} movable columns, not {}",
+        early.launch_transfers
     );
 
     cfg.steps = 40;
@@ -68,12 +77,52 @@ fn balancer_sheds_a_hot_tile_down_to_its_permanent_cells() {
     ddm_cfg.dlb = false;
     let ddm = run(&ddm_cfg);
     assert_eq!(dlb.cells_per_rank[0], floor);
+    assert_eq!(ddm.launch_transfers, 0);
     let cap = theory::max_domain_cells(cfg.m(), cfg.nc);
     assert!(dlb.records.iter().all(|r| r.max_cells <= cap));
-    let (with, without) = (dlb.records[19].f_max, ddm.records[19].f_max);
+    // Balanced from the first step, not from the twentieth.
+    for step in [1, 20] {
+        let (with, without) = (dlb.records[step - 1].f_max, ddm.records[step - 1].f_max);
+        assert!(
+            with < 0.6 * without,
+            "step {step}: Fmax with DLB {with} should be well below DDM's {without}"
+        );
+    }
+}
+
+#[test]
+fn balancer_sheds_one_column_per_step_when_the_load_appears_after_launch() {
+    // The in-run balancer is what it was: a uniform start plans nothing,
+    // then the corner pull piles the gas onto one tile, and its
+    // neighbours' domains grow by columns handed over during steps —
+    // never more than one per PE and step.
+    // (18³ particles on 9³ cells: eight to a cell, every tile alike.)
+    let mut cfg = concentrating_cfg(9, 3, 300);
+    cfg.n_particles = 18 * 18 * 18;
+    cfg.central_pull = 0.2;
+    let report = run(&cfg);
+    assert_eq!(report.launch_transfers, 0, "a uniform start plans nothing");
+    let home = cfg.m() * cfg.m() * cfg.nc;
+    assert_eq!(report.records[0].max_cells, home);
+    let transfers: u32 = report.records.iter().map(|r| r.transfers).sum();
+    assert!(transfers > 0, "the pull must give the balancer work");
+    assert!(report.records.iter().all(|r| r.transfers as usize <= cfg.p));
+    // Every PE's domain moves by whole columns, one transfer at a time.
+    let mut before = home;
+    for r in &report.records {
+        let grown = r.max_cells.saturating_sub(before);
+        assert!(
+            grown <= r.transfers as usize * cfg.nc,
+            "step {}: the largest domain grew by {grown} cells on {} transfers",
+            r.step,
+            r.transfers
+        );
+        before = r.max_cells;
+    }
+    let reached = report.records.iter().map(|r| r.max_cells).max().unwrap();
     assert!(
-        with < 0.6 * without,
-        "step 20: Fmax with DLB {with} should be well below DDM's {without}"
+        reached > home,
+        "expected growth after launch, got {reached}"
     );
 }
 
@@ -166,6 +215,8 @@ fn report_serializes_round_trip() {
         assert_eq!(t.step, r.step);
     }
     let tsv = report.to_tsv();
-    // Header + one row per record + four `# key value` total lines.
-    assert_eq!(tsv.lines().count(), 1 + report.records.len() + 4);
+    // Header + one row per record + five `# key value` total lines.
+    assert_eq!(tsv.lines().count(), 1 + report.records.len() + 5);
+    let planned = format!("# launch_transfers {}", report.launch_transfers);
+    assert_eq!(tsv.lines().last(), Some(planned.as_str()));
 }

@@ -9,8 +9,11 @@
 //!   rebuild steps too: migrants and ghosts share the frame;
 //! - a run that does balance sends two — the decision was taken a step
 //!   ahead and rides round 1, so a DLB step sends what a DDM step with two
-//!   rounds sends, plus one message per column that changes hands and, once
-//!   per launch, the announcement of the initial loads.
+//!   rounds sends, plus one message per column that changes hands during a
+//!   step and, once per launch, the announcement of the initial loads. The
+//!   launch plan — where the balancer's rule takes the initial condition
+//!   before a thread starts — sends nothing: a planned launch's messages
+//!   are an unplanned one's, column for column that moves in the run.
 
 use pcdlb::sim::{
     digest_particles, run_serial, DomainShape, Lattice, Launch, RunConfig, RunReport,
@@ -50,7 +53,8 @@ fn run(cfg: &RunConfig, shape: DomainShape) -> RunReport {
 
 /// Messages a healthy `STEPS`-step run sends over all ranks, each rank
 /// having `nbrs` neighbours, given what its report says happened: which
-/// steps rebuilt and how many columns changed hands.
+/// steps rebuilt and how many columns changed hands during them (the
+/// columns the launch plan moved are `launch_transfers`, and cost none).
 fn expected_msgs(cfg: &RunConfig, nbrs: u64, report: &RunReport) -> u64 {
     let p = cfg.p as u64;
     let nbrs = p * nbrs;
@@ -98,22 +102,24 @@ fn every_step_rebuilds_without_a_skin_in_one_exchange_where_nothing_balances() {
 
 #[test]
 fn a_balancing_step_sends_what_a_two_round_step_sends_plus_the_columns_that_move() {
-    // Pillar: 3×3, m = 2, the gas squeezed into a corner so the balancer
-    // has work from the first step. Plane: a ring of three over the same
-    // corner. Every step is a DLB step; none has a message of its own.
-    for (shape, p, nbrs) in [
-        (DomainShape::SquarePillar, 9, 8),
-        (DomainShape::Plane, 3, 2),
+    // Pillar: 3×3, m = 2, the gas squeezed into a corner. Plane: a ring
+    // of three, three planes each, over the same corner. The launch plan
+    // has moved columns before the first step — without a message — and
+    // the balancer keeps working afterwards. Every step is a DLB step;
+    // none has a message of its own.
+    for (shape, p, nc, nbrs) in [
+        (DomainShape::SquarePillar, 9, 6, 8),
+        (DomainShape::Plane, 3, 9, 2),
     ] {
-        let mut cfg = gas(p, 6, 0.0);
+        let mut cfg = gas(p, nc, 0.0);
         cfg.dlb = true;
         cfg.lattice = Lattice::Cluster { fill: 0.6 };
         let report = run(&cfg, shape);
         let transfers: u32 = report.records.iter().map(|r| r.transfers).sum();
         assert!(transfers > 0, "{shape:?}: the balancer is idle");
         assert!(
-            report.records[0].transfers > 0,
-            "{shape:?}: step 1 decides on the loads the launch announced"
+            report.launch_transfers > 0,
+            "{shape:?}: the corner start plans a shed"
         );
         assert_eq!(
             report.msgs_sent,
