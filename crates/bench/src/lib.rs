@@ -1,9 +1,10 @@
 //! `pcdlb-bench` — the paper's evaluation harness.
 //!
 //! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index): `fig5`, `fig6`, `fig9`, `fig10`, `table1`, plus the `shapes`
-//! and `dlb_freq` ablations. Each prints the same rows/series the paper
-//! reports, in plain gnuplot-friendly columns.
+//! index): `fig5`, `fig6`, `fig9`, `fig10`, `table1`, plus the `shapes`,
+//! `shapes_measured`, `baseline1d` and `dlb_freq` ablations. Each prints
+//! the same rows/series the paper reports, in plain gnuplot-friendly
+//! columns. `benchmark` is the one performance ruler (`BENCHMARK.json`).
 //!
 //! Scaling: the default invocations are sized to finish on a laptop-class
 //! single-core host in minutes; `--scale paper` runs the full paper
@@ -18,9 +19,6 @@ use std::collections::BTreeMap;
 
 use pcdlb_core::boundary::BoundaryDetector;
 use pcdlb_core::theory;
-use pcdlb_md::cells::{CellGrid, NEIGHBOR_OFFSETS_27};
-use pcdlb_md::force::{PairKernel, WorkCounters};
-use pcdlb_md::Vec3;
 use pcdlb_sim::{run, RunConfig};
 
 /// Minimal `--key value` / `--flag` argument parser for the experiment
@@ -101,46 +99,6 @@ impl Args {
 /// Print a column header with a `#` prefix (gnuplot comment convention).
 pub fn print_header(cols: &[&str]) {
     println!("# {}", cols.join("\t"));
-}
-
-/// The pre-half-shell force pass, kept as the benchmark baseline: every
-/// home cell runs the directed kernel against all 27 neighbour images, so
-/// each interacting pair is evaluated twice (once from each end). The
-/// production path (`pcdlb_md::serial::compute_forces_half_shell` and the
-/// SPMD simulators) visits each pair once via the canonical 13-offset half
-/// shell; `WorkCounters` come out identical because the half-shell kernel
-/// books its single evaluation as two directed checks.
-pub fn full_shell_forces(
-    grid: &CellGrid,
-    kernel: &PairKernel,
-    forces: &mut Vec<Vec3>,
-) -> WorkCounters {
-    let mut work = WorkCounters::default();
-    forces.clear();
-    forces.resize(grid.num_particles(), Vec3::ZERO);
-    for idx in 0..grid.total_cells() {
-        let hr = grid.cell_range(idx);
-        if hr.is_empty() {
-            continue;
-        }
-        let home = grid.coord_of(idx);
-        let targets = grid.cell_by_index(idx);
-        for offset in NEIGHBOR_OFFSETS_27 {
-            let (ncell, shift) = grid.wrap_neighbor(home, offset);
-            let neighbors = grid.cell(ncell);
-            if neighbors.is_empty() {
-                continue;
-            }
-            kernel.accumulate(
-                targets,
-                &mut forces[hr.clone()],
-                neighbors,
-                shift,
-                &mut work,
-            );
-        }
-    }
-    work
 }
 
 /// One boundary-experiment result for a `(P, m, ρ)` cell.
@@ -265,6 +223,9 @@ pub fn measure_boundary_averaged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcdlb_md::cells::{CellGrid, NEIGHBOR_OFFSETS_27};
+    use pcdlb_md::force::{PairKernel, WorkCounters};
+    use pcdlb_md::Vec3;
 
     fn args(s: &[&str]) -> Args {
         Args::from_slice(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>())
@@ -286,11 +247,49 @@ mod tests {
         args(&["--pull", "abc"]).get_f64("pull", 0.0);
     }
 
+    /// The pre-half-shell force pass, the whole-grid oracle of the test
+    /// below: every home cell runs the directed kernel against all 27
+    /// neighbour images, so each interacting pair is evaluated twice
+    /// (once from each end).
+    fn full_shell_forces(
+        grid: &CellGrid,
+        kernel: &PairKernel,
+        forces: &mut Vec<Vec3>,
+    ) -> WorkCounters {
+        let mut work = WorkCounters::default();
+        forces.clear();
+        forces.resize(grid.num_particles(), Vec3::ZERO);
+        for idx in 0..grid.total_cells() {
+            let hr = grid.cell_range(idx);
+            if hr.is_empty() {
+                continue;
+            }
+            let home = grid.coord_of(idx);
+            let targets = grid.cell_by_index(idx);
+            for offset in NEIGHBOR_OFFSETS_27 {
+                let (ncell, shift) = grid.wrap_neighbor(home, offset);
+                let neighbors = grid.cell(ncell);
+                if neighbors.is_empty() {
+                    continue;
+                }
+                kernel.accumulate(
+                    targets,
+                    &mut forces[hr.clone()],
+                    neighbors,
+                    shift,
+                    &mut work,
+                );
+            }
+        }
+        work
+    }
+
     #[test]
     fn full_shell_baseline_matches_half_shell_kernel() {
-        // The benchmark baseline must compute the same physics and book
-        // the same full-shell work units as the production kernel, or the
-        // measured speedup is meaningless.
+        // The half-shell walk must compute the same physics and book the
+        // same full-shell work units as the paper's 27-neighbour sweep
+        // over a whole grid (`crates/md`'s own tests compare one cell or
+        // one cell pair at a time).
         use pcdlb_md::force::ExternalPull;
         use pcdlb_md::{init, LennardJones};
 

@@ -26,7 +26,6 @@ pub mod force;
 pub mod init;
 pub mod integrate;
 pub mod lj;
-pub mod neighbors;
 pub mod observe;
 pub mod serial;
 pub mod soa;

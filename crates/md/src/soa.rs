@@ -16,23 +16,12 @@
 //! per-slot order. Their force sums are therefore bitwise identical to
 //! the AoS walk — the property the Verlet replay and the SoA bench row
 //! both rely on, asserted by the tests at the bottom.
-//!
-//! With the `simd` cargo feature the cell-pair loop processes neighbour
-//! candidates in 4-wide batches: the per-lane arithmetic is independent
-//! (identical expressions, no cross-lane reassociation) and the
-//! conditional stores drain the batch in scalar lane order, so the
-//! result stays bitwise identical to the scalar fallback while giving
-//! the compiler straight-line vectorizable distance math.
 
 use std::ops::Range;
 
 use crate::force::{PairKernel, WorkCounters};
 use crate::vec3::Vec3;
 use crate::Particle;
-
-/// Width of the batched candidate loop under the `simd` feature.
-#[cfg(feature = "simd")]
-const LANES: usize = 4;
 
 /// Flat SoA position/force arrays over one rank's slot space: owned
 /// slots `0..n_owned` (whose forces are accumulated) followed by ghost
@@ -192,80 +181,7 @@ impl PairKernel {
         let rcut2 = self.lj.rcut2();
         w.pair_checks += stores * a.len() as u64 * b.len() as u64;
         for i in a {
-            self.soa_row(soa, i, b.clone(), shift, sa, sb, credit, stores, rcut2, w);
-        }
-    }
-
-    /// One home slot `i` against the neighbour slots `b`: the innermost
-    /// candidate loop shared by the scalar and `simd` builds.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn soa_row(
-        &self,
-        soa: &mut SoaField,
-        i: usize,
-        b: Range<usize>,
-        shift: Vec3,
-        sa: bool,
-        sb: bool,
-        credit: Option<f64>,
-        stores: u64,
-        rcut2: f64,
-        w: &mut WorkCounters,
-    ) {
-        #[cfg(feature = "simd")]
-        {
-            // 4-wide batches: independent per-lane distance math (the
-            // vectorizable part), then scalar-order conditional stores.
-            let (xi, yi, zi) = (soa.xs[i], soa.ys[i], soa.zs[i]);
-            let mut j = b.start;
-            while j + LANES <= b.end {
-                let mut r2s = [0.0f64; LANES];
-                let mut rxs = [0.0f64; LANES];
-                let mut rys = [0.0f64; LANES];
-                let mut rzs = [0.0f64; LANES];
-                for l in 0..LANES {
-                    let rx = (soa.xs[j + l] + shift.x) - xi;
-                    let ry = (soa.ys[j + l] + shift.y) - yi;
-                    let rz = (soa.zs[j + l] + shift.z) - zi;
-                    rxs[l] = rx;
-                    rys[l] = ry;
-                    rzs[l] = rz;
-                    r2s[l] = rx * rx + ry * ry + rz * rz;
-                }
-                for l in 0..LANES {
-                    if r2s[l] < rcut2 {
-                        self.soa_hit(
-                            soa,
-                            i,
-                            j + l,
-                            rxs[l],
-                            rys[l],
-                            rzs[l],
-                            r2s[l],
-                            sa,
-                            sb,
-                            credit,
-                            stores,
-                            w,
-                        );
-                    }
-                }
-                j += LANES;
-            }
-            for j in j..b.end {
-                let rx = (soa.xs[j] + shift.x) - xi;
-                let ry = (soa.ys[j] + shift.y) - yi;
-                let rz = (soa.zs[j] + shift.z) - zi;
-                let r2 = rx * rx + ry * ry + rz * rz;
-                if r2 < rcut2 {
-                    self.soa_hit(soa, i, j, rx, ry, rz, r2, sa, sb, credit, stores, w);
-                }
-            }
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            for j in b {
+            for j in b.clone() {
                 let rx = (soa.xs[j] + shift.x) - soa.xs[i];
                 let ry = (soa.ys[j] + shift.y) - soa.ys[i];
                 let rz = (soa.zs[j] + shift.z) - soa.zs[i];

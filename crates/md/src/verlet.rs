@@ -328,9 +328,7 @@ impl VerletList {
     }
 
     /// The pair-segment inner loop: recorded candidates in walk order,
-    /// the AoS kernel's exact expressions. Under the `simd` feature the
-    /// distance math runs in 4-wide batches with scalar-order stores
-    /// (bitwise identical to the scalar fallback).
+    /// the AoS kernel's exact expressions.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn replay_pair_block(
@@ -345,47 +343,6 @@ impl VerletList {
     ) {
         let ps = &self.pairs[seg.start as usize..seg.end as usize];
         let (sx, sy, sz) = (seg.shift.x, seg.shift.y, seg.shift.z);
-        #[cfg(feature = "simd")]
-        {
-            const LANES: usize = 4;
-            let mut k = 0;
-            while k + LANES <= ps.len() {
-                let mut rxs = [0.0f64; LANES];
-                let mut rys = [0.0f64; LANES];
-                let mut rzs = [0.0f64; LANES];
-                let mut r2s = [0.0f64; LANES];
-                for l in 0..LANES {
-                    let (i, j) = (ps[k + l].0 as usize, ps[k + l].1 as usize);
-                    let rx = (soa.xs[j] + sx) - soa.xs[i];
-                    let ry = (soa.ys[j] + sy) - soa.ys[i];
-                    let rz = (soa.zs[j] + sz) - soa.zs[i];
-                    rxs[l] = rx;
-                    rys[l] = ry;
-                    rzs[l] = rz;
-                    r2s[l] = rx * rx + ry * ry + rz * rz;
-                }
-                for l in 0..LANES {
-                    if r2s[l] < rcut2 {
-                        let (i, j) = (ps[k + l].0 as usize, ps[k + l].1 as usize);
-                        pair_hit(
-                            kernel, soa, i, j, rxs[l], rys[l], rzs[l], r2s[l], act, stores, w,
-                        );
-                    }
-                }
-                k += LANES;
-            }
-            for &(i, j) in &ps[k..] {
-                let (i, j) = (i as usize, j as usize);
-                let rx = (soa.xs[j] + sx) - soa.xs[i];
-                let ry = (soa.ys[j] + sy) - soa.ys[i];
-                let rz = (soa.zs[j] + sz) - soa.zs[i];
-                let r2 = rx * rx + ry * ry + rz * rz;
-                if r2 < rcut2 {
-                    pair_hit(kernel, soa, i, j, rx, ry, rz, r2, act, stores, w);
-                }
-            }
-        }
-        #[cfg(not(feature = "simd"))]
         for &(i, j) in ps {
             let (i, j) = (i as usize, j as usize);
             let rx = (soa.xs[j] + sx) - soa.xs[i];

@@ -324,13 +324,17 @@ mod tests {
 #[cfg(test)]
 mod peer_death_tests {
     use super::*;
+    use crate::comm::CommConfig;
     use crate::world::World;
     use std::time::Duration;
 
     // Tight enough that a hang fails fast, long enough that legitimate
     // progress on a loaded host is never cut short.
     fn world4() -> World {
-        World::new(4).with_watchdog(Duration::from_secs(5))
+        World::new(4).with_comm_config(&CommConfig {
+            watchdog: Duration::from_secs(5),
+            ..Default::default()
+        })
     }
 
     fn assert_diagnosed(msg: &str) {

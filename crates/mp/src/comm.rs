@@ -77,15 +77,14 @@ pub type Tag = u64;
 
 /// How long a blocking receive sleeps between checks of the abort flag and
 /// the watchdog deadline. One named constant instead of scattered literals;
-/// world-configurable via [`crate::world::World::with_poll_interval`].
+/// per-run via [`CommConfig::poll`].
 pub const DEFAULT_POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Default watchdog deadline for blocking receives: if no matching message
 /// arrives within this window the receive fails with a structured
 /// [`CommError`] instead of hanging forever. Generous, because legitimate
 /// receives on an oversubscribed host can stall for a long time; tests and
-/// the fault sweep tighten it via
-/// [`crate::world::World::with_watchdog`].
+/// the fault sweep tighten it via [`CommConfig::watchdog`].
 pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(60);
 
 /// How many times a transiently failing send is retried in place (with
@@ -2614,7 +2613,10 @@ mod tests {
         // this was an unbounded hang.
         let res = std::panic::catch_unwind(|| {
             World::new(2)
-                .with_watchdog(Duration::from_millis(100))
+                .with_comm_config(&CommConfig {
+                    watchdog: Duration::from_millis(100),
+                    ..Default::default()
+                })
                 .run(|comm| {
                     if comm.rank() == 0 {
                         let _: u64 = comm.recv(1, 5);

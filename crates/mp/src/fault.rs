@@ -225,15 +225,17 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{CommErrorKind, DEFAULT_POLL_INTERVAL};
+    use crate::comm::{CommConfig, CommErrorKind};
     use crate::world::World;
     use std::time::Duration;
 
     /// A two-rank world whose rank 0 runs under `plan`.
     fn fault_world(plan: FaultPlan) -> World {
         World::new(2)
-            .with_poll_interval(DEFAULT_POLL_INTERVAL)
-            .with_watchdog(Duration::from_secs(2))
+            .with_comm_config(&CommConfig {
+                watchdog: Duration::from_secs(2),
+                ..Default::default()
+            })
             .with_start_hook(move |comm| {
                 if comm.rank() == 0 {
                     comm.set_fault_plan(plan.clone());

@@ -142,33 +142,6 @@ impl World {
         self
     }
 
-    /// Replace the blocked-receive poll interval (how often the abort flag
-    /// and watchdog deadline are checked while waiting). Must be non-zero.
-    pub fn with_poll_interval(mut self, poll: Duration) -> Self {
-        assert!(!poll.is_zero(), "poll interval must be non-zero");
-        self.poll = poll;
-        self
-    }
-
-    /// Replace the watchdog deadline for blocking receives: a rank blocked
-    /// longer than this fails with a structured timeout instead of hanging.
-    /// Must be non-zero.
-    pub fn with_watchdog(mut self, watchdog: Duration) -> Self {
-        assert!(!watchdog.is_zero(), "watchdog deadline must be non-zero");
-        self.watchdog = watchdog;
-        self
-    }
-
-    /// Replace the frame transport. [`InProcTransport`] (the default)
-    /// keeps the perfect in-process channels with zero additional hot-path
-    /// work; a [`LossyTransport`] activates the end-to-end reliability
-    /// layer (cumulative acks, selective retransmit, heartbeats, fencing)
-    /// in every rank's [`Comm`].
-    pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Self {
-        self.transport = transport;
-        self
-    }
-
     /// Apply a full [`CommConfig`]: poll interval, watchdog, retry and
     /// retransmission knobs, and — when `chaos` is set — a seeded
     /// [`LossyTransport`] built from the profile. Panics if the config

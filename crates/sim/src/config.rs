@@ -457,6 +457,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "dlb_min_gain")]
+    fn negative_dlb_min_gain_rejected() {
+        let mut c = RunConfig::new(1000, 12, 9, 0.5);
+        c.dlb_min_gain = -0.1;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "dlb_min_gain")]
+    fn nan_dlb_min_gain_rejected_on_the_plane_too() {
+        let mut c = RunConfig::new(1000, 12, 4, 0.5);
+        c.dlb_min_gain = f64::NAN;
+        crate::decomp::validate(&c, pcdlb_domain::DomainShape::Plane);
+    }
+
+    #[test]
     fn ddm_only_allowed_on_tiny_torus() {
         let mut c = RunConfig::new(8000, 8, 4, 0.2);
         c.dlb = false;

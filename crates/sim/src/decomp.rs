@@ -101,6 +101,11 @@ pub(crate) fn validate(cfg: &RunConfig, shape: DomainShape) {
     assert!(cfg.density > 0.0 && cfg.t_ref > 0.0);
     assert!(cfg.dt > 0.0 && cfg.steps > 0);
     assert!(cfg.dlb_interval > 0, "dlb_interval must be ≥ 1");
+    assert!(
+        cfg.dlb_min_gain >= 0.0,
+        "dlb_min_gain must be a number ≥ 0; got {}",
+        cfg.dlb_min_gain
+    );
     match shape {
         DomainShape::SquarePillar => {
             let side = cfg.torus().rows();

@@ -62,7 +62,7 @@ impl Plane {
             lo: rank * cfg.nc / cfg.p,
             hi: (rank + 1) * cfg.nc / cfg.p,
             balances: cfg.dlb,
-            min_gain: cfg.dlb_min_gain.max(0.0),
+            min_gain: cfg.dlb_min_gain,
         }
     }
 

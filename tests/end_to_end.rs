@@ -3,7 +3,7 @@
 //! theory — exercised together on realistic (small) workloads.
 
 use pcdlb::core::theory;
-use pcdlb::sim::{run, Lattice, RunConfig};
+use pcdlb::sim::{run, Lattice, Launch, RunConfig, SpeedSchedule};
 
 fn concentrating_cfg(p: usize, m: usize, steps: u64) -> RunConfig {
     let mut cfg = RunConfig::from_p_m_density(p, m, 0.256);
@@ -143,6 +143,60 @@ fn dlb_beats_ddm_on_a_concentrated_workload() {
         t_dlb < t_ddm,
         "late-phase DLB {t_dlb} should beat DDM {t_ddm}"
     );
+}
+
+/// The paper's gas on the 3 × 3 torus with the balancer on: N = 7422,
+/// nc = 12, ρ* = 0.256, seed 1, 20 steps.
+fn gas_p9() -> RunConfig {
+    let mut cfg = RunConfig::new(7422, 12, 9, 0.256);
+    cfg.dlb = true;
+    cfg.steps = 20;
+    cfg
+}
+
+#[test]
+fn speed_aware_metric_cuts_the_time_imbalance_of_a_drifting_machine() {
+    // Uniform work on PEs of unequal, drifting speed (the fast torus
+    // column west of the slow one, so the bottleneck has a legal shed
+    // route): the work-based metric sees nothing to move, the speed-aware
+    // one sees the spread as time. Modelled step times — exact anywhere.
+    let imbalance = |speed_aware: bool| {
+        let mut cfg = gas_p9();
+        cfg.speed = Some(SpeedSchedule {
+            base: vec![0.5, 1.0, 2.0],
+            amplitude: 0.2,
+            period: 16,
+        });
+        cfg.speed_aware = speed_aware;
+        let records = run(&cfg).records;
+        let tail = &records[records.len() / 2..];
+        tail.iter()
+            .map(|r| (r.f_max - r.f_min) / r.f_ave)
+            .sum::<f64>()
+            / tail.len() as f64
+    };
+    let (by_work, by_time) = (imbalance(false), imbalance(true));
+    assert!(
+        by_work >= 1.5 * by_time,
+        "(Fmax − Fmin)/Fave over the back half: work-based {by_work:.3}, \
+         speed-aware {by_time:.3} — less than a 1.5× cut"
+    );
+}
+
+#[test]
+fn delta_ghosts_at_least_halve_the_ghost_bytes_of_a_balancing_torus() {
+    let ghost_ratio = |delta_ghosts: bool| {
+        let mut cfg = gas_p9();
+        cfg.delta_ghosts = delta_ghosts;
+        let wire = Launch::new().run(&cfg).wire;
+        wire.ghost_baseline as f64 / wire.ghost as f64
+    };
+    let (delta, full) = (ghost_ratio(true), ghost_ratio(false));
+    assert!(
+        delta >= 2.0,
+        "full-frame baseline / ghost bytes sent = {delta:.3}"
+    );
+    assert!(full < delta, "full frames {full:.3} vs delta {delta:.3}");
 }
 
 #[test]
