@@ -163,10 +163,6 @@ pub fn explore(cfg: &RunConfig, dfs_runs: usize, seeded_runs: usize) -> ExploreO
 /// The 2×2 PE configuration the determinism acceptance check runs on:
 /// small enough to explore many orders quickly, with migration, ghost
 /// exchange, thermostat collectives and stats traffic all active.
-///
-/// `overlap` is left at its default (on), so every explored delivery
-/// order races ghost-payload arrival against the receiver's interior
-/// force computation — the overlapped schedule's new hazard surface.
 pub fn config_2x2(steps: u64) -> RunConfig {
     let mut cfg = RunConfig::from_p_m_density(4, 1, 0.3);
     // A 2×2 torus has no distinct directional roles, so DLB is off — the
@@ -176,15 +172,6 @@ pub fn config_2x2(steps: u64) -> RunConfig {
     cfg.steps = steps;
     cfg.thermostat_interval = 2;
     cfg.seed = 7;
-    cfg
-}
-
-/// [`config_2x2`] with the overlapped schedule disabled: the sequenced
-/// recv-then-compute step. Exploring both and comparing digests checks
-/// that no delivery order can make the overlap observable.
-pub fn config_2x2_sequenced(steps: u64) -> RunConfig {
-    let mut cfg = config_2x2(steps);
-    cfg.overlap = false;
     cfg
 }
 
@@ -210,18 +197,6 @@ mod tests {
             out.digests.len(),
             1,
             "digest must not depend on delivery order"
-        );
-    }
-
-    #[test]
-    fn overlapped_and_sequenced_schedules_agree_under_exploration() {
-        let overlapped = explore(&config_2x2(2), 3, 2);
-        let sequenced = explore(&config_2x2_sequenced(2), 3, 2);
-        assert_eq!(overlapped.digests.len(), 1);
-        assert_eq!(sequenced.digests.len(), 1);
-        assert_eq!(
-            overlapped.digests, sequenced.digests,
-            "overlapping interior compute with ghost delivery changed the digest"
         );
     }
 }

@@ -33,10 +33,9 @@
 //! - `per-step-allocation-in-hot-path`: no allocating constructors
 //!   (`Vec::new`, `Vec::with_capacity`, `vec![`, `BTreeMap::new`,
 //!   `BTreeSet::new`, `.to_vec()`, `.collect()`) in the files the steady-state step flows through
-//!   (`frame.rs` and the step engine in `pcdlb-sim`). The overlapped
-//!   step is allocation-free by construction — pooled frames, retained
-//!   scratch — and a stray allocation silently reintroduces per-step
-//!   heap churn.
+//!   (`frame.rs` and the step engine in `pcdlb-sim`). The step is
+//!   allocation-free by construction — pooled frames, retained scratch —
+//!   and a stray allocation silently reintroduces per-step heap churn.
 //!   Cold paths (scaffolding, checkpointing, recovery, reporting) are
 //!   audited line by line in `lint-allow.txt`.
 //! - `hardcoded-duration-in-comm-path`: no inline `Duration::from_*`

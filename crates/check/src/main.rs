@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pcdlb_check::chaos::chaos_sweep_with_timeout;
-use pcdlb_check::explore::{config_2x2, config_2x2_sequenced, explore};
+use pcdlb_check::explore::{config_2x2, explore};
 use pcdlb_check::faults::fault_sweep_with_timeout;
 use pcdlb_check::invariant::{verify_invariant, InvariantConfig};
 use pcdlb_check::lint::run_lints;
@@ -80,9 +80,8 @@ fn usage() {
          \u{20}          (default 6), and the permanent-cell invariant search up\n\
          \u{20}          to --max-m (default 3), --max-states (default 20000)\n\
          interleave determinism check: explore message-delivery orders on a\n\
-         \u{20}          2x2 PE run (--steps 6 --dfs-runs 24 --seeded-runs 24),\n\
-         \u{20}          sweeping both the overlapped and sequenced schedules\n\
-         \u{20}          and requiring a single common digest\n\
+         \u{20}          2x2 PE run (--steps 6 --dfs-runs 24 --seeded-runs 24)\n\
+         \u{20}          and requiring a single digest\n\
          faults     crash-recovery parity sweep: kill each rank of a 2x2 run\n\
          \u{20}          at every --stride'th send op (default 16) plus --seeds\n\
          \u{20}          (default 6) seeded mixed-fault schedules, all under a\n\
@@ -110,8 +109,7 @@ fn usage() {
          \u{20}          epoch monotonicity, pool balance, single adoption,\n\
          \u{20}          sentinel conservation) on every explored trace; matrix of\n\
          \u{20}          2x2 drained-frontier + 3x3 budget-bounded POR cases,\n\
-         \u{20}          both schedules, with and\n\
-         \u{20}          without takeover (--steps 6 --steps-3x3 6 --max-runs 200\n\
+         \u{20}          with and without takeover (--steps 6 --steps-3x3 6 --max-runs 200\n\
          \u{20}          --runs-3x3 10 --grid 0|2|3); emits a JSON summary line\n\
          lint       hazard lint over the repo tree (--root .); --strict-allow\n\
          \u{20}          also fails on allowlist entries matching no source line"
@@ -180,34 +178,20 @@ fn cmd_interleave(rest: &[String]) -> Result<(), String> {
         rest,
         &[("--steps", 6), ("--dfs-runs", 24), ("--seeded-runs", 24)],
     )?;
-    // Two sweeps: the overlapped schedule (interior forces race ghost
-    // delivery) and the sequenced recv-then-compute schedule. Each must
-    // be delivery-order independent, and both must land on the same
-    // digest — no interleaving may make the overlap observable.
-    let mut digests = std::collections::BTreeSet::new();
-    for (label, cfg) in [
-        ("overlapped", config_2x2(v[0] as u64)),
-        ("sequenced", config_2x2_sequenced(v[0] as u64)),
-    ] {
-        let out = explore(&cfg, v[1], v[2]);
-        println!(
-            "interleave[{label}]: {} runs, {} distinct delivery orders (max arity {}), {} digest(s)",
-            out.runs,
-            out.distinct_orders,
-            out.max_arity,
-            out.digests.len()
-        );
-        if out.digests.len() != 1 {
-            return Err(format!(
-                "{label} simulation digest depends on message-delivery order: {:?}",
-                out.digests
-            ));
-        }
-        digests.extend(out.digests);
-    }
-    if digests.len() != 1 {
+    // The run must be delivery-order independent: every explored
+    // interleaving lands on one digest.
+    let out = explore(&config_2x2(v[0] as u64), v[1], v[2]);
+    println!(
+        "interleave: {} runs, {} distinct delivery orders (max arity {}), {} digest(s)",
+        out.runs,
+        out.distinct_orders,
+        out.max_arity,
+        out.digests.len()
+    );
+    if out.digests.len() != 1 {
         return Err(format!(
-            "overlapped and sequenced schedules disagree: {digests:?}"
+            "simulation digest depends on message-delivery order: {:?}",
+            out.digests
         ));
     }
     Ok(())

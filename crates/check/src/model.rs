@@ -134,7 +134,7 @@ pub enum Reduction {
 /// What one model-checking case observed.
 #[derive(Debug, Clone)]
 pub struct ModelOutcome {
-    /// Case label, e.g. `3x3-overlapped-takeover`.
+    /// Case label, e.g. `3x3-takeover`.
     pub label: String,
     /// Reduction mode the case ran under.
     pub mode: Reduction,
@@ -774,7 +774,7 @@ fn state_hash(logs: &[Vec<ProtocolEvent>]) -> u64 {
 
 /// One model-checking case: a configuration plus exploration knobs.
 pub struct ModelCase {
-    /// Display label, e.g. `2x2-overlapped`.
+    /// Display label, e.g. `2x2-takeover`.
     pub label: String,
     /// Simulator configuration to model-check.
     pub cfg: RunConfig,
@@ -991,9 +991,8 @@ pub fn model_check(case: &ModelCase) -> Result<ModelOutcome, String> {
 
 /// 2×2 model configuration: [`crate::explore::config_2x2`] with the
 /// conservation sentinel active so `sentinel-conservation` has traffic.
-fn model_config_2x2(steps: u64, overlap: bool) -> RunConfig {
+fn model_config_2x2(steps: u64) -> RunConfig {
     let mut cfg = crate::explore::config_2x2(steps);
-    cfg.overlap = overlap;
     cfg.sentinel_interval = 3;
     cfg.checkpoint_interval = 2;
     cfg.validate();
@@ -1003,13 +1002,12 @@ fn model_config_2x2(steps: u64, overlap: bool) -> RunConfig {
 /// 3×3 model configuration: the clustered DLB workload of the takeover
 /// sweep, shortened — the smallest grid where a takeover persona drives
 /// two ranks through the full load/decision/cell-transfer protocol.
-fn model_config_3x3(steps: u64, overlap: bool) -> RunConfig {
+fn model_config_3x3(steps: u64) -> RunConfig {
     let mut cfg = RunConfig::new(600, 9, 9, 0.05);
     cfg.lattice = Lattice::Cluster { fill: 0.5 };
     cfg.steps = steps;
     cfg.dlb = true;
     cfg.seed = 3;
-    cfg.overlap = overlap;
     cfg.thermostat_interval = 4;
     cfg.checkpoint_interval = 3;
     cfg.sentinel_interval = 3;
@@ -1018,10 +1016,10 @@ fn model_config_3x3(steps: u64, overlap: bool) -> RunConfig {
 }
 
 /// The standard model-checking matrix driven by `pcdlb-check model`:
-/// 2×2 exhaustive up to independence — POR that must *drain* (both
-/// schedules, plus takeover) — and 3×3 POR-bounded (both schedules,
-/// plus overlapped takeover). Fault-free cases must exhaust; the driver
-/// gates takeover and 3×3 cases on the reported reduction factor.
+/// 2×2 exhaustive up to independence — POR that must *drain* — and 3×3
+/// POR-bounded, each with and without takeover. Fault-free cases must
+/// exhaust; the driver gates takeover and 3×3 cases on the reported
+/// reduction factor.
 pub fn standard_cases(
     steps_2x2: u64,
     steps_3x3: u64,
@@ -1032,22 +1030,15 @@ pub fn standard_cases(
     let mut cases = Vec::new();
     if grid == 0 || grid == 2 {
         cases.push(ModelCase {
-            label: "2x2-overlapped".into(),
-            cfg: model_config_2x2(steps_2x2, true),
+            label: "2x2".into(),
+            cfg: model_config_2x2(steps_2x2),
             mode: Reduction::Por,
             max_runs: max_runs_2x2,
             kill: None,
         });
         cases.push(ModelCase {
-            label: "2x2-sequenced".into(),
-            cfg: model_config_2x2(steps_2x2, false),
-            mode: Reduction::Por,
-            max_runs: max_runs_2x2,
-            kill: None,
-        });
-        cases.push(ModelCase {
-            label: "2x2-overlapped-takeover".into(),
-            cfg: model_config_2x2(steps_2x2, true),
+            label: "2x2-takeover".into(),
+            cfg: model_config_2x2(steps_2x2),
             mode: Reduction::Por,
             max_runs: max_runs_3x3,
             kill: Some((1, 24)),
@@ -1055,22 +1046,15 @@ pub fn standard_cases(
     }
     if grid == 0 || grid == 3 {
         cases.push(ModelCase {
-            label: "3x3-overlapped".into(),
-            cfg: model_config_3x3(steps_3x3, true),
+            label: "3x3".into(),
+            cfg: model_config_3x3(steps_3x3),
             mode: Reduction::Por,
             max_runs: max_runs_3x3,
             kill: None,
         });
         cases.push(ModelCase {
-            label: "3x3-sequenced".into(),
-            cfg: model_config_3x3(steps_3x3, false),
-            mode: Reduction::Por,
-            max_runs: max_runs_3x3,
-            kill: None,
-        });
-        cases.push(ModelCase {
-            label: "3x3-overlapped-takeover".into(),
-            cfg: model_config_3x3(steps_3x3, true),
+            label: "3x3-takeover".into(),
+            cfg: model_config_3x3(steps_3x3),
             mode: Reduction::Por,
             max_runs: max_runs_3x3,
             kill: Some((1, 24)),

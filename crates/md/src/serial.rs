@@ -201,14 +201,6 @@ impl SerialSim {
         self.last_rebuild
     }
 
-    /// Enable the harmonic central-well concentration driver with spring
-    /// constant `k` (see [`crate::force::central_pull_force`]); the next
-    /// step feels it immediately.
-    pub fn set_central_pull(&mut self, k: f64) {
-        assert!(k >= 0.0);
-        self.set_pull(crate::force::ExternalPull::Center { k });
-    }
-
     /// Set an arbitrary external pull field; the next step feels it
     /// immediately.
     pub fn set_pull(&mut self, pull: crate::force::ExternalPull) {

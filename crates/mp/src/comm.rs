@@ -642,14 +642,6 @@ struct Persona {
     stats: CommStats,
     /// Virtual comm seconds accrued since the last lap for this rank.
     lap_virtual_s: f64,
-    /// Actual bytes put on the wire per tag (`(tag, bytes)`, ascending
-    /// tag). Unlike [`CommStats::bytes_sent`] — which charges the
-    /// canonical content-based size the cost model uses — this records
-    /// each payload's [`WireSize::encoded_size`], so compressed frames
-    /// (delta-encoded ghosts) show their real transfer volume here. A
-    /// sorted `Vec` rather than a hash map keeps iteration order
-    /// deterministic.
-    wire_tally: Vec<(Tag, u64)>,
     /// Next sequence number to stamp on a send, per destination.
     #[cfg(feature = "check")]
     send_seq: Vec<u64>,
@@ -666,7 +658,6 @@ impl Persona {
             vrank,
             stats: CommStats::default(),
             lap_virtual_s: 0.0,
-            wire_tally: Vec::new(),
             #[cfg(feature = "check")]
             send_seq: vec![0; size],
             #[cfg(feature = "check")]
@@ -1034,24 +1025,6 @@ impl Comm {
         self.personas[self.active].stats
     }
 
-    /// Actual bytes put on the wire per tag by every persona this
-    /// endpoint serves, `(tag, bytes)` ascending by tag. Records each
-    /// payload's [`WireSize::encoded_size`] — the real transfer volume of
-    /// compressed frames — where [`CommStats::bytes_sent`] records the
-    /// canonical size the cost model charges.
-    pub fn bytes_on_wire_by_tag(&self) -> Vec<(Tag, u64)> {
-        let mut out: Vec<(Tag, u64)> = Vec::new();
-        for p in &self.personas {
-            for &(tag, bytes) in &p.wire_tally {
-                match out.binary_search_by_key(&tag, |e| e.0) {
-                    Ok(i) => out[i].1 += bytes,
-                    Err(i) => out.insert(i, (tag, bytes)),
-                }
-            }
-        }
-        out
-    }
-
     /// Virtual communication seconds accrued by the active persona since
     /// its previous lap (or since construction), resetting the lap
     /// accumulator to exactly zero. Unlike subtracting two
@@ -1105,7 +1078,6 @@ impl Comm {
             return Err(CommError::interrupted(self.rank(), "send", dst, tag));
         }
         let wire_bytes = value.wire_size();
-        let encoded_bytes = value.encoded_size() as u64;
         let src = self.rank();
         let t = self.model.message_time(src, dst, wire_bytes);
         let persona = &mut self.personas[self.active];
@@ -1113,10 +1085,6 @@ impl Comm {
         persona.stats.bytes_sent += wire_bytes as u64;
         persona.stats.virtual_comm_s += t;
         persona.lap_virtual_s += t;
-        match persona.wire_tally.binary_search_by_key(&tag, |e| e.0) {
-            Ok(i) => persona.wire_tally[i].1 += encoded_bytes,
-            Err(i) => persona.wire_tally.insert(i, (tag, encoded_bytes)),
-        }
         let env = Envelope {
             src,
             dst,

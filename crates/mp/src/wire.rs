@@ -21,8 +21,8 @@ pub trait WireSize {
 
     /// Actual bytes this value occupies on the wire in its current
     /// encoding. Equal to [`WireSize::wire_size`] for plain payloads;
-    /// compressed frames override it. Feeds the per-tag `bytes_on_wire`
-    /// counters only — never the cost model.
+    /// compressed frames override it. Feeds byte counters a caller keeps
+    /// (the simulator's `WireBytes`) only — never the cost model.
     fn encoded_size(&self) -> usize {
         self.wire_size()
     }

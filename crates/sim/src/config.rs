@@ -188,17 +188,13 @@ pub struct RunConfig {
     /// the per-step stats so checkpointing never perturbs `t_step` — a
     /// checkpointed run reports identically to an uncheckpointed one.
     pub checkpoint_interval: u64,
-    /// Overlap communication with interior computation: post ghost sends,
-    /// compute forces for interior columns (whose half-shell stencil
-    /// touches no ghost column) while neighbour payloads are in flight,
-    /// then drain the receives and finish the boundary columns. The
-    /// overlapped and sequenced schedules are bitwise identical in every
-    /// output (forces, energies, work counters, digests) — the split
-    /// only reorders *which pass* evaluates a pair, never the canonical
-    /// per-slot summation order. Default on; `false` restores the fully
-    /// sequenced exchange-then-compute step. A rank whose interior is too
-    /// small for the split to pay (it evaluates interior×frontier cell
-    /// pairs twice; see `pe::split_pays`) runs the sequenced pass anyway.
+    /// Inert: read by nothing. It selected the overlapped
+    /// Interior/Boundary force schedule, deleted because it never won a
+    /// paired run against the sequenced step that is now the only one
+    /// (DESIGN.md, "Removed: the overlapped schedule"). The field stays,
+    /// set in [`RunConfig::new`], only because the frozen benchmark
+    /// spells out every field of its `RunConfig` literal; it goes with
+    /// ROADMAP item 1 (i)'s knob census, when that literal may change.
     pub overlap: bool,
     /// Run the global invariant sentinel every this many steps. 0 disables
     /// (the default). When it fires, the ranks gather their particle count
@@ -470,6 +466,46 @@ mod tests {
         let mut c = RunConfig::new(1000, 12, 4, 0.5);
         c.dlb_min_gain = f64::NAN;
         crate::decomp::validate(&c, pcdlb_domain::DomainShape::Plane);
+    }
+
+    #[test]
+    #[should_panic(expected = "central_pull")]
+    fn nan_central_pull_rejected_on_the_cube_too() {
+        // `NaN <= 0.0` is false: unvalidated, `pull()` builds a NaN spring
+        // and the run dies of an index panic inside a rank thread.
+        let mut c = RunConfig::new(1000, 6, 8, 0.05);
+        c.central_pull = f64::NAN;
+        crate::decomp::validate(&c, pcdlb_domain::DomainShape::Cube);
+    }
+
+    #[test]
+    #[should_panic(expected = "central_pull")]
+    fn negative_central_pull_rejected() {
+        // (Was taken silently as "off".)
+        let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
+        c.central_pull = -0.1;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "pull_frac")]
+    fn pull_frac_outside_the_box_rejected() {
+        let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
+        c.central_pull = 0.1;
+        c.pull_frac = Some((0.5, 1.0, 0.5));
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "pull_rmax")]
+    fn negative_pull_rmax_rejected() {
+        // A negative radius turns the well into a repulsive field with
+        // negative energy.
+        let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
+        c.central_pull = 0.1;
+        c.pull_frac = Some(c.hot_tile_frac());
+        c.pull_rmax = Some(-3.0);
+        c.validate();
     }
 
     #[test]

@@ -106,6 +106,23 @@ pub(crate) fn validate(cfg: &RunConfig, shape: DomainShape) {
         "dlb_min_gain must be a number ≥ 0; got {}",
         cfg.dlb_min_gain
     );
+    assert!(
+        cfg.central_pull >= 0.0 && cfg.central_pull.is_finite(),
+        "central_pull must be a finite number ≥ 0 (0 switches the pull off); got {}",
+        cfg.central_pull
+    );
+    if let Some((fx, fy, fz)) = cfg.pull_frac {
+        assert!(
+            [fx, fy, fz].iter().all(|f| (0.0..1.0).contains(f)),
+            "pull_frac components are box fractions in [0, 1); got ({fx}, {fy}, {fz})"
+        );
+    }
+    if let Some(rmax) = cfg.pull_rmax {
+        assert!(
+            rmax > 0.0,
+            "pull_rmax must be a number > 0 (a radius); got {rmax}"
+        );
+    }
     match shape {
         DomainShape::SquarePillar => {
             let side = cfg.torus().rows();

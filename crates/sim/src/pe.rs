@@ -33,14 +33,9 @@
 //!    rebuild step's frame per channel (see [`crate::frame`]); between
 //!    the rebuilds of a skin epoch this is the step's only frame per
 //!    neighbour and carries positions alone;
-//! 5. force computation over own + ghost cells (work counted). By
-//!    default this is *overlapped* with phase 4: after the ghost sends
-//!    are posted, forces among **interior** cells (whose half-shell
-//!    stencil touches no ghost cell) are computed while the neighbour
-//!    payloads are in flight; the receives are drained only then, and a
-//!    second pass finishes the **frontier** pairs — on ranks whose
-//!    interior is large enough for that to pay (`split_pays`). See
-//!    [`RunConfig::overlap`] and the pass rules on `force_pass`;
+//! 5. force computation over own + ghost cells (work counted), once the
+//!    phase-4 receives are in: the step is sequenced — exchange, then
+//!    forces — as the paper's `Tt` models it;
 //! 6. second half-kick;
 //! 7. periodic thermostat (id-ordered global kinetic-energy sum, so the
 //!    scale factor is bitwise identical to the serial reference);
@@ -106,25 +101,16 @@ fn forward_dz(gi: usize) -> &'static [i64] {
     }
 }
 
-/// How a cell relates to this PE's ghost frontier. Derived purely from
-/// the decomposition's ownership answers, so it only changes when
-/// ownership does. The class is per *cell*, not per column: the plane and
-/// the pillar own whole columns, but a cube rank's column holds its own
-/// block, one ghost cell above and below it, and cells it never sees.
+/// What a cell is to this PE. Derived purely from the decomposition's
+/// ownership answers, so it only changes when ownership does. The class
+/// is per *cell*, not per column: the plane and the pillar own whole
+/// columns, but a cube rank's column holds its own block, one ghost cell
+/// above and below it, and cells it never sees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 enum CellClass {
-    /// Owned, and all 26 neighbours are owned too: none of its pairs
-    /// involve ghost data, so its forces can be computed while ghost
-    /// payloads are still in flight. A single-exchange step's frames also
-    /// bring its arrivals, which land in cells bordering a ghost cell — so
-    /// a rank that overlaps such steps counts a cell interior only if
-    /// every cell within *two* of it is owned, and none of its pairs can
-    /// touch an arrival either.
-    Interior,
-    /// Owned, but its pairs must wait for the receive: a neighbour is a
-    /// ghost cell (or, single-exchange, may still take an arrival).
-    Frontier,
+    /// This PE's: its forces are stored here.
+    Owned,
     /// Not owned; mirrored from a neighbour each step.
     Ghost,
     /// Neither owned nor adjacent to an owned cell: not stored here.
@@ -144,77 +130,28 @@ pub(crate) enum Exchange {
     Single,
 }
 
-/// Which force pass is running. `Fused` is the sequenced single pass
-/// (`overlap = false`); `Interior` + `Boundary` together are the
-/// overlapped schedule and produce bitwise-identical results: every pair
-/// is *stored* at the same canonical per-slot position either way, and
-/// its energy is credited by exactly one pass with the fused weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ForcePass {
-    Fused,
-    Interior,
-    Boundary,
-}
-
-/// Which pass stores force contributions into a cell of this class.
-fn stores_in(pass: ForcePass, class: CellClass) -> bool {
-    match pass {
-        ForcePass::Fused => class != CellClass::Ghost,
-        ForcePass::Interior => class == CellClass::Interior,
-        ForcePass::Boundary => class == CellClass::Frontier,
-    }
-}
-
-/// Whether a home cell of `class` runs its own-home work — the
-/// intra-cell triangle, the external pull, and the energy credit for its
-/// ring pairs — in `pass`. Exactly one of `Interior`/`Boundary` is true
-/// for every class, so the overlapped schedule credits each pair's
-/// energy once, at its canonical home position.
-fn home_runs_in(pass: ForcePass, class: CellClass) -> bool {
-    match pass {
-        ForcePass::Fused => true,
-        ForcePass::Interior => class == CellClass::Interior,
-        ForcePass::Boundary => class != CellClass::Interior,
-    }
-}
-
-/// A recorded Verlet segment's class code (`class as u8`) back as a class.
-fn code_class(code: u8) -> CellClass {
-    match code {
-        0 => CellClass::Interior,
-        1 => CellClass::Frontier,
-        _ => CellClass::Ghost,
-    }
-}
-
-/// The per-pass replay policy: maps a recorded segment (with its home and
-/// neighbour class codes) to the stores/credit the walk in `pass` would
-/// apply — the same `stores_in`/`home_runs_in` rules as the live walk, so
-/// replaying the fused recording per pass reproduces the walk bitwise,
-/// including the full-shell `pair_checks` accounting.
-fn replay_action(pass: ForcePass, seg: &Segment) -> Option<SegAction> {
-    let ca = code_class(seg.ca);
+/// The replay policy: what the live walk does with a recorded segment
+/// (its home and neighbour class codes are `CellClass as u8`) — store the
+/// non-ghost sides, credit ½ · owned sides — so replaying the recording
+/// reproduces the walk bitwise, including the full-shell `pair_checks`
+/// accounting.
+fn replay_action(seg: &Segment) -> SegAction {
+    let owned = CellClass::Owned as u8;
     match seg.kind {
-        SegKind::Intra | SegKind::Pull => home_runs_in(pass, ca).then_some(SegAction {
+        SegKind::Intra | SegKind::Pull => SegAction {
             sa: true,
             sb: true,
             run_home: true,
             credit: None,
-        }),
+        },
         SegKind::Pair => {
-            let cb = code_class(seg.cb);
-            let sa = stores_in(pass, ca);
-            let sb = stores_in(pass, cb);
-            if !sa && !sb {
-                return None;
-            }
-            let owned_sides = (ca != CellClass::Ghost) as u64 + (cb != CellClass::Ghost) as u64;
-            Some(SegAction {
+            let (sa, sb) = (seg.ca == owned, seg.cb == owned);
+            SegAction {
                 sa,
                 sb,
                 run_home: false,
-                credit: home_runs_in(pass, ca).then_some(0.5 * owned_sides as f64),
-            })
+                credit: Some(0.5 * (sa as u64 + sb as u64) as f64),
+            }
         }
     }
 }
@@ -255,7 +192,7 @@ enum Block<'a> {
     /// The intra-cell triangle of an owned home cell.
     Intra(CellRef<'a>),
     /// A home cell against one forward neighbour cell displaced by the
-    /// periodic shift; at least one side is stored in the walking pass.
+    /// periodic shift; at least one side is owned.
     Pair(CellRef<'a>, CellRef<'a>, Vec3),
     /// The external pull on an owned home cell.
     Pull(CellRef<'a>),
@@ -283,7 +220,7 @@ impl<'a> ColView<'a> {
         let (slab, base) = match class {
             CellClass::Unseen => return None,
             CellClass::Ghost => (self.ghost?, self.base[1]),
-            _ => (self.owned?, self.base[0]),
+            CellClass::Owned => (self.owned?, self.base[0]),
         };
         Some(CellRef {
             class,
@@ -319,33 +256,23 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Visit the kernel blocks of `pass` in canonical order, each with
-    /// its home cell's energy bucket.
+    /// Visit the kernel blocks in canonical order, each with its home
+    /// column's energy bucket (the column's index in the home list).
     ///
     /// Home cells are all cells this PE can see — owned *and* ghost — in
     /// ascending global order; each home runs its intra-cell triangle
     /// (owned homes only), then the 13 forward offsets, then its pull.
     /// Pairs between two ghost cells are other PEs' work and are never
-    /// visited; `Interior` and `Boundary` visit only the blocks with a
-    /// side (or the home-side work) that pass owns.
-    fn for_each_block(&self, pass: ForcePass, mut visit: impl FnMut(usize, Block<'a>)) {
+    /// visited.
+    fn for_each_block(&self, mut visit: impl FnMut(usize, Block<'a>)) {
         for (hi, home) in self.homes.iter().enumerate() {
-            if pass == ForcePass::Interior && !home.owned {
-                // A ghost home's pairs all involve ghost data: nothing to
-                // do before the receive.
-                continue;
-            }
             let hv = self.view(hi);
             // Settle per column what can be settled there: a forward
-            // column is dead for this home when no cell of either stores
-            // in this pass (ghost beside ghost; for a shape owning whole
-            // columns, everything the other split pass owns), and its z
-            // loops and slab lookups are skipped whole.
-            let stores_any = |v: &[CellClass]| v.iter().any(|&c| stores_in(pass, c));
-            let column = |i: usize| &self.class[i * self.nc..(i + 1) * self.nc];
-            let home_stores = stores_any(hv.class);
+            // column is dead for this home when neither holds an owned
+            // cell (ghost beside ghost), and its z loops and slab lookups
+            // are skipped whole.
             let live: [bool; 5] = std::array::from_fn(|g| {
-                home.ring[g].is_none_or(|(ni, ..)| home_stores || stores_any(column(ni)))
+                home.ring[g].is_none_or(|(ni, ..)| home.owned || self.homes[ni].owned)
             });
             let ring: [Option<(ColView<'a>, f64, f64)>; 5] = std::array::from_fn(|g| {
                 home.ring[g]
@@ -356,21 +283,12 @@ impl<'a> Walk<'a> {
                 let Some(h) = hv.cell(cz) else {
                     continue;
                 };
-                if h.parts.is_empty()
-                    || (pass == ForcePass::Interior && h.class == CellClass::Ghost)
-                {
-                    // The ghost cells of an owned column wait likewise.
-                    // (Frontier homes DO run in the interior pass — their
-                    // pairs with interior neighbours must store the
-                    // interior side then, at its canonical slot position.)
+                if h.parts.is_empty() {
                     continue;
                 }
-                let bucket = work_bucket(hi, h.class);
-                let own_home = h.class != CellClass::Ghost;
-                let home_here = own_home && home_runs_in(pass, h.class);
-                let store_h = stores_in(pass, h.class);
-                if home_here {
-                    visit(bucket, Block::Intra(h));
+                let own_home = h.class == CellClass::Owned;
+                if own_home {
+                    visit(hi, Block::Intra(h));
                 }
                 // The z neighbours of this cell, by dz + 1.
                 let zs = [
@@ -392,69 +310,23 @@ impl<'a> Walk<'a> {
                             );
                             continue;
                         };
-                        // Nothing of the pair stored in this pass: both
-                        // sides ghost (another PE's pair, skipped in every
-                        // pass) or the other pass owns both stores. Judged
+                        // Both sides ghost: another PE's pair. Judged
                         // from the classes alone, before touching a slab.
-                        if !(store_h || stores_in(pass, nv.class[nz])) {
+                        if !(own_home || nv.class[nz] == CellClass::Owned) {
                             continue;
                         }
                         let n = nv.cell(nz).expect("a seen cell has a slab");
                         if !n.parts.is_empty() {
-                            visit(bucket, Block::Pair(h, n, Vec3::new(*sx, *sy, sz)));
+                            visit(hi, Block::Pair(h, n, Vec3::new(*sx, *sy, sz)));
                         }
                     }
                 }
-                if home_here {
-                    visit(bucket, Block::Pull(h));
+                if own_home {
+                    visit(hi, Block::Pull(h));
                 }
             }
         }
     }
-}
-
-/// Whether the overlapped schedule can pay on a rank with these classes.
-/// Splitting the pass evaluates every interior×frontier cell pair twice
-/// (once per pass, each storing its own side) to hide the ghost latency
-/// behind the interior-only blocks — so the time it can win is bounded by
-/// the interior-only work and the time it costs is the repeated work, on
-/// any host. Where the repeats outnumber the blocks that hide anything
-/// (a 6³ cube block: 728 against 532) the fused pass is the faster
-/// schedule whatever the latency. Counted in cell blocks off the class
-/// map alone, so it changes only when ownership does; both schedules are
-/// bitwise identical, so ranks may choose differently.
-fn split_pays(nc: usize, homes: &[Home], class: &[CellClass]) -> bool {
-    use CellClass::{Frontier, Interior};
-    let (mut hidden, mut repeated) = (0usize, 0usize);
-    for (hi, home) in homes.iter().enumerate() {
-        for cz in 0..nc {
-            let h = class[hi * nc + cz];
-            hidden += (h == Interior) as usize; // the intra-cell triangle
-            for (gi, entry) in home.ring.iter().enumerate() {
-                let Some((ni, ..)) = *entry else { continue };
-                for &dz in forward_dz(gi) {
-                    let nz = wrap_z(nc, 0.0, cz, dz).0;
-                    match (h, class[ni * nc + nz]) {
-                        (Interior, Interior) => hidden += 1,
-                        (Interior, Frontier) | (Frontier, Interior) => repeated += 1,
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-    hidden > repeated
-}
-
-/// The energy bucket of a home cell: two per home column, one for each
-/// overlapped pass that can run a home cell's own work. Whichever
-/// schedule runs, a bucket receives the same addends in the same order,
-/// and the buckets are folded ascending — so fused and overlapped energy
-/// sums are bitwise identical even where one column mixes interior and
-/// frontier cells (the cube). For the z-invariant shapes one bucket of
-/// each pair stays zero and the fold is the per-column fold.
-fn work_bucket(hi: usize, class: CellClass) -> usize {
-    2 * hi + (class == CellClass::Interior) as usize
 }
 
 /// What each rank hands back to the driver when the run finishes.
@@ -558,25 +430,16 @@ pub struct PeState {
     /// passes iterate this list; the ghost entries' keys double as the
     /// expected ghost-receive set.
     homes: Vec<Home>,
-    /// Per-cell frontier classes, `nc` per home column.
+    /// Per-cell classes, `nc` per home column.
     cell_class: Vec<CellClass>,
-    /// Whether this PE splits its force pass for the overlapped schedule:
-    /// `cfg.overlap` allows it and the rank's interior is large enough
-    /// for it to pay (see [`split_pays`]).
-    split_force: bool,
-    /// Whether a rebuild step's interior pass may run ahead of the
-    /// receive: always under two rounds (the arrivals are in before the
-    /// ghost sends), under one exchange only on the narrowed class map
-    /// (see `refresh_caches`).
-    rebuilds_overlap: bool,
     /// Per-home slot bases (owned slab, ghost slab) in the flat force /
     /// SoA layout, parallel to `homes`; refilled by `force_prologue`
     /// each step (slab sizes — hence the bases — are frozen across a
     /// skin epoch).
     home_base: Vec<[usize; 2]>,
-    /// Per-home work-counter buckets (see [`work_bucket`]), folded
-    /// ascending into `last_work` — the same fold in both schedules, so
-    /// fused and overlapped energy sums are bitwise identical.
+    /// Per-home-column work-counter buckets, parallel to `homes`, folded
+    /// ascending into `last_work` — the fold the Verlet replay shares
+    /// with the live walk, so their energy sums are bitwise identical.
     col_work: Vec<WorkCounters>,
     /// Retained-particle staging for migration; key set kept equal to
     /// `columns`' so the per-step rebinning reuses every allocation.
@@ -675,11 +538,6 @@ pub struct PeState {
     part_pool: BufferPool<ParticleFrame>,
     /// Per-phase actual-vs-baseline byte accounting for this rank.
     wire: WireBytes,
-    /// The interior pass's forces, parked while a single-exchange receive
-    /// re-lays the slots around this step's arrivals (retained scratch).
-    interior_carry: Vec<Vec3>,
-    /// Wall time of the current step's force pass(es) so far.
-    force_wall_accum: f64,
     /// Accumulated per-phase wall times over the run.
     phase: PhaseTimes,
 }
@@ -824,8 +682,6 @@ impl PeState {
             ghost_routes: vec![Vec::new(); n_nbrs],
             homes: Vec::new(),
             cell_class: Vec::new(),
-            split_force: false,
-            rebuilds_overlap: false,
             home_base: Vec::new(),
             col_work: Vec::new(),
             migrate_staging: BTreeMap::new(),
@@ -853,8 +709,6 @@ impl PeState {
             step_pool: BufferPool::new(),
             part_pool: BufferPool::new(),
             wire: WireBytes::default(),
-            interior_carry: Vec::new(),
-            force_wall_accum: 0.0,
             phase: PhaseTimes::default(),
         }
     }
@@ -1045,11 +899,9 @@ impl PeState {
         let column = |col: Col| (col.cx * nc + col.cy) * nc..(col.cx * nc + col.cy + 1) * nc;
         for &col in self.columns.keys() {
             for span in owned_spans(nc, &self.own_z) {
-                let mut class = CellClass::Interior;
                 for (ncol, nspan, owner) in
                     foreign_around(&*self.decomp, nc, rank, col, span.clone())
                 {
-                    class = CellClass::Frontier;
                     grid[column(ncol)][nspan].fill(CellClass::Ghost);
                     let i = self.neighbors.binary_search(&owner).unwrap_or_else(|_| {
                         panic!("rank {rank}: ghost target {owner} is not a neighbour")
@@ -1064,7 +916,7 @@ impl PeState {
                         _ => self.ghost_routes[i].push((col, span.clone())),
                     }
                 }
-                grid[column(col)][span].fill(class);
+                grid[column(col)][span].fill(CellClass::Owned);
             }
         }
         // The home list: every column with a cell this PE sees, ascending,
@@ -1093,33 +945,6 @@ impl PeState {
                     .ok()
                     .map(|ni| (ni, sx, sy))
             });
-        }
-        self.split_force = self.cfg.overlap && split_pays(nc, &self.homes, &self.cell_class);
-        self.rebuilds_overlap = !self.single_exchange;
-        if self.single_exchange {
-            // A single-exchange step's arrivals come with the ghosts and
-            // land in frontier cells, so an interior pass ahead of the
-            // receive may only touch cells ringed by interior cells. That
-            // narrower map is adopted where the split pays on it (judged
-            // without the `overlap` knob: both schedules must report from
-            // one map); elsewhere the map stands, rebuild steps run fused,
-            // and the rank's numbers are those of the two-round engine.
-            let mut narrow = self.cell_class.clone();
-            for (hi, home) in self.homes.iter().enumerate().filter(|(_, h)| h.owned) {
-                for span in owned_spans(nc, &self.own_z) {
-                    if grid[column(home.col)][span.start] == CellClass::Interior
-                        && cells_around(nc, home.col, span.clone())
-                            .any(|(c, s)| grid[column(c)][s.start] == CellClass::Frontier)
-                    {
-                        narrow[hi * nc..][span].fill(CellClass::Frontier);
-                    }
-                }
-            }
-            if split_pays(nc, &self.homes, &narrow) {
-                self.cell_class = narrow;
-                self.split_force = self.cfg.overlap;
-                self.rebuilds_overlap = true;
-            }
         }
         // Keep the ghost slabs' (and ghost staging's) key sets equal to
         // the expected receive set, preserving the allocations of
@@ -1720,20 +1545,7 @@ impl PeState {
 
     /// Merge a single-exchange step's staged immigrants into the owned
     /// columns, which [`PeState::ghosts_send`] rebuilt from the stayers.
-    /// Where the interior pass already ran on that layout, its forces are
-    /// carried over: arrivals land in frontier cells only, so every
-    /// interior cell keeps its content and only its slots move — they are
-    /// parked, the slots laid out afresh over the merged slabs, and the
-    /// forces put back into their cells for the boundary pass.
     fn adopt_arrivals(&mut self) {
-        let carried = self.splits_force_pass(true);
-        let mut carry = std::mem::take(&mut self.interior_carry);
-        carry.clear();
-        if carried {
-            for run in self.interior_runs() {
-                carry.extend_from_slice(&self.forces[run]);
-            }
-        }
         let (cell_len, nc) = (self.cell_len, self.nc);
         let zbin = move |p: &Particle| axis_bin(p.pos.z, cell_len, nc);
         for (col, staged) in self.migrate_staging.iter_mut() {
@@ -1746,34 +1558,6 @@ impl PeState {
                 slab.rebuild_from(nc, staged, zbin);
             }
         }
-        if carried {
-            self.layout_slots();
-            let mut forces = std::mem::take(&mut self.forces);
-            let mut at = 0;
-            for run in self.interior_runs() {
-                let n = run.len();
-                forces[run].copy_from_slice(&carry[at..at + n]);
-                at += n;
-            }
-            debug_assert_eq!(at, carry.len());
-            self.forces = forces;
-        }
-        self.interior_carry = carry;
-    }
-
-    /// The slot runs of this PE's interior cells in the current force
-    /// layout, ascending.
-    fn interior_runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        let nc = self.nc;
-        let owned = self.homes.iter().enumerate().filter(|(_, h)| h.owned);
-        owned.flat_map(move |(hi, home)| {
-            let slab = &self.columns[&home.col];
-            let base = self.home_base[hi][0];
-            self.own_z
-                .clone()
-                .filter(move |cz| self.cell_class[hi * nc + cz] == CellClass::Interior)
-                .map(move |cz| base + slab.range(cz).start..base + slab.range(cz).end)
-        })
     }
 
     /// Record the in-place update routes for the epoch that starts here.
@@ -1885,19 +1669,8 @@ impl PeState {
     /// Lay out the flat force array over the owned columns (home-column
     /// order, so the same ascending concatenation `kick_all` walks), give
     /// the ghost slabs the slots behind it, and reset the per-home work
-    /// buckets. Runs at the start of a `Fused` or `Interior` pass; a
-    /// `Boundary` pass continues the arrays its `Interior` pass laid out.
+    /// buckets.
     fn force_prologue(&mut self) {
-        self.layout_slots();
-        self.col_work.clear();
-        self.col_work
-            .resize(2 * self.homes.len(), WorkCounters::default());
-        self.force_wall_accum = 0.0;
-    }
-
-    /// The slot layout of [`PeState::force_prologue`] over the slabs as
-    /// they stand, with the force array zeroed.
-    fn layout_slots(&mut self) {
         self.home_base.clear();
         self.home_base.resize(self.homes.len(), [0; 2]);
         let mut total = 0usize;
@@ -1915,35 +1688,34 @@ impl PeState {
                 total += self.ghosts[&home.col].len();
             }
         }
+        self.col_work.clear();
+        self.col_work
+            .resize(self.homes.len(), WorkCounters::default());
     }
 
-    /// Phase 5: one force pass in the canonical half-shell order (see
-    /// module docs and [`Walk::for_each_block`]); counts full-shell work
-    /// and measures wall time.
+    /// Phase 5: the force pass, in the canonical half-shell order (see
+    /// module docs and [`Walk::for_each_block`]), after the step's ghost
+    /// receive; counts full-shell work and measures wall time.
     ///
-    /// `Fused` does everything in one pass. `Interior` + `Boundary`
-    /// split it for the overlapped schedule: the `Interior` pass stores
-    /// only into interior cells (which by definition touch no ghost
-    /// data) and so can run while ghost payloads are in flight; the
-    /// `Boundary` pass stores the frontier remainder after `ghosts_recv`.
-    /// A pair that straddles the frontier (interior home or neighbour,
-    /// frontier other side) is *evaluated* in both passes — each pass
-    /// stores only its own side, at the identical slot position the fused
-    /// pass would use, and exactly one pass credits the pair's energy
-    /// (decided by `home_runs_in`, always with the fused ½·sides weight)
-    /// into the home's [`WorkCounters`] bucket. Folding the buckets in
-    /// ascending home order then reproduces the fused pass's sums
-    /// *bitwise*: same addends, same order, per force slot and per energy
-    /// bucket.
-    fn force_pass(&mut self, pass: ForcePass) {
+    /// Every pair is stored at its canonical per-slot position and its
+    /// energy credited — ½ per stored side — into its home column's
+    /// [`WorkCounters`] bucket; the buckets are folded in ascending home
+    /// order.
+    pub(crate) fn compute_forces(&mut self) {
         self.refresh_caches();
-        if self.cfg.verlet {
-            return self.force_pass_verlet(pass);
-        }
         let t0 = WallTimer::start();
-        if pass != ForcePass::Boundary {
-            self.force_prologue();
+        self.force_prologue();
+        if self.cfg.verlet {
+            self.force_pass_verlet();
+        } else {
+            self.force_pass_live();
         }
+        self.force_epilogue(t0);
+    }
+
+    /// Phase 5, walked live: every kernel block of the half-shell walk
+    /// evaluated on the slabs as they stand.
+    fn force_pass_live(&mut self) {
         let box_len = self.box_len;
         let pull = self.cfg.pull();
         let kernel = &self.kernel;
@@ -1962,14 +1734,14 @@ impl PeState {
         // (Inlined into the walk, so each `match` arm below is resolved
         // at its one call site and no `Block` is ever built in memory.)
         walk.for_each_block(
-            pass,
             #[inline(always)]
             |bucket, block| {
                 let w = &mut col_work[bucket];
                 match block {
                     Block::Intra(h) => kernel.accumulate_intra(h.parts, &mut forces[h.slots()], w),
                     Block::Pair(h, n, shift) => {
-                        let (fa, fb) = match (stores_in(pass, h.class), stores_in(pass, n.class)) {
+                        let owned = |c: &CellRef| c.class == CellClass::Owned;
+                        let (fa, fb) = match (owned(&h), owned(&n)) {
                             (true, true) => {
                                 let (fa, fb) = disjoint_ranges_mut(forces, h.slots(), n.slots());
                                 (Some(fa), Some(fb))
@@ -1977,17 +1749,10 @@ impl PeState {
                             (true, false) => (Some(&mut forces[h.slots()]), None),
                             (false, true) => (None, Some(&mut forces[n.slots()])),
                             (false, false) => {
-                                unreachable!("pair with no stored side is not visited")
+                                unreachable!("pair with no owned side is not visited")
                             }
                         };
-                        // Exactly one pass runs the home's side of the ring
-                        // and credits the pair's energy, with the weight the
-                        // fused pass would use.
-                        let owned_sides = (h.class != CellClass::Ghost) as u64
-                            + (n.class != CellClass::Ghost) as u64;
-                        let credit =
-                            home_runs_in(pass, h.class).then_some(0.5 * owned_sides as f64);
-                        kernel.accumulate_pair_credited(h.parts, fa, n.parts, fb, shift, credit, w);
+                        kernel.accumulate_pair(h.parts, fa, n.parts, fb, shift, w);
                     }
                     Block::Pull(h) => {
                         if !pull.is_none() {
@@ -2000,32 +1765,21 @@ impl PeState {
                 }
             },
         );
-        self.force_epilogue(pass, t0);
     }
 
     /// Phase 5, Verlet replay path (`cfg.verlet`): on rebuild steps
-    /// re-record the fused walk over the fresh binning (ghosts included,
-    /// reach `r_c + skin`), then — every step — replay the recording
-    /// against positions refreshed from the authoritative slabs, with
-    /// the per-pass store/credit policy of [`replay_action`]. The
-    /// replayed sums are bitwise identical to the live walk over the
-    /// same frozen binning, in both the fused and the overlapped
-    /// schedule.
-    fn force_pass_verlet(&mut self, pass: ForcePass) {
-        let t0 = WallTimer::start();
-        if pass != ForcePass::Boundary {
-            self.force_prologue();
-        }
-        if self.rebuild_now && pass != ForcePass::Boundary {
+    /// re-record the walk over the fresh binning (ghosts included, reach
+    /// `r_c + skin`), then — every step — replay the recording against
+    /// positions refreshed from the authoritative slabs, with the
+    /// store/credit policy of [`replay_action`]. The replayed sums are
+    /// bitwise identical to the live walk over the same frozen binning.
+    fn force_pass_verlet(&mut self) {
+        if self.rebuild_now {
             // Rebuild step: fresh binning, fresh SoA layout, fresh list.
-            // (The step sequence runs rebuild steps fused, after the ghost
-            // receive, so the ghosts recorded here are this step's.)
             self.rebuild_verlet();
         } else {
-            if pass != ForcePass::Boundary {
-                self.soa.zero_forces();
-            }
-            self.reload_soa(pass);
+            self.soa.zero_forces();
+            self.reload_soa();
         }
         let box_len = self.box_len;
         let pull = self.cfg.pull();
@@ -2034,27 +1788,21 @@ impl PeState {
             &pull,
             box_len,
             &mut self.soa,
-            |seg| replay_action(pass, seg),
+            |seg| Some(replay_action(seg)),
             &mut self.col_work,
         );
-        if pass != ForcePass::Interior {
-            self.soa.fold_forces(&mut self.forces);
-        }
-        self.force_epilogue(pass, t0);
+        self.soa.fold_forces(&mut self.forces);
     }
 
-    /// Refresh the SoA positions a replay pass needs from the
-    /// authoritative slabs: the owned region for `Fused`/`Interior`
-    /// passes, the ghost region for `Fused`/`Boundary` (an `Interior`
-    /// pass touches no ghost slots, and under the overlapped schedule it
-    /// runs before the ghost refresh lands).
-    fn reload_soa(&mut self, pass: ForcePass) {
+    /// Refresh the SoA positions from the authoritative slabs, owned and
+    /// ghost.
+    fn reload_soa(&mut self) {
         for (home, base) in self.homes.iter().zip(&self.home_base) {
-            if home.ghost && pass != ForcePass::Interior {
+            if home.ghost {
                 self.soa
                     .load_positions(base[1], self.ghosts[&home.col].particles());
             }
-            if home.owned && pass != ForcePass::Boundary {
+            if home.owned {
                 self.soa
                     .load_positions(base[0], self.columns[&home.col].particles());
             }
@@ -2063,15 +1811,14 @@ impl PeState {
 
     /// Re-record the Verlet list at a rebuild step: lay the SoA out over
     /// the home columns (the slot layout `force_prologue` just made) and
-    /// run the exact fused half-shell walk with the widened reach
-    /// `r_c + skin`, recording every kernel block — classes and work
-    /// buckets ride along so the overlapped schedule can replay the same
-    /// recording with complementary stores.
+    /// run the exact half-shell walk with the widened reach `r_c + skin`,
+    /// recording every kernel block — classes and work buckets ride along
+    /// so the replay stores and credits what the walk would.
     fn rebuild_verlet(&mut self) {
         let n_owned = self.forces.len();
         let n_ghost: usize = self.ghosts.values().map(CellSlab::len).sum();
         self.soa.reset(n_owned, n_owned + n_ghost);
-        self.reload_soa(ForcePass::Fused);
+        self.reload_soa();
         self.vlist.clear();
         let reach = self.kernel.lj.rcut + self.cfg.skin;
         let reach2 = reach * reach;
@@ -2087,7 +1834,7 @@ impl PeState {
             columns: &self.columns,
             ghosts: &self.ghosts,
         };
-        walk.for_each_block(ForcePass::Fused, |bucket, block| {
+        walk.for_each_block(|bucket, block| {
             let bucket = bucket as u32;
             match block {
                 Block::Intra(h) => {
@@ -2108,66 +1855,35 @@ impl PeState {
         });
     }
 
-    /// Shared tail of every force pass: accumulate wall time and — on
-    /// the step's final pass — fold the per-home buckets in ascending
-    /// order (the identical fold for both schedules) and publish the
-    /// step's load numbers.
-    fn force_epilogue(&mut self, pass: ForcePass, t0: WallTimer) {
+    /// Tail of the force pass: book its wall time, fold the per-home
+    /// buckets in ascending order and publish the step's load numbers.
+    fn force_epilogue(&mut self, t0: WallTimer) {
         let dt = t0.elapsed_s();
-        self.force_wall_accum += dt;
         self.phase.force += dt;
-        if pass != ForcePass::Interior {
-            let mut work = WorkCounters::default();
-            for w in &self.col_work {
-                work.merge(w);
-            }
-            self.last_work = work;
-            self.last_force_wall = self.force_wall_accum;
-            // Raw metric value: modelled work seconds or measured wall.
-            let raw = match self.cfg.load_metric {
-                LoadMetric::WorkModel { sec_per_pair } => work.pair_checks as f64 * sec_per_pair,
-                LoadMetric::WallClock => self.last_force_wall,
-            };
-            // On a heterogeneous machine the *reported* force time is the
-            // modelled elapsed time on this step's processor speed; the
-            // *balanced* quantity is that time only under the speed-aware
-            // metric, raw work under the paper's baseline.
-            self.last_force_virtual = match &self.cfg.speed {
-                Some(s) => raw / s.speed(self.rank, self.cur_step),
-                None => raw,
-            };
-            self.last_balance = if self.cfg.speed_aware {
-                self.last_force_virtual
-            } else {
-                raw
-            };
+        let mut work = WorkCounters::default();
+        for w in &self.col_work {
+            work.merge(w);
         }
-    }
-
-    /// Phase 5, sequenced: the whole force computation in one pass.
-    pub(crate) fn compute_forces(&mut self) {
-        self.force_pass(ForcePass::Fused);
-    }
-
-    /// Phase 5a (overlap): interior pairs only — touches no ghost data,
-    /// so it runs while the ghost payloads are still in flight.
-    pub(crate) fn compute_forces_interior(&mut self) {
-        self.force_pass(ForcePass::Interior);
-    }
-
-    /// Phase 5b (overlap): the frontier remainder, after [`PeState::ghosts_recv`].
-    pub(crate) fn compute_forces_boundary(&mut self) {
-        self.force_pass(ForcePass::Boundary);
-    }
-
-    /// Whether this PE runs phases 5a + 5b rather than the fused pass on
-    /// a step that is (not) a rebuild step. A Verlet rebuild step cannot
-    /// split: the list must be recorded over this step's ghosts, so
-    /// nothing can run ahead of the receive; neither can a single-exchange
-    /// rebuild step on a class map that is not safe from its arrivals.
-    /// Valid once [`PeState::ghosts_send`] has refreshed the caches.
-    pub(crate) fn splits_force_pass(&self, rebuild: bool) -> bool {
-        self.split_force && !(rebuild && (self.cfg.verlet || !self.rebuilds_overlap))
+        self.last_work = work;
+        self.last_force_wall = dt;
+        // Raw metric value: modelled work seconds or measured wall.
+        let raw = match self.cfg.load_metric {
+            LoadMetric::WorkModel { sec_per_pair } => work.pair_checks as f64 * sec_per_pair,
+            LoadMetric::WallClock => self.last_force_wall,
+        };
+        // On a heterogeneous machine the *reported* force time is the
+        // modelled elapsed time on this step's processor speed; the
+        // *balanced* quantity is that time only under the speed-aware
+        // metric, raw work under the paper's baseline.
+        self.last_force_virtual = match &self.cfg.speed {
+            Some(s) => raw / s.speed(self.rank, self.cur_step),
+            None => raw,
+        };
+        self.last_balance = if self.cfg.speed_aware {
+            self.last_force_virtual
+        } else {
+            raw
+        };
     }
 
     /// This PE's accumulated wall-clock phase breakdown (all zeros
@@ -2724,9 +2440,8 @@ mod tests {
 
     #[test]
     fn cube_classes_are_per_cell() {
-        // k = 3, s = 2: a rank's own column holds its two block cells
-        // (frontier — every cell of a 2³ block touches the shell), one
-        // ghost cell above and below, and two cells it never sees.
+        // k = 3, s = 2: a rank's own column holds its two block cells,
+        // one ghost cell above and below, and two cells it never sees.
         let mut cfg = RunConfig::new(1000, 6, 27, 0.05);
         cfg.dlb = false;
         let mut pe = fresh(13, &cfg, DomainShape::Cube); // block (1,1,1)
@@ -2736,36 +2451,22 @@ mod tests {
             .binary_search_by_key(&Col::new(2, 2), |h| h.col)
             .unwrap();
         assert!(pe.homes[hi].owned && pe.homes[hi].ghost);
-        use CellClass::{Frontier, Ghost, Unseen};
+        use CellClass::{Ghost, Owned, Unseen};
         assert_eq!(
             pe.cell_class[hi * 6..(hi + 1) * 6],
-            [Unseen, Ghost, Frontier, Frontier, Ghost, Unseen]
+            [Unseen, Ghost, Owned, Owned, Ghost, Unseen]
         );
-        // The cube exchanges once per step. Where overlapping such a step
-        // pays, the interior starts two cells in — a 10³ block (k = 2 over
-        // nc = 20) has a 6³ interior; a 6³ block keeps its 4³ one and runs
-        // its rebuild steps fused. Where the closure test fails (one-cell
-        // blocks on a 4³ torus) the step keeps two rounds.
-        let interior = |nc, p| {
-            let mut cfg = RunConfig::new(1000, nc, p, 0.007);
-            cfg.dlb = false;
-            let mut pe = fresh(0, &cfg, DomainShape::Cube);
-            pe.refresh_caches();
-            let cells = pe.cell_class.iter();
-            (
-                pe.exchanges_once(),
-                cells.filter(|&&c| c == CellClass::Interior).count(),
-            )
-        };
-        assert_eq!(interior(20, 8), (true, 216));
-        assert_eq!(interior(12, 8), (true, 64));
-        assert_eq!(interior(3, 27), (true, 0));
-        assert_eq!(interior(4, 64), (false, 0));
-        assert_eq!(interior(8, 64), (true, 0));
+        // The cube exchanges once per step; where the closure test fails
+        // (one-cell blocks on a 4³ torus) the step keeps two rounds.
         // The shapes with a balancer do where it is switched off — a
         // tile or slab one cell wide fails the closure test from a torus
         // side of 4 up — and never while it runs.
         for (shape, p, nc, once) in [
+            (DomainShape::Cube, 8, 20, true),
+            (DomainShape::Cube, 8, 12, true),
+            (DomainShape::Cube, 27, 3, true),
+            (DomainShape::Cube, 64, 4, false),
+            (DomainShape::Cube, 64, 8, true),
             (DomainShape::SquarePillar, 4, 6, true),
             (DomainShape::SquarePillar, 9, 6, true),
             (DomainShape::SquarePillar, 16, 8, true),
@@ -2779,102 +2480,14 @@ mod tests {
             cfg.dlb = false;
             let pe = fresh(0, &cfg, shape);
             assert_eq!(pe.exchanges_once(), once, "{shape:?} P = {p} nc = {nc}");
-            if p >= 9 || shape == DomainShape::Plane {
+            let can_balance = match shape {
+                DomainShape::Cube => false,
+                DomainShape::Plane => true,
+                DomainShape::SquarePillar => p >= 9,
+            };
+            if can_balance {
                 cfg.dlb = true;
                 assert!(!fresh(0, &cfg, shape).exchanges_once());
-            }
-        }
-    }
-
-    #[test]
-    fn force_pass_is_split_only_where_the_interior_pays() {
-        let splits_with = |rebuild: bool, dlb: bool, overlap: bool| {
-            move |shape, p, nc| {
-                // Sparse enough that nc = 20 still has cells wider than r_c.
-                let mut cfg = RunConfig::new(1000, nc, p, 0.007);
-                cfg.dlb = dlb;
-                cfg.overlap = overlap;
-                let mut pe = fresh(0, &cfg, shape);
-                pe.refresh_caches();
-                pe.splits_force_pass(rebuild)
-            }
-        };
-        let between = splits_with(false, false, true);
-        let rebuilding = splits_with(true, false, true);
-        let balancing = splits_with(true, true, true);
-        use DomainShape::{Cube, Plane, SquarePillar};
-        // Blocks hidden against blocks repeated, per z layer: 6×6 columns
-        // 158 / 132, 4×4 columns 26 / 60.
-        assert!(between(SquarePillar, 4, 12));
-        assert!(!between(SquarePillar, 9, 12));
-        assert!(balancing(SquarePillar, 9, 18));
-        assert!(!balancing(SquarePillar, 9, 12));
-        // Four planes 19·nc / 18·nc, three planes 5·nc / 18·nc.
-        assert!(between(Plane, 3, 12));
-        assert!(!between(Plane, 4, 12));
-        assert!(balancing(Plane, 3, 12));
-        // A 6³ block 532 / 728, an 8³ block 2156 / 1736.
-        assert!(!between(Cube, 8, 12));
-        assert!(between(Cube, 8, 16));
-        // The rebuild steps of a run that does not balance are one
-        // exchange, arrivals and all, and overlap only on an interior two
-        // cells in, where that pays: the numbers of a tile, slab or block
-        // two cells narrower.
-        assert!(!rebuilding(SquarePillar, 4, 12));
-        assert!(rebuilding(SquarePillar, 4, 16));
-        assert!(!rebuilding(Plane, 3, 12));
-        assert!(rebuilding(Plane, 2, 12));
-        assert!(!rebuilding(Cube, 8, 16));
-        assert!(rebuilding(Cube, 8, 20));
-        // And never without the knob.
-        assert!(!splits_with(false, false, false)(SquarePillar, 4, 12));
-    }
-
-    #[test]
-    fn split_passes_equal_the_fused_pass_bitwise_in_every_shape() {
-        // `split_pays` runs most small grids fused, so the split is proven
-        // here directly, on every rank of every shape, live and replayed:
-        // same force array, same work counters, bit for bit.
-        for shape in DomainShape::ALL {
-            for verlet in [false, true] {
-                let p = if shape == DomainShape::Plane {
-                    3
-                } else {
-                    shape_cfg(shape).p
-                };
-                let mut cfg = RunConfig::new(4664, 12, p, 4664.0 / 36.0f64.powi(3));
-                cfg.dlb = false;
-                cfg.lattice = Lattice::Cluster { fill: 0.8 };
-                cfg.verlet = verlet;
-                cfg.skin = if verlet { 0.3 } else { 0.0 };
-                crate::decomp::validate(&cfg, shape);
-                let same = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                    let mut pe = fresh(comm.rank(), &cfg, shape);
-                    pe.ghosts_send(comm, Exchange::Shells);
-                    pe.ghosts_recv(comm, Exchange::Shells);
-                    pe.compute_forces();
-                    let fused = (pe.forces.clone(), pe.last_work);
-                    let interior = pe
-                        .cell_class
-                        .iter()
-                        .filter(|&&c| c == CellClass::Interior)
-                        .count();
-                    pe.compute_forces_interior();
-                    pe.compute_forces_boundary();
-                    let bits = |f: &[Vec3]| -> Vec<[u64; 3]> {
-                        f.iter()
-                            .map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
-                            .collect()
-                    };
-                    interior > 0
-                        && bits(&fused.0) == bits(&pe.forces)
-                        && fused.1.potential.to_bits() == pe.last_work.potential.to_bits()
-                        && fused.1 == pe.last_work
-                });
-                assert!(
-                    same.iter().all(|&s| s),
-                    "{shape:?} verlet {verlet}: {same:?}"
-                );
             }
         }
     }

@@ -76,7 +76,7 @@ impl StepRecord {
 /// the feature cannot perturb a run's reported results.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Force computation (interior + boundary passes, or the fused pass).
+    /// Force computation.
     pub force: f64,
     /// Ghost exchange (sends + receives + ghost-slab rebuilds).
     pub ghost: f64,

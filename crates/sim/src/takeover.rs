@@ -469,7 +469,7 @@ pub(crate) fn step_multi(
             pe.dlb_recv_cells(comm);
         }
     }
-    // Ghost exchange and the local force pass(es), then the second
+    // Ghost exchange and the local force pass, then the second
     // half-kick.
     exchange_ghosts_and_compute(comm, pes, exchange);
     for (_, pe) in pes.iter_mut() {
@@ -498,16 +498,11 @@ pub(crate) fn step_multi(
 }
 
 /// Phases 4–5 over this thread's role set (split-phase across roles):
-/// post every role's frames, then receive and compute. A role on the
-/// overlapped schedule (`cfg.overlap`, where its interior is large enough
-/// to pay and the step lets it — `PeState::splits_force_pass`) computes
-/// its interior pairs before any role drains a receive, so dual-role
-/// threads overlap both personas' exchanges, and finishes the frontier
-/// afterwards; any other role runs the fused pass after its receive. The
-/// wire sequence is the same either way — the sends are posted first —
-/// and split == fused holds bitwise. `exchange` says what the frames
-/// carry: the shells, a mid-epoch refresh, or a single-exchange step's
-/// migrants and ghosts together.
+/// post every role's frames, then receive, then compute — a dual-role
+/// thread has both personas' sends posted before either blocks in a
+/// receive. `exchange` says what the frames carry: the shells, a
+/// mid-epoch refresh, or a single-exchange step's migrants and ghosts
+/// together.
 pub(crate) fn exchange_ghosts_and_compute(
     comm: &mut Comm,
     pes: &mut [(usize, PeState)],
@@ -517,22 +512,12 @@ pub(crate) fn exchange_ghosts_and_compute(
         comm.act_as(*v);
         pe.ghosts_send(comm, exchange);
     }
-    let rebuild = exchange != Exchange::Refresh;
-    for (_, pe) in pes.iter_mut() {
-        if pe.splits_force_pass(rebuild) {
-            pe.compute_forces_interior();
-        }
-    }
     for (v, pe) in pes.iter_mut() {
         comm.act_as(*v);
         pe.ghosts_recv(comm, exchange);
     }
     for (_, pe) in pes.iter_mut() {
-        if pe.splits_force_pass(rebuild) {
-            pe.compute_forces_boundary();
-        } else {
-            pe.compute_forces();
-        }
+        pe.compute_forces();
     }
 }
 

@@ -2,8 +2,8 @@
 //! conserves energy through the full stack, exchanges once per step
 //! wherever its neighbour sets are closed two cells out, trades message
 //! count for volume the way the shape analysis predicts, and rejects what
-//! it cannot do. (The cube rows of the shared bitwise matrix — schedules,
-//! encodings, the split force pass — are in `parity_matrix.rs`.)
+//! it cannot do. (The cube rows of the shared bitwise matrix — skin modes,
+//! encodings, blocks with a deep interior — are in `parity_matrix.rs`.)
 
 use pcdlb_sim::cube::run_cube_with_snapshot;
 use pcdlb_sim::{run_serial, serial_sim, DomainShape, Launch, RunConfig, RunReport};
@@ -108,6 +108,15 @@ fn rebuild_steps_are_one_exchange_and_match_serial_in_state_and_work() {
                     (serial.last_work().pair_checks, serial.last_step_rebuilt()),
                     "{what}: step {}",
                     rec.step
+                );
+                // The same terms summed in another order (per rank, per
+                // home column): equal to rounding, not to the bit.
+                let potential = serial.last_work().potential;
+                assert!(
+                    (rec.potential - potential).abs() <= 1e-12 * potential.abs(),
+                    "{what}: step {} potential {} vs serial {potential}",
+                    rec.step,
+                    rec.potential
                 );
             }
             assert_eq!(snap, serial.snapshot(), "{what}");

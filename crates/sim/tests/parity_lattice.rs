@@ -11,9 +11,7 @@
 //! the balancer runs at P = 9 and the smaller grids run DDM-only.
 
 use pcdlb_md::Particle;
-use pcdlb_sim::{
-    digest_particles, digest_run, run_serial, run_with_snapshot, serial_sim, Lattice, RunConfig,
-};
+use pcdlb_sim::{digest_particles, run_serial, run_with_snapshot, serial_sim, Lattice, RunConfig};
 
 /// A short supercooled-gas run on `nc = 6` (divides 1×1, 2×2 and 3×3
 /// grids) with the given initial placement.
@@ -101,43 +99,6 @@ fn parallel_pair_checks_match_serial_full_shell_count_per_step() {
                 rec.step,
                 lattice
             );
-        }
-    }
-}
-
-/// The overlapped step schedule (interior forces computed while ghost
-/// payloads are in flight, boundary forces after the drain) must be a
-/// pure reordering of *when* work runs, never of the floating-point
-/// operand order: with `overlap` off the step degrades to the sequenced
-/// recv-then-compute schedule, and the two must agree bitwise — full run
-/// digest (every t_step, imbalance and concentration bit) and final
-/// snapshot — on every grid, with and without DLB.
-#[test]
-fn overlapped_schedule_matches_sequenced_bitwise_at_every_grid() {
-    for (p, steps, dlb) in [(1usize, 25u64, false), (4, 25, false), (9, 40, true)] {
-        for lattice in [
-            Lattice::SlabY { fill: 0.4 },
-            Lattice::Cluster { fill: 0.55 },
-        ] {
-            let overlapped = lattice_cfg(lattice, p, steps, dlb);
-            assert!(overlapped.overlap, "overlap must be the default");
-            let mut sequenced = lattice_cfg(lattice, p, steps, dlb);
-            sequenced.overlap = false;
-
-            let (rep_o, snap_o) = run_with_snapshot(&overlapped);
-            let (rep_s, snap_s) = run_with_snapshot(&sequenced);
-            assert_eq!(
-                digest_run(&rep_o, &snap_o, overlapped.load_metric),
-                digest_run(&rep_s, &snap_s, sequenced.load_metric),
-                "overlapped run diverged from sequenced for {lattice:?} on P = {p}"
-            );
-            for (a, b) in snap_o.iter().zip(&snap_s) {
-                assert!(
-                    a.id == b.id && a.pos == b.pos && a.vel == b.vel,
-                    "particle {} diverged bitwise between schedules",
-                    a.id
-                );
-            }
         }
     }
 }

@@ -1,7 +1,6 @@
 //! The bitwise spine, as one table: every domain shape × PE count ×
-//! force schedule × skin mode × ghost encoding must reproduce the serial
-//! reference exactly, and none of the schedule/encoding knobs may move a
-//! single reported number.
+//! skin mode × ghost encoding must reproduce the serial reference
+//! exactly, and the encoding knob may not move a single reported number.
 //!
 //! One step engine runs all three shapes, so one matrix covers them:
 //! what used to be three per-decomposition suites (pillar skin parity,
@@ -106,42 +105,37 @@ fn every_shape_schedule_and_encoding_matches_serial_bitwise() {
         }
         for (shape, p) in ROWS {
             let mut baseline: Option<RunReport> = None;
-            for overlap in [true, false] {
-                for delta_ghosts in [true, false] {
-                    let what = format!(
-                        "{shape:?} P = {p}, {mode:?}, overlap {overlap}, delta {delta_ghosts}"
-                    );
-                    let mut c = cfg(p, mode);
-                    c.overlap = overlap;
-                    c.delta_ghosts = delta_ghosts;
-                    let (report, snap) = Launch::new()
-                        .shape(shape)
-                        .snapshot()
-                        .run(&c)
-                        .into_snapshot();
-                    assert_bitwise_equal(&snap, &serial, &what);
-                    // The rebuild decision is a pure function of
-                    // replicated global state: every grid picks the
-                    // serial reference's step sequence.
-                    let seq: Vec<bool> = report.records.iter().map(|r| r.rebuilt).collect();
-                    assert_eq!(seq, serial_seq, "{what}: rebuild schedule diverged");
-                    // Neither the force schedule nor the ghost encoding
-                    // may move a reported number: records, modelled comm
-                    // time, canonical message and byte totals.
-                    match &baseline {
-                        None => baseline = Some(report),
-                        Some(base) => {
-                            assert_eq!(report.records, base.records, "{what}: records moved");
-                            assert_eq!(
-                                report.comm_virtual_s, base.comm_virtual_s,
-                                "{what}: modelled comm time moved"
-                            );
-                            assert_eq!(
-                                digest_report(&report, c.load_metric),
-                                digest_report(base, c.load_metric),
-                                "{what}: message totals moved"
-                            );
-                        }
+            for delta_ghosts in [true, false] {
+                let what = format!("{shape:?} P = {p}, {mode:?}, delta {delta_ghosts}");
+                let mut c = cfg(p, mode);
+                c.delta_ghosts = delta_ghosts;
+                let (report, snap) = Launch::new()
+                    .shape(shape)
+                    .snapshot()
+                    .run(&c)
+                    .into_snapshot();
+                assert_bitwise_equal(&snap, &serial, &what);
+                // The rebuild decision is a pure function of replicated
+                // global state: every grid picks the serial reference's
+                // step sequence.
+                let seq: Vec<bool> = report.records.iter().map(|r| r.rebuilt).collect();
+                assert_eq!(seq, serial_seq, "{what}: rebuild schedule diverged");
+                // The ghost encoding may not move a reported number:
+                // records, modelled comm time, canonical message and
+                // byte totals.
+                match &baseline {
+                    None => baseline = Some(report),
+                    Some(base) => {
+                        assert_eq!(report.records, base.records, "{what}: records moved");
+                        assert_eq!(
+                            report.comm_virtual_s, base.comm_virtual_s,
+                            "{what}: modelled comm time moved"
+                        );
+                        assert_eq!(
+                            digest_report(&report, c.load_metric),
+                            digest_report(base, c.load_metric),
+                            "{what}: message totals moved"
+                        );
                     }
                 }
             }
@@ -150,18 +144,14 @@ fn every_shape_schedule_and_encoding_matches_serial_bitwise() {
 }
 
 #[test]
-fn grids_large_enough_to_split_the_force_pass_match_serial_bitwise() {
-    // On the `nc = 6` rows above every rank's interior is too small for
-    // the overlapped split to pay, so `overlap` runs the fused pass there
-    // (`pe::split_pays`). These grids are the smallest per shape where the
-    // ranks really split (pinned by the in-crate test
-    // `force_pass_is_split_only_where_the_interior_pays`), two rows each:
-    // 6×6-column pillar tiles, four planes per ring rank and 8³ blocks
-    // split between rebuild steps only; 8×8-column tiles, six planes and
-    // 10³ blocks on every step. None of these runs balances, so their
-    // rebuild steps are one exchange: the interior pass (two cells in)
-    // runs before the step's arrivals are merged, and its forces are
-    // carried over to the slots behind them.
+fn grids_with_a_deep_interior_match_serial_bitwise() {
+    // On the `nc = 6` rows above nearly every owned cell borders a ghost
+    // cell. These grids give each rank cells two and three deep — two
+    // rows per shape: 6×6- and 8×8-column pillar tiles, four and six
+    // planes per ring rank, 8³ and 10³ blocks — so columns that meet no
+    // ghost at all, and cube columns that mix both kinds of cell, are
+    // walked, recorded and replayed too. None of these runs balances, so
+    // their rebuild steps are one exchange.
     for (shape, p, nc, density) in [
         (DomainShape::SquarePillar, 4, 12, 0.1),
         (DomainShape::SquarePillar, 4, 16, 0.05),
@@ -177,21 +167,13 @@ fn grids_large_enough_to_split_the_force_pass_match_serial_bitwise() {
             (c.n_particles, c.nc, c.density) = (n, nc, n as f64 / box_len.powi(3));
             c.steps = 12;
             let serial = run_serial(&c);
-            let (split, snap) = Launch::new()
+            let (_, snap) = Launch::new()
                 .shape(shape)
                 .snapshot()
                 .run(&c)
                 .into_snapshot();
             let what = format!("{shape:?} P = {p} nc = {nc}, {mode:?}");
             assert_bitwise_equal(&snap, &serial, &what);
-            c.overlap = false;
-            let (fused, snap) = Launch::new()
-                .shape(shape)
-                .snapshot()
-                .run(&c)
-                .into_snapshot();
-            assert_bitwise_equal(&snap, &serial, &what);
-            assert_eq!(split.records, fused.records, "{what}: records moved");
         }
     }
 }

@@ -1,0 +1,74 @@
+//! Absolute digests of four small runs, pinned. Everything else in the
+//! tree compares a run with another run of the same build (serial, a
+//! twin configuration); only this file notices when *both* move.
+//!
+//! The constants were captured at commit `7d7c399` — the last with the
+//! overlapped force schedule, on by default there — on grids where ranks
+//! of that commit really split their force pass: all four ranks of the
+//! two P = 4 runs (on every step of the first, between rebuilds of the
+//! second), three of the nine balancing ranks, all three of the ring.
+//! They therefore pin the one schedule that is left to the bits of the
+//! one that was deleted. An engine change that is meant to be a pure
+//! move must leave all four alone; one that means to move them says so
+//! in CHANGES.md and re-captures them here.
+
+use pcdlb::sim::{digest_run, DomainShape, Lattice, Launch, RunConfig};
+
+/// A 30-step gas on roomy cells (length 3.0 ≥ r_c + skin).
+fn gas(p: usize, nc: usize, density: f64) -> RunConfig {
+    let box_len = 3.0 * nc as f64;
+    let n = (density * box_len.powi(3)) as usize;
+    let mut cfg = RunConfig::new(n, nc, p, n as f64 / box_len.powi(3));
+    cfg.steps = 30;
+    cfg.seed = 3;
+    cfg.thermostat_interval = 5;
+    cfg.dlb = false;
+    cfg
+}
+
+fn digest(shape: DomainShape, cfg: &RunConfig) -> u64 {
+    let (report, snapshot) = Launch::new()
+        .shape(shape)
+        .snapshot()
+        .run(cfg)
+        .into_snapshot();
+    digest_run(&report, &snapshot, cfg.load_metric)
+}
+
+#[test]
+fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
+    // 8×8-column tiles, every step a single-exchange rebuild.
+    let every_step = gas(4, 16, 0.05);
+    // 6×6-column tiles, frozen epochs replayed from the Verlet list.
+    let mut verlet = gas(4, 12, 0.1);
+    verlet.skin = 0.06;
+    verlet.verlet = true;
+    // 6×6-column tiles on the 3×3 torus, a clustered start (105 columns
+    // planned away at launch), two rounds and the balancer on every step
+    // (202 transfers).
+    let mut balancing = gas(9, 18, 0.03);
+    balancing.lattice = Lattice::Cluster { fill: 0.6 };
+    balancing.dlb = true;
+    balancing.dlb_min_gain = 0.02;
+    // Four planes per rank, frozen epochs walked live, boundaries moving
+    // on the rebuild steps (10 transfers).
+    let mut ring = gas(3, 12, 0.1);
+    ring.lattice = Lattice::Cluster { fill: 0.7 };
+    ring.skin = 0.06;
+    ring.dlb = true;
+    use DomainShape::{Plane, SquarePillar};
+    let got = [
+        digest(SquarePillar, &every_step),
+        digest(SquarePillar, &verlet),
+        digest(SquarePillar, &balancing),
+        digest(Plane, &ring),
+    ];
+    let pinned: [u64; 4] = [
+        0xe3ef178e90bc9adc,
+        0x49f2bc54e1bdf837,
+        0x14df6485421c0fa6,
+        0xc217c2533a51f1b8,
+    ];
+    let hex = |digests: [u64; 4]| digests.map(|d| format!("{d:#018x}"));
+    assert_eq!(hex(got), hex(pinned), "every step, Verlet, balancing, ring");
+}

@@ -2,9 +2,9 @@
 //! round cannot creep back unnoticed:
 //!
 //! - the frozen skin epochs (the recommended configuration: `skin > 0`,
-//!   `verlet`, overlap on) land on the serial reference bit for bit, and a
-//!   mid-epoch step costs exactly one message per neighbour — the
-//!   positions-only ghost refresh;
+//!   `verlet`) land on the serial reference bit for bit, and a mid-epoch
+//!   step costs exactly one message per neighbour — the positions-only
+//!   ghost refresh;
 //! - a run that does not balance sends one message per neighbour on its
 //!   rebuild steps too: migrants and ghosts share the frame;
 //! - a run that does balance sends two — the decision was taken a step
