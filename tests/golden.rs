@@ -1,18 +1,22 @@
-//! Absolute digests of four small runs, pinned. Everything else in the
+//! Absolute digests of six small runs, pinned. Everything else in the
 //! tree compares a run with another run of the same build (serial, a
 //! twin configuration); only this file notices when *both* move.
 //!
-//! The constants were captured at commit `7d7c399` — the last with the
+//! The first four constants were captured at commit `7d7c399` — the last with the
 //! overlapped force schedule, on by default there — on grids where ranks
 //! of that commit really split their force pass: all four ranks of the
 //! two P = 4 runs (on every step of the first, between rebuilds of the
 //! second), three of the nine balancing ranks, all three of the ring.
 //! They therefore pin the one schedule that is left to the bits of the
-//! one that was deleted. An engine change that is meant to be a pure
-//! move must leave all four alone; one that means to move them says so
-//! in CHANGES.md and re-captures them here.
+//! one that was deleted. The last two were captured at `88ddd3a`, the
+//! commit before the step engine was split into modules: a cube (the one
+//! shape whose classes are per cell) and a run through the resilient
+//! terminal — checkpoint sink, sentinel, drain, resize barrier, restore —
+//! which the first four never enter. An engine change that is meant to
+//! be a pure move must leave all six alone; one that means to move them
+//! says so in CHANGES.md and re-captures them here.
 
-use pcdlb::sim::{digest_run, DomainShape, Lattice, Launch, RunConfig};
+use pcdlb::sim::{digest_run, DomainShape, Ladder, Lattice, Launch, ResizePlan, RunConfig};
 
 /// A 30-step gas on roomy cells (length 3.0 ≥ r_c + skin).
 fn gas(p: usize, nc: usize, density: f64) -> RunConfig {
@@ -56,19 +60,51 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     ring.lattice = Lattice::Cluster { fill: 0.7 };
     ring.skin = 0.06;
     ring.dlb = true;
-    use DomainShape::{Plane, SquarePillar};
+    // 6³-cell blocks on the 2×2×2 torus: per-cell classes, one exchange
+    // per step with seven neighbours.
+    let cube = gas(8, 12, 0.1);
+    // 4×4-column tiles on the 3×3 torus, then 3×3 on the 4×4 and back: a
+    // balancing run through the resilient terminal — a checkpoint and a
+    // sentinel every 5 steps, two drains, two resize barriers, two
+    // restores onto another torus (150 transfers planned at the three
+    // launches).
+    let mut ladder = gas(9, 12, 0.1);
+    ladder.lattice = Lattice::Cluster { fill: 0.6 };
+    ladder.dlb = true;
+    ladder.dlb_min_gain = 0.02;
+    ladder.checkpoint_interval = 5;
+    ladder.sentinel_interval = 5;
+    let rungs = Ladder {
+        takeover: true,
+        plan: ResizePlan::new().resize(10, 16).resize(20, 9),
+        ..Ladder::default()
+    };
+    let resized = Launch::new()
+        .run_resilient(&ladder, &rungs)
+        .expect("no faults");
+    assert_eq!((resized.generations.len(), resized.attempts), (3, 3));
+    assert_eq!(resized.report.launch_transfers, 150);
+    use DomainShape::{Cube, Plane, SquarePillar};
     let got = [
         digest(SquarePillar, &every_step),
         digest(SquarePillar, &verlet),
         digest(SquarePillar, &balancing),
         digest(Plane, &ring),
+        digest(Cube, &cube),
+        resized.digest,
     ];
-    let pinned: [u64; 4] = [
+    let pinned: [u64; 6] = [
         0xe3ef178e90bc9adc,
         0x49f2bc54e1bdf837,
         0x14df6485421c0fa6,
         0xc217c2533a51f1b8,
+        0x526684c0948b4db7,
+        0x574ac33bed71e170,
     ];
-    let hex = |digests: [u64; 4]| digests.map(|d| format!("{d:#018x}"));
-    assert_eq!(hex(got), hex(pinned), "every step, Verlet, balancing, ring");
+    let hex = |digests: [u64; 6]| digests.map(|d| format!("{d:#018x}"));
+    assert_eq!(
+        hex(got),
+        hex(pinned),
+        "every step, Verlet, balancing, ring, cube, ladder"
+    );
 }
