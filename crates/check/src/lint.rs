@@ -22,9 +22,9 @@
 //!   just-checked index) that no remote input can violate.
 //! - `unbounded-recv-in-recovery-path`: no indefinitely blocking
 //!   `.recv(...)` in the files recovery and takeover flow through
-//!   (`pcdlb-sim`'s step engine — `pe.rs`, `takeover.rs` and the
-//!   decompositions — plus `driver.rs`' ladder loop and `recover.rs`). A
-//!   recovery path waiting
+//!   (`pcdlb-sim`'s step engine — every module of `pe/`, the run loop in
+//!   `engine.rs`, the takeover rung and the decompositions — plus
+//!   `driver.rs`' ladder loop and `recover.rs`). A recovery path waiting
 //!   forever on a peer that may already be dead defeats the no-hang
 //!   guarantee; waits there must be `recv_deadline` (which
 //!   escalates to a world abort) or an audited step-schedule receive
@@ -33,11 +33,14 @@
 //! - `per-step-allocation-in-hot-path`: no allocating constructors
 //!   (`Vec::new`, `Vec::with_capacity`, `vec![`, `BTreeMap::new`,
 //!   `BTreeSet::new`, `.to_vec()`, `.collect()`) in the files the steady-state step flows through
-//!   (`frame.rs` and the step engine in `pcdlb-sim`). The step is
-//!   allocation-free by construction — pooled frames, retained scratch —
-//!   and a stray allocation silently reintroduces per-step heap churn.
-//!   Cold paths (scaffolding, checkpointing, recovery, reporting) are
-//!   audited line by line in `lint-allow.txt`.
+//!   (`frame.rs`, the run loop in `engine.rs` and the per-step modules of
+//!   `pe/` in `pcdlb-sim`). The step is allocation-free by construction —
+//!   pooled frames, retained scratch — and a stray allocation silently
+//!   reintroduces per-step heap churn. A file in which nothing runs
+//!   every step (`pe/topology.rs`, `pe/audit.rs`, `takeover.rs`,
+//!   `launch.rs`) is not listed; the cold lines that share a file with a
+//!   phase (a component's constructor, a transfer's staging) are audited
+//!   one by one in `lint-allow.txt`.
 //! - `hardcoded-duration-in-comm-path`: no inline `Duration::from_*`
 //!   literals in the communication and recovery paths (`comm.rs`,
 //!   `world.rs`, `transport.rs` in `pcdlb-mp`; `driver.rs` and
@@ -159,10 +162,18 @@ const RULES: &[Rule] = &[
         name: "unbounded-recv-in-recovery-path",
         dirs: &[],
         files: &[
-            // The step engine, whole: the per-PE phases, the run loop, and
-            // the three decompositions it asks for ownership (which must
-            // stay free of communication altogether).
-            "crates/sim/src/pe.rs",
+            // The step engine, whole: the per-PE phases, the run loop, the
+            // takeover rung, and the three decompositions it asks for
+            // ownership (which must stay free of communication altogether).
+            "crates/sim/src/pe/mod.rs",
+            "crates/sim/src/pe/topology.rs",
+            "crates/sim/src/pe/walk.rs",
+            "crates/sim/src/pe/force.rs",
+            "crates/sim/src/pe/exchange.rs",
+            "crates/sim/src/pe/balance.rs",
+            "crates/sim/src/pe/bookkeeping.rs",
+            "crates/sim/src/pe/audit.rs",
+            "crates/sim/src/engine.rs",
             "crates/sim/src/takeover.rs",
             "crates/sim/src/decomp.rs",
             "crates/sim/src/plane.rs",
@@ -182,8 +193,16 @@ const RULES: &[Rule] = &[
         dirs: &[],
         files: &[
             "crates/sim/src/frame.rs",
-            "crates/sim/src/pe.rs",
-            "crates/sim/src/takeover.rs",
+            // What runs every step: the run loop and the per-step phases.
+            // (`pe/topology.rs`, `pe/audit.rs` and `takeover.rs` hold
+            // nothing that does.)
+            "crates/sim/src/engine.rs",
+            "crates/sim/src/pe/mod.rs",
+            "crates/sim/src/pe/walk.rs",
+            "crates/sim/src/pe/force.rs",
+            "crates/sim/src/pe/exchange.rs",
+            "crates/sim/src/pe/balance.rs",
+            "crates/sim/src/pe/bookkeeping.rs",
             "crates/sim/src/decomp.rs",
             "crates/sim/src/plane.rs",
             "crates/sim/src/cube.rs",
@@ -518,26 +537,44 @@ mod tests {
 
     #[test]
     fn per_step_allocation_in_hot_path_is_flagged() {
-        let fx = Fixture::new(&[(
-            "crates/sim/src/pe.rs",
-            concat!(
-                "fn ghosts_send(&mut self) {\n",
-                "    let mut payload = Vec::new();\n",
-                "    let ids: Vec<u64> = parts.iter().map(|p| p.id).collect();\n",
-                "    let copy = parts.to_vec();\n",
-                "    let mut sized = Vec::with_capacity(pes.len());\n",
-                "    frame.parts.extend_from_slice(parts); // pooled: fine\n",
-                "}\n",
+        let fx = Fixture::new(&[
+            (
+                "crates/sim/src/pe/exchange.rs",
+                concat!(
+                    "fn ghosts_send(&mut self) {\n",
+                    "    let mut payload = Vec::new();\n",
+                    "    let ids: Vec<u64> = parts.iter().map(|p| p.id).collect();\n",
+                    "    let copy = parts.to_vec();\n",
+                    "    let mut sized = Vec::with_capacity(pes.len());\n",
+                    "    frame.parts.extend_from_slice(parts); // pooled: fine\n",
+                    "}\n",
+                ),
             ),
-        )]);
+            // Nothing in the class map runs every step: it may allocate,
+            // but it is still a file recovery flows through.
+            (
+                "crates/sim/src/pe/topology.rs",
+                concat!(
+                    "fn refresh(&mut self) {\n",
+                    "    let mut grid = vec![CellClass::Unseen; nc * nc * nc];\n",
+                    "    let x: u64 = comm.recv(0, tags::STEP_FRAME);\n",
+                    "}\n",
+                ),
+            ),
+        ]);
         let r = run_lints(&fx.root).expect("lint runs");
-        let lines: Vec<usize> = r
-            .findings
-            .iter()
-            .filter(|f| f.rule == "per-step-allocation-in-hot-path")
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(lines, vec![2, 3, 4, 5], "pooled reuse must stay legal");
+        let hits = |rule: &str| -> Vec<(bool, usize)> {
+            let of_rule = r.findings.iter().filter(|f| f.rule == rule);
+            of_rule
+                .map(|f| (f.file.ends_with("topology.rs"), f.line))
+                .collect()
+        };
+        assert_eq!(
+            hits("per-step-allocation-in-hot-path"),
+            [2, 3, 4, 5].map(|line| (false, line)),
+            "pooled reuse must stay legal"
+        );
+        assert_eq!(hits("unbounded-recv-in-recovery-path"), [(true, 3)]);
     }
 
     #[test]

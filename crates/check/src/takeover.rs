@@ -111,7 +111,7 @@ fn ops_of<'a>(
 
 /// Fold a thread's role set into one program-ordered operation sequence
 /// under the simulator's dual-role interleaving rule (`step_multi` /
-/// `run_roles` in `crates/sim/src/takeover.rs`):
+/// `run_roles` in `crates/sim/src/engine.rs`):
 ///
 /// - point-to-point phases: every role's sends (roles ascending), then
 ///   every role's receives (roles ascending);

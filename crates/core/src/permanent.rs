@@ -39,14 +39,6 @@ pub fn movable_count(m: usize) -> usize {
     (m - 1) * (m - 1)
 }
 
-/// The movable columns of `rank`'s home tile, in row-major order.
-pub fn movable_columns(layout: &PillarLayout, rank: usize) -> Vec<Col> {
-    layout
-        .tile_columns(rank)
-        .filter(|&c| is_movable(layout, c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,21 +101,6 @@ mod tests {
                 assert!(is_movable(&l, Col::new(o.cx + dx, o.cy + dy)));
             }
         }
-    }
-
-    #[test]
-    fn movable_columns_listed_in_row_major_order() {
-        let l = layout(9, 3);
-        let o = l.tile_origin(0);
-        assert_eq!(
-            movable_columns(&l, 0),
-            vec![
-                Col::new(o.cx, o.cy),
-                Col::new(o.cx, o.cy + 1),
-                Col::new(o.cx + 1, o.cy),
-                Col::new(o.cx + 1, o.cy + 1),
-            ]
-        );
     }
 
     #[test]

@@ -97,18 +97,6 @@ impl OwnershipMap {
         self.owner.iter().filter(|&&o| o == rank).count()
     }
 
-    /// Columns of `rank`'s home tile currently owned elsewhere, paired
-    /// with their current owner.
-    pub fn lent_out(&self, rank: usize) -> Vec<(Col, usize)> {
-        self.layout
-            .tile_columns(rank)
-            .filter_map(|c| {
-                let o = self.owner_of(c);
-                (o != rank).then_some((c, o))
-            })
-            .collect()
-    }
-
     /// The distinct owners of columns 8-adjacent to `rank`'s owned set
     /// (excluding `rank` itself) — the PEs `rank` must exchange ghost data
     /// with.
@@ -234,7 +222,6 @@ mod tests {
         assert_eq!(om.owner_of(c), 0);
         assert_eq!(om.num_owned(0), 17);
         assert_eq!(om.num_owned(4), 15);
-        assert_eq!(om.lent_out(4), vec![(c, 0)]);
         om.check_all().unwrap();
     }
 

@@ -46,11 +46,6 @@ impl DomainShape {
         }
     }
 
-    /// Cells per domain, `C/P`, independent of shape.
-    pub fn domain_cells(&self, nc: usize, p: usize) -> f64 {
-        (nc as f64).powi(3) / p as f64
-    }
-
     /// Ghost (imported) cells per PE per step, allowing fractional domain
     /// extents for analysis sweeps.
     pub fn ghost_cells(&self, nc: usize, p: usize) -> f64 {
@@ -97,13 +92,6 @@ impl DomainShape {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn domain_cells_split_evenly() {
-        for s in DomainShape::ALL {
-            assert_eq!(s.domain_cells(24, 36), 13824.0 / 36.0);
-        }
-    }
 
     #[test]
     fn ghost_cells_closed_forms() {

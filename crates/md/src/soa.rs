@@ -82,13 +82,6 @@ impl SoaField {
         }
     }
 
-    /// Set one slot's position.
-    pub fn set_pos(&mut self, i: usize, pos: Vec3) {
-        self.xs[i] = pos.x;
-        self.ys[i] = pos.y;
-        self.zs[i] = pos.z;
-    }
-
     /// One slot's position.
     pub fn pos(&self, i: usize) -> Vec3 {
         Vec3::new(self.xs[i], self.ys[i], self.zs[i])

@@ -3,7 +3,7 @@
 //! These mirror the MPI collectives the paper's SPMD implementation relies
 //! on (`MPI_Barrier`, `MPI_Allreduce`, gathers for statistics collection),
 //! implemented the way a distributed machine would: a dissemination
-//! barrier, binomial-tree reduce/broadcast, and gather/allgather to/from a
+//! barrier, binomial-tree reduce/broadcast, and gather to a
 //! root. All ranks must call the same collective with the same `tag`; the
 //! tag keeps concurrent phases of a program from interfering.
 //!
@@ -140,28 +140,6 @@ where
     bcast(comm, tag.wrapping_add(1 << 20), reduced)
 }
 
-/// Inclusive prefix scan: rank `r` receives `v₀ op v₁ op … op v_r`,
-/// evaluated left-to-right (deterministic for floating point). Linear
-/// pipeline — O(P) latency, O(1) messages per rank; fine for the small
-/// per-step reductions an SPMD simulation does.
-pub fn scan<T, F>(comm: &mut Comm, tag: Tag, value: T, op: F) -> T
-where
-    T: Any + Send + WireSize + Clone,
-    F: Fn(T, T) -> T,
-{
-    let rank = comm.rank();
-    let acc = if rank == 0 {
-        value
-    } else {
-        let prefix: T = comm.recv(rank - 1, ctag(tag, 7));
-        op(prefix, value)
-    };
-    if rank + 1 < comm.size() {
-        comm.send(rank + 1, ctag(tag, 7), acc.clone());
-    }
-    acc
-}
-
 /// Gather every rank's value to rank 0 in rank order. Only rank 0 receives
 /// `Some(vec)`.
 pub fn gather<T>(comm: &mut Comm, tag: Tag, value: T) -> Option<Vec<T>>
@@ -181,16 +159,6 @@ where
         comm.send(0, ctag(tag, 0), value);
         None
     }
-}
-
-/// Gather to rank 0 then broadcast: all ranks receive everyone's value in
-/// rank order.
-pub fn allgather<T>(comm: &mut Comm, tag: Tag, value: T) -> Vec<T>
-where
-    T: Any + Send + WireSize + Clone,
-{
-    let gathered = gather(comm, tag, value);
-    bcast(comm, tag.wrapping_add(1 << 20), gathered)
 }
 
 #[cfg(test)]
@@ -289,14 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_gives_everyone_everything() {
-        let out = World::new(5).run(|comm| allgather(comm, 6, comm.rank() as u16));
-        for v in out {
-            assert_eq!(v, vec![0, 1, 2, 3, 4]);
-        }
-    }
-
-    #[test]
     fn collectives_compose_in_sequence() {
         let out = World::new(4).run(|comm| {
             let mut acc = 0u64;
@@ -315,9 +275,9 @@ mod tests {
         let out = World::new(1).run(|comm| {
             barrier(comm, 0);
             let s = allreduce(comm, 1, 41u64, |a, b| a + b);
-            allgather(comm, 2, s + 1)
+            gather(comm, 2, s + 1)
         });
-        assert_eq!(out[0], vec![42]);
+        assert_eq!(out[0], Some(vec![42]));
     }
 }
 
@@ -412,36 +372,8 @@ mod peer_death_tests {
 }
 
 #[cfg(test)]
-mod scan_tests {
-    use super::*;
+mod sendrecv_tests {
     use crate::world::World;
-
-    #[test]
-    fn scan_computes_prefix_sums() {
-        for p in [1, 2, 5, 9] {
-            let out =
-                World::new(p).run(|comm| scan(comm, 40, (comm.rank() + 1) as u64, |a, b| a + b));
-            for (r, got) in out.into_iter().enumerate() {
-                let expect: u64 = (1..=r as u64 + 1).sum();
-                assert_eq!(got, expect, "rank {r} of {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn scan_is_left_to_right_for_floats() {
-        // Non-associative op order is pinned: rank r sees a strictly
-        // left-to-right fold, identical to a serial loop.
-        let p = 6;
-        let vals: Vec<f64> = (0..p).map(|i| 0.1 * (i as f64 + 1.0)).collect();
-        let vals2 = vals.clone();
-        let out = World::new(p).run(move |comm| scan(comm, 41, vals[comm.rank()], |a, b| a + b));
-        let mut acc = 0.0;
-        for (r, v) in vals2.iter().enumerate() {
-            acc = if r == 0 { *v } else { acc + *v };
-            assert_eq!(out[r], acc, "bitwise-identical prefix at rank {r}");
-        }
-    }
 
     #[test]
     fn sendrecv_swaps_values() {

@@ -123,28 +123,6 @@ impl Torus2d {
         v
     }
 
-    /// Remap this torus to a square torus of `p` ranks — the topology half
-    /// of an elastic world resize (PEs joining or leaving between launch
-    /// generations). Pure metadata: callers redistribute state themselves
-    /// (e.g. by rebuilding the pillar home map on the new torus). Panics
-    /// if `p` is not a perfect square, same as [`Torus2d::square`].
-    pub fn remap(&self, p: usize) -> Torus2d {
-        Torus2d::square(p)
-    }
-
-    /// Deterministic lineage map for a resize: the rank on `to` whose tile
-    /// of the torus plane contains `rank`'s coordinates, by proportional
-    /// scaling of both coordinates. Total (every old rank maps somewhere)
-    /// and surjective whenever `to` is no larger per side than `self`, so
-    /// a shrink assigns every departing rank a surviving successor; the
-    /// identity when the extents match.
-    pub fn remap_rank(&self, to: Torus2d, rank: usize) -> usize {
-        let (i, j) = self.coords(rank);
-        let ni = i * to.rows / self.rows;
-        let nj = j * to.cols / self.cols;
-        ni * to.cols + nj
-    }
-
     /// Minimum hop count between two ranks (per-dimension wrapped Manhattan
     /// distance, the routing metric of a torus network).
     pub fn hops(&self, a: usize, b: usize) -> usize {
@@ -168,24 +146,6 @@ impl Torus3d {
     pub fn new(nx: usize, ny: usize, nz: usize) -> Self {
         assert!(nx > 0 && ny > 0 && nz > 0, "torus extents must be positive");
         Self { nx, ny, nz }
-    }
-
-    /// The most cubic 3-D torus with capacity for at least `p` ranks.
-    pub fn fitting(p: usize) -> Self {
-        assert!(p > 0);
-        let mut nx = (p as f64).cbrt().floor() as usize;
-        nx = nx.max(1);
-        while nx > 1 && !p.is_multiple_of(nx) {
-            nx -= 1;
-        }
-        let rest = p / nx;
-        let mut ny = (rest as f64).sqrt().floor() as usize;
-        ny = ny.max(1);
-        while ny > 1 && !rest.is_multiple_of(ny) {
-            ny -= 1;
-        }
-        let nz = rest / ny;
-        Self::new(nx, ny, nz)
     }
 
     /// Number of ranks.
@@ -308,45 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn remap_builds_the_square_torus_for_the_new_size() {
-        let t = Torus2d::square(9);
-        assert_eq!(t.remap(16), Torus2d::square(16));
-        assert_eq!(t.remap(4), Torus2d::square(4));
-        assert_eq!(t.remap(9), t);
-    }
-
-    #[test]
-    #[should_panic(expected = "perfect-square")]
-    fn remap_rejects_non_square_sizes() {
-        let _ = Torus2d::square(9).remap(12);
-    }
-
-    #[test]
-    fn remap_rank_is_identity_on_equal_tori() {
-        let t = Torus2d::square(9);
-        for r in 0..t.len() {
-            assert_eq!(t.remap_rank(t, r), r);
-        }
-    }
-
-    #[test]
-    fn remap_rank_shrink_is_surjective_and_grow_is_injective() {
-        let big = Torus2d::square(36);
-        let small = Torus2d::square(9);
-        // Shrink: every survivor inherits at least one old rank.
-        let mut hit = vec![false; small.len()];
-        for r in 0..big.len() {
-            hit[big.remap_rank(small, r)] = true;
-        }
-        assert!(hit.iter().all(|&h| h), "shrink left a successor orphaned");
-        // Grow: distinct old ranks land on distinct new ranks.
-        let mut targets: Vec<usize> = (0..small.len()).map(|r| small.remap_rank(big, r)).collect();
-        targets.sort_unstable();
-        targets.dedup();
-        assert_eq!(targets.len(), small.len());
-    }
-
-    #[test]
     fn hops_2d_examples() {
         let t = Torus2d::new(6, 6);
         assert_eq!(t.hops(0, 0), 0);
@@ -366,14 +287,6 @@ mod tests {
         }
         assert_eq!(t.hops(0, 1), 1);
         assert_eq!(t.hops(0, t.len() - 1), 1 + 1 + 1); // all dims wrap
-    }
-
-    #[test]
-    fn fitting_covers_exactly_p() {
-        for p in [1, 2, 8, 12, 16, 36, 64, 128] {
-            let t = Torus3d::fitting(p);
-            assert_eq!(t.len(), p, "fitting({p}) produced {t:?}");
-        }
     }
 
     proptest! {

@@ -5,6 +5,9 @@
 //! temperature T*, cutoff, time step, thermostat interval, and whether the
 //! permanent-cell load balancer runs.
 
+use std::fmt;
+
+use pcdlb_domain::DomainShape;
 use pcdlb_md::lj::LennardJones;
 use pcdlb_md::thermostat::Thermostat;
 use pcdlb_mp::{CommConfig, Torus2d};
@@ -128,6 +131,181 @@ pub enum Lattice {
         /// Fraction of the box side the slab occupies in y, in `(0, 1]`.
         fill: f64,
     },
+}
+
+/// A configuration mistake: what [`RunConfig::check`] and
+/// [`Ladder::check`](crate::driver::Ladder::check) return before any rank
+/// thread starts. `Display` is the message the panicking front doors
+/// ([`RunConfig::validate`], `Launch::run`, `Launch::run_resilient`) die
+/// with.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// A scalar that must be a finite number > 0 is not.
+    NotPositive { field: &'static str, value: f64 },
+    /// A scalar that must be finite is not.
+    NotFinite { field: &'static str, value: f64 },
+    /// `n_particles < 2`.
+    TooFewParticles,
+    /// `steps == 0`.
+    NoSteps,
+    /// `dlb_interval == 0`.
+    DlbIntervalZero,
+    /// `dlb_min_gain` negative or NaN.
+    DlbMinGain(f64),
+    /// `central_pull` negative or not finite.
+    CentralPull(f64),
+    /// A `pull_frac` component outside `[0, 1)`.
+    PullFrac(f64, f64, f64),
+    /// `pull_rmax` not > 0.
+    PullRmax(f64),
+    /// Square pillar: `p` is not a perfect square.
+    NotSquare { p: usize },
+    /// Square pillar: the torus side does not divide `nc`.
+    PillarSide { nc: usize, side: usize },
+    /// Square pillar: `dlb` on a torus side below 3.
+    DlbTorusTooSmall { p: usize },
+    /// Plane: `p == 0`.
+    NoPe,
+    /// Plane: more PEs than planes.
+    PlaneTooThin { p: usize, nc: usize },
+    /// Cube: `p` is not a perfect cube.
+    NotCubic { p: usize },
+    /// Cube: the torus side `k` does not divide `nc`.
+    CubeSide { nc: usize, k: usize },
+    /// Cube: `dlb` is on.
+    CubeBalances,
+    /// Cells shorter than the cutoff.
+    CellBelowCutoff { cell_len: f64, rcut: f64 },
+    /// A speed schedule with the `WallClock` metric.
+    SpeedNeedsWorkModel,
+    /// A speed schedule without base factors.
+    SpeedNoBase,
+    /// A speed base factor not > 0.
+    SpeedFactor,
+    /// A speed drift amplitude outside `[0, 1)`.
+    SpeedAmplitude(f64),
+    /// `skin` negative or NaN.
+    NegativeSkin,
+    /// `verlet` without a positive skin.
+    VerletWithoutSkin,
+    /// Cells shorter than cutoff + skin.
+    CellBelowSkin { cell_len: f64, rcut: f64, skin: f64 },
+    /// A resilient launch of a shape that does not restore.
+    NotPillar,
+    /// A resize boundary not after its predecessor (or step 0).
+    ResizeOrder { at_step: u64, prev: u64 },
+    /// A resize boundary at or past the last step.
+    ResizePastEnd { at_step: u64, steps: u64 },
+    /// A resize target that is not a perfect square.
+    ResizeNotSquare { p: usize },
+    /// A resize target whose torus side does not divide `nc`.
+    ResizeSide { p: usize, side: usize, nc: usize },
+    /// A resize plan over skin epochs.
+    ResizeWithSkin,
+    /// `max_attempts == 0`.
+    NoAttempts,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ConfigError::*;
+        match *self {
+            NotPositive { field, value } => {
+                write!(f, "{field} must be a finite number > 0; got {value}")
+            }
+            NotFinite { field, value } => write!(f, "{field} must be finite; got {value}"),
+            TooFewParticles => write!(f, "need at least two particles"),
+            NoSteps => write!(f, "steps must be ≥ 1"),
+            DlbIntervalZero => write!(f, "dlb_interval must be ≥ 1"),
+            DlbMinGain(g) => write!(f, "dlb_min_gain must be a number ≥ 0; got {g}"),
+            CentralPull(k) => write!(
+                f,
+                "central_pull must be a finite number ≥ 0 (0 switches the pull off); got {k}"
+            ),
+            PullFrac(fx, fy, fz) => write!(
+                f,
+                "pull_frac components are box fractions in [0, 1); got ({fx}, {fy}, {fz})"
+            ),
+            PullRmax(r) => write!(f, "pull_rmax must be a number > 0 (a radius); got {r}"),
+            NotSquare { p } => {
+                write!(f, "square torus needs a perfect-square rank count, got {p}")
+            }
+            PillarSide { nc, side } => write!(f, "nc = {nc} must be a multiple of √P = {side}"),
+            DlbTorusTooSmall { p } => {
+                write!(f, "DLB needs a torus side ≥ 3 (P ≥ 9); got P = {p}")
+            }
+            NoPe => write!(f, "need at least one PE"),
+            PlaneTooThin { p, nc } => write!(
+                f,
+                "plane decomposition needs at least one plane per PE (P = {p}, nc = {nc})"
+            ),
+            NotCubic { p } => write!(f, "cube decomposition needs P = k³, got {p}"),
+            CubeSide { nc, k } => write!(f, "nc = {nc} must be a multiple of k = {k}"),
+            CubeBalances => write!(f, "the cube decomposition is DDM-only (see module docs)"),
+            CellBelowCutoff { cell_len, rcut } => write!(
+                f,
+                "cell length {cell_len:.4} below cutoff {rcut}; reduce nc or density"
+            ),
+            SpeedNeedsWorkModel => write!(
+                f,
+                "a speed schedule models time on top of the work model; \
+                 it cannot combine with the WallClock metric"
+            ),
+            SpeedNoBase => write!(f, "speed schedule needs base factors"),
+            SpeedFactor => write!(f, "speed factors must be > 0"),
+            SpeedAmplitude(a) => write!(f, "speed drift amplitude must be in [0, 1); got {a}"),
+            NegativeSkin => write!(f, "skin must be non-negative"),
+            VerletWithoutSkin => write!(f, "verlet replay requires a positive skin"),
+            CellBelowSkin {
+                cell_len,
+                rcut,
+                skin,
+            } => write!(
+                f,
+                "cell length {cell_len:.4} below cutoff {rcut} + skin {skin}: the one-cell \
+                 ghost shell cannot stay exhaustive over a skin epoch"
+            ),
+            NotPillar => write!(
+                f,
+                "a resilient launch needs the square pillar: \
+                 only that shape restores from a checkpoint"
+            ),
+            ResizeOrder { at_step, prev } => write!(
+                f,
+                "resize boundaries must be strictly increasing and positive \
+                 (got {at_step} after {prev})"
+            ),
+            ResizePastEnd { at_step, steps } => write!(
+                f,
+                "resize at step {at_step} is at or past the end of the {steps}-step run"
+            ),
+            ResizeNotSquare { p } => {
+                write!(f, "resize target {p} is not a perfect-square PE count")
+            }
+            ResizeSide { p, side, nc } => write!(
+                f,
+                "resize target {p}: torus side {side} does not divide nc = {nc}"
+            ),
+            ResizeWithSkin => write!(
+                f,
+                "elastic resizing does not support skin epochs yet: a resize \
+                 boundary re-bins mid-epoch, which would break the frozen-binning \
+                 invariant the Verlet replay depends on"
+            ),
+            NoAttempts => write!(f, "need at least one attempt"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// `Ok` where `holds`, the configuration mistake `e` where not.
+pub(crate) fn ensure(holds: bool, e: ConfigError) -> Result<(), ConfigError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(e)
+    }
 }
 
 /// Full configuration of one run.
@@ -392,7 +570,89 @@ impl RunConfig {
     /// before running. Panics with a description of the first violated
     /// constraint. (Every launch validates the config for its own shape.)
     pub fn validate(&self) {
-        crate::decomp::validate(self, pcdlb_domain::DomainShape::SquarePillar);
+        crate::decomp::validate(self, DomainShape::SquarePillar);
+    }
+
+    /// Check this configuration for `shape`: the rules every run shares,
+    /// then the shape's own geometry — the first violated constraint as a
+    /// [`ConfigError`]. (`comm` is `pcdlb-mp`'s to judge:
+    /// `CommConfig::validate`, which every launch calls too.)
+    pub fn check(&self, shape: DomainShape) -> Result<(), ConfigError> {
+        use ConfigError::*;
+        let positive = |field, value: f64| {
+            ensure(
+                value.is_finite() && value > 0.0,
+                NotPositive { field, value },
+            )
+        };
+        ensure(self.n_particles > 1, TooFewParticles)?;
+        positive("density", self.density)?;
+        positive("t_ref", self.t_ref)?;
+        positive("dt", self.dt)?;
+        ensure(self.steps > 0, NoSteps)?;
+        // A negative cutoff would pass every cell-length rule below and
+        // run with its square over a one-cell shell.
+        positive("lj.rcut", self.lj.rcut)?;
+        positive("lj.sigma", self.lj.sigma)?;
+        let (field, value) = ("lj.epsilon", self.lj.epsilon);
+        ensure(value.is_finite(), NotFinite { field, value })?;
+        ensure(self.dlb_interval > 0, DlbIntervalZero)?;
+        ensure(self.dlb_min_gain >= 0.0, DlbMinGain(self.dlb_min_gain))?;
+        let pull = self.central_pull;
+        ensure(pull >= 0.0 && pull.is_finite(), CentralPull(pull))?;
+        if let Some((fx, fy, fz)) = self.pull_frac {
+            let inside = [fx, fy, fz].iter().all(|f| (0.0..1.0).contains(f));
+            ensure(inside, PullFrac(fx, fy, fz))?;
+        }
+        if let Some(rmax) = self.pull_rmax {
+            ensure(rmax > 0.0, PullRmax(rmax))?;
+        }
+        let (p, nc) = (self.p, self.nc);
+        match shape {
+            DomainShape::SquarePillar => {
+                let side = (p as f64).sqrt().round() as usize;
+                ensure(side * side == p, NotSquare { p })?;
+                ensure(nc.is_multiple_of(side), PillarSide { nc, side })?;
+                ensure(!self.dlb || side >= 3, DlbTorusTooSmall { p })?;
+            }
+            // Unlike the square pillar the plane accepts any `P ≤ nc`,
+            // square or not.
+            DomainShape::Plane => {
+                ensure(p >= 1, NoPe)?;
+                ensure(p <= nc, PlaneTooThin { p, nc })?;
+            }
+            DomainShape::Cube => {
+                let k = (p as f64).cbrt().round() as usize;
+                ensure(k * k * k == p, NotCubic { p })?;
+                ensure(nc.is_multiple_of(k), CubeSide { nc, k })?;
+                ensure(!self.dlb, CubeBalances)?;
+            }
+        }
+        let (cell_len, rcut, skin) = (self.cell_len(), self.lj.rcut, self.skin);
+        ensure(cell_len >= rcut - 1e-12, CellBelowCutoff { cell_len, rcut })?;
+        if let Some(s) = &self.speed {
+            let modelled = matches!(self.load_metric, LoadMetric::WorkModel { .. });
+            ensure(modelled, SpeedNeedsWorkModel)?;
+            ensure(!s.base.is_empty(), SpeedNoBase)?;
+            ensure(s.base.iter().all(|&b| b > 0.0), SpeedFactor)?;
+            for &value in &s.base {
+                let field = "speed.base";
+                ensure(value.is_finite(), NotFinite { field, value })?;
+            }
+            let a = s.amplitude;
+            ensure((0.0..1.0).contains(&a), SpeedAmplitude(a))?;
+        }
+        ensure(skin >= 0.0, NegativeSkin)?;
+        ensure(!self.verlet || skin > 0.0, VerletWithoutSkin)?;
+        let fits = skin <= 0.0 || cell_len >= rcut + skin - 1e-12;
+        ensure(
+            fits,
+            CellBelowSkin {
+                cell_len,
+                rcut,
+                skin,
+            },
+        )
     }
 }
 
@@ -506,6 +766,138 @@ mod tests {
         c.pull_frac = Some(c.hot_tile_frac());
         c.pull_rmax = Some(-3.0);
         c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "lj.rcut must be a finite number > 0; got -5")]
+    fn negative_cutoff_rejected() {
+        // Passed `cell_len ≥ rcut` trivially and ran with a squared
+        // cutoff of 25 over a one-cell shell — serial and parallel alike,
+        // so no parity test could see the missed pairs.
+        let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
+        c.lj.rcut = -5.0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "lj.sigma must be a finite number > 0; got 0")]
+    fn zero_sigma_rejected_on_the_cube_too() {
+        let mut c = RunConfig::new(1000, 6, 8, 0.05);
+        c.dlb = false;
+        c.lj.sigma = 0.0;
+        crate::decomp::validate(&c, DomainShape::Cube);
+    }
+
+    #[test]
+    #[should_panic(expected = "lj.epsilon must be finite; got NaN")]
+    fn nan_epsilon_rejected() {
+        let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
+        c.lj.epsilon = f64::NAN;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "dt must be a finite number > 0; got inf")]
+    fn infinite_time_step_rejected() {
+        let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
+        c.dt = f64::INFINITY;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "density must be a finite number > 0; got inf")]
+    fn infinite_density_rejected() {
+        // (An infinite density is a box of length 0.)
+        let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
+        c.density = f64::INFINITY;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "t_ref must be a finite number > 0; got NaN")]
+    fn nan_temperature_rejected() {
+        let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
+        c.t_ref = f64::NAN;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "speed.base must be finite; got inf")]
+    fn infinite_speed_factor_rejected() {
+        // (`inf > 0` holds; every load on that rank would read 0.)
+        let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
+        c.speed = Some(SpeedSchedule::fixed(vec![1.0, f64::INFINITY]));
+        c.validate();
+    }
+
+    #[test]
+    fn mistakes_come_back_as_variants_before_anything_runs() {
+        use crate::driver::Ladder;
+        use crate::elastic::ResizePlan;
+        let good = RunConfig::from_p_m_density(9, 2, 0.2);
+        assert_eq!(good.check(DomainShape::SquarePillar), Ok(()));
+        // One mistake, three shapes, three answers.
+        assert_eq!(
+            good.check(DomainShape::Cube),
+            Err(ConfigError::NotCubic { p: 9 })
+        );
+        assert_eq!(
+            RunConfig {
+                p: 7,
+                ..good.clone()
+            }
+            .check(DomainShape::SquarePillar),
+            Err(ConfigError::NotSquare { p: 7 })
+        );
+        assert_eq!(
+            RunConfig {
+                p: 7,
+                ..good.clone()
+            }
+            .check(DomainShape::Plane),
+            Err(ConfigError::PlaneTooThin { p: 7, nc: 6 })
+        );
+        let frozen = RunConfig {
+            steps: 0,
+            ..good.clone()
+        };
+        assert_eq!(
+            frozen.check(DomainShape::SquarePillar),
+            Err(ConfigError::NoSteps)
+        );
+        // The ladder's own rules come after the configuration's.
+        let ladder = |max_attempts, plan| Ladder {
+            max_attempts,
+            plan,
+            ..Ladder::default()
+        };
+        let pillar = DomainShape::SquarePillar;
+        let check = |l: Ladder, shape| l.check(&good, shape);
+        assert_eq!(check(Ladder::default(), pillar), Ok(()));
+        assert_eq!(
+            check(Ladder::default(), DomainShape::Plane),
+            Err(ConfigError::NotPillar)
+        );
+        assert_eq!(
+            ladder(3, ResizePlan::new()).check(&frozen, pillar),
+            Err(ConfigError::NoSteps)
+        );
+        assert_eq!(
+            check(ladder(0, ResizePlan::new()), pillar),
+            Err(ConfigError::NoAttempts)
+        );
+        let past_the_end = ResizePlan::new().resize(100, 4);
+        assert_eq!(
+            check(ladder(3, past_the_end), pillar),
+            Err(ConfigError::ResizePastEnd {
+                at_step: 100,
+                steps: 100
+            })
+        );
+        assert_eq!(
+            check(ladder(3, ResizePlan::new().resize(10, 8)), pillar),
+            Err(ConfigError::ResizeNotSquare { p: 8 })
+        );
     }
 
     #[test]

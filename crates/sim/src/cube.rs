@@ -38,27 +38,6 @@ pub fn validate_cube(cfg: &RunConfig) {
     crate::decomp::validate(cfg, DomainShape::Cube);
 }
 
-/// The cube's own geometry rules (the shared ones are in
-/// `crate::decomp::validate`).
-pub(crate) fn validate_shape(cfg: &RunConfig) {
-    let k = (cfg.p as f64).cbrt().round() as usize;
-    assert_eq!(
-        k * k * k,
-        cfg.p,
-        "cube decomposition needs P = k³, got {}",
-        cfg.p
-    );
-    assert!(
-        cfg.nc.is_multiple_of(k),
-        "nc = {} must be a multiple of k = {k}",
-        cfg.nc
-    );
-    assert!(
-        !cfg.dlb,
-        "the cube decomposition is DDM-only (see module docs)"
-    );
-}
-
 /// The static block layout: cell `(cx, cy, cz)` belongs to the rank at
 /// torus coordinates `(cx/s, cy/s, cz/s)`.
 pub(crate) struct Cube {

@@ -17,7 +17,7 @@ use pcdlb_core::protocol::{DlbDecision, DlbProtocol};
 use pcdlb_domain::{Col, DomainShape, OwnershipMap, PillarLayout};
 use pcdlb_mp::CostModel;
 
-use crate::config::{LoadMetric, RunConfig};
+use crate::config::RunConfig;
 
 /// One rank's view of who owns what, plus its shape's balancer rule.
 pub(crate) trait Decomposition {
@@ -93,87 +93,12 @@ pub(crate) fn cost_model(shape: DomainShape, cfg: &RunConfig) -> CostModel {
     CostModel::t3e((shape == DomainShape::SquarePillar).then(|| cfg.torus()))
 }
 
-/// Validate `cfg` for `shape`: the rules every run shares, then the
-/// shape's own geometry. Panics with a description of the first violated
-/// constraint.
+/// Validate `cfg` for `shape` ([`RunConfig::check`], then the message
+/// layer's own `CommConfig::validate`). Panics with a description of the
+/// first violated constraint.
 pub(crate) fn validate(cfg: &RunConfig, shape: DomainShape) {
-    assert!(cfg.n_particles > 1, "need at least two particles");
-    assert!(cfg.density > 0.0 && cfg.t_ref > 0.0);
-    assert!(cfg.dt > 0.0 && cfg.steps > 0);
-    assert!(cfg.dlb_interval > 0, "dlb_interval must be ≥ 1");
-    assert!(
-        cfg.dlb_min_gain >= 0.0,
-        "dlb_min_gain must be a number ≥ 0; got {}",
-        cfg.dlb_min_gain
-    );
-    assert!(
-        cfg.central_pull >= 0.0 && cfg.central_pull.is_finite(),
-        "central_pull must be a finite number ≥ 0 (0 switches the pull off); got {}",
-        cfg.central_pull
-    );
-    if let Some((fx, fy, fz)) = cfg.pull_frac {
-        assert!(
-            [fx, fy, fz].iter().all(|f| (0.0..1.0).contains(f)),
-            "pull_frac components are box fractions in [0, 1); got ({fx}, {fy}, {fz})"
-        );
-    }
-    if let Some(rmax) = cfg.pull_rmax {
-        assert!(
-            rmax > 0.0,
-            "pull_rmax must be a number > 0 (a radius); got {rmax}"
-        );
-    }
-    match shape {
-        DomainShape::SquarePillar => {
-            let side = cfg.torus().rows();
-            assert!(
-                cfg.nc.is_multiple_of(side),
-                "nc = {} must be a multiple of √P = {side}",
-                cfg.nc
-            );
-            assert!(
-                !cfg.dlb || side >= 3,
-                "DLB needs a torus side ≥ 3 (P ≥ 9); got P = {}",
-                cfg.p
-            );
-        }
-        DomainShape::Plane => crate::plane::validate_shape(cfg),
-        DomainShape::Cube => crate::cube::validate_shape(cfg),
-    }
-    assert!(
-        cfg.cell_len() >= cfg.lj.rcut - 1e-12,
-        "cell length {:.4} below cutoff {}; reduce nc or density",
-        cfg.cell_len(),
-        cfg.lj.rcut
-    );
-    if let Some(s) = &cfg.speed {
-        assert!(
-            matches!(cfg.load_metric, LoadMetric::WorkModel { .. }),
-            "a speed schedule models time on top of the work model; \
-             it cannot combine with the WallClock metric"
-        );
-        assert!(!s.base.is_empty(), "speed schedule needs base factors");
-        assert!(s.base.iter().all(|&b| b > 0.0), "speed factors must be > 0");
-        assert!(
-            (0.0..1.0).contains(&s.amplitude),
-            "speed drift amplitude must be in [0, 1); got {}",
-            s.amplitude
-        );
-    }
-    assert!(cfg.skin >= 0.0, "skin must be non-negative");
-    assert!(
-        !cfg.verlet || cfg.skin > 0.0,
-        "verlet replay requires a positive skin"
-    );
-    if cfg.skin > 0.0 {
-        assert!(
-            cfg.cell_len() >= cfg.lj.rcut + cfg.skin - 1e-12,
-            "cell length {:.4} below cutoff {} + skin {}: the one-cell \
-             ghost shell cannot stay exhaustive over a skin epoch",
-            cfg.cell_len(),
-            cfg.lj.rcut,
-            cfg.skin
-        );
+    if let Err(e) = cfg.check(shape) {
+        panic!("{e}");
     }
     cfg.comm.validate();
 }

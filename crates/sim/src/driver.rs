@@ -32,16 +32,17 @@ use pcdlb_domain::DomainShape;
 use pcdlb_md::Particle;
 use pcdlb_mp::{Comm, RankFailure, World, WorldError};
 
-use crate::config::RunConfig;
+use crate::config::{ensure, ConfigError, RunConfig};
 use crate::digest::digest_recovery;
 use crate::elastic::{
-    remap_drained_checkpoint, ResizeGeneration, ResizePlan, GENERATION_EPOCH_STRIDE,
+    remap_drained_checkpoint, ResizeGeneration, ResizePlan, ResizeStage, GENERATION_EPOCH_STRIDE,
 };
+use crate::engine::{run_roles, Start};
 use crate::launch::{launch_plan, Placed};
 use crate::pe::{initial_particles, PeResult};
 use crate::recover::{RecoveryError, SimCheckpoint};
 use crate::report::{PhaseTimes, RunReport, WireBytes};
-use crate::takeover::{run_roles, takeover_main, Start};
+use crate::takeover::takeover_main;
 
 /// What every rank thread runs before the program, given the launch
 /// number and the rank's endpoint (`check` builds).
@@ -113,6 +114,32 @@ impl Default for Ladder {
             takeover: true,
             plan: ResizePlan::new(),
         }
+    }
+}
+
+impl Ladder {
+    /// Check this ladder over `cfg` launched as `shape` — the shape
+    /// restores from a checkpoint, the configuration is sound
+    /// ([`RunConfig::check`]), the plan is well-formed and cuts no skin
+    /// epoch, there is an attempt to make — the first violated constraint
+    /// as a [`ConfigError`].
+    pub fn check(&self, cfg: &RunConfig, shape: DomainShape) -> Result<(), ConfigError> {
+        use ConfigError::*;
+        ensure(shape == DomainShape::SquarePillar, NotPillar)?;
+        cfg.check(shape)?;
+        let (steps, nc) = (cfg.steps, cfg.nc);
+        let mut prev = 0u64;
+        for &ResizeStage { at_step, p } in &self.plan.stages {
+            ensure(at_step > prev, ResizeOrder { at_step, prev })?;
+            ensure(at_step < steps, ResizePastEnd { at_step, steps })?;
+            let side = (p as f64).sqrt().round() as usize;
+            ensure(p > 0 && side * side == p, ResizeNotSquare { p })?;
+            ensure(nc.is_multiple_of(side), ResizeSide { p, side, nc })?;
+            prev = at_step;
+        }
+        let keeps_epochs = self.plan.stages.is_empty() || cfg.skin == 0.0;
+        ensure(keeps_epochs, ResizeWithSkin)?;
+        ensure(self.max_attempts > 0, NoAttempts)
     }
 }
 
@@ -232,21 +259,10 @@ impl Launch {
         cfg: &RunConfig,
         ladder: &Ladder,
     ) -> Result<LadderOutcome, RecoveryError> {
-        assert_eq!(
-            self.shape,
-            DomainShape::SquarePillar,
-            "a resilient launch needs the square pillar: \
-             only that shape restores from a checkpoint"
-        );
-        cfg.validate();
-        ladder.plan.validate(cfg);
-        assert!(
-            ladder.plan.stages.is_empty() || cfg.skin == 0.0,
-            "elastic resizing does not support skin epochs yet: a resize \
-             boundary re-bins mid-epoch, which would break the frozen-binning \
-             invariant the Verlet replay depends on"
-        );
-        assert!(ladder.max_attempts > 0, "need at least one attempt");
+        if let Err(e) = ladder.check(cfg, self.shape) {
+            panic!("{e}");
+        }
+        cfg.comm.validate();
         let segments = ladder.plan.segments(cfg);
         let last_gen = segments.len() - 1;
         // One sink across all launches and generations: rank 0 deposits

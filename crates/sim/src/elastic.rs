@@ -14,8 +14,8 @@
 //!    takes a forced checkpoint gather there (the `drain` flag of the run
 //!    loop), so the complete world state — MD phase space, ownership view,
 //!    rank 0's record history — sits in the shared [`SimCheckpoint`] sink.
-//! 2. **Remap** — the virtual torus is rebuilt for the new PE count
-//!    ([`Torus2d::remap`](pcdlb_mp::Torus2d::remap)) and the drained
+//! 2. **Remap** — the virtual torus is rebuilt for the new PE count (the
+//!    generation's own `cfg.torus()`) and the drained
 //!    ownership view is rewritten: the new layout's home map, which
 //!    satisfies the permanent-cell invariant by construction, with the
 //!    launch plan of the drained particles replayed onto it
@@ -62,7 +62,10 @@ pub struct ResizeStage {
 }
 
 /// An ordered set of [`ResizeStage`]s applied over one run. An empty
-/// plan is a run of one generation: it keeps its world.
+/// plan is a run of one generation: it keeps its world. Well-formed
+/// ([`Ladder::check`](crate::driver::Ladder::check)) when the boundaries
+/// are strictly increasing inside `(0, cfg.steps)` and every target PE
+/// count is a perfect square whose torus side divides `nc`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResizePlan {
     /// The stages, strictly increasing in `at_step`.
@@ -79,39 +82,6 @@ impl ResizePlan {
     pub fn resize(mut self, at_step: u64, p: usize) -> Self {
         self.stages.push(ResizeStage { at_step, p });
         self
-    }
-
-    /// Panics on an ill-formed plan: boundaries must be strictly
-    /// increasing inside `(0, cfg.steps)`, and every target PE count must
-    /// be a perfect square whose torus side divides `nc`.
-    pub(crate) fn validate(&self, cfg: &RunConfig) {
-        let mut prev = 0u64;
-        for s in &self.stages {
-            assert!(
-                s.at_step > prev,
-                "resize boundaries must be strictly increasing and positive (got {} after {prev})",
-                s.at_step
-            );
-            assert!(
-                s.at_step < cfg.steps,
-                "resize at step {} is at or past the end of the {}-step run",
-                s.at_step,
-                cfg.steps
-            );
-            let side = (s.p as f64).sqrt().round() as usize;
-            assert!(
-                s.p > 0 && side * side == s.p,
-                "resize target {} is not a perfect-square PE count",
-                s.p
-            );
-            assert!(
-                cfg.nc.is_multiple_of(side),
-                "resize target {}: torus side {side} does not divide nc = {}",
-                s.p,
-                cfg.nc
-            );
-            prev = s.at_step;
-        }
     }
 
     /// The run as generations: `(start, end]` step ranges with their PE

@@ -1,8 +1,9 @@
 //! `pcdlb-sim` — the parallel SPMD molecular-dynamics simulator.
 //!
 //! Ties the substrates together: `pcdlb-mp` ranks run the per-PE program
-//! in [`pe`] — one step engine for all three domain shapes of the paper's
-//! Fig. 2 — integrating `pcdlb-md` physics. A shape is a small
+//! in [`pe`], sequenced by the run loop in [`engine`] — one step engine
+//! for all three domain shapes of the paper's Fig. 2 — integrating
+//! `pcdlb-md` physics. A shape is a small
 //! `Decomposition` (who owns which cell, what its balancer may move): the
 //! square pillar over `pcdlb-domain`'s columns balanced by the
 //! `pcdlb-core` permanent-cell protocol, the [`plane`] ring with its
@@ -29,6 +30,7 @@ mod decomp;
 pub mod digest;
 pub mod driver;
 pub mod elastic;
+pub mod engine;
 pub mod frame;
 pub mod launch;
 pub mod pe;
@@ -40,7 +42,7 @@ pub mod takeover;
 #[cfg(test)]
 mod wire_check;
 
-pub use config::{Lattice, LoadMetric, RunConfig, SpeedSchedule};
+pub use config::{ConfigError, Lattice, LoadMetric, RunConfig, SpeedSchedule};
 pub use digest::{digest_particles, digest_records, digest_recovery, digest_report, digest_run};
 pub use driver::{
     run, run_serial, run_with_phase_times, run_with_snapshot, serial_sim, Ladder, LadderOutcome,

@@ -1,0 +1,275 @@
+//! Reading a PE's whole state out and putting it back: checkpoint gather
+//! and restore, the invariant sentinel, the final snapshot. Collective,
+//! on an interval or on demand — cold, so off the lint's hot-path list —
+//! and digest-neutral: each gather's virtual comm cost is discarded.
+
+use std::collections::BTreeMap;
+use std::ops::Range;
+
+use pcdlb_core::protocol::{tags, DlbDecision};
+use pcdlb_domain::{Col, DomainShape};
+use pcdlb_md::checkpoint::Checkpoint;
+use pcdlb_md::Particle;
+use pcdlb_mp::{collectives, Comm};
+
+use super::PeState;
+use crate::config::RunConfig;
+use crate::launch::Placed;
+use crate::recover::SimCheckpoint;
+use crate::report::StepRecord;
+
+impl PeState {
+    /// Rebuild a square-pillar PE's state from a distributed checkpoint:
+    /// replay the checkpointed ownership into this rank's view and stage
+    /// the checkpointed particles into the columns this rank owns.
+    /// Pillar only — a checkpoint records one owner per column, which is
+    /// what the pillar's balancer moves; recovery, takeover and elastic
+    /// runs are validated pillar-only upstream.
+    ///
+    /// Forces are *not* stored in the checkpoint — the caller recomputes
+    /// them, which reproduces the checkpointed run's force array bitwise:
+    /// the saved positions are exactly the positions those forces were
+    /// evaluated at (velocity Verlet only touches velocities after the
+    /// force pass).
+    pub fn from_checkpoint(rank: usize, cfg: &RunConfig, ck: &SimCheckpoint) -> Self {
+        let mut pe = Self::scaffold(rank, cfg, DomainShape::SquarePillar);
+        assert_eq!(
+            ck.md.particles.len(),
+            cfg.n_particles,
+            "checkpoint particle count does not match the configuration"
+        );
+        // Replayed as decisions already made — "`col` now belongs to
+        // `owner`" — so the windowed view filters them as it did live.
+        for &(col, owner) in &ck.ownership {
+            pe.decomp.apply(&DlbDecision {
+                col,
+                from: owner,
+                to: owner,
+            });
+        }
+        pe.adopt_particles(&Placed::new(cfg, &ck.md.particles));
+        // The initial force pass after a restore recomputes the
+        // checkpointed step's forces — with drifting speeds, its
+        // published load numbers must use the checkpointed step too.
+        pe.cur_step = ck.md.step;
+        // What the balancer holds between steps.
+        let neighbors = pe.topology.neighbors();
+        pe.balance.restore(rank, cfg.p, neighbors, ck);
+        pe
+    }
+
+    /// Gather a restartable distributed checkpoint to rank 0
+    /// (collective; every rank must call it at the same step). `records`
+    /// is rank 0's per-step series so far, embedded so a restore can
+    /// reproduce the full report. A balancing run also gathers what its
+    /// next decision rests on: the load each rank last announced and the
+    /// transfer it gave this step, if any. The gather's virtual comm cost
+    /// is excluded from the next step's delta, so checkpointing never
+    /// changes any reported `t_step`.
+    pub(crate) fn take_checkpoint(
+        &mut self,
+        comm: &mut Comm,
+        step: u64,
+        records: &[StepRecord],
+    ) -> Option<SimCheckpoint> {
+        let own_cols: Vec<Col> = self.columns.keys().copied().collect();
+        let own_parts: Vec<Particle> = self.particles().copied().collect();
+        let (announced, given) = self.balance.held(self.rank);
+        let payload = (own_parts, own_cols, announced, given);
+        let gathered = collectives::gather(comm, tags::CKPT_GATHER, payload);
+        let ck = gathered.map(|chunks| {
+            let loads = chunks.iter().filter_map(|chunk| chunk.2).collect();
+            // Rank order is `from` order: the order they were applied in.
+            let transfers = chunks.iter().filter_map(|chunk| chunk.3).collect();
+            let mut particles = Vec::new();
+            let mut ownership = Vec::new();
+            for (rank, (parts, cols, ..)) in chunks.into_iter().enumerate() {
+                particles.extend(parts);
+                ownership.extend(cols.into_iter().map(|c| (c, rank)));
+            }
+            ownership.sort_unstable_by_key(|&(c, _)| c);
+            SimCheckpoint {
+                md: Checkpoint::new(step, self.box_len, particles),
+                ownership,
+                records: records.to_vec(),
+                loads,
+                transfers,
+            }
+        });
+        let _ = comm.lap_virtual_comm();
+        ck
+    }
+
+    /// Runtime invariant sentinel: every `cfg.sentinel_interval` steps
+    /// (collective; 0 disables), gather each rank's particle count and
+    /// owned-column set to rank 0 and check the two global invariants the
+    /// whole scheme rests on — particle-count conservation and ownership
+    /// being an exact partition of the grid into the shape's granules
+    /// (whole columns; a cube rank's z block of a column). A
+    /// violation means state corruption that checkpoints would silently
+    /// propagate, so the world is aborted with a structured diagnostic;
+    /// under the recovery/takeover drivers that escalates to a rollback
+    /// (relaunch from the last checkpoint). Digest-neutral: the gather's
+    /// lap cost is discarded like the checkpoint gather's.
+    pub(crate) fn sentinel_check(&mut self, comm: &mut Comm, step: u64) {
+        if self.cfg.sentinel_interval == 0 || !step.is_multiple_of(self.cfg.sentinel_interval) {
+            return;
+        }
+        let own_cols: Vec<Col> = self.columns.keys().copied().collect();
+        let count = self.num_particles() as u64;
+        #[cfg(feature = "check")]
+        pcdlb_mp::check::emit(pcdlb_mp::check::ProtocolEvent::Sentinel {
+            rank: comm.rank(),
+            step,
+            count,
+        });
+        if let Some(chunks) = collectives::gather(comm, tags::SENTINEL, (count, own_cols)) {
+            let z_extent = |rank| self.decomp.z_extent(rank);
+            if let Err(report) = validate_sentinel(&self.cfg, step, &chunks, z_extent) {
+                // Raise the abort flag first: this panic is an intentional
+                // escalation, not a rank death — a takeover world must
+                // tear down and relaunch, not adopt the sentinel's rank.
+                comm.abort_world();
+                panic!("{report}");
+            }
+        }
+        let _ = comm.lap_virtual_comm();
+    }
+
+    /// Gather the full particle set to rank 0, sorted by id.
+    pub fn gather_snapshot(&self, comm: &mut Comm) -> Option<Vec<Particle>> {
+        let own: Vec<Particle> = self.particles().copied().collect();
+        collectives::gather(comm, tags::SNAPSHOT, own).map(|chunks| {
+            let mut all: Vec<Particle> = chunks.into_iter().flatten().collect();
+            all.sort_unstable_by_key(|p| p.id);
+            all
+        })
+    }
+}
+
+/// A sentinel violation: which global invariant broke, at which step,
+/// with enough context to localise the corruption.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SentinelReport {
+    /// Step at which the sentinel fired.
+    pub step: u64,
+    /// What broke, per violated invariant (non-empty).
+    pub violations: Vec<String>,
+}
+
+impl std::fmt::Display for SentinelReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "sentinel violation at step {}: {}",
+            self.step,
+            self.violations.join("; ")
+        )
+    }
+}
+
+/// Check the gathered per-rank `(particle count, owned columns)` chunks
+/// against the two global invariants: the counts sum to `cfg.n_particles`
+/// and the claimed granules — each claimed column over the claiming
+/// rank's `z_extent` — form an exact partition of the `nc³` cells. Pure
+/// so it unit-tests without a world.
+fn validate_sentinel(
+    cfg: &RunConfig,
+    step: u64,
+    chunks: &[(u64, Vec<Col>)],
+    z_extent: impl Fn(usize) -> Range<usize>,
+) -> Result<(), SentinelReport> {
+    let mut violations = Vec::new();
+    let total: u64 = chunks.iter().map(|(n, _)| n).sum();
+    if total != cfg.n_particles as u64 {
+        violations.push(format!(
+            "global particle count {total} != configured {} (per-rank: {:?})",
+            cfg.n_particles,
+            chunks.iter().map(|(n, _)| *n).collect::<Vec<_>>()
+        ));
+    }
+    let mut owners: BTreeMap<(Col, usize), Vec<usize>> = BTreeMap::new();
+    let mut cells = 0usize;
+    for (rank, (_, cols)) in chunks.iter().enumerate() {
+        let z = z_extent(rank);
+        for &c in cols {
+            let claimants = owners.entry((c, z.start)).or_default();
+            if claimants.is_empty() && c.cx < cfg.nc && c.cy < cfg.nc {
+                cells += z.len();
+            }
+            claimants.push(rank);
+        }
+    }
+    for ((c, z0), ranks) in &owners {
+        if ranks.len() > 1 {
+            violations.push(format!(
+                "column {c:?} (z from {z0}) owned by multiple ranks {ranks:?}"
+            ));
+        }
+    }
+    if cells != cfg.total_cells() || owners.keys().any(|(c, _)| c.cx >= cfg.nc || c.cy >= cfg.nc) {
+        violations.push(format!(
+            "ownership covers {cells} distinct cells, expected the full {} ({nc}×{nc}×{nc}) grid",
+            cfg.total_cells(),
+            nc = cfg.nc
+        ));
+    }
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(SentinelReport { step, violations })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sentinel_accepts_an_exact_partition_with_conserved_count() {
+        let cfg = RunConfig::new(216, 4, 4, 0.2);
+        // 4 ranks, 16 columns split 4/4/4/4, counts summing to 216.
+        let chunks: Vec<(u64, Vec<Col>)> = (0..4)
+            .map(|r| {
+                let cols = (0..4).map(|i| Col::new(r, i)).collect();
+                (54, cols)
+            })
+            .collect();
+        assert_eq!(validate_sentinel(&cfg, 7, &chunks, |_| 0..4), Ok(()));
+    }
+
+    #[test]
+    fn sentinel_flags_lost_particles_and_broken_partitions() {
+        let cfg = RunConfig::new(216, 4, 4, 0.2);
+        let good: Vec<(u64, Vec<Col>)> = (0..4)
+            .map(|r| (54, (0..4).map(|i| Col::new(r, i)).collect()))
+            .collect();
+        // Lost particles.
+        let mut lost = good.clone();
+        lost[2].0 = 53;
+        let e = validate_sentinel(&cfg, 9, &lost, |_| 0..4).unwrap_err();
+        assert_eq!(e.step, 9);
+        assert!(e.to_string().contains("particle count 215"), "{e}");
+        // A column claimed twice (and therefore one missing).
+        let mut dup = good.clone();
+        dup[0].1[0] = Col::new(1, 0);
+        let e = validate_sentinel(&cfg, 9, &dup, |_| 0..4).unwrap_err();
+        assert!(e.to_string().contains("owned by multiple ranks"), "{e}");
+        assert!(e.to_string().contains("60 distinct cells"), "{e}");
+        // A column off the grid.
+        let mut off = good;
+        off[3].1[3] = Col::new(9, 9);
+        let e = validate_sentinel(&cfg, 9, &off, |_| 0..4).unwrap_err();
+        assert!(e.to_string().contains("expected the full 64"), "{e}");
+        // The cube's granule is a z block of a column: two ranks may hold
+        // the same column, but not the same block of it.
+        let halves: Vec<(u64, Vec<Col>)> = (0..2)
+            .map(|_| (108, (0..16).map(|i| Col::new(i / 4, i % 4)).collect()))
+            .collect();
+        let z_half = |rank: usize| 2 * rank..2 * rank + 2;
+        assert_eq!(validate_sentinel(&cfg, 9, &halves, z_half), Ok(()));
+        let e = validate_sentinel(&cfg, 9, &halves, |_| 0..2).unwrap_err();
+        assert!(e.to_string().contains("owned by multiple ranks"), "{e}");
+        assert!(e.to_string().contains("32 distinct cells"), "{e}");
+    }
+}

@@ -25,19 +25,6 @@ use pcdlb_domain::Col;
 use crate::config::RunConfig;
 use crate::decomp::Decomposition;
 
-/// The plane's own geometry rules — unlike the square pillar it accepts
-/// any `P ≤ nc`, square or not (the shared rules are in
-/// `crate::decomp::validate`).
-pub(crate) fn validate_shape(cfg: &RunConfig) {
-    assert!(cfg.p >= 1, "need at least one PE");
-    assert!(
-        cfg.p <= cfg.nc,
-        "plane decomposition needs at least one plane per PE (P = {}, nc = {})",
-        cfg.p,
-        cfg.nc
-    );
-}
-
 /// One ring PE's view: its own slab and, implicitly, the two planes
 /// bordering it. `lo = 0` on rank 0 and `hi = nc` on rank `P − 1` are
 /// fixed (the periodic seam); interior boundaries move.

@@ -253,10 +253,10 @@ fn particle(id: u64) -> Particle {
 
 #[test]
 fn every_sent_payload_type_matches_the_reference_encoding() {
-    // pe.rs: SNAPSHOT carries Vec<Particle>.
+    // pe/audit.rs: SNAPSHOT carries Vec<Particle>.
     check(&Vec::<Particle>::new(), "empty Vec<Particle>");
     check(&vec![particle(0), particle(1)], "Vec<Particle>");
-    // pe.rs: CELL_XFER carries pooled Arc<ParticleFrame>.
+    // pe/balance.rs: CELL_XFER carries pooled Arc<ParticleFrame>.
     check(
         &Arc::new(ParticleFrame {
             parts: vec![particle(0), particle(1)],
@@ -267,9 +267,9 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
         &Arc::new(ParticleFrame::default()),
         "empty Arc<ParticleFrame>",
     );
-    // pe.rs / plane.rs: KE_BCAST broadcasts the f64 scale.
+    // pe/bookkeeping.rs: KE_BCAST broadcasts the f64 scale.
     check(&1.5f64, "f64 scale");
-    // pe.rs: STEP_FRAME round 1 carries migrants, in a balancing run the
+    // pe/exchange.rs: STEP_FRAME round 1 carries migrants, in a balancing run the
     // sender's load, and on DLB steps its decision with the work that
     // moves with it.
     {
@@ -302,7 +302,7 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
         // The resync bit packs into the presence header: same byte count.
         check(&Arc::new(resync), "round-1 step frame with resync bit");
     }
-    // pe.rs: STEP_FRAME round 2 carries the ghost shell; plane.rs and
+    // pe/exchange.rs: STEP_FRAME round 2 carries the ghost shell; plane.rs and
     // cube.rs ship the bare shell frame on their own ghost tags.
     {
         let mut tx = DeltaChannel::default();
@@ -328,7 +328,7 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
         assert_eq!(frame.ghosts.wire_size(), 1 + 8 + 32 * 6);
         check(&GhostShellFrame::default(), "empty ghost shell");
     }
-    // pe.rs: STEP_FRAME on a mid-epoch step carries the positions-only
+    // pe/exchange.rs: STEP_FRAME on a mid-epoch step carries the positions-only
     // refresh and nothing else — one layout, so canonical == encoded, at
     // 24 bytes per ghost where the shell frame is charged 32.
     {
@@ -345,11 +345,11 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
         check(&Arc::new(frame.clone()), "refresh step frame");
         check_encoded(&Arc::new(frame), "refresh step frame");
     }
-    // pe.rs / plane.rs / cube.rs: KE_GATHER carries Vec<(u64, f64)>.
+    // pe/bookkeeping.rs: KE_GATHER carries Vec<(u64, f64)>.
     check(&vec![(0u64, 0.5f64), (3u64, 1.25f64)], "KE gather");
     // plane.rs: LOAD_UP / LOAD_DOWN carry (u64, u64, f64).
     check(&(0u64, 4u64, 2.5f64), "plane load triple");
-    // pe.rs: CKPT_GATHER carries (Vec<Particle>, Vec<Col>, the load the
+    // pe/audit.rs: CKPT_GATHER carries (Vec<Particle>, Vec<Col>, the load the
     // rank last announced, the transfer it gave this step).
     check(
         &(
