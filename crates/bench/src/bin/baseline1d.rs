@@ -15,7 +15,7 @@
 //!
 //! Usage: baseline1d [--p P] [--m M] [--steps N] [--pull K]
 
-use pcdlb_bench::{print_header, Args};
+use pcdlb_bench::{print_header, widths_note, Args};
 use pcdlb_sim::{run, DomainShape, Lattice, Launch, RunConfig, RunReport};
 
 fn late_imbalance(rep: &RunReport) -> (f64, f64) {
@@ -44,7 +44,12 @@ fn run_all_four(base: &RunConfig) {
     c.dlb = false;
     report_row("pillar-static", &run(&c));
     c.dlb = true;
-    report_row("pillar-dlb", &run(&c));
+    let dlb = run(&c);
+    report_row("pillar-dlb", &dlb);
+    let tiling = dlb.tiling.expect("a pillar run reports its tiling");
+    if !tiling.is_even() {
+        println!("# (pillar-dlb{})", widths_note(&tiling));
+    }
     let plane = Launch::new().shape(DomainShape::Plane);
     c.dlb = false;
     report_row("plane-static", &plane.run(&c).report);

@@ -9,7 +9,7 @@
 //!
 //! Usage: dlb_freq [--p P] [--m M] [--steps N] [--pull K] [--gain G]
 
-use pcdlb_bench::{print_header, Args};
+use pcdlb_bench::{launch_tiling, print_header, widths_note, Args};
 use pcdlb_sim::{run, RunConfig};
 
 fn main() {
@@ -27,9 +27,12 @@ fn main() {
         c.dlb_min_gain = args.get_f64("gain", 0.05);
         c
     };
+    let mut balancing = base.clone();
+    balancing.dlb = true;
     println!(
-        "# P={p} m={m} N={} steps={steps} pull={pull}",
-        base.n_particles
+        "# P={p} m={m} N={} steps={steps} pull={pull}{}",
+        base.n_particles,
+        widths_note(&launch_tiling(&balancing))
     );
     print_header(&[
         "dlb_every",

@@ -12,7 +12,9 @@
 //!   (--paper uses P = 36 as in the paper; default P = 9 — the bound does
 //!    not depend on P and Table 1 shows E/T barely does.)
 
-use pcdlb_bench::{measure_boundary_averaged, print_header, Args};
+use pcdlb_bench::{
+    boundary_cfg, launch_tiling, measure_boundary_averaged, print_header, widths_note, Args,
+};
 use pcdlb_core::metrics::least_squares_line;
 use pcdlb_core::theory;
 
@@ -46,6 +48,12 @@ fn main() {
         let mut pts: Vec<(f64, f64)> = Vec::new();
         let mut ratios: Vec<f64> = Vec::new();
         for &rho in &densities {
+            // (The lattice positions, and so the tiling, are the same at
+            // every seed. `f(m, n)` is the bound for m × m tiles.)
+            let tiling = launch_tiling(&boundary_cfg(p, m, rho, steps, pull, seeds[0]));
+            if !tiling.is_even() {
+                println!("# rho={rho}{}", widths_note(&tiling));
+            }
             match measure_boundary_averaged(p, m, rho, steps, pull, &seeds) {
                 Some(b) => {
                     println!(

@@ -15,7 +15,7 @@
 //! - `paper`: P = 36, N = 59319 / 8000, natural condensation (no pull),
 //!   10⁴ steps — the full experiment.
 
-use pcdlb_bench::{print_header, Args};
+use pcdlb_bench::{print_header, widths_note, Args};
 use pcdlb_sim::{run, RunConfig, RunReport};
 
 struct Variant {
@@ -69,13 +69,15 @@ fn main() {
     println!("# scale={scale} steps={steps} pull={pull} gain={gain}");
     for v in variants(scale, steps, pull, gain) {
         let (ddm, dlb) = run_pair(&v);
+        let tiling = dlb.tiling.expect("a pillar run reports its tiling");
         println!(
-            "\n## Fig 5({}) P={} N={} C={} m={}",
+            "\n## Fig 5({}) P={} N={} C={} m={}{}",
             v.label,
             v.cfg.p,
             v.cfg.n_particles,
             v.cfg.total_cells(),
-            v.cfg.m()
+            v.cfg.m(),
+            widths_note(&tiling)
         );
         print_header(&["step", "Tt_DDM[s]", "Tt_DLB-DDM[s]", "C0/C", "n"]);
         for (a, b) in ddm.records.iter().zip(&dlb.records) {

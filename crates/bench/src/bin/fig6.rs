@@ -11,7 +11,7 @@
 //! Usage: fig6 [--scale small|mid|paper] [--steps N] [--pull K]
 //!             [--gain G] [--every E]
 
-use pcdlb_bench::{print_header, Args};
+use pcdlb_bench::{print_header, widths_note, Args};
 use pcdlb_sim::{run, RunConfig, RunReport};
 
 fn print_series(title: &str, rep: &RunReport, every: u64) {
@@ -68,5 +68,8 @@ fn main() {
 
     let mut dlb = base.clone();
     dlb.dlb = true;
-    print_series("(b) DLB-DDM", &run(&dlb), every);
+    let dlb = run(&dlb);
+    let tiling = dlb.tiling.expect("a pillar run reports its tiling");
+    let title = format!("(b) DLB-DDM{}", widths_note(&tiling));
+    print_series(&title, &dlb, every);
 }

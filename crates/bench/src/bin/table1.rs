@@ -14,7 +14,7 @@
 //!   `--paper` uses the paper's {16, 36, 64} (much heavier: N grows with
 //!   P at fixed m because the cell size is pinned to the cutoff).
 
-use pcdlb_bench::{measure_boundary_averaged, Args};
+use pcdlb_bench::{boundary_cfg, launch_tiling, measure_boundary_averaged, widths_note, Args};
 
 fn main() {
     let args = Args::parse();
@@ -39,12 +39,18 @@ fn main() {
             .join("\t")
     );
 
+    // The cells whose launch re-cut the tiles: named under the table.
+    let mut recut = Vec::new();
     for m in [2usize, 3, 4] {
         let mut row = format!("{m}");
         for &p in &pes {
             let ratios: Vec<f64> = densities
                 .iter()
                 .filter_map(|&rho| {
+                    let tiling = launch_tiling(&boundary_cfg(p, m, rho, steps, pull, seeds[0]));
+                    if !tiling.is_even() {
+                        recut.push(format!("#  m={m} P={p} rho={rho}{}", widths_note(&tiling)));
+                    }
                     measure_boundary_averaged(p, m, rho, steps, pull, &seeds).map(|b| b.e_over_t())
                 })
                 .collect();
@@ -59,4 +65,11 @@ fn main() {
     }
     println!("# (each cell: mean over the density sweep of C0/C at the detected");
     println!("#  boundary divided by f(m, n) at the measured concentration factor)");
+    if !recut.is_empty() {
+        println!("# (f(m, n) is the bound for m × m tiles; not on them:");
+        for line in &recut {
+            println!("{line}");
+        }
+        println!("#  )");
+    }
 }

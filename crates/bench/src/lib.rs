@@ -19,7 +19,9 @@ use std::collections::BTreeMap;
 
 use pcdlb_core::boundary::BoundaryDetector;
 use pcdlb_core::theory;
-use pcdlb_sim::{run, RunConfig};
+use pcdlb_domain::PillarLayout;
+use pcdlb_sim::pe::initial_particles;
+use pcdlb_sim::{launch_plan, run, DomainShape, Placed, RunConfig};
 
 /// Minimal `--key value` / `--flag` argument parser for the experiment
 /// binaries (no CLI dependency in the approved crate list).
@@ -101,6 +103,25 @@ pub fn print_header(cols: &[&str]) {
     println!("# {}", cols.join("\t"));
 }
 
+/// The tiling a square-pillar run of `cfg` launches on: the paper's
+/// `m × m` tiles unless the run balances and its launch re-cut them.
+pub fn launch_tiling(cfg: &RunConfig) -> PillarLayout {
+    let placed = Placed::new(cfg, &initial_particles(cfg));
+    launch_plan(DomainShape::SquarePillar, cfg, 0, &placed).tiling(cfg)
+}
+
+/// What an experiment binary's header says beside `m` about the tiling a
+/// balancing run launched on: nothing for the paper's `m × m` tiles, the
+/// widths (`", launched on widths 2·1·3 from 0 × 2·2·2 from 0"`) where
+/// the launch re-cut them.
+pub fn widths_note(tiling: &PillarLayout) -> String {
+    if tiling.is_even() {
+        String::new()
+    } else {
+        format!(", launched on widths {tiling}")
+    }
+}
+
 /// One boundary-experiment result for a `(P, m, ρ)` cell.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundaryPoint {
@@ -148,19 +169,16 @@ pub fn detect_boundary_index(report: &pcdlb_sim::RunReport) -> Option<usize> {
     detector.detect(&series).map(|b| b.index)
 }
 
-/// Run one boundary experiment: a DLB run on `(P, m, ρ)` whose
-/// concentration is driven at `pull` for `steps`, with the experimental
-/// boundary detected from the `Fmax − Fmin` series (paper Sec. 4.2).
-/// Returns `None` if the imbalance never starts a significant rise within
-/// the budget (the DLB limit was not reached).
-pub fn measure_boundary(
+/// The configuration of one boundary experiment: a DLB run on
+/// `(P, m, ρ)` whose concentration is driven at `pull` for `steps`.
+pub fn boundary_cfg(
     p: usize,
     m: usize,
     density: f64,
     steps: u64,
     pull: f64,
     seed: u64,
-) -> Option<BoundaryPoint> {
+) -> RunConfig {
     let mut cfg = RunConfig::from_p_m_density(p, m, density);
     cfg.steps = steps;
     cfg.dlb = true;
@@ -174,7 +192,22 @@ pub fn measure_boundary(
     cfg.pull_corner = true;
     cfg.dlb_min_gain = 0.05; // suppress churn on noise-level imbalance
     cfg.seed = seed;
-    let report = run(&cfg);
+    cfg
+}
+
+/// Run one boundary experiment ([`boundary_cfg`]), with the experimental
+/// boundary detected from the `Fmax − Fmin` series (paper Sec. 4.2).
+/// Returns `None` if the imbalance never starts a significant rise within
+/// the budget (the DLB limit was not reached).
+pub fn measure_boundary(
+    p: usize,
+    m: usize,
+    density: f64,
+    steps: u64,
+    pull: f64,
+    seed: u64,
+) -> Option<BoundaryPoint> {
+    let report = run(&boundary_cfg(p, m, density, steps, pull, seed));
     let idx = detect_boundary_index(&report)?;
     let rec = &report.records[idx];
     let n = rec.n_factor;

@@ -4,10 +4,22 @@
 //! The protocol's safety argument (paper Sec. 2.3) is that no sequence of
 //! legal transfers can (a) move a permanent cell off its home PE, (b)
 //! break the 8-neighbour adjacency of the domains, or (c) accumulate more
-//! than `m² + 3(m−1)²` columns on one PE. This module checks that claim
-//! *exhaustively* on small grids: breadth-first search over every
-//! ownership state reachable through [`DlbProtocol::decide`], validating
-//! each generated decision and each visited state.
+//! on one PE than its own tile plus the movable blocks of the tiles to
+//! its S, E and SE (`m² + 3(m−1)²` columns where every tile is `m × m`).
+//! This module checks that claim *exhaustively* on small grids:
+//! breadth-first search over every ownership state reachable through
+//! [`DlbProtocol::decide`], validating each generated decision and each
+//! visited state.
+//!
+//! The argument does not need the tiles to be alike, and a balancing run
+//! launches on tiles that are not (`pcdlb_sim::launch_plan` cuts them
+//! where the load is). So beside the even `m × m` tiling of each grid the
+//! sweep searches a handful of uneven cut sets of the same grid
+//! ([`cut_sets`]): a tile row one column wide (all wall), both origins
+//! shifted off the box corner so tiles wrap its edge, one tile as wide as
+//! the grid allows. Everything here reaches the layout through its
+//! methods — `check_state` reads each rank's limit off its own and its
+//! neighbours' `tile_dims`.
 //!
 //! Simultaneous decisions in a real step touch disjoint columns (each
 //! owner decides only about columns it owns, and ownership is unique in a
@@ -30,17 +42,18 @@
 //! of its own to get wrong, but it does have a loop — which decisions of
 //! one iteration stand together, which views hear them — so every
 //! configuration swept here also replays the plans of a spread of
-//! clustered starts ([`check_pillar_plan`]): each planned transfer must
-//! validate against the map as it stands and each state must hold the
-//! invariants. The plane's plans are replayed on its slabs
+//! clustered starts ([`check_pillar_plan`]), each on the tiling its launch
+//! chose: each planned transfer must validate against the map as it
+//! stands and each state must hold the invariants. The plane's plans are replayed on its slabs
 //! ([`check_plane_plan`]): only a slab's edge plane may cross, only to
 //! the neighbour across that edge, and nobody gives its last plane away.
 
 use std::collections::BTreeSet;
 
-use pcdlb_core::permanent::is_permanent;
+use pcdlb_core::permanent::{is_permanent, max_columns};
 use pcdlb_core::protocol::{DlbProtocol, ProtocolError};
 use pcdlb_domain::{DomainShape, OwnershipMap, PillarLayout};
+use pcdlb_mp::Torus2d;
 use pcdlb_sim::pe::initial_particles;
 use pcdlb_sim::{launch_plan, Lattice, Placed, RunConfig};
 
@@ -51,9 +64,10 @@ pub struct InvariantConfig {
     pub max_side: usize,
     /// Largest tile side `m` to sweep (1..=max).
     pub max_m: usize,
-    /// State-count cap per `(side, m)` configuration; the reachable space
-    /// is exponential in the movable-cell count, so larger configurations
-    /// are explored up to this bound.
+    /// State-count cap per tiling searched (four per `(side, m)`
+    /// configuration, see [`cut_sets`]); the reachable space is
+    /// exponential in the movable-cell count, so larger configurations are
+    /// explored up to this bound.
     pub max_states_per_config: usize,
 }
 
@@ -72,12 +86,17 @@ impl Default for InvariantConfig {
 pub struct InvariantReport {
     /// `(side, m)` configurations swept.
     pub configs: usize,
+    /// Tilings searched: each configuration's even one and its distinct
+    /// uneven cut sets.
+    pub tilings: usize,
     /// Total ownership states visited and checked.
     pub states_visited: usize,
-    /// Configurations whose state space was truncated by the cap.
+    /// Tilings whose state space was truncated by the cap.
     pub truncated: usize,
     /// Launch plans replayed (pillar and plane).
     pub plans: usize,
+    /// Pillar plans among them whose launch re-cut the tiles.
+    pub recut_plans: usize,
     /// Transfers those plans made, each validated.
     pub planned_transfers: usize,
 }
@@ -96,10 +115,8 @@ pub fn check_state(layout: &PillarLayout, om: &OwnershipMap) -> Result<(), Strin
             ));
         }
     }
-    let m = layout.m();
-    let limit = m * m + 3 * (m - 1) * (m - 1);
     for r in 0..layout.num_ranks() {
-        let owned = om.num_owned(r);
+        let (owned, limit) = (om.num_owned(r), max_columns(layout, r));
         if owned > limit {
             return Err(format!(
                 "rank {r} owns {owned} columns, above the DLB limit {limit}"
@@ -109,34 +126,81 @@ pub fn check_state(layout: &PillarLayout, om: &OwnershipMap) -> Result<(), Strin
     Ok(())
 }
 
-/// BFS over reachable states of one `(side, m)` configuration. Returns
-/// `(states visited, truncated?)`, or the first invariant violation.
-fn search_config(side: usize, m: usize, cap: usize) -> Result<(usize, bool), String> {
-    let layout = PillarLayout::from_p_and_m(side * side, m);
-    let initial = OwnershipMap::initial(layout);
-    check_state(&layout, &initial)
-        .map_err(|e| format!("side {side}, m {m}: initial state: {e}"))?;
+/// The tilings searched for one `(side, m)` grid of `side · m` columns:
+/// the even one first, then the distinct ones among
+///
+/// - a first tile row one column wide — every column of it permanent —
+///   the last row taking up the slack;
+/// - both origins shifted off the box corner, one forward and one back,
+///   so the last tile row and the last tile column wrap the box edge;
+/// - one tile as wide as the grid allows, every other row and column one
+///   wide.
+///
+/// (With `m = 1` the first and the last are the even tiling again.)
+pub fn cut_sets(side: usize, m: usize) -> Vec<PillarLayout> {
+    let nc = side * m;
+    let starts = |widths: &[usize], origin: usize| -> Vec<usize> {
+        let mut next = origin;
+        let start = |w: &usize| {
+            let at = next;
+            next = (at + w) % nc;
+            at
+        };
+        widths.iter().map(start).collect()
+    };
+    let even = vec![m; side];
+    let mut thin = even.clone();
+    (thin[0], thin[side - 1]) = (1, 2 * m - 1);
+    let mut wide = vec![1; side];
+    wide[0] = nc - (side - 1);
+    let cuts = [
+        (starts(&even, 0), starts(&even, 0)),
+        (starts(&thin, 0), starts(&even, 0)),
+        (starts(&even, 1), starts(&even, nc - 1)),
+        (starts(&wide, 0), starts(&wide, 0)),
+    ];
+    let mut out: Vec<PillarLayout> = Vec::new();
+    for (xs, ys) in cuts {
+        let layout = PillarLayout::rectilinear(nc, Torus2d::new(side, side), &xs, &ys)
+            .expect("widths of at least one column summing to the ring");
+        if !out.contains(&layout) {
+            out.push(layout);
+        }
+    }
+    out
+}
+
+/// BFS over the states reachable on `layout` through `successors` (the
+/// sweep passes [`transfers_from`]; a negative test, a mutant of it), at
+/// most `cap` of them. Returns `(states visited, truncated?)`, or the
+/// first invariant violation.
+pub fn search_layout(
+    layout: &PillarLayout,
+    cap: usize,
+    successors: impl Fn(&PillarLayout, &OwnershipMap) -> Vec<DlbDecision>,
+) -> Result<(usize, bool), String> {
+    let initial = OwnershipMap::initial(*layout);
+    check_state(layout, &initial).map_err(|e| format!("{layout}: initial state: {e}"))?;
     let mut visited: BTreeSet<Vec<u16>> = BTreeSet::new();
-    visited.insert(state_key(&layout, &initial));
+    visited.insert(state_key(layout, &initial));
     let mut frontier = vec![initial];
     let mut truncated = false;
     'bfs: while let Some(om) = frontier.pop() {
-        for d in transfers_from(&layout, &om) {
+        for d in successors(layout, &om) {
             // Every decision the protocol produces on a reachable
             // state must validate.
-            if let Err(e) = DlbProtocol::validate(&layout, &om, &d) {
+            if let Err(e) = DlbProtocol::validate(layout, &om, &d) {
                 return Err(format!(
-                    "side {side}, m {m}: decide produced an illegal transfer: {e}"
+                    "{layout}: decide produced an illegal transfer: {e}"
                 ));
             }
             let mut next = om.clone();
             DlbProtocol::apply(&mut next, &d);
-            if !visited.insert(state_key(&layout, &next)) {
+            if !visited.insert(state_key(layout, &next)) {
                 continue;
             }
-            check_state(&layout, &next).map_err(|e| {
-                format!("side {side}, m {m}: reachable state violates invariant: {e}")
-            })?;
+            check_state(layout, &next)
+                .map_err(|e| format!("{layout}: reachable state violates invariant: {e}"))?;
             if visited.len() >= cap {
                 truncated = true;
                 break 'bfs;
@@ -159,7 +223,7 @@ fn state_key(layout: &PillarLayout, om: &OwnershipMap) -> Vec<u16> {
 
 /// The successors the search generates from `om`: what each PE would
 /// send toward each of its neighbours, were that neighbour the receiver.
-fn transfers_from(layout: &PillarLayout, om: &OwnershipMap) -> Vec<DlbDecision> {
+pub fn transfers_from(layout: &PillarLayout, om: &OwnershipMap) -> Vec<DlbDecision> {
     let torus = layout.torus();
     (0..layout.num_ranks())
         .flat_map(|r| {
@@ -244,11 +308,11 @@ const PLANNED_STARTS: [Lattice; 6] = [
 
 /// Plan every start of [`PLANNED_STARTS`] for `shape` on `cfg` — with the
 /// paper's gate of 0 and with a hysteresis — and replay the plans.
-/// Returns `(plans, transfers)`.
-fn replay_plans(shape: DomainShape, cfg: &RunConfig) -> Result<(usize, usize), String> {
+/// Returns `(plans, plans on re-cut tiles, transfers)`.
+fn replay_plans(shape: DomainShape, cfg: &RunConfig) -> Result<(usize, usize, usize), String> {
     let mut cfg = cfg.clone();
     cfg.dlb = true;
-    let (mut plans, mut transfers) = (0, 0);
+    let (mut plans, mut recut, mut transfers) = (0, 0, 0);
     for lattice in PLANNED_STARTS {
         for gain in [0.0, 0.05] {
             cfg.lattice = lattice;
@@ -265,8 +329,9 @@ fn replay_plans(shape: DomainShape, cfg: &RunConfig) -> Result<(usize, usize), S
             };
             match shape {
                 DomainShape::SquarePillar => {
-                    let layout = PillarLayout::new(cfg.nc, cfg.torus());
+                    let layout = plan.tiling(&cfg);
                     check_pillar_plan(&layout, &plan.decisions).map_err(context)?;
+                    recut += usize::from(!layout.is_even());
                 }
                 _ => {
                     check_plane_plan(cfg.nc, cfg.p, &plan.decisions).map_err(context)?;
@@ -276,21 +341,24 @@ fn replay_plans(shape: DomainShape, cfg: &RunConfig) -> Result<(usize, usize), S
             transfers += plan.decisions.len();
         }
     }
-    Ok((plans, transfers))
+    Ok((plans, recut, transfers))
 }
 
 /// Sweep all `(side, m)` configurations within the bounds: the search
-/// over reachable states and the launch plans of the same layout — and,
-/// per side, of the rings of that many ranks the plane balances.
+/// over reachable states on each of the grid's [`cut_sets`] and the
+/// launch plans of the same grid, each on the tiling its launch chose —
+/// and, per side, of the rings of that many ranks the plane balances.
 pub fn verify_invariant(cfg: &InvariantConfig) -> Result<InvariantReport, String> {
     let mut report = InvariantReport::default();
     for side in 3..=cfg.max_side.max(3) {
         for m in 1..=cfg.max_m.max(1) {
-            let (states, truncated) = search_config(side, m, cfg.max_states_per_config)?;
             report.configs += 1;
-            report.states_visited += states;
-            if truncated {
-                report.truncated += 1;
+            for layout in cut_sets(side, m) {
+                let cap = cfg.max_states_per_config;
+                let (states, truncated) = search_layout(&layout, cap, transfers_from)?;
+                report.tilings += 1;
+                report.states_visited += states;
+                report.truncated += usize::from(truncated);
             }
             // `m` planes per rank and one to spare on the ring.
             let nc = side * m + 1;
@@ -302,8 +370,9 @@ pub fn verify_invariant(cfg: &InvariantConfig) -> Result<InvariantReport, String
                 ),
                 (DomainShape::Plane, RunConfig::new(n, nc, side, 0.128)),
             ] {
-                let (plans, transfers) = replay_plans(shape, &run)?;
+                let (plans, recut, transfers) = replay_plans(shape, &run)?;
                 report.plans += plans;
+                report.recut_plans += recut;
                 report.planned_transfers += transfers;
             }
         }
@@ -336,8 +405,10 @@ mod tests {
             max_states_per_config: 100,
         })
         .expect("invariant holds");
-        assert_eq!(r.configs, 2);
-        assert_eq!(r.states_visited, 2);
+        // (Even, and the shifted origins; a one-column tile is already
+        // as thin and as wide as its grid allows.)
+        assert_eq!((r.configs, r.tilings), (2, 4));
+        assert_eq!(r.states_visited, 4);
         assert_eq!(r.truncated, 0);
     }
 

@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! pcdlb-check verify     [--max-side N] [--max-m M] [--max-states K]
+//! pcdlb-check invariant  [--max-side N] [--max-m M] [--max-states K]
 //! pcdlb-check interleave [--steps S] [--dfs-runs N] [--seeded-runs N]
 //! pcdlb-check faults     [--stride N] [--seeds N] [--timeout-s N]
 //! pcdlb-check takeover   [--stride N] [--max-side N] [--timeout-s N]
@@ -41,6 +42,7 @@ fn main() -> ExitCode {
     };
     let result = match cmd {
         "verify" => cmd_verify(rest),
+        "invariant" => cmd_invariant(rest),
         "interleave" => cmd_interleave(rest),
         "faults" => cmd_faults(rest),
         "takeover" => cmd_takeover(rest),
@@ -73,12 +75,17 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: pcdlb-check <verify|interleave|faults|takeover|resize|chaos|model|lint|all> [options]\n\
+        "usage: pcdlb-check <verify|invariant|interleave|faults|takeover|resize|chaos|model|lint|all> [options]\n\
          \n\
          verify     static protocol verification: tag table, send/recv\n\
          \u{20}          matching, deadlock freedom on all grids up to --max-side\n\
-         \u{20}          (default 6), and the permanent-cell invariant search up\n\
-         \u{20}          to --max-m (default 3), --max-states (default 20000)\n\
+         \u{20}          (default 6), then `invariant` on grids up to side 4\n\
+         invariant  the permanent-cell invariant search alone: every state\n\
+         \u{20}          reachable on the even tiling and on uneven cut sets (a\n\
+         \u{20}          one-column row, shifted origins, one wide tile) of each\n\
+         \u{20}          grid up to --max-side (default 4), --max-m (default 3),\n\
+         \u{20}          --max-states per tiling (default 20000), and the launch\n\
+         \u{20}          plans of clustered starts replayed on their chosen tilings\n\
          interleave determinism check: explore message-delivery orders on a\n\
          \u{20}          2x2 PE run (--steps 6 --dfs-runs 24 --seeded-runs 24)\n\
          \u{20}          and requiring a single digest\n\
@@ -150,15 +157,30 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
         }
         return Err(format!("{} protocol violation(s)", report.violations.len()));
     }
+    invariant(max_side.min(4), max_m, max_states)
+}
+
+fn cmd_invariant(rest: &[String]) -> Result<(), String> {
+    let v = opts(
+        rest,
+        &[("--max-side", 4), ("--max-m", 3), ("--max-states", 20_000)],
+    )?;
+    invariant(v[0], v[1], v[2])
+}
+
+/// The permanent-cell invariant search, uneven cut sets included.
+fn invariant(max_side: usize, max_m: usize, max_states: usize) -> Result<(), String> {
     let inv = verify_invariant(&InvariantConfig {
-        max_side: max_side.min(4),
+        max_side,
         max_m,
         max_states_per_config: max_states,
     })
     .map_err(|e| format!("permanent-cell invariant violated: {e}"))?;
     println!(
-        "verify: permanent-cell invariant holds over {} states in {} configs{}",
+        "invariant: permanent cells hold over {} states on {} tilings ({} uneven) of {} configs{}",
         inv.states_visited,
+        inv.tilings,
+        inv.tilings - inv.configs,
         inv.configs,
         if inv.truncated > 0 {
             format!(" ({} truncated at the state cap)", inv.truncated)
@@ -167,8 +189,8 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
         }
     );
     println!(
-        "verify: {} launch plans replayed, {} planned transfers legal",
-        inv.plans, inv.planned_transfers
+        "invariant: {} launch plans replayed on their tilings ({} re-cut), {} planned transfers legal",
+        inv.plans, inv.recut_plans, inv.planned_transfers
     );
     Ok(())
 }

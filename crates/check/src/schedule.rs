@@ -24,7 +24,7 @@ use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_domain::DomainShape;
 use pcdlb_mp::collectives::ctag;
 use pcdlb_mp::{Torus2d, Torus3d};
-use pcdlb_sim::{pe::PeState, Placed, RunConfig};
+use pcdlb_sim::{pe::PeState, LaunchPlan, Placed, RunConfig};
 
 /// One point-to-point operation of the schedule. Tags are *wire* tags:
 /// collective rounds already carry their namespaced
@@ -145,7 +145,8 @@ pub fn exchanges_once(shape: DomainShape, p: usize, dlb: bool) -> bool {
     // Only ownership is asked about: no particles, no physics.
     let mut cfg = RunConfig::new(0, 2 * side, p, 1.0);
     cfg.dlb = dlb;
-    PeState::new(0, &cfg, shape, &Placed::new(&cfg, &[]), &[]).exchanges_once()
+    let none = LaunchPlan::default();
+    PeState::new(0, &cfg, shape, &Placed::new(&cfg, &[]), &none).exchanges_once()
 }
 
 /// Build the per-step schedule of `p` ranks decomposed as `shape`: the
@@ -411,7 +412,7 @@ mod tests {
             let initial = Placed::new(&cfg, &initial_particles(&cfg));
             for r in 0..p {
                 assert_eq!(
-                    PeState::new(r, &cfg, shape, &initial, &[]).neighbors(),
+                    PeState::new(r, &cfg, shape, &initial, &LaunchPlan::default()).neighbors(),
                     shape_neighbors(shape, p, r),
                     "{shape:?} P = {p} rank {r}"
                 );

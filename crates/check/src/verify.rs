@@ -298,7 +298,8 @@ pub const LEGAL_DELTAS: [(i64, i64); 6] = [(-1, -1), (-1, 0), (0, -1), (0, 1), (
 /// The transfers the balancer makes step after step from a clustered
 /// start — the gas over the origin corner, a tile and a half wide — as
 /// the launch plan replays them: one `(from, to)` set per iteration, from
-/// the home tiles through to the planned ownership. Sets no hand-written
+/// the home tiles — of the tiling the launch chose, for the pillar —
+/// through to the planned ownership. Sets no hand-written
 /// scenario has: several PEs giving at once, toward different neighbours,
 /// some returning what others lent.
 fn planned_rounds(shape: DomainShape, p: usize) -> Vec<Vec<(usize, usize)>> {

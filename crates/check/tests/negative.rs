@@ -3,7 +3,8 @@
 //! nothing unless these fail loudly.
 
 use pcdlb_check::invariant::{
-    check_pillar_plan, check_plane_plan, check_state, validate_decision, DlbDecision,
+    check_pillar_plan, check_plane_plan, check_state, cut_sets, search_layout, transfers_from,
+    validate_decision, DlbDecision,
 };
 use pcdlb_check::schedule::{step_schedule, Op, ScheduleOpts};
 use pcdlb_check::verify::{
@@ -14,7 +15,7 @@ use pcdlb_core::protocol::tags::{self, CommPhase, TagSpec};
 use pcdlb_core::protocol::ProtocolError;
 use pcdlb_domain::{Col, DomainShape, OwnershipMap, PillarLayout};
 use pcdlb_sim::pe::initial_particles;
-use pcdlb_sim::{launch_plan, Lattice, Placed, RunConfig};
+use pcdlb_sim::{launch_plan, launch_plan_on, Lattice, Placed, RunConfig};
 
 #[test]
 fn tag_collision_in_table_is_caught() {
@@ -218,12 +219,52 @@ fn mutated_choosers_are_caught() {
     );
 }
 
-/// The launch plan of `cfg` with the gas squeezed into the origin corner.
-fn corner_plan(shape: DomainShape, mut cfg: RunConfig, fill: f64) -> Vec<DlbDecision> {
+/// `cfg` balancing, with the gas squeezed into the origin corner, placed.
+fn corner_start(mut cfg: RunConfig, fill: f64) -> (RunConfig, Placed) {
     cfg.dlb = true;
     cfg.lattice = Lattice::Cluster { fill };
     let placed = Placed::new(&cfg, &initial_particles(&cfg));
-    launch_plan(shape, &cfg, 0, &placed).decisions
+    (cfg, placed)
+}
+
+#[test]
+fn a_wall_judged_by_the_nominal_m_is_caught() {
+    // Mutation: `is_permanent` reads "last row or column" off the nominal
+    // m = nc / √P instead of the column's own tile. On the even tiling
+    // the two agree and the search passes the mutant; on a tiling with a
+    // tile wider than m the mutant calls columns *beyond* offset m − 1
+    // movable — the real wall among them — and lends them out.
+    let (side, m) = (3, 2);
+    let movable_by_m = |layout: &PillarLayout, c: Col| {
+        let (ox, oy) = layout.offset_in_tile(c);
+        ox != m - 1 && oy != m - 1
+    };
+    let mutant = |layout: &PillarLayout, om: &OwnershipMap| -> Vec<DlbDecision> {
+        let torus = layout.torus();
+        let mut out = transfers_from(layout, om);
+        for from in 0..layout.num_ranks() {
+            let lent = layout
+                .tile_columns(from)
+                .find(|&c| movable_by_m(layout, c) && is_permanent(layout, c));
+            let to = torus.neighbor(from, -1, -1);
+            out.extend(
+                lent.filter(|&col| om.owner_of(col) == from)
+                    .map(|col| DlbDecision { col, from, to }),
+            );
+        }
+        out
+    };
+    let tilings = cut_sets(side, m);
+    assert!(tilings[0].is_even());
+    search_layout(&tilings[0], 500, mutant).expect("the even tiling cannot tell");
+    let caught = tilings[1..]
+        .iter()
+        .filter_map(|layout| search_layout(layout, 500, mutant).err())
+        .collect::<Vec<_>>();
+    assert!(
+        caught.iter().any(|e| e.contains("permanent")),
+        "the uneven cut sets must catch the mutant: {caught:?}"
+    );
 }
 
 #[test]
@@ -234,9 +275,10 @@ fn mutated_planners_are_caught() {
     // Mutation: a planner that, once the hot tile's movable columns are
     // gone, keeps shedding — a permanent column goes where the last
     // movable one went.
-    let cfg = RunConfig::from_p_m_density(9, 3, 0.128);
+    // (On the paper's tiling: the launch itself would cut the corner up.)
+    let (cfg, placed) = corner_start(RunConfig::from_p_m_density(9, 3, 0.128), 0.3);
     let layout = PillarLayout::new(cfg.nc, cfg.torus());
-    let mut plan = corner_plan(DomainShape::SquarePillar, cfg, 0.3);
+    let mut plan = launch_plan_on(layout, &cfg, 0, &placed).decisions;
     let shed = plan.iter().filter(|d| d.from == 0).count();
     assert_eq!(shed, 4, "the hot tile sheds its (m − 1)² movable columns");
     check_pillar_plan(&layout, &plan).expect("the real plan replays clean");
@@ -251,8 +293,8 @@ fn mutated_planners_are_caught() {
     // Mutation: a planner that skips `excludes` on the plane — the two
     // sides of one boundary each take the other for the lighter one, and
     // both planes cross it in one iteration.
-    let ring = RunConfig::new(1000, 6, 3, 0.05);
-    let plan = corner_plan(DomainShape::Plane, ring.clone(), 0.3);
+    let (ring, placed) = corner_start(RunConfig::new(1000, 6, 3, 0.05), 0.3);
+    let plan = launch_plan(DomainShape::Plane, &ring, 0, &placed).decisions;
     assert!(!plan.is_empty(), "rank 0's slab sheds toward rank 1");
     check_plane_plan(ring.nc, ring.p, &plan).expect("the real plan replays clean");
     let crossing = |cx, from, to| DlbDecision {

@@ -1,12 +1,20 @@
 //! Permanent / movable classification of a tile's columns (paper Fig. 3).
 //!
-//! Within each `m × m` tile, the last row (`ox = m−1`) and last column
-//! (`oy = m−1`) — the side facing the `(i+1, ·)` and `(·, j+1)` neighbours
-//! — are **permanent**: they are never redistributed and form the wall
-//! that keeps a PE's domain from touching any domain outside its
-//! 8-neighbourhood. The remaining `(m−1)²` block toward the NW corner is
-//! **movable**: it may be lent to the NW-side neighbours (paper Case 1)
-//! and later returned (Case 3).
+//! Within each tile, the last row and the last column — the side facing
+//! the `(i+1, ·)` and `(·, j+1)` neighbours — are **permanent**: they are
+//! never redistributed and form the wall that keeps a PE's domain from
+//! touching any domain outside its 8-neighbourhood. The remaining block
+//! toward the NW corner is **movable**: it may be lent to the NW-side
+//! neighbours (paper Case 1) and later returned (Case 3). In the paper's
+//! `m × m` tile that is `2m − 1` permanent and `(m−1)²` movable columns;
+//! on a rectilinear layout (`pcdlb_domain::PillarLayout`) "last" is read
+//! off the column's *own* tile, `m_x × m_y` with `m_x + m_y − 1`
+//! permanent and `(m_x − 1)(m_y − 1)` movable, and a tile one column
+//! wide is all wall. The wall argument asks nothing more of the widths:
+//! whatever a movable column's 8 neighbours are — columns of its own
+//! tile, or the last row or column of the tile to the N, W or NW — each
+//! is owned by its home or by a PE one step N / W / NW of it, and those
+//! four PEs are mutual torus neighbours.
 //!
 //! The orientation (which row/column is permanent) is forced by the
 //! paper's transfer directions: Fig. 4 shows `PE(i, j)` receiving cells
@@ -15,11 +23,12 @@
 
 use pcdlb_domain::{Col, PillarLayout};
 
-/// True if `col` is a permanent cell of its home tile.
+/// True if `col` is a permanent cell of its home tile: on the tile's
+/// last row or last column.
 pub fn is_permanent(layout: &PillarLayout, col: Col) -> bool {
     let (ox, oy) = layout.offset_in_tile(col);
-    let m = layout.m();
-    ox == m - 1 || oy == m - 1
+    let (rows, cols) = layout.tile_dims(layout.home_rank(col));
+    ox == rows - 1 || oy == cols - 1
 }
 
 /// True if `col` is a movable cell of its home tile.
@@ -27,24 +36,66 @@ pub fn is_movable(layout: &PillarLayout, col: Col) -> bool {
     !is_permanent(layout, col)
 }
 
-/// Number of permanent columns per tile: `2m − 1`.
+/// The most columns `rank` can ever own (paper Fig. 4's extreme): its own
+/// tile plus the movable blocks of the tiles to its S, E and SE —
+/// `m² + 3(m−1)²` where every tile is `m × m`.
+pub fn max_columns(layout: &PillarLayout, rank: usize) -> usize {
+    let torus = layout.torus();
+    let movable = |(di, dj)| {
+        let (rows, cols) = layout.tile_dims(torus.neighbor(rank, di, dj));
+        (rows - 1) * (cols - 1)
+    };
+    let (rows, cols) = layout.tile_dims(rank);
+    rows * cols
+        + [(1, 0), (0, 1), (1, 1)]
+            .into_iter()
+            .map(movable)
+            .sum::<usize>()
+}
+
+/// Number of permanent columns per `m × m` tile: `2m − 1`.
 pub fn permanent_count(m: usize) -> usize {
     assert!(m >= 1);
     2 * m - 1
 }
 
-/// Number of movable columns per tile: `(m − 1)²`.
+/// Number of movable columns per `m × m` tile: `(m − 1)²`.
 pub fn movable_count(m: usize) -> usize {
     assert!(m >= 1);
     (m - 1) * (m - 1)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use pcdlb_mp::Torus2d;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn layout(p: usize, m: usize) -> PillarLayout {
         PillarLayout::from_p_and_m(p, m)
+    }
+
+    /// A rectilinear layout drawn from `seed` — `side` distinct starts
+    /// per axis on a ring of `side + spare`, ascending from a first one
+    /// anywhere on it: width-1 tiles, tiles wrapping the box edge and
+    /// shifted origins all occur.
+    pub(crate) fn random_layout(side: usize, spare: usize, seed: u64) -> PillarLayout {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nc = side + spare;
+        let mut cuts = || {
+            let mut ring: Vec<usize> = (0..nc).collect();
+            for i in 0..side {
+                ring.swap(i, rng.gen_range(i..nc));
+            }
+            ring.truncate(side);
+            ring.sort_unstable();
+            ring.rotate_left(rng.gen_range(0..side));
+            ring
+        };
+        let (xs, ys) = (cuts(), cuts());
+        PillarLayout::rectilinear(nc, Torus2d::new(side, side), &xs, &ys).expect("legal cuts")
     }
 
     #[test]
@@ -67,6 +118,56 @@ mod tests {
                 assert_eq!(perm, permanent_count(m));
                 assert_eq!(mov, movable_count(m));
             }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_every_tile_splits_into_its_wall_and_its_movable_block(
+            side in 3usize..6, spare in 0usize..8, seed in any::<u64>(),
+        ) {
+            let l = random_layout(side, spare, seed);
+            let g = l.grid();
+            for r in 0..l.num_ranks() {
+                let (rows, cols) = l.tile_dims(r);
+                let mov = l.tile_columns(r).filter(|&c| is_movable(&l, c)).count();
+                let perm = l.tile_columns(r).filter(|&c| is_permanent(&l, c)).count();
+                prop_assert_eq!(mov, (rows - 1) * (cols - 1), "{:?} tile {}", l, r);
+                prop_assert_eq!(perm + mov, rows * cols);
+                // The wall is the side facing S and E: the movable block
+                // starts at the tile's origin.
+                let o = l.tile_origin(r);
+                for c in l.tile_columns(r) {
+                    let (dx, dy) = ((c.cx + g.nc() - o.cx) % g.nc(), (c.cy + g.nc() - o.cy) % g.nc());
+                    prop_assert_eq!(is_movable(&l, c), dx + 1 < rows && dy + 1 < cols);
+                }
+                let others: usize = [(1, 0), (0, 1), (1, 1)]
+                    .into_iter()
+                    .map(|(di, dj)| {
+                        let t = l.torus().neighbor(r, di, dj);
+                        l.tile_columns(t).filter(|&c| is_movable(&l, c)).count()
+                    })
+                    .sum();
+                prop_assert_eq!(max_columns(&l, r), rows * cols + others);
+            }
+            // Movable blocks of different tiles never touch: a wall lies
+            // between them.
+            for c in g.iter().filter(|&c| is_movable(&l, c)) {
+                for n in g.neighbors8(c) {
+                    prop_assert!(
+                        l.home_rank(n) == l.home_rank(c) || is_permanent(&l, n),
+                        "{:?}: movable {:?} touches foreign movable {:?}", l, c, n
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_accumulation_limit_of_an_even_tiling_is_the_papers() {
+        for m in 1..=4 {
+            let l = layout(16, m);
+            assert!((0..16).all(|r| max_columns(&l, r) == m * m + 3 * (m - 1) * (m - 1)));
         }
     }
 

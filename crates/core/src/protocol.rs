@@ -1084,8 +1084,7 @@ mod tests {
     /// draws its *own* view of everyone's load: deciding a step ahead,
     /// two PEs need not agree on a third one's (or each other's) load.
     fn arbitrary_protocol_run(
-        p_side: usize,
-        m: usize,
+        l: PillarLayout,
         loads_seed: u64,
         steps: usize,
         levels: u32,
@@ -1093,7 +1092,6 @@ mod tests {
     ) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let l = PillarLayout::from_p_and_m(p_side * p_side, m);
         let mut om = OwnershipMap::initial(l);
         let mut rng = StdRng::seed_from_u64(loads_seed);
         let nranks = l.num_ranks();
@@ -1127,11 +1125,12 @@ mod tests {
                 DlbProtocol::apply(&mut om, d);
             }
             om.check_all().unwrap();
-            // Accumulation never exceeds the DLB limit.
+            // Accumulation never exceeds the DLB limit: a PE's own tile
+            // plus the movable blocks of its S, E and SE tiles.
             for r in 0..nranks {
                 assert!(
-                    om.num_owned(r) <= (m * m + 3 * (m - 1) * (m - 1)),
-                    "rank {r} exceeded the DLB limit"
+                    om.num_owned(r) <= crate::permanent::max_columns(&l, r),
+                    "rank {r} exceeded the DLB limit on {l:?}"
                 );
             }
         }
@@ -1148,7 +1147,24 @@ mod tests {
             gain_tenths in 0u32..4,
         ) {
             let gain = f64::from(gain_tenths) / 10.0;
-            arbitrary_protocol_run(p_side, m, seed, 30, 1 << levels_log2, gain);
+            let even = PillarLayout::from_p_and_m(p_side * p_side, m);
+            arbitrary_protocol_run(even, seed, 30, 1 << levels_log2, gain);
+        }
+
+        /// The same theorem where no two tiles need be alike: random cuts
+        /// on both axes, width-1 tiles (all wall) and shifted origins
+        /// included. Nothing in this file knows the difference.
+        #[test]
+        fn prop_invariants_hold_under_any_execution_on_any_rectilinear_tiling(
+            p_side in 3usize..6,
+            spare in 0usize..9,
+            seed in any::<u64>(),
+            levels_log2 in 1u32..21,
+            gain_tenths in 0u32..4,
+        ) {
+            let gain = f64::from(gain_tenths) / 10.0;
+            let uneven = crate::permanent::tests::random_layout(p_side, spare, seed);
+            arbitrary_protocol_run(uneven, seed, 30, 1 << levels_log2, gain);
         }
     }
 
@@ -1156,6 +1172,7 @@ mod tests {
     fn long_execution_on_paper_configuration() {
         // P = 36, m = 4 (the paper's Fig. 5(a) layout), 200 steps of
         // random load churn.
-        arbitrary_protocol_run(6, 4, 20260705, 200, 1 << 20, 0.0);
+        let paper = PillarLayout::from_p_and_m(36, 4);
+        arbitrary_protocol_run(paper, 20260705, 200, 1 << 20, 0.0);
     }
 }

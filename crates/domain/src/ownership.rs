@@ -35,9 +35,12 @@ pub struct OwnershipMap {
 impl OwnershipMap {
     /// The initial DDM assignment: every column owned by its home PE.
     pub fn initial(layout: PillarLayout) -> Self {
-        let owner = (0..layout.grid().len())
-            .map(|i| layout.home_rank(layout.grid().col_of(i)))
-            .collect();
+        let mut owner = vec![0; layout.grid().len()];
+        for rank in 0..layout.num_ranks() {
+            for c in layout.tile_columns(rank) {
+                owner[layout.grid().index(c)] = rank;
+            }
+        }
         Self { layout, owner }
     }
 

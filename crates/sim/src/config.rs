@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use pcdlb_domain::DomainShape;
+use pcdlb_domain::{DomainShape, PillarLayout};
 use pcdlb_md::lj::LennardJones;
 use pcdlb_md::thermostat::Thermostat;
 use pcdlb_mp::{CommConfig, Torus2d};
@@ -162,6 +162,8 @@ pub enum ConfigError {
     NotSquare { p: usize },
     /// Square pillar: the torus side does not divide `nc`.
     PillarSide { nc: usize, side: usize },
+    /// Square pillar: a torus side above `PillarLayout::MAX_SIDE`.
+    PillarTooWide { side: usize },
     /// Square pillar: `dlb` on a torus side below 3.
     DlbTorusTooSmall { p: usize },
     /// Plane: `p == 0`.
@@ -231,6 +233,13 @@ impl fmt::Display for ConfigError {
                 write!(f, "square torus needs a perfect-square rank count, got {p}")
             }
             PillarSide { nc, side } => write!(f, "nc = {nc} must be a multiple of √P = {side}"),
+            PillarTooWide { side } => {
+                let max = PillarLayout::MAX_SIDE;
+                write!(
+                    f,
+                    "a tile layout holds a torus side of {max} at most, got √P = {side}"
+                )
+            }
             DlbTorusTooSmall { p } => {
                 write!(f, "DLB needs a torus side ≥ 3 (P ≥ 9); got P = {p}")
             }
@@ -613,6 +622,7 @@ impl RunConfig {
                 let side = (p as f64).sqrt().round() as usize;
                 ensure(side * side == p, NotSquare { p })?;
                 ensure(nc.is_multiple_of(side), PillarSide { nc, side })?;
+                ensure(side <= PillarLayout::MAX_SIDE, PillarTooWide { side })?;
                 ensure(!self.dlb || side >= 3, DlbTorusTooSmall { p })?;
             }
             // Unlike the square pillar the plane accepts any `P ≤ nc`,
@@ -848,6 +858,15 @@ mod tests {
             }
             .check(DomainShape::SquarePillar),
             Err(ConfigError::NotSquare { p: 7 })
+        );
+        let vast = RunConfig {
+            p: 33 * 33,
+            nc: 66,
+            ..good.clone()
+        };
+        assert_eq!(
+            vast.check(DomainShape::SquarePillar),
+            Err(ConfigError::PillarTooWide { side: 33 })
         );
         assert_eq!(
             RunConfig {

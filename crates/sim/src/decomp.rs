@@ -32,6 +32,12 @@ pub(crate) trait Decomposition {
     /// the z-invariant shapes (plane, pillar), one block for the cube.
     fn z_extent(&self, rank: usize) -> Range<usize>;
 
+    /// The tile layout this view's homes are cut on, where the shape has
+    /// one (the square pillar): what a checkpoint carries to rebuild it.
+    fn tiling(&self) -> Option<PillarLayout> {
+        None
+    }
+
     /// Whether the shape implements the balancer hook below. Where it
     /// does not — or `cfg.dlb` leaves the hook idle — ownership cannot
     /// change, and migrants and ghosts share one exchange per rebuild
@@ -73,14 +79,18 @@ pub(crate) trait Decomposition {
     }
 }
 
-/// The decomposition of `shape` as `rank` sees it at the start of a run.
+/// The decomposition of `shape` as `rank` sees it at the start of a run:
+/// every cell at its home. `tiling` is where the square pillar's home
+/// tiles are cut when the launch chose that ([`crate::launch`]); `None`,
+/// and for the other shapes, it is the even assignment `cfg` implies.
 pub(crate) fn decomposition(
     shape: DomainShape,
     rank: usize,
     cfg: &RunConfig,
+    tiling: Option<&PillarLayout>,
 ) -> Box<dyn Decomposition> {
     match shape {
-        DomainShape::SquarePillar => Box::new(Pillar::new(rank, cfg)),
+        DomainShape::SquarePillar => Box::new(Pillar::new(rank, cfg, tiling)),
         DomainShape::Plane => Box::new(crate::plane::Plane::new(rank, cfg)),
         DomainShape::Cube => Box::new(crate::cube::Cube::new(cfg)),
     }
@@ -103,9 +113,10 @@ pub(crate) fn validate(cfg: &RunConfig, shape: DomainShape) {
     cfg.comm.validate();
 }
 
-/// The square pillar (paper Fig. 2(b)): full-z columns, an `m × m` home
-/// tile per PE on a 2-D torus, and the permanent-cell balancer moving
-/// single columns between torus neighbours.
+/// The square pillar (paper Fig. 2(b)): full-z columns, a home tile per
+/// PE on a 2-D torus — `m × m` unless the launch cut them otherwise — and
+/// the permanent-cell balancer moving single columns between torus
+/// neighbours.
 struct Pillar {
     layout: PillarLayout,
     rank: usize,
@@ -115,8 +126,9 @@ struct Pillar {
 }
 
 impl Pillar {
-    fn new(rank: usize, cfg: &RunConfig) -> Self {
-        let layout = PillarLayout::new(cfg.nc, cfg.torus());
+    fn new(rank: usize, cfg: &RunConfig, tiling: Option<&PillarLayout>) -> Self {
+        let even = || PillarLayout::new(cfg.nc, cfg.torus());
+        let layout = tiling.copied().unwrap_or_else(even);
         Self {
             layout,
             rank,
@@ -143,6 +155,10 @@ impl Decomposition for Pillar {
 
     fn z_extent(&self, _rank: usize) -> Range<usize> {
         0..self.layout.grid().nc()
+    }
+
+    fn tiling(&self) -> Option<PillarLayout> {
+        Some(self.layout)
     }
 
     fn has_balancer(&self) -> bool {
@@ -175,7 +191,7 @@ mod tests {
     #[test]
     fn pillar_window_covers_exactly_the_3x3_tiles() {
         let cfg = RunConfig::from_p_m_density(16, 2, 0.2); // 4×4 torus
-        let d = Pillar::new(5, &cfg); // tile (1,1)
+        let d = Pillar::new(5, &cfg, None); // tile (1,1)
         let l = d.layout;
         // A column in tile (1,1) and all 8 neighbouring tiles: in window.
         for (di, dj) in [(0i64, 0i64), (-1, 0), (1, 1), (0, -1)] {
@@ -206,7 +222,7 @@ mod tests {
             validate(&cfg, shape);
             let mut owned = 0usize;
             for rank in 0..p {
-                let d = decomposition(shape, rank, &cfg);
+                let d = decomposition(shape, rank, &cfg, None);
                 let z = d.z_extent(rank);
                 for cx in 0..cfg.nc {
                     for cy in 0..cfg.nc {

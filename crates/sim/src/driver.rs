@@ -27,8 +27,7 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use pcdlb_core::protocol::DlbDecision;
-use pcdlb_domain::DomainShape;
+use pcdlb_domain::{DomainShape, PillarLayout};
 use pcdlb_md::Particle;
 use pcdlb_mp::{Comm, RankFailure, World, WorldError};
 
@@ -38,7 +37,7 @@ use crate::elastic::{
     remap_drained_checkpoint, ResizeGeneration, ResizePlan, ResizeStage, GENERATION_EPOCH_STRIDE,
 };
 use crate::engine::{run_roles, Start};
-use crate::launch::{launch_plan, Placed};
+use crate::launch::{launch_plan, LaunchPlan, Placed};
 use crate::pe::{initial_particles, PeResult};
 use crate::recover::{RecoveryError, SimCheckpoint};
 use crate::report::{PhaseTimes, RunReport, WireBytes};
@@ -135,6 +134,7 @@ impl Ladder {
             let side = (p as f64).sqrt().round() as usize;
             ensure(p > 0 && side * side == p, ResizeNotSquare { p })?;
             ensure(nc.is_multiple_of(side), ResizeSide { p, side, nc })?;
+            ensure(side <= PillarLayout::MAX_SIDE, PillarTooWide { side })?;
             prev = at_step;
         }
         let keeps_epochs = self.plan.stages.is_empty() || cfg.skin == 0.0;
@@ -217,11 +217,11 @@ impl Launch {
 
     /// What every rank of a world that starts at step 0 starts from: the
     /// initial condition, generated and placed in its cells once, and —
-    /// where the run balances — the transfers its launch plan makes
-    /// ([`launch_plan`]).
-    fn fresh(&self, cfg: &RunConfig) -> (Placed, Vec<DlbDecision>) {
+    /// where the run balances — the tiling its launch plan chose and the
+    /// transfers it makes on it ([`launch_plan`]).
+    fn fresh(&self, cfg: &RunConfig) -> (Placed, LaunchPlan) {
         let placed = Placed::new(cfg, &initial_particles(cfg));
-        let plan = launch_plan(self.shape, cfg, 0, &placed).decisions;
+        let plan = launch_plan(self.shape, cfg, 0, &placed);
         (placed, plan)
     }
 
@@ -240,7 +240,9 @@ impl Launch {
                 .swap_remove(0)
                 .1
         });
-        assemble(results, plan.len())
+        let pillar = self.shape == DomainShape::SquarePillar;
+        let tiling = pillar.then(|| plan.tiling(cfg));
+        assemble(results, plan.decisions.len(), tiling)
     }
 
     /// The resilient launch: run `cfg` under `ladder`. On any rank failure
@@ -274,7 +276,8 @@ impl Launch {
         // (later ones start from their predecessor's drain, planned in
         // `remap_drained_checkpoint`).
         let (placed, plan) = self.fresh(cfg);
-        let mut launch_transfers = plan.len();
+        let mut launch_transfers = plan.decisions.len();
+        let mut tiling = plan.tiling(cfg);
         let mut failures = Vec::new();
         let mut launches = 0;
         let mut generations = Vec::with_capacity(segments.len());
@@ -293,6 +296,7 @@ impl Launch {
                     .as_mut()
                     .expect("the previous generation drained a checkpoint");
                 launch_transfers += remap_drained_checkpoint(ck, &seg_cfg, seg.start);
+                tiling = ck.tiling;
             }
             let (drain, sync) = (gen < last_gen, gen > 0);
             let completed = (0..ladder.max_attempts).find_map(|attempt| {
@@ -355,7 +359,7 @@ impl Launch {
 
         let Run {
             report, snapshot, ..
-        } = assemble(last_results, launch_transfers);
+        } = assemble(last_results, launch_transfers, Some(tiling));
         let snapshot = snapshot.expect("resilient launches always gather a snapshot");
         let digest = digest_recovery(&report, &snapshot, cfg.load_metric);
         Ok(LadderOutcome {
@@ -392,8 +396,12 @@ pub fn run_with_snapshot(cfg: &RunConfig) -> (RunReport, Vec<Particle>) {
 
 /// Fold the per-rank results of a completed world, in rank order, into
 /// rank 0's report with the totals over all ranks — and the transfers the
-/// run's launches planned — filled in.
-fn assemble(mut results: Vec<PeResult>, launch_transfers: usize) -> Run {
+/// run's launches planned, and the tiling it ran on — filled in.
+fn assemble(
+    mut results: Vec<PeResult>,
+    launch_transfers: usize,
+    tiling: Option<PillarLayout>,
+) -> Run {
     let mut phases = PhaseTimes::default();
     let mut wire = WireBytes::default();
     for r in &results {
@@ -417,6 +425,7 @@ fn assemble(mut results: Vec<PeResult>, launch_transfers: usize) -> Run {
     report.suspicions = suspicions;
     report.cells_per_rank = cells_per_rank;
     report.launch_transfers = launch_transfers;
+    report.tiling = tiling;
     Run {
         report,
         snapshot: rank0.snapshot,

@@ -15,13 +15,15 @@
 //!    loop), so the complete world state — MD phase space, ownership view,
 //!    rank 0's record history — sits in the shared [`SimCheckpoint`] sink.
 //! 2. **Remap** — the virtual torus is rebuilt for the new PE count (the
-//!    generation's own `cfg.torus()`) and the drained
-//!    ownership view is rewritten: the new layout's home map, which
-//!    satisfies the permanent-cell invariant by construction, with the
-//!    launch plan of the drained particles replayed onto it
+//!    generation's own `cfg.torus()`), re-tiled from the drained
+//!    particles where the generation balances, and the drained ownership
+//!    view is rewritten: the new tiling's home map, which satisfies the
+//!    permanent-cell invariant by construction, with the launch plan of
+//!    the drained particles replayed onto it
 //!    ([`crate::launch::launch_plan`]) — so a generation starts where its
 //!    balancer would have taken it rather than shedding every hot tile
-//!    anew. The drain is audited on the way through: exact particle-count
+//!    anew, and every generation boundary moves the walls to where the
+//!    load has gone. The drain is audited on the way through: exact particle-count
 //!    conservation and an exact one-owner-per-column partition.
 //! 3. **Resume** — a fresh world launches on the new PE set with a bumped
 //!    wire-epoch base ([`pcdlb_mp::World::with_base_epoch`]), so any
@@ -39,7 +41,7 @@
 //! uninterrupted serial run — no matter how many resizes, in which
 //! direction, at which boundaries.
 
-use pcdlb_domain::{DomainShape, PillarLayout};
+use pcdlb_domain::DomainShape;
 
 use crate::config::RunConfig;
 use crate::launch::{launch_plan, Placed};
@@ -135,11 +137,12 @@ pub struct ResizeGeneration {
 /// torus of `cfg`, the next generation's configuration. The audits are
 /// the resize-boundary conservation laws: the checkpoint sits exactly on
 /// the boundary step, holds every particle, and partitions the column
-/// grid with exactly one owner per column. The rewrite starts every
-/// column at its home pillar under the new layout — the one assignment
-/// that satisfies the permanent-cell invariant on any torus — and, where
-/// the generation balances, replays the launch plan of the drained
-/// particles onto it ([`launch_plan`]): a generation starts where its
+/// grid with exactly one owner per column. The rewrite is a launch
+/// ([`launch_plan`]) from the drained particles: the new torus is tiled —
+/// re-cut where the load now is, if the generation balances — every
+/// column starts at its home pillar under that tiling, the one assignment
+/// that satisfies the permanent-cell invariant on any torus, and the
+/// launch plan is replayed onto it: a generation starts where its
 /// balancer would have taken it, as a fresh run does, instead of shedding
 /// its hot tiles one column a step all over again. Returns the number of
 /// transfers planned. The loads and in-flight transfers the old torus's
@@ -162,7 +165,9 @@ pub(crate) fn remap_drained_checkpoint(
         ck.md.particles.len(),
         cfg.n_particles
     );
-    let layout = PillarLayout::new(cfg.nc, cfg.torus());
+    let placed = Placed::new(cfg, &ck.md.particles);
+    let plan = launch_plan(DomainShape::SquarePillar, cfg, boundary, &placed);
+    let layout = plan.tiling(cfg);
     let grid = layout.grid();
     assert_eq!(
         ck.ownership.len(),
@@ -181,14 +186,13 @@ pub(crate) fn remap_drained_checkpoint(
         slot[idx] = i;
         *owner = layout.home_rank(*c);
     }
-    let placed = Placed::new(cfg, &ck.md.particles);
-    let plan = launch_plan(DomainShape::SquarePillar, cfg, boundary, &placed).decisions;
-    for d in &plan {
+    for d in &plan.decisions {
         ck.ownership[slot[grid.index(d.col)]].1 = d.to;
     }
+    ck.tiling = layout;
     ck.loads.clear();
     ck.transfers.clear();
-    plan.len()
+    plan.decisions.len()
 }
 
 #[cfg(test)]
@@ -335,15 +339,15 @@ mod tests {
 
     #[test]
     fn a_resized_generation_starts_where_its_balancer_would_have_taken_it() {
-        // The paper's scenario — 3×3, m = 4, the whole gas over rank 0's
-        // tile — grown to 4×4 (m = 3) and shrunk back. The remap plans
-        // every new torus on the drained particles, so no generation goes
-        // through a second shedding transient: its first step's largest
-        // load is within one column's work of its own seventh step's (a
-        // hot tile's floor is 2m − 1 columns; unplanned, its first step
-        // would carry all m² of them, and shed one per step). All inside
-        // the 24 steps for which no particle of the lattice changes cell:
-        // later the cluster spreads, and loads move for that reason.
+        // The paper's scenario — 3×3 over 12 columns, the whole gas over
+        // rank 0's tile of the paper's tiling — grown to 4×4 and shrunk
+        // back. The remap launches every new torus from the drained
+        // particles: it cuts the tiles where the load is *now* and plans
+        // on them, so no generation goes through a shedding transient —
+        // its first step's largest load is, to the bit, the one its
+        // launch plan ended on. All inside the 24 steps for which no
+        // particle of the lattice changes cell: later the cluster
+        // spreads, and loads move for that reason.
         let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
         cfg.lattice = Lattice::Cluster { fill: 0.45 };
         cfg.dlb = true;
@@ -354,20 +358,37 @@ mod tests {
         assert_eq!(out.snapshot, run_serial(&cfg), "elastic vs serial");
         let records = &out.report.records;
         assert_eq!(records.len(), cfg.steps as usize);
-        for (first_step, m) in [(1, 4), (9, 3), (17, 4)] {
-            let (first, later) = (&records[first_step - 1], &records[first_step + 5]);
-            let column = later.f_max / (2 * m - 1) as f64;
-            assert!(
-                (first.f_max - later.f_max).abs() < column,
-                "generation from step {first_step}: Fmax {} at its first step, {} six \
-                 steps on, a column being {column}",
+        // What each generation was launched from is the serial state at
+        // its boundary: launch it again here.
+        let mut serial = crate::driver::serial_sim(&cfg);
+        let (mut planned, mut tilings) = (0, Vec::new());
+        for (boundary, p) in [(0, 9), (8, 16), (16, 9)] {
+            while serial.steps_done() < boundary {
+                serial.step();
+            }
+            let mut gen = cfg.clone();
+            gen.p = p;
+            let placed = Placed::new(&gen, &serial.snapshot());
+            let plan = launch_plan(DomainShape::SquarePillar, &gen, boundary, &placed);
+            let tiling = plan.tiling(&gen);
+            assert!(!tiling.is_even(), "P = {p}: {tiling}");
+            let first = &records[boundary as usize];
+            assert_eq!(
                 first.f_max,
-                later.f_max
+                *plan.peaks.last().unwrap(),
+                "generation from step {}",
+                first.step
             );
+            planned += plan.decisions.len();
+            tilings.push(tiling);
         }
-        // Each generation's plan is counted: the first launch's and the
-        // two remaps' (a hot tile alone sheds (m − 1)² columns).
-        assert!(out.report.launch_transfers >= 9 + 4 + 9);
+        // Each generation's plan is counted, and the run reports the
+        // tiling it finished on: the same cuts it started on, as long as
+        // the lattice holds.
+        assert_eq!(out.report.launch_transfers, planned);
+        assert_eq!(out.report.tiling, Some(tilings[2]));
+        assert_eq!(tilings[2], tilings[0]);
+        assert_eq!(tilings[1].num_ranks(), 16);
     }
 
     #[test]

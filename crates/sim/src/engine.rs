@@ -16,14 +16,13 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use pcdlb_core::protocol::DlbDecision;
 use pcdlb_domain::DomainShape;
 use pcdlb_md::Particle;
 use pcdlb_mp::Comm;
 
 use crate::clock::WallTimer;
 use crate::config::RunConfig;
-use crate::launch::Placed;
+use crate::launch::{LaunchPlan, Placed};
 use crate::pe::{Exchange, PeResult, PeState};
 use crate::recover::SimCheckpoint;
 use crate::report::{RunReport, StepRecord};
@@ -61,9 +60,9 @@ fn descending(
 pub(crate) enum Start<'a> {
     /// The world's shared initial condition ([`crate::pe::initial_particles`],
     /// generated and placed in its cells once per world, not once per
-    /// rank) and the launch plan's transfers
+    /// rank) and the launch plan — the tiling and the transfers made on it
     /// ([`crate::launch::launch_plan`], computed once per world too).
-    Fresh(&'a Placed, &'a [DlbDecision]),
+    Fresh(&'a Placed, &'a LaunchPlan),
     /// A distributed checkpoint (square pillar only).
     Restore(&'a SimCheckpoint),
 }

@@ -1,6 +1,7 @@
 //! What a launch works out before a rank thread starts, once per world:
-//! where every particle lies ([`Placed`]) and where the balancer's own
-//! rule takes the columns from there ([`launch_plan`]).
+//! where every particle lies ([`Placed`]), where the tiles of a balancing
+//! square-pillar run are cut (`choose_tiling`), and where the balancer's
+//! own rule takes the columns from there ([`launch_plan`]).
 //!
 //! Paper Sec. 2.3 moves one cell per PE per balancing step. That is all a
 //! gas condensing over 10⁴ steps needs, but a run that *starts* unbalanced
@@ -16,16 +17,36 @@
 //! planned transfer is one the run's own `decide` returned on loads the
 //! run would have measured.
 //!
+//! **The launch tiling.** The floor the plan reaches is set by the
+//! permanent cells (paper Sec. 4): a tile's last row and column never
+//! move, so on the even `m × m` tiling a cluster inside one tile leaves
+//! its `2m − 1` wall columns, and the step, to one PE. But the wall
+//! argument needs only that tile `(i, j)` borders the tiles
+//! `(i ± 1, j ± 1)` — any rectilinear cut set does
+//! (`pcdlb_domain::PillarLayout`, `pcdlb_core::permanent`). Ownership is
+//! built from scratch here anyway, so here the cuts are chosen: from the
+//! same exact work map and the same load ruler the plan reads (`Costs`),
+//! refined one axis at a time from the even tiling, each re-cut exact and
+//! kept only if it strictly lowers the largest load. The chosen layout
+//! travels with the plan ([`LaunchPlan::layout`]) to every rank's
+//! scaffold, into every checkpoint (so a relaunch, a takeover adoption
+//! and a sentinel rollback rebuild the same home tiles), through the
+//! elastic remap (which launches each generation afresh from the drained
+//! particles: the slow re-tiling loop, for free at every generation
+//! boundary) and into `RunReport::tiling`. It is in no digest. A run that
+//! does not balance never enters this code and keeps the even tiling.
+//!
 //! Launch-time code: it allocates freely and is called from the driver
 //! ([`crate::driver`]) and the elastic remap ([`crate::elastic`]) only.
 
 use std::ops::Range;
 
 use pcdlb_core::protocol::DlbDecision;
-use pcdlb_domain::{Col, DomainShape};
+use pcdlb_domain::{Col, DomainShape, PillarLayout};
 use pcdlb_md::{axis_bin, Particle};
+use pcdlb_mp::Torus2d;
 
-use crate::config::{LoadMetric, RunConfig};
+use crate::config::{LoadMetric, RunConfig, SpeedSchedule};
 use crate::decomp::{decomposition, Decomposition};
 use crate::pe::{all_columns, cells_around};
 
@@ -112,11 +133,16 @@ impl Placed {
     }
 }
 
-/// Where a balancing run launches: the transfers its balancer's own rule
-/// makes on the initial condition's exact work map before a rank thread
-/// starts (see [`launch_plan`]). Empty for a run that does not balance.
+/// Where a balancing run launches: the tiling its home tiles are cut on
+/// and the transfers its balancer's own rule makes from there on the
+/// initial condition's exact work map, before a rank thread starts (see
+/// [`launch_plan`]). Empty for a run that does not balance.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaunchPlan {
+    /// The tiling a balancing square-pillar run launches on. `None` where
+    /// nothing was chosen — another shape, a run that does not balance —
+    /// and the run keeps its shape's even home assignment.
+    pub layout: Option<PillarLayout>,
     /// Every planned transfer in the order it is applied: iteration by
     /// iteration, ascending `from` inside one.
     pub decisions: Vec<DlbDecision>,
@@ -138,35 +164,284 @@ impl LaunchPlan {
             .zip(&self.round_ends)
             .map(|(&from, &to)| &self.decisions[from..to])
     }
+
+    /// The tiling a square-pillar run of `cfg` launches on under this
+    /// plan: the chosen one, or the even one where none was.
+    pub fn tiling(&self, cfg: &RunConfig) -> PillarLayout {
+        let even = || PillarLayout::new(cfg.nc, cfg.torus());
+        self.layout.unwrap_or_else(even)
+    }
 }
 
-/// Run `shape`'s balancer to its floor on the exact work map of `placed`,
-/// before any rank exists — paper Sec. 2.3's steps 2–3, iterated. Every
-/// rank's view is built as the run would build it and the shape's own
-/// hook is called on it: `decide` on every rank's exact load (a column's
-/// work is a function of the cell occupancies alone; divided by the
-/// rank's speed at `step`, the step whose force pass the launch repeats,
-/// where the run balances time), `excludes` voiding the pairs that cannot
-/// stand together, `apply` on every view. Iteration `k` is passed to
-/// `decide` as step `k`, so a rule that takes turns by step parity — the
-/// plane's — takes them here. An iteration that does not lower the
-/// largest load is not applied, and the plan ends at the first such
-/// iteration (the plane: at the second in a row, one per parity) or after
-/// as many iterations as the grid has granules. No parameter: the rule,
-/// its gain gate and its legality are the run's own, so a plan is a
-/// sequence of transfers the run itself could have made. Pure in `cfg`
-/// and the particles. The `WallClock` metric plans in work units.
+/// The exact work map of a placement and what a share of it costs a rank:
+/// the one ruler the launch tiling and the launch plan are both read off.
+struct Costs<'a> {
+    nc: usize,
+    /// [`Placed::column_work`], in column index order.
+    work: Vec<u64>,
+    /// Seconds per candidate pair; 1 where the run balances wall time
+    /// (the `WallClock` metric plans in work units).
+    unit: f64,
+    /// The processor speeds, where the run balances time, at `step` — the
+    /// step whose force pass the launch repeats.
+    speeds: Option<&'a SpeedSchedule>,
+    step: u64,
+}
+
+impl<'a> Costs<'a> {
+    fn new(cfg: &'a RunConfig, step: u64, placed: &Placed) -> Self {
+        Self {
+            nc: cfg.nc,
+            work: placed.column_work(),
+            unit: match cfg.load_metric {
+                LoadMetric::WorkModel { sec_per_pair } => sec_per_pair,
+                LoadMetric::WallClock => 1.0,
+            },
+            speeds: cfg.speed.as_ref().filter(|_| cfg.speed_aware),
+            step,
+        }
+    }
+
+    /// What `checks` candidate pairs cost `rank`, in the unit the
+    /// balancer decides in.
+    fn load(&self, rank: usize, checks: u64) -> f64 {
+        let raw = checks as f64 * self.unit;
+        self.speeds.map_or(raw, |s| raw / s.speed(rank, self.step))
+    }
+
+    /// The `p` ranks' loads under the column → owner map `owner`.
+    fn loads_under(&self, owner: &[usize], p: usize) -> Vec<f64> {
+        let mut checks = vec![0u64; p];
+        for (&rank, &w) in owner.iter().zip(&self.work) {
+            checks[rank] += w;
+        }
+        let load = |(rank, &checks)| self.load(rank, checks);
+        checks.iter().enumerate().map(load).collect()
+    }
+}
+
+fn peak(loads: &[f64]) -> f64 {
+    loads.iter().copied().fold(0.0, f64::max)
+}
+
+/// Cut the tiles where the load is: the rectilinear tiling a balancing
+/// square-pillar run launches on. The permanent wall of a tile is its last
+/// row and column, so on the even `m × m` tiling a cluster inside one tile
+/// leaves that tile's `2m − 1` wall columns — and the whole step — to one
+/// PE whatever the balancer does. Where the walls stand is free, though
+/// (`pcdlb_core::permanent`): any cut set keeps the 8-neighbour torus. So
+/// before the plan, from the same work map and the same load ruler, the
+/// cuts are refined one axis at a time from the even tiling (Nicol's
+/// iterative refinement for rectilinear partitioning): with the other
+/// axis' strips fixed, the periodic cut of this axis with the smallest
+/// largest tile load is found exactly ([`recut`]); a re-cut is kept only
+/// if it *strictly* lowers the largest load, and the refinement stops when
+/// neither axis does — so an even work map keeps the even tiling. No
+/// parameter; pure in `cfg` and the particles.
+fn choose_tiling(cfg: &RunConfig, costs: &Costs) -> PillarLayout {
+    let (nc, torus) = (cfg.nc, cfg.torus());
+    let even = PillarLayout::new(nc, torus);
+    let home: Vec<usize> = all_columns(nc).map(|col| even.home_rank(col)).collect();
+    let mut best = peak(&costs.loads_under(&home, cfg.p));
+    let mut cuts = [even.xs(), even.ys()];
+    // An axis is settled when no re-cut of it lowers the largest load with
+    // the other where it stands: after a failed attempt, or its own re-cut.
+    let (mut axis, mut settled) = (0, 0);
+    while settled < 2 {
+        settled += 1;
+        if let Some((starts, lower)) = recut(costs, torus, axis, &cuts[1 - axis], best) {
+            (cuts[axis], best, settled) = (starts, lower, 1);
+        }
+        axis = 1 - axis;
+    }
+    PillarLayout::rectilinear(nc, torus, &cuts[0], &cuts[1])
+        .expect("a re-cut starts every tile at a distinct point of the ring")
+}
+
+/// The best periodic cut of one axis with the other axis' strips fixed at
+/// `strips` (their starts): the starts of this axis' tiles whose largest
+/// tile load is smallest, and that load — if it is below `bound`. Tile
+/// `k` of axis 0 is torus row `k`, of axis 1 torus column `k`. A ring has
+/// no first coordinate, so tile 0 may start anywhere (and with processor
+/// speeds in the ruler it matters which tile gets which interval): every
+/// origin is tried, from each a dynamic programme over "the first `k`
+/// tiles cover the first `e` coordinates", tile loads read off per-strip
+/// prefix sums once per recut. A tile only gets heavier as it grows, so
+/// an interval is abandoned as soon as it reaches the best load known.
+fn recut(
+    costs: &Costs,
+    torus: Torus2d,
+    axis: usize,
+    strips: &[usize],
+    bound: f64,
+) -> Option<(Vec<usize>, f64)> {
+    let (nc, side) = (costs.nc, strips.len());
+    // Per strip, the work of its columns at each coordinate of this axis,
+    // summed from coordinate 0 twice round the ring.
+    let prefix: Vec<Vec<u64>> = (0..side)
+        .map(|t| {
+            let width = (strips[(t + 1) % side] + nc - strips[t] - 1) % nc + 1;
+            let at = |c: usize| -> u64 {
+                (0..width)
+                    .map(|d| (strips[t] + d) % nc)
+                    .map(|o| costs.work[if axis == 0 { c * nc + o } else { o * nc + c }])
+                    .sum()
+            };
+            let ring: Vec<u64> = (0..nc).map(at).collect();
+            let mut sums = vec![0u64; 2 * nc + 1];
+            for (c, w) in ring.iter().chain(&ring).enumerate() {
+                sums[c + 1] = sums[c] + w;
+            }
+            sums
+        })
+        .collect();
+    // `spans[k][a][len − 1]`: the heaviest tile of tile row (column) `k`
+    // when it covers the `len` coordinates from `a` — for as long as that
+    // stays below `bound`: a tile only gets heavier as it grows.
+    let heaviest = |k: usize, a: usize, len: usize| {
+        let tile = |t: usize| {
+            let (i, j) = if axis == 0 { (k, t) } else { (t, k) };
+            let rank = torus.rank_wrapped(i as i64, j as i64);
+            costs.load(rank, prefix[t][a + len] - prefix[t][a])
+        };
+        (0..side).map(tile).fold(0.0, f64::max)
+    };
+    // (Without processor speeds in the ruler every `k` reads alike.)
+    let kinds = if costs.speeds.is_some() { side } else { 1 };
+    let spans: Vec<Vec<Vec<f64>>> = (0..kinds)
+        .map(|k| {
+            let from = |a| (1..=nc + 1 - side).map(move |len| heaviest(k, a, len));
+            (0..nc)
+                .map(|a| from(a).take_while(|&load| load < bound).collect())
+                .collect()
+        })
+        .collect();
+    let mut best = (Vec::new(), bound);
+    // `least[k][e]`: the smallest largest load of the first `k` tiles
+    // covering the `e` coordinates from the origin; `from[k][e]`: where
+    // the last of them starts.
+    let mut least = vec![vec![f64::INFINITY; nc + 1]; side + 1];
+    let mut from = vec![vec![0usize; nc + 1]; side + 1];
+    for origin in 0..nc {
+        for row in &mut least {
+            row.fill(f64::INFINITY);
+        }
+        least[0][0] = 0.0;
+        for k in 1..=side {
+            // Every tile is at least a coordinate wide.
+            for e in k..=nc - (side - k) {
+                for s in (k - 1..e).rev() {
+                    let span = &spans[(k - 1) % kinds][(origin + s) % nc];
+                    let Some(&load) = span.get(e - s - 1).filter(|&&load| load < best.1) else {
+                        break;
+                    };
+                    let largest = load.max(least[k - 1][s]);
+                    if largest < least[k][e] {
+                        (least[k][e], from[k][e]) = (largest, s);
+                    }
+                }
+            }
+        }
+        if least[side][nc] < best.1 {
+            let mut starts = vec![0; side];
+            let mut e = nc;
+            for k in (1..=side).rev() {
+                e = from[k][e];
+                starts[k - 1] = (origin + e) % nc;
+            }
+            best = (starts, least[side][nc]);
+        }
+    }
+    (best.1 < bound).then_some(best)
+}
+
+/// Where a run of `cfg` from `placed` launches: `shape`'s balancer run to
+/// its floor ([`launch_plan_on`]) — for the square pillar, on the tiling
+/// cut where the load is (`choose_tiling`). The cut lowers the largest
+/// load *before* the plan; what the run starts on is the largest load
+/// after it, and a tile cut one column wide is all wall and sheds nothing.
+/// So where the tiles were re-cut the paper's tiling is planned too, and
+/// the re-cut one is taken only for a gain the run's own balancer would
+/// have acted on: its largest load must end lower than the even tiling's
+/// by more than `cfg.dlb_min_gain` of it (strictly lower at the paper's
+/// gate of 0). A launch never starts above where the even tiling would
+/// have put it, and a gas that fills its box to within the noise the gate
+/// is there for keeps the paper's tiles. Empty for a run that does not
+/// balance. Pure in `cfg` and the particles.
 pub fn launch_plan(shape: DomainShape, cfg: &RunConfig, step: u64, placed: &Placed) -> LaunchPlan {
-    let mut plan = LaunchPlan::default();
     if !cfg.dlb {
+        return LaunchPlan::default();
+    }
+    let costs = Costs::new(cfg, step, placed);
+    if shape != DomainShape::SquarePillar {
+        return plan_on(shape, cfg, &costs, None);
+    }
+    let cut = choose_tiling(cfg, &costs);
+    let plan = plan_on(shape, cfg, &costs, Some(cut));
+    if cut.is_even() {
         return plan;
     }
+    let even = plan_on(
+        shape,
+        cfg,
+        &costs,
+        Some(PillarLayout::new(cfg.nc, cfg.torus())),
+    );
+    let floor = |plan: &LaunchPlan| *plan.peaks.last().expect("a pillar plan has a first peak");
+    if (floor(&even) - floor(&plan)) / floor(&even) > cfg.dlb_min_gain {
+        plan
+    } else {
+        even
+    }
+}
+
+/// [`launch_plan`] on a tiling of the caller's choice — the even one, say,
+/// to see what choosing bought.
+pub fn launch_plan_on(
+    layout: PillarLayout,
+    cfg: &RunConfig,
+    step: u64,
+    placed: &Placed,
+) -> LaunchPlan {
+    if !cfg.dlb {
+        return LaunchPlan::default();
+    }
+    let costs = Costs::new(cfg, step, placed);
+    plan_on(DomainShape::SquarePillar, cfg, &costs, Some(layout))
+}
+
+/// Run `shape`'s balancer to its floor on the exact work map behind
+/// `costs`, from the home tiles of `layout`, before any rank exists —
+/// paper Sec. 2.3's steps 2–3, iterated. Every rank's view is built as
+/// the run would build it and the shape's own hook is called on it:
+/// `decide` on every rank's exact load (a column's work is a function of
+/// the cell occupancies alone; divided by the rank's speed where the run
+/// balances time), `excludes` voiding the pairs that cannot stand
+/// together, `apply` on every view. Iteration `k` is passed to `decide`
+/// as step `k`, so a rule that takes turns by step parity — the plane's —
+/// takes them here. An iteration that does not lower the largest load is
+/// not applied, and the plan ends at the first such iteration (the plane:
+/// at the second in a row, one per parity) or after as many iterations as
+/// the grid has granules. No parameter: the rule, its gain gate and its
+/// legality are the run's own, so a plan is a sequence of transfers the
+/// run itself could have made.
+fn plan_on(
+    shape: DomainShape,
+    cfg: &RunConfig,
+    costs: &Costs,
+    layout: Option<PillarLayout>,
+) -> LaunchPlan {
     let (nc, p) = (cfg.nc, cfg.p);
-    let mut views: Vec<Box<dyn Decomposition>> =
-        (0..p).map(|rank| decomposition(shape, rank, cfg)).collect();
+    let mut views: Vec<Box<dyn Decomposition>> = (0..p)
+        .map(|rank| decomposition(shape, rank, cfg, layout.as_ref()))
+        .collect();
     if !views[0].has_balancer() {
-        return plan;
+        return LaunchPlan::default();
     }
+    let mut plan = LaunchPlan {
+        layout,
+        ..LaunchPlan::default()
+    };
     // Who owns each column (every rank's view is exact about its own)
     // and, from that, who borders whom: the engine's neighbour sets.
     let index = |col: Col| col.cx * nc + col.cy;
@@ -191,25 +466,7 @@ pub fn launch_plan(shape: DomainShape, cfg: &RunConfig, step: u64, placed: &Plac
     for nbrs in &mut neighbors {
         nbrs.sort_unstable();
     }
-    let work = placed.column_work();
-    let unit = match cfg.load_metric {
-        LoadMetric::WorkModel { sec_per_pair } => sec_per_pair,
-        LoadMetric::WallClock => 1.0,
-    };
-    let speeds = cfg.speed.as_ref().filter(|_| cfg.speed_aware);
-    let loads_under = |owner: &[usize]| -> Vec<f64> {
-        let mut checks = vec![0u64; p];
-        for (&rank, &w) in owner.iter().zip(&work) {
-            checks[rank] += w;
-        }
-        let load = |(rank, &checks): (usize, &u64)| {
-            let raw = checks as f64 * unit;
-            speeds.map_or(raw, |s| raw / s.speed(rank, step))
-        };
-        checks.iter().enumerate().map(load).collect()
-    };
-    let peak = |loads: &[f64]| loads.iter().copied().fold(0.0, f64::max);
-    plan.loads = loads_under(&owner);
+    plan.loads = costs.loads_under(&owner, p);
     plan.peaks.push(peak(&plan.loads));
     // The plane moves each boundary on every other step.
     let turns = if shape == DomainShape::Plane { 2 } else { 1 };
@@ -236,7 +493,7 @@ pub fn launch_plan(shape: DomainShape, cfg: &RunConfig, step: u64, placed: &Plac
                 moved[index(col)] = d.to;
             }
         }
-        let loads = loads_under(&moved);
+        let loads = costs.loads_under(&moved, p);
         if decisions.is_empty() || peak(&loads) >= peak(&plan.loads) {
             idle += 1;
             continue;

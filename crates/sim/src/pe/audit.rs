@@ -20,7 +20,8 @@ use crate::report::StepRecord;
 
 impl PeState {
     /// Rebuild a square-pillar PE's state from a distributed checkpoint:
-    /// replay the checkpointed ownership into this rank's view and stage
+    /// start from the home tiles of the checkpointed tiling, replay the
+    /// checkpointed ownership into this rank's view and stage
     /// the checkpointed particles into the columns this rank owns.
     /// Pillar only — a checkpoint records one owner per column, which is
     /// what the pillar's balancer moves; recovery, takeover and elastic
@@ -32,12 +33,13 @@ impl PeState {
     /// evaluated at (velocity Verlet only touches velocities after the
     /// force pass).
     pub fn from_checkpoint(rank: usize, cfg: &RunConfig, ck: &SimCheckpoint) -> Self {
-        let mut pe = Self::scaffold(rank, cfg, DomainShape::SquarePillar);
         assert_eq!(
             ck.md.particles.len(),
             cfg.n_particles,
             "checkpoint particle count does not match the configuration"
         );
+        let tiling = ck.tiling_for(cfg).unwrap_or_else(|e| panic!("{e}"));
+        let mut pe = Self::scaffold(rank, cfg, DomainShape::SquarePillar, Some(&tiling));
         // Replayed as decisions already made — "`col` now belongs to
         // `owner`" — so the windowed view filters them as it did live.
         for &(col, owner) in &ck.ownership {
@@ -77,7 +79,10 @@ impl PeState {
         let (announced, given) = self.balance.held(self.rank);
         let payload = (own_parts, own_cols, announced, given);
         let gathered = collectives::gather(comm, tags::CKPT_GATHER, payload);
-        let ck = gathered.map(|chunks| {
+        // (Only a shape with a tiling — the square pillar — restores from
+        // a checkpoint; any other takes part in the gather and keeps
+        // nothing.)
+        let ck = gathered.zip(self.decomp.tiling()).map(|(chunks, tiling)| {
             let loads = chunks.iter().filter_map(|chunk| chunk.2).collect();
             // Rank order is `from` order: the order they were applied in.
             let transfers = chunks.iter().filter_map(|chunk| chunk.3).collect();
@@ -91,6 +96,7 @@ impl PeState {
             SimCheckpoint {
                 md: Checkpoint::new(step, self.box_len, particles),
                 ownership,
+                tiling,
                 records: records.to_vec(),
                 loads,
                 transfers,

@@ -336,7 +336,7 @@ mod tests {
     use super::super::Exchange;
     use super::*;
     use crate::config::{Lattice, RunConfig};
-    use crate::launch::Placed;
+    use crate::launch::{LaunchPlan, Placed};
     use pcdlb_domain::DomainShape;
     use std::ops::Range;
 
@@ -406,7 +406,13 @@ mod tests {
         cfg.dlb = true;
         cfg.dlb_min_gain = gain;
         let nobody = Placed::new(&cfg, &[]);
-        let mut pe = PeState::new(rank, &cfg, DomainShape::SquarePillar, &nobody, &[]);
+        let mut pe = PeState::new(
+            rank,
+            &cfg,
+            DomainShape::SquarePillar,
+            &nobody,
+            &LaunchPlan::default(),
+        );
         pe.force.set_load(own);
         pe.balance.nbr_loads = pe
             .neighbors()
@@ -518,7 +524,7 @@ mod tests {
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
                 let mut pes = [(
                     comm.rank(),
-                    PeState::new(comm.rank(), &cfg, shape, &initial, &[]),
+                    PeState::new(comm.rank(), &cfg, shape, &initial, &LaunchPlan::default()),
                 )];
                 crate::engine::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
                 crate::engine::announce_loads(comm, &mut pes);

@@ -201,7 +201,8 @@ mod tests {
                 .with_cost_model(crate::decomp::cost_model(shape, &cfg))
                 .run(|comm| {
                     let roles = [comm.rank()];
-                    let start = crate::engine::Start::Fresh(&initial, &[]);
+                    let none = crate::launch::LaunchPlan::default();
+                    let start = crate::engine::Start::Fresh(&initial, &none);
                     crate::engine::run_roles(comm, &cfg, shape, &roles, start, None, false, false);
                     comm.lap_virtual_comm()
                 });

@@ -839,7 +839,8 @@ mod tests {
         pcdlb_mp::World::new(cfg.p)
             .with_cost_model(crate::decomp::cost_model(shape, cfg))
             .run(|comm| {
-                let mut pe = PeState::new(comm.rank(), cfg, shape, &initial, &[]);
+                let none = crate::launch::LaunchPlan::default();
+                let mut pe = PeState::new(comm.rank(), cfg, shape, &initial, &none);
                 setup(&mut pe);
                 let mut pes = [(comm.rank(), pe)];
                 crate::engine::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);

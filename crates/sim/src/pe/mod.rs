@@ -49,15 +49,14 @@ mod walk;
 
 use std::collections::BTreeMap;
 
-use pcdlb_core::protocol::DlbDecision;
-use pcdlb_domain::{Col, DomainShape};
+use pcdlb_domain::{Col, DomainShape, PillarLayout};
 use pcdlb_md::cells::CellSlab;
 use pcdlb_md::vec3::Vec3;
 use pcdlb_md::{axis_bin, init, Particle};
 
 use crate::config::{Lattice, RunConfig};
 use crate::decomp::{decomposition, Decomposition};
-use crate::launch::Placed;
+use crate::launch::{LaunchPlan, Placed};
 use crate::report::{PhaseTimes, RunReport, WireBytes};
 
 pub use audit::SentinelReport;
@@ -145,20 +144,20 @@ pub struct PeState {
 }
 
 impl PeState {
-    /// Build the PE's state on a fresh world: replay `plan` — the launch
-    /// plan's transfers ([`crate::launch::launch_plan`]; none for a run
-    /// that does not balance) — into this rank's view, as decisions
-    /// already made, and adopt the cells it then owns out of `placed`,
-    /// the world's whole initial condition.
+    /// Build the PE's state on a fresh world: start from the home tiles of
+    /// `plan`'s tiling, replay its transfers ([`crate::launch::launch_plan`];
+    /// an empty plan for a run that does not balance) into this rank's
+    /// view, as decisions already made, and adopt the cells it then owns
+    /// out of `placed`, the world's whole initial condition.
     pub fn new(
         rank: usize,
         cfg: &RunConfig,
         shape: DomainShape,
         placed: &Placed,
-        plan: &[DlbDecision],
+        plan: &LaunchPlan,
     ) -> Self {
-        let mut pe = Self::scaffold(rank, cfg, shape);
-        for d in plan {
+        let mut pe = Self::scaffold(rank, cfg, shape, plan.layout.as_ref());
+        for d in &plan.decisions {
             pe.decomp.apply(d);
         }
         pe.adopt_particles(placed);
@@ -166,10 +165,16 @@ impl PeState {
     }
 
     /// The state shell shared by [`PeState::new`] and
-    /// [`PeState::from_checkpoint`]: everything but the particle columns.
-    /// Once per run.
-    fn scaffold(rank: usize, cfg: &RunConfig, shape: DomainShape) -> Self {
-        let decomp = decomposition(shape, rank, cfg);
+    /// [`PeState::from_checkpoint`]: everything but the particle columns,
+    /// every cell at its home under `tiling` (see
+    /// `decomp::decomposition`). Once per run.
+    fn scaffold(
+        rank: usize,
+        cfg: &RunConfig,
+        shape: DomainShape,
+        tiling: Option<&PillarLayout>,
+    ) -> Self {
+        let decomp = decomposition(shape, rank, cfg, tiling);
         let balances = decomp.has_balancer() && cfg.dlb;
         let topology = topology::Topology::new(&*decomp, cfg.nc, rank, !balances);
         Self {
@@ -218,8 +223,9 @@ impl PeState {
     /// every rank owning a cell within two cells of one of this PE's is
     /// the PE itself or a neighbour. Block grids and pillar tori pass with
     /// blocks / tiles at least two cells wide or a torus side of at most
-    /// 3. The layouts are translation-symmetric, so every rank of a world
-    /// reaches the same answer.
+    /// 3. Every rank of a world reaches the same answer: only a balancing
+    /// run launches on uneven tiles (`crate::launch`), and where ownership
+    /// is fixed the layouts are translation-symmetric.
     pub fn exchanges_once(&self) -> bool {
         self.topology.exchanges_once()
     }
@@ -305,7 +311,7 @@ mod testkit {
     /// A PE adopting its home cells' share of the config's own initial
     /// condition (no launch plan).
     pub(super) fn fresh(rank: usize, cfg: &RunConfig, shape: DomainShape) -> PeState {
-        PeState::new(rank, cfg, shape, &placed(cfg), &[])
+        PeState::new(rank, cfg, shape, &placed(cfg), &LaunchPlan::default())
     }
 
     pub(super) fn run_world(cfg: &RunConfig, shape: DomainShape) -> crate::driver::Run {

@@ -533,16 +533,20 @@ mod tests {
             from: 0,
             to: 4,
         };
-        for (shape, rank, plan) in [
+        for (shape, rank, decisions) in [
             (DomainShape::Cube, 5, vec![]),
             (DomainShape::SquarePillar, 4, vec![gift]),
         ] {
+            let plan = crate::launch::LaunchPlan {
+                decisions,
+                ..Default::default()
+            };
             let mut cfg = shape_cfg(shape);
             if shape == DomainShape::SquarePillar {
                 cfg = RunConfig::from_p_m_density(9, 3, 0.05);
             }
-            let mut decomp = decomposition(shape, rank, &cfg);
-            for d in &plan {
+            let mut decomp = decomposition(shape, rank, &cfg, None);
+            for d in &plan.decisions {
                 decomp.apply(d);
             }
             let fixed = !(decomp.has_balancer() && cfg.dlb);
@@ -557,7 +561,7 @@ mod tests {
             let routed: usize = bare.ghost_routes().iter().map(Vec::len).sum();
             assert!(routed > 0 && !bare.homes().is_empty(), "{shape:?}");
             let gained = bare.homes().iter().any(|h| h.col == gift.col && h.owned);
-            assert_eq!(gained, !plan.is_empty(), "{shape:?}");
+            assert_eq!(gained, !plan.decisions.is_empty(), "{shape:?}");
         }
     }
 }

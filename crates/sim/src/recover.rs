@@ -24,22 +24,29 @@ use std::fmt;
 use std::io::{self, BufRead, BufWriter, Write};
 
 use pcdlb_core::protocol::{DlbDecision, Transfer};
-use pcdlb_domain::Col;
+use pcdlb_domain::{Col, PillarLayout};
 use pcdlb_md::checkpoint::Checkpoint;
-use pcdlb_mp::WorldError;
+use pcdlb_mp::{Torus2d, WorldError};
 
+use crate::config::RunConfig;
 use crate::report::StepRecord;
 
 /// A restartable distributed simulation state: the global MD state (as a
-/// [`Checkpoint`] in `pcdlb-md`'s exact format), the DLB ownership map,
-/// rank 0's per-step records up to the checkpointed step, and — the
-/// balancer decides a step ahead — what its next decision rests on.
+/// [`Checkpoint`] in `pcdlb-md`'s exact format), the DLB ownership map
+/// and the tiling whose home tiles it started from, rank 0's per-step
+/// records up to the checkpointed step, and — the balancer decides a step
+/// ahead — what its next decision rests on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimCheckpoint {
     /// Particle phase space + step counter + box, id-sorted.
     pub md: Checkpoint,
     /// `(column, owner)` for every column, in column order.
     pub ownership: Vec<(Col, usize)>,
+    /// The tiling the run was launched on ([`crate::launch`]): which PE
+    /// is home to which column, and so which columns are permanent. A
+    /// relaunch, a takeover adoption and a sentinel rollback all rebuild
+    /// their views on it.
+    pub tiling: PillarLayout,
     /// Rank 0's step records for steps `1..=md.step`.
     pub records: Vec<StepRecord>,
     /// The load each rank last announced to its neighbours, by rank: what
@@ -54,8 +61,8 @@ pub struct SimCheckpoint {
 
 impl SimCheckpoint {
     /// Serialise to any writer: a sim magic line, the embedded MD
-    /// checkpoint text, then `ownership`, `records`, `loads` and
-    /// `transfers` sections. All `f64`s travel as IEEE-754 bit patterns in
+    /// checkpoint text, then `ownership`, `tiling`, `records`, `loads`
+    /// and `transfers` sections. All `f64`s travel as IEEE-754 bit patterns in
     /// hex, so a round trip is exact.
     pub fn write_to(&self, w: impl Write) -> io::Result<()> {
         let mut w = BufWriter::new(w);
@@ -65,6 +72,14 @@ impl SimCheckpoint {
         for &(c, owner) in &self.ownership {
             writeln!(w, "{} {} {}", c.cx, c.cy, owner)?;
         }
+        let join = |starts: Vec<usize>| {
+            let starts: Vec<String> = starts.iter().map(usize::to_string).collect();
+            starts.join(" ")
+        };
+        let (nc, side) = (self.tiling.grid().nc(), self.tiling.torus().rows());
+        writeln!(w, "tiling {nc} {side}")?;
+        writeln!(w, "{}", join(self.tiling.xs()))?;
+        writeln!(w, "{}", join(self.tiling.ys()))?;
         writeln!(w, "records {}", self.records.len())?;
         for r in &self.records {
             writeln!(
@@ -142,6 +157,27 @@ impl SimCheckpoint {
             let owner = f[2].parse().map_err(|_| bad("bad owner"))?;
             ownership.push((Col::new(cx, cy), owner));
         }
+        // The cuts: a header naming the grid and the torus side, then one
+        // line of starts per axis. `PillarLayout::rectilinear` judges
+        // them — a cut set that does not tile its ring once is an error
+        // here, not a panic in some rank's scaffold.
+        let tiling_line = it.next().ok_or_else(|| bad("missing tiling section"))?;
+        let (nc, side) = match tiling_line.split_whitespace().collect::<Vec<_>>()[..] {
+            ["tiling", nc, side] => nc.parse::<usize>().ok().zip(side.parse::<usize>().ok()),
+            _ => None,
+        }
+        .ok_or_else(|| bad(&format!("bad tiling header: `{tiling_line}`")))?;
+        let mut cuts = || -> io::Result<Vec<usize>> {
+            let line = it.next().ok_or_else(|| bad("truncated tiling section"))?;
+            let starts: Result<Vec<usize>, _> = line.split_whitespace().map(str::parse).collect();
+            starts.map_err(|_| bad(&format!("bad tiling line: `{line}`")))
+        };
+        let (xs, ys) = (cuts()?, cuts()?);
+        if side == 0 || side > PillarLayout::MAX_SIDE {
+            return Err(bad(&format!("bad tiling: torus side {side}")));
+        }
+        let tiling = PillarLayout::rectilinear(nc, Torus2d::new(side, side), &xs, &ys)
+            .map_err(|e| bad(&format!("bad tiling: {e}")))?;
         let rec_line = it.next().ok_or_else(|| bad("missing records section"))?;
         let n_rec = parse_header(rec_line, "records")?;
         let hex = |s: &str| -> io::Result<f64> {
@@ -206,10 +242,27 @@ impl SimCheckpoint {
         Ok(Self {
             md,
             ownership,
+            tiling,
             records,
             loads,
             transfers,
         })
+    }
+
+    /// The checkpointed tiling as the layout of a run of `cfg` — an error
+    /// when it was cut for another grid or another torus.
+    pub fn tiling_for(&self, cfg: &RunConfig) -> io::Result<PillarLayout> {
+        let (nc, p) = (self.tiling.grid().nc(), self.tiling.num_ranks());
+        if (nc, p) != (cfg.nc, cfg.p) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "checkpoint tiled for nc = {nc}, P = {p}; the configuration has nc = {}, P = {}",
+                    cfg.nc, cfg.p
+                ),
+            ));
+        }
+        Ok(self.tiling)
     }
 
     /// Serialise to an in-memory string (small systems, tests).
@@ -314,6 +367,7 @@ pub(crate) mod tests {
         let ck = SimCheckpoint {
             md: Checkpoint::new(7, cfg.box_len(), initial_particles(&cfg)),
             ownership: vec![(Col::new(0, 0), 0), (Col::new(3, 2), 3)],
+            tiling: PillarLayout::rectilinear(4, cfg.torus(), &[3, 1], &[0, 2]).unwrap(),
             records: run(&cfg).records,
             loads: vec![0.1, 0.25, -0.0, 1e-300],
             transfers: vec![transfer(3, 0, 0.1 / 3.0), transfer(1, 2, 0.0)],
@@ -322,6 +376,7 @@ pub(crate) mod tests {
         let back = SimCheckpoint::read_from(text.as_bytes()).expect("parse");
         assert_eq!(ck.md, back.md);
         assert_eq!(ck.ownership, back.ownership);
+        assert_eq!(ck.tiling, back.tiling);
         let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&ck.loads), bits(&back.loads));
         assert_eq!(ck.transfers, back.transfers);
@@ -351,7 +406,7 @@ pub(crate) mod tests {
         // section — it never panics, never allocates for a count it has
         // not seen the lines of, and never hands back a shortened state.
         let head = "pcdlb-sim-checkpoint v1\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
-                    ownership 0\nrecords 0\n";
+                    ownership 0\ntiling 4 2\n0 2\n0 2\nrecords 0\n";
         let load = format!("{:016x}", 0.5f64.to_bits());
         let tail = format!("loads 2\n{load}\n{load}\ntransfers 1\n3 0 3 0 {load}\n");
         let whole = format!("{head}{tail}");
@@ -406,9 +461,70 @@ pub(crate) mod tests {
         }
     }
 
-    /// 3×3, m = 4, the cluster on rank 0's tile: the balancer sheds a
-    /// column nearly every step, most of them past a fastest neighbour
-    /// that may take nothing.
+    #[test]
+    fn malformed_tiling_sections_are_typed_errors() {
+        // The cuts a restored rank builds its home tiles on come off the
+        // file: a cut set that does not tile its ring once, a torus no
+        // layout describes, a line cut short or garbled — each is an
+        // error naming the tiling, never a panic in a rank's scaffold and
+        // never an allocation sized by a number in the file.
+        let head = "pcdlb-sim-checkpoint v1\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
+                    ownership 0\n";
+        let tail = "records 0\nloads 0\ntransfers 0\n";
+        let read = |tiling: &str| {
+            let text = format!("{head}{tiling}{tail}");
+            SimCheckpoint::read_from(text.as_bytes())
+        };
+        let ck = read("tiling 12 3\n0 2 3\n2 3 5\n").expect("well-formed");
+        assert_eq!(ck.tiling.to_string(), "2·1·9 from 0 × 1·2·9 from 2");
+        assert_eq!(ck.tiling.num_ranks(), 9);
+        for (tiling, what) in [
+            ("", "bad tiling header"),
+            ("tiling 12\n0 2 3\n2 3 5\n", "bad tiling header"),
+            ("tiling 12 three\n0 2 3\n2 3 5\n", "bad tiling header"),
+            ("tiling 12 3\n0 2 3\n", "bad tiling line"),
+            ("tiling 12 3\n0 2 x\n2 3 5\n", "bad tiling line"),
+            ("tiling 12 3\n0 2 -3\n2 3 5\n", "bad tiling line"),
+            // Cuts that do not cover each axis once.
+            ("tiling 12 3\n0 2\n2 3 5\n", "2 x cuts"),
+            ("tiling 12 3\n0 2 3\n2 3 5 7\n", "4 y cuts"),
+            ("tiling 12 3\n0 2 2\n2 3 5\n", "do not cover"),
+            ("tiling 12 3\n0 3 2\n2 3 5\n", "do not cover"),
+            ("tiling 12 3\n0 2 12\n2 3 5\n", "off the 12-column grid"),
+            // Sizes no layout has.
+            ("tiling 12 0\n\n\n", "torus side 0"),
+            ("tiling 12 33\n0\n0\n", "torus side 33"),
+            (
+                "tiling 12 18446744073709551615\n0\n0\n",
+                "torus side 18446744073709551615",
+            ),
+            ("tiling 1 1\n0\n0\n", "off the supported range"),
+            (
+                "tiling 18446744073709551615 1\n0\n0\n",
+                "off the supported range",
+            ),
+        ] {
+            let e = read(tiling).expect_err(tiling);
+            assert!(e.to_string().contains(what), "`{tiling}`: {e}");
+        }
+        let e = SimCheckpoint::read_from(head.as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("missing tiling"), "{e}");
+        let cut = format!("{head}tiling 12 3\n0 2 3\n");
+        let e = SimCheckpoint::read_from(cut.as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("truncated tiling"), "{e}");
+        // Well-formed cuts for another grid or torus than the run's.
+        assert!(ck.tiling_for(&busy_balancer_cfg()).is_ok());
+        for (p, nc) in [(16, 12), (9, 9)] {
+            let other = RunConfig::new(1000, nc, p, 0.05);
+            let e = ck.tiling_for(&other).unwrap_err();
+            assert!(e.to_string().contains("nc = 12, P = 9"), "{e}");
+        }
+    }
+
+    /// 3×3, m = 4, the cluster on rank 0's tile of the paper's tiling —
+    /// the benchmark's `cluster_dlb_p9`: the launch cuts the tiles through
+    /// the cluster (2·1·9 × 1·2·9), and the wide tile sheds a column
+    /// nearly every step.
     fn busy_balancer_cfg() -> RunConfig {
         let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
         cfg.lattice = Lattice::Cluster { fill: 0.45 };
@@ -607,6 +723,48 @@ pub(crate) mod tests {
 
     #[cfg(feature = "check")]
     #[test]
+    fn a_run_on_uneven_tiles_is_restored_and_carried_on_bitwise() {
+        use pcdlb_core::protocol::tags;
+        use pcdlb_mp::collectives::ctag;
+        use pcdlb_mp::FaultPlan;
+        // The benchmark's `cluster_dlb_p9` to the letter, a sentinel
+        // watching. The tiling is part of what a checkpoint carries: a
+        // world restored from one, or a buddy adopting a rank, rebuilds
+        // its home tiles — which PE is home to which column, which
+        // columns are wall — on the cuts the launch chose, not on the
+        // even ones `cfg` alone implies.
+        let mut cfg = busy_balancer_cfg();
+        cfg.dlb_min_gain = 0.02;
+        cfg.seed = 1;
+        cfg.sentinel_interval = 4;
+        let reference = fault_free(&cfg, false);
+        let tiling = reference.report.tiling.expect("a pillar run");
+        assert_eq!(tiling.to_string(), "2·1·9 from 0 × 1·2·9 from 2");
+        // Rank 8 holds the 9 × 9 tile that does the lending. It dies on
+        // its eighth stats gather: in step 8, three steps after the
+        // checkpoint the relaunch restores.
+        let in_step_8 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 7);
+        let kill = move |launch, rank| (launch == 0 && rank == 8).then(in_step_8);
+        let relaunched = faulted(kill).run_resilient(&cfg, &ladder(false));
+        let relaunched = relaunched.expect("recovers");
+        assert_eq!(relaunched.attempts, 2, "the run was restored, not replayed");
+        assert_eq!(relaunched.digest, reference.digest, "relaunch");
+        assert_eq!(relaunched.report.records, reference.report.records);
+        assert_eq!(relaunched.snapshot, reference.snapshot);
+        assert_eq!(relaunched.report.tiling, Some(tiling));
+        let absorbed = faulted(kill).run_resilient(&cfg, &ladder(true));
+        let absorbed = absorbed.expect("absorbed");
+        assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));
+        assert_eq!(absorbed.digest, reference.digest, "buddy takeover");
+        assert_eq!(absorbed.snapshot, reference.snapshot);
+        assert_eq!(
+            absorbed.report.cells_per_rank,
+            reference.report.cells_per_rank
+        );
+    }
+
+    #[cfg(feature = "check")]
+    #[test]
     fn a_planned_launch_survives_a_death_before_its_first_checkpoint_bitwise() {
         use pcdlb_core::protocol::tags;
         use pcdlb_mp::collectives::ctag;
@@ -618,11 +776,9 @@ pub(crate) mod tests {
         // launch started, and ends where an uninterrupted run ends.
         let cfg = busy_balancer_cfg();
         let reference = fault_free(&cfg, false);
-        assert!(
-            reference.report.launch_transfers >= 9,
-            "the hot tile's shed is planned: {} transfers",
-            reference.report.launch_transfers
-        );
+        let tiling = reference.report.tiling.expect("a pillar run");
+        assert!(!tiling.is_even(), "the tiles are cut through the cluster");
+        assert!(reference.report.launch_transfers > 0);
         // Rank 4 dies on its third stats gather: in step 3, two steps
         // before the first checkpoint.
         let in_step_3 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 2);
@@ -640,6 +796,7 @@ pub(crate) mod tests {
             relaunched.report.launch_transfers,
             reference.report.launch_transfers
         );
+        assert_eq!(relaunched.report.tiling, Some(tiling));
         let absorbed = faulted(kill).run_resilient(&cfg, &ladder(true));
         let absorbed = absorbed.expect("absorbed");
         assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));

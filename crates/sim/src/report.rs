@@ -9,6 +9,7 @@
 //! serialisation dependency.
 
 use pcdlb_core::metrics::ConcentrationPoint;
+use pcdlb_domain::PillarLayout;
 use std::fmt::Write as _;
 
 /// One time step's measurements, assembled on rank 0 from all PEs.
@@ -176,6 +177,11 @@ pub struct RunReport {
     /// condition. `StepRecord::transfers` counts only what moved during a
     /// step. Not part of any digest.
     pub launch_transfers: usize,
+    /// The tiling the run's home tiles were cut on (`launch_plan` chooses
+    /// it where a square-pillar run balances; the even `m × m` one
+    /// otherwise) — after a resize, the last generation's. `None` for the
+    /// plane and the cube. Not part of any digest.
+    pub tiling: Option<PillarLayout>,
 }
 
 impl RunReport {

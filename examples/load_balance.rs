@@ -4,18 +4,21 @@
 //!
 //! Starts from a deliberately unbalanced state — all particles clustered
 //! in one corner of the box (`Lattice::Cluster`) — and runs the same
-//! workload twice: plain DDM, then DLB-DDM. Prints the launch plan — the
-//! columns each PE gives and takes before the first step, where the
-//! balancer's own rule takes the initial condition — then each PE's
-//! owned-cell count and the force-time spread, showing ownership flown
-//! away from the loaded corner while the 8-neighbour pattern stays intact
-//! (the run would panic otherwise — ghost exchange asserts it). Exits
+//! workload twice: plain DDM, then DLB-DDM. Prints the launch — the
+//! tiling the balancing run's tiles are cut on, where the load is, and
+//! the columns each PE gives and takes before the first step, where the
+//! balancer's own rule takes the initial condition from there — then each
+//! PE's owned-cell count and the force-time spread, showing ownership
+//! flown away from the loaded corner while the 8-neighbour pattern stays
+//! intact (the run would panic otherwise — ghost exchange asserts it). Exits
 //! non-zero if DLB-DDM's late-phase `Fmax/Fave` is not below DDM's (CI
 //! runs it).
 
+use pcdlb::core::permanent::max_columns;
 use pcdlb::core::theory;
+use pcdlb::domain::PillarLayout;
 use pcdlb::sim::pe::initial_particles;
-use pcdlb::sim::{launch_plan, run, DomainShape, Lattice, Placed, RunConfig};
+use pcdlb::sim::{launch_plan, launch_plan_on, run, DomainShape, Lattice, Placed, RunConfig};
 
 fn main() {
     let mut cfg = RunConfig::from_p_m_density(9, 3, 0.128);
@@ -29,7 +32,7 @@ fn main() {
         cfg.total_cells()
     );
     println!(
-        "The DLB limit allows a PE to grow to {:.2}× its initial cells (paper Fig. 4: m = 3 → ~2.3×).\n",
+        "On m × m tiles the DLB limit allows a PE to grow to {:.2}× its initial cells (paper Fig. 4: m = 3 → ~2.3×).\n",
         theory::dlb_limit_ratio(cfg.m())
     );
 
@@ -54,49 +57,54 @@ fn main() {
             report.launch_transfers
         );
         if dlb {
-            // The plan the run launched on (the same pure function of the
-            // configuration the driver called).
+            // The launch the run started from (the same pure function of
+            // the configuration the driver called), and what the paper's
+            // tiling would have started it on.
             let placed = Placed::new(&c, &initial_particles(&c));
             let plan = launch_plan(DomainShape::SquarePillar, &c, 0, &placed);
+            let tiling = report.tiling.expect("a pillar run reports its tiling");
+            assert_eq!(plan.layout, Some(tiling));
+            let even = launch_plan_on(PillarLayout::new(c.nc, c.torus()), &c, 0, &placed);
+            println!("          launch tiling: tile widths {tiling}");
+            println!(
+                "          largest load on m × m tiles {:.6}s, planned down to {:.6}s ({} transfers)",
+                even.peaks[0],
+                even.peaks[even.peaks.len() - 1],
+                even.decisions.len()
+            );
             let (mut given, mut taken) = (vec![0; c.p], vec![0; c.p]);
             for d in &plan.decisions {
                 given[d.from] += 1;
                 taken[d.to] += 1;
             }
             println!(
-                "          launch plan, {} iterations: largest load {:.6}s → {:.6}s",
-                plan.round_ends.len(),
+                "          on the chosen tiles {:.6}s, launch plan of {} iterations → {:.6}s",
                 plan.peaks[0],
+                plan.round_ends.len(),
                 plan.peaks[plan.peaks.len() - 1]
             );
             println!("          columns given per PE:  {given:?}");
             println!("          columns taken per PE:  {taken:?}");
-        }
-        println!("          cells per PE: {:?}", report.cells_per_rank);
-        if dlb {
-            println!(
-                "          largest domain grew to {:.2}× its initial size (limit {:.2}×)",
-                max_cells as f64 / (cfg.m() * cfg.m() * cfg.nc) as f64,
-                theory::dlb_limit_ratio(cfg.m())
-            );
+            let caps: Vec<usize> = (0..c.p).map(|r| max_columns(&tiling, r) * c.nc).collect();
+            println!("          cells per PE: {:?}", report.cells_per_rank);
+            println!("          limit per PE: {caps:?}");
+        } else {
+            println!("          cells per PE: {:?}", report.cells_per_rank);
         }
         println!();
     }
 
-    // The cluster sits on PE 0's tile. The launch plan runs the balancer's
-    // rule on the initial condition — PE 0 offers a column to the fastest
-    // neighbour that may take one, iteration after iteration — so the run
-    // starts with PE 0 on its 2m − 1 = 5 permanent columns (45 of its 81
-    // cells): four iterations, PE 0 giving its four movable columns, the
-    // largest load down to 5/9 of the tile's. The in-run balancer carries
-    // on from there as the cluster spreads, and the late imbalance falls
-    // from ~4.4 to ~2.5 — about 5/9 of DDM's, the share of the hot tile
-    // that may never move.
+    // On the paper's 3 × 3 tiles the cluster sits on PE 0's: the plan can
+    // strip PE 0 to its 2m − 1 = 5 permanent columns and no further, so
+    // the largest load stays at 5/9 of the tile's and the late imbalance
+    // at ~2.5 against DDM's ~4.4. The launch cuts the tiles through the
+    // cluster instead — rows and columns of 1, 1 and 7 columns from
+    // column 1 — so four one-column tiles (all wall) and the strips
+    // beside them share it from the first step, and the wide tile's 36
+    // movable columns follow the cluster as it spreads.
     let [ddm, dlb] = imbalance;
     println!(
-        "Expected: PE 0 launched on its {} permanent cells (4 columns given at launch); \
-         DLB-DDM imbalance ~2.5 against DDM ~4.4.",
-        (2 * cfg.m() - 1) * cfg.nc
+        "Expected: tile widths 1·1·7 from 1 on both axes; DLB-DDM imbalance ~1.5 against DDM ~4.4."
     );
     if dlb >= ddm {
         eprintln!("FAILED: DLB-DDM imbalance {dlb:.2} is not below DDM's {ddm:.2}");

@@ -1,17 +1,21 @@
-//! Tier-1's view of the launch plan: before a rank thread starts, the
-//! balancer's own rule is run to its floor on the initial condition's
-//! exact work map, and the run launches from there.
+//! Tier-1's view of the launch: before a rank thread starts, a balancing
+//! square-pillar run's tiles are cut where the load is, the balancer's own
+//! rule is run to its floor on the initial condition's exact work map,
+//! and the run launches from there.
 //!
-//! - over arbitrary occupancy maps the plan is a legal run of the
-//!   protocol — every transfer validates against the ownership map as it
-//!   evolves, every invariant holds at the end — that only ever lowers the
-//!   largest load, ends within its cap, and is the same whoever computes
-//!   it; the loads it reports are the full-shell work of the cells each
-//!   rank ends up owning, counted here the slow way;
-//! - a uniform map plans nothing, and neither does a run that does not
-//!   balance;
-//! - the paper's scenario launches with its hot tile already down to its
-//!   permanent cells, at the step time the unplanned run reached on step 9.
+//! - over arbitrary occupancy maps the chosen tiling's largest load is
+//!   never above the even tiling's, before the plan or after it (where
+//!   it must clear the balancer's own gain gate), and the plan on it is a
+//!   legal run of
+//!   the protocol — every transfer validates against the ownership map as
+//!   it evolves, every invariant holds at the end — that only ever lowers
+//!   the largest load, ends within its cap, and is the same whoever
+//!   computes it; the loads it reports are the full-shell work of the
+//!   cells each rank ends up owning, counted here the slow way;
+//! - an even map keeps the even tiling and plans nothing, and a run that
+//!   does not balance chooses and plans nothing at all;
+//! - on the paper's scenario the chosen tiling and what it buys are
+//!   pinned, and the run's first step reads what the plan ended on.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -20,7 +24,10 @@ use pcdlb::core::permanent::is_permanent;
 use pcdlb::core::protocol::DlbProtocol;
 use pcdlb::domain::{OwnershipMap, PillarLayout};
 use pcdlb::md::{Particle, Vec3};
-use pcdlb::sim::{launch_plan, run, DomainShape, Lattice, LoadMetric, Placed, RunConfig};
+use pcdlb::sim::pe::initial_particles;
+use pcdlb::sim::{
+    launch_plan, launch_plan_on, run, DomainShape, Lattice, LoadMetric, Placed, RunConfig,
+};
 
 /// `occupancy[(cx·nc + cy)·nc + cz]` particles at the centre of each cell.
 fn particles(cfg: &RunConfig, occupancy: &[usize]) -> Vec<Particle> {
@@ -99,11 +106,25 @@ proptest! {
         let occupancy = occupancy(nc, &noise, boost, hot_x, hot_y);
         let mut all = particles(&cfg, &occupancy);
         let shape = DomainShape::SquarePillar;
-        let plan = launch_plan(shape, &cfg, 0, &Placed::new(&cfg, &all));
+        let placed = Placed::new(&cfg, &all);
+        let plan = launch_plan(shape, &cfg, 0, &placed);
 
         // Whoever computes it, from the particles in whatever order.
         all.reverse();
         prop_assert_eq!(&plan, &launch_plan(shape, &cfg, 0, &Placed::new(&cfg, &all)));
+
+        // The tiles are cut evenly unless another cut is better both
+        // ways: a lower largest load before the plan, and after it one
+        // lower by more than the balancer's own gain gate.
+        let layout = plan.layout.expect("a balancing pillar run chooses its tiling");
+        let even = launch_plan_on(PillarLayout::new(nc, cfg.torus()), &cfg, 0, &placed);
+        if layout.is_even() {
+            prop_assert_eq!(&plan, &even);
+        } else {
+            prop_assert!(plan.peaks[0] < even.peaks[0], "{layout}: {plan:?}");
+            let (cut, even) = (plan.peaks.last().unwrap(), even.peaks.last().unwrap());
+            prop_assert!((even - cut) / even > cfg.dlb_min_gain, "{layout}: {plan:?}");
+        }
 
         // The largest load only ever goes down, within the cap.
         prop_assert_eq!(plan.peaks.len(), plan.round_ends.len() + 1);
@@ -113,7 +134,6 @@ proptest! {
 
         // Every transfer is legal against the map as it evolves, at most
         // one per rank and iteration, and the map it ends on is sound.
-        let layout = PillarLayout::new(nc, cfg.torus());
         let mut map = OwnershipMap::initial(layout);
         for round in plan.rounds() {
             prop_assert!(round.windows(2).all(|w| w[0].from < w[1].from), "{round:?}");
@@ -192,15 +212,23 @@ fn a_uniform_map_and_a_run_that_does_not_balance_plan_nothing() {
         assert!(plan.decisions.is_empty(), "{shape:?}: {plan:?}");
         assert_eq!(plan.peaks.len(), 1);
         assert!(plan.loads.iter().all(|&l| l == plan.peaks[0]), "{shape:?}");
+        // No cut lowers the peak of an even map: the pillar keeps the
+        // paper's tiling (and the plane has none to choose).
+        let pillar = shape == DomainShape::SquarePillar;
+        assert_eq!(plan.layout.map(|l| l.is_even()), pillar.then_some(true));
     }
-    // No balancer (the cube), or the balancer switched off: no plan, and
-    // not even a load.
+    // No balancer (the cube), or the balancer switched off: no tiling, no
+    // plan, and not even a load.
     let hot = particles(&cfg, &occupancy(cfg.nc, &vec![1; 4096], 6, 2, 2));
     let placed = Placed::new(&cfg, &hot);
     let pillar = DomainShape::SquarePillar;
-    assert!(!launch_plan(pillar, &cfg, 0, &placed).decisions.is_empty());
+    let even = PillarLayout::new(cfg.nc, cfg.torus());
+    assert!(!launch_plan_on(even, &cfg, 0, &placed).decisions.is_empty());
+    let chosen = launch_plan(pillar, &cfg, 0, &placed).layout;
+    assert!(chosen.is_some_and(|l| !l.is_even()), "{chosen:?}");
     cfg.dlb = false;
     assert_eq!(launch_plan(pillar, &cfg, 0, &placed), Default::default());
+    assert_eq!(launch_plan_on(even, &cfg, 0, &placed), Default::default());
     cfg.dlb = true;
     cfg.p = 27;
     assert_eq!(
@@ -210,31 +238,92 @@ fn a_uniform_map_and_a_run_that_does_not_balance_plan_nothing() {
 }
 
 #[test]
-fn the_papers_scenario_launches_on_its_permanent_cells() {
-    // `cluster_dlb_p9` of the benchmark: all particles over rank 0's tile.
-    // Unplanned, rank 0 shed its nine movable columns one per step and
-    // `t_step` read 58.8, 55.8, … before it settled near 28.8 model_ms on
-    // step 9; planned, step 1 is there.
+fn the_papers_lattice_gas_keeps_the_papers_tiling_where_it_fills_the_box() {
+    // The simple-cubic start of the figures fills the box evenly at the
+    // paper's larger PE counts: every tile's load is the same, no re-cut
+    // lowers the peak, and the run is the run it was.
+    for (p, m) in [(16, 3), (36, 2), (36, 4), (64, 3)] {
+        let mut cfg = RunConfig::from_p_m_density(p, m, 0.256);
+        cfg.dlb = true;
+        let placed = Placed::new(&cfg, &initial_particles(&cfg));
+        let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &placed);
+        assert!(plan.layout.is_some_and(|l| l.is_even()), "P = {p}, m = {m}");
+        assert_eq!(plan.tiling(&cfg), PillarLayout::new(cfg.nc, cfg.torus()));
+    }
+}
+
+/// `cluster_dlb_p9` of the benchmark: all particles over rank 0's tile of
+/// the 3 × 3, m = 4 torus.
+fn papers_scenario() -> RunConfig {
     let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
     cfg.lattice = Lattice::Cluster { fill: 0.45 };
     cfg.dlb = true;
     cfg.dlb_min_gain = 0.02;
     cfg.seed = 1;
+    cfg
+}
+
+#[test]
+fn the_papers_scenario_is_cut_through_its_cluster() {
+    let cfg = papers_scenario();
+    let placed = Placed::new(&cfg, &initial_particles(&cfg));
+    let model_ms = |load: f64| (load * 1e6).round() / 1e3;
+    // On the paper's tiling the cluster sits inside one tile's wall: the
+    // plan sheds 55 columns and still ends on rank 0's 7 permanent ones.
+    let even = launch_plan_on(PillarLayout::new(12, cfg.torus()), &cfg, 0, &placed);
+    assert_eq!(model_ms(even.peaks[0]), 59.976);
+    assert_eq!(model_ms(*even.peaks.last().unwrap()), 27.9);
+    assert_eq!(even.decisions.len(), 55);
+    // Cut where the load is, nine tiles share it: rows of 2, 1 and 9
+    // columns from x = 0, columns of 1, 2 and 9 from y = 2 (the last
+    // wrapping the box edge). The plan has 4 transfers left to make.
+    let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &placed);
+    let layout = plan
+        .layout
+        .expect("a balancing pillar run chooses its tiling");
+    assert_eq!((layout.xs(), layout.ys()), (vec![0, 2, 3], vec![2, 3, 5]));
+    assert_eq!(layout.to_string(), "2·1·9 from 0 × 1·2·9 from 2");
+    assert_eq!(model_ms(plan.peaks[0]), 13.637);
+    assert_eq!(model_ms(*plan.peaks.last().unwrap()), 13.193);
+    assert_eq!(plan.decisions.len(), 4);
+    let mean = plan.loads.iter().sum::<f64>() / 9.0;
+    assert_eq!(model_ms(mean), 9.502);
+}
+
+#[test]
+fn the_papers_scenario_launches_on_its_permanent_cells() {
+    // Unplanned on the paper's tiling, rank 0 shed its nine movable
+    // columns one per step and `t_step` read 58.8, 55.8, … before it
+    // settled near 28.8 model_ms on step 9, where its 2m − 1 permanent
+    // columns are the step. Cut through the cluster and planned, step 1
+    // reads what the plan ended on — to the bit — and the one tile in the
+    // cluster's core that had a movable column has given it away.
+    let mut cfg = papers_scenario();
     cfg.steps = 1;
     let report = run(&cfg);
-    let floor = (2 * cfg.m() - 1) * cfg.nc;
+    let placed = Placed::new(&cfg, &initial_particles(&cfg));
+    let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &placed);
+    let layout = report.tiling.expect("a pillar run reports its tiling");
+    assert_eq!(Some(layout), plan.layout);
+    assert_eq!(report.launch_transfers, plan.decisions.len());
+    let first = &report.records[0];
+    assert_eq!(first.f_max, *plan.peaks.last().unwrap());
+    let t = first.t_step;
+    assert!((0.0136..0.0140).contains(&t), "step 1 took {t} model_s");
+    // Rank 1's is the 2 × 2 tile: three wall columns, the movable one
+    // planned away to the north-west.
+    assert_eq!(layout.tile_dims(1), (2, 2));
+    assert!(plan.decisions.iter().any(|d| d.from == 1));
+    assert_eq!(report.cells_per_rank[1], 3 * cfg.nc);
     assert_eq!(
-        report.cells_per_rank[0], floor,
-        "{:?}",
-        report.cells_per_rank
+        report.cells_per_rank.iter().sum::<usize>(),
+        cfg.total_cells()
     );
-    assert!(report.launch_transfers >= 9, "{}", report.launch_transfers);
-    let t = report.records[0].t_step;
-    assert!((0.0285..0.0292).contains(&t), "step 1 took {t} model_s");
 
     let mut ddm = cfg.clone();
     ddm.dlb = false;
     let ddm = run(&ddm);
     assert_eq!(ddm.launch_transfers, 0);
-    assert!(ddm.records[0].t_step > 2.0 * t);
+    assert!(ddm.tiling.is_some_and(|l| l.is_even()));
+    assert!(ddm.records[0].t_step > 4.0 * t);
 }
