@@ -107,7 +107,7 @@ pub fn print_header(cols: &[&str]) {
 /// `m × m` tiles unless the run balances and its launch re-cut them.
 pub fn launch_tiling(cfg: &RunConfig) -> PillarLayout {
     let placed = Placed::new(cfg, &initial_particles(cfg));
-    launch_plan(DomainShape::SquarePillar, cfg, 0, &placed).tiling(cfg)
+    launch_plan(DomainShape::SquarePillar, cfg, 0, &placed).tiling()
 }
 
 /// What an experiment binary's header says beside `m` about the tiling a

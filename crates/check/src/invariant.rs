@@ -329,7 +329,7 @@ fn replay_plans(shape: DomainShape, cfg: &RunConfig) -> Result<(usize, usize, us
             };
             match shape {
                 DomainShape::SquarePillar => {
-                    let layout = plan.tiling(&cfg);
+                    let layout = plan.tiling();
                     check_pillar_plan(&layout, &plan.decisions).map_err(context)?;
                     recut += usize::from(!layout.is_even());
                 }

@@ -1,7 +1,7 @@
 //! The `pcdlb-check` command-line driver.
 //!
 //! ```text
-//! pcdlb-check verify     [--max-side N] [--max-m M] [--max-states K]
+//! pcdlb-check verify     [--max-side N]
 //! pcdlb-check invariant  [--max-side N] [--max-m M] [--max-states K]
 //! pcdlb-check interleave [--steps S] [--dfs-runs N] [--seeded-runs N]
 //! pcdlb-check faults     [--stride N] [--seeds N] [--timeout-s N]
@@ -51,6 +51,7 @@ fn main() -> ExitCode {
         "model" => cmd_model(rest),
         "lint" => cmd_lint(rest),
         "all" => cmd_verify(&[])
+            .and_then(|()| cmd_invariant(&[]))
             .and_then(|()| cmd_interleave(&[]))
             .and_then(|()| cmd_faults(&[]))
             .and_then(|()| cmd_takeover(&[]))
@@ -79,8 +80,8 @@ fn usage() {
          \n\
          verify     static protocol verification: tag table, send/recv\n\
          \u{20}          matching, deadlock freedom on all grids up to --max-side\n\
-         \u{20}          (default 6), then `invariant` on grids up to side 4\n\
-         invariant  the permanent-cell invariant search alone: every state\n\
+         \u{20}          (default 6)\n\
+         invariant  the permanent-cell invariant search: every state\n\
          \u{20}          reachable on the even tiling and on uneven cut sets (a\n\
          \u{20}          one-column row, shifted origins, one wide tile) of each\n\
          \u{20}          grid up to --max-side (default 4), --max-m (default 3),\n\
@@ -141,12 +142,8 @@ fn opts(rest: &[String], keys: &[(&str, usize)]) -> Result<Vec<usize>, String> {
 }
 
 fn cmd_verify(rest: &[String]) -> Result<(), String> {
-    let v = opts(
-        rest,
-        &[("--max-side", 6), ("--max-m", 3), ("--max-states", 20_000)],
-    )?;
-    let (max_side, max_m, max_states) = (v[0], v[1], v[2]);
-    let report = verify_protocol(max_side);
+    let v = opts(rest, &[("--max-side", 6)])?;
+    let report = verify_protocol(v[0]);
     println!(
         "verify: {} schedules over sides {:?} checked",
         report.schedules_checked, report.sides
@@ -157,23 +154,19 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
         }
         return Err(format!("{} protocol violation(s)", report.violations.len()));
     }
-    invariant(max_side.min(4), max_m, max_states)
+    Ok(())
 }
 
+/// The permanent-cell invariant search, uneven cut sets included.
 fn cmd_invariant(rest: &[String]) -> Result<(), String> {
     let v = opts(
         rest,
         &[("--max-side", 4), ("--max-m", 3), ("--max-states", 20_000)],
     )?;
-    invariant(v[0], v[1], v[2])
-}
-
-/// The permanent-cell invariant search, uneven cut sets included.
-fn invariant(max_side: usize, max_m: usize, max_states: usize) -> Result<(), String> {
     let inv = verify_invariant(&InvariantConfig {
-        max_side,
-        max_m,
-        max_states_per_config: max_states,
+        max_side: v[0],
+        max_m: v[1],
+        max_states_per_config: v[2],
     })
     .map_err(|e| format!("permanent-cell invariant violated: {e}"))?;
     println!(

@@ -26,14 +26,24 @@ use pcdlb_domain::{Col, PillarLayout};
 /// True if `col` is a permanent cell of its home tile: on the tile's
 /// last row or last column.
 pub fn is_permanent(layout: &PillarLayout, col: Col) -> bool {
-    let (ox, oy) = layout.offset_in_tile(col);
-    let (rows, cols) = layout.tile_dims(layout.home_rank(col));
+    let (_, (ox, oy), (rows, cols)) = layout.locate(col);
     ox == rows - 1 || oy == cols - 1
 }
 
 /// True if `col` is a movable cell of its home tile.
 pub fn is_movable(layout: &PillarLayout, col: Col) -> bool {
     !is_permanent(layout, col)
+}
+
+/// The movable block of `rank`'s home tile — all of the tile but its last
+/// row and column — in row-major order from the tile's origin, read off
+/// the tile's origin and size without looking any column up.
+pub fn movable_columns(layout: &PillarLayout, rank: usize) -> impl Iterator<Item = Col> {
+    let (o, nc) = (layout.tile_origin(rank), layout.grid().nc());
+    let (rows, cols) = layout.tile_dims(rank);
+    (0..rows - 1).flat_map(move |dx| {
+        (0..cols - 1).map(move |dy| Col::new((o.cx + dx) % nc, (o.cy + dy) % nc))
+    })
 }
 
 /// The most columns `rank` can ever own (paper Fig. 4's extreme): its own
@@ -66,36 +76,12 @@ pub fn movable_count(m: usize) -> usize {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use pcdlb_mp::Torus2d;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn layout(p: usize, m: usize) -> PillarLayout {
         PillarLayout::from_p_and_m(p, m)
-    }
-
-    /// A rectilinear layout drawn from `seed` — `side` distinct starts
-    /// per axis on a ring of `side + spare`, ascending from a first one
-    /// anywhere on it: width-1 tiles, tiles wrapping the box edge and
-    /// shifted origins all occur.
-    pub(crate) fn random_layout(side: usize, spare: usize, seed: u64) -> PillarLayout {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let nc = side + spare;
-        let mut cuts = || {
-            let mut ring: Vec<usize> = (0..nc).collect();
-            for i in 0..side {
-                ring.swap(i, rng.gen_range(i..nc));
-            }
-            ring.truncate(side);
-            ring.sort_unstable();
-            ring.rotate_left(rng.gen_range(0..side));
-            ring
-        };
-        let (xs, ys) = (cuts(), cuts());
-        PillarLayout::rectilinear(nc, Torus2d::new(side, side), &xs, &ys).expect("legal cuts")
     }
 
     #[test]
@@ -126,13 +112,15 @@ pub(crate) mod tests {
         fn prop_every_tile_splits_into_its_wall_and_its_movable_block(
             side in 3usize..6, spare in 0usize..8, seed in any::<u64>(),
         ) {
-            let l = random_layout(side, spare, seed);
+            let l = PillarLayout::arbitrary(side, spare, seed);
             let g = l.grid();
             for r in 0..l.num_ranks() {
                 let (rows, cols) = l.tile_dims(r);
                 let mov = l.tile_columns(r).filter(|&c| is_movable(&l, c)).count();
                 let perm = l.tile_columns(r).filter(|&c| is_permanent(&l, c)).count();
                 prop_assert_eq!(mov, (rows - 1) * (cols - 1), "{:?} tile {}", l, r);
+                let block: Vec<Col> = l.tile_columns(r).filter(|&c| is_movable(&l, c)).collect();
+                prop_assert_eq!(movable_columns(&l, r).collect::<Vec<_>>(), block);
                 prop_assert_eq!(perm + mov, rows * cols);
                 // The wall is the side facing S and E: the movable block
                 // starts at the tile's origin.

@@ -113,7 +113,7 @@ use std::fmt;
 use pcdlb_domain::{Col, OwnershipMap, PillarLayout};
 use pcdlb_mp::WireSize;
 
-use crate::permanent::is_movable;
+use crate::permanent::{is_movable, movable_columns};
 
 /// Message tags of the square-pillar SPMD step, in one place so the
 /// simulator (`pcdlb-sim`) and the static protocol verifier
@@ -607,8 +607,8 @@ impl DlbProtocol {
     /// `(cx, cy)`), so domains stay compact as in the paper's Fig. 4.
     fn pick_own_movable(&self, ownership: &OwnershipMap, to: usize) -> Option<DlbDecision> {
         let l = &self.layout;
-        l.tile_columns(self.rank)
-            .filter(|&c| is_movable(l, c) && ownership.owner_of(c) == self.rank)
+        movable_columns(l, self.rank)
+            .filter(|&c| ownership.owner_of(c) == self.rank)
             .min_by_key(|&c| (l.distance_to_tile(c, to), c.cx, c.cy))
             .map(|col| DlbDecision {
                 col,
@@ -1163,7 +1163,7 @@ mod tests {
             gain_tenths in 0u32..4,
         ) {
             let gain = f64::from(gain_tenths) / 10.0;
-            let uneven = crate::permanent::tests::random_layout(p_side, spare, seed);
+            let uneven = PillarLayout::arbitrary(p_side, spare, seed);
             arbitrary_protocol_run(uneven, seed, 30, 1 << levels_log2, gain);
         }
     }

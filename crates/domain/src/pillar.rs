@@ -56,17 +56,29 @@ impl Axis<'_> {
         }
     }
 
-    /// The tile holding coordinate `c` and `c`'s offset inside it.
-    fn locate(&self, c: usize) -> (usize, usize) {
+    /// The tile holding coordinate `c`, `c`'s offset inside it and the
+    /// tile's width: one pass over the starts, no division.
+    fn locate(&self, c: usize) -> (usize, usize, usize) {
         // Measured from the first start the starts ascend, so the tile is
-        // the last one starting at or before `c`.
-        let rel = self.ahead(self.start(0), c);
-        let from_first = |tile| self.ahead(self.start(0), self.start(tile));
-        let tile = (0..self.starts.len())
-            .rev()
-            .find(|&tile| from_first(tile) <= rel)
-            .expect("tile 0 starts where the ring is measured from");
-        (tile, rel - from_first(tile))
+        // the last one starting at or before `c`, and it ends where the
+        // next one starts (the last: once round the ring).
+        let first = self.start(0);
+        let from_first = |at: usize| {
+            if at < first {
+                at + self.nc - first
+            } else {
+                at - first
+            }
+        };
+        let (rel, mut end) = (from_first(c), self.nc);
+        for tile in (0..self.starts.len()).rev() {
+            let start = from_first(self.start(tile));
+            if start <= rel {
+                return (tile, rel - start, end - start);
+            }
+            end = start;
+        }
+        unreachable!("tile 0 starts where the ring is measured from")
     }
 
     /// Steps from `c` to the nearest coordinate of `tile`; 0 inside it.
@@ -156,6 +168,37 @@ impl PillarLayout {
         Ok(layout)
     }
 
+    /// A layout drawn from `seed` for the property tests of this crate
+    /// and of the crates built on it: `side` distinct starts per axis on a
+    /// ring of `side + spare`, ascending from a first one anywhere on it,
+    /// so tiles one column wide, tiles wrapping the box edge and shifted
+    /// origins all occur.
+    #[doc(hidden)]
+    pub fn arbitrary(side: usize, spare: usize, seed: u64) -> Self {
+        let nc = side + spare;
+        // SplitMix64: this crate has no generator among its dependencies.
+        let mut state = seed;
+        let mut below = |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut cuts = || {
+            let mut ring: Vec<usize> = (0..nc).collect();
+            for i in 0..side {
+                ring.swap(i, i + below(nc - i));
+            }
+            ring.truncate(side);
+            ring.sort_unstable();
+            ring.rotate_left(below(side));
+            ring
+        };
+        let (xs, ys) = (cuts(), cuts());
+        Self::rectilinear(nc, Torus2d::new(side, side), &xs, &ys)
+            .expect("distinct starts, ascending once round the ring")
+    }
+
     /// The even tiling from the paper's parameters `P` (perfect square)
     /// and `m`.
     pub fn from_p_and_m(p: usize, m: usize) -> Self {
@@ -212,9 +255,18 @@ impl PillarLayout {
     /// The home PE of a column — the PE whose tile contains it initially
     /// and to which it must eventually be returnable.
     pub fn home_rank(&self, c: Col) -> usize {
-        let (ti, _) = self.x_axis().locate(c.cx);
-        let (tj, _) = self.y_axis().locate(c.cy);
-        self.torus.rank_wrapped(ti as i64, tj as i64)
+        self.locate(c).0
+    }
+
+    /// A column's home PE, its offset inside that PE's home tile and the
+    /// tile's `(rows, columns)` — what [`Self::home_rank`],
+    /// [`Self::offset_in_tile`] and [`Self::tile_dims`] say about it, from
+    /// one look at each axis.
+    pub fn locate(&self, c: Col) -> (usize, (usize, usize), (usize, usize)) {
+        let (ti, ox, rows) = self.x_axis().locate(c.cx);
+        let (tj, oy, cols) = self.y_axis().locate(c.cy);
+        let home = self.torus.rank_wrapped(ti as i64, tj as i64);
+        (home, (ox, oy), (rows, cols))
     }
 
     /// `(cx, cy)` of the north-west corner column of `rank`'s home tile.
@@ -234,7 +286,7 @@ impl PillarLayout {
     /// A column's offset inside its home tile, each component below the
     /// tile's width along that axis.
     pub fn offset_in_tile(&self, c: Col) -> (usize, usize) {
-        (self.x_axis().locate(c.cx).1, self.y_axis().locate(c.cy).1)
+        self.locate(c).1
     }
 
     /// Iterate the columns of `rank`'s home tile in row-major order from
@@ -302,36 +354,14 @@ impl fmt::Debug for PillarLayout {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
-    /// `side` distinct starts on a ring of `nc`, ascending from a first
-    /// one drawn anywhere on it.
-    fn random_cuts(rng: &mut StdRng, side: usize, nc: usize) -> Vec<usize> {
-        let mut ring: Vec<usize> = (0..nc).collect();
-        for i in 0..side {
-            ring.swap(i, rng.gen_range(i..nc));
-        }
-        ring.truncate(side);
-        ring.sort_unstable();
-        ring.rotate_left(rng.gen_range(0..side));
-        ring
-    }
-
-    /// A rectilinear layout drawn from `seed`: width-1 tiles, wrapped
-    /// tiles and shifted origins all occur — and, one time in four, the
-    /// even tiling with `m = spare % 4 + 1`.
+    /// A rectilinear layout drawn from `seed` — and, one time in four,
+    /// the even tiling with `m = spare % 4 + 1`.
     fn random_layout(side: usize, spare: usize, seed: u64) -> PillarLayout {
         if seed.is_multiple_of(4) {
             return PillarLayout::new(side * (spare % 4 + 1), Torus2d::new(side, side));
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let nc = side + spare;
-        let (xs, ys) = (
-            random_cuts(&mut rng, side, nc),
-            random_cuts(&mut rng, side, nc),
-        );
-        PillarLayout::rectilinear(nc, Torus2d::new(side, side), &xs, &ys).expect("legal cuts")
+        PillarLayout::arbitrary(side, spare, seed)
     }
 
     #[test]
@@ -433,6 +463,7 @@ mod tests {
                     seen[g.index(c)] += 1;
                     prop_assert_eq!(l.home_rank(c), r, "column {:?}", c);
                     let (ox, oy) = l.offset_in_tile(c);
+                    prop_assert_eq!(l.locate(c), (r, (ox, oy), (rows, cols)));
                     prop_assert!(ox < rows && oy < cols);
                     let back = Col::new((o.cx + ox) % g.nc(), (o.cy + oy) % g.nc());
                     prop_assert_eq!(back, c);

@@ -197,7 +197,7 @@ mod tests {
         // twin's particles, and only the clustered one reports a plan.
         for (lattice, planned) in [
             (crate::Lattice::SimpleCubic, false),
-            (crate::Lattice::Cluster { fill: 0.7 }, true),
+            (crate::Lattice::Cluster { fill: 0.6 }, true),
         ] {
             let mut dlb = crate::RunConfig::new(1728, 6, 9, 0.1);
             dlb.steps = 4;

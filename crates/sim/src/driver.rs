@@ -240,9 +240,7 @@ impl Launch {
                 .swap_remove(0)
                 .1
         });
-        let pillar = self.shape == DomainShape::SquarePillar;
-        let tiling = pillar.then(|| plan.tiling(cfg));
-        assemble(results, plan.decisions.len(), tiling)
+        assemble(results, plan.decisions.len(), plan.layout)
     }
 
     /// The resilient launch: run `cfg` under `ladder`. On any rank failure
@@ -277,7 +275,7 @@ impl Launch {
         // `remap_drained_checkpoint`).
         let (placed, plan) = self.fresh(cfg);
         let mut launch_transfers = plan.decisions.len();
-        let mut tiling = plan.tiling(cfg);
+        let mut tiling = plan.tiling();
         let mut failures = Vec::new();
         let mut launches = 0;
         let mut generations = Vec::with_capacity(segments.len());

@@ -167,7 +167,7 @@ pub(crate) fn remap_drained_checkpoint(
     );
     let placed = Placed::new(cfg, &ck.md.particles);
     let plan = launch_plan(DomainShape::SquarePillar, cfg, boundary, &placed);
-    let layout = plan.tiling(cfg);
+    let layout = plan.tiling();
     let grid = layout.grid();
     assert_eq!(
         ck.ownership.len(),
@@ -345,9 +345,12 @@ mod tests {
         // particles: it cuts the tiles where the load is *now* and plans
         // on them, so no generation goes through a shedding transient —
         // its first step's largest load is, to the bit, the one its
-        // launch plan ended on. All inside the 24 steps for which no
-        // particle of the lattice changes cell: later the cluster
-        // spreads, and loads move for that reason.
+        // launch plan ended on, or the one a move before: where the plan
+        // leaves its heaviest PE a borrowed column, the run's first
+        // decision (taken before its first force pass) hands it back.
+        // All inside the 24 steps for which no particle of the lattice
+        // changes cell: later the cluster spreads, and loads move for
+        // that reason.
         let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
         cfg.lattice = Lattice::Cluster { fill: 0.45 };
         cfg.dlb = true;
@@ -370,14 +373,15 @@ mod tests {
             gen.p = p;
             let placed = Placed::new(&gen, &serial.snapshot());
             let plan = launch_plan(DomainShape::SquarePillar, &gen, boundary, &placed);
-            let tiling = plan.tiling(&gen);
+            let tiling = plan.tiling();
             assert!(!tiling.is_even(), "P = {p}: {tiling}");
             let first = &records[boundary as usize];
-            assert_eq!(
-                first.f_max,
-                *plan.peaks.last().unwrap(),
-                "generation from step {}",
-                first.step
+            let last_two = &plan.peaks[plan.peaks.len().saturating_sub(2)..];
+            assert!(
+                last_two.contains(&first.f_max),
+                "generation from step {}: Fmax {}, planned {last_two:?}",
+                first.step,
+                first.f_max
             );
             planned += plan.decisions.len();
             tilings.push(tiling);

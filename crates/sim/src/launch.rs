@@ -24,25 +24,30 @@
 //! argument needs only that tile `(i, j)` borders the tiles
 //! `(i ± 1, j ± 1)` — any rectilinear cut set does
 //! (`pcdlb_domain::PillarLayout`, `pcdlb_core::permanent`). Ownership is
-//! built from scratch here anyway, so here the cuts are chosen: from the
-//! same exact work map and the same load ruler the plan reads (`Costs`),
-//! refined one axis at a time from the even tiling, each re-cut exact and
-//! kept only if it strictly lowers the largest load. The chosen layout
-//! travels with the plan ([`LaunchPlan::layout`]) to every rank's
-//! scaffold, into every checkpoint (so a relaunch, a takeover adoption
-//! and a sentinel rollback rebuild the same home tiles), through the
-//! elastic remap (which launches each generation afresh from the drained
-//! particles: the slow re-tiling loop, for free at every generation
-//! boundary) and into `RunReport::tiling`. It is in no digest. A run that
-//! does not balance never enters this code and keeps the even tiling.
+//! built from scratch here anyway, so here the cuts may be chosen — where
+//! the plan on the paper's tiles ends with its heaviest PE down to its
+//! permanent columns, the DLB limit reached before the first step — from
+//! the same exact work map and the same load ruler the plan reads
+//! (`Costs`), refined one axis at a time from the even tiling, each re-cut
+//! exact, no tile under two columns wide, and kept only if the plan on it
+//! ends strictly lower ([`launch_plan`]). The layout travels with the plan
+//! ([`LaunchPlan::layout`]) to every rank's scaffold, into every
+//! checkpoint (so a relaunch, a takeover adoption and a sentinel rollback
+//! rebuild the same home tiles), through the elastic remap (which
+//! launches each generation afresh from the drained particles: the slow
+//! re-tiling loop, for free at every generation boundary) and into
+//! `RunReport::tiling`. It is in no digest. A run that
+//! does not balance, and one whose even plan leaves its heaviest PE
+//! something to move, never enters the chooser and keeps the even tiling.
 //!
 //! Launch-time code: it allocates freely and is called from the driver
 //! ([`crate::driver`]) and the elastic remap ([`crate::elastic`]) only.
 
 use std::ops::Range;
 
-use pcdlb_core::protocol::DlbDecision;
-use pcdlb_domain::{Col, DomainShape, PillarLayout};
+use pcdlb_core::permanent::is_permanent;
+use pcdlb_core::protocol::{DlbDecision, DlbProtocol};
+use pcdlb_domain::{Col, DomainShape, OwnershipMap, PillarLayout};
 use pcdlb_md::{axis_bin, Particle};
 use pcdlb_mp::Torus2d;
 
@@ -133,15 +138,15 @@ impl Placed {
     }
 }
 
-/// Where a balancing run launches: the tiling its home tiles are cut on
-/// and the transfers its balancer's own rule makes from there on the
-/// initial condition's exact work map, before a rank thread starts (see
-/// [`launch_plan`]). Empty for a run that does not balance.
+/// Where a run launches: the tiling its home tiles are cut on and the
+/// transfers its balancer's own rule makes from there on the initial
+/// condition's exact work map, before a rank thread starts (see
+/// [`launch_plan`]). No transfers for a run that does not balance.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaunchPlan {
-    /// The tiling a balancing square-pillar run launches on. `None` where
-    /// nothing was chosen — another shape, a run that does not balance —
-    /// and the run keeps its shape's even home assignment.
+    /// The tiling a square-pillar run launches on; `None` for the other
+    /// shapes (and in a default plan: the even tiling, as
+    /// `decomp::decomposition` reads it).
     pub layout: Option<PillarLayout>,
     /// Every planned transfer in the order it is applied: iteration by
     /// iteration, ascending `from` inside one.
@@ -165,11 +170,10 @@ impl LaunchPlan {
             .map(|(&from, &to)| &self.decisions[from..to])
     }
 
-    /// The tiling a square-pillar run of `cfg` launches on under this
-    /// plan: the chosen one, or the even one where none was.
-    pub fn tiling(&self, cfg: &RunConfig) -> PillarLayout {
-        let even = || PillarLayout::new(cfg.nc, cfg.torus());
-        self.layout.unwrap_or_else(even)
+    /// The tiling of a square-pillar launch's plan.
+    pub fn tiling(&self) -> PillarLayout {
+        self.layout
+            .expect("the launch plan of a square-pillar run names its tiling")
     }
 }
 
@@ -225,21 +229,27 @@ fn peak(loads: &[f64]) -> f64 {
 }
 
 /// Cut the tiles where the load is: the rectilinear tiling a balancing
-/// square-pillar run launches on. The permanent wall of a tile is its last
-/// row and column, so on the even `m × m` tiling a cluster inside one tile
-/// leaves that tile's `2m − 1` wall columns — and the whole step — to one
-/// PE whatever the balancer does. Where the walls stand is free, though
+/// square-pillar run may launch on ([`launch_plan`] decides whether it
+/// does). The permanent wall of a tile is its last row and column, so on
+/// the even `m × m` tiling a cluster inside one tile leaves that tile's
+/// `2m − 1` wall columns — and the whole step — to one PE whatever the
+/// balancer does. Where the walls stand is free, though
 /// (`pcdlb_core::permanent`): any cut set keeps the 8-neighbour torus. So
-/// before the plan, from the same work map and the same load ruler, the
-/// cuts are refined one axis at a time from the even tiling (Nicol's
-/// iterative refinement for rectilinear partitioning): with the other
-/// axis' strips fixed, the periodic cut of this axis with the smallest
-/// largest tile load is found exactly ([`recut`]); a re-cut is kept only
-/// if it *strictly* lowers the largest load, and the refinement stops when
-/// neither axis does — so an even work map keeps the even tiling. No
+/// from the same work map and the same load ruler as the plan, the cuts
+/// are refined one axis at a time from the even tiling (Nicol's iterative
+/// refinement for rectilinear partitioning): with the other axis' strips
+/// fixed, the periodic cut of this axis with the smallest largest tile
+/// load is found exactly ([`recut`]); a re-cut is kept only if it
+/// *strictly* lowers the largest load, and the refinement stops when
+/// neither axis does — so an even work map keeps the even tiling. Every
+/// tile stays at least two columns wide, the paper's smallest `m`: a tile
+/// one column wide is all wall, and a launch that cut the load into such
+/// tiles would leave the run's balancer nothing to move next to it. No
 /// parameter; pure in `cfg` and the particles.
 fn choose_tiling(cfg: &RunConfig, costs: &Costs) -> PillarLayout {
     let (nc, torus) = (cfg.nc, cfg.torus());
+    // Every tile keeps a movable column (`m = 1` has none to keep).
+    let min_width = 2.min(nc / torus.rows());
     let even = PillarLayout::new(nc, torus);
     let home: Vec<usize> = all_columns(nc).map(|col| even.home_rank(col)).collect();
     let mut best = peak(&costs.loads_under(&home, cfg.p));
@@ -249,7 +259,7 @@ fn choose_tiling(cfg: &RunConfig, costs: &Costs) -> PillarLayout {
     let (mut axis, mut settled) = (0, 0);
     while settled < 2 {
         settled += 1;
-        if let Some((starts, lower)) = recut(costs, torus, axis, &cuts[1 - axis], best) {
+        if let Some((starts, lower)) = recut(costs, torus, axis, &cuts[1 - axis], best, min_width) {
             (cuts[axis], best, settled) = (starts, lower, 1);
         }
         axis = 1 - axis;
@@ -260,7 +270,8 @@ fn choose_tiling(cfg: &RunConfig, costs: &Costs) -> PillarLayout {
 
 /// The best periodic cut of one axis with the other axis' strips fixed at
 /// `strips` (their starts): the starts of this axis' tiles whose largest
-/// tile load is smallest, and that load — if it is below `bound`. Tile
+/// tile load is smallest among the cuts that leave every tile `min_width`
+/// coordinates or more, and that load — if it is below `bound`. Tile
 /// `k` of axis 0 is torus row `k`, of axis 1 torus column `k`. A ring has
 /// no first coordinate, so tile 0 may start anywhere (and with processor
 /// speeds in the ruler it matters which tile gets which interval): every
@@ -274,8 +285,9 @@ fn recut(
     axis: usize,
     strips: &[usize],
     bound: f64,
+    min_width: usize,
 ) -> Option<(Vec<usize>, f64)> {
-    let (nc, side) = (costs.nc, strips.len());
+    let (nc, side, w) = (costs.nc, strips.len(), min_width);
     // Per strip, the work of its columns at each coordinate of this axis,
     // summed from coordinate 0 twice round the ring.
     let prefix: Vec<Vec<u64>> = (0..side)
@@ -295,9 +307,9 @@ fn recut(
             sums
         })
         .collect();
-    // `spans[k][a][len − 1]`: the heaviest tile of tile row (column) `k`
-    // when it covers the `len` coordinates from `a` — for as long as that
-    // stays below `bound`: a tile only gets heavier as it grows.
+    // `spans[k][a][len − w]`: the heaviest tile of tile row (column) `k`
+    // when it covers the `len ≥ w` coordinates from `a` — for as long as
+    // that stays below `bound`: a tile only gets heavier as it grows.
     let heaviest = |k: usize, a: usize, len: usize| {
         let tile = |t: usize| {
             let (i, j) = if axis == 0 { (k, t) } else { (t, k) };
@@ -310,7 +322,7 @@ fn recut(
     let kinds = if costs.speeds.is_some() { side } else { 1 };
     let spans: Vec<Vec<Vec<f64>>> = (0..kinds)
         .map(|k| {
-            let from = |a| (1..=nc + 1 - side).map(move |len| heaviest(k, a, len));
+            let from = |a| (w..=nc - (side - 1) * w).map(move |len| heaviest(k, a, len));
             (0..nc)
                 .map(|a| from(a).take_while(|&load| load < bound).collect())
                 .collect()
@@ -328,11 +340,11 @@ fn recut(
         }
         least[0][0] = 0.0;
         for k in 1..=side {
-            // Every tile is at least a coordinate wide.
-            for e in k..=nc - (side - k) {
-                for s in (k - 1..e).rev() {
+            // Every tile, before and after, is at least `w` wide.
+            for e in k * w..=nc - (side - k) * w {
+                for s in ((k - 1) * w..=e - w).rev() {
                     let span = &spans[(k - 1) % kinds][(origin + s) % nc];
-                    let Some(&load) = span.get(e - s - 1).filter(|&&load| load < best.1) else {
+                    let Some(&load) = span.get(e - s - w).filter(|&&load| load < best.1) else {
                         break;
                     };
                     let largest = load.max(least[k - 1][s]);
@@ -356,47 +368,72 @@ fn recut(
 }
 
 /// Where a run of `cfg` from `placed` launches: `shape`'s balancer run to
-/// its floor ([`launch_plan_on`]) — for the square pillar, on the tiling
-/// cut where the load is (`choose_tiling`). The cut lowers the largest
-/// load *before* the plan; what the run starts on is the largest load
-/// after it, and a tile cut one column wide is all wall and sheds nothing.
-/// So where the tiles were re-cut the paper's tiling is planned too, and
-/// the re-cut one is taken only for a gain the run's own balancer would
-/// have acted on: its largest load must end lower than the even tiling's
-/// by more than `cfg.dlb_min_gain` of it (strictly lower at the paper's
-/// gate of 0). A launch never starts above where the even tiling would
-/// have put it, and a gas that fills its box to within the noise the gate
-/// is there for keeps the paper's tiles. Empty for a run that does not
-/// balance. Pure in `cfg` and the particles.
+/// its floor (`plan_on`) from its home cells — for the square pillar, from
+/// the paper's even tiles unless two things the launch can read off its own
+/// plans both hold:
+///
+/// 1. **The even plan ends at the DLB limit** (`at_the_wall`, paper
+///    Sec. 4): a PE carrying the largest load owns nothing but permanent
+///    columns, so no transfer — planned or in the run — can lower that
+///    load; only moving the wall can. A gas that fills its box never gets
+///    there (its heaviest PE keeps movable columns and the balancer keeps
+///    working on it), so it keeps the paper's tiles and the chooser is
+///    never run.
+/// 2. **The plan on the re-cut tiling (`choose_tiling`) ends strictly
+///    lower.** The cut lowers the largest load *before* the plan; what the
+///    run starts on is the largest load after it.
+///
+/// So a launch never starts above where the even tiling would have put it.
+/// No constant, and no option of the run is read for it. A run that does
+/// not balance plans nothing and keeps the even tiling. Pure in `cfg` and
+/// the particles.
 pub fn launch_plan(shape: DomainShape, cfg: &RunConfig, step: u64, placed: &Placed) -> LaunchPlan {
+    let pillar = shape == DomainShape::SquarePillar;
+    let even = pillar.then(|| PillarLayout::new(cfg.nc, cfg.torus()));
     if !cfg.dlb {
-        return LaunchPlan::default();
+        return LaunchPlan {
+            layout: even,
+            ..LaunchPlan::default()
+        };
     }
     let costs = Costs::new(cfg, step, placed);
-    if shape != DomainShape::SquarePillar {
-        return plan_on(shape, cfg, &costs, None);
-    }
+    let plan = plan_on(shape, cfg, &costs, even);
+    let Some(even) = even.filter(|even| at_the_wall(even, &plan)) else {
+        return plan;
+    };
     let cut = choose_tiling(cfg, &costs);
-    let plan = plan_on(shape, cfg, &costs, Some(cut));
-    if cut.is_even() {
+    if cut == even {
         return plan;
     }
-    let even = plan_on(
-        shape,
-        cfg,
-        &costs,
-        Some(PillarLayout::new(cfg.nc, cfg.torus())),
-    );
+    let recut = plan_on(shape, cfg, &costs, Some(cut));
     let floor = |plan: &LaunchPlan| *plan.peaks.last().expect("a pillar plan has a first peak");
-    if (floor(&even) - floor(&plan)) / floor(&even) > cfg.dlb_min_gain {
-        plan
+    if floor(&recut) < floor(&plan) {
+        recut
     } else {
-        even
+        plan
     }
 }
 
-/// [`launch_plan`] on a tiling of the caller's choice — the even one, say,
-/// to see what choosing bought.
+/// Whether `plan`, made on `layout`, ends at the paper's DLB limit: a PE
+/// carrying the largest load owns nothing but permanent columns — it has
+/// shed its movable block and holds no borrowed column it could return.
+fn at_the_wall(layout: &PillarLayout, plan: &LaunchPlan) -> bool {
+    let mut map = OwnershipMap::initial(*layout);
+    for d in &plan.decisions {
+        DlbProtocol::apply(&mut map, d);
+    }
+    let top = peak(&plan.loads);
+    let walled = |rank: usize| {
+        let owned = map.owned_columns(rank);
+        owned.iter().all(|&col| is_permanent(layout, col))
+    };
+    (0..plan.loads.len()).any(|rank| plan.loads[rank] == top && walled(rank))
+}
+
+/// [`launch_plan`] on a tiling of the caller's choice, whatever the
+/// chooser would have said: how the tests and the example read what
+/// choosing bought.
+#[doc(hidden)]
 pub fn launch_plan_on(
     layout: PillarLayout,
     cfg: &RunConfig,
@@ -404,7 +441,10 @@ pub fn launch_plan_on(
     placed: &Placed,
 ) -> LaunchPlan {
     if !cfg.dlb {
-        return LaunchPlan::default();
+        return LaunchPlan {
+            layout: Some(layout),
+            ..LaunchPlan::default()
+        };
     }
     let costs = Costs::new(cfg, step, placed);
     plan_on(DomainShape::SquarePillar, cfg, &costs, Some(layout))

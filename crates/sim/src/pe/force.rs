@@ -372,8 +372,7 @@ mod tests {
         // A column's work is a function of the cell occupancies alone, so
         // the loads the plan ends on are — to the bit — what the launch's
         // first force pass measures on every rank, in work (`WorkModel`)
-        // and in time (a `SpeedSchedule` balanced `speed_aware`) — on
-        // the pillar's re-cut tiles as on the plane's moved boundaries.
+        // and in time (a `SpeedSchedule` balanced `speed_aware`).
         let drifting = crate::SpeedSchedule {
             base: vec![1.0, 0.7, 1.3],
             amplitude: 0.2,
@@ -391,11 +390,7 @@ mod tests {
                 crate::decomp::validate(&cfg, shape);
                 let initial = placed(&cfg);
                 let plan = crate::launch::launch_plan(shape, &cfg, 0, &initial);
-                let recut = plan.layout.is_some_and(|l| !l.is_even());
-                assert!(
-                    recut || !plan.decisions.is_empty(),
-                    "{shape:?}: a home launch"
-                );
+                assert!(!plan.decisions.is_empty(), "{shape:?}: nothing planned");
                 let measured = pcdlb_mp::World::new(cfg.p).run(|comm| {
                     let pe = PeState::new(comm.rank(), &cfg, shape, &initial, &plan);
                     let mut pes = [(comm.rank(), pe)];

