@@ -31,10 +31,10 @@
 //! state it expands `decide(&om, nb)` for **every** neighbour `nb` of
 //! every PE, whatever the loads. The simulator's selection rule,
 //! [`DlbProtocol::choose`] (offer to the fastest neighbour that may take
-//! a cell), only ever returns one of those `decide` results, so every
-//! state reachable through `choose` — under any load pattern — lies
-//! inside the set searched here; a unit test below asserts exactly that
-//! on BFS-visited states.
+//! a cell and stay below the giver), only ever returns one of those
+//! `decide` results, so every state reachable through `choose` — under
+//! any load pattern and any column weights — lies inside the set searched
+//! here; a unit test below asserts exactly that on BFS-visited states.
 //!
 //! The **launch plan** (`pcdlb_sim::launch_plan`) is one more source of
 //! decision sequences: before a rank thread starts it iterates that same
@@ -428,9 +428,10 @@ mod tests {
     fn every_choice_is_a_successor_the_search_generates() {
         // Walk the search's own state graph (3×3, m = 2, the first few
         // hundred states) and, on every state expanded, let every PE choose under
-        // several load patterns — coarse ones, so ties and blocked
-        // fastest neighbours are common. Whatever `choose` returns must
-        // be one of the transfers the BFS expands from that state.
+        // several load patterns and column weights — coarse ones, so ties,
+        // blocked fastest neighbours and gated candidates are common.
+        // Whatever `choose` returns must be one of the transfers the BFS
+        // expands from that state.
         let layout = PillarLayout::from_p_and_m(9, 2);
         let p = layout.num_ranks();
         let mut visited = BTreeSet::new();
@@ -441,12 +442,13 @@ mod tests {
             let Some(om) = frontier.pop() else { break };
             let successors = transfers_from(&layout, &om);
             for _ in 0..4 {
-                let loads: Vec<f64> = (0..p)
-                    .map(|_| {
-                        lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        (lcg >> 61) as f64
-                    })
-                    .collect();
+                let mut coarse = || {
+                    lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (lcg >> 61) as f64
+                };
+                let loads: Vec<f64> = (0..p).map(|_| coarse()).collect();
+                let weights: Vec<f64> = layout.grid().iter().map(|_| coarse() / 2.0).collect();
+                let weight = |d: &DlbDecision| weights[layout.grid().index(d.col)];
                 for r in 0..p {
                     let nbrs: Vec<(usize, f64)> = layout
                         .torus()
@@ -455,7 +457,7 @@ mod tests {
                         .map(|q| (q, loads[q]))
                         .collect();
                     let proto = DlbProtocol::new(layout, r);
-                    if let Some(d) = proto.choose(loads[r], &nbrs, &om) {
+                    if let Some(d) = proto.choose(loads[r], &nbrs, &om, weight) {
                         assert!(successors.contains(&d), "{d:?} not expanded from {om:?}");
                         chosen += 1;
                     }

@@ -10,7 +10,8 @@
 //!    neighbours' as they arrived with the *previous* round-1 frames —
 //!    each brought up to date by the transfers still **in flight** (see
 //!    below);
-//! 2. offers a cell to the fastest neighbour that may take one,
+//! 2. offers a cell to the fastest neighbour that may take one and stay
+//!    below it,
 //! 3. the cell being picked by the paper's Case 1–3 rules below;
 //! 4. ships the decision, with the work that moves with it, **inside its
 //!    round-1 frame** beside its load — the frame every step sends
@@ -49,13 +50,14 @@
 //! the initial condition: under the work model a column's load is an
 //! exact function of the cell occupancies, so every PE's load under any
 //! ownership is known without a force pass; each iteration lets every PE
-//! [`DlbProtocol::choose`] on those loads, applies the decisions to every
+//! [`DlbProtocol::choose`] on those loads — each candidate weighed by the
+//! exact work of its column on the receiver — applies the decisions to every
 //! view, re-sums the loads from the map, and stops at the first iteration
 //! that does not lower the largest load (which is not applied). Nothing
 //! is *in flight* in a plan: an iteration's loads are summed from the map
 //! its predecessor left — there is no stale load to bring up to date, so
 //! no [`Transfer`], no [`book_in_flight`], and the decision is call for
-//! call the paper's order on the same loads. Every planned transfer is a
+//! call the run's rule on the same loads. Every planned transfer is a
 //! `choose` result on a map every earlier one has been folded into —
 //! Cases 1–3, the permanent wall and the checker's search cover a plan as
 //! they cover a run — and the run itself starts as before: it announces
@@ -78,26 +80,36 @@
 //! permanent-cell wall, preserves the 8-neighbour communication pattern
 //! (property-tested below against arbitrary protocol executions).
 //!
-//! **Step 2 deviates from the paper's wording.** The paper finds the one
-//! fastest PE among self and the 8 and only then asks whether a cell may
-//! move that way; when it may not (Case 2, or Case 1 / 3 with nothing
-//! left to send) the PE sends nothing, however overloaded it is and
-//! however idle its other neighbours are. On an exact work model the
+//! **Step 2 deviates from the paper's wording, twice.** The paper finds
+//! the one fastest PE among self and the 8 and only then asks whether a
+//! cell may move that way; when it may not (Case 2, or Case 1 / 3 with
+//! nothing left to send) the PE sends nothing, however overloaded it is
+//! and however idle its other neighbours are. On an exact work model the
 //! fastest PE is the same one for hundreds of steps, so a hot PE whose
 //! fastest neighbour lies south-east stops shedding load for good.
 //! [`DlbProtocol::choose`] instead walks the neighbours in ascending
-//! `(load, rank)` and returns the first [`DlbProtocol::decide`] that
-//! moves a cell. This is a strict superset of the paper's rule: its
-//! first candidate *is* the paper's fastest PE ([`DlbProtocol::fastest_pe`]
-//! is that first candidate), so whenever the paper's rule transfers, the
-//! identical transfer comes out; the two differ only where the paper
-//! sends nothing although a slower-than-fastest, faster-than-me
-//! neighbour may legally take a cell. Cases 1–3, their directions and the
-//! permanent wall are untouched — `choose` emits nothing `decide` would
-//! not. Deciding a step ahead changes none of this: the superset
-//! property is a statement about `choose` on *whatever* loads it is
-//! given, and only its inputs changed — the ownership view it reads is
-//! the one every earlier decision has already been folded into.
+//! `(load, rank)` and returns the first [`DlbProtocol::decide`] result
+//! that moves a cell *and leaves its receiver below the giver*: a
+//! candidate `d` whose load — as it weighs on the receiver — would lift
+//! the receiver to or above the giver (`to_load + weight(d) >= own_load`)
+//! is passed over like one that may take nothing. That second part is the
+//! rule for indivisible loads (move a token only if that lowers the local
+//! difference); the paper moves a cell whatever it weighs. Where nothing
+//! weighs — every weight 0 — `choose` is a strict superset of the paper's
+//! rule: its first candidate *is* the paper's fastest PE
+//! ([`DlbProtocol::fastest_pe`] is that first candidate), so whenever the
+//! paper's rule transfers, the identical transfer comes out. With weights
+//! it also drops the paper's transfers that would leave the receiver at
+//! or above the giver, and with them the hand-back churn: on exact loads,
+//! after a move `i → j` of weight `w` with `load_j + w < load_i`, handing
+//! the column back would need `load_i − w + w < load_j + w`, which the
+//! move itself ruled out. Cases 1–3, their directions and the permanent
+//! wall are untouched — `choose` emits nothing `decide` would not, and
+//! the gate only removes transfers. Deciding a step ahead changes none of
+//! this: both properties are statements about `choose` on *whatever*
+//! loads and weights it is given, and only its inputs changed — the
+//! ownership view it reads is the one every earlier decision has already
+//! been folded into.
 //!
 //! Determinism notes (the paper ran on wall clocks, we also run on an
 //! exact work model where ties are real): a neighbour is a candidate
@@ -533,7 +545,7 @@ impl DlbProtocol {
         &self,
         own_load: f64,
         neighbor_loads: &[(usize, f64)],
-    ) -> impl Iterator<Item = usize> {
+    ) -> impl Iterator<Item = (usize, f64)> {
         let n = neighbor_loads.len();
         assert!(n <= 8, "a PE has at most 8 distinct neighbours, got {n}");
         let mut sorted = [(0.0, 0); 8];
@@ -551,7 +563,7 @@ impl DlbProtocol {
             .take_while(move |&(load, _)| {
                 load < own_load && (gate == 0.0 || (own_load - load) / own_load > gate)
             })
-            .map(|(_, rank)| rank)
+            .map(|(load, rank)| (rank, load))
     }
 
     /// Find the fastest PE among this PE and its neighbours (the paper's
@@ -562,22 +574,29 @@ impl DlbProtocol {
     pub fn fastest_pe(&self, own_load: f64, neighbor_loads: &[(usize, f64)]) -> usize {
         self.faster_neighbors(own_load, neighbor_loads)
             .next()
-            .unwrap_or(self.rank)
+            .map_or(self.rank, |(rank, _)| rank)
     }
 
     /// Steps 2–3 as this crate runs them: offer a cell to the fastest
-    /// neighbour that may take one. Walks the neighbours that are faster
-    /// than this PE (by more than `min_relative_gain`) from the fastest
-    /// up and returns the first [`Self::decide`] that moves a cell;
-    /// `None` when no faster neighbour may legally receive anything.
+    /// neighbour that may take one without ending up at or above this PE.
+    /// Walks the neighbours that are faster than this PE (by more than
+    /// `min_relative_gain`) from the fastest up and returns the first
+    /// [`Self::decide`] result `d` that moves a cell and leaves its
+    /// receiver below the giver: `to_load + weight(d) < own_load`, where
+    /// `weight(d)` is the load `d` moves, as it weighs on the receiver.
+    /// `None` when no faster neighbour may legally receive anything that
+    /// light. With every weight 0 the gate passes every candidate.
     pub fn choose(
         &self,
         own_load: f64,
         neighbor_loads: &[(usize, f64)],
         ownership: &OwnershipMap,
+        weight: impl Fn(&DlbDecision) -> f64,
     ) -> Option<DlbDecision> {
         self.faster_neighbors(own_load, neighbor_loads)
-            .find_map(|to| self.decide(ownership, to))
+            .filter_map(|(to, to_load)| Some((self.decide(ownership, to)?, to_load)))
+            .find(|(d, to_load)| to_load + weight(d) < own_load)
+            .map(|(d, _)| d)
     }
 
     /// Decide what to send to `fastest` (paper step 3, Cases 1–3), given
@@ -792,6 +811,30 @@ mod tests {
         p.decide(om, best_rank)
     }
 
+    /// Every decision weighs nothing: the gate passes every candidate.
+    fn weightless(_: &DlbDecision) -> f64 {
+        0.0
+    }
+
+    /// Test oracle: `choose` before it read any weight — the first
+    /// `decide` result among the neighbours faster than this PE (by more
+    /// than the gain), fastest first. Written out independently of
+    /// `faster_neighbors` so the two can be compared.
+    fn weight_blind(
+        p: &DlbProtocol,
+        own_load: f64,
+        nbrs: &[(usize, f64)],
+        om: &OwnershipMap,
+    ) -> Option<DlbDecision> {
+        let mut sorted = nbrs.to_vec();
+        sorted.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let gain = p.min_relative_gain;
+        sorted
+            .into_iter()
+            .take_while(|&(_, l)| l < own_load && (gain == 0.0 || (own_load - l) / own_load > gain))
+            .find_map(|(r, _)| p.decide(om, r))
+    }
+
     #[test]
     fn choose_offers_to_the_second_fastest_when_the_fastest_may_take_nothing() {
         // The state cluster_dlb_p9 sticks in: 3×3, m = 4, nothing lent
@@ -805,7 +848,9 @@ mod tests {
             let nbrs = loads_around(&l, me, 8.0, &[(blocked, 1.0), (nw, 3.0)]);
             assert_eq!(p.fastest_pe(10.0, &nbrs), blocked);
             assert_eq!(paper_rule(&p, 10.0, &nbrs, &om), None);
-            let d = p.choose(10.0, &nbrs, &om).expect("NW may take a cell");
+            let d = p
+                .choose(10.0, &nbrs, &om, weightless)
+                .expect("NW may take a cell");
             assert_eq!(
                 d,
                 DlbDecision {
@@ -825,20 +870,26 @@ mod tests {
         let (nw, se) = (at(&l, 0, 0), at(&l, 2, 2));
         // Balanced: no transfer, with or without hysteresis.
         let flat = loads_around(&l, me, 1.0, &[]);
-        assert_eq!(DlbProtocol::new(l, me).choose(1.0, &flat, &om), None);
+        assert_eq!(
+            DlbProtocol::new(l, me).choose(1.0, &flat, &om, weightless),
+            None
+        );
         let p = DlbProtocol::new(l, me).with_min_relative_gain(0.10);
-        assert_eq!(p.choose(1.0, &flat, &om), None);
+        assert_eq!(p.choose(1.0, &flat, &om, weightless), None);
         // Every faster neighbour inside the threshold: nothing moves.
         let near = loads_around(&l, me, 1.2, &[(se, 0.92), (nw, 0.95)]);
-        assert_eq!(p.choose(1.0, &near, &om), None);
+        assert_eq!(p.choose(1.0, &near, &om, weightless), None);
         // The walk stops at the first neighbour that fails the gate: SE
         // clears it but may take nothing, NW is the next candidate and
         // does not clear it.
         let mixed = loads_around(&l, me, 1.2, &[(se, 0.5), (nw, 0.95)]);
-        assert_eq!(p.choose(1.0, &mixed, &om), None);
+        assert_eq!(p.choose(1.0, &mixed, &om, weightless), None);
         // … and NW is taken as soon as it clears the gate too.
         let clear = loads_around(&l, me, 1.2, &[(se, 0.5), (nw, 0.85)]);
-        assert_eq!(p.choose(1.0, &clear, &om).map(|d| d.to), Some(nw));
+        assert_eq!(
+            p.choose(1.0, &clear, &om, weightless).map(|d| d.to),
+            Some(nw)
+        );
     }
 
     #[test]
@@ -852,9 +903,35 @@ mod tests {
         let lend = DlbProtocol::new(l, se).decide(&om, me).expect("movable");
         DlbProtocol::apply(&mut om, &lend);
         let nbrs = loads_around(&l, me, 8.0, &[(se, 1.0), (n, 2.0)]);
-        let d = p.choose(10.0, &nbrs, &om).expect("returns SE's column");
+        let d = p
+            .choose(10.0, &nbrs, &om, weightless)
+            .expect("returns SE's column");
         assert_eq!((d.col, d.to), (lend.col, se));
         assert_eq!(paper_rule(&p, 10.0, &nbrs, &om), Some(d));
+    }
+
+    #[test]
+    fn choose_skips_a_receiver_the_column_would_lift_to_the_giver() {
+        // NW and N may both take one of `me`'s own movable columns. A
+        // candidate is skipped when what it would receive leaves it at or
+        // above `me`, and the walk goes on to the next one.
+        let (l, om) = setup(9, 4);
+        let me = at(&l, 1, 1);
+        let (nw, n) = (at(&l, 0, 0), at(&l, 0, 1));
+        let p = DlbProtocol::new(l, me);
+        let nbrs = loads_around(&l, me, 12.0, &[(nw, 3.0), (n, 4.0)]);
+        let to = |d: Option<DlbDecision>| d.map(|d| d.to);
+        assert_eq!(to(p.choose(10.0, &nbrs, &om, |_| 6.5)), Some(nw));
+        // 3 + 7 is not below 10: equal is gated too, and so is N's 4 + 7.
+        assert_eq!(p.choose(10.0, &nbrs, &om, |_| 7.0), None);
+        // What NW would get is heavier than what N would: N takes it.
+        let by_receiver = |d: &DlbDecision| if d.to == nw { 8.0 } else { 1.0 };
+        let d = p
+            .choose(10.0, &nbrs, &om, by_receiver)
+            .expect("N stays below");
+        assert_eq!(Some(d), p.decide(&om, n));
+        // Weightless, the fastest receiver that may take a cell wins.
+        assert_eq!(to(p.choose(10.0, &nbrs, &om, weightless)), Some(nw));
     }
 
     #[test]
@@ -1075,35 +1152,45 @@ mod tests {
     }
 
     /// The central safety theorem, property-tested: under ANY sequence of
-    /// decisions `choose` makes from arbitrary load patterns, the
-    /// ownership map keeps all structural invariants — tile distance,
-    /// 8-neighbour preservation and ghost containment — and wherever the
-    /// paper's literal rule transfers, `choose` makes the same transfer.
-    /// Loads are drawn from `levels` equally spaced values, so a small
-    /// `levels` makes ties (and sub-threshold gains) common. Every PE
-    /// draws its *own* view of everyone's load: deciding a step ahead,
-    /// two PEs need not agree on a third one's (or each other's) load.
+    /// decisions `choose` makes from arbitrary load patterns and arbitrary
+    /// column weights, the ownership map keeps all structural invariants —
+    /// tile distance, 8-neighbour preservation and ghost containment. On
+    /// the way, every call is checked against the oracles: weightless,
+    /// `choose` is the weight-blind walk, and wherever the paper's literal
+    /// rule transfers it makes the same transfer; weighed, what it chooses
+    /// is a `decide` result for a neighbour that it leaves below this PE
+    /// (so a faster one: no weight is negative), and it is the
+    /// weight-blind choice whenever that one passes the gate. Loads are
+    /// drawn from `levels` equally spaced values in `[0, 1)`, so a small
+    /// `levels` makes ties (and sub-threshold gains) common; column
+    /// weights from the same values times `heavy` (0: every column
+    /// weightless, the weight-blind run). Every PE draws its *own* view of
+    /// everyone's load: deciding a step ahead, two PEs need not agree on a
+    /// third one's (or each other's) load.
     fn arbitrary_protocol_run(
         l: PillarLayout,
         loads_seed: u64,
         steps: usize,
         levels: u32,
         gain: f64,
+        heavy: u32,
     ) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut om = OwnershipMap::initial(l);
         let mut rng = StdRng::seed_from_u64(loads_seed);
         let nranks = l.num_ranks();
+        let grid = l.grid();
+        let mut level = move || f64::from(rng.gen_range(0..levels)) / f64::from(levels);
         for _ in 0..steps {
+            let weights: Vec<f64> = grid.iter().map(|_| level() * f64::from(heavy)).collect();
+            let weight = |d: &DlbDecision| weights[grid.index(d.col)];
             // Every PE decides from the same ownership view (the simulator
             // keeps views consistent: each decision reaches the whole
             // neighbourhood) but from its own view of the loads.
             let decisions: Vec<DlbDecision> = (0..nranks)
                 .filter_map(|r| {
-                    let loads: Vec<f64> = (0..nranks)
-                        .map(|_| f64::from(rng.gen_range(0..levels)) / f64::from(levels))
-                        .collect();
+                    let loads: Vec<f64> = (0..nranks).map(|_| level()).collect();
                     let proto = DlbProtocol::new(l, r).with_min_relative_gain(gain);
                     let nbrs: Vec<(usize, f64)> = l
                         .torus()
@@ -1111,11 +1198,26 @@ mod tests {
                         .into_iter()
                         .map(|q| (q, loads[q]))
                         .collect();
-                    let chosen = proto.choose(loads[r], &nbrs, &om);
-                    // Superset of the paper's rule: wherever that
-                    // transfers, this makes the identical transfer.
+                    let blind = proto.choose(loads[r], &nbrs, &om, weightless);
+                    assert_eq!(
+                        blind,
+                        weight_blind(&proto, loads[r], &nbrs, &om),
+                        "rank {r}"
+                    );
+                    // Superset of the paper's rule where nothing weighs:
+                    // wherever that transfers, this makes the identical
+                    // transfer.
                     if let Some(d) = paper_rule(&proto, loads[r], &nbrs, &om) {
-                        assert_eq!(chosen, Some(d), "rank {r}");
+                        assert_eq!(blind, Some(d), "rank {r}");
+                    }
+                    let chosen = proto.choose(loads[r], &nbrs, &om, weight);
+                    if let Some(d) = chosen {
+                        let overshoots = loads[d.to] + weight(&d) >= loads[r];
+                        assert!(!overshoots, "rank {r}: {d:?} overshoots");
+                        assert_eq!(proto.decide(&om, d.to), Some(d), "rank {r}");
+                    }
+                    if let Some(d) = blind.filter(|d| loads[d.to] + weight(d) < loads[r]) {
+                        assert_eq!(chosen, Some(d), "rank {r}: the gate dropped a light one");
                     }
                     chosen
                 })
@@ -1136,6 +1238,57 @@ mod tests {
         }
     }
 
+    /// On exact loads — every PE's load the sum of the integer weights of
+    /// the columns it owns, so nothing rounds — a transfer `choose` makes
+    /// is never chosen back by its receiver once it is applied: the gate
+    /// that let `i → j` through (`load_j + w < load_i`) is the negation of
+    /// the one `j → i` would need afterwards (`load_i − w + w < load_j +
+    /// w`). Between the checks the state moves on as a run's does, every
+    /// PE's decision of a step at once.
+    fn gated_transfers_stay(l: PillarLayout, seed: u64, steps: usize, gain: f64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (grid, nranks) = (l.grid(), l.num_ranks());
+        let work: Vec<f64> = grid
+            .iter()
+            .map(|_| f64::from(rng.gen_range(0..64u32)))
+            .collect();
+        let weight = |d: &DlbDecision| work[grid.index(d.col)];
+        let loads_of = |om: &OwnershipMap| {
+            let mut loads = vec![0.0; nranks];
+            for col in grid.iter() {
+                loads[om.owner_of(col)] += work[grid.index(col)];
+            }
+            loads
+        };
+        let choice = |om: &OwnershipMap, loads: &[f64], r: usize| {
+            let nbrs: Vec<(usize, f64)> = l
+                .torus()
+                .distinct_neighbors8(r)
+                .into_iter()
+                .map(|q| (q, loads[q]))
+                .collect();
+            let proto = DlbProtocol::new(l, r).with_min_relative_gain(gain);
+            proto.choose(loads[r], &nbrs, om, weight)
+        };
+        let mut om = OwnershipMap::initial(l);
+        for _ in 0..steps {
+            let loads = loads_of(&om);
+            let decisions: Vec<DlbDecision> =
+                (0..nranks).filter_map(|r| choice(&om, &loads, r)).collect();
+            for d in &decisions {
+                let mut once = om.clone();
+                DlbProtocol::apply(&mut once, d);
+                let back = choice(&once, &loads_of(&once), d.to);
+                assert_ne!(back.map(|b| (b.col, b.to)), Some((d.col, d.from)), "{d:?}");
+            }
+            for d in &decisions {
+                DlbProtocol::apply(&mut om, d);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
@@ -1145,10 +1298,11 @@ mod tests {
             seed in any::<u64>(),
             levels_log2 in 1u32..21,
             gain_tenths in 0u32..4,
+            heavy in 0u32..3,
         ) {
             let gain = f64::from(gain_tenths) / 10.0;
             let even = PillarLayout::from_p_and_m(p_side * p_side, m);
-            arbitrary_protocol_run(even, seed, 30, 1 << levels_log2, gain);
+            arbitrary_protocol_run(even, seed, 30, 1 << levels_log2, gain, heavy);
         }
 
         /// The same theorem where no two tiles need be alike: random cuts
@@ -1161,18 +1315,38 @@ mod tests {
             seed in any::<u64>(),
             levels_log2 in 1u32..21,
             gain_tenths in 0u32..4,
+            heavy in 0u32..3,
         ) {
             let gain = f64::from(gain_tenths) / 10.0;
             let uneven = PillarLayout::arbitrary(p_side, spare, seed);
-            arbitrary_protocol_run(uneven, seed, 30, 1 << levels_log2, gain);
+            arbitrary_protocol_run(uneven, seed, 30, 1 << levels_log2, gain, heavy);
+        }
+
+        #[test]
+        fn prop_a_gated_transfer_is_never_handed_back(
+            p_side in 3usize..6,
+            m in 2usize..5,
+            spare in 0usize..9,
+            uneven in any::<bool>(),
+            seed in any::<u64>(),
+            gain_tenths in 0u32..3,
+        ) {
+            let gain = f64::from(gain_tenths) / 10.0;
+            let l = if uneven {
+                PillarLayout::arbitrary(p_side, spare, seed)
+            } else {
+                PillarLayout::from_p_and_m(p_side * p_side, m)
+            };
+            gated_transfers_stay(l, seed, 20, gain);
         }
     }
 
     #[test]
     fn long_execution_on_paper_configuration() {
         // P = 36, m = 4 (the paper's Fig. 5(a) layout), 200 steps of
-        // random load churn.
+        // random load churn, weightless and weighed.
         let paper = PillarLayout::from_p_and_m(36, 4);
-        arbitrary_protocol_run(paper, 20260705, 200, 1 << 20, 0.0);
+        arbitrary_protocol_run(paper, 20260705, 200, 1 << 20, 0.0, 0);
+        arbitrary_protocol_run(paper, 20260705, 200, 1 << 20, 0.0, 1);
     }
 }

@@ -48,13 +48,16 @@ pub(crate) trait Decomposition {
 
     /// Balancer hook: what this rank gives away this step, judged from
     /// its own load and the loads it holds for its neighbours — called at
-    /// the top of the step, before anything is sent. Shapes without a
+    /// the top of the step, before anything is sent. `weight(d)` is the
+    /// load decision `d` would move, as it weighs on its receiver; a rule
+    /// may read it for the candidates it considers. Shapes without a
     /// balancer never decide anything.
     fn decide(
         &self,
         _step: u64,
         _own_load: f64,
         _nbr_loads: &[(usize, f64)],
+        _weight: &dyn Fn(&DlbDecision) -> f64,
     ) -> Option<DlbDecision> {
         None
     }
@@ -166,10 +169,16 @@ impl Decomposition for Pillar {
     }
 
     /// Paper Sec. 2.3, steps 2–3: offer a cell, by the Case 1–3 rules,
-    /// to the fastest neighbour that may take one.
-    fn decide(&self, _step: u64, own_load: f64, nbr_loads: &[(usize, f64)]) -> Option<DlbDecision> {
+    /// to the fastest neighbour that may take one and stay below this PE.
+    fn decide(
+        &self,
+        _step: u64,
+        own_load: f64,
+        nbr_loads: &[(usize, f64)],
+        weight: &dyn Fn(&DlbDecision) -> f64,
+    ) -> Option<DlbDecision> {
         let protocol = self.protocol.as_ref()?;
-        let decision = protocol.choose(own_load, nbr_loads, &self.ownership);
+        let decision = protocol.choose(own_load, nbr_loads, &self.ownership, weight);
         if let Some(d) = &decision {
             debug_assert!(DlbProtocol::validate(&self.layout, &self.ownership, d).is_ok());
         }

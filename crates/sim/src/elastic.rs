@@ -345,12 +345,9 @@ mod tests {
         // particles: it cuts the tiles where the load is *now* and plans
         // on them, so no generation goes through a shedding transient —
         // its first step's largest load is, to the bit, the one its
-        // launch plan ended on, or the one a move before: where the plan
-        // leaves its heaviest PE a borrowed column, the run's first
-        // decision (taken before its first force pass) hands it back.
-        // All inside the 24 steps for which no particle of the lattice
-        // changes cell: later the cluster spreads, and loads move for
-        // that reason.
+        // launch plan ended on. All inside the 24 steps for which no
+        // particle of the lattice changes cell: later the cluster
+        // spreads, and loads move for that reason.
         let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
         cfg.lattice = Lattice::Cluster { fill: 0.45 };
         cfg.dlb = true;
@@ -376,12 +373,11 @@ mod tests {
             let tiling = plan.tiling();
             assert!(!tiling.is_even(), "P = {p}: {tiling}");
             let first = &records[boundary as usize];
-            let last_two = &plan.peaks[plan.peaks.len().saturating_sub(2)..];
-            assert!(
-                last_two.contains(&first.f_max),
-                "generation from step {}: Fmax {}, planned {last_two:?}",
-                first.step,
-                first.f_max
+            assert_eq!(
+                Some(&first.f_max),
+                plan.peaks.last(),
+                "generation from step {}",
+                first.step
             );
             planned += plan.decisions.len();
             tilings.push(tiling);

@@ -15,7 +15,10 @@
 //! replayed into every rank's view like a checkpoint's ownership. Nothing
 //! here sends a message, and nothing here is a second balancer: every
 //! planned transfer is one the run's own `decide` returned on loads the
-//! run would have measured.
+//! run would have measured, each candidate weighed as the run weighs it —
+//! the exact work of the columns it moves, on the receiver. The plan and
+//! the run apply one rule, so on the paper's scenario a planned run's
+//! first step reads the plan's last peak.
 //!
 //! **The launch tiling.** The floor the plan reaches is set by the
 //! permanent cells (paper Sec. 4): a tile's last row and column never
@@ -456,15 +459,16 @@ pub fn launch_plan_on(
 /// the run would build it and the shape's own hook is called on it:
 /// `decide` on every rank's exact load (a column's work is a function of
 /// the cell occupancies alone; divided by the rank's speed where the run
-/// balances time), `excludes` voiding the pairs that cannot stand
-/// together, `apply` on every view. Iteration `k` is passed to `decide`
-/// as step `k`, so a rule that takes turns by step parity — the plane's —
-/// takes them here. An iteration that does not lower the largest load is
-/// not applied, and the plan ends at the first such iteration (the plane:
-/// at the second in a row, one per parity) or after as many iterations as
-/// the grid has granules. No parameter: the rule, its gain gate and its
-/// legality are the run's own, so a plan is a sequence of transfers the
-/// run itself could have made.
+/// balances time) and on the exact load each candidate would put on its
+/// receiver (its granule's work, on the receiver's speed), `excludes`
+/// voiding the pairs that cannot stand together, `apply` on every view.
+/// Iteration `k` is passed to `decide` as step `k`, so a rule that takes
+/// turns by step parity — the plane's — takes them here. An iteration
+/// that does not lower the largest load is not applied, and the plan ends
+/// at the first such iteration (the plane: at the second in a row, one
+/// per parity) or after as many iterations as the grid has granules. No
+/// parameter: the rule, its gates and its legality are the run's own, so
+/// a plan is a sequence of transfers the run itself could have made.
 fn plan_on(
     shape: DomainShape,
     cfg: &RunConfig,
@@ -520,7 +524,15 @@ fn plan_on(
                     .iter()
                     .map(|&nb| (nb, plan.loads[nb]))
                     .collect();
-                views[rank].decide(k, plan.loads[rank], &held)
+                // What a decision's granule costs its receiver.
+                let weight = |d: &DlbDecision| {
+                    let granule = views[rank].granule(d);
+                    costs.load(
+                        d.to,
+                        granule.iter().map(|&col| costs.work[index(col)]).sum(),
+                    )
+                };
+                views[rank].decide(k, plan.loads[rank], &held, &weight)
             })
             .collect();
         let all = decisions.clone();

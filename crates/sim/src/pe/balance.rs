@@ -1,10 +1,16 @@
 //! The balancer's glue (phase 3). The rule is the shape's
 //! (`Decomposition::{decide, excludes, apply, granule}`: the pillar's
-//! Case 1–3 rules toward the fastest neighbour that may take a cell, the
-//! plane's moving boundary — see [`pcdlb_core::protocol`]); [`Balance`]
-//! keeps its inputs between steps and is driven from loads and transfers
-//! alone. The frames that carry them are [`super::exchange`]'s business.
+//! Case 1–3 rules toward the fastest neighbour that may take a cell and
+//! stay below the giver, the plane's moving boundary — see
+//! [`pcdlb_core::protocol`]); [`Balance`] keeps its inputs between steps
+//! and is driven from loads and transfers alone. What a candidate weighs
+//! is the work a [`Transfer`] carries — its columns' candidate pairs as a
+//! share of this PE's load — on the receiver's speed; it is counted only
+//! for the candidates the rule considers, and the chosen one's is the
+//! transfer's. The frames that carry them are [`super::exchange`]'s
+//! business.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -77,21 +83,14 @@ impl Balance {
         due
     }
 
-    /// Apply the shape's rule to the loads in hand — `own_load`, and the
-    /// neighbours' as the last round 1 brought them with the transfers
-    /// applied since those were measured booked onto them
+    /// The neighbours' loads the shape's rule decides on
+    /// (`booked_loads`): as the last round 1 brought them, with the
+    /// transfers applied since those were measured booked onto them
     /// (`on_receiver`: see [`book_in_flight`]).
-    fn choose(
-        &mut self,
-        decomp: &dyn Decomposition,
-        step: u64,
-        own_load: f64,
-        on_receiver: impl Fn(usize, usize) -> f64,
-    ) -> Option<DlbDecision> {
+    fn book(&mut self, on_receiver: impl Fn(usize, usize) -> f64) {
         self.booked_loads.clear();
         self.booked_loads.extend_from_slice(&self.nbr_loads);
         book_in_flight(&mut self.booked_loads, &self.decisions, on_receiver);
-        decomp.decide(step, own_load, &self.booked_loads)
     }
 
     /// What this PE's round-1 frames carry: `own_load` — remembered as
@@ -195,8 +194,8 @@ impl PeState {
     /// Phase 3 (DLB), steps 1–3, run at the top of the step: apply the
     /// shape's balancer rule to the loads in hand — this PE's own, which
     /// its last force pass measured, and its neighbours' (see
-    /// [`Balance::choose`]). Purely local; the decision waits for
-    /// [`PeState::step_send_round1`].
+    /// [`Balance::book`]) — and to the load each candidate would move.
+    /// Purely local; the decision waits for [`PeState::step_send_round1`].
     pub(crate) fn dlb_decide(&mut self) {
         let t0 = WallTimer::start();
         debug_assert_eq!(
@@ -209,16 +208,33 @@ impl PeState {
         let speeds = cfg.speed.as_ref().filter(|_| cfg.speed_aware);
         let on_receiver =
             |from, to| speeds.map_or(1.0, |s| s.speed(from, step) / s.speed(to, step));
+        self.balance.book(on_receiver);
         let own = self.force.load();
-        let decision = self.balance.choose(&*self.decomp, step, own, on_receiver);
         // The load that changes hands, as a share of this PE's own: the
         // moved columns' candidate pairs over the last pass's total.
-        self.balance.my_decision = decision.map(|decision| Transfer {
-            decision,
+        let transfer = |decision: &DlbDecision| Transfer {
+            decision: *decision,
             work: match self.force.work().pair_checks {
                 0 => 0.0,
-                total => own * (self.granule_checks(&decision) as f64 / total as f64),
+                total => own * (self.granule_checks(decision) as f64 / total as f64),
             },
+        };
+        // What it weighs on the receiver, for each candidate the rule
+        // considers; the last one weighed is the one it returns, if any.
+        let weighed = Cell::new(None);
+        let weight = |d: &DlbDecision| {
+            let t = transfer(d);
+            weighed.set(Some(t));
+            t.work * on_receiver(d.from, d.to)
+        };
+        let decision = self
+            .decomp
+            .decide(step, own, &self.balance.booked_loads, &weight);
+        self.balance.my_decision = decision.map(|d| {
+            weighed
+                .get()
+                .filter(|t| t.decision == d)
+                .unwrap_or_else(|| transfer(&d))
         });
         self.phase.dlb += t0.elapsed_s();
     }
@@ -391,7 +407,7 @@ mod tests {
         balance.hear(2, Some(1.0), Some(work(give(3, 2), 1.0)));
         balance.hear(0, Some(4.0), Some(work(give(0, 2), 1e16)));
         balance.fold(&mut ring);
-        assert_eq!(balance.choose(&ring, 9, 7.0, |_, _| 1.0), None);
+        balance.book(|_, _| 1.0);
         assert_eq!(balance.booked_loads, [(2, 1e16), (0, 4.0 - 1e16)]);
         // A run that does not balance announces and books nothing.
         let mut idle = Balance::new(false);
@@ -450,7 +466,7 @@ mod tests {
             pe.dlb_decide();
             let ahead = pe.balance.my_decision.map(|t| t.decision);
             let in_hand = &pe.balance.nbr_loads;
-            proptest::prop_assert_eq!(ahead, protocol.choose(f64::from(own), in_hand, &view));
+            proptest::prop_assert_eq!(ahead, protocol.choose(f64::from(own), in_hand, &view, |_| 0.0));
             // A transfer in flight between two neighbours moves its work
             // from the one's load to the other's first, and only there.
             let (from, to) = (pe.neighbors()[giver], pe.neighbors()[taker]);
@@ -463,7 +479,7 @@ mod tests {
                 booked[taker].1 += f64::from(work);
             }
             let ahead = pe.balance.my_decision.map(|t| t.decision);
-            proptest::prop_assert_eq!(ahead, protocol.choose(f64::from(own), &booked, &view));
+            proptest::prop_assert_eq!(ahead, protocol.choose(f64::from(own), &booked, &view, |_| 0.0));
         }
     }
 

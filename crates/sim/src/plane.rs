@@ -98,7 +98,15 @@ impl Decomposition for Plane {
     /// steps with `(i + step)` even — the classic trick that stops a
     /// one-plane PE from being squeezed from both sides in the same
     /// step, and here also what limits a rank to one decision per step.
-    fn decide(&self, step: u64, own_load: f64, nbr_loads: &[(usize, f64)]) -> Option<DlbDecision> {
+    /// The rule reads no weight: a boundary moves whatever its plane
+    /// weighs.
+    fn decide(
+        &self,
+        step: u64,
+        own_load: f64,
+        nbr_loads: &[(usize, f64)],
+        _weight: &dyn Fn(&DlbDecision) -> f64,
+    ) -> Option<DlbDecision> {
         if self.hi - self.lo < 2 {
             return None;
         }
@@ -166,6 +174,12 @@ mod tests {
         Plane::new(rank, &cfg)
     }
 
+    /// `pl`'s decision with every plane weighing more than any load: the
+    /// moving-boundary rule reads no weight.
+    fn shed(pl: &Plane, step: u64, own: f64, loads: &[(usize, f64)]) -> Option<DlbDecision> {
+        pl.decide(step, own, loads, &|_| f64::INFINITY)
+    }
+
     #[test]
     fn a_boundary_moves_on_alternate_steps_toward_the_lighter_side() {
         // Rank 1 of 3 over 6 planes owns [2, 4): boundary 1 below,
@@ -173,14 +187,14 @@ mod tests {
         let pl = plane(1, 3, 6);
         let loads = [(0, 1.0), (2, 1.0)];
         // Step 1: boundary 1 is active (1 + 1 even) — shed plane 2 down.
-        let d = pl.decide(1, 5.0, &loads).expect("heavier side sheds");
+        let d = shed(&pl, 1, 5.0, &loads).expect("heavier side sheds");
         assert_eq!((d.col.cx, d.from, d.to), (2, 1, 0));
         // Step 2: boundary 2 is active — shed plane 3 up.
-        let d = pl.decide(2, 5.0, &loads).expect("heavier side sheds");
+        let d = shed(&pl, 2, 5.0, &loads).expect("heavier side sheds");
         assert_eq!((d.col.cx, d.from, d.to), (3, 1, 2));
         // The lighter side never sheds, and nobody gives away its last plane.
-        assert_eq!(pl.decide(1, 0.5, &loads), None);
-        assert_eq!(plane(1, 6, 6).decide(1, 5.0, &loads), None);
+        assert_eq!(shed(&pl, 1, 0.5, &loads), None);
+        assert_eq!(shed(&plane(1, 6, 6), 1, 5.0, &loads), None);
     }
 
     #[test]
@@ -188,7 +202,7 @@ mod tests {
         let mut giver = plane(1, 3, 6);
         let mut taker = plane(0, 3, 6);
         let mut bystander = plane(2, 3, 6);
-        let d = giver.decide(1, 5.0, &[(0, 1.0), (2, 1.0)]).unwrap();
+        let d = shed(&giver, 1, 5.0, &[(0, 1.0), (2, 1.0)]).unwrap();
         for pl in [&mut giver, &mut taker, &mut bystander] {
             pl.apply(&d);
         }
@@ -246,8 +260,8 @@ mod tests {
         assert_eq!(pl.owner_of(Col::new(2, 0), 0), 1);
         assert_eq!(pl.owner_of(Col::new(3, 0), 0), 1);
         // The seam boundary never moves: rank 0 may only shed upward.
-        assert_eq!(pl.decide(2, 5.0, &[(1, 1.0)]), None);
-        let d = pl.decide(1, 5.0, &[(1, 1.0)]).unwrap();
+        assert_eq!(shed(&pl, 2, 5.0, &[(1, 1.0)]), None);
+        let d = shed(&pl, 1, 5.0, &[(1, 1.0)]).unwrap();
         assert_eq!((d.col.cx, d.to), (1, 1));
     }
 }

@@ -539,8 +539,8 @@ pub(crate) mod tests {
 
     /// 3×3, m = 4, the cluster on rank 0's tile of the paper's tiling —
     /// the benchmark's `cluster_dlb_p9`: the launch cuts the tiles through
-    /// the cluster (2·1·9 × 1·2·9), and the wide tile sheds a column
-    /// nearly every step.
+    /// the cluster (2·2·8 × 2·2·8), and the balancer moves a column or two
+    /// on each of the first seven steps.
     fn busy_balancer_cfg() -> RunConfig {
         let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
         cfg.lattice = Lattice::Cluster { fill: 0.45 };
@@ -702,9 +702,13 @@ pub(crate) mod tests {
     #[cfg(feature = "check")]
     #[test]
     fn a_working_balancer_survives_a_death_bitwise() {
+        use crate::engine::{run_roles, Start};
+        use crate::launch::{launch_plan, Placed};
         use pcdlb_core::protocol::tags;
+        use pcdlb_domain::DomainShape;
         use pcdlb_mp::collectives::ctag;
         use pcdlb_mp::FaultPlan;
+        use std::sync::Mutex;
         // Which neighbour is offered the cell is a pure function of the
         // loads in hand, the transfers in flight and the ownership view
         // — all of which a checkpoint carries — so a run restored from a
@@ -712,11 +716,21 @@ pub(crate) mod tests {
         // as the uninterrupted one.
         let cfg = busy_balancer_cfg();
         let reference = fault_free(&cfg, false);
-        let transfers: u32 = reference.report.records.iter().map(|r| r.transfers).sum();
-        assert!(
-            transfers > 16,
-            "the balancer is busy: {transfers} transfers"
-        );
+        // The checkpoint the relaunch restores — step 5's, taken here by
+        // a run that drains there — carries a transfer in flight: the
+        // restored ranks book its work before they decide.
+        let mut to_5 = cfg.clone();
+        to_5.steps = 5;
+        let (shape, sink) = (DomainShape::SquarePillar, Mutex::new(None));
+        let placed = Placed::new(&to_5, &initial_particles(&to_5));
+        let plan = launch_plan(shape, &to_5, 0, &placed);
+        pcdlb_mp::World::new(to_5.p).run(|comm| {
+            let (roles, start) = ([comm.rank()], Start::Fresh(&placed, &plan));
+            run_roles(comm, &to_5, shape, &roles, start, Some(&sink), false, true)
+        });
+        let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
+        assert_eq!(at_5.md.step, 5);
+        assert!(!at_5.transfers.is_empty(), "nothing in flight at step 5");
         // Rank 4 is the south-east neighbour the hot rank cannot send to.
         // It dies on its sixth stats gather: in step 6, the step that
         // decided on what the checkpoint at step 5 had to carry.

@@ -49,14 +49,17 @@ fn balancer_sheds_a_hot_tile_down_to_its_permanent_cells() {
     // direction nothing may move in — while NW / N / W can still take its
     // movable columns: the balancer must keep offering to them until only
     // the permanent columns are left. The launch plan runs that rule on
-    // the initial condition's work map, so the run *starts* on the floor:
-    // one step in, rank 0 holds its permanent columns and nothing else,
-    // and it never grows past its own tile. (On the paper's 4 × 4 tiles
+    // the initial condition's work map, so the run *starts* on the floor
+    // and never grows past its own tile. (On the paper's 4 × 4 tiles
     // that floor is the whole step, so the launch cuts rank 0 a 2 × 2 tile
     // in the cluster's core: the wall and the movable block are read off
-    // the tiling the run reports. Three more PEs now share the core, rank 0
-    // is not the heaviest on every step, and by step 40 its one movable
-    // column has been handed back to it.)
+    // the tiling the run reports. Three more PEs now share the core, and
+    // rank 0 is not the heaviest: the plan sends its movable column
+    // north-west and lends it column (2, 2) of rank 4's tile, so it
+    // launches on its three wall columns plus that one. It keeps it for
+    // the whole run — handing it back would leave rank 4 at or above
+    // rank 0, and a column moves only to a receiver it leaves below its
+    // giver.)
     let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
     cfg.lattice = Lattice::Cluster { fill: 0.45 };
     cfg.dlb = true;
@@ -66,13 +69,14 @@ fn balancer_sheds_a_hot_tile_down_to_its_permanent_cells() {
     let (rows, cols) = tiling.tile_dims(0);
     assert_eq!((rows, cols), (2, 2), "{tiling}");
     let floor = (rows + cols - 1) * cfg.nc;
+    let lent = floor + cfg.nc;
     assert_eq!(
         early.cells_per_rank.iter().sum::<usize>(),
         cfg.total_cells()
     );
     assert_eq!(
-        early.cells_per_rank[0], floor,
-        "rank 0 should launch on its permanent columns: {:?}",
+        early.cells_per_rank[0], lent,
+        "rank 0 should launch on its permanent columns and one borrowed: {:?}",
         early.cells_per_rank
     );
     let movable = (rows - 1) * (cols - 1);
@@ -87,8 +91,10 @@ fn balancer_sheds_a_hot_tile_down_to_its_permanent_cells() {
     let mut ddm_cfg = cfg.clone();
     ddm_cfg.dlb = false;
     let ddm = run(&ddm_cfg);
-    let held = dlb.cells_per_rank[0];
-    assert!((floor..=rows * cols * cfg.nc).contains(&held), "{held}");
+    assert_eq!(
+        dlb.cells_per_rank[0], lent,
+        "rank 0 keeps the borrowed column"
+    );
     assert_eq!(ddm.launch_transfers, 0);
     let cap = (0..cfg.p).map(|r| max_columns(&tiling, r)).max().unwrap() * cfg.nc;
     assert!(dlb.records.iter().all(|r| r.max_cells <= cap));

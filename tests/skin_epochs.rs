@@ -10,10 +10,13 @@
 //! - a run that does balance sends two — the decision was taken a step
 //!   ahead and rides round 1, so a DLB step sends what a DDM step with two
 //!   rounds sends, plus one message per column that changes hands during a
-//!   step and, once per launch, the announcement of the initial loads. The
-//!   launch plan — where the balancer's rule takes the initial condition
-//!   before a thread starts — sends nothing: a planned launch's messages
-//!   are an unplanned one's, column for column that moves in the run.
+//!   step and, once per launch, the announcement of the initial loads
+//!   (a column moves only if it leaves its receiver below its giver, so
+//!   the columns that move are shown on a start whose load gathers after
+//!   launch). The launch plan — where the balancer's rule takes the
+//!   initial condition before a thread starts — sends nothing: a planned
+//!   launch's messages are an unplanned one's, column for column that
+//!   moves in the run.
 
 use pcdlb::sim::{
     digest_particles, run_serial, DomainShape, Lattice, Launch, RunConfig, RunReport,
@@ -51,12 +54,12 @@ fn run(cfg: &RunConfig, shape: DomainShape) -> RunReport {
     report
 }
 
-/// Messages a healthy `STEPS`-step run sends over all ranks, each rank
-/// having `nbrs` neighbours, given what its report says happened: which
-/// steps rebuilt and how many columns changed hands during them (the
-/// columns the launch plan moved are `launch_transfers`, and cost none).
+/// Messages a healthy run sends over all ranks, each rank having `nbrs`
+/// neighbours, given what its report says happened: which steps rebuilt
+/// and how many columns changed hands during them (the columns the
+/// launch plan moved are `launch_transfers`, and cost none).
 fn expected_msgs(cfg: &RunConfig, nbrs: u64, report: &RunReport) -> u64 {
-    let p = cfg.p as u64;
+    let (p, steps) = (cfg.p as u64, cfg.steps);
     let nbrs = p * nbrs;
     let rebuilds = report.records.iter().filter(|r| r.rebuilt).count() as u64;
     let transfers: u64 = report.records.iter().map(|r| u64::from(r.transfers)).sum();
@@ -67,13 +70,13 @@ fn expected_msgs(cfg: &RunConfig, nbrs: u64, report: &RunReport) -> u64 {
     // the run balances and one exchange where it does not; the refresh
     // alone on every other step; one message per column that moves.
     let (announcement, rounds) = if cfg.dlb { (nbrs, 2) } else { (0, 1) };
-    let p2p = nbrs + announcement + rebuilds * rounds * nbrs + (STEPS - rebuilds) * nbrs;
+    let p2p = nbrs + announcement + rebuilds * rounds * nbrs + (steps - rebuilds) * nbrs;
     // Collectives: the rebuild decision (gather + broadcast, every step,
     // skin epochs only), the thermostat (gather + broadcast), the stats
     // gather (every step) and the final snapshot gather.
-    let decision = if cfg.skin > 0.0 { STEPS * 2 * coll } else { 0 };
-    let thermostat = (STEPS / THERMOSTAT_EVERY) * 2 * coll;
-    p2p + transfers + decision + thermostat + STEPS * coll + coll
+    let decision = if cfg.skin > 0.0 { steps * 2 * coll } else { 0 };
+    let thermostat = (steps / THERMOSTAT_EVERY) * 2 * coll;
+    p2p + transfers + decision + thermostat + steps * coll + coll
 }
 
 #[test]
@@ -104,9 +107,14 @@ fn every_step_rebuilds_without_a_skin_in_one_exchange_where_nothing_balances() {
 fn a_balancing_step_sends_what_a_two_round_step_sends_plus_the_columns_that_move() {
     // Pillar: 3×3, m = 2, the gas squeezed into a corner. Plane: a ring
     // of three, three planes each, over the same corner. The launch plan
-    // has moved columns before the first step — without a message — and
-    // the balancer keeps working afterwards. Every step is a DLB step;
-    // none has a message of its own.
+    // has moved columns before the first step — without a message. Every
+    // step is a DLB step; none has a message of its own. The plane's
+    // boundaries keep moving. The pillar's balancer is idle for the whole
+    // run: a column moves only if it leaves its receiver below its giver,
+    // and on these 2 × 2 tiles every movable column outweighs the gap it
+    // would close — so here the pillar shows the two rounds alone, and
+    // `columns_move_during_skin_epochs_once_the_load_gathers` the column
+    // messages.
     for (shape, p, nc, nbrs) in [
         (DomainShape::SquarePillar, 9, 6, 8),
         (DomainShape::Plane, 3, 9, 2),
@@ -116,7 +124,8 @@ fn a_balancing_step_sends_what_a_two_round_step_sends_plus_the_columns_that_move
         cfg.lattice = Lattice::Cluster { fill: 0.6 };
         let report = run(&cfg, shape);
         let transfers: u32 = report.records.iter().map(|r| r.transfers).sum();
-        assert!(transfers > 0, "{shape:?}: the balancer is idle");
+        let pillar = shape == DomainShape::SquarePillar;
+        assert_eq!(transfers == 0, pillar, "{shape:?}: {transfers} transfers");
         assert!(
             report.launch_transfers > 0,
             "{shape:?}: the corner start plans a shed"
@@ -129,20 +138,11 @@ fn a_balancing_step_sends_what_a_two_round_step_sends_plus_the_columns_that_move
     }
 }
 
-#[test]
-fn the_balancer_is_due_at_the_first_rebuild_after_each_multiple_of_its_interval() {
-    // Under skin epochs the balancer can only act on rebuild steps. With
-    // `dlb_interval = 3` it is due once a multiple of 3 has gone by since
-    // the last rebuild — not only when a rebuild happens to fall on one.
-    // The corner cluster makes it willing (while the one movable column
-    // per tile lasts), so "due" shows as transfers.
-    let k = 3;
-    let mut cfg = gas(9, 6, 0.06);
-    cfg.steps = 60;
-    cfg.dlb = true;
-    cfg.dlb_interval = k;
-    cfg.lattice = Lattice::Cluster { fill: 0.6 };
-    let report = run(&cfg, DomainShape::SquarePillar);
+/// Walk `report`'s rebuild steps with the balancer due every `k`:
+/// nothing moves mid-epoch or on a rebuild that is not due. Returns the
+/// due steps, those that moved a column, and those of them off a multiple
+/// of `k`.
+fn due_steps(report: &RunReport, k: u64) -> (u32, u32, u32) {
     let mut last_rebuild = 0;
     let (mut due, mut acted, mut off_multiple) = (0, 0, 0);
     for r in &report.records {
@@ -159,13 +159,59 @@ fn the_balancer_is_due_at_the_first_rebuild_after_each_multiple_of_its_interval(
         off_multiple += u32::from(r.transfers > 0 && r.step % k != 0);
         last_rebuild = r.step;
     }
+    (due, acted, off_multiple)
+}
+
+#[test]
+fn the_balancer_is_due_at_the_first_rebuild_after_each_multiple_of_its_interval() {
+    // Under skin epochs the balancer can only act on rebuild steps. With
+    // `dlb_interval = 3` it is due once a multiple of 3 has gone by since
+    // the last rebuild — not only when a rebuild happens to fall on one.
+    // On this corner cluster it is due but never willing: every movable
+    // column of the 2 × 2 tiles would leave its receiver at or above its
+    // giver, so nothing moves after the launch. The schedule is still
+    // walked here; `columns_move_during_skin_epochs_once_the_load_gathers`
+    // shows "due" as transfers.
+    let k = 3;
+    let mut cfg = gas(9, 6, 0.06);
+    cfg.steps = 60;
+    cfg.dlb = true;
+    cfg.dlb_interval = k;
+    cfg.lattice = Lattice::Cluster { fill: 0.6 };
+    let report = run(&cfg, DomainShape::SquarePillar);
+    let (due, acted, _) = due_steps(&report, k);
     assert!(
         due >= 5,
         "degenerate schedule: {due} windows with a rebuild"
     );
+    assert_eq!(acted, 0, "a column moved on {acted} of {due} due steps");
+}
+
+#[test]
+fn columns_move_during_skin_epochs_once_the_load_gathers() {
+    // The corner pull of the end-to-end tests on 4 × 4 tiles: the load
+    // gathers after launch, columns light enough to leave their receiver
+    // below their giver appear, and the balancer — due at the first
+    // rebuild after each multiple of 3 — moves them. Each costs one
+    // message on top of the two rounds.
+    let k = 3;
+    let mut cfg = RunConfig::from_p_m_density(9, 4, 0.256);
+    cfg.steps = 100;
+    cfg.seed = 1;
+    cfg.thermostat_interval = THERMOSTAT_EVERY;
+    cfg.central_pull = 0.5;
+    cfg.pull_corner = true;
+    cfg.dlb = true;
+    cfg.dlb_min_gain = 0.05;
+    cfg.dlb_interval = k;
+    cfg.skin = 0.06;
+    cfg.verlet = true;
+    let report = run(&cfg, DomainShape::SquarePillar);
+    let (due, acted, off_multiple) = due_steps(&report, k);
     assert!(acted >= 3, "{acted} of {due} due steps transferred");
     assert!(
         off_multiple > 0,
         "no transfer off a multiple of {k}: a rebuild has to fall on one to balance"
     );
+    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 8, &report));
 }
