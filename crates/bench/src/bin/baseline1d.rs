@@ -15,8 +15,8 @@
 //!
 //! Usage: baseline1d [--p P] [--m M] [--steps N] [--pull K]
 
-use pcdlb_bench::{print_header, widths_note, Args};
-use pcdlb_sim::{run, DomainShape, Lattice, Launch, RunConfig, RunReport};
+use pcdlb_bench::{print_header, run_fixed, widths_note, Args};
+use pcdlb_sim::{DomainShape, Lattice, Launch, RunConfig, RunReport};
 
 fn late_imbalance(rep: &RunReport) -> (f64, f64) {
     let from = rep.records.len() * 3 / 4;
@@ -42,15 +42,15 @@ fn report_row(label: &str, rep: &RunReport) {
 fn run_all_four(base: &RunConfig) {
     let mut c = base.clone();
     c.dlb = false;
-    report_row("pillar-static", &run(&c));
+    report_row("pillar-static", &run_fixed(&c));
     c.dlb = true;
-    let dlb = run(&c);
+    let dlb = run_fixed(&c);
     report_row("pillar-dlb", &dlb);
     let tiling = dlb.tiling.expect("a pillar run reports its tiling");
     if !tiling.is_even() {
         println!("# (pillar-dlb{})", widths_note(&tiling));
     }
-    let plane = Launch::new().shape(DomainShape::Plane);
+    let plane = Launch::new().shape(DomainShape::Plane).fixed_tiles();
     c.dlb = false;
     report_row("plane-static", &plane.run(&c).report);
     c.dlb = true;

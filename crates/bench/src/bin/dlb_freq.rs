@@ -9,8 +9,8 @@
 //!
 //! Usage: dlb_freq [--p P] [--m M] [--steps N] [--pull K] [--gain G]
 
-use pcdlb_bench::{launch_tiling, print_header, widths_note, Args};
-use pcdlb_sim::{run, RunConfig};
+use pcdlb_bench::{launch_tiling, print_header, run_fixed, widths_note, Args};
+use pcdlb_sim::RunConfig;
 
 fn main() {
     let args = Args::parse();
@@ -44,7 +44,7 @@ fn main() {
 
     let mut off = base.clone();
     off.dlb = false;
-    let off_rep = run(&off);
+    let off_rep = run_fixed(&off);
     let late = |rep: &pcdlb_sim::RunReport| {
         let from = rep.records.len() * 4 / 5;
         let n = (rep.records.len() - from) as f64;
@@ -63,7 +63,7 @@ fn main() {
         let mut cfg = base.clone();
         cfg.dlb = true;
         cfg.dlb_interval = k;
-        let rep = run(&cfg);
+        let rep = run_fixed(&cfg);
         let (t, gap) = late(&rep);
         let transfers: u32 = rep.records.iter().map(|r| r.transfers).sum();
         // Share of messages beyond the DDM baseline, attributable to DLB.

@@ -15,8 +15,8 @@
 //! - `paper`: P = 36, N = 59319 / 8000, natural condensation (no pull),
 //!   10⁴ steps — the full experiment.
 
-use pcdlb_bench::{print_header, widths_note, Args};
-use pcdlb_sim::{run, RunConfig, RunReport};
+use pcdlb_bench::{print_header, run_fixed, widths_note, Args};
+use pcdlb_sim::{RunConfig, RunReport};
 
 struct Variant {
     label: &'static str,
@@ -52,7 +52,7 @@ fn run_pair(v: &Variant) -> (RunReport, RunReport) {
     ddm.dlb = false;
     let mut dlb = v.cfg.clone();
     dlb.dlb = true;
-    (run(&ddm), run(&dlb))
+    (run_fixed(&ddm), run_fixed(&dlb))
 }
 
 fn main() {

@@ -11,8 +11,8 @@
 //! Usage: fig6 [--scale small|mid|paper] [--steps N] [--pull K]
 //!             [--gain G] [--every E]
 
-use pcdlb_bench::{print_header, widths_note, Args};
-use pcdlb_sim::{run, RunConfig, RunReport};
+use pcdlb_bench::{print_header, run_fixed, widths_note, Args};
+use pcdlb_sim::{RunConfig, RunReport};
 
 fn print_series(title: &str, rep: &RunReport, every: u64) {
     println!("\n## {title}");
@@ -64,11 +64,11 @@ fn main() {
 
     let mut ddm = base.clone();
     ddm.dlb = false;
-    print_series("(a) DDM", &run(&ddm), every);
+    print_series("(a) DDM", &run_fixed(&ddm), every);
 
     let mut dlb = base.clone();
     dlb.dlb = true;
-    let dlb = run(&dlb);
+    let dlb = run_fixed(&dlb);
     let tiling = dlb.tiling.expect("a pillar run reports its tiling");
     let title = format!("(b) DLB-DDM{}", widths_note(&tiling));
     print_series(&title, &dlb, every);

@@ -6,12 +6,17 @@
 //! increase (paper Sec. 4.2). The theoretical bound `f(m, n)` is printed
 //! alongside so the crossing is visible in the numbers.
 //!
+//! The paper's figure measures tiles cut once, at launch
+//! (`Launch::fixed_tiles`). `--retile` prints the "DLB + re-tile" series
+//! beside it instead — the same run with tiles that follow the load, each
+//! re-tile marked — and the mean `Tt` of both runs.
+//!
 //! Usage: fig9 [--p P] [--m M] [--density RHO] [--steps N] [--pull K]
-//!             [--gain G] [--every E]
+//!             [--gain G] [--every E] [--retile]
 
-use pcdlb_bench::{detect_boundary_index, print_header, Args};
+use pcdlb_bench::{detect_boundary_index, print_header, run_fixed, Args};
 use pcdlb_core::theory;
-use pcdlb_sim::{run, RunConfig};
+use pcdlb_sim::{run, RunConfig, RunReport};
 
 fn main() {
     let args = Args::parse();
@@ -29,12 +34,17 @@ fn main() {
     cfg.pull_corner = args.flag("corner");
     cfg.dlb_min_gain = args.get_f64("gain", 0.05);
 
-    println!("# Fig. 9 reproduction: trajectory in (n, C0/C) space");
+    let retile = args.flag("retile");
+    if retile {
+        println!("# Fig. 9 beside the paper: DLB + re-tile (tiles follow the load)");
+    } else {
+        println!("# Fig. 9 reproduction: trajectory in (n, C0/C) space");
+    }
     println!(
         "# P={p} m={m} rho={density} N={} steps={steps} pull={pull}",
         cfg.n_particles
     );
-    let report = run(&cfg);
+    let report = if retile { run(&cfg) } else { run_fixed(&cfg) };
 
     let boundary = detect_boundary_index(&report);
     print_header(&["step", "n", "C0/C", "f(m,n)", "Fmax-Fmin[s]"]);
@@ -68,5 +78,16 @@ fn main() {
             "# no boundary detected within {steps} steps — DLB kept the load \
              balanced for the whole run (increase --steps or --pull)"
         ),
+    }
+    if retile {
+        for (step, tiling, moved) in &report.retiles {
+            println!("# re-tiled at step {step}: tile widths {tiling}, {moved} columns moved");
+        }
+        let mean_ms = |r: &RunReport| r.mean_t_step(0, r.records.len()) * 1e3;
+        println!(
+            "# mean Tt: {:.4} model_ms on fixed tiles, {:.4} with re-tiling",
+            mean_ms(&run_fixed(&cfg)),
+            mean_ms(&report)
+        );
     }
 }

@@ -45,7 +45,8 @@ fn regime(label: &str, nc: usize, p_2d: usize, p_3d: usize, steps: u64) {
         let mut c = RunConfig::new(n, nc, p, density);
         c.steps = steps;
         c.dlb = false;
-        row(label, &Launch::new().shape(shape).run(&c).report, p, steps);
+        let launch = Launch::new().shape(shape).fixed_tiles();
+        row(label, &launch.run(&c).report, p, steps);
     }
 }
 

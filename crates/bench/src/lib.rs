@@ -21,7 +21,7 @@ use pcdlb_core::boundary::BoundaryDetector;
 use pcdlb_core::theory;
 use pcdlb_domain::PillarLayout;
 use pcdlb_sim::pe::initial_particles;
-use pcdlb_sim::{launch_plan, run, DomainShape, Placed, RunConfig};
+use pcdlb_sim::{launch_plan, DomainShape, Launch, Placed, RunConfig, RunReport};
 
 /// Minimal `--key value` / `--flag` argument parser for the experiment
 /// binaries (no CLI dependency in the approved crate list).
@@ -103,11 +103,20 @@ pub fn print_header(cols: &[&str]) {
     println!("# {}", cols.join("\t"));
 }
 
-/// The tiling a square-pillar run of `cfg` launches on: the paper's
-/// `m × m` tiles unless the run balances and its launch re-cut them.
+/// Run `cfg` on the square pillar as the paper's figures measure it: on
+/// tiles cut once, at launch ([`Launch::fixed_tiles`]). Every experiment
+/// binary launches this way; the "DLB + re-tile" series beside Fig. 9 is
+/// the one exception, and says so.
+pub fn run_fixed(cfg: &RunConfig) -> RunReport {
+    Launch::new().fixed_tiles().run(cfg).report
+}
+
+/// The tiling a square-pillar run of `cfg` launches on under
+/// [`run_fixed`]: the paper's `m × m` tiles unless the run balances and
+/// its launch re-cut them.
 pub fn launch_tiling(cfg: &RunConfig) -> PillarLayout {
-    let placed = Placed::new(cfg, &initial_particles(cfg));
-    launch_plan(DomainShape::SquarePillar, cfg, 0, &placed).tiling()
+    let work = Placed::new(cfg, &initial_particles(cfg)).column_work();
+    launch_plan(DomainShape::SquarePillar, cfg, 0, &work, false).tiling()
 }
 
 /// What an experiment binary's header says beside `m` about the tiling a
@@ -195,10 +204,11 @@ pub fn boundary_cfg(
     cfg
 }
 
-/// Run one boundary experiment ([`boundary_cfg`]), with the experimental
-/// boundary detected from the `Fmax − Fmin` series (paper Sec. 4.2).
-/// Returns `None` if the imbalance never starts a significant rise within
-/// the budget (the DLB limit was not reached).
+/// Run one boundary experiment ([`boundary_cfg`]) on fixed tiles
+/// ([`run_fixed`]), with the experimental boundary detected from the
+/// `Fmax − Fmin` series (paper Sec. 4.2). Returns `None` if the imbalance
+/// never starts a significant rise within the budget (the DLB limit was
+/// not reached).
 pub fn measure_boundary(
     p: usize,
     m: usize,
@@ -207,7 +217,7 @@ pub fn measure_boundary(
     pull: f64,
     seed: u64,
 ) -> Option<BoundaryPoint> {
-    let report = run(&boundary_cfg(p, m, density, steps, pull, seed));
+    let report = run_fixed(&boundary_cfg(p, m, density, steps, pull, seed));
     let idx = detect_boundary_index(&report)?;
     let rec = &report.records[idx];
     let n = rec.n_factor;

@@ -44,7 +44,12 @@
 //! configuration swept here also replays the plans of a spread of
 //! clustered starts ([`check_pillar_plan`]), each on the tiling its launch
 //! chose: each planned transfer must validate against the map as it
-//! stands and each state must hold the invariants. The plane's plans are replayed on its slabs
+//! stands and each state must hold the invariants — on tiles cut once
+//! (none under two columns wide) and on the thinner tiles of a run that
+//! re-tiles. A re-tiling run plans again at each of its checks, on the
+//! work map the run measured: those plans are replayed too, from the
+//! serial state before every check step of a clustered start
+//! ([`replay_check_plans`]). The plane's plans are replayed on its slabs
 //! ([`check_plane_plan`]): only a slab's edge plane may cross, only to
 //! the neighbour across that edge, and nobody gives its last plane away.
 
@@ -99,6 +104,8 @@ pub struct InvariantReport {
     pub recut_plans: usize,
     /// Transfers those plans made, each validated.
     pub planned_transfers: usize,
+    /// Re-tile check plans replayed (pillar, one per check step).
+    pub check_plans: usize,
 }
 
 /// Check one ownership state against the paper's invariants: the
@@ -307,41 +314,76 @@ const PLANNED_STARTS: [Lattice; 6] = [
 ];
 
 /// Plan every start of [`PLANNED_STARTS`] for `shape` on `cfg` — with the
-/// paper's gate of 0 and with a hysteresis — and replay the plans.
-/// Returns `(plans, plans on re-cut tiles, transfers)`.
+/// paper's gate of 0 and with a hysteresis, for a run whose tiles are cut
+/// once and for one that re-tiles (tiles down to one column wide: what
+/// every re-tile of a run plans on, from the work map it measured) — and
+/// replay the plans. Returns `(plans, plans on re-cut tiles, transfers)`.
 fn replay_plans(shape: DomainShape, cfg: &RunConfig) -> Result<(usize, usize, usize), String> {
     let mut cfg = cfg.clone();
     cfg.dlb = true;
     let (mut plans, mut recut, mut transfers) = (0, 0, 0);
+    // (The plane has no tiles to cut: one launch of each start.)
+    let retiling: &[bool] = match shape {
+        DomainShape::SquarePillar => &[false, true],
+        _ => &[false],
+    };
     for lattice in PLANNED_STARTS {
         for gain in [0.0, 0.05] {
-            cfg.lattice = lattice;
-            cfg.dlb_min_gain = gain;
-            let placed = Placed::new(&cfg, &initial_particles(&cfg));
-            let plan = launch_plan(shape, &cfg, 0, &placed);
-            let context = |e| {
-                format!(
-                    "{} P = {}, nc = {}, {lattice:?}: {e}",
-                    shape.name(),
-                    cfg.p,
-                    cfg.nc
-                )
-            };
-            match shape {
-                DomainShape::SquarePillar => {
-                    let layout = plan.tiling();
-                    check_pillar_plan(&layout, &plan.decisions).map_err(context)?;
-                    recut += usize::from(!layout.is_even());
+            for &retiles in retiling {
+                cfg.lattice = lattice;
+                cfg.dlb_min_gain = gain;
+                let work = Placed::new(&cfg, &initial_particles(&cfg)).column_work();
+                let plan = launch_plan(shape, &cfg, 0, &work, retiles);
+                let context = |e| {
+                    format!(
+                        "{} P = {}, nc = {}, {lattice:?}: {e}",
+                        shape.name(),
+                        cfg.p,
+                        cfg.nc
+                    )
+                };
+                match shape {
+                    DomainShape::SquarePillar => {
+                        let layout = plan.tiling();
+                        check_pillar_plan(&layout, &plan.decisions).map_err(context)?;
+                        recut += usize::from(!layout.is_even());
+                    }
+                    _ => {
+                        check_plane_plan(cfg.nc, cfg.p, &plan.decisions).map_err(context)?;
+                    }
                 }
-                _ => {
-                    check_plane_plan(cfg.nc, cfg.p, &plan.decisions).map_err(context)?;
-                }
+                plans += 1;
+                transfers += plan.decisions.len();
             }
-            plans += 1;
-            transfers += plan.decisions.len();
         }
     }
     Ok((plans, recut, transfers))
+}
+
+/// Replay the plans a re-tiling run of a clustered start on `cfg` makes at
+/// its checks: at steps 2, 4, 8, … up to `steps`, the launch plan on the
+/// work map of the state the check sees — the serial state after the step
+/// before (the run's, bit for bit). Every plan is replayed on the tiling
+/// it chose ([`check_pillar_plan`]). Returns the number of plans.
+pub fn replay_check_plans(cfg: &RunConfig, steps: u64) -> Result<usize, String> {
+    let mut cfg = cfg.clone();
+    cfg.dlb = true;
+    cfg.lattice = Lattice::Cluster { fill: 0.45 };
+    let mut serial = pcdlb_sim::serial_sim(&cfg);
+    let mut plans = 0;
+    let mut step = 2;
+    while step <= steps {
+        while serial.steps_done() < step - 1 {
+            serial.step();
+        }
+        let work = Placed::new(&cfg, &serial.snapshot()).column_work();
+        let plan = launch_plan(DomainShape::SquarePillar, &cfg, step - 1, &work, true);
+        check_pillar_plan(&plan.tiling(), &plan.decisions)
+            .map_err(|e| format!("P = {}, nc = {}, check at step {step}: {e}", cfg.p, cfg.nc))?;
+        plans += 1;
+        step *= 2;
+    }
+    Ok(plans)
 }
 
 /// Sweep all `(side, m)` configurations within the bounds: the search
@@ -360,6 +402,8 @@ pub fn verify_invariant(cfg: &InvariantConfig) -> Result<InvariantReport, String
                 report.states_visited += states;
                 report.truncated += usize::from(truncated);
             }
+            let checks = RunConfig::from_p_m_density(side * side, m, 0.128);
+            report.check_plans += replay_check_plans(&checks, 32)?;
             // `m` planes per rank and one to spare on the ring.
             let nc = side * m + 1;
             let n = (0.128 * (2.56 * nc as f64).powi(3)).round() as usize;

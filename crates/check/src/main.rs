@@ -87,6 +87,8 @@ fn usage() {
          \u{20}          grid up to --max-side (default 4), --max-m (default 3),\n\
          \u{20}          --max-states per tiling (default 20000), and the launch\n\
          \u{20}          plans of clustered starts replayed on their chosen tilings\n\
+         \u{20}          (fixed and re-tiling), and the plans of a re-tiling run's\n\
+         \u{20}          checks at steps 2..32\n\
          interleave determinism check: explore message-delivery orders on a\n\
          \u{20}          2x2 PE run (--steps 6 --dfs-runs 24 --seeded-runs 24)\n\
          \u{20}          and requiring a single digest\n\
@@ -100,8 +102,9 @@ fn usage() {
          \u{20}          at every --stride'th send op (default 32) asserting\n\
          \u{20}          bitwise recovery parity, under --timeout-s (default 900)\n\
          resize     elastic-resize sweep: shrink/grow parity plans at several\n\
-         \u{20}          boundaries on two grids (serial/plane/cube bitwise\n\
-         \u{20}          parity), then kill every drain-gather contributor,\n\
+         \u{20}          boundaries on three grids (serial/plane/cube bitwise\n\
+         \u{20}          parity; one re-tiles in place inside a generation),\n\
+         \u{20}          then kill every drain-gather contributor,\n\
          \u{20}          every resize-barrier participant, and each rank of each\n\
          \u{20}          generation at every --stride'th send op (default 24),\n\
          \u{20}          under --timeout-s (default 900)\n\
@@ -184,6 +187,10 @@ fn cmd_invariant(rest: &[String]) -> Result<(), String> {
     println!(
         "invariant: {} launch plans replayed on their tilings ({} re-cut), {} planned transfers legal",
         inv.plans, inv.recut_plans, inv.planned_transfers
+    );
+    println!(
+        "invariant: {} re-tile check plans replayed on their tilings",
+        inv.check_plans
     );
     Ok(())
 }

@@ -15,7 +15,8 @@
 //!   for particle-count conservation, a complete per-step record series,
 //!   single-launch generations, and bitwise snapshot parity against the
 //!   serial reference — and, on the DLB grid, against the plane and cube
-//!   decompositions too. Ownership-partition validity is enforced inside
+//!   decompositions too; one more plan runs a 4 × 4 generation that
+//!   re-tiles in place before it drains. Ownership-partition validity is enforced inside
 //!   the drain remap (it panics on a duplicate or missing owner), and
 //!   the per-generation sentinel aborts any run that breaks conservation
 //!   mid-flight, so a clean completion is itself the audit.
@@ -90,6 +91,19 @@ fn cfg_6() -> RunConfig {
     cfg.seed = 13;
     cfg.checkpoint_interval = 6;
     cfg.sentinel_interval = 3;
+    cfg
+}
+
+/// The 16²-column workload: a corner cluster on the 4 × 4 torus whose
+/// first generation re-tiles in place at step 8, before it drains.
+fn cfg_16() -> RunConfig {
+    let mut cfg = RunConfig::from_p_m_density(16, 4, 0.128);
+    cfg.lattice = Lattice::Cluster { fill: 0.4 };
+    cfg.dlb = true;
+    cfg.seed = 1;
+    cfg.steps = 16;
+    cfg.checkpoint_interval = 5;
+    cfg.sentinel_interval = 4;
     cfg
 }
 
@@ -182,6 +196,25 @@ pub fn resize_sweep(stride: u64) -> ResizeSweepOutcome {
                             "{label}: diverged from the {shape:?} decomposition"
                         ));
                     }
+                }
+            }
+            Err(e) => out.violations.push(format!("{label}: failed: {e}")),
+        }
+    }
+    // A re-tile inside a generation: the 4 × 4 cluster re-tiles at step
+    // 8, drains at 10 onto 2 × 2 (no balancer) and comes back at 14.
+    {
+        let plan = ResizePlan::new().resize(10, 4).resize(14, 16);
+        let label = "parity[16² re-tile]";
+        out.parity_runs += 1;
+        match Sweep::new(cfg_16(), true, plan) {
+            Ok(s) => {
+                check_parity(label, &s, &mut out.violations);
+                let retiled = &s.reference.report.retiles;
+                if !retiled.iter().any(|&(step, ..)| step <= 10) {
+                    out.violations.push(format!(
+                        "{label}: the first generation did not re-tile: {retiled:?}"
+                    ));
                 }
             }
             Err(e) => out.violations.push(format!("{label}: failed: {e}")),
@@ -285,7 +318,7 @@ mod tests {
         // is `pcdlb-check resize` (CI's resize-matrix job).
         let out = resize_sweep(499);
         assert!(out.violations.is_empty(), "{:#?}", out.violations);
-        assert_eq!(out.parity_runs, 5);
+        assert_eq!(out.parity_runs, 6);
         // 3 + 15 non-root drain contributors, every one a real kill.
         assert_eq!(out.drain_runs, 18);
         assert_eq!(

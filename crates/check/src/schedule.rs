@@ -18,7 +18,12 @@
 //! (`CELL_XFER`): which columns move depends on runtime loads. The schedule is therefore
 //! parameterised over a *decision scenario* — a set of `(from, to)`
 //! transfers — and the verifier sweeps representative scenarios (none,
-//! every single legal transfer, dense simultaneous transfers).
+//! every single legal transfer, dense simultaneous transfers). A re-tiling
+//! run adds two more parts on its check steps: the check itself (a gather
+//! of the work map to rank 0 and a broadcast of the decision) ahead of
+//! round 1, and, where it re-tiles, the move (`RETILE_XFER`, one frame per
+//! (old owner, new owner) pair, any two ranks) in the cell transfer's
+//! place — the move's pairs are a scenario too.
 
 use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_domain::DomainShape;
@@ -76,6 +81,13 @@ pub struct ScheduleOpts {
     /// DLB cell transfers `(from, to)` for this step, in the simulator's
     /// apply order (sorted by `from`; one decision per sending rank).
     pub decisions: Vec<(usize, usize)>,
+    /// The step checks the tiling (a re-tiling run's check step): the
+    /// work-map gather and the decision broadcast ahead of round 1.
+    pub retile_check: bool,
+    /// The step re-tiles: the distinct `(old owner, new owner)` pairs of
+    /// the columns that move, one frame each, in place of any DLB
+    /// transfer.
+    pub retile: Vec<(usize, usize)>,
     /// Include the thermostat gather + broadcast.
     pub thermostat: bool,
     /// Include the stats gather.
@@ -94,6 +106,8 @@ impl ScheduleOpts {
         Self {
             dlb: true,
             decisions: Vec::new(),
+            retile_check: false,
+            retile: Vec::new(),
             thermostat: true,
             stats: true,
             checkpoint: true,
@@ -159,10 +173,27 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
         !(single && opts.dlb),
         "{shape:?} has no balancer to schedule"
     );
+    let retiles = opts.retile_check || !opts.retile.is_empty();
+    assert!(
+        !retiles || (shape == DomainShape::SquarePillar && opts.dlb && opts.retile_check),
+        "only a balancing square pillar checks, and it re-tiles on a check step"
+    );
+    assert!(
+        opts.retile.is_empty() || decisions.is_empty(),
+        "a re-tile step has no DLB transfer"
+    );
+    let mut moves = opts.retile.clone();
+    moves.sort_unstable();
     let mut ranks = Vec::with_capacity(p);
     for r in 0..p {
         let mut ops: Vec<PhasedOp> = Vec::new();
         let nbrs = shape_neighbors(shape, p, r);
+        // Phase: the re-tile check — the work map gathered to rank 0, its
+        // decision broadcast back.
+        if opts.retile_check {
+            gather_ops(&mut ops, CommPhase::RetileCheck, p, r, tags::RETILE_GATHER);
+            bcast_ops(&mut ops, CommPhase::RetileCheck, p, r, tags::RETILE_BCAST);
+        }
         // Phase: migration — round 1 of the coalesced step message
         // (migrants + the balancer's loads and decisions): sends to all
         // distinct neighbours (ascending), then the matching receives in
@@ -198,6 +229,23 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
                 }
             }
         }
+        // Phase: the re-tile move — a frame to every new owner (ascending),
+        // then one from every old owner (ascending).
+        let retile = |op: Op| PhasedOp {
+            phase: CommPhase::Retile,
+            op,
+        };
+        let tag = tags::RETILE_XFER;
+        ops.extend(
+            (moves.iter().filter(|m| m.0 == r)).map(|&(_, to)| retile(Op::Send { to, tag })),
+        );
+        let mut senders: Vec<usize> = moves.iter().filter(|m| m.1 == r).map(|m| m.0).collect();
+        senders.sort_unstable();
+        ops.extend(
+            senders
+                .into_iter()
+                .map(|from| retile(Op::Recv { from, tag })),
+        );
         // Phase: ghosts — round 2 of the coalesced step message, or the
         // one frame of a single-exchange step.
         neighbourhood_exchange(&mut ops, CommPhase::Ghost, r, &nbrs, tags::STEP_FRAME);

@@ -43,7 +43,7 @@ use pcdlb_sim::ResizePlan;
 
 use crate::faults::{run_under_timeout, Sweep, Tally};
 use crate::schedule::{step_schedule, Op, PhasedOp, ScheduleOpts, StepSchedule};
-use crate::verify::LEGAL_DELTAS;
+use crate::verify::{planned_retile, LEGAL_DELTAS};
 
 /// Check the buddy map on every square grid with side `2..=max_side`.
 /// Returns human-readable violations (empty for a correct map).
@@ -113,8 +113,12 @@ fn ops_of<'a>(
 /// under the simulator's dual-role interleaving rule (`step_multi` /
 /// `run_roles` in `crates/sim/src/engine.rs`):
 ///
-/// - point-to-point phases: every role's sends (roles ascending), then
-///   every role's receives (roles ascending);
+/// - the re-tile check (a re-tiling run's check steps, ahead of round 1):
+///   the work-map gather whole-role descending, the decision broadcast
+///   ascending — the thermostat's pattern;
+/// - point-to-point phases — round 1, the DLB cell transfer or the re-tile
+///   move, the ghosts: every role's sends (roles ascending), then every
+///   role's receives (roles ascending);
 /// - the thermostat: the KE-gather half whole-role *descending* (the
 ///   non-root role's contribution is posted before the root role starts
 ///   receiving), the scale-broadcast half ascending (a binomial-tree
@@ -126,7 +130,26 @@ fn ops_of<'a>(
 /// With a single role this reproduces the rank's schedule order exactly.
 pub fn merge_roles(s: &StepSchedule, roles: &[usize]) -> Vec<(usize, PhasedOp)> {
     let mut out = Vec::new();
-    for phase in [CommPhase::Migrate, CommPhase::DlbCellXfer, CommPhase::Ghost] {
+    for &v in roles.iter().rev() {
+        out.extend(
+            ops_of(s, v, CommPhase::RetileCheck)
+                .filter(|po| base_tag(op_tag(po)) == tags::RETILE_GATHER)
+                .map(|po| (v, po)),
+        );
+    }
+    for &v in roles {
+        out.extend(
+            ops_of(s, v, CommPhase::RetileCheck)
+                .filter(|po| base_tag(op_tag(po)) == tags::RETILE_BCAST)
+                .map(|po| (v, po)),
+        );
+    }
+    for phase in [
+        CommPhase::Migrate,
+        CommPhase::DlbCellXfer,
+        CommPhase::Retile,
+        CommPhase::Ghost,
+    ] {
         for &v in roles {
             out.extend(
                 ops_of(s, v, phase)
@@ -245,7 +268,10 @@ pub fn run_thread_schedules(threads: &[Vec<(usize, PhasedOp)>]) -> Result<(), St
 /// grid side `2..=max_side`, each dead rank, and a scenario sweep (the
 /// base schedule; the full schedule; on sides 3–4 every single legal DLB
 /// transfer, which covers transfers into, out of, and past the merged
-/// thread). Returns `(schedules checked, violations)`.
+/// thread, and the re-tile check steps: one that keeps the tiling, a
+/// clustered start's re-tile, and one with a frame between every two
+/// ranks, the merged thread's two roles included). Returns `(schedules
+/// checked, violations)`.
 pub fn check_merged_schedules(max_side: usize) -> (usize, Vec<String>) {
     let mut checked = 0;
     let mut out = Vec::new();
@@ -268,6 +294,15 @@ pub fn check_merged_schedules(max_side: usize) -> (usize, Vec<String>) {
                         ..ScheduleOpts::full()
                     });
                 }
+            }
+            let every_pair =
+                (0..p).flat_map(|a| (0..p).filter(move |&b| b != a).map(move |b| (a, b)));
+            for retile in [Vec::new(), planned_retile(p), every_pair.collect()] {
+                scenarios.push(ScheduleOpts {
+                    retile_check: true,
+                    retile,
+                    ..ScheduleOpts::full()
+                });
             }
         }
         for opts in &scenarios {
@@ -451,13 +486,21 @@ mod tests {
 
     #[test]
     fn single_role_merge_reproduces_the_rank_schedule() {
-        let s = step_schedule(3, &ScheduleOpts::full());
-        for r in 0..s.p {
-            let merged: Vec<PhasedOp> = merge_roles(&s, &[r])
-                .into_iter()
-                .map(|(_, po)| po)
-                .collect();
-            assert_eq!(merged, s.ranks[r], "rank {r}");
+        let retiling = ScheduleOpts {
+            retile_check: true,
+            retile: planned_retile(9),
+            ..ScheduleOpts::full()
+        };
+        assert!(!retiling.retile.is_empty());
+        for opts in [ScheduleOpts::full(), retiling] {
+            let s = step_schedule(3, &opts);
+            for r in 0..s.p {
+                let merged: Vec<PhasedOp> = merge_roles(&s, &[r])
+                    .into_iter()
+                    .map(|(_, po)| po)
+                    .collect();
+                assert_eq!(merged, s.ranks[r], "rank {r}");
+            }
         }
     }
 

@@ -21,8 +21,8 @@
 use std::collections::BTreeMap;
 
 use pcdlb_core::protocol::tags::TAG_TABLE;
-use pcdlb_core::protocol::DlbDecision;
-use pcdlb_domain::DomainShape;
+use pcdlb_core::protocol::{DlbDecision, DlbProtocol};
+use pcdlb_domain::{DomainShape, OwnershipMap, PillarLayout};
 use pcdlb_mp::collectives::COLLECTIVE_BIT;
 use pcdlb_mp::Torus2d;
 use pcdlb_sim::pe::initial_particles;
@@ -317,17 +317,47 @@ fn planned_rounds(shape: DomainShape, p: usize) -> Vec<Vec<(usize, usize)>> {
     cfg.lattice = Lattice::Cluster {
         fill: 1.5 / side as f64,
     };
-    let placed = Placed::new(&cfg, &initial_particles(&cfg));
-    let plan = launch_plan(shape, &cfg, 0, &placed);
+    let work = Placed::new(&cfg, &initial_particles(&cfg)).column_work();
+    let plan = launch_plan(shape, &cfg, 0, &work, true);
     let pairs = |round: &[DlbDecision]| round.iter().map(|d| (d.from, d.to)).collect();
     plan.rounds().map(pairs).collect()
+}
+
+/// The frames of a re-tile a run could make on a `p`-rank torus: from the
+/// paper's tiles, where every column is at home, to the tiles and the
+/// ownership a re-tiling launch plans for a clustered start (tiles one
+/// column wide included) — the distinct `(old owner, new owner)` pairs.
+/// On a torus side of 4 and up some pairs are not neighbours.
+pub fn planned_retile(p: usize) -> Vec<(usize, usize)> {
+    let mut cfg = RunConfig::from_p_m_density(p, 3, 0.128);
+    cfg.dlb = true;
+    cfg.lattice = Lattice::Cluster { fill: 0.45 };
+    let work = Placed::new(&cfg, &initial_particles(&cfg)).column_work();
+    let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &work, true);
+    let mut planned = OwnershipMap::initial(plan.tiling());
+    for d in &plan.decisions {
+        DlbProtocol::apply(&mut planned, d);
+    }
+    let even = PillarLayout::new(cfg.nc, cfg.torus());
+    let mut pairs: Vec<(usize, usize)> = even
+        .grid()
+        .iter()
+        .map(|col| (even.home_rank(col), planned.owner_of(col)))
+        .filter(|(from, to)| from != to)
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 /// The decision scenarios swept on one grid: the base schedule, the full
 /// schedule with no transfers, every single transfer the shape's balancer
 /// can make, two dense all-at-once scenarios, and every iteration of a
-/// clustered start's launch plan. Shapes (or grids) without a balancer
-/// get the first two, DLB phases off.
+/// clustered start's launch plan — and, on the square pillar, a re-tiling
+/// run's check steps: one that keeps its tiling, one that re-tiles as a
+/// clustered start's launch would, one whose every rank sends every other
+/// one a frame. Shapes (or grids) without a balancer get the first two,
+/// DLB phases off.
 fn scenarios(shape: DomainShape, p: usize) -> Vec<ScheduleOpts> {
     let single = |from, to| ScheduleOpts {
         dlb: true,
@@ -356,6 +386,15 @@ fn scenarios(shape: DomainShape, p: usize) -> Vec<ScheduleOpts> {
                 ));
             }
             out.extend(planned_rounds(shape, p).into_iter().map(dense));
+            let every_pair =
+                (0..p).flat_map(|a| (0..p).filter(move |&b| b != a).map(move |b| (a, b)));
+            for retile in [Vec::new(), planned_retile(p), every_pair.collect()] {
+                out.push(ScheduleOpts {
+                    retile_check: true,
+                    retile,
+                    ..ScheduleOpts::full()
+                });
+            }
         }
         // The moving boundary: a plane crosses one interior boundary,
         // either way; boundaries of one parity move in the same step.
@@ -401,9 +440,10 @@ pub fn verify_protocol(max_side: usize) -> VerifyReport {
                 report.violations.push(Violation {
                     check: v.check,
                     detail: format!(
-                        "{} P = {p}, scenario {:?}: {}",
+                        "{} P = {p}, scenario {:?} / re-tile {:?}: {}",
                         shape.name(),
                         opts.decisions,
+                        opts.retile,
                         v.detail
                     ),
                 });
@@ -499,11 +539,24 @@ mod tests {
             .count();
         assert_eq!(ghosts, 16, "8 sends + 8 recvs on a 4×4 torus");
         assert!(verify_schedule(&s).is_empty());
-        // Collective rounds stay inside the namespaced range.
+        // Collective rounds stay inside the namespaced range — the re-tile
+        // check's too.
+        let s = step_schedule(
+            4,
+            &ScheduleOpts {
+                retile_check: true,
+                retile: planned_retile(16),
+                ..ScheduleOpts::full()
+            },
+        );
+        assert!(verify_schedule(&s).is_empty());
         for ops in &s.ranks {
             for po in ops {
                 let (Op::Send { tag, .. } | Op::Recv { tag, .. }) = po.op;
-                if po.phase >= CommPhase::Thermostat {
+                let collective = [CommPhase::RetileCheck, CommPhase::Thermostat]
+                    .contains(&po.phase)
+                    || po.phase > CommPhase::Thermostat;
+                if collective {
                     assert!(tag & pcdlb_mp::collectives::COLLECTIVE_BIT != 0);
                 } else {
                     assert!(tag & pcdlb_mp::collectives::COLLECTIVE_BIT == 0);
@@ -513,5 +566,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_re_tile_frame_may_cross_the_torus() {
+        // On 4 × 4 a clustered start's re-tile hands columns between ranks
+        // two tile rows or columns apart; the step still verifies, with
+        // the frames sent before any is received.
+        let torus = Torus2d::new(4, 4);
+        let pairs = planned_retile(16);
+        let far: Vec<_> = pairs
+            .iter()
+            .filter(|&&(a, b)| !torus.distinct_neighbors8(a).contains(&b))
+            .collect();
+        assert!(!far.is_empty(), "{pairs:?}");
+        let opts = ScheduleOpts {
+            retile_check: true,
+            retile: pairs,
+            ..ScheduleOpts::full()
+        };
+        assert!(verify_schedule(&step_schedule(4, &opts)).is_empty());
     }
 }

@@ -8,7 +8,8 @@ use pcdlb_check::invariant::{
 };
 use pcdlb_check::schedule::{step_schedule, Op, ScheduleOpts};
 use pcdlb_check::verify::{
-    check_deadlock_freedom, check_matching, check_tag_uniqueness, check_tags, verify_schedule,
+    check_deadlock_freedom, check_matching, check_tag_uniqueness, check_tags, planned_retile,
+    verify_schedule,
 };
 use pcdlb_core::permanent::is_permanent;
 use pcdlb_core::protocol::tags::{self, CommPhase, TagSpec};
@@ -278,7 +279,7 @@ fn mutated_planners_are_caught() {
     // (On the paper's tiling: the launch itself would cut the corner up.)
     let (cfg, placed) = corner_start(RunConfig::from_p_m_density(9, 3, 0.128), 0.3);
     let layout = PillarLayout::new(cfg.nc, cfg.torus());
-    let mut plan = launch_plan_on(layout, &cfg, 0, &placed).decisions;
+    let mut plan = launch_plan_on(layout, &cfg, 0, &placed.column_work()).decisions;
     let shed = plan.iter().filter(|d| d.from == 0).count();
     assert_eq!(shed, 4, "the hot tile sheds its (m − 1)² movable columns");
     check_pillar_plan(&layout, &plan).expect("the real plan replays clean");
@@ -294,7 +295,7 @@ fn mutated_planners_are_caught() {
     // sides of one boundary each take the other for the lighter one, and
     // both planes cross it in one iteration.
     let (ring, placed) = corner_start(RunConfig::new(1000, 6, 3, 0.05), 0.3);
-    let plan = launch_plan(DomainShape::Plane, &ring, 0, &placed).decisions;
+    let plan = launch_plan(DomainShape::Plane, &ring, 0, &placed.column_work(), false).decisions;
     assert!(!plan.is_empty(), "rank 0's slab sheds toward rank 1");
     check_plane_plan(ring.nc, ring.p, &plan).expect("the real plan replays clean");
     let crossing = |cx, from, to| DlbDecision {
@@ -310,4 +311,46 @@ fn mutated_planners_are_caught() {
     assert!(err.contains("last plane"), "{err}");
     let err = check_plane_plan(6, 3, &[crossing(0, 0, 2)]).expect_err("seam");
     assert!(err.contains("seam"), "{err}");
+}
+
+#[test]
+fn a_column_sent_to_its_old_owner_is_caught() {
+    // Mutation: a re-tile's sender addresses the frame of the columns it
+    // gives up to their old owner — itself — instead of their new owner.
+    // The frame is received by nobody, and the new owner blocks on one
+    // that never comes. (On 4 × 4, from the re-tile a clustered start's
+    // launch would make, non-neighbour frames included.)
+    let opts = ScheduleOpts {
+        retile_check: true,
+        retile: planned_retile(16),
+        ..ScheduleOpts::full()
+    };
+    let mut s = step_schedule(4, &opts);
+    assert!(verify_schedule(&s).is_empty(), "the real re-tile verifies");
+    let (giver, at) = (0..s.p)
+        .find_map(|r| {
+            let at = s.ranks[r]
+                .iter()
+                .position(|po| po.phase == CommPhase::Retile);
+            at.map(|at| (r, at))
+        })
+        .expect("some rank gives columns away");
+    let Op::Send { to, tag } = s.ranks[giver][at].op else {
+        panic!("a re-tile phase starts with the sends")
+    };
+    assert_eq!(tag, tags::RETILE_XFER);
+    s.ranks[giver][at].op = Op::Send { to: giver, tag };
+    let vs = verify_schedule(&s);
+    let unreceived = format!("(src {giver}, dst {giver}, tag {tag}): 1 send(s) vs 0 recv(s)");
+    assert!(
+        vs.iter()
+            .any(|v| v.check == "matching" && v.detail.contains(&unreceived)),
+        "{vs:?}"
+    );
+    let starved = format!("rank {to} blocks on recv #0 from (src {giver}, tag {tag})");
+    assert!(
+        vs.iter()
+            .any(|v| v.check == "deadlock" && v.detail.contains(&starved)),
+        "{vs:?}"
+    );
 }

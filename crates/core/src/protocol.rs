@@ -131,7 +131,7 @@ use crate::permanent::{is_movable, movable_columns};
 /// simulator (`pcdlb-sim`) and the static protocol verifier
 /// (`pcdlb-check`) agree on the wire protocol by construction.
 ///
-/// Tags below 10 and 16–18 are matched point-to-point; 10–15 and 19–20
+/// Tags below 10 and 16–18 are matched point-to-point; 10–15 and 19–22
 /// are *collective* tags, which `pcdlb_mp::collectives` moves into a
 /// disjoint namespace by setting
 /// [`pcdlb_mp::collectives::COLLECTIVE_BIT`] on the wire, so a collective
@@ -140,6 +140,10 @@ use crate::permanent::{is_movable, movable_columns};
 pub mod tags {
     /// Phase 2 (DLB data movement): particle payload of a transferred column.
     pub const CELL_XFER: u64 = 3;
+    /// Re-tile (p2p): the particles of every column one rank hands
+    /// another when the run re-tiles, in one frame per (old owner, new
+    /// owner) pair — the two need not be torus neighbours.
+    pub const RETILE_XFER: u64 = 4;
     /// The coalesced per-neighbour step message: each rebuild step (every
     /// step without a Verlet skin) a rank sends exactly two framed
     /// messages to each of its 8 neighbours under this one tag — round 1
@@ -194,6 +198,13 @@ pub mod tags {
     /// Skin epochs (collective): rank 0's global max broadcast back, from
     /// which every rank derives the identical rebuild-now decision.
     pub const REBUILD_BCAST: u64 = 20;
+    /// Re-tile check (collective): each rank's owned columns with their
+    /// work and particle counts, gathered to rank 0 at a check step of a
+    /// re-tiling run.
+    pub const RETILE_GATHER: u64 = 21;
+    /// Re-tile check (collective): rank 0's decision — keep the tiling, or
+    /// the new one with its planned ownership — broadcast back.
+    pub const RETILE_BCAST: u64 = 22;
 
     /// The communication phases of one simulated step, in program order.
     /// Every blocking receive in `pcdlb-sim`'s pillar step belongs to
@@ -206,6 +217,11 @@ pub mod tags {
         /// when `skin > 0`; runs before any particle state mutates so the
         /// decision is a pure function of the pre-step state.
         Rebuild,
+        /// Re-tile check (collective, check steps of a re-tiling run
+        /// only): gather the work map to rank 0, broadcast its decision.
+        /// Runs before any particle state mutates, on the work the last
+        /// force pass measured.
+        RetileCheck,
         /// Round-1 coalesced exchange (8-neighbourhood): boundary-crossing
         /// particle migration, with the balancer's traffic riding along —
         /// last-step loads (the former standalone load exchange) and, on
@@ -213,6 +229,10 @@ pub mod tags {
         Migrate,
         /// DLB column payload movement (decision-driven).
         DlbCellXfer,
+        /// Re-tile column movement (decision-driven, in place of the DLB
+        /// cell transfer on a re-tile step): one frame per (old owner, new
+        /// owner) pair, which need not be neighbours.
+        Retile,
         /// Ghost-layer exchange (8-neighbourhood).
         Ghost,
         /// Thermostat gather + broadcast (collectives).
@@ -355,6 +375,24 @@ pub mod tags {
             name: "REBUILD_BCAST",
             phase: CommPhase::Rebuild,
             collective: true,
+        },
+        TagSpec {
+            tag: RETILE_GATHER,
+            name: "RETILE_GATHER",
+            phase: CommPhase::RetileCheck,
+            collective: true,
+        },
+        TagSpec {
+            tag: RETILE_BCAST,
+            name: "RETILE_BCAST",
+            phase: CommPhase::RetileCheck,
+            collective: true,
+        },
+        TagSpec {
+            tag: RETILE_XFER,
+            name: "RETILE_XFER",
+            phase: CommPhase::Retile,
+            collective: false,
         },
     ];
 }

@@ -179,8 +179,9 @@ mod tests {
     #[test]
     fn the_launch_plan_is_in_no_digest() {
         // How many columns the launch plan moved is a fact about where the
-        // run started, not about any step: a report hashes the same with
-        // and without it.
+        // run started, not about any step, and where a run re-tiled is a
+        // fact about ownership: a report hashes the same with and without
+        // either.
         let a = RunReport {
             records: vec![record()],
             ..Default::default()
@@ -188,13 +189,21 @@ mod tests {
         let mut b = a.clone();
         b.launch_transfers = 55;
         b.cells_per_rank = vec![84, 180];
+        let thin = pcdlb_domain::PillarLayout::rectilinear(
+            6,
+            pcdlb_mp::Torus2d::new(3, 3),
+            &[0, 1, 2],
+            &[0, 1, 2],
+        );
+        b.retiles = vec![(4, thin.expect("three cuts of a ring of six"), 9)];
         let wm = LoadMetric::default();
         assert_eq!(digest_report(&a, wm), digest_report(&b, wm));
         assert_eq!(digest_records(&a, wm), digest_records(&b, wm));
         // Run for run: the plan moves ownership, never physics. A uniform
         // start (12³ particles on 6³ cells) plans nothing and a clustered
-        // one plans a shed; either way the balancing run ends on its DDM
-        // twin's particles, and only the clustered one reports a plan.
+        // one plans a shed on the paper's fixed tiles; either way the
+        // balancing run ends on its DDM twin's particles, and only the
+        // clustered one reports a plan.
         for (lattice, planned) in [
             (crate::Lattice::SimpleCubic, false),
             (crate::Lattice::Cluster { fill: 0.6 }, true),
@@ -205,7 +214,8 @@ mod tests {
             dlb.lattice = lattice;
             let mut ddm = dlb.clone();
             ddm.dlb = false;
-            let (dlb_report, dlb_snapshot) = crate::run_with_snapshot(&dlb);
+            let fixed = crate::Launch::new().fixed_tiles().snapshot();
+            let (dlb_report, dlb_snapshot) = fixed.run(&dlb).into_snapshot();
             let (ddm_report, ddm_snapshot) = crate::run_with_snapshot(&ddm);
             assert_eq!(dlb_report.launch_transfers > 0, planned, "{lattice:?}");
             assert_eq!(ddm_report.launch_transfers, 0);

@@ -2,8 +2,10 @@
 //!
 //! A run is described by data, not by which function is called. A
 //! [`Launch`] says *how* a [`RunConfig`] is started — the domain shape,
-//! whether the final particle state is gathered and, in `check` builds,
-//! what every rank thread does before the program — and has two terminals:
+//! whether the final particle state is gathered, whether a balancing
+//! square pillar's tiles follow the load or stay where the launch cut them
+//! ([`Launch::fixed_tiles`]) and, in `check` builds, what every rank thread
+//! does before the program — and has two terminals:
 //!
 //! - [`Launch::run`], the **plain** launch: any shape, one world; a rank's
 //!   panic resurfaces on the caller with its original payload.
@@ -31,12 +33,12 @@ use pcdlb_domain::{DomainShape, PillarLayout};
 use pcdlb_md::Particle;
 use pcdlb_mp::{Comm, RankFailure, World, WorldError};
 
-use crate::config::{ensure, ConfigError, RunConfig};
+use crate::config::{ensure, ConfigError, LoadMetric, RunConfig};
 use crate::digest::digest_recovery;
 use crate::elastic::{
     remap_drained_checkpoint, ResizeGeneration, ResizePlan, ResizeStage, GENERATION_EPOCH_STRIDE,
 };
-use crate::engine::{run_roles, Start};
+use crate::engine::{run_roles, Program, Start};
 use crate::launch::{launch_plan, LaunchPlan, Placed};
 use crate::pe::{initial_particles, PeResult};
 use crate::recover::{RecoveryError, SimCheckpoint};
@@ -53,6 +55,7 @@ type StartHook = std::sync::Arc<dyn Fn(usize, &mut Comm) + Send + Sync>;
 pub struct Launch {
     shape: DomainShape,
     snapshot: bool,
+    fixed_tiles: bool,
     #[cfg(feature = "check")]
     on_start: Option<StartHook>,
 }
@@ -168,13 +171,47 @@ pub struct LadderOutcome {
 }
 
 impl Launch {
-    /// The default launch: square pillar, no snapshot.
+    /// The default launch: square pillar, no snapshot, tiles that follow
+    /// the load.
     pub fn new() -> Self {
         Self {
             shape: DomainShape::SquarePillar,
             snapshot: false,
+            fixed_tiles: false,
             #[cfg(feature = "check")]
             on_start: None,
+        }
+    }
+
+    /// Keep a balancing square pillar's tiles where the launch cuts them:
+    /// the paper's scheme. The tiles are cut once, none under two columns
+    /// wide so every tile keeps a movable column for the in-run balancer,
+    /// and the run never checks its tiling again. Without it a balancing
+    /// square pillar (under the work model) launches on tiles as thin as
+    /// one column and re-examines them at steps 2, 4, 8, …, re-tiling in
+    /// place where the modelled saving pays for the move
+    /// ([`crate::launch`], [`crate::pe`]). No effect on any other run.
+    pub fn fixed_tiles(mut self) -> Self {
+        self.fixed_tiles = true;
+        self
+    }
+
+    /// Whether a run of `cfg` re-tiles in place: a balancing square pillar
+    /// on the deterministic work model, launched without
+    /// [`Launch::fixed_tiles`]. (Under wall-clock loads a modelled saving
+    /// and a modelled move cost are not on one ruler.)
+    fn retiles(&self, cfg: &RunConfig) -> bool {
+        let modelled = matches!(cfg.load_metric, LoadMetric::WorkModel { .. });
+        !self.fixed_tiles && self.shape == DomainShape::SquarePillar && cfg.dlb && modelled
+    }
+
+    /// What the ranks of a launch of `cfg` run.
+    fn program(&self, cfg: &RunConfig, drain: bool) -> Program {
+        Program {
+            shape: self.shape,
+            retile: self.retiles(cfg),
+            snapshot: self.snapshot,
+            drain,
         }
     }
 
@@ -221,7 +258,7 @@ impl Launch {
     /// transfers it makes on it ([`launch_plan`]).
     fn fresh(&self, cfg: &RunConfig) -> (Placed, LaunchPlan) {
         let placed = Placed::new(cfg, &initial_particles(cfg));
-        let plan = launch_plan(self.shape, cfg, 0, &placed);
+        let plan = launch_plan(self.shape, cfg, 0, &placed.column_work(), self.retiles(cfg));
         (placed, plan)
     }
 
@@ -232,15 +269,15 @@ impl Launch {
         crate::decomp::validate(cfg, self.shape);
         let world = self.world(cfg, 0);
         let (placed, plan) = self.fresh(cfg);
+        let program = self.program(cfg, false);
         let results = world.run(|comm| {
             let roles = [comm.rank()];
             let start = Start::Fresh(&placed, &plan);
-            let (shape, snapshot) = (self.shape, self.snapshot);
-            run_roles(comm, cfg, shape, &roles, start, None, snapshot, false)
+            run_roles(comm, cfg, program, &roles, start, None)
                 .swap_remove(0)
                 .1
         });
-        assemble(results, plan.decisions.len(), plan.layout)
+        assemble(results, plan.decisions.len())
     }
 
     /// The resilient launch: run `cfg` under `ladder`. On any rank failure
@@ -275,7 +312,6 @@ impl Launch {
         // `remap_drained_checkpoint`).
         let (placed, plan) = self.fresh(cfg);
         let mut launch_transfers = plan.decisions.len();
-        let mut tiling = plan.tiling();
         let mut failures = Vec::new();
         let mut launches = 0;
         let mut generations = Vec::with_capacity(segments.len());
@@ -288,15 +324,19 @@ impl Launch {
             // DLB needs a torus side ≥ 3: a generation too small for it
             // runs DDM-only, and DLB resumes on the next big-enough torus.
             seg_cfg.dlb = cfg.dlb && seg.p >= 9;
+            let retile = self.retiles(&seg_cfg);
             if gen > 0 {
                 let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
                 let ck = guard
                     .as_mut()
                     .expect("the previous generation drained a checkpoint");
-                launch_transfers += remap_drained_checkpoint(ck, &seg_cfg, seg.start);
-                tiling = ck.tiling;
+                launch_transfers += remap_drained_checkpoint(ck, &seg_cfg, seg.start, retile);
             }
             let (drain, sync) = (gen < last_gen, gen > 0);
+            let program = Program {
+                snapshot: true,
+                ..self.program(&seg_cfg, drain)
+            };
             let completed = (0..ladder.max_attempts).find_map(|attempt| {
                 let mut world = self
                     .world(&seg_cfg, launches)
@@ -307,7 +347,7 @@ impl Launch {
                 launches += 1;
                 let fresh = Start::Fresh(&placed, &plan);
                 let program =
-                    |comm: &mut Comm| takeover_main(comm, &seg_cfg, fresh, &sink, drain, sync);
+                    |comm: &mut Comm| takeover_main(comm, &seg_cfg, program, fresh, &sink, sync);
                 let outcome = match world.try_run_degraded(program) {
                     Ok(outcome) => outcome,
                     Err(e) => {
@@ -357,7 +397,7 @@ impl Launch {
 
         let Run {
             report, snapshot, ..
-        } = assemble(last_results, launch_transfers, Some(tiling));
+        } = assemble(last_results, launch_transfers);
         let snapshot = snapshot.expect("resilient launches always gather a snapshot");
         let digest = digest_recovery(&report, &snapshot, cfg.load_metric);
         Ok(LadderOutcome {
@@ -394,12 +434,8 @@ pub fn run_with_snapshot(cfg: &RunConfig) -> (RunReport, Vec<Particle>) {
 
 /// Fold the per-rank results of a completed world, in rank order, into
 /// rank 0's report with the totals over all ranks — and the transfers the
-/// run's launches planned, and the tiling it ran on — filled in.
-fn assemble(
-    mut results: Vec<PeResult>,
-    launch_transfers: usize,
-    tiling: Option<PillarLayout>,
-) -> Run {
+/// run's launches planned — filled in.
+fn assemble(mut results: Vec<PeResult>, launch_transfers: usize) -> Run {
     let mut phases = PhaseTimes::default();
     let mut wire = WireBytes::default();
     for r in &results {
@@ -423,7 +459,6 @@ fn assemble(
     report.suspicions = suspicions;
     report.cells_per_rank = cells_per_rank;
     report.launch_transfers = launch_transfers;
-    report.tiling = tiling;
     Run {
         report,
         snapshot: rank0.snapshot,

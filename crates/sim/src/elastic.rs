@@ -23,8 +23,10 @@
 //!    ([`crate::launch::launch_plan`]) — so a generation starts where its
 //!    balancer would have taken it rather than shedding every hot tile
 //!    anew, and every generation boundary moves the walls to where the
-//!    load has gone. The drain is audited on the way through: exact particle-count
-//!    conservation and an exact one-owner-per-column partition.
+//!    load has gone (inside a generation, a re-tiling run moves them in
+//!    place at its check steps, see [`crate::pe`]). The drain is audited
+//!    on the way through: exact particle-count conservation and an exact
+//!    one-owner-per-column partition.
 //! 3. **Resume** — a fresh world launches on the new PE set with a bumped
 //!    wire-epoch base ([`pcdlb_mp::World::with_base_epoch`]), so any
 //!    frame stamped by a stale generation is dropped by the ordinary
@@ -144,14 +146,17 @@ pub struct ResizeGeneration {
 /// that satisfies the permanent-cell invariant on any torus, and the
 /// launch plan is replayed onto it: a generation starts where its
 /// balancer would have taken it, as a fresh run does, instead of shedding
-/// its hot tiles one column a step all over again. Returns the number of
-/// transfers planned. The loads and in-flight transfers the old torus's
-/// balancer held say nothing about the new one's ranks: they are dropped,
-/// and the new generation announces its loads afresh.
+/// its hot tiles one column a step all over again. `retiles` says whether
+/// the generation re-tiles in place as it runs (its tiles may then be one
+/// column wide, see [`launch_plan`]). Returns the number of transfers
+/// planned. The loads and in-flight transfers the old torus's balancer
+/// held say nothing about the new one's ranks: they are dropped, and the
+/// new generation announces its loads afresh.
 pub(crate) fn remap_drained_checkpoint(
     ck: &mut SimCheckpoint,
     cfg: &RunConfig,
     boundary: u64,
+    retiles: bool,
 ) -> usize {
     assert_eq!(
         ck.md.step, boundary,
@@ -165,8 +170,8 @@ pub(crate) fn remap_drained_checkpoint(
         ck.md.particles.len(),
         cfg.n_particles
     );
-    let placed = Placed::new(cfg, &ck.md.particles);
-    let plan = launch_plan(DomainShape::SquarePillar, cfg, boundary, &placed);
+    let work = Placed::new(cfg, &ck.md.particles).column_work();
+    let plan = launch_plan(DomainShape::SquarePillar, cfg, boundary, &work, retiles);
     let layout = plan.tiling();
     let grid = layout.grid();
     assert_eq!(
@@ -368,8 +373,8 @@ mod tests {
             }
             let mut gen = cfg.clone();
             gen.p = p;
-            let placed = Placed::new(&gen, &serial.snapshot());
-            let plan = launch_plan(DomainShape::SquarePillar, &gen, boundary, &placed);
+            let work = Placed::new(&gen, &serial.snapshot()).column_work();
+            let plan = launch_plan(DomainShape::SquarePillar, &gen, boundary, &work, true);
             let tiling = plan.tiling();
             assert!(!tiling.is_even(), "P = {p}: {tiling}");
             let first = &records[boundary as usize];

@@ -5,6 +5,13 @@
 //! takeover rung ([`crate::takeover`]) re-enters it after a rank death
 //! with the adopting thread driving **two**.
 //!
+//! A re-tiling run (a balancing square pillar not launched with
+//! `Launch::fixed_tiles`) checks its tiling at the top of steps 2, 4, 8,
+//! … — the first rebuild step at or after each under skin epochs — before
+//! the balancer decides; on a step that re-tiles, the move takes the DLB
+//! slot after round 1 and the balancer sits the step out. Both are part
+//! of the step: their messages land in its comm lap like any other.
+//!
 //! Dual-role phase interleaving is what keeps such a degraded world
 //! deadlock-free: point-to-point phases post *both* roles' sends before
 //! either role blocks in a receive; gather-shaped phases run whole-role
@@ -14,7 +21,7 @@
 //! the plain single-rank order. `pcdlb-check takeover` verifies the
 //! merged schedules mechanically and sweeps real kill points.
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use pcdlb_domain::DomainShape;
 use pcdlb_md::Particle;
@@ -22,8 +29,8 @@ use pcdlb_mp::Comm;
 
 use crate::clock::WallTimer;
 use crate::config::RunConfig;
-use crate::launch::{LaunchPlan, Placed};
-use crate::pe::{Exchange, PeResult, PeState};
+use crate::launch::{LaunchPlan, Placed, Retile};
+use crate::pe::{Exchange, Held, PeResult, PeState};
 use crate::recover::SimCheckpoint;
 use crate::report::{RunReport, StepRecord};
 
@@ -55,6 +62,22 @@ fn descending(
     }
 }
 
+/// What a launch asks of its ranks besides the configuration: the front
+/// door's choices ([`crate::driver::Launch`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Program {
+    pub(crate) shape: DomainShape,
+    /// Check the tiling at doubling steps and re-tile in place where it
+    /// pays (a balancing square pillar without `Launch::fixed_tiles`).
+    pub(crate) retile: bool,
+    /// Gather the final particle state to rank 0.
+    pub(crate) snapshot: bool,
+    /// Gather a final checkpoint at `cfg.steps` even though no step follows
+    /// it — the elastic resize drain, which hands the whole world state to
+    /// the next generation.
+    pub(crate) drain: bool,
+}
+
 /// Where a launch's particles come from.
 #[derive(Clone, Copy)]
 pub(crate) enum Start<'a> {
@@ -68,27 +91,27 @@ pub(crate) enum Start<'a> {
 }
 
 /// Drive one or two virtual ranks through the whole simulation — the one
-/// SPMD run loop, for every domain shape. With a single role this emits
-/// exactly the historical single-role message sequence; with two (the
-/// pillar's buddy takeover), [`step_multi`]'s interleaving keeps the
-/// world deadlock-free. Checkpoints land in `sink`; in takeover worlds a
-/// deadline-bounded completion handshake keeps every thread alive until
-/// the whole world has finished, so a late death still interrupts
-/// someone who can absorb it. With `drain` set, a final checkpoint
-/// gather runs at `cfg.steps` even though no step follows it — the
-/// elastic resize drain, which hands the whole world state to the next
-/// generation.
-#[allow(clippy::too_many_arguments)]
+/// SPMD run loop, for every domain shape, as `program` says. With a single
+/// role this emits exactly the historical single-role message sequence;
+/// with two (the pillar's buddy takeover), [`step_multi`]'s interleaving
+/// keeps the world deadlock-free. Checkpoints land in `sink`; in takeover
+/// worlds a deadline-bounded completion handshake keeps every thread alive
+/// until the whole world has finished, so a late death still interrupts
+/// someone who can absorb it.
 pub(crate) fn run_roles(
     comm: &mut Comm,
     cfg: &RunConfig,
-    shape: DomainShape,
+    program: Program,
     roles: &[usize],
     start: Start,
     sink: Option<&Mutex<Option<SimCheckpoint>>>,
-    want_snapshot: bool,
-    drain: bool,
 ) -> Vec<(usize, PeResult)> {
+    let Program {
+        shape,
+        retile,
+        snapshot: want_snapshot,
+        drain,
+    } = program;
     let run_start = WallTimer::start();
     let mut start_step = 0;
     let mut records: Vec<StepRecord> = Vec::new();
@@ -101,7 +124,7 @@ pub(crate) fn run_roles(
     let mut pes: Vec<(usize, PeState)> = roles
         .iter()
         .map(|&v| {
-            let pe = match start {
+            let mut pe = match start {
                 Start::Restore(ck) => {
                     assert_eq!(
                         shape,
@@ -112,6 +135,9 @@ pub(crate) fn run_roles(
                 }
                 Start::Fresh(placed, plan) => PeState::new(v, cfg, shape, placed, plan),
             };
+            if retile {
+                pe.follow_the_load();
+            }
             (v, pe)
         })
         .collect();
@@ -170,6 +196,8 @@ pub(crate) fn run_roles(
             let report = (v == 0).then(|| RunReport {
                 records: records.take().expect("role 0 appears once"),
                 wall_s: run_start.elapsed_s(),
+                tiling: pe.tiling(),
+                retiles: pe.retiles(),
                 // Totals and the per-rank view are filled in by the
                 // driver from all ranks' results.
                 ..RunReport::default()
@@ -237,13 +265,26 @@ pub(crate) fn step_multi(
             rebuild = r;
         });
     }
+    // The slow loop, on a re-tiling run's check steps: the work map the
+    // last force pass measured goes to rank 0 — gather-shaped, whole-role
+    // descending — and its decision comes back, ascending. Every role
+    // lands on the same decision.
+    let mut retile: Option<Arc<Retile>> = None;
+    if pes[0].1.retile_due(step, rebuild) {
+        let mut held: [Option<Vec<Held>>; 2] = [None, None];
+        descending(comm, pes, |i, pe, comm| held[i] = pe.retile_gather(comm));
+        ascending(comm, pes, |i, pe, comm| {
+            retile = pe.retile_decide(comm, step, held[i].take());
+        });
+    }
     // Migration, DLB, and ghost-membership changes only happen on
     // rebuild steps — mid-epoch the binning is frozen everywhere. The
     // balancer decides here, before anything moves or is sent, on the
-    // loads it already holds: its decision rides round 1.
+    // loads it already holds: its decision rides round 1. A step that
+    // re-tiles plans its ownership whole, and the balancer sits it out.
     let mut dlb_now = false;
     for (_, pe) in pes.iter_mut() {
-        dlb_now = pe.dlb_due(step, rebuild);
+        dlb_now = pe.dlb_due(step, rebuild) && retile.is_none();
         if dlb_now {
             pe.dlb_decide();
         }
@@ -269,10 +310,17 @@ pub(crate) fn step_multi(
         ascending(comm, pes, |_, pe, comm| pe.step_send_round1(comm));
         ascending(comm, pes, |_, pe, comm| pe.step_recv_round1(comm));
     }
-    // DLB: the decided columns change hands.
+    // DLB: the decided columns change hands — or, on a re-tile, every
+    // column whose owner changes goes straight to its new owner, and the
+    // views follow the new tiling.
     let mut transferred = [0u64; 2];
     debug_assert!(!(dlb_now && exchange == Exchange::Single));
-    if dlb_now {
+    if let Some(r) = &retile {
+        ascending(comm, pes, |i, pe, comm| {
+            transferred[i] = pe.retile_send(comm, r)
+        });
+        ascending(comm, pes, |_, pe, comm| pe.retile_recv(comm, r));
+    } else if dlb_now {
         ascending(comm, pes, |i, pe, comm| {
             transferred[i] = pe.dlb_send_cells(comm)
         });

@@ -470,9 +470,17 @@ pub struct ParticleFrame {
     pub parts: Vec<Particle>,
 }
 
+impl ParticleFrame {
+    /// What a frame of `n` particles weighs on the wire, without building
+    /// it: a length prefix and `n` particles.
+    pub(crate) fn wire_size_of(n: usize) -> usize {
+        8 + n * Particle::at_rest(0, Vec3::ZERO).wire_size()
+    }
+}
+
 impl WireSize for ParticleFrame {
     fn wire_size(&self) -> usize {
-        8 + self.parts.iter().map(WireSize::wire_size).sum::<usize>()
+        Self::wire_size_of(self.parts.len())
     }
 }
 

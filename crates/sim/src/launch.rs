@@ -1,7 +1,9 @@
 //! What a launch works out before a rank thread starts, once per world:
 //! where every particle lies ([`Placed`]), where the tiles of a balancing
 //! square-pillar run are cut (`choose_tiling`), and where the balancer's
-//! own rule takes the columns from there ([`launch_plan`]).
+//! own rule takes the columns from there ([`launch_plan`]) — and, on the
+//! same work map measured in the run, whether a re-tiling run moves its
+//! tiles (`check`).
 //!
 //! Paper Sec. 2.3 moves one cell per PE per balancing step. That is all a
 //! gas condensing over 10⁴ steps needs, but a run that *starts* unbalanced
@@ -32,31 +34,47 @@
 //! permanent columns, the DLB limit reached before the first step — from
 //! the same exact work map and the same load ruler the plan reads
 //! (`Costs`), refined one axis at a time from the even tiling, each re-cut
-//! exact, no tile under two columns wide, and kept only if the plan on it
-//! ends strictly lower ([`launch_plan`]). The layout travels with the plan
+//! exact, and kept only if the plan on it ends strictly lower
+//! ([`launch_plan`]). How thin a tile may be depends on what can follow:
+//! a run whose tiles are cut once ([`Launch::fixed_tiles`]) keeps a
+//! movable column in every tile — no tile under two columns wide — so
+//! the in-run balancer has something next to the load later; a run that
+//! re-tiles as the load moves has a better answer for later, and its
+//! tiles may be one column wide. The layout travels with the plan
 //! ([`LaunchPlan::layout`]) to every rank's scaffold, into every
 //! checkpoint (so a relaunch, a takeover adoption and a sentinel rollback
 //! rebuild the same home tiles), through the elastic remap (which
-//! launches each generation afresh from the drained particles: the slow
-//! re-tiling loop, for free at every generation boundary) and into
+//! launches each generation afresh from the drained particles) and into
 //! `RunReport::tiling`. It is in no digest. A run that
 //! does not balance, and one whose even plan leaves its heaviest PE
 //! something to move, never enters the chooser and keeps the even tiling.
 //!
+//! **Re-tiling in the run.** The launch is check 0 of a re-tiling run:
+//! at steps 2, 4, 8, … the run gathers the work map its last force pass
+//! measured to rank 0, which calls [`launch_plan`] on it and re-tiles in
+//! place iff the modelled saving pays for the move (`check`). No
+//! constant: the horizon is the past, the cost the world's own cost
+//! model.
+//!
 //! Launch-time code: it allocates freely and is called from the driver
-//! ([`crate::driver`]) and the elastic remap ([`crate::elastic`]) only.
+//! ([`crate::driver`]), the elastic remap ([`crate::elastic`]) and rank
+//! 0 of a check step only.
+//!
+//! [`Launch::fixed_tiles`]: crate::driver::Launch::fixed_tiles
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use pcdlb_core::permanent::is_permanent;
 use pcdlb_core::protocol::{DlbDecision, DlbProtocol};
 use pcdlb_domain::{Col, DomainShape, OwnershipMap, PillarLayout};
 use pcdlb_md::{axis_bin, Particle};
-use pcdlb_mp::Torus2d;
+use pcdlb_mp::{CostModel, Torus2d, WireSize};
 
 use crate::config::{LoadMetric, RunConfig, SpeedSchedule};
 use crate::decomp::{decomposition, Decomposition};
-use crate::pe::{all_columns, cells_around};
+use crate::frame::ParticleFrame;
+use crate::pe::{all_columns, cells_around, Held};
 
 /// A world's particles placed in their cells, once per world: one
 /// counting sort by (column, z cell), ids ascending inside a cell — the
@@ -108,12 +126,13 @@ impl Placed {
         &self.parts[self.offsets[base + z.start]..self.offsets[base + z.end]]
     }
 
-    /// Each column's full-shell candidate-pair count, in column index
-    /// order: `n · (Σ₂₇ n′ − 1)` summed over its cells — what the work
-    /// model charges the column's owner for it, whoever that is (the
-    /// `WorkCounters` definition). The 3 × 3 × 3 sums run one periodic
-    /// axis at a time.
-    fn column_work(&self) -> Vec<u64> {
+    /// The work map: each column's full-shell candidate-pair count, in
+    /// column index order (`cx · nc + cy`): `n · (Σ₂₇ n′ − 1)` summed over
+    /// its cells — what the work model charges the column's owner for it,
+    /// whoever that is (the `WorkCounters` definition), and what
+    /// [`launch_plan`] plans on. The 3 × 3 × 3 sums run one periodic axis
+    /// at a time.
+    pub fn column_work(&self) -> Vec<u64> {
         let nc = self.nc;
         let occupancy: Vec<u64> = self
             .offsets
@@ -180,12 +199,12 @@ impl LaunchPlan {
     }
 }
 
-/// The exact work map of a placement and what a share of it costs a rank:
-/// the one ruler the launch tiling and the launch plan are both read off.
+/// An exact work map and what a share of it costs a rank: the one ruler
+/// the launch tiling, the launch plan and the re-tile check are read off.
 struct Costs<'a> {
     nc: usize,
     /// [`Placed::column_work`], in column index order.
-    work: Vec<u64>,
+    work: &'a [u64],
     /// Seconds per candidate pair; 1 where the run balances wall time
     /// (the `WallClock` metric plans in work units).
     unit: f64,
@@ -196,10 +215,11 @@ struct Costs<'a> {
 }
 
 impl<'a> Costs<'a> {
-    fn new(cfg: &'a RunConfig, step: u64, placed: &Placed) -> Self {
+    fn new(cfg: &'a RunConfig, step: u64, work: &'a [u64]) -> Self {
+        assert_eq!(work.len(), cfg.nc * cfg.nc, "one work entry per column");
         Self {
             nc: cfg.nc,
-            work: placed.column_work(),
+            work,
             unit: match cfg.load_metric {
                 LoadMetric::WorkModel { sec_per_pair } => sec_per_pair,
                 LoadMetric::WallClock => 1.0,
@@ -219,7 +239,7 @@ impl<'a> Costs<'a> {
     /// The `p` ranks' loads under the column → owner map `owner`.
     fn loads_under(&self, owner: &[usize], p: usize) -> Vec<f64> {
         let mut checks = vec![0u64; p];
-        for (&rank, &w) in owner.iter().zip(&self.work) {
+        for (&rank, &w) in owner.iter().zip(self.work) {
             checks[rank] += w;
         }
         let load = |(rank, &checks)| self.load(rank, checks);
@@ -244,15 +264,17 @@ fn peak(loads: &[f64]) -> f64 {
 /// fixed, the periodic cut of this axis with the smallest largest tile
 /// load is found exactly ([`recut`]); a re-cut is kept only if it
 /// *strictly* lowers the largest load, and the refinement stops when
-/// neither axis does — so an even work map keeps the even tiling. Every
-/// tile stays at least two columns wide, the paper's smallest `m`: a tile
-/// one column wide is all wall, and a launch that cut the load into such
-/// tiles would leave the run's balancer nothing to move next to it. No
-/// parameter; pure in `cfg` and the particles.
-fn choose_tiling(cfg: &RunConfig, costs: &Costs) -> PillarLayout {
+/// neither axis does — so an even work map keeps the even tiling. Where
+/// the tiles are cut once (`retiles` off) every tile stays at least two
+/// columns wide, the paper's smallest `m`: a tile one column wide is all
+/// wall, and a launch that cut the load into such tiles would leave the
+/// run's balancer nothing to move next to it. A run that re-tiles as the
+/// load moves cuts them as thin as one column. No parameter; pure in
+/// `cfg` and the work map.
+fn choose_tiling(cfg: &RunConfig, costs: &Costs, retiles: bool) -> PillarLayout {
     let (nc, torus) = (cfg.nc, cfg.torus());
-    // Every tile keeps a movable column (`m = 1` has none to keep).
-    let min_width = 2.min(nc / torus.rows());
+    // Fixed tiles keep a movable column each (`m = 1` has none to keep).
+    let min_width = if retiles { 1 } else { 2.min(nc / torus.rows()) };
     let even = PillarLayout::new(nc, torus);
     let home: Vec<usize> = all_columns(nc).map(|col| even.home_rank(col)).collect();
     let mut best = peak(&costs.loads_under(&home, cfg.p));
@@ -370,10 +392,11 @@ fn recut(
     (best.1 < bound).then_some(best)
 }
 
-/// Where a run of `cfg` from `placed` launches: `shape`'s balancer run to
-/// its floor (`plan_on`) from its home cells — for the square pillar, from
-/// the paper's even tiles unless two things the launch can read off its own
-/// plans both hold:
+/// Where a run of `cfg` launches on the work map `work`
+/// ([`Placed::column_work`] of its particles, in column index order):
+/// `shape`'s balancer run to its floor (`plan_on`) from its home cells —
+/// for the square pillar, from the paper's even tiles unless two things the
+/// launch can read off its own plans both hold:
 ///
 /// 1. **The even plan ends at the DLB limit** (`at_the_wall`, paper
 ///    Sec. 4): a PE carrying the largest load owns nothing but permanent
@@ -387,10 +410,21 @@ fn recut(
 ///    run starts on is the largest load after it.
 ///
 /// So a launch never starts above where the even tiling would have put it.
-/// No constant, and no option of the run is read for it. A run that does
-/// not balance plans nothing and keeps the even tiling. Pure in `cfg` and
-/// the particles.
-pub fn launch_plan(shape: DomainShape, cfg: &RunConfig, step: u64, placed: &Placed) -> LaunchPlan {
+/// `retiles` says whether the run re-tiles in place later (every launch
+/// but a [`Launch::fixed_tiles`] one's): then the cut may leave a tile one
+/// column wide. No constant, and no option of the run is read for it. A
+/// run that does not balance plans nothing and keeps the even tiling.
+/// Pure in `cfg` and the work map; `step` is the step whose force pass
+/// measured it (the processor speeds of that step weigh it).
+///
+/// [`Launch::fixed_tiles`]: crate::driver::Launch::fixed_tiles
+pub fn launch_plan(
+    shape: DomainShape,
+    cfg: &RunConfig,
+    step: u64,
+    work: &[u64],
+    retiles: bool,
+) -> LaunchPlan {
     let pillar = shape == DomainShape::SquarePillar;
     let even = pillar.then(|| PillarLayout::new(cfg.nc, cfg.torus()));
     if !cfg.dlb {
@@ -399,12 +433,12 @@ pub fn launch_plan(shape: DomainShape, cfg: &RunConfig, step: u64, placed: &Plac
             ..LaunchPlan::default()
         };
     }
-    let costs = Costs::new(cfg, step, placed);
+    let costs = Costs::new(cfg, step, work);
     let plan = plan_on(shape, cfg, &costs, even);
     let Some(even) = even.filter(|even| at_the_wall(even, &plan)) else {
         return plan;
     };
-    let cut = choose_tiling(cfg, &costs);
+    let cut = choose_tiling(cfg, &costs, retiles);
     if cut == even {
         return plan;
     }
@@ -441,7 +475,7 @@ pub fn launch_plan_on(
     layout: PillarLayout,
     cfg: &RunConfig,
     step: u64,
-    placed: &Placed,
+    work: &[u64],
 ) -> LaunchPlan {
     if !cfg.dlb {
         return LaunchPlan {
@@ -449,8 +483,108 @@ pub fn launch_plan_on(
             ..LaunchPlan::default()
         };
     }
-    let costs = Costs::new(cfg, step, placed);
+    let costs = Costs::new(cfg, step, work);
     plan_on(DomainShape::SquarePillar, cfg, &costs, Some(layout))
+}
+
+/// A re-tile, as [`check`] decides it and every rank applies it: the new
+/// tiling, the ownership planned on it, and the columns that change hands
+/// to get there.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Retile {
+    /// The tiling the run continues on.
+    pub(crate) tiling: PillarLayout,
+    /// The launch plan's transfers on it, in order: with the tiling, every
+    /// rank's view of the new ownership.
+    pub(crate) decisions: Vec<DlbDecision>,
+    /// The plan's per-rank loads, in the unit the balancer decides in:
+    /// what each rank's neighbours hold for it from here.
+    pub(crate) loads: Vec<f64>,
+    /// Every column whose owner changes, ascending: `from` its owner at the
+    /// check, `to` its owner under the plan.
+    pub(crate) moves: Vec<DlbDecision>,
+}
+
+impl WireSize for Retile {
+    fn wire_size(&self) -> usize {
+        // The cut starts of both axes, then the three lists.
+        let side = self.tiling.torus().rows();
+        2 * (8 + 8 * side)
+            + self.decisions.wire_size()
+            + self.loads.wire_size()
+            + self.moves.wire_size()
+    }
+}
+
+/// The re-tile check of step `step` of a re-tiling run: `held[rank]` is
+/// every column `rank` owns at the top of the step, with the work the last
+/// force pass measured on it and its particle count. Rank 0 plans a launch
+/// on that work map ([`launch_plan`], the launch's own entry point — the
+/// launch is check 0) and re-tiles iff the saving pays for the move:
+///
+/// `(L_now − F′) · h > C`
+///
+/// - `L_now`: the largest load under the current ownership;
+/// - `F′`: the floor the plan ends on;
+/// - `h = 2^(k−1)` for the check at `2^k ≤ step` (the first rebuild step
+///   at or after it): the steps since the previous check. The past is the
+///   horizon, and the rule is stateless, so a restored run replays it;
+/// - `C`: the move's modelled time on the rank that pays most under the
+///   world's `model` — one frame per (old owner, new owner) pair carrying
+///   the particles of every column between them, charged to sender and
+///   receiver as the message layer charges it.
+///
+/// `None` keeps the tiling. No constant.
+pub(crate) fn check(
+    cfg: &RunConfig,
+    step: u64,
+    held: &[Held],
+    model: &CostModel,
+) -> Option<Retile> {
+    let (nc, p) = (cfg.nc, cfg.p);
+    let index = |col: Col| col.cx * nc + col.cy;
+    let (mut work, mut owner, mut count) = (vec![0; nc * nc], vec![0; nc * nc], vec![0; nc * nc]);
+    for (rank, columns) in held.iter().enumerate() {
+        for &(col, checks, n) in columns {
+            (work[index(col)], owner[index(col)], count[index(col)]) = (checks, rank, n as usize);
+        }
+    }
+    // The work was measured by the last step's force pass, at its speeds.
+    let measured = step - 1;
+    let now = peak(&Costs::new(cfg, measured, &work).loads_under(&owner, p));
+    let plan = launch_plan(DomainShape::SquarePillar, cfg, measured, &work, true);
+    let floor = *plan.peaks.last()?;
+    let tiling = plan.tiling();
+    let mut planned = OwnershipMap::initial(tiling);
+    for d in &plan.decisions {
+        DlbProtocol::apply(&mut planned, d);
+    }
+    let moves: Vec<DlbDecision> = all_columns(nc)
+        .map(|col| DlbDecision {
+            col,
+            from: owner[index(col)],
+            to: planned.owner_of(col),
+        })
+        .filter(|d| d.from != d.to)
+        .collect();
+    let mut frames: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    for d in &moves {
+        *frames.entry((d.from, d.to)).or_default() += count[index(d.col)];
+    }
+    let mut paid = vec![0.0; p];
+    for (&(from, to), &n) in &frames {
+        let t = model.message_time(from, to, ParticleFrame::wire_size_of(n));
+        paid[from] += t;
+        paid[to] += t;
+    }
+    let horizon = (1u64 << step.ilog2()) / 2;
+    let saving = (now - floor) * horizon as f64;
+    (!moves.is_empty() && saving > peak(&paid)).then_some(Retile {
+        tiling,
+        decisions: plan.decisions,
+        loads: plan.loads,
+        moves,
+    })
 }
 
 /// Run `shape`'s balancer to its floor on the exact work map behind

@@ -20,9 +20,10 @@ use crate::report::StepRecord;
 
 impl PeState {
     /// Rebuild a square-pillar PE's state from a distributed checkpoint:
-    /// start from the home tiles of the checkpointed tiling, replay the
-    /// checkpointed ownership into this rank's view and stage
-    /// the checkpointed particles into the columns this rank owns.
+    /// start from the home tiles of the checkpointed tiling (the one a
+    /// re-tile left, if any), replay the checkpointed ownership into this
+    /// rank's view and stage the checkpointed particles into the columns
+    /// this rank owns.
     /// Pillar only — a checkpoint records one owner per column, which is
     /// what the pillar's balancer moves; recovery, takeover and elastic
     /// runs are validated pillar-only upstream.
@@ -50,6 +51,7 @@ impl PeState {
             });
         }
         pe.adopt_particles(&Placed::new(cfg, &ck.md.particles));
+        pe.restore_retiles(&ck.retiles);
         // The initial force pass after a restore recomputes the
         // checkpointed step's forces — with drifting speeds, its
         // published load numbers must use the checkpointed step too.
@@ -100,6 +102,7 @@ impl PeState {
                 records: records.to_vec(),
                 loads,
                 transfers,
+                retiles: self.retiles(),
             }
         });
         let _ = comm.lap_virtual_comm();

@@ -83,6 +83,24 @@ impl Balance {
         due
     }
 
+    /// The last rebuild step before the step being decided (see
+    /// [`Balance::due`], which moves it on).
+    pub(super) fn last_rebuild(&self) -> u64 {
+        self.last_rebuild
+    }
+
+    /// Start over from per-rank `loads` every rank holds (a checkpoint's,
+    /// a re-tile's): this PE's own as announced, its `neighbors`' as heard,
+    /// nothing in flight.
+    pub(super) fn resume(&mut self, rank: usize, neighbors: &[usize], loads: &[f64]) {
+        self.announced_load = Some(loads[rank]);
+        self.nbr_loads.clear();
+        self.nbr_loads
+            .extend(neighbors.iter().map(|&nb| (nb, loads[nb])));
+        self.decisions.clear();
+        self.my_decision = None;
+    }
+
     /// The neighbours' loads the shape's rule decides on
     /// (`booked_loads`): as the last round 1 brought them, with the
     /// transfers applied since those were measured booked onto them
@@ -167,9 +185,7 @@ impl Balance {
                 "checkpoint announces {} loads for {p} ranks",
                 ck.loads.len()
             );
-            self.announced_load = Some(ck.loads[rank]);
-            self.nbr_loads
-                .extend(neighbors.iter().map(|&nb| (nb, ck.loads[nb])));
+            self.resume(rank, neighbors, &ck.loads);
             let heard = |t: &&Transfer| {
                 let from = t.decision.from;
                 from == rank || neighbors.binary_search(&from).is_ok()
@@ -240,27 +256,32 @@ impl PeState {
     }
 
     /// The full-shell candidate-pair count of the columns decision `d`
-    /// moves — for every particle of theirs, the particles in its cell
-    /// and the 26 around it, read off the occupancies of the owned and
-    /// ghost slabs the last force pass ran on. That count is what the
-    /// work model charges this PE (the giver) for them, and it does not
-    /// depend on who owns the columns.
+    /// moves (see [`PeState::column_checks`]): what the work model charges
+    /// this PE (the giver) for them.
     fn granule_checks(&self, d: &DlbDecision) -> u64 {
+        let granule = self.decomp.granule(d);
+        granule.into_iter().map(|col| self.column_checks(col)).sum()
+    }
+
+    /// The full-shell candidate-pair count of owned column `col` — for
+    /// every particle of it, the particles in its cell and the 26 around
+    /// it, read off the occupancies of the owned and ghost slabs the last
+    /// force pass ran on. It does not depend on who owns the column, and
+    /// over the owned columns it sums to the pass's `pair_checks`.
+    pub(super) fn column_checks(&self, col: Col) -> u64 {
         let nc = self.nc;
         let occupancy = |col: Col, cz: usize| {
             let slab = self.columns.get(&col).or_else(|| self.ghosts.get(&col));
             slab.map_or(0, |s| s.cell(cz).len()) as u64
         };
         let mut checks = 0u64;
-        for col in self.decomp.granule(d) {
-            for cz in 0..nc {
-                let here = occupancy(col, cz);
-                if here > 0 {
-                    let around: u64 = cells_around(nc, col, cz..cz + 1)
-                        .map(|(c, z)| occupancy(c, z.start))
-                        .sum();
-                    checks += here * (around - 1);
-                }
+        for cz in 0..nc {
+            let here = occupancy(col, cz);
+            if here > 0 {
+                let around: u64 = cells_around(nc, col, cz..cz + 1)
+                    .map(|(c, z)| occupancy(c, z.start))
+                    .sum();
+                checks += here * (around - 1);
             }
         }
         checks

@@ -203,7 +203,13 @@ mod tests {
                     let roles = [comm.rank()];
                     let none = crate::launch::LaunchPlan::default();
                     let start = crate::engine::Start::Fresh(&initial, &none);
-                    crate::engine::run_roles(comm, &cfg, shape, &roles, start, None, false, false);
+                    let program = crate::engine::Program {
+                        shape,
+                        retile: false,
+                        snapshot: false,
+                        drain: false,
+                    };
+                    crate::engine::run_roles(comm, &cfg, program, &roles, start, None);
                     comm.lap_virtual_comm()
                 });
             assert!(laps.iter().all(|&l| l == 0.0), "{shape:?}: {laps:?}");

@@ -389,7 +389,8 @@ mod tests {
                 cfg.speed = speed;
                 crate::decomp::validate(&cfg, shape);
                 let initial = placed(&cfg);
-                let plan = crate::launch::launch_plan(shape, &cfg, 0, &initial);
+                let work = initial.column_work();
+                let plan = crate::launch::launch_plan(shape, &cfg, 0, &work, false);
                 assert!(!plan.decisions.is_empty(), "{shape:?}: nothing planned");
                 let measured = pcdlb_mp::World::new(cfg.p).run(|comm| {
                     let pe = PeState::new(comm.rank(), &cfg, shape, &initial, &plan);

@@ -30,6 +30,11 @@
 //!    skin epoch;
 //! 8. statistics gather to rank 0 — `bookkeeping`.
 //!
+//! A re-tiling run (a balancing square pillar launched without
+//! `Launch::fixed_tiles`) adds the slow loop of `retile`: at steps 2, 4,
+//! 8, … a check ahead of phase 1, and on a re-tile step, in phase 3's
+//! place, the move of every column whose owner changes.
+//!
 //! The neighbour set, ghost routes, cell classes and home list are all
 //! derived from `Decomposition::owner_of` in `topology`; checkpoint
 //! gather and restore, the sentinel and the snapshot are in `audit`.
@@ -44,6 +49,7 @@ mod balance;
 mod bookkeeping;
 mod exchange;
 mod force;
+mod retile;
 mod topology;
 mod walk;
 
@@ -61,6 +67,7 @@ use crate::report::{PhaseTimes, RunReport, WireBytes};
 
 pub use audit::SentinelReport;
 pub(crate) use exchange::Exchange;
+pub(crate) use retile::Held;
 pub(crate) use topology::{all_columns, cells_around};
 
 /// A PE's cell columns — owned or ghost — by column: contiguous
@@ -141,6 +148,7 @@ pub struct PeState {
     exchange: exchange::Channels,
     balance: balance::Balance,
     bookkeeping: bookkeeping::Bookkeeping,
+    retiling: retile::Retiling,
 }
 
 impl PeState {
@@ -194,6 +202,7 @@ impl PeState {
             force: force::Force::default(),
             balance: balance::Balance::new(balances),
             bookkeeping: bookkeeping::Bookkeeping::new(),
+            retiling: retile::Retiling::default(),
         }
     }
 
@@ -228,6 +237,12 @@ impl PeState {
     /// is fixed the layouts are translation-symmetric.
     pub fn exchanges_once(&self) -> bool {
         self.topology.exchanges_once()
+    }
+
+    /// The tiling this PE's home tiles are cut on (the square pillar's;
+    /// `None` for the other shapes).
+    pub(crate) fn tiling(&self) -> Option<PillarLayout> {
+        self.decomp.tiling()
     }
 
     /// Number of cells this PE currently owns (its columns × its z extent).

@@ -1,0 +1,295 @@
+//! The slow loop of a re-tiling run (a balancing square pillar launched
+//! without `Launch::fixed_tiles`): at steps 2, 4, 8, … — under skin epochs
+//! the first rebuild step at or after each — rank 0 gathers the work map
+//! the last force pass measured, decides with the launch's own chooser
+//! and plan whether the tiles move ([`crate::launch::check`]), and
+//! broadcasts the decision. A re-tile is that step's DLB slot, widened:
+//! round 1 runs as usual, then every column whose owner changes goes
+//! straight to its new owner — one frame per (old owner, new owner) pair,
+//! on a torus above 3 × 3 possibly a non-neighbour — and every view is
+//! rebuilt on the new tiling and its planned ownership, as a restore
+//! rebuilds them from a checkpoint. Every message of it is charged to its
+//! step. Cold: nothing here runs in the steady-state step.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use pcdlb_core::protocol::tags;
+use pcdlb_domain::{Col, DomainShape, PillarLayout};
+use pcdlb_md::cells::CellSlab;
+use pcdlb_md::Particle;
+use pcdlb_mp::{collectives, Comm, WireSize};
+
+use super::topology::{all_columns, Topology};
+use super::PeState;
+use crate::decomp::decomposition;
+use crate::frame::ParticleFrame;
+use crate::launch::{check, Retile};
+
+/// Each owned column with its work and particle count: one rank's part
+/// of a check's work map.
+pub(crate) type Held = Vec<(Col, u64, u64)>;
+
+/// What the slow loop keeps.
+#[derive(Default)]
+pub(super) struct Retiling {
+    /// Whether this run re-examines its tiling. Fixed for the run.
+    enabled: bool,
+    /// Every re-tile so far: its step, the tiling it moved to and the
+    /// columns that changed hands.
+    history: Vec<(u64, PillarLayout, usize)>,
+}
+
+impl PeState {
+    /// Make this a re-tiling run's PE (a balancing square pillar only).
+    pub(crate) fn follow_the_load(&mut self) {
+        debug_assert!(self.balances() && self.decomp.tiling().is_some());
+        self.retiling.enabled = true;
+    }
+
+    /// The re-tiles of the run so far (restored ones included).
+    pub(crate) fn retiles(&self) -> Vec<(u64, PillarLayout, usize)> {
+        self.retiling.history.clone()
+    }
+
+    /// Carry on from the re-tiles a checkpoint recorded.
+    pub(super) fn restore_retiles(&mut self, history: &[(u64, PillarLayout, usize)]) {
+        self.retiling.history = history.to_vec();
+    }
+
+    /// Whether `step` checks the tiling: a rebuild step of a re-tiling
+    /// run with a power of two `2^k ≥ 2` in `(last rebuild, step]`. Ask
+    /// before [`PeState::dlb_due`] moves the rebuild history on. Pure in
+    /// replicated state, so every rank — and a restored run — agrees.
+    pub(crate) fn retile_due(&self, step: u64, rebuild: bool) -> bool {
+        let power = 1u64 << step.ilog2();
+        self.retiling.enabled && rebuild && power >= 2 && power > self.balance.last_rebuild()
+    }
+
+    /// The check, gather half: every owned column with its work (see
+    /// [`PeState::column_checks`]) and particle count to rank 0, which
+    /// gets the whole work map back (`None` elsewhere).
+    pub(crate) fn retile_gather(&mut self, comm: &mut Comm) -> Option<Vec<Held>> {
+        collectives::gather(comm, tags::RETILE_GATHER, self.held())
+    }
+
+    /// This PE's part of the work map.
+    fn held(&self) -> Held {
+        let column =
+            |(&col, slab): (&Col, &CellSlab)| (col, self.column_checks(col), slab.len() as u64);
+        self.columns.iter().map(column).collect()
+    }
+
+    /// The check, decision half: rank 0 decides on the gathered work map
+    /// and broadcasts what it decided — `None` keeps the tiling.
+    pub(crate) fn retile_decide(
+        &mut self,
+        comm: &mut Comm,
+        step: u64,
+        held: Option<Vec<Held>>,
+    ) -> Option<Arc<Retile>> {
+        let model = *comm.cost_model();
+        let decided = held.map(|held| check(&self.cfg, step, &held, &model).map(Arc::new));
+        let retile: Option<Arc<Retile>> = collectives::bcast(comm, tags::RETILE_BCAST, decided);
+        if let Some(r) = &retile {
+            (self.retiling.history).push((step, r.tiling, r.moves.len()));
+        }
+        retile
+    }
+
+    /// The move, send half: the particles of the columns this PE gives up,
+    /// one frame per new owner. Returns the number of columns sent.
+    pub(crate) fn retile_send(&mut self, comm: &mut Comm, r: &Retile) -> u64 {
+        let mine: Vec<_> = r.moves.iter().filter(|d| d.from == self.rank).collect();
+        let mut frames: BTreeMap<usize, ParticleFrame> = BTreeMap::new();
+        for d in &mine {
+            let slab = (self.columns.remove(&d.col)).expect("the old owner holds the column");
+            let frame = frames.entry(d.to).or_default();
+            frame.parts.extend_from_slice(slab.particles());
+        }
+        for (to, frame) in frames {
+            self.wire.dlb += frame.encoded_size() as u64;
+            comm.send(to, tags::RETILE_XFER, frame);
+        }
+        mine.len() as u64
+    }
+
+    /// The move, receive half: the columns this PE takes over, one frame
+    /// per old owner — then every view rebuilt on the new tiling.
+    pub(crate) fn retile_recv(&mut self, comm: &mut Comm, r: &Retile) {
+        let (nc, zbin) = (self.nc, self.zbin());
+        let mut staging: BTreeMap<usize, BTreeMap<Col, Vec<Particle>>> = BTreeMap::new();
+        for d in r.moves.iter().filter(|d| d.to == self.rank) {
+            staging.entry(d.from).or_default().insert(d.col, Vec::new());
+        }
+        for (from, mut columns) in staging {
+            let frame: ParticleFrame = comm.recv(from, tags::RETILE_XFER);
+            for p in frame.parts {
+                let col = self.cell_of(p.pos).0;
+                (columns.get_mut(&col))
+                    .expect("a moved particle lies in a column moved to this PE")
+                    .push(p);
+            }
+            for (col, parts) in columns {
+                self.columns.insert(col, CellSlab::build(nc, parts, zbin));
+            }
+        }
+        self.adopt_tiling(r);
+    }
+
+    /// Rebuild every view on the re-tile's tiling and planned ownership,
+    /// as a restore rebuilds them from a checkpoint: the decomposition,
+    /// the topology (its caches are redrawn at their next use, and the
+    /// ghost streams ship full frames where the shells changed), the
+    /// balancer's loads in hand — the plan's, nothing in flight. The
+    /// neighbour set is read off the home tiles, before the plan lends
+    /// anything: on any rectilinear tiling every rank borders the same
+    /// eight torus neighbours there, so the channels stay.
+    fn adopt_tiling(&mut self, r: &Retile) {
+        let rank = self.rank;
+        let mut decomp = decomposition(DomainShape::SquarePillar, rank, &self.cfg, Some(&r.tiling));
+        let topology = Topology::new(&*decomp, self.nc, rank, false);
+        for d in &r.decisions {
+            decomp.apply(d);
+        }
+        self.decomp = decomp;
+        debug_assert!(
+            all_columns(self.nc)
+                .filter(|&col| self.decomp.owner_of(col, 0) == rank)
+                .eq(self.columns.keys().copied()),
+            "rank {rank}: the columns held are not the ones planned"
+        );
+        assert_eq!(
+            topology.neighbors(),
+            self.topology.neighbors(),
+            "rank {rank}: a re-tile changed the neighbour set"
+        );
+        self.topology = topology;
+        let neighbors = self.topology.neighbors();
+        self.balance.resume(rank, neighbors, &r.loads);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::Exchange;
+    use super::*;
+    use crate::config::{Lattice, RunConfig};
+    use crate::launch::{launch_plan, Placed};
+    use crate::pe::initial_particles;
+
+    /// The 4 × 4 corner cluster that re-tiles at steps 8, 16 and 32.
+    fn cluster_p16() -> RunConfig {
+        let mut cfg = RunConfig::from_p_m_density(16, 4, 0.128);
+        cfg.lattice = Lattice::Cluster { fill: 0.4 };
+        cfg.dlb = true;
+        cfg.seed = 1;
+        cfg.steps = 8;
+        cfg
+    }
+
+    /// Drive `cfg` on its re-tiling launch, following the load or not, one
+    /// rank per thread; `each` sees every PE after every step.
+    fn drive<T: Send>(
+        cfg: &RunConfig,
+        follow: bool,
+        each: impl Fn(u64, &mut PeState, &mut Comm) -> T + Sync,
+    ) -> Vec<Vec<T>> {
+        let shape = DomainShape::SquarePillar;
+        let placed = Placed::new(cfg, &initial_particles(cfg));
+        let plan = launch_plan(shape, cfg, 0, &placed.column_work(), true);
+        pcdlb_mp::World::new(cfg.p)
+            .with_cost_model(crate::decomp::cost_model(shape, cfg))
+            .run(|comm| {
+                let mut pe = PeState::new(comm.rank(), cfg, shape, &placed, &plan);
+                if follow {
+                    pe.follow_the_load();
+                }
+                let mut pes = [(comm.rank(), pe)];
+                crate::engine::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
+                crate::engine::announce_loads(comm, &mut pes);
+                let _ = comm.lap_virtual_comm();
+                (1..=cfg.steps)
+                    .map(|step| {
+                        crate::engine::step_multi(comm, cfg, &mut pes, step);
+                        each(step, &mut pes[0].1, comm)
+                    })
+                    .collect()
+            })
+    }
+
+    #[test]
+    fn a_check_reads_the_work_map_of_the_state_it_sees() {
+        // What a check gathers is, column for column, the full-shell work
+        // `Placed::column_work` counts on the particles the ranks hold at
+        // that moment — read off the slabs the last force pass ran on,
+        // whoever owns a column.
+        let cfg = cluster_p16();
+        let checked = drive(&cfg, true, |step, pe, comm| {
+            let due = pe.retile_due(step + 1, true);
+            let held = collectives::gather(comm, tags::SNAPSHOT, pe.held());
+            let parts = pe.gather_snapshot(comm);
+            let _ = comm.lap_virtual_comm();
+            let Some((held, parts)) = held.zip(parts).filter(|_| due) else {
+                return 0;
+            };
+            let mut work = vec![u64::MAX; cfg.nc * cfg.nc];
+            for &(col, checks, _) in held.iter().flatten() {
+                work[col.cx * cfg.nc + col.cy] = checks;
+            }
+            assert_eq!(
+                work,
+                Placed::new(&cfg, &parts).column_work(),
+                "before step {}",
+                step + 1
+            );
+            1
+        });
+        // The checks of steps 2, 4 and 8, as rank 0 saw them.
+        assert_eq!(checked[0].iter().sum::<i32>(), 3);
+    }
+
+    #[test]
+    fn a_re_tile_step_pays_for_its_messages_in_its_own_step() {
+        // Same launch, same state up to the first re-tile (step 8): the
+        // run that follows the load pays a gather and a broadcast on every
+        // check step and the move on the re-tile step, all inside the
+        // step — after it the comm lap is empty on every rank, so nothing
+        // is charged to the next step or to no step at all.
+        let cfg = cluster_p16();
+        let comm_after = |follow| {
+            drive(&cfg, follow, |_, pe, comm| {
+                assert_eq!(comm.lap_virtual_comm(), 0.0, "rank {}", pe.rank);
+                let stats = comm.stats();
+                let sent = [stats.virtual_comm_s, stats.msgs_sent as f64];
+                (sent, pe.retiles().len())
+            })
+        };
+        let (followed, fixed) = (comm_after(true), comm_after(false));
+        // Over `step`, the largest per-rank increment of the comm time and
+        // of the messages sent.
+        let delta = |run: &[Vec<([f64; 2], usize)>], step: usize| -> [f64; 2] {
+            std::array::from_fn(|k| {
+                let per_rank = run.iter().map(|s| s[step - 1].0[k] - s[step - 2].0[k]);
+                per_rank.fold(0.0, f64::max)
+            })
+        };
+        assert_eq!(
+            (followed[0][6].1, followed[0][7].1),
+            (0, 1),
+            "re-tiles at step 8"
+        );
+        for step in [2, 4, 8] {
+            let ([time, msgs], [fixed_time, fixed_msgs]) =
+                (delta(&followed, step), delta(&fixed, step));
+            assert!(time > fixed_time && msgs > fixed_msgs, "step {step}");
+        }
+        for step in [3, 5, 6, 7] {
+            assert_eq!(
+                delta(&followed, step)[1],
+                delta(&fixed, step)[1],
+                "step {step}"
+            );
+        }
+    }
+}

@@ -32,8 +32,9 @@ use crate::config::RunConfig;
 use crate::report::StepRecord;
 
 /// The first line of a serialised [`SimCheckpoint`]. Version 2 added the
-/// `tiling` section; a version 1 file is refused by name.
-const SIM_MAGIC: &str = "pcdlb-sim-checkpoint v2";
+/// `tiling` section, version 3 the `retiles` section; an older file is
+/// refused by name.
+const SIM_MAGIC: &str = "pcdlb-sim-checkpoint v3";
 
 /// A restartable distributed simulation state: the global MD state (as a
 /// [`Checkpoint`] in `pcdlb-md`'s exact format), the DLB ownership map
@@ -46,8 +47,9 @@ pub struct SimCheckpoint {
     pub md: Checkpoint,
     /// `(column, owner)` for every column, in column order.
     pub ownership: Vec<(Col, usize)>,
-    /// The tiling the run was launched on ([`crate::launch`]): which PE
-    /// is home to which column, and so which columns are permanent. A
+    /// The tiling the run stands on at the checkpointed step — the one it
+    /// was launched on ([`crate::launch`]) or last re-tiled to: which PE is
+    /// home to which column, and so which columns are permanent. A
     /// relaunch, a takeover adoption and a sentinel rollback all rebuild
     /// their views on it.
     pub tiling: PillarLayout,
@@ -61,13 +63,16 @@ pub struct SimCheckpoint {
     /// The transfers applied at the checkpointed step, ascending `from`,
     /// with their work: still in flight with respect to `loads`.
     pub transfers: Vec<Transfer>,
+    /// The run's re-tiles up to the checkpointed step, as
+    /// `RunReport::retiles` lists them: `(step, tiling, columns moved)`.
+    pub retiles: Vec<(u64, PillarLayout, usize)>,
 }
 
 impl SimCheckpoint {
     /// Serialise to any writer: a sim magic line, the embedded MD
-    /// checkpoint text, then `ownership`, `tiling`, `records`, `loads`
-    /// and `transfers` sections. All `f64`s travel as IEEE-754 bit patterns in
-    /// hex, so a round trip is exact.
+    /// checkpoint text, then `ownership`, `tiling`, `records`, `loads`,
+    /// `transfers` and `retiles` sections. All `f64`s travel as IEEE-754
+    /// bit patterns in hex, so a round trip is exact.
     pub fn write_to(&self, w: impl Write) -> io::Result<()> {
         let mut w = BufWriter::new(w);
         writeln!(w, "{SIM_MAGIC}")?;
@@ -76,14 +81,14 @@ impl SimCheckpoint {
         for &(c, owner) in &self.ownership {
             writeln!(w, "{} {} {}", c.cx, c.cy, owner)?;
         }
-        let join = |starts: Vec<usize>| {
+        let join = |starts: Vec<usize>, by: &str| {
             let starts: Vec<String> = starts.iter().map(usize::to_string).collect();
-            starts.join(" ")
+            starts.join(by)
         };
         let (nc, side) = (self.tiling.grid().nc(), self.tiling.torus().rows());
         writeln!(w, "tiling {nc} {side}")?;
-        writeln!(w, "{}", join(self.tiling.xs()))?;
-        writeln!(w, "{}", join(self.tiling.ys()))?;
+        writeln!(w, "{}", join(self.tiling.xs(), " "))?;
+        writeln!(w, "{}", join(self.tiling.ys(), " "))?;
         writeln!(w, "records {}", self.records.len())?;
         for r in &self.records {
             writeln!(
@@ -116,6 +121,13 @@ impl SimCheckpoint {
             let work = t.work.to_bits();
             writeln!(w, "{} {} {from} {to} {work:016x}", col.cx, col.cy)?;
         }
+        // A re-tile's tiling cuts the checkpoint's grid on its torus: one
+        // line each, its cut starts comma-separated.
+        writeln!(w, "retiles {}", self.retiles.len())?;
+        for (step, tiling, moved) in &self.retiles {
+            let (xs, ys) = (join(tiling.xs(), ","), join(tiling.ys(), ","));
+            writeln!(w, "{step} {moved} {xs} {ys}")?;
+        }
         w.flush()
     }
 
@@ -125,12 +137,15 @@ impl SimCheckpoint {
         let lines: Vec<String> = io::BufReader::new(r).lines().collect::<io::Result<_>>()?;
         let mut it = lines.iter().map(String::as_str);
         let magic = it.next().ok_or_else(|| bad("empty checkpoint"))?;
-        if magic.trim() == "pcdlb-sim-checkpoint v1" {
-            return Err(bad(&format!(
-                "`{}` is a version 1 checkpoint, written before checkpoints carried \
-                 their tiling; this build reads `{SIM_MAGIC}` only",
-                magic.trim()
-            )));
+        for (old, lacks) in [("v1", "their tiling"), ("v2", "their re-tiles")] {
+            if magic.trim() == format!("pcdlb-sim-checkpoint {old}") {
+                return Err(bad(&format!(
+                    "`{}` is a version {} checkpoint, written before checkpoints carried \
+                     {lacks}; this build reads `{SIM_MAGIC}` only",
+                    magic.trim(),
+                    &old[1..]
+                )));
+            }
         }
         if magic.trim() != SIM_MAGIC {
             return Err(bad(&format!("bad sim magic line: `{magic}`")));
@@ -187,7 +202,8 @@ impl SimCheckpoint {
         if side == 0 || side > PillarLayout::MAX_SIDE {
             return Err(bad(&format!("bad tiling: torus side {side}")));
         }
-        let tiling = PillarLayout::rectilinear(nc, Torus2d::new(side, side), &xs, &ys)
+        let torus = Torus2d::new(side, side);
+        let tiling = PillarLayout::rectilinear(nc, torus, &xs, &ys)
             .map_err(|e| bad(&format!("bad tiling: {e}")))?;
         let rec_line = it.next().ok_or_else(|| bad("missing records section"))?;
         let n_rec = parse_header(rec_line, "records")?;
@@ -247,8 +263,25 @@ impl SimCheckpoint {
             };
             transfers.push(parsed.ok_or_else(|| bad(&format!("bad transfer line: `{line}`")))?);
         }
+        let retiles_line = it.next().ok_or_else(|| bad("missing retiles section"))?;
+        let n_retiles = parse_header(retiles_line, "retiles")?;
+        let mut retiles = Vec::new();
+        for _ in 0..n_retiles {
+            let line = it.next().ok_or_else(|| bad("truncated retiles section"))?;
+            let starts =
+                |s: &str| -> Option<Vec<usize>> { s.split(',').map(|v| v.parse().ok()).collect() };
+            let parsed = match line.split_whitespace().collect::<Vec<_>>()[..] {
+                [step, moved, xs, ys] => (|| {
+                    let (step, moved) = (step.parse().ok()?, moved.parse().ok()?);
+                    let layout = PillarLayout::rectilinear(nc, torus, &starts(xs)?, &starts(ys)?);
+                    Some((step, layout.ok()?, moved))
+                })(),
+                _ => None,
+            };
+            retiles.push(parsed.ok_or_else(|| bad(&format!("bad retile line: `{line}`")))?);
+        }
         if it.any(|line| !line.trim().is_empty()) {
-            return Err(bad("trailing lines after the transfers section"));
+            return Err(bad("trailing lines after the retiles section"));
         }
         Ok(Self {
             md,
@@ -257,6 +290,7 @@ impl SimCheckpoint {
             records,
             loads,
             transfers,
+            retiles,
         })
     }
 
@@ -382,6 +416,14 @@ pub(crate) mod tests {
             records: run(&cfg).records,
             loads: vec![0.1, 0.25, -0.0, 1e-300],
             transfers: vec![transfer(3, 0, 0.1 / 3.0), transfer(1, 2, 0.0)],
+            retiles: vec![
+                (
+                    2,
+                    PillarLayout::rectilinear(4, cfg.torus(), &[1, 2], &[0, 3]).unwrap(),
+                    5,
+                ),
+                (16, PillarLayout::new(4, cfg.torus()), 0),
+            ],
         };
         let text = ck.to_string_repr();
         let back = SimCheckpoint::read_from(text.as_bytes()).expect("parse");
@@ -391,6 +433,7 @@ pub(crate) mod tests {
         let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&ck.loads), bits(&back.loads));
         assert_eq!(ck.transfers, back.transfers);
+        assert_eq!(ck.retiles, back.retiles);
         assert_eq!(ck.records.len(), back.records.len());
         for (a, b) in ck.records.iter().zip(&back.records) {
             assert_eq!(a, b, "record round trip must be bitwise exact");
@@ -401,14 +444,20 @@ pub(crate) mod tests {
     fn corrupt_sim_checkpoints_are_rejected_with_context() {
         assert!(SimCheckpoint::read_from("".as_bytes()).is_err());
         assert!(SimCheckpoint::read_from("wrong\n".as_bytes()).is_err());
-        let no_sections = "pcdlb-sim-checkpoint v2\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n";
+        let no_sections = "pcdlb-sim-checkpoint v3\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n";
         let e = SimCheckpoint::read_from(no_sections.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("ownership"), "{e}");
-        // A checkpoint of the format before the `tiling` section is turned
-        // away by its version, not by the section it lacks.
-        let v1 = no_sections.replace("sim-checkpoint v2", "sim-checkpoint v1");
-        let e = SimCheckpoint::read_from(v1.as_bytes()).unwrap_err();
-        assert!(e.to_string().contains("version 1 checkpoint"), "{e}");
+        // A checkpoint of a format before the `tiling` or the `retiles`
+        // section is turned away by its version, not by the section it
+        // lacks.
+        for old in [1, 2] {
+            let text = no_sections.replace("sim-checkpoint v3", &format!("sim-checkpoint v{old}"));
+            let e = SimCheckpoint::read_from(text.as_bytes()).unwrap_err();
+            assert!(
+                e.to_string().contains(&format!("version {old} checkpoint")),
+                "{e}"
+            );
+        }
         let truncated = format!("{no_sections}ownership 2\n0 0 0\n");
         let e = SimCheckpoint::read_from(truncated.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("truncated"), "{e}");
@@ -421,10 +470,10 @@ pub(crate) mod tests {
         // garble a line: the reader answers with an error naming the
         // section — it never panics, never allocates for a count it has
         // not seen the lines of, and never hands back a shortened state.
-        let head = "pcdlb-sim-checkpoint v2\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
+        let head = "pcdlb-sim-checkpoint v3\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
                     ownership 0\ntiling 4 2\n0 2\n0 2\nrecords 0\n";
         let load = format!("{:016x}", 0.5f64.to_bits());
-        let tail = format!("loads 2\n{load}\n{load}\ntransfers 1\n3 0 3 0 {load}\n");
+        let tail = format!("loads 2\n{load}\n{load}\ntransfers 1\n3 0 3 0 {load}\nretiles 0\n");
         let whole = format!("{head}{tail}");
         let ck = SimCheckpoint::read_from(whole.as_bytes()).expect("well-formed");
         assert_eq!(ck.loads, [0.5, 0.5]);
@@ -448,9 +497,12 @@ pub(crate) mod tests {
             (tail.replace("loads 2", "loads 1"), "bad transfers header"),
             (
                 tail.replace("transfers 1", "transfers 2"),
-                "truncated transfers",
+                "bad transfer line",
             ),
-            (tail.replace("transfers 1", "transfers 0"), "trailing lines"),
+            (
+                tail.replace("transfers 1", "transfers 0"),
+                "bad retiles header",
+            ),
             (
                 tail.replace("loads 2", "loads 18446744073709551615"),
                 "bad load line",
@@ -484,9 +536,9 @@ pub(crate) mod tests {
         // layout describes, a line cut short or garbled — each is an
         // error naming the tiling, never a panic in a rank's scaffold and
         // never an allocation sized by a number in the file.
-        let head = "pcdlb-sim-checkpoint v2\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
+        let head = "pcdlb-sim-checkpoint v3\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
                     ownership 0\n";
-        let tail = "records 0\nloads 0\ntransfers 0\n";
+        let tail = "records 0\nloads 0\ntransfers 0\nretiles 0\n";
         let read = |tiling: &str| {
             let text = format!("{head}{tiling}{tail}");
             SimCheckpoint::read_from(text.as_bytes())
@@ -537,10 +589,51 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn malformed_retile_sections_are_typed_errors() {
+        // The re-tile history rides the end of the checkpoint, each entry
+        // a tiling of the checkpoint's own grid and torus: an entry whose
+        // cuts do not tile that ring, or a line of the wrong shape, is an
+        // error naming the section.
+        let head = "pcdlb-sim-checkpoint v3\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
+                    ownership 0\ntiling 12 3\n0 4 8\n0 4 8\nrecords 0\nloads 0\ntransfers 0\n";
+        let read = |retiles: &str| SimCheckpoint::read_from(format!("{head}{retiles}").as_bytes());
+        let ck =
+            read("retiles 2\n64 65 0,2,3 2,3,11\n128 13 0,2,3 2,10,11\n").expect("well-formed");
+        let entries: Vec<String> = ck
+            .retiles
+            .iter()
+            .map(|(step, tiling, moved)| format!("{step} {tiling} {moved}"))
+            .collect();
+        assert_eq!(
+            entries,
+            [
+                "64 2·1·9 from 0 × 1·8·3 from 2 65",
+                "128 2·1·9 from 0 × 8·1·3 from 2 13"
+            ]
+        );
+        for (retiles, what) in [
+            ("", "missing retiles"),
+            ("retiles 1\n", "truncated retiles"),
+            ("retiles 1\n64 65 0,2,3\n", "bad retile line"),
+            ("retiles 1\n64 65 0,2 2,3,11\n", "bad retile line"),
+            ("retiles 1\n64 65 0,2,12 2,3,11\n", "bad retile line"),
+            ("retiles 1\n64 x 0,2,3 2,3,11\n", "bad retile line"),
+            ("retiles 1\n64 65 0,2,3 2;3;11\n", "bad retile line"),
+            ("retiles 0\n64 65 0,2,3 2,3,11\n", "trailing lines"),
+            ("retiles many\n", "bad retiles count"),
+        ] {
+            let e = read(retiles).expect_err(retiles);
+            assert!(e.to_string().contains(what), "`{retiles}`: {e}");
+        }
+    }
+
     /// 3×3, m = 4, the cluster on rank 0's tile of the paper's tiling —
     /// the benchmark's `cluster_dlb_p9`: the launch cuts the tiles through
-    /// the cluster (2·2·8 × 2·2·8), and the balancer moves a column or two
-    /// on each of the first seven steps.
+    /// the cluster (2·1·9 × 1·2·9 where they follow the load, 2·2·8 ×
+    /// 2·2·8 where they are fixed), and the balancer moves a column or two
+    /// on most of the first steps; the re-tile checks at steps 2, 4, 8 and
+    /// 16 keep the tiling.
     fn busy_balancer_cfg() -> RunConfig {
         let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
         cfg.lattice = Lattice::Cluster { fill: 0.45 };
@@ -702,7 +795,7 @@ pub(crate) mod tests {
     #[cfg(feature = "check")]
     #[test]
     fn a_working_balancer_survives_a_death_bitwise() {
-        use crate::engine::{run_roles, Start};
+        use crate::engine::{run_roles, Program, Start};
         use crate::launch::{launch_plan, Placed};
         use pcdlb_core::protocol::tags;
         use pcdlb_domain::DomainShape;
@@ -723,10 +816,16 @@ pub(crate) mod tests {
         to_5.steps = 5;
         let (shape, sink) = (DomainShape::SquarePillar, Mutex::new(None));
         let placed = Placed::new(&to_5, &initial_particles(&to_5));
-        let plan = launch_plan(shape, &to_5, 0, &placed);
+        let plan = launch_plan(shape, &to_5, 0, &placed.column_work(), true);
+        let program = Program {
+            shape,
+            retile: true,
+            snapshot: false,
+            drain: true,
+        };
         pcdlb_mp::World::new(to_5.p).run(|comm| {
             let (roles, start) = ([comm.rank()], Start::Fresh(&placed, &plan));
-            run_roles(comm, &to_5, shape, &roles, start, Some(&sink), false, true)
+            run_roles(comm, &to_5, program, &roles, start, Some(&sink))
         });
         let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
         assert_eq!(at_5.md.step, 5);
@@ -769,8 +868,8 @@ pub(crate) mod tests {
         cfg.sentinel_interval = 4;
         let reference = fault_free(&cfg, false);
         let tiling = reference.report.tiling.expect("a pillar run");
-        assert_eq!(tiling.to_string(), "2·2·8 from 0 × 2·2·8 from 0");
-        // Rank 8 holds the 8 × 8 tile that does the lending. It dies on
+        assert_eq!(tiling.to_string(), "2·1·9 from 0 × 1·2·9 from 2");
+        // Rank 8 holds the 9 × 9 tile that does the lending. It dies on
         // its eighth stats gather: in step 8, three steps after the
         // checkpoint the relaunch restores.
         let in_step_8 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 7);
@@ -833,6 +932,77 @@ pub(crate) mod tests {
         assert_eq!(absorbed.digest, reference.digest, "buddy takeover");
         assert_eq!(absorbed.report.records, reference.report.records);
         assert_eq!(absorbed.snapshot, reference.snapshot);
+    }
+
+    #[cfg(feature = "check")]
+    #[test]
+    fn a_re_tile_survives_a_death_inside_it_and_restores_onto_its_tiling() {
+        use pcdlb_core::protocol::tags;
+        use pcdlb_mp::collectives::ctag;
+        use pcdlb_mp::FaultPlan;
+        // A 4 × 4 corner cluster that re-tiles at step 8 (its third check),
+        // with checkpoints at steps 5 and 10 and a sentinel watching. The
+        // check and the move are the step's messages like any other, and
+        // the re-tile is a pure function of the state the check sees, so a
+        // world that dies inside that step — in the check's gather, or
+        // sending a moved column — replays it from step 5 to the bit, by
+        // relaunch or by takeover; one that dies after step 10 restores onto
+        // the tiling the re-tile left, and reports the re-tile it made.
+        let mut cfg = RunConfig::from_p_m_density(16, 4, 0.128);
+        cfg.lattice = Lattice::Cluster { fill: 0.4 };
+        cfg.dlb = true;
+        cfg.seed = 1;
+        cfg.steps = 12;
+        cfg.checkpoint_interval = 5;
+        cfg.sentinel_interval = 4;
+        cfg.comm = recovery_cfg().comm;
+        let reference = fault_free(&cfg, false);
+        let retiled: Vec<u64> = reference.report.retiles.iter().map(|r| r.0).collect();
+        assert_eq!(retiled, [8]);
+        let tiling = reference.report.retiles[0].1;
+        assert_eq!(reference.report.tiling, Some(tiling));
+        let parity = |out: &LadderOutcome, what: &str| {
+            assert_eq!(out.digest, reference.digest, "{what}");
+            assert_eq!(out.snapshot, reference.snapshot, "{what}");
+            assert_eq!(out.report.retiles, reference.report.retiles, "{what}");
+            assert_eq!(out.report.tiling, Some(tiling), "{what}");
+        };
+        // After the checkpoint of step 10: restored onto the new tiling.
+        let in_step_11 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 10);
+        let kill = move |launch, rank| (launch == 0 && rank == 5).then(in_step_11);
+        let restored = faulted(kill)
+            .run_resilient(&cfg, &ladder(false))
+            .expect("recovers");
+        assert_eq!(restored.attempts, 2);
+        parity(&restored, "restored after the re-tile");
+        // Inside the re-tile step: in the check's gather (the third a
+        // non-root rank contributes to), or at the first frame of moved
+        // columns a rank sends.
+        let deaths: [(&str, u64, u64); 2] = [
+            ("check", ctag(tags::RETILE_GATHER, 0), 2),
+            ("move", tags::RETILE_XFER, 0),
+        ];
+        for (what, tag, nth) in deaths {
+            let fired = (1..cfg.p).find_map(|rank| {
+                let kill = move |launch, r| {
+                    (launch == 0 && r == rank).then(|| FaultPlan::kill_on_tag(tag, nth))
+                };
+                let out = faulted(kill)
+                    .run_resilient(&cfg, &ladder(false))
+                    .expect(what);
+                (out.attempts == 2).then_some((rank, out))
+            });
+            let (rank, relaunched) = fired.unwrap_or_else(|| panic!("no {what} kill fired"));
+            parity(&relaunched, what);
+            let kill = move |launch, r| {
+                (launch == 0 && r == rank).then(|| FaultPlan::kill_on_tag(tag, nth))
+            };
+            let absorbed = faulted(kill)
+                .run_resilient(&cfg, &ladder(true))
+                .expect(what);
+            assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1), "{what}");
+            parity(&absorbed, what);
+        }
     }
 
     #[cfg(feature = "check")]

@@ -177,11 +177,18 @@ pub struct RunReport {
     /// condition. `StepRecord::transfers` counts only what moved during a
     /// step. Not part of any digest.
     pub launch_transfers: usize,
-    /// The tiling the run's home tiles were cut on (`launch_plan` chooses
-    /// it where a square-pillar run balances; the even `m × m` one
-    /// otherwise) — after a resize, the last generation's. `None` for the
-    /// plane and the cube. Not part of any digest.
+    /// The tiling the run finished on: the one its last launch cut
+    /// (`launch_plan` chooses it where a square-pillar run balances; the
+    /// even `m × m` one otherwise) — after a resize, the last generation's
+    /// — or the one it last re-tiled to. `None` for the plane and the
+    /// cube. Not part of any digest.
     pub tiling: Option<PillarLayout>,
+    /// Every re-tile of a re-tiling run, in step order: `(step, tiling,
+    /// columns moved)` — the step whose DLB slot it took, the tiling it
+    /// moved to, the columns that changed hands (each also counted in that
+    /// step's `StepRecord::transfers`). Empty under
+    /// `Launch::fixed_tiles`. Not part of any digest.
+    pub retiles: Vec<(u64, PillarLayout, usize)>,
 }
 
 impl RunReport {

@@ -47,11 +47,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
 use pcdlb_core::protocol::tags;
-use pcdlb_domain::DomainShape;
 use pcdlb_mp::{Comm, CommError, CommErrorKind, Tag, TakeoverInterrupt};
 
 use crate::config::RunConfig;
-use crate::engine::{run_roles, Start};
+use crate::engine::{run_roles, Program, Start};
 use crate::pe::PeResult;
 use crate::recover::SimCheckpoint;
 
@@ -63,18 +62,19 @@ use crate::recover::SimCheckpoint;
 /// below runs once. Returns one [`PeResult`] per virtual rank this thread
 /// ended the run holding.
 ///
-/// `fresh` is how the world starts while the sink holds no checkpoint: its
-/// shared initial condition and launch plan. `drain` forces a final
-/// checkpoint gather at `cfg.steps` (the elastic resize drain — see
-/// [`crate::elastic`]); `resize_sync` runs the deadline-bounded resize
-/// barrier before the first step, so a relaunched generation only proceeds
-/// once every rank of the remapped torus is up.
+/// `program` is what every launch of the generation runs (its drain
+/// forces a final checkpoint gather at `cfg.steps` — the elastic resize
+/// drain, see [`crate::elastic`]); `fresh` is how the world starts while
+/// the sink holds no checkpoint: its shared initial condition and launch
+/// plan. `resize_sync` runs the deadline-bounded resize barrier before the
+/// first step, so a relaunched generation only proceeds once every rank of
+/// the remapped torus is up.
 pub(crate) fn takeover_main(
     comm: &mut Comm,
     cfg: &RunConfig,
+    program: Program,
     fresh: Start,
     sink: &Mutex<Option<SimCheckpoint>>,
-    drain: bool,
     resize_sync: bool,
 ) -> Vec<(usize, PeResult)> {
     let mut roles = vec![comm.rank()];
@@ -91,16 +91,7 @@ pub(crate) fn takeover_main(
             if resize_sync {
                 survivor_barrier(comm, "resize", tags::RESIZE_READY, tags::RESIZE_GO, true);
             }
-            run_roles(
-                comm,
-                cfg,
-                DomainShape::SquarePillar,
-                &roles,
-                start,
-                Some(sink),
-                true,
-                drain,
-            )
+            run_roles(comm, cfg, program, &roles, start, Some(sink))
         }));
         match attempt {
             Ok(results) => return results,

@@ -11,7 +11,9 @@
 //! the balancer runs at P = 9 and the smaller grids run DDM-only.
 
 use pcdlb_md::Particle;
-use pcdlb_sim::{digest_particles, run_serial, run_with_snapshot, serial_sim, Lattice, RunConfig};
+use pcdlb_sim::{
+    digest_particles, run_serial, run_with_snapshot, serial_sim, Lattice, Launch, RunConfig,
+};
 
 /// A short supercooled-gas run on `nc = 6` (divides 1×1, 2×2 and 3×3
 /// grids) with the given initial placement.
@@ -28,8 +30,15 @@ fn lattice_cfg(lattice: Lattice, p: usize, steps: u64, dlb: bool) -> RunConfig {
     cfg
 }
 
+/// Parity of `cfg` on tiles that follow the load and on the paper's fixed
+/// ones.
 fn assert_digest_parity(cfg: &RunConfig) {
-    let (_, snap) = run_with_snapshot(cfg);
+    assert_launch_parity(cfg, Launch::new());
+    assert_launch_parity(cfg, Launch::new().fixed_tiles());
+}
+
+fn assert_launch_parity(cfg: &RunConfig, launch: Launch) {
+    let (_, snap) = launch.snapshot().run(cfg).into_snapshot();
     let serial = run_serial(cfg);
     assert_eq!(snap.len(), serial.len(), "particle counts differ");
     assert_eq!(
@@ -104,13 +113,19 @@ fn parallel_pair_checks_match_serial_full_shell_count_per_step() {
 }
 
 /// DLB transfers actually fire on the concentrated start — the 3×3 DLB
-/// parity test above is only meaningful if ownership really moved.
+/// parity test above is only meaningful if ownership really moved: in the
+/// run on the paper's fixed tiles, and in the walls themselves where the
+/// tiles follow the load.
 #[test]
 fn cluster_start_on_3x3_grid_triggers_transfers() {
     let cfg = lattice_cfg(Lattice::Cluster { fill: 0.55 }, 9, 40, true);
-    let (report, snap) = run_with_snapshot(&cfg);
+    let fixed = Launch::new().fixed_tiles().snapshot();
+    let (report, snap) = fixed.run(&cfg).into_snapshot();
     let total: u32 = report.records.iter().map(|r| r.transfers).sum();
     assert!(total > 0, "expected at least one DLB transfer");
     let ids: Vec<u64> = snap.iter().map(|p: &Particle| p.id).collect();
     assert_eq!(ids, (0..cfg.n_particles as u64).collect::<Vec<_>>());
+    let (following, _) = run_with_snapshot(&cfg);
+    let tiling = following.tiling.expect("a pillar run reports its tiling");
+    assert!(!tiling.is_even(), "{tiling}");
 }

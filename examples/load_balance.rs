@@ -7,8 +7,9 @@
 //! workload twice: plain DDM, then DLB-DDM. Prints the launch — the
 //! tiling the balancing run's tiles are cut on, where the load is, and
 //! the columns each PE gives and takes before the first step, where the
-//! balancer's own rule takes the initial condition from there — then each
-//! PE's owned-cell count and the force-time spread, showing ownership
+//! balancer's own rule takes the initial condition from there — and the
+//! re-tiles the run made as the load moved (`RunReport::retiles`), then
+//! each PE's owned-cell count and the force-time spread, showing ownership
 //! flown away from the loaded corner while the 8-neighbour pattern stays
 //! intact (the run would panic otherwise — ghost exchange asserts it). Exits
 //! non-zero if DLB-DDM's late-phase `Fmax/Fave` is not below DDM's (CI
@@ -60,11 +61,10 @@ fn main() {
             // The launch the run started from (the same pure function of
             // the configuration the driver called), and what the paper's
             // tiling would have started it on.
-            let placed = Placed::new(&c, &initial_particles(&c));
-            let plan = launch_plan(DomainShape::SquarePillar, &c, 0, &placed);
-            let tiling = report.tiling.expect("a pillar run reports its tiling");
-            assert_eq!(plan.layout, Some(tiling));
-            let even = launch_plan_on(PillarLayout::new(c.nc, c.torus()), &c, 0, &placed);
+            let work = Placed::new(&c, &initial_particles(&c)).column_work();
+            let plan = launch_plan(DomainShape::SquarePillar, &c, 0, &work, true);
+            let tiling = plan.tiling();
+            let even = launch_plan_on(PillarLayout::new(c.nc, c.torus()), &c, 0, &work);
             println!("          launch tiling: tile widths {tiling}");
             println!(
                 "          largest load on m × m tiles {:.6}s, planned down to {:.6}s ({} transfers)",
@@ -85,7 +85,14 @@ fn main() {
             );
             println!("          columns given per PE:  {given:?}");
             println!("          columns taken per PE:  {taken:?}");
-            let caps: Vec<usize> = (0..c.p).map(|r| max_columns(&tiling, r) * c.nc).collect();
+            if report.retiles.is_empty() {
+                println!("          re-tiled: never (no check at steps 2 … 128 paid for a move)");
+            }
+            for (step, tiling, moved) in &report.retiles {
+                println!("          re-tiled at step {step}: tile widths {tiling}, {moved} columns moved");
+            }
+            let last = report.tiling.expect("a pillar run reports its tiling");
+            let caps: Vec<usize> = (0..c.p).map(|r| max_columns(&last, r) * c.nc).collect();
             println!("          cells per PE: {:?}", report.cells_per_rank);
             println!("          limit per PE: {caps:?}");
         } else {
@@ -99,16 +106,18 @@ fn main() {
     // the largest load stays at 5/9 of the tile's and the late imbalance
     // at ~2.5 against DDM's ~4.4. That is the DLB limit reached before
     // the first step, so the launch cuts the tiles through the cluster
-    // instead — rows and columns of 2, 5 and 2 columns from the corner,
-    // none under two wide, so every tile keeps a movable column — and
-    // the wide tile in the middle lends as the cluster spreads into it,
-    // a column at a time and only where it leaves the receiver below the
-    // lender: 13 moves in 250 steps, where a rule blind to a column's
-    // weight made 384 for a worse balance, ~1.7.
+    // instead. Tiles cut once (`Launch::fixed_tiles()`) keep a movable
+    // column each: 2·5·2 from 0 on both axes, 3 transfers at launch and
+    // 13 in the run, late imbalance ~1.55. This run may re-tile later, so
+    // its launch may cut tiles one column wide: 1·1·7 from 1, a thin row
+    // and column of single-column tiles — all wall, nothing to plan —
+    // round the cluster's core, and the wide tiles take the cluster as
+    // it spreads, 108 columns in 250 steps. No check finds a move worth
+    // its cost; the late imbalance reads ~1.51.
     let [ddm, dlb] = imbalance;
     println!(
-        "Expected: tile widths 2·5·2 from 0 on both axes; 3 transfers at launch + 13 in the run; \
-         DLB-DDM imbalance ~1.55 against DDM ~4.4."
+        "Expected: tile widths 1·1·7 from 1 on both axes, never re-tiled; 0 transfers at launch \
+         + 108 in the run; DLB-DDM imbalance ~1.51 against DDM ~4.4."
     );
     if dlb >= ddm {
         eprintln!("FAILED: DLB-DDM imbalance {dlb:.2} is not below DDM's {ddm:.2}");

@@ -4,7 +4,12 @@
 
 use pcdlb::core::permanent::max_columns;
 use pcdlb::core::theory;
-use pcdlb::sim::{run, Lattice, Launch, RunConfig, SpeedSchedule};
+use pcdlb::sim::{run, Lattice, Launch, RunConfig, RunReport, SpeedSchedule};
+
+/// A run on the paper's scheme: tiles cut once, at launch.
+fn run_fixed(cfg: &RunConfig) -> RunReport {
+    Launch::new().fixed_tiles().run(cfg).report
+}
 
 fn concentrating_cfg(p: usize, m: usize, steps: u64) -> RunConfig {
     let mut cfg = RunConfig::from_p_m_density(p, m, 0.256);
@@ -21,7 +26,7 @@ fn dlb_limit_is_never_exceeded() {
     // The permanent cells cap any PE's domain at (m² + 3(m−1)²)·nc cells
     // (paper Fig. 4). Drive a hard corner hotspot and verify the cap.
     let cfg = concentrating_cfg(9, 3, 400);
-    let report = run(&cfg);
+    let report = run_fixed(&cfg);
     // (A gas that fills its box launches on the paper's m × m tiles.)
     assert!(report.tiling.is_some_and(|tiling| tiling.is_even()));
     let cap = theory::max_domain_cells(cfg.m(), cfg.nc);
@@ -64,7 +69,7 @@ fn balancer_sheds_a_hot_tile_down_to_its_permanent_cells() {
     cfg.lattice = Lattice::Cluster { fill: 0.45 };
     cfg.dlb = true;
     cfg.steps = 1;
-    let early = run(&cfg);
+    let early = run_fixed(&cfg);
     let tiling = early.tiling.expect("a pillar run reports its tiling");
     let (rows, cols) = tiling.tile_dims(0);
     assert_eq!((rows, cols), (2, 2), "{tiling}");
@@ -87,10 +92,10 @@ fn balancer_sheds_a_hot_tile_down_to_its_permanent_cells() {
     );
 
     cfg.steps = 40;
-    let dlb = run(&cfg);
+    let dlb = run_fixed(&cfg);
     let mut ddm_cfg = cfg.clone();
     ddm_cfg.dlb = false;
-    let ddm = run(&ddm_cfg);
+    let ddm = run_fixed(&ddm_cfg);
     assert_eq!(
         dlb.cells_per_rank[0], lent,
         "rank 0 keeps the borrowed column"
@@ -118,7 +123,7 @@ fn balancer_sheds_one_column_per_step_when_the_load_appears_after_launch() {
     let mut cfg = concentrating_cfg(9, 3, 300);
     cfg.n_particles = 18 * 18 * 18;
     cfg.central_pull = 0.2;
-    let report = run(&cfg);
+    let report = run_fixed(&cfg);
     assert_eq!(report.launch_transfers, 0, "a uniform start plans nothing");
     let home = cfg.m() * cfg.m() * cfg.nc;
     assert_eq!(report.records[0].max_cells, home);

@@ -21,10 +21,15 @@
 //! the sixth were re-captured once more when a column began to move only
 //! if its receiver stays below its giver (fewer transfers, at launch and
 //! in the run; `digest_particles` equalled the serial reference's before
-//! and after, 0x8867d430d90fb7db and 0x33920bd8f57f4c11). An engine
-//! change that is meant to be a pure move must leave all six alone; one
-//! that means to move them says so in CHANGES.md and re-captures them
-//! here.
+//! and after, 0x8867d430d90fb7db and 0x33920bd8f57f4c11). They were
+//! re-captured a third time when a balancing run began to check its
+//! tiling at steps 2, 4, 8 and 16: neither re-tiles, and only the check's
+//! gather and broadcast moved their records, in `t_step`; launched with
+//! `Launch::fixed_tiles()` both land on their former digests, and
+//! `digest_particles` equalled the serial reference's before and after
+//! (the same two values). An engine change that is meant to be a pure
+//! move must leave all six alone; one that means to move them says so in
+//! CHANGES.md and re-captures them here.
 
 use pcdlb::sim::{digest_run, DomainShape, Ladder, Lattice, Launch, ResizePlan, RunConfig};
 
@@ -59,7 +64,8 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     verlet.verlet = true;
     // 6×6-column tiles on the 3×3 torus, a clustered start (97 columns
     // planned away at launch), two rounds and the balancer on every step
-    // (106 transfers).
+    // (106 transfers), the tiling checked at steps 2, 4, 8 and 16 and
+    // kept.
     let mut balancing = gas(9, 18, 0.03);
     balancing.lattice = Lattice::Cluster { fill: 0.6 };
     balancing.dlb = true;
@@ -78,7 +84,8 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     // sentinel every 5 steps, two drains, two resize barriers, two
     // restores onto another torus, each launched afresh from the drained
     // particles on tiles cut through the cluster (6 transfers planned at
-    // the three launches).
+    // the three launches), the tiling checked inside the first two
+    // generations and kept.
     let mut ladder = gas(9, 12, 0.1);
     ladder.lattice = Lattice::Cluster { fill: 0.6 };
     ladder.dlb = true;
@@ -107,10 +114,10 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     let pinned: [u64; 6] = [
         0xe3ef178e90bc9adc,
         0x49f2bc54e1bdf837,
-        0x67ae713e120fcbe4,
+        0xb67bed64e77be5e2,
         0xc217c2533a51f1b8,
         0x526684c0948b4db7,
-        0xa8260bd1eafdf170,
+        0x38bac1f20eafef80,
     ];
     let hex = |digests: [u64; 6]| digests.map(|d| format!("{d:#018x}"));
     assert_eq!(

@@ -27,7 +27,7 @@ use pcdlb::domain::{OwnershipMap, PillarLayout};
 use pcdlb::md::{Particle, Vec3};
 use pcdlb::sim::pe::initial_particles;
 use pcdlb::sim::{
-    launch_plan, launch_plan_on, run, DomainShape, Lattice, LaunchPlan, LoadMetric, Placed,
+    launch_plan, launch_plan_on, run, DomainShape, Lattice, Launch, LaunchPlan, LoadMetric, Placed,
     RunConfig,
 };
 
@@ -114,28 +114,33 @@ proptest! {
         boost in 0usize..8,
         hot_x in 0usize..16,
         hot_y in 0usize..16,
+        thinnest in 1usize..=2,
     ) {
         let mut cfg = RunConfig::from_p_m_density(side * side, m, 0.2);
         cfg.dlb = true;
         cfg.dlb_min_gain = [0.0, 0.02, 0.1][gain];
+        // Tiles cut once keep two columns; a run that re-tiles, one.
+        let retiles = thinnest == 1;
         let nc = cfg.nc;
         let occupancy = occupancy(nc, &noise, boost, hot_x, hot_y);
         let mut all = particles(&cfg, &occupancy);
         let shape = DomainShape::SquarePillar;
-        let placed = Placed::new(&cfg, &all);
-        let plan = launch_plan(shape, &cfg, 0, &placed);
+        let work = Placed::new(&cfg, &all).column_work();
+        let plan = launch_plan(shape, &cfg, 0, &work, retiles);
 
         // Whoever computes it, from the particles in whatever order.
         all.reverse();
-        prop_assert_eq!(&plan, &launch_plan(shape, &cfg, 0, &Placed::new(&cfg, &all)));
+        let again = Placed::new(&cfg, &all).column_work();
+        prop_assert_eq!(&plan, &launch_plan(shape, &cfg, 0, &again, retiles));
 
         // The tiles are the paper's unless the plan on those ends at the
-        // DLB limit — a heaviest PE down to its wall — and another cut,
-        // no tile of it under two columns wide, is better both ways: a
-        // lower largest load before the plan and after it.
+        // DLB limit — a heaviest PE down to its wall — and another cut is
+        // better both ways: a lower largest load before the plan and after
+        // it. No tile of it is under two columns wide where the tiles are
+        // cut once; a run that re-tiles may cut them one column wide.
         let layout = plan.tiling();
         let paper = PillarLayout::new(nc, cfg.torus());
-        let even = launch_plan_on(paper, &cfg, 0, &placed);
+        let even = launch_plan_on(paper, &cfg, 0, &work);
         if layout.is_even() {
             prop_assert_eq!(&plan, &even);
         } else {
@@ -144,7 +149,7 @@ proptest! {
             prop_assert!(plan.peaks.last() < even.peaks.last(), "{layout}: {plan:?}");
             for rank in 0..cfg.p {
                 let (rows, cols) = layout.tile_dims(rank);
-                prop_assert!(rows >= 2 && cols >= 2, "{layout}");
+                prop_assert!(rows >= thinnest && cols >= thinnest, "{layout}");
             }
         }
 
@@ -205,7 +210,8 @@ proptest! {
         cfg.dlb_min_gain = 0.0;
         let occupancy = occupancy(nc, &noise, boost, hot_x, nc - 1);
         let all = particles(&cfg, &occupancy);
-        let plan = launch_plan(DomainShape::Plane, &cfg, 0, &Placed::new(&cfg, &all));
+        let work = Placed::new(&cfg, &all).column_work();
+        let plan = launch_plan(DomainShape::Plane, &cfg, 0, &work, false);
         prop_assert!(plan.peaks.windows(2).all(|w| w[1] < w[0]), "{:?}", plan.peaks);
         prop_assert!(plan.round_ends.len() <= nc);
 
@@ -241,8 +247,13 @@ fn a_uniform_map_and_a_run_that_does_not_balance_plan_nothing() {
     let mut cfg = RunConfig::from_p_m_density(9, 3, 0.2);
     cfg.dlb = true;
     let uniform = particles(&cfg, &vec![2; cfg.nc.pow(3)]);
-    for shape in [DomainShape::SquarePillar, DomainShape::Plane] {
-        let plan = launch_plan(shape, &cfg, 0, &Placed::new(&cfg, &uniform));
+    let even_work = Placed::new(&cfg, &uniform).column_work();
+    for (shape, retiles) in [
+        (DomainShape::SquarePillar, false),
+        (DomainShape::SquarePillar, true),
+        (DomainShape::Plane, false),
+    ] {
+        let plan = launch_plan(shape, &cfg, 0, &even_work, retiles);
         assert!(plan.decisions.is_empty(), "{shape:?}: {plan:?}");
         assert_eq!(plan.peaks.len(), 1);
         assert!(plan.loads.iter().all(|&l| l == plan.peaks[0]), "{shape:?}");
@@ -254,19 +265,23 @@ fn a_uniform_map_and_a_run_that_does_not_balance_plan_nothing() {
     // No balancer (the cube), or the balancer switched off: no plan, and
     // not even a load — the pillar on the paper's tiling.
     let hot = particles(&cfg, &occupancy(cfg.nc, &vec![1; 4096], 6, 2, 2));
-    let placed = Placed::new(&cfg, &hot);
+    let work = Placed::new(&cfg, &hot).column_work();
     let pillar = DomainShape::SquarePillar;
-    assert!(!launch_plan(pillar, &cfg, 0, &placed).decisions.is_empty());
+    assert!(!launch_plan(pillar, &cfg, 0, &work, false)
+        .decisions
+        .is_empty());
     cfg.dlb = false;
     let unplanned = LaunchPlan {
         layout: Some(PillarLayout::new(cfg.nc, cfg.torus())),
         ..LaunchPlan::default()
     };
-    assert_eq!(launch_plan(pillar, &cfg, 0, &placed), unplanned);
+    for retiles in [false, true] {
+        assert_eq!(launch_plan(pillar, &cfg, 0, &work, retiles), unplanned);
+    }
     cfg.dlb = true;
     cfg.p = 27;
     assert_eq!(
-        launch_plan(DomainShape::Cube, &cfg, 0, &placed),
+        launch_plan(DomainShape::Cube, &cfg, 0, &work, false),
         Default::default()
     );
 }
@@ -279,10 +294,12 @@ fn the_papers_lattice_gas_keeps_the_papers_tiling_where_it_fills_the_box() {
     for (p, m) in [(16, 3), (36, 2), (36, 4), (64, 3)] {
         let mut cfg = RunConfig::from_p_m_density(p, m, 0.256);
         cfg.dlb = true;
-        let placed = Placed::new(&cfg, &initial_particles(&cfg));
-        let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &placed);
-        assert!(plan.layout.is_some_and(|l| l.is_even()), "P = {p}, m = {m}");
-        assert_eq!(plan.tiling(), PillarLayout::new(cfg.nc, cfg.torus()));
+        let work = Placed::new(&cfg, &initial_particles(&cfg)).column_work();
+        for retiles in [false, true] {
+            let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &work, retiles);
+            assert!(plan.layout.is_some_and(|l| l.is_even()), "P = {p}, m = {m}");
+            assert_eq!(plan.tiling(), PillarLayout::new(cfg.nc, cfg.torus()));
+        }
     }
 }
 
@@ -300,11 +317,11 @@ fn papers_scenario() -> RunConfig {
 #[test]
 fn the_papers_scenario_is_cut_through_its_cluster() {
     let cfg = papers_scenario();
-    let placed = Placed::new(&cfg, &initial_particles(&cfg));
+    let work = Placed::new(&cfg, &initial_particles(&cfg)).column_work();
     let model_ms = |load: f64| (load * 1e6).round() / 1e3;
     // On the paper's tiling the cluster sits inside one tile's wall: the
     // plan sheds 54 columns and still ends on rank 0's 7 permanent ones.
-    let even = launch_plan_on(PillarLayout::new(12, cfg.torus()), &cfg, 0, &placed);
+    let even = launch_plan_on(PillarLayout::new(12, cfg.torus()), &cfg, 0, &work);
     assert_eq!(model_ms(even.peaks[0]), 59.976);
     assert_eq!(model_ms(*even.peaks.last().unwrap()), 27.9);
     assert_eq!(even.decisions.len(), 54);
@@ -313,7 +330,7 @@ fn the_papers_scenario_is_cut_through_its_cluster() {
     // corner, four 2 × 2 tiles over the cluster's core and none thinner
     // (a tile one column wide would be all wall). The plan has 6
     // transfers left to make.
-    let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &placed);
+    let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &work, false);
     let layout = plan.tiling();
     assert_eq!((layout.xs(), layout.ys()), (vec![0, 2, 4], vec![0, 2, 4]));
     assert_eq!(layout.to_string(), "2·2·8 from 0 × 2·2·8 from 0");
@@ -322,6 +339,16 @@ fn the_papers_scenario_is_cut_through_its_cluster() {
     assert_eq!(plan.decisions.len(), 6);
     let mean = plan.loads.iter().sum::<f64>() / 9.0;
     assert_eq!(model_ms(mean), 9.502);
+    // A run that re-tiles as the load moves may cut a tile one column
+    // wide now — all wall, but the next check can move it: a thin row and
+    // column across the cluster, and the plan starts 3.8 model_ms lower
+    // and ends 1.8 lower, in 4 transfers.
+    let thin = launch_plan(DomainShape::SquarePillar, &cfg, 0, &work, true);
+    let layout = thin.tiling();
+    assert_eq!(layout.to_string(), "2·1·9 from 0 × 1·2·9 from 2");
+    assert_eq!(model_ms(thin.peaks[0]), 13.637);
+    assert_eq!(model_ms(*thin.peaks.last().unwrap()), 13.193);
+    assert_eq!(thin.decisions.len(), 4);
 }
 
 #[test]
@@ -334,11 +361,12 @@ fn the_papers_scenario_launches_on_its_permanent_cells() {
     // it: the plan lent rank 0, in the corner, a column of rank 4's tile
     // in the middle of the core, and handing it back would leave rank 4
     // at or above rank 0, so the run keeps it where the plan put it.
+    // (On the paper's scheme: tiles cut once, at launch.)
     let mut cfg = papers_scenario();
     cfg.steps = 3;
-    let report = run(&cfg);
-    let placed = Placed::new(&cfg, &initial_particles(&cfg));
-    let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &placed);
+    let report = Launch::new().fixed_tiles().run(&cfg).report;
+    let work = Placed::new(&cfg, &initial_particles(&cfg)).column_work();
+    let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &work, false);
     let layout = report.tiling.expect("a pillar run reports its tiling");
     assert_eq!(Some(layout), plan.layout);
     assert_eq!(report.launch_transfers, plan.decisions.len());

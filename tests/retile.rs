@@ -1,0 +1,141 @@
+//! Tier-1's view of the slow loop: a balancing square-pillar run checks
+//! its tiling at steps 2, 4, 8, … and re-tiles in place where the saving
+//! pays for the move. A re-tile moves ownership, never physics:
+//!
+//! - clustered runs on the 3 × 3 and the 4 × 4 torus re-tile at least
+//!   twice and still land on the serial reference bit for bit;
+//! - every re-tile is the launch's own decision on the work map the run
+//!   measured — the tiling `launch_plan` chooses on the serial state of
+//!   the step before, to the cut — and the columns it moved are counted
+//!   in that step's transfers;
+//! - on the 4 × 4 torus a re-tile hands columns between ranks that are
+//!   not torus neighbours, straight, in one step;
+//! - under `Launch::fixed_tiles()` the same runs make no check at all and
+//!   reproduce, message for message, the digests they had before the run
+//!   could re-tile.
+
+use pcdlb::core::permanent::is_permanent;
+use pcdlb::core::protocol::DlbProtocol;
+use pcdlb::domain::OwnershipMap;
+use pcdlb::sim::{
+    digest_particles, digest_run, launch_plan, run_serial, serial_sim, DomainShape, Lattice,
+    Launch, LaunchPlan, Placed, RunConfig,
+};
+
+/// A balancing run from a corner cluster: the benchmark's scenario on the
+/// 3 × 3 torus (`m = 4`, 45 % of the box), and its 4 × 4 sibling.
+fn cluster(p: usize, m: usize, fill: f64, seed: u64, steps: u64) -> RunConfig {
+    let mut cfg = RunConfig::from_p_m_density(p, m, 0.128);
+    cfg.lattice = Lattice::Cluster { fill };
+    cfg.dlb = true;
+    cfg.seed = seed;
+    cfg.steps = steps;
+    cfg
+}
+
+/// The two runs, with the `digest_run` each had under fixed tiles before
+/// re-tiling existed (captured at the commit before it).
+fn runs() -> [(RunConfig, u64); 2] {
+    [
+        (cluster(9, 4, 0.45, 3, 130), 0x897288892bd1a592),
+        (cluster(16, 4, 0.4, 1, 40), 0xfb9a757c5e599ddb),
+    ]
+}
+
+/// The ownership a plan ends on.
+fn planned(plan: &LaunchPlan) -> OwnershipMap {
+    let mut map = OwnershipMap::initial(plan.tiling());
+    for d in &plan.decisions {
+        DlbProtocol::apply(&mut map, d);
+    }
+    map
+}
+
+#[test]
+fn a_re_tile_moves_ownership_never_physics() {
+    let mut far_moves = 0;
+    for (cfg, _) in runs() {
+        let (report, snapshot) = Launch::new().snapshot().run(&cfg).into_snapshot();
+        assert!(
+            report.retiles.len() >= 2,
+            "P = {}: re-tiled {:?}",
+            cfg.p,
+            report.retiles
+        );
+        assert_eq!(
+            digest_particles(&snapshot),
+            digest_particles(&run_serial(&cfg)),
+            "P = {}",
+            cfg.p
+        );
+        // The tiling each re-tile moved to is the one the launch's chooser
+        // and plan pick on the exact work map of the state the check saw:
+        // the serial state after the step before.
+        let mut serial = serial_sim(&cfg);
+        let work_at = |serial: &pcdlb::md::SerialSim| Placed::new(&cfg, &serial.snapshot());
+        let launch = launch_plan(
+            DomainShape::SquarePillar,
+            &cfg,
+            0,
+            &work_at(&serial).column_work(),
+            true,
+        );
+        let mut before = launch.tiling();
+        for &(step, tiling, moved) in &report.retiles {
+            while serial.steps_done() < step - 1 {
+                serial.step();
+            }
+            let work = work_at(&serial).column_work();
+            let plan = launch_plan(DomainShape::SquarePillar, &cfg, step - 1, &work, true);
+            assert_eq!(plan.tiling(), tiling, "P = {}, step {step}", cfg.p);
+            let record = &report.records[step as usize - 1];
+            assert!(
+                moved > 0 && record.transfers as usize >= moved,
+                "step {step}"
+            );
+            // A permanent column of the tiling before sits at its home: if
+            // the plan gives it to a rank that is not a torus neighbour of
+            // that home, the move crossed the torus in one frame.
+            let after = planned(&plan);
+            let torus = cfg.torus();
+            far_moves += before
+                .grid()
+                .iter()
+                .filter(|&col| is_permanent(&before, col))
+                .filter(|&col| {
+                    let (from, to) = (before.home_rank(col), after.owner_of(col));
+                    from != to && !torus.distinct_neighbors8(from).contains(&to)
+                })
+                .count();
+            before = tiling;
+        }
+        assert_eq!(report.tiling, Some(before), "P = {}", cfg.p);
+    }
+    assert!(far_moves > 0, "no column moved between non-neighbours");
+}
+
+#[test]
+fn fixed_tiles_check_nothing_and_run_as_before() {
+    for (cfg, pinned) in runs() {
+        let (report, snapshot) = Launch::new()
+            .fixed_tiles()
+            .snapshot()
+            .run(&cfg)
+            .into_snapshot();
+        assert!(report.retiles.is_empty());
+        let tiling = report.tiling.expect("a pillar run reports its tiling");
+        let (rows, cols) = (0..cfg.p).fold((cfg.nc, cfg.nc), |(r, c), rank| {
+            let (tr, tc) = tiling.tile_dims(rank);
+            (r.min(tr), c.min(tc))
+        });
+        assert!(rows >= 2 && cols >= 2, "{tiling}");
+        // The messages sent are in the digest: a check would add a gather
+        // and a broadcast, and move them.
+        assert_eq!(
+            digest_run(&report, &snapshot, cfg.load_metric),
+            pinned,
+            "P = {}",
+            cfg.p
+        );
+    }
+}

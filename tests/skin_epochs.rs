@@ -39,9 +39,13 @@ fn gas(p: usize, nc: usize, skin: f64) -> RunConfig {
     cfg
 }
 
+/// A run of `cfg` on the paper's scheme — tiles cut once, at launch, so
+/// every step is one of the step protocol's and nothing else — checked
+/// against the serial reference.
 fn run(cfg: &RunConfig, shape: DomainShape) -> RunReport {
     let (report, snapshot) = Launch::new()
         .shape(shape)
+        .fixed_tiles()
         .snapshot()
         .run(cfg)
         .into_snapshot();
