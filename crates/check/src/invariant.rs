@@ -60,7 +60,7 @@ use pcdlb_core::protocol::{DlbProtocol, ProtocolError};
 use pcdlb_domain::{DomainShape, OwnershipMap, PillarLayout};
 use pcdlb_mp::Torus2d;
 use pcdlb_sim::pe::initial_particles;
-use pcdlb_sim::{launch_plan, Lattice, Placed, RunConfig};
+use pcdlb_sim::{launch_plan, retile_plan, Lattice, Placed, RunConfig};
 
 /// Search bounds.
 #[derive(Debug, Clone, Copy)]
@@ -361,10 +361,11 @@ fn replay_plans(shape: DomainShape, cfg: &RunConfig) -> Result<(usize, usize, us
 }
 
 /// Replay the plans a re-tiling run of a clustered start on `cfg` makes at
-/// its checks: at steps 2, 4, 8, … up to `steps`, the launch plan on the
-/// work map of the state the check sees — the serial state after the step
-/// before (the run's, bit for bit). Every plan is replayed on the tiling
-/// it chose ([`check_pillar_plan`]). Returns the number of plans.
+/// its checks: at steps 2, 4, 8, … up to `steps`, the check's plan
+/// (`retile_plan`: the launch plan, its tiling refined on its floor) on
+/// the work map of the state the check sees — the serial state after the
+/// step before (the run's, bit for bit). Every plan is replayed on the
+/// tiling it chose ([`check_pillar_plan`]). Returns the number of plans.
 pub fn replay_check_plans(cfg: &RunConfig, steps: u64) -> Result<usize, String> {
     let mut cfg = cfg.clone();
     cfg.dlb = true;
@@ -377,7 +378,7 @@ pub fn replay_check_plans(cfg: &RunConfig, steps: u64) -> Result<usize, String> 
             serial.step();
         }
         let work = Placed::new(&cfg, &serial.snapshot()).column_work();
-        let plan = launch_plan(DomainShape::SquarePillar, &cfg, step - 1, &work, true);
+        let plan = retile_plan(&cfg, step - 1, &work);
         check_pillar_plan(&plan.tiling(), &plan.decisions)
             .map_err(|e| format!("P = {}, nc = {}, check at step {step}: {e}", cfg.p, cfg.nc))?;
         plans += 1;

@@ -15,15 +15,22 @@
 //!
 //! A balancing step has no exchange of its own: loads and decisions ride
 //! round 1. Its one data-dependent part is the DLB cell transfer
-//! (`CELL_XFER`): which columns move depends on runtime loads. The schedule is therefore
-//! parameterised over a *decision scenario* — a set of `(from, to)`
-//! transfers — and the verifier sweeps representative scenarios (none,
-//! every single legal transfer, dense simultaneous transfers). A re-tiling
-//! run adds two more parts on its check steps: the check itself (a gather
-//! of the work map to rank 0 and a broadcast of the decision) ahead of
-//! round 1, and, where it re-tiles, the move (`RETILE_XFER`, one frame per
-//! (old owner, new owner) pair, any two ranks) in the cell transfer's
-//! place — the move's pairs are a scenario too.
+//! (`CELL_XFER`): which columns move depends on runtime loads. The
+//! schedule is therefore parameterised over a *decision scenario* — a set
+//! of `(from, to)` transfers — and the verifier sweeps representative
+//! scenarios (none, every single legal transfer, dense simultaneous
+//! transfers). Where the engine sends one frame per neighbour on a
+//! balancing step too (the 3 × 3 torus: every rank a column can reach
+//! neighbours every rank that can hold it), loads and decisions ride that
+//! frame and a moved column's particles the giver's frame of the next
+//! rebuild step: no scenario adds an operation there. A re-tiling run
+//! adds two more parts on its check steps: the check itself (a gather of
+//! the work map to rank 0 and a broadcast of the decision) ahead of round
+//! 1, and, where it re-tiles, the move (`RETILE_XFER`, one frame per (old
+//! owner, new owner) pair, any two ranks) in the cell transfer's place —
+//! the move's pairs are a scenario too. A check step keeps the two rounds
+//! wherever a step has them; on the 3 × 3 torus a step that re-tiles has
+//! them, one that keeps its tiling sends its one frame.
 
 use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_domain::DomainShape;
@@ -76,7 +83,8 @@ pub struct StepSchedule {
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleOpts {
     /// The run balances (`cfg.dlb` on a shape with a balancer): rebuild
-    /// steps keep two rounds, and `decisions` move their cells.
+    /// steps keep two rounds where the engine says so
+    /// ([`exchanges_once`]), and there `decisions` move their cells.
     pub dlb: bool,
     /// DLB cell transfers `(from, to)` for this step, in the simulator's
     /// apply order (sorted by `from`; one decision per sending rank).
@@ -144,12 +152,13 @@ pub fn shape_neighbors(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
 
 /// Whether the step engine sends migrants and ghosts in one frame per
 /// neighbour when `p` ranks are laid out for `shape` and the run does
-/// (not) balance — its own predicate ([`PeState::exchanges_once`]:
-/// ownership fixed for the run, neighbour set closed two cells out),
-/// asked of rank 0 (every rank agrees) on a grid with two cells per rank
-/// and axis, where every grid that can say yes does. (A grid one cell
-/// per rank wide says no from a torus side of 4 up and runs the
-/// two-round step: the balancing schedule without a transfer.)
+/// (not) balance — its own predicate ([`PeState::exchanges_once`]: the
+/// neighbour set closed two cells out, on the one ownership of a run
+/// that does not balance, on every ownership the balancer can reach of
+/// one that does), asked of rank 0 (every rank agrees) on a grid with two
+/// cells per rank and axis, where every grid that can say yes does. (A
+/// grid one cell per rank wide says no from a torus side of 4 up and runs
+/// the two-round step: the balancing schedule without a transfer.)
 pub fn exchanges_once(shape: DomainShape, p: usize, dlb: bool) -> bool {
     let side = match shape {
         DomainShape::SquarePillar => Torus2d::square(p).rows(),
@@ -168,11 +177,6 @@ pub fn exchanges_once(shape: DomainShape, p: usize, dlb: bool) -> bool {
 pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> StepSchedule {
     let mut decisions = opts.decisions.clone();
     decisions.sort_unstable_by_key(|&(from, _)| from);
-    let single = exchanges_once(shape, p, opts.dlb);
-    assert!(
-        !(single && opts.dlb),
-        "{shape:?} has no balancer to schedule"
-    );
     let retiles = opts.retile_check || !opts.retile.is_empty();
     assert!(
         !retiles || (shape == DomainShape::SquarePillar && opts.dlb && opts.retile_check),
@@ -182,6 +186,8 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
         opts.retile.is_empty() || decisions.is_empty(),
         "a re-tile step has no DLB transfer"
     );
+    // A step that re-tiles has two rounds, whatever the others have.
+    let single = exchanges_once(shape, p, opts.dlb) && opts.retile.is_empty();
     let mut moves = opts.retile.clone();
     moves.sort_unstable();
     let mut ranks = Vec::with_capacity(p);
@@ -203,9 +209,11 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
         if !single {
             neighbourhood_exchange(&mut ops, CommPhase::Migrate, r, &nbrs, tags::STEP_FRAME);
         }
-        if opts.dlb {
+        if opts.dlb && !single {
             // Cell transfers: senders first, then receivers, each walking
             // the decision list in `from` order (the simulator's order).
+            // (A single frame's decisions move their cells as the next
+            // step's migrants.)
             for &(from, to) in &decisions {
                 if from == r {
                     ops.push(PhasedOp {
@@ -373,11 +381,11 @@ mod tests {
 
     #[test]
     fn migrate_phase_is_one_message_per_distinct_neighbour() {
-        let s = step_schedule(3, &balancing());
-        assert_eq!(s.p, 9);
+        let s = step_schedule(4, &balancing());
+        assert_eq!(s.p, 16);
         for (r, ops) in s.ranks.iter().enumerate() {
             let sends = sends_in(ops, CommPhase::Migrate);
-            let nbrs = Torus2d::new(3, 3).distinct_neighbors8(r);
+            let nbrs = Torus2d::new(4, 4).distinct_neighbors8(r);
             assert_eq!(sends.len(), nbrs.len());
             for (op, nb) in sends.iter().zip(&nbrs) {
                 assert_eq!(
@@ -413,8 +421,11 @@ mod tests {
         assert_eq!(shape_neighbors(DomainShape::Cube, 8, 3).len(), 7);
         assert_eq!(shape_neighbors(DomainShape::Cube, 27, 13).len(), 26);
         // The cube has no balancer: one exchange per step on both grids
-        // `verify` sweeps. Pillar and plane keep their two rounds where
-        // the run balances, and only there.
+        // `verify` sweeps. The plane and the pillar from a torus side of 4
+        // keep their two rounds where the run balances, and only there;
+        // the 3 × 3 torus, where every rank a column can reach neighbours
+        // every rank that can hold it, sends one frame whether it balances
+        // or not — a transfer adds nothing to it, a re-tile two rounds.
         for (shape, p, nbrs) in [
             (DomainShape::Cube, 8, 7),
             (DomainShape::Cube, 27, 26),
@@ -429,12 +440,30 @@ mod tests {
                 assert_eq!(sends_in(ops, CommPhase::Ghost).len(), nbrs);
             }
         }
-        assert!(!exchanges_once(DomainShape::SquarePillar, 9, true));
+        assert!(exchanges_once(DomainShape::SquarePillar, 9, true));
+        assert!(!exchanges_once(DomainShape::SquarePillar, 16, true));
         assert!(!exchanges_once(DomainShape::Plane, 3, true));
         let s = shape_schedule(DomainShape::Plane, 3, &balancing());
         for ops in &s.ranks {
             assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 2);
             assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 2);
+        }
+        let moving = ScheduleOpts {
+            decisions: vec![(4, 0), (5, 4)],
+            ..balancing()
+        };
+        let retiling = ScheduleOpts {
+            retile_check: true,
+            retile: vec![(0, 4)],
+            ..balancing()
+        };
+        for (opts, rounds) in [(moving, 1), (retiling, 2)] {
+            let s = step_schedule(3, &opts);
+            for ops in &s.ranks {
+                assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 8 * (rounds - 1));
+                assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 8);
+                assert!(sends_in(ops, CommPhase::DlbCellXfer).is_empty());
+            }
         }
     }
 
@@ -470,12 +499,14 @@ mod tests {
 
     #[test]
     fn decisions_generate_cell_xfer_pairs() {
+        // On the 4 × 4 torus rank 5 is tile (1, 1): rank 0 lies NW of it,
+        // rank 4 W and rank 6 E.
         let opts = ScheduleOpts {
             dlb: true,
-            decisions: vec![(4, 0), (5, 4)],
+            decisions: vec![(5, 0), (6, 5)],
             ..Default::default()
         };
-        let s = step_schedule(3, &opts);
+        let s = step_schedule(4, &opts);
         let xfer = |r: usize| -> Vec<Op> {
             s.ranks[r]
                 .iter()
@@ -484,14 +515,14 @@ mod tests {
                 .collect()
         };
         assert_eq!(
-            xfer(4),
+            xfer(5),
             vec![
                 Op::Send {
                     to: 0,
                     tag: tags::CELL_XFER
                 },
                 Op::Recv {
-                    from: 5,
+                    from: 6,
                     tag: tags::CELL_XFER
                 }
             ]
@@ -499,14 +530,14 @@ mod tests {
         assert_eq!(
             xfer(0),
             vec![Op::Recv {
-                from: 4,
+                from: 5,
                 tag: tags::CELL_XFER
             }]
         );
         assert_eq!(
-            xfer(5),
+            xfer(6),
             vec![Op::Send {
-                to: 4,
+                to: 5,
                 tag: tags::CELL_XFER
             }]
         );

@@ -49,19 +49,20 @@ fn tag_collision_in_table_is_caught() {
 fn tag_collision_in_schedule_is_caught() {
     // Mutation: one rank's CELL_XFER send goes out with the STEP_FRAME
     // tag — a stray third round on that (src, dst) stream plus a
-    // matching failure on the starved CELL_XFER receive.
+    // matching failure on the starved CELL_XFER receive. (The 4 × 4
+    // torus: the 3 × 3 one carries a moved column in its one frame.)
     let mut s = step_schedule(
-        3,
+        4,
         &ScheduleOpts {
             dlb: true,
-            decisions: vec![(4, 0)],
+            decisions: vec![(5, 0)],
             ..Default::default()
         },
     );
-    let victim = s.ranks[4]
+    let victim = s.ranks[5]
         .iter_mut()
         .find(|po| po.phase == CommPhase::DlbCellXfer && matches!(po.op, Op::Send { .. }))
-        .expect("rank 4 gives a column away");
+        .expect("rank 5 gives a column away");
     let Op::Send { to, .. } = victim.op else {
         unreachable!()
     };
@@ -106,12 +107,13 @@ fn dropped_send_is_caught() {
 fn recv_before_send_deadlock_is_caught() {
     // Mutation: every rank posts its migrate receives before its sends —
     // the classic head-to-head deadlock the sends-first discipline avoids.
-    // (A balancing run's step: the one that has a migrate round.)
+    // (A balancing run's step beyond 3 × 3: the one that has a migrate
+    // round.)
     let opts = ScheduleOpts {
         dlb: true,
         ..Default::default()
     };
-    let mut s = step_schedule(3, &opts);
+    let mut s = step_schedule(4, &opts);
     for ops in &mut s.ranks {
         let (mut recvs, rest): (Vec<_>, Vec<_>) = ops
             .drain(..)

@@ -7,19 +7,26 @@
 //!
 //! 1. **decides at the top of the step**, before anything is sent, on the
 //!    loads it already holds: its own last-step execution time and its 8
-//!    neighbours' as they arrived with the *previous* round-1 frames —
-//!    each brought up to date by the transfers still **in flight** (see
+//!    neighbours' as they arrived with the *previous* step's first frames
+//!    — each brought up to date by the transfers still **in flight** (see
 //!    below);
 //! 2. offers a cell to the fastest neighbour that may take one and stay
 //!    below it,
-//! 3. the cell being picked by the paper's Case 1–3 rules below;
+//! 3. the cell being the one of those the paper's Case 1–3 rules allow
+//!    that leaves the two loads closest;
 //! 4. ships the decision, with the work that moves with it, **inside its
-//!    round-1 frame** beside its load — the frame every step sends
-//!    anyway — and applies its neighbourhood's decisions, in `from`
-//!    order, as soon as round 1 is in, so everyone's ownership view stays
-//!    consistent. The cells follow (`CELL_XFER`), then the ghosts: a
-//!    balancing step sends what a plain domain-decomposition step sends,
-//!    plus one message per column that moves.
+//!    first frame** beside its load — the frame every step sends anyway —
+//!    and every PE applies its neighbourhood's decisions in `from` order,
+//!    so everyone's ownership view stays consistent. Where a step has two
+//!    rounds, a decision is applied as soon as round 1 is in and its
+//!    cells follow (`CELL_XFER`), then the ghosts: the step sends what a
+//!    plain domain-decomposition step sends, plus one message per column
+//!    that moves. Where every rank a column can reach is a neighbour of
+//!    every rank that can hold it (a torus side of 3), a step sends one
+//!    frame per neighbour: the decisions it brings are applied at the
+//!    top of the next rebuild step, and the moved column's particles
+//!    travel in that step's frame from the giver, as migrants — the step
+//!    sends what a plain domain-decomposition step sends.
 //!
 //! **In flight.** A neighbour's load in hand was measured by the force
 //! pass *before* the step that announced it, so a transfer applied on
@@ -32,9 +39,12 @@
 //! books that work off the giver's load and onto the receiver's before it
 //! next decides ([`book_in_flight`]). Only transfers applied after the
 //! force pass that measured the loads in hand are booked: the next
-//! round-1 frames bring loads that have seen them, and the list is
-//! dropped. With nothing in flight the decision is, call for call, the
-//! one the paper's order would have produced from the same loads.
+//! frames bring loads that have seen them, and the list is dropped. A
+//! decision a single frame brought is applied a step later, so it stays
+//! in flight for two steps of loads, and on the step it lands in it is
+//! booked onto the PE's own load too. With nothing in flight the
+//! decision is, call for call, the one the paper's order would have
+//! produced from the same loads.
 //!
 //! Each PE now holds its own estimate of a neighbour's load, so two
 //! neighbours may each take the other for the faster one — something one
@@ -68,7 +78,8 @@
 //! under consideration (paper's exact cases):
 //!
 //! - **Case 1** — `PE_fast ∈ {NW, N, W}` = `(i−1,j−1), (i−1,j), (i,j−1)`:
-//!   send one of its *own movable* cells it still owns, else nothing.
+//!   send one of its *own movable* cells it still owns, else nothing
+//!   (weightless, the one geometrically closest to `PE_fast`'s tile).
 //! - **Case 2** — `PE_fast ∈ {NE, SW}` = `(i−1,j+1), (i+1,j−1)`: there is
 //!   no cell that may move this way; send nothing.
 //! - **Case 3** — `PE_fast ∈ {E, S, SE}` = `(i,j+1), (i+1,j), (i+1,j+1)`:
@@ -80,45 +91,51 @@
 //! permanent-cell wall, preserves the 8-neighbour communication pattern
 //! (property-tested below against arbitrary protocol executions).
 //!
-//! **Step 2 deviates from the paper's wording, twice.** The paper finds
-//! the one fastest PE among self and the 8 and only then asks whether a
-//! cell may move that way; when it may not (Case 2, or Case 1 / 3 with
-//! nothing left to send) the PE sends nothing, however overloaded it is
-//! and however idle its other neighbours are. On an exact work model the
-//! fastest PE is the same one for hundreds of steps, so a hot PE whose
-//! fastest neighbour lies south-east stops shedding load for good.
+//! **Steps 2 and 3 deviate from the paper's wording, three times.** The
+//! paper finds the one fastest PE among self and the 8 and only then asks
+//! whether a cell may move that way; when it may not (Case 2, or Case 1 /
+//! 3 with nothing left to send) the PE sends nothing, however overloaded
+//! it is and however idle its other neighbours are. On an exact work
+//! model the fastest PE is the same one for hundreds of steps, so a hot PE
+//! whose fastest neighbour lies south-east stops shedding load for good.
 //! [`DlbProtocol::choose`] instead walks the neighbours in ascending
-//! `(load, rank)` and returns the first [`DlbProtocol::decide`] result
-//! that moves a cell *and leaves its receiver below the giver*: a
-//! candidate `d` whose load — as it weighs on the receiver — would lift
-//! the receiver to or above the giver (`to_load + weight(d) >= own_load`)
-//! is passed over like one that may take nothing. That second part is the
-//! rule for indivisible loads (move a token only if that lowers the local
-//! difference); the paper moves a cell whatever it weighs. Where nothing
-//! weighs — every weight 0 — `choose` is a strict superset of the paper's
-//! rule: its first candidate *is* the paper's fastest PE
-//! ([`DlbProtocol::fastest_pe`] is that first candidate), so whenever the
-//! paper's rule transfers, the identical transfer comes out. With weights
-//! it also drops the paper's transfers that would leave the receiver at
-//! or above the giver, and with them the hand-back churn: on exact loads,
-//! after a move `i → j` of weight `w` with `load_j + w < load_i`, handing
-//! the column back would need `load_i − w + w < load_j + w`, which the
-//! move itself ruled out. Cases 1–3, their directions and the permanent
-//! wall are untouched — `choose` emits nothing `decide` would not, and
-//! the gate only removes transfers. Deciding a step ahead changes none of
-//! this: both properties are statements about `choose` on *whatever*
-//! loads and weights it is given, and only its inputs changed — the
-//! ownership view it reads is the one every earlier decision has already
-//! been folded into.
+//! `(load, rank)` and offers a cell to the first that may take one *and
+//! stay below the giver*: a candidate `d` whose load — as it weighs on the
+//! receiver — would lift the receiver to or above the giver (`to_load +
+//! weight(d) >= own_load`) is passed over like one that may take nothing.
+//! That second part is the rule for indivisible loads (move a token only
+//! if that lowers the local difference); the paper moves a cell whatever
+//! it weighs. The third is which cell: the paper says only "send one of
+//! its movable cells", and `choose` sends, of the ones that pass, the one
+//! that leaves the pair most even — Demirel & Sbalzarini's token choice —
+//! so a PE whose closest column is too heavy for the gap still gives a
+//! lighter one. Ties fall to the paper's order (closest to the receiver's
+//! tile, then `(cx, cy)`; Case 3 in tile order), the order
+//! [`DlbProtocol::decide`] picks by. Where nothing weighs — every weight 0
+//! — every candidate evens the pair alike and `choose` is a strict
+//! superset of the paper's rule: its first candidate *is* the paper's
+//! fastest PE ([`DlbProtocol::fastest_pe`] is that first candidate), so
+//! whenever the paper's rule transfers, the identical transfer comes out.
+//! With weights it also drops the paper's transfers that would leave the
+//! receiver at or above the giver, and with them the hand-back churn: on
+//! exact loads, after a move `i → j` of weight `w` with `load_j + w <
+//! load_i`, handing the column back would need `load_i − w + w < load_j +
+//! w`, which the move itself ruled out — whichever column moved. Cases
+//! 1–3, their directions and the permanent wall are untouched — `choose`
+//! picks among the columns `decide` picks from, and the gate only removes
+//! transfers. Deciding a step ahead changes none of this: these are
+//! statements about `choose` on *whatever* loads and weights it is given,
+//! and only its inputs changed — the ownership view it reads is the one
+//! every earlier decision has already been folded into.
 //!
 //! Determinism notes (the paper ran on wall clocks, we also run on an
 //! exact work model where ties are real): a neighbour is a candidate
 //! only if it is strictly faster than the deciding PE — by more than
 //! `min_relative_gain` of the PE's own load when that hysteresis is set
 //! — and equal loads are ordered by rank, so a perfectly balanced system
-//! performs no transfers. Both tests are applied per candidate exactly as
+//! performs no transfers. Both tests are applied per receiver exactly as
 //! the paper's rule applied them to the fastest PE; the walk stops at the
-//! first candidate that fails, every later one being slower still.
+//! first receiver that fails, every later one being slower still.
 
 use std::fmt;
 
@@ -152,8 +169,11 @@ pub mod tags {
     /// at the top of the step, round 2 carries the delta-encodable
     /// boundary-shell ghost frame. Sub-frame presence headers inside the
     /// frame distinguish the rounds; per-(src,dst,tag) FIFO ordering keeps
-    /// the two rounds matched. A decomposition whose ownership never
-    /// changes sends both sections in one frame per neighbour instead.
+    /// the two rounds matched. A decomposition whose neighbour sets stay
+    /// closed two cells out under every ownership it can reach — one whose
+    /// ownership never changes, or the balancing 3 × 3 torus — sends both
+    /// sections in one frame per neighbour instead, with the load and the
+    /// decision.
     /// Between the rebuilds of a skin epoch a step sends one message per
     /// neighbour: the positions-only ghost refresh.
     pub const STEP_FRAME: u64 = 16;
@@ -615,15 +635,20 @@ impl DlbProtocol {
             .map_or(self.rank, |(rank, _)| rank)
     }
 
-    /// Steps 2–3 as this crate runs them: offer a cell to the fastest
-    /// neighbour that may take one without ending up at or above this PE.
-    /// Walks the neighbours that are faster than this PE (by more than
-    /// `min_relative_gain`) from the fastest up and returns the first
-    /// [`Self::decide`] result `d` that moves a cell and leaves its
-    /// receiver below the giver: `to_load + weight(d) < own_load`, where
-    /// `weight(d)` is the load `d` moves, as it weighs on the receiver.
-    /// `None` when no faster neighbour may legally receive anything that
-    /// light. With every weight 0 the gate passes every candidate.
+    /// Steps 2–3 as this crate runs them: offer the column that best evens
+    /// the pair to the fastest neighbour that may take one without ending
+    /// up at or above this PE. Walks the neighbours that are faster than
+    /// this PE (by more than `min_relative_gain`) from the fastest up; for
+    /// each it weighs every column Cases 1–3 let it send there (see
+    /// [`Self::decide`]), drops those that would lift the receiver to or
+    /// above the giver — `to_load + weight(d) >= own_load`, where
+    /// `weight(d)` is the load `d` moves, as it weighs on the receiver —
+    /// and returns, from the first neighbour with any left, the one that
+    /// leaves the two loads closest: the smallest `|(own_load − w) −
+    /// (to_load + w)|`, ties in the paper's order of preference. `None`
+    /// when no faster neighbour may legally receive anything that light.
+    /// With every weight 0 the gate passes every candidate, every
+    /// candidate evens the pair alike, and the pick is [`Self::decide`]'s.
     pub fn choose(
         &self,
         own_load: f64,
@@ -632,59 +657,69 @@ impl DlbProtocol {
         weight: impl Fn(&DlbDecision) -> f64,
     ) -> Option<DlbDecision> {
         self.faster_neighbors(own_load, neighbor_loads)
-            .filter_map(|(to, to_load)| Some((self.decide(ownership, to)?, to_load)))
-            .find(|(d, to_load)| to_load + weight(d) < own_load)
-            .map(|(d, _)| d)
+            .find_map(|(to, to_load)| {
+                let spread = |w: f64| ((own_load - w) - (to_load + w)).abs();
+                self.legal(ownership, to)
+                    .map(|(d, order)| (d, weight(&d), order))
+                    .filter(|&(_, w, _)| to_load + w < own_load)
+                    .min_by(|a, b| spread(a.1).total_cmp(&spread(b.1)).then(a.2.cmp(&b.2)))
+            })
+            .map(|(d, ..)| d)
     }
 
     /// Decide what to send to `fastest` (paper step 3, Cases 1–3), given
-    /// this PE's current ownership view. Returns `None` when nothing may
-    /// move (including when this PE is itself the fastest).
+    /// this PE's current ownership view: of the columns the case allows,
+    /// the first in the paper's order of preference — Case 1 (`fastest`
+    /// to the NW, N or W) one of this PE's own movable columns it still
+    /// owns, the one geometrically closest to the receiver's tile (then
+    /// lowest `(cx, cy)`), so domains stay compact as in the paper's Fig.
+    /// 4; Case 2 (NE, SW) none; Case 3 (E, S, SE) the first column in
+    /// `fastest`'s tile order that this PE holds (the paper says only
+    /// "returns one of these cells"). Returns `None` when nothing may move
+    /// (including when this PE is itself the fastest).
     pub fn decide(&self, ownership: &OwnershipMap, fastest: usize) -> Option<DlbDecision> {
         if fastest == self.rank {
             return None;
         }
-        let delta = self.layout.tile_delta(self.rank, fastest);
-        match delta {
-            // Case 1: NW-direction neighbours receive our own movable cells.
-            (-1, -1) | (-1, 0) | (0, -1) => self.pick_own_movable(ownership, fastest),
-            // Case 2: the anti-diagonal directions can never receive.
-            (-1, 1) | (1, -1) => None,
-            // Case 3: SE-direction neighbours get their own cells back.
-            (0, 1) | (1, 0) | (1, 1) => self.pick_return(ownership, fastest),
+        self.legal(ownership, fastest)
+            .min_by_key(|&(_, order)| order)
+            .map(|(d, _)| d)
+    }
+
+    /// Every transfer to `to` the paper's Cases 1–3 allow on `ownership`
+    /// (see [`Self::decide`]), each with its place in the paper's order of
+    /// preference: lower first, the first of equals in iteration order.
+    fn legal<'a>(
+        &'a self,
+        ownership: &'a OwnershipMap,
+        to: usize,
+    ) -> impl Iterator<Item = (DlbDecision, (usize, usize, usize))> + 'a {
+        let l = &self.layout;
+        let case = match l.tile_delta(self.rank, to) {
+            (-1, -1) | (-1, 0) | (0, -1) => 1,
+            (-1, 1) | (1, -1) => 2,
+            (0, 1) | (1, 0) | (1, 1) => 3,
             other => panic!(
-                "rank {} asked to send toward non-neighbour {fastest} (tile delta {other:?})",
+                "rank {} asked to send toward non-neighbour {to} (tile delta {other:?})",
                 self.rank
             ),
-        }
-    }
-
-    /// Case 1 candidate: one of this PE's own movable columns it still
-    /// owns, geometrically closest to the receiver's tile (ties: lowest
-    /// `(cx, cy)`), so domains stay compact as in the paper's Fig. 4.
-    fn pick_own_movable(&self, ownership: &OwnershipMap, to: usize) -> Option<DlbDecision> {
-        let l = &self.layout;
-        movable_columns(l, self.rank)
-            .filter(|&c| ownership.owner_of(c) == self.rank)
-            .min_by_key(|&c| (l.distance_to_tile(c, to), c.cx, c.cy))
-            .map(|col| DlbDecision {
-                col,
-                from: self.rank,
-                to,
-            })
-    }
-
-    /// Case 3 candidate: a column this PE holds whose home is `to`
-    /// (lowest `(cx, cy)` for determinism; the paper says only "returns
-    /// one of these cells").
-    fn pick_return(&self, ownership: &OwnershipMap, to: usize) -> Option<DlbDecision> {
-        self.layout
-            .tile_columns(to)
-            .find(|&c| ownership.owner_of(c) == self.rank)
-            .map(|col| DlbDecision {
-                col,
-                from: self.rank,
-                to,
+        };
+        let own = (case == 1).then(|| movable_columns(l, self.rank));
+        let lent = (case == 3).then(|| l.tile_columns(to));
+        let own = own
+            .into_iter()
+            .flatten()
+            .map(move |c| (c, (l.distance_to_tile(c, to), c.cx, c.cy)));
+        let lent = lent.into_iter().flatten().map(|c| (c, (0, 0, 0)));
+        own.chain(lent)
+            .filter(move |&(c, _)| ownership.owner_of(c) == self.rank)
+            .map(move |(col, order)| {
+                let d = DlbDecision {
+                    col,
+                    from: self.rank,
+                    to,
+                };
+                (d, order)
             })
     }
 
@@ -854,23 +889,30 @@ mod tests {
         0.0
     }
 
-    /// Test oracle: `choose` before it read any weight — the first
-    /// `decide` result among the neighbours faster than this PE (by more
-    /// than the gain), fastest first. Written out independently of
+    /// Test oracle: the neighbours faster than this PE (by more than the
+    /// gain), fastest first. Written out independently of
     /// `faster_neighbors` so the two can be compared.
+    fn walk(p: &DlbProtocol, own_load: f64, nbrs: &[(usize, f64)]) -> impl Iterator<Item = usize> {
+        let mut sorted = nbrs.to_vec();
+        sorted.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let gain = p.min_relative_gain;
+        sorted
+            .into_iter()
+            .take_while(move |&(_, l)| {
+                l < own_load && (gain == 0.0 || (own_load - l) / own_load > gain)
+            })
+            .map(|(r, _)| r)
+    }
+
+    /// Test oracle: `choose` before it read any weight — the first
+    /// `decide` result along the walk.
     fn weight_blind(
         p: &DlbProtocol,
         own_load: f64,
         nbrs: &[(usize, f64)],
         om: &OwnershipMap,
     ) -> Option<DlbDecision> {
-        let mut sorted = nbrs.to_vec();
-        sorted.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let gain = p.min_relative_gain;
-        sorted
-            .into_iter()
-            .take_while(|&(_, l)| l < own_load && (gain == 0.0 || (own_load - l) / own_load > gain))
-            .find_map(|(r, _)| p.decide(om, r))
+        walk(p, own_load, nbrs).find_map(|r| p.decide(om, r))
     }
 
     #[test]
@@ -970,6 +1012,49 @@ mod tests {
         assert_eq!(Some(d), p.decide(&om, n));
         // Weightless, the fastest receiver that may take a cell wins.
         assert_eq!(to(p.choose(10.0, &nbrs, &om, weightless)), Some(nw));
+    }
+
+    #[test]
+    fn choose_sends_the_column_that_evens_the_pair() {
+        // 3×3, m = 4: `me` may lend NW any of its nine movable columns.
+        // The paper's pick, the one closest to NW's tile, is too heavy for
+        // the gap; of the ones that pass, the one that leaves the two
+        // loads closest goes, wherever it stands.
+        let (l, om) = setup(9, 4);
+        let me = at(&l, 1, 1);
+        let nw = at(&l, 0, 0);
+        let p = DlbProtocol::new(l, me);
+        let nbrs = loads_around(&l, me, 12.0, &[(nw, 2.0)]);
+        let closest = p.decide(&om, nw).expect("movable columns").col;
+        assert_eq!(closest, l.tile_origin(me));
+        let o = closest;
+        let (light, even, far) = (
+            Col::new(o.cx, o.cy + 1),
+            Col::new(o.cx + 1, o.cy + 1),
+            Col::new(o.cx + 2, o.cy + 2),
+        );
+        let weights = |d: &DlbDecision| match d.col {
+            c if c == closest => 9.0,
+            c if c == light => 1.0,
+            c if c == even || c == far => 4.0,
+            _ => 2.0,
+        };
+        // 2 + 9 is not below 10; 4 leaves 6 and 6.
+        let d = p
+            .choose(10.0, &nbrs, &om, weights)
+            .expect("a lighter one passes");
+        assert_eq!((d.col, d.to), (even, nw));
+        DlbProtocol::validate(&l, &om, &d).unwrap();
+        // `far` evens the pair alike, one column further from NW's tile:
+        // ties go the paper's way.
+        assert!(l.distance_to_tile(even, nw) < l.distance_to_tile(far, nw));
+        // Weightless, the paper's pick.
+        assert_eq!(
+            p.choose(10.0, &nbrs, &om, weightless).map(|d| d.col),
+            Some(closest)
+        );
+        // Nothing passes: nothing moves.
+        assert_eq!(p.choose(10.0, &nbrs, &om, |_| 8.0), None);
     }
 
     #[test]
@@ -1196,9 +1281,13 @@ mod tests {
     /// the way, every call is checked against the oracles: weightless,
     /// `choose` is the weight-blind walk, and wherever the paper's literal
     /// rule transfers it makes the same transfer; weighed, what it chooses
-    /// is a `decide` result for a neighbour that it leaves below this PE
-    /// (so a faster one: no weight is negative), and it is the
-    /// weight-blind choice whenever that one passes the gate. Loads are
+    /// is a legal transfer that leaves its receiver below this PE (so a
+    /// faster one: no weight is negative), to the first receiver of the
+    /// walk that any legal transfer passing the gate goes to, and no other
+    /// such transfer to that receiver leaves the pair more even — every
+    /// legal transfer found by brute force over the grid (`validate`), not
+    /// by the rule's own candidate list; it goes to the weight-blind
+    /// choice's receiver whenever that choice passes the gate. Loads are
     /// drawn from `levels` equally spaced values in `[0, 1)`, so a small
     /// `levels` makes ties (and sub-threshold gains) common; column
     /// weights from the same values times `heavy` (0: every column
@@ -1249,13 +1338,34 @@ mod tests {
                         assert_eq!(blind, Some(d), "rank {r}");
                     }
                     let chosen = proto.choose(loads[r], &nbrs, &om, weight);
+                    let spread = |d: &DlbDecision| {
+                        let w = weight(d);
+                        ((loads[r] - w) - (loads[d.to] + w)).abs()
+                    };
+                    // Every legal transfer to `to` the gate lets through.
+                    let passing = |to: usize| -> Vec<DlbDecision> {
+                        let to_each = grid.iter().map(|col| DlbDecision { col, from: r, to });
+                        to_each
+                            .filter(|d| DlbProtocol::validate(&l, &om, d).is_ok())
+                            .filter(|d| loads[to] + weight(d) < loads[r])
+                            .collect()
+                    };
+                    let receiver =
+                        walk(&proto, loads[r], &nbrs).find(|&to| !passing(to).is_empty());
+                    assert_eq!(chosen.map(|d| d.to), receiver, "rank {r}");
                     if let Some(d) = chosen {
                         let overshoots = loads[d.to] + weight(&d) >= loads[r];
                         assert!(!overshoots, "rank {r}: {d:?} overshoots");
-                        assert_eq!(proto.decide(&om, d.to), Some(d), "rank {r}");
+                        DlbProtocol::validate(&l, &om, &d).unwrap();
+                        let best = passing(d.to)
+                            .iter()
+                            .map(spread)
+                            .fold(f64::INFINITY, f64::min);
+                        assert_eq!(spread(&d), best, "rank {r}: {d:?} is not the most even");
                     }
                     if let Some(d) = blind.filter(|d| loads[d.to] + weight(d) < loads[r]) {
-                        assert_eq!(chosen, Some(d), "rank {r}: the gate dropped a light one");
+                        let to = chosen.map(|c| c.to);
+                        assert_eq!(to, Some(d.to), "rank {r}: the gate dropped a light one");
                     }
                     chosen
                 })
@@ -1277,12 +1387,13 @@ mod tests {
     }
 
     /// On exact loads — every PE's load the sum of the integer weights of
-    /// the columns it owns, so nothing rounds — a transfer `choose` makes
-    /// is never chosen back by its receiver once it is applied: the gate
-    /// that let `i → j` through (`load_j + w < load_i`) is the negation of
-    /// the one `j → i` would need afterwards (`load_i − w + w < load_j +
-    /// w`). Between the checks the state moves on as a run's does, every
-    /// PE's decision of a step at once.
+    /// the columns it owns, so nothing rounds — a transfer `choose` makes,
+    /// whichever of the legal columns it picked, can never go back once it
+    /// is applied: the gate that let `i → j` through (`load_j + w <
+    /// load_i`) is the negation of the one `j → i` would need afterwards
+    /// (`load_i − w + w < load_j + w`), so the way back is shut to every
+    /// rule that gates, not just not chosen. Between the checks the state
+    /// moves on as a run's does, every PE's decision of a step at once.
     fn gated_transfers_stay(l: PillarLayout, seed: u64, steps: usize, gain: f64) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -1318,8 +1429,18 @@ mod tests {
             for d in &decisions {
                 let mut once = om.clone();
                 DlbProtocol::apply(&mut once, d);
-                let back = choice(&once, &loads_of(&once), d.to);
+                let after = loads_of(&once);
+                let back = choice(&once, &after, d.to);
                 assert_ne!(back.map(|b| (b.col, b.to)), Some((d.col, d.from)), "{d:?}");
+                let undo = DlbDecision {
+                    col: d.col,
+                    from: d.to,
+                    to: d.from,
+                };
+                if DlbProtocol::validate(&l, &once, &undo).is_ok() {
+                    let passes = after[d.from] + weight(&undo) < after[d.to];
+                    assert!(!passes, "{d:?} could go back through the gate");
+                }
             }
             for d in &decisions {
                 DlbProtocol::apply(&mut om, d);

@@ -13,6 +13,7 @@
 
 use std::ops::Range;
 
+use pcdlb_core::permanent::is_permanent;
 use pcdlb_core::protocol::{DlbDecision, DlbProtocol};
 use pcdlb_domain::{Col, DomainShape, OwnershipMap, PillarLayout};
 use pcdlb_mp::CostModel;
@@ -41,9 +42,18 @@ pub(crate) trait Decomposition {
     /// Whether the shape implements the balancer hook below. Where it
     /// does not — or `cfg.dlb` leaves the hook idle — ownership cannot
     /// change, and migrants and ghosts share one exchange per rebuild
-    /// step (see [`crate::pe`]).
+    /// step where the neighbour sets allow it (see [`crate::pe`]).
     fn has_balancer(&self) -> bool {
         false
+    }
+
+    /// The ranks that may ever own column `col` under the balancer — its
+    /// home and every rank the balancer may hand it to, repeats allowed —
+    /// or `None` where the shape does not bound them. Read once per run,
+    /// by the closure test that lets a balancing run exchange once per
+    /// rebuild step ([`crate::pe::PeState::exchanges_once`]).
+    fn reach(&self, _col: Col) -> Option<[usize; 4]> {
+        None
     }
 
     /// Balancer hook: what this rank gives away this step, judged from
@@ -168,8 +178,20 @@ impl Decomposition for Pillar {
         true
     }
 
+    /// A permanent column stays at home; a movable one may also sit one
+    /// tile NW, N or W of it (Case 1), and nowhere else.
+    fn reach(&self, col: Col) -> Option<[usize; 4]> {
+        let home = self.layout.home_rank(col);
+        if is_permanent(&self.layout, col) {
+            return Some([home; 4]);
+        }
+        let lent = |di, dj| self.layout.torus().neighbor(home, di, dj);
+        Some([home, lent(-1, -1), lent(-1, 0), lent(0, -1)])
+    }
+
     /// Paper Sec. 2.3, steps 2–3: offer a cell, by the Case 1–3 rules,
-    /// to the fastest neighbour that may take one and stay below this PE.
+    /// to the fastest neighbour that may take one and stay below this PE
+    /// — the one that evens the pair most.
     fn decide(
         &self,
         _step: u64,

@@ -9,8 +9,11 @@
 //! `Launch::fixed_tiles`) checks its tiling at the top of steps 2, 4, 8,
 //! … — the first rebuild step at or after each under skin epochs — before
 //! the balancer decides; on a step that re-tiles, the move takes the DLB
-//! slot after round 1 and the balancer sits the step out. Both are part
-//! of the step: their messages land in its comm lap like any other.
+//! slot after round 1 and the balancer sits the step out (where steps
+//! are one frame per neighbour, a re-tile step has two rounds, and the
+//! decisions still pending from the step before are dropped: the re-tile
+//! plans from who holds what). Both are part of the step: their messages
+//! land in its comm lap like any other.
 //!
 //! Dual-role phase interleaving is what keeps such a degraded world
 //! deadlock-free: point-to-point phases post *both* roles' sends before
@@ -278,10 +281,19 @@ pub(crate) fn step_multi(
         });
     }
     // Migration, DLB, and ghost-membership changes only happen on
-    // rebuild steps — mid-epoch the binning is frozen everywhere. The
-    // balancer decides here, before anything moves or is sent, on the
-    // loads it already holds: its decision rides round 1. A step that
-    // re-tiles plans its ownership whole, and the balancer sits it out.
+    // rebuild steps — mid-epoch the binning is frozen everywhere. First
+    // the decisions the last single frames brought land in every view
+    // (their columns travel in this step's frames) — unless the step
+    // re-tiles, which plans its ownership whole from who holds what, and
+    // which the balancer sits out. Then the balancer decides, before
+    // anything moves or is sent, on the loads it already holds: its
+    // decision rides the step's first frame.
+    let mut transferred = [0u64; 2];
+    if rebuild && retile.is_none() {
+        for (i, (_, pe)) in pes.iter_mut().enumerate() {
+            transferred[i] = pe.dlb_land();
+        }
+    }
     let mut dlb_now = false;
     for (_, pe) in pes.iter_mut() {
         dlb_now = pe.dlb_due(step, rebuild) && retile.is_none();
@@ -294,10 +306,11 @@ pub(crate) fn step_multi(
     }
     // What travels this step. Mid-epoch: one positions-only refresh per
     // neighbour. Rebuild steps: two rounds with the balancer's decisions
-    // in between — or, where ownership cannot change and the neighbour
-    // set is closed two cells out (every role of a world agrees on
-    // that), migrants and ghosts in one frame.
-    let exchange = match (rebuild, pes[0].1.exchanges_once()) {
+    // in between — or, where the neighbour set is closed two cells out
+    // under every ownership the balancer can reach (every role of a world
+    // agrees on that), migrants and ghosts in one frame, on every step
+    // but a re-tile.
+    let exchange = match (rebuild, pes[0].1.exchanges_once() && retile.is_none()) {
         (false, _) => Exchange::Refresh,
         (true, false) => Exchange::Shells,
         (true, true) => Exchange::Single,
@@ -312,17 +325,16 @@ pub(crate) fn step_multi(
     }
     // DLB: the decided columns change hands — or, on a re-tile, every
     // column whose owner changes goes straight to its new owner, and the
-    // views follow the new tiling.
-    let mut transferred = [0u64; 2];
-    debug_assert!(!(dlb_now && exchange == Exchange::Single));
+    // views follow the new tiling. (A single exchange carries its
+    // decisions' columns in the next step's frames.)
     if let Some(r) = &retile {
         ascending(comm, pes, |i, pe, comm| {
-            transferred[i] = pe.retile_send(comm, r)
+            transferred[i] += pe.retile_send(comm, r)
         });
         ascending(comm, pes, |_, pe, comm| pe.retile_recv(comm, r));
-    } else if dlb_now {
+    } else if dlb_now && exchange == Exchange::Shells {
         ascending(comm, pes, |i, pe, comm| {
-            transferred[i] = pe.dlb_send_cells(comm)
+            transferred[i] += pe.dlb_send_cells(comm)
         });
         ascending(comm, pes, |_, pe, comm| pe.dlb_recv_cells(comm));
     }

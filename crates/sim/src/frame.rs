@@ -14,12 +14,16 @@
 //! steps, the decision it took at the top of the step with the work that
 //! moves with it; round 2 carries the boundary-shell ghost frame.
 //! One-byte sub-frame presence headers say which sections are populated,
-//! and per-(src, dst, tag) FIFO ordering keeps the rounds matched. A decomposition whose ownership
-//! can never change has nothing to decide between the rounds and sends
-//! them as one frame with both sections populated
+//! and per-(src, dst, tag) FIFO ordering keeps the rounds matched. A
+//! decomposition whose ownership can never change — or can change only
+//! among ranks that are all neighbours of each other (a balancing torus
+//! of side 3) — sends them as one frame with both sections populated
 //! ([`StepFrame::begin_single`]): the sender's migrants for that
 //! neighbour, and as ghosts every other particle it held before the step
-//! whose new cell borders the neighbour's. Between rebuilds of a skin
+//! whose new cell borders the neighbour's; in a balancing run also its
+//! load and decision, which every receiver applies at the top of the next
+//! rebuild step, when the moved columns' particles travel as the giver's
+//! migrants. Between rebuilds of a skin
 //! epoch nothing migrates and no shell changes membership, so a step
 //! sends one frame per neighbour, carrying only a [`GhostRefresh`]
 //! section.
@@ -486,8 +490,9 @@ impl WireSize for ParticleFrame {
 
 /// The coalesced per-neighbour step message: one-byte presence headers
 /// select which sections travel. Round 1 = migrants (+ load in a
-/// balancing run, + decision on DLB steps); round 2 = the ghost shell; a single-exchange rebuild step's
-/// only frame = both; a mid-epoch step's only frame = the ghost refresh.
+/// balancing run, + decision on DLB steps); round 2 = the ghost shell; a
+/// single-exchange rebuild step's only frame = both; a mid-epoch step's
+/// only frame = the ghost refresh.
 #[derive(Debug, Clone, Default)]
 pub struct StepFrame {
     /// Round-1 marker: the migrant section travels.
@@ -502,12 +507,12 @@ pub struct StepFrame {
     pub resync: bool,
     /// Particles that crossed into the destination's columns, id-sorted.
     pub migrants: ParticleFrame,
-    /// Sender's last-step load; `Some` in every round-1 frame of a
-    /// balancing run.
+    /// Sender's last-step load; `Some` in every round-1 and single frame
+    /// of a balancing run.
     pub load: Option<f64>,
     /// The sender's balancer decision for this step, taken before the
     /// frame was packed, with the work that moves with it; `Some` only in
-    /// round 1 of a DLB step on which the sender gives a cell away. Its
+    /// the first frame of a DLB step on which the sender gives a cell away. Its
     /// presence rides bit 2 of the migrant presence header byte, so a
     /// frame without a decision is byte for byte the frame it always was.
     pub decision: Option<Transfer>,
@@ -556,11 +561,11 @@ impl StepFrame {
     }
 
     /// Reshape a pooled frame for a single-exchange rebuild step — the
-    /// migrant and the ghost section travel together — keeping buffer
+    /// migrant and the ghost section travel together, and in a balancing
+    /// run the load and decision round 1 would carry — keeping buffer
     /// capacity.
-    pub fn begin_single(&mut self) {
-        self.clear();
-        self.has_migrants = true;
+    pub fn begin_single(&mut self, load: Option<f64>, decision: Option<Transfer>) {
+        self.begin_round1(load, decision);
         self.has_ghosts = true;
     }
 

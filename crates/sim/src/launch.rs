@@ -51,14 +51,16 @@
 //!
 //! **Re-tiling in the run.** The launch is check 0 of a re-tiling run:
 //! at steps 2, 4, 8, … the run gathers the work map its last force pass
-//! measured to rank 0, which calls [`launch_plan`] on it and re-tiles in
-//! place iff the modelled saving pays for the move (`check`). No
-//! constant: the horizon is the past, the cost the world's own cost
-//! model.
+//! measured to rank 0, which calls [`launch_plan`] on it, refines the
+//! tiling on the floor the plan reaches ([`retile_plan`]: steepest
+//! descent over the tilings one cut away) and re-tiles in place iff the
+//! modelled saving pays for the move (`check`). No constant: the horizon
+//! is the past, the cost the world's own cost model.
 //!
 //! Launch-time code: it allocates freely and is called from the driver
 //! ([`crate::driver`]), the elastic remap ([`crate::elastic`]) and rank
-//! 0 of a check step only.
+//! 0 of a check step only (where the refinement plans 54 to 216 tilings
+//! on the paper's scenario, a few milliseconds).
 //!
 //! [`Launch::fixed_tiles`]: crate::driver::Launch::fixed_tiles
 
@@ -516,11 +518,78 @@ impl WireSize for Retile {
     }
 }
 
+/// The plan a re-tile check of a run of `cfg` makes on the work map `work`
+/// its step-`step` force pass measured: the launch's own plan
+/// ([`launch_plan`] — the launch is check 0), its tiling then refined on
+/// the plan's floor by steepest descent. The chooser cuts the tiles so the
+/// heaviest is as light as it can be *before* the plan; what the run gets
+/// is the floor the plan reaches *after* it. So every tiling one cut away —
+/// one cut of one axis moved to any other position that leaves both tiles
+/// beside it a column or more — is planned, the one whose plan ends
+/// strictly lowest is taken, and the descent stops when none ends lower
+/// (ties: the first in axis, cut, position order). No step size, no
+/// constant; pure in `cfg` and the work map, so a restored run replays
+/// it. The launch itself keeps the chooser's tiling: it is inside a run's
+/// set-up time, and its first check (step 2) refines it.
+pub fn retile_plan(cfg: &RunConfig, step: u64, work: &[u64]) -> LaunchPlan {
+    let mut plan = launch_plan(DomainShape::SquarePillar, cfg, step, work, true);
+    if !cfg.dlb {
+        return plan;
+    }
+    let costs = Costs::new(cfg, step, work);
+    let floor = |plan: &LaunchPlan| *plan.peaks.last().expect("a pillar plan has a first peak");
+    loop {
+        let tiling = plan.tiling();
+        let mut best: Option<LaunchPlan> = None;
+        for nearby in one_cut_away(&tiling) {
+            let next = plan_on(DomainShape::SquarePillar, cfg, &costs, Some(nearby));
+            if floor(&next) < floor(best.as_ref().unwrap_or(&plan)) {
+                best = Some(next);
+            }
+        }
+        match best {
+            Some(lower) => plan = lower,
+            None => return plan,
+        }
+    }
+}
+
+/// Every tiling that differs from `tiling` in one cut of one axis, that
+/// cut moved to any other start strictly between its two neighbours (no
+/// tile is left empty); axis 0 first, then cut by cut, each ascending
+/// round the ring from the cut before it.
+fn one_cut_away(tiling: &PillarLayout) -> Vec<PillarLayout> {
+    let (nc, torus) = (tiling.grid().nc(), tiling.torus());
+    let side = torus.rows();
+    let mut out = Vec::new();
+    for axis in 0..2 {
+        let starts = [tiling.xs(), tiling.ys()][axis].clone();
+        for k in 0..side {
+            let (before, after) = (starts[(k + side - 1) % side], starts[(k + 1) % side]);
+            let between = (1..(after + nc - before) % nc).map(|d| (before + d) % nc);
+            for at in between.filter(|&at| at != starts[k]) {
+                let mut moved = starts.clone();
+                moved[k] = at;
+                let (xs, ys) = if axis == 0 {
+                    (moved, tiling.ys())
+                } else {
+                    (tiling.xs(), moved)
+                };
+                let layout = PillarLayout::rectilinear(nc, torus, &xs, &ys);
+                out.push(
+                    layout.expect("a cut moved between its neighbours keeps the ring's order"),
+                );
+            }
+        }
+    }
+    out
+}
+
 /// The re-tile check of step `step` of a re-tiling run: `held[rank]` is
 /// every column `rank` owns at the top of the step, with the work the last
-/// force pass measured on it and its particle count. Rank 0 plans a launch
-/// on that work map ([`launch_plan`], the launch's own entry point — the
-/// launch is check 0) and re-tiles iff the saving pays for the move:
+/// force pass measured on it and its particle count. Rank 0 plans on that
+/// work map ([`retile_plan`]) and re-tiles iff the saving pays for the
+/// move:
 ///
 /// `(L_now − F′) · h > C`
 ///
@@ -552,7 +621,7 @@ pub(crate) fn check(
     // The work was measured by the last step's force pass, at its speeds.
     let measured = step - 1;
     let now = peak(&Costs::new(cfg, measured, &work).loads_under(&owner, p));
-    let plan = launch_plan(DomainShape::SquarePillar, cfg, measured, &work, true);
+    let plan = retile_plan(cfg, measured, &work);
     let floor = *plan.peaks.last()?;
     let tiling = plan.tiling();
     let mut planned = OwnershipMap::initial(tiling);
@@ -697,4 +766,84 @@ fn plan_on(
         plan.round_ends.push(plan.decisions.len());
     }
     plan
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn floor(plan: &LaunchPlan) -> f64 {
+        *plan.peaks.last().expect("a pillar plan has a first peak")
+    }
+
+    /// A balancing run on the `side × side` torus with `m × m` tiles, and
+    /// a work map for it drawn from `seed`: a light random background
+    /// and a hot random rectangle, as a cluster leaves one.
+    fn world(side: usize, m: usize, seed: u64) -> (RunConfig, Vec<u64>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let nc = side * m;
+        let mut cfg = RunConfig::new(1000, nc, side * side, 0.1);
+        cfg.dlb = true;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (x0, y0) = (rng.gen_range(0..nc), rng.gen_range(0..nc));
+        let (w, h) = (rng.gen_range(1..nc / 2 + 1), rng.gen_range(1..nc / 2 + 1));
+        let hot = |c: Col| (c.cx + nc - x0) % nc < w && (c.cy + nc - y0) % nc < h;
+        let work = all_columns(nc)
+            .map(|c| rng.gen_range(0..40) + if hot(c) { rng.gen_range(200..2000) } else { 0 })
+            .collect();
+        (cfg, work)
+    }
+
+    #[test]
+    fn every_tiling_one_cut_away_differs_in_one_cut() {
+        let tiling = PillarLayout::arbitrary(3, 9, 7);
+        let cuts = |l: &PillarLayout| [l.xs(), l.ys()].concat();
+        let near = one_cut_away(&tiling);
+        // Every cut moves to every other start between its neighbours:
+        // the widths of the two tiles beside it, less one each, summed
+        // over the cuts of both axes — twice the ring less the tiles.
+        assert_eq!(near.len(), 2 * (2 * 12 - 2 * 3));
+        let here = cuts(&tiling);
+        for other in &near {
+            let moved = here.iter().zip(cuts(other)).filter(|(a, b)| **a != *b);
+            assert_eq!(moved.count(), 1, "{other}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        /// On any work map, and whatever tiling the run stands on, a
+        /// check plans no higher than the launch's chooser would — and no
+        /// tiling one cut away from the one it picks plans lower. Its
+        /// decision is `retile_plan`'s, whoever holds which column.
+        #[test]
+        fn prop_a_check_plans_no_higher_than_the_chooser(
+            side in 3usize..5,
+            m in 2usize..4,
+            seed in any::<u64>(),
+        ) {
+            let (cfg, work) = world(side, m, seed);
+            let costs = Costs::new(&cfg, 1, &work);
+            let chooser = launch_plan(DomainShape::SquarePillar, &cfg, 1, &work, true);
+            let refined = retile_plan(&cfg, 1, &work);
+            prop_assert!(floor(&refined) <= floor(&chooser));
+            for nearby in one_cut_away(&refined.tiling()) {
+                let next = plan_on(DomainShape::SquarePillar, &cfg, &costs, Some(nearby));
+                prop_assert!(floor(&next) >= floor(&refined), "{} plans lower", nearby);
+            }
+            // The run stands on an uneven tiling, every column at home.
+            let standing = PillarLayout::arbitrary(side, cfg.nc - side, seed);
+            let mut held: Vec<Held> = vec![Vec::new(); cfg.p];
+            for (col, &checks) in all_columns(cfg.nc).zip(&work) {
+                held[standing.home_rank(col)].push((col, checks, checks / 10 + 1));
+            }
+            let model = crate::decomp::cost_model(DomainShape::SquarePillar, &cfg);
+            if let Some(r) = check(&cfg, 2, &held, &model) {
+                prop_assert_eq!(r.tiling, refined.tiling());
+                prop_assert_eq!(r.loads, refined.loads);
+            }
+        }
+    }
 }

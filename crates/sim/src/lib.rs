@@ -49,7 +49,7 @@ pub use driver::{
     Launch, Run,
 };
 pub use elastic::{ResizeGeneration, ResizePlan, ResizeStage};
-pub use launch::{launch_plan, launch_plan_on, LaunchPlan, Placed};
+pub use launch::{launch_plan, launch_plan_on, retile_plan, LaunchPlan, Placed};
 pub use pcdlb_domain::DomainShape;
 pub use recover::{RecoveryError, SimCheckpoint};
 pub use report::{PhaseTimes, RunReport, StepRecord, WireBytes};

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use pcdlb_core::protocol::{tags, DlbDecision};
+use pcdlb_core::protocol::{tags, DlbDecision, Transfer};
 use pcdlb_domain::{Col, DomainShape};
 use pcdlb_md::checkpoint::Checkpoint;
 use pcdlb_md::Particle;
@@ -56,9 +56,11 @@ impl PeState {
         // checkpointed step's forces — with drifting speeds, its
         // published load numbers must use the checkpointed step too.
         pe.cur_step = ck.md.step;
-        // What the balancer holds between steps.
+        // What the balancer holds between steps: a transfer whose giver
+        // still holds the column had not landed at the checkpoint.
         let neighbors = pe.topology.neighbors();
-        pe.balance.restore(rank, cfg.p, neighbors, ck);
+        let held = |d: &DlbDecision| pe.decomp.owner_of(d.col, 0) == d.from;
+        pe.balance.restore(rank, cfg.p, neighbors, ck, held);
         pe
     }
 
@@ -67,9 +69,10 @@ impl PeState {
     /// is rank 0's per-step series so far, embedded so a restore can
     /// reproduce the full report. A balancing run also gathers what its
     /// next decision rests on: the load each rank last announced and the
-    /// transfer it gave this step, if any. The gather's virtual comm cost
-    /// is excluded from the next step's delta, so checkpointing never
-    /// changes any reported `t_step`.
+    /// transfers it gave that those loads have not seen — applied, and
+    /// after a single-exchange step one still pending. The gather's
+    /// virtual comm cost is excluded from the next step's delta, so
+    /// checkpointing never changes any reported `t_step`.
     pub(crate) fn take_checkpoint(
         &mut self,
         comm: &mut Comm,
@@ -79,6 +82,7 @@ impl PeState {
         let own_cols: Vec<Col> = self.columns.keys().copied().collect();
         let own_parts: Vec<Particle> = self.particles().copied().collect();
         let (announced, given) = self.balance.held(self.rank);
+        let given: Vec<Transfer> = given.collect();
         let payload = (own_parts, own_cols, announced, given);
         let gathered = collectives::gather(comm, tags::CKPT_GATHER, payload);
         // (Only a shape with a tiling — the square pillar — restores from
@@ -86,8 +90,13 @@ impl PeState {
         // nothing.)
         let ck = gathered.zip(self.decomp.tiling()).map(|(chunks, tiling)| {
             let loads = chunks.iter().filter_map(|chunk| chunk.2).collect();
-            // Rank order is `from` order: the order they were applied in.
-            let transfers = chunks.iter().filter_map(|chunk| chunk.3).collect();
+            // Rank order is `from` order, each rank's applied one first:
+            // split by what still holds its column, each part is in the
+            // order it was applied in.
+            let transfers = chunks
+                .iter()
+                .flat_map(|chunk| chunk.3.iter().copied())
+                .collect();
             let mut particles = Vec::new();
             let mut ownership = Vec::new();
             for (rank, (parts, cols, ..)) in chunks.into_iter().enumerate() {

@@ -1,16 +1,25 @@
 //! The balancer's glue (phase 3). The rule is the shape's
 //! (`Decomposition::{decide, excludes, apply, granule}`: the pillar's
 //! Case 1–3 rules toward the fastest neighbour that may take a cell and
-//! stay below the giver, the plane's moving boundary — see
-//! [`pcdlb_core::protocol`]); [`Balance`] keeps its inputs between steps
-//! and is driven from loads and transfers alone. What a candidate weighs
-//! is the work a [`Transfer`] carries — its columns' candidate pairs as a
-//! share of this PE's load — on the receiver's speed; it is counted only
-//! for the candidates the rule considers, and the chosen one's is the
-//! transfer's. The frames that carry them are [`super::exchange`]'s
-//! business.
+//! stay below the giver, the column that evens the pair most; the plane's
+//! moving boundary — see [`pcdlb_core::protocol`]); [`Balance`] keeps its
+//! inputs between steps and is driven from loads and transfers alone.
+//! What a candidate weighs is the work a [`Transfer`] carries — its
+//! columns' candidate pairs, counted once per balancing step for every
+//! held column, as a share of this PE's load — on the receiver's speed.
+//!
+//! When a decision takes effect depends on the step's frames
+//! ([`super::exchange`]'s business). Where a rebuild step has two rounds,
+//! the decisions round 1 brings are applied at once and their cells
+//! follow (`CELL_XFER`). Where it is one frame per neighbour, the
+//! decisions it brings are *pending*: every PE applies them at the top
+//! of the next rebuild step ([`PeState::dlb_land`]) and the columns'
+//! particles travel in that step's frames, from the giver, as migrants.
+//! Either way a transfer stays in flight — booked onto the loads in hand
+//! — until frames bring loads measured after it was applied: a pending
+//! one for the two steps it spans, and for the step it lands in also
+//! onto this PE's own load.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -33,25 +42,39 @@ pub(super) struct Balance {
     /// Whether ownership can change this run: the shape has a balancer
     /// and `cfg.dlb` switches it on. Fixed for the run.
     enabled: bool,
-    /// The neighbours' loads in hand, as the last round-1 frames brought
-    /// them: each measured by the force pass before the step that
-    /// announced it.
+    /// The neighbours' loads in hand, as the last frames that carried
+    /// them brought them: each measured by the force pass before the step
+    /// that announced it.
     nbr_loads: Vec<(usize, f64)>,
     /// `nbr_loads` with the in-flight transfers booked: what the balancer
     /// decides on (retained scratch).
     booked_loads: Vec<(usize, f64)>,
-    /// The load this PE put into its last round-1 frames — what its
-    /// neighbours hold for it, and so what a checkpoint must carry.
+    /// The load this PE put into its last frames — what its neighbours
+    /// hold for it, and so what a checkpoint must carry.
     announced_load: Option<f64>,
     /// This step's own decision, taken at the top of the step and waiting
-    /// for round 1 to carry it.
+    /// for the step's first frame to carry it.
     my_decision: Option<Transfer>,
-    /// The neighbourhood's decisions of the last round-1 step (this PE's
-    /// and its neighbours', ascending `from`), retained across steps:
-    /// the step's cell transfers walk it, and until the next round-1
-    /// frames bring loads that have seen them these are the transfers in
-    /// flight.
+    /// The decisions the step's first frames brought (this PE's and its
+    /// neighbours'), ascending `from` once folded (retained scratch).
     decisions: Vec<Transfer>,
+    /// Decisions a single frame brought, not yet applied: they land at
+    /// the top of the next rebuild step.
+    pending: Vec<Transfer>,
+    /// The transfers applied since the loads in hand were measured, in
+    /// the order they were applied (each step's ascending `from`): what
+    /// those loads are brought up to date with before a decision. After a
+    /// step's frames are in, exactly the transfers whose columns changed
+    /// hands in that step.
+    in_flight: Vec<Transfer>,
+    /// How many of `in_flight`, at its end, landed at the top of this
+    /// step — after this PE's own load was measured, too.
+    landed: usize,
+    /// Every held column's full-shell candidate-pair count, ascending by
+    /// column, counted at the top of each balancing step (retained).
+    checks: Vec<(Col, u64)>,
+    /// Per-z scratch behind `checks`.
+    around: Vec<u64>,
     /// The last rebuild step (the checkpointed step after a restore): a
     /// balancing step is due at the first rebuild that has a multiple of
     /// `dlb_interval` behind it since this one.
@@ -91,56 +114,80 @@ impl Balance {
 
     /// Start over from per-rank `loads` every rank holds (a checkpoint's,
     /// a re-tile's): this PE's own as announced, its `neighbors`' as heard,
-    /// nothing in flight.
+    /// nothing in flight and nothing pending.
     pub(super) fn resume(&mut self, rank: usize, neighbors: &[usize], loads: &[f64]) {
         self.announced_load = Some(loads[rank]);
         self.nbr_loads.clear();
         self.nbr_loads
             .extend(neighbors.iter().map(|&nb| (nb, loads[nb])));
         self.decisions.clear();
+        self.pending.clear();
+        self.in_flight.clear();
+        self.landed = 0;
         self.my_decision = None;
     }
 
-    /// The neighbours' loads the shape's rule decides on
-    /// (`booked_loads`): as the last round 1 brought them, with the
-    /// transfers applied since those were measured booked onto them
-    /// (`on_receiver`: see [`book_in_flight`]).
-    fn book(&mut self, on_receiver: impl Fn(usize, usize) -> f64) {
-        self.booked_loads.clear();
-        self.booked_loads.extend_from_slice(&self.nbr_loads);
-        book_in_flight(&mut self.booked_loads, &self.decisions, on_receiver);
+    /// The top of a rebuild step that does not re-tile: the pending
+    /// decisions are applied to the ownership view, in the order they
+    /// were folded, and are in flight from here.
+    fn land(&mut self, decomp: &mut dyn Decomposition) {
+        for t in &self.pending {
+            decomp.apply(&t.decision);
+        }
+        self.landed = self.pending.len();
+        self.in_flight.append(&mut self.pending);
     }
 
-    /// What this PE's round-1 frames carry: `own_load` — remembered as
-    /// announced — and the decision waiting to ride along. Nothing in a
-    /// run that does not balance.
+    /// The transfers that landed at the top of this step.
+    pub(super) fn landed(&self) -> &[Transfer] {
+        &self.in_flight[self.in_flight.len() - self.landed..]
+    }
+
+    /// The loads the shape's rule decides on: the neighbours' as the last
+    /// frames brought them, with every transfer in flight booked onto
+    /// them (`booked_loads`), and — returned — this PE's `own` as its last
+    /// force pass measured it, with the transfers that landed since booked
+    /// onto it (`on_receiver`: see [`book_in_flight`]).
+    fn book(&mut self, rank: usize, own: f64, on_receiver: impl Fn(usize, usize) -> f64) -> f64 {
+        self.booked_loads.clear();
+        self.booked_loads.extend_from_slice(&self.nbr_loads);
+        book_in_flight(&mut self.booked_loads, &self.in_flight, &on_receiver);
+        let mut mine = [(rank, own)];
+        book_in_flight(&mut mine, self.landed(), on_receiver);
+        mine[0].1
+    }
+
+    /// What this PE's first frames of a step carry: `own_load` —
+    /// remembered as announced — and the decision waiting to ride along.
+    /// Nothing in a run that does not balance.
     pub(super) fn announce(&mut self, own_load: f64) -> (Option<f64>, Option<Transfer>) {
         self.announced_load = self.enabled.then_some(own_load);
         (self.announced_load, self.my_decision)
     }
 
-    /// Round 1 comes in: the loads in hand and the decisions in flight
-    /// are replaced, starting from this PE's own decision.
+    /// The step's first frames come in: the loads in hand are replaced,
+    /// and with them every transfer in flight but the ones that landed
+    /// at the top of this step (the loads coming in were measured before
+    /// that); the round's decisions start from this PE's own.
     pub(super) fn open_round(&mut self) {
         self.nbr_loads.clear();
+        self.in_flight.drain(..self.in_flight.len() - self.landed);
         self.decisions.clear();
         self.decisions.extend(self.my_decision.take());
     }
 
-    /// What neighbour `nb`'s round-1 frame brought.
+    /// What neighbour `nb`'s frame brought.
     pub(super) fn hear(&mut self, nb: usize, load: Option<f64>, decision: Option<Transfer>) {
         debug_assert_eq!(load.is_some(), self.enabled, "loads ride a balancing run");
         self.nbr_loads.extend(load.map(|load| (nb, load)));
         self.decisions.extend(decision);
     }
 
-    /// Phase 3, step 4: fold the round's decisions into the ownership
-    /// view in ascending `from` order. Decisions that exclude each other
-    /// are void, all of them: judged on the whole list (at most one per
-    /// neighbour and this PE's own) before any is dropped. The loads just
-    /// received have seen every earlier transfer, so what stands here is
-    /// all that stays in flight.
-    fn fold(&mut self, decomp: &mut dyn Decomposition) {
+    /// Phase 3, step 4: put the round's decisions in ascending `from`
+    /// order and void those that exclude each other, all of them: judged
+    /// on the whole list (at most one per neighbour and this PE's own)
+    /// before any is dropped.
+    fn settle(&mut self, decomp: &dyn Decomposition) {
         self.decisions.sort_unstable_by_key(|t| t.decision.from);
         let mut void = 0u64;
         for (i, a) in self.decisions.iter().enumerate() {
@@ -152,30 +199,56 @@ impl Balance {
             at += 1;
             void >> (at - 1) & 1 == 0
         });
+    }
+
+    /// Two rounds: the settled decisions are applied to the ownership view
+    /// now, and are in flight from here — with the ones that landed at
+    /// the top of the step, all the loads just received have not seen.
+    fn fold(&mut self, decomp: &mut dyn Decomposition) {
+        self.settle(decomp);
         for t in &self.decisions {
             decomp.apply(&t.decision);
         }
+        self.in_flight.extend_from_slice(&self.decisions);
+    }
+
+    /// One frame: the settled decisions wait for the next rebuild step.
+    fn defer(&mut self, decomp: &dyn Decomposition) {
+        self.settle(decomp);
+        debug_assert!(self.pending.is_empty());
+        std::mem::swap(&mut self.pending, &mut self.decisions);
+    }
+
+    /// The transfers whose cells travel this step by `CELL_XFER`: the ones
+    /// two rounds applied after round 1.
+    fn moved(&self) -> &[Transfer] {
+        &self.in_flight[self.landed..]
     }
 
     /// What a checkpoint carries of the balancer: the load this PE last
-    /// announced and the transfer `rank` gave this step, if any.
-    pub(super) fn held(&self, rank: usize) -> (Option<f64>, Option<Transfer>) {
-        let given = self.decisions.iter().find(|t| t.decision.from == rank);
-        (self.announced_load, given.copied())
+    /// announced and the transfers `rank` gave that those loads have not
+    /// seen — applied ones first, then one still pending.
+    pub(super) fn held(&self, rank: usize) -> (Option<f64>, impl Iterator<Item = Transfer> + '_) {
+        let all = self.in_flight.iter().chain(&self.pending);
+        let given = all.filter(move |t| t.decision.from == rank).copied();
+        (self.announced_load, given)
     }
 
     /// Resume at the step of checkpoint `ck` (a rebuild step in every
     /// schedule) holding what it carried: every rank's last announced
     /// load and the transfers those loads have not seen — of which this
-    /// PE heard its own and its `neighbors`'. A checkpoint without loads
-    /// (a drain remapped onto another torus, a generation that did not
-    /// balance) leaves the launch to announce them.
+    /// PE heard its own and its `neighbors`'. A transfer whose giver still
+    /// holds the column (`held`) was pending at the checkpoint and lands
+    /// at the next rebuild step; the others are in flight. A checkpoint
+    /// without loads (a drain remapped onto another torus, a generation
+    /// that did not balance) leaves the launch to announce them.
     pub(super) fn restore(
         &mut self,
         rank: usize,
         p: usize,
         neighbors: &[usize],
         ck: &SimCheckpoint,
+        held: impl Fn(&DlbDecision) -> bool,
     ) {
         self.last_rebuild = ck.md.step;
         if self.enabled && !ck.loads.is_empty() {
@@ -190,7 +263,14 @@ impl Balance {
                 let from = t.decision.from;
                 from == rank || neighbors.binary_search(&from).is_ok()
             };
-            self.decisions.extend(ck.transfers.iter().filter(heard));
+            for t in ck.transfers.iter().filter(heard) {
+                let list = if held(&t.decision) {
+                    &mut self.pending
+                } else {
+                    &mut self.in_flight
+                };
+                list.push(*t);
+            }
         }
     }
 }
@@ -207,84 +287,133 @@ impl PeState {
         self.balance.due(step, rebuild, self.cfg.dlb_interval)
     }
 
+    /// The top of a rebuild step that does not re-tile: the decisions the
+    /// last single frames brought are applied to the ownership view (see
+    /// [`Balance::land`]); their particles travel in this step's frames.
+    /// Returns the number of them this PE gave.
+    pub(crate) fn dlb_land(&mut self) -> u64 {
+        if !self.balance.enabled {
+            return 0;
+        }
+        self.balance.land(&mut *self.decomp);
+        self.follow_decisions(self.balance.landed().len());
+        let rank = self.rank;
+        let given = self
+            .balance
+            .landed()
+            .iter()
+            .filter(|t| t.decision.from == rank);
+        given.count() as u64
+    }
+
     /// Phase 3 (DLB), steps 1–3, run at the top of the step: apply the
     /// shape's balancer rule to the loads in hand — this PE's own, which
-    /// its last force pass measured, and its neighbours' (see
-    /// [`Balance::book`]) — and to the load each candidate would move.
-    /// Purely local; the decision waits for [`PeState::step_send_round1`].
+    /// its last force pass measured, and its neighbours', each brought up
+    /// to date with what changed hands since (see [`Balance::book`]) — and
+    /// to the load each candidate would move. Purely local; the decision
+    /// waits for the step's first frame.
     pub(crate) fn dlb_decide(&mut self) {
         let t0 = WallTimer::start();
         debug_assert_eq!(
             self.balance.nbr_loads.len(),
             self.topology.neighbors().len()
         );
+        self.count_checks();
         let (cfg, step) = (&self.cfg, self.cur_step);
         // Where the run balances time, a share of the giver's time is
         // worth the two speeds' ratio on the receiver.
         let speeds = cfg.speed.as_ref().filter(|_| cfg.speed_aware);
         let on_receiver =
             |from, to| speeds.map_or(1.0, |s| s.speed(from, step) / s.speed(to, step));
-        self.balance.book(on_receiver);
         let own = self.force.load();
+        let booked = self.balance.book(self.rank, own, on_receiver);
         // The load that changes hands, as a share of this PE's own: the
-        // moved columns' candidate pairs over the last pass's total.
-        let transfer = |decision: &DlbDecision| Transfer {
-            decision: *decision,
-            work: match self.force.work().pair_checks {
+        // moved columns' candidate pairs over the last pass's total. A
+        // column whose particles have not arrived yet has no count: it
+        // cannot move on before it lands.
+        let checks = &self.balance.checks;
+        let share = |d: &DlbDecision| -> Option<f64> {
+            let mut moved = 0u64;
+            for col in self.decomp.granule(d) {
+                moved += checks[checks.binary_search_by_key(&col, |c| c.0).ok()?].1;
+            }
+            Some(match self.force.work().pair_checks {
                 0 => 0.0,
-                total => own * (self.granule_checks(decision) as f64 / total as f64),
-            },
+                total => own * (moved as f64 / total as f64),
+            })
         };
-        // What it weighs on the receiver, for each candidate the rule
-        // considers; the last one weighed is the one it returns, if any.
-        let weighed = Cell::new(None);
-        let weight = |d: &DlbDecision| {
-            let t = transfer(d);
-            weighed.set(Some(t));
-            t.work * on_receiver(d.from, d.to)
-        };
+        // What it weighs on the receiver.
+        let weight =
+            |d: &DlbDecision| share(d).map_or(f64::INFINITY, |w| w * on_receiver(d.from, d.to));
         let decision = self
             .decomp
-            .decide(step, own, &self.balance.booked_loads, &weight);
-        self.balance.my_decision = decision.map(|d| {
-            weighed
-                .get()
-                .filter(|t| t.decision == d)
-                .unwrap_or_else(|| transfer(&d))
+            .decide(step, booked, &self.balance.booked_loads, &weight);
+        self.balance.my_decision = decision.map(|d| Transfer {
+            decision: d,
+            work: share(&d).expect("a chosen granule is held"),
         });
         self.phase.dlb += t0.elapsed_s();
     }
 
-    /// The full-shell candidate-pair count of the columns decision `d`
-    /// moves (see [`PeState::column_checks`]): what the work model charges
-    /// this PE (the giver) for them.
-    fn granule_checks(&self, d: &DlbDecision) -> u64 {
-        let granule = self.decomp.granule(d);
-        granule.into_iter().map(|col| self.column_checks(col)).sum()
+    /// Count every held column's full-shell candidate pairs
+    /// ([`PeState::column_checks`]) into the balancer's cache.
+    fn count_checks(&mut self) {
+        let mut checks = std::mem::take(&mut self.balance.checks);
+        let mut around = std::mem::take(&mut self.balance.around);
+        checks.clear();
+        for &col in self.columns.keys() {
+            checks.push((col, self.column_checks(col, &mut around)));
+        }
+        self.balance.checks = checks;
+        self.balance.around = around;
     }
 
-    /// The full-shell candidate-pair count of owned column `col` — for
+    /// The full-shell candidate-pair count of held column `col` — for
     /// every particle of it, the particles in its cell and the 26 around
     /// it, read off the occupancies of the owned and ghost slabs the last
-    /// force pass ran on. It does not depend on who owns the column, and
-    /// over the owned columns it sums to the pass's `pair_checks`.
-    pub(super) fn column_checks(&self, col: Col) -> u64 {
+    /// force pass ran on: the 3 × 3 columns around it summed per z cell
+    /// into `around` (scratch), then three z cells at a time. It does not
+    /// depend on who owns the column, and over the owned columns it sums
+    /// to the pass's `pair_checks`.
+    pub(super) fn column_checks(&self, col: Col, around: &mut Vec<u64>) -> u64 {
         let nc = self.nc;
-        let occupancy = |col: Col, cz: usize| {
-            let slab = self.columns.get(&col).or_else(|| self.ghosts.get(&col));
-            slab.map_or(0, |s| s.cell(cz).len()) as u64
-        };
-        let mut checks = 0u64;
-        for cz in 0..nc {
-            let here = occupancy(col, cz);
-            if here > 0 {
-                let around: u64 = cells_around(nc, col, cz..cz + 1)
-                    .map(|(c, z)| occupancy(c, z.start))
-                    .sum();
-                checks += here * (around - 1);
+        let slab = |c: &Col| self.columns.get(c).or_else(|| self.ghosts.get(c));
+        around.clear();
+        around.resize(nc, 0);
+        for (c, _) in cells_around(nc, col, 0..nc) {
+            if let Some(s) = slab(&c) {
+                for (z, sum) in around.iter_mut().enumerate() {
+                    *sum += s.cell(z).len() as u64;
+                }
             }
         }
-        checks
+        let Some(here) = slab(&col) else {
+            return 0;
+        };
+        let cell = |z: usize| {
+            let n = here.cell(z).len() as u64;
+            let shell = around[(z + nc - 1) % nc] + around[z] + around[(z + 1) % nc];
+            if n == 0 {
+                0
+            } else {
+                n * (shell - 1)
+            }
+        };
+        (0..nc).map(cell).sum()
+    }
+
+    /// Decisions applied to the ownership view — the last `n` in flight:
+    /// the routing/class caches must be rebuilt before the next ghost
+    /// exchange or force pass — but only if they can differ. They are a
+    /// function of the owned column set and of who owns the columns
+    /// around it, so a transfer between two other PEs of a column that
+    /// touches none of ours leaves them as they are (on a 3×3 torus every
+    /// PE hears every decision).
+    fn follow_decisions(&mut self, n: usize) {
+        let applied = &self.balance.in_flight[self.balance.in_flight.len() - n..];
+        if applied.iter().any(|t| self.redraws_caches(&t.decision)) {
+            self.topology.mark_dirty();
+        }
     }
 
     /// Phase 3, step 4, once round 1 is in: fold the neighbourhood's
@@ -293,17 +422,14 @@ impl PeState {
     pub(super) fn dlb_fold(&mut self) {
         let t0 = WallTimer::start();
         self.balance.fold(&mut *self.decomp);
-        // Ownership moved: the routing/class caches must be rebuilt
-        // before the next ghost exchange or force pass — but only if
-        // they can differ. They are a function of the owned column set
-        // and of who owns the columns around it, so a transfer between
-        // two other PEs of a column that touches none of ours leaves
-        // them as they are (on a 3×3 torus every PE hears every decision).
-        let decisions = &self.balance.decisions;
-        if decisions.iter().any(|t| self.redraws_caches(&t.decision)) {
-            self.topology.mark_dirty();
-        }
+        self.follow_decisions(self.balance.decisions.len());
         self.phase.dlb += t0.elapsed_s();
+    }
+
+    /// Phase 3, step 4, once a single exchange is in: the neighbourhood's
+    /// decisions wait for the next rebuild step (see [`Balance::defer`]).
+    pub(super) fn dlb_defer(&mut self) {
+        self.balance.defer(&*self.decomp);
     }
 
     /// Phase 3, data-movement send half: ship the particles of the
@@ -312,8 +438,8 @@ impl PeState {
     pub(crate) fn dlb_send_cells(&mut self, comm: &mut Comm) -> u64 {
         let t0 = WallTimer::start();
         let mut sent = 0u64;
-        for i in 0..self.balance.decisions.len() {
-            let d = self.balance.decisions[i].decision;
+        for i in 0..self.balance.moved().len() {
+            let d = self.balance.moved()[i].decision;
             if d.from == self.rank {
                 let mut buf = self.balance.part_pool.checkout();
                 let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
@@ -341,8 +467,8 @@ impl PeState {
     pub(crate) fn dlb_recv_cells(&mut self, comm: &mut Comm) {
         let t0 = WallTimer::start();
         let zbin = self.zbin();
-        for i in 0..self.balance.decisions.len() {
-            let d = self.balance.decisions[i].decision;
+        for i in 0..self.balance.moved().len() {
+            let d = self.balance.moved()[i].decision;
             if d.to == self.rank {
                 let flat: Arc<ParticleFrame> = comm.recv(d.from, tags::CELL_XFER);
                 let mut staging: BTreeMap<Col, Vec<Particle>> = self
@@ -418,18 +544,43 @@ mod tests {
         // ranks; what stands is applied, and stays in flight.
         balance.fold(&mut ring);
         assert_eq!(ring.0, [give(2, 3)]);
-        assert_eq!(balance.decisions, [work(give(2, 3), 1.0)]);
-        assert_eq!(balance.held(1), (Some(7.0), None));
+        assert_eq!(balance.in_flight, [work(give(2, 3), 1.0)]);
+        assert_eq!(balance.held(1).1.count(), 0);
         // The next round's loads have seen that transfer: nothing of it
         // is booked onto them. What the round brings is booked in
         // ascending `from` order, whatever order it was heard in:
-        // (1 + 1e16) + 1 is 1e16, (1 + 1) + 1e16 is not.
+        // (1 + 1e16) + 1 is 1e16, (1 + 1) + 1e16 is not. This PE's own
+        // load has seen them all.
         balance.open_round();
         balance.hear(2, Some(1.0), Some(work(give(3, 2), 1.0)));
         balance.hear(0, Some(4.0), Some(work(give(0, 2), 1e16)));
         balance.fold(&mut ring);
-        balance.book(|_, _| 1.0);
+        assert_eq!(balance.book(1, 7.0, |_, _| 1.0), 7.0);
         assert_eq!(balance.booked_loads, [(2, 1e16), (0, 4.0 - 1e16)]);
+        // One frame: what it brings is not applied but pending — a
+        // checkpoint carries it after what is applied — and lands at the
+        // top of the next rebuild step. From there it is in flight for
+        // two rounds of loads, and this once for this PE's own load too.
+        balance.open_round();
+        balance.hear(2, Some(3.0), Some(work(give(2, 1), 2.0)));
+        balance.hear(0, Some(5.0), None);
+        balance.defer(&ring);
+        assert_eq!(ring.0.len(), 3, "nothing applied yet");
+        assert!(balance.in_flight.is_empty());
+        let given: Vec<Transfer> = balance.held(2).1.collect();
+        assert_eq!(given, [work(give(2, 1), 2.0)]);
+        balance.land(&mut ring);
+        assert_eq!(ring.0.last(), Some(&give(2, 1)));
+        assert_eq!(balance.book(1, 7.0, |_, _| 1.0), 9.0);
+        assert_eq!(balance.booked_loads, [(2, 1.0), (0, 5.0)]);
+        balance.open_round();
+        balance.hear(2, Some(1.5), None);
+        balance.hear(0, Some(5.0), None);
+        balance.defer(&ring);
+        assert_eq!(balance.in_flight, [work(give(2, 1), 2.0)]);
+        balance.land(&mut ring);
+        assert_eq!(balance.book(1, 9.0, |_, _| 1.0), 9.0);
+        assert_eq!(balance.booked_loads, [(2, -0.5), (0, 5.0)]);
         // A run that does not balance announces and books nothing.
         let mut idle = Balance::new(false);
         assert_eq!(idle.announce(7.0), (None, None));
@@ -492,7 +643,7 @@ mod tests {
             // from the one's load to the other's first, and only there.
             let (from, to) = (pe.neighbors()[giver], pe.neighbors()[taker]);
             let decision = DlbDecision { col: Col::new(0, 0), from, to };
-            pe.balance.decisions.push(Transfer { decision, work: f64::from(work) });
+            pe.balance.in_flight.push(Transfer { decision, work: f64::from(work) });
             pe.dlb_decide();
             let mut booked = pe.balance.nbr_loads.clone();
             if giver != taker {
@@ -532,7 +683,7 @@ mod tests {
             let pe = &pes[0].1;
             (
                 pe.owned_cells() - before,
-                pe.balance.decisions.len(),
+                pe.balance.in_flight.len(),
                 transfers,
             )
         });
@@ -542,11 +693,14 @@ mod tests {
     #[test]
     fn the_work_a_decision_announces_is_the_load_both_ends_then_measure() {
         // A transfer travels with the work that moves with it, read off
-        // the giver's cell occupancies before anything moves. On the next
-        // force pass the giver measures that much less and the receiver
-        // that much more — to the motion of one step — whoever they are,
-        // column (pillar) or plane. Checked on every transfer whose two
-        // ends take part in no other transfer that step.
+        // the giver's cell occupancies before anything moves. On the
+        // force pass of the step its cells change hands in the giver
+        // measures that much less and the receiver that much more — to the
+        // motion of the step or two in between — whoever they are, column
+        // (pillar, one frame per neighbour: the step after it was decided)
+        // or plane (two rounds: the step it was decided in). Checked on
+        // every transfer whose two ends take part in no other transfer
+        // that step.
         for (shape, p) in [(DomainShape::SquarePillar, 9), (DomainShape::Plane, 3)] {
             let mut cfg = RunConfig::new(2000, 9, p, 2000.0 / 27.0f64.powi(3));
             cfg.lattice = Lattice::Cluster { fill: 0.7 };
@@ -556,8 +710,8 @@ mod tests {
             crate::decomp::validate(&cfg, shape);
             // No launch plan: the balancer has the whole shed before it.
             let initial = placed(&cfg);
-            // Per rank and step: the load before, the transfers heard, the
-            // load after.
+            // Per rank and step: the load before, the transfers whose cells
+            // changed hands, the load after.
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
                 let mut pes = [(
                     comm.rank(),
@@ -572,8 +726,9 @@ mod tests {
                     let pe = &pes[0].1;
                     // Column by column, the counts are the pass's total.
                     if shape == DomainShape::SquarePillar {
-                        let column = |&col| pe.granule_checks(&give_col(col));
-                        let all: u64 = pe.columns.keys().map(column).sum();
+                        let mut around = Vec::new();
+                        let mut column = |&col| pe.column_checks(col, &mut around);
+                        let all: u64 = pe.columns.keys().map(&mut column).sum();
                         assert_eq!(
                             all,
                             pe.force.work().pair_checks,
@@ -581,7 +736,7 @@ mod tests {
                             pe.rank
                         );
                     }
-                    steps.push((before, pe.balance.decisions.clone(), pe.force.load()));
+                    steps.push((before, pe.balance.in_flight.clone(), pe.force.load()));
                 }
                 steps
             });
@@ -615,15 +770,6 @@ mod tests {
                 }
             }
             assert!(checked >= 3, "{shape:?}: only {checked} transfers checked");
-        }
-    }
-
-    /// Column `col`, handed from rank 0 to itself.
-    fn give_col(col: Col) -> DlbDecision {
-        DlbDecision {
-            col,
-            from: 0,
-            to: 0,
         }
     }
 }

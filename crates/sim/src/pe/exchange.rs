@@ -6,8 +6,10 @@
 //! Ghost sections are `(id, pos)` pairs delta-encoded per channel (see
 //! [`crate::frame`]); a stream that cannot be applied is a *desync* — the
 //! receiver degrades for the step and asks for a full frame with the
-//! resync bit of its next one. What the balancer puts into round 1 and
-//! hears from it is [`super::balance`]'s.
+//! resync bit of its next one. What the balancer puts into a step's first
+//! frame and hears from it is [`super::balance`]'s; a single frame of a
+//! balancing run also carries, as migrants, the particles of the columns
+//! whose transfers landed at the top of the step.
 //!
 //! Allocation-free in the steady state: staging lists, per-neighbour
 //! outboxes and pooled frames are reused across steps.
@@ -17,6 +19,7 @@ use std::sync::Arc;
 
 use pcdlb_core::protocol::tags;
 use pcdlb_domain::Col;
+use pcdlb_md::cells::CellSlab;
 use pcdlb_md::vec3::Vec3;
 use pcdlb_md::{axis_bin, Particle};
 use pcdlb_mp::{BufferPool, Comm, WireSize};
@@ -35,7 +38,8 @@ pub(crate) enum Exchange {
     /// A mid-epoch step's only frame: new positions of the frozen shells.
     Refresh,
     /// A single-exchange rebuild step's only frame: migrants and ghosts
-    /// together (see [`PeState::exchanges_once`]).
+    /// together, and in a balancing run the load and the decision (see
+    /// [`PeState::exchanges_once`]).
     Single,
 }
 
@@ -200,6 +204,35 @@ impl PeState {
         }
     }
 
+    /// A single-exchange step on which decisions landed (see
+    /// [`PeState::dlb_land`]), before the re-bin: this PE holds an empty
+    /// column for every one it was given — its own movers and the giver's
+    /// frame fill it — and stages into it like into any other.
+    fn take_landed_columns(&mut self) {
+        for i in 0..self.balance.landed().len() {
+            let d = self.balance.landed()[i].decision;
+            if d.to == self.rank {
+                for col in self.decomp.granule(&d) {
+                    self.columns.insert(col, CellSlab::empty(self.nc));
+                    self.exchange.migrate_staging.entry(col).or_default();
+                }
+            }
+        }
+    }
+
+    /// … and after it: the re-bin staged every particle of a column this
+    /// PE gave away as a migrant to its new owner, so the column goes.
+    fn drop_given_columns(&mut self) {
+        for i in 0..self.balance.landed().len() {
+            let d = self.balance.landed()[i].decision;
+            if d.from == self.rank {
+                for col in self.decomp.granule(&d) {
+                    self.columns.remove(&col);
+                }
+            }
+        }
+    }
+
     /// Rebuild every owned column in place from its staged particles.
     fn rebuild_columns(&mut self) {
         let (nc, zbin) = (self.nc, self.zbin());
@@ -325,12 +358,22 @@ impl PeState {
     /// neighbour's: its stayers along the routes plus its departers to a
     /// third rank (see [`PeState::rebin_owned`]). Each particle is thus
     /// announced by the one rank that held it before the step, to exactly
-    /// the ranks that hold it as a ghost under two rounds.
+    /// the ranks that hold it as a ghost under two rounds. In a balancing
+    /// run the frame also carries the load and the decision, and a column
+    /// whose transfer landed at the top of the step is re-binned under its
+    /// new owner: its giver ships all of it as migrants, then drops it,
+    /// and its receiver stages into an empty one.
     pub(crate) fn ghosts_send(&mut self, comm: &mut Comm, exchange: Exchange) {
-        self.refresh_caches();
         let t0 = WallTimer::start();
+        let (mut load, mut decision) = (None, None);
         if exchange == Exchange::Single {
+            (load, decision) = self.balance.announce(self.force.load());
+            self.take_landed_columns();
             self.rebin_owned(true);
+            self.drop_given_columns();
+        }
+        self.refresh_caches();
+        if exchange == Exchange::Single {
             self.rebuild_columns();
         }
         let delta_ok = self.cfg.delta_ghosts;
@@ -339,13 +382,16 @@ impl PeState {
             let nb = self.topology.neighbors()[i];
             let mut buf = self.exchange.step_pool.checkout();
             let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
-            let mut migrant_bytes = 0;
+            let (mut migrant_bytes, mut decision_bytes) = (0, 0);
             match exchange {
                 Exchange::Shells => frame.begin_round2(),
                 Exchange::Single => {
-                    frame.begin_single();
+                    frame.begin_single(load, decision);
                     self.fill_migrants(i, frame);
-                    migrant_bytes = frame.migrants.encoded_size();
+                    // The decision section stays on the balancer's account.
+                    decision_bytes = frame.decision_size();
+                    migrant_bytes =
+                        frame.migrants.encoded_size() + frame.load.map_or(0, |l| l.wire_size());
                 }
                 Exchange::Refresh => {
                     frame.begin_refresh();
@@ -371,8 +417,9 @@ impl PeState {
                 chan.sync_epoch(epoch);
                 chan.encode_into(delta_ok, &mut frame.ghosts);
             }
+            self.wire.dlb += decision_bytes as u64;
             self.wire.migrate += migrant_bytes as u64;
-            self.wire.ghost += (frame.encoded_size() - migrant_bytes) as u64;
+            self.wire.ghost += (frame.encoded_size() - migrant_bytes - decision_bytes) as u64;
             // Pre-diet layout: full particles with a per-column directory.
             self.wire.ghost_baseline += baseline;
             comm.send(nb, tags::STEP_FRAME, Arc::clone(&buf));
@@ -429,6 +476,9 @@ impl PeState {
             self.stage_ghost(id, pos);
         }
         self.exchange.kept_ghosts = staged;
+        if single {
+            self.balance.open_round();
+        }
         for i in 0..self.topology.neighbors().len() {
             let nb = self.topology.neighbors()[i];
             let frame: Arc<StepFrame> = comm.recv(nb, tags::STEP_FRAME);
@@ -442,6 +492,7 @@ impl PeState {
                     // before it saw ours): its next rebuild frame is full.
                     self.exchange.send_chan[i].reset();
                 }
+                self.balance.hear(nb, frame.load, frame.decision);
                 // Whatever becomes of the ghost section, the migrants are
                 // applied: they exist nowhere else any more.
                 self.stage_immigrants(&frame.migrants.parts);
@@ -483,6 +534,7 @@ impl PeState {
         }
         if single {
             self.adopt_arrivals();
+            self.dlb_defer();
         }
         if self.cfg.skin > 0.0 {
             self.record_ghost_slot_routes();

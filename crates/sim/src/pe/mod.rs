@@ -12,11 +12,15 @@
 //! 2. **round 1** (rebuild steps only — every step with `skin == 0`):
 //!    migrants to their new owners, and in a balancing run the loads and
 //!    decisions that ride along; none where a rebuild step is a single
-//!    exchange ([`PeState::exchanges_once`]) — `exchange`;
+//!    exchange ([`PeState::exchanges_once`]): phase 4's frame carries
+//!    all of it — `exchange`;
 //! 3. **DLB** (optional): decided ahead of phase 1, at the top of the
 //!    step, by the shape's balancer rule on the loads in hand; once
 //!    round 1 is in, every PE folds its neighbourhood's decisions into
-//!    its ownership view and the moved columns' particles change hands —
+//!    its ownership view and the moved columns' particles change hands.
+//!    After a single exchange the decisions it brought land at the top of
+//!    the next rebuild step instead, before that step decides, and the
+//!    moved columns' particles travel in its frames as migrants —
 //!    `balance`;
 //! 4. **ghost exchange (round 2)**: the boundary shells, or between the
 //!    rebuilds of a skin epoch their positions alone — `exchange`;
@@ -226,15 +230,20 @@ impl PeState {
 
     /// Whether a rebuild step of this run is a single exchange — migrants
     /// and ghosts in one frame per neighbour — rather than two rounds.
-    /// True when ownership cannot change this run (the shape has no
-    /// balancer or `cfg.dlb` leaves it off, so no decision ever sits
-    /// between migration and the ghost shells) and the closure test holds:
-    /// every rank owning a cell within two cells of one of this PE's is
-    /// the PE itself or a neighbour. Block grids and pillar tori pass with
-    /// blocks / tiles at least two cells wide or a torus side of at most
-    /// 3. Every rank of a world reaches the same answer: only a balancing
-    /// run launches on uneven tiles (`crate::launch`), and where ownership
-    /// is fixed the layouts are translation-symmetric.
+    /// True when the closure test holds: every rank owning a cell within
+    /// two cells of one of this PE's is the PE itself or a neighbour — on
+    /// the one ownership of a run that does not balance (the shape has no
+    /// balancer or `cfg.dlb` leaves it off), on every ownership the
+    /// balancer can reach of one that does (`Decomposition::reach`; the
+    /// decisions then ride the frame and land at the next rebuild step).
+    /// Block grids and pillar tori pass with blocks / tiles at least two
+    /// cells wide or a torus side of at most 3 where nothing balances; a
+    /// balancing pillar passes on the 3 × 3 torus, where every rank is
+    /// every other's neighbour, and the plane, which does not bound where
+    /// its boundaries go, never. Every rank of a world reaches the same
+    /// answer: where ownership is fixed the layouts are
+    /// translation-symmetric, and a balancing run's answer holds on any
+    /// tiling (the re-tiles of a run included) or on none.
     pub fn exchanges_once(&self) -> bool {
         self.topology.exchanges_once()
     }

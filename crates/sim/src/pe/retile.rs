@@ -75,9 +75,11 @@ impl PeState {
 
     /// This PE's part of the work map.
     fn held(&self) -> Held {
-        let column =
-            |(&col, slab): (&Col, &CellSlab)| (col, self.column_checks(col), slab.len() as u64);
-        self.columns.iter().map(column).collect()
+        let mut around = Vec::new();
+        let mut column = |(&col, slab): (&Col, &CellSlab)| {
+            (col, self.column_checks(col, &mut around), slab.len() as u64)
+        };
+        self.columns.iter().map(&mut column).collect()
     }
 
     /// The check, decision half: rank 0 decides on the gathered work map
@@ -144,7 +146,8 @@ impl PeState {
     /// balancer's loads in hand — the plan's, nothing in flight. The
     /// neighbour set is read off the home tiles, before the plan lends
     /// anything: on any rectilinear tiling every rank borders the same
-    /// eight torus neighbours there, so the channels stay.
+    /// eight torus neighbours there, so the channels stay, and so does the
+    /// single exchange where it held.
     fn adopt_tiling(&mut self, r: &Retile) {
         let rank = self.rank;
         let mut decomp = decomposition(DomainShape::SquarePillar, rank, &self.cfg, Some(&r.tiling));
@@ -160,8 +163,8 @@ impl PeState {
             "rank {rank}: the columns held are not the ones planned"
         );
         assert_eq!(
-            topology.neighbors(),
-            self.topology.neighbors(),
+            (topology.neighbors(), topology.exchanges_once()),
+            (self.topology.neighbors(), self.topology.exchanges_once()),
             "rank {rank}: a re-tile changed the neighbour set"
         );
         self.topology = topology;
@@ -178,10 +181,13 @@ mod tests {
     use crate::launch::{launch_plan, Placed};
     use crate::pe::initial_particles;
 
-    /// The 4 × 4 corner cluster that re-tiles at steps 8, 16 and 32.
-    fn cluster_p16() -> RunConfig {
-        let mut cfg = RunConfig::from_p_m_density(16, 4, 0.128);
-        cfg.lattice = Lattice::Cluster { fill: 0.4 };
+    /// A corner cluster that re-tiles at its first check (step 2): on the
+    /// 4 × 4 torus (`m = 4`, 40 % of the box; it re-tiles again at steps
+    /// 16 and 32), or the benchmark's `cluster_dlb_p9` on the 3 × 3.
+    fn cluster(p: usize) -> RunConfig {
+        let mut cfg = RunConfig::from_p_m_density(p, 4, 0.128);
+        let fill = if p == 9 { 0.45 } else { 0.4 };
+        cfg.lattice = Lattice::Cluster { fill };
         cfg.dlb = true;
         cfg.seed = 1;
         cfg.steps = 8;
@@ -224,7 +230,7 @@ mod tests {
         // `Placed::column_work` counts on the particles the ranks hold at
         // that moment — read off the slabs the last force pass ran on,
         // whoever owns a column.
-        let cfg = cluster_p16();
+        let cfg = cluster(16);
         let checked = drive(&cfg, true, |step, pe, comm| {
             let due = pe.retile_due(step + 1, true);
             let held = collectives::gather(comm, tags::SNAPSHOT, pe.held());
@@ -251,12 +257,15 @@ mod tests {
 
     #[test]
     fn a_re_tile_step_pays_for_its_messages_in_its_own_step() {
-        // Same launch, same state up to the first re-tile (step 8): the
+        // Same launch, same state up to the first re-tile (step 2): the
         // run that follows the load pays a gather and a broadcast on every
-        // check step and the move on the re-tile step, all inside the
-        // step — after it the comm lap is empty on every rank, so nothing
-        // is charged to the next step or to no step at all.
-        let cfg = cluster_p16();
+        // check step and the move — two rounds, and a frame per pair of
+        // ranks a column passes between — on the re-tile step, all inside
+        // the step; after it the comm lap is empty on every rank, so
+        // nothing is charged to the next step or to no step at all. (On the
+        // 3 × 3 torus every other step sends one frame per neighbour,
+        // whatever columns the two runs move.)
+        let cfg = cluster(9);
         let comm_after = |follow| {
             drive(&cfg, follow, |_, pe, comm| {
                 assert_eq!(comm.lap_virtual_comm(), 0.0, "rank {}", pe.rank);
@@ -274,11 +283,8 @@ mod tests {
                 per_rank.fold(0.0, f64::max)
             })
         };
-        assert_eq!(
-            (followed[0][6].1, followed[0][7].1),
-            (0, 1),
-            "re-tiles at step 8"
-        );
+        let retiled: Vec<usize> = followed[0].iter().map(|s| s.1).collect();
+        assert_eq!(retiled, [0, 1, 1, 1, 1, 1, 1, 1], "re-tiles at step 2");
         for step in [2, 4, 8] {
             let ([time, msgs], [fixed_time, fixed_msgs]) =
                 (delta(&followed, step), delta(&fixed, step));

@@ -64,7 +64,8 @@ pub(super) struct Topology {
     /// cells between ranks that are neighbours already.
     neighbors: Vec<usize>,
     /// Whether a rebuild step is one exchange (see
-    /// [`PeState::exchanges_once`]). Fixed for the run.
+    /// [`PeState::exchanges_once`]). Fixed for the run; a re-tile
+    /// recomputes it on the new tiling and lands on the same answer.
     single_exchange: bool,
     /// True when the owned-column set, or the ownership of a column
     /// bordering it, changed since the caches below were rebuilt.
@@ -83,8 +84,9 @@ pub(super) struct Topology {
 impl Topology {
     /// The neighbour set of `rank` from the decomposition's starting
     /// state — every other rank owning a cell adjacent to one of its own —
-    /// and, where ownership is `fixed` for the run, the closure test. The
-    /// caches start dirty.
+    /// and the closure test: where ownership is `fixed` for the run, on
+    /// that ownership; where the balancer moves it, on every ownership it
+    /// can reach. The caches start dirty.
     pub(super) fn new(decomp: &dyn Decomposition, nc: usize, rank: usize, fixed: bool) -> Self {
         let own_z = decomp.z_extent(rank);
         let mut nbrs: BTreeSet<usize> = BTreeSet::new();
@@ -102,15 +104,33 @@ impl Topology {
             }
         }
         let neighbors: Vec<usize> = nbrs.into_iter().collect();
-        // One exchange per rebuild step needs ownership that never moves
-        // and a neighbour set closed two cells out: a particle leaving
-        // for a cell next to ours is announced by us to every rank
-        // bordering that cell, so each of those must be a neighbour.
-        let single_exchange = fixed
-            && shell.iter().all(|&(col, z0, z1)| {
+        // One exchange per rebuild step needs a neighbour set closed two
+        // cells out: a particle leaving for a cell next to ours is
+        // announced by us to every rank bordering that cell, so each of
+        // those must be a neighbour — on the one ownership of the run, or
+        // on every ownership the balancer can reach: no column this PE
+        // may come to hold lies within two of one a stranger may hold.
+        // (A shape that does not bound where its balancer takes a cell
+        // keeps two rounds.)
+        let single_exchange = if fixed {
+            shell.iter().all(|&(col, z0, z1)| {
                 foreign_around(decomp, nc, rank, col, z0..z1)
                     .all(|f| neighbors.binary_search(&f.2).is_ok())
-            });
+            })
+        } else {
+            let reach: Option<Vec<[usize; 4]>> = all_columns(nc).map(|c| decomp.reach(c)).collect();
+            own_z.len() == nc
+                && reach.is_some_and(|reach| {
+                    let holders = |c: Col| reach[c.cx * nc + c.cy];
+                    let near = |r: usize| r == rank || neighbors.binary_search(&r).is_ok();
+                    let strange = |&c: &Col| !holders(c).into_iter().all(near);
+                    all_columns(nc).filter(strange).all(|col| {
+                        let mut two_out = cells_around(nc, col, 0..nc)
+                            .flat_map(|(c, _)| cells_around(nc, c, 0..nc));
+                        two_out.all(|(c, _)| !holders(c).contains(&rank))
+                    })
+                })
+        };
         Self {
             rank,
             nc,
@@ -490,7 +510,9 @@ mod tests {
         // (one-cell blocks on a 4³ torus) the step keeps two rounds.
         // The shapes with a balancer do where it is switched off — a
         // tile or slab one cell wide fails the closure test from a torus
-        // side of 4 up — and never while it runs.
+        // side of 4 up — and while it runs only on the 3 × 3 torus, where
+        // every rank a column can reach neighbours every rank that can
+        // hold it (the plane does not say where its boundaries can go).
         for (shape, p, nc, once) in [
             (DomainShape::Cube, 8, 20, true),
             (DomainShape::Cube, 8, 12, true),
@@ -517,7 +539,12 @@ mod tests {
             };
             if can_balance {
                 cfg.dlb = true;
-                assert!(!fresh(0, &cfg, shape).exchanges_once());
+                let once = shape == DomainShape::SquarePillar && p == 9;
+                assert_eq!(
+                    fresh(0, &cfg, shape).exchanges_once(),
+                    once,
+                    "{shape:?} P = {p}"
+                );
             }
         }
     }

@@ -60,8 +60,12 @@ pub struct SimCheckpoint {
     /// the run does not balance, or when the state was remapped onto
     /// another torus — a launch restored from it announces afresh.
     pub loads: Vec<f64>,
-    /// The transfers applied at the checkpointed step, ascending `from`,
-    /// with their work: still in flight with respect to `loads`.
+    /// The transfers `loads` have not seen, with their work, ascending
+    /// `from` (each giver's applied one before its pending one): the ones
+    /// applied since those loads were measured, still in flight — and,
+    /// after a step that sent one frame per neighbour, the ones it heard
+    /// but has not applied yet, whose giver still holds the column in
+    /// `ownership`: a restored run applies them at its first step.
     pub transfers: Vec<Transfer>,
     /// The run's re-tiles up to the checkpointed step, as
     /// `RunReport::retiles` lists them: `(step, tiling, columns moved)`.
@@ -632,8 +636,8 @@ pub(crate) mod tests {
     /// the benchmark's `cluster_dlb_p9`: the launch cuts the tiles through
     /// the cluster (2·1·9 × 1·2·9 where they follow the load, 2·2·8 ×
     /// 2·2·8 where they are fixed), and the balancer moves a column or two
-    /// on most of the first steps; the re-tile checks at steps 2, 4, 8 and
-    /// 16 keep the tiling.
+    /// on most of the first steps; the re-tile check at step 2 refines the
+    /// tiling, those at steps 4, 8 and 16 keep it.
     fn busy_balancer_cfg() -> RunConfig {
         let mut cfg = RunConfig::from_p_m_density(9, 4, 0.128);
         cfg.lattice = Lattice::Cluster { fill: 0.45 };
@@ -860,16 +864,18 @@ pub(crate) mod tests {
         // watching. The tiling is part of what a checkpoint carries: a
         // world restored from one, or a buddy adopting a rank, rebuilds
         // its home tiles — which PE is home to which column, which
-        // columns are wall — on the cuts the launch chose, not on the
-        // even ones `cfg` alone implies.
+        // columns are wall — on the cuts the step-2 check refined from
+        // the launch's (2·1·9 × 1·2·9), not on the even ones `cfg` alone
+        // implies.
         let mut cfg = busy_balancer_cfg();
         cfg.dlb_min_gain = 0.02;
         cfg.seed = 1;
         cfg.sentinel_interval = 4;
         let reference = fault_free(&cfg, false);
         let tiling = reference.report.tiling.expect("a pillar run");
-        assert_eq!(tiling.to_string(), "2·1·9 from 0 × 1·2·9 from 2");
-        // Rank 8 holds the 9 × 9 tile that does the lending. It dies on
+        assert_eq!(tiling.to_string(), "2·1·9 from 0 × 1·3·8 from 2");
+        assert_eq!(reference.report.retiles.len(), 1);
+        // Rank 8 holds the 9 × 8 tile that does the lending. It dies on
         // its eighth stats gather: in step 8, three steps after the
         // checkpoint the relaunch restores.
         let in_step_8 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 7);
@@ -940,26 +946,28 @@ pub(crate) mod tests {
         use pcdlb_core::protocol::tags;
         use pcdlb_mp::collectives::ctag;
         use pcdlb_mp::FaultPlan;
-        // A 4 × 4 corner cluster that re-tiles at step 8 (its third check),
-        // with checkpoints at steps 5 and 10 and a sentinel watching. The
-        // check and the move are the step's messages like any other, and
-        // the re-tile is a pure function of the state the check sees, so a
-        // world that dies inside that step — in the check's gather, or
-        // sending a moved column — replays it from step 5 to the bit, by
-        // relaunch or by takeover; one that dies after step 10 restores onto
-        // the tiling the re-tile left, and reports the re-tile it made.
+        // A 4 × 4 corner cluster that re-tiles at step 2 (its first check)
+        // and step 16 (its fourth), with checkpoints every 5 steps and a
+        // sentinel watching. The check and the move are the step's
+        // messages like any other, and the re-tile is a pure function of
+        // the state the check sees, so a world that dies inside such a step
+        // — in the check's gather, or sending a moved column — replays it
+        // to the bit, by relaunch or by takeover: the step-16 check from
+        // the checkpoint of step 15, the step-2 move from the launch. One
+        // that dies between the two restores onto the tiling the first
+        // left, and makes the second as the run did.
         let mut cfg = RunConfig::from_p_m_density(16, 4, 0.128);
         cfg.lattice = Lattice::Cluster { fill: 0.4 };
         cfg.dlb = true;
         cfg.seed = 1;
-        cfg.steps = 12;
+        cfg.steps = 20;
         cfg.checkpoint_interval = 5;
         cfg.sentinel_interval = 4;
         cfg.comm = recovery_cfg().comm;
         let reference = fault_free(&cfg, false);
         let retiled: Vec<u64> = reference.report.retiles.iter().map(|r| r.0).collect();
-        assert_eq!(retiled, [8]);
-        let tiling = reference.report.retiles[0].1;
+        assert_eq!(retiled, [2, 16]);
+        let tiling = reference.report.retiles[1].1;
         assert_eq!(reference.report.tiling, Some(tiling));
         let parity = |out: &LadderOutcome, what: &str| {
             assert_eq!(out.digest, reference.digest, "{what}");
@@ -967,19 +975,20 @@ pub(crate) mod tests {
             assert_eq!(out.report.retiles, reference.report.retiles, "{what}");
             assert_eq!(out.report.tiling, Some(tiling), "{what}");
         };
-        // After the checkpoint of step 10: restored onto the new tiling.
+        // After the checkpoint of step 10: restored onto the first re-tile's
+        // tiling, ahead of the check that makes the second.
         let in_step_11 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 10);
         let kill = move |launch, rank| (launch == 0 && rank == 5).then(in_step_11);
         let restored = faulted(kill)
             .run_resilient(&cfg, &ladder(false))
             .expect("recovers");
         assert_eq!(restored.attempts, 2);
-        parity(&restored, "restored after the re-tile");
-        // Inside the re-tile step: in the check's gather (the third a
-        // non-root rank contributes to), or at the first frame of moved
-        // columns a rank sends.
+        parity(&restored, "restored between the re-tiles");
+        // Inside a re-tile step: in the check's gather (the fourth a
+        // non-root rank contributes to: step 16's), or at the first frame
+        // of moved columns a rank sends (step 2's).
         let deaths: [(&str, u64, u64); 2] = [
-            ("check", ctag(tags::RETILE_GATHER, 0), 2),
+            ("check", ctag(tags::RETILE_GATHER, 0), 3),
             ("move", tags::RETILE_XFER, 0),
         ];
         for (what, tag, nth) in deaths {

@@ -108,16 +108,17 @@ fn main() {
     // the first step, so the launch cuts the tiles through the cluster
     // instead. Tiles cut once (`Launch::fixed_tiles()`) keep a movable
     // column each: 2·5·2 from 0 on both axes, 3 transfers at launch and
-    // 13 in the run, late imbalance ~1.55. This run may re-tile later, so
+    // 26 in the run, late imbalance ~1.55. This run may re-tile later, so
     // its launch may cut tiles one column wide: 1·1·7 from 1, a thin row
     // and column of single-column tiles — all wall, nothing to plan —
     // round the cluster's core, and the wide tiles take the cluster as
-    // it spreads, 108 columns in 250 steps. No check finds a move worth
-    // its cost; the late imbalance reads ~1.51.
+    // it spreads, 76 columns in 250 steps, each the one that evens its
+    // pair most. No check finds a move worth its cost; the late imbalance
+    // reads ~1.51.
     let [ddm, dlb] = imbalance;
     println!(
         "Expected: tile widths 1·1·7 from 1 on both axes, never re-tiled; 0 transfers at launch \
-         + 108 in the run; DLB-DDM imbalance ~1.51 against DDM ~4.4."
+         + 76 in the run; DLB-DDM imbalance ~1.51 against DDM ~4.4."
     );
     if dlb >= ddm {
         eprintln!("FAILED: DLB-DDM imbalance {dlb:.2} is not below DDM's {ddm:.2}");

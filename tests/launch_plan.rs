@@ -324,11 +324,11 @@ fn the_papers_scenario_is_cut_through_its_cluster() {
     let even = launch_plan_on(PillarLayout::new(12, cfg.torus()), &cfg, 0, &work);
     assert_eq!(model_ms(even.peaks[0]), 59.976);
     assert_eq!(model_ms(*even.peaks.last().unwrap()), 27.9);
-    assert_eq!(even.decisions.len(), 54);
+    assert_eq!(even.decisions.len(), 62);
     // That is the DLB limit, reached before the first step, so the tiles
     // are cut where the load is: rows and columns of 2, 2 and 8 from the
     // corner, four 2 × 2 tiles over the cluster's core and none thinner
-    // (a tile one column wide would be all wall). The plan has 6
+    // (a tile one column wide would be all wall). The plan has 7
     // transfers left to make.
     let plan = launch_plan(DomainShape::SquarePillar, &cfg, 0, &work, false);
     let layout = plan.tiling();
@@ -336,19 +336,19 @@ fn the_papers_scenario_is_cut_through_its_cluster() {
     assert_eq!(layout.to_string(), "2·2·8 from 0 × 2·2·8 from 0");
     assert_eq!(model_ms(plan.peaks[0]), 17.433);
     assert_eq!(model_ms(*plan.peaks.last().unwrap()), 15.037);
-    assert_eq!(plan.decisions.len(), 6);
+    assert_eq!(plan.decisions.len(), 7);
     let mean = plan.loads.iter().sum::<f64>() / 9.0;
     assert_eq!(model_ms(mean), 9.502);
     // A run that re-tiles as the load moves may cut a tile one column
     // wide now — all wall, but the next check can move it: a thin row and
     // column across the cluster, and the plan starts 3.8 model_ms lower
-    // and ends 1.8 lower, in 4 transfers.
+    // and, in two iterations of 7 transfers, ends 3.8 lower too.
     let thin = launch_plan(DomainShape::SquarePillar, &cfg, 0, &work, true);
     let layout = thin.tiling();
     assert_eq!(layout.to_string(), "2·1·9 from 0 × 1·2·9 from 2");
     assert_eq!(model_ms(thin.peaks[0]), 13.637);
-    assert_eq!(model_ms(*thin.peaks.last().unwrap()), 13.193);
-    assert_eq!(thin.decisions.len(), 4);
+    assert_eq!(model_ms(*thin.peaks.last().unwrap()), 11.192);
+    assert_eq!((thin.peaks.len(), thin.decisions.len()), (3, 7));
 }
 
 #[test]

@@ -4,22 +4,21 @@
 //!
 //! - clustered runs on the 3 × 3 and the 4 × 4 torus re-tile at least
 //!   twice and still land on the serial reference bit for bit;
-//! - every re-tile is the launch's own decision on the work map the run
-//!   measured — the tiling `launch_plan` chooses on the serial state of
-//!   the step before, to the cut — and the columns it moved are counted
-//!   in that step's transfers;
+//! - every re-tile is the check's own decision on the work map the run
+//!   measured — the tiling `retile_plan` (the launch's plan, refined on
+//!   its floor) picks on the serial state of the step before, to the cut
+//!   — and the columns it moved are counted in that step's transfers;
 //! - on the 4 × 4 torus a re-tile hands columns between ranks that are
 //!   not torus neighbours, straight, in one step;
 //! - under `Launch::fixed_tiles()` the same runs make no check at all and
-//!   reproduce, message for message, the digests they had before the run
-//!   could re-tile.
+//!   reproduce, message for message, the digests pinned for them.
 
 use pcdlb::core::permanent::is_permanent;
 use pcdlb::core::protocol::DlbProtocol;
 use pcdlb::domain::OwnershipMap;
 use pcdlb::sim::{
-    digest_particles, digest_run, launch_plan, run_serial, serial_sim, DomainShape, Lattice,
-    Launch, LaunchPlan, Placed, RunConfig,
+    digest_particles, digest_run, launch_plan, retile_plan, run_serial, serial_sim, DomainShape,
+    Lattice, Launch, LaunchPlan, Placed, RunConfig,
 };
 
 /// A balancing run from a corner cluster: the benchmark's scenario on the
@@ -33,12 +32,15 @@ fn cluster(p: usize, m: usize, fill: f64, seed: u64, steps: u64) -> RunConfig {
     cfg
 }
 
-/// The two runs, with the `digest_run` each had under fixed tiles before
-/// re-tiling existed (captured at the commit before it).
+/// The two runs, with the `digest_run` each makes under fixed tiles:
+/// captured at the commit before re-tiling existed, and re-captured when
+/// the balancer began to send the column that evens the pair most (and
+/// the 3 × 3 torus one frame per neighbour); `digest_particles` of both
+/// equals the serial reference's before and after.
 fn runs() -> [(RunConfig, u64); 2] {
     [
-        (cluster(9, 4, 0.45, 3, 130), 0x897288892bd1a592),
-        (cluster(16, 4, 0.4, 1, 40), 0xfb9a757c5e599ddb),
+        (cluster(9, 4, 0.45, 3, 130), 0x7ef8b4a2c1e7bec5),
+        (cluster(16, 4, 0.4, 1, 40), 0x8b00ff3837d43084),
     ]
 }
 
@@ -69,8 +71,9 @@ fn a_re_tile_moves_ownership_never_physics() {
             cfg.p
         );
         // The tiling each re-tile moved to is the one the launch's chooser
-        // and plan pick on the exact work map of the state the check saw:
-        // the serial state after the step before.
+        // and plan, refined on the plan's floor, pick on the exact work
+        // map of the state the check saw: the serial state after the step
+        // before.
         let mut serial = serial_sim(&cfg);
         let work_at = |serial: &pcdlb::md::SerialSim| Placed::new(&cfg, &serial.snapshot());
         let launch = launch_plan(
@@ -86,7 +89,7 @@ fn a_re_tile_moves_ownership_never_physics() {
                 serial.step();
             }
             let work = work_at(&serial).column_work();
-            let plan = launch_plan(DomainShape::SquarePillar, &cfg, step - 1, &work, true);
+            let plan = retile_plan(&cfg, step - 1, &work);
             assert_eq!(plan.tiling(), tiling, "P = {}, step {step}", cfg.p);
             let record = &report.records[step as usize - 1];
             assert!(
@@ -129,6 +132,7 @@ fn fixed_tiles_check_nothing_and_run_as_before() {
             (r.min(tr), c.min(tc))
         });
         assert!(rows >= 2 && cols >= 2, "{tiling}");
+        assert_eq!(snapshot, run_serial(&cfg), "P = {}", cfg.p);
         // The messages sent are in the digest: a check would add a gather
         // and a broadcast, and move them.
         assert_eq!(

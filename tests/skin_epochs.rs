@@ -7,16 +7,22 @@
 //!   ghost refresh;
 //! - a run that does not balance sends one message per neighbour on its
 //!   rebuild steps too: migrants and ghosts share the frame;
-//! - a run that does balance sends two — the decision was taken a step
-//!   ahead and rides round 1, so a DLB step sends what a DDM step with two
-//!   rounds sends, plus one message per column that changes hands during a
-//!   step and, once per launch, the announcement of the initial loads
-//!   (a column moves only if it leaves its receiver below its giver, so
-//!   the columns that move are shown on a start whose load gathers after
-//!   launch). The launch plan — where the balancer's rule takes the
-//!   initial condition before a thread starts — sends nothing: a planned
-//!   launch's messages are an unplanned one's, column for column that
-//!   moves in the run.
+//! - so does a run that balances on the 3 × 3 torus, where every rank a
+//!   column can reach neighbours every rank that can hold it: the
+//!   decision was taken a step ahead and rides the frame, and the column
+//!   travels in the giver's frame of the next step, so a DLB step sends
+//!   what a DDM step sends;
+//! - a run that balances elsewhere sends two — the decision rides round
+//!   1, so a DLB step sends what a DDM step with two rounds sends, plus
+//!   one message per column that changes hands during a step.
+//!
+//! Either balancing run also sends, once per launch, the announcement of
+//! the initial loads (a column moves only if it leaves its receiver below
+//! its giver, so the columns that move are shown on a start whose load
+//! gathers after launch). The launch plan — where the balancer's rule
+//! takes the initial condition before a thread starts — sends nothing: a
+//! planned launch's messages are an unplanned one's, column for column
+//! that moves in the run.
 
 use pcdlb::sim::{
     digest_particles, run_serial, DomainShape, Lattice, Launch, RunConfig, RunReport,
@@ -59,10 +65,11 @@ fn run(cfg: &RunConfig, shape: DomainShape) -> RunReport {
 }
 
 /// Messages a healthy run sends over all ranks, each rank having `nbrs`
-/// neighbours, given what its report says happened: which steps rebuilt
-/// and how many columns changed hands during them (the columns the
-/// launch plan moved are `launch_transfers`, and cost none).
-fn expected_msgs(cfg: &RunConfig, nbrs: u64, report: &RunReport) -> u64 {
+/// neighbours and sending `rounds` frames to each on a rebuild step, given
+/// what its report says happened: which steps rebuilt and how many
+/// columns changed hands during them (the columns the launch plan moved
+/// are `launch_transfers`, and cost none).
+fn expected_msgs(cfg: &RunConfig, nbrs: u64, rounds: u64, report: &RunReport) -> u64 {
     let (p, steps) = (cfg.p as u64, cfg.steps);
     let nbrs = p * nbrs;
     let rebuilds = report.records.iter().filter(|r| r.rebuilt).count() as u64;
@@ -70,17 +77,18 @@ fn expected_msgs(cfg: &RunConfig, nbrs: u64, report: &RunReport) -> u64 {
     // A gather or a broadcast over P ranks is P − 1 sends.
     let coll = p - 1;
     // Point to point: the initial ghost exchange; a balancing run's
-    // announcement of its initial loads; per rebuild step two rounds where
-    // the run balances and one exchange where it does not; the refresh
-    // alone on every other step; one message per column that moves.
-    let (announcement, rounds) = if cfg.dlb { (nbrs, 2) } else { (0, 1) };
+    // announcement of its initial loads; per rebuild step its rounds; the
+    // refresh alone on every other step; where there are two rounds, one
+    // message per column that moves.
+    let announcement = if cfg.dlb { nbrs } else { 0 };
     let p2p = nbrs + announcement + rebuilds * rounds * nbrs + (steps - rebuilds) * nbrs;
+    let columns = if rounds == 2 { transfers } else { 0 };
     // Collectives: the rebuild decision (gather + broadcast, every step,
     // skin epochs only), the thermostat (gather + broadcast), the stats
     // gather (every step) and the final snapshot gather.
     let decision = if cfg.skin > 0.0 { steps * 2 * coll } else { 0 };
     let thermostat = (steps / THERMOSTAT_EVERY) * 2 * coll;
-    p2p + transfers + decision + thermostat + steps * coll + coll
+    p2p + columns + decision + thermostat + steps * coll + coll
 }
 
 #[test]
@@ -92,7 +100,7 @@ fn frozen_epochs_match_serial_and_send_one_message_per_neighbour_mid_epoch() {
         (2..STEPS / 2).contains(&rebuilds),
         "degenerate epoch schedule: {rebuilds}/{STEPS} rebuilds"
     );
-    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 3, &report));
+    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 3, 1, &report));
 }
 
 #[test]
@@ -100,7 +108,7 @@ fn every_step_rebuilds_without_a_skin_in_one_exchange_where_nothing_balances() {
     let cfg = gas(4, 6, 0.0);
     let report = run(&cfg, DomainShape::SquarePillar);
     assert!(report.records.iter().all(|r| r.rebuilt));
-    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 3, &report));
+    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 3, 1, &report));
     // Message for message: the initial exchange and one frame per
     // neighbour and step (12 + 40 · 12), the collectives (147). The same
     // run sent 1119 while migrants and ghosts travelled apart.
@@ -109,35 +117,42 @@ fn every_step_rebuilds_without_a_skin_in_one_exchange_where_nothing_balances() {
 
 #[test]
 fn a_balancing_step_sends_what_a_two_round_step_sends_plus_the_columns_that_move() {
-    // Pillar: 3×3, m = 2, the gas squeezed into a corner. Plane: a ring
-    // of three, three planes each, over the same corner. The launch plan
-    // has moved columns before the first step — without a message. Every
-    // step is a DLB step; none has a message of its own. The plane's
-    // boundaries keep moving. The pillar's balancer is idle for the whole
-    // run: a column moves only if it leaves its receiver below its giver,
-    // and on these 2 × 2 tiles every movable column outweighs the gap it
-    // would close — so here the pillar shows the two rounds alone, and
-    // `columns_move_during_skin_epochs_once_the_load_gathers` the column
-    // messages.
-    for (shape, p, nc, nbrs) in [
-        (DomainShape::SquarePillar, 9, 6, 8),
-        (DomainShape::Plane, 3, 9, 2),
+    // Pillar: 3×3 and 4×4, m = 2, the gas squeezed into a corner. Plane:
+    // a ring of three, three planes each, over the same corner. The
+    // launch plan has moved columns before the first step — without a
+    // message. Every step is a DLB step; none has a message of its own.
+    // The plane's boundaries keep moving and the 4×4 torus moves a few
+    // columns, each a message on top of the two rounds. The 3×3 torus
+    // sends one frame per neighbour — every rank a column can reach there
+    // neighbours every rank that can hold it — and its balancer is idle
+    // for the whole run: a column moves only if it leaves its receiver
+    // below its giver, and on these 2 × 2 tiles every movable column
+    // outweighs the gap it would close; so it shows its frames alone, and
+    // `columns_move_during_skin_epochs_once_the_load_gathers` its columns.
+    for (shape, p, nc, nbrs, rounds) in [
+        (DomainShape::SquarePillar, 9, 6, 8, 1),
+        (DomainShape::SquarePillar, 16, 8, 8, 2),
+        (DomainShape::Plane, 3, 9, 2, 2),
     ] {
         let mut cfg = gas(p, nc, 0.0);
         cfg.dlb = true;
         cfg.lattice = Lattice::Cluster { fill: 0.6 };
         let report = run(&cfg, shape);
         let transfers: u32 = report.records.iter().map(|r| r.transfers).sum();
-        let pillar = shape == DomainShape::SquarePillar;
-        assert_eq!(transfers == 0, pillar, "{shape:?}: {transfers} transfers");
+        let idle = rounds == 1;
+        assert_eq!(
+            transfers == 0,
+            idle,
+            "{shape:?} P = {p}: {transfers} transfers"
+        );
         assert!(
             report.launch_transfers > 0,
             "{shape:?}: the corner start plans a shed"
         );
         assert_eq!(
             report.msgs_sent,
-            expected_msgs(&cfg, nbrs, &report),
-            "{shape:?}"
+            expected_msgs(&cfg, nbrs, rounds, &report),
+            "{shape:?} P = {p}"
         );
     }
 }
@@ -183,39 +198,79 @@ fn the_balancer_is_due_at_the_first_rebuild_after_each_multiple_of_its_interval(
     cfg.dlb_interval = k;
     cfg.lattice = Lattice::Cluster { fill: 0.6 };
     let report = run(&cfg, DomainShape::SquarePillar);
-    let (due, acted, _) = due_steps(&report, k);
+    let (due, acted) = landing_steps(&report, k);
     assert!(
         due >= 5,
         "degenerate schedule: {due} windows with a rebuild"
     );
-    assert_eq!(acted, 0, "a column moved on {acted} of {due} due steps");
+    assert_eq!(acted, 0, "a column moved after {acted} of {due} due steps");
+}
+
+/// Walk `report`'s rebuild steps with the balancer due every `k`, on a
+/// run whose decisions land one rebuild step after they are taken: a
+/// column moves only on the rebuild step after a due one. Returns the due
+/// steps and those after which a column moved.
+fn landing_steps(report: &RunReport, k: u64) -> (u32, u32) {
+    let mut last_rebuild = 0;
+    let (mut due, mut acted, mut after_due) = (0, 0, false);
+    for r in report.records.iter() {
+        if !r.rebuilt {
+            assert_eq!(r.transfers, 0, "step {}: mid-epoch transfer", r.step);
+            continue;
+        }
+        assert!(
+            after_due || r.transfers == 0,
+            "step {}: not after a due step",
+            r.step
+        );
+        acted += u32::from(r.transfers > 0);
+        after_due = r.step / k > last_rebuild / k;
+        due += u32::from(after_due);
+        last_rebuild = r.step;
+    }
+    (due, acted)
 }
 
 #[test]
 fn columns_move_during_skin_epochs_once_the_load_gathers() {
-    // The corner pull of the end-to-end tests on 4 × 4 tiles: the load
-    // gathers after launch, columns light enough to leave their receiver
-    // below their giver appear, and the balancer — due at the first
-    // rebuild after each multiple of 3 — moves them. Each costs one
-    // message on top of the two rounds.
+    // The corner pull of the end-to-end tests: the load gathers after
+    // launch, columns light enough to leave their receiver below their
+    // giver appear, and the balancer — due at the first rebuild after each
+    // multiple of 3 — moves them. On 3 × 3 tiles of the 4 × 4 torus each
+    // costs one message on top of the two rounds; on 4 × 4 tiles of the
+    // 3 × 3 torus it rides the giver's frame of the next rebuild step.
     let k = 3;
-    let mut cfg = RunConfig::from_p_m_density(9, 4, 0.256);
-    cfg.steps = 100;
-    cfg.seed = 1;
-    cfg.thermostat_interval = THERMOSTAT_EVERY;
-    cfg.central_pull = 0.5;
-    cfg.pull_corner = true;
-    cfg.dlb = true;
-    cfg.dlb_min_gain = 0.05;
-    cfg.dlb_interval = k;
-    cfg.skin = 0.06;
-    cfg.verlet = true;
-    let report = run(&cfg, DomainShape::SquarePillar);
-    let (due, acted, off_multiple) = due_steps(&report, k);
-    assert!(acted >= 3, "{acted} of {due} due steps transferred");
-    assert!(
-        off_multiple > 0,
-        "no transfer off a multiple of {k}: a rebuild has to fall on one to balance"
-    );
-    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 8, &report));
+    for (p, m, rounds) in [(16, 3, 2), (9, 4, 1)] {
+        let mut cfg = RunConfig::from_p_m_density(p, m, 0.256);
+        cfg.steps = 100;
+        cfg.seed = 1;
+        cfg.thermostat_interval = THERMOSTAT_EVERY;
+        cfg.central_pull = 0.5;
+        cfg.pull_corner = true;
+        cfg.dlb = true;
+        cfg.dlb_min_gain = 0.05;
+        cfg.dlb_interval = k;
+        cfg.skin = 0.06;
+        cfg.verlet = true;
+        let report = run(&cfg, DomainShape::SquarePillar);
+        let (due, acted) = if rounds == 2 {
+            let (due, acted, off_multiple) = due_steps(&report, k);
+            assert!(
+                off_multiple > 0,
+                "no transfer off a multiple of {k}: a rebuild has to fall on one to balance"
+            );
+            (due, acted)
+        } else {
+            landing_steps(&report, k)
+        };
+        assert!(
+            acted >= 3,
+            "P = {p}: {acted} of {due} due steps transferred"
+        );
+        assert_eq!(
+            report.msgs_sent,
+            expected_msgs(&cfg, 8, rounds, &report),
+            "P = {p}"
+        );
+    }
 }
