@@ -86,8 +86,8 @@ fn torus_config() -> RunConfig {
 }
 
 /// A 3×3 DLB workload: the smallest grid on which permanent-cell load
-/// balancing runs, so lossy links also disturb the decision and
-/// cell-transfer exchanges.
+/// balancing runs, so lossy links also disturb the loads, the decisions
+/// and the columns they move.
 fn dlb_config() -> RunConfig {
     let mut cfg = RunConfig::new(729, 6, 9, 0.2);
     cfg.dlb = true;

@@ -1001,7 +1001,8 @@ fn model_config_2x2(steps: u64) -> RunConfig {
 
 /// 3×3 model configuration: the clustered DLB workload of the takeover
 /// sweep, shortened — the smallest grid where a takeover persona drives
-/// two ranks through the full load/decision/cell-transfer protocol.
+/// two ranks through the full balancing protocol: loads, decisions and
+/// the columns they move.
 fn model_config_3x3(steps: u64) -> RunConfig {
     let mut cfg = RunConfig::new(600, 9, 9, 0.05);
     cfg.lattice = Lattice::Cluster { fill: 0.5 };

@@ -13,24 +13,17 @@
 //! neighbourhood exchanges or one is the engine's own answer
 //! ([`exchanges_once`]).
 //!
-//! A balancing step has no exchange of its own: loads and decisions ride
-//! round 1. Its one data-dependent part is the DLB cell transfer
-//! (`CELL_XFER`): which columns move depends on runtime loads. The
-//! schedule is therefore parameterised over a *decision scenario* — a set
-//! of `(from, to)` transfers — and the verifier sweeps representative
-//! scenarios (none, every single legal transfer, dense simultaneous
-//! transfers). Where the engine sends one frame per neighbour on a
-//! balancing step too (the 3 × 3 torus: every rank a column can reach
-//! neighbours every rank that can hold it), loads and decisions ride that
-//! frame and a moved column's particles the giver's frame of the next
-//! rebuild step: no scenario adds an operation there. A re-tiling run
-//! adds two more parts on its check steps: the check itself (a gather of
-//! the work map to rank 0 and a broadcast of the decision) ahead of round
-//! 1, and, where it re-tiles, the move (`RETILE_XFER`, one frame per (old
-//! owner, new owner) pair, any two ranks) in the cell transfer's place —
-//! the move's pairs are a scenario too. A check step keeps the two rounds
-//! wherever a step has them; on the 3 × 3 torus a step that re-tiles has
-//! them, one that keeps its tiling sends its one frame.
+//! A balancing step has no exchange of its own, and nothing in it depends
+//! on what the balancer decides: loads and decisions ride the step's first
+//! frames, and a moved column's particles the giver's first frames of the
+//! next rebuild step. A re-tiling run adds two parts on its check steps:
+//! the check itself (a gather of the work map to rank 0 and a broadcast of
+//! the decision) ahead of round 1, and, where it re-tiles, the move
+//! (`RETILE_XFER`, one frame per (old owner, new owner) pair, any two
+//! ranks) after round 1 — the move's pairs parameterise the schedule, and
+//! the verifier sweeps representative ones. A check step keeps the two
+//! rounds wherever a step has them; on the 3 × 3 torus a step that
+//! re-tiles has them, one that keeps its tiling sends its one frame.
 
 use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_domain::DomainShape;
@@ -78,23 +71,19 @@ pub struct StepSchedule {
     pub ranks: Vec<Vec<PhasedOp>>,
 }
 
-/// Which optional parts of the step to include, and the DLB decision
-/// scenario to instantiate.
+/// Which optional parts of the step to include, and the re-tile to
+/// instantiate.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleOpts {
     /// The run balances (`cfg.dlb` on a shape with a balancer): rebuild
     /// steps keep two rounds where the engine says so
-    /// ([`exchanges_once`]), and there `decisions` move their cells.
+    /// ([`exchanges_once`]).
     pub dlb: bool,
-    /// DLB cell transfers `(from, to)` for this step, in the simulator's
-    /// apply order (sorted by `from`; one decision per sending rank).
-    pub decisions: Vec<(usize, usize)>,
     /// The step checks the tiling (a re-tiling run's check step): the
     /// work-map gather and the decision broadcast ahead of round 1.
     pub retile_check: bool,
     /// The step re-tiles: the distinct `(old owner, new owner)` pairs of
-    /// the columns that move, one frame each, in place of any DLB
-    /// transfer.
+    /// the columns that move, one frame each, after round 1.
     pub retile: Vec<(usize, usize)>,
     /// Include the thermostat gather + broadcast.
     pub thermostat: bool,
@@ -109,11 +98,10 @@ pub struct ScheduleOpts {
 }
 
 impl ScheduleOpts {
-    /// Everything on, no transfers — the shape of a typical DLB step.
+    /// Everything on, no re-tile — the shape of a typical DLB step.
     pub fn full() -> Self {
         Self {
             dlb: true,
-            decisions: Vec::new(),
             retile_check: false,
             retile: Vec::new(),
             thermostat: true,
@@ -158,7 +146,7 @@ pub fn shape_neighbors(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
 /// one that does), asked of rank 0 (every rank agrees) on a grid with two
 /// cells per rank and axis, where every grid that can say yes does. (A
 /// grid one cell per rank wide says no from a torus side of 4 up and runs
-/// the two-round step: the balancing schedule without a transfer.)
+/// the two-round step: the balancing schedule.)
 pub fn exchanges_once(shape: DomainShape, p: usize, dlb: bool) -> bool {
     let side = match shape {
         DomainShape::SquarePillar => Torus2d::square(p).rows(),
@@ -175,16 +163,10 @@ pub fn exchanges_once(shape: DomainShape, p: usize, dlb: bool) -> bool {
 /// Build the per-step schedule of `p` ranks decomposed as `shape`: the
 /// same phases for every shape, over that shape's neighbour sets.
 pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> StepSchedule {
-    let mut decisions = opts.decisions.clone();
-    decisions.sort_unstable_by_key(|&(from, _)| from);
     let retiles = opts.retile_check || !opts.retile.is_empty();
     assert!(
         !retiles || (shape == DomainShape::SquarePillar && opts.dlb && opts.retile_check),
         "only a balancing square pillar checks, and it re-tiles on a check step"
-    );
-    assert!(
-        opts.retile.is_empty() || decisions.is_empty(),
-        "a re-tile step has no DLB transfer"
     );
     // A step that re-tiles has two rounds, whatever the others have.
     let single = exchanges_once(shape, p, opts.dlb) && opts.retile.is_empty();
@@ -208,34 +190,6 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
         // no round 1: its migrants ride the ghost frames below.
         if !single {
             neighbourhood_exchange(&mut ops, CommPhase::Migrate, r, &nbrs, tags::STEP_FRAME);
-        }
-        if opts.dlb && !single {
-            // Cell transfers: senders first, then receivers, each walking
-            // the decision list in `from` order (the simulator's order).
-            // (A single frame's decisions move their cells as the next
-            // step's migrants.)
-            for &(from, to) in &decisions {
-                if from == r {
-                    ops.push(PhasedOp {
-                        phase: CommPhase::DlbCellXfer,
-                        op: Op::Send {
-                            to,
-                            tag: tags::CELL_XFER,
-                        },
-                    });
-                }
-            }
-            for &(from, to) in &decisions {
-                if to == r {
-                    ops.push(PhasedOp {
-                        phase: CommPhase::DlbCellXfer,
-                        op: Op::Recv {
-                            from,
-                            tag: tags::CELL_XFER,
-                        },
-                    });
-                }
-            }
         }
         // Phase: the re-tile move — a frame to every new owner (ascending),
         // then one from every old owner (ascending).
@@ -371,7 +325,7 @@ mod tests {
             .collect()
     }
 
-    /// A balancing run's step without a transfer: two rounds, nothing else.
+    /// A balancing run's step: two rounds, nothing else.
     fn balancing() -> ScheduleOpts {
         ScheduleOpts {
             dlb: true,
@@ -425,7 +379,7 @@ mod tests {
         // keep their two rounds where the run balances, and only there;
         // the 3 × 3 torus, where every rank a column can reach neighbours
         // every rank that can hold it, sends one frame whether it balances
-        // or not — a transfer adds nothing to it, a re-tile two rounds.
+        // or not — a re-tile two rounds.
         for (shape, p, nbrs) in [
             (DomainShape::Cube, 8, 7),
             (DomainShape::Cube, 27, 26),
@@ -448,21 +402,16 @@ mod tests {
             assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 2);
             assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 2);
         }
-        let moving = ScheduleOpts {
-            decisions: vec![(4, 0), (5, 4)],
-            ..balancing()
-        };
         let retiling = ScheduleOpts {
             retile_check: true,
             retile: vec![(0, 4)],
             ..balancing()
         };
-        for (opts, rounds) in [(moving, 1), (retiling, 2)] {
+        for (opts, rounds) in [(balancing(), 1), (retiling, 2)] {
             let s = step_schedule(3, &opts);
             for ops in &s.ranks {
                 assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 8 * (rounds - 1));
                 assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 8);
-                assert!(sends_in(ops, CommPhase::DlbCellXfer).is_empty());
             }
         }
     }
@@ -495,52 +444,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn decisions_generate_cell_xfer_pairs() {
-        // On the 4 × 4 torus rank 5 is tile (1, 1): rank 0 lies NW of it,
-        // rank 4 W and rank 6 E.
-        let opts = ScheduleOpts {
-            dlb: true,
-            decisions: vec![(5, 0), (6, 5)],
-            ..Default::default()
-        };
-        let s = step_schedule(4, &opts);
-        let xfer = |r: usize| -> Vec<Op> {
-            s.ranks[r]
-                .iter()
-                .filter(|o| o.phase == CommPhase::DlbCellXfer)
-                .map(|o| o.op)
-                .collect()
-        };
-        assert_eq!(
-            xfer(5),
-            vec![
-                Op::Send {
-                    to: 0,
-                    tag: tags::CELL_XFER
-                },
-                Op::Recv {
-                    from: 6,
-                    tag: tags::CELL_XFER
-                }
-            ]
-        );
-        assert_eq!(
-            xfer(0),
-            vec![Op::Recv {
-                from: 5,
-                tag: tags::CELL_XFER
-            }]
-        );
-        assert_eq!(
-            xfer(6),
-            vec![Op::Send {
-                to: 5,
-                tag: tags::CELL_XFER
-            }]
-        );
     }
 
     #[test]

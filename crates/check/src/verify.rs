@@ -21,10 +21,9 @@
 use std::collections::BTreeMap;
 
 use pcdlb_core::protocol::tags::TAG_TABLE;
-use pcdlb_core::protocol::{DlbDecision, DlbProtocol};
+use pcdlb_core::protocol::DlbProtocol;
 use pcdlb_domain::{DomainShape, OwnershipMap, PillarLayout};
 use pcdlb_mp::collectives::COLLECTIVE_BIT;
-use pcdlb_mp::Torus2d;
 use pcdlb_sim::pe::initial_particles;
 use pcdlb_sim::{launch_plan, Lattice, Placed, RunConfig};
 
@@ -285,42 +284,10 @@ pub fn verify_schedule(s: &StepSchedule) -> Vec<Violation> {
 pub struct VerifyReport {
     /// Torus sides swept.
     pub sides: Vec<usize>,
-    /// Number of `(grid, decision scenario)` schedules verified.
+    /// Number of `(grid, scenario)` schedules verified.
     pub schedules_checked: usize,
     /// All violations found (empty for a correct protocol).
     pub violations: Vec<Violation>,
-}
-
-/// The six tile deltas along which a DLB transfer may travel (Cases 1
-/// and 3); the decision-scenario sweep instantiates each.
-pub const LEGAL_DELTAS: [(i64, i64); 6] = [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)];
-
-/// The transfers the balancer makes step after step from a clustered
-/// start — the gas over the origin corner, a tile and a half wide — as
-/// the launch plan replays them: one `(from, to)` set per iteration, from
-/// the home tiles — of the tiling the launch chose, for the pillar —
-/// through to the planned ownership. Sets no hand-written
-/// scenario has: several PEs giving at once, toward different neighbours,
-/// some returning what others lent.
-fn planned_rounds(shape: DomainShape, p: usize) -> Vec<Vec<(usize, usize)>> {
-    let (side, mut cfg) = match shape {
-        DomainShape::SquarePillar => {
-            let cfg = RunConfig::from_p_m_density(p, 3, 0.128);
-            (cfg.torus().rows(), cfg)
-        }
-        _ => {
-            let n = (0.128 * (2.56 * 3.0 * p as f64).powi(3)).round() as usize;
-            (p, RunConfig::new(n, 3 * p, p, 0.128))
-        }
-    };
-    cfg.dlb = true;
-    cfg.lattice = Lattice::Cluster {
-        fill: 1.5 / side as f64,
-    };
-    let work = Placed::new(&cfg, &initial_particles(&cfg)).column_work();
-    let plan = launch_plan(shape, &cfg, 0, &work, true);
-    let pairs = |round: &[DlbDecision]| round.iter().map(|d| (d.from, d.to)).collect();
-    plan.rounds().map(pairs).collect()
 }
 
 /// The frames of a re-tile a run could make on a `p`-rank torus: from the
@@ -350,78 +317,42 @@ pub fn planned_retile(p: usize) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// The decision scenarios swept on one grid: the base schedule, the full
-/// schedule with no transfers, every single transfer the shape's balancer
-/// can make, two dense all-at-once scenarios, and every iteration of a
-/// clustered start's launch plan — and, on the square pillar, a re-tiling
-/// run's check steps: one that keeps its tiling, one that re-tiles as a
-/// clustered start's launch would, one whose every rank sends every other
-/// one a frame. Shapes (or grids) without a balancer get the first two,
-/// DLB phases off.
+/// The scenarios swept on one grid: the base schedule and the full one —
+/// with the DLB phases on where the shape balances (a torus side of 3 up,
+/// a ring of 2 up; what the balancer decides adds no operation) — and, on
+/// a balancing square pillar, a re-tiling run's check steps: one that
+/// keeps its tiling, one that re-tiles as a clustered start's launch
+/// would, one whose every rank sends every other one a frame.
 fn scenarios(shape: DomainShape, p: usize) -> Vec<ScheduleOpts> {
-    let single = |from, to| ScheduleOpts {
-        dlb: true,
-        decisions: vec![(from, to)],
-        ..Default::default()
+    let dlb = match shape {
+        DomainShape::SquarePillar => p >= 9,
+        DomainShape::Plane => p >= 2,
+        DomainShape::Cube => false,
     };
-    let dense = |decisions| ScheduleOpts {
-        dlb: true,
-        decisions,
-        ..ScheduleOpts::full()
-    };
-    let mut out = Vec::new();
-    match shape {
-        // DLB needs distinct directional neighbour roles (side ≥ 3);
-        // transfers travel along the six legal tile deltas.
-        DomainShape::SquarePillar if p >= 9 => {
-            let torus = Torus2d::square(p);
-            for r in 0..p {
-                for (di, dj) in LEGAL_DELTAS {
-                    out.push(single(r, torus.neighbor(r, di, dj)));
-                }
-            }
-            for (di, dj) in [(-1i64, -1i64), (1, 1)] {
-                out.push(dense(
-                    (0..p).map(|r| (r, torus.neighbor(r, di, dj))).collect(),
-                ));
-            }
-            out.extend(planned_rounds(shape, p).into_iter().map(dense));
-            let every_pair =
-                (0..p).flat_map(|a| (0..p).filter(move |&b| b != a).map(move |b| (a, b)));
-            for retile in [Vec::new(), planned_retile(p), every_pair.collect()] {
-                out.push(ScheduleOpts {
-                    retile_check: true,
-                    retile,
-                    ..ScheduleOpts::full()
-                });
-            }
+    let mut out = vec![
+        ScheduleOpts::default(),
+        ScheduleOpts {
+            dlb,
+            ..ScheduleOpts::full()
+        },
+    ];
+    if dlb && shape == DomainShape::SquarePillar {
+        let every_pair = (0..p).flat_map(|a| (0..p).filter(move |&b| b != a).map(move |b| (a, b)));
+        for retile in [Vec::new(), planned_retile(p), every_pair.collect()] {
+            out.push(ScheduleOpts {
+                retile_check: true,
+                retile,
+                ..ScheduleOpts::full()
+            });
         }
-        // The moving boundary: a plane crosses one interior boundary,
-        // either way; boundaries of one parity move in the same step.
-        DomainShape::Plane if p >= 2 => {
-            for b in 1..p {
-                out.push(single(b, b - 1));
-                out.push(single(b - 1, b));
-            }
-            out.push(dense((1..p).step_by(2).map(|b| (b, b - 1)).collect()));
-            out.push(dense((1..p).step_by(2).map(|b| (b - 1, b)).collect()));
-            out.extend(planned_rounds(shape, p).into_iter().map(dense));
-        }
-        _ => {}
     }
-    let dlb = !out.is_empty();
-    out.push(ScheduleOpts::default());
-    out.push(ScheduleOpts {
-        dlb,
-        ..ScheduleOpts::full()
-    });
     out
 }
 
 /// Verify the protocol on every grid up to `max_side`: square tori of
 /// side `2..=max_side` (pillar), rings of `1..=max_side` ranks (plane)
 /// and block grids of side `2..=min(max_side, 3)` (cube) — all on the one
-/// tag table, each over its decision scenarios.
+/// tag table, each over its scenarios.
 pub fn verify_protocol(max_side: usize) -> VerifyReport {
     let max_side = max_side.max(2);
     let mut report = VerifyReport {
@@ -440,9 +371,8 @@ pub fn verify_protocol(max_side: usize) -> VerifyReport {
                 report.violations.push(Violation {
                     check: v.check,
                     detail: format!(
-                        "{} P = {p}, scenario {:?} / re-tile {:?}: {}",
+                        "{} P = {p}, re-tile {:?}: {}",
                         shape.name(),
-                        opts.decisions,
                         opts.retile,
                         v.detail
                     ),
@@ -459,6 +389,7 @@ mod tests {
     use super::*;
     use crate::schedule::{step_schedule, PhasedOp};
     use pcdlb_core::protocol::tags::{self, CommPhase};
+    use pcdlb_mp::Torus2d;
 
     #[test]
     fn clean_protocol_verifies_on_all_grids() {
@@ -468,7 +399,10 @@ mod tests {
             "expected a clean protocol, got: {:#?}",
             report.violations
         );
-        assert!(report.schedules_checked > 100);
+        // Two schedules per grid — pillar sides 2–5, rings of 1–5, block
+        // grids of side 2 and 3 — and three re-tile check steps on each
+        // balancing pillar (sides 3–5).
+        assert_eq!(report.schedules_checked, 2 * (4 + 5 + 2) + 3 * 3);
     }
 
     #[test]

@@ -47,22 +47,25 @@ fn tag_collision_in_table_is_caught() {
 
 #[test]
 fn tag_collision_in_schedule_is_caught() {
-    // Mutation: one rank's CELL_XFER send goes out with the STEP_FRAME
+    // Mutation: one rank's RETILE_XFER send goes out with the STEP_FRAME
     // tag — a stray third round on that (src, dst) stream plus a
-    // matching failure on the starved CELL_XFER receive. (The 4 × 4
-    // torus: the 3 × 3 one carries a moved column in its one frame.)
+    // matching failure on the starved RETILE_XFER receive. (The 4 × 4
+    // torus, re-tiling as a clustered start's launch would.)
     let mut s = step_schedule(
         4,
         &ScheduleOpts {
             dlb: true,
-            decisions: vec![(5, 0)],
+            retile_check: true,
+            retile: planned_retile(16),
             ..Default::default()
         },
     );
-    let victim = s.ranks[5]
+    let victim = s
+        .ranks
         .iter_mut()
-        .find(|po| po.phase == CommPhase::DlbCellXfer && matches!(po.op, Op::Send { .. }))
-        .expect("rank 5 gives a column away");
+        .flatten()
+        .find(|po| po.phase == CommPhase::Retile && matches!(po.op, Op::Send { .. }))
+        .expect("some rank hands a column over");
     let Op::Send { to, .. } = victim.op else {
         unreachable!()
     };

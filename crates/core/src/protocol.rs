@@ -17,32 +17,32 @@
 //! 4. ships the decision, with the work that moves with it, **inside its
 //!    first frame** beside its load — the frame every step sends anyway —
 //!    and every PE applies its neighbourhood's decisions in `from` order,
-//!    so everyone's ownership view stays consistent. Where a step has two
-//!    rounds, a decision is applied as soon as round 1 is in and its
-//!    cells follow (`CELL_XFER`), then the ghosts: the step sends what a
-//!    plain domain-decomposition step sends, plus one message per column
-//!    that moves. Where every rank a column can reach is a neighbour of
-//!    every rank that can hold it (a torus side of 3), a step sends one
-//!    frame per neighbour: the decisions it brings are applied at the
-//!    top of the next rebuild step, and the moved column's particles
-//!    travel in that step's frame from the giver, as migrants — the step
-//!    sends what a plain domain-decomposition step sends.
+//!    so everyone's ownership view stays consistent. The decisions a
+//!    step's first frames bring are applied at the top of the next
+//!    rebuild step, and the moved column's particles travel in that
+//!    step's first frames from the giver, as migrants: a balancing step
+//!    sends what a plain domain-decomposition step sends — one frame per
+//!    neighbour where every rank a column can reach is a neighbour of
+//!    every rank that can hold it (a torus side of 3), two rounds
+//!    elsewhere — whatever the balancer decided.
 //!
 //! **In flight.** A neighbour's load in hand was measured by the force
-//! pass *before* the step that announced it, so a transfer applied on
-//! that announcing step is not in it yet. Deciding on such a load would
+//! pass *before* the step that announced it, so a transfer that lands
+//! later is not in it yet. Deciding on such a load would
 //! make every over-loaded PE offer twice before it saw its first offer
 //! land. A decision therefore travels as a [`Transfer`]: the decision
 //! plus the **work** that changes hands with the column — its full-shell
 //! candidate-pair count, which does not depend on who owns the column,
 //! expressed as a share of the giver's load — and every PE that hears it
 //! books that work off the giver's load and onto the receiver's before it
-//! next decides ([`book_in_flight`]). Only transfers applied after the
-//! force pass that measured the loads in hand are booked: the next
-//! frames bring loads that have seen them, and the list is dropped. A
-//! decision a single frame brought is applied a step later, so it stays
-//! in flight for two steps of loads, and on the step it lands in it is
-//! booked onto the PE's own load too. With nothing in flight the
+//! next decides ([`book_in_flight`]). A decision is applied at the top of
+//! the next rebuild step, after the force pass that measured every load
+//! in hand, so on that step each PE books what landed onto its own load —
+//! and announces it so in the step's first frames — and onto its
+//! neighbours' loads in hand; from the next rebuild step on the loads in
+//! hand have seen it, and nothing is booked twice. A PE that does not
+//! border the giver does not hear a transfer into its neighbour, and
+//! misses it for that one decision. With nothing in flight the
 //! decision is, call for call, the one the paper's order would have
 //! produced from the same loads.
 //!
@@ -155,8 +155,6 @@ use crate::permanent::{is_movable, movable_columns};
 /// tag can never collide with a point-to-point tag even if the numbers
 /// overlap.
 pub mod tags {
-    /// Phase 2 (DLB data movement): particle payload of a transferred column.
-    pub const CELL_XFER: u64 = 3;
     /// Re-tile (p2p): the particles of every column one rank hands
     /// another when the run re-tiles, in one frame per (old owner, new
     /// owner) pair — the two need not be torus neighbours.
@@ -164,16 +162,18 @@ pub mod tags {
     /// The coalesced per-neighbour step message: each rebuild step (every
     /// step without a Verlet skin) a rank sends exactly two framed
     /// messages to each of its 8 neighbours under this one tag — round 1
-    /// carries boundary-crossing migrants plus, in a balancing run, the
-    /// sender's last-step load and (on DLB steps) the decision it took
-    /// at the top of the step, round 2 carries the delta-encodable
-    /// boundary-shell ghost frame. Sub-frame presence headers inside the
-    /// frame distinguish the rounds; per-(src,dst,tag) FIFO ordering keeps
-    /// the two rounds matched. A decomposition whose neighbour sets stay
-    /// closed two cells out under every ownership it can reach — one whose
-    /// ownership never changes, or the balancing 3 × 3 torus — sends both
-    /// sections in one frame per neighbour instead, with the load and the
-    /// decision.
+    /// carries boundary-crossing migrants (the particles of a column whose
+    /// transfer from the sender landed at the top of the step among them)
+    /// plus, in a balancing run, the sender's last-step load and (on DLB
+    /// steps) the decision it took at the top of the step, round 2 carries
+    /// the delta-encodable boundary-shell ghost frame. Sub-frame presence
+    /// headers inside the frame distinguish the rounds; per-(src,dst,tag)
+    /// FIFO ordering keeps the two rounds matched. A decomposition whose
+    /// neighbour sets stay closed two cells out under every ownership it
+    /// can reach — one whose ownership never changes, or the balancing
+    /// 3 × 3 torus — sends both sections in one frame per neighbour
+    /// instead, with the load and the decision. No column travels in a
+    /// message of its own.
     /// Between the rebuilds of a skin epoch a step sends one message per
     /// neighbour: the positions-only ghost refresh.
     pub const STEP_FRAME: u64 = 16;
@@ -247,11 +247,9 @@ pub mod tags {
         /// last-step loads (the former standalone load exchange) and, on
         /// DLB steps, the decisions (the former decision broadcast).
         Migrate,
-        /// DLB column payload movement (decision-driven).
-        DlbCellXfer,
-        /// Re-tile column movement (decision-driven, in place of the DLB
-        /// cell transfer on a re-tile step): one frame per (old owner, new
-        /// owner) pair, which need not be neighbours.
+        /// Re-tile column movement (decision-driven, after round 1 of a
+        /// re-tile step): one frame per (old owner, new owner) pair, which
+        /// need not be neighbours.
         Retile,
         /// Ghost-layer exchange (8-neighbourhood).
         Ghost,
@@ -304,12 +302,6 @@ pub mod tags {
             tag: STEP_FRAME,
             name: "STEP_FRAME",
             phase: CommPhase::Migrate,
-            collective: false,
-        },
-        TagSpec {
-            tag: CELL_XFER,
-            name: "CELL_XFER",
-            phase: CommPhase::DlbCellXfer,
             collective: false,
         },
         TagSpec {

@@ -5,15 +5,20 @@
 //! takeover rung ([`crate::takeover`]) re-enters it after a rank death
 //! with the adopting thread driving **two**.
 //!
+//! A balancing decision lands one way on every shape and torus: the step's
+//! first frames carry it, every PE applies it at the top of the next
+//! rebuild step, and the moved column travels in that step's first frames
+//! as the giver's migrants. What a step sends therefore never depends on
+//! what the balancer decided.
+//!
 //! A re-tiling run (a balancing square pillar not launched with
 //! `Launch::fixed_tiles`) checks its tiling at the top of steps 2, 4, 8,
 //! … — the first rebuild step at or after each under skin epochs — before
-//! the balancer decides; on a step that re-tiles, the move takes the DLB
-//! slot after round 1 and the balancer sits the step out (where steps
-//! are one frame per neighbour, a re-tile step has two rounds, and the
-//! decisions still pending from the step before are dropped: the re-tile
-//! plans from who holds what). Both are part of the step: their messages
-//! land in its comm lap like any other.
+//! the balancer decides; on a step that re-tiles, the move follows round 1
+//! and the balancer sits the step out (a re-tile step has two rounds, and
+//! the decisions still pending from the step before are dropped before
+//! its round 1: the re-tile plans from who holds what). Both are part of
+//! the step: their messages land in its comm lap like any other.
 //!
 //! Dual-role phase interleaving is what keeps such a degraded world
 //! deadlock-free: point-to-point phases post *both* roles' sends before
@@ -282,10 +287,10 @@ pub(crate) fn step_multi(
     }
     // Migration, DLB, and ghost-membership changes only happen on
     // rebuild steps — mid-epoch the binning is frozen everywhere. First
-    // the decisions the last single frames brought land in every view
-    // (their columns travel in this step's frames) — unless the step
-    // re-tiles, which plans its ownership whole from who holds what, and
-    // which the balancer sits out. Then the balancer decides, before
+    // the decisions the last rebuild step's frames brought land in every
+    // view (their columns travel in this step's first frames) — unless the
+    // step re-tiles, which plans its ownership whole from who holds what,
+    // and which the balancer sits out. Then the balancer decides, before
     // anything moves or is sent, on the loads it already holds: its
     // decision rides the step's first frame.
     let mut transferred = [0u64; 2];
@@ -294,10 +299,8 @@ pub(crate) fn step_multi(
             transferred[i] = pe.dlb_land();
         }
     }
-    let mut dlb_now = false;
     for (_, pe) in pes.iter_mut() {
-        dlb_now = pe.dlb_due(step, rebuild) && retile.is_none();
-        if dlb_now {
+        if pe.dlb_due(step, rebuild) && retile.is_none() {
             pe.dlb_decide();
         }
     }
@@ -305,38 +308,30 @@ pub(crate) fn step_multi(
         pe.kick_drift_all();
     }
     // What travels this step. Mid-epoch: one positions-only refresh per
-    // neighbour. Rebuild steps: two rounds with the balancer's decisions
-    // in between — or, where the neighbour set is closed two cells out
-    // under every ownership the balancer can reach (every role of a world
-    // agrees on that), migrants and ghosts in one frame, on every step
-    // but a re-tile.
+    // neighbour. Rebuild steps: two rounds — or, where the neighbour set
+    // is closed two cells out under every ownership the balancer can
+    // reach (every role of a world agrees on that), migrants and ghosts
+    // in one frame, on every step but a re-tile.
     let exchange = match (rebuild, pes[0].1.exchanges_once() && retile.is_none()) {
         (false, _) => Exchange::Refresh,
         (true, false) => Exchange::Shells,
         (true, true) => Exchange::Single,
     };
-    // Round 1: migration plus the balancer's ride-along — loads, and
-    // the decisions just taken, which every PE folds into its ownership
-    // view as the frames come in (retained particles stay staged inside
-    // each PE).
+    // Round 1: migration — the landed columns' particles among the
+    // migrants — plus the balancer's ride-along: loads, and the decisions
+    // just taken, which land at the next rebuild step (retained particles
+    // stay staged inside each PE).
     if exchange == Exchange::Shells {
         ascending(comm, pes, |_, pe, comm| pe.step_send_round1(comm));
         ascending(comm, pes, |_, pe, comm| pe.step_recv_round1(comm));
     }
-    // DLB: the decided columns change hands — or, on a re-tile, every
-    // column whose owner changes goes straight to its new owner, and the
-    // views follow the new tiling. (A single exchange carries its
-    // decisions' columns in the next step's frames.)
+    // A re-tile: every column whose owner changes goes straight to its
+    // new owner, and the views follow the new tiling.
     if let Some(r) = &retile {
         ascending(comm, pes, |i, pe, comm| {
             transferred[i] += pe.retile_send(comm, r)
         });
         ascending(comm, pes, |_, pe, comm| pe.retile_recv(comm, r));
-    } else if dlb_now && exchange == Exchange::Shells {
-        ascending(comm, pes, |i, pe, comm| {
-            transferred[i] += pe.dlb_send_cells(comm)
-        });
-        ascending(comm, pes, |_, pe, comm| pe.dlb_recv_cells(comm));
     }
     // Ghost exchange and the local force pass, then the second
     // half-kick.

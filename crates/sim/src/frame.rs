@@ -465,7 +465,7 @@ impl DeltaChannel {
     }
 }
 
-/// A flat particle shipment (migration, cell transfer): identical wire
+/// A flat particle shipment (migration, a re-tile's columns): identical wire
 /// bytes to the `Vec<Particle>` it replaces, but poolable and refillable
 /// in place.
 #[derive(Debug, Clone, Default)]

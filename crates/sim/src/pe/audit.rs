@@ -56,11 +56,9 @@ impl PeState {
         // checkpointed step's forces — with drifting speeds, its
         // published load numbers must use the checkpointed step too.
         pe.cur_step = ck.md.step;
-        // What the balancer holds between steps: a transfer whose giver
-        // still holds the column had not landed at the checkpoint.
+        // What the balancer holds between steps.
         let neighbors = pe.topology.neighbors();
-        let held = |d: &DlbDecision| pe.decomp.owner_of(d.col, 0) == d.from;
-        pe.balance.restore(rank, cfg.p, neighbors, ck, held);
+        pe.balance.restore(rank, cfg.p, neighbors, ck);
         pe
     }
 
@@ -69,8 +67,7 @@ impl PeState {
     /// is rank 0's per-step series so far, embedded so a restore can
     /// reproduce the full report. A balancing run also gathers what its
     /// next decision rests on: the load each rank last announced and the
-    /// transfers it gave that those loads have not seen — applied, and
-    /// after a single-exchange step one still pending. The gather's
+    /// decision it gave that is still pending. The gather's
     /// virtual comm cost is excluded from the next step's delta, so
     /// checkpointing never changes any reported `t_step`.
     pub(crate) fn take_checkpoint(
@@ -90,9 +87,7 @@ impl PeState {
         // nothing.)
         let ck = gathered.zip(self.decomp.tiling()).map(|(chunks, tiling)| {
             let loads = chunks.iter().filter_map(|chunk| chunk.2).collect();
-            // Rank order is `from` order, each rank's applied one first:
-            // split by what still holds its column, each part is in the
-            // order it was applied in.
+            // Rank order is `from` order: the order they land in.
             let transfers = chunks
                 .iter()
                 .flat_map(|chunk| chunk.3.iter().copied())

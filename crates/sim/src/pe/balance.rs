@@ -8,32 +8,27 @@
 //! columns' candidate pairs, counted once per balancing step for every
 //! held column, as a share of this PE's load — on the receiver's speed.
 //!
-//! When a decision takes effect depends on the step's frames
-//! ([`super::exchange`]'s business). Where a rebuild step has two rounds,
-//! the decisions round 1 brings are applied at once and their cells
-//! follow (`CELL_XFER`). Where it is one frame per neighbour, the
-//! decisions it brings are *pending*: every PE applies them at the top
-//! of the next rebuild step ([`PeState::dlb_land`]) and the columns'
-//! particles travel in that step's frames, from the giver, as migrants.
-//! Either way a transfer stays in flight — booked onto the loads in hand
-//! — until frames bring loads measured after it was applied: a pending
-//! one for the two steps it spans, and for the step it lands in also
-//! onto this PE's own load.
+//! A decision lands one way, whatever the step's frames
+//! ([`super::exchange`]'s business): the decisions a step's first frames
+//! bring are *pending*, every PE applies them at the top of the next
+//! rebuild step ([`PeState::dlb_land`]), and the columns' particles travel
+//! in that step's first frames, from the giver, as migrants. Every load
+//! in hand was measured before that, so on the step a transfer lands it
+//! is booked — onto this PE's own load, which the step's first frames
+//! announce so, and onto its neighbours' loads in hand, announced at the
+//! rebuild step before. From the next rebuild step on every load in hand
+//! has seen it, and a PE that did not hear it (a transfer into a
+//! neighbour from a PE it does not border) misses it for that one
+//! decision only.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use pcdlb_core::protocol::{book_in_flight, tags, DlbDecision, Transfer};
+use pcdlb_core::protocol::{book_in_flight, DlbDecision, Transfer};
 use pcdlb_domain::Col;
-use pcdlb_md::cells::CellSlab;
-use pcdlb_md::Particle;
-use pcdlb_mp::{BufferPool, Comm, WireSize};
 
 use super::topology::cells_around;
 use super::PeState;
 use crate::clock::WallTimer;
+use crate::config::RunConfig;
 use crate::decomp::Decomposition;
-use crate::frame::ParticleFrame;
 use crate::recover::SimCheckpoint;
 
 /// What the balancer knows between steps.
@@ -44,9 +39,10 @@ pub(super) struct Balance {
     enabled: bool,
     /// The neighbours' loads in hand, as the last frames that carried
     /// them brought them: each measured by the force pass before the step
-    /// that announced it.
+    /// that announced it, with what landed at the top of that step booked
+    /// onto it.
     nbr_loads: Vec<(usize, f64)>,
-    /// `nbr_loads` with the in-flight transfers booked: what the balancer
+    /// `nbr_loads` with what landed since booked: what the balancer
     /// decides on (retained scratch).
     booked_loads: Vec<(usize, f64)>,
     /// The load this PE put into its last frames — what its neighbours
@@ -56,20 +52,16 @@ pub(super) struct Balance {
     /// for the step's first frame to carry it.
     my_decision: Option<Transfer>,
     /// The decisions the step's first frames brought (this PE's and its
-    /// neighbours'), ascending `from` once folded (retained scratch).
+    /// neighbours'), ascending `from` once settled (retained scratch).
     decisions: Vec<Transfer>,
-    /// Decisions a single frame brought, not yet applied: they land at
-    /// the top of the next rebuild step.
+    /// Decisions the last rebuild step's frames brought, not yet applied:
+    /// they land at the top of the next rebuild step.
     pending: Vec<Transfer>,
-    /// The transfers applied since the loads in hand were measured, in
-    /// the order they were applied (each step's ascending `from`): what
-    /// those loads are brought up to date with before a decision. After a
-    /// step's frames are in, exactly the transfers whose columns changed
-    /// hands in that step.
-    in_flight: Vec<Transfer>,
-    /// How many of `in_flight`, at its end, landed at the top of this
-    /// step — after this PE's own load was measured, too.
-    landed: usize,
+    /// The transfers that landed at the top of the last rebuild step, in
+    /// the order they were applied (ascending `from`): the ones whose
+    /// columns changed hands in that step, and what a decision on it
+    /// books onto the loads in hand, which were all measured before.
+    landed: Vec<Transfer>,
     /// Every held column's full-shell candidate-pair count, ascending by
     /// column, counted at the top of each balancing step (retained).
     checks: Vec<(Col, u64)>,
@@ -79,8 +71,6 @@ pub(super) struct Balance {
     /// balancing step is due at the first rebuild that has a multiple of
     /// `dlb_interval` behind it since this one.
     last_rebuild: u64,
-    /// Pooled flat-particle send buffers (cell transfer).
-    part_pool: BufferPool<ParticleFrame>,
 }
 
 impl Balance {
@@ -114,64 +104,73 @@ impl Balance {
 
     /// Start over from per-rank `loads` every rank holds (a checkpoint's,
     /// a re-tile's): this PE's own as announced, its `neighbors`' as heard,
-    /// nothing in flight and nothing pending.
+    /// nothing landed and nothing pending.
     pub(super) fn resume(&mut self, rank: usize, neighbors: &[usize], loads: &[f64]) {
         self.announced_load = Some(loads[rank]);
         self.nbr_loads.clear();
         self.nbr_loads
             .extend(neighbors.iter().map(|&nb| (nb, loads[nb])));
         self.decisions.clear();
-        self.pending.clear();
-        self.in_flight.clear();
-        self.landed = 0;
+        self.drop_pending();
         self.my_decision = None;
     }
 
     /// The top of a rebuild step that does not re-tile: the pending
     /// decisions are applied to the ownership view, in the order they
-    /// were folded, and are in flight from here.
+    /// were settled, and are what landed from here.
     fn land(&mut self, decomp: &mut dyn Decomposition) {
         for t in &self.pending {
             decomp.apply(&t.decision);
         }
-        self.landed = self.pending.len();
-        self.in_flight.append(&mut self.pending);
+        self.landed.clear();
+        std::mem::swap(&mut self.landed, &mut self.pending);
     }
 
-    /// The transfers that landed at the top of this step.
+    /// The top of a rebuild step that re-tiles: the re-tile plans its
+    /// ownership whole from who holds what, so the pending decisions are
+    /// dropped before its round 1, and nothing lands.
+    pub(super) fn drop_pending(&mut self) {
+        self.pending.clear();
+        self.landed.clear();
+    }
+
+    /// The transfers that landed at the top of the last rebuild step.
     pub(super) fn landed(&self) -> &[Transfer] {
-        &self.in_flight[self.in_flight.len() - self.landed..]
+        &self.landed
     }
 
-    /// The loads the shape's rule decides on: the neighbours' as the last
-    /// frames brought them, with every transfer in flight booked onto
-    /// them (`booked_loads`), and — returned — this PE's `own` as its last
-    /// force pass measured it, with the transfers that landed since booked
-    /// onto it (`on_receiver`: see [`book_in_flight`]).
-    fn book(&mut self, rank: usize, own: f64, on_receiver: impl Fn(usize, usize) -> f64) -> f64 {
-        self.booked_loads.clear();
-        self.booked_loads.extend_from_slice(&self.nbr_loads);
-        book_in_flight(&mut self.booked_loads, &self.in_flight, &on_receiver);
+    /// This PE's `own` load as its last force pass measured it, with what
+    /// landed since booked onto it (`on_receiver`: see
+    /// [`book_in_flight`]): what it decides on and announces.
+    fn own(&self, rank: usize, own: f64, on_receiver: impl Fn(usize, usize) -> f64) -> f64 {
         let mut mine = [(rank, own)];
-        book_in_flight(&mut mine, self.landed(), on_receiver);
+        book_in_flight(&mut mine, &self.landed, on_receiver);
         mine[0].1
     }
 
-    /// What this PE's first frames of a step carry: `own_load` —
-    /// remembered as announced — and the decision waiting to ride along.
-    /// Nothing in a run that does not balance.
+    /// The neighbours' loads the shape's rule decides on: as the last
+    /// frames brought them, with what landed since booked onto them
+    /// (`booked_loads`).
+    fn book(&mut self, on_receiver: impl Fn(usize, usize) -> f64) {
+        self.booked_loads.clear();
+        self.booked_loads.extend_from_slice(&self.nbr_loads);
+        book_in_flight(&mut self.booked_loads, &self.landed, on_receiver);
+    }
+
+    /// What this PE's first frames of a step carry: `own_load` — brought
+    /// up to date with what landed at the top of the step, and remembered
+    /// as announced — and the decision waiting to ride along. Nothing in a
+    /// run that does not balance.
     pub(super) fn announce(&mut self, own_load: f64) -> (Option<f64>, Option<Transfer>) {
         self.announced_load = self.enabled.then_some(own_load);
         (self.announced_load, self.my_decision)
     }
 
-    /// The step's first frames come in: the loads in hand are replaced,
-    /// and with them every transfer in flight but the ones that landed
-    /// at the top of this step (the loads coming in were measured before
-    /// that); the round's decisions start from this PE's own.
+    /// The step's first frames come in: the loads in hand are replaced
+    /// (the ones coming in have what landed at the top of this step
+    /// booked); the round's decisions start from this PE's own.
     pub(super) fn open_round(&mut self) {
         self.nbr_loads.clear();
-        self.in_flight.drain(..self.in_flight.len() - self.landed);
         self.decisions.clear();
         self.decisions.extend(self.my_decision.take());
     }
@@ -201,45 +200,26 @@ impl Balance {
         });
     }
 
-    /// Two rounds: the settled decisions are applied to the ownership view
-    /// now, and are in flight from here — with the ones that landed at
-    /// the top of the step, all the loads just received have not seen.
-    fn fold(&mut self, decomp: &mut dyn Decomposition) {
-        self.settle(decomp);
-        for t in &self.decisions {
-            decomp.apply(&t.decision);
-        }
-        self.in_flight.extend_from_slice(&self.decisions);
-    }
-
-    /// One frame: the settled decisions wait for the next rebuild step.
+    /// The step's first frames are in: the settled decisions wait for the
+    /// next rebuild step.
     fn defer(&mut self, decomp: &dyn Decomposition) {
         self.settle(decomp);
         debug_assert!(self.pending.is_empty());
         std::mem::swap(&mut self.pending, &mut self.decisions);
     }
 
-    /// The transfers whose cells travel this step by `CELL_XFER`: the ones
-    /// two rounds applied after round 1.
-    fn moved(&self) -> &[Transfer] {
-        &self.in_flight[self.landed..]
-    }
-
     /// What a checkpoint carries of the balancer: the load this PE last
-    /// announced and the transfers `rank` gave that those loads have not
-    /// seen — applied ones first, then one still pending.
+    /// announced — which has seen every transfer that landed — and the
+    /// decision `rank` gave that is still pending.
     pub(super) fn held(&self, rank: usize) -> (Option<f64>, impl Iterator<Item = Transfer> + '_) {
-        let all = self.in_flight.iter().chain(&self.pending);
-        let given = all.filter(move |t| t.decision.from == rank).copied();
-        (self.announced_load, given)
+        let given = self.pending.iter().filter(move |t| t.decision.from == rank);
+        (self.announced_load, given.copied())
     }
 
     /// Resume at the step of checkpoint `ck` (a rebuild step in every
     /// schedule) holding what it carried: every rank's last announced
-    /// load and the transfers those loads have not seen — of which this
-    /// PE heard its own and its `neighbors`'. A transfer whose giver still
-    /// holds the column (`held`) was pending at the checkpoint and lands
-    /// at the next rebuild step; the others are in flight. A checkpoint
+    /// load and the pending decisions — of which this PE heard its own and
+    /// its `neighbors`'; they land at the next rebuild step. A checkpoint
     /// without loads (a drain remapped onto another torus, a generation
     /// that did not balance) leaves the launch to announce them.
     pub(super) fn restore(
@@ -248,7 +228,6 @@ impl Balance {
         p: usize,
         neighbors: &[usize],
         ck: &SimCheckpoint,
-        held: impl Fn(&DlbDecision) -> bool,
     ) {
         self.last_rebuild = ck.md.step;
         if self.enabled && !ck.loads.is_empty() {
@@ -263,21 +242,14 @@ impl Balance {
                 let from = t.decision.from;
                 from == rank || neighbors.binary_search(&from).is_ok()
             };
-            for t in ck.transfers.iter().filter(heard) {
-                let list = if held(&t.decision) {
-                    &mut self.pending
-                } else {
-                    &mut self.in_flight
-                };
-                list.push(*t);
-            }
+            self.pending.extend(ck.transfers.iter().filter(heard));
         }
     }
 }
 
 impl PeState {
     /// Whether this run balances: the shape has a balancer and `cfg.dlb`
-    /// is on. Loads then ride every round-1 frame.
+    /// is on. Loads then ride every rebuild step's first frames.
     pub(crate) fn balances(&self) -> bool {
         self.balance.enabled
     }
@@ -288,30 +260,47 @@ impl PeState {
     }
 
     /// The top of a rebuild step that does not re-tile: the decisions the
-    /// last single frames brought are applied to the ownership view (see
-    /// [`Balance::land`]); their particles travel in this step's frames.
-    /// Returns the number of them this PE gave.
+    /// last rebuild step's frames brought are applied to the ownership
+    /// view (see [`Balance::land`]); their particles travel in this step's
+    /// first frames. Returns the number of them this PE gave — a transfer
+    /// counts on the step it lands.
     pub(crate) fn dlb_land(&mut self) -> u64 {
         if !self.balance.enabled {
             return 0;
         }
         self.balance.land(&mut *self.decomp);
-        self.follow_decisions(self.balance.landed().len());
-        let rank = self.rank;
-        let given = self
-            .balance
-            .landed()
-            .iter()
-            .filter(|t| t.decision.from == rank);
-        given.count() as u64
+        // The routing/class caches must be rebuilt before the next ghost
+        // exchange or force pass — but only if they can differ. They are a
+        // function of the owned column set and of who owns the columns
+        // around it, so a transfer between two other PEs of a column that
+        // touches none of ours leaves them as they are (on a 3×3 torus
+        // every PE hears every decision).
+        let landed = self.balance.landed();
+        let redraw = landed.iter().any(|t| self.redraws_caches(&t.decision));
+        let given = landed.iter().filter(|t| t.decision.from == self.rank);
+        let given = given.count() as u64;
+        if redraw {
+            self.topology.mark_dirty();
+        }
+        given
+    }
+
+    /// What this PE's first frames of a step carry of the balancer (see
+    /// [`Balance::announce`]): its own load, brought up to date with what
+    /// landed at the top of the step — so a neighbour that did not hear a
+    /// transfer into this PE sees it in the load — and its decision.
+    pub(super) fn dlb_announce(&mut self) -> (Option<f64>, Option<Transfer>) {
+        let on_receiver = on_receiver(&self.cfg, self.cur_step);
+        let own = self.balance.own(self.rank, self.force.load(), on_receiver);
+        self.balance.announce(own)
     }
 
     /// Phase 3 (DLB), steps 1–3, run at the top of the step: apply the
     /// shape's balancer rule to the loads in hand — this PE's own, which
     /// its last force pass measured, and its neighbours', each brought up
-    /// to date with what changed hands since (see [`Balance::book`]) — and
-    /// to the load each candidate would move. Purely local; the decision
-    /// waits for the step's first frame.
+    /// to date with what landed since (see [`Balance::own`],
+    /// [`Balance::book`]) — and to the load each candidate would move.
+    /// Purely local; the decision waits for the step's first frame.
     pub(crate) fn dlb_decide(&mut self) {
         let t0 = WallTimer::start();
         debug_assert_eq!(
@@ -320,13 +309,10 @@ impl PeState {
         );
         self.count_checks();
         let (cfg, step) = (&self.cfg, self.cur_step);
-        // Where the run balances time, a share of the giver's time is
-        // worth the two speeds' ratio on the receiver.
-        let speeds = cfg.speed.as_ref().filter(|_| cfg.speed_aware);
-        let on_receiver =
-            |from, to| speeds.map_or(1.0, |s| s.speed(from, step) / s.speed(to, step));
+        let on_receiver = on_receiver(cfg, step);
         let own = self.force.load();
-        let booked = self.balance.book(self.rank, own, on_receiver);
+        let booked = self.balance.own(self.rank, own, &on_receiver);
+        self.balance.book(&on_receiver);
         // The load that changes hands, as a share of this PE's own: the
         // moved columns' candidate pairs over the last pass's total. A
         // column whose particles have not arrived yet has no count: it
@@ -402,95 +388,19 @@ impl PeState {
         (0..nc).map(cell).sum()
     }
 
-    /// Decisions applied to the ownership view — the last `n` in flight:
-    /// the routing/class caches must be rebuilt before the next ghost
-    /// exchange or force pass — but only if they can differ. They are a
-    /// function of the owned column set and of who owns the columns
-    /// around it, so a transfer between two other PEs of a column that
-    /// touches none of ours leaves them as they are (on a 3×3 torus every
-    /// PE hears every decision).
-    fn follow_decisions(&mut self, n: usize) {
-        let applied = &self.balance.in_flight[self.balance.in_flight.len() - n..];
-        if applied.iter().any(|t| self.redraws_caches(&t.decision)) {
-            self.topology.mark_dirty();
-        }
-    }
-
-    /// Phase 3, step 4, once round 1 is in: fold the neighbourhood's
-    /// decisions into the ownership view (see [`Balance::fold`]), ready
-    /// for the cell-transfer halves.
-    pub(super) fn dlb_fold(&mut self) {
-        let t0 = WallTimer::start();
-        self.balance.fold(&mut *self.decomp);
-        self.follow_decisions(self.balance.decisions.len());
-        self.phase.dlb += t0.elapsed_s();
-    }
-
-    /// Phase 3, step 4, once a single exchange is in: the neighbourhood's
-    /// decisions wait for the next rebuild step (see [`Balance::defer`]).
+    /// Phase 3, step 4, once a step's first frames are in: the
+    /// neighbourhood's decisions wait for the next rebuild step (see
+    /// [`Balance::defer`]).
     pub(super) fn dlb_defer(&mut self) {
         self.balance.defer(&*self.decomp);
     }
+}
 
-    /// Phase 3, data-movement send half: ship the particles of the
-    /// columns this PE gave away this step, one id-sorted frame per
-    /// decision. Returns the number of transfers sent.
-    pub(crate) fn dlb_send_cells(&mut self, comm: &mut Comm) -> u64 {
-        let t0 = WallTimer::start();
-        let mut sent = 0u64;
-        for i in 0..self.balance.moved().len() {
-            let d = self.balance.moved()[i].decision;
-            if d.from == self.rank {
-                let mut buf = self.balance.part_pool.checkout();
-                let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
-                frame.parts.clear();
-                for col in self.decomp.granule(&d) {
-                    let slab = self
-                        .columns
-                        .remove(&col)
-                        .expect("sender owns the column data");
-                    frame.parts.extend_from_slice(slab.particles());
-                }
-                frame.parts.sort_unstable_by_key(|p| p.id);
-                self.wire.dlb += frame.encoded_size() as u64;
-                comm.send(d.to, tags::CELL_XFER, Arc::clone(&buf));
-                self.balance.part_pool.checkin(buf);
-                sent += 1;
-            }
-        }
-        self.phase.dlb += t0.elapsed_s();
-        sent
-    }
-
-    /// Phase 3, data-movement receive half: collect columns granted to
-    /// this PE (ordered by sender rank).
-    pub(crate) fn dlb_recv_cells(&mut self, comm: &mut Comm) {
-        let t0 = WallTimer::start();
-        let zbin = self.zbin();
-        for i in 0..self.balance.moved().len() {
-            let d = self.balance.moved()[i].decision;
-            if d.to == self.rank {
-                let flat: Arc<ParticleFrame> = comm.recv(d.from, tags::CELL_XFER);
-                let mut staging: BTreeMap<Col, Vec<Particle>> = self
-                    .decomp
-                    .granule(&d)
-                    .into_iter()
-                    .map(|c| (c, Vec::new()))
-                    .collect();
-                for p in &flat.parts {
-                    staging
-                        .get_mut(&self.cell_of(p.pos).0)
-                        .expect("transferred particle lies in a transferred column")
-                        .push(*p);
-                }
-                for (col, parts) in staging {
-                    let slab = CellSlab::build(self.nc, parts, zbin);
-                    self.columns.insert(col, slab);
-                }
-            }
-        }
-        self.phase.dlb += t0.elapsed_s();
-    }
+/// What a unit of `from`'s load weighs on `to` at `step`: 1, or where the
+/// run balances time, the two speeds' ratio.
+fn on_receiver(cfg: &RunConfig, step: u64) -> impl Fn(usize, usize) -> f64 + '_ {
+    let speeds = cfg.speed.as_ref().filter(|_| cfg.speed_aware);
+    move |from, to| speeds.map_or(1.0, |s| s.speed(from, step) / s.speed(to, step))
 }
 
 #[cfg(test)]
@@ -503,16 +413,16 @@ mod tests {
     use pcdlb_domain::DomainShape;
     use std::ops::Range;
 
-    /// A decomposition that is nothing but the two answers the fold asks
+    /// A decomposition that is nothing but the two answers a landing asks
     /// for: the plane's exclusion rule, and a log of what was applied.
     struct Ring(Vec<DlbDecision>);
 
     impl Decomposition for Ring {
         fn owner_of(&self, _: Col, _: usize) -> usize {
-            unreachable!("the fold asks for no owner")
+            unreachable!("a landing asks for no owner")
         }
         fn z_extent(&self, _: usize) -> Range<usize> {
-            unreachable!("the fold asks for no extent")
+            unreachable!("a landing asks for no extent")
         }
         fn excludes(&self, a: &DlbDecision, b: &DlbDecision) -> bool {
             (a.from, a.to) == (b.to, b.from)
@@ -528,11 +438,13 @@ mod tests {
     }
 
     #[test]
-    fn loads_and_transfers_alone_drive_the_fold_and_the_booking() {
+    fn loads_and_transfers_alone_drive_the_landing_and_the_booking() {
         // Rank 1 of a ring of four, with no PE, no world and no frame
-        // around it. It decided 1 → 0; round 1 brings 2 → 3 from one
-        // neighbour and 0 → 1 from the other — heard in that order.
+        // around it. It decided 1 → 0; the step's first frames bring
+        // 2 → 3 from one neighbour and 0 → 1 from the other — heard in
+        // that order.
         let work = |decision, work| Transfer { decision, work };
+        let one = |_, _| 1.0;
         let mut balance = Balance::new(true);
         let mut ring = Ring(Vec::new());
         balance.my_decision = Some(work(give(1, 0), 5.0));
@@ -541,46 +453,53 @@ mod tests {
         balance.hear(2, Some(1.0), Some(work(give(2, 3), 1.0)));
         balance.hear(0, Some(4.0), Some(work(give(0, 1), 1e16)));
         // 0 → 1 and 1 → 0 cross one boundary: both are void, to both
-        // ranks; what stands is applied, and stays in flight.
-        balance.fold(&mut ring);
-        assert_eq!(ring.0, [give(2, 3)]);
-        assert_eq!(balance.in_flight, [work(give(2, 3), 1.0)]);
+        // ranks. What stands is not applied but pending — what a
+        // checkpoint carries of it — and lands at the top of the next
+        // rebuild step.
+        balance.defer(&ring);
+        assert!(ring.0.is_empty(), "nothing applied yet");
         assert_eq!(balance.held(1).1.count(), 0);
-        // The next round's loads have seen that transfer: nothing of it
-        // is booked onto them. What the round brings is booked in
-        // ascending `from` order, whatever order it was heard in:
-        // (1 + 1e16) + 1 is 1e16, (1 + 1) + 1e16 is not. This PE's own
-        // load has seen them all.
+        let given: Vec<Transfer> = balance.held(2).1.collect();
+        assert_eq!(given, [work(give(2, 3), 1.0)]);
+        balance.land(&mut ring);
+        assert_eq!(ring.0, [give(2, 3)]);
+        assert_eq!(balance.held(2).1.count(), 0);
+        // Every load in hand was measured before it landed: it is booked
+        // onto the neighbours' and onto this PE's own, which 2 → 3 does
+        // not touch.
+        balance.book(one);
+        assert_eq!(balance.booked_loads, [(2, 0.0), (0, 4.0)]);
+        assert_eq!(balance.own(1, 7.0, one), 7.0);
+        // The loads this step's frames bring have it booked by the ranks
+        // that announce them: it is not booked again. On the step 2 → 1
+        // lands, this PE's own load is booked up and announced so.
+        balance.open_round();
+        balance.hear(2, Some(0.0), Some(work(give(2, 1), 2.0)));
+        balance.hear(0, Some(5.0), None);
+        balance.defer(&ring);
+        balance.land(&mut ring);
+        balance.book(one);
+        assert_eq!(balance.booked_loads, [(2, -2.0), (0, 5.0)]);
+        assert_eq!(balance.own(1, 7.0, one), 9.0);
+        // What the next frames bring lands in ascending `from` order,
+        // whatever order it was heard in: (1 + 1e16) + 1 is 1e16,
+        // (1 + 1) + 1e16 is not.
         balance.open_round();
         balance.hear(2, Some(1.0), Some(work(give(3, 2), 1.0)));
-        balance.hear(0, Some(4.0), Some(work(give(0, 2), 1e16)));
-        balance.fold(&mut ring);
-        assert_eq!(balance.book(1, 7.0, |_, _| 1.0), 7.0);
-        assert_eq!(balance.booked_loads, [(2, 1e16), (0, 4.0 - 1e16)]);
-        // One frame: what it brings is not applied but pending — a
-        // checkpoint carries it after what is applied — and lands at the
-        // top of the next rebuild step. From there it is in flight for
-        // two rounds of loads, and this once for this PE's own load too.
+        balance.hear(0, Some(5.0), Some(work(give(0, 2), 1e16)));
+        balance.defer(&ring);
+        balance.land(&mut ring);
+        assert_eq!(ring.0[2..], [give(0, 2), give(3, 2)]);
+        balance.book(one);
+        assert_eq!(balance.booked_loads, [(2, 1e16), (0, 5.0 - 1e16)]);
+        assert_eq!(balance.own(1, 9.0, one), 9.0);
+        // A re-tile drops what is pending, and nothing lands.
         balance.open_round();
-        balance.hear(2, Some(3.0), Some(work(give(2, 1), 2.0)));
+        balance.hear(2, Some(1.0), Some(work(give(2, 1), 1.0)));
         balance.hear(0, Some(5.0), None);
         balance.defer(&ring);
-        assert_eq!(ring.0.len(), 3, "nothing applied yet");
-        assert!(balance.in_flight.is_empty());
-        let given: Vec<Transfer> = balance.held(2).1.collect();
-        assert_eq!(given, [work(give(2, 1), 2.0)]);
-        balance.land(&mut ring);
-        assert_eq!(ring.0.last(), Some(&give(2, 1)));
-        assert_eq!(balance.book(1, 7.0, |_, _| 1.0), 9.0);
-        assert_eq!(balance.booked_loads, [(2, 1.0), (0, 5.0)]);
-        balance.open_round();
-        balance.hear(2, Some(1.5), None);
-        balance.hear(0, Some(5.0), None);
-        balance.defer(&ring);
-        assert_eq!(balance.in_flight, [work(give(2, 1), 2.0)]);
-        balance.land(&mut ring);
-        assert_eq!(balance.book(1, 9.0, |_, _| 1.0), 9.0);
-        assert_eq!(balance.booked_loads, [(2, -0.5), (0, 5.0)]);
+        balance.drop_pending();
+        assert!(balance.landed().is_empty() && balance.held(2).1.next().is_none());
         // A run that does not balance announces and books nothing.
         let mut idle = Balance::new(false);
         assert_eq!(idle.announce(7.0), (None, None));
@@ -622,7 +541,7 @@ mod tests {
             (giver, taker) in (0usize..8, 0usize..8),
             work in 0u32..4,
         ) {
-            // With nothing in flight the engine hands the balancer the
+            // With nothing landed the engine hands the balancer the
             // loads exactly as round 1 brought them: the decision is the
             // one deciding after that round 1 would have been — the same
             // `choose` call on the same view. (Few load levels: ties and
@@ -639,11 +558,11 @@ mod tests {
             let ahead = pe.balance.my_decision.map(|t| t.decision);
             let in_hand = &pe.balance.nbr_loads;
             proptest::prop_assert_eq!(ahead, protocol.choose(f64::from(own), in_hand, &view, |_| 0.0));
-            // A transfer in flight between two neighbours moves its work
+            // A transfer that landed between two neighbours moves its work
             // from the one's load to the other's first, and only there.
             let (from, to) = (pe.neighbors()[giver], pe.neighbors()[taker]);
             let decision = DlbDecision { col: Col::new(0, 0), from, to };
-            pe.balance.in_flight.push(Transfer { decision, work: f64::from(work) });
+            pe.balance.landed.push(Transfer { decision, work: f64::from(work) });
             pe.dlb_decide();
             let mut booked = pe.balance.nbr_loads.clone();
             if giver != taker {
@@ -683,7 +602,7 @@ mod tests {
             let pe = &pes[0].1;
             (
                 pe.owned_cells() - before,
-                pe.balance.in_flight.len(),
+                pe.balance.landed().len(),
                 transfers,
             )
         });
@@ -696,11 +615,10 @@ mod tests {
         // the giver's cell occupancies before anything moves. On the
         // force pass of the step its cells change hands in the giver
         // measures that much less and the receiver that much more — to the
-        // motion of the step or two in between — whoever they are, column
-        // (pillar, one frame per neighbour: the step after it was decided)
-        // or plane (two rounds: the step it was decided in). Checked on
-        // every transfer whose two ends take part in no other transfer
-        // that step.
+        // motion of the two steps in between — whoever they are, column
+        // (pillar, one frame per neighbour) or plane (two rounds): the
+        // step after it was decided either way. Checked on every transfer
+        // whose two ends take part in no other transfer that step.
         for (shape, p) in [(DomainShape::SquarePillar, 9), (DomainShape::Plane, 3)] {
             let mut cfg = RunConfig::new(2000, 9, p, 2000.0 / 27.0f64.powi(3));
             cfg.lattice = Lattice::Cluster { fill: 0.7 };
@@ -736,7 +654,7 @@ mod tests {
                             pe.rank
                         );
                     }
-                    steps.push((before, pe.balance.in_flight.clone(), pe.force.load()));
+                    steps.push((before, pe.balance.landed().to_vec(), pe.force.load()));
                 }
                 steps
             });

@@ -7,9 +7,9 @@
 //! [`crate::frame`]); a stream that cannot be applied is a *desync* — the
 //! receiver degrades for the step and asks for a full frame with the
 //! resync bit of its next one. What the balancer puts into a step's first
-//! frame and hears from it is [`super::balance`]'s; a single frame of a
-//! balancing run also carries, as migrants, the particles of the columns
-//! whose transfers landed at the top of the step.
+//! frame and hears from it is [`super::balance`]'s; the first frames of a
+//! balancing run's rebuild step also carry, as migrants, the particles of
+//! the columns whose transfers landed at the top of the step.
 //!
 //! Allocation-free in the steady state: staging lists, per-neighbour
 //! outboxes and pooled frames are reused across steps.
@@ -204,10 +204,21 @@ impl PeState {
         }
     }
 
-    /// A single-exchange step on which decisions landed (see
-    /// [`PeState::dlb_land`]), before the re-bin: this PE holds an empty
+    /// Re-bin the owned particles for a rebuild step's first frames (see
+    /// [`PeState::rebin_owned`]) under the ownership the step's landed
+    /// decisions left ([`PeState::dlb_land`]): this PE holds an empty
     /// column for every one it was given — its own movers and the giver's
-    /// frame fill it — and stages into it like into any other.
+    /// frame fill it — and stages into it like into any other; a column it
+    /// gave away goes whole, its particles staged as migrants to their new
+    /// owners. Then the caches follow the owned columns.
+    fn rebin_landed(&mut self, announce: bool) {
+        self.take_landed_columns();
+        self.rebin_owned(announce);
+        self.drop_given_columns();
+        self.refresh_caches();
+    }
+
+    /// Before the re-bin: an empty column for every one this PE was given.
     fn take_landed_columns(&mut self) {
         for i in 0..self.balance.landed().len() {
             let d = self.balance.landed()[i].decision;
@@ -220,8 +231,8 @@ impl PeState {
         }
     }
 
-    /// … and after it: the re-bin staged every particle of a column this
-    /// PE gave away as a migrant to its new owner, so the column goes.
+    /// After it: the re-bin staged every particle of a column this PE gave
+    /// away as a migrant to its new owner, so the column goes.
     fn drop_given_columns(&mut self) {
         for i in 0..self.balance.landed().len() {
             let d = self.balance.landed()[i].decision;
@@ -276,10 +287,11 @@ impl PeState {
     }
 
     /// Phase 2 (+ the balancer's ride-along), send half: rebin locally
-    /// and ship one round-1 [`StepFrame`] — emigrants, plus in a
-    /// balancing run this PE's last-step load and, when it decided to
-    /// give a cell away this step, the decision — to each neighbour
-    /// owner; retained particles stay staged for
+    /// and ship one round-1 [`StepFrame`] — emigrants, the particles of a
+    /// column whose transfer from this PE landed at the top of the step
+    /// among them, plus in a balancing run this PE's last-step load and,
+    /// when it decided to give a cell away this step, the decision — to
+    /// each neighbour owner; retained particles stay staged for
     /// [`PeState::step_recv_round1`]. Splitting the phase lets a thread
     /// running two virtual ranks post *both* ranks' sends before either
     /// blocks in a receive.
@@ -289,10 +301,9 @@ impl PeState {
     /// A launch that starts without loads in hand runs this round once
     /// before its first step, migrant-free, to announce them.
     pub(crate) fn step_send_round1(&mut self, comm: &mut Comm) {
-        self.refresh_caches();
         let t0 = WallTimer::start();
-        self.rebin_owned(false);
-        let (load, decision) = self.balance.announce(self.force.load());
+        self.rebin_landed(false);
+        let (load, decision) = self.dlb_announce();
         for i in 0..self.topology.neighbors().len() {
             let nb = self.topology.neighbors()[i];
             let mut buf = self.exchange.step_pool.checkout();
@@ -313,8 +324,8 @@ impl PeState {
     /// in place, reusing every slab's storage. In a balancing run the
     /// same frames bring the neighbours' loads — kept for the next
     /// decision — and, on DLB steps, their decisions: merged with this
-    /// PE's own and folded into the ownership view
-    /// ([`PeState::dlb_fold`]), ready for the cell-transfer halves.
+    /// PE's own, they land at the top of the next rebuild step
+    /// ([`PeState::dlb_defer`]).
     pub(crate) fn step_recv_round1(&mut self, comm: &mut Comm) {
         let t0 = WallTimer::start();
         let rank = self.rank;
@@ -337,7 +348,7 @@ impl PeState {
         }
         self.rebuild_columns();
         self.phase.migrate += t0.elapsed_s();
-        self.dlb_fold();
+        self.dlb_defer();
     }
 
     /// Phase 4 (round 2), send half: post the boundary-shell ghosts to
@@ -361,20 +372,16 @@ impl PeState {
     /// the ranks that hold it as a ghost under two rounds. In a balancing
     /// run the frame also carries the load and the decision, and a column
     /// whose transfer landed at the top of the step is re-binned under its
-    /// new owner: its giver ships all of it as migrants, then drops it,
-    /// and its receiver stages into an empty one.
+    /// new owner, as in round 1 (see [`PeState::rebin_landed`]).
     pub(crate) fn ghosts_send(&mut self, comm: &mut Comm, exchange: Exchange) {
         let t0 = WallTimer::start();
         let (mut load, mut decision) = (None, None);
         if exchange == Exchange::Single {
-            (load, decision) = self.balance.announce(self.force.load());
-            self.take_landed_columns();
-            self.rebin_owned(true);
-            self.drop_given_columns();
-        }
-        self.refresh_caches();
-        if exchange == Exchange::Single {
+            (load, decision) = self.dlb_announce();
+            self.rebin_landed(true);
             self.rebuild_columns();
+        } else {
+            self.refresh_caches();
         }
         let delta_ok = self.cfg.delta_ghosts;
         let epoch = comm.epoch();

@@ -15,12 +15,10 @@
 //!    exchange ([`PeState::exchanges_once`]): phase 4's frame carries
 //!    all of it — `exchange`;
 //! 3. **DLB** (optional): decided ahead of phase 1, at the top of the
-//!    step, by the shape's balancer rule on the loads in hand; once
-//!    round 1 is in, every PE folds its neighbourhood's decisions into
-//!    its ownership view and the moved columns' particles change hands.
-//!    After a single exchange the decisions it brought land at the top of
-//!    the next rebuild step instead, before that step decides, and the
-//!    moved columns' particles travel in its frames as migrants —
+//!    step, by the shape's balancer rule on the loads in hand. The
+//!    decisions a step's first frames bring land at the top of the next
+//!    rebuild step, before that step decides, and the moved columns'
+//!    particles travel in its first frames as the giver's migrants —
 //!    `balance`;
 //! 4. **ghost exchange (round 2)**: the boundary shells, or between the
 //!    rebuilds of a skin epoch their positions alone — `exchange`;
@@ -36,8 +34,8 @@
 //!
 //! A re-tiling run (a balancing square pillar launched without
 //! `Launch::fixed_tiles`) adds the slow loop of `retile`: at steps 2, 4,
-//! 8, … a check ahead of phase 1, and on a re-tile step, in phase 3's
-//! place, the move of every column whose owner changes.
+//! 8, … a check ahead of phase 1, and on a re-tile step, after round 1,
+//! the move of every column whose owner changes.
 //!
 //! The neighbour set, ghost routes, cell classes and home list are all
 //! derived from `Decomposition::owner_of` in `topology`; checkpoint
@@ -235,7 +233,7 @@ impl PeState {
     /// the one ownership of a run that does not balance (the shape has no
     /// balancer or `cfg.dlb` leaves it off), on every ownership the
     /// balancer can reach of one that does (`Decomposition::reach`; the
-    /// decisions then ride the frame and land at the next rebuild step).
+    /// decisions ride the frame, as they ride round 1 elsewhere).
     /// Block grids and pillar tori pass with blocks / tiles at least two
     /// cells wide or a torus side of at most 3 where nothing balances; a
     /// balancing pillar passes on the 3 × 3 torus, where every rank is

@@ -3,13 +3,14 @@
 //! the first rebuild step at or after each — rank 0 gathers the work map
 //! the last force pass measured, decides with the launch's own chooser
 //! and plan whether the tiles move ([`crate::launch::check`]), and
-//! broadcasts the decision. A re-tile is that step's DLB slot, widened:
-//! round 1 runs as usual, then every column whose owner changes goes
-//! straight to its new owner — one frame per (old owner, new owner) pair,
-//! on a torus above 3 × 3 possibly a non-neighbour — and every view is
-//! rebuilt on the new tiling and its planned ownership, as a restore
-//! rebuilds them from a checkpoint. Every message of it is charged to its
-//! step. Cold: nothing here runs in the steady-state step.
+//! broadcasts the decision. A re-tile step drops the balancer's pending
+//! decisions and has two rounds: round 1 runs as usual, then every column
+//! whose owner changes goes straight to its new owner — one frame per
+//! (old owner, new owner) pair, on a torus above 3 × 3 possibly a
+//! non-neighbour — and every view is rebuilt on the new tiling and its
+//! planned ownership, as a restore rebuilds them from a checkpoint. Every
+//! message of it is charged to its step. Cold: nothing here runs in the
+//! steady-state step.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -83,7 +84,9 @@ impl PeState {
     }
 
     /// The check, decision half: rank 0 decides on the gathered work map
-    /// and broadcasts what it decided — `None` keeps the tiling.
+    /// and broadcasts what it decided — `None` keeps the tiling. A re-tile
+    /// plans from who holds what: the decisions still pending are dropped
+    /// before the step's round 1.
     pub(crate) fn retile_decide(
         &mut self,
         comm: &mut Comm,
@@ -95,6 +98,7 @@ impl PeState {
         let retile: Option<Arc<Retile>> = collectives::bcast(comm, tags::RETILE_BCAST, decided);
         if let Some(r) = &retile {
             (self.retiling.history).push((step, r.tiling, r.moves.len()));
+            self.balance.drop_pending();
         }
         retile
     }

@@ -25,9 +25,9 @@ use pcdlb_domain::Col;
 use crate::config::RunConfig;
 use crate::decomp::Decomposition;
 
-/// One ring PE's view: its own slab and, implicitly, the two planes
-/// bordering it. `lo = 0` on rank 0 and `hi = nc` on rank `P − 1` are
-/// fixed (the periodic seam); interior boundaries move.
+/// One ring PE's view: its own slab and as much of its two neighbours'
+/// as it has heard of. `lo = 0` on rank 0 and `hi = nc` on rank `P − 1`
+/// are fixed (the periodic seam); interior boundaries move.
 pub(crate) struct Plane {
     rank: usize,
     p: usize,
@@ -35,6 +35,14 @@ pub(crate) struct Plane {
     /// Owned plane range `[lo, hi)`; never empty.
     lo: usize,
     hi: usize,
+    /// How many planes from `hi` up are known to be the next rank's, and
+    /// from `lo − 1` down the previous rank's (at least one each: every PE
+    /// keeps a plane). A neighbour's far boundary moves toward this PE only
+    /// by a decision of the neighbour's own, which this PE hears; away
+    /// from it by one it may not hear, which leaves the known planes the
+    /// neighbour's.
+    above: usize,
+    below: usize,
     /// Whether the boundaries may move this run (`cfg.dlb`).
     balances: bool,
     min_gain: f64,
@@ -42,12 +50,16 @@ pub(crate) struct Plane {
 
 impl Plane {
     pub(crate) fn new(rank: usize, cfg: &RunConfig) -> Self {
+        let (p, nc) = (cfg.p, cfg.nc);
+        let width = |r: usize| (r + 1) * nc / p - r * nc / p;
         Self {
             rank,
-            p: cfg.p,
-            nc: cfg.nc,
-            lo: rank * cfg.nc / cfg.p,
-            hi: (rank + 1) * cfg.nc / cfg.p,
+            p,
+            nc,
+            lo: rank * nc / p,
+            hi: (rank + 1) * nc / p,
+            above: width((rank + 1) % p),
+            below: width((rank + p - 1) % p),
             balances: cfg.dlb,
             min_gain: cfg.dlb_min_gain,
         }
@@ -60,22 +72,35 @@ impl Plane {
     fn next(&self) -> usize {
         (self.rank + 1) % self.p
     }
+
+    /// How far plane `cx` lies above `hi` (0 for plane `hi` itself).
+    fn up(&self, cx: usize) -> usize {
+        (cx + self.nc - self.hi % self.nc) % self.nc
+    }
+
+    /// How far plane `cx` lies below `lo` (0 for plane `lo − 1`).
+    fn down(&self, cx: usize) -> usize {
+        (self.lo + 2 * self.nc - 1 - cx) % self.nc
+    }
 }
 
 impl Decomposition for Plane {
     /// Slabs are contiguous and every PE keeps at least one plane, so the
     /// plane below `lo` is always the previous rank's and the plane at
-    /// `hi` the next rank's (wrapped at the seam). Anything further away
-    /// belongs to "someone beyond the ring neighbours" — unless the
-    /// boundaries never move: then plane `cx` is still in the slab
-    /// `[r·nc/P, (r + 1)·nc/P)` that `Plane::new` cut for rank `r`.
+    /// `hi` the next rank's (wrapped at the seam); so are the neighbours'
+    /// known planes beyond them — among them, on the rebuild step a plane
+    /// this PE gave lands, the plane past it, where the plane's particles
+    /// may have gone. Anything further away belongs to "someone beyond the
+    /// ring neighbours" — unless the boundaries never move: then plane
+    /// `cx` is still in the slab `[r·nc/P, (r + 1)·nc/P)` that `Plane::new`
+    /// cut for rank `r`.
     fn owner_of(&self, col: Col, _cz: usize) -> usize {
         let cx = col.cx;
         if (self.lo..self.hi).contains(&cx) {
             self.rank
-        } else if cx == self.hi % self.nc {
+        } else if self.up(cx) < self.above {
             self.next()
-        } else if (cx + 1) % self.nc == self.lo {
+        } else if self.down(cx) < self.below {
             self.prev()
         } else if self.balances {
             usize::MAX
@@ -98,14 +123,17 @@ impl Decomposition for Plane {
     /// steps with `(i + step)` even — the classic trick that stops a
     /// one-plane PE from being squeezed from both sides in the same
     /// step, and here also what limits a rank to one decision per step.
-    /// The rule reads no weight: a boundary moves whatever its plane
-    /// weighs.
+    /// The rule reads weight only to refuse a plane this PE does not hold
+    /// yet — its particles travel on the rebuild step it lands, so it
+    /// weighs infinity until then (two rebuild steps of a skin epoch may
+    /// lie an even number of steps apart). Otherwise a boundary moves
+    /// whatever its plane weighs.
     fn decide(
         &self,
         step: u64,
         own_load: f64,
         nbr_loads: &[(usize, f64)],
-        _weight: &dyn Fn(&DlbDecision) -> f64,
+        weight: &dyn Fn(&DlbDecision) -> f64,
     ) -> Option<DlbDecision> {
         if self.hi - self.lo < 2 {
             return None;
@@ -126,11 +154,12 @@ impl Decomposition for Plane {
         } else {
             return None;
         };
-        sheds_to(to).then_some(DlbDecision {
+        let d = DlbDecision {
             col: Col::new(cx, 0),
             from: self.rank,
             to,
-        })
+        };
+        (sheds_to(to) && weight(&d).is_finite()).then_some(d)
     }
 
     /// One boundary cannot move both ways in a step: two planes crossing
@@ -139,23 +168,28 @@ impl Decomposition for Plane {
         (a.from, a.to) == (b.to, b.from)
     }
 
-    /// A decision names the plane by its x index (`col.cx`); only moves
-    /// of this rank's own two boundaries change its view. Interior
+    /// A decision names the plane by its x index (`col.cx`); moves of
+    /// this rank's own two boundaries change its slab, a neighbour's
+    /// shedding away from it what it knows of that neighbour's. Interior
     /// boundaries never cross the seam, so no wrap is needed.
     fn apply(&mut self, d: &DlbDecision) {
         let cx = d.col.cx;
         if d.from == self.rank {
             if cx == self.lo {
-                self.lo += 1;
+                (self.lo, self.below) = (self.lo + 1, self.below + 1);
             } else {
-                self.hi -= 1;
+                (self.hi, self.above) = (self.hi - 1, self.above + 1);
             }
         } else if d.to == self.rank {
             if cx + 1 == self.lo {
-                self.lo -= 1;
+                (self.lo, self.below) = (self.lo - 1, (self.below - 1).max(1));
             } else {
-                self.hi += 1;
+                (self.hi, self.above) = (self.hi + 1, (self.above - 1).max(1));
             }
+        } else if d.from == self.next() {
+            self.above = self.above.min(self.up(cx)).max(1);
+        } else if d.from == self.prev() {
+            self.below = self.below.min(self.down(cx)).max(1);
         }
     }
 
@@ -175,9 +209,9 @@ mod tests {
     }
 
     /// `pl`'s decision with every plane weighing more than any load: the
-    /// moving-boundary rule reads no weight.
+    /// moving-boundary rule does not weigh a plane it holds.
     fn shed(pl: &Plane, step: u64, own: f64, loads: &[(usize, f64)]) -> Option<DlbDecision> {
-        pl.decide(step, own, loads, &|_| f64::INFINITY)
+        pl.decide(step, own, loads, &|_| f64::MAX)
     }
 
     #[test]
@@ -192,9 +226,11 @@ mod tests {
         // Step 2: boundary 2 is active — shed plane 3 up.
         let d = shed(&pl, 2, 5.0, &loads).expect("heavier side sheds");
         assert_eq!((d.col.cx, d.from, d.to), (3, 1, 2));
-        // The lighter side never sheds, and nobody gives away its last plane.
+        // The lighter side never sheds, nobody gives away its last plane,
+        // and nobody a plane whose particles have not arrived.
         assert_eq!(shed(&pl, 1, 0.5, &loads), None);
         assert_eq!(shed(&plane(1, 6, 6), 1, 5.0, &loads), None);
+        assert_eq!(pl.decide(1, 5.0, &loads, &|_| f64::INFINITY), None);
     }
 
     #[test]
@@ -209,10 +245,22 @@ mod tests {
         assert_eq!((giver.lo, giver.hi), (3, 4));
         assert_eq!((taker.lo, taker.hi), (0, 3));
         assert_eq!((bystander.lo, bystander.hi), (4, 6));
-        // The moved plane's new owner, seen from both sides.
+        // The moved plane's new owner, seen from both sides — and the
+        // plane past it, where its particles may have gone, by the giver.
         assert_eq!(giver.owner_of(Col::new(2, 0), 0), 0);
+        assert_eq!(giver.owner_of(Col::new(1, 0), 0), 0);
         assert_eq!(taker.owner_of(Col::new(2, 5), 0), 0);
         assert_eq!(giver.granule(&d).len(), 6);
+        // A neighbour shedding away from this PE takes its plane out of
+        // what this PE knows of it.
+        let mut far = plane(0, 4, 8);
+        assert_eq!(far.owner_of(Col::new(3, 0), 0), 1);
+        far.apply(&DlbDecision {
+            col: Col::new(3, 0),
+            from: 1,
+            to: 2,
+        });
+        assert_eq!(far.owner_of(Col::new(3, 0), 0), usize::MAX);
     }
 
     #[test]
@@ -234,7 +282,7 @@ mod tests {
                 assert!((slab.lo..slab.hi).contains(&cx), "{p} {nc} {cx}");
             }
         }
-        // While they may move, only the slab and its two borders are known.
+        // While they may move, only the slab and the neighbours' are known.
         let pl = plane(0, 4, 8);
         assert_eq!(pl.owner_of(Col::new(4, 0), 0), usize::MAX);
     }

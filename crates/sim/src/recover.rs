@@ -60,12 +60,10 @@ pub struct SimCheckpoint {
     /// the run does not balance, or when the state was remapped onto
     /// another torus — a launch restored from it announces afresh.
     pub loads: Vec<f64>,
-    /// The transfers `loads` have not seen, with their work, ascending
-    /// `from` (each giver's applied one before its pending one): the ones
-    /// applied since those loads were measured, still in flight — and,
-    /// after a step that sent one frame per neighbour, the ones it heard
-    /// but has not applied yet, whose giver still holds the column in
-    /// `ownership`: a restored run applies them at its first step.
+    /// The decisions the last rebuild step's frames brought, with their
+    /// work, ascending `from`: not applied yet — their givers still hold
+    /// the columns in `ownership` — so a restored run lands them at its
+    /// first rebuild step. (What landed before, `loads` have seen.)
     pub transfers: Vec<Transfer>,
     /// The run's re-tiles up to the checkpointed step, as
     /// `RunReport::retiles` lists them: `(step, tiling, columns moved)`.
@@ -807,15 +805,15 @@ pub(crate) mod tests {
         use pcdlb_mp::FaultPlan;
         use std::sync::Mutex;
         // Which neighbour is offered the cell is a pure function of the
-        // loads in hand, the transfers in flight and the ownership view
-        // — all of which a checkpoint carries — so a run restored from a
+        // loads in hand, the pending decisions and the ownership view —
+        // all of which a checkpoint carries — so a run restored from a
         // checkpoint, or carried on by a buddy, makes the same transfers
         // as the uninterrupted one.
         let cfg = busy_balancer_cfg();
         let reference = fault_free(&cfg, false);
         // The checkpoint the relaunch restores — step 5's, taken here by
-        // a run that drains there — carries a transfer in flight: the
-        // restored ranks book its work before they decide.
+        // a run that drains there — carries a pending decision: the
+        // restored ranks land it and book its work before they decide.
         let mut to_5 = cfg.clone();
         to_5.steps = 5;
         let (shape, sink) = (DomainShape::SquarePillar, Mutex::new(None));
@@ -833,7 +831,7 @@ pub(crate) mod tests {
         });
         let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
         assert_eq!(at_5.md.step, 5);
-        assert!(!at_5.transfers.is_empty(), "nothing in flight at step 5");
+        assert!(!at_5.transfers.is_empty(), "nothing pending at step 5");
         // Rank 4 is the south-east neighbour the hot rank cannot send to.
         // It dies on its sixth stats gather: in step 6, the step that
         // decided on what the checkpoint at step 5 had to carry.

@@ -83,7 +83,8 @@ pub struct PhaseTimes {
     pub ghost: f64,
     /// Migration (routing, sends, receives, column rebuilds).
     pub migrate: f64,
-    /// DLB load exchange, decision, and cell transfers.
+    /// DLB decision (the load exchange and the moved columns ride the
+    /// migration frames).
     pub dlb: f64,
 }
 
@@ -122,7 +123,7 @@ pub struct WireBytes {
     pub migrate: u64,
     /// Migration + load bytes under the pre-diet separate-message layout.
     pub migrate_baseline: u64,
-    /// DLB decision and cell-transfer bytes (same layout before and
+    /// DLB decision and re-tile column bytes (same layout before and
     /// after the diet; tracked for the per-phase breakdown).
     pub dlb: u64,
 }

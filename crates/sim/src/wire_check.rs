@@ -256,17 +256,14 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
     // pe/audit.rs: SNAPSHOT carries Vec<Particle>.
     check(&Vec::<Particle>::new(), "empty Vec<Particle>");
     check(&vec![particle(0), particle(1)], "Vec<Particle>");
-    // pe/balance.rs: CELL_XFER carries pooled Arc<ParticleFrame>.
+    // pe/retile.rs: RETILE_XFER carries an owned ParticleFrame.
     check(
-        &Arc::new(ParticleFrame {
+        &ParticleFrame {
             parts: vec![particle(0), particle(1)],
-        }),
-        "Arc<ParticleFrame>",
+        },
+        "ParticleFrame",
     );
-    check(
-        &Arc::new(ParticleFrame::default()),
-        "empty Arc<ParticleFrame>",
-    );
+    check(&ParticleFrame::default(), "empty ParticleFrame");
     // pe/bookkeeping.rs: KE_BCAST broadcasts the f64 scale.
     check(&1.5f64, "f64 scale");
     // pe/exchange.rs: STEP_FRAME round 1 carries migrants, in a balancing run the

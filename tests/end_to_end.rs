@@ -4,7 +4,9 @@
 
 use pcdlb::core::permanent::max_columns;
 use pcdlb::core::theory;
-use pcdlb::sim::{run, Lattice, Launch, RunConfig, RunReport, SpeedSchedule};
+use pcdlb::sim::{
+    digest_particles, run, run_serial, Lattice, Launch, RunConfig, RunReport, SpeedSchedule,
+};
 
 /// A run on the paper's scheme: tiles cut once, at launch.
 fn run_fixed(cfg: &RunConfig) -> RunReport {
@@ -264,12 +266,18 @@ fn boundary_pipeline_finds_a_point_below_theory() {
 fn cluster_start_respects_eight_neighbor_communication() {
     // The ghost-exchange path asserts (via panics) that no PE ever needs
     // data from outside its 8-neighbourhood; a hard clustered start with
-    // heavy DLB traffic exercises exactly that invariant.
+    // heavy DLB traffic exercises exactly that invariant — every moved
+    // column's particles routed by its giver to their new owners — and
+    // lands on the serial reference.
     let mut cfg = RunConfig::from_p_m_density(16, 3, 0.128);
     cfg.lattice = Lattice::Cluster { fill: 0.4 };
     cfg.steps = 120;
     cfg.dlb = true;
-    let report = run(&cfg);
+    let (report, snapshot) = Launch::new().snapshot().run(&cfg).into_snapshot();
+    assert_eq!(
+        digest_particles(&snapshot),
+        digest_particles(&run_serial(&cfg))
+    );
     assert_eq!(report.records.len(), 120);
     let transfers: u32 = report.records.iter().map(|r| r.transfers).sum();
     assert!(

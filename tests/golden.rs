@@ -32,9 +32,18 @@
 //! check to refine its tiling on the plan's floor, and the 3 × 3 torus one
 //! frame per neighbour on its balancing steps (the ladder now re-tiles at
 //! steps 2 and 16); `digest_particles` equalled the serial reference's
-//! before and after (the same two values). An engine change that is
-//! meant to be a pure move must leave all six alone; one that means to
-//! move them says so in CHANGES.md and re-captures them here.
+//! before and after (the same two values). The fourth and the sixth were
+//! re-captured when every balancing run began to land a decision the way
+//! the 3 × 3 torus does — at the next rebuild step, its column travelling
+//! as the giver's migrants rather than in a message of its own: the ring
+//! (9 transfers where it made 10, 458 messages where it sent 468) and the
+//! ladder's 4 × 4 generation; each rank announcing its load with what
+//! landed at the top of the step booked moved the ladder's 4 × 4
+//! generation once more and left the ring as it was. `digest_particles`
+//! equalled the serial reference's before and after, 0x4cfb21a79597db90
+//! and 0x33920bd8f57f4c11. An engine change that is meant to be a pure move
+//! must leave all six alone; one that means to move them says so in
+//! CHANGES.md and re-captures them here.
 
 use pcdlb::sim::{digest_run, DomainShape, Ladder, Lattice, Launch, ResizePlan, RunConfig};
 
@@ -76,7 +85,8 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     balancing.dlb = true;
     balancing.dlb_min_gain = 0.02;
     // Four planes per rank, frozen epochs walked live, boundaries moving
-    // on the rebuild steps (10 transfers).
+    // on the rebuild steps (9 transfers, each counted on the step its
+    // plane lands).
     let mut ring = gas(3, 12, 0.1);
     ring.lattice = Lattice::Cluster { fill: 0.7 };
     ring.skin = 0.06;
@@ -120,9 +130,9 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
         0xe3ef178e90bc9adc,
         0x49f2bc54e1bdf837,
         0xdd4b3592de94328b,
-        0xc217c2533a51f1b8,
+        0x4f63a655bba527c7,
         0x526684c0948b4db7,
-        0xd3da9a17ac801a19,
+        0xa51e2baebfd7132a,
     ];
     let hex = |digests: [u64; 6]| digests.map(|d| format!("{d:#018x}"));
     assert_eq!(

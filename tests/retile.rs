@@ -35,12 +35,16 @@ fn cluster(p: usize, m: usize, fill: f64, seed: u64, steps: u64) -> RunConfig {
 /// The two runs, with the `digest_run` each makes under fixed tiles:
 /// captured at the commit before re-tiling existed, and re-captured when
 /// the balancer began to send the column that evens the pair most (and
-/// the 3 × 3 torus one frame per neighbour); `digest_particles` of both
-/// equals the serial reference's before and after.
+/// the 3 × 3 torus one frame per neighbour), the 4 × 4 one again when a
+/// moved column began to travel as its giver's migrants of the next
+/// rebuild step and a rank to announce its load with what landed booked
+/// (82 transfers where it made 83, 11111 messages where it sent 11194);
+/// `digest_particles` of both equals the serial reference's before and
+/// after (0x6bd80c34322245fc on the 4 × 4).
 fn runs() -> [(RunConfig, u64); 2] {
     [
         (cluster(9, 4, 0.45, 3, 130), 0x7ef8b4a2c1e7bec5),
-        (cluster(16, 4, 0.4, 1, 40), 0x8b00ff3837d43084),
+        (cluster(16, 4, 0.4, 1, 40), 0xe13bac6ac4f1c904),
     ]
 }
 

@@ -8,15 +8,13 @@
 //! - a run that does not balance sends one message per neighbour on its
 //!   rebuild steps too: migrants and ghosts share the frame;
 //! - so does a run that balances on the 3 × 3 torus, where every rank a
-//!   column can reach neighbours every rank that can hold it: the
-//!   decision was taken a step ahead and rides the frame, and the column
-//!   travels in the giver's frame of the next step, so a DLB step sends
-//!   what a DDM step sends;
-//! - a run that balances elsewhere sends two — the decision rides round
-//!   1, so a DLB step sends what a DDM step with two rounds sends, plus
-//!   one message per column that changes hands during a step.
+//!   column can reach neighbours every rank that can hold it; a run that
+//!   balances elsewhere sends two. Either way the decision was taken a
+//!   step ahead and rides the step's first frames, and the column travels
+//!   in the giver's first frames of the next rebuild step, so a DLB step
+//!   sends what a DDM step with as many rounds sends, whatever moves.
 //!
-//! Either balancing run also sends, once per launch, the announcement of
+//! Every balancing run also sends, once per launch, the announcement of
 //! the initial loads (a column moves only if it leaves its receiver below
 //! its giver, so the columns that move are shown on a start whose load
 //! gathers after launch). The launch plan — where the balancer's rule
@@ -66,29 +64,25 @@ fn run(cfg: &RunConfig, shape: DomainShape) -> RunReport {
 
 /// Messages a healthy run sends over all ranks, each rank having `nbrs`
 /// neighbours and sending `rounds` frames to each on a rebuild step, given
-/// what its report says happened: which steps rebuilt and how many
-/// columns changed hands during them (the columns the launch plan moved
-/// are `launch_transfers`, and cost none).
+/// which steps its report says rebuilt. No column moves in a message of
+/// its own, in the run or at launch.
 fn expected_msgs(cfg: &RunConfig, nbrs: u64, rounds: u64, report: &RunReport) -> u64 {
     let (p, steps) = (cfg.p as u64, cfg.steps);
     let nbrs = p * nbrs;
     let rebuilds = report.records.iter().filter(|r| r.rebuilt).count() as u64;
-    let transfers: u64 = report.records.iter().map(|r| u64::from(r.transfers)).sum();
     // A gather or a broadcast over P ranks is P − 1 sends.
     let coll = p - 1;
     // Point to point: the initial ghost exchange; a balancing run's
     // announcement of its initial loads; per rebuild step its rounds; the
-    // refresh alone on every other step; where there are two rounds, one
-    // message per column that moves.
+    // refresh alone on every other step.
     let announcement = if cfg.dlb { nbrs } else { 0 };
     let p2p = nbrs + announcement + rebuilds * rounds * nbrs + (steps - rebuilds) * nbrs;
-    let columns = if rounds == 2 { transfers } else { 0 };
     // Collectives: the rebuild decision (gather + broadcast, every step,
     // skin epochs only), the thermostat (gather + broadcast), the stats
     // gather (every step) and the final snapshot gather.
     let decision = if cfg.skin > 0.0 { steps * 2 * coll } else { 0 };
     let thermostat = (steps / THERMOSTAT_EVERY) * 2 * coll;
-    p2p + columns + decision + thermostat + steps * coll + coll
+    p2p + decision + thermostat + steps * coll + coll
 }
 
 #[test]
@@ -116,19 +110,19 @@ fn every_step_rebuilds_without_a_skin_in_one_exchange_where_nothing_balances() {
 }
 
 #[test]
-fn a_balancing_step_sends_what_a_two_round_step_sends_plus_the_columns_that_move() {
+fn a_balancing_step_sends_what_a_plain_step_with_as_many_rounds_sends() {
     // Pillar: 3×3 and 4×4, m = 2, the gas squeezed into a corner. Plane:
     // a ring of three, three planes each, over the same corner. The
     // launch plan has moved columns before the first step — without a
     // message. Every step is a DLB step; none has a message of its own.
     // The plane's boundaries keep moving and the 4×4 torus moves a few
-    // columns, each a message on top of the two rounds. The 3×3 torus
-    // sends one frame per neighbour — every rank a column can reach there
-    // neighbours every rank that can hold it — and its balancer is idle
-    // for the whole run: a column moves only if it leaves its receiver
-    // below its giver, and on these 2 × 2 tiles every movable column
-    // outweighs the gap it would close; so it shows its frames alone, and
-    // `columns_move_during_skin_epochs_once_the_load_gathers` its columns.
+    // columns, inside its two rounds. The 3×3 torus sends one frame per
+    // neighbour — every rank a column can reach there neighbours every
+    // rank that can hold it — and its balancer is idle for the whole run:
+    // a column moves only if it leaves its receiver below its giver, and
+    // on these 2 × 2 tiles every movable column outweighs the gap it
+    // would close; `columns_move_during_skin_epochs_once_the_load_gathers`
+    // moves its columns.
     for (shape, p, nc, nbrs, rounds) in [
         (DomainShape::SquarePillar, 9, 6, 8, 1),
         (DomainShape::SquarePillar, 16, 8, 8, 2),
@@ -157,30 +151,6 @@ fn a_balancing_step_sends_what_a_two_round_step_sends_plus_the_columns_that_move
     }
 }
 
-/// Walk `report`'s rebuild steps with the balancer due every `k`:
-/// nothing moves mid-epoch or on a rebuild that is not due. Returns the
-/// due steps, those that moved a column, and those of them off a multiple
-/// of `k`.
-fn due_steps(report: &RunReport, k: u64) -> (u32, u32, u32) {
-    let mut last_rebuild = 0;
-    let (mut due, mut acted, mut off_multiple) = (0, 0, 0);
-    for r in &report.records {
-        if !r.rebuilt {
-            assert_eq!(r.transfers, 0, "step {}: mid-epoch transfer", r.step);
-            continue;
-        }
-        // A multiple of `k` in (last rebuild, this step]: the first
-        // rebuild step of its window of `k`.
-        let is_due = r.step / k > last_rebuild / k;
-        assert!(is_due || r.transfers == 0, "step {}: not due", r.step);
-        due += u32::from(is_due);
-        acted += u32::from(r.transfers > 0);
-        off_multiple += u32::from(r.transfers > 0 && r.step % k != 0);
-        last_rebuild = r.step;
-    }
-    (due, acted, off_multiple)
-}
-
 #[test]
 fn the_balancer_is_due_at_the_first_rebuild_after_each_multiple_of_its_interval() {
     // Under skin epochs the balancer can only act on rebuild steps. With
@@ -198,7 +168,7 @@ fn the_balancer_is_due_at_the_first_rebuild_after_each_multiple_of_its_interval(
     cfg.dlb_interval = k;
     cfg.lattice = Lattice::Cluster { fill: 0.6 };
     let report = run(&cfg, DomainShape::SquarePillar);
-    let (due, acted) = landing_steps(&report, k);
+    let (due, acted, _) = landing_steps(&report, k);
     assert!(
         due >= 5,
         "degenerate schedule: {due} windows with a rebuild"
@@ -209,26 +179,34 @@ fn the_balancer_is_due_at_the_first_rebuild_after_each_multiple_of_its_interval(
 /// Walk `report`'s rebuild steps with the balancer due every `k`, on a
 /// run whose decisions land one rebuild step after they are taken: a
 /// column moves only on the rebuild step after a due one. Returns the due
-/// steps and those after which a column moved.
-fn landing_steps(report: &RunReport, k: u64) -> (u32, u32) {
+/// steps, those after which a column moved, and those of them off a
+/// multiple of `k` — due only because a multiple went by since the
+/// rebuild before.
+fn landing_steps(report: &RunReport, k: u64) -> (u32, u32, u32) {
     let mut last_rebuild = 0;
-    let (mut due, mut acted, mut after_due) = (0, 0, false);
+    let (mut due, mut acted, mut off_multiple) = (0, 0, 0);
+    // The rebuild step before this one, if the balancer was due on it.
+    let mut after_due: Option<u64> = None;
     for r in report.records.iter() {
         if !r.rebuilt {
             assert_eq!(r.transfers, 0, "step {}: mid-epoch transfer", r.step);
             continue;
         }
         assert!(
-            after_due || r.transfers == 0,
+            after_due.is_some() || r.transfers == 0,
             "step {}: not after a due step",
             r.step
         );
-        acted += u32::from(r.transfers > 0);
-        after_due = r.step / k > last_rebuild / k;
-        due += u32::from(after_due);
+        let moved = r.transfers > 0;
+        acted += u32::from(moved);
+        off_multiple += u32::from(moved && after_due.is_some_and(|s| s % k != 0));
+        // A multiple of `k` in (last rebuild, this step]: the first
+        // rebuild step of its window of `k`.
+        after_due = (r.step / k > last_rebuild / k).then_some(r.step);
+        due += u32::from(after_due.is_some());
         last_rebuild = r.step;
     }
-    (due, acted)
+    (due, acted, off_multiple)
 }
 
 #[test]
@@ -236,9 +214,10 @@ fn columns_move_during_skin_epochs_once_the_load_gathers() {
     // The corner pull of the end-to-end tests: the load gathers after
     // launch, columns light enough to leave their receiver below their
     // giver appear, and the balancer — due at the first rebuild after each
-    // multiple of 3 — moves them. On 3 × 3 tiles of the 4 × 4 torus each
-    // costs one message on top of the two rounds; on 4 × 4 tiles of the
-    // 3 × 3 torus it rides the giver's frame of the next rebuild step.
+    // multiple of 3 — moves them, also where that rebuild is off the
+    // multiple. Each rides the giver's first frames of the next rebuild
+    // step, where it counts: round 1 on 3 × 3 tiles of the 4 × 4 torus,
+    // the one frame on 4 × 4 tiles of the 3 × 3 torus.
     let k = 3;
     for (p, m, rounds) in [(16, 3, 2), (9, 4, 1)] {
         let mut cfg = RunConfig::from_p_m_density(p, m, 0.256);
@@ -253,19 +232,15 @@ fn columns_move_during_skin_epochs_once_the_load_gathers() {
         cfg.skin = 0.06;
         cfg.verlet = true;
         let report = run(&cfg, DomainShape::SquarePillar);
-        let (due, acted) = if rounds == 2 {
-            let (due, acted, off_multiple) = due_steps(&report, k);
-            assert!(
-                off_multiple > 0,
-                "no transfer off a multiple of {k}: a rebuild has to fall on one to balance"
-            );
-            (due, acted)
-        } else {
-            landing_steps(&report, k)
-        };
+        let (due, acted, off_multiple) = landing_steps(&report, k);
         assert!(
             acted >= 3,
             "P = {p}: {acted} of {due} due steps transferred"
+        );
+        assert!(
+            off_multiple > 0,
+            "P = {p}: no column moved after a due step off a multiple of {k}: \
+             a rebuild has to fall on one to balance"
         );
         assert_eq!(
             report.msgs_sent,
