@@ -102,9 +102,9 @@ fn dlb_config() -> RunConfig {
 /// The disturbance cells of the loss matrix: (drop, dup, delay) per
 /// mille. Both rows are at or above the 1% loss floor the acceptance
 /// criteria demand.
-const LOSS_RATES: [(u32, u32, u32); 2] = [(15, 8, 8), (45, 20, 20)];
+pub(crate) const LOSS_RATES: [(u32, u32, u32); 2] = [(15, 8, 8), (45, 20, 20)];
 
-fn profile(seed: u64, rates: (u32, u32, u32)) -> LossyProfile {
+pub(crate) fn profile(seed: u64, rates: (u32, u32, u32)) -> LossyProfile {
     let mut p = LossyProfile::new(seed);
     p.drop_per_mille = rates.0;
     p.dup_per_mille = rates.1;

@@ -1,5 +1,4 @@
-//! The fault-schedule explorer: crash-recovery parity under injected
-//! transport faults.
+//! The kill-site explorer: crash-recovery parity when a rank dies.
 //!
 //! `pcdlb-sim`'s recovery loop claims that a run which loses a rank and
 //! restarts from the last distributed checkpoint produces **bitwise
@@ -21,11 +20,15 @@
 //!   `CKPT_GATHER` contribution sends ([`FaultPlan::kill_on_tag`]) — the
 //!   checkpoint being assembled dies mid-gather, so the relaunch must
 //!   fall back to the previous complete one and still restore parity.
-//! - **Seeded fault matrix**: [`FaultPlan::seeded`] schedules drawn per
-//!   `(seed, rank)` mix drops, delays, duplicates, truncations and
-//!   kills on the first launch. Non-kill faults surface as structured
-//!   `CommError` diagnostics on some rank, which tears the world down
-//!   exactly like a kill; either way the relaunch must restore parity.
+//! - **Seeded kills under a lossy transport**: each seed draws one kill
+//!   site `(rank, op)` on the first launch with [`splitmix64`] and runs
+//!   it over a [`LossyTransport`](pcdlb_mp::LossyTransport) of the same
+//!   seed at the chaos sweep's lower rates (15 / 8 / 8 per mille dropped
+//!   / duplicated / delayed): a death on a Grid-like substrate that also
+//!   loses, duplicates and reorders frames. The relaunch must land on
+//!   the fault-free run over the *reliable* transport — retransmission
+//!   heals the link, recovery heals the death, and neither leaves a
+//!   trace in the digest.
 //!
 //! Every sweep runs under a global wall-clock timeout: the no-hang
 //! guarantee (a dead peer must never leave a survivor blocked forever)
@@ -43,6 +46,8 @@ use pcdlb_mp::FaultPlan;
 use pcdlb_sim::config::{Lattice, RunConfig};
 use pcdlb_sim::{Ladder, LadderOutcome, Launch, RecoveryError, ResizePlan};
 
+use crate::chaos::{profile, LOSS_RATES};
+
 /// What a fault sweep observed.
 #[derive(Debug, Clone)]
 pub struct FaultSweepOutcome {
@@ -53,10 +58,14 @@ pub struct FaultSweepOutcome {
     pub kill_runs: usize,
     /// Kill-point runs whose kill actually fired (needed > 1 attempt).
     pub kills_fired: usize,
-    /// Seeded mixed-fault runs performed.
+    /// Seeded kills under a lossy transport performed.
     pub seeded_runs: usize,
-    /// Seeded runs where at least one fault forced a relaunch.
-    pub faults_fired: usize,
+    /// Seeded runs whose kill actually fired (needed > 1 attempt).
+    pub seeded_kills_fired: usize,
+    /// Retransmissions the seeded runs' completing launches made — zero
+    /// would mean the lossy transport never disturbed a frame, which is
+    /// reported as a violation.
+    pub seeded_retransmits: u64,
     /// Checkpoint-phase kill runs performed (one per `(rank, gather)`
     /// pair: each non-root rank killed at each of its `CKPT_GATHER`
     /// contribution sends).
@@ -109,8 +118,7 @@ impl Sweep {
     /// and `plan` select. Sweep runs wait on sweep deadlines: a tight poll
     /// so aborts propagate fast, a watchdog generous enough for a loaded
     /// CI machine but short enough that a genuinely wedged receive fails
-    /// the run promptly — and enough attempts that a multi-rank seeded
-    /// plan cannot exhaust them.
+    /// the run promptly — and attempts to spare.
     pub(crate) fn new(
         mut cfg: RunConfig,
         takeover: bool,
@@ -188,14 +196,15 @@ impl Sweep {
         plan: FaultPlan,
         tally: &mut Tally,
         violations: &mut Vec<String>,
-    ) {
+    ) -> Option<LadderOutcome> {
         let plans = move |l, r| (l == launch && r == rank).then(|| plan.clone());
-        self.faulted(label, plans, tally, violations);
+        self.faulted(label, plans, tally, violations)
     }
 }
 
 /// Sweep kill points at the given send-op `stride` and run `seeds`
-/// mixed-fault schedules, asserting recovery parity for each.
+/// seeded kills under a lossy transport, asserting recovery parity for
+/// each.
 pub fn fault_sweep(stride: u64, seeds: usize) -> FaultSweepOutcome {
     let stride = stride.max(1);
     let mut out = FaultSweepOutcome {
@@ -203,14 +212,15 @@ pub fn fault_sweep(stride: u64, seeds: usize) -> FaultSweepOutcome {
         kill_runs: 0,
         kills_fired: 0,
         seeded_runs: 0,
-        faults_fired: 0,
+        seeded_kills_fired: 0,
+        seeded_retransmits: 0,
         ckpt_runs: 0,
         ckpt_kills_fired: 0,
         violations: Vec::new(),
     };
     // The relaunch rung alone: with takeover on these kills would be
     // absorbed in place and the relaunch path would lose its coverage.
-    let sweep = match Sweep::new(sweep_config(), false, ResizePlan::new()) {
+    let mut sweep = match Sweep::new(sweep_config(), false, ResizePlan::new()) {
         Ok(s) => s,
         Err(e) => {
             out.violations
@@ -259,27 +269,28 @@ pub fn fault_sweep(stride: u64, seeds: usize) -> FaultSweepOutcome {
         }
     }
 
+    // Seeded kills over a lossy link, against the reliable reference: the
+    // sweep's workload and ladder, only the transport changes.
+    let p = sweep.cfg.p as u64;
     let mut seeded = Tally::default();
     for seed in 1..=seeds as u64 {
-        sweep.faulted(
-            &format!("seeded(seed {seed})"),
-            move |launch, rank| {
-                if launch > 0 {
-                    return None;
-                }
-                // Derive each rank's plan seed from the matrix seed with the
-                // same splitmix64 stream seeded plans use internally.
-                let mut state = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(rank as u64 + 1);
-                let plan = FaultPlan::seeded(splitmix64(&mut state), max_op, 2);
-                (!plan.is_empty()).then_some(plan)
-            },
-            &mut seeded,
-            &mut out.violations,
-        );
+        let mut state = seed;
+        let rank = (splitmix64(&mut state) % p) as usize;
+        let op = splitmix64(&mut state) % max_op;
+        sweep.cfg.comm.chaos = Some(profile(seed, LOSS_RATES[0]));
+        let label = format!("seeded(seed {seed}: rank {rank}, op {op}, lossy)");
+        let plan = FaultPlan::kill_at(op);
+        if let Some(o) = sweep.kill(&label, (0, rank), plan, &mut seeded, &mut out.violations) {
+            out.seeded_retransmits += o.report.retransmits;
+        }
+    }
+    if seeds > 0 && out.seeded_retransmits == 0 {
+        out.violations
+            .push("seeded kills: the lossy transport never forced a retransmission".into());
     }
     (out.kill_runs, out.kills_fired) = (kills.runs, kills.fired);
     (out.ckpt_runs, out.ckpt_kills_fired) = (ckpt_kills.runs, ckpt_kills.fired);
-    (out.seeded_runs, out.faults_fired) = (seeded.runs, seeded.fired);
+    (out.seeded_runs, out.seeded_kills_fired) = (seeded.runs, seeded.fired);
     out
 }
 
@@ -323,7 +334,9 @@ mod tests {
         assert!(out.violations.is_empty(), "{:#?}", out.violations);
         assert!(out.kill_runs >= 2 * 4, "at least two points per rank");
         assert!(out.kills_fired > 0, "the low kill points must fire");
-        assert_eq!(out.seeded_runs, 2);
+        // Both seeds draw a site inside their rank's sends, and the lossy
+        // transport retransmitted (a zero count would be a violation).
+        assert_eq!((out.seeded_runs, out.seeded_kills_fired), (2, 2));
         // 3 non-root ranks × 4 checkpoint gathers, every one a real kill.
         assert_eq!(out.ckpt_runs, 3 * 4);
         assert_eq!(

@@ -24,12 +24,13 @@
 //! A fourth property arrived with the recovery subsystem:
 //!
 //! 4. **Crash recovery restores bitwise parity** ([`faults`]): killing
-//!    any rank at any send op — or mid checkpoint gather, or injecting
-//!    seeded drop / delay / duplicate / truncate schedules — and
-//!    restarting from the last distributed checkpoint must reproduce
-//!    the uninterrupted run's records and particle state exactly,
-//!    checked by sweeping kill points across a 2×2 run under a global
-//!    no-hang timeout.
+//!    any rank at any send op — or mid checkpoint gather, or at a seeded
+//!    site while a lossy transport drops, duplicates and delays frames —
+//!    and restarting from the last distributed checkpoint must reproduce
+//!    the uninterrupted run's records and particle state exactly (the
+//!    lossy runs: those of the run over the reliable transport), checked
+//!    by sweeping kill points across a 2×2 run under a global no-hang
+//!    timeout.
 //!
 //! A fifth arrived with degraded-mode survivor takeover:
 //!

@@ -93,9 +93,11 @@ fn usage() {
          \u{20}          2x2 PE run (--steps 6 --dfs-runs 24 --seeded-runs 24)\n\
          \u{20}          and requiring a single digest\n\
          faults     crash-recovery parity sweep: kill each rank of a 2x2 run\n\
-         \u{20}          at every --stride'th send op (default 16) plus --seeds\n\
-         \u{20}          (default 6) seeded mixed-fault schedules, all under a\n\
-         \u{20}          global --timeout-s (default 600) no-hang deadline\n\
+         \u{20}          at every --stride'th send op (default 16) and inside\n\
+         \u{20}          each checkpoint gather, plus --seeds (default 6) seeded\n\
+         \u{20}          kills over a lossy transport (15/8/8 per mille dropped/\n\
+         \u{20}          duplicated/delayed) held to the reliable run's digest,\n\
+         \u{20}          all under a global --timeout-s (default 600) deadline\n\
          takeover   degraded-mode takeover check: static buddy-map and\n\
          \u{20}          merged dual-role schedule verification up to --max-side\n\
          \u{20}          (default 6), then kill each rank of a 2x2 and a 3x3 run\n\
@@ -227,13 +229,14 @@ fn cmd_faults(rest: &[String]) -> Result<(), String> {
     let (stride, seeds, timeout_s) = (v[0] as u64, v[1], v[2] as u64);
     let out = fault_sweep_with_timeout(stride, seeds, Duration::from_secs(timeout_s))?;
     println!(
-        "faults: {} kill-point runs ({} fired), {} checkpoint-phase kills ({} fired), {} seeded runs ({} faulted), reference digest {:#018x}",
+        "faults: {} kill-point runs ({} fired), {} checkpoint-phase kills ({} fired), {} seeded lossy kills ({} fired, {} retransmits), reference digest {:#018x}",
         out.kill_runs,
         out.kills_fired,
         out.ckpt_runs,
         out.ckpt_kills_fired,
         out.seeded_runs,
-        out.faults_fired,
+        out.seeded_kills_fired,
+        out.seeded_retransmits,
         out.reference_digest
     );
     if !out.violations.is_empty() {

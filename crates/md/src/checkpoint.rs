@@ -88,7 +88,7 @@ impl Checkpoint {
         // Consume exactly `n` particle lines (skipping blanks), then stop —
         // embedders (e.g. `pcdlb-sim`'s distributed checkpoint) may append
         // their own sections after the particle block.
-        let mut particles = Vec::with_capacity(n);
+        let mut particles = Vec::new();
         while particles.len() < n {
             let line = match lines.next() {
                 Some(line) => line?,
@@ -233,5 +233,11 @@ mod tests {
         assert!(e.to_string().contains("mismatch"), "{e}");
         let bad_line = "pcdlb-checkpoint v1\nstep 0 box 4028000000000000 n 1\n0 zz 0 0 0 0 0\n";
         assert!(Checkpoint::read_from(bad_line.as_bytes()).is_err());
+        // A count no file backs is an error, not an allocation of its size.
+        for n in ["18446744073709551615", "1000000000000"] {
+            let huge = bad_count.replace("n 5", &format!("n {n}"));
+            let e = Checkpoint::read_from(huge.as_bytes()).unwrap_err();
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "n {n}: {e}");
+        }
     }
 }

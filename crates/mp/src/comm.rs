@@ -37,10 +37,11 @@
 //!
 //! Every failure a rank can observe is a [`CommError`]: a dead peer, a
 //! world abort (another rank panicked), a watchdog/deadline expiry, a
-//! takeover interrupt, or — in `check` builds with fault injection — a
-//! detected transport fault (lost / duplicated / reordered / truncated
-//! message). The fast-path API (`send`, `recv`, `sendrecv`) panics with
-//! the error's message, which in an SPMD simulation is the right default:
+//! takeover interrupt, or a transport fault — a lossy link whose
+//! retransmission budget ran out, a minority side that fences itself,
+//! or (`check` builds) an arrival that breaks per-source FIFO order. The
+//! fast-path API (`send`, `recv`, `sendrecv`) panics with the error's
+//! message, which in an SPMD simulation is the right default:
 //! the world tears down and [`crate::world::World::try_run`] turns the
 //! per-rank panics into per-rank diagnostics. The one exception is a
 //! takeover interrupt ([`CommErrorKind::Interrupted`]), which the fast
@@ -87,18 +88,6 @@ pub const DEFAULT_POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// the fault sweep tighten it via [`CommConfig::watchdog`].
 pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(60);
 
-/// How many times a transiently failing send is retried in place (with
-/// bounded exponential backoff) before the failure escalates as a
-/// [`CommErrorKind::Transport`] error. Exercised by the `check` feature's
-/// `FailSend` fault kind; the bound is what keeps a *persistent* fault
-/// from stalling the protocol behind an endless retry loop.
-pub const SEND_RETRY_LIMIT: u32 = 4;
-
-/// Base backoff before the first send retry; doubles on each subsequent
-/// attempt up to [`SEND_RETRY_LIMIT`].
-#[cfg(feature = "check")]
-const SEND_RETRY_BASE: Duration = Duration::from_micros(200);
-
 /// How many retransmission attempts the reliability layer makes for one
 /// unacknowledged frame over a lossy transport before escalating into
 /// the fault ladder as a [`CommErrorKind::Transport`] error. Sized so
@@ -141,7 +130,10 @@ pub struct CommConfig {
     pub poll: Duration,
     /// Watchdog deadline for blocking receives.
     pub watchdog: Duration,
-    /// Bounded in-place retries for a transiently failing send.
+    /// Inert: nothing reads it. A send either reaches the wire or names a
+    /// dead peer, and a lost frame is retransmitted, never re-sent. Kept
+    /// only because the benchmark's configuration literal names every
+    /// field; removed with the knob census (ROADMAP item 4(i)).
     pub send_retry_limit: u32,
     /// Retransmission attempts per unacked frame before escalation.
     pub retransmit_budget: u32,
@@ -165,7 +157,7 @@ impl Default for CommConfig {
         Self {
             poll: DEFAULT_POLL_INTERVAL,
             watchdog: DEFAULT_WATCHDOG,
-            send_retry_limit: SEND_RETRY_LIMIT,
+            send_retry_limit: 4,
             retransmit_budget: DEFAULT_RETRANSMIT_BUDGET,
             retransmit_base: DEFAULT_RETRANSMIT_BASE,
             retransmit_cap: DEFAULT_RETRANSMIT_CAP,
@@ -190,10 +182,6 @@ impl CommConfig {
             "CommConfig: poll {:?} exceeds watchdog {:?}",
             self.poll,
             self.watchdog
-        );
-        assert!(
-            self.send_retry_limit >= 1,
-            "CommConfig: send_retry_limit must be at least 1"
         );
         assert!(
             self.retransmit_budget >= 1,
@@ -236,9 +224,6 @@ impl CommConfig {
 /// from a [`CommConfig`] at world-construction time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReliabilityParams {
-    /// Only consulted by the fault injector's retry loop (`check` builds).
-    #[cfg_attr(not(feature = "check"), allow(dead_code))]
-    pub(crate) send_retry_limit: u32,
     pub(crate) retransmit_budget: u32,
     pub(crate) retransmit_base: Duration,
     pub(crate) retransmit_cap: Duration,
@@ -250,7 +235,6 @@ pub(crate) struct ReliabilityParams {
 impl Default for ReliabilityParams {
     fn default() -> Self {
         Self {
-            send_retry_limit: SEND_RETRY_LIMIT,
             retransmit_budget: DEFAULT_RETRANSMIT_BUDGET,
             retransmit_base: DEFAULT_RETRANSMIT_BASE,
             retransmit_cap: DEFAULT_RETRANSMIT_CAP,
@@ -264,7 +248,6 @@ impl Default for ReliabilityParams {
 impl From<&CommConfig> for ReliabilityParams {
     fn from(cfg: &CommConfig) -> Self {
         Self {
-            send_retry_limit: cfg.send_retry_limit,
             retransmit_budget: cfg.retransmit_budget,
             retransmit_base: cfg.retransmit_base,
             retransmit_cap: cfg.retransmit_cap,
@@ -292,13 +275,12 @@ pub enum CommErrorKind {
     Aborted,
     /// No matching message arrived within the watchdog/deadline window.
     Timeout,
-    /// A per-source sequence-number check failed at arrival (a message was
-    /// dropped, duplicated, or reordered in transit), or a send's bounded
-    /// retry budget was exhausted (`check` builds with fault injection).
+    /// The link failed: a frame over a lossy transport stayed
+    /// unacknowledged through its whole retransmission budget, this rank
+    /// fenced itself as the minority side of a partition, or (`check`
+    /// builds) a per-source sequence-number check failed at arrival — a
+    /// message arrived twice or out of FIFO order.
     Transport,
-    /// The payload was truncated on the wire (`check` builds with fault
-    /// injection).
-    Truncated,
     /// A rank died in a takeover-enabled world: the operation was
     /// interrupted so the survivor can run the takeover protocol.
     Interrupted,
@@ -403,20 +385,6 @@ impl CommError {
         )
     }
 
-    #[cfg(feature = "check")]
-    fn send_failed(rank: usize, peer: usize, tag: Tag, op: u64, retries: u32) -> Self {
-        Self::new(
-            CommErrorKind::Transport,
-            rank,
-            peer,
-            tag,
-            format!(
-                "rank {rank} send(dst={peer}, tag={tag}): transient transport failure at \
-                 send op {op} persisted after {retries} bounded-backoff retries"
-            ),
-        )
-    }
-
     fn retransmit_exhausted(rank: usize, peer: usize, tag: Tag, rseq: u64, budget: u32) -> Self {
         Self::new(
             CommErrorKind::Transport,
@@ -442,17 +410,6 @@ impl CommError {
                  peers within the suspicion horizon (quietest link silent {quiet_for:?}) — \
                  this side of the partition is the minority and yields to takeover"
             ),
-        )
-    }
-
-    #[cfg(feature = "check")]
-    fn truncated(rank: usize, peer: usize, tag: Tag) -> Self {
-        Self::new(
-            CommErrorKind::Truncated,
-            rank,
-            peer,
-            tag,
-            format!("rank {rank} recv(src={peer}, tag={tag}): payload truncated on the wire"),
         )
     }
 }
@@ -492,13 +449,11 @@ pub(crate) struct Envelope {
     /// is never delivered to the application.
     pub(crate) hollow: bool,
     /// Per (sender, destination) sequence number, assigned at send time.
-    /// Arrival-order checking against it is what makes injected drop /
-    /// duplicate / delay faults *detectable* instead of silent.
+    /// Checked at arrival, so a FIFO bug — a message that arrives twice
+    /// or overtakes an earlier one — is a structured error, not silent
+    /// corruption.
     #[cfg(feature = "check")]
     pub(crate) seq: u64,
-    /// Set by the truncate-payload fault; detected before unpacking.
-    #[cfg(feature = "check")]
-    pub(crate) truncated: bool,
 }
 
 /// Wire tag reserved for link-layer control frames (acks, heartbeats).
@@ -681,13 +636,9 @@ pub struct Comm {
     /// Envelopes from a future takeover epoch, parked until
     /// [`Comm::advance_epoch`] re-admits them.
     future: VecDeque<Envelope>,
-    /// Current wire epoch: `base_epoch` until the first takeover completes,
-    /// then `base_epoch + deaths absorbed`.
+    /// Current wire epoch: 0 until the first takeover completes, then
+    /// the number of deaths absorbed.
     epoch_num: u64,
-    /// Epoch this world launched at (see
-    /// [`crate::world::World::with_base_epoch`]). Deaths absorbed within
-    /// this launch are counted relative to this base.
-    base_epoch: u64,
     model: CostModel,
     started: Instant,
     /// Set when any rank in the world panics; receives poll it so a dead
@@ -730,7 +681,7 @@ pub struct Comm {
     /// The controlled scheduler deciding cross-source delivery order.
     #[cfg(feature = "check")]
     delivery: Option<Box<dyn crate::check::DeliveryPolicy>>,
-    /// Installed fault schedule (see [`crate::fault`]); `None` = faultless.
+    /// Installed kill site (see [`crate::fault`]); `None` = never dies.
     #[cfg(feature = "check")]
     injector: Option<crate::fault::FaultInjector>,
 }
@@ -745,7 +696,6 @@ pub(crate) struct Supervision {
     pub(crate) poll: Duration,
     pub(crate) watchdog: Duration,
     pub(crate) takeover: bool,
-    pub(crate) base_epoch: u64,
     pub(crate) deaths: Arc<AtomicUsize>,
     pub(crate) dead: Arc<Vec<AtomicBool>>,
     pub(crate) routes: Arc<Vec<AtomicUsize>>,
@@ -773,8 +723,7 @@ impl Comm {
             inbox,
             pending: VecDeque::new(),
             future: VecDeque::new(),
-            epoch_num: sup.base_epoch,
-            base_epoch: sup.base_epoch,
+            epoch_num: 0,
             model,
             started: sup.epoch,
             abort: sup.abort,
@@ -809,8 +758,8 @@ impl Comm {
         self.delivery = Some(policy);
     }
 
-    /// Arm the fault injector with a schedule of send-op faults (`check`
-    /// builds; see [`crate::fault`]). Call it from
+    /// Arm the fault injector with the send at which this rank dies
+    /// (`check` builds; see [`crate::fault`]). Call it from
     /// [`World::with_start_hook`](crate::World::with_start_hook).
     #[cfg(feature = "check")]
     pub fn set_fault_plan(&mut self, plan: crate::fault::FaultPlan) {
@@ -954,16 +903,10 @@ impl Comm {
         }
     }
 
-    /// Current wire epoch (the launch's base epoch until a takeover
-    /// completes).
+    /// Current wire epoch: 0 until a takeover completes, then the
+    /// number of deaths absorbed.
     pub fn epoch(&self) -> u64 {
         self.epoch_num
-    }
-
-    /// The epoch this world launched at (see
-    /// [`World::with_base_epoch`](crate::World::with_base_epoch)).
-    pub fn base_epoch(&self) -> u64 {
-        self.base_epoch
     }
 
     /// Number of rank deaths registered so far in this world.
@@ -1008,8 +951,7 @@ impl Comm {
     /// True when a death has been registered that this endpoint has not
     /// yet absorbed by advancing its epoch.
     fn takeover_pending(&self) -> bool {
-        self.takeover
-            && self.deaths.load(Ordering::SeqCst) as u64 > self.epoch_num - self.base_epoch
+        self.takeover && self.deaths.load(Ordering::SeqCst) as u64 > self.epoch_num
     }
 
     /// Seconds of wall time since the world started (`MPI_Wtime`
@@ -1102,31 +1044,26 @@ impl Comm {
                 persona.send_seq[dst] += 1;
                 seq
             },
-            #[cfg(feature = "check")]
-            truncated: false,
         };
         #[cfg(feature = "check")]
-        {
-            let (sent_seq, sent_epoch) = (env.seq, env.epoch);
-            let res = self.dispatch_checked(dst, env);
-            // Only a message that reached the wire counts as sent: a
-            // rolled-back send (retry exhaustion) must not appear in the
-            // event trace or the gaplessness property would misfire.
-            if res.is_ok() {
-                crate::check::emit(crate::check::ProtocolEvent::Send {
-                    src,
-                    dst,
-                    tag,
-                    seq: sent_seq,
-                    epoch: sent_epoch,
-                });
-            }
-            res
+        let (sent_seq, sent_epoch) = (env.seq, env.epoch);
+        #[cfg(feature = "check")]
+        if let Some(op) = self.injector.as_mut().and_then(|i| i.next_action(tag)) {
+            panic!("rank {src} killed by injected fault at send op {op} (dst={dst}, tag={tag})");
         }
-        #[cfg(not(feature = "check"))]
-        {
-            self.dispatch(dst, env)
+        let res = self.dispatch(dst, env);
+        // Only a message that reached the wire counts as sent.
+        #[cfg(feature = "check")]
+        if res.is_ok() {
+            crate::check::emit(crate::check::ProtocolEvent::Send {
+                src,
+                dst,
+                tag,
+                seq: sent_seq,
+                epoch: sent_epoch,
+            });
         }
+        res
     }
 
     /// Route one application envelope toward its destination: the
@@ -1259,8 +1196,6 @@ impl Comm {
             hollow: true,
             #[cfg(feature = "check")]
             seq: env.seq,
-            #[cfg(feature = "check")]
-            truncated: env.truncated,
         }
     }
 
@@ -1323,8 +1258,6 @@ impl Comm {
             hollow: false,
             #[cfg(feature = "check")]
             seq: 0,
-            #[cfg(feature = "check")]
-            truncated: false,
         };
         match self.next_fate(host) {
             Fate::Drop => {}
@@ -1516,8 +1449,6 @@ impl Comm {
                     hollow: true,
                     #[cfg(feature = "check")]
                     seq: 0,
-                    #[cfg(feature = "check")]
-                    truncated: false,
                 },
             };
             self.personas[0].stats.retransmits += 1;
@@ -1594,109 +1525,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Dispatch under the fault injector: each logical send is one fault
-    /// opportunity; the injected fault decides what actually reaches the
-    /// wire. Sequence numbers were already assigned, so a dropped or
-    /// delayed envelope leaves a detectable gap at the receiver. Transient
-    /// send failures (`FailSend`) are retried here with bounded
-    /// exponential backoff — each retry consumes a fresh send-op index —
-    /// so a one-off glitch never escalates beyond this call, while a
-    /// persistent failure surfaces as a structured `Transport` error once
-    /// [`SEND_RETRY_LIMIT`] is exhausted.
-    #[cfg(feature = "check")]
-    fn dispatch_checked(&mut self, dst: usize, mut env: Envelope) -> Result<(), CommError> {
-        use crate::fault::FaultKind;
-        let wire_tag = env.tag;
-        let mut fired = self.injector.as_mut().and_then(|i| i.next_action(wire_tag));
-        let mut attempts = 0u32;
-        while let Some((op, FaultKind::FailSend)) = fired {
-            attempts += 1;
-            if attempts > self.rel.send_retry_limit {
-                // The message never reached the wire and the caller is
-                // told so: roll back the sequence number so the failure
-                // is not *also* reported as a silent loss at the receiver.
-                self.personas[self.active].send_seq[dst] -= 1;
-                return Err(CommError::send_failed(
-                    self.rank(),
-                    dst,
-                    wire_tag,
-                    op,
-                    self.rel.send_retry_limit,
-                ));
-            }
-            std::thread::sleep(SEND_RETRY_BASE * (1 << (attempts - 1)));
-            fired = self.injector.as_mut().and_then(|i| i.next_action(wire_tag));
-        }
-        match fired {
-            None => {
-                self.dispatch(dst, env)?;
-                self.flush_held(dst)
-            }
-            Some((op, FaultKind::KillRank)) => panic!(
-                "rank {} killed by injected fault at send op {op} (dst={dst}, tag={})",
-                self.rank(),
-                env.tag
-            ),
-            Some((_, FaultKind::DropMessage)) => Ok(()),
-            Some((_, FaultKind::TruncatePayload)) => {
-                env.truncated = true;
-                self.dispatch(dst, env)?;
-                self.flush_held(dst)
-            }
-            Some((_, FaultKind::DuplicateMessage)) => {
-                // The payload is a `Box<dyn Any>` and cannot be cloned; the
-                // duplicate carries a unit payload but the *same* sequence
-                // number, so the receiver detects it at arrival, before any
-                // downcast could observe the dummy payload.
-                let dup = Envelope {
-                    src: env.src,
-                    dst: env.dst,
-                    epoch: env.epoch,
-                    tag: env.tag,
-                    wire_bytes: env.wire_bytes,
-                    payload: Box::new(()),
-                    type_name: env.type_name,
-                    rsrc: env.rsrc,
-                    rseq: env.rseq,
-                    hollow: env.hollow,
-                    seq: env.seq,
-                    truncated: env.truncated,
-                };
-                self.dispatch(dst, env)?;
-                self.dispatch(dst, dup)?;
-                self.flush_held(dst)
-            }
-            Some((_, FaultKind::DelayMessage)) => {
-                // Park this envelope; it goes out right after the *next*
-                // send to the same destination (a bounded reordering). At
-                // most one envelope is held at a time — a second delay
-                // fault releases the first.
-                if let Some((d, old)) = self.injector.as_mut().and_then(|i| i.held.take()) {
-                    self.dispatch(d, old)?;
-                }
-                if let Some(inj) = self.injector.as_mut() {
-                    inj.held = Some((dst, env));
-                }
-                Ok(())
-            }
-            Some((_, FaultKind::FailSend)) => unreachable!("retry loop consumed FailSend"),
-        }
-    }
-
-    /// Release a delayed envelope bound for `dst`, now that a newer message
-    /// to `dst` has overtaken it.
-    #[cfg(feature = "check")]
-    fn flush_held(&mut self, dst: usize) -> Result<(), CommError> {
-        let held = match self.injector.as_mut() {
-            Some(inj) if inj.held.as_ref().is_some_and(|(d, _)| *d == dst) => inj.held.take(),
-            _ => None,
-        };
-        match held {
-            Some((d, env)) => self.dispatch(d, env),
-            None => Ok(()),
-        }
-    }
-
     /// Record a consumption event for `env`. `probe` marks the
     /// timing-sensitive paths (`try_recv`, `recv_deadline`) whose outcome
     /// depends on what has been delivered so far.
@@ -1715,8 +1543,8 @@ impl Comm {
     /// Receive the next message from `src` with `tag` (addressed to the
     /// active persona), blocking until one arrives or the world watchdog
     /// expires. Panics with the [`CommError`] diagnostic on abort,
-    /// timeout, or a detected transport fault, and on payload type
-    /// mismatch; raises [`TakeoverInterrupt`] on an absorbable rank death;
+    /// timeout, or a transport fault, and on payload type mismatch;
+    /// raises [`TakeoverInterrupt`] on an absorbable rank death;
     /// [`Comm::recv_deadline`] is the `Result`-returning form.
     pub fn recv<T>(&mut self, src: usize, tag: Tag) -> T
     where
@@ -1726,7 +1554,7 @@ impl Comm {
             Ok(env) => {
                 #[cfg(feature = "check")]
                 Self::emit_recv(&env, false);
-                self.unpack_or_panic(env)
+                self.unpack(env)
             }
             Err(e) if e.kind == CommErrorKind::Interrupted => {
                 std::panic::panic_any(TakeoverInterrupt)
@@ -1737,10 +1565,10 @@ impl Comm {
 
     /// Fallible receive with an explicit deadline: blocks up to `timeout`
     /// for a message from `src` with `tag`. Every failure — dead peer,
-    /// world abort, deadline expiry, pending takeover, detected transport
-    /// fault, truncated payload — comes back as `Err(CommError)`. A zero
-    /// `timeout` makes this a structured probe. Payload type mismatch
-    /// still panics (it is a protocol bug, not a runtime fault).
+    /// world abort, deadline expiry, pending takeover, transport fault —
+    /// comes back as `Err(CommError)`. A zero `timeout` makes this a
+    /// structured probe. Payload type mismatch still panics (it is a
+    /// protocol bug, not a runtime fault).
     pub fn recv_deadline<T>(
         &mut self,
         src: usize,
@@ -1752,12 +1580,7 @@ impl Comm {
     {
         let env = self.recv_envelope(src, tag, Some(timeout))?;
         #[cfg(feature = "check")]
-        {
-            Self::emit_recv(&env, true);
-            if env.truncated {
-                return Err(CommError::truncated(self.rank(), env.src, env.tag));
-            }
-        }
+        Self::emit_recv(&env, true);
         Ok(self.unpack(env))
     }
 
@@ -1953,9 +1776,9 @@ impl Comm {
 
     /// Per-source sequence check at arrival, against the counters of the
     /// persona the envelope addresses. Per-(src, dst) links are FIFO, so
-    /// in a faultless world arrivals are always in send order; any gap or
-    /// repeat is an injected (or real) transport fault, reported against
-    /// the arriving message's source and tag.
+    /// arrivals are always in send order, and any gap or repeat is a FIFO
+    /// bug in the substrate, reported against the arriving message's
+    /// source and tag.
     #[cfg(feature = "check")]
     fn note_arrival(&mut self, env: &Envelope) -> Result<(), CommError> {
         let Some(p) = self.personas.iter_mut().find(|p| p.vrank == env.dst) else {
@@ -2055,8 +1878,8 @@ impl Comm {
     }
 
     /// Non-blocking receive: `Some(value)` if a matching message has
-    /// already arrived, else `None`. Panics on a detected transport fault
-    /// like `recv` does.
+    /// already arrived, else `None`. Panics on a transport fault like
+    /// `recv` does.
     pub fn try_recv<T>(&mut self, src: usize, tag: Tag) -> Option<T>
     where
         T: Any + Send + WireSize,
@@ -2080,7 +1903,7 @@ impl Comm {
             }
             let env = self.match_pending(src, tag)?;
             Self::emit_recv(&env, true);
-            return Some(self.unpack_or_panic(env));
+            return Some(self.unpack(env));
         }
         if self.lossy {
             // Polling loops must still drive retransmission/heartbeats,
@@ -2099,21 +1922,7 @@ impl Comm {
         let env = self.match_pending(src, tag)?;
         #[cfg(feature = "check")]
         Self::emit_recv(&env, true);
-        Some(self.unpack_or_panic(env))
-    }
-
-    /// Unpack for the panicking receive paths: a truncated payload (`check`
-    /// builds) is a structured fault and panics with its diagnostic.
-    fn unpack_or_panic<T>(&mut self, env: Envelope) -> T
-    where
-        T: Any + Send + WireSize,
-    {
-        #[cfg(feature = "check")]
-        if env.truncated {
-            let e = CommError::truncated(self.rank(), env.src, env.tag);
-            panic!("{e}");
-        }
-        self.unpack(env)
+        Some(self.unpack(env))
     }
 
     fn unpack<T>(&mut self, env: Envelope) -> T
@@ -2646,6 +2455,41 @@ mod tests {
             }
         });
         assert_eq!(out, vec![1, 0]);
+    }
+
+    #[test]
+    #[cfg(feature = "check")]
+    fn an_arrival_that_skips_or_repeats_a_seq_is_a_transport_error() {
+        // The FIFO check at admission, fed by hand: nothing on the wire
+        // can skip or repeat a sequence number unless the substrate is
+        // broken, so the envelopes are built here.
+        fn envelope(seq: u64) -> super::Envelope {
+            super::Envelope {
+                src: 0,
+                dst: 0,
+                epoch: 0,
+                tag: 1,
+                wire_bytes: 8,
+                payload: Box::new(seq),
+                type_name: "u64",
+                rsrc: 0,
+                rseq: 0,
+                hollow: false,
+                seq,
+            }
+        }
+        World::new(1).run(|comm| {
+            let gap = comm.admit(envelope(1)).expect_err("seq 1 before seq 0");
+            assert_eq!(gap.kind, CommErrorKind::Transport);
+            assert!(gap.message().contains("expected seq 0, got 1"), "{gap}");
+            comm.admit(envelope(0)).expect("seq 0 is the one expected");
+            let repeat = comm.admit(envelope(0)).expect_err("seq 0 again");
+            assert_eq!(repeat.kind, CommErrorKind::Transport);
+            assert!(
+                repeat.message().contains("duplicated or replayed"),
+                "{repeat}"
+            );
+        });
     }
 
     #[test]

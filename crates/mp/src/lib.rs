@@ -49,7 +49,6 @@ pub mod transport;
 pub mod wire;
 pub mod world;
 
-pub use comm::SEND_RETRY_LIMIT;
 pub use comm::{Comm, CommError, CommErrorKind, CommStats, Tag, TakeoverInterrupt};
 pub use comm::{
     CommConfig, DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_POLL_INTERVAL, DEFAULT_RETRANSMIT_BASE,
@@ -58,7 +57,7 @@ pub use comm::{
 };
 pub use cost::CostModel;
 #[cfg(feature = "check")]
-pub use fault::{FaultKind, FaultPlan};
+pub use fault::FaultPlan;
 pub use pool::BufferPool;
 pub use topology::{Torus2d, Torus3d};
 pub use transport::{

@@ -14,8 +14,13 @@
 //! [`World::try_run_degraded`] additionally reports registered rank
 //! deaths as degradation. Those three are the only launchers; `check`
 //! builds add one hook, [`World::with_start_hook`], for what each rank
-//! thread does before the program (install a delivery policy, arm a fault
-//! plan, bind an event log).
+//! thread does before the program (install a delivery policy, arm a kill
+//! site, bind an event log).
+//!
+//! Every launch builds a fresh channel set and joins every rank thread
+//! before it returns, so no frame of one world can reach the next: every
+//! world's wire epoch starts at 0, however many worlds a driver launches
+//! one after another.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -95,7 +100,6 @@ pub struct World {
     poll: Duration,
     watchdog: Duration,
     takeover: bool,
-    base_epoch: u64,
     transport: Arc<dyn Transport>,
     rel: ReliabilityParams,
     #[cfg(feature = "check")]
@@ -113,7 +117,6 @@ impl World {
             poll: DEFAULT_POLL_INTERVAL,
             watchdog: DEFAULT_WATCHDOG,
             takeover: false,
-            base_epoch: 0,
             transport: Arc::new(InProcTransport),
             rel: ReliabilityParams::default(),
             #[cfg(feature = "check")]
@@ -142,10 +145,10 @@ impl World {
         self
     }
 
-    /// Apply a full [`CommConfig`]: poll interval, watchdog, retry and
-    /// retransmission knobs, and — when `chaos` is set — a seeded
-    /// [`LossyTransport`] built from the profile. Panics if the config
-    /// fails validation, mirroring the other builder asserts.
+    /// Apply a full [`CommConfig`]: poll interval, watchdog, retransmission
+    /// knobs, and — when `chaos` is set — a seeded [`LossyTransport`]
+    /// built from the profile. Panics if the config fails validation,
+    /// mirroring the other builder asserts.
     pub fn with_comm_config(mut self, cfg: &CommConfig) -> Self {
         cfg.validate();
         self.poll = cfg.poll;
@@ -155,18 +158,6 @@ impl World {
             Some(profile) => Arc::new(LossyTransport::new(profile.clone())),
             None => Arc::new(InProcTransport),
         };
-        self
-    }
-
-    /// Start every rank's wire epoch at `base` instead of zero. An elastic
-    /// driver that relaunches the world across resize generations bumps the
-    /// base each generation, so any envelope stamped by a stale generation
-    /// (e.g. a message drained late from a previous world's channel set) is
-    /// dropped by the ordinary epoch admission logic rather than corrupting
-    /// the new run. Within a launch, takeover still advances the epoch by
-    /// one per absorbed death *relative to this base*.
-    pub fn with_base_epoch(mut self, base: u64) -> Self {
-        self.base_epoch = base;
         self
     }
 
@@ -318,7 +309,6 @@ impl World {
                     let dead = Arc::clone(&dead);
                     let routes = Arc::clone(&routes);
                     let (poll, watchdog) = (self.poll, self.watchdog);
-                    let base_epoch = self.base_epoch;
                     let transport = Arc::clone(&self.transport);
                     let rel = self.rel;
                     scope.spawn(move || {
@@ -333,7 +323,6 @@ impl World {
                                 poll,
                                 watchdog,
                                 takeover,
-                                base_epoch,
                                 deaths: Arc::clone(&deaths),
                                 dead: Arc::clone(&dead),
                                 routes,

@@ -35,9 +35,7 @@ use pcdlb_mp::{Comm, RankFailure, World, WorldError};
 
 use crate::config::{ensure, ConfigError, LoadMetric, RunConfig};
 use crate::digest::digest_recovery;
-use crate::elastic::{
-    remap_drained_checkpoint, ResizeGeneration, ResizePlan, ResizeStage, GENERATION_EPOCH_STRIDE,
-};
+use crate::elastic::{remap_drained_checkpoint, ResizeGeneration, ResizePlan, ResizeStage};
 use crate::engine::{run_roles, Program, Start};
 use crate::launch::{launch_plan, LaunchPlan, Placed};
 use crate::pe::{initial_particles, PeResult};
@@ -338,9 +336,7 @@ impl Launch {
                 ..self.program(&seg_cfg, drain)
             };
             let completed = (0..ladder.max_attempts).find_map(|attempt| {
-                let mut world = self
-                    .world(&seg_cfg, launches)
-                    .with_base_epoch(gen as u64 * GENERATION_EPOCH_STRIDE);
+                let mut world = self.world(&seg_cfg, launches);
                 if ladder.takeover {
                     world = world.with_takeover();
                 }

@@ -27,12 +27,10 @@
 //!    place at its check steps, see [`crate::pe`]). The drain is audited
 //!    on the way through: exact particle-count conservation and an exact
 //!    one-owner-per-column partition.
-//! 3. **Resume** — a fresh world launches on the new PE set with a bumped
-//!    wire-epoch base ([`pcdlb_mp::World::with_base_epoch`]), so any
-//!    frame stamped by a stale generation is dropped by the ordinary
-//!    epoch admission logic, and a deadline-bounded RESIZE_READY/GO
-//!    barrier holds the first step until every rank of the remapped torus
-//!    is up.
+//! 3. **Resume** — a fresh world launches on the new PE set at wire
+//!    epoch 0 (its channels are new, so no frame of the drained world can
+//!    reach it), and a deadline-bounded RESIZE_READY/GO barrier holds the
+//!    first step until every rank of the remapped torus is up.
 //!
 //! Each generation keeps the rest of the ladder underneath it: with
 //! `takeover` on, one rank death is absorbed by buddy takeover inside the
@@ -48,11 +46,6 @@ use pcdlb_domain::DomainShape;
 use crate::config::RunConfig;
 use crate::launch::{launch_plan, Placed};
 use crate::recover::SimCheckpoint;
-
-/// Wire-epoch stride between world generations. Within one launch the
-/// epoch advances by one per absorbed death (capacity: one), so any
-/// stride ≥ 2 keeps generations disjoint; 64 leaves room to spare.
-pub(crate) const GENERATION_EPOCH_STRIDE: u64 = 64;
 
 /// One planned resize: after `at_step` completes, the world continues on
 /// `p` PEs.

@@ -171,7 +171,7 @@ impl SimCheckpoint {
                 .map_err(|_| bad(&format!("bad {what} count: `{line}`")))
         };
         let n_own = parse_header(it.next().expect("position found the header"), "ownership")?;
-        let mut ownership = Vec::with_capacity(n_own);
+        let mut ownership = Vec::new();
         for _ in 0..n_own {
             let line = it
                 .next()
@@ -214,7 +214,7 @@ impl SimCheckpoint {
                 u64::from_str_radix(s, 16).map_err(|_| bad("bad f64 bits"))?,
             ))
         };
-        let mut records = Vec::with_capacity(n_rec);
+        let mut records = Vec::new();
         for _ in 0..n_rec {
             let line = it.next().ok_or_else(|| bad("truncated records section"))?;
             let f: Vec<&str> = line.split_whitespace().collect();
@@ -463,6 +463,17 @@ pub(crate) mod tests {
         let truncated = format!("{no_sections}ownership 2\n0 0 0\n");
         let e = SimCheckpoint::read_from(truncated.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("truncated"), "{e}");
+        // A count no file backs is an error, not an allocation of its size.
+        for n in ["18446744073709551615", "1000000000000"] {
+            for text in [
+                format!("{no_sections}ownership {n}\n0 0 0\n"),
+                format!("{no_sections}ownership 0\ntiling 4 2\n0 2\n0 2\nrecords {n}\n"),
+            ] {
+                let e = SimCheckpoint::read_from(text.as_bytes()).expect_err(&text);
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "`{text}`: {e}");
+                assert!(e.to_string().contains("truncated"), "`{text}`: {e}");
+            }
+        }
     }
 
     #[test]

@@ -128,11 +128,10 @@ fn handle_takeover(comm: &mut Comm, cfg: &RunConfig, roles: &mut Vec<usize>) {
         roles.push(dead);
         roles.sort_unstable();
     }
-    // One epoch per absorbed death (relative to the launch's base epoch,
-    // which an elastic driver bumps per resize generation): stale traffic
-    // from before the death is dropped, early traffic from faster
+    // One epoch per absorbed death (every world starts at epoch 0): stale
+    // traffic from before the death is dropped, early traffic from faster
     // survivors is parked until this endpoint catches up.
-    comm.advance_epoch(comm.base_epoch() + deaths as u64);
+    comm.advance_epoch(deaths as u64);
     survivor_barrier(
         comm,
         "takeover",
