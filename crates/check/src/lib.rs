@@ -21,32 +21,26 @@
 //!    checked by re-running the simulator under a controlled scheduler
 //!    (`pcdlb-mp`'s `check` feature) that permutes message-arrival order.
 //!
-//! A fourth property arrived with the recovery subsystem:
+//! A fourth property arrived with the recovery ladder and the lossy
+//! transport:
 //!
-//! 4. **Crash recovery restores bitwise parity** ([`faults`]): killing
-//!    any rank at any send op — or mid checkpoint gather, or at a seeded
-//!    site while a lossy transport drops, duplicates and delays frames —
-//!    and restarting from the last distributed checkpoint must reproduce
-//!    the uninterrupted run's records and particle state exactly (the
-//!    lossy runs: those of the run over the reliable transport), checked
-//!    by sweeping kill points across a 2×2 run under a global no-hang
-//!    timeout.
+//! 4. **Every disturbance lands on the reference** ([`sweep`]): one table
+//!    of fault scenarios — kills at every swept send op and inside the
+//!    checkpoint gather, seeded kills over a lossy transport, buddy
+//!    takeover on 2×2 and 3×3 worlds and the second death that escalates
+//!    to a relaunch, elastic resize plans and kills inside the resize
+//!    window, and frame drops, duplicates, reordering and partitions on
+//!    all three decompositions — each run held bitwise to its row's
+//!    fault-free reference, which itself lands on the serial run, under
+//!    one no-hang deadline. The degraded mode's static half runs with
+//!    the first property ([`takeover`]): the buddy map is total,
+//!    deterministic and 8-neighbour-adjacent on every grid, and the merged
+//!    dual-role schedule a survivor runs after adopting a dead virtual
+//!    rank is deadlock-free.
 //!
-//! A fifth arrived with degraded-mode survivor takeover:
+//! A fifth deepens the third from digest equality to typed safety:
 //!
-//! 5. **Buddy takeover is sound** ([`takeover`]): the buddy map is
-//!    total, deterministic, and 8-neighbour-adjacent on every grid; the
-//!    merged dual-role schedule a surviving thread runs after adopting
-//!    a dead virtual rank is deadlock-free (checked by a dedicated
-//!    thread-program executor, since the rank-keyed blocking-wait graph
-//!    no longer applies); and killing ranks at strided send ops on 2×2
-//!    and 3×3 worlds completes — degraded on `n − 1` threads or via
-//!    full relaunch — with `digest_recovery` bitwise equal to the
-//!    fault-free reference.
-//!
-//! A sixth deepens the third from digest equality to typed safety:
-//!
-//! 6. **The protocol state machine is safe on every explored
+//! 5. **The protocol state machine is safe on every explored
 //!    interleaving** ([`model`]): a stateful model checker replays the
 //!    simulator under controlled delivery with full protocol event
 //!    tracing, prunes commuting delivery choices with a dynamic
@@ -57,33 +51,6 @@
 //!    adoption per death, and sentinel conservation on every trace —
 //!    each violation reported with its minimal offending event window.
 //!
-//! A seventh arrived with elastic world resizing:
-//!
-//! 7. **Elastic resizing preserves physics and absorbs faults**
-//!    ([`resize`]): shrink and grow plans at several step boundaries on
-//!    two cell grids must conserve the particle count, keep the record
-//!    series complete, and land bitwise on the serial reference (and on
-//!    the plane and cube decompositions) — and killing any rank inside
-//!    the resize window itself (the drain checkpoint gather, the
-//!    READY/GO resume barrier, or any strided send op of any
-//!    generation) must complete with `digest_recovery` bitwise equal to
-//!    the fault-free elastic reference.
-//!
-//! An eighth arrived with the transport abstraction and its
-//! end-to-end reliability layer:
-//!
-//! 8. **The reliability layer is transparent** ([`chaos`]): runs over a
-//!    seeded lossy transport (frame drops, duplicates, bounded
-//!    reordering, timed bidirectional partitions) must land bitwise on
-//!    the serial reference across all three decompositions — including
-//!    record series, message counts and wire-byte accounting; a
-//!    partition window that closes mid-run must heal silently by
-//!    retransmission, a permanent isolation must escalate into the
-//!    recovery ladder (self-fence → buddy takeover) with
-//!    `digest_recovery` parity, and over the reliable in-process
-//!    transport the layer must be fully inert (zero retransmits) — all
-//!    under a global no-hang timeout.
-//!
 //! [`lint`] adds a repo lint pass for the hazards that produce such bugs:
 //! wall-clock reads in deterministic crates, hash-order iteration in
 //! protocol-facing code, and `unwrap()` / unaudited `expect()` on
@@ -91,13 +58,11 @@
 //!
 //! The `pcdlb-check` binary drives all of it; see `README.md`.
 
-pub mod chaos;
 pub mod explore;
-pub mod faults;
 pub mod invariant;
 pub mod lint;
 pub mod model;
-pub mod resize;
 pub mod schedule;
+pub mod sweep;
 pub mod takeover;
 pub mod verify;

@@ -4,10 +4,7 @@
 //! pcdlb-check verify     [--max-side N]
 //! pcdlb-check invariant  [--max-side N] [--max-m M] [--max-states K]
 //! pcdlb-check interleave [--steps S] [--dfs-runs N] [--seeded-runs N]
-//! pcdlb-check faults     [--stride N] [--seeds N] [--timeout-s N]
-//! pcdlb-check takeover   [--stride N] [--max-side N] [--timeout-s N]
-//! pcdlb-check resize     [--stride N] [--timeout-s N]
-//! pcdlb-check chaos      [--seeds N] [--timeout-s N]
+//! pcdlb-check sweep
 //! pcdlb-check model      [--steps S] [--steps-3x3 S] [--max-runs N]
 //!                        [--runs-3x3 N] [--grid 0|2|3]
 //! pcdlb-check lint       [--root PATH] [--strict-allow]
@@ -19,16 +16,12 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
-use pcdlb_check::chaos::chaos_sweep_with_timeout;
 use pcdlb_check::explore::{config_2x2, explore};
-use pcdlb_check::faults::fault_sweep_with_timeout;
 use pcdlb_check::invariant::{verify_invariant, InvariantConfig};
 use pcdlb_check::lint::run_lints;
 use pcdlb_check::model::{model_check, standard_cases, Reduction};
-use pcdlb_check::resize::resize_sweep_with_timeout;
-use pcdlb_check::takeover::takeover_sweep_with_timeout;
+use pcdlb_check::sweep::{sweep, SEEDS, STRIDE};
 use pcdlb_check::verify::verify_protocol;
 
 fn main() -> ExitCode {
@@ -44,19 +37,13 @@ fn main() -> ExitCode {
         "verify" => cmd_verify(rest),
         "invariant" => cmd_invariant(rest),
         "interleave" => cmd_interleave(rest),
-        "faults" => cmd_faults(rest),
-        "takeover" => cmd_takeover(rest),
-        "resize" => cmd_resize(rest),
-        "chaos" => cmd_chaos(rest),
+        "sweep" => cmd_sweep(rest),
         "model" => cmd_model(rest),
         "lint" => cmd_lint(rest),
         "all" => cmd_verify(&[])
             .and_then(|()| cmd_invariant(&[]))
             .and_then(|()| cmd_interleave(&[]))
-            .and_then(|()| cmd_faults(&[]))
-            .and_then(|()| cmd_takeover(&[]))
-            .and_then(|()| cmd_resize(&[]))
-            .and_then(|()| cmd_chaos(&[]))
+            .and_then(|()| cmd_sweep(&[]))
             .and_then(|()| cmd_model(&[]))
             .and_then(|()| cmd_lint(&["--strict-allow".to_string()])),
         "--help" | "-h" | "help" => {
@@ -76,10 +63,11 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: pcdlb-check <verify|invariant|interleave|faults|takeover|resize|chaos|model|lint|all> [options]\n\
+        "usage: pcdlb-check <verify|invariant|interleave|sweep|model|lint|all> [options]\n\
          \n\
          verify     static protocol verification: tag table, send/recv\n\
-         \u{20}          matching, deadlock freedom on all grids up to --max-side\n\
+         \u{20}          matching, deadlock freedom, the takeover buddy map and\n\
+         \u{20}          merged dual-role schedules on all grids up to --max-side\n\
          \u{20}          (default 6)\n\
          invariant  the permanent-cell invariant search: every state\n\
          \u{20}          reachable on the even tiling and on uneven cut sets (a\n\
@@ -92,30 +80,13 @@ fn usage() {
          interleave determinism check: explore message-delivery orders on a\n\
          \u{20}          2x2 PE run (--steps 6 --dfs-runs 24 --seeded-runs 24)\n\
          \u{20}          and requiring a single digest\n\
-         faults     crash-recovery parity sweep: kill each rank of a 2x2 run\n\
-         \u{20}          at every --stride'th send op (default 16) and inside\n\
-         \u{20}          each checkpoint gather, plus --seeds (default 6) seeded\n\
-         \u{20}          kills over a lossy transport (15/8/8 per mille dropped/\n\
-         \u{20}          duplicated/delayed) held to the reliable run's digest,\n\
-         \u{20}          all under a global --timeout-s (default 600) deadline\n\
-         takeover   degraded-mode takeover check: static buddy-map and\n\
-         \u{20}          merged dual-role schedule verification up to --max-side\n\
-         \u{20}          (default 6), then kill each rank of a 2x2 and a 3x3 run\n\
-         \u{20}          at every --stride'th send op (default 32) asserting\n\
-         \u{20}          bitwise recovery parity, under --timeout-s (default 900)\n\
-         resize     elastic-resize sweep: shrink/grow parity plans at several\n\
-         \u{20}          boundaries on three grids (serial/plane/cube bitwise\n\
-         \u{20}          parity; one re-tiles in place inside a generation),\n\
-         \u{20}          then kill every drain-gather contributor,\n\
-         \u{20}          every resize-barrier participant, and each rank of each\n\
-         \u{20}          generation at every --stride'th send op (default 24),\n\
-         \u{20}          under --timeout-s (default 900)\n\
-         chaos      transport-chaos sweep: --seeds (default 3) disturbance\n\
-         \u{20}          seeds x loss rates over the lossy transport on all three\n\
-         \u{20}          decompositions, asserting bitwise serial parity, a healed\n\
-         \u{20}          partition window, a takeover-escalating permanent\n\
-         \u{20}          isolation, and an inert reliable baseline, under\n\
-         \u{20}          --timeout-s (default 600)\n\
+         sweep      the fault-scenario table, no options: kills at every\n\
+         \u{20}          8th send op and inside the checkpoint gather, seeded\n\
+         \u{20}          kills over a lossy transport, buddy takeover and a\n\
+         \u{20}          second death on 2x2 and 3x3, elastic resize plans and\n\
+         \u{20}          resize-window kills, and a loss and partition matrix on\n\
+         \u{20}          all three decompositions, each run held bitwise to its\n\
+         \u{20}          row's fault-free reference, under one 600 s deadline\n\
          model      stateful protocol model checker: DFS over delivery\n\
          \u{20}          interleavings with partial-order reduction, checking the\n\
          \u{20}          typed safety properties (seq gaplessness, non-overtaking,\n\
@@ -150,8 +121,8 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
     let v = opts(rest, &[("--max-side", 6)])?;
     let report = verify_protocol(v[0]);
     println!(
-        "verify: {} schedules over sides {:?} checked",
-        report.schedules_checked, report.sides
+        "verify: {} schedules over sides {:?} checked, {} buddy-map cases, {} merged dual-role schedules",
+        report.schedules_checked, report.sides, report.buddy_cases, report.merged_schedules
     );
     if !report.violations.is_empty() {
         for v in &report.violations {
@@ -221,110 +192,29 @@ fn cmd_interleave(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_faults(rest: &[String]) -> Result<(), String> {
-    let v = opts(
-        rest,
-        &[("--stride", 16), ("--seeds", 6), ("--timeout-s", 600)],
-    )?;
-    let (stride, seeds, timeout_s) = (v[0] as u64, v[1], v[2] as u64);
-    let out = fault_sweep_with_timeout(stride, seeds, Duration::from_secs(timeout_s))?;
-    println!(
-        "faults: {} kill-point runs ({} fired), {} checkpoint-phase kills ({} fired), {} seeded lossy kills ({} fired, {} retransmits), reference digest {:#018x}",
-        out.kill_runs,
-        out.kills_fired,
-        out.ckpt_runs,
-        out.ckpt_kills_fired,
-        out.seeded_runs,
-        out.seeded_kills_fired,
-        out.seeded_retransmits,
-        out.reference_digest
-    );
-    if !out.violations.is_empty() {
-        for v in &out.violations {
-            eprintln!("  {v}");
-        }
-        return Err(format!(
-            "{} recovery-parity violation(s)",
-            out.violations.len()
-        ));
+fn cmd_sweep(rest: &[String]) -> Result<(), String> {
+    if let Some(flag) = rest.first() {
+        return Err(format!("`sweep` takes no option, got `{flag}`"));
     }
-    Ok(())
-}
-
-fn cmd_takeover(rest: &[String]) -> Result<(), String> {
-    let v = opts(
-        rest,
-        &[("--stride", 32), ("--max-side", 6), ("--timeout-s", 900)],
-    )?;
-    let (stride, max_side, timeout_s) = (v[0] as u64, v[1], v[2] as u64);
-    let out = takeover_sweep_with_timeout(stride, max_side, Duration::from_secs(timeout_s))?;
-    println!(
-        "takeover: {} buddy cases, {} merged schedules, {} kill runs ({} fired: {} degraded, {} relaunched), {} second-death run(s)",
-        out.buddy_checks,
-        out.merged_schedules,
-        out.kill_runs,
-        out.kills_fired,
-        out.degraded,
-        out.relaunched,
-        out.second_death_runs
-    );
-    if !out.violations.is_empty() {
-        for v in &out.violations {
+    let rows = sweep(STRIDE, SEEDS)?;
+    let mut violations = 0;
+    for o in &rows {
+        println!(
+            "sweep: {}: {} run(s) ({} fired: {} in place, {} relaunched), {} retransmit(s), {} suspicion(s)",
+            o.name, o.runs, o.fired, o.degraded, o.relaunched, o.retransmits, o.suspicions
+        );
+        for v in &o.violations {
             eprintln!("  {v}");
         }
-        return Err(format!("{} takeover violation(s)", out.violations.len()));
+        violations += o.violations.len();
     }
-    Ok(())
-}
-
-fn cmd_resize(rest: &[String]) -> Result<(), String> {
-    let v = opts(rest, &[("--stride", 24), ("--timeout-s", 900)])?;
-    let (stride, timeout_s) = (v[0] as u64, v[1] as u64);
-    let out = resize_sweep_with_timeout(stride, Duration::from_secs(timeout_s))?;
+    let runs: usize = rows.iter().map(|o| o.runs).sum();
     println!(
-        "resize: {} parity plans, {} drain kills ({} fired), {} barrier kills ({} fired), {} kill-point runs ({} fired), reference digest {:#018x}",
-        out.parity_runs,
-        out.drain_runs,
-        out.drain_kills_fired,
-        out.barrier_runs,
-        out.barrier_kills_fired,
-        out.kill_runs,
-        out.kills_fired,
-        out.reference_digest
+        "sweep: {} rows, {runs} runs, {violations} violation(s)",
+        rows.len()
     );
-    if !out.violations.is_empty() {
-        for v in &out.violations {
-            eprintln!("  {v}");
-        }
-        return Err(format!(
-            "{} elastic-resize violation(s)",
-            out.violations.len()
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_chaos(rest: &[String]) -> Result<(), String> {
-    let v = opts(rest, &[("--seeds", 3), ("--timeout-s", 600)])?;
-    let (seeds, timeout_s) = (v[0] as u64, v[1] as u64);
-    let out = chaos_sweep_with_timeout(seeds, Duration::from_secs(timeout_s))?;
-    println!(
-        "chaos: {} lossy parity runs, {} healed partition(s), {} takeover partition(s), {} reliable baseline run(s), {} retransmit(s), {} suspicion(s)",
-        out.parity_runs,
-        out.healed_partitions,
-        out.takeover_partitions,
-        out.inproc_runs,
-        out.retransmits,
-        out.suspicions
-    );
-    if !out.violations.is_empty() {
-        for v in &out.violations {
-            eprintln!("  {v}");
-        }
-        return Err(format!(
-            "{} transport-chaos violation(s)",
-            out.violations.len()
-        ));
+    if violations > 0 {
+        return Err(format!("{violations} fault-scenario violation(s)"));
     }
     Ok(())
 }

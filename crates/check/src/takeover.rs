@@ -1,10 +1,11 @@
-//! Verification of the degraded-mode survivor-takeover protocol.
+//! Static verification of the degraded-mode survivor-takeover protocol.
 //!
 //! When a rank dies mid-run, `pcdlb-sim`'s takeover path
 //! (`crates/sim/src/takeover.rs`) has a deterministically chosen buddy
 //! survivor adopt the dead **virtual rank** and drive both ranks' slots
-//! in every communication phase from one OS thread. Three things must
-//! hold for that to be sound, and this module checks each:
+//! in every communication phase from one OS thread. Two things must hold
+//! for that to be sound before any run, and `pcdlb-check verify` checks
+//! both on every grid it verifies:
 //!
 //! - **The buddy map is well-formed** ([`check_buddy_map`]): total and
 //!   deterministic over every grid, never maps a rank to itself, always
@@ -23,25 +24,17 @@
 //!   ([`run_thread_schedules`]): the static blocking-wait-graph check in
 //!   [`crate::verify`] keys receives by *rank*, which no longer equals
 //!   *thread* once a thread hosts two ranks.
-//! - **Real kill points recover bitwise** ([`takeover_sweep`]): kill
-//!   each rank of a 2×2 (DDM-only) and a 3×3 (DLB) world at strided
-//!   send ops and assert the run completes — degraded on `n − 1`
-//!   threads where the ladder absorbs the death, via full relaunch
-//!   where it cannot — with `digest_recovery` bitwise equal to the
-//!   fault-free reference. A two-death schedule per config checks the
-//!   escalation rung: the second death must fall back to a clean full
-//!   relaunch without hanging.
+//!
+//! That real kill points recover bitwise — degraded on `n − 1` threads
+//! or via a relaunch — is a row of the fault-scenario table
+//! ([`crate::sweep`]).
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_mp::collectives::COLLECTIVE_BIT;
-use pcdlb_mp::{FaultPlan, Torus2d};
-use pcdlb_sim::config::{Lattice, RunConfig};
-use pcdlb_sim::ResizePlan;
+use pcdlb_mp::Torus2d;
 
-use crate::faults::{run_under_timeout, Sweep, Tally};
 use crate::schedule::{step_schedule, Op, PhasedOp, ScheduleOpts, StepSchedule};
 use crate::verify::planned_retile;
 
@@ -307,149 +300,6 @@ pub fn check_merged_schedules(max_side: usize) -> (usize, Vec<String>) {
     (checked, out)
 }
 
-/// What the takeover sweep observed.
-#[derive(Debug, Clone)]
-pub struct TakeoverSweepOutcome {
-    /// `(side, dead)` buddy-map cases checked statically.
-    pub buddy_checks: usize,
-    /// Merged dual-role schedules checked for deadlock freedom.
-    pub merged_schedules: usize,
-    /// Runtime kill-point runs performed across both configs.
-    pub kill_runs: usize,
-    /// Kill-point runs whose kill actually fired.
-    pub kills_fired: usize,
-    /// Fired kills absorbed fully in place (degraded completion on
-    /// `n − 1` threads: one launch, one takeover).
-    pub degraded: usize,
-    /// Fired kills that fell back to a full relaunch (legitimate for the
-    /// narrow completion-handshake window; must stay the exception).
-    pub relaunched: usize,
-    /// Two-death escalation runs performed (one per config).
-    pub second_death_runs: usize,
-    /// Static or parity failures (empty when the protocol holds).
-    pub violations: Vec<String>,
-}
-
-/// The two sweep workloads: the 2×2 DDM-only recovery configuration the
-/// fault sweep uses, and a 3×3 clustered DLB run — the smallest grid on
-/// which a takeover thread drives two ranks through the load/decision
-/// exchanges and the columns they move. Both gather the invariant sentinel so the
-/// degraded path is also exercised under it.
-fn sweep_configs() -> Vec<(&'static str, RunConfig)> {
-    let mut c2 = crate::faults::sweep_config();
-    c2.sentinel_interval = 6;
-    let mut c3 = RunConfig::new(600, 9, 9, 0.05);
-    c3.lattice = Lattice::Cluster { fill: 0.5 };
-    c3.steps = 20;
-    c3.dlb = true;
-    c3.seed = 3;
-    c3.thermostat_interval = 10;
-    c3.checkpoint_interval = 5;
-    c3.sentinel_interval = 6;
-    c3.validate();
-    vec![("2x2", c2), ("3x3", c3)]
-}
-
-/// The full takeover check: static buddy map, merged-schedule deadlock
-/// freedom, and the runtime kill-point sweep at the given send-op
-/// `stride`.
-pub fn takeover_sweep(stride: u64, max_side: usize) -> TakeoverSweepOutcome {
-    let stride = stride.max(1);
-    let mut out = TakeoverSweepOutcome {
-        buddy_checks: 0,
-        merged_schedules: 0,
-        kill_runs: 0,
-        kills_fired: 0,
-        degraded: 0,
-        relaunched: 0,
-        second_death_runs: 0,
-        violations: Vec::new(),
-    };
-    let (buddy_checks, mut v) = check_buddy_map(max_side);
-    out.buddy_checks = buddy_checks;
-    out.violations.append(&mut v);
-    let (merged, mut v) = check_merged_schedules(max_side);
-    out.merged_schedules = merged;
-    out.violations.append(&mut v);
-
-    let mut kills = Tally::default();
-    for (name, cfg) in sweep_configs() {
-        let sweep = match Sweep::new(cfg, true, ResizePlan::new()) {
-            Ok(s) => s,
-            Err(e) => {
-                out.violations
-                    .push(format!("{name}: fault-free reference run failed: {e}"));
-                continue;
-            }
-        };
-        let reference = &sweep.reference;
-        if reference.attempts != 1 || reference.takeovers != 0 {
-            out.violations.push(format!(
-                "{name}: fault-free reference took {} attempt(s), {} takeover(s)",
-                reference.attempts, reference.takeovers
-            ));
-        }
-        let max_op = sweep.max_op();
-        let degraded_before = kills.degraded;
-        for rank in 0..sweep.cfg.p {
-            for op in (0..max_op).step_by(stride as usize) {
-                sweep.kill(
-                    &format!("{name} kill(rank {rank}, op {op})"),
-                    (0, rank),
-                    FaultPlan::kill_at(op),
-                    &mut kills,
-                    &mut out.violations,
-                );
-            }
-        }
-        if kills.degraded == degraded_before {
-            out.violations.push(format!(
-                "{name}: no kill point was absorbed in place — the takeover rung never engaged"
-            ));
-        }
-        // Escalation rung: a second death in the same launch must fall
-        // back to a clean full relaunch (no hang, parity preserved).
-        let (op_a, op_b) = (max_op / 2, max_op * 3 / 4);
-        let label = format!("{name} second-death(ops {op_a}/{op_b})");
-        let mut second_death = Tally::default();
-        let completed = sweep.faulted(
-            &label,
-            move |launch, r| match (launch, r) {
-                (0, 1) => Some(FaultPlan::kill_at(op_a)),
-                (0, 2) => Some(FaultPlan::kill_at(op_b)),
-                _ => None,
-            },
-            &mut second_death,
-            &mut out.violations,
-        );
-        out.second_death_runs += second_death.runs;
-        if let Some(o) = completed.filter(|o| o.attempts < 2) {
-            out.violations.push(format!(
-                "{label}: completed in {} attempt(s) — \
-                 the second kill never fired or was wrongly absorbed",
-                o.attempts
-            ));
-        }
-    }
-    out.kill_runs = kills.runs;
-    out.kills_fired = kills.fired;
-    out.degraded = kills.degraded;
-    out.relaunched = kills.relaunched;
-    out
-}
-
-/// [`takeover_sweep`] under a global wall-clock `timeout` — the sweep
-/// checks the no-hang guarantee, so a hang must fail, not wedge CI.
-pub fn takeover_sweep_with_timeout(
-    stride: u64,
-    max_side: usize,
-    timeout: Duration,
-) -> Result<TakeoverSweepOutcome, String> {
-    run_under_timeout(timeout, "takeover sweep", move || {
-        takeover_sweep(stride, max_side)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,16 +403,5 @@ mod tests {
         let threads = vec![vec![(0, mk(Op::Send { to: 1, tag: 4 }))], vec![]];
         let err = run_thread_schedules(&threads).expect_err("must report the leak");
         assert!(err.contains("undrained"), "{err}");
-    }
-
-    #[test]
-    fn tiny_takeover_sweep_holds_parity_on_both_grids() {
-        // A coarse stride keeps this a smoke test; the fine-grained sweep
-        // is `pcdlb-check takeover` (CI's takeover-matrix job).
-        let out = takeover_sweep(199, 4);
-        assert!(out.violations.is_empty(), "{:#?}", out.violations);
-        assert!(out.kills_fired > 0, "the low kill points must fire");
-        assert!(out.degraded > 0, "at least one in-place takeover per sweep");
-        assert_eq!(out.second_death_runs, 2);
     }
 }

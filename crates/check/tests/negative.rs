@@ -7,6 +7,7 @@ use pcdlb_check::invariant::{
     validate_decision, DlbDecision,
 };
 use pcdlb_check::schedule::{step_schedule, Op, ScheduleOpts};
+use pcdlb_check::sweep::{hold, reference, run, table, Kills, Outcome, Scenario};
 use pcdlb_check::verify::{
     check_deadlock_freedom, check_matching, check_tag_uniqueness, check_tags, planned_retile,
     verify_schedule,
@@ -15,6 +16,7 @@ use pcdlb_core::permanent::is_permanent;
 use pcdlb_core::protocol::tags::{self, CommPhase, TagSpec};
 use pcdlb_core::protocol::ProtocolError;
 use pcdlb_domain::{Col, DomainShape, OwnershipMap, PillarLayout};
+use pcdlb_mp::FaultPlan;
 use pcdlb_sim::pe::initial_particles;
 use pcdlb_sim::{launch_plan, launch_plan_on, Lattice, Placed, RunConfig};
 
@@ -358,4 +360,57 @@ fn a_column_sent_to_its_old_owner_is_caught() {
             .any(|v| v.check == "deadlock" && v.detail.contains(&starved)),
         "{vs:?}"
     );
+}
+
+/// The row of a coarse fault-scenario table named `name`.
+fn row(name: &str) -> Scenario {
+    let rows = table(97, 1);
+    rows.into_iter()
+        .find(|r| r.name == name)
+        .expect("a row of the table")
+}
+
+fn violated(out: &Outcome, what: &str) -> bool {
+    out.violations.iter().any(|v| v.contains(what))
+}
+
+#[test]
+fn a_kill_that_never_fires_is_caught() {
+    // Mutation: the checkpoint-gather row kills on a tag its ranks never
+    // send — a run without a resize plan crosses no READY barrier — so
+    // the run completes untouched and "every kill fires" must fail.
+    let mut r = row("2x2 checkpoint-gather kills");
+    r.kills = Kills::Runs(vec![vec![(
+        0,
+        1,
+        FaultPlan::kill_on_tag(tags::RESIZE_READY, 0),
+    )]]);
+    let out = run(vec![r]).expect("no hang").remove(0);
+    assert_eq!((out.runs, out.fired), (1, 0));
+    assert!(violated(&out, "AllFire"), "{:?}", out.violations);
+}
+
+#[test]
+fn a_takeover_row_without_takeover_is_caught() {
+    // Mutation: the takeover row's ladder keeps only the relaunch rung.
+    // Every kill still recovers bitwise, but none is absorbed in place.
+    let mut r = row("2x2 takeover kills");
+    r.ladder.as_mut().expect("a resilient row").takeover = false;
+    let out = run(vec![r]).expect("no hang").remove(0);
+    assert!(out.fired > 0 && out.degraded == 0, "{out:?}");
+    assert!(violated(&out, "Absorbed"), "{:?}", out.violations);
+}
+
+#[test]
+fn a_run_held_to_another_seeds_reference_is_caught() {
+    // Mutation: a fault-free run of the kill-point row is held to the
+    // reference of the same workload started from the next seed.
+    let mut r = row("2x2 kill points");
+    r.kills = Kills::Runs(vec![Vec::new()]);
+    let mut other = r.clone();
+    other.cfg.seed += 1;
+    let wrong = reference(&other).expect("the other seed's reference holds");
+    let out = hold(&r, &wrong);
+    assert_eq!(out.runs, 1);
+    assert!(violated(&out, "!= reference"), "{:?}", out.violations);
 }

@@ -20,7 +20,7 @@
 //! forwards for the common plain launches.
 //!
 //! The headline property of the ladder (tested in [`crate::recover`] and
-//! [`crate::elastic`], swept by `pcdlb-check faults | takeover | resize`):
+//! [`crate::elastic`], swept by `pcdlb-check sweep`):
 //! a recovered, degraded or resized run's particle state and per-step
 //! record series are **bitwise identical** to an uninterrupted run's, no
 //! matter where a fault struck. Only the run-total message counters differ

@@ -26,8 +26,8 @@
 //! in descending role order (the non-root role's send is posted before
 //! the root role starts receiving); broadcast halves run ascending (a
 //! binomial-tree parent is always a lower rank). With one role this is
-//! the plain single-rank order. `pcdlb-check takeover` verifies the
-//! merged schedules mechanically and sweeps real kill points.
+//! the plain single-rank order. `pcdlb-check verify` checks the merged
+//! schedules mechanically and `pcdlb-check sweep` kills at real points.
 
 use std::sync::{Arc, Mutex, PoisonError};
 

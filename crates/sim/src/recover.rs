@@ -13,7 +13,7 @@
 //! completes or attempts run out ([`RecoveryError`]).
 //!
 //! The headline property (tested here and swept exhaustively by
-//! `pcdlb-check faults`): a recovered run's particle state and per-step
+//! `pcdlb-check sweep`): a recovered run's particle state and per-step
 //! record series are **bitwise identical** to an uninterrupted run's, no
 //! matter where the fault struck. Only the run-total message counters
 //! differ (retransmission), which is why parity is asserted on
