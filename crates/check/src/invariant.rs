@@ -361,7 +361,10 @@ fn replay_plans(shape: DomainShape, cfg: &RunConfig) -> Result<(usize, usize, us
 }
 
 /// Replay the plans a re-tiling run of a clustered start on `cfg` makes at
-/// its checks: at steps 2, 4, 8, … up to `steps`, the check's plan
+/// its checks, sampled at doubling steps from the launch — steps 2, 4, 8,
+/// … up to `steps`, the schedule of a run that never re-tiles (one that
+/// does counts on from each re-tile, so these are a sample of the states
+/// its checks plan on): the check's plan
 /// (`retile_plan`: the launch plan, its tiling refined on its floor) on
 /// the work map of the state the check sees — the serial state after the
 /// step before (the run's, bit for bit). Every plan is replayed on the

@@ -186,9 +186,10 @@ impl Launch {
     /// wide so every tile keeps a movable column for the in-run balancer,
     /// and the run never checks its tiling again. Without it a balancing
     /// square pillar (under the work model) launches on tiles as thin as
-    /// one column and re-examines them at steps 2, 4, 8, …, re-tiling in
-    /// place where the modelled saving pays for the move
-    /// ([`crate::launch`], [`crate::pe`]). No effect on any other run.
+    /// one column and re-examines them 2, 4, 8, … steps after they were
+    /// last chosen, re-tiling in place where the modelled saving pays for
+    /// the move ([`crate::launch`], [`crate::pe`]). No effect on any other
+    /// run.
     pub fn fixed_tiles(mut self) -> Self {
         self.fixed_tiles = true;
         self
@@ -203,11 +204,12 @@ impl Launch {
         !self.fixed_tiles && self.shape == DomainShape::SquarePillar && cfg.dlb && modelled
     }
 
-    /// What the ranks of a launch of `cfg` run.
-    fn program(&self, cfg: &RunConfig, drain: bool) -> Program {
+    /// What the ranks of a launch of `cfg` run, its tiling chosen at step
+    /// `launched`.
+    fn program(&self, cfg: &RunConfig, launched: u64, drain: bool) -> Program {
         Program {
             shape: self.shape,
-            retile: self.retiles(cfg),
+            retile: self.retiles(cfg).then_some(launched),
             snapshot: self.snapshot,
             drain,
         }
@@ -267,7 +269,7 @@ impl Launch {
         crate::decomp::validate(cfg, self.shape);
         let world = self.world(cfg, 0);
         let (placed, plan) = self.fresh(cfg);
-        let program = self.program(cfg, false);
+        let program = self.program(cfg, 0, false);
         let results = world.run(|comm| {
             let roles = [comm.rank()];
             let start = Start::Fresh(&placed, &plan);
@@ -333,7 +335,7 @@ impl Launch {
             let (drain, sync) = (gen < last_gen, gen > 0);
             let program = Program {
                 snapshot: true,
-                ..self.program(&seg_cfg, drain)
+                ..self.program(&seg_cfg, seg.start, drain)
             };
             let completed = (0..ladder.max_attempts).find_map(|attempt| {
                 let mut world = self.world(&seg_cfg, launches);

@@ -380,12 +380,17 @@ mod tests {
             planned += plan.decisions.len();
             tilings.push(tiling);
         }
-        // Each generation's plan is counted, and the run reports the
-        // tiling it finished on: the same cuts it started on, as long as
-        // the lattice holds.
+        // Each generation's plan is counted. Both 3 × 3 generations launch
+        // on the same cuts, as long as the lattice holds, and each one's
+        // first check — two steps after its launch — refines them on the
+        // plan's floor to the same cuts again; the run reports the tiling
+        // it finished on.
         assert_eq!(out.report.launch_transfers, planned);
-        assert_eq!(out.report.tiling, Some(tilings[2]));
         assert_eq!(tilings[2], tilings[0]);
+        let retiles = &out.report.retiles;
+        assert_eq!(retiles.iter().map(|r| r.0).collect::<Vec<_>>(), [2, 18]);
+        assert_eq!(retiles[0].1, retiles[1].1);
+        assert_eq!(out.report.tiling, Some(retiles[1].1));
         assert_eq!(tilings[1].num_ranks(), 16);
     }
 

@@ -12,13 +12,15 @@
 //! what the balancer decided.
 //!
 //! A re-tiling run (a balancing square pillar not launched with
-//! `Launch::fixed_tiles`) checks its tiling at the top of steps 2, 4, 8,
-//! … — the first rebuild step at or after each under skin epochs — before
-//! the balancer decides; on a step that re-tiles, the move follows round 1
-//! and the balancer sits the step out (a re-tile step has two rounds, and
-//! the decisions still pending from the step before are dropped before
-//! its round 1: the re-tile plans from who holds what). Both are part of
-//! the step: their messages land in its comm lap like any other.
+//! `Launch::fixed_tiles`) checks its tiling 2, 4, 8, … steps after it was
+//! last chosen — at its last re-tile, or at the launch — or under skin
+//! epochs at the first rebuild step at or after each, at the top of the
+//! step before the balancer decides; on a step that re-tiles, the move
+//! follows round 1 and the balancer sits the step out (a re-tile step has
+//! two rounds, and the decisions still pending from the step before are
+//! dropped before its round 1: the re-tile plans from who holds what).
+//! Both are part of the step: their messages land in its comm lap like
+//! any other.
 //!
 //! Dual-role phase interleaving is what keeps such a degraded world
 //! deadlock-free: point-to-point phases post *both* roles' sends before
@@ -75,9 +77,11 @@ fn descending(
 #[derive(Clone, Copy)]
 pub(crate) struct Program {
     pub(crate) shape: DomainShape,
-    /// Check the tiling at doubling steps and re-tile in place where it
-    /// pays (a balancing square pillar without `Launch::fixed_tiles`).
-    pub(crate) retile: bool,
+    /// Check the tiling at doubling steps from the step it was last chosen
+    /// and re-tile in place where it pays (a balancing square pillar
+    /// without `Launch::fixed_tiles`): `Some` of the step the launch chose
+    /// it at — 0, or the resize boundary an elastic generation starts from.
+    pub(crate) retile: Option<u64>,
     /// Gather the final particle state to rank 0.
     pub(crate) snapshot: bool,
     /// Gather a final checkpoint at `cfg.steps` even though no step follows
@@ -143,8 +147,8 @@ pub(crate) fn run_roles(
                 }
                 Start::Fresh(placed, plan) => PeState::new(v, cfg, shape, placed, plan),
             };
-            if retile {
-                pe.follow_the_load();
+            if let Some(launched) = retile {
+                pe.follow_the_load(launched);
             }
             (v, pe)
         })

@@ -50,7 +50,8 @@
 //! something to move, never enters the chooser and keeps the even tiling.
 //!
 //! **Re-tiling in the run.** The launch is check 0 of a re-tiling run:
-//! at steps 2, 4, 8, … the run gathers the work map its last force pass
+//! 2, 4, 8, … steps after the tiling was last chosen — at the launch or
+//! at the last re-tile — the run gathers the work map its last force pass
 //! measured to rank 0, which calls [`launch_plan`] on it, refines the
 //! tiling on the floor the plan reaches ([`retile_plan`]: steepest
 //! descent over the tilings one cut away) and re-tiles in place iff the
@@ -585,19 +586,24 @@ fn one_cut_away(tiling: &PillarLayout) -> Vec<PillarLayout> {
     out
 }
 
-/// The re-tile check of step `step` of a re-tiling run: `held[rank]` is
-/// every column `rank` owns at the top of the step, with the work the last
-/// force pass measured on it and its particle count. Rank 0 plans on that
-/// work map ([`retile_plan`]) and re-tiles iff the saving pays for the
-/// move:
+/// The re-tile check of step `step` of a re-tiling run, `since` steps
+/// after the tiling was last chosen (at the launch or the last re-tile):
+/// `held[rank]` is every column `rank` owns at the top of the step, with
+/// the work the last force pass measured on it and its particle count.
+/// Rank 0 plans on that work map ([`retile_plan`]) and re-tiles iff the
+/// saving pays for the move:
 ///
 /// `(L_now − F′) · h > C`
 ///
 /// - `L_now`: the largest load under the current ownership;
 /// - `F′`: the floor the plan ends on;
-/// - `h = 2^(k−1)` for the check at `2^k ≤ step` (the first rebuild step
-///   at or after it): the steps since the previous check. The past is the
-///   horizon, and the rule is stateless, so a restored run replays it;
+/// - `h = 2^(k−1)` at the `k`-th check, due `2^k ≤ since` steps after the
+///   tiling was chosen (held on the first rebuild step at or after that):
+///   half the steps the tiling has stood by then. From the second check on
+///   that is the steps since the previous check was due; at the first it
+///   is one step, though two have passed since the tiling was chosen. The
+///   past is the horizon, and the rule is stateless, so a restored run
+///   replays it;
 /// - `C`: the move's modelled time on the rank that pays most under the
 ///   world's `model` — one frame per (old owner, new owner) pair carrying
 ///   the particles of every column between them, charged to sender and
@@ -607,6 +613,7 @@ fn one_cut_away(tiling: &PillarLayout) -> Vec<PillarLayout> {
 pub(crate) fn check(
     cfg: &RunConfig,
     step: u64,
+    since: u64,
     held: &[Held],
     model: &CostModel,
 ) -> Option<Retile> {
@@ -646,7 +653,7 @@ pub(crate) fn check(
         paid[from] += t;
         paid[to] += t;
     }
-    let horizon = (1u64 << step.ilog2()) / 2;
+    let horizon = (1u64 << since.ilog2()) / 2;
     let saving = (now - floor) * horizon as f64;
     (!moves.is_empty() && saving > peak(&paid)).then_some(Retile {
         tiling,
@@ -840,7 +847,7 @@ mod tests {
                 held[standing.home_rank(col)].push((col, checks, checks / 10 + 1));
             }
             let model = crate::decomp::cost_model(DomainShape::SquarePillar, &cfg);
-            if let Some(r) = check(&cfg, 2, &held, &model) {
+            if let Some(r) = check(&cfg, 2, 2, &held, &model) {
                 prop_assert_eq!(r.tiling, refined.tiling());
                 prop_assert_eq!(r.loads, refined.loads);
             }

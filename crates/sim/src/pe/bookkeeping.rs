@@ -205,7 +205,7 @@ mod tests {
                     let start = crate::engine::Start::Fresh(&initial, &none);
                     let program = crate::engine::Program {
                         shape,
-                        retile: false,
+                        retile: None,
                         snapshot: false,
                         drain: false,
                     };

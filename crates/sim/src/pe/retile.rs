@@ -1,6 +1,7 @@
 //! The slow loop of a re-tiling run (a balancing square pillar launched
-//! without `Launch::fixed_tiles`): at steps 2, 4, 8, … — under skin epochs
-//! the first rebuild step at or after each — rank 0 gathers the work map
+//! without `Launch::fixed_tiles`): 2, 4, 8, … steps after the tiling was
+//! last chosen — its last re-tile, or the launch — and under skin epochs
+//! the first rebuild step at or after each, rank 0 gathers the work map
 //! the last force pass measured, decides with the launch's own chooser
 //! and plan whether the tiles move ([`crate::launch::check`]), and
 //! broadcasts the decision. A re-tile step drops the balancer's pending
@@ -36,16 +37,21 @@ pub(crate) type Held = Vec<(Col, u64, u64)>;
 pub(super) struct Retiling {
     /// Whether this run re-examines its tiling. Fixed for the run.
     enabled: bool,
+    /// The step the launch chose the tiling at: 0, or the resize boundary
+    /// an elastic generation starts from.
+    launched: u64,
     /// Every re-tile so far: its step, the tiling it moved to and the
     /// columns that changed hands.
     history: Vec<(u64, PillarLayout, usize)>,
 }
 
 impl PeState {
-    /// Make this a re-tiling run's PE (a balancing square pillar only).
-    pub(crate) fn follow_the_load(&mut self) {
+    /// Make this a re-tiling run's PE (a balancing square pillar only),
+    /// whose launch chose its tiling at step `launched`.
+    pub(crate) fn follow_the_load(&mut self, launched: u64) {
         debug_assert!(self.balances() && self.decomp.tiling().is_some());
         self.retiling.enabled = true;
+        self.retiling.launched = launched;
     }
 
     /// The re-tiles of the run so far (restored ones included).
@@ -58,13 +64,26 @@ impl PeState {
         self.retiling.history = history.to_vec();
     }
 
+    /// The step the check schedule counts from: the later of the last
+    /// re-tile and the launch.
+    fn chosen_at(&self) -> u64 {
+        let retiled = self.retiling.history.last().map_or(0, |r| r.0);
+        retiled.max(self.retiling.launched)
+    }
+
     /// Whether `step` checks the tiling: a rebuild step of a re-tiling
-    /// run with a power of two `2^k ≥ 2` in `(last rebuild, step]`. Ask
-    /// before [`PeState::dlb_due`] moves the rebuild history on. Pure in
-    /// replicated state, so every rank — and a restored run — agrees.
+    /// run with a power of two `2^k ≥ 2` in `(last rebuild − b, step − b]`,
+    /// `b` the step the tiling was chosen at. Ask before
+    /// [`PeState::dlb_due`] moves the rebuild history on. Pure in
+    /// replicated state — the re-tile history travels in every checkpoint
+    /// — so every rank, and a restored run, agrees.
     pub(crate) fn retile_due(&self, step: u64, rebuild: bool) -> bool {
-        let power = 1u64 << step.ilog2();
-        self.retiling.enabled && rebuild && power >= 2 && power > self.balance.last_rebuild()
+        if !(self.retiling.enabled && rebuild) {
+            return false;
+        }
+        let base = self.chosen_at();
+        let power = 1u64 << (step - base).ilog2();
+        power >= 2 && power > self.balance.last_rebuild() - base
     }
 
     /// The check, gather half: every owned column with its work (see
@@ -93,8 +112,8 @@ impl PeState {
         step: u64,
         held: Option<Vec<Held>>,
     ) -> Option<Arc<Retile>> {
-        let model = *comm.cost_model();
-        let decided = held.map(|held| check(&self.cfg, step, &held, &model).map(Arc::new));
+        let (model, since) = (*comm.cost_model(), step - self.chosen_at());
+        let decided = held.map(|held| check(&self.cfg, step, since, &held, &model).map(Arc::new));
         let retile: Option<Arc<Retile>> = collectives::bcast(comm, tags::RETILE_BCAST, decided);
         if let Some(r) = &retile {
             (self.retiling.history).push((step, r.tiling, r.moves.len()));
@@ -186,8 +205,8 @@ mod tests {
     use crate::pe::initial_particles;
 
     /// A corner cluster that re-tiles at its first check (step 2): on the
-    /// 4 × 4 torus (`m = 4`, 40 % of the box; it re-tiles again at steps
-    /// 16 and 32), or the benchmark's `cluster_dlb_p9` on the 3 × 3.
+    /// 4 × 4 torus (`m = 4`, 40 % of the box), or the benchmark's
+    /// `cluster_dlb_p9` on the 3 × 3.
     fn cluster(p: usize) -> RunConfig {
         let mut cfg = RunConfig::from_p_m_density(p, 4, 0.128);
         let fill = if p == 9 { 0.45 } else { 0.4 };
@@ -213,7 +232,7 @@ mod tests {
             .run(|comm| {
                 let mut pe = PeState::new(comm.rank(), cfg, shape, &placed, &plan);
                 if follow {
-                    pe.follow_the_load();
+                    pe.follow_the_load(0);
                 }
                 let mut pes = [(comm.rank(), pe)];
                 crate::engine::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
@@ -255,7 +274,8 @@ mod tests {
             );
             1
         });
-        // The checks of steps 2, 4 and 8, as rank 0 saw them.
+        // The checks of steps 2, 4 and 6 (two and four steps after the
+        // step-2 re-tile), as rank 0 saw them.
         assert_eq!(checked[0].iter().sum::<i32>(), 3);
     }
 
@@ -289,17 +309,63 @@ mod tests {
         };
         let retiled: Vec<usize> = followed[0].iter().map(|s| s.1).collect();
         assert_eq!(retiled, [0, 1, 1, 1, 1, 1, 1, 1], "re-tiles at step 2");
-        for step in [2, 4, 8] {
+        // The re-tile moves the schedule on: its checks come 2 and 4 steps
+        // after it.
+        for step in [2, 4, 6] {
             let ([time, msgs], [fixed_time, fixed_msgs]) =
                 (delta(&followed, step), delta(&fixed, step));
             assert!(time > fixed_time && msgs > fixed_msgs, "step {step}");
         }
-        for step in [3, 5, 6, 7] {
+        for step in [3, 5, 7, 8] {
             assert_eq!(
                 delta(&followed, step)[1],
                 delta(&fixed, step)[1],
                 "step {step}"
             );
         }
+    }
+
+    #[test]
+    fn the_checks_count_doubling_steps_from_the_last_time_the_tiles_were_chosen() {
+        // A walk over steps 1..=60 of rank 0 of a re-tiling run, its
+        // rebuild steps given by `rebuilds`, with a re-tile written into
+        // the history at step 34 as `retile_decide` writes one: the steps
+        // `retile_due` checks.
+        let cfg = cluster(9);
+        let placed = Placed::new(&cfg, &initial_particles(&cfg));
+        let shape = DomainShape::SquarePillar;
+        let plan = launch_plan(shape, &cfg, 0, &placed.column_work(), true);
+        let checks = |rebuilds: &dyn Fn(u64) -> bool| {
+            let mut pe = PeState::new(0, &cfg, shape, &placed, &plan);
+            pe.follow_the_load(0);
+            let tiling = pe.tiling().expect("a pillar PE has a tiling");
+            let mut due = Vec::new();
+            for step in 1..=60 {
+                let rebuild = rebuilds(step);
+                if pe.retile_due(step, rebuild) {
+                    due.push(step);
+                }
+                if step == 34 {
+                    pe.restore_retiles(&[(34, tiling, 1)]);
+                }
+                let _ = pe.dlb_due(step, rebuild);
+            }
+            due
+        };
+        // Every step rebuilds: 2, 4, 8, 16, 32 steps after the launch,
+        // then 2, 4, 8, 16 after the re-tile.
+        let scheduled = [2, 4, 8, 16, 32, 36, 38, 42, 50];
+        assert_eq!(checks(&|_| true), scheduled);
+        // Under skin epochs (here every third step rebuilds, 34 among
+        // them) each check waits for the first rebuild step at or after
+        // its scheduled one; two that wait for the same step are one.
+        let epochs = |step: u64| step % 3 == 1;
+        let mut waited: Vec<u64> = scheduled
+            .iter()
+            .map(|&at| (at..).find(|&s| epochs(s)).expect("a later rebuild"))
+            .collect();
+        waited.dedup();
+        assert_eq!(waited, [4, 10, 16, 34, 37, 40, 43, 52]);
+        assert_eq!(checks(&epochs), waited);
     }
 }

@@ -683,6 +683,70 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_run_restored_between_its_checks_checks_where_it_would_have() {
+        use crate::engine::{run_roles, Program, Start};
+        use crate::launch::{launch_plan, Placed};
+        use pcdlb_domain::DomainShape;
+        use std::sync::Mutex;
+        // The benchmark's `cluster_dlb_p9` (seed 1) re-tiles at step 2, so
+        // its next checks are due 4 and 8 steps later — at steps 6 and 10,
+        // not 8 and 16. A checkpoint of step 5 falls between the re-tile
+        // and those checks. The re-tile history it carries is what the
+        // schedule counts from, so the run restored from it checks, and
+        // re-tiles, where the uninterrupted one does.
+        let mut cfg = busy_balancer_cfg();
+        cfg.dlb_min_gain = 0.02;
+        cfg.seed = 1;
+        cfg.steps = 40;
+        cfg.checkpoint_interval = 0;
+        let (reference, reference_snapshot) = run_with_snapshot(&cfg);
+        let steps = |retiles: &[(u64, PillarLayout, usize)]| -> Vec<u64> {
+            retiles.iter().map(|r| r.0).collect()
+        };
+        assert_eq!(steps(&reference.retiles), [2, 34, 38]);
+        let shape = DomainShape::SquarePillar;
+        let world = || {
+            pcdlb_mp::World::new(cfg.p)
+                .with_cost_model(crate::decomp::cost_model(shape, &cfg))
+                .with_comm_config(&cfg.comm)
+        };
+        let program = |snapshot, drain| Program {
+            shape,
+            retile: Some(0),
+            snapshot,
+            drain,
+        };
+        // Step 5's checkpoint, taken by a run that drains there.
+        let mut to_5 = cfg.clone();
+        to_5.steps = 5;
+        let sink = Mutex::new(None);
+        let placed = Placed::new(&to_5, &initial_particles(&to_5));
+        let plan = launch_plan(shape, &to_5, 0, &placed.column_work(), true);
+        let drain = program(false, true);
+        world().run(|comm| {
+            let (roles, start) = ([comm.rank()], Start::Fresh(&placed, &plan));
+            run_roles(comm, &to_5, drain, &roles, start, Some(&sink))
+        });
+        let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
+        assert_eq!((at_5.md.step, steps(&at_5.retiles)), (5, vec![2]));
+        let resume = program(true, false);
+        let mut restored = world().run(|comm| {
+            let (roles, start) = ([comm.rank()], Start::Restore(&at_5));
+            run_roles(comm, &cfg, resume, &roles, start, None)
+                .swap_remove(0)
+                .1
+        });
+        let rank0 = restored.swap_remove(0);
+        let report = rank0.report.expect("rank 0 reports");
+        let snapshot = rank0.snapshot.expect("rank 0 gathers the snapshot");
+        assert_eq!(report.retiles, reference.retiles);
+        assert_eq!(
+            digest_recovery(&report, &snapshot, cfg.load_metric),
+            digest_recovery(&reference, &reference_snapshot, cfg.load_metric)
+        );
+    }
+
+    #[test]
     fn recovery_without_faults_completes_in_one_attempt() {
         let cfg = recovery_cfg();
         let out = fault_free(&cfg, false);
@@ -832,7 +896,7 @@ pub(crate) mod tests {
         let plan = launch_plan(shape, &to_5, 0, &placed.column_work(), true);
         let program = Program {
             shape,
-            retile: true,
+            retile: Some(0),
             snapshot: false,
             drain: true,
         };
@@ -955,16 +1019,17 @@ pub(crate) mod tests {
         use pcdlb_core::protocol::tags;
         use pcdlb_mp::collectives::ctag;
         use pcdlb_mp::FaultPlan;
-        // A 4 × 4 corner cluster that re-tiles at step 2 (its first check)
-        // and step 16 (its fourth), with checkpoints every 5 steps and a
-        // sentinel watching. The check and the move are the step's
-        // messages like any other, and the re-tile is a pure function of
-        // the state the check sees, so a world that dies inside such a step
-        // — in the check's gather, or sending a moved column — replays it
-        // to the bit, by relaunch or by takeover: the step-16 check from
-        // the checkpoint of step 15, the step-2 move from the launch. One
-        // that dies between the two restores onto the tiling the first
-        // left, and makes the second as the run did.
+        // A 4 × 4 corner cluster that re-tiles at step 2 (its first check),
+        // 10, 14 and 16 — 8, 4 and 2 steps after the re-tile before — with
+        // checkpoints every 5 steps and a sentinel watching. The check and
+        // the move are the step's messages like any other, and the re-tile
+        // is a pure function of the state the check sees, so a world that
+        // dies inside such a step — in the check's gather, or sending a
+        // moved column — replays it to the bit, by relaunch or by takeover:
+        // the step-10 check from the checkpoint of step 5, the step-2 move
+        // from the launch. One that dies after the checkpoint of step 10
+        // restores onto the tiling the step-10 re-tile left, counts its
+        // checks from there and makes the last two as the run did.
         let mut cfg = RunConfig::from_p_m_density(16, 4, 0.128);
         cfg.lattice = Lattice::Cluster { fill: 0.4 };
         cfg.dlb = true;
@@ -975,8 +1040,8 @@ pub(crate) mod tests {
         cfg.comm = recovery_cfg().comm;
         let reference = fault_free(&cfg, false);
         let retiled: Vec<u64> = reference.report.retiles.iter().map(|r| r.0).collect();
-        assert_eq!(retiled, [2, 16]);
-        let tiling = reference.report.retiles[1].1;
+        assert_eq!(retiled, [2, 10, 14, 16]);
+        let tiling = reference.report.retiles[3].1;
         assert_eq!(reference.report.tiling, Some(tiling));
         let parity = |out: &LadderOutcome, what: &str| {
             assert_eq!(out.digest, reference.digest, "{what}");
@@ -984,8 +1049,8 @@ pub(crate) mod tests {
             assert_eq!(out.report.retiles, reference.report.retiles, "{what}");
             assert_eq!(out.report.tiling, Some(tiling), "{what}");
         };
-        // After the checkpoint of step 10: restored onto the first re-tile's
-        // tiling, ahead of the check that makes the second.
+        // After the checkpoint of step 10: restored onto the step-10
+        // re-tile's tiling, ahead of the checks that make the next two.
         let in_step_11 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 10);
         let kill = move |launch, rank| (launch == 0 && rank == 5).then(in_step_11);
         let restored = faulted(kill)
@@ -994,7 +1059,7 @@ pub(crate) mod tests {
         assert_eq!(restored.attempts, 2);
         parity(&restored, "restored between the re-tiles");
         // Inside a re-tile step: in the check's gather (the fourth a
-        // non-root rank contributes to: step 16's), or at the first frame
+        // non-root rank contributes to: step 10's), or at the first frame
         // of moved columns a rank sends (step 2's).
         let deaths: [(&str, u64, u64); 2] = [
             ("check", ctag(tags::RETILE_GATHER, 0), 3),

@@ -41,7 +41,14 @@
 //! landed at the top of the step booked moved the ladder's 4 × 4
 //! generation once more and left the ring as it was. `digest_particles`
 //! equalled the serial reference's before and after, 0x4cfb21a79597db90
-//! and 0x33920bd8f57f4c11. An engine change that is meant to be a pure move
+//! and 0x33920bd8f57f4c11. The sixth was re-captured when a re-tiling
+//! run began to count its checks from the step its tiling was last chosen
+//! — its last re-tile, or the launch of its generation — rather than from
+//! step 0: the ladder now re-tiles at steps 2, 10, 12, 22 and 30, where
+//! it re-tiled at 2 and 16 (the third checks at 2, 4, 8 and 16 as before,
+//! since it never re-tiles, and kept its digest); `digest_particles`
+//! equalled the serial reference's before and after, 0x33920bd8f57f4c11.
+//! An engine change that is meant to be a pure move
 //! must leave all six alone; one that means to move them says so in
 //! CHANGES.md and re-captures them here.
 
@@ -99,8 +106,9 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     // sentinel every 5 steps, two drains, two resize barriers, two
     // restores onto another torus, each launched afresh from the drained
     // particles on tiles cut through the cluster (36 transfers planned at
-    // the three launches), the tiling checked inside the first two
-    // generations and moved at steps 2 and 16.
+    // the three launches), the tiling checked 2, 4, 8, … steps after each
+    // generation's launch or re-tile and moved at steps 2, 10, 12, 22 and
+    // 30.
     let mut ladder = gas(9, 12, 0.1);
     ladder.lattice = Lattice::Cluster { fill: 0.6 };
     ladder.dlb = true;
@@ -132,7 +140,7 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
         0xdd4b3592de94328b,
         0x4f63a655bba527c7,
         0x526684c0948b4db7,
-        0xa51e2baebfd7132a,
+        0xd3af7b673e6a9c83,
     ];
     let hex = |digests: [u64; 6]| digests.map(|d| format!("{d:#018x}"));
     assert_eq!(

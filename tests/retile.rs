@@ -1,7 +1,10 @@
 //! Tier-1's view of the slow loop: a balancing square-pillar run checks
-//! its tiling at steps 2, 4, 8, … and re-tiles in place where the saving
-//! pays for the move. A re-tile moves ownership, never physics:
+//! its tiling 2, 4, 8, … steps after it was last chosen — at the launch or
+//! at the last re-tile — and re-tiles in place where the saving pays for
+//! the move. A re-tile moves ownership, never physics:
 //!
+//! - without a skin every step rebuilds, so every re-tile lands `2^k`
+//!   steps (`k ≥ 1`) after the one before it, or after step 0;
 //! - clustered runs on the 3 × 3 and the 4 × 4 torus re-tile at least
 //!   twice and still land on the serial reference bit for bit;
 //! - every re-tile is the check's own decision on the work map the run
@@ -88,7 +91,15 @@ fn a_re_tile_moves_ownership_never_physics() {
             true,
         );
         let mut before = launch.tiling();
+        let mut chosen_at = 0;
         for &(step, tiling, moved) in &report.retiles {
+            let since = step - chosen_at;
+            assert!(
+                since >= 2 && since.is_power_of_two(),
+                "P = {}: re-tiled at {step}, {since} steps after step {chosen_at}",
+                cfg.p
+            );
+            chosen_at = step;
             while serial.steps_done() < step - 1 {
                 serial.step();
             }
