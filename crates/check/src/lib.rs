@@ -1,5 +1,5 @@
-//! `pcdlb-check` — static protocol verifier, interleaving-exploring
-//! determinism checker, and lint pass for the message-passing layer.
+//! `pcdlb-check` — static protocol verifier, protocol model checker,
+//! fault-scenario sweep and lint pass for the message-passing layer.
 //!
 //! The paper's SPMD program is only correct if three things hold that the
 //! type system cannot express:
@@ -15,11 +15,21 @@
 //!    of protocol-legal ownership transfers ever moves a permanent cell or
 //!    breaks the 8-neighbour adjacency the communication pattern relies
 //!    on — checked by bounded search over the reachable ownership states.
-//! 3. **Results are delivery-order independent** ([`explore`]): the
+//! 3. **Results are delivery-order independent, and the protocol state
+//!    machine is safe on every explored interleaving** ([`model`]): the
 //!    simulation digest ([`pcdlb_sim::digest`]) must be bit-identical no
-//!    matter in which order messages from different sources arrive —
-//!    checked by re-running the simulator under a controlled scheduler
-//!    (`pcdlb-mp`'s `check` feature) that permutes message-arrival order.
+//!    matter in which order messages from different sources arrive. A
+//!    stateful model checker re-runs the simulator under a controlled
+//!    scheduler (`pcdlb-mp`'s `check` feature) with full protocol event
+//!    tracing, prunes commuting delivery choices with a dynamic
+//!    partial-order reduction (independence from blocking exact-match
+//!    consumption, sleep-set dedup, visited-state hashing), adds seeded
+//!    pseudo-random orders the reduction never runs, and checks one
+//!    digest, per-stream sequence gaplessness, non-overtaking
+//!    consumption, epoch monotonicity, pool checkout/checkin balance,
+//!    single adoption per death, and sentinel conservation on every
+//!    trace — each violation reported with its minimal offending event
+//!    window.
 //!
 //! A fourth property arrived with the recovery ladder and the lossy
 //! transport:
@@ -38,19 +48,6 @@
 //!    dual-role schedule a survivor runs after adopting a dead virtual
 //!    rank is deadlock-free.
 //!
-//! A fifth deepens the third from digest equality to typed safety:
-//!
-//! 5. **The protocol state machine is safe on every explored
-//!    interleaving** ([`model`]): a stateful model checker replays the
-//!    simulator under controlled delivery with full protocol event
-//!    tracing, prunes commuting delivery choices with a dynamic
-//!    partial-order reduction (independence from blocking exact-match
-//!    consumption, sleep-set dedup, visited-state hashing), and checks
-//!    per-stream sequence gaplessness, non-overtaking consumption,
-//!    epoch monotonicity, pool checkout/checkin balance, single
-//!    adoption per death, and sentinel conservation on every trace —
-//!    each violation reported with its minimal offending event window.
-//!
 //! [`lint`] adds a repo lint pass for the hazards that produce such bugs:
 //! wall-clock reads in deterministic crates, hash-order iteration in
 //! protocol-facing code, and `unwrap()` / unaudited `expect()` on
@@ -58,7 +55,6 @@
 //!
 //! The `pcdlb-check` binary drives all of it; see `README.md`.
 
-pub mod explore;
 pub mod invariant;
 pub mod lint;
 pub mod model;

@@ -97,9 +97,9 @@ pub struct LintReport {
     pub suppressed: usize,
     /// Allowlist entries that suppressed nothing — stale audits whose
     /// code has since been fixed or removed. Rendered as the original
-    /// `rule  path-suffix  line-substring` lines. `--strict-allow` turns
-    /// these into failures so the allowlist can only shrink with the
-    /// code it audits.
+    /// `rule  path-suffix  line-substring` lines. `pcdlb-check lint`
+    /// fails on them, so the allowlist can only shrink with the code it
+    /// audits.
     pub dead_allows: Vec<String>,
 }
 

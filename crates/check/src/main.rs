@@ -1,26 +1,26 @@
 //! The `pcdlb-check` command-line driver.
 //!
 //! ```text
-//! pcdlb-check verify     [--max-side N]
-//! pcdlb-check invariant  [--max-side N] [--max-m M] [--max-states K]
-//! pcdlb-check interleave [--steps S] [--dfs-runs N] [--seeded-runs N]
+//! pcdlb-check verify
+//! pcdlb-check invariant
 //! pcdlb-check sweep
-//! pcdlb-check model      [--steps S] [--steps-3x3 S] [--max-runs N]
-//!                        [--runs-3x3 N] [--grid 0|2|3]
-//! pcdlb-check lint       [--root PATH] [--strict-allow]
+//! pcdlb-check model
+//! pcdlb-check lint [--root PATH]
 //! pcdlb-check all
 //! ```
 //!
-//! Exit status 0 means every requested check passed; 1 means at least
-//! one violation (or bad usage). Run from the repo root (CI does).
+//! Every check runs at the density CI gates on and takes no option;
+//! `lint` takes the tree to scan. `all` runs the five in turn and is
+//! CI's gate. Exit status 0 means every requested check passed; 1 means
+//! at least one violation (or bad usage). Run from the repo root (CI
+//! does).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pcdlb_check::explore::{config_2x2, explore};
 use pcdlb_check::invariant::{verify_invariant, InvariantConfig};
 use pcdlb_check::lint::run_lints;
-use pcdlb_check::model::{model_check, standard_cases, Reduction};
+use pcdlb_check::model::{model_check, standard_cases, SEEDED_ORDERS};
 use pcdlb_check::sweep::{sweep, SEEDS, STRIDE};
 use pcdlb_check::verify::verify_protocol;
 
@@ -33,19 +33,23 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let flagless = |check: fn() -> Result<(), String>| match rest.first() {
+        Some(flag) => Err(format!("`{cmd}` takes no option, got `{flag}`")),
+        None => check(),
+    };
     let result = match cmd {
-        "verify" => cmd_verify(rest),
-        "invariant" => cmd_invariant(rest),
-        "interleave" => cmd_interleave(rest),
-        "sweep" => cmd_sweep(rest),
-        "model" => cmd_model(rest),
+        "verify" => flagless(cmd_verify),
+        "invariant" => flagless(cmd_invariant),
+        "sweep" => flagless(cmd_sweep),
+        "model" => flagless(cmd_model),
         "lint" => cmd_lint(rest),
-        "all" => cmd_verify(&[])
-            .and_then(|()| cmd_invariant(&[]))
-            .and_then(|()| cmd_interleave(&[]))
-            .and_then(|()| cmd_sweep(&[]))
-            .and_then(|()| cmd_model(&[]))
-            .and_then(|()| cmd_lint(&["--strict-allow".to_string()])),
+        "all" => flagless(|| {
+            cmd_verify()
+                .and_then(|()| cmd_invariant())
+                .and_then(|()| cmd_sweep())
+                .and_then(|()| cmd_model())
+                .and_then(|()| cmd_lint(&[]))
+        }),
         "--help" | "-h" | "help" => {
             usage();
             return ExitCode::SUCCESS;
@@ -63,63 +67,42 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: pcdlb-check <verify|invariant|interleave|sweep|model|lint|all> [options]\n\
+        "usage: pcdlb-check <verify|invariant|sweep|model|lint|all>\n\
          \n\
          verify     static protocol verification: tag table, send/recv\n\
          \u{20}          matching, deadlock freedom, the takeover buddy map and\n\
-         \u{20}          merged dual-role schedules on all grids up to --max-side\n\
-         \u{20}          (default 6)\n\
+         \u{20}          merged dual-role schedules on all grids up to side 6\n\
          invariant  the permanent-cell invariant search: every state\n\
          \u{20}          reachable on the even tiling and on uneven cut sets (a\n\
          \u{20}          one-column row, shifted origins, one wide tile) of each\n\
-         \u{20}          grid up to --max-side (default 4), --max-m (default 3),\n\
-         \u{20}          --max-states per tiling (default 20000), and the launch\n\
-         \u{20}          plans of clustered starts replayed on their chosen tilings\n\
-         \u{20}          (fixed and re-tiling), and the plans of a re-tiling run's\n\
-         \u{20}          checks at steps 2..32\n\
-         interleave determinism check: explore message-delivery orders on a\n\
-         \u{20}          2x2 PE run (--steps 6 --dfs-runs 24 --seeded-runs 24)\n\
-         \u{20}          and requiring a single digest\n\
-         sweep      the fault-scenario table, no options: kills at every\n\
-         \u{20}          8th send op and inside the checkpoint gather, seeded\n\
-         \u{20}          kills over a lossy transport, buddy takeover and a\n\
-         \u{20}          second death on 2x2 and 3x3, elastic resize plans and\n\
-         \u{20}          resize-window kills, and a loss and partition matrix on\n\
-         \u{20}          all three decompositions, each run held bitwise to its\n\
-         \u{20}          row's fault-free reference, under one 600 s deadline\n\
+         \u{20}          grid up to side 4 and m 3, 20000 states per tiling, the\n\
+         \u{20}          launch plans of clustered starts replayed on their\n\
+         \u{20}          chosen tilings (fixed and re-tiling), and the plans of a\n\
+         \u{20}          re-tiling run's checks at steps 2..32\n\
+         sweep      the fault-scenario table: kills at every 8th send op\n\
+         \u{20}          and inside the checkpoint gather, seeded kills over a\n\
+         \u{20}          lossy transport, buddy takeover and a second death on\n\
+         \u{20}          2x2 and 3x3, elastic resize plans and resize-window\n\
+         \u{20}          kills, and a loss and partition matrix on all three\n\
+         \u{20}          decompositions, each run held bitwise to its row's\n\
+         \u{20}          fault-free reference, under one 600 s deadline\n\
          model      stateful protocol model checker: DFS over delivery\n\
-         \u{20}          interleavings with partial-order reduction, checking the\n\
-         \u{20}          typed safety properties (seq gaplessness, non-overtaking,\n\
-         \u{20}          epoch monotonicity, pool balance, single adoption,\n\
-         \u{20}          sentinel conservation) on every explored trace; matrix of\n\
-         \u{20}          2x2 drained-frontier + 3x3 budget-bounded POR cases,\n\
-         \u{20}          with and without takeover (--steps 6 --steps-3x3 6 --max-runs 200\n\
-         \u{20}          --runs-3x3 10 --grid 0|2|3); emits a JSON summary line\n\
-         lint       hazard lint over the repo tree (--root .); --strict-allow\n\
-         \u{20}          also fails on allowlist entries matching no source line"
+         \u{20}          interleavings with partial-order reduction, then 24\n\
+         \u{20}          seeded delivery orders per fault-free case, checking one\n\
+         \u{20}          digest and the typed safety properties (seq gaplessness,\n\
+         \u{20}          non-overtaking, epoch monotonicity, pool balance, single\n\
+         \u{20}          adoption, sentinel conservation) on every trace; 6-step\n\
+         \u{20}          2x2 and 3x3 cases with and without takeover (200 runs\n\
+         \u{20}          for the fault-free 2x2 case, 100 for the others); emits\n\
+         \u{20}          a JSON summary line\n\
+         lint       hazard lint over the repo tree (--root PATH, default .);\n\
+         \u{20}          allowlist entries matching no source line fail it\n\
+         all        the five above in turn: CI's gate"
     );
 }
 
-/// Parse `--key value` options, all integers, with defaults.
-fn opts(rest: &[String], keys: &[(&str, usize)]) -> Result<Vec<usize>, String> {
-    let mut vals: Vec<usize> = keys.iter().map(|&(_, d)| d).collect();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let pos = keys
-            .iter()
-            .position(|&(k, _)| k == flag)
-            .ok_or_else(|| format!("unknown option `{flag}`"))?;
-        let val = it.next().ok_or_else(|| format!("`{flag}` needs a value"))?;
-        vals[pos] = val
-            .parse()
-            .map_err(|_| format!("`{flag}` needs an integer, got `{val}`"))?;
-    }
-    Ok(vals)
-}
-
-fn cmd_verify(rest: &[String]) -> Result<(), String> {
-    let v = opts(rest, &[("--max-side", 6)])?;
-    let report = verify_protocol(v[0]);
+fn cmd_verify() -> Result<(), String> {
+    let report = verify_protocol(6);
     println!(
         "verify: {} schedules over sides {:?} checked, {} buddy-map cases, {} merged dual-role schedules",
         report.schedules_checked, report.sides, report.buddy_cases, report.merged_schedules
@@ -134,15 +117,11 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
 }
 
 /// The permanent-cell invariant search, uneven cut sets included.
-fn cmd_invariant(rest: &[String]) -> Result<(), String> {
-    let v = opts(
-        rest,
-        &[("--max-side", 4), ("--max-m", 3), ("--max-states", 20_000)],
-    )?;
+fn cmd_invariant() -> Result<(), String> {
     let inv = verify_invariant(&InvariantConfig {
-        max_side: v[0],
-        max_m: v[1],
-        max_states_per_config: v[2],
+        max_side: 4,
+        max_m: 3,
+        max_states_per_config: 20_000,
     })
     .map_err(|e| format!("permanent-cell invariant violated: {e}"))?;
     println!(
@@ -168,34 +147,7 @@ fn cmd_invariant(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_interleave(rest: &[String]) -> Result<(), String> {
-    let v = opts(
-        rest,
-        &[("--steps", 6), ("--dfs-runs", 24), ("--seeded-runs", 24)],
-    )?;
-    // The run must be delivery-order independent: every explored
-    // interleaving lands on one digest.
-    let out = explore(&config_2x2(v[0] as u64), v[1], v[2]);
-    println!(
-        "interleave: {} runs, {} distinct delivery orders (max arity {}), {} digest(s)",
-        out.runs,
-        out.distinct_orders,
-        out.max_arity,
-        out.digests.len()
-    );
-    if out.digests.len() != 1 {
-        return Err(format!(
-            "simulation digest depends on message-delivery order: {:?}",
-            out.digests
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_sweep(rest: &[String]) -> Result<(), String> {
-    if let Some(flag) = rest.first() {
-        return Err(format!("`sweep` takes no option, got `{flag}`"));
-    }
+fn cmd_sweep() -> Result<(), String> {
     let rows = sweep(STRIDE, SEEDS)?;
     let mut violations = 0;
     for o in &rows {
@@ -219,42 +171,28 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_model(rest: &[String]) -> Result<(), String> {
-    let v = opts(
-        rest,
-        &[
-            ("--steps", 6),
-            ("--steps-3x3", 6),
-            ("--max-runs", 200),
-            ("--runs-3x3", 10),
-            ("--grid", 0),
-        ],
-    )?;
-    let (steps_2x2, steps_3x3, max_runs, runs_3x3, grid) =
-        (v[0] as u64, v[1] as u64, v[2], v[3], v[4]);
-    if grid != 0 && grid != 2 && grid != 3 {
-        return Err(format!("`--grid` must be 0 (all), 2 or 3, got {grid}"));
-    }
-    let cases = standard_cases(steps_2x2, steps_3x3, max_runs, runs_3x3, grid);
+fn cmd_model() -> Result<(), String> {
+    let cases = standard_cases(6, 200, 100);
     let mut failures: Vec<String> = Vec::new();
     let mut json_cases: Vec<String> = Vec::new();
     for case in &cases {
         let out = model_check(case)?;
-        let mode = match out.mode {
-            Reduction::Exhaustive => "exhaustive",
-            Reduction::Por => "por",
-        };
         println!(
-            "model[{}]: {} runs ({}, {}), {} states, {} choice points (max arity {}), \
+            "model[{}]: {} runs ({}{}), {} states, {} choice points (max arity {}), \
              {} forks, pruned {} independent / {} sleep / {} visited, \
-             unreduced >= {} ({:.1}x reduction), {} events, {} digest(s), {} violation(s)",
+             unreduced >= {} ({:.1}x reduction), {} distinct delivery orders, {} events, \
+             {} digest(s), {} violation(s)",
             out.label,
             out.runs,
-            mode,
             if out.exhausted {
                 "exhausted"
             } else {
                 "budget-capped"
+            },
+            if case.kill.is_none() {
+                format!(", +{SEEDED_ORDERS} seeded")
+            } else {
+                String::new()
             },
             out.distinct_states,
             out.choice_points,
@@ -265,6 +203,7 @@ fn cmd_model(rest: &[String]) -> Result<(), String> {
             out.pruned_visited,
             out.unreduced_estimate,
             out.reduction_factor(),
+            out.distinct_orders,
             out.events,
             out.digests.len(),
             out.violations.len(),
@@ -273,13 +212,12 @@ fn cmd_model(rest: &[String]) -> Result<(), String> {
             eprintln!("  {viol}");
         }
         json_cases.push(format!(
-            "{{\"label\":\"{}\",\"mode\":\"{}\",\"runs\":{},\"exhausted\":{},\
+            "{{\"label\":\"{}\",\"runs\":{},\"exhausted\":{},\
              \"distinct_states\":{},\"choice_points\":{},\"max_arity\":{},\"forks\":{},\
              \"pruned_independent\":{},\"pruned_sleep\":{},\"pruned_visited\":{},\
-             \"unreduced_estimate\":{},\"reduction_factor\":{:.2},\"events\":{},\
-             \"digests\":{},\"violations\":{}}}",
+             \"unreduced_estimate\":{},\"reduction_factor\":{:.2},\"distinct_orders\":{},\
+             \"events\":{},\"digests\":{},\"violations\":{}}}",
             out.label,
-            mode,
             out.runs,
             out.exhausted,
             out.distinct_states,
@@ -291,6 +229,7 @@ fn cmd_model(rest: &[String]) -> Result<(), String> {
             out.pruned_visited,
             out.unreduced_estimate,
             out.reduction_factor(),
+            out.distinct_orders,
             out.events,
             out.digests.len(),
             out.violations.len(),
@@ -326,18 +265,16 @@ fn cmd_model(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_lint(rest: &[String]) -> Result<(), String> {
-    let mut root = PathBuf::from(".");
-    let mut strict_allow = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--root" => {
-                root = PathBuf::from(it.next().ok_or("`--root` needs a path")?);
-            }
-            "--strict-allow" => strict_allow = true,
-            other => return Err(format!("unknown option `{other}`")),
+    let root = match rest {
+        [] => PathBuf::from("."),
+        [flag, path] if flag == "--root" => PathBuf::from(path),
+        other => {
+            return Err(format!(
+                "`lint` takes only `--root PATH`, got `{}`",
+                other.join(" ")
+            ))
         }
-    }
+    };
     if !root.is_dir() {
         return Err(format!("lint root `{}` is not a directory", root.display()));
     }
@@ -361,7 +298,7 @@ fn cmd_lint(rest: &[String]) -> Result<(), String> {
         }
         return Err(format!("{} lint violation(s)", report.findings.len()));
     }
-    if strict_allow && !report.dead_allows.is_empty() {
+    if !report.dead_allows.is_empty() {
         for d in &report.dead_allows {
             eprintln!("  dead allowlist entry: {d}");
         }

@@ -5,18 +5,16 @@
 //!
 //! # How it works
 //!
-//! Each run executes the actual simulator under a
-//! [`ReplayPolicy`] prefix (exactly like
-//! [`crate::explore`]) with every rank thread bound to a protocol event
-//! log ([`ProtocolEvent`]): sends, admissions, delivery choices (with the
+//! Each run executes the actual simulator under a [`ReplayPolicy`]
+//! prefix with every rank thread bound to a protocol event log
+//! ([`ProtocolEvent`]): sends, admissions, delivery choices (with the
 //! full candidate set), consumptions (flagged when made through a
 //! timing-sensitive probe), epoch advances, parks, stale drops, persona
 //! adoptions, pool checkouts/checkins, aborts, and the simulator's
 //! conservation sentinels.
 //!
 //! The DFS over replay prefixes then forks alternatives at delivery
-//! choice points — but, in [`Reduction::Por`] mode, only *dependent*
-//! ones:
+//! choice points — but only *dependent* ones:
 //!
 //! - **Independence.** Two delivery alternatives at a choice point
 //!   commute when both messages are later consumed by *blocking
@@ -35,17 +33,18 @@
 //!   is hashed; a run that lands on an already-visited state spawns no
 //!   further forks (`pruned_visited`).
 //!
-//! [`Reduction::Exhaustive`] forks every alternative regardless — the
-//! brute-force baseline. Even a two-step 2×2 run has ~75 choice points
-//! of arity up to 3 per trace, so unreduced DFS cannot drain any real
-//! configuration; exhaustive mode exists to validate the explorer on
-//! small synthetic budgets (the exhaustive and reduced explorations must
-//! agree on digests and properties over the traces both reach) and to
-//! size the brute-force frontier the reduction is measured against. The
-//! standard matrix therefore verifies 2×2 worlds *exhaustively up to the
-//! independence relation*: [`Reduction::Por`] with the drain requirement
+//! Even a two-step 2×2 run has ~75 choice points of arity up to 3 per
+//! trace, so unreduced DFS cannot drain any real configuration. The
+//! standard matrix therefore verifies fault-free worlds *exhaustively up
+//! to the independence relation*: the reduced frontier must drain
 //! (`exhausted == true`), meaning every non-commuting interleaving was
-//! explored.
+//! explored. Because the fault-free frontiers drain in one run, each
+//! fault-free case then runs [`SEEDED_ORDERS`] pseudo-random delivery
+//! orders ([`SeededPolicy`]) through the same event logs and properties —
+//! the empirical check on the independence relation: orders the
+//! reduction never ran must land on the same digest. They fork nothing
+//! and count towards neither `runs` nor `unreduced_estimate`;
+//! `distinct_orders` counts the delivery orders observed over all runs.
 //!
 //! The reported `unreduced_estimate` is a *conservative lower bound* on
 //! what exhaustive DFS would explore: every prefix the reduced search
@@ -80,8 +79,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pcdlb_mp::check::{
-    install_event_log, new_event_log, ChoiceTrace, EventLog, ProtocolEvent, ReplayPolicy,
-    TraceHandle,
+    install_event_log, new_event_log, ChoiceTrace, DeliveryPolicy, EventLog, ProtocolEvent,
+    ReplayPolicy, SeededPolicy, TraceHandle,
 };
 use pcdlb_mp::{FaultPlan, Tag};
 use pcdlb_sim::config::{Lattice, RunConfig};
@@ -122,23 +121,12 @@ impl std::fmt::Display for PropertyViolation {
     }
 }
 
-/// Whether the checker prunes commuting delivery alternatives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reduction {
-    /// Fork every alternative at every choice point (2×2 validation).
-    Exhaustive,
-    /// Fork only dependent alternatives (sleep sets + state hashing).
-    Por,
-}
-
 /// What one model-checking case observed.
 #[derive(Debug, Clone)]
 pub struct ModelOutcome {
     /// Case label, e.g. `3x3-takeover`.
     pub label: String,
-    /// Reduction mode the case ran under.
-    pub mode: Reduction,
-    /// Simulator runs executed.
+    /// DFS runs executed (the seeded orders not counted).
     pub runs: usize,
     /// True when the DFS frontier drained within the run budget — every
     /// discovered (non-pruned) alternative was explored.
@@ -151,6 +139,9 @@ pub struct ModelOutcome {
     pub choice_points: usize,
     /// Largest candidate set at any choice point.
     pub max_arity: usize,
+    /// Distinct delivery orders observed (hashes of the per-rank choice
+    /// traces), the seeded runs' included.
+    pub distinct_orders: usize,
     /// Alternatives actually queued for exploration.
     pub forks: usize,
     /// Alternatives pruned because both deliveries commute (consumed by
@@ -182,6 +173,17 @@ impl ModelOutcome {
     /// digests agree.
     pub fn clean(&self) -> bool {
         self.violations.is_empty() && self.digests.len() <= 1
+    }
+
+    /// Fold one run's digest, event count and property violations in.
+    fn absorb(&mut self, case: &ModelCase, digest: u64, logs: &[Vec<ProtocolEvent>]) {
+        self.digests.insert(digest);
+        self.events += logs.iter().map(Vec::len).sum::<usize>();
+        self.violations.extend(check_all_properties(
+            case.cfg.n_particles as u64,
+            case.cfg.p,
+            logs,
+        ));
     }
 }
 
@@ -749,6 +751,21 @@ fn dependent(
     observable(&choice.candidates[choice.taken]) || observable(&choice.candidates[alt])
 }
 
+/// Order-preserving hash of a full per-rank choice-trace set: one value
+/// per observed delivery order.
+fn trace_hash(traces: &[ChoiceTrace]) -> u64 {
+    let mut h = Fnv1a::new();
+    for (r, t) in traces.iter().enumerate() {
+        h.write_u64(r as u64);
+        h.write_u64(t.len() as u64);
+        for cp in t {
+            h.write_u64(cp.arity as u64);
+            h.write_u64(cp.taken as u64);
+        }
+    }
+    h.finish()
+}
+
 /// Canonical per-rank projection hash of one run's full event trace —
 /// the visited-state key for revisit pruning.
 fn state_hash(logs: &[Vec<ProtocolEvent>]) -> u64 {
@@ -778,8 +795,6 @@ pub struct ModelCase {
     pub label: String,
     /// Simulator configuration to model-check.
     pub cfg: RunConfig,
-    /// Reduction mode.
-    pub mode: Reduction,
     /// Run budget; the DFS stops (non-exhausted) when it is spent.
     pub max_runs: usize,
     /// `Some((rank, op))`: kill `rank` at send op `op` on attempt 0 and
@@ -804,35 +819,54 @@ fn takeover_cfg(case: &ModelCase) -> RunConfig {
     cfg
 }
 
-/// Execute one run under replay `prefixes`, with full instrumentation.
-/// Returns the digest, per-rank choice traces and per-rank event logs.
+/// The delivery order a run's first launch follows.
+enum Order {
+    /// Per-rank replay prefixes, then lowest source first.
+    Replay(Vec<Vec<usize>>),
+    /// Every choice drawn from a per-rank stream of this seed.
+    Seeded(u64),
+}
+
+fn boxed<P: DeliveryPolicy + 'static>(
+    (policy, handle): (P, TraceHandle),
+) -> (Box<dyn DeliveryPolicy>, TraceHandle) {
+    (Box::new(policy), handle)
+}
+
+/// Execute one run under `order`, with full instrumentation. Returns the
+/// digest, per-rank choice traces and per-rank event logs.
 #[allow(clippy::type_complexity)]
 fn run_once(
     case: &ModelCase,
-    prefixes: &[Vec<usize>],
+    order: Order,
 ) -> Result<(u64, Vec<ChoiceTrace>, Vec<Vec<ProtocolEvent>>), String> {
     let p = case.cfg.p;
     let handles: Arc<Mutex<Vec<Option<TraceHandle>>>> = Arc::new(Mutex::new(vec![None; p]));
     let logs: Vec<EventLog> = (0..p).map(|_| new_event_log()).collect();
     let (handles_in, logs_in) = (Arc::clone(&handles), logs.clone());
-    let (prefixes, kill) = (prefixes.to_vec(), case.kill);
+    let kill = case.kill;
     // One log per physical rank across every launch of the run: each
     // launch opens its segment with a `Birth` marker, before anything
     // else the rank does.
     let launch = Launch::new().snapshot().on_start(move |launch, comm| {
         let rank = comm.rank();
         install_event_log(logs_in[rank].clone(), rank);
-        // The replay prefix steers launch 0 (where a kill fires);
-        // relaunches run the deterministic default order.
-        let prefix = match launch {
-            0 => prefixes.get(rank).cloned().unwrap_or_default(),
-            _ => Vec::new(),
+        // The order steers launch 0 (where a kill fires); relaunches run
+        // the deterministic default order.
+        let (policy, handle) = match (launch, &order) {
+            (0, Order::Replay(prefixes)) => boxed(ReplayPolicy::new(
+                prefixes.get(rank).cloned().unwrap_or_default(),
+            )),
+            (0, Order::Seeded(seed)) => boxed(SeededPolicy::new(
+                seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add(rank as u64),
+            )),
+            _ => boxed(ReplayPolicy::new(Vec::new())),
         };
-        let (policy, handle) = ReplayPolicy::new(prefix);
         if launch == 0 {
             handles_in.lock().expect("handle table")[rank] = Some(handle);
         }
-        comm.set_delivery_policy(Box::new(policy));
+        comm.set_delivery_policy(policy);
         if let Some((_, op)) = kill.filter(|k| launch == 0 && k.0 == rank) {
             comm.set_fault_plan(FaultPlan::kill_at(op));
         }
@@ -866,19 +900,23 @@ fn run_once(
     Ok((digest, traces, events))
 }
 
-/// Model-check one case: DFS over replay prefixes with the configured
-/// reduction, checking every property on every explored trace.
+/// Seeded delivery orders each fault-free case runs after its DFS.
+pub const SEEDED_ORDERS: u64 = 24;
+
+/// Model-check one case: DFS over replay prefixes with partial-order
+/// reduction, then (fault-free cases) [`SEEDED_ORDERS`] seeded orders,
+/// checking every property on every trace.
 pub fn model_check(case: &ModelCase) -> Result<ModelOutcome, String> {
     let p = case.cfg.p;
     let mut out = ModelOutcome {
         label: case.label.clone(),
-        mode: case.mode,
         runs: 0,
         exhausted: true,
         digests: BTreeSet::new(),
         distinct_states: 0,
         choice_points: 0,
         max_arity: 0,
+        distinct_orders: 0,
         forks: 0,
         pruned_independent: 0,
         pruned_sleep: 0,
@@ -895,7 +933,7 @@ pub fn model_check(case: &ModelCase) -> Result<ModelOutcome, String> {
             .map_err(|e| format!("fault-free takeover reference failed: {e:?}"))?;
         out.digests.insert(reference.digest);
     }
-    let mut seen_violations: BTreeSet<(&'static str, usize, String)> = BTreeSet::new();
+    let mut orders: BTreeSet<u64> = BTreeSet::new();
     let mut visited: BTreeSet<u64> = BTreeSet::new();
     // Sleep set: every prefix ever queued (explored or waiting).
     let mut queued: BTreeSet<Vec<Vec<usize>>> = BTreeSet::new();
@@ -909,15 +947,10 @@ pub fn model_check(case: &ModelCase) -> Result<ModelOutcome, String> {
             out.exhausted = false;
             break;
         }
-        let (digest, traces, logs) = run_once(case, &prefixes)?;
+        let (digest, traces, logs) = run_once(case, Order::Replay(prefixes.clone()))?;
         out.runs += 1;
-        out.digests.insert(digest);
-        out.events += logs.iter().map(Vec::len).sum::<usize>();
-        for v in check_all_properties(case.cfg.n_particles as u64, p, &logs) {
-            if seen_violations.insert((v.property, v.rank, v.detail.clone())) {
-                out.violations.push(v);
-            }
-        }
+        out.absorb(case, digest, &logs);
+        orders.insert(trace_hash(&traces));
         if !visited.insert(state_hash(&logs)) {
             out.pruned_visited += 1;
             continue; // revisited state: nothing new can fork from here
@@ -946,30 +979,30 @@ pub fn model_check(case: &ModelCase) -> Result<ModelOutcome, String> {
                     next[rank] = trace[..i].iter().map(|c| c.taken).collect();
                     next[rank].push(alt);
                     brute_queued.insert(next.clone());
-                    let fork = match case.mode {
-                        Reduction::Exhaustive => true,
-                        Reduction::Por => {
-                            if dependent(choice, alt, &consumed) {
-                                true
-                            } else {
-                                out.pruned_independent += 1;
-                                false
-                            }
-                        }
-                    };
-                    if fork {
-                        if queued.insert(next.clone()) {
-                            stack.push(next);
-                            out.forks += 1;
-                        } else {
-                            out.pruned_sleep += 1;
-                        }
+                    if !dependent(choice, alt, &consumed) {
+                        out.pruned_independent += 1;
+                    } else if queued.insert(next.clone()) {
+                        stack.push(next);
+                        out.forks += 1;
+                    } else {
+                        out.pruned_sleep += 1;
                     }
                 }
             }
         }
     }
     out.unreduced_estimate = 1 + brute_queued.len();
+    if case.kill.is_none() {
+        for seed in 1..=SEEDED_ORDERS {
+            let (digest, traces, logs) = run_once(case, Order::Seeded(seed))?;
+            out.absorb(case, digest, &logs);
+            orders.insert(trace_hash(&traces));
+        }
+    }
+    out.distinct_orders = orders.len();
+    let mut seen = BTreeSet::new();
+    out.violations
+        .retain(|v| seen.insert((v.property, v.rank, v.detail.clone())));
     if out.digests.len() > 1 {
         out.violations.push(PropertyViolation {
             property: "digest-equality",
@@ -989,10 +1022,17 @@ pub fn model_check(case: &ModelCase) -> Result<ModelOutcome, String> {
 // The standard case matrix
 // ---------------------------------------------------------------------------
 
-/// 2×2 model configuration: [`crate::explore::config_2x2`] with the
-/// conservation sentinel active so `sentinel-conservation` has traffic.
+/// 2×2 model configuration: small enough to explore many orders quickly,
+/// with migration, ghost exchange, thermostat collectives, stats traffic,
+/// checkpoints and the conservation sentinel all active. A 2×2 torus has
+/// no distinct directional roles, so DLB is off — the paper's protocol
+/// starts at side 3, where the 3×3 cases run it.
 fn model_config_2x2(steps: u64) -> RunConfig {
-    let mut cfg = crate::explore::config_2x2(steps);
+    let mut cfg = RunConfig::from_p_m_density(4, 1, 0.3);
+    cfg.dlb = false;
+    cfg.steps = steps;
+    cfg.thermostat_interval = 2;
+    cfg.seed = 7;
     cfg.sentinel_interval = 3;
     cfg.checkpoint_interval = 2;
     cfg.validate();
@@ -1017,51 +1057,25 @@ fn model_config_3x3(steps: u64) -> RunConfig {
 }
 
 /// The standard model-checking matrix driven by `pcdlb-check model`:
-/// 2×2 exhaustive up to independence — POR that must *drain* — and 3×3
-/// POR-bounded, each with and without takeover. Fault-free cases must
-/// exhaust; the driver gates takeover and 3×3 cases on the reported
-/// reduction factor.
-pub fn standard_cases(
-    steps_2x2: u64,
-    steps_3x3: u64,
-    max_runs_2x2: usize,
-    max_runs_3x3: usize,
-    grid: usize,
-) -> Vec<ModelCase> {
-    let mut cases = Vec::new();
-    if grid == 0 || grid == 2 {
-        cases.push(ModelCase {
-            label: "2x2".into(),
-            cfg: model_config_2x2(steps_2x2),
-            mode: Reduction::Por,
-            max_runs: max_runs_2x2,
-            kill: None,
-        });
-        cases.push(ModelCase {
-            label: "2x2-takeover".into(),
-            cfg: model_config_2x2(steps_2x2),
-            mode: Reduction::Por,
-            max_runs: max_runs_3x3,
-            kill: Some((1, 24)),
-        });
-    }
-    if grid == 0 || grid == 3 {
-        cases.push(ModelCase {
-            label: "3x3".into(),
-            cfg: model_config_3x3(steps_3x3),
-            mode: Reduction::Por,
-            max_runs: max_runs_3x3,
-            kill: None,
-        });
-        cases.push(ModelCase {
-            label: "3x3-takeover".into(),
-            cfg: model_config_3x3(steps_3x3),
-            mode: Reduction::Por,
-            max_runs: max_runs_3x3,
-            kill: Some((1, 24)),
-        });
-    }
-    cases
+/// 2×2 and 3×3, each with and without takeover, `steps` long. The
+/// fault-free 2×2 case gets `max_runs_2x2` DFS runs, the others
+/// `max_runs`. Fault-free cases must exhaust; `pcdlb-check model` gates
+/// takeover and 3×3 cases on the reported reduction factor.
+pub fn standard_cases(steps: u64, max_runs_2x2: usize, max_runs: usize) -> Vec<ModelCase> {
+    let case = |label: &str, cfg: RunConfig, max_runs, kill| ModelCase {
+        label: label.into(),
+        cfg,
+        max_runs,
+        kill,
+    };
+    // Kill rank 1 at its 24th send op on launch 0.
+    let takeover = Some((1, 24));
+    vec![
+        case("2x2", model_config_2x2(steps), max_runs_2x2, None),
+        case("2x2-takeover", model_config_2x2(steps), max_runs, takeover),
+        case("3x3", model_config_3x3(steps), max_runs, None),
+        case("3x3-takeover", model_config_3x3(steps), max_runs, takeover),
+    ]
 }
 
 #[cfg(test)]
@@ -1328,6 +1342,15 @@ mod tests {
         // Incomplete rounds (a rank died mid-gather) are not violations.
         let partial = vec![logs[0].clone()];
         assert!(check_global_properties(100, 2, &partial).is_empty());
+    }
+
+    #[test]
+    fn trace_hash_distinguishes_orders() {
+        use pcdlb_mp::check::ChoicePoint;
+        let a = vec![vec![ChoicePoint { arity: 2, taken: 0 }]];
+        let b = vec![vec![ChoicePoint { arity: 2, taken: 1 }]];
+        assert_ne!(trace_hash(&a), trace_hash(&b));
+        assert_eq!(trace_hash(&a), trace_hash(&a.clone()));
     }
 
     #[test]

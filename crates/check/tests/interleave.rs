@@ -1,50 +1,30 @@
-//! The determinism acceptance check: the simulation digest must be
-//! identical across many message-delivery orders — plus a sanity check
-//! that the machinery *can* observe order dependence in a program that
-//! races on arrival timing.
+//! Controls for the delivery policies the model checker drives: both
+//! the replayed and the seeded orders can observe order dependence in a
+//! program that races on arrival timing, and the seeded orders cannot
+//! move a program that receives by source. The simulator's own delivery-order
+//! independence is checked in `model_negative.rs`.
 
 use std::collections::BTreeSet;
 
-use pcdlb_check::explore::{config_2x2, explore};
-use pcdlb_mp::check::{ReplayPolicy, SeededPolicy};
+use pcdlb_mp::check::{DeliveryPolicy, ReplayPolicy, SeededPolicy};
 use pcdlb_mp::World;
-
-#[test]
-fn digest_identical_across_at_least_24_delivery_orders_on_2x2() {
-    let cfg = config_2x2(6);
-    let out = explore(&cfg, 24, 24);
-    assert_eq!(out.runs, 48);
-    assert_eq!(
-        out.digests.len(),
-        1,
-        "simulation digest depends on delivery order: {:?}",
-        out.digests
-    );
-    assert!(
-        out.distinct_orders >= 24,
-        "only {} distinct delivery orders observed (need ≥ 24); max arity {}",
-        out.distinct_orders,
-        out.max_arity
-    );
-    assert!(
-        out.max_arity >= 2,
-        "no choice point ever had multiple candidates — nothing was explored"
-    );
-}
 
 /// A deliberately racy program: rank 0 polls two senders with `try_recv`
 /// and reports which message became visible first. Which candidate the
 /// delivery policy releases first is exactly the race — different
 /// policies must be able to produce different outcomes, proving the
-/// explorer can distinguish delivery orders at all.
-fn racy_first_seen(rank0_prefix: Vec<usize>) -> u64 {
+/// checker can distinguish delivery orders at all. `rank0_policy` makes
+/// rank 0's policy; the senders keep the default order.
+fn racy_first_seen(
+    rank0_policy: impl Fn() -> Box<dyn DeliveryPolicy> + Send + Sync + 'static,
+) -> u64 {
     let world = World::new(3).with_start_hook(move |comm| {
-        let prefix = if comm.rank() == 0 {
-            rank0_prefix.clone()
+        let policy = if comm.rank() == 0 {
+            rank0_policy()
         } else {
-            Vec::new()
+            Box::new(ReplayPolicy::new(Vec::new()).0)
         };
-        comm.set_delivery_policy(Box::new(ReplayPolicy::new(prefix).0));
+        comm.set_delivery_policy(policy);
     });
     let outs = world.run(|comm| {
         if comm.rank() == 0 {
@@ -77,10 +57,17 @@ fn racy_first_seen(rank0_prefix: Vec<usize>) -> u64 {
 fn racy_program_outcomes_differ_across_policies() {
     // Prefix [0]: deliver source 1's message first → rank 0 sees 1 first.
     // Prefix [1]: deliver source 2's message first → rank 0 sees 2 first.
-    let first = racy_first_seen(vec![0]);
-    let second = racy_first_seen(vec![1]);
-    assert_eq!(first, 1);
-    assert_eq!(second, 2);
+    let replayed =
+        |prefix: Vec<usize>| racy_first_seen(move || Box::new(ReplayPolicy::new(prefix.clone()).0));
+    assert_eq!(replayed(vec![0]), 1);
+    assert_eq!(replayed(vec![1]), 2);
+    // The seeded orders the model checker adds to its fault-free cases
+    // tell the two apart as well: across a few seeds, rank 0 sees each
+    // sender first.
+    let seeded: BTreeSet<u64> = (0..8u64)
+        .map(|seed| racy_first_seen(move || Box::new(SeededPolicy::new(seed).0)))
+        .collect();
+    assert_eq!(seeded, BTreeSet::from([1, 2]));
 }
 
 #[test]

@@ -201,7 +201,7 @@ fn double_adoption_is_caught_by_adopt_once() {
 /// Run the real 2×2 simulator with full instrumentation (default
 /// delivery order) and return the per-rank event logs.
 fn captured_2x2_logs() -> (Vec<Vec<ProtocolEvent>>, u64, usize) {
-    let case = &standard_cases(4, 4, 50, 5, 2)[0];
+    let case = &standard_cases(4, 50, 5)[0];
     let logs: Vec<EventLog> = (0..case.cfg.p).map(|_| new_event_log()).collect();
     let log_refs = logs.clone();
     let launch = Launch::new().on_start(move |_launch, comm| {
@@ -328,13 +328,29 @@ fn find_checkin(logs: &[Vec<ProtocolEvent>]) -> Option<(usize, usize)> {
 // End-to-end: the checker accepts the real protocol
 // ---------------------------------------------------------------------------
 
-/// A short 2×2 case drains its DPOR frontier with zero violations and a
-/// single digest — the positive control for the mutations above.
+/// The fault-free 2×2 case `pcdlb-check model` runs drains its DPOR
+/// frontier with zero violations, and its seeded orders — at least 24
+/// distinct delivery orders over choice points with several candidates —
+/// land on the one digest: the positive control for the mutations above.
 #[test]
 fn short_2x2_model_check_is_clean_and_exhausts() {
-    let case = &standard_cases(3, 3, 50, 5, 2)[0];
+    let case = &standard_cases(6, 200, 5)[0];
     let out = model_check(case).expect("model check runs");
     assert!(out.exhausted, "2x2 frontier must drain: {out:?}");
-    assert!(out.clean(), "violations or digest split: {out:?}");
-    assert!(out.choice_points > 0, "instrumentation observed choices");
+    assert!(out.clean(), "violations: {out:?}");
+    assert_eq!(
+        out.digests.len(),
+        1,
+        "simulation digest depends on delivery order: {:?}",
+        out.digests
+    );
+    assert!(
+        out.distinct_orders >= 24,
+        "only {} distinct delivery orders observed (need ≥ 24)",
+        out.distinct_orders
+    );
+    assert!(
+        out.max_arity >= 2,
+        "no choice point ever had multiple candidates — nothing was explored"
+    );
 }

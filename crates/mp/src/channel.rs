@@ -6,8 +6,8 @@
 //! Keeping the queue in-tree (rather than pulling in an external channel
 //! crate) keeps the repo dependency-free and — more importantly for the
 //! verification tooling — leaves a single, auditable point where message
-//! *arrival order* is decided. The `check`-mode interleaving explorer
-//! (see [`crate::check`]) permutes delivery order above this queue.
+//! *arrival order* is decided. The `check`-mode delivery policies
+//! (see [`crate::check`]) permute delivery order above this queue.
 //!
 //! Semantics, matching what [`crate::world::World`] needs:
 //!

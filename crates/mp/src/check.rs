@@ -14,18 +14,20 @@
 //!   so every policy run is a *legal* network behaviour — only the
 //!   cross-source interleaving varies.
 //!
-//! Policies record a [`ChoiceTrace`] of `(arity, taken)` pairs. An
-//! explorer (see the `pcdlb-check` crate) runs the same program under many
-//! traces — replayed prefixes for systematic DFS, seeded pseudo-random
-//! tails for breadth — and asserts that an observable digest of the final
-//! state is identical across all of them.
+//! Policies record a [`ChoiceTrace`] of `(arity, taken)` pairs. The one
+//! explorer is the model checker of the `pcdlb-check` crate
+//! (`pcdlb_check::model`): it runs the same program under many traces —
+//! replayed prefixes for a DFS with partial-order reduction, seeded
+//! pseudo-random orders for breadth — and asserts that an observable
+//! digest of the final state is identical across all of them and that
+//! the protocol's typed safety properties hold on every trace.
 //!
 //! Note on what is and is not controlled: the *set* of messages buffered
 //! at a choice point still depends on real thread timing (a slow sender's
 //! message may not have physically arrived yet). Every choice sequence is
 //! therefore a valid interleaving, but replaying a prefix is best-effort:
 //! [`ReplayPolicy`] clamps an out-of-range prefix choice instead of
-//! failing, and the explorer deduplicates runs by their *observed* traces.
+//! failing, and the checker forks from the *observed* traces.
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};

@@ -1,6 +1,6 @@
 //! Deterministic state digests for determinism checking.
 //!
-//! The interleaving explorer in `pcdlb-check` runs the same configuration
+//! The model checker in `pcdlb-check` runs the same configuration
 //! under many message-delivery orders and asserts that this digest is
 //! bit-identical across all of them. The digest therefore covers exactly
 //! the state that *must* be delivery-order independent — the final

@@ -33,9 +33,10 @@
 //! 8. statistics gather to rank 0 — `bookkeeping`.
 //!
 //! A re-tiling run (a balancing square pillar launched without
-//! `Launch::fixed_tiles`) adds the slow loop of `retile`: at steps 2, 4,
-//! 8, … a check ahead of phase 1, and on a re-tile step, after round 1,
-//! the move of every column whose owner changes.
+//! `Launch::fixed_tiles`) adds the slow loop of `retile`: 2, 4, 8, …
+//! steps after the tiling was last chosen, a check ahead of phase 1, and
+//! on a re-tile step, after round 1, the move of every column whose owner
+//! changes.
 //!
 //! The neighbour set, ghost routes, cell classes and home list are all
 //! derived from `Decomposition::owner_of` in `topology`; checkpoint

@@ -1,7 +1,7 @@
 //! Cross-crate physics validation: the parallel stack must reproduce
 //! textbook molecular-dynamics behaviour, not just agree with itself.
 
-use pcdlb::md::observe;
+use pcdlb::md::{observe, Vec3};
 use pcdlb::sim::{run, run_serial, Launch, RunConfig};
 
 #[test]
@@ -45,8 +45,8 @@ fn thermostat_holds_the_paper_temperature() {
 
 #[test]
 fn supercooled_gas_stays_physical_over_a_longer_run() {
-    // The paper's natural workload (no driver): T* pinned, energy finite,
-    // momentum preserved — run through the full parallel stack.
+    // The paper's natural workload (no pull): T* pinned and energy
+    // finite through the full parallel stack (momentum: the next test).
     let mut cfg = RunConfig::from_p_m_density(9, 2, 0.256);
     cfg.steps = 500;
     let report = run(&cfg);
@@ -56,6 +56,31 @@ fn supercooled_gas_stays_physical_over_a_longer_run() {
             r.temperature > 0.3 && r.temperature < 1.5,
             "T = {}",
             r.temperature
+        );
+    }
+}
+
+#[test]
+fn total_momentum_stays_zero_through_a_balancing_run() {
+    // Migration, ghost exchange, column transfers and the thermostat's
+    // rescale must neither create nor lose momentum: the final snapshot
+    // of a balancing 3 × 3 run sums to zero velocity, on the half-shell
+    // walk and on the Verlet replay alike.
+    for verlet in [false, true] {
+        let mut cfg = RunConfig::from_p_m_density(9, 2, 0.256);
+        cfg.steps = 300;
+        cfg.dlb = true;
+        if verlet {
+            cfg.skin = 0.06;
+            cfg.verlet = true;
+        }
+        let (_, snapshot) = Launch::new().snapshot().run(&cfg).into_snapshot();
+        let p = snapshot.iter().fold(Vec3::ZERO, |sum, part| sum + part.vel);
+        assert!(
+            p.norm() < 1e-9,
+            "verlet {verlet}: |Σ v| = {:e} after {} steps",
+            p.norm(),
+            cfg.steps
         );
     }
 }
