@@ -11,10 +11,10 @@
 //!   `stride`-th send op, and each non-root rank at each of its
 //!   `CKPT_GATHER` contributions (the checkpoint being assembled dies
 //!   mid-gather, so the relaunch falls back to the previous one), under
-//!   the relaunch rung alone; and seeded kill sites over a
-//!   [`LossyTransport`](pcdlb_mp::LossyTransport) of the same seed (15 / 8
+//!   the relaunch rung alone; and seeded kill sites under a
+//!   [`LossyProfile`] of the same seed (15 / 8
 //!   / 8 per mille dropped / duplicated / delayed) — a death on a
-//!   Grid-like substrate, held to the run over the *reliable* transport.
+//!   Grid-like substrate, held to the run over the *reliable* channels.
 //! - **Buddy takeover**: every rank of a 2×2 and a 3×3 (DLB) world killed
 //!   at strided send ops with takeover on, at least one death per grid
 //!   absorbed in place on `n − 1` threads; and a second death in the same
@@ -30,8 +30,8 @@
 //!   reliable one's [`digest_run`] — records, message counts and
 //!   trajectory — and wire bytes; a partition window that heals by
 //!   retransmission; a permanent isolation that escalates through
-//!   self-fencing into a buddy takeover; and a reliable baseline on which
-//!   the reliability layer stays inert.
+//!   self-fencing into a buddy takeover; and a reliable baseline, whose
+//!   ranks build no link layer at all.
 //!
 //! The runner ([`run`]) makes each row's fault-free [`reference()`] once —
 //! the row's configuration over the reliable transport, which must make
@@ -97,7 +97,7 @@ pub enum Expect {
     Relaunch,
     /// The transport retransmitted: the disturbance engaged.
     Retransmits,
-    /// The reliability layer stayed inert: no retransmit, no suspicion.
+    /// No link layer engaged: no retransmit, no suspicion.
     Inert,
     /// The reference re-tiles in place at or before this step.
     RetilesBy(u64),

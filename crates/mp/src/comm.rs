@@ -17,6 +17,16 @@
 //!   `Arc<T>` values drawn from a [`crate::pool::BufferPool`] (the cost
 //!   model charges the inner `T`'s wire size either way).
 //!
+//! # Two layers
+//!
+//! `Comm` itself is matching (the pending buffer, epochs, the `check`
+//! build's delivery streams) and personas; both read the same state, so
+//! they stay one type. Below it sits the link layer (the crate-private
+//! `link` module), which a `Comm` holds only when its [`CommConfig`]
+//! names a lossy profile (`chaos`): sequence numbers, acks, reordering,
+//! retransmission and the φ failure detector. Over the in-process
+//! channels there is no link, and a send is one mailbox push.
+//!
 //! # Virtual ranks and takeover
 //!
 //! Every endpoint speaks in **virtual ranks**: the stable rank ids of the
@@ -51,8 +61,8 @@
 //! [`Comm::try_send`] and [`Comm::recv_deadline`], which return `Result`
 //! instead.
 //!
-//! Blocking receives are bounded by a **watchdog deadline** (configured on
-//! the [`crate::world::World`], default [`DEFAULT_WATCHDOG`]): a peer that
+//! Blocking receives are bounded by a **watchdog deadline**
+//! ([`CommConfig::watchdog`], 60 s by default): a peer that
 //! exits without sending — which closes no channel, because every rank
 //! keeps a sender to every mailbox — used to hang the world forever; now
 //! it surfaces as a structured timeout within the deadline.
@@ -61,202 +71,171 @@
 //! rank's communication clock and bumps its [`CommStats`] counters.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::cost::CostModel;
-use crate::transport::{Fate, Link, LossyProfile, Transport};
+use crate::link::{Closed, Link};
+use crate::transport::{LossyProfile, Partition};
 use crate::wire::WireSize;
+use crate::world::Shared;
 
 /// Message tag. Programs namespace tags themselves (the simulator uses one
 /// constant per communication phase).
 pub type Tag = u64;
 
-/// How long a blocking receive sleeps between checks of the abort flag and
-/// the watchdog deadline. One named constant instead of scattered literals;
-/// per-run via [`CommConfig::poll`].
-pub const DEFAULT_POLL_INTERVAL: Duration = Duration::from_millis(20);
-
-/// Default watchdog deadline for blocking receives: if no matching message
-/// arrives within this window the receive fails with a structured
-/// [`CommError`] instead of hanging forever. Generous, because legitimate
-/// receives on an oversubscribed host can stall for a long time; tests and
-/// the fault sweep tighten it via [`CommConfig::watchdog`].
-pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(60);
-
-/// How many retransmission attempts the reliability layer makes for one
-/// unacknowledged frame over a lossy transport before escalating into
-/// the fault ladder as a [`CommErrorKind::Transport`] error. Sized so
-/// that, with backoff capped at [`DEFAULT_RETRANSMIT_CAP`], the budget
-/// outlasts the suspicion horizon by a wide margin: an isolated peer
-/// self-fences (and its death is absorbed by takeover) long before a
-/// healthy majority rank gives up on it.
-pub const DEFAULT_RETRANSMIT_BUDGET: u32 = 64;
-
-/// Backoff before the first retransmission of an unacked frame.
-pub const DEFAULT_RETRANSMIT_BASE: Duration = Duration::from_micros(500);
-
-/// Ceiling for the per-link exponential retransmit backoff.
-pub const DEFAULT_RETRANSMIT_CAP: Duration = Duration::from_millis(50);
-
-/// How often a rank blocked in a receive emits liveness heartbeats to
-/// its peers over a lossy transport.
-pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Lower clamp for the φ-style suspicion threshold: a peer is never
-/// suspected before staying silent at least this long.
-pub const DEFAULT_SUSPICION_MIN: Duration = Duration::from_millis(750);
-
-/// Upper clamp for the suspicion threshold, bounding how long a noisy
-/// inter-arrival history can postpone suspicion.
-pub const DEFAULT_SUSPICION_MAX: Duration = Duration::from_secs(8);
-
-/// Validated communication-layer configuration: the former hardcoded
-/// timing/retry constants as data, plus the optional chaos profile.
+/// Communication-layer configuration: the timing and retry knobs as
+/// data, plus the optional chaos profile.
 ///
-/// The compile-time defaults are preserved exactly ([`Default`] mirrors
-/// the constants), so a default `CommConfig` changes nothing; chaos CI
-/// tightens deadlines and installs a [`LossyProfile`] without patching
-/// source. Pure data (`PartialEq`, `Clone`), so it can live inside a run
-/// configuration; the transport object itself is built from `chaos` at
-/// world-construction time.
+/// Pure data (`PartialEq`, `Clone`), so it can live inside a run
+/// configuration; a world keeps the one it is given, and each rank builds
+/// its link layer from `chaos` at start-up. [`CommConfig::check`] judges
+/// it; [`World::with_comm_config`](crate::World::with_comm_config)
+/// panics on a configuration it refuses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommConfig {
     /// Sleep quantum between abort-flag / deadline checks while blocked.
     pub poll: Duration,
-    /// Watchdog deadline for blocking receives.
+    /// Watchdog deadline for blocking receives: if no matching message
+    /// arrives within it, the receive fails with a structured
+    /// [`CommError`] instead of hanging forever.
     pub watchdog: Duration,
     /// Inert: nothing reads it. A send either reaches the wire or names a
     /// dead peer, and a lost frame is retransmitted, never re-sent. Kept
     /// only because the benchmark's configuration literal names every
     /// field; removed with the knob census (ROADMAP item 4(i)).
     pub send_retry_limit: u32,
-    /// Retransmission attempts per unacked frame before escalation.
+    /// Retransmission attempts per unacked frame over a lossy link before
+    /// escalating into the fault ladder as a
+    /// [`CommErrorKind::Transport`] error.
     pub retransmit_budget: u32,
-    /// Initial per-link retransmit backoff.
+    /// Backoff before the first retransmission of an unacked frame.
     pub retransmit_base: Duration,
-    /// Per-link retransmit backoff ceiling.
+    /// Ceiling for the per-link exponential retransmit backoff.
     pub retransmit_cap: Duration,
-    /// Heartbeat emission interval while blocked on a lossy transport.
+    /// How often a rank blocked in a receive emits liveness heartbeats to
+    /// its peers over a lossy link.
     pub heartbeat: Duration,
-    /// Lower clamp of the φ-style suspicion threshold.
+    /// Lower clamp of the φ-style suspicion threshold: a peer is never
+    /// suspected before staying silent at least this long.
     pub suspicion_min: Duration,
-    /// Upper clamp of the φ-style suspicion threshold.
+    /// Upper clamp of the suspicion threshold, bounding how long a noisy
+    /// inter-arrival history can postpone suspicion.
     pub suspicion_max: Duration,
     /// Disturbance model to run under; `None` = the reliable in-process
-    /// transport (reliability layer fully inactive).
+    /// channels, and no link layer at all.
     pub chaos: Option<LossyProfile>,
 }
 
 impl Default for CommConfig {
     fn default() -> Self {
         Self {
-            poll: DEFAULT_POLL_INTERVAL,
-            watchdog: DEFAULT_WATCHDOG,
+            poll: Duration::from_millis(20),
+            // Generous, because legitimate receives on an oversubscribed
+            // host can stall for a long time; tests and the fault sweep
+            // tighten it.
+            watchdog: Duration::from_secs(60),
             send_retry_limit: 4,
-            retransmit_budget: DEFAULT_RETRANSMIT_BUDGET,
-            retransmit_base: DEFAULT_RETRANSMIT_BASE,
-            retransmit_cap: DEFAULT_RETRANSMIT_CAP,
-            heartbeat: DEFAULT_HEARTBEAT_INTERVAL,
-            suspicion_min: DEFAULT_SUSPICION_MIN,
-            suspicion_max: DEFAULT_SUSPICION_MAX,
+            // With backoff capped at `retransmit_cap`, the budget outlasts
+            // the suspicion horizon by a wide margin: an isolated peer
+            // self-fences (and its death is absorbed by takeover) long
+            // before a healthy majority rank gives up on it.
+            retransmit_budget: 64,
+            retransmit_base: Duration::from_micros(500),
+            retransmit_cap: Duration::from_millis(50),
+            heartbeat: Duration::from_millis(100),
+            suspicion_min: Duration::from_millis(750),
+            suspicion_max: Duration::from_secs(8),
             chaos: None,
         }
     }
 }
 
 impl CommConfig {
-    /// Panics with a descriptive message on an inconsistent configuration.
-    pub fn validate(&self) {
-        assert!(!self.poll.is_zero(), "CommConfig: poll must be non-zero");
-        assert!(
-            !self.watchdog.is_zero(),
-            "CommConfig: watchdog must be non-zero"
-        );
-        assert!(
-            self.poll <= self.watchdog,
-            "CommConfig: poll {:?} exceeds watchdog {:?}",
-            self.poll,
-            self.watchdog
-        );
-        assert!(
-            self.retransmit_budget >= 1,
-            "CommConfig: retransmit_budget must be at least 1"
-        );
-        assert!(
-            !self.retransmit_base.is_zero(),
-            "CommConfig: retransmit_base must be non-zero"
-        );
-        assert!(
-            self.retransmit_base <= self.retransmit_cap,
-            "CommConfig: retransmit_base {:?} exceeds retransmit_cap {:?}",
-            self.retransmit_base,
-            self.retransmit_cap
-        );
-        assert!(
-            !self.heartbeat.is_zero(),
-            "CommConfig: heartbeat must be non-zero"
-        );
-        assert!(
-            self.suspicion_min <= self.suspicion_max,
-            "CommConfig: suspicion_min {:?} exceeds suspicion_max {:?}",
-            self.suspicion_min,
-            self.suspicion_max
-        );
-        assert!(
-            self.heartbeat < self.suspicion_min,
-            "CommConfig: heartbeat {:?} must undercut suspicion_min {:?} \
-             or every quiet phase becomes a suspicion",
-            self.heartbeat,
-            self.suspicion_min
-        );
-        if let Some(p) = &self.chaos {
-            p.validate();
+    /// The first inconsistency in this configuration, if any: a zero
+    /// timer or budget, two timers out of order, chaos rates past 1000
+    /// per mille (summed without overflow), a delay with no bound, or a
+    /// partition that cuts nothing.
+    pub fn check(&self) -> Result<(), CommConfigError> {
+        use CommConfigError::*;
+        let (poll, watchdog, heartbeat) = (self.poll, self.watchdog, self.heartbeat);
+        let (base, cap) = (self.retransmit_base, self.retransmit_cap);
+        let (min, max) = (self.suspicion_min, self.suspicion_max);
+        let quiet = LossyProfile::default();
+        let p = self.chaos.as_ref().unwrap_or(&quiet);
+        let (drop, dup, delay) = (p.drop_per_mille, p.dup_per_mille, p.delay_per_mille);
+        let total = u64::from(drop) + u64::from(dup) + u64::from(delay);
+        let cut = |w: &&Partition| w.a == w.b || w.from_frame >= w.to_frame;
+        let refusals = [
+            poll.is_zero().then_some(Zero("poll")),
+            watchdog.is_zero().then_some(Zero("watchdog")),
+            (poll > watchdog).then_some(Exceeds(("poll", poll), ("watchdog", watchdog))),
+            (self.retransmit_budget == 0).then_some(Zero("retransmit_budget")),
+            base.is_zero().then_some(Zero("retransmit_base")),
+            (base > cap).then_some(Exceeds(("retransmit_base", base), ("retransmit_cap", cap))),
+            heartbeat.is_zero().then_some(Zero("heartbeat")),
+            (min > max).then_some(Exceeds(("suspicion_min", min), ("suspicion_max", max))),
+            (heartbeat >= min).then_some(HeartbeatTooSlow(heartbeat, min)),
+            (total > 1000).then_some(Rates(drop, dup, delay)),
+            (delay > 0 && p.delay_max == 0).then_some(DelayUnbounded(delay)),
+            p.partitions.iter().find(cut).map(|&w| EmptyPartition(w)),
+        ];
+        refusals.into_iter().flatten().next().map_or(Ok(()), Err)
+    }
+}
+
+/// What [`CommConfig::check`] refuses.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CommConfigError {
+    /// A timer that must be non-zero is zero, or `retransmit_budget` is.
+    Zero(&'static str),
+    /// `(name, value)` of a timer (first) above the one it must not
+    /// exceed (second).
+    Exceeds((&'static str, Duration), (&'static str, Duration)),
+    /// `heartbeat` (first) does not undercut `suspicion_min` (second).
+    HeartbeatTooSlow(Duration, Duration),
+    /// The chaos rates — drop, dup, delay per mille — sum past 1000.
+    Rates(u32, u32, u32),
+    /// Frames delayed (`delay_per_mille`) with `delay_max == 0`.
+    DelayUnbounded(u32),
+    /// A partition between a host and itself, or over an empty window.
+    EmptyPartition(Partition),
+}
+
+impl fmt::Display for CommConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Zero(field) => write!(f, "CommConfig: {field} must be non-zero"),
+            Self::Exceeds((a, x), (b, y)) => write!(f, "CommConfig: {a} {x:?} exceeds {b} {y:?}"),
+            Self::HeartbeatTooSlow(beat, min) => write!(
+                f,
+                "CommConfig: heartbeat {beat:?} must undercut suspicion_min {min:?} \
+                 or every quiet phase becomes a suspicion"
+            ),
+            Self::Rates(drop, dup, delay) => write!(
+                f,
+                "LossyProfile: drop {drop} + dup {dup} + delay {delay} per mille exceeds 1000"
+            ),
+            Self::DelayUnbounded(delay) => write!(
+                f,
+                "LossyProfile: delay_per_mille {delay} needs delay_max >= 1"
+            ),
+            Self::EmptyPartition(p) => write!(
+                f,
+                "LossyProfile: partition {} - {} over frames [{}, {}) cuts nothing: \
+                 its endpoints must differ and its window must be non-empty",
+                p.a, p.b, p.from_frame, p.to_frame
+            ),
         }
     }
 }
 
-/// The scalar reliability knobs a [`Comm`] endpoint carries, extracted
-/// from a [`CommConfig`] at world-construction time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReliabilityParams {
-    pub(crate) retransmit_budget: u32,
-    pub(crate) retransmit_base: Duration,
-    pub(crate) retransmit_cap: Duration,
-    pub(crate) heartbeat: Duration,
-    pub(crate) suspicion_min: Duration,
-    pub(crate) suspicion_max: Duration,
-}
-
-impl Default for ReliabilityParams {
-    fn default() -> Self {
-        Self {
-            retransmit_budget: DEFAULT_RETRANSMIT_BUDGET,
-            retransmit_base: DEFAULT_RETRANSMIT_BASE,
-            retransmit_cap: DEFAULT_RETRANSMIT_CAP,
-            heartbeat: DEFAULT_HEARTBEAT_INTERVAL,
-            suspicion_min: DEFAULT_SUSPICION_MIN,
-            suspicion_max: DEFAULT_SUSPICION_MAX,
-        }
-    }
-}
-
-impl From<&CommConfig> for ReliabilityParams {
-    fn from(cfg: &CommConfig) -> Self {
-        Self {
-            retransmit_budget: cfg.retransmit_budget,
-            retransmit_base: cfg.retransmit_base,
-            retransmit_cap: cfg.retransmit_cap,
-            heartbeat: cfg.heartbeat,
-            suspicion_min: cfg.suspicion_min,
-            suspicion_max: cfg.suspicion_max,
-        }
-    }
-}
+impl std::error::Error for CommConfigError {}
 
 /// Typed panic payload raised (via `std::panic::panic_any`) by the
 /// panicking `send`/`recv` wrappers when a rank dies in a takeover-enabled
@@ -385,7 +364,13 @@ impl CommError {
         )
     }
 
-    fn retransmit_exhausted(rank: usize, peer: usize, tag: Tag, rseq: u64, budget: u32) -> Self {
+    pub(crate) fn retransmit_exhausted(
+        rank: usize,
+        peer: usize,
+        tag: Tag,
+        rseq: u64,
+        budget: u32,
+    ) -> Self {
         Self::new(
             CommErrorKind::Transport,
             rank,
@@ -399,7 +384,12 @@ impl CommError {
         )
     }
 
-    fn fenced(rank: usize, reachable: usize, live_peers: usize, quiet_for: Duration) -> Self {
+    pub(crate) fn fenced(
+        rank: usize,
+        reachable: usize,
+        live_peers: usize,
+        quiet_for: Duration,
+    ) -> Self {
         Self::new(
             CommErrorKind::Transport,
             rank,
@@ -437,16 +427,17 @@ pub(crate) struct Envelope {
     pub(crate) payload: Box<dyn Any + Send>,
     pub(crate) type_name: &'static str,
     /// Physical host thread that put this frame on the wire. The
-    /// link-layer reliability state at the receiver is keyed by host
-    /// pair (the *network* endpoint), not by virtual rank.
+    /// link layer's state at the receiver is keyed by host pair (the
+    /// *network* endpoint), not by virtual rank.
     pub(crate) rsrc: usize,
     /// Per-(src host, dst host) link sequence number, stamped by the
-    /// reliability layer over lossy transports; 0 and unused otherwise.
+    /// link layer; 0 and unused without one.
     pub(crate) rseq: u64,
     /// A header-only retransmission probe: the payload copy already
     /// physically reached the receiver's mailbox (the channel underneath
-    /// is reliable), so this frame exists only to elicit a fresh ack and
-    /// is never delivered to the application.
+    /// is reliable), so this frame exists only to elicit a fresh ack or
+    /// to be suppressed as a duplicate, and is never delivered to the
+    /// application.
     pub(crate) hollow: bool,
     /// Per (sender, destination) sequence number, assigned at send time.
     /// Checked at arrival, so a FIFO bug — a message that arrives twice
@@ -456,111 +447,33 @@ pub(crate) struct Envelope {
     pub(crate) seq: u64,
 }
 
-/// Wire tag reserved for link-layer control frames (acks, heartbeats).
-/// Application tags use [`crate::collectives::COLLECTIVE_BIT`] and below;
-/// control frames are intercepted at admission and never delivered.
-pub(crate) const LINK_CTRL_TAG: Tag = Tag::MAX;
-
-/// Link-layer control payloads, exchanged only over lossy transports.
-#[derive(Debug, Clone)]
-enum LinkCtrl {
-    /// Cumulative + selective acknowledgement of the reverse-direction
-    /// link: all `rseq < cum` of `epoch` delivered in order; `sacks`
-    /// lists out-of-order frames held in the reorder buffer, which the
-    /// sender need not retransmit.
-    Ack {
+impl Envelope {
+    /// The one envelope constructor: `value` from virtual rank `src`,
+    /// put on the wire by host `rsrc`, to virtual rank `dst` in wire
+    /// epoch `epoch`. Link sequence and (`check`) FIFO sequence numbers
+    /// start at 0, for the layers that stamp them.
+    pub(crate) fn new<T: Any + Send + WireSize>(
+        rsrc: usize,
+        src: usize,
+        dst: usize,
         epoch: u64,
-        cum: u64,
-        sacks: Vec<u64>,
-    },
-    /// Pure liveness signal while blocked in a receive.
-    Heartbeat,
-}
-
-/// One frame awaiting acknowledgement on a sender's directed link.
-struct PendingFrame {
-    rseq: u64,
-    /// Retransmission attempts so far (0 = only the original send).
-    attempts: u32,
-    /// Selectively acked: physically at the receiver, awaiting only the
-    /// cumulative ack to advance past it. Not retransmitted.
-    sacked: bool,
-    /// `Some` while the payload has never physically left this host
-    /// (the transport dropped every attempt so far); `None` once a copy
-    /// reached the receiver's mailbox, after which retransmissions are
-    /// header-only probes.
-    env: Option<Envelope>,
-}
-
-/// Sender-side state of one directed link (this host → peer host).
-#[derive(Default)]
-struct LinkTx {
-    /// Next link sequence number to stamp.
-    next_rseq: u64,
-    /// Physical transmission attempts on this link so far — the index
-    /// the transport's fate function consumes. Monotone across epochs,
-    /// so partition windows progress under retransmit pressure.
-    frame_index: u64,
-    /// Cumulative ack received: every `rseq < cum` is delivered.
-    cum: u64,
-    /// Unacknowledged frames, ascending by `rseq`.
-    pending: VecDeque<PendingFrame>,
-    /// Frames held back by a `Delay` fate: `(release_frame, held_since,
-    /// frame)`. Released once `frame_index` passes `release_frame` or
-    /// the hold has aged out (an idle link must still flush).
-    held: VecDeque<(u64, Instant, Envelope)>,
-    /// When the head-of-line pending frame is next retransmitted.
-    next_retx: Option<Instant>,
-    /// Current backoff; doubles per retransmission up to the cap.
-    backoff: Duration,
-}
-
-/// Receiver-side state of one directed link (peer host → this host).
-#[derive(Default)]
-struct LinkRx {
-    /// Next in-order link sequence number expected.
-    expected: u64,
-    /// Out-of-window arrivals parked until the gap fills (bounded
-    /// reordering buffer; `BTreeMap` for deterministic iteration).
-    buffer: BTreeMap<u64, Envelope>,
-}
-
-/// φ-style liveness record for one peer host: suspicion is raised from
-/// the inter-arrival history, not a fixed timeout, so a slow peer and a
-/// dead peer are distinguished adaptively.
-struct PeerHealth {
-    last_heard: Instant,
-    /// Recent inter-arrival gaps, seconds (bounded ring).
-    intervals: VecDeque<f64>,
-    suspected: bool,
-}
-
-impl PeerHealth {
-    fn new(now: Instant) -> Self {
+        tag: Tag,
+        value: T,
+    ) -> Self {
         Self {
-            last_heard: now,
-            intervals: VecDeque::new(),
-            suspected: false,
+            src,
+            dst,
+            epoch,
+            tag,
+            wire_bytes: value.wire_size(),
+            payload: Box::new(value),
+            type_name: std::any::type_name::<T>(),
+            rsrc,
+            rseq: 0,
+            hollow: false,
+            #[cfg(feature = "check")]
+            seq: 0,
         }
-    }
-
-    /// Suspicion threshold: mean + 4σ of the observed inter-arrival
-    /// gaps, clamped to the configured window. With no history yet the
-    /// lower clamp applies — which doubles as the start-up grace period.
-    fn threshold(&self, min: Duration, max: Duration) -> Duration {
-        if self.intervals.is_empty() {
-            return min;
-        }
-        let n = self.intervals.len() as f64;
-        let mean = self.intervals.iter().sum::<f64>() / n;
-        let var = self
-            .intervals
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / n;
-        let phi = Duration::from_secs_f64(mean + 4.0 * var.sqrt());
-        phi.clamp(min, max)
     }
 }
 
@@ -577,13 +490,12 @@ pub struct CommStats {
     pub bytes_recvd: u64,
     /// Virtual communication time charged to this rank, seconds.
     pub virtual_comm_s: f64,
-    /// Link-layer retransmissions issued (lossy transports only; always
-    /// zero over a reliable transport). Excluded from `msgs_sent` /
-    /// `bytes_sent`, so transport chaos never perturbs the digested
-    /// communication totals.
+    /// Link-layer retransmissions issued (lossy links only; always zero
+    /// without chaos). Excluded from `msgs_sent` / `bytes_sent`, so
+    /// transport chaos never perturbs the digested communication totals.
     pub retransmits: u64,
     /// Times this endpoint newly suspected a peer of being partitioned
-    /// or dead (lossy transports only).
+    /// or dead (lossy links only).
     pub suspicions: u64,
 }
 
@@ -640,39 +552,14 @@ pub struct Comm {
     /// the number of deaths absorbed.
     epoch_num: u64,
     model: CostModel,
-    started: Instant,
-    /// Set when any rank in the world panics; receives poll it so a dead
-    /// peer aborts the world instead of deadlocking it.
-    abort: Arc<AtomicBool>,
-    /// True in a [`crate::world::World::with_takeover`] world: rank death
-    /// raises [`TakeoverInterrupt`] instead of tearing the world down.
-    takeover: bool,
-    /// Count of registered rank deaths (takeover worlds).
-    deaths: Arc<AtomicUsize>,
-    /// Per-original-rank death flags (takeover worlds).
-    dead: Arc<Vec<AtomicBool>>,
-    /// Physical thread currently hosting each virtual rank. Identity until
-    /// an adoption rewrites the dead rank's slot.
-    routes: Arc<Vec<AtomicUsize>>,
-    /// Sleep quantum between abort-flag / deadline checks while blocked.
-    poll: Duration,
-    /// Deadline for blocking receives with no explicit timeout.
-    watchdog: Duration,
-    /// The transport every outgoing physical frame is routed through.
-    transport: Arc<dyn Transport>,
-    /// Cached `!transport.reliable()`: the single hot-path branch that
-    /// keeps the entire reliability layer free over in-process channels.
-    lossy: bool,
-    /// Scalar reliability knobs (budgets, backoffs, suspicion window).
-    rel: ReliabilityParams,
-    /// Sender-side link state, indexed by destination host.
-    links_tx: Vec<LinkTx>,
-    /// Receiver-side link state, indexed by source host.
-    links_rx: Vec<LinkRx>,
-    /// Liveness records, indexed by peer host.
-    health: Vec<PeerHealth>,
-    /// Last time heartbeats were emitted from a blocked receive.
-    last_heartbeat: Instant,
+    /// The world's configuration: the poll quantum and watchdog pace
+    /// every blocking receive.
+    cfg: CommConfig,
+    /// What every rank of the world shares: clock start, abort flag,
+    /// takeover registries, routing table.
+    world: Arc<Shared>,
+    /// The link layer, present only under a chaos profile.
+    link: Option<Link>,
     /// Per-source arrival streams (`check` mode): messages park here, in
     /// per-source FIFO order, until the delivery policy moves one to
     /// `pending`. Empty and unused when no policy is installed.
@@ -686,34 +573,16 @@ pub struct Comm {
     injector: Option<crate::fault::FaultInjector>,
 }
 
-/// The world-level supervision state every rank's [`Comm`] shares: the
-/// common epoch for wall timestamps, the world abort flag, the pacing of
-/// blocking receives (poll quantum + watchdog deadline), and the takeover
-/// registries (death count and flags, virtual-rank routing table).
-pub(crate) struct Supervision {
-    pub(crate) epoch: Instant,
-    pub(crate) abort: Arc<AtomicBool>,
-    pub(crate) poll: Duration,
-    pub(crate) watchdog: Duration,
-    pub(crate) takeover: bool,
-    pub(crate) deaths: Arc<AtomicUsize>,
-    pub(crate) dead: Arc<Vec<AtomicBool>>,
-    pub(crate) routes: Arc<Vec<AtomicUsize>>,
-    pub(crate) transport: Arc<dyn Transport>,
-    pub(crate) rel: ReliabilityParams,
-}
-
 impl Comm {
     pub(crate) fn new(
         rank: usize,
         senders: Vec<Sender<Envelope>>,
         inbox: Receiver<Envelope>,
         model: CostModel,
-        sup: Supervision,
+        cfg: &CommConfig,
+        world: Arc<Shared>,
     ) -> Self {
         let size = senders.len();
-        let now = Instant::now();
-        let lossy = !sup.transport.reliable();
         Self {
             phys: rank,
             size,
@@ -725,21 +594,12 @@ impl Comm {
             future: VecDeque::new(),
             epoch_num: 0,
             model,
-            started: sup.epoch,
-            abort: sup.abort,
-            takeover: sup.takeover,
-            deaths: sup.deaths,
-            dead: sup.dead,
-            routes: sup.routes,
-            poll: sup.poll,
-            watchdog: sup.watchdog,
-            transport: sup.transport,
-            lossy,
-            rel: sup.rel,
-            links_tx: (0..size).map(|_| LinkTx::default()).collect(),
-            links_rx: (0..size).map(|_| LinkRx::default()).collect(),
-            health: (0..size).map(|_| PeerHealth::new(now)).collect(),
-            last_heartbeat: now,
+            cfg: cfg.clone(),
+            world,
+            link: cfg
+                .chaos
+                .is_some()
+                .then(|| Link::new(rank, size, cfg, Instant::now())),
             #[cfg(feature = "check")]
             streams: (0..size).map(|_| VecDeque::new()).collect(),
             #[cfg(feature = "check")]
@@ -815,12 +675,12 @@ impl Comm {
     /// a second death escalates to relaunch instead.
     pub fn adopt(&mut self, vrank: usize) {
         assert!(
-            self.takeover,
+            self.world.takeover,
             "adopt({vrank}): not a takeover-enabled world"
         );
         assert!(vrank < self.size, "adopt: vrank {vrank} out of range");
         assert!(
-            self.dead[vrank].load(Ordering::SeqCst),
+            self.world.dead[vrank].load(Ordering::SeqCst),
             "adopt({vrank}): rank is not registered dead"
         );
         assert!(
@@ -833,7 +693,7 @@ impl Comm {
             "adopt({vrank}): already held"
         );
         self.personas.push(Persona::new(vrank, self.size));
-        self.routes[vrank].store(self.phys, Ordering::SeqCst);
+        self.world.routes[vrank].store(self.phys, Ordering::SeqCst);
         #[cfg(feature = "check")]
         crate::check::emit(crate::check::ProtocolEvent::Adopt {
             phys: self.phys,
@@ -843,10 +703,10 @@ impl Comm {
 
     /// Move this endpoint to takeover epoch `new_epoch`: discard every
     /// buffered envelope from the old epoch (stale pre-death traffic),
-    /// reset all per-persona sequence counters, and re-admit any parked
-    /// future-epoch envelopes. Every surviving rank calls this with the
-    /// same epoch number during takeover, so post-takeover sequence
-    /// numbering restarts coherently world-wide.
+    /// reset all per-persona sequence counters and the link layer, and
+    /// re-admit any parked future-epoch envelopes. Every surviving rank
+    /// calls this with the same epoch number during takeover, so
+    /// post-takeover sequence numbering restarts coherently world-wide.
     pub fn advance_epoch(&mut self, new_epoch: u64) {
         assert!(
             new_epoch > self.epoch_num,
@@ -870,28 +730,8 @@ impl Comm {
                 p.recv_seq.iter_mut().for_each(|s| *s = 0);
             }
         }
-        if self.lossy {
-            // Reset the link layer alongside the wire-epoch machinery:
-            // acks are epoch-gated, so any in-flight state for the old
-            // epoch is unrecoverable by design. `frame_index` stays
-            // monotone so partition windows never re-fire post-takeover.
-            let now = Instant::now();
-            for lt in &mut self.links_tx {
-                lt.next_rseq = 0;
-                lt.cum = 0;
-                lt.pending.clear();
-                lt.held.clear();
-                lt.next_retx = None;
-                lt.backoff = self.rel.retransmit_base;
-            }
-            for lr in &mut self.links_rx {
-                lr.expected = 0;
-                lr.buffer.clear();
-            }
-            for h in &mut self.health {
-                h.suspected = false;
-                h.last_heard = now;
-            }
+        if let Some(link) = &mut self.link {
+            link.reset(new_epoch, Instant::now());
         }
         let parked = std::mem::take(&mut self.future);
         for env in parked {
@@ -911,30 +751,25 @@ impl Comm {
 
     /// Number of rank deaths registered so far in this world.
     pub fn deaths_observed(&self) -> usize {
-        self.deaths.load(Ordering::SeqCst)
+        self.world.deaths.load(Ordering::SeqCst)
     }
 
     /// The ranks registered dead so far, ascending.
     pub fn dead_ranks(&self) -> Vec<usize> {
-        self.dead
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.load(Ordering::SeqCst))
-            .map(|(r, _)| r)
-            .collect()
+        self.world.dead_ranks()
     }
 
     /// The world watchdog deadline (used by runners to bound their own
     /// handshake receives).
     pub fn watchdog(&self) -> Duration {
-        self.watchdog
+        self.cfg.watchdog
     }
 
     /// True when this world was launched with
     /// [`World::with_takeover`](crate::World::with_takeover) — runners use
     /// it to decide whether the degraded-mode completion handshake runs.
     pub fn takeover_enabled(&self) -> bool {
-        self.takeover
+        self.world.takeover
     }
 
     /// Raise the world abort flag, waking every blocked rank with a
@@ -945,13 +780,18 @@ impl Comm {
     pub fn abort_world(&self) {
         #[cfg(feature = "check")]
         crate::check::emit(crate::check::ProtocolEvent::Abort { rank: self.phys });
-        self.abort.store(true, Ordering::SeqCst);
+        self.world.abort.store(true, Ordering::SeqCst);
     }
 
     /// True when a death has been registered that this endpoint has not
     /// yet absorbed by advancing its epoch.
     fn takeover_pending(&self) -> bool {
-        self.takeover && self.deaths.load(Ordering::SeqCst) as u64 > self.epoch_num
+        self.world.takeover && self.deaths_observed() as u64 > self.epoch_num
+    }
+
+    /// True once any rank of the world has raised the abort flag.
+    fn aborting(&self) -> bool {
+        self.world.abort.load(Ordering::Relaxed)
     }
 
     /// Seconds of wall time since the world started (`MPI_Wtime`
@@ -959,7 +799,7 @@ impl Comm {
     /// not per-rank compute; experiments that need per-rank *load* use the
     /// simulator's deterministic work model instead.
     pub fn wtime(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
+        self.world.started.elapsed().as_secs_f64()
     }
 
     /// Communication counters accumulated so far by the active persona.
@@ -1019,31 +859,19 @@ impl Comm {
         if self.takeover_pending() {
             return Err(CommError::interrupted(self.rank(), "send", dst, tag));
         }
-        let wire_bytes = value.wire_size();
         let src = self.rank();
-        let t = self.model.message_time(src, dst, wire_bytes);
+        let env = Envelope::new(self.phys, src, dst, self.epoch_num, tag, value);
+        let t = self.model.message_time(src, dst, env.wire_bytes);
         let persona = &mut self.personas[self.active];
         persona.stats.msgs_sent += 1;
-        persona.stats.bytes_sent += wire_bytes as u64;
+        persona.stats.bytes_sent += env.wire_bytes as u64;
         persona.stats.virtual_comm_s += t;
         persona.lap_virtual_s += t;
-        let env = Envelope {
-            src,
-            dst,
-            epoch: self.epoch_num,
-            tag,
-            wire_bytes,
-            payload: Box::new(value),
-            type_name: std::any::type_name::<T>(),
-            rsrc: self.phys,
-            rseq: 0,
-            hollow: false,
-            #[cfg(feature = "check")]
-            seq: {
-                let seq = persona.send_seq[dst];
-                persona.send_seq[dst] += 1;
-                seq
-            },
+        #[cfg(feature = "check")]
+        let env = {
+            let seq = persona.send_seq[dst];
+            persona.send_seq[dst] += 1;
+            Envelope { seq, ..env }
         };
         #[cfg(feature = "check")]
         let (sent_seq, sent_epoch) = (env.seq, env.epoch);
@@ -1066,463 +894,44 @@ impl Comm {
         res
     }
 
-    /// Route one application envelope toward its destination: the
-    /// direct mailbox send over a reliable transport, or through the
-    /// link-layer reliability machinery over a lossy one.
+    /// Route one application envelope to the host of virtual rank `dst`:
+    /// a plain mailbox push, or through the link layer to a peer host. A
+    /// closed mailbox is reported as a world abort if the world is
+    /// aborting, in a takeover world as an absorbable death
+    /// (`Interrupted`), and otherwise as the dead peer, with the tag.
     fn dispatch(&mut self, dst: usize, env: Envelope) -> Result<(), CommError> {
-        if self.lossy {
-            self.dispatch_lossy(dst, env)
-        } else {
-            self.phys_dispatch(dst, env)
-        }
-    }
-
-    /// Put one envelope on its destination's mailbox (resolving the
-    /// virtual rank through the routing table), routing a closed channel
-    /// through the abort-flag diagnostic: if the world is aborting the
-    /// error says so; in a takeover world a closed mailbox is an
-    /// absorbable death and surfaces as `Interrupted`; otherwise it names
-    /// the dead peer and the tag.
-    fn phys_dispatch(&mut self, dst: usize, env: Envelope) -> Result<(), CommError> {
-        let host = self.routes[dst].load(Ordering::SeqCst);
-        self.phys_send_host(host, dst, env)
-    }
-
-    /// The raw physical send to a host's mailbox, with the closed-channel
-    /// diagnostic of [`Comm::phys_dispatch`]. `dst` is the virtual rank
-    /// named in error messages.
-    fn phys_send_host(&mut self, host: usize, dst: usize, env: Envelope) -> Result<(), CommError> {
+        let host = self.world.routes[dst].load(Ordering::SeqCst);
         let tag = env.tag;
-        if self.senders[host].send(env).is_err() {
-            return Err(if self.abort.load(Ordering::Relaxed) {
-                CommError::aborted(self.rank(), "send", dst, tag)
-            } else if self.takeover {
-                CommError::interrupted(self.rank(), "send", dst, tag)
+        let sent = match &mut self.link {
+            Some(link) if host != self.phys => link.send(host, env, &self.senders, Instant::now()),
+            _ => self.senders[host].send(env).map_err(|_| Closed),
+        };
+        sent.map_err(|Closed| {
+            let rank = self.rank();
+            if self.aborting() {
+                CommError::aborted(rank, "send", dst, tag)
+            } else if self.world.takeover {
+                CommError::interrupted(rank, "send", dst, tag)
             } else {
-                CommError::peer_dead(self.rank(), "send", dst, tag)
-            });
-        }
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Link-layer reliability (active only over lossy transports)
-    // -----------------------------------------------------------------
-
-    /// Stamp a link sequence number, ask the transport for the frame's
-    /// fate, and track the frame until it is cumulatively acknowledged.
-    /// Local (same-host) deliveries bypass the link layer: loopback is
-    /// not a network link.
-    fn dispatch_lossy(&mut self, dst: usize, mut env: Envelope) -> Result<(), CommError> {
-        let host = self.routes[dst].load(Ordering::SeqCst);
-        if host == self.phys {
-            return self.phys_send_host(host, dst, env);
-        }
-        let rseq = self.links_tx[host].next_rseq;
-        self.links_tx[host].next_rseq += 1;
-        env.rsrc = self.phys;
-        env.rseq = rseq;
-        let retained = self.lossy_emit(host, dst, env)?;
-        self.track(host, rseq, retained);
-        self.release_held(host);
-        Ok(())
-    }
-
-    /// Consume one frame index for `host`'s link and return the fate the
-    /// transport assigns it.
-    fn next_fate(&mut self, host: usize) -> Fate {
-        let idx = self.links_tx[host].frame_index;
-        self.links_tx[host].frame_index += 1;
-        self.transport.disturb(
-            Link {
-                src: self.phys,
-                dst: host,
-            },
-            idx,
-        )
-    }
-
-    /// Physically transmit `env` on the link to `host` under the
-    /// transport's fate. Returns the envelope back when the fate dropped
-    /// it (the caller retains the payload for retransmission); `None`
-    /// once a payload copy is guaranteed to reach the mailbox (delivered,
-    /// duplicated, or parked in the delay hold queue).
-    fn lossy_emit(
-        &mut self,
-        host: usize,
-        dst: usize,
-        env: Envelope,
-    ) -> Result<Option<Envelope>, CommError> {
-        match self.next_fate(host) {
-            Fate::Drop => Ok(Some(env)),
-            Fate::Deliver => {
-                self.phys_send_host(host, dst, env)?;
-                Ok(None)
+                CommError::peer_dead(rank, "send", dst, tag)
             }
-            Fate::Duplicate => {
-                let dup = Self::hollow_copy(&env);
-                self.phys_send_host(host, dst, env)?;
-                // The original is in the mailbox; the receiver may consume
-                // it and exit before the copy goes out. Like a late held
-                // frame, a duplicate with nobody left to suppress it is
-                // abandoned, never escalated.
-                let _ = self.senders[host].send(dup);
-                Ok(None)
-            }
-            Fate::Delay(k) => {
-                let release = self.links_tx[host].frame_index + k.max(1) as u64;
-                self.links_tx[host]
-                    .held
-                    .push_back((release, Instant::now(), env));
-                Ok(None)
-            }
-        }
+        })
     }
 
-    /// A header-only copy of `env` carrying the same link sequence
-    /// number: the receiver's duplicate suppression absorbs it without
-    /// ever seeing the unit payload.
-    fn hollow_copy(env: &Envelope) -> Envelope {
-        Envelope {
-            src: env.src,
-            dst: env.dst,
-            epoch: env.epoch,
-            tag: env.tag,
-            wire_bytes: env.wire_bytes,
-            payload: Box::new(()),
-            type_name: env.type_name,
-            rsrc: env.rsrc,
-            rseq: env.rseq,
-            hollow: true,
-            #[cfg(feature = "check")]
-            seq: env.seq,
-        }
-    }
-
-    /// Record an in-flight frame on `host`'s link; `retained` holds the
-    /// payload when the transport dropped the original transmission.
-    fn track(&mut self, host: usize, rseq: u64, retained: Option<Envelope>) {
-        let base = self.rel.retransmit_base;
-        let lt = &mut self.links_tx[host];
-        lt.pending.push_back(PendingFrame {
-            rseq,
-            attempts: 0,
-            sacked: false,
-            env: retained,
-        });
-        if lt.next_retx.is_none() {
-            lt.backoff = base;
-            lt.next_retx = Some(Instant::now() + base);
-        }
-    }
-
-    /// Flush delay-held frames whose release index has been passed (or
-    /// that have aged out on an idle link). Send failures here mean the
-    /// peer's mailbox is gone; the ordinary error paths will report that
-    /// — a late frame is silently abandoned.
-    fn release_held(&mut self, host: usize) {
-        let age_out = self.rel.retransmit_cap;
-        let now = Instant::now();
-        loop {
-            let due = match self.links_tx[host].held.front() {
-                Some(&(release, since, _)) => {
-                    release <= self.links_tx[host].frame_index
-                        || now.duration_since(since) >= age_out
-                }
-                None => false,
-            };
-            if !due {
-                return;
-            }
-            if let Some((_, _, env)) = self.links_tx[host].held.pop_front() {
-                let _ = self.senders[host].send(env);
-            }
-        }
-    }
-
-    /// Build and (fate permitting) transmit a control frame to `host`.
-    /// Control frames carry no application payload, are never tracked or
-    /// retransmitted, bypass all statistics, and are idempotent at the
-    /// receiver.
-    fn emit_ctrl(&mut self, host: usize, ctrl: LinkCtrl) {
-        let env = Envelope {
-            src: self.phys,
-            dst: host,
-            epoch: self.epoch_num,
-            tag: LINK_CTRL_TAG,
-            wire_bytes: 0,
-            payload: Box::new(ctrl),
-            type_name: "LinkCtrl",
-            rsrc: self.phys,
-            rseq: 0,
-            hollow: false,
-            #[cfg(feature = "check")]
-            seq: 0,
-        };
-        match self.next_fate(host) {
-            Fate::Drop => {}
-            Fate::Delay(k) => {
-                let release = self.links_tx[host].frame_index + k.max(1) as u64;
-                self.links_tx[host]
-                    .held
-                    .push_back((release, Instant::now(), env));
-            }
-            // Duplicating an idempotent control frame adds nothing.
-            Fate::Deliver | Fate::Duplicate => {
-                let _ = self.senders[host].send(env);
-            }
-        }
-    }
-
-    /// Acknowledge the current receive state of `host`'s link: the
-    /// cumulative next-expected sequence plus up to 16 selective acks
-    /// for frames parked in the reorder buffer.
-    fn send_ack(&mut self, host: usize) {
-        let rx = &self.links_rx[host];
-        let cum = rx.expected;
-        let sacks: Vec<u64> = rx.buffer.keys().take(16).copied().collect();
-        let epoch = self.epoch_num;
-        self.emit_ctrl(host, LinkCtrl::Ack { epoch, cum, sacks });
-    }
-
-    /// Process an arrived control frame (ack / heartbeat). Never
-    /// delivered to the application; stale-epoch acks are ignored so a
-    /// pre-takeover ack cannot corrupt the restarted sequence space.
-    fn handle_ctrl(&mut self, env: Envelope) {
-        let from = env.rsrc;
-        self.note_heard(from);
-        let Ok(ctrl) = env.payload.downcast::<LinkCtrl>() else {
-            return;
-        };
-        match *ctrl {
-            LinkCtrl::Heartbeat => {}
-            LinkCtrl::Ack {
-                epoch,
-                cum,
-                ref sacks,
-            } => {
-                if epoch != self.epoch_num {
-                    return;
-                }
-                let base = self.rel.retransmit_base;
-                let lt = &mut self.links_tx[from];
-                if cum > lt.cum {
-                    lt.cum = cum;
-                    while lt.pending.front().is_some_and(|p| p.rseq < cum) {
-                        lt.pending.pop_front();
-                    }
-                    // Progress: restart the backoff ladder for the new
-                    // head-of-line frame.
-                    lt.backoff = base;
-                    lt.next_retx = if lt.pending.is_empty() {
-                        None
-                    } else {
-                        Some(Instant::now() + base)
-                    };
-                    #[cfg(feature = "check")]
-                    crate::check::emit(crate::check::ProtocolEvent::AckAdvance {
-                        src: self.phys,
-                        dst: from,
-                        cum,
-                    });
-                }
-                for &s in sacks {
-                    if let Some(pf) = lt.pending.iter_mut().find(|p| p.rseq == s) {
-                        // Physically at the receiver: drop the payload
-                        // copy and stop retransmitting it.
-                        pf.sacked = true;
-                        pf.env = None;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Record liveness evidence from `host` and clear any suspicion.
-    fn note_heard(&mut self, host: usize) {
-        if host == self.phys {
-            return;
-        }
-        let now = Instant::now();
-        let h = &mut self.health[host];
-        let dt = now.duration_since(h.last_heard).as_secs_f64();
-        h.last_heard = now;
-        if h.intervals.len() == 8 {
-            h.intervals.pop_front();
-        }
-        h.intervals.push_back(dt);
-        if h.suspected {
-            h.suspected = false;
-            #[cfg(feature = "check")]
-            crate::check::emit(crate::check::ProtocolEvent::Unsuspect {
-                rank: self.phys,
-                peer: host,
-            });
-        }
-    }
-
-    /// One reliability-layer maintenance pass, run from every blocked
-    /// receive poll over a lossy transport (no-op otherwise): flush
-    /// delay-held frames, fire due retransmissions, emit heartbeats, and
-    /// evaluate suspicion. Errors escalate into the fault ladder: a
-    /// retransmit-budget exhaustion or a minority-side partition fence
-    /// surfaces as a [`CommErrorKind::Transport`] failure of this rank.
+    /// One link-layer maintenance pass (see the `link` module); a no-op
+    /// without a link.
     fn maintain_links(&mut self) -> Result<(), CommError> {
-        if !self.lossy {
-            return Ok(());
+        let rank = self.rank();
+        match &mut self.link {
+            Some(link) => link.maintain(
+                Instant::now(),
+                rank,
+                &self.senders,
+                &self.world.dead,
+                &mut self.personas[0].stats,
+            ),
+            None => Ok(()),
         }
-        let now = Instant::now();
-        for host in 0..self.size {
-            if host != self.phys {
-                self.release_held(host);
-            }
-        }
-        self.retransmit_due(now)?;
-        if now.duration_since(self.last_heartbeat) >= self.rel.heartbeat {
-            self.last_heartbeat = now;
-            for host in 0..self.size {
-                if host != self.phys && !self.dead[host].load(Ordering::SeqCst) {
-                    self.emit_ctrl(host, LinkCtrl::Heartbeat);
-                }
-            }
-        }
-        self.evaluate_suspicion(now)
-    }
-
-    /// Retransmit the head-of-line unsacked frame of every link whose
-    /// backoff timer has expired, escalating once the budget is spent.
-    fn retransmit_due(&mut self, now: Instant) -> Result<(), CommError> {
-        for host in 0..self.size {
-            if host == self.phys {
-                continue;
-            }
-            if self.dead[host].load(Ordering::SeqCst) {
-                // A registered-dead peer's frames are unrecoverable by
-                // retransmission; takeover re-syncs state instead.
-                self.links_tx[host].pending.clear();
-                self.links_tx[host].next_retx = None;
-                continue;
-            }
-            if self.links_tx[host].next_retx.is_none_or(|t| now < t) {
-                continue;
-            }
-            let Some(pos) = self.links_tx[host].pending.iter().position(|p| !p.sacked) else {
-                // Everything in flight is sacked: the cumulative ack is
-                // imminent; check again next poll.
-                self.links_tx[host].next_retx = Some(now + self.rel.retransmit_base);
-                continue;
-            };
-            let (rseq, attempts, env_opt) = {
-                let pf = &mut self.links_tx[host].pending[pos];
-                pf.attempts += 1;
-                (pf.rseq, pf.attempts, pf.env.take())
-            };
-            if attempts > self.rel.retransmit_budget {
-                if env_opt.is_some() {
-                    return Err(CommError::retransmit_exhausted(
-                        self.rank(),
-                        host,
-                        0,
-                        rseq,
-                        self.rel.retransmit_budget,
-                    ));
-                }
-                // The payload physically reached the peer's mailbox; only
-                // the acks are missing (peer likely exited). Stop probing.
-                self.links_tx[host].pending.remove(pos);
-                continue;
-            }
-            let probe = match env_opt {
-                Some(env) => env,
-                // Payload already at the receiver: header-only probe to
-                // elicit a fresh ack.
-                None => Envelope {
-                    src: self.phys,
-                    dst: host,
-                    epoch: self.epoch_num,
-                    tag: 0,
-                    wire_bytes: 0,
-                    payload: Box::new(()),
-                    type_name: "probe",
-                    rsrc: self.phys,
-                    rseq,
-                    hollow: true,
-                    #[cfg(feature = "check")]
-                    seq: 0,
-                },
-            };
-            self.personas[0].stats.retransmits += 1;
-            #[cfg(feature = "check")]
-            crate::check::emit(crate::check::ProtocolEvent::Retransmit {
-                src: self.phys,
-                dst: host,
-                rseq,
-            });
-            let dst = probe.dst;
-            match self.lossy_emit(host, dst, probe) {
-                Ok(Some(env)) => {
-                    // Dropped again: keep the payload for the next try.
-                    if let Some(pf) = self.links_tx[host].pending.get_mut(pos) {
-                        if !env.hollow {
-                            pf.env = Some(env);
-                        }
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => {
-                    // Peer mailbox gone mid-retransmit: the frame can
-                    // never be delivered; the ordinary dead-peer paths
-                    // report the failure.
-                    self.links_tx[host].pending.remove(pos);
-                }
-            }
-            let cap = self.rel.retransmit_cap;
-            let lt = &mut self.links_tx[host];
-            lt.backoff = (lt.backoff * 2).min(cap);
-            lt.next_retx = Some(now + lt.backoff);
-        }
-        Ok(())
-    }
-
-    /// Raise suspicion on peers past their φ threshold; self-fence when
-    /// this rank can no longer reach a majority of the live peers — the
-    /// minority side of a partition yields (panics, registering a death
-    /// the survivors absorb by takeover) instead of diverging.
-    fn evaluate_suspicion(&mut self, now: Instant) -> Result<(), CommError> {
-        let mut live_peers = 0usize;
-        let mut reachable = 0usize;
-        let mut quietest = Duration::ZERO;
-        for host in 0..self.size {
-            if host == self.phys || self.dead[host].load(Ordering::SeqCst) {
-                continue;
-            }
-            live_peers += 1;
-            let quiet = now.duration_since(self.health[host].last_heard);
-            let thr = self.health[host].threshold(self.rel.suspicion_min, self.rel.suspicion_max);
-            if quiet > thr {
-                quietest = quietest.max(quiet);
-                if !self.health[host].suspected {
-                    self.health[host].suspected = true;
-                    self.personas[0].stats.suspicions += 1;
-                    #[cfg(feature = "check")]
-                    crate::check::emit(crate::check::ProtocolEvent::Suspect {
-                        rank: self.phys,
-                        peer: host,
-                    });
-                }
-            } else {
-                reachable += 1;
-            }
-        }
-        if live_peers >= 1 && reachable * 2 < live_peers {
-            return Err(CommError::fenced(
-                self.rank(),
-                reachable,
-                live_peers,
-                quietest,
-            ));
-        }
-        Ok(())
     }
 
     /// Record a consumption event for `env`. `probe` marks the
@@ -1600,7 +1009,7 @@ impl Comm {
             "recv: src {src} out of range (size {})",
             self.size
         );
-        let limit = timeout.unwrap_or(self.watchdog);
+        let limit = timeout.unwrap_or(self.cfg.watchdog);
         let deadline = Instant::now() + limit;
         loop {
             // Checked before the pending buffer so even a satisfiable
@@ -1615,7 +1024,7 @@ impl Comm {
             }
             #[cfg(feature = "check")]
             if self.delivery.is_some() {
-                self.pump_streams()?;
+                self.drain_inbox()?;
                 if self.deliver_one() {
                     continue;
                 }
@@ -1624,7 +1033,7 @@ impl Comm {
             if now >= deadline {
                 return Err(CommError::timeout(self.rank(), src, tag, limit));
             }
-            match self.inbox.recv_timeout(self.poll.min(deadline - now)) {
+            match self.inbox.recv_timeout(self.cfg.poll.min(deadline - now)) {
                 Ok(env) => self.admit(env)?,
                 Err(RecvTimeoutError::Timeout) => {
                     // A pending takeover outranks the abort flag: when a
@@ -1634,7 +1043,7 @@ impl Comm {
                     if self.takeover_pending() {
                         return Err(CommError::interrupted(self.rank(), "recv", src, tag));
                     }
-                    if self.abort.load(Ordering::Relaxed) {
+                    if self.aborting() {
                         return Err(CommError::aborted(self.rank(), "recv", src, tag));
                     }
                 }
@@ -1656,20 +1065,20 @@ impl Comm {
         Some(self.pending.remove(pos).expect("position was valid"))
     }
 
-    /// Accept one physically-arrived envelope: intercept link-layer
-    /// control frames (lossy transports), apply the epoch admission
-    /// rules (drop stale, park future) — *before* the link layer, so a
+    /// Accept one physically-arrived envelope: the link layer consumes
+    /// its control frames; then the epoch admission rules (drop stale,
+    /// park future) apply — *before* the link layer's sequencing, so a
     /// stale-epoch sequence number can never poison a reorder buffer —
-    /// then run duplicate suppression / reorder buffering, and deliver
-    /// in-order frames to the pending buffer (or stream, policy mode).
+    /// and the link layer suppresses duplicates and reorders; in-order
+    /// frames go to the pending buffer (or stream, policy mode).
     fn admit(&mut self, env: Envelope) -> Result<(), CommError> {
-        if self.lossy {
-            if env.tag == LINK_CTRL_TAG {
-                self.handle_ctrl(env);
-                return Ok(());
-            }
-            self.note_heard(env.rsrc);
-        }
+        let env = match &mut self.link {
+            Some(link) => match link.intercept(env, Instant::now()) {
+                Some(env) => env,
+                None => return Ok(()),
+            },
+            None => env,
+        };
         if env.epoch < self.epoch_num {
             // Stale pre-takeover traffic: silently dropped by design.
             // This is also what refuses a falsely-suspected rank's
@@ -1697,63 +1106,30 @@ impl Comm {
             self.future.push_back(env);
             return Ok(());
         }
-        if self.lossy && env.rsrc != self.phys {
-            return self.admit_link(env);
-        }
-        self.deliver_now(env)
-    }
-
-    /// Link-layer admission over a lossy transport: suppress duplicates,
-    /// park out-of-order frames in the reorder buffer, deliver in-order
-    /// frames (draining any now-contiguous buffered run), and ack every
-    /// arrival so the sender's pending window advances.
-    fn admit_link(&mut self, env: Envelope) -> Result<(), CommError> {
         let host = env.rsrc;
-        if env.hollow {
-            // A retransmission probe for a frame whose payload already
-            // arrived. If we are past it, re-ack (the original ack was
-            // lost); if not, the payload copy is still in flight in the
-            // mailbox and will be admitted on its own.
-            if env.rseq < self.links_rx[host].expected {
-                self.send_ack(host);
-            }
+        let link = match &mut self.link {
+            Some(link) if host != self.phys => link,
+            _ => return self.deliver_now(env),
+        };
+        let now = Instant::now();
+        let Some(env) = link.accept(env, &self.senders, now) else {
             return Ok(());
-        }
-        let expected = self.links_rx[host].expected;
-        if env.rseq < expected {
-            // Duplicate of an already-delivered frame: suppress, re-ack.
-            self.send_ack(host);
-            return Ok(());
-        }
-        if env.rseq > expected {
-            // Out of order: park until the gap fills; the sack in the
-            // ack tells the sender not to retransmit this one.
-            self.links_rx[host].buffer.entry(env.rseq).or_insert(env);
-            self.send_ack(host);
-            return Ok(());
-        }
-        self.links_rx[host].expected += 1;
+        };
         self.deliver_now(env)?;
-        loop {
-            let next = self.links_rx[host].expected;
-            match self.links_rx[host].buffer.remove(&next) {
-                Some(e) => {
-                    self.links_rx[host].expected += 1;
-                    self.deliver_now(e)?;
-                }
-                None => break,
-            }
+        while let Some(env) = self.link.as_mut().and_then(|l| l.next_in_order(host)) {
+            self.deliver_now(env)?;
         }
-        self.send_ack(host);
+        if let Some(link) = &mut self.link {
+            link.ack(host, &self.senders, now);
+        }
         Ok(())
     }
 
     /// Final delivery of one in-order envelope: verify its per-source
     /// sequence number (`check` builds) and route it to its stream
-    /// (policy mode) or straight to the pending buffer. Over a lossy
-    /// transport this runs at the link layer's in-order delivery point,
-    /// so the exact-FIFO check holds under chaos exactly as it does over
-    /// a perfect channel.
+    /// (policy mode) or straight to the pending buffer. Under a link
+    /// layer this runs at its in-order delivery point, so the exact-FIFO
+    /// check holds under chaos exactly as it does over a perfect channel.
     fn deliver_now(&mut self, env: Envelope) -> Result<(), CommError> {
         #[cfg(feature = "check")]
         {
@@ -1798,10 +1174,10 @@ impl Comm {
     }
 
     /// Move everything that has physically arrived through the admission
-    /// rules and into the per-source streams (no policy involvement:
-    /// per-source FIFO is the network's own guarantee).
-    #[cfg(feature = "check")]
-    fn pump_streams(&mut self) -> Result<(), CommError> {
+    /// rules into `pending` — or, under a delivery policy, the per-source
+    /// streams (no policy involvement: per-source FIFO is the network's
+    /// own guarantee).
+    fn drain_inbox(&mut self) -> Result<(), CommError> {
         while let Ok(env) = self.inbox.try_recv() {
             self.admit(env)?;
         }
@@ -1890,7 +1266,7 @@ impl Comm {
             // once delivered: advance the schedule by at most one delivery
             // per poll, so the policy controls which source a racing
             // `try_recv` loop observes first.
-            if let Err(e) = self.pump_streams() {
+            if let Err(e) = self.drain_inbox() {
                 panic!("{e}");
             }
             let me = self.personas[self.active].vrank;
@@ -1905,19 +1281,14 @@ impl Comm {
             Self::emit_recv(&env, true);
             return Some(self.unpack(env));
         }
-        if self.lossy {
-            // Polling loops must still drive retransmission/heartbeats,
-            // or a dropped frame both sides are try_recv-ing for would
-            // never be repaired.
-            if let Err(e) = self.maintain_links() {
-                panic!("{e}");
-            }
+        // Polling loops must still drive retransmission/heartbeats, or a
+        // dropped frame both sides are try_recv-ing for would never be
+        // repaired.
+        if let Err(e) = self.maintain_links() {
+            panic!("{e}");
         }
-        // Drain the channel into pending so we see everything that arrived.
-        while let Ok(env) = self.inbox.try_recv() {
-            if let Err(e) = self.admit(env) {
-                panic!("{e}");
-            }
+        if let Err(e) = self.drain_inbox() {
+            panic!("{e}");
         }
         let env = self.match_pending(src, tag)?;
         #[cfg(feature = "check")]
@@ -1955,26 +1326,16 @@ impl Comm {
         self.pending.len()
     }
 
-    /// Drain the link layer on clean exit (lossy transports only): keep
-    /// retransmitting, releasing held frames, and admitting acks until
-    /// every sent frame is either cumulatively acknowledged or its entry
-    /// retired, bounded by the world watchdog. Without this, a final
-    /// send whose only wire copy was dropped would exit with the payload
-    /// still un-retransmitted and strand its receiver until timeout.
+    /// Drain the link layer on clean exit: keep retransmitting, releasing
+    /// held frames, and admitting acks until every sent frame is either
+    /// cumulatively acknowledged or its entry retired, bounded by the
+    /// world watchdog. Without this, a final send whose only wire copy
+    /// was dropped would exit with the payload still un-retransmitted and
+    /// strand its receiver until timeout. A no-op without a link.
     pub(crate) fn quiesce(&mut self) {
-        if !self.lossy {
-            return;
-        }
-        let deadline = Instant::now() + self.watchdog;
-        loop {
-            let outstanding = self
-                .links_tx
-                .iter()
-                .any(|lt| !lt.pending.is_empty() || !lt.held.is_empty());
-            if !outstanding {
-                return;
-            }
-            if Instant::now() >= deadline || self.abort.load(Ordering::Relaxed) {
+        let deadline = Instant::now() + self.cfg.watchdog;
+        while self.link.as_ref().is_some_and(Link::busy) {
+            if Instant::now() >= deadline || self.aborting() {
                 return;
             }
             // The run already completed; link faults here (budget
@@ -1983,7 +1344,7 @@ impl Comm {
             if self.maintain_links().is_err() {
                 return;
             }
-            match self.inbox.recv_timeout(self.poll) {
+            match self.inbox.recv_timeout(self.cfg.poll) {
                 Ok(env) => {
                     if self.admit(env).is_err() {
                         return;
@@ -2098,12 +1459,107 @@ mod tests {
     }
 
     #[test]
-    fn inproc_transport_never_retransmits() {
-        let out = World::new(4).run(|comm| (ring_churn(comm), comm.stats().retransmits));
+    fn a_world_without_chaos_has_no_link_and_never_retransmits() {
+        let out = World::new(4).run(|comm| {
+            assert!(comm.link.is_none());
+            (ring_churn(comm), comm.stats().retransmits)
+        });
         for (rank, (acc, retx)) in out.iter().enumerate() {
             assert_eq!(*acc, ring_expected(rank, 4));
             assert_eq!(*retx, 0, "rank {rank} retransmitted over a reliable link");
         }
+    }
+
+    #[test]
+    fn check_refuses_each_inconsistency_and_sums_rates_without_overflow() {
+        use super::CommConfigError::*;
+        let ms = Duration::from_millis;
+        assert_eq!(CommConfig::default().check(), Ok(()));
+        let chaos = |p: LossyProfile| CommConfig {
+            chaos: Some(p),
+            ..CommConfig::default()
+        };
+        let cases = [
+            (
+                CommConfig {
+                    poll: ms(0),
+                    ..CommConfig::default()
+                },
+                Zero("poll"),
+            ),
+            (
+                CommConfig {
+                    poll: ms(90),
+                    watchdog: ms(80),
+                    ..CommConfig::default()
+                },
+                Exceeds(("poll", ms(90)), ("watchdog", ms(80))),
+            ),
+            (
+                CommConfig {
+                    retransmit_budget: 0,
+                    ..CommConfig::default()
+                },
+                Zero("retransmit_budget"),
+            ),
+            (
+                CommConfig {
+                    heartbeat: ms(750),
+                    ..CommConfig::default()
+                },
+                HeartbeatTooSlow(ms(750), ms(750)),
+            ),
+            // The sum wraps to 0 in `u32`; it must not pass for that.
+            (
+                chaos(LossyProfile {
+                    drop_per_mille: u32::MAX,
+                    dup_per_mille: 1,
+                    ..LossyProfile::new(1)
+                }),
+                Rates(u32::MAX, 1, 0),
+            ),
+            (
+                chaos(LossyProfile {
+                    drop_per_mille: 600,
+                    dup_per_mille: 600,
+                    ..LossyProfile::new(1)
+                }),
+                Rates(600, 600, 0),
+            ),
+            (
+                chaos(LossyProfile {
+                    delay_per_mille: 5,
+                    ..LossyProfile::new(1)
+                }),
+                DelayUnbounded(5),
+            ),
+            (
+                chaos(LossyProfile::new(1).isolate(0, 2, 5, 5)),
+                EmptyPartition(Partition {
+                    a: 0,
+                    b: 1,
+                    from_frame: 5,
+                    to_frame: 5,
+                }),
+            ),
+        ];
+        for (cfg, want) in cases {
+            let got = cfg.check().expect_err("an inconsistent config");
+            assert_eq!(got, want, "{got}");
+        }
+        let slow = CommConfig {
+            retransmit_base: ms(60),
+            ..CommConfig::default()
+        };
+        let refused = std::panic::catch_unwind(|| World::new(2).with_comm_config(&slow));
+        let msg = *refused
+            .expect_err("a world refuses what check refuses")
+            .downcast::<String>()
+            .expect("a formatted panic");
+        assert_eq!(
+            msg,
+            "CommConfig: retransmit_base 60ms exceeds retransmit_cap 50ms"
+        );
     }
 
     #[test]
@@ -2465,17 +1921,8 @@ mod tests {
         // broken, so the envelopes are built here.
         fn envelope(seq: u64) -> super::Envelope {
             super::Envelope {
-                src: 0,
-                dst: 0,
-                epoch: 0,
-                tag: 1,
-                wire_bytes: 8,
-                payload: Box::new(seq),
-                type_name: "u64",
-                rsrc: 0,
-                rseq: 0,
-                hollow: false,
                 seq,
+                ..super::Envelope::new(0, 0, 0, 0, 1, seq)
             }
         }
         World::new(1).run(|comm| {

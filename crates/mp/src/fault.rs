@@ -13,9 +13,9 @@
 //! A death is the one failure the paper's machine could show: the rank
 //! panics at the site, and every blocked peer sees it through the abort
 //! flag (or, in a takeover world, as an absorbable death). A frame that
-//! is lost, duplicated or reordered on the way is the
-//! [`LossyTransport`](crate::LossyTransport)'s business, and the
-//! reliability layer in [`crate::comm`] heals it. This module is compiled
+//! is lost, duplicated or reordered on the way is a
+//! [`LossyProfile`](crate::LossyProfile)'s business, and the link layer
+//! under [`crate::comm`] heals it. This module is compiled
 //! only with the `check` feature; release builds carry no fault state at
 //! all.
 

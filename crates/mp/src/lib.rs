@@ -13,6 +13,15 @@
 //! program written against this crate is deterministic regardless of how
 //! the OS schedules the threads.
 //!
+//! # Lossy substrates
+//!
+//! A [`CommConfig`] whose `chaos` names a [`LossyProfile`] runs the same
+//! program over a seeded lossy, Grid-like link: frames are dropped,
+//! duplicated, delayed or cut off by partitions ([`transport`]), and a
+//! link layer under every [`Comm`] — sequence numbers, acks,
+//! retransmission, a φ failure detector — still delivers each message
+//! once and in order. Without `chaos` no rank builds that layer.
+//!
 //! # Virtual communication time
 //!
 //! The T3E's interconnect is modelled by [`cost::CostModel`]: every message
@@ -43,25 +52,19 @@ pub mod comm;
 pub mod cost;
 #[cfg(feature = "check")]
 pub mod fault;
+mod link;
 pub mod pool;
 pub mod topology;
 pub mod transport;
 pub mod wire;
 pub mod world;
 
-pub use comm::{Comm, CommError, CommErrorKind, CommStats, Tag, TakeoverInterrupt};
-pub use comm::{
-    CommConfig, DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_POLL_INTERVAL, DEFAULT_RETRANSMIT_BASE,
-    DEFAULT_RETRANSMIT_BUDGET, DEFAULT_RETRANSMIT_CAP, DEFAULT_SUSPICION_MAX,
-    DEFAULT_SUSPICION_MIN, DEFAULT_WATCHDOG,
-};
+pub use comm::{Comm, CommConfig, CommError, CommErrorKind, CommStats, Tag, TakeoverInterrupt};
 pub use cost::CostModel;
 #[cfg(feature = "check")]
 pub use fault::FaultPlan;
 pub use pool::BufferPool;
 pub use topology::{Torus2d, Torus3d};
-pub use transport::{
-    Fate, InProcTransport, Link, LossyProfile, LossyTransport, Partition, Transport,
-};
+pub use transport::{LossyProfile, Partition};
 pub use wire::WireSize;
 pub use world::{DegradedOutcome, RankFailure, World, WorldError};

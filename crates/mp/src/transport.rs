@@ -1,26 +1,24 @@
-//! Transport abstraction: what happens to a frame between two rank hosts.
+//! The disturbance model of a lossy substrate: what happens to a frame
+//! between two rank hosts.
 //!
 //! The in-process world delivers every envelope exactly once, in order,
-//! over the in-tree channel — a perfect network. Real substrates (Grid
-//! nodes, commodity clusters) drop, duplicate, reorder and stall frames.
-//! This module makes that difference a first-class, pluggable choice:
-//!
-//! - [`Transport`] decides the **fate** of each physical frame on each
-//!   directed link, as a *pure function* of the link and the frame's
-//!   per-link index. No clocks, no RNG state: the same transport object
-//!   assigns the same fates in every run, so chaos runs are replayable.
-//! - [`InProcTransport`] is the perfect network: every frame is
-//!   delivered. It reports itself [`Transport::reliable`], which keeps
-//!   the reliability layer in [`crate::comm`] a strict no-op — zero new
-//!   work on the hot path.
-//! - [`LossyTransport`] applies a seeded disturbance model per link:
-//!   probabilistic drop, duplication, bounded reordering (latency
-//!   expressed as "let k later frames overtake this one"), and timed
-//!   bidirectional partitions expressed in per-link frame-index windows.
+//! over the in-tree channel — a perfect network, as the paper's T3E was.
+//! Real substrates (Grid nodes, commodity clusters) drop, duplicate,
+//! reorder and stall frames. A [`LossyProfile`], set as
+//! [`CommConfig::chaos`](crate::CommConfig::chaos), models that: it
+//! assigns each physical frame on each directed host-to-host link a
+//! **fate** — delivered, dropped, duplicated, or delayed (bounded
+//! reordering: "let k later frames overtake this one") — and can cut
+//! timed bidirectional partitions, expressed in per-link frame-index
+//! windows. A fate is a *pure function* of the profile's seed, the link
+//! and the frame's per-link index: no clocks, no RNG state, so the same
+//! profile assigns the same fates in every run and chaos runs are
+//! replayable. Without a profile no fate is ever asked, and no rank
+//! builds the link layer that heals them (`crate::link`).
 //!
 //! Fates are consulted **before** the physical channel send, so a
 //! "dropped" frame never reaches the receiver's mailbox and must be
-//! re-sent by the end-to-end reliability layer; a "delivered" frame is
+//! re-sent by the end-to-end link layer; a "delivered" frame is
 //! guaranteed present (the in-process channel underneath is reliable),
 //! so later retransmissions of it travel as header-only probes.
 //!
@@ -30,22 +28,9 @@
 //! window always heals under retransmit pressure and a chaos run never
 //! depends on host timing to terminate.
 
-/// One directed physical link: frames travelling from host thread `src`
-/// to host thread `dst`. Links are between **physical hosts**, not
-/// virtual ranks: after a takeover the adopted rank's traffic moves to
-/// its new host's links, exactly as a re-homed process would change
-/// network endpoints.
+/// What the profile does with one physical frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Link {
-    /// Sending physical host (thread index).
-    pub src: usize,
-    /// Receiving physical host (thread index).
-    pub dst: usize,
-}
-
-/// What the transport does with one physical frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fate {
+pub(crate) enum Fate {
     /// The frame reaches the receiver's mailbox.
     Deliver,
     /// The frame vanishes; the sender keeps the payload for retransmit.
@@ -57,35 +42,6 @@ pub enum Fate {
     /// The frame is delivered late: up to `k` subsequent frames on the
     /// same link may overtake it (bounded reordering / latency jitter).
     Delay(u8),
-}
-
-/// Decides the fate of each physical frame per directed link.
-///
-/// Implementations must be pure: `disturb(link, i)` returns the same
-/// fate every time it is asked, which is what makes a chaos run
-/// replayable and a resumed epoch deterministic.
-pub trait Transport: std::fmt::Debug + Send + Sync {
-    /// True when every frame is delivered exactly once, in order. The
-    /// reliability layer in [`crate::comm`] deactivates itself entirely
-    /// over a reliable transport.
-    fn reliable(&self) -> bool;
-
-    /// The fate of the `frame_index`-th physical frame on `link`.
-    fn disturb(&self, link: Link, frame_index: u64) -> Fate;
-}
-
-/// The perfect in-process network: every frame delivered, in order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InProcTransport;
-
-impl Transport for InProcTransport {
-    fn reliable(&self) -> bool {
-        true
-    }
-
-    fn disturb(&self, _link: Link, _frame_index: u64) -> Fate {
-        Fate::Deliver
-    }
 }
 
 /// A timed bidirectional partition between hosts `a` and `b`: every
@@ -107,20 +63,17 @@ pub struct Partition {
 }
 
 impl Partition {
-    fn covers(&self, link: Link, frame_index: u64) -> bool {
-        let pair = (link.src == self.a && link.dst == self.b)
-            || (link.src == self.b && link.dst == self.a);
+    fn covers(&self, src: usize, dst: usize, frame_index: u64) -> bool {
+        let pair = (src == self.a && dst == self.b) || (src == self.b && dst == self.a);
         pair && frame_index >= self.from_frame && frame_index < self.to_frame
     }
 }
 
-/// A pure-data description of a [`LossyTransport`]'s disturbance model.
-///
-/// Being plain data (no trait objects), a profile can live inside a
-/// run configuration that derives `PartialEq`/`Clone` — the transport
-/// itself is constructed from the profile at world-build time. Rates
-/// are per-mille of physical frames; `seed` makes every run of the same
-/// profile assign identical fates.
+/// A seeded disturbance model: pure data, so it can live inside a run
+/// configuration that derives `PartialEq`/`Clone`. Rates are per-mille
+/// of physical frames; `seed` makes every run of the same profile assign
+/// identical fates. [`CommConfig::check`](crate::CommConfig::check)
+/// judges it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LossyProfile {
     /// Seed for the per-frame fate hash.
@@ -164,96 +117,34 @@ impl LossyProfile {
         self
     }
 
-    /// Panics with a descriptive message on an inconsistent profile.
-    pub fn validate(&self) {
-        let total = self.drop_per_mille + self.dup_per_mille + self.delay_per_mille;
-        assert!(
-            total <= 1000,
-            "LossyProfile: drop {} + dup {} + delay {} per mille exceeds 1000",
-            self.drop_per_mille,
-            self.dup_per_mille,
-            self.delay_per_mille
-        );
-        assert!(
-            self.delay_per_mille == 0 || self.delay_max >= 1,
-            "LossyProfile: delay_per_mille {} needs delay_max >= 1",
-            self.delay_per_mille
-        );
-        for p in &self.partitions {
-            assert!(
-                p.a != p.b,
-                "LossyProfile: partition endpoints must differ (got {} - {})",
-                p.a,
-                p.b
-            );
-            assert!(
-                p.from_frame < p.to_frame,
-                "LossyProfile: partition window [{}, {}) is empty",
-                p.from_frame,
-                p.to_frame
-            );
-        }
-    }
-}
-
-/// Seeded deterministic disturbance model. Every fate is a pure
-/// function of `(profile.seed, link, frame_index)` via a splitmix64
-/// finalizer, so two transports built from equal profiles agree on the
-/// fate of every frame ever sent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LossyTransport {
-    profile: LossyProfile,
-}
-
-impl LossyTransport {
-    /// Build the transport for `profile`; panics if the profile is
-    /// inconsistent (see [`LossyProfile::validate`]).
-    pub fn new(profile: LossyProfile) -> Self {
-        profile.validate();
-        Self { profile }
-    }
-
-    /// The profile this transport was built from.
-    pub fn profile(&self) -> &LossyProfile {
-        &self.profile
-    }
-
-    fn hash(&self, link: Link, frame_index: u64) -> u64 {
-        let mut z = self
-            .profile
-            .seed
-            .wrapping_add((link.src as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .wrapping_add((link.dst as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9))
-            .wrapping_add(frame_index.wrapping_mul(0x94d0_49bb_1331_11eb));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-impl Transport for LossyTransport {
-    fn reliable(&self) -> bool {
-        false
-    }
-
-    fn disturb(&self, link: Link, frame_index: u64) -> Fate {
+    /// The fate of the `frame_index`-th physical frame from host `src`
+    /// to host `dst`: a partition window drops it, else a splitmix64
+    /// finalizer over `(seed, src, dst, frame_index)` picks by rate, so
+    /// two equal profiles agree on the fate of every frame ever sent.
+    /// The profile must have passed `CommConfig::check`.
+    pub(crate) fn fate(&self, src: usize, dst: usize, frame_index: u64) -> Fate {
         if self
-            .profile
             .partitions
             .iter()
-            .any(|p| p.covers(link, frame_index))
+            .any(|p| p.covers(src, dst, frame_index))
         {
             return Fate::Drop;
         }
-        let h = self.hash(link, frame_index);
+        let mut z = self
+            .seed
+            .wrapping_add((src as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .wrapping_add((dst as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9))
+            .wrapping_add(frame_index.wrapping_mul(0x94d0_49bb_1331_11eb));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        let h = z ^ (z >> 31);
         let r = (h % 1000) as u32;
-        let p = &self.profile;
-        if r < p.drop_per_mille {
+        if r < self.drop_per_mille {
             Fate::Drop
-        } else if r < p.drop_per_mille + p.dup_per_mille {
+        } else if r < self.drop_per_mille + self.dup_per_mille {
             Fate::Duplicate
-        } else if r < p.drop_per_mille + p.dup_per_mille + p.delay_per_mille {
-            let span = p.delay_max.max(1) as u64;
+        } else if r < self.drop_per_mille + self.dup_per_mille + self.delay_per_mille {
+            let span = self.delay_max.max(1) as u64;
             Fate::Delay(1 + ((h >> 10) % span) as u8)
         } else {
             Fate::Deliver
@@ -265,23 +156,22 @@ impl Transport for LossyTransport {
 mod tests {
     use super::*;
 
-    fn lossy(seed: u64) -> LossyTransport {
-        LossyTransport::new(LossyProfile {
+    fn lossy(seed: u64) -> LossyProfile {
+        LossyProfile {
             seed,
             drop_per_mille: 100,
             dup_per_mille: 50,
             delay_per_mille: 100,
             delay_max: 3,
             partitions: Vec::new(),
-        })
+        }
     }
 
     #[test]
-    fn in_proc_is_reliable_and_always_delivers() {
-        let t = InProcTransport;
-        assert!(t.reliable());
+    fn a_quiet_profile_always_delivers() {
+        let t = LossyProfile::new(5);
         for i in 0..64 {
-            assert_eq!(t.disturb(Link { src: 0, dst: 1 }, i), Fate::Deliver);
+            assert_eq!(t.fate(0, 1, i), Fate::Deliver);
         }
     }
 
@@ -289,9 +179,8 @@ mod tests {
     fn fates_are_deterministic_and_replayable() {
         let a = lossy(42);
         let b = lossy(42);
-        let link = Link { src: 2, dst: 5 };
         for i in 0..4096 {
-            assert_eq!(a.disturb(link, i), b.disturb(link, i));
+            assert_eq!(a.fate(2, 5, i), b.fate(2, 5, i));
         }
     }
 
@@ -299,22 +188,18 @@ mod tests {
     fn different_seeds_and_links_decorrelate() {
         let a = lossy(1);
         let b = lossy(2);
-        let link = Link { src: 0, dst: 1 };
-        let fa: Vec<Fate> = (0..512).map(|i| a.disturb(link, i)).collect();
-        let fb: Vec<Fate> = (0..512).map(|i| b.disturb(link, i)).collect();
+        let fa: Vec<Fate> = (0..512).map(|i| a.fate(0, 1, i)).collect();
+        let fb: Vec<Fate> = (0..512).map(|i| b.fate(0, 1, i)).collect();
         assert_ne!(fa, fb, "seeds must decorrelate");
-        let rev: Vec<Fate> = (0..512)
-            .map(|i| a.disturb(Link { src: 1, dst: 0 }, i))
-            .collect();
+        let rev: Vec<Fate> = (0..512).map(|i| a.fate(1, 0, i)).collect();
         assert_ne!(fa, rev, "link directions must decorrelate");
     }
 
     #[test]
     fn rates_are_roughly_respected() {
         let t = lossy(7);
-        let link = Link { src: 0, dst: 3 };
         let n = 100_000u64;
-        let dropped = (0..n).filter(|&i| t.disturb(link, i) == Fate::Drop).count();
+        let dropped = (0..n).filter(|&i| t.fate(0, 3, i) == Fate::Drop).count();
         // 10% nominal; accept a generous band (hash, not exact stream).
         assert!((5_000..15_000).contains(&dropped), "dropped {dropped}");
     }
@@ -322,9 +207,8 @@ mod tests {
     #[test]
     fn delay_is_bounded_by_delay_max() {
         let t = lossy(9);
-        let link = Link { src: 1, dst: 2 };
         for i in 0..100_000 {
-            if let Fate::Delay(k) = t.disturb(link, i) {
+            if let Fate::Delay(k) = t.fate(1, 2, i) {
                 assert!((1..=3).contains(&k), "delay {k} out of [1, 3]");
             }
         }
@@ -332,7 +216,7 @@ mod tests {
 
     #[test]
     fn partition_drops_both_directions_within_window_only() {
-        let t = LossyTransport::new(LossyProfile {
+        let t = LossyProfile {
             seed: 0,
             partitions: vec![Partition {
                 a: 0,
@@ -341,54 +225,28 @@ mod tests {
                 to_frame: 20,
             }],
             ..LossyProfile::default()
-        });
+        };
         for (src, dst) in [(0usize, 1usize), (1, 0)] {
-            let link = Link { src, dst };
             for i in 0..30 {
                 let want = if (10..20).contains(&i) {
                     Fate::Drop
                 } else {
                     Fate::Deliver
                 };
-                assert_eq!(t.disturb(link, i), want, "link {src}->{dst} frame {i}");
+                assert_eq!(t.fate(src, dst, i), want, "link {src}->{dst} frame {i}");
             }
         }
         // An uninvolved link is untouched.
-        assert_eq!(t.disturb(Link { src: 0, dst: 2 }, 15), Fate::Deliver);
+        assert_eq!(t.fate(0, 2, 15), Fate::Deliver);
     }
 
     #[test]
     fn isolate_builds_partitions_to_every_peer() {
-        let p = LossyProfile::new(3).isolate(2, 4, 40, u64::MAX);
-        assert_eq!(p.partitions.len(), 3);
-        let t = LossyTransport::new(p);
+        let t = LossyProfile::new(3).isolate(2, 4, 40, u64::MAX);
+        assert_eq!(t.partitions.len(), 3);
         for other in [0usize, 1, 3] {
-            assert_eq!(t.disturb(Link { src: 2, dst: other }, 40), Fate::Drop);
-            assert_eq!(t.disturb(Link { src: other, dst: 2 }, 39), Fate::Deliver);
+            assert_eq!(t.fate(2, other, 40), Fate::Drop);
+            assert_eq!(t.fate(other, 2, 39), Fate::Deliver);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds 1000")]
-    fn profile_rejects_rates_over_unity() {
-        LossyTransport::new(LossyProfile {
-            drop_per_mille: 600,
-            dup_per_mille: 600,
-            ..LossyProfile::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn profile_rejects_empty_partition_window() {
-        LossyTransport::new(LossyProfile {
-            partitions: vec![Partition {
-                a: 0,
-                b: 1,
-                from_frame: 5,
-                to_frame: 5,
-            }],
-            ..LossyProfile::default()
-        });
     }
 }

@@ -24,16 +24,12 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::channel::unbounded;
 
-use crate::comm::{
-    Comm, CommConfig, Envelope, ReliabilityParams, Supervision, DEFAULT_POLL_INTERVAL,
-    DEFAULT_WATCHDOG,
-};
+use crate::comm::{Comm, CommConfig, Envelope};
 use crate::cost::CostModel;
-use crate::transport::{InProcTransport, LossyTransport, Transport};
 
 /// One rank's failure in a [`WorldError`]: the rank id and the panic
 /// message (a [`crate::comm::CommError`] diagnostic for comm-layer
@@ -92,16 +88,55 @@ impl std::fmt::Debug for StartHook {
     }
 }
 
+/// What every rank of one launch shares, behind one `Arc`: the start of
+/// its clock, the abort flag, and the takeover switch and registries.
+pub(crate) struct Shared {
+    /// The common epoch for wall timestamps.
+    pub(crate) started: Instant,
+    /// Set when any rank panics; receives poll it so a dead peer aborts
+    /// the world instead of deadlocking it.
+    pub(crate) abort: AtomicBool,
+    /// True in a [`World::with_takeover`] world: rank death raises
+    /// [`crate::comm::TakeoverInterrupt`] instead of tearing the world
+    /// down.
+    pub(crate) takeover: bool,
+    /// Count of registered rank deaths (takeover worlds).
+    pub(crate) deaths: AtomicUsize,
+    /// Per-original-rank death flags (takeover worlds).
+    pub(crate) dead: Vec<AtomicBool>,
+    /// Physical thread currently hosting each virtual rank. Identity until
+    /// an adoption rewrites the dead rank's slot.
+    pub(crate) routes: Vec<AtomicUsize>,
+}
+
+impl Shared {
+    fn new(size: usize, takeover: bool) -> Self {
+        Self {
+            started: Instant::now(),
+            abort: AtomicBool::new(false),
+            takeover,
+            deaths: AtomicUsize::new(0),
+            dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
+            routes: (0..size).map(AtomicUsize::new).collect(),
+        }
+    }
+
+    /// The ranks registered dead so far, ascending.
+    pub(crate) fn dead_ranks(&self) -> Vec<usize> {
+        let dead = self.dead.iter().enumerate();
+        dead.filter(|(_, d)| d.load(Ordering::SeqCst))
+            .map(|(r, _)| r)
+            .collect()
+    }
+}
+
 /// Configuration for an SPMD launch.
 #[derive(Debug, Clone)]
 pub struct World {
     size: usize,
     model: CostModel,
-    poll: Duration,
-    watchdog: Duration,
+    comm: CommConfig,
     takeover: bool,
-    transport: Arc<dyn Transport>,
-    rel: ReliabilityParams,
     #[cfg(feature = "check")]
     start: Option<StartHook>,
 }
@@ -114,11 +149,8 @@ impl World {
         Self {
             size,
             model: CostModel::default(),
-            poll: DEFAULT_POLL_INTERVAL,
-            watchdog: DEFAULT_WATCHDOG,
+            comm: CommConfig::default(),
             takeover: false,
-            transport: Arc::new(InProcTransport),
-            rel: ReliabilityParams::default(),
             #[cfg(feature = "check")]
             start: None,
         }
@@ -145,19 +177,16 @@ impl World {
         self
     }
 
-    /// Apply a full [`CommConfig`]: poll interval, watchdog, retransmission
-    /// knobs, and — when `chaos` is set — a seeded [`LossyTransport`]
-    /// built from the profile. Panics if the config fails validation,
+    /// Run under `cfg`: poll interval, watchdog, retransmission knobs,
+    /// and — when `chaos` names a [`LossyProfile`](crate::LossyProfile)
+    /// — a link layer on every rank. Panics with the
+    /// [`CommConfig::check`] diagnostic on a configuration it refuses,
     /// mirroring the other builder asserts.
     pub fn with_comm_config(mut self, cfg: &CommConfig) -> Self {
-        cfg.validate();
-        self.poll = cfg.poll;
-        self.watchdog = cfg.watchdog;
-        self.rel = ReliabilityParams::from(cfg);
-        self.transport = match &cfg.chaos {
-            Some(profile) => Arc::new(LossyTransport::new(profile.clone())),
-            None => Arc::new(InProcTransport),
-        };
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
+        }
+        self.comm = cfg.clone();
         self
     }
 
@@ -282,16 +311,9 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        let epoch = Instant::now();
+        let world = Arc::new(Shared::new(self.size, self.takeover));
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..self.size).map(|_| unbounded::<Envelope>()).unzip();
-        let abort = Arc::new(AtomicBool::new(false));
-        let deaths = Arc::new(AtomicUsize::new(0));
-        let dead: Arc<Vec<AtomicBool>> =
-            Arc::new((0..self.size).map(|_| AtomicBool::new(false)).collect());
-        let routes: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..self.size).map(AtomicUsize::new).collect());
-        let takeover = self.takeover;
 
         let mut panics: Vec<(usize, Box<dyn std::any::Any + Send>)> = Vec::new();
         let results: Vec<Option<R>> = std::thread::scope(|scope| {
@@ -300,36 +322,12 @@ impl World {
                 .enumerate()
                 .map(|(rank, rx)| {
                     let senders = senders.clone();
-                    let model = self.model;
-                    let f = &f;
+                    let (model, cfg, f) = (self.model, &self.comm, &f);
                     #[cfg(feature = "check")]
                     let start = self.start.as_ref();
-                    let abort = Arc::clone(&abort);
-                    let deaths = Arc::clone(&deaths);
-                    let dead = Arc::clone(&dead);
-                    let routes = Arc::clone(&routes);
-                    let (poll, watchdog) = (self.poll, self.watchdog);
-                    let transport = Arc::clone(&self.transport);
-                    let rel = self.rel;
+                    let world = Arc::clone(&world);
                     scope.spawn(move || {
-                        let mut comm = Comm::new(
-                            rank,
-                            senders,
-                            rx,
-                            model,
-                            Supervision {
-                                epoch,
-                                abort: Arc::clone(&abort),
-                                poll,
-                                watchdog,
-                                takeover,
-                                deaths: Arc::clone(&deaths),
-                                dead: Arc::clone(&dead),
-                                routes,
-                                transport,
-                                rel,
-                            },
-                        );
+                        let mut comm = Comm::new(rank, senders, rx, model, cfg, Arc::clone(&world));
                         #[cfg(feature = "check")]
                         if let Some(StartHook(hook)) = start {
                             hook(&mut comm);
@@ -337,27 +335,27 @@ impl World {
                         let result =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
                         if result.is_ok() {
-                            // Clean exit over a lossy transport: drain the
-                            // link layer so a dropped final frame is still
-                            // retransmitted before this sender disappears.
+                            // Clean exit: drain the link layer, if any, so
+                            // a dropped final frame is still retransmitted
+                            // before this sender disappears.
                             comm.quiesce();
                         }
                         if result.is_err() {
-                            if takeover && !abort.load(Ordering::SeqCst) {
+                            if world.takeover && !world.abort.load(Ordering::SeqCst) {
                                 // Degraded mode: register the death so the
                                 // survivors can absorb it in place. Capacity
                                 // is one death per launch; a second sets the
                                 // abort flag and the caller relaunches.
                                 #[cfg(feature = "check")]
                                 crate::check::emit(crate::check::ProtocolEvent::Death { rank });
-                                dead[rank].store(true, Ordering::SeqCst);
-                                if deaths.fetch_add(1, Ordering::SeqCst) + 1 >= 2 {
-                                    abort.store(true, Ordering::SeqCst);
+                                world.dead[rank].store(true, Ordering::SeqCst);
+                                if world.deaths.fetch_add(1, Ordering::SeqCst) + 1 >= 2 {
+                                    world.abort.store(true, Ordering::SeqCst);
                                 }
                             } else {
                                 // Wake every rank blocked on this rank's
                                 // output.
-                                abort.store(true, Ordering::SeqCst);
+                                world.abort.store(true, Ordering::SeqCst);
                             }
                         }
                         result
@@ -388,13 +386,7 @@ impl World {
                 })
                 .collect()
         });
-        let dead_ranks: Vec<usize> = dead
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.load(Ordering::SeqCst))
-            .map(|(r, _)| r)
-            .collect();
-        (results, panics, dead_ranks)
+        (results, panics, world.dead_ranks())
     }
 }
 
@@ -418,6 +410,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn ranks_are_numbered_and_sized() {

@@ -10,6 +10,7 @@ use std::fmt;
 use pcdlb_domain::{DomainShape, PillarLayout};
 use pcdlb_md::lj::LennardJones;
 use pcdlb_md::thermostat::Thermostat;
+use pcdlb_mp::comm::CommConfigError;
 use pcdlb_mp::{CommConfig, Torus2d};
 
 /// How per-PE load (the force-computation "time" fed to the balancer and
@@ -206,6 +207,8 @@ pub enum ConfigError {
     ResizeWithSkin,
     /// `max_attempts == 0`.
     NoAttempts,
+    /// The message layer refuses `comm` ([`CommConfig::check`]).
+    Comm(CommConfigError),
 }
 
 impl fmt::Display for ConfigError {
@@ -302,6 +305,7 @@ impl fmt::Display for ConfigError {
                  invariant the Verlet replay depends on"
             ),
             NoAttempts => write!(f, "need at least one attempt"),
+            Comm(ref e) => write!(f, "{e}"),
         }
     }
 }
@@ -584,10 +588,11 @@ impl RunConfig {
 
     /// Check this configuration for `shape`: the rules every run shares,
     /// then the shape's own geometry — the first violated constraint as a
-    /// [`ConfigError`]. (`comm` is `pcdlb-mp`'s to judge:
-    /// `CommConfig::validate`, which every launch calls too.)
+    /// [`ConfigError`]. `comm` is `pcdlb-mp`'s to judge, first
+    /// ([`CommConfig::check`]).
     pub fn check(&self, shape: DomainShape) -> Result<(), ConfigError> {
         use ConfigError::*;
+        self.comm.check().map_err(Comm)?;
         let positive = |field, value: f64| {
             ensure(
                 value.is_finite() && value > 0.0,
@@ -917,6 +922,39 @@ mod tests {
             check(ladder(3, ResizePlan::new().resize(10, 8)), pillar),
             Err(ConfigError::ResizeNotSquare { p: 8 })
         );
+    }
+
+    #[test]
+    fn a_comm_config_the_message_layer_refuses_is_a_config_error() {
+        let mut cfg = RunConfig::from_p_m_density(9, 2, 0.2);
+        cfg.comm.poll = std::time::Duration::ZERO;
+        let err = cfg
+            .check(DomainShape::SquarePillar)
+            .expect_err("a zero poll");
+        assert_eq!(err, ConfigError::Comm(CommConfigError::Zero("poll")));
+        assert_eq!(err.to_string(), "CommConfig: poll must be non-zero");
+        let ladder = crate::driver::Ladder::default();
+        let refused = ladder.check(&cfg, DomainShape::SquarePillar);
+        assert_eq!(refused, Err(err));
+    }
+
+    #[test]
+    fn chaos_rates_that_wrap_a_u32_are_refused_not_run() {
+        use pcdlb_mp::LossyProfile;
+        // u32::MAX + 1 wraps to 0 in `u32`: summed that way every frame
+        // would be dropped at run time instead.
+        let mut cfg = RunConfig::from_p_m_density(9, 2, 0.2);
+        cfg.comm.chaos = Some(LossyProfile {
+            drop_per_mille: u32::MAX,
+            dup_per_mille: 1,
+            ..LossyProfile::new(3)
+        });
+        for shape in [DomainShape::SquarePillar, DomainShape::Plane] {
+            assert_eq!(
+                cfg.check(shape),
+                Err(ConfigError::Comm(CommConfigError::Rates(u32::MAX, 1, 0)))
+            );
+        }
     }
 
     #[test]

@@ -116,14 +116,12 @@ pub(crate) fn cost_model(shape: DomainShape, cfg: &RunConfig) -> CostModel {
     CostModel::t3e((shape == DomainShape::SquarePillar).then(|| cfg.torus()))
 }
 
-/// Validate `cfg` for `shape` ([`RunConfig::check`], then the message
-/// layer's own `CommConfig::validate`). Panics with a description of the
-/// first violated constraint.
+/// Validate `cfg` for `shape` ([`RunConfig::check`]). Panics with a
+/// description of the first violated constraint.
 pub(crate) fn validate(cfg: &RunConfig, shape: DomainShape) {
     if let Err(e) = cfg.check(shape) {
         panic!("{e}");
     }
-    cfg.comm.validate();
 }
 
 /// The square pillar (paper Fig. 2(b)): full-z columns, a home tile per

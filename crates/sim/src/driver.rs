@@ -299,7 +299,6 @@ impl Launch {
         if let Err(e) = ladder.check(cfg, self.shape) {
             panic!("{e}");
         }
-        cfg.comm.validate();
         let segments = ladder.plan.segments(cfg);
         let last_gen = segments.len() - 1;
         // One sink across all launches and generations: rank 0 deposits
