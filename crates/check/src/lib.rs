@@ -26,27 +26,22 @@
 //!    consumption, sleep-set dedup, visited-state hashing), adds seeded
 //!    pseudo-random orders the reduction never runs, and checks one
 //!    digest, per-stream sequence gaplessness, non-overtaking
-//!    consumption, epoch monotonicity, pool checkout/checkin balance,
-//!    single adoption per death, and sentinel conservation on every
-//!    trace — each violation reported with its minimal offending event
-//!    window.
+//!    consumption, pool checkout/checkin balance and sentinel
+//!    conservation on every trace — each violation reported with its
+//!    minimal offending event window.
 //!
 //! A fourth property arrived with the recovery ladder and the lossy
 //! transport:
 //!
 //! 4. **Every disturbance lands on the reference** ([`sweep`]): one table
-//!    of fault scenarios — kills at every swept send op and inside the
-//!    checkpoint gather, seeded kills over a lossy transport, buddy
-//!    takeover on 2×2 and 3×3 worlds and the second death that escalates
-//!    to a relaunch, elastic resize plans and kills inside the resize
-//!    window, and frame drops, duplicates, reordering and partitions on
-//!    all three decompositions — each run held bitwise to its row's
-//!    fault-free reference, which itself lands on the serial run, under
-//!    one no-hang deadline. The degraded mode's static half runs with
-//!    the first property ([`takeover`]): the buddy map is total,
-//!    deterministic and 8-neighbour-adjacent on every grid, and the merged
-//!    dual-role schedule a survivor runs after adopting a dead virtual
-//!    rank is deadlock-free.
+//!    of fault scenarios — kills at every swept send op of a 2×2 and a
+//!    3×3 balancing world and inside the checkpoint gather, seeded kills
+//!    over a lossy transport, elastic resize plans and kills inside the
+//!    resize window, and frame drops, duplicates, reordering and
+//!    partitions on all three decompositions — each run held bitwise to
+//!    its row's fault-free reference, which itself lands on the serial
+//!    run, under one no-hang deadline. Every death relaunches the world
+//!    from its last checkpoint.
 //!
 //! [`lint`] adds a repo lint pass for the hazards that produce such bugs:
 //! wall-clock reads in deterministic crates, hash-order iteration in
@@ -60,5 +55,4 @@ pub mod lint;
 pub mod model;
 pub mod schedule;
 pub mod sweep;
-pub mod takeover;
 pub mod verify;

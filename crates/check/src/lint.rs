@@ -21,10 +21,10 @@
 //!   allowlisted as guarding a local invariant (a poisoned lock, a
 //!   just-checked index) that no remote input can violate.
 //! - `unbounded-recv-in-recovery-path`: no indefinitely blocking
-//!   `.recv(...)` in the files recovery and takeover flow through
-//!   (`pcdlb-sim`'s step engine — every module of `pe/`, the run loop in
-//!   `engine.rs`, the takeover rung and the decompositions — plus
-//!   `driver.rs`' ladder loop and `recover.rs`). A recovery path waiting
+//!   `.recv(...)` in the files recovery flows through (`pcdlb-sim`'s step
+//!   engine — every module of `pe/`, the run loop in `engine.rs` and the
+//!   decompositions — plus `driver.rs`' ladder loop, `recover.rs` and the
+//!   resize barrier in `elastic.rs`). A recovery path waiting
 //!   forever on a peer that may already be dead defeats the no-hang
 //!   guarantee; waits there must be `recv_deadline` (which
 //!   escalates to a world abort) or an audited step-schedule receive
@@ -38,7 +38,7 @@
 //!   pooled frames, retained scratch — and a stray allocation silently
 //!   reintroduces per-step heap churn. A file in which nothing runs
 //!   every step (`pe/topology.rs`, `pe/audit.rs`, `pe/retile.rs`,
-//!   `takeover.rs`, `launch.rs`) is not listed; the cold lines that share a file with a
+//!   `launch.rs`) is not listed; the cold lines that share a file with a
 //!   phase (a component's constructor, a transfer's staging) are audited
 //!   one by one in `lint-allow.txt`.
 //! - `hardcoded-duration-in-comm-path`: no inline `Duration::from_*`
@@ -164,9 +164,9 @@ const RULES: &[Rule] = &[
         name: "unbounded-recv-in-recovery-path",
         dirs: &[],
         files: &[
-            // The step engine, whole: the per-PE phases, the run loop, the
-            // takeover rung, and the three decompositions it asks for
-            // ownership (which must stay free of communication altogether).
+            // The step engine, whole: the per-PE phases, the run loop and
+            // the three decompositions it asks for ownership (which must
+            // stay free of communication altogether).
             "crates/sim/src/pe/mod.rs",
             "crates/sim/src/pe/topology.rs",
             "crates/sim/src/pe/walk.rs",
@@ -177,14 +177,14 @@ const RULES: &[Rule] = &[
             "crates/sim/src/pe/audit.rs",
             "crates/sim/src/pe/retile.rs",
             "crates/sim/src/engine.rs",
-            "crates/sim/src/takeover.rs",
             "crates/sim/src/decomp.rs",
             "crates/sim/src/plane.rs",
             "crates/sim/src/cube.rs",
-            // The ladder's generations × attempts loop and the checkpoint
-            // it restores.
+            // The ladder's generations × attempts loop, the checkpoint it
+            // restores and the barrier a resized generation starts behind.
             "crates/sim/src/driver.rs",
             "crates/sim/src/recover.rs",
+            "crates/sim/src/elastic.rs",
         ],
         // `.recv(` / `.recv::<` match the indefinitely blocking receive
         // only: `recv_deadline` and `try_recv` have a different character
@@ -197,8 +197,8 @@ const RULES: &[Rule] = &[
         files: &[
             "crates/sim/src/frame.rs",
             // What runs every step: the run loop and the per-step phases.
-            // (`pe/topology.rs`, `pe/audit.rs`, `pe/retile.rs` and
-            // `takeover.rs` hold nothing that does.)
+            // (`pe/topology.rs`, `pe/audit.rs` and `pe/retile.rs` hold
+            // nothing that does.)
             "crates/sim/src/engine.rs",
             "crates/sim/src/pe/mod.rs",
             "crates/sim/src/pe/walk.rs",
@@ -535,12 +535,12 @@ mod tests {
     #[test]
     fn unbounded_recv_in_recovery_path_is_flagged_but_deadline_recv_is_not() {
         let fx = Fixture::new(&[(
-            "crates/sim/src/takeover.rs",
+            "crates/sim/src/elastic.rs",
             concat!(
                 "fn barrier(comm: &mut Comm) {\n",
-                "    let x: u64 = comm.recv(0, tags::TAKEOVER_GO);\n",
-                "    let y = comm.recv::<u64>(1, tags::TAKEOVER_READY);\n",
-                "    let ok = comm.recv_deadline::<u64>(0, tags::TAKEOVER_GO, t);\n",
+                "    let x: () = comm.recv(0, tags::RESIZE_GO);\n",
+                "    let y = comm.recv::<()>(1, tags::RESIZE_READY);\n",
+                "    let ok = comm.recv_deadline::<()>(0, tags::RESIZE_GO, t);\n",
                 "}\n",
             ),
         )]);

@@ -70,8 +70,7 @@ fn usage() {
         "usage: pcdlb-check <verify|invariant|sweep|model|lint|all>\n\
          \n\
          verify     static protocol verification: tag table, send/recv\n\
-         \u{20}          matching, deadlock freedom, the takeover buddy map and\n\
-         \u{20}          merged dual-role schedules on all grids up to side 6\n\
+         \u{20}          matching and deadlock freedom on all grids up to side 6\n\
          invariant  the permanent-cell invariant search: every state\n\
          \u{20}          reachable on the even tiling and on uneven cut sets (a\n\
          \u{20}          one-column row, shifted origins, one wide tile) of each\n\
@@ -79,22 +78,23 @@ fn usage() {
          \u{20}          launch plans of clustered starts replayed on their\n\
          \u{20}          chosen tilings (fixed and re-tiling), and the plans of a\n\
          \u{20}          re-tiling run's checks at steps 2..32\n\
-         sweep      the fault-scenario table: kills at every 8th send op\n\
-         \u{20}          and inside the checkpoint gather, seeded kills over a\n\
-         \u{20}          lossy transport, buddy takeover and a second death on\n\
-         \u{20}          2x2 and 3x3, elastic resize plans and resize-window\n\
-         \u{20}          kills, and a loss and partition matrix on all three\n\
-         \u{20}          decompositions, each run held bitwise to its row's\n\
-         \u{20}          fault-free reference, under one 600 s deadline\n\
+         sweep      the fault-scenario table: kills at every 8th send op of\n\
+         \u{20}          2x2 and 3x3 worlds and inside the checkpoint gather,\n\
+         \u{20}          seeded kills over a lossy transport, elastic resize\n\
+         \u{20}          plans and resize-window kills, and a loss and partition\n\
+         \u{20}          matrix on all three decompositions, each death\n\
+         \u{20}          relaunching from the last checkpoint and each run held\n\
+         \u{20}          bitwise to its row's fault-free reference, under one\n\
+         \u{20}          600 s deadline\n\
          model      stateful protocol model checker: DFS over delivery\n\
          \u{20}          interleavings with partial-order reduction, then 24\n\
          \u{20}          seeded delivery orders per fault-free case, checking one\n\
          \u{20}          digest and the typed safety properties (seq gaplessness,\n\
-         \u{20}          non-overtaking, epoch monotonicity, pool balance, single\n\
-         \u{20}          adoption, sentinel conservation) on every trace; 6-step\n\
-         \u{20}          2x2 and 3x3 cases with and without takeover (200 runs\n\
-         \u{20}          for the fault-free 2x2 case, 100 for the others); emits\n\
-         \u{20}          a JSON summary line\n\
+         \u{20}          non-overtaking, pool balance, link acks, suspicion\n\
+         \u{20}          episodes, sentinel conservation) on every trace; 6-step\n\
+         \u{20}          2x2 and 3x3 cases, fault-free and with a death that\n\
+         \u{20}          relaunches (200 runs for the fault-free 2x2 case, 100\n\
+         \u{20}          for the others); emits a JSON summary line\n\
          lint       hazard lint over the repo tree (--root PATH, default .);\n\
          \u{20}          allowlist entries matching no source line fail it\n\
          all        the five above in turn: CI's gate"
@@ -104,8 +104,8 @@ fn usage() {
 fn cmd_verify() -> Result<(), String> {
     let report = verify_protocol(6);
     println!(
-        "verify: {} schedules over sides {:?} checked, {} buddy-map cases, {} merged dual-role schedules",
-        report.schedules_checked, report.sides, report.buddy_cases, report.merged_schedules
+        "verify: {} schedules over sides {:?} checked",
+        report.schedules_checked, report.sides
     );
     if !report.violations.is_empty() {
         for v in &report.violations {
@@ -152,8 +152,8 @@ fn cmd_sweep() -> Result<(), String> {
     let mut violations = 0;
     for o in &rows {
         println!(
-            "sweep: {}: {} run(s) ({} fired: {} in place, {} relaunched), {} retransmit(s), {} suspicion(s)",
-            o.name, o.runs, o.fired, o.degraded, o.relaunched, o.retransmits, o.suspicions
+            "sweep: {}: {} run(s) ({} fired), {} retransmit(s), {} suspicion(s)",
+            o.name, o.runs, o.fired, o.retransmits, o.suspicions
         );
         for v in &o.violations {
             eprintln!("  {v}");

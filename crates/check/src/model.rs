@@ -9,9 +9,9 @@
 //! prefix with every rank thread bound to a protocol event log
 //! ([`ProtocolEvent`]): sends, admissions, delivery choices (with the
 //! full candidate set), consumptions (flagged when made through a
-//! timing-sensitive probe), epoch advances, parks, stale drops, persona
-//! adoptions, pool checkouts/checkins, aborts, and the simulator's
-//! conservation sentinels.
+//! timing-sensitive probe), pool checkouts/checkins, link-layer acks,
+//! retransmissions and suspicions, and the simulator's conservation
+//! sentinels.
 //!
 //! The DFS over replay prefixes then forks alternatives at delivery
 //! choice points — but only *dependent* ones:
@@ -24,8 +24,8 @@
 //!   same state; the alternative is pruned (`pruned_independent`). An
 //!   alternative is dependent — and forked — when either message is
 //!   consumed through a probe (`try_recv` / `recv_deadline`, as in the
-//!   takeover barriers) or is never consumed at all (its delivery races
-//!   a death or shutdown).
+//!   resize barrier) or is never consumed at all (its delivery races a
+//!   death or shutdown).
 //! - **Sleep sets.** A fork target identical to one already queued or
 //!   explored (same full per-rank prefix) is skipped
 //!   (`pruned_sleep`) — the backtrack-set dedup of DPOR.
@@ -60,18 +60,20 @@
 //!
 //! | property            | statement                                                              |
 //! |---------------------|------------------------------------------------------------------------|
-//! | `send-gapless`      | per (src, dst) stream and epoch, sent seqs are 0, 1, 2, … with no gap  |
-//! | `admit-gapless`     | per (dst, src) stream and epoch, admitted seqs are 0, 1, 2, …          |
-//! | `recv-non-overtaking` | per (dst, src, tag) and epoch, consumed seqs strictly increase       |
-//! | `epoch-monotone`    | epochs only advance; admits match, parks exceed, stale drops trail the current epoch |
+//! | `send-gapless`      | per (src, dst) stream, sent seqs are 0, 1, 2, … with no gap            |
+//! | `admit-gapless`     | per (dst, src) stream, admitted seqs are 0, 1, 2, …                    |
+//! | `recv-non-overtaking` | per (dst, src, tag), consumed seqs strictly increase                 |
 //! | `pool-balance`      | every checkin matches an outstanding checkout; clean pool drop leaves none outstanding |
-//! | `adopt-once`        | a virtual rank is adopted at most once per registered death            |
+//! | `ack-monotone`      | per link, the cumulative ack only moves forward                        |
+//! | `retransmit-valid`  | no frame is retransmitted once the cumulative ack covers it            |
+//! | `suspect-episodic`  | suspicion of a peer is raised and cleared alternately                  |
 //! | `sentinel-conservation` | every complete sentinel round sums to the configured particle count |
 //!
-//! Takeover runs reuse the same machinery through the resilient launch
-//! and the same start hook: the replay prefix drives launch 0 (where the
-//! kill fires), logs accumulate across launches segmented by `Birth`
-//! markers, and the probe-consumed barrier traffic makes the
+//! Every property's state restarts at a `Birth`: each launch is a fresh
+//! world. Relaunch runs reuse the same machinery through the resilient
+//! launch and the same start hook: the replay prefix drives launch 0
+//! (where the kill fires), logs accumulate across launches segmented by
+//! `Birth` markers, and the messages the death leaves unconsumed make the
 //! post-death window exactly where the checker forks.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -124,7 +126,7 @@ impl std::fmt::Display for PropertyViolation {
 /// What one model-checking case observed.
 #[derive(Debug, Clone)]
 pub struct ModelOutcome {
-    /// Case label, e.g. `3x3-takeover`.
+    /// Case label, e.g. `3x3-relaunch`.
     pub label: String,
     /// DFS runs executed (the seeded orders not counted).
     pub runs: usize,
@@ -214,14 +216,12 @@ fn window(
 /// Per-thread stream state, reset at every `Birth` (relaunch boundary).
 #[derive(Default)]
 struct ThreadState {
-    /// Current wire epoch.
-    epoch: u64,
-    /// (src, dst) → (epoch, next expected seq) for sends.
-    send: BTreeMap<(usize, usize), (u64, u64)>,
-    /// (dst, src) → (epoch, next expected seq) for admissions.
-    admit: BTreeMap<(usize, usize), (u64, u64)>,
-    /// (dst, src, tag, epoch) → last consumed seq.
-    recv: BTreeMap<(usize, usize, Tag, u64), u64>,
+    /// (src, dst) → next expected seq for sends.
+    send: BTreeMap<(usize, usize), u64>,
+    /// (dst, src) → next expected seq for admissions.
+    admit: BTreeMap<(usize, usize), u64>,
+    /// (dst, src, tag) → last consumed seq.
+    recv: BTreeMap<(usize, usize, Tag), u64>,
     /// pool id → outstanding checked-out slots.
     pools: BTreeMap<u64, BTreeSet<usize>>,
     /// Link layer: (src, dst) → last cumulative-ack point observed.
@@ -231,30 +231,12 @@ struct ThreadState {
 }
 
 /// Gapless-stream step shared by `send-gapless` and `admit-gapless`:
-/// seqs restart at 0 whenever the stream's epoch moves forward and
-/// otherwise increment by exactly 1.
-fn gapless_step(
-    entry: &mut (u64, u64),
-    fresh: bool,
-    epoch: u64,
-    seq: u64,
-    what: &str,
-) -> Result<(), String> {
-    if fresh || epoch > entry.0 {
-        *entry = (epoch, 0);
-    } else if epoch < entry.0 {
-        return Err(format!(
-            "{what} regressed to epoch {epoch} after epoch {}",
-            entry.0
-        ));
+/// seqs start at 0 and increment by exactly 1.
+fn gapless_step(next: &mut u64, seq: u64, what: &str) -> Result<(), String> {
+    if seq != *next {
+        return Err(format!("{what} seq {next} expected, got {seq}"));
     }
-    if seq != entry.1 {
-        return Err(format!(
-            "{what} seq {} expected, got {seq} (epoch {epoch})",
-            entry.1
-        ));
-    }
-    entry.1 += 1;
+    *next += 1;
     Ok(())
 }
 
@@ -266,18 +248,9 @@ pub fn check_thread_properties(rank: usize, events: &[ProtocolEvent]) -> Vec<Pro
     for (i, ev) in events.iter().enumerate() {
         match *ev {
             ProtocolEvent::Birth { .. } => st = ThreadState::default(),
-            ProtocolEvent::Send {
-                src,
-                dst,
-                seq,
-                epoch,
-                ..
-            } => {
-                let fresh = !st.send.contains_key(&(src, dst));
-                let entry = st.send.entry((src, dst)).or_default();
-                if let Err(detail) =
-                    gapless_step(entry, fresh, epoch, seq, &format!("send {src}->{dst}"))
-                {
+            ProtocolEvent::Send { src, dst, seq, .. } => {
+                let next = st.send.entry((src, dst)).or_default();
+                if let Err(detail) = gapless_step(next, seq, &format!("send {src}->{dst}")) {
                     out.push(PropertyViolation {
                         property: "send-gapless",
                         rank,
@@ -288,18 +261,9 @@ pub fn check_thread_properties(rank: usize, events: &[ProtocolEvent]) -> Vec<Pro
                     });
                 }
             }
-            ProtocolEvent::Admit {
-                dst,
-                src,
-                seq,
-                epoch,
-                ..
-            } => {
-                let fresh = !st.admit.contains_key(&(dst, src));
-                let entry = st.admit.entry((dst, src)).or_default();
-                if let Err(detail) =
-                    gapless_step(entry, fresh, epoch, seq, &format!("admit {src}->{dst}"))
-                {
+            ProtocolEvent::Admit { dst, src, seq, .. } => {
+                let next = st.admit.entry((dst, src)).or_default();
+                if let Err(detail) = gapless_step(next, seq, &format!("admit {src}->{dst}")) {
                     out.push(PropertyViolation {
                         property: "admit-gapless",
                         rank,
@@ -309,42 +273,18 @@ pub fn check_thread_properties(rank: usize, events: &[ProtocolEvent]) -> Vec<Pro
                         }),
                     });
                 }
-                if epoch != st.epoch {
-                    out.push(PropertyViolation {
-                        property: "epoch-monotone",
-                        rank,
-                        detail: format!(
-                            "admitted {src}->{dst} from epoch {epoch} while at epoch {}",
-                            st.epoch
-                        ),
-                        trace: window(events, i, |e| {
-                            matches!(
-                                e,
-                                ProtocolEvent::Admit { .. }
-                                    | ProtocolEvent::EpochAdvance { .. }
-                                    | ProtocolEvent::Park { .. }
-                                    | ProtocolEvent::DropStale { .. }
-                            )
-                        }),
-                    });
-                }
             }
             ProtocolEvent::Recv {
-                dst,
-                src,
-                tag,
-                seq,
-                epoch,
-                ..
+                dst, src, tag, seq, ..
             } => {
-                let key = (dst, src, tag, epoch);
+                let key = (dst, src, tag);
                 if let Some(&last) = st.recv.get(&key) {
                     if seq <= last {
                         out.push(PropertyViolation {
                             property: "recv-non-overtaking",
                             rank,
                             detail: format!(
-                                "consumed {src}->{dst} tag {tag} seq {seq} after seq {last} (epoch {epoch})"
+                                "consumed {src}->{dst} tag {tag} seq {seq} after seq {last}"
                             ),
                             trace: window(events, i, |e| {
                                 matches!(e, ProtocolEvent::Recv { dst: d, src: s, tag: t, .. }
@@ -354,65 +294,6 @@ pub fn check_thread_properties(rank: usize, events: &[ProtocolEvent]) -> Vec<Pro
                     }
                 }
                 st.recv.insert(key, seq);
-            }
-            ProtocolEvent::Park {
-                src, dst, epoch, ..
-            } => {
-                if epoch <= st.epoch {
-                    out.push(PropertyViolation {
-                        property: "epoch-monotone",
-                        rank,
-                        detail: format!(
-                            "parked {src}->{dst} from epoch {epoch} while at epoch {} (not future)",
-                            st.epoch
-                        ),
-                        trace: window(events, i, |e| {
-                            matches!(
-                                e,
-                                ProtocolEvent::Park { .. } | ProtocolEvent::EpochAdvance { .. }
-                            )
-                        }),
-                    });
-                }
-            }
-            ProtocolEvent::DropStale {
-                src, dst, epoch, ..
-            } => {
-                if epoch >= st.epoch {
-                    out.push(PropertyViolation {
-                        property: "epoch-monotone",
-                        rank,
-                        detail: format!(
-                            "dropped {src}->{dst} from epoch {epoch} as stale while at epoch {}",
-                            st.epoch
-                        ),
-                        trace: window(events, i, |e| {
-                            matches!(
-                                e,
-                                ProtocolEvent::DropStale { .. }
-                                    | ProtocolEvent::EpochAdvance { .. }
-                            )
-                        }),
-                    });
-                }
-            }
-            ProtocolEvent::EpochAdvance { epoch, .. } => {
-                if epoch <= st.epoch {
-                    out.push(PropertyViolation {
-                        property: "epoch-monotone",
-                        rank,
-                        detail: format!("epoch advanced backwards: {} -> {epoch}", st.epoch),
-                        trace: window(events, i, |e| {
-                            matches!(e, ProtocolEvent::EpochAdvance { .. })
-                        }),
-                    });
-                }
-                st.epoch = epoch;
-                // The link layer resets with the wire epoch: cumulative
-                // acks restart at zero and detector state clears without
-                // an Unsuspect event, by design.
-                st.acks.clear();
-                st.suspected.clear();
             }
             ProtocolEvent::PoolCheckout { pool, slot } => {
                 if !st.pools.entry(pool).or_default().insert(slot) {
@@ -531,17 +412,14 @@ pub fn check_thread_properties(rank: usize, events: &[ProtocolEvent]) -> Vec<Pro
             }
             ProtocolEvent::Candidate { .. }
             | ProtocolEvent::Deliver { .. }
-            | ProtocolEvent::Adopt { .. }
-            | ProtocolEvent::Death { .. }
-            | ProtocolEvent::Abort { .. }
             | ProtocolEvent::Sentinel { .. } => {}
         }
     }
     out
 }
 
-/// Check the cross-rank properties (`adopt-once`,
-/// `sentinel-conservation`) over all rank logs of one exploration run.
+/// Check the cross-rank property (`sentinel-conservation`) over all rank
+/// logs of one exploration run.
 pub fn check_global_properties(
     n_particles: u64,
     p: usize,
@@ -549,40 +427,9 @@ pub fn check_global_properties(
 ) -> Vec<PropertyViolation> {
     let mut out = Vec::new();
 
-    // adopt-once: a virtual rank may be adopted at most once per
-    // registered death of that rank, across the whole world.
-    let mut deaths: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut adopts: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-    for events in logs {
-        for ev in events {
-            match *ev {
-                ProtocolEvent::Death { rank } => *deaths.entry(rank).or_default() += 1,
-                ProtocolEvent::Adopt { vrank, .. } => {
-                    adopts.entry(vrank).or_default().push(ev.to_string())
-                }
-                _ => {}
-            }
-        }
-    }
-    for (vrank, seen) in &adopts {
-        let died = deaths.get(vrank).copied().unwrap_or(0);
-        if seen.len() > died {
-            out.push(PropertyViolation {
-                property: "adopt-once",
-                rank: usize::MAX,
-                detail: format!(
-                    "virtual rank {vrank} adopted {} time(s) but died {died} time(s)",
-                    seen.len()
-                ),
-                trace: seen.clone(),
-            });
-        }
-    }
-
     // sentinel-conservation: for every (attempt, step) sentinel round in
-    // which ALL virtual ranks reported, the (last-reported) counts must
-    // sum to the configured particle total. Rounds truncated by a death
-    // are skipped; post-takeover re-execution overwrites earlier reports.
+    // which ALL ranks reported, the counts must sum to the configured
+    // particle total. Rounds truncated by a death are skipped.
     let mut rounds: BTreeMap<(usize, u64), BTreeMap<usize, u64>> = BTreeMap::new();
     for events in logs {
         let mut attempt = 0usize;
@@ -650,7 +497,7 @@ pub fn check_all_properties(
 struct Choice {
     /// All candidate stream heads, ordered by source rank (the order the
     /// policy saw them in).
-    candidates: Vec<(usize, usize, Tag, u64, u64)>, // (dst, src, tag, seq, epoch)
+    candidates: Vec<(usize, usize, Tag, u64)>, // (dst, src, tag, seq)
     /// Index of the delivered candidate.
     taken: usize,
 }
@@ -661,7 +508,7 @@ struct Choice {
 /// delivery).
 fn choice_points(events: &[ProtocolEvent]) -> Vec<Choice> {
     let mut out = Vec::new();
-    let mut pending: Vec<(usize, usize, Tag, u64, u64)> = Vec::new();
+    let mut pending: Vec<(usize, usize, Tag, u64)> = Vec::new();
     let mut births = 0;
     for ev in events {
         match *ev {
@@ -671,26 +518,15 @@ fn choice_points(events: &[ProtocolEvent]) -> Vec<Choice> {
                     break; // forks only drive the first launch's policy
                 }
             }
-            ProtocolEvent::Candidate {
-                dst,
-                src,
-                tag,
-                seq,
-                epoch,
-            } => pending.push((dst, src, tag, seq, epoch)),
+            ProtocolEvent::Candidate { dst, src, tag, seq } => pending.push((dst, src, tag, seq)),
             ProtocolEvent::Deliver {
-                dst,
-                src,
-                tag,
-                seq,
-                epoch,
-                ..
+                dst, src, tag, seq, ..
             } => {
-                pending.push((dst, src, tag, seq, epoch));
+                pending.push((dst, src, tag, seq));
                 pending.sort_unstable_by_key(|&(_, s, ..)| s);
                 let taken = pending
                     .iter()
-                    .position(|&(_, s, t, q, e)| (s, t, q, e) == (src, tag, seq, epoch))
+                    .position(|&(_, s, t, q)| (s, t, q) == (src, tag, seq))
                     .expect("delivered head among candidates");
                 out.push(Choice {
                     candidates: std::mem::take(&mut pending),
@@ -706,7 +542,7 @@ fn choice_points(events: &[ProtocolEvent]) -> Vec<Choice> {
 /// How each delivered message was eventually consumed in the first
 /// launch segment: `Some(probe)` when a matching `Recv` exists, `None`
 /// when it was never consumed.
-fn consumption(events: &[ProtocolEvent]) -> BTreeMap<(usize, usize, Tag, u64, u64), bool> {
+fn consumption(events: &[ProtocolEvent]) -> BTreeMap<(usize, usize, Tag, u64), bool> {
     let mut map = BTreeMap::new();
     let mut births = 0;
     for ev in events {
@@ -722,12 +558,11 @@ fn consumption(events: &[ProtocolEvent]) -> BTreeMap<(usize, usize, Tag, u64, u6
                 src,
                 tag,
                 seq,
-                epoch,
                 probe,
             } => {
                 // A message is consumed once; keep the strongest signal
                 // (probe) if the key somehow repeats.
-                let e = map.entry((dst, src, tag, seq, epoch)).or_insert(probe);
+                let e = map.entry((dst, src, tag, seq)).or_insert(probe);
                 *e = *e || probe;
             }
             _ => {}
@@ -742,9 +577,9 @@ fn consumption(events: &[ProtocolEvent]) -> BTreeMap<(usize, usize, Tag, u64, u6
 fn dependent(
     choice: &Choice,
     alt: usize,
-    consumed: &BTreeMap<(usize, usize, Tag, u64, u64), bool>,
+    consumed: &BTreeMap<(usize, usize, Tag, u64), bool>,
 ) -> bool {
-    let observable = |c: &(usize, usize, Tag, u64, u64)| match consumed.get(c) {
+    let observable = |c: &(usize, usize, Tag, u64)| match consumed.get(c) {
         Some(&probe) => probe, // probe consumption sees ordering
         None => true,          // never consumed: races shutdown/death
     };
@@ -791,18 +626,18 @@ fn state_hash(logs: &[Vec<ProtocolEvent>]) -> u64 {
 
 /// One model-checking case: a configuration plus exploration knobs.
 pub struct ModelCase {
-    /// Display label, e.g. `2x2-takeover`.
+    /// Display label, e.g. `2x2-relaunch`.
     pub label: String,
     /// Simulator configuration to model-check.
     pub cfg: RunConfig,
     /// Run budget; the DFS stops (non-exhausted) when it is spent.
     pub max_runs: usize,
     /// `Some((rank, op))`: kill `rank` at send op `op` on attempt 0 and
-    /// model-check the takeover/recovery protocol.
+    /// model-check the relaunch from the last checkpoint.
     pub kill: Option<(usize, u64)>,
 }
 
-/// The ladder of takeover cases: the full one.
+/// The ladder of relaunch cases.
 fn model_ladder() -> Ladder {
     Ladder {
         max_attempts: 6,
@@ -810,9 +645,9 @@ fn model_ladder() -> Ladder {
     }
 }
 
-/// A takeover case's configuration: the case's, on deadlines short enough
+/// A relaunch case's configuration: the case's, on deadlines short enough
 /// that a run injecting a real death cannot hang the matrix.
-fn takeover_cfg(case: &ModelCase) -> RunConfig {
+fn relaunch_cfg(case: &ModelCase) -> RunConfig {
     let mut cfg = case.cfg.clone();
     cfg.comm.poll = Duration::from_millis(2);
     cfg.comm.watchdog = Duration::from_secs(10);
@@ -845,7 +680,7 @@ fn run_once(
     let logs: Vec<EventLog> = (0..p).map(|_| new_event_log()).collect();
     let (handles_in, logs_in) = (Arc::clone(&handles), logs.clone());
     let kill = case.kill;
-    // One log per physical rank across every launch of the run: each
+    // One log per rank across every launch of the run: each
     // launch opens its segment with a `Birth` marker, before anything
     // else the rank does.
     let launch = Launch::new().snapshot().on_start(move |launch, comm| {
@@ -878,8 +713,8 @@ fn run_once(
         }
         Some(_) => {
             let outcome = launch
-                .run_resilient(&takeover_cfg(case), &model_ladder())
-                .map_err(|e| format!("takeover run failed to complete: {e:?}"))?;
+                .run_resilient(&relaunch_cfg(case), &model_ladder())
+                .map_err(|e| format!("relaunch run failed to complete: {e:?}"))?;
             outcome.digest
         }
     };
@@ -925,12 +760,12 @@ pub fn model_check(case: &ModelCase) -> Result<ModelOutcome, String> {
         events: 0,
         violations: Vec::new(),
     };
-    // For takeover cases the explored digests must also equal the
+    // For relaunch cases the explored digests must also equal the
     // fault-free reference — recovery parity folded into the digest set.
     if case.kill.is_some() {
         let reference = Launch::new()
-            .run_resilient(&takeover_cfg(case), &model_ladder())
-            .map_err(|e| format!("fault-free takeover reference failed: {e:?}"))?;
+            .run_resilient(&relaunch_cfg(case), &model_ladder())
+            .map_err(|e| format!("fault-free relaunch reference failed: {e:?}"))?;
         out.digests.insert(reference.digest);
     }
     let mut orders: BTreeSet<u64> = BTreeSet::new();
@@ -1039,10 +874,9 @@ fn model_config_2x2(steps: u64) -> RunConfig {
     cfg
 }
 
-/// 3×3 model configuration: the clustered DLB workload of the takeover
-/// sweep, shortened — the smallest grid where a takeover persona drives
-/// two ranks through the full balancing protocol: loads, decisions and
-/// the columns they move.
+/// 3×3 model configuration: the clustered DLB workload of the sweep's
+/// 3×3 kill points, shortened — the smallest grid that runs the full
+/// balancing protocol: loads, decisions and the columns they move.
 fn model_config_3x3(steps: u64) -> RunConfig {
     let mut cfg = RunConfig::new(600, 9, 9, 0.05);
     cfg.lattice = Lattice::Cluster { fill: 0.5 };
@@ -1057,10 +891,10 @@ fn model_config_3x3(steps: u64) -> RunConfig {
 }
 
 /// The standard model-checking matrix driven by `pcdlb-check model`:
-/// 2×2 and 3×3, each with and without takeover, `steps` long. The
-/// fault-free 2×2 case gets `max_runs_2x2` DFS runs, the others
-/// `max_runs`. Fault-free cases must exhaust; `pcdlb-check model` gates
-/// takeover and 3×3 cases on the reported reduction factor.
+/// 2×2 and 3×3, each fault-free and with a death that relaunches,
+/// `steps` long. The fault-free 2×2 case gets `max_runs_2x2` DFS runs,
+/// the others `max_runs`. Fault-free cases must exhaust; `pcdlb-check
+/// model` gates relaunch and 3×3 cases on the reported reduction factor.
 pub fn standard_cases(steps: u64, max_runs_2x2: usize, max_runs: usize) -> Vec<ModelCase> {
     let case = |label: &str, cfg: RunConfig, max_runs, kill| ModelCase {
         label: label.into(),
@@ -1069,12 +903,12 @@ pub fn standard_cases(steps: u64, max_runs_2x2: usize, max_runs: usize) -> Vec<M
         kill,
     };
     // Kill rank 1 at its 24th send op on launch 0.
-    let takeover = Some((1, 24));
+    let kill = Some((1, 24));
     vec![
         case("2x2", model_config_2x2(steps), max_runs_2x2, None),
-        case("2x2-takeover", model_config_2x2(steps), max_runs, takeover),
+        case("2x2-relaunch", model_config_2x2(steps), max_runs, kill),
         case("3x3", model_config_3x3(steps), max_runs, None),
-        case("3x3-takeover", model_config_3x3(steps), max_runs, takeover),
+        case("3x3-relaunch", model_config_3x3(steps), max_runs, kill),
     ]
 }
 
@@ -1082,14 +916,8 @@ pub fn standard_cases(steps: u64, max_runs_2x2: usize, max_runs: usize) -> Vec<M
 mod tests {
     use super::*;
 
-    fn ev_send(src: usize, dst: usize, tag: Tag, seq: u64, epoch: u64) -> ProtocolEvent {
-        ProtocolEvent::Send {
-            src,
-            dst,
-            tag,
-            seq,
-            epoch,
-        }
+    fn ev_send(src: usize, dst: usize, tag: Tag, seq: u64) -> ProtocolEvent {
+        ProtocolEvent::Send { src, dst, tag, seq }
     }
 
     #[test]
@@ -1097,35 +925,16 @@ mod tests {
         let birth = ProtocolEvent::Birth { rank: 0 };
         let ok = vec![
             birth,
-            ev_send(0, 1, 7, 0, 0),
-            ev_send(0, 1, 7, 1, 0),
-            ev_send(0, 2, 7, 0, 0),
+            ev_send(0, 1, 7, 0),
+            ev_send(0, 1, 7, 1),
+            ev_send(0, 2, 7, 0),
         ];
         assert!(check_thread_properties(0, &ok).is_empty());
-        let gap = vec![birth, ev_send(0, 1, 7, 0, 0), ev_send(0, 1, 7, 2, 0)];
+        let gap = vec![birth, ev_send(0, 1, 7, 0), ev_send(0, 1, 7, 2)];
         let v = check_thread_properties(0, &gap);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].property, "send-gapless");
         assert!(!v[0].trace.is_empty(), "violation carries its event window");
-    }
-
-    #[test]
-    fn epoch_bump_resets_streams_and_regression_fails() {
-        let ok = vec![
-            ProtocolEvent::Birth { rank: 0 },
-            ev_send(0, 1, 7, 0, 0),
-            ev_send(0, 1, 7, 1, 0),
-            ev_send(0, 1, 7, 0, 1), // epoch 1: stream restarts at 0
-        ];
-        assert!(check_thread_properties(0, &ok).is_empty());
-        let regress = vec![
-            ProtocolEvent::Birth { rank: 0 },
-            ev_send(0, 1, 7, 0, 1),
-            ev_send(0, 1, 7, 0, 0), // epoch went backwards
-        ];
-        let v = check_thread_properties(0, &regress);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].property, "send-gapless");
     }
 
     #[test]
@@ -1190,7 +999,7 @@ mod tests {
     }
 
     #[test]
-    fn suspicion_episodes_must_alternate_and_reset_on_epoch() {
+    fn suspicion_episodes_must_alternate() {
         let birth = ProtocolEvent::Birth { rank: 0 };
         let ok = vec![
             birth,
@@ -1211,36 +1020,16 @@ mod tests {
         let v = check_thread_properties(0, &orphan_clear);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].property, "suspect-episodic");
-        // advance_epoch clears detector state without an Unsuspect, and
-        // the link's cumulative ack restarts at zero — neither is a
-        // violation after an EpochAdvance.
-        let epoch_reset = vec![
-            birth,
-            ProtocolEvent::Suspect { rank: 0, peer: 2 },
-            ProtocolEvent::AckAdvance {
-                src: 0,
-                dst: 1,
-                cum: 9,
-            },
-            ProtocolEvent::EpochAdvance { rank: 0, epoch: 1 },
-            ProtocolEvent::Suspect { rank: 0, peer: 2 },
-            ProtocolEvent::AckAdvance {
-                src: 0,
-                dst: 1,
-                cum: 1,
-            },
-        ];
-        assert!(check_thread_properties(0, &epoch_reset).is_empty());
     }
 
     #[test]
     fn birth_resets_all_stream_state() {
         let relaunch = vec![
             ProtocolEvent::Birth { rank: 0 },
-            ev_send(0, 1, 7, 0, 0),
-            ev_send(0, 1, 7, 1, 0),
+            ev_send(0, 1, 7, 0),
+            ev_send(0, 1, 7, 1),
             ProtocolEvent::Birth { rank: 0 },
-            ev_send(0, 1, 7, 0, 0), // fresh world: seq restarts
+            ev_send(0, 1, 7, 0), // fresh world: seq restarts
         ];
         assert!(check_thread_properties(0, &relaunch).is_empty());
     }
@@ -1295,28 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn adopt_without_death_is_caught() {
-        let logs = vec![vec![
-            ProtocolEvent::Birth { rank: 0 },
-            ProtocolEvent::Adopt { phys: 0, vrank: 1 },
-        ]];
-        let v = check_global_properties(100, 2, &logs);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].property, "adopt-once");
-        let legal = vec![
-            vec![
-                ProtocolEvent::Birth { rank: 0 },
-                ProtocolEvent::Adopt { phys: 0, vrank: 1 },
-            ],
-            vec![
-                ProtocolEvent::Birth { rank: 1 },
-                ProtocolEvent::Death { rank: 1 },
-            ],
-        ];
-        assert!(check_global_properties(100, 2, &legal).is_empty());
-    }
-
-    #[test]
     fn sentinel_round_sum_mismatch_is_caught() {
         let logs = vec![
             vec![
@@ -1362,14 +1129,12 @@ mod tests {
                 src: 0,
                 tag: 7,
                 seq: 0,
-                epoch: 0,
             },
             ProtocolEvent::Deliver {
                 dst: 2,
                 src: 3,
                 tag: 9,
                 seq: 1,
-                epoch: 0,
                 arity: 2,
             },
         ];
@@ -1382,16 +1147,16 @@ mod tests {
     #[test]
     fn blocking_consumption_is_independent_probe_is_dependent() {
         let choice = Choice {
-            candidates: vec![(2, 0, 7, 0, 0), (2, 3, 9, 1, 0)],
+            candidates: vec![(2, 0, 7, 0), (2, 3, 9, 1)],
             taken: 1,
         };
         let mut consumed = BTreeMap::new();
-        consumed.insert((2, 0, 7, 0, 0), false);
-        consumed.insert((2, 3, 9, 1, 0), false);
+        consumed.insert((2, 0, 7, 0), false);
+        consumed.insert((2, 3, 9, 1), false);
         assert!(!dependent(&choice, 0, &consumed), "both blocking: commute");
-        consumed.insert((2, 0, 7, 0, 0), true);
+        consumed.insert((2, 0, 7, 0), true);
         assert!(dependent(&choice, 0, &consumed), "probe consumption");
-        consumed.remove(&(2, 0, 7, 0, 0));
+        consumed.remove(&(2, 0, 7, 0));
         assert!(dependent(&choice, 0, &consumed), "unconsumed message");
     }
 }

@@ -7,18 +7,15 @@
 //! this module sweeps the claim over one table of [`Scenario`] rows, each
 //! a workload, how it is launched, and the faulted runs made of it:
 //!
-//! - **Kills and relaunches**: every rank of a 2×2 world killed at every
-//!   `stride`-th send op, and each non-root rank at each of its
-//!   `CKPT_GATHER` contributions (the checkpoint being assembled dies
-//!   mid-gather, so the relaunch falls back to the previous one), under
-//!   the relaunch rung alone; and seeded kill sites under a
-//!   [`LossyProfile`] of the same seed (15 / 8
-//!   / 8 per mille dropped / duplicated / delayed) — a death on a
-//!   Grid-like substrate, held to the run over the *reliable* channels.
-//! - **Buddy takeover**: every rank of a 2×2 and a 3×3 (DLB) world killed
-//!   at strided send ops with takeover on, at least one death per grid
-//!   absorbed in place on `n − 1` threads; and a second death in the same
-//!   launch, which must escalate to a clean relaunch.
+//! - **Kills and relaunches**: every rank of a 2×2 world and of a 3×3
+//!   clustered world that balances killed at every `stride`-th send op,
+//!   and each non-root rank of the 2×2 world at each of its `CKPT_GATHER`
+//!   contributions (the checkpoint being assembled dies mid-gather, so the
+//!   relaunch falls back to the previous one); and seeded kill sites
+//!   under a [`LossyProfile`] of the same seed (15 / 8 / 8 per mille
+//!   dropped / duplicated / delayed) — a death on a Grid-like substrate,
+//!   held to the run over the *reliable* channels. Every death tears the
+//!   world down and relaunches it from the last checkpoint.
 //! - **Elastic resizing**: shrink and grow plans at several step
 //!   boundaries on three grids (one re-tiles in place before it drains,
 //!   one is also run as a plane and a cube); and kills inside the resize
@@ -30,12 +27,13 @@
 //!   reliable one's [`digest_run`] — records, message counts and
 //!   trajectory — and wire bytes; a partition window that heals by
 //!   retransmission; a permanent isolation that escalates through
-//!   self-fencing into a buddy takeover; and a reliable baseline, whose
-//!   ranks build no link layer at all.
+//!   self-fencing into relaunches, each of which the partition cuts
+//!   again; and a reliable baseline, whose ranks build no link layer at
+//!   all.
 //!
 //! The runner ([`run`]) makes each row's fault-free [`reference()`] once —
 //! the row's configuration over the reliable transport, which must make
-//! one launch per generation with no takeover and land on [`run_serial`]
+//! one launch per generation and land on [`run_serial`]
 //! — and holds every run of the row to it ([`hold`]): a resilient run on
 //! [`digest_recovery`](pcdlb_sim::digest_recovery) (a relaunch re-sends
 //! messages), a plain one on [`digest_run`] and its wire bytes. The whole
@@ -81,9 +79,6 @@ pub enum Kills {
     /// the first launch, both drawn with [`splitmix64`] from `k`, over the
     /// row's transport reseeded with `k`.
     Seeded(u64),
-    /// One run: ranks 1 and 2 of the first launch at a half and three
-    /// quarters of the bound.
-    SecondDeath,
 }
 
 /// What a row requires of its runs as a whole.
@@ -91,10 +86,6 @@ pub enum Kills {
 pub enum Expect {
     /// Every run's kill fires.
     AllFire,
-    /// At least one death is absorbed in place (a takeover, no relaunch).
-    Absorbed,
-    /// Every run escalates to a relaunch.
-    Relaunch,
     /// The transport retransmitted: the disturbance engaged.
     Retransmits,
     /// No link layer engaged: no retransmit, no suspicion.
@@ -152,7 +143,6 @@ impl Scenario {
                 report,
                 snapshot,
                 attempts: 1,
-                takeovers: 0,
                 ps: vec![cfg.p],
             });
         };
@@ -166,7 +156,6 @@ impl Scenario {
             report: o.report,
             snapshot: o.snapshot,
             attempts: o.attempts,
-            takeovers: o.takeovers,
             ps: o.generations.iter().map(|g| g.p).collect(),
         })
     }
@@ -205,10 +194,6 @@ impl Scenario {
                 });
                 return seeded.collect();
             }
-            Kills::SecondDeath => vec![vec![
-                (0, 1, FaultPlan::kill_at(bound / 2)),
-                (0, 2, FaultPlan::kill_at(bound * 3 / 4)),
-            ]],
         };
         runs.into_iter()
             .map(|sites| (self.cfg.clone(), sites))
@@ -227,8 +212,6 @@ pub struct Ran {
     snapshot: Vec<Particle>,
     /// Launches across all generations.
     attempts: usize,
-    /// Deaths absorbed in place.
-    takeovers: usize,
     /// The PE count of each generation.
     ps: Vec<usize>,
 }
@@ -240,12 +223,8 @@ pub struct Outcome {
     /// The reference's digest.
     pub reference: u64,
     pub runs: usize,
-    /// Runs whose fault fired: a death absorbed or a relaunch.
+    /// Runs whose fault fired: a relaunch.
     pub fired: usize,
-    /// Fired runs absorbed fully in place (≥ 1 takeover, no relaunch).
-    pub degraded: usize,
-    /// Fired runs that fell back to a relaunch.
-    pub relaunched: usize,
     /// Retransmissions and suspicion episodes of the runs' completing
     /// launches.
     pub retransmits: u64,
@@ -256,18 +235,17 @@ pub struct Outcome {
 
 /// The fault-free reference of `row`: its configuration over the reliable
 /// transport, launched as the row launches it. It must make one launch per
-/// generation with no takeover, keep every particle and every step's
-/// record, and land bitwise on the serial run.
+/// generation, keep every particle and every step's record, and land
+/// bitwise on the serial run.
 pub fn reference(row: &Scenario) -> Result<Ran, String> {
     let mut cfg = row.cfg.clone();
     cfg.comm.chaos = None;
     let r = row.launch(&cfg, Vec::new())?;
     let mut bad = Vec::new();
-    if r.attempts != r.ps.len() || r.takeovers != 0 {
+    if r.attempts != r.ps.len() {
         bad.push(format!(
-            "{} launch(es) and {} takeover(s) for {} generation(s)",
+            "{} launch(es) for {} generation(s)",
             r.attempts,
-            r.takeovers,
             r.ps.len()
         ));
     }
@@ -314,40 +292,28 @@ pub fn hold(row: &Scenario, reference: &Ran) -> Outcome {
                 continue;
             }
         };
-        let relaunched = r.attempts > r.ps.len();
-        out.fired += usize::from(relaunched || r.takeovers > 0);
-        out.relaunched += usize::from(relaunched);
-        out.degraded += usize::from(!relaunched && r.takeovers > 0);
+        out.fired += usize::from(r.attempts > r.ps.len());
         out.retransmits += r.report.retransmits;
         out.suspicions += r.report.suspicions;
         if r.digest != reference.digest || r.wire != reference.wire {
             out.violations.push(format!(
                 "{label}: digest {:#018x} != reference {:#018x}, wire {:?} vs {:?} \
-                 ({} launch(es), {} takeover(s))",
-                r.digest, reference.digest, r.wire, reference.wire, r.attempts, r.takeovers
+                 ({} launch(es))",
+                r.digest, reference.digest, r.wire, reference.wire, r.attempts
             ));
         }
     }
     for e in row.expect {
         let failed = match *e {
             Expect::AllFire => out.fired < out.runs,
-            Expect::Absorbed => out.degraded == 0,
-            Expect::Relaunch => out.relaunched < out.runs,
             Expect::Retransmits => out.retransmits == 0,
             Expect::Inert => out.retransmits + out.suspicions > 0,
             Expect::RetilesBy(step) => !reference.report.retiles.iter().any(|r| r.0 <= step),
         };
         if failed {
             out.violations.push(format!(
-                "{}: expected {e:?}: {} of {} run(s) fired ({} in place, {} relaunched), \
-                 {} retransmit(s), {} suspicion(s)",
-                row.name,
-                out.fired,
-                out.runs,
-                out.degraded,
-                out.relaunched,
-                out.retransmits,
-                out.suspicions
+                "{}: expected {e:?}: {} of {} run(s) fired, {} retransmit(s), {} suspicion(s)",
+                row.name, out.fired, out.runs, out.retransmits, out.suspicions
             ));
         }
     }
@@ -433,10 +399,9 @@ fn resilient(mut cfg: RunConfig) -> RunConfig {
     cfg
 }
 
-fn ladder(takeover: bool, plan: ResizePlan) -> Option<Ladder> {
+fn ladder(plan: ResizePlan) -> Option<Ladder> {
     Some(Ladder {
         max_attempts: 6,
-        takeover,
         plan,
     })
 }
@@ -462,9 +427,7 @@ pub fn table(stride: u64, seeds: u64) -> Vec<Scenario> {
     let once = || Kills::Runs(vec![Vec::new()]);
     let mut rows = Vec::new();
 
-    // Kills under the relaunch rung alone: with takeover on, they would be
-    // absorbed in place and the relaunch path would lose its coverage.
-    let relaunch = ladder(false, ResizePlan::new());
+    let relaunch = ladder(ResizePlan::new());
     let cfg = resilient(ddm_2x2());
     rows.push(Scenario {
         kills: Kills::Strided(stride),
@@ -489,12 +452,9 @@ pub fn table(stride: u64, seeds: u64) -> Vec<Scenario> {
         ..Scenario::new("2x2 seeded lossy kills", lossy_kills, relaunch.clone())
     });
 
-    // Buddy takeover on a 2×2 and on a 3×3 clustered DLB world — the
-    // smallest grid on which a takeover thread drives two ranks through the
-    // load and decision exchanges and the columns they move — both
-    // gathering the invariant sentinel.
-    let mut c2 = resilient(ddm_2x2());
-    c2.sentinel_interval = 6;
+    // Every rank of a 3×3 clustered world that balances — the smallest
+    // grid that sends loads and decisions and moves the columns they name
+    // — killed at strided send ops, a sentinel gathering every 6 steps.
     let mut c3 = resilient(RunConfig::new(600, 9, 9, 0.05));
     c3.lattice = Lattice::Cluster { fill: 0.5 };
     c3.steps = 20;
@@ -503,23 +463,10 @@ pub fn table(stride: u64, seeds: u64) -> Vec<Scenario> {
     c3.thermostat_interval = 10;
     c3.checkpoint_interval = 5;
     c3.sentinel_interval = 6;
-    for (grid, cfg) in [("2x2", c2), ("3x3", c3)] {
-        let takeover = ladder(true, ResizePlan::new());
-        rows.push(Scenario {
-            kills: Kills::Strided(stride),
-            expect: &[Absorbed],
-            ..Scenario::new(
-                format!("{grid} takeover kills"),
-                cfg.clone(),
-                takeover.clone(),
-            )
-        });
-        rows.push(Scenario {
-            kills: Kills::SecondDeath,
-            expect: &[Relaunch],
-            ..Scenario::new(format!("{grid} second death"), cfg, takeover)
-        });
-    }
+    rows.push(Scenario {
+        kills: Kills::Strided(stride),
+        ..Scenario::new("3x3 kill points", c3, relaunch.clone())
+    });
 
     // Elastic parity on the 4³ grid (a sentinel every 4 steps audits each
     // generation), on a 6³ DLB grid resized through a 2×2 generation and
@@ -541,7 +488,7 @@ pub fn table(stride: u64, seeds: u64) -> Vec<Scenario> {
         rows.push(Scenario::new(
             format!("4³ resize plan {i}"),
             cfg_4(5),
-            ladder(true, plan),
+            ladder(plan),
         ));
     }
     let mut c6 = resilient(RunConfig::new(343, 6, 9, 0.08));
@@ -553,11 +500,7 @@ pub fn table(stride: u64, seeds: u64) -> Vec<Scenario> {
     c6.checkpoint_interval = 6;
     c6.sentinel_interval = 3;
     let plan = ResizePlan::new().resize(6, 4).resize(12, 9);
-    rows.push(Scenario::new(
-        "6³ resize, dlb",
-        c6.clone(),
-        ladder(true, plan),
-    ));
+    rows.push(Scenario::new("6³ resize, dlb", c6.clone(), ladder(plan)));
     // The same physics as a ring and as a block grid.
     for (shape, p) in [(DomainShape::Plane, 3), (DomainShape::Cube, 8)] {
         let mut cfg = c6.clone();
@@ -580,7 +523,7 @@ pub fn table(stride: u64, seeds: u64) -> Vec<Scenario> {
         ..Scenario::new(
             "16² re-tile, resize",
             c16,
-            ladder(true, ResizePlan::new().resize(10, 4).resize(14, 16)),
+            ladder(ResizePlan::new().resize(10, 4).resize(14, 16)),
         )
     });
 
@@ -593,7 +536,7 @@ pub fn table(stride: u64, seeds: u64) -> Vec<Scenario> {
         .into_iter()
         .chain(plan.stages.iter().map(|s| s.p))
         .collect();
-    let elastic = ladder(true, plan);
+    let elastic = ladder(plan);
     let drains = ps[..ps.len() - 1]
         .iter()
         .enumerate()
@@ -672,7 +615,7 @@ pub fn table(stride: u64, seeds: u64) -> Vec<Scenario> {
         }
     }
     // Links 0↔1 go dark for a frame window mid-run, then heal: with no
-    // takeover to fall back on, completion plus parity is the proof.
+    // relaunch to fall back on, completion plus parity is the proof.
     let mut cfg = torus;
     let mut chaos = LossyProfile::new(23);
     chaos.partitions = vec![Partition {
@@ -687,9 +630,13 @@ pub fn table(stride: u64, seeds: u64) -> Vec<Scenario> {
         expect: &[Retransmits],
         ..Scenario::new("2x2 healed partition", cfg, None)
     });
-    // Rank 2 isolated for good mid-run must fence itself and be adopted by
-    // its buddy; quicker φ fencing than the defaults keeps it well inside
-    // the deadline.
+    // Rank 2 isolated for good mid-run: the world fences it and
+    // relaunches. The partition re-arms in every new world (its frame
+    // window counts from each world's start), so the run lands bitwise
+    // only if each relaunch gets further than the last: it restores a
+    // later checkpoint each time and completes within its six attempts.
+    // Quicker φ fencing than the defaults keeps it well inside the
+    // deadline.
     let mut cfg = resilient(ddm_2x2());
     cfg.comm.watchdog = Duration::from_secs(30);
     cfg.comm.heartbeat = Duration::from_millis(40);
@@ -698,12 +645,8 @@ pub fn table(stride: u64, seeds: u64) -> Vec<Scenario> {
     cfg.comm.chaos = Some(LossyProfile::new(31).isolate(2, cfg.p, 30, u64::MAX));
     rows.push(Scenario {
         kills: once(),
-        expect: &[Absorbed],
-        ..Scenario::new(
-            "2x2 permanent isolation",
-            cfg,
-            ladder(true, ResizePlan::new()),
-        )
+        expect: &[AllFire],
+        ..Scenario::new("2x2 permanent isolation", cfg, ladder(ResizePlan::new()))
     });
     rows
 }
@@ -719,8 +662,6 @@ mod tests {
         for o in &rows {
             sum.runs += o.runs;
             sum.fired += o.fired;
-            sum.degraded += o.degraded;
-            sum.relaunched += o.relaunched;
             sum.retransmits += o.retransmits;
             assert_ne!(o.reference, 0, "{}", o.name);
         }
@@ -745,12 +686,9 @@ mod tests {
         assert_eq!((seeded.runs, seeded.fired), (2, 2));
         assert!(seeded.retransmits > 0);
 
-        for grid in ["2x2", "3x3"] {
-            let (_, t) = total(&out, &format!("{grid} takeover kills"));
-            assert!(t.fired > 0 && t.degraded > 0, "{grid}: {t:?}");
-            let (_, second) = total(&out, &format!("{grid} second death"));
-            assert_eq!((second.runs, second.relaunched), (1, 1), "{grid}");
-        }
+        let (_, balancing) = total(&out, "3x3 kill points");
+        assert!(balancing.runs >= 2 * 9, "at least two points per rank");
+        assert!(balancing.fired > 0, "the low kill points must fire");
 
         let parity = ["4³ resize plan", "6³ resize", "16² re-tile"];
         let plans: usize = parity.iter().map(|p| total(&out, p).0).sum();
@@ -772,7 +710,7 @@ mod tests {
         let (_, healed) = total(&out, "2x2 healed partition");
         assert_eq!((healed.runs, healed.fired), (1, 0));
         let (_, isolated) = total(&out, "2x2 permanent isolation");
-        assert_eq!((isolated.runs, isolated.degraded), (1, 1));
+        assert_eq!((isolated.runs, isolated.fired), (1, 1));
         let (_, baseline) = total(&out, "2x2 reliable baseline");
         assert_eq!((baseline.runs, baseline.retransmits), (1, 0));
     }

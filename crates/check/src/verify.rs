@@ -17,10 +17,6 @@
 //! - **Deadlock freedom** ([`check_deadlock_freedom`]): the blocking-wait
 //!   graph (each receive waits on its matching send being reached, which
 //!   waits on the sender's preceding receives) is acyclic.
-//!
-//! [`verify_protocol`] also runs the degraded mode's two static checks on
-//! every torus ([`crate::takeover`]): the buddy map, and the merged
-//! dual-role schedules of a thread that adopted a dead rank.
 
 use std::collections::BTreeMap;
 
@@ -32,7 +28,6 @@ use pcdlb_sim::pe::initial_particles;
 use pcdlb_sim::{launch_plan, Lattice, Placed, RunConfig};
 
 use crate::schedule::{shape_schedule, Op, ScheduleOpts, StepSchedule};
-use crate::takeover::{check_buddy_map, check_merged_schedules};
 
 /// One verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -291,11 +286,6 @@ pub struct VerifyReport {
     pub sides: Vec<usize>,
     /// Number of `(grid, scenario)` schedules verified.
     pub schedules_checked: usize,
-    /// `(side, dead rank)` buddy-map cases checked ([`check_buddy_map`]).
-    pub buddy_cases: usize,
-    /// Merged dual-role schedules run to completion
-    /// ([`check_merged_schedules`]).
-    pub merged_schedules: usize,
     /// All violations found (empty for a correct protocol).
     pub violations: Vec<Violation>,
 }
@@ -362,24 +352,14 @@ fn scenarios(shape: DomainShape, p: usize) -> Vec<ScheduleOpts> {
 /// Verify the protocol on every grid up to `max_side`: square tori of
 /// side `2..=max_side` (pillar), rings of `1..=max_side` ranks (plane)
 /// and block grids of side `2..=min(max_side, 3)` (cube) — all on the one
-/// tag table, each over its scenarios — and, on every torus, the buddy map
-/// and the merged schedules of a thread that adopted a dead rank.
+/// tag table, each over its scenarios.
 pub fn verify_protocol(max_side: usize) -> VerifyReport {
     let max_side = max_side.max(2);
-    let (buddy_cases, buddy) = check_buddy_map(max_side);
-    let (merged_schedules, merged) = check_merged_schedules(max_side);
     let mut report = VerifyReport {
         sides: (2..=max_side).collect(),
         schedules_checked: 0,
-        buddy_cases,
-        merged_schedules,
         violations: check_tag_table(),
     };
-    let takeover = [("buddy-map", buddy), ("merged-schedule", merged)];
-    for (check, found) in takeover {
-        let found = found.into_iter().map(|detail| Violation { check, detail });
-        report.violations.extend(found);
-    }
     let grids = (2..=max_side)
         .map(|side| (DomainShape::SquarePillar, side * side))
         .chain((1..=max_side).map(|p| (DomainShape::Plane, p)))
@@ -423,9 +403,6 @@ mod tests {
         // grids of side 2 and 3 — and three re-tile check steps on each
         // balancing pillar (sides 3–5).
         assert_eq!(report.schedules_checked, 2 * (4 + 5 + 2) + 3 * 3);
-        // 4 + 9 + 16 + 25 dead ranks, their merged schedules counted in
-        // `takeover`'s tests.
-        assert_eq!((report.buddy_cases, report.merged_schedules), (54, 183));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! a property that cannot see its target bug is dead weight.
 
 use pcdlb_check::model::{
-    check_all_properties, check_global_properties, check_thread_properties, model_check,
-    standard_cases,
+    check_all_properties, check_thread_properties, model_check, standard_cases,
 };
 use pcdlb_mp::check::{install_event_log, new_event_log, EventLog, ProtocolEvent, ReplayPolicy};
 use pcdlb_sim::Launch;
@@ -15,9 +14,9 @@ use pcdlb_sim::Launch;
 // Hand-built traces
 // ---------------------------------------------------------------------------
 
-/// A small legal per-rank trace exercising every per-thread property:
-/// two send streams, an epoch advance with a post-advance admission,
-/// ordered consumption, and a balanced pool session.
+/// A small legal per-rank trace exercising the stream and pool
+/// properties: a send stream, an admitted stream under two tags, ordered
+/// consumption, and a balanced pool session.
 fn legal_thread_trace() -> Vec<ProtocolEvent> {
     vec![
         ProtocolEvent::Birth { rank: 0 },
@@ -30,28 +29,24 @@ fn legal_thread_trace() -> Vec<ProtocolEvent> {
             dst: 1,
             tag: 7,
             seq: 0,
-            epoch: 0,
         },
         ProtocolEvent::Send {
             src: 0,
             dst: 1,
             tag: 7,
             seq: 1,
-            epoch: 0,
         },
         ProtocolEvent::Admit {
             dst: 0,
             src: 1,
             tag: 7,
             seq: 0,
-            epoch: 0,
         },
         ProtocolEvent::Recv {
             dst: 0,
             src: 1,
             tag: 7,
             seq: 0,
-            epoch: 0,
             probe: false,
         },
         ProtocolEvent::Admit {
@@ -59,23 +54,19 @@ fn legal_thread_trace() -> Vec<ProtocolEvent> {
             src: 1,
             tag: 7,
             seq: 1,
-            epoch: 0,
         },
         ProtocolEvent::Recv {
             dst: 0,
             src: 1,
             tag: 7,
             seq: 1,
-            epoch: 0,
             probe: false,
         },
-        ProtocolEvent::EpochAdvance { rank: 0, epoch: 1 },
         ProtocolEvent::Admit {
             dst: 0,
             src: 1,
             tag: 9,
-            seq: 0,
-            epoch: 1,
+            seq: 2,
         },
         ProtocolEvent::PoolCheckin {
             pool: 1,
@@ -107,36 +98,11 @@ fn skipped_seq_increment_is_caught_by_send_gapless() {
         dst: 1,
         tag: 7,
         seq: 2,
-        epoch: 0,
     };
     let v = check_thread_properties(0, &t);
     assert_eq!(v.len(), 1, "exactly the targeted property fires: {v:?}");
     assert_eq!(v[0].property, "send-gapless");
     assert!(v[0].detail.contains("seq 1 expected"), "{}", v[0].detail);
-}
-
-/// Mutation: omit an epoch bump — the receiver admits epoch-1 traffic
-/// without ever having advanced past epoch 0.
-#[test]
-fn omitted_epoch_bump_is_caught_by_epoch_monotone() {
-    let mut t = legal_thread_trace();
-    t.retain(|e| !matches!(e, ProtocolEvent::EpochAdvance { .. }));
-    let v = check_thread_properties(0, &t);
-    assert!(
-        v.iter().any(|v| v.property == "epoch-monotone"),
-        "missing advance must surface as an epoch violation: {v:?}"
-    );
-}
-
-/// Mutation: epoch advance goes backwards.
-#[test]
-fn epoch_regression_is_caught_by_epoch_monotone() {
-    let mut t = legal_thread_trace();
-    t.push(ProtocolEvent::EpochAdvance { rank: 0, epoch: 0 });
-    let v = check_thread_properties(0, &t);
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].property, "epoch-monotone");
-    assert!(v[0].detail.contains("backwards"), "{}", v[0].detail);
 }
 
 /// Mutation: double-checkin a pool buffer.
@@ -170,28 +136,6 @@ fn reordered_consumption_is_caught_by_recv_non_overtaking() {
     assert_eq!(v.len(), 1);
     assert_eq!(v[0].property, "recv-non-overtaking");
     assert!(v[0].detail.contains("seq 0 after seq 1"), "{}", v[0].detail);
-}
-
-/// Mutation: adopt the same dead rank twice (one registered death).
-#[test]
-fn double_adoption_is_caught_by_adopt_once() {
-    let logs = vec![
-        vec![
-            ProtocolEvent::Birth { rank: 0 },
-            ProtocolEvent::Adopt { phys: 0, vrank: 2 },
-        ],
-        vec![
-            ProtocolEvent::Birth { rank: 1 },
-            ProtocolEvent::Adopt { phys: 1, vrank: 2 },
-        ],
-        vec![
-            ProtocolEvent::Birth { rank: 2 },
-            ProtocolEvent::Death { rank: 2 },
-        ],
-    ];
-    let v = check_global_properties(100, 3, &logs);
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].property, "adopt-once");
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +178,7 @@ fn captured_logs_are_clean_and_mutations_are_caught() {
     );
 
     // Seeded deletion: drop the first admission of a stream that admits
-    // again in the same epoch. The survivor's seq now has a gap.
+    // again. The survivor's seq now has a gap.
     let mut mutated = logs.clone();
     let (rank, pos) = find_deletable_admit(&mutated).expect("2x2 run admits repeatedly");
     mutated[rank].remove(pos);
@@ -282,16 +226,12 @@ fn find_deletable_admit(logs: &[Vec<ProtocolEvent>]) -> Option<(usize, usize)> {
     for (rank, events) in logs.iter().enumerate() {
         for (i, ev) in events.iter().enumerate() {
             if let ProtocolEvent::Admit {
-                dst,
-                src,
-                seq: 0,
-                epoch,
-                ..
+                dst, src, seq: 0, ..
             } = *ev
             {
                 let succ = events.iter().skip(i + 1).any(|e| {
-                    matches!(*e, ProtocolEvent::Admit { dst: d, src: s, seq: 1, epoch: ep, .. }
-                             if d == dst && s == src && ep == epoch)
+                    matches!(*e, ProtocolEvent::Admit { dst: d, src: s, seq: 1, .. }
+                             if d == dst && s == src)
                 });
                 if succ {
                     return Some((rank, i));

@@ -391,17 +391,6 @@ fn a_kill_that_never_fires_is_caught() {
 }
 
 #[test]
-fn a_takeover_row_without_takeover_is_caught() {
-    // Mutation: the takeover row's ladder keeps only the relaunch rung.
-    // Every kill still recovers bitwise, but none is absorbed in place.
-    let mut r = row("2x2 takeover kills");
-    r.ladder.as_mut().expect("a resilient row").takeover = false;
-    let out = run(vec![r]).expect("no hang").remove(0);
-    assert!(out.fired > 0 && out.degraded == 0, "{out:?}");
-    assert!(violated(&out, "Absorbed"), "{:?}", out.violations);
-}
-
-#[test]
 fn a_run_held_to_another_seeds_reference_is_caught() {
     // Mutation: a fault-free run of the kill-point row is held to the
     // reference of the same workload started from the next seed.

@@ -148,7 +148,7 @@ use crate::permanent::{is_movable, movable_columns};
 /// simulator (`pcdlb-sim`) and the static protocol verifier
 /// (`pcdlb-check`) agree on the wire protocol by construction.
 ///
-/// Tags below 10 and 16–18 are matched point-to-point; 10–15 and 19–22
+/// Tags 4 and 16–18 are matched point-to-point; 10–15 and 19–22
 /// are *collective* tags, which `pcdlb_mp::collectives` moves into a
 /// disjoint namespace by setting
 /// [`pcdlb_mp::collectives::COLLECTIVE_BIT`] on the wire, so a collective
@@ -193,18 +193,6 @@ pub mod tags {
     /// — per-rank particle counts and owned columns, checked for global
     /// conservation and exact ownership partition.
     pub const SENTINEL: u64 = 15;
-    /// Takeover barrier (p2p): survivor READY announcement to the barrier
-    /// root after adopting/epoch-advancing.
-    pub const TAKEOVER_READY: u64 = 6;
-    /// Takeover barrier (p2p): root GO release once every survivor is
-    /// ready.
-    pub const TAKEOVER_GO: u64 = 7;
-    /// Completion handshake (p2p, takeover worlds): per-virtual-rank DONE
-    /// notification to virtual rank 0 at end of run.
-    pub const TAKEOVER_DONE: u64 = 8;
-    /// Completion handshake (p2p, takeover worlds): rank 0's ACK releasing
-    /// a DONE sender to exit.
-    pub const TAKEOVER_ACK: u64 = 9;
     /// Resize barrier (p2p, elastic worlds): READY announcement to the
     /// barrier root after a relaunched generation comes up on the remapped
     /// torus.
@@ -265,14 +253,10 @@ pub mod tags {
         /// the baseline step schedule: present only when the sentinel is
         /// enabled, and always downstream of `Checkpoint`.
         Sentinel,
-        /// Takeover barrier + completion handshake (p2p, takeover worlds
-        /// only). Never appears in the per-step schedule; its receives are
-        /// deadline-bounded rather than schedule-matched.
-        Takeover,
         /// Elastic resize barrier (p2p, elastic worlds only): runs once at
         /// the start of each relaunched generation, before the first step
-        /// on the remapped torus. Like `Takeover`, never part of the
-        /// per-step schedule; its receives are deadline-bounded.
+        /// on the remapped torus. Never part of the per-step schedule; its
+        /// receives are deadline-bounded.
         Resize,
     }
 
@@ -339,30 +323,6 @@ pub mod tags {
             name: "SENTINEL",
             phase: CommPhase::Sentinel,
             collective: true,
-        },
-        TagSpec {
-            tag: TAKEOVER_READY,
-            name: "TAKEOVER_READY",
-            phase: CommPhase::Takeover,
-            collective: false,
-        },
-        TagSpec {
-            tag: TAKEOVER_GO,
-            name: "TAKEOVER_GO",
-            phase: CommPhase::Takeover,
-            collective: false,
-        },
-        TagSpec {
-            tag: TAKEOVER_DONE,
-            name: "TAKEOVER_DONE",
-            phase: CommPhase::Takeover,
-            collective: false,
-        },
-        TagSpec {
-            tag: TAKEOVER_ACK,
-            name: "TAKEOVER_ACK",
-            phase: CommPhase::Takeover,
-            collective: false,
         },
         TagSpec {
             tag: RESIZE_READY,

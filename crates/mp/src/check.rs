@@ -168,36 +168,32 @@ pub enum ProtocolEvent {
     /// log. Separates attempt segments when logs accumulate across
     /// relaunches: every per-thread property resets its state here.
     Birth {
-        /// Physical rank of the thread.
+        /// Rank of the thread.
         rank: usize,
     },
-    /// A message left `src` for `dst` with the persona's next sequence
-    /// number on that destination stream.
+    /// A message left `src` for `dst` with the next sequence number on
+    /// that destination stream.
     Send {
-        /// Sending virtual rank (active persona).
+        /// Sending rank.
         src: usize,
-        /// Destination virtual rank.
+        /// Destination rank.
         dst: usize,
         /// Wire tag.
         tag: Tag,
         /// Per-(src, dst) stream sequence number.
         seq: u64,
-        /// Sender's wire epoch.
-        epoch: u64,
     },
-    /// An arrival passed the receiver's epoch gate and sequence check and
-    /// was admitted into its per-source stream (or matched directly).
+    /// An arrival passed the receiver's sequence check and was admitted
+    /// into its per-source stream (or matched directly).
     Admit {
-        /// Receiving virtual rank (the envelope's addressee).
+        /// Receiving rank.
         dst: usize,
-        /// Sending virtual rank.
+        /// Sending rank.
         src: usize,
         /// Wire tag.
         tag: Tag,
         /// Stream sequence number.
         seq: u64,
-        /// Wire epoch it was sent under.
-        epoch: u64,
     },
     /// A non-chosen stream head available at a delivery choice point.
     /// A maximal run of `Candidate` events followed by one `Deliver`
@@ -211,8 +207,6 @@ pub enum ProtocolEvent {
         tag: Tag,
         /// Stream sequence number of the head message.
         seq: u64,
-        /// Wire epoch of the head message.
-        epoch: u64,
     },
     /// The delivery the installed [`DeliveryPolicy`] chose at a choice
     /// point with `arity` candidates.
@@ -225,8 +219,6 @@ pub enum ProtocolEvent {
         tag: Tag,
         /// Stream sequence number.
         seq: u64,
-        /// Wire epoch.
-        epoch: u64,
         /// Number of candidates offered (≥ 1).
         arity: usize,
     },
@@ -235,70 +227,16 @@ pub enum ProtocolEvent {
     /// outcome can observe delivery order — the model checker treats such
     /// messages as dependent with every racing alternative.
     Recv {
-        /// Consuming virtual rank.
+        /// Consuming rank.
         dst: usize,
-        /// Sending virtual rank.
+        /// Sending rank.
         src: usize,
         /// Wire tag.
         tag: Tag,
         /// Stream sequence number.
         seq: u64,
-        /// Wire epoch.
-        epoch: u64,
         /// Consumed through a deadline/probe receive.
         probe: bool,
-    },
-    /// An arrival from a *future* epoch was parked until this thread
-    /// advances.
-    Park {
-        /// Receiving virtual rank.
-        dst: usize,
-        /// Sending virtual rank.
-        src: usize,
-        /// Wire tag.
-        tag: Tag,
-        /// Stream sequence number.
-        seq: u64,
-        /// Wire epoch (> receiver's current).
-        epoch: u64,
-    },
-    /// An arrival from a *stale* epoch was dropped.
-    DropStale {
-        /// Receiving virtual rank.
-        dst: usize,
-        /// Sending virtual rank.
-        src: usize,
-        /// Wire tag.
-        tag: Tag,
-        /// Stream sequence number.
-        seq: u64,
-        /// Wire epoch (< receiver's current).
-        epoch: u64,
-    },
-    /// This thread advanced its wire epoch (takeover re-synchronisation).
-    EpochAdvance {
-        /// Physical rank of the thread.
-        rank: usize,
-        /// The new epoch (strictly greater than the previous one).
-        epoch: u64,
-    },
-    /// This thread adopted a dead rank's virtual rank as a second persona.
-    Adopt {
-        /// Physical rank of the adopter.
-        phys: usize,
-        /// Virtual rank adopted.
-        vrank: usize,
-    },
-    /// This thread's body panicked and the death was registered for
-    /// takeover (world in takeover mode, no abort in flight).
-    Death {
-        /// Physical rank that died.
-        rank: usize,
-    },
-    /// This thread raised the world-abort flag.
-    Abort {
-        /// Physical rank that aborted.
-        rank: usize,
     },
     /// A buffer left a [`BufferPool`](crate::pool::BufferPool).
     PoolCheckout {
@@ -326,19 +264,19 @@ pub enum ProtocolEvent {
     /// particles when the step-`step` sentinel fired (emitted by the
     /// simulator, not by `Comm`).
     Sentinel {
-        /// Reporting virtual rank.
+        /// Reporting rank.
         rank: usize,
         /// Simulation step of the sentinel round.
         step: u64,
         /// Particles owned by this rank at that step.
         count: u64,
     },
-    /// The link layer retransmitted frame `rseq` on the physical link
+    /// The link layer retransmitted frame `rseq` on the link
     /// `src -> dst` (lossy transports only).
     Retransmit {
-        /// Physical sender host.
+        /// Sending rank.
         src: usize,
-        /// Physical destination host.
+        /// Destination rank.
         dst: usize,
         /// Link sequence number of the retransmitted frame.
         rseq: u64,
@@ -346,9 +284,9 @@ pub enum ProtocolEvent {
     /// A cumulative ack advanced the sender's link window: every frame
     /// with `rseq < cum` on `src -> dst` is now known delivered.
     AckAdvance {
-        /// Physical sender host (whose window advanced).
+        /// Sending rank (whose window advanced).
         src: usize,
-        /// Physical destination host (who acked).
+        /// Destination rank (who acked).
         dst: usize,
         /// New cumulative ack point.
         cum: u64,
@@ -356,16 +294,16 @@ pub enum ProtocolEvent {
     /// The failure detector on `rank` started suspecting `peer` (quiet
     /// beyond the adaptive suspicion threshold).
     Suspect {
-        /// Suspecting physical rank.
+        /// Suspecting rank.
         rank: usize,
-        /// Suspected physical peer.
+        /// Suspected peer.
         peer: usize,
     },
     /// `rank` heard from `peer` again and cleared its suspicion.
     Unsuspect {
-        /// Formerly-suspecting physical rank.
+        /// Formerly-suspecting rank.
         rank: usize,
-        /// Formerly-suspected physical peer.
+        /// Formerly-suspected peer.
         peer: usize,
     },
 }
@@ -375,68 +313,30 @@ impl std::fmt::Display for ProtocolEvent {
         use ProtocolEvent::*;
         match *self {
             Birth { rank } => write!(f, "birth r{rank}"),
-            Send {
-                src,
-                dst,
-                tag,
-                seq,
-                epoch,
-            } => write!(f, "send {src}->{dst} tag {tag} seq {seq} ep {epoch}"),
-            Admit {
-                dst,
-                src,
-                tag,
-                seq,
-                epoch,
-            } => write!(f, "admit {src}->{dst} tag {tag} seq {seq} ep {epoch}"),
-            Candidate {
-                dst,
-                src,
-                tag,
-                seq,
-                epoch,
-            } => write!(f, "cand {src}->{dst} tag {tag} seq {seq} ep {epoch}"),
+            Send { src, dst, tag, seq } => write!(f, "send {src}->{dst} tag {tag} seq {seq}"),
+            Admit { dst, src, tag, seq } => write!(f, "admit {src}->{dst} tag {tag} seq {seq}"),
+            Candidate { dst, src, tag, seq } => write!(f, "cand {src}->{dst} tag {tag} seq {seq}"),
             Deliver {
                 dst,
                 src,
                 tag,
                 seq,
-                epoch,
                 arity,
             } => write!(
                 f,
-                "deliver {src}->{dst} tag {tag} seq {seq} ep {epoch} (arity {arity})"
+                "deliver {src}->{dst} tag {tag} seq {seq} (arity {arity})"
             ),
             Recv {
                 dst,
                 src,
                 tag,
                 seq,
-                epoch,
                 probe,
             } => write!(
                 f,
-                "recv {src}->{dst} tag {tag} seq {seq} ep {epoch}{}",
+                "recv {src}->{dst} tag {tag} seq {seq}{}",
                 if probe { " (probe)" } else { "" }
             ),
-            Park {
-                dst,
-                src,
-                tag,
-                seq,
-                epoch,
-            } => write!(f, "park {src}->{dst} tag {tag} seq {seq} ep {epoch}"),
-            DropStale {
-                dst,
-                src,
-                tag,
-                seq,
-                epoch,
-            } => write!(f, "drop-stale {src}->{dst} tag {tag} seq {seq} ep {epoch}"),
-            EpochAdvance { rank, epoch } => write!(f, "epoch-advance r{rank} -> {epoch}"),
-            Adopt { phys, vrank } => write!(f, "adopt r{phys} += v{vrank}"),
-            Death { rank } => write!(f, "death r{rank}"),
-            Abort { rank } => write!(f, "abort r{rank}"),
             PoolCheckout { pool, slot } => write!(f, "pool {pool} checkout {slot:#x}"),
             PoolCheckin { pool, slot } => write!(f, "pool {pool} checkin {slot:#x}"),
             PoolDrop { pool, panicking } => write!(
@@ -445,7 +345,7 @@ impl std::fmt::Display for ProtocolEvent {
                 if panicking { " (panicking)" } else { "" }
             ),
             Sentinel { rank, step, count } => {
-                write!(f, "sentinel v{rank} step {step} count {count}")
+                write!(f, "sentinel r{rank} step {step} count {count}")
             }
             Retransmit { src, dst, rseq } => write!(f, "retx {src}->{dst} rseq {rseq}"),
             AckAdvance { src, dst, cum } => write!(f, "ack-advance {src}->{dst} cum {cum}"),
@@ -541,15 +441,14 @@ mod tests {
         emit(ProtocolEvent::Birth { rank: 9 });
         let log = new_event_log();
         install_event_log(Arc::clone(&log), 1);
-        emit(ProtocolEvent::EpochAdvance { rank: 1, epoch: 2 });
+        let sentinel = ProtocolEvent::Sentinel {
+            rank: 1,
+            step: 2,
+            count: 3,
+        };
+        emit(sentinel);
         let got = log.lock().unwrap().clone();
-        assert_eq!(
-            got,
-            vec![
-                ProtocolEvent::Birth { rank: 1 },
-                ProtocolEvent::EpochAdvance { rank: 1, epoch: 2 },
-            ]
-        );
+        assert_eq!(got, vec![ProtocolEvent::Birth { rank: 1 }, sentinel]);
     }
 
     #[test]
@@ -559,10 +458,9 @@ mod tests {
             src: 1,
             tag: 7,
             seq: 3,
-            epoch: 0,
             arity: 2,
         };
-        assert_eq!(ev.to_string(), "deliver 1->2 tag 7 seq 3 ep 0 (arity 2)");
+        assert_eq!(ev.to_string(), "deliver 1->2 tag 7 seq 3 (arity 2)");
     }
 
     #[test]

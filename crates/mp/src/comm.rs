@@ -19,45 +19,29 @@
 //!
 //! # Two layers
 //!
-//! `Comm` itself is matching (the pending buffer, epochs, the `check`
-//! build's delivery streams) and personas; both read the same state, so
-//! they stay one type. Below it sits the link layer (the crate-private
+//! `Comm` itself is matching: the pending buffer and the `check` build's
+//! delivery streams. Below it sits the link layer (the crate-private
 //! `link` module), which a `Comm` holds only when its [`CommConfig`]
 //! names a lossy profile (`chaos`): sequence numbers, acks, reordering,
 //! retransmission and the φ failure detector. Over the in-process
 //! channels there is no link, and a send is one mailbox push.
 //!
-//! # Virtual ranks and takeover
-//!
-//! Every endpoint speaks in **virtual ranks**: the stable rank ids of the
-//! n-rank protocol. Normally each OS thread holds exactly one virtual rank
-//! (its own), but in a takeover-enabled world
-//! ([`crate::world::World::with_takeover`]) a survivor may [`Comm::adopt`]
-//! a dead rank's virtual rank and then serve both, switching between them
-//! with [`Comm::act_as`]. Each adopted identity is a `Persona`-internal
-//! record with its own stats, virtual-time lap, and (in `check` builds)
-//! sequence counters, so per-virtual-rank accounting is unchanged by who
-//! physically hosts the rank. Envelopes carry their virtual destination
-//! and a **takeover epoch**; receivers silently drop envelopes from dead
-//! epochs and park envelopes from future epochs until
-//! [`Comm::advance_epoch`] re-admits them, so stale pre-death traffic can
-//! never corrupt the resumed run.
+//! One OS thread holds one rank for the life of its world. A dead rank is
+//! never replaced inside a world: the world tears down, and a recovery
+//! driver launches a fresh one, whose channels carry nothing of the old.
 //!
 //! # Failure surface
 //!
 //! Every failure a rank can observe is a [`CommError`]: a dead peer, a
-//! world abort (another rank panicked), a watchdog/deadline expiry, a
-//! takeover interrupt, or a transport fault — a lossy link whose
+//! world abort (another rank panicked), a watchdog/deadline expiry, or a
+//! transport fault — a lossy link whose
 //! retransmission budget ran out, a minority side that fences itself,
 //! or (`check` builds) an arrival that breaks per-source FIFO order. The
 //! fast-path API (`send`, `recv`, `sendrecv`) panics with the error's
 //! message, which in an SPMD simulation is the right default:
 //! the world tears down and [`crate::world::World::try_run`] turns the
-//! per-rank panics into per-rank diagnostics. The one exception is a
-//! takeover interrupt ([`CommErrorKind::Interrupted`]), which the fast
-//! path raises as a typed [`TakeoverInterrupt`] panic payload so a
-//! degraded-mode runner can catch it, absorb the death, and resume.
-//! Programs that want to *handle* failure (e.g. a recovery driver) use
+//! per-rank panics into per-rank diagnostics. Programs that want to
+//! *handle* failure (e.g. a deadline-bounded barrier) use
 //! [`Comm::try_send`] and [`Comm::recv_deadline`], which return `Result`
 //! instead.
 //!
@@ -67,8 +51,8 @@
 //! keeps a sender to every mailbox — used to hang the world forever; now
 //! it surfaces as a structured timeout within the deadline.
 //!
-//! Every send/receive also charges the [`CostModel`] time to the virtual
-//! rank's communication clock and bumps its [`CommStats`] counters.
+//! Every send/receive also charges the [`CostModel`] time to the rank's
+//! communication clock and bumps its [`CommStats`] counters.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -143,8 +127,8 @@ impl Default for CommConfig {
             send_retry_limit: 4,
             // With backoff capped at `retransmit_cap`, the budget outlasts
             // the suspicion horizon by a wide margin: an isolated peer
-            // self-fences (and its death is absorbed by takeover) long
-            // before a healthy majority rank gives up on it.
+            // self-fences (and the world relaunches) long before a healthy
+            // majority rank gives up on it.
             retransmit_budget: 64,
             retransmit_base: Duration::from_micros(500),
             retransmit_cap: Duration::from_millis(50),
@@ -237,13 +221,6 @@ impl fmt::Display for CommConfigError {
 
 impl std::error::Error for CommConfigError {}
 
-/// Typed panic payload raised (via `std::panic::panic_any`) by the
-/// panicking `send`/`recv` wrappers when a rank dies in a takeover-enabled
-/// world. A degraded-mode runner catches the unwind, downcasts to this
-/// type, and runs the takeover protocol instead of tearing the world down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TakeoverInterrupt;
-
 /// What went wrong in a communication call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommErrorKind {
@@ -260,9 +237,6 @@ pub enum CommErrorKind {
     /// builds) a per-source sequence-number check failed at arrival — a
     /// message arrived twice or out of FIFO order.
     Transport,
-    /// A rank died in a takeover-enabled world: the operation was
-    /// interrupted so the survivor can run the takeover protocol.
-    Interrupted,
 }
 
 /// Structured communication failure: who observed it, which peer and tag
@@ -332,19 +306,6 @@ impl CommError {
         )
     }
 
-    fn interrupted(rank: usize, op: &str, peer: usize, tag: Tag) -> Self {
-        Self::new(
-            CommErrorKind::Interrupted,
-            rank,
-            peer,
-            tag,
-            format!(
-                "rank {rank} {op}(peer={peer}, tag={tag}) interrupted: a rank died and \
-                 takeover is pending"
-            ),
-        )
-    }
-
     #[cfg(feature = "check")]
     fn transport(rank: usize, peer: usize, tag: Tag, expected: u64, got: u64) -> Self {
         let what = if got < expected {
@@ -398,7 +359,7 @@ impl CommError {
             format!(
                 "rank {rank} self-fencing: heard from only {reachable} of {live_peers} live \
                  peers within the suspicion horizon (quietest link silent {quiet_for:?}) — \
-                 this side of the partition is the minority and yields to takeover"
+                 this side of the partition is the minority and yields to a relaunch"
             ),
         )
     }
@@ -415,23 +376,13 @@ impl std::error::Error for CommError {}
 /// A message in flight.
 pub(crate) struct Envelope {
     pub(crate) src: usize,
-    /// Virtual destination rank. In a takeover world a mailbox can serve
-    /// two virtual ranks; matching at the receiver is by `(dst, src, tag)`.
     pub(crate) dst: usize,
-    /// Takeover epoch at send time. Receivers drop envelopes from older
-    /// epochs (stale pre-death traffic) and park envelopes from newer
-    /// epochs until their own [`Comm::advance_epoch`].
-    pub(crate) epoch: u64,
     pub(crate) tag: Tag,
     pub(crate) wire_bytes: usize,
     pub(crate) payload: Box<dyn Any + Send>,
     pub(crate) type_name: &'static str,
-    /// Physical host thread that put this frame on the wire. The
-    /// link layer's state at the receiver is keyed by host pair (the
-    /// *network* endpoint), not by virtual rank.
-    pub(crate) rsrc: usize,
-    /// Per-(src host, dst host) link sequence number, stamped by the
-    /// link layer; 0 and unused without one.
+    /// Per-(src, dst) link sequence number, stamped by the link layer; 0
+    /// and unused without one.
     pub(crate) rseq: u64,
     /// A header-only retransmission probe: the payload copy already
     /// physically reached the receiver's mailbox (the channel underneath
@@ -448,27 +399,22 @@ pub(crate) struct Envelope {
 }
 
 impl Envelope {
-    /// The one envelope constructor: `value` from virtual rank `src`,
-    /// put on the wire by host `rsrc`, to virtual rank `dst` in wire
-    /// epoch `epoch`. Link sequence and (`check`) FIFO sequence numbers
-    /// start at 0, for the layers that stamp them.
+    /// The one envelope constructor: `value` from rank `src` to rank
+    /// `dst`. Link sequence and (`check`) FIFO sequence numbers start at
+    /// 0, for the layers that stamp them.
     pub(crate) fn new<T: Any + Send + WireSize>(
-        rsrc: usize,
         src: usize,
         dst: usize,
-        epoch: u64,
         tag: Tag,
         value: T,
     ) -> Self {
         Self {
             src,
             dst,
-            epoch,
             tag,
             wire_bytes: value.wire_size(),
             payload: Box::new(value),
             type_name: std::any::type_name::<T>(),
-            rsrc,
             rseq: 0,
             hollow: false,
             #[cfg(feature = "check")]
@@ -477,7 +423,7 @@ impl Envelope {
     }
 }
 
-/// Communication counters for one virtual rank.
+/// Communication counters for one rank.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
     /// Messages sent by this rank.
@@ -499,15 +445,12 @@ pub struct CommStats {
     pub suspicions: u64,
 }
 
-/// One virtual rank served by an endpoint: its identity plus everything
-/// accounted per virtual rank rather than per OS thread, so a survivor
-/// serving two ranks keeps two independent clocks and counter sets — the
-/// property that keeps per-step virtual-time accounting (and hence
-/// `digest_recovery`) bitwise identical in degraded mode.
-struct Persona {
-    vrank: usize,
+/// One rank's endpoint into the world.
+pub struct Comm {
+    rank: usize,
+    size: usize,
     stats: CommStats,
-    /// Virtual comm seconds accrued since the last lap for this rank.
+    /// Virtual comm seconds accrued since the last lap.
     lap_virtual_s: f64,
     /// Next sequence number to stamp on a send, per destination.
     #[cfg(feature = "check")]
@@ -515,48 +458,15 @@ struct Persona {
     /// Next sequence number expected at arrival, per source.
     #[cfg(feature = "check")]
     recv_seq: Vec<u64>,
-}
-
-impl Persona {
-    fn new(vrank: usize, size: usize) -> Self {
-        // `size` keys the per-peer sequence vectors in check builds.
-        let _ = size;
-        Self {
-            vrank,
-            stats: CommStats::default(),
-            lap_virtual_s: 0.0,
-            #[cfg(feature = "check")]
-            send_seq: vec![0; size],
-            #[cfg(feature = "check")]
-            recv_seq: vec![0; size],
-        }
-    }
-}
-
-/// One rank's endpoint into the world.
-pub struct Comm {
-    /// Physical thread index: the virtual rank this thread was born as.
-    phys: usize,
-    size: usize,
-    /// Virtual ranks served by this thread; index `active` is current.
-    personas: Vec<Persona>,
-    active: usize,
     senders: Vec<Sender<Envelope>>,
     inbox: Receiver<Envelope>,
     /// Arrived-but-unmatched messages, searched before the channel.
     pending: VecDeque<Envelope>,
-    /// Envelopes from a future takeover epoch, parked until
-    /// [`Comm::advance_epoch`] re-admits them.
-    future: VecDeque<Envelope>,
-    /// Current wire epoch: 0 until the first takeover completes, then
-    /// the number of deaths absorbed.
-    epoch_num: u64,
     model: CostModel,
     /// The world's configuration: the poll quantum and watchdog pace
     /// every blocking receive.
     cfg: CommConfig,
-    /// What every rank of the world shares: clock start, abort flag,
-    /// takeover registries, routing table.
+    /// What every rank of the world shares: clock start and abort flag.
     world: Arc<Shared>,
     /// The link layer, present only under a chaos profile.
     link: Option<Link>,
@@ -584,15 +494,17 @@ impl Comm {
     ) -> Self {
         let size = senders.len();
         Self {
-            phys: rank,
+            rank,
             size,
-            personas: vec![Persona::new(rank, size)],
-            active: 0,
+            stats: CommStats::default(),
+            lap_virtual_s: 0.0,
+            #[cfg(feature = "check")]
+            send_seq: vec![0; size],
+            #[cfg(feature = "check")]
+            recv_seq: vec![0; size],
             senders,
             inbox,
             pending: VecDeque::new(),
-            future: VecDeque::new(),
-            epoch_num: 0,
             model,
             cfg: cfg.clone(),
             world,
@@ -626,18 +538,10 @@ impl Comm {
         self.injector = Some(crate::fault::FaultInjector::new(plan));
     }
 
-    /// The **active virtual rank**, `0..size`. Equal to the physical
-    /// thread index until [`Comm::act_as`] switches personas.
+    /// This rank, `0..size`.
     #[inline]
     pub fn rank(&self) -> usize {
-        self.personas[self.active].vrank
-    }
-
-    /// The physical thread index (the virtual rank this thread was born
-    /// as); never changes across adoptions.
-    #[inline]
-    pub fn phys_rank(&self) -> usize {
-        self.phys
+        self.rank
     }
 
     /// Number of ranks in the world.
@@ -646,147 +550,10 @@ impl Comm {
         self.size
     }
 
-    /// The virtual ranks this thread currently serves, in adoption order.
-    pub fn roles(&self) -> Vec<usize> {
-        self.personas.iter().map(|p| p.vrank).collect()
-    }
-
-    /// Switch the active persona to `vrank`. Panics if this thread does
-    /// not hold that virtual rank (a protocol bug, not a runtime fault).
-    pub fn act_as(&mut self, vrank: usize) {
-        self.active = self
-            .personas
-            .iter()
-            .position(|p| p.vrank == vrank)
-            .unwrap_or_else(|| {
-                panic!(
-                    "act_as({vrank}): thread {} holds only {:?}",
-                    self.phys,
-                    self.roles()
-                )
-            });
-    }
-
-    /// Adopt a dead rank's virtual rank: this thread becomes its host and
-    /// future sends to `vrank` (from every rank) are rerouted here. The
-    /// adopted persona starts with fresh stats, laps, and sequence
-    /// counters; the caller is expected to [`Comm::advance_epoch`] next so
-    /// every rank's counters restart together. One adoption per thread:
-    /// a second death escalates to relaunch instead.
-    pub fn adopt(&mut self, vrank: usize) {
-        assert!(
-            self.world.takeover,
-            "adopt({vrank}): not a takeover-enabled world"
-        );
-        assert!(vrank < self.size, "adopt: vrank {vrank} out of range");
-        assert!(
-            self.world.dead[vrank].load(Ordering::SeqCst),
-            "adopt({vrank}): rank is not registered dead"
-        );
-        assert!(
-            self.personas.len() < 2,
-            "adopt({vrank}): thread {} already serves two ranks",
-            self.phys
-        );
-        assert!(
-            self.personas.iter().all(|p| p.vrank != vrank),
-            "adopt({vrank}): already held"
-        );
-        self.personas.push(Persona::new(vrank, self.size));
-        self.world.routes[vrank].store(self.phys, Ordering::SeqCst);
-        #[cfg(feature = "check")]
-        crate::check::emit(crate::check::ProtocolEvent::Adopt {
-            phys: self.phys,
-            vrank,
-        });
-    }
-
-    /// Move this endpoint to takeover epoch `new_epoch`: discard every
-    /// buffered envelope from the old epoch (stale pre-death traffic),
-    /// reset all per-persona sequence counters and the link layer, and
-    /// re-admit any parked future-epoch envelopes. Every surviving rank
-    /// calls this with the same epoch number during takeover, so
-    /// post-takeover sequence numbering restarts coherently world-wide.
-    pub fn advance_epoch(&mut self, new_epoch: u64) {
-        assert!(
-            new_epoch > self.epoch_num,
-            "advance_epoch({new_epoch}): already at epoch {}",
-            self.epoch_num
-        );
-        #[cfg(feature = "check")]
-        crate::check::emit(crate::check::ProtocolEvent::EpochAdvance {
-            rank: self.phys,
-            epoch: new_epoch,
-        });
-        self.epoch_num = new_epoch;
-        self.pending.clear();
-        #[cfg(feature = "check")]
-        {
-            for s in &mut self.streams {
-                s.clear();
-            }
-            for p in &mut self.personas {
-                p.send_seq.iter_mut().for_each(|s| *s = 0);
-                p.recv_seq.iter_mut().for_each(|s| *s = 0);
-            }
-        }
-        if let Some(link) = &mut self.link {
-            link.reset(new_epoch, Instant::now());
-        }
-        let parked = std::mem::take(&mut self.future);
-        for env in parked {
-            if let Err(e) = self.admit(env) {
-                // A transport fault straddling the epoch boundary: fatal
-                // here, which in a takeover world escalates to relaunch.
-                panic!("{e}");
-            }
-        }
-    }
-
-    /// Current wire epoch: 0 until a takeover completes, then the
-    /// number of deaths absorbed.
-    pub fn epoch(&self) -> u64 {
-        self.epoch_num
-    }
-
-    /// Number of rank deaths registered so far in this world.
-    pub fn deaths_observed(&self) -> usize {
-        self.world.deaths.load(Ordering::SeqCst)
-    }
-
-    /// The ranks registered dead so far, ascending.
-    pub fn dead_ranks(&self) -> Vec<usize> {
-        self.world.dead_ranks()
-    }
-
     /// The world watchdog deadline (used by runners to bound their own
-    /// handshake receives).
+    /// barrier receives).
     pub fn watchdog(&self) -> Duration {
         self.cfg.watchdog
-    }
-
-    /// True when this world was launched with
-    /// [`World::with_takeover`](crate::World::with_takeover) — runners use
-    /// it to decide whether the degraded-mode completion handshake runs.
-    pub fn takeover_enabled(&self) -> bool {
-        self.world.takeover
-    }
-
-    /// Raise the world abort flag, waking every blocked rank with a
-    /// structured `Aborted` failure. A runner that decides a situation is
-    /// unrecoverable in place (e.g. a second death, an invariant-sentinel
-    /// violation) calls this *before* its fatal panic so the launch layer
-    /// records a deliberate abort rather than another absorbable death.
-    pub fn abort_world(&self) {
-        #[cfg(feature = "check")]
-        crate::check::emit(crate::check::ProtocolEvent::Abort { rank: self.phys });
-        self.world.abort.store(true, Ordering::SeqCst);
-    }
-
-    /// True when a death has been registered that this endpoint has not
-    /// yet absorbed by advancing its epoch.
-    fn takeover_pending(&self) -> bool {
-        self.world.takeover && self.deaths_observed() as u64 > self.epoch_num
     }
 
     /// True once any rank of the world has raised the abort flag.
@@ -802,21 +569,21 @@ impl Comm {
         self.world.started.elapsed().as_secs_f64()
     }
 
-    /// Communication counters accumulated so far by the active persona.
+    /// Communication counters accumulated so far.
     pub fn stats(&self) -> CommStats {
-        self.personas[self.active].stats
+        self.stats
     }
 
-    /// Virtual communication seconds accrued by the active persona since
-    /// its previous lap (or since construction), resetting the lap
-    /// accumulator to exactly zero. Unlike subtracting two
+    /// Virtual communication seconds accrued since the previous lap (or
+    /// since construction), resetting the lap accumulator to exactly
+    /// zero. Unlike subtracting two
     /// [`CommStats::virtual_comm_s`] readings, every lap sum starts from
     /// `0.0`, so an identical message sequence yields a bitwise-identical
     /// delta regardless of what was charged before it — the property the
     /// simulator's per-step communication accounting (and checkpoint
     /// neutrality) relies on.
     pub fn lap_virtual_comm(&mut self) -> f64 {
-        std::mem::take(&mut self.personas[self.active].lap_virtual_s)
+        std::mem::take(&mut self.lap_virtual_s)
     }
 
     /// The cost model in force.
@@ -824,27 +591,23 @@ impl Comm {
         &self.model
     }
 
-    /// Send `value` to virtual rank `dst` with `tag`. Never blocks.
-    /// Sending to self is allowed (the message is delivered through the
-    /// same mailbox). Panics with the [`CommError`] diagnostic if the
+    /// Send `value` to rank `dst` with `tag`. Never blocks. Sending to
+    /// self is allowed (the message is delivered through the same
+    /// mailbox). Panics with the [`CommError`] diagnostic if the
     /// destination is gone — naming the peer and tag, and noting a world
-    /// abort when that is the cause — or raises [`TakeoverInterrupt`] when
-    /// the failure is an absorbable rank death in a takeover world;
-    /// programs that want to survive a dead peer use [`Comm::try_send`].
+    /// abort when that is the cause; programs that want to survive a dead
+    /// peer use [`Comm::try_send`].
     pub fn send<T>(&mut self, dst: usize, tag: Tag, value: T)
     where
         T: Any + Send + WireSize,
     {
         if let Err(e) = self.try_send(dst, tag, value) {
-            if e.kind == CommErrorKind::Interrupted {
-                std::panic::panic_any(TakeoverInterrupt);
-            }
             panic!("{e}");
         }
     }
 
     /// Fallible send: like [`Comm::send`], but a dead destination (or a
-    /// world abort, or a pending takeover) comes back as `Err(CommError)`
+    /// world abort) comes back as `Err(CommError)`
     /// instead of a panic. Accounting (stats, virtual time) reflects the
     /// attempt either way.
     pub fn try_send<T>(&mut self, dst: usize, tag: Tag, value: T) -> Result<(), CommError>
@@ -856,25 +619,21 @@ impl Comm {
             "send: dst {dst} out of range (size {})",
             self.size
         );
-        if self.takeover_pending() {
-            return Err(CommError::interrupted(self.rank(), "send", dst, tag));
-        }
-        let src = self.rank();
-        let env = Envelope::new(self.phys, src, dst, self.epoch_num, tag, value);
+        let src = self.rank;
+        let env = Envelope::new(src, dst, tag, value);
         let t = self.model.message_time(src, dst, env.wire_bytes);
-        let persona = &mut self.personas[self.active];
-        persona.stats.msgs_sent += 1;
-        persona.stats.bytes_sent += env.wire_bytes as u64;
-        persona.stats.virtual_comm_s += t;
-        persona.lap_virtual_s += t;
+        self.stats.msgs_sent += 1;
+        self.stats.bytes_sent += env.wire_bytes as u64;
+        self.stats.virtual_comm_s += t;
+        self.lap_virtual_s += t;
         #[cfg(feature = "check")]
         let env = {
-            let seq = persona.send_seq[dst];
-            persona.send_seq[dst] += 1;
+            let seq = self.send_seq[dst];
+            self.send_seq[dst] += 1;
             Envelope { seq, ..env }
         };
         #[cfg(feature = "check")]
-        let (sent_seq, sent_epoch) = (env.seq, env.epoch);
+        let sent_seq = env.seq;
         #[cfg(feature = "check")]
         if let Some(op) = self.injector.as_mut().and_then(|i| i.next_action(tag)) {
             panic!("rank {src} killed by injected fault at send op {op} (dst={dst}, tag={tag})");
@@ -888,32 +647,26 @@ impl Comm {
                 dst,
                 tag,
                 seq: sent_seq,
-                epoch: sent_epoch,
             });
         }
         res
     }
 
-    /// Route one application envelope to the host of virtual rank `dst`:
-    /// a plain mailbox push, or through the link layer to a peer host. A
-    /// closed mailbox is reported as a world abort if the world is
-    /// aborting, in a takeover world as an absorbable death
-    /// (`Interrupted`), and otherwise as the dead peer, with the tag.
+    /// Route one application envelope to rank `dst`: a plain mailbox
+    /// push, or through the link layer to a peer. A closed mailbox is
+    /// reported as a world abort if the world is aborting, and otherwise
+    /// as the dead peer, with the tag.
     fn dispatch(&mut self, dst: usize, env: Envelope) -> Result<(), CommError> {
-        let host = self.world.routes[dst].load(Ordering::SeqCst);
         let tag = env.tag;
         let sent = match &mut self.link {
-            Some(link) if host != self.phys => link.send(host, env, &self.senders, Instant::now()),
-            _ => self.senders[host].send(env).map_err(|_| Closed),
+            Some(link) if dst != self.rank => link.send(dst, env, &self.senders, Instant::now()),
+            _ => self.senders[dst].send(env).map_err(|_| Closed),
         };
         sent.map_err(|Closed| {
-            let rank = self.rank();
             if self.aborting() {
-                CommError::aborted(rank, "send", dst, tag)
-            } else if self.world.takeover {
-                CommError::interrupted(rank, "send", dst, tag)
+                CommError::aborted(self.rank, "send", dst, tag)
             } else {
-                CommError::peer_dead(rank, "send", dst, tag)
+                CommError::peer_dead(self.rank, "send", dst, tag)
             }
         })
     }
@@ -921,15 +674,8 @@ impl Comm {
     /// One link-layer maintenance pass (see the `link` module); a no-op
     /// without a link.
     fn maintain_links(&mut self) -> Result<(), CommError> {
-        let rank = self.rank();
         match &mut self.link {
-            Some(link) => link.maintain(
-                Instant::now(),
-                rank,
-                &self.senders,
-                &self.world.dead,
-                &mut self.personas[0].stats,
-            ),
+            Some(link) => link.maintain(Instant::now(), &self.senders, &mut self.stats),
             None => Ok(()),
         }
     }
@@ -944,17 +690,15 @@ impl Comm {
             src: env.src,
             tag: env.tag,
             seq: env.seq,
-            epoch: env.epoch,
             probe,
         });
     }
 
-    /// Receive the next message from `src` with `tag` (addressed to the
-    /// active persona), blocking until one arrives or the world watchdog
-    /// expires. Panics with the [`CommError`] diagnostic on abort,
-    /// timeout, or a transport fault, and on payload type mismatch;
-    /// raises [`TakeoverInterrupt`] on an absorbable rank death;
-    /// [`Comm::recv_deadline`] is the `Result`-returning form.
+    /// Receive the next message from `src` with `tag`, blocking until one
+    /// arrives or the world watchdog expires. Panics with the
+    /// [`CommError`] diagnostic on abort, timeout, or a transport fault,
+    /// and on payload type mismatch; [`Comm::recv_deadline`] is the
+    /// `Result`-returning form.
     pub fn recv<T>(&mut self, src: usize, tag: Tag) -> T
     where
         T: Any + Send + WireSize,
@@ -965,16 +709,13 @@ impl Comm {
                 Self::emit_recv(&env, false);
                 self.unpack(env)
             }
-            Err(e) if e.kind == CommErrorKind::Interrupted => {
-                std::panic::panic_any(TakeoverInterrupt)
-            }
             Err(e) => panic!("{e}"),
         }
     }
 
     /// Fallible receive with an explicit deadline: blocks up to `timeout`
     /// for a message from `src` with `tag`. Every failure — dead peer,
-    /// world abort, deadline expiry, pending takeover, transport fault —
+    /// world abort, deadline expiry, transport fault —
     /// comes back as `Err(CommError)`. A zero `timeout` makes this a
     /// structured probe. Payload type mismatch still panics (it is a
     /// protocol bug, not a runtime fault).
@@ -994,7 +735,7 @@ impl Comm {
     }
 
     /// The blocking-receive engine shared by `recv` and `recv_deadline`:
-    /// notice a pending takeover, match the pending buffer, advance the
+    /// match the pending buffer, advance the
     /// delivery policy (`check` builds), and otherwise wait on the mailbox
     /// in `poll`-sized slices so the abort flag and the deadline are both
     /// observed promptly. `None` timeout means the world watchdog.
@@ -1012,12 +753,6 @@ impl Comm {
         let limit = timeout.unwrap_or(self.cfg.watchdog);
         let deadline = Instant::now() + limit;
         loop {
-            // Checked before the pending buffer so even a satisfiable
-            // receive notices a death promptly and the world converges on
-            // the takeover barrier instead of racing ahead on stale state.
-            if self.takeover_pending() {
-                return Err(CommError::interrupted(self.rank(), "recv", src, tag));
-            }
             self.maintain_links()?;
             if let Some(env) = self.match_pending(src, tag) {
                 return Ok(env);
@@ -1036,13 +771,6 @@ impl Comm {
             match self.inbox.recv_timeout(self.cfg.poll.min(deadline - now)) {
                 Ok(env) => self.admit(env)?,
                 Err(RecvTimeoutError::Timeout) => {
-                    // A pending takeover outranks the abort flag: when a
-                    // second death both registers and aborts, survivors
-                    // must still surface the interrupt so the runner can
-                    // observe the death count and escalate to relaunch.
-                    if self.takeover_pending() {
-                        return Err(CommError::interrupted(self.rank(), "recv", src, tag));
-                    }
                     if self.aborting() {
                         return Err(CommError::aborted(self.rank(), "recv", src, tag));
                     }
@@ -1054,22 +782,17 @@ impl Comm {
         }
     }
 
-    /// Remove and return the first pending message matching `(src, tag)`
-    /// addressed to the active persona.
+    /// Remove and return the first pending message matching `(src, tag)`.
     fn match_pending(&mut self, src: usize, tag: Tag) -> Option<Envelope> {
-        let me = self.personas[self.active].vrank;
         let pos = self
             .pending
             .iter()
-            .position(|e| e.src == src && e.tag == tag && e.dst == me)?;
+            .position(|e| e.src == src && e.tag == tag)?;
         Some(self.pending.remove(pos).expect("position was valid"))
     }
 
     /// Accept one physically-arrived envelope: the link layer consumes
-    /// its control frames; then the epoch admission rules (drop stale,
-    /// park future) apply — *before* the link layer's sequencing, so a
-    /// stale-epoch sequence number can never poison a reorder buffer —
-    /// and the link layer suppresses duplicates and reorders; in-order
+    /// its control frames, suppresses duplicates and reorders; in-order
     /// frames go to the pending buffer (or stream, policy mode).
     fn admit(&mut self, env: Envelope) -> Result<(), CommError> {
         let env = match &mut self.link {
@@ -1079,36 +802,9 @@ impl Comm {
             },
             None => env,
         };
-        if env.epoch < self.epoch_num {
-            // Stale pre-takeover traffic: silently dropped by design.
-            // This is also what refuses a falsely-suspected rank's
-            // pre-fence in-flight frames after its takeover: they carry
-            // the dead epoch and never reach the link layer.
-            #[cfg(feature = "check")]
-            crate::check::emit(crate::check::ProtocolEvent::DropStale {
-                dst: env.dst,
-                src: env.src,
-                tag: env.tag,
-                seq: env.seq,
-                epoch: env.epoch,
-            });
-            return Ok(());
-        }
-        if env.epoch > self.epoch_num {
-            #[cfg(feature = "check")]
-            crate::check::emit(crate::check::ProtocolEvent::Park {
-                dst: env.dst,
-                src: env.src,
-                tag: env.tag,
-                seq: env.seq,
-                epoch: env.epoch,
-            });
-            self.future.push_back(env);
-            return Ok(());
-        }
-        let host = env.rsrc;
+        let host = env.src;
         let link = match &mut self.link {
-            Some(link) if host != self.phys => link,
+            Some(link) if host != self.rank => link,
             _ => return self.deliver_now(env),
         };
         let now = Instant::now();
@@ -1139,7 +835,6 @@ impl Comm {
                 src: env.src,
                 tag: env.tag,
                 seq: env.seq,
-                epoch: env.epoch,
             });
             if self.delivery.is_some() {
                 self.streams[env.src].push_back(env);
@@ -1150,26 +845,18 @@ impl Comm {
         Ok(())
     }
 
-    /// Per-source sequence check at arrival, against the counters of the
-    /// persona the envelope addresses. Per-(src, dst) links are FIFO, so
-    /// arrivals are always in send order, and any gap or repeat is a FIFO
-    /// bug in the substrate, reported against the arriving message's
-    /// source and tag.
+    /// Per-source sequence check at arrival. Per-(src, dst) links are
+    /// FIFO, so arrivals are always in send order, and any gap or repeat
+    /// is a FIFO bug in the substrate, reported against the arriving
+    /// message's source and tag.
     #[cfg(feature = "check")]
     fn note_arrival(&mut self, env: &Envelope) -> Result<(), CommError> {
-        let Some(p) = self.personas.iter_mut().find(|p| p.vrank == env.dst) else {
-            // Not addressed to any persona here: impossible under the
-            // routing + epoch rules, but never worth crashing over.
-            return Ok(());
-        };
-        let expected = p.recv_seq[env.src];
+        let expected = self.recv_seq[env.src];
         if env.seq != expected {
-            let observer = p.vrank;
-            return Err(CommError::transport(
-                observer, env.src, env.tag, expected, env.seq,
-            ));
+            let (rank, src, tag) = (self.rank, env.src, env.tag);
+            return Err(CommError::transport(rank, src, tag, expected, env.seq));
         }
-        p.recv_seq[env.src] = expected + 1;
+        self.recv_seq[env.src] = expected + 1;
         Ok(())
     }
 
@@ -1188,17 +875,17 @@ impl Comm {
     /// Returns false when every stream is empty.
     #[cfg(feature = "check")]
     fn deliver_one(&mut self) -> bool {
-        // (src, tag, seq, epoch, dst) of each stream head, parallel to
-        // `candidates` — the event trace records the full choice so the
-        // model checker can reconstruct it.
-        let mut heads: Vec<(usize, Tag, u64, u64, usize)> = Vec::new();
+        // (src, tag, seq) of each stream head, parallel to `candidates` —
+        // the event trace records the full choice so the model checker can
+        // reconstruct it.
+        let mut heads: Vec<(usize, Tag, u64)> = Vec::new();
         let candidates: Vec<crate::check::Candidate> = self
             .streams
             .iter()
             .enumerate()
             .filter_map(|(src, q)| {
                 q.front().map(|e| {
-                    heads.push((src, e.tag, e.seq, e.epoch, e.dst));
+                    heads.push((src, e.tag, e.seq));
                     crate::check::Candidate { src, tag: e.tag }
                 })
             })
@@ -1206,32 +893,25 @@ impl Comm {
         if candidates.is_empty() {
             return false;
         }
-        let me = self.personas[self.active].vrank;
+        let dst = self.rank;
         let policy = self.delivery.as_mut().expect("deliver_one needs a policy");
-        let i = policy.choose(me, &candidates);
+        let i = policy.choose(dst, &candidates);
         assert!(
             i < candidates.len(),
             "delivery policy chose {i} of {} candidates",
             candidates.len()
         );
-        for (j, &(src, tag, seq, epoch, dst)) in heads.iter().enumerate() {
+        for (j, &(src, tag, seq)) in heads.iter().enumerate() {
             if j != i {
-                crate::check::emit(crate::check::ProtocolEvent::Candidate {
-                    dst,
-                    src,
-                    tag,
-                    seq,
-                    epoch,
-                });
+                crate::check::emit(crate::check::ProtocolEvent::Candidate { dst, src, tag, seq });
             }
         }
-        let (src, tag, seq, epoch, dst) = heads[i];
+        let (src, tag, seq) = heads[i];
         crate::check::emit(crate::check::ProtocolEvent::Deliver {
             dst,
             src,
             tag,
             seq,
-            epoch,
             arity: candidates.len(),
         });
         let env = self.streams[candidates[i].src]
@@ -1269,12 +949,7 @@ impl Comm {
             if let Err(e) = self.drain_inbox() {
                 panic!("{e}");
             }
-            let me = self.personas[self.active].vrank;
-            if !self
-                .pending
-                .iter()
-                .any(|e| e.src == src && e.tag == tag && e.dst == me)
-            {
+            if !self.pending.iter().any(|e| e.src == src && e.tag == tag) {
                 self.deliver_one();
             }
             let env = self.match_pending(src, tag)?;
@@ -1301,11 +976,10 @@ impl Comm {
         T: Any + Send + WireSize,
     {
         let t = self.model.message_time(env.src, env.dst, env.wire_bytes);
-        let persona = &mut self.personas[self.active];
-        persona.stats.msgs_recvd += 1;
-        persona.stats.bytes_recvd += env.wire_bytes as u64;
-        persona.stats.virtual_comm_s += t;
-        persona.lap_virtual_s += t;
+        self.stats.msgs_recvd += 1;
+        self.stats.bytes_recvd += env.wire_bytes as u64;
+        self.stats.virtual_comm_s += t;
+        self.lap_virtual_s += t;
         let src = env.src;
         let tag = env.tag;
         let sent_type = env.type_name;
@@ -1314,7 +988,7 @@ impl Comm {
             Err(_) => panic!(
                 "recv type mismatch on rank {} for (src={src}, tag={tag}): \
                  sender sent `{sent_type}`, receiver expected `{}`",
-                self.rank(),
+                self.rank,
                 std::any::type_name::<T>()
             ),
         }
@@ -1563,10 +1237,10 @@ mod tests {
     }
 
     #[test]
-    fn short_partition_heals_without_takeover() {
+    fn short_partition_heals_by_retransmission() {
         // Link 0<->1 is black-holed for frames [2, 6); retransmission
         // pressure advances the frame index past the window and every
-        // payload still lands, with zero deaths and zero epochs burned.
+        // payload still lands, with no death.
         let mut profile = LossyProfile::new(7);
         profile.partitions.push(Partition {
             a: 0,
@@ -1580,12 +1254,11 @@ mod tests {
         };
         let out = World::new(2)
             .with_comm_config(&cfg)
-            .run(|comm| (ring_churn(comm), comm.stats().retransmits, comm.epoch()));
-        for (rank, (acc, _, epoch)) in out.iter().enumerate() {
+            .run(|comm| (ring_churn(comm), comm.stats().retransmits));
+        for (rank, (acc, _)) in out.iter().enumerate() {
             assert_eq!(*acc, ring_expected(rank, 2));
-            assert_eq!(*epoch, 0, "a healed partition must not burn an epoch");
         }
-        assert!(out.iter().map(|(_, r, _)| r).sum::<u64>() > 0);
+        assert!(out.iter().map(|(_, r)| r).sum::<u64>() > 0);
     }
 
     #[test]
@@ -1922,7 +1595,7 @@ mod tests {
         fn envelope(seq: u64) -> super::Envelope {
             super::Envelope {
                 seq,
-                ..super::Envelope::new(0, 0, 0, 0, 1, seq)
+                ..super::Envelope::new(0, 0, 1, seq)
             }
         }
         World::new(1).run(|comm| {
@@ -1937,34 +1610,5 @@ mod tests {
                 "{repeat}"
             );
         });
-    }
-
-    #[test]
-    fn epoch_advance_drops_stale_and_readmits_future_envelopes() {
-        // Rank 0 sends one message per epoch plus one that is never
-        // received before the boundary; rank 1 must see the epoch-0
-        // message, then — after advancing — the epoch-1 message, while the
-        // unconsumed epoch-0 straggler vanishes instead of corrupting the
-        // resumed run.
-        let out = World::new(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, 10u64); // epoch 0, consumed
-                comm.send(1, 2, 66u64); // epoch 0, never consumed (stale)
-                comm.send(1, 3, ()); // epoch-0 sync marker
-                comm.advance_epoch(1);
-                comm.send(1, 1, 20u64); // epoch 1
-                0
-            } else {
-                assert_eq!(comm.recv::<u64>(0, 1), 10);
-                let () = comm.recv(0, 3); // both epoch-0 messages arrived
-                comm.advance_epoch(1);
-                assert_eq!(comm.recv::<u64>(0, 1), 20);
-                // The stale tag-2 envelope was dropped at the boundary.
-                assert!(comm.try_recv::<u64>(0, 2).is_none());
-                assert_eq!(comm.pending_len(), 0);
-                1
-            }
-        });
-        assert_eq!(out, vec![0, 1]);
     }
 }

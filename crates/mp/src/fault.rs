@@ -12,7 +12,7 @@
 //!
 //! A death is the one failure the paper's machine could show: the rank
 //! panics at the site, and every blocked peer sees it through the abort
-//! flag (or, in a takeover world, as an absorbable death). A frame that
+//! flag. A frame that
 //! is lost, duplicated or reordered on the way is a
 //! [`LossyProfile`](crate::LossyProfile)'s business, and the link layer
 //! under [`crate::comm`] heals it. This module is compiled

@@ -59,7 +59,7 @@ pub mod transport;
 pub mod wire;
 pub mod world;
 
-pub use comm::{Comm, CommConfig, CommError, CommErrorKind, CommStats, Tag, TakeoverInterrupt};
+pub use comm::{Comm, CommConfig, CommError, CommErrorKind, CommStats, Tag};
 pub use cost::CostModel;
 #[cfg(feature = "check")]
 pub use fault::FaultPlan;
@@ -67,4 +67,4 @@ pub use pool::BufferPool;
 pub use topology::{Torus2d, Torus3d};
 pub use transport::{LossyProfile, Partition};
 pub use wire::WireSize;
-pub use world::{DegradedOutcome, RankFailure, World, WorldError};
+pub use world::{RankFailure, World, WorldError};

@@ -20,18 +20,15 @@
 //!   arrival.
 //! - **Liveness:** heartbeats from a blocked receive, a φ-style detector
 //!   per peer, and self-fencing when a majority of the live peers has
-//!   gone quiet — the minority side of a partition yields to takeover.
+//!   gone quiet — the minority side of a partition yields, and the world
+//!   relaunches.
 //!
-//! Links join physical hosts (threads), not virtual ranks: after a
-//! takeover the adopted rank's traffic moves to its new host's links,
-//! exactly as a re-homed process would change network endpoints. Every
-//! method takes the current `Instant`, so the layer runs, and is tested,
-//! without a world or threads.
+//! Every method takes the current `Instant`, so the layer runs, and is
+//! tested, without a world or threads.
 //!
 //! [`CommErrorKind::Transport`]: crate::CommErrorKind::Transport
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::channel::Sender;
@@ -48,14 +45,10 @@ pub(crate) const LINK_CTRL_TAG: Tag = Tag::MAX;
 #[derive(Debug, Clone)]
 enum LinkCtrl {
     /// Cumulative + selective acknowledgement of the reverse-direction
-    /// link: all `rseq < cum` of `epoch` delivered in order; `sacks`
-    /// lists out-of-order frames held in the reorder buffer, which the
-    /// sender need not retransmit.
-    Ack {
-        epoch: u64,
-        cum: u64,
-        sacks: Vec<u64>,
-    },
+    /// link: all `rseq < cum` delivered in order; `sacks` lists
+    /// out-of-order frames held in the reorder buffer, which the sender
+    /// need not retransmit.
+    Ack { cum: u64, sacks: Vec<u64> },
     /// Pure liveness signal while blocked in a receive.
     Heartbeat,
 }
@@ -88,8 +81,8 @@ struct LinkTx {
     /// Next link sequence number to stamp.
     next_rseq: u64,
     /// Physical transmission attempts on this link so far — the index
-    /// the profile's fate consumes. Monotone across epochs, so partition
-    /// windows progress under retransmit pressure.
+    /// the profile's fate consumes. Monotone, so partition windows
+    /// progress under retransmit pressure.
     frame_index: u64,
     /// Cumulative ack received: every `rseq < cum` is delivered.
     cum: u64,
@@ -159,12 +152,10 @@ pub(crate) struct Closed;
 
 /// One host's end of its links to every peer host.
 pub(crate) struct Link {
-    /// This host (physical thread index).
-    phys: usize,
+    /// This host's rank.
+    rank: usize,
     /// Timers, retransmit budget and the disturbance profile (`chaos`).
     cfg: CommConfig,
-    /// Wire epoch carried by this host's acks and probes.
-    epoch: u64,
     /// Sender-side state, indexed by destination host.
     tx: Vec<LinkTx>,
     /// Receiver-side state, indexed by source host.
@@ -176,12 +167,11 @@ pub(crate) struct Link {
 }
 
 impl Link {
-    /// Host `phys`'s links in a world of `size` hosts, under `cfg`.
-    pub(crate) fn new(phys: usize, size: usize, cfg: &CommConfig, now: Instant) -> Self {
+    /// Rank `rank`'s links in a world of `size` ranks, under `cfg`.
+    pub(crate) fn new(rank: usize, size: usize, cfg: &CommConfig, now: Instant) -> Self {
         Self {
-            phys,
+            rank,
             cfg: cfg.clone(),
-            epoch: 0,
             tx: (0..size).map(|_| LinkTx::default()).collect(),
             rx: (0..size).map(|_| LinkRx::default()).collect(),
             health: (0..size).map(|_| PeerHealth::new(now)).collect(),
@@ -239,7 +229,7 @@ impl Link {
         let index = lt.frame_index;
         lt.frame_index += 1;
         let fate = match &self.cfg.chaos {
-            Some(profile) => profile.fate(self.phys, host, index),
+            Some(profile) => profile.fate(self.rank, host, index),
             None => Fate::Deliver,
         };
         match fate {
@@ -282,7 +272,7 @@ impl Link {
     /// Put a control frame on the wire to `host`. Never tracked or
     /// retransmitted, and abandoned if the peer's mailbox is gone.
     fn send_ctrl(&mut self, host: usize, ctrl: LinkCtrl, wire: &[Sender<Envelope>], now: Instant) {
-        let env = Envelope::new(self.phys, self.phys, host, self.epoch, LINK_CTRL_TAG, ctrl);
+        let env = Envelope::new(self.rank, host, LINK_CTRL_TAG, ctrl);
         let _ = self.emit(host, env, wire, now);
     }
 
@@ -291,18 +281,16 @@ impl Link {
     /// parked in the reorder buffer.
     pub(crate) fn ack(&mut self, host: usize, wire: &[Sender<Envelope>], now: Instant) {
         let rx = &self.rx[host];
-        let (epoch, cum) = (self.epoch, rx.expected);
+        let cum = rx.expected;
         let sacks = rx.buffer.keys().take(16).copied().collect();
-        self.send_ctrl(host, LinkCtrl::Ack { epoch, cum, sacks }, wire, now);
+        self.send_ctrl(host, LinkCtrl::Ack { cum, sacks }, wire, now);
     }
 
     /// First look at a physically arrived frame: evidence that its host
-    /// is alive. A control frame (ack, heartbeat) is consumed here — an
-    /// ack of another epoch is ignored, so a pre-takeover ack cannot
-    /// corrupt the restarted sequence space; any other frame comes back
-    /// for the epoch rules and then [`Link::accept`].
+    /// is alive. A control frame (ack, heartbeat) is consumed here; any
+    /// other frame comes back for [`Link::accept`].
     pub(crate) fn intercept(&mut self, env: Envelope, now: Instant) -> Option<Envelope> {
-        let from = env.rsrc;
+        let from = env.src;
         self.note_heard(from, now);
         if env.tag != LINK_CTRL_TAG {
             return Some(env);
@@ -310,12 +298,9 @@ impl Link {
         let Ok(ctrl) = env.payload.downcast::<LinkCtrl>() else {
             return None;
         };
-        let LinkCtrl::Ack { epoch, cum, sacks } = *ctrl else {
+        let LinkCtrl::Ack { cum, sacks } = *ctrl else {
             return None;
         };
-        if epoch != self.epoch {
-            return None;
-        }
         let base = self.cfg.retransmit_base;
         let lt = &mut self.tx[from];
         if cum > lt.cum {
@@ -329,7 +314,7 @@ impl Link {
             lt.next_retx = (!lt.pending.is_empty()).then(|| now + base);
             #[cfg(feature = "check")]
             crate::check::emit(crate::check::ProtocolEvent::AckAdvance {
-                src: self.phys,
+                src: self.rank,
                 dst: from,
                 cum,
             });
@@ -347,7 +332,7 @@ impl Link {
 
     /// Record liveness evidence from `host` and clear any suspicion.
     fn note_heard(&mut self, host: usize, now: Instant) {
-        if host == self.phys {
+        if host == self.rank {
             return;
         }
         let h = &mut self.health[host];
@@ -361,13 +346,13 @@ impl Link {
             h.suspected = false;
             #[cfg(feature = "check")]
             crate::check::emit(crate::check::ProtocolEvent::Unsuspect {
-                rank: self.phys,
+                rank: self.rank,
                 peer: host,
             });
         }
     }
 
-    /// Admit an application frame of the current epoch from a peer host.
+    /// Admit an application frame from a peer host.
     /// The next frame in order comes back, to be delivered, followed by
     /// [`Link::next_in_order`] until `None` and then [`Link::ack`]. Any
     /// other frame is dealt with here: a duplicate of a delivered frame
@@ -382,7 +367,7 @@ impl Link {
         wire: &[Sender<Envelope>],
         now: Instant,
     ) -> Option<Envelope> {
-        let host = env.rsrc;
+        let host = env.src;
         let rx = &mut self.rx[host];
         if env.hollow {
             if env.rseq >= rx.expected {
@@ -410,31 +395,26 @@ impl Link {
     /// delay-held frames, fire due retransmissions, emit heartbeats, and
     /// evaluate suspicion. A spent retransmit budget or a minority-side
     /// fence is a [`CommErrorKind::Transport`](crate::CommErrorKind)
-    /// failure of `rank`, the active virtual rank. `dead` flags the
-    /// registered-dead hosts; `stats` counts retransmissions and
+    /// failure of this rank; `stats` counts retransmissions and
     /// suspicions.
     pub(crate) fn maintain(
         &mut self,
         now: Instant,
-        rank: usize,
         wire: &[Sender<Envelope>],
-        dead: &[AtomicBool],
         stats: &mut CommStats,
     ) -> Result<(), CommError> {
-        let phys = self.phys;
-        for host in (0..self.tx.len()).filter(|&h| h != phys) {
+        let me = self.rank;
+        for host in (0..self.tx.len()).filter(|&h| h != me) {
             self.release_held(host, wire, now);
         }
-        self.retransmit_due(now, rank, wire, dead, stats)?;
+        self.retransmit_due(now, wire, stats)?;
         if now.duration_since(self.last_heartbeat) >= self.cfg.heartbeat {
             self.last_heartbeat = now;
-            for host in (0..self.tx.len()).filter(|&h| h != phys) {
-                if !dead[host].load(Ordering::SeqCst) {
-                    self.send_ctrl(host, LinkCtrl::Heartbeat, wire, now);
-                }
+            for host in (0..self.tx.len()).filter(|&h| h != me) {
+                self.send_ctrl(host, LinkCtrl::Heartbeat, wire, now);
             }
         }
-        self.evaluate_suspicion(now, rank, dead, stats)
+        self.evaluate_suspicion(now, stats)
     }
 
     /// Retransmit the head-of-line unsacked frame of every link whose
@@ -442,9 +422,7 @@ impl Link {
     fn retransmit_due(
         &mut self,
         now: Instant,
-        rank: usize,
         wire: &[Sender<Envelope>],
-        dead: &[AtomicBool],
         stats: &mut CommStats,
     ) -> Result<(), CommError> {
         let (budget, base, cap) = (
@@ -452,16 +430,9 @@ impl Link {
             self.cfg.retransmit_base,
             self.cfg.retransmit_cap,
         );
-        let phys = self.phys;
-        for host in (0..self.tx.len()).filter(|&h| h != phys) {
+        let rank = self.rank;
+        for host in (0..self.tx.len()).filter(|&h| h != rank) {
             let lt = &mut self.tx[host];
-            if dead[host].load(Ordering::SeqCst) {
-                // A registered-dead peer's frames are unrecoverable by
-                // retransmission; takeover re-syncs state instead.
-                lt.pending.clear();
-                lt.next_retx = None;
-                continue;
-            }
             if lt.next_retx.is_none_or(|t| now < t) {
                 continue;
             }
@@ -488,12 +459,12 @@ impl Link {
             let probe = env.unwrap_or_else(|| Envelope {
                 rseq,
                 hollow: true,
-                ..Envelope::new(self.phys, self.phys, host, self.epoch, 0, ())
+                ..Envelope::new(rank, host, 0, ())
             });
             stats.retransmits += 1;
             #[cfg(feature = "check")]
             crate::check::emit(crate::check::ProtocolEvent::Retransmit {
-                src: self.phys,
+                src: self.rank,
                 dst: host,
                 rseq,
             });
@@ -519,22 +490,16 @@ impl Link {
     }
 
     /// Raise suspicion on peers past their φ threshold; self-fence when
-    /// this host can no longer reach a majority of the live peers — the
-    /// minority side of a partition yields (panics, registering a death
-    /// the survivors absorb by takeover) instead of diverging.
-    fn evaluate_suspicion(
-        &mut self,
-        now: Instant,
-        rank: usize,
-        dead: &[AtomicBool],
-        stats: &mut CommStats,
-    ) -> Result<(), CommError> {
+    /// this host can no longer reach a majority of its peers — the
+    /// minority side of a partition yields (panics, and the world
+    /// relaunches) instead of diverging.
+    fn evaluate_suspicion(&mut self, now: Instant, stats: &mut CommStats) -> Result<(), CommError> {
         let (min, max) = (self.cfg.suspicion_min, self.cfg.suspicion_max);
         let mut live_peers = 0usize;
         let mut reachable = 0usize;
         let mut quietest = Duration::ZERO;
         for (host, h) in self.health.iter_mut().enumerate() {
-            if host == self.phys || dead[host].load(Ordering::SeqCst) {
+            if host == self.rank {
                 continue;
             }
             live_peers += 1;
@@ -549,37 +514,17 @@ impl Link {
                 stats.suspicions += 1;
                 #[cfg(feature = "check")]
                 crate::check::emit(crate::check::ProtocolEvent::Suspect {
-                    rank: self.phys,
+                    rank: self.rank,
                     peer: host,
                 });
             }
         }
         if live_peers >= 1 && reachable * 2 < live_peers {
-            return Err(CommError::fenced(rank, reachable, live_peers, quietest));
+            return Err(CommError::fenced(
+                self.rank, reachable, live_peers, quietest,
+            ));
         }
         Ok(())
-    }
-
-    /// Restart every link at wire epoch `epoch`. Acks are epoch-gated, so
-    /// in-flight state of the old epoch is unrecoverable by design;
-    /// `frame_index` stays monotone so partition windows never re-fire
-    /// after a takeover.
-    pub(crate) fn reset(&mut self, epoch: u64, now: Instant) {
-        self.epoch = epoch;
-        let backoff = self.cfg.retransmit_base;
-        for lt in &mut self.tx {
-            let frame_index = lt.frame_index;
-            *lt = LinkTx {
-                frame_index,
-                backoff,
-                ..LinkTx::default()
-            };
-        }
-        self.rx.iter_mut().for_each(|lr| *lr = LinkRx::default());
-        for h in &mut self.health {
-            h.suspected = false;
-            h.last_heard = now;
-        }
     }
 
     /// True while a sent frame awaits its ack or a held frame its
@@ -626,7 +571,7 @@ mod tests {
     fn frame(rseq: u64, value: u64) -> Envelope {
         Envelope {
             rseq,
-            ..Envelope::new(0, 0, 1, 0, 5, value)
+            ..Envelope::new(0, 1, 5, value)
         }
     }
 
@@ -642,7 +587,7 @@ mod tests {
     /// `(cum, sacks)` of an ack frame.
     fn ack_of(env: &Envelope) -> (u64, Vec<u64>) {
         match env.payload.downcast_ref::<LinkCtrl>() {
-            Some(LinkCtrl::Ack { cum, sacks, .. }) => (*cum, sacks.clone()),
+            Some(LinkCtrl::Ack { cum, sacks }) => (*cum, sacks.clone()),
             other => panic!("not an ack: {other:?}"),
         }
     }
@@ -654,7 +599,6 @@ mod tests {
     #[test]
     fn a_payload_dropped_on_every_attempt_escalates_after_the_budget() {
         let (wire, inbox) = wire();
-        let dead = [AtomicBool::new(false), AtomicBool::new(false)];
         let t0 = Instant::now();
         let drop_all = LossyProfile {
             drop_per_mille: 1000,
@@ -665,10 +609,7 @@ mod tests {
         let mut stats = CommStats::default();
         // Every pass is past the backoff (capped at 4 ms): each retries.
         let err = (1..=10)
-            .find_map(|i| {
-                a.maintain(t0 + ms(5 * i), 0, &wire, &dead, &mut stats)
-                    .err()
-            })
+            .find_map(|i| a.maintain(t0 + ms(5 * i), &wire, &mut stats).err())
             .expect("the budget runs out");
         assert_eq!(err.kind, CommErrorKind::Transport);
         assert!(
@@ -683,7 +624,6 @@ mod tests {
     #[test]
     fn a_delivered_payload_whose_acks_are_all_lost_is_retired_without_error() {
         let (wire, inbox) = wire();
-        let dead = [AtomicBool::new(false), AtomicBool::new(false)];
         let t0 = Instant::now();
         let mut a = Link::new(0, 2, &cfg(LossyProfile::new(1)), t0);
         assert!(a.send(1, frame(0, 7), &wire, t0).is_ok());
@@ -691,7 +631,7 @@ mod tests {
         // No ack ever comes back: three header-only probes, then the
         // entry is retired on the fourth due pass.
         for i in 1..=4 {
-            let pass = a.maintain(t0 + ms(5 * i), 0, &wire, &dead, &mut stats);
+            let pass = a.maintain(t0 + ms(5 * i), &wire, &mut stats);
             assert!(pass.is_ok(), "pass {i}: {pass:?}");
         }
         assert!(!a.busy(), "the frame is retired");
@@ -706,14 +646,11 @@ mod tests {
     #[test]
     fn an_early_arrival_is_parked_and_sacked_and_delivered_once_the_gap_fills() {
         let (wire, inbox) = wire();
-        let dead = [AtomicBool::new(false), AtomicBool::new(false)];
         let t0 = Instant::now();
         let quiet = cfg(LossyProfile::new(1));
         let (mut a, mut b) = (Link::new(0, 2, &quiet, t0), Link::new(1, 2, &quiet, t0));
         for v in [10u64, 11] {
-            assert!(a
-                .send(1, Envelope::new(0, 0, 1, 0, 5, v), &wire, t0)
-                .is_ok());
+            assert!(a.send(1, Envelope::new(0, 1, 5, v), &wire, t0).is_ok());
         }
         let mut sent = drain(&inbox[1]).into_iter();
         let (first, second) = (sent.next().expect("rseq 0"), sent.next().expect("rseq 1"));
@@ -727,7 +664,7 @@ mod tests {
         // Host 0 probes for rseq 0 only: rseq 1 is sacked.
         let mut stats = CommStats::default();
         for i in 1..=2 {
-            let pass = a.maintain(t0 + ms(5 * i), 0, &wire, &dead, &mut stats);
+            let pass = a.maintain(t0 + ms(5 * i), &wire, &mut stats);
             assert!(pass.is_ok(), "pass {i}: {pass:?}");
         }
         let probes = drain(&inbox[1]);

@@ -85,17 +85,6 @@ impl Torus2d {
         self.rank_wrapped(i as i64 + di, j as i64 + dj)
     }
 
-    /// The fixed takeover **buddy** of `rank`: its east neighbour on the
-    /// torus. Deterministic and total, so every survivor computes the same
-    /// buddy for a dead rank with no negotiation; a member of the dead
-    /// rank's 8-neighbourhood, so adopting its slots keeps the virtual
-    /// exchange pattern intact; and distinct from `rank` on every torus
-    /// with at least two columns (side ≥ 2 for the square grids the
-    /// simulator runs).
-    pub fn buddy(&self, rank: usize) -> usize {
-        self.neighbor(rank, 0, 1)
-    }
-
     /// The 8 neighbours of `rank` in [`NEIGHBOR_OFFSETS_8`] order.
     ///
     /// On small tori neighbours may repeat or equal `rank` itself (e.g. on

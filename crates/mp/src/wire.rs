@@ -16,7 +16,7 @@ pub trait WireSize {
     /// how the content happens to be compressed this step — so that
     /// virtual-time accounting stays bitwise reproducible across runs
     /// that encode the same content differently (e.g. a delta frame vs
-    /// its full-frame fallback after a takeover).
+    /// its full-frame fallback after a restore).
     fn wire_size(&self) -> usize;
 
     /// Actual bytes this value occupies on the wire in its current

@@ -10,19 +10,16 @@
 //! [`World::try_run`] is the recoverable form: instead of re-raising one
 //! winning panic it joins every rank and returns a [`WorldError`] carrying
 //! one diagnostic per failed rank — the clean-teardown surface a recovery
-//! driver (e.g. `pcdlb-sim`'s resilient launch) builds on.
-//! [`World::try_run_degraded`] additionally reports registered rank
-//! deaths as degradation. Those three are the only launchers; `check`
-//! builds add one hook, [`World::with_start_hook`], for what each rank
+//! driver (e.g. `pcdlb-sim`'s resilient launch) builds on. Those two are
+//! the only launchers; `check` builds add one hook, [`World::with_start_hook`], for what each rank
 //! thread does before the program (install a delivery policy, arm a kill
 //! site, bind an event log).
 //!
 //! Every launch builds a fresh channel set and joins every rank thread
-//! before it returns, so no frame of one world can reach the next: every
-//! world's wire epoch starts at 0, however many worlds a driver launches
-//! one after another.
+//! before it returns, so no frame of one world can reach the next, however
+//! many worlds a driver launches one after another.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -62,20 +59,6 @@ impl std::fmt::Display for WorldError {
 
 impl std::error::Error for WorldError {}
 
-/// Outcome of a degraded-capable launch ([`World::try_run_degraded`]):
-/// per-rank results in **virtual-rank** order (`None` for ranks that died
-/// and were absorbed by takeover — their role's result, if any, is
-/// returned by the surviving thread that adopted them) plus the list of
-/// ranks registered dead during the run.
-#[derive(Debug)]
-pub struct DegradedOutcome<R> {
-    /// Per-thread results in original rank order; `None` where the thread
-    /// died.
-    pub results: Vec<Option<R>>,
-    /// Ranks registered dead (absorbed deaths), ascending.
-    pub dead: Vec<usize>,
-}
-
 /// What each rank thread runs before the program (`check` builds).
 #[cfg(feature = "check")]
 #[derive(Clone)]
@@ -89,45 +72,13 @@ impl std::fmt::Debug for StartHook {
 }
 
 /// What every rank of one launch shares, behind one `Arc`: the start of
-/// its clock, the abort flag, and the takeover switch and registries.
+/// its clock and the abort flag.
 pub(crate) struct Shared {
     /// The common epoch for wall timestamps.
     pub(crate) started: Instant,
     /// Set when any rank panics; receives poll it so a dead peer aborts
     /// the world instead of deadlocking it.
     pub(crate) abort: AtomicBool,
-    /// True in a [`World::with_takeover`] world: rank death raises
-    /// [`crate::comm::TakeoverInterrupt`] instead of tearing the world
-    /// down.
-    pub(crate) takeover: bool,
-    /// Count of registered rank deaths (takeover worlds).
-    pub(crate) deaths: AtomicUsize,
-    /// Per-original-rank death flags (takeover worlds).
-    pub(crate) dead: Vec<AtomicBool>,
-    /// Physical thread currently hosting each virtual rank. Identity until
-    /// an adoption rewrites the dead rank's slot.
-    pub(crate) routes: Vec<AtomicUsize>,
-}
-
-impl Shared {
-    fn new(size: usize, takeover: bool) -> Self {
-        Self {
-            started: Instant::now(),
-            abort: AtomicBool::new(false),
-            takeover,
-            deaths: AtomicUsize::new(0),
-            dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
-            routes: (0..size).map(AtomicUsize::new).collect(),
-        }
-    }
-
-    /// The ranks registered dead so far, ascending.
-    pub(crate) fn dead_ranks(&self) -> Vec<usize> {
-        let dead = self.dead.iter().enumerate();
-        dead.filter(|(_, d)| d.load(Ordering::SeqCst))
-            .map(|(r, _)| r)
-            .collect()
-    }
 }
 
 /// Configuration for an SPMD launch.
@@ -136,7 +87,6 @@ pub struct World {
     size: usize,
     model: CostModel,
     comm: CommConfig,
-    takeover: bool,
     #[cfg(feature = "check")]
     start: Option<StartHook>,
 }
@@ -150,25 +100,9 @@ impl World {
             size,
             model: CostModel::default(),
             comm: CommConfig::default(),
-            takeover: false,
             #[cfg(feature = "check")]
             start: None,
         }
-    }
-
-    /// Enable degraded mode: a single rank death no longer aborts the
-    /// world. Instead the death is registered (see
-    /// [`crate::comm::Comm::deaths_observed`]), every blocked survivor is
-    /// interrupted with a [`crate::comm::TakeoverInterrupt`], and the
-    /// program is expected to run a takeover protocol
-    /// ([`crate::comm::Comm::adopt`] + [`crate::comm::Comm::advance_epoch`])
-    /// and continue on n−1 threads. A **second** death sets the world
-    /// abort flag — degraded capacity is one absorbed death per launch;
-    /// beyond that the caller falls back to a full relaunch. Pair with
-    /// [`World::try_run_degraded`].
-    pub fn with_takeover(mut self) -> Self {
-        self.takeover = true;
-        self
     }
 
     /// Replace the interconnect cost model.
@@ -218,7 +152,7 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        let (results, mut panics, _dead) = self.launch(f);
+        let (results, mut panics) = self.launch(f);
         if let Some((_rank, payload)) = panics.drain(..).next() {
             std::panic::resume_unwind(payload);
         }
@@ -235,25 +169,8 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        let (results, panics, _dead) = self.launch(f);
+        let (results, panics) = self.launch(f);
         Self::collect(results, panics)
-    }
-
-    /// Run `f` on every rank, treating registered (absorbed) rank deaths
-    /// as expected degradation rather than failure: `Ok` as long as every
-    /// panic belongs to a registered dead rank, with `None` results in the
-    /// dead slots. Any *other* panic — including survivors aborted by a
-    /// second death — is a [`WorldError`] and the caller should relaunch
-    /// from the checkpoint. Deaths are only registered in a
-    /// [`World::with_takeover`] world; without it this is
-    /// [`World::try_run`] with every result slot `Some`.
-    pub fn try_run_degraded<R, F>(&self, f: F) -> Result<DegradedOutcome<R>, WorldError>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-    {
-        let (results, panics, dead) = self.launch(f);
-        Self::collect_degraded(results, panics, dead)
     }
 
     fn unwrap_results<R>(results: Vec<Option<R>>) -> Vec<R> {
@@ -261,28 +178,6 @@ impl World {
             .into_iter()
             .map(|r| r.expect("non-panicked rank produced a result"))
             .collect()
-    }
-
-    /// Partition captured panics into absorbed deaths (registered in
-    /// `dead`) and genuine failures; only the latter fail the launch.
-    fn collect_degraded<R>(
-        results: Vec<Option<R>>,
-        panics: Vec<(usize, Box<dyn std::any::Any + Send>)>,
-        dead: Vec<usize>,
-    ) -> Result<DegradedOutcome<R>, WorldError> {
-        let failures: Vec<RankFailure> = panics
-            .into_iter()
-            .filter(|(rank, _)| !dead.contains(rank))
-            .map(|(rank, payload)| RankFailure {
-                rank,
-                message: panic_message(payload.as_ref()),
-            })
-            .collect();
-        if failures.is_empty() {
-            Ok(DegradedOutcome { results, dead })
-        } else {
-            Err(WorldError { failures })
-        }
     }
 
     fn collect<R>(
@@ -305,13 +200,16 @@ impl World {
 
     /// Spawn all ranks, join all of them, and hand back per-rank results
     /// plus the captured panic payloads in rank order. The common core of
-    /// the three launchers.
+    /// the two launchers.
     fn launch<R, F>(&self, f: F) -> LaunchOutcome<R>
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        let world = Arc::new(Shared::new(self.size, self.takeover));
+        let world = Arc::new(Shared {
+            started: Instant::now(),
+            abort: AtomicBool::new(false),
+        });
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..self.size).map(|_| unbounded::<Envelope>()).unzip();
 
@@ -341,22 +239,8 @@ impl World {
                             comm.quiesce();
                         }
                         if result.is_err() {
-                            if world.takeover && !world.abort.load(Ordering::SeqCst) {
-                                // Degraded mode: register the death so the
-                                // survivors can absorb it in place. Capacity
-                                // is one death per launch; a second sets the
-                                // abort flag and the caller relaunches.
-                                #[cfg(feature = "check")]
-                                crate::check::emit(crate::check::ProtocolEvent::Death { rank });
-                                world.dead[rank].store(true, Ordering::SeqCst);
-                                if world.deaths.fetch_add(1, Ordering::SeqCst) + 1 >= 2 {
-                                    world.abort.store(true, Ordering::SeqCst);
-                                }
-                            } else {
-                                // Wake every rank blocked on this rank's
-                                // output.
-                                world.abort.store(true, Ordering::SeqCst);
-                            }
+                            // Wake every rank blocked on this rank's output.
+                            world.abort.store(true, Ordering::SeqCst);
                         }
                         result
                     })
@@ -386,15 +270,11 @@ impl World {
                 })
                 .collect()
         });
-        (results, panics, world.dead_ranks())
+        (results, panics)
     }
 }
 
-type LaunchOutcome<R> = (
-    Vec<Option<R>>,
-    Vec<(usize, Box<dyn std::any::Any + Send>)>,
-    Vec<usize>,
-);
+type LaunchOutcome<R> = (Vec<Option<R>>, Vec<(usize, Box<dyn std::any::Any + Send>)>);
 
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -410,7 +290,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn ranks_are_numbered_and_sized() {
@@ -539,9 +418,6 @@ mod tests {
         };
         expect_one_each("run", world.run(program));
         expect_one_each("try_run", world.try_run(program).expect("no failures"));
-        let degraded = world.with_takeover().try_run_degraded(program);
-        let counts = degraded.expect("no failures").results;
-        expect_one_each("try_run_degraded", counts.into_iter().flatten().collect());
     }
 
     #[test]
@@ -552,72 +428,6 @@ mod tests {
             b >= a
         });
         assert!(out.into_iter().all(|ok| ok));
-    }
-
-    #[test]
-    fn degraded_world_reroutes_to_the_adopting_survivor() {
-        // Rank 1 dies; rank 0 is interrupted, adopts rank 1's virtual
-        // rank, advances the epoch, and then exchanges a message *with the
-        // adopted rank* — send and recv both resolving virtual rank 1 to
-        // thread 0. The launch reports the death as degradation, not
-        // failure.
-        use crate::comm::TakeoverInterrupt;
-        let out = World::new(2)
-            .with_takeover()
-            .try_run_degraded(|comm| {
-                if comm.phys_rank() == 1 {
-                    panic!("simulated PE death");
-                }
-                let interrupted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _: u64 = comm.recv(1, 7);
-                }));
-                let payload = interrupted.expect_err("rank 1 never sends");
-                assert!(payload.downcast_ref::<TakeoverInterrupt>().is_some());
-                assert_eq!(comm.deaths_observed(), 1);
-                assert_eq!(comm.dead_ranks(), vec![1]);
-                comm.adopt(1);
-                comm.advance_epoch(1);
-                comm.act_as(1);
-                assert_eq!(comm.rank(), 1);
-                comm.send(0, 9, 123u64);
-                comm.act_as(0);
-                let got = comm.recv::<u64>(1, 9);
-                assert_eq!(comm.roles(), vec![0, 1]);
-                got
-            })
-            .expect("a single death must be absorbed");
-        assert_eq!(out.dead, vec![1]);
-        assert_eq!(out.results[0], Some(123));
-        assert!(out.results[1].is_none());
-    }
-
-    #[test]
-    fn second_death_aborts_the_degraded_world() {
-        // Two ranks die: degraded capacity is exhausted, the abort flag
-        // goes up, and the survivor's interrupt handling observes two
-        // registered deaths — the signal to fall back to a full relaunch.
-        use crate::comm::TakeoverInterrupt;
-        let out = World::new(3)
-            .with_takeover()
-            .try_run_degraded(|comm| {
-                if comm.phys_rank() > 0 {
-                    panic!("simulated PE death");
-                }
-                let interrupted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _: u64 = comm.recv(1, 7);
-                }));
-                let payload = interrupted.expect_err("peers never send");
-                assert!(payload.downcast_ref::<TakeoverInterrupt>().is_some());
-                // Both deaths may not be registered at the instant of the
-                // first interrupt; wait for the registry to settle.
-                while comm.deaths_observed() < 2 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                comm.dead_ranks().len()
-            })
-            .expect("the survivor itself completed cleanly");
-        assert_eq!(out.dead, vec![1, 2]);
-        assert_eq!(out.results[0], Some(2));
     }
 
     #[test]

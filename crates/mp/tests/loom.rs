@@ -126,49 +126,3 @@ fn abort_flag_handoff_never_drops_prior_message() {
         assert_eq!(got, Some(1), "message sent before abort was dropped");
     });
 }
-
-/// Epoch parking modelled over the channel: a value for a future epoch is
-/// parked instead of delivered, and must be re-admitted exactly once when
-/// the local epoch catches up — with the epoch bump racing the arrival.
-/// This is the channel-level shape of `Comm::advance_epoch` replaying
-/// `parked` envelopes (see `comm.rs`).
-#[test]
-fn epoch_parking_readmits_exactly_once() {
-    loom::model(|| {
-        let (tx, rx) = unbounded::<(u64, u64)>(); // (epoch, payload)
-        let epoch = Arc::new(loom::sync::atomic::AtomicU64::new(0));
-        let ep = Arc::clone(&epoch);
-        let sender = loom::thread::spawn(move || {
-            tx.send((1, 42)).unwrap(); // next-epoch traffic, sent early
-            ep.store(1, Ordering::SeqCst); // epoch advance races arrival
-        });
-        let mut parked: Option<(u64, u64)> = None;
-        let mut admitted = 0u32;
-        let payload;
-        loop {
-            // Re-admit parked traffic once the epoch catches up.
-            if let Some((e, v)) = parked {
-                if e <= epoch.load(Ordering::SeqCst) {
-                    admitted += 1;
-                    payload = v;
-                    break;
-                }
-            }
-            match rx.try_recv() {
-                Ok((e, v)) => {
-                    if e > epoch.load(Ordering::SeqCst) {
-                        parked = Some((e, v)); // future epoch: park it
-                    } else {
-                        admitted += 1;
-                        payload = v;
-                        break;
-                    }
-                }
-                Err(_) => loom::thread::yield_now(),
-            }
-        }
-        sender.join().unwrap();
-        assert_eq!(admitted, 1, "parked envelope admitted exactly once");
-        assert_eq!(payload, 42);
-    });
-}

@@ -48,7 +48,7 @@ impl Default for LoadMetric {
 ///
 /// The schedule is a pure function of `(rank, step)` — no clocks, no
 /// RNG — so heterogeneous runs stay bitwise reproducible and
-/// checkpoint/restart/takeover replay the exact same speeds.
+/// checkpoint/restart replay the exact same speeds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeedSchedule {
     /// Per-rank base speed factors, cycled by `rank % base.len()`. All
@@ -399,8 +399,8 @@ pub struct RunConfig {
     /// Delta-encode ghost shell frames against the previous step's frame
     /// per (neighbour, direction). The sender ships whichever encoding is
     /// smaller per frame (a redrawn shell degrades to a full frame), and
-    /// always sends full on an invalid channel (startup, restore,
-    /// takeover epoch bump). Affects only the actual bytes on the wire
+    /// always sends full on an invalid channel (startup, restore).
+    /// Affects only the actual bytes on the wire
     /// (`bytes_on_wire` counters); the cost model charges the canonical
     /// content-based size either way, so digests are identical on and off.
     pub delta_ghosts: bool,
@@ -890,11 +890,7 @@ mod tests {
             Err(ConfigError::NoSteps)
         );
         // The ladder's own rules come after the configuration's.
-        let ladder = |max_attempts, plan| Ladder {
-            max_attempts,
-            plan,
-            ..Ladder::default()
-        };
+        let ladder = |max_attempts, plan| Ladder { max_attempts, plan };
         let pillar = DomainShape::SquarePillar;
         let check = |l: Ladder, shape| l.check(&good, shape);
         assert_eq!(check(Ladder::default(), pillar), Ok(()));

@@ -11,17 +11,17 @@
 //!   panic resurfaces on the caller with its original payload.
 //! - [`Launch::run_resilient`], the **resilient** launch (square pillar
 //!   only): the recovery ladder as a [`Ladder`] value — relaunch from the
-//!   last checkpoint, optionally buddy takeover in place
-//!   ([`crate::takeover`]), optionally a [`ResizePlan`] of world
-//!   generations ([`crate::elastic`]). One generations × attempts loop runs
-//!   every rung; a rung is switched on by data.
+//!   last checkpoint, optionally a [`ResizePlan`] of world generations
+//!   ([`crate::elastic`]). One generations × attempts loop runs both
+//!   rungs; a rank death, a self-fence or a sentinel abort tears the world
+//!   down and relaunches it.
 //!
 //! [`run`], [`run_with_snapshot`] and [`run_with_phase_times`] are one-line
 //! forwards for the common plain launches.
 //!
 //! The headline property of the ladder (tested in [`crate::recover`] and
 //! [`crate::elastic`], swept by `pcdlb-check sweep`):
-//! a recovered, degraded or resized run's particle state and per-step
+//! a recovered or resized run's particle state and per-step
 //! record series are **bitwise identical** to an uninterrupted run's, no
 //! matter where a fault struck. Only the run-total message counters differ
 //! (retransmission), which is why parity is asserted on
@@ -31,17 +31,18 @@ use std::sync::{Mutex, PoisonError};
 
 use pcdlb_domain::{DomainShape, PillarLayout};
 use pcdlb_md::Particle;
-use pcdlb_mp::{Comm, RankFailure, World, WorldError};
+use pcdlb_mp::{Comm, World, WorldError};
 
 use crate::config::{ensure, ConfigError, LoadMetric, RunConfig};
 use crate::digest::digest_recovery;
-use crate::elastic::{remap_drained_checkpoint, ResizeGeneration, ResizePlan, ResizeStage};
-use crate::engine::{run_roles, Program, Start};
+use crate::elastic::{
+    remap_drained_checkpoint, resize_barrier, ResizeGeneration, ResizePlan, ResizeStage,
+};
+use crate::engine::{run_pe, Program, Start};
 use crate::launch::{launch_plan, LaunchPlan, Placed};
 use crate::pe::{initial_particles, PeResult};
 use crate::recover::{RecoveryError, SimCheckpoint};
 use crate::report::{PhaseTimes, RunReport, WireBytes};
-use crate::takeover::takeover_main;
 
 /// What every rank thread runs before the program, given the launch
 /// number and the rank's endpoint (`check` builds).
@@ -95,23 +96,16 @@ pub struct Ladder {
     /// the last checkpoint: set `cfg.checkpoint_interval > 0` to bound the
     /// re-executed work (with it at 0 a relaunch restarts the generation).
     pub max_attempts: usize,
-    /// Absorb a single rank death per launch *in place*: the dead rank's
-    /// buddy adopts its virtual rank and the launch completes degraded on
-    /// `n − 1` threads (see [`crate::takeover`]). Anything worse — a second
-    /// death, a barrier timeout, a sentinel violation — still relaunches.
-    /// `false` keeps only the relaunch rung.
-    pub takeover: bool,
     /// Planned changes of the PE count (see [`crate::elastic`]); empty for
     /// a run that keeps its world. A non-empty plan needs `cfg.skin == 0`.
     pub plan: ResizePlan,
 }
 
 impl Default for Ladder {
-    /// The full ladder over one world: takeover, then up to 8 launches.
+    /// One world, up to 8 launches.
     fn default() -> Self {
         Self {
             max_attempts: 8,
-            takeover: true,
             plan: ResizePlan::new(),
         }
     }
@@ -160,8 +154,6 @@ pub struct LadderOutcome {
     /// Total launches across all generations (= number of generations
     /// when nothing failed).
     pub attempts: usize,
-    /// Total rank deaths absorbed in place across all generations.
-    pub takeovers: usize,
     /// Per-launch failure diagnostics for launches that died.
     pub failures: Vec<WorldError>,
     /// One entry per generation, in run order.
@@ -270,13 +262,8 @@ impl Launch {
         let world = self.world(cfg, 0);
         let (placed, plan) = self.fresh(cfg);
         let program = self.program(cfg, 0, false);
-        let results = world.run(|comm| {
-            let roles = [comm.rank()];
-            let start = Start::Fresh(&placed, &plan);
-            run_roles(comm, cfg, program, &roles, start, None)
-                .swap_remove(0)
-                .1
-        });
+        let start = Start::Fresh(&placed, &plan);
+        let results = world.run(|comm| run_pe(comm, cfg, program, start, None));
         assemble(results, plan.decisions.len())
     }
 
@@ -284,8 +271,8 @@ impl Launch {
     /// the world is torn down cleanly (collecting per-rank diagnostics)
     /// and relaunched from the last checkpoint — or the initial condition
     /// if none was taken yet — up to `ladder.max_attempts` times per
-    /// generation; `ladder.takeover` and `ladder.plan` switch on the rungs
-    /// above that. The snapshot is always gathered (the parity digest
+    /// generation; `ladder.plan` switches on the rung above that. The
+    /// snapshot is always gathered (the parity digest
     /// needs it).
     ///
     /// Panics before any rank thread starts when the composition is not
@@ -337,38 +324,30 @@ impl Launch {
                 ..self.program(&seg_cfg, seg.start, drain)
             };
             let completed = (0..ladder.max_attempts).find_map(|attempt| {
-                let mut world = self.world(&seg_cfg, launches);
-                if ladder.takeover {
-                    world = world.with_takeover();
-                }
+                let world = self.world(&seg_cfg, launches);
                 launches += 1;
-                let fresh = Start::Fresh(&placed, &plan);
-                let program =
-                    |comm: &mut Comm| takeover_main(comm, &seg_cfg, program, fresh, &sink, sync);
-                let outcome = match world.try_run_degraded(program) {
-                    Ok(outcome) => outcome,
+                // Every launch resumes from whatever checkpoint the sink
+                // holds: the previous attempt's on a relaunch, the
+                // predecessor's drain, or none at all (step 0).
+                let ckpt = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
+                let start = ckpt
+                    .as_ref()
+                    .map_or(Start::Fresh(&placed, &plan), Start::Restore);
+                let outcome = world.try_run(|comm: &mut Comm| {
+                    if sync {
+                        resize_barrier(comm);
+                    }
+                    run_pe(comm, &seg_cfg, program, start, Some(&sink))
+                });
+                match outcome {
+                    Ok(results) => Some((attempt + 1, results)),
                     Err(e) => {
                         failures.push(e);
-                        return None;
+                        None
                     }
-                };
-                // Reassemble the virtual-rank results from whichever
-                // threads ended up holding them.
-                let mut by_vrank: Vec<Option<PeResult>> = (0..seg.p).map(|_| None).collect();
-                for (v, r) in outcome.results.into_iter().flatten().flatten() {
-                    by_vrank[v] = Some(r);
                 }
-                if by_vrank.iter().any(Option::is_none) {
-                    // A death slipped into the post-handshake tail: some
-                    // virtual rank finished nowhere. The degraded result
-                    // is incomplete — relaunch the generation.
-                    failures.push(unaccounted(&by_vrank));
-                    return None;
-                }
-                let results: Vec<PeResult> = by_vrank.into_iter().flatten().collect();
-                Some((attempt + 1, outcome.dead.len(), results))
             });
-            let Some((attempts, takeovers, results)) = completed else {
+            let Some((attempts, results)) = completed else {
                 return Err(RecoveryError {
                     attempts: launches,
                     failures,
@@ -387,7 +366,6 @@ impl Launch {
                 first_step: seg.start + 1,
                 last_step: seg.end,
                 attempts,
-                takeovers,
             });
             last_results = results;
         }
@@ -402,7 +380,6 @@ impl Launch {
             snapshot,
             digest,
             attempts: launches,
-            takeovers: generations.iter().map(|g| g.takeovers).sum(),
             failures,
             generations,
         })
@@ -461,24 +438,6 @@ fn assemble(mut results: Vec<PeResult>, launch_transfers: usize) -> Run {
         snapshot: rank0.snapshot,
         phases,
         wire,
-    }
-}
-
-/// The diagnostic of a degraded launch that left a virtual rank's result
-/// nowhere.
-fn unaccounted(by_vrank: &[Option<PeResult>]) -> WorldError {
-    WorldError {
-        failures: by_vrank
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_none())
-            .map(|(rank, _)| RankFailure {
-                rank,
-                message: "virtual rank unaccounted for after a degraded run \
-                          — relaunching the generation from its last checkpoint"
-                    .to_string(),
-            })
-            .collect(),
     }
 }
 

@@ -1,10 +1,8 @@
 //! Elastic world resizing: survive PEs that join or leave mid-run.
 //!
-//! The lower rungs of the recovery ladder handle PEs that *die*: buddy
-//! takeover absorbs one death in place ([`crate::takeover`]) and
-//! checkpoint relaunch handles anything worse ([`crate::recover`]). This
-//! module holds the rung above both: a planned change of the PE count
-//! itself. A [`ResizePlan`] names step boundaries at which the world
+//! The lower rung of the recovery ladder handles PEs that *die*: a
+//! checkpoint relaunch ([`crate::recover`]). This module holds the rung
+//! above it: a planned change of the PE count itself. A [`ResizePlan`] names step boundaries at which the world
 //! switches from `P` to `P ± k` ranks; a resilient launch
 //! ([`Launch::run_resilient`](crate::driver::Launch::run_resilient) with
 //! the plan in its [`Ladder`](crate::driver::Ladder)) executes the run as
@@ -27,21 +25,22 @@
 //!    place at its check steps, see [`crate::pe`]). The drain is audited
 //!    on the way through: exact particle-count conservation and an exact
 //!    one-owner-per-column partition.
-//! 3. **Resume** — a fresh world launches on the new PE set at wire
-//!    epoch 0 (its channels are new, so no frame of the drained world can
-//!    reach it), and a deadline-bounded RESIZE_READY/GO barrier holds the
-//!    first step until every rank of the remapped torus is up.
+//! 3. **Resume** — a fresh world launches on the new PE set (its channels
+//!    are new, so no frame of the drained world can reach it), and a
+//!    deadline-bounded RESIZE_READY/GO barrier (`resize_barrier`) holds
+//!    the first step until every rank of the remapped torus is up.
 //!
-//! Each generation keeps the rest of the ladder underneath it: with
-//! `takeover` on, one rank death is absorbed by buddy takeover inside the
-//! generation, and anything worse relaunches the generation from its own
-//! last checkpoint (at worst the drain boundary). The headline property carries over:
+//! Each generation keeps the relaunch rung underneath it: a rank death
+//! relaunches the generation from its own last checkpoint (at worst the
+//! drain boundary). The headline property carries over:
 //! because DLB and domain decomposition move ownership but never physics,
 //! an elastic run's final particle state is **bitwise identical** to an
 //! uninterrupted serial run — no matter how many resizes, in which
 //! direction, at which boundaries.
 
+use pcdlb_core::protocol::tags;
 use pcdlb_domain::DomainShape;
+use pcdlb_mp::{Comm, CommError};
 
 use crate::config::RunConfig;
 use crate::launch::{launch_plan, Placed};
@@ -124,8 +123,34 @@ pub struct ResizeGeneration {
     pub last_step: u64,
     /// Launches this generation took (1 = no relaunch).
     pub attempts: usize,
-    /// Rank deaths this generation absorbed in place by buddy takeover.
-    pub takeovers: usize,
+}
+
+/// The resize barrier, before the first step of a resumed generation:
+/// every rank reports READY to rank 0, which answers GO once all have
+/// reported, so no rank races ahead into the new torus against a peer
+/// that has not come up yet. Every receive is bounded by the watchdog; a
+/// timeout or a dead peer panics the rank, which aborts the world, and
+/// the generation relaunches — the barrier can never hang.
+pub(crate) fn resize_barrier(comm: &mut Comm) {
+    let timeout = comm.watchdog();
+    let fail = |awaiting: &str, e: CommError| -> ! {
+        panic!("resize barrier failed awaiting {awaiting}: {e}");
+    };
+    if comm.rank() == 0 {
+        for r in 1..comm.size() {
+            if let Err(e) = comm.recv_deadline::<()>(r, tags::RESIZE_READY, timeout) {
+                fail("READY", e);
+            }
+        }
+        for r in 1..comm.size() {
+            comm.send(r, tags::RESIZE_GO, ());
+        }
+    } else {
+        comm.send(0, tags::RESIZE_READY, ());
+        if let Err(e) = comm.recv_deadline::<()>(0, tags::RESIZE_GO, timeout) {
+            fail("GO", e);
+        }
+    }
 }
 
 /// Audit a drained checkpoint and rewrite its ownership view onto the
@@ -212,12 +237,11 @@ mod tests {
         cfg
     }
 
-    /// The full ladder over `plan`.
+    /// Relaunch and `plan`.
     fn ladder(plan: ResizePlan) -> Ladder {
         Ladder {
             max_attempts: 3,
             plan,
-            ..Ladder::default()
         }
     }
 
@@ -240,7 +264,6 @@ mod tests {
         );
         assert_eq!(out.snapshot, snapshot);
         assert_eq!(out.attempts, 1);
-        assert_eq!(out.takeovers, 0);
         assert_eq!(out.generations.len(), 1);
         assert_eq!(
             out.generations[0],
@@ -249,7 +272,6 @@ mod tests {
                 first_step: 1,
                 last_step: 24,
                 attempts: 1,
-                takeovers: 0
             }
         );
     }
@@ -279,7 +301,6 @@ mod tests {
                 first_step: 9,
                 last_step: 16,
                 attempts: 1,
-                takeovers: 0
             }
         );
     }
@@ -410,7 +431,7 @@ mod tests {
 
     #[cfg(feature = "check")]
     #[test]
-    fn kill_during_the_drain_gather_is_absorbed_in_place() {
+    fn kill_during_the_drain_gather_relaunches_the_generation() {
         use pcdlb_core::protocol::tags;
         use pcdlb_mp::collectives::ctag;
         use pcdlb_mp::FaultPlan;
@@ -427,33 +448,32 @@ mod tests {
         };
         let out = faulted(kill)
             .run_resilient(&cfg, &ladder(plan))
-            .expect("the drain-window death is absorbed");
-        assert_eq!(out.attempts, 3, "no generation needed a relaunch");
-        assert_eq!(out.takeovers, 1);
+            .expect("the first generation relaunches from step 0");
+        assert_eq!(out.attempts, 4, "one relaunch on top of three generations");
+        assert_eq!(out.generations[0].attempts, 2);
         assert_eq!(out.digest, reference.digest);
         assert_eq!(out.snapshot, reference.snapshot);
     }
 
     #[cfg(feature = "check")]
     #[test]
-    fn kill_during_the_resize_barrier_is_absorbed_in_place() {
+    fn kill_during_the_resize_barrier_relaunches_the_generation() {
         use pcdlb_core::protocol::tags;
         use pcdlb_mp::FaultPlan;
         let cfg = elastic_cfg();
         let plan = ResizePlan::new().resize(8, 16).resize(16, 4);
         let reference = run_plan(&cfg, plan.clone());
         // Launch 1 is the first post-remap generation; rank 2 dies on its
-        // RESIZE_READY send, i.e. inside the barrier itself. The barrier
-        // unwinds as a takeover, the buddy adopts, and the survivors
-        // re-run the barrier at the advanced epoch.
+        // RESIZE_READY send, i.e. inside the barrier itself. Rank 0 gives
+        // up on its READY, and the generation relaunches from the drain.
         let kill = |launch, rank| {
             (launch == 1 && rank == 2).then(|| FaultPlan::kill_on_tag(tags::RESIZE_READY, 0))
         };
         let out = faulted(kill)
             .run_resilient(&cfg, &ladder(plan))
-            .expect("the barrier death is absorbed");
-        assert_eq!(out.attempts, 3, "no generation needed a relaunch");
-        assert_eq!(out.takeovers, 1);
+            .expect("the second generation relaunches from the drain");
+        assert_eq!(out.attempts, 4, "one relaunch on top of three generations");
+        assert_eq!(out.generations[1].attempts, 2);
         assert_eq!(out.digest, reference.digest);
         assert_eq!(out.snapshot, reference.snapshot);
     }

@@ -44,8 +44,8 @@
 //! both encodings' exact sizes and ships whichever is smaller, so a
 //! membership discontinuity (a DLB transfer redrawing the shell, a
 //! moving plane boundary) degrades to a full frame instead of a bloated
-//! delta; an invalid channel — at startup, after a restore, or when the
-//! takeover epoch advanced — always sends full. A frame is
+//! delta; an invalid channel — at startup or after a restore — always
+//! sends full. A frame is
 //! self-describing (`delta` flag), so only the sender needs this logic;
 //! the receiver checks an FNV fingerprint of the membership it holds
 //! against the one the delta was computed from, and a mismatch is a
@@ -82,8 +82,8 @@
 //! is *content-based*: `1 + 8 + 32·n` for a shell frame holding `n`
 //! ghosts, whether it travels as a delta or as a full frame. Virtual
 //! time feeds `t_step` and the run digests, and fallbacks fire on
-//! non-deterministic events (takeovers), so charging the actual encoding
-//! would break bitwise reproducibility. The actual layout size is
+//! non-deterministic events (a desync, a restore), so charging the actual
+//! encoding would break bitwise reproducibility. The actual layout size is
 //! reported separately through [`WireSize::encoded_size`], which feeds
 //! the `bytes_on_wire` counters only. A refresh section is charged what
 //! it ships, `1 + 8 + 24·n`: whether a step refreshes or rebuilds is a
@@ -294,8 +294,6 @@ pub struct DeltaChannel {
     /// False until the first frame after construction/reset: the next
     /// encode must produce a full frame.
     valid: bool,
-    /// Takeover epoch the channel state belongs to.
-    epoch: u64,
     /// Previous frame's membership, ascending id.
     ids: Vec<u64>,
     /// Encode-side staging: callers push the current shell content here
@@ -315,19 +313,10 @@ impl DeltaChannel {
         self.valid
     }
 
-    /// Reset the channel if the takeover epoch moved (the peer's channel
-    /// state may have been rebuilt from a checkpoint).
-    pub fn sync_epoch(&mut self, epoch: u64) {
-        if self.epoch != epoch {
-            self.epoch = epoch;
-            self.reset();
-        }
-    }
-
     /// Encode the staged `scratch` content into `frame` — as a delta
     /// against the previous frame or as a full frame, whichever is
     /// smaller on the wire — then roll the channel forward. An invalid
-    /// channel (startup, restore, takeover epoch bump) or `!delta_ok`
+    /// channel (startup, restore) or `!delta_ok`
     /// always produces a full frame. `scratch` is sorted in place and
     /// drained.
     pub fn encode_into(&mut self, delta_ok: bool, frame: &mut GhostShellFrame) {
@@ -724,23 +713,6 @@ mod tests {
         assert!(!frame.delta, "reset channel must fall back to full");
         rx.decode_into(&frame, &mut out).expect("in sync");
         assert_eq!(out, content);
-    }
-
-    #[test]
-    fn epoch_bump_forces_full_fallback() {
-        let mut tx = DeltaChannel::default();
-        let mut frame = GhostShellFrame::default();
-        tx.sync_epoch(0);
-        tx.scratch.extend(shell(4, 0.0));
-        tx.encode_into(true, &mut frame);
-        tx.sync_epoch(1); // takeover epoch advanced
-        tx.scratch.extend(shell(4, 0.1));
-        tx.encode_into(true, &mut frame);
-        assert!(!frame.delta, "epoch bump must fall back to full");
-        tx.sync_epoch(1); // same epoch: no reset
-        tx.scratch.extend(shell(4, 0.2));
-        tx.encode_into(true, &mut frame);
-        assert!(frame.delta);
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //! re-tiles as the load moves has a better answer for later, and its
 //! tiles may be one column wide. The layout travels with the plan
 //! ([`LaunchPlan::layout`]) to every rank's scaffold, into every
-//! checkpoint (so a relaunch, a takeover adoption and a sentinel rollback
-//! rebuild the same home tiles), through the elastic remap (which
+//! checkpoint (so a relaunch and a sentinel rollback rebuild the same home
+//! tiles), through the elastic remap (which
 //! launches each generation afresh from the drained particles) and into
 //! `RunReport::tiling`. It is in no digest. A run that
 //! does not balance, and one whose even plan leaves its heaviest PE

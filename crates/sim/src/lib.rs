@@ -15,8 +15,8 @@
 //! the paper plots (Tt, Fmax/Fave/Fmin, the concentration trajectory);
 //! [`run`]`(&cfg)` is the square-pillar shorthand. [`Launch::run_resilient`]
 //! runs the same program under a [`Ladder`] — checkpoint relaunch
-//! ([`recover`]), buddy takeover ([`takeover`]), elastic resizing
-//! ([`elastic`]) — each rung selected by data.
+//! ([`recover`]) and elastic resizing ([`elastic`]) — each rung selected
+//! by data.
 //!
 //! The headline correctness property: a snapshot-gathering launch of any
 //! shape and [`driver::run_serial`] produce **bitwise identical** particle
@@ -38,7 +38,6 @@ pub mod plane;
 pub mod recover;
 pub mod report;
 mod stats;
-pub mod takeover;
 #[cfg(test)]
 mod wire_check;
 

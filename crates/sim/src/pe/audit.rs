@@ -25,8 +25,8 @@ impl PeState {
     /// rank's view and stage the checkpointed particles into the columns
     /// this rank owns.
     /// Pillar only — a checkpoint records one owner per column, which is
-    /// what the pillar's balancer moves; recovery, takeover and elastic
-    /// runs are validated pillar-only upstream.
+    /// what the pillar's balancer moves; recovery and elastic runs are
+    /// validated pillar-only upstream.
     ///
     /// Forces are *not* stored in the checkpoint — the caller recomputes
     /// them, which reproduces the checkpointed run's force array bitwise:
@@ -121,8 +121,8 @@ impl PeState {
     /// (whole columns; a cube rank's z block of a column). A
     /// violation means state corruption that checkpoints would silently
     /// propagate, so the world is aborted with a structured diagnostic;
-    /// under the recovery/takeover drivers that escalates to a rollback
-    /// (relaunch from the last checkpoint). Digest-neutral: the gather's
+    /// under the resilient launch that escalates to a rollback (relaunch
+    /// from the last checkpoint). Digest-neutral: the gather's
     /// lap cost is discarded like the checkpoint gather's.
     pub(crate) fn sentinel_check(&mut self, comm: &mut Comm, step: u64) {
         if self.cfg.sentinel_interval == 0 || !step.is_multiple_of(self.cfg.sentinel_interval) {
@@ -139,10 +139,6 @@ impl PeState {
         if let Some(chunks) = collectives::gather(comm, tags::SENTINEL, (count, own_cols)) {
             let z_extent = |rank| self.decomp.z_extent(rank);
             if let Err(report) = validate_sentinel(&self.cfg, step, &chunks, z_extent) {
-                // Raise the abort flag first: this panic is an intentional
-                // escalation, not a rank death — a takeover world must
-                // tear down and relaunch, not adopt the sentinel's rank.
-                comm.abort_world();
                 panic!("{report}");
             }
         }

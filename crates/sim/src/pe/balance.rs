@@ -588,18 +588,16 @@ mod tests {
         let shape = DomainShape::Plane;
         crate::decomp::validate(&cfg, shape);
         let moved = pcdlb_mp::World::new(cfg.p).run(|comm| {
-            let mut pes = [(comm.rank(), fresh(comm.rank(), &cfg, shape))];
-            crate::engine::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
-            crate::engine::announce_loads(comm, &mut pes);
-            let pe = &mut pes[0].1;
+            let mut pe = fresh(comm.rank(), &cfg, shape);
+            crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
+            crate::engine::announce_loads(comm, &mut pe);
             pe.balance.nbr_loads[0].1 = 0.5 * pe.force.load();
             pe.begin_step(1); // the step the ring's one boundary may move on
             pe.dlb_decide();
             assert!(pe.balance.my_decision.is_some(), "rank {} sheds", pe.rank);
             let before = pe.owned_cells();
-            let recs = crate::engine::step_multi(comm, &cfg, &mut pes, 1);
-            let transfers = recs[0].as_ref().map_or(0, |r| r.transfers);
-            let pe = &pes[0].1;
+            let rec = crate::engine::step_pe(comm, &mut pe, 1);
+            let transfers = rec.map_or(0, |r| r.transfers);
             (
                 pe.owned_cells() - before,
                 pe.balance.landed().len(),
@@ -631,17 +629,14 @@ mod tests {
             // Per rank and step: the load before, the transfers whose cells
             // changed hands, the load after.
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                let mut pes = [(
-                    comm.rank(),
-                    PeState::new(comm.rank(), &cfg, shape, &initial, &LaunchPlan::default()),
-                )];
-                crate::engine::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
-                crate::engine::announce_loads(comm, &mut pes);
+                let none = LaunchPlan::default();
+                let mut pe = PeState::new(comm.rank(), &cfg, shape, &initial, &none);
+                crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
+                crate::engine::announce_loads(comm, &mut pe);
                 let mut steps = Vec::new();
                 for step in 1..=cfg.steps {
-                    let before = pes[0].1.force.load();
-                    crate::engine::step_multi(comm, &cfg, &mut pes, step);
-                    let pe = &pes[0].1;
+                    let before = pe.force.load();
+                    crate::engine::step_pe(comm, &mut pe, step);
                     // Column by column, the counts are the pass's total.
                     if shape == DomainShape::SquarePillar {
                         let mut around = Vec::new();

@@ -1,8 +1,7 @@
 //! The per-step collectives: the rebuild vote of a skin epoch (ahead of
 //! phase 1), the thermostat (phase 7) and the statistics gather (phase
-//! 8). Each is a gather-shaped half and, where every rank needs the
-//! answer, a broadcast half, so a thread driving two roles can interleave
-//! them (see [`crate::engine`]).
+//! 8). Each is a gather to rank 0 and, where every rank needs the answer,
+//! a broadcast back.
 
 use pcdlb_core::protocol::tags;
 use pcdlb_md::observe;
@@ -42,19 +41,25 @@ impl Bookkeeping {
 }
 
 impl PeState {
-    /// Rebuild-decision collective, gather half (`skin > 0` only —
-    /// returns `None` with `skin == 0`, where every step re-bins and no
-    /// messages flow, keeping the legacy wire sequence byte-identical).
+    /// Rebuild-decision collective: whether this step re-binds the world.
+    /// With `skin == 0` every step does, and no messages flow.
     ///
     /// Each rank folds its owned particles' predicted per-step travel
     /// into a local max and gathers it to rank 0 under
     /// `tags::REBUILD_GATHER`; the root folds the per-rank maxima
     /// (`f64::max` is order-independent, so the result equals the serial
-    /// reference's whole-system max bitwise). Feed the result to
-    /// [`PeState::rebuild_apply`].
-    pub(crate) fn rebuild_gather(&mut self, comm: &mut Comm) -> Option<Option<f64>> {
+    /// reference's whole-system max bitwise) and broadcasts it back.
+    /// Every rank advances its displacement tracker by it and decides.
+    /// The decision is a pure function of replicated state (tracker +
+    /// global max + the checkpoint cadence), so every rank — and the
+    /// serial reference — picks the identical step sequence.
+    /// Checkpoint-cadence steps are *forced* rebuild steps whether or
+    /// not a checkpoint is actually taken: restores re-bin from wrapped
+    /// positions, so the cadence itself must be a rebuild boundary in
+    /// every schedule that could be compared against.
+    pub(crate) fn rebuild_vote(&mut self, comm: &mut Comm, step: u64) -> bool {
         if self.cfg.skin == 0.0 {
-            return None;
+            return true;
         }
         let dt = self.cfg.dt;
         let per_column = self.force.per_column(&mut self.columns);
@@ -62,25 +67,7 @@ impl PeState {
             max.max(verlet::max_predicted_travel2(slab.particles(), forces, dt))
         });
         let gathered = collectives::gather(comm, tags::REBUILD_GATHER, local);
-        Some(gathered.map(|locals| locals.into_iter().fold(0.0f64, f64::max)))
-    }
-
-    /// Rebuild-decision collective, broadcast-and-decide half: broadcast
-    /// the global max predicted travel from rank 0, advance the
-    /// displacement tracker, and decide whether this step re-binds the
-    /// world. The decision is a pure function of replicated state
-    /// (tracker + global max + the checkpoint cadence), so every rank —
-    /// and the serial reference — picks the identical step sequence.
-    /// Checkpoint-cadence steps are *forced* rebuild steps whether or
-    /// not a checkpoint is actually taken: restores re-bin from wrapped
-    /// positions, so the cadence itself must be a rebuild boundary in
-    /// every schedule that could be compared against.
-    pub(crate) fn rebuild_apply(
-        &mut self,
-        comm: &mut Comm,
-        step: u64,
-        root_max: Option<f64>,
-    ) -> bool {
+        let root_max = gathered.map(|locals| locals.into_iter().fold(0.0f64, f64::max));
         let gmax2 = collectives::bcast(comm, tags::REBUILD_BCAST, root_max);
         let vote = &mut self.bookkeeping;
         vote.tracker.advance(gmax2, self.cfg.dt);
@@ -94,35 +81,29 @@ impl PeState {
         rebuild
     }
 
-    /// Phase 7, gather half: periodic global velocity rescale via an
-    /// id-ordered kinetic energy sum (bitwise identical to the serial
-    /// reference). Returns `None` when the thermostat does not fire this
-    /// step, otherwise `Some(scale)` where `scale` is the factor computed
-    /// on the gather root (rank 0) and `None` elsewhere — feed it to
-    /// [`PeState::thermostat_apply`].
-    pub(crate) fn thermostat_gather(&mut self, comm: &mut Comm, step: u64) -> Option<Option<f64>> {
+    /// Phase 7: periodic global velocity rescale via an id-ordered
+    /// kinetic energy sum (bitwise identical to the serial reference),
+    /// on the steps the thermostat fires. Rank 0 computes the scale
+    /// factor from the gathered energies and broadcasts it; every PE
+    /// rescales its velocities.
+    pub(crate) fn thermostat(&mut self, comm: &mut Comm, step: u64) {
         let th = self.cfg.thermostat();
         if !th.fires_at(step) {
-            return None;
+            return;
         }
         let kes: Vec<(u64, f64)> = self
             .particles()
             .map(|p| (p.id, 0.5 * p.vel.norm2()))
             .collect();
         let gathered = collectives::gather(comm, tags::KE_GATHER, kes);
-        Some(gathered.map(|chunks| {
+        let scale = gathered.map(|chunks| {
             let mut all: Vec<(u64, f64)> = chunks.into_iter().flatten().collect();
             all.sort_unstable_by_key(|&(id, _)| id);
             debug_assert_eq!(all.len(), self.cfg.n_particles);
             let ke: f64 = all.iter().map(|&(_, k)| k).sum();
             let t_now = observe::temperature_from_ke(ke, self.cfg.n_particles);
             th.scale_factor(t_now)
-        }))
-    }
-
-    /// Phase 7, broadcast-and-apply half: broadcast the scale factor from
-    /// rank 0 and rescale this PE's velocities.
-    pub(crate) fn thermostat_apply(&mut self, comm: &mut Comm, scale: Option<f64>) {
+        });
         let s = collectives::bcast(comm, tags::KE_BCAST, scale);
         for slab in self.columns.values_mut() {
             for p in slab.particles_mut() {
@@ -200,7 +181,6 @@ mod tests {
             let laps: Vec<f64> = pcdlb_mp::World::new(cfg.p)
                 .with_cost_model(crate::decomp::cost_model(shape, &cfg))
                 .run(|comm| {
-                    let roles = [comm.rank()];
                     let none = crate::launch::LaunchPlan::default();
                     let start = crate::engine::Start::Fresh(&initial, &none);
                     let program = crate::engine::Program {
@@ -209,7 +189,7 @@ mod tests {
                         snapshot: false,
                         drain: false,
                     };
-                    crate::engine::run_roles(comm, &cfg, program, &roles, start, None);
+                    crate::engine::run_pe(comm, &cfg, program, start, None);
                     comm.lap_virtual_comm()
                 });
             assert!(laps.iter().all(|&l| l == 0.0), "{shape:?}: {laps:?}");

@@ -384,7 +384,6 @@ impl PeState {
             self.refresh_caches();
         }
         let delta_ok = self.cfg.delta_ghosts;
-        let epoch = comm.epoch();
         for i in 0..self.topology.neighbors().len() {
             let nb = self.topology.neighbors()[i];
             let mut buf = self.exchange.step_pool.checkout();
@@ -421,7 +420,6 @@ impl PeState {
                 }
             }
             if exchange != Exchange::Refresh {
-                chan.sync_epoch(epoch);
                 chan.encode_into(delta_ok, &mut frame.ghosts);
             }
             self.wire.dlb += decision_bytes as u64;
@@ -845,17 +843,17 @@ mod tests {
             cfg.steps = 24;
             crate::decomp::validate(&cfg, shape);
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                let mut pes = [(comm.rank(), fresh(comm.rank(), &cfg, shape))];
-                crate::engine::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
-                crate::engine::announce_loads(comm, &mut pes);
-                let mut orders = vec![refresh_orders(&pes[0].1)];
+                let mut pe = fresh(comm.rank(), &cfg, shape);
+                crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
+                crate::engine::announce_loads(comm, &mut pe);
+                let mut orders = vec![refresh_orders(&pe)];
                 let mut transfers = 0;
                 for step in 1..=cfg.steps {
-                    let recs = crate::engine::step_multi(comm, &cfg, &mut pes, step);
-                    transfers += recs[0].as_ref().map_or(0, |r| r.transfers);
-                    orders.push(refresh_orders(&pes[0].1));
+                    let rec = crate::engine::step_pe(comm, &mut pe, step);
+                    transfers += rec.map_or(0, |r| r.transfers);
+                    orders.push(refresh_orders(&pe));
                 }
-                (pes[0].1.neighbors().to_vec(), orders, transfers)
+                (pe.neighbors().to_vec(), orders, transfers)
             });
             let transfers = ranks[0].2;
             assert_eq!(
@@ -884,8 +882,8 @@ mod tests {
         }
     }
 
-    /// Run `cfg.steps` steps of the cube on the engine, one role per
-    /// rank, after `setup` has had its way with each fresh PE; `look`
+    /// Run `cfg.steps` steps of the cube on the engine, one PE per rank,
+    /// after `setup` has had its way with each fresh PE; `look`
     /// reads each PE when the steps are done.
     fn drive_cube<T: Send>(
         cfg: &RunConfig,
@@ -901,15 +899,13 @@ mod tests {
                 let none = crate::launch::LaunchPlan::default();
                 let mut pe = PeState::new(comm.rank(), cfg, shape, &initial, &none);
                 setup(&mut pe);
-                let mut pes = [(comm.rank(), pe)];
-                crate::engine::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
+                crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
                 let _ = comm.lap_virtual_comm();
                 let mut records = Vec::new();
                 for step in 1..=cfg.steps {
-                    let recs = crate::engine::step_multi(comm, cfg, &mut pes, step);
-                    records.extend(recs.into_iter().flatten());
+                    records.extend(crate::engine::step_pe(comm, &mut pe, step));
                 }
-                (records, look(&pes[0].1, comm))
+                (records, look(&pe, comm))
             })
     }
 

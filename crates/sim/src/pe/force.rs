@@ -393,10 +393,9 @@ mod tests {
                 let plan = crate::launch::launch_plan(shape, &cfg, 0, &work, false);
                 assert!(!plan.decisions.is_empty(), "{shape:?}: nothing planned");
                 let measured = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                    let pe = PeState::new(comm.rank(), &cfg, shape, &initial, &plan);
-                    let mut pes = [(comm.rank(), pe)];
-                    crate::engine::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
-                    pes[0].1.force.load().to_bits()
+                    let mut pe = PeState::new(comm.rank(), &cfg, shape, &initial, &plan);
+                    crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
+                    pe.force.load().to_bits()
                 });
                 let planned: Vec<u64> = plan.loads.iter().map(|l| l.to_bits()).collect();
                 assert_eq!(measured, planned, "{shape:?}, time: {}", cfg.speed_aware);

@@ -45,7 +45,7 @@
 //! name, whose fields nothing outside the module writes — and the
 //! `PeState` methods that run its phases; [`PeState`] itself holds what
 //! all of them work on. The sequence of the phases is
-//! [`crate::engine`]'s `step_multi`.
+//! [`crate::engine`]'s `step_pe`.
 
 mod audit;
 mod balance;
@@ -140,7 +140,7 @@ pub struct PeState {
     ghosts: Slabs,
     /// The step currently being computed (the checkpointed step after a
     /// restore, before the first live step). Feeds the speed schedule so
-    /// drifting speeds replay bitwise across restarts and takeovers.
+    /// drifting speeds replay bitwise across restarts.
     cur_step: u64,
     /// Per-phase actual-vs-baseline byte accounting for this rank.
     wire: WireBytes,
@@ -280,8 +280,7 @@ impl PeState {
     }
 
     /// Mark the step about to be computed (feeds the per-step speed
-    /// schedule). Called at the top of every step by both the single-role
-    /// and the dual-role drivers.
+    /// schedule). Called at the top of every step.
     pub(crate) fn begin_step(&mut self, step: u64) {
         self.cur_step = step;
     }

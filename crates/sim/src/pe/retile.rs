@@ -86,13 +86,6 @@ impl PeState {
         power >= 2 && power > self.balance.last_rebuild() - base
     }
 
-    /// The check, gather half: every owned column with its work (see
-    /// [`PeState::column_checks`]) and particle count to rank 0, which
-    /// gets the whole work map back (`None` elsewhere).
-    pub(crate) fn retile_gather(&mut self, comm: &mut Comm) -> Option<Vec<Held>> {
-        collectives::gather(comm, tags::RETILE_GATHER, self.held())
-    }
-
     /// This PE's part of the work map.
     fn held(&self) -> Held {
         let mut around = Vec::new();
@@ -102,16 +95,13 @@ impl PeState {
         self.columns.iter().map(&mut column).collect()
     }
 
-    /// The check, decision half: rank 0 decides on the gathered work map
-    /// and broadcasts what it decided — `None` keeps the tiling. A re-tile
-    /// plans from who holds what: the decisions still pending are dropped
-    /// before the step's round 1.
-    pub(crate) fn retile_decide(
-        &mut self,
-        comm: &mut Comm,
-        step: u64,
-        held: Option<Vec<Held>>,
-    ) -> Option<Arc<Retile>> {
+    /// The check: every owned column with its work (see
+    /// [`PeState::column_checks`]) and particle count goes to rank 0,
+    /// which decides on the whole work map and broadcasts what it decided
+    /// — `None` keeps the tiling. A re-tile plans from who holds what: the
+    /// decisions still pending are dropped before the step's round 1.
+    pub(crate) fn retile_check(&mut self, comm: &mut Comm, step: u64) -> Option<Arc<Retile>> {
+        let held = collectives::gather(comm, tags::RETILE_GATHER, self.held());
         let (model, since) = (*comm.cost_model(), step - self.chosen_at());
         let decided = held.map(|held| check(&self.cfg, step, since, &held, &model).map(Arc::new));
         let retile: Option<Arc<Retile>> = collectives::bcast(comm, tags::RETILE_BCAST, decided);
@@ -234,14 +224,13 @@ mod tests {
                 if follow {
                     pe.follow_the_load(0);
                 }
-                let mut pes = [(comm.rank(), pe)];
-                crate::engine::exchange_ghosts_and_compute(comm, &mut pes, Exchange::Shells);
-                crate::engine::announce_loads(comm, &mut pes);
+                crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
+                crate::engine::announce_loads(comm, &mut pe);
                 let _ = comm.lap_virtual_comm();
                 (1..=cfg.steps)
                     .map(|step| {
-                        crate::engine::step_multi(comm, cfg, &mut pes, step);
-                        each(step, &mut pes[0].1, comm)
+                        crate::engine::step_pe(comm, &mut pe, step);
+                        each(step, &mut pe, comm)
                     })
                     .collect()
             })
@@ -329,7 +318,7 @@ mod tests {
     fn the_checks_count_doubling_steps_from_the_last_time_the_tiles_were_chosen() {
         // A walk over steps 1..=60 of rank 0 of a re-tiling run, its
         // rebuild steps given by `rebuilds`, with a re-tile written into
-        // the history at step 34 as `retile_decide` writes one: the steps
+        // the history at step 34 as `retile_check` writes one: the steps
         // `retile_due` checks.
         let cfg = cluster(9);
         let placed = Placed::new(&cfg, &initial_particles(&cfg));

@@ -50,8 +50,7 @@ pub struct SimCheckpoint {
     /// The tiling the run stands on at the checkpointed step — the one it
     /// was launched on ([`crate::launch`]) or last re-tiled to: which PE is
     /// home to which column, and so which columns are permanent. A
-    /// relaunch, a takeover adoption and a sentinel rollback all rebuild
-    /// their views on it.
+    /// relaunch and a sentinel rollback both rebuild their views on it.
     pub tiling: PillarLayout,
     /// Rank 0's step records for steps `1..=md.step`.
     pub records: Vec<StepRecord>,
@@ -372,20 +371,17 @@ pub(crate) mod tests {
         cfg
     }
 
-    /// Relaunch from the last checkpoint, with or without the takeover
-    /// rung above it.
-    fn ladder(takeover: bool) -> Ladder {
+    /// Relaunch from the last checkpoint.
+    fn ladder() -> Ladder {
         Ladder {
             max_attempts: 3,
-            takeover,
             plan: ResizePlan::new(),
         }
     }
 
-    fn fault_free(cfg: &RunConfig, takeover: bool) -> LadderOutcome {
-        let launch = Launch::new();
-        launch
-            .run_resilient(cfg, &ladder(takeover))
+    fn fault_free(cfg: &RunConfig) -> LadderOutcome {
+        Launch::new()
+            .run_resilient(cfg, &ladder())
             .expect("no faults")
     }
 
@@ -684,7 +680,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_run_restored_between_its_checks_checks_where_it_would_have() {
-        use crate::engine::{run_roles, Program, Start};
+        use crate::engine::{run_pe, Program, Start};
         use crate::launch::{launch_plan, Placed};
         use pcdlb_domain::DomainShape;
         use std::sync::Mutex;
@@ -723,19 +719,13 @@ pub(crate) mod tests {
         let placed = Placed::new(&to_5, &initial_particles(&to_5));
         let plan = launch_plan(shape, &to_5, 0, &placed.column_work(), true);
         let drain = program(false, true);
-        world().run(|comm| {
-            let (roles, start) = ([comm.rank()], Start::Fresh(&placed, &plan));
-            run_roles(comm, &to_5, drain, &roles, start, Some(&sink))
-        });
+        let start = Start::Fresh(&placed, &plan);
+        world().run(|comm| run_pe(comm, &to_5, drain, start, Some(&sink)));
         let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
         assert_eq!((at_5.md.step, steps(&at_5.retiles)), (5, vec![2]));
         let resume = program(true, false);
-        let mut restored = world().run(|comm| {
-            let (roles, start) = ([comm.rank()], Start::Restore(&at_5));
-            run_roles(comm, &cfg, resume, &roles, start, None)
-                .swap_remove(0)
-                .1
-        });
+        let start = Start::Restore(&at_5);
+        let mut restored = world().run(|comm| run_pe(comm, &cfg, resume, start, None));
         let rank0 = restored.swap_remove(0);
         let report = rank0.report.expect("rank 0 reports");
         let snapshot = rank0.snapshot.expect("rank 0 gathers the snapshot");
@@ -749,7 +739,7 @@ pub(crate) mod tests {
     #[test]
     fn recovery_without_faults_completes_in_one_attempt() {
         let cfg = recovery_cfg();
-        let out = fault_free(&cfg, false);
+        let out = fault_free(&cfg);
         assert_eq!(out.attempts, 1);
         assert!(out.failures.is_empty());
         let (rep, snap) = run_with_snapshot(&cfg);
@@ -762,13 +752,13 @@ pub(crate) mod tests {
     fn recovery_restores_the_last_checkpoint_and_matches_bitwise() {
         use pcdlb_mp::FaultPlan;
         let cfg = recovery_cfg();
-        let reference = fault_free(&cfg, false);
+        let reference = fault_free(&cfg);
         // Kill rank 2 deep enough into the run that a checkpoint exists
         // (it sends some four messages a step: step 5's gather is its
         // 25th or so).
         let kill = |launch, rank| (launch == 0 && rank == 2).then(|| FaultPlan::kill_at(90));
         let out = faulted(kill)
-            .run_resilient(&cfg, &ladder(false))
+            .run_resilient(&cfg, &ladder())
             .expect("second attempt recovers");
         assert_eq!(out.attempts, 2);
         assert_eq!(out.failures.len(), 1);
@@ -794,27 +784,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn takeover_on_and_off_agree_bitwise_without_faults() {
-        // The same loop on a world with and without takeover mode: with no
-        // death to register, the completion handshake is all that differs,
-        // and it is digest-neutral.
-        let cfg = recovery_cfg();
-        let out = fault_free(&cfg, true);
-        assert_eq!(out.attempts, 1);
-        assert_eq!(out.takeovers, 0);
-        assert!(out.failures.is_empty());
-        let reference = fault_free(&cfg, false);
-        assert_eq!(out.digest, reference.digest);
-        assert_eq!(out.snapshot, reference.snapshot);
-    }
-
-    #[test]
-    fn takeover_runs_with_sentinel_are_digest_neutral() {
+    fn resilient_runs_with_sentinel_are_digest_neutral() {
         let cfg = recovery_cfg();
         let mut watched = recovery_cfg();
         watched.sentinel_interval = 4;
-        let plain = fault_free(&cfg, true);
-        let out = fault_free(&watched, true);
+        let plain = fault_free(&cfg);
+        let out = fault_free(&watched);
         assert_eq!(out.attempts, 1, "the sentinel is quiet");
         assert_eq!(
             out.digest, plain.digest,
@@ -825,54 +800,8 @@ pub(crate) mod tests {
 
     #[cfg(feature = "check")]
     #[test]
-    fn takeover_absorbs_one_death_without_a_relaunch() {
-        use pcdlb_mp::FaultPlan;
-        let cfg = recovery_cfg();
-        let reference = fault_free(&cfg, false);
-        // Kill rank 2 mid-run: its east buddy (rank 3 on the 2×2 torus)
-        // must adopt virtual rank 2 and the same launch must complete
-        // degraded on 3 OS threads.
-        let kill = |launch, rank| (launch == 0 && rank == 2).then(|| FaultPlan::kill_at(90));
-        let out = faulted(kill)
-            .run_resilient(&cfg, &ladder(true))
-            .expect("the launch absorbs the death in place");
-        assert_eq!(out.attempts, 1, "a single death must not cost a relaunch");
-        assert_eq!(out.takeovers, 1);
-        assert!(out.failures.is_empty());
-        assert_eq!(
-            out.digest, reference.digest,
-            "degraded run must be bitwise identical to the uninterrupted run"
-        );
-        assert_eq!(out.snapshot, reference.snapshot);
-    }
-
-    #[cfg(feature = "check")]
-    #[test]
-    fn second_death_escalates_to_a_full_relaunch() {
-        use pcdlb_mp::FaultPlan;
-        let cfg = recovery_cfg();
-        let reference = fault_free(&cfg, false);
-        // Two ranks die in launch 0: the first is absorbed, the second
-        // aborts the degraded world, and launch 1 completes clean.
-        let kills = |launch, rank| match (launch, rank) {
-            (0, 1) => Some(FaultPlan::kill_at(68)),
-            (0, 2) => Some(FaultPlan::kill_at(90)),
-            _ => None,
-        };
-        let out = faulted(kills)
-            .run_resilient(&cfg, &ladder(true))
-            .expect("the relaunch recovers");
-        assert_eq!(out.attempts, 2, "two deaths must fall back to a relaunch");
-        assert_eq!(out.takeovers, 0, "the completing launch was undegraded");
-        assert_eq!(out.failures.len(), 1);
-        assert_eq!(out.digest, reference.digest);
-        assert_eq!(out.snapshot, reference.snapshot);
-    }
-
-    #[cfg(feature = "check")]
-    #[test]
     fn a_working_balancer_survives_a_death_bitwise() {
-        use crate::engine::{run_roles, Program, Start};
+        use crate::engine::{run_pe, Program, Start};
         use crate::launch::{launch_plan, Placed};
         use pcdlb_core::protocol::tags;
         use pcdlb_domain::DomainShape;
@@ -882,10 +811,9 @@ pub(crate) mod tests {
         // Which neighbour is offered the cell is a pure function of the
         // loads in hand, the pending decisions and the ownership view —
         // all of which a checkpoint carries — so a run restored from a
-        // checkpoint, or carried on by a buddy, makes the same transfers
-        // as the uninterrupted one.
+        // checkpoint makes the same transfers as the uninterrupted one.
         let cfg = busy_balancer_cfg();
-        let reference = fault_free(&cfg, false);
+        let reference = fault_free(&cfg);
         // The checkpoint the relaunch restores — step 5's, taken here by
         // a run that drains there — carries a pending decision: the
         // restored ranks land it and book its work before they decide.
@@ -900,10 +828,8 @@ pub(crate) mod tests {
             snapshot: false,
             drain: true,
         };
-        pcdlb_mp::World::new(to_5.p).run(|comm| {
-            let (roles, start) = ([comm.rank()], Start::Fresh(&placed, &plan));
-            run_roles(comm, &to_5, program, &roles, start, Some(&sink))
-        });
+        let start = Start::Fresh(&placed, &plan);
+        pcdlb_mp::World::new(to_5.p).run(|comm| run_pe(comm, &to_5, program, start, Some(&sink)));
         let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
         assert_eq!(at_5.md.step, 5);
         assert!(!at_5.transfers.is_empty(), "nothing pending at step 5");
@@ -912,7 +838,7 @@ pub(crate) mod tests {
         // decided on what the checkpoint at step 5 had to carry.
         let in_step_6 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 5);
         let kill = move |launch, rank| (launch == 0 && rank == 4).then(in_step_6);
-        let relaunched = faulted(kill).run_resilient(&cfg, &ladder(false));
+        let relaunched = faulted(kill).run_resilient(&cfg, &ladder());
         let relaunched = relaunched.expect("recovers");
         assert_eq!(relaunched.attempts, 2, "the run was restored, not replayed");
         assert_eq!(
@@ -920,23 +846,17 @@ pub(crate) mod tests {
             "relaunch from a checkpoint"
         );
         assert_eq!(relaunched.snapshot, reference.snapshot);
-        let absorbed = faulted(kill).run_resilient(&cfg, &ladder(true));
-        let absorbed = absorbed.expect("absorbed");
-        assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));
-        assert_eq!(absorbed.digest, reference.digest, "buddy takeover");
-        assert_eq!(absorbed.snapshot, reference.snapshot);
     }
 
     #[cfg(feature = "check")]
     #[test]
-    fn a_run_on_uneven_tiles_is_restored_and_carried_on_bitwise() {
+    fn a_run_on_uneven_tiles_is_restored_bitwise() {
         use pcdlb_core::protocol::tags;
         use pcdlb_mp::collectives::ctag;
         use pcdlb_mp::FaultPlan;
         // The benchmark's `cluster_dlb_p9` to the letter, a sentinel
         // watching. The tiling is part of what a checkpoint carries: a
-        // world restored from one, or a buddy adopting a rank, rebuilds
-        // its home tiles — which PE is home to which column, which
+        // world restored from one rebuilds its home tiles — which PE is home to which column, which
         // columns are wall — on the cuts the step-2 check refined from
         // the launch's (2·1·9 × 1·2·9), not on the even ones `cfg` alone
         // implies.
@@ -944,7 +864,7 @@ pub(crate) mod tests {
         cfg.dlb_min_gain = 0.02;
         cfg.seed = 1;
         cfg.sentinel_interval = 4;
-        let reference = fault_free(&cfg, false);
+        let reference = fault_free(&cfg);
         let tiling = reference.report.tiling.expect("a pillar run");
         assert_eq!(tiling.to_string(), "2·1·9 from 0 × 1·3·8 from 2");
         assert_eq!(reference.report.retiles.len(), 1);
@@ -953,20 +873,15 @@ pub(crate) mod tests {
         // checkpoint the relaunch restores.
         let in_step_8 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 7);
         let kill = move |launch, rank| (launch == 0 && rank == 8).then(in_step_8);
-        let relaunched = faulted(kill).run_resilient(&cfg, &ladder(false));
+        let relaunched = faulted(kill).run_resilient(&cfg, &ladder());
         let relaunched = relaunched.expect("recovers");
         assert_eq!(relaunched.attempts, 2, "the run was restored, not replayed");
         assert_eq!(relaunched.digest, reference.digest, "relaunch");
         assert_eq!(relaunched.report.records, reference.report.records);
         assert_eq!(relaunched.snapshot, reference.snapshot);
         assert_eq!(relaunched.report.tiling, Some(tiling));
-        let absorbed = faulted(kill).run_resilient(&cfg, &ladder(true));
-        let absorbed = absorbed.expect("absorbed");
-        assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));
-        assert_eq!(absorbed.digest, reference.digest, "buddy takeover");
-        assert_eq!(absorbed.snapshot, reference.snapshot);
         assert_eq!(
-            absorbed.report.cells_per_rank,
+            relaunched.report.cells_per_rank,
             reference.report.cells_per_rank
         );
     }
@@ -979,11 +894,10 @@ pub(crate) mod tests {
         use pcdlb_mp::FaultPlan;
         // The launch plan is a pure function of the configuration and the
         // initial condition, so a world that starts over from step 0 — a
-        // relaunch with no checkpoint to restore, a buddy carrying on a
-        // rank that died before the first one — starts where the first
+        // relaunch with no checkpoint to restore — starts where the first
         // launch started, and ends where an uninterrupted run ends.
         let cfg = busy_balancer_cfg();
-        let reference = fault_free(&cfg, false);
+        let reference = fault_free(&cfg);
         let tiling = reference.report.tiling.expect("a pillar run");
         assert!(!tiling.is_even(), "the tiles are cut through the cluster");
         assert!(reference.report.launch_transfers > 0);
@@ -991,7 +905,7 @@ pub(crate) mod tests {
         // before the first checkpoint.
         let in_step_3 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 2);
         let kill = move |launch, rank| (launch == 0 && rank == 4).then(in_step_3);
-        let relaunched = faulted(kill).run_resilient(&cfg, &ladder(false));
+        let relaunched = faulted(kill).run_resilient(&cfg, &ladder());
         let relaunched = relaunched.expect("recovers");
         assert_eq!(relaunched.attempts, 2);
         assert_eq!(
@@ -1005,12 +919,6 @@ pub(crate) mod tests {
             reference.report.launch_transfers
         );
         assert_eq!(relaunched.report.tiling, Some(tiling));
-        let absorbed = faulted(kill).run_resilient(&cfg, &ladder(true));
-        let absorbed = absorbed.expect("absorbed");
-        assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));
-        assert_eq!(absorbed.digest, reference.digest, "buddy takeover");
-        assert_eq!(absorbed.report.records, reference.report.records);
-        assert_eq!(absorbed.snapshot, reference.snapshot);
     }
 
     #[cfg(feature = "check")]
@@ -1025,8 +933,7 @@ pub(crate) mod tests {
         // the move are the step's messages like any other, and the re-tile
         // is a pure function of the state the check sees, so a world that
         // dies inside such a step — in the check's gather, or sending a
-        // moved column — replays it to the bit, by relaunch or by takeover:
-        // the step-10 check from the checkpoint of step 5, the step-2 move
+        // moved column — replays it to the bit by relaunch: the step-10 check from the checkpoint of step 5, the step-2 move
         // from the launch. One that dies after the checkpoint of step 10
         // restores onto the tiling the step-10 re-tile left, counts its
         // checks from there and makes the last two as the run did.
@@ -1038,7 +945,7 @@ pub(crate) mod tests {
         cfg.checkpoint_interval = 5;
         cfg.sentinel_interval = 4;
         cfg.comm = recovery_cfg().comm;
-        let reference = fault_free(&cfg, false);
+        let reference = fault_free(&cfg);
         let retiled: Vec<u64> = reference.report.retiles.iter().map(|r| r.0).collect();
         assert_eq!(retiled, [2, 10, 14, 16]);
         let tiling = reference.report.retiles[3].1;
@@ -1054,7 +961,7 @@ pub(crate) mod tests {
         let in_step_11 = || FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 10);
         let kill = move |launch, rank| (launch == 0 && rank == 5).then(in_step_11);
         let restored = faulted(kill)
-            .run_resilient(&cfg, &ladder(false))
+            .run_resilient(&cfg, &ladder())
             .expect("recovers");
         assert_eq!(restored.attempts, 2);
         parity(&restored, "restored between the re-tiles");
@@ -1070,21 +977,11 @@ pub(crate) mod tests {
                 let kill = move |launch, r| {
                     (launch == 0 && r == rank).then(|| FaultPlan::kill_on_tag(tag, nth))
                 };
-                let out = faulted(kill)
-                    .run_resilient(&cfg, &ladder(false))
-                    .expect(what);
-                (out.attempts == 2).then_some((rank, out))
+                let out = faulted(kill).run_resilient(&cfg, &ladder()).expect(what);
+                (out.attempts == 2).then_some(out)
             });
-            let (rank, relaunched) = fired.unwrap_or_else(|| panic!("no {what} kill fired"));
+            let relaunched = fired.unwrap_or_else(|| panic!("no {what} kill fired"));
             parity(&relaunched, what);
-            let kill = move |launch, r| {
-                (launch == 0 && r == rank).then(|| FaultPlan::kill_on_tag(tag, nth))
-            };
-            let absorbed = faulted(kill)
-                .run_resilient(&cfg, &ladder(true))
-                .expect(what);
-            assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1), "{what}");
-            parity(&absorbed, what);
         }
     }
 
@@ -1094,7 +991,7 @@ pub(crate) mod tests {
         use pcdlb_mp::FaultPlan;
         let cfg = recovery_cfg();
         let err = faulted(|_launch, rank| (rank == 1).then(|| FaultPlan::kill_at(3)))
-            .run_resilient(&cfg, &ladder(false))
+            .run_resilient(&cfg, &ladder())
             .expect_err("every attempt dies");
         assert_eq!(err.attempts, 3);
         assert_eq!(err.failures.len(), 3);
@@ -1114,11 +1011,7 @@ pub(crate) mod tests {
         let launch = Launch::new().on_start(move |_launch, comm| {
             watchdogs.lock().unwrap().push(comm.watchdog());
         });
-        for takeover in [false, true] {
-            launch
-                .run_resilient(&cfg, &ladder(takeover))
-                .expect("no faults");
-        }
-        assert_eq!(*seen.lock().unwrap(), [cfg.comm.watchdog; 8]);
+        launch.run_resilient(&cfg, &ladder()).expect("no faults");
+        assert_eq!(*seen.lock().unwrap(), [cfg.comm.watchdog; 4]);
     }
 }

@@ -169,8 +169,7 @@ pub struct RunReport {
     /// Cells each PE owned after the last step, in rank order — where the
     /// balancer left the domains. One entry per rank of the world that
     /// finished the run: after a resize that is the last generation's
-    /// ranks only, and after a takeover an adopted rank is still listed
-    /// under its own number. Not part of any digest.
+    /// ranks only. Not part of any digest.
     pub cells_per_rank: Vec<usize>,
     /// Transfers the run's launch plans made before a first step ran
     /// (`launch_plan` in `pcdlb_sim`; summed over the generations of a

@@ -219,45 +219,53 @@ fn checkpoint_cadence_forces_rebuild_boundaries() {
 /// fresh epoch exactly as the uninterrupted run did — so the mid-epoch
 /// refresh frames that follow carry the same ghosts and are charged the
 /// same canonical bytes: every reported `t_step` and the final state are
-/// bitwise those of the uninterrupted run, whether the death is healed by
-/// a relaunch or absorbed in place by the buddy.
+/// bitwise those of the uninterrupted run. Two worlds: the 2 × 2 DDM gas
+/// and a 3 × 3 clustered world whose balancer moves columns (and whose
+/// tiles follow the load) while the epochs run.
 #[cfg(feature = "check")]
 #[test]
 fn skin_epochs_restore_across_the_checkpoint_cadence_bitwise() {
     use pcdlb_core::protocol::tags;
     use pcdlb_mp::collectives::ctag;
     use pcdlb_mp::FaultPlan;
-    use pcdlb_sim::{digest_recovery, Ladder};
-    let mut c = cfg(4, Mode::Verlet);
-    c.checkpoint_interval = 7;
-    c.comm.poll = std::time::Duration::from_millis(2);
-    c.comm.watchdog = std::time::Duration::from_secs(20);
-    let (report, snap) = run_with_snapshot(&c);
-    let mid_epoch = report.records.iter().filter(|r| !r.rebuilt).count();
-    assert!(mid_epoch > STEPS as usize / 2, "the epochs engage");
-    let reference = digest_recovery(&report, &snap, c.load_metric);
-    // Rank 2 dies on its eighth stats gather: in step 8, the first step
-    // of the epoch the checkpoint at step 7 opened.
-    let killed = Launch::new().on_start(|launch, comm| {
-        if launch == 0 && comm.rank() == 2 {
-            comm.set_fault_plan(FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 7));
+    use pcdlb_sim::{digest_recovery, Ladder, Lattice};
+    let gas = cfg(4, Mode::Verlet);
+    let mut cluster = cfg(9, Mode::Verlet);
+    cluster.lattice = Lattice::Cluster { fill: 0.8 };
+    cluster.dlb = true;
+    cluster.dlb_min_gain = 0.0;
+    // Rank 2 of the gas, the 3 × 3 torus's centre rank 4.
+    for (mut c, rank) in [(gas, 2), (cluster, 4)] {
+        c.checkpoint_interval = 7;
+        c.comm.poll = std::time::Duration::from_millis(2);
+        c.comm.watchdog = std::time::Duration::from_secs(20);
+        let what = format!("P = {}", c.p);
+        let (report, snap) = run_with_snapshot(&c);
+        assert_bitwise_equal(&snap, &run_serial(&c), &what);
+        let mid_epoch = report.records.iter().filter(|r| !r.rebuilt).count();
+        assert!(mid_epoch > STEPS as usize / 2, "{what}: the epochs engage");
+        if c.dlb {
+            let moved: u32 = report.records.iter().map(|r| r.transfers).sum();
+            assert!(moved > 0, "{what}: the balancer moves columns");
         }
-    });
-    let ladder = |takeover| Ladder {
-        max_attempts: 3,
-        takeover,
-        ..Ladder::default()
-    };
-    let relaunched = killed.run_resilient(&c, &ladder(false));
-    let relaunched = relaunched.expect("the relaunch recovers");
-    assert_eq!(relaunched.attempts, 2, "the run was restored, not replayed");
-    assert_eq!(relaunched.digest, reference, "relaunch from a checkpoint");
-    assert_bitwise_equal(&relaunched.snapshot, &snap, "relaunch from a checkpoint");
-    let absorbed = killed.run_resilient(&c, &ladder(true));
-    let absorbed = absorbed.expect("the buddy absorbs it");
-    assert_eq!((absorbed.attempts, absorbed.takeovers), (1, 1));
-    assert_eq!(absorbed.digest, reference, "buddy takeover");
-    assert_bitwise_equal(&absorbed.snapshot, &snap, "buddy takeover");
+        let reference = digest_recovery(&report, &snap, c.load_metric);
+        // The rank dies on its eighth stats gather: in step 8, the first
+        // step of the epoch the checkpoint at step 7 opened.
+        let killed = Launch::new().on_start(move |launch, comm| {
+            if launch == 0 && comm.rank() == rank {
+                comm.set_fault_plan(FaultPlan::kill_on_tag(ctag(tags::STATS, 0), 7));
+            }
+        });
+        let ladder = Ladder {
+            max_attempts: 3,
+            ..Ladder::default()
+        };
+        let relaunched = killed.run_resilient(&c, &ladder);
+        let relaunched = relaunched.expect("the relaunch recovers");
+        assert_eq!(relaunched.attempts, 2, "{what}: restored, not replayed");
+        assert_eq!(relaunched.digest, reference, "{what}: relaunch");
+        assert_bitwise_equal(&relaunched.snapshot, &snap, &what);
+    }
 }
 
 #[test]

@@ -22,10 +22,9 @@ fn recovery_cfg() -> RunConfig {
     cfg
 }
 
-fn ladder(takeover: bool, plan: ResizePlan) -> Ladder {
+fn ladder(plan: ResizePlan) -> Ladder {
     Ladder {
         max_attempts: 3,
-        takeover,
         plan,
     }
 }
@@ -42,9 +41,8 @@ fn every_rung_matches_the_plain_launch_and_serial_bitwise() {
     // with them the digest) are its own; the physics is everybody's.
     let grow_and_shrink = ResizePlan::new().resize(8, 16).resize(16, 4);
     for (rung, ladder, generations) in [
-        ("relaunch", ladder(false, ResizePlan::new()), 1),
-        ("takeover", ladder(true, ResizePlan::new()), 1),
-        ("4 → 16 → 4", ladder(true, grow_and_shrink), 3),
+        ("relaunch", ladder(ResizePlan::new()), 1),
+        ("4 → 16 → 4", ladder(grow_and_shrink), 3),
     ] {
         let out = Launch::new()
             .run_resilient(&cfg, &ladder)
@@ -56,7 +54,7 @@ fn every_rung_matches_the_plain_launch_and_serial_bitwise() {
         assert_eq!(out.snapshot, serial, "{rung}");
         assert_eq!(out.generations.len(), generations, "{rung}");
         assert_eq!(out.attempts, generations, "{rung}: one launch each");
-        assert!(out.failures.is_empty() && out.takeovers == 0, "{rung}");
+        assert!(out.failures.is_empty(), "{rung}");
     }
 }
 
@@ -97,18 +95,15 @@ fn illegal_compositions_are_refused_before_any_rank_starts() {
     let skinned = cfg.clone();
     let plan = ResizePlan::new().resize(6, 9);
     let why = refusal(move || {
-        let _ = Launch::new().run_resilient(&skinned, &ladder(true, plan));
+        let _ = Launch::new().run_resilient(&skinned, &ladder(plan));
     });
     assert!(why.contains("does not support skin epochs"), "{why}");
     // The assertion belongs to the plan, not to the ladder: the same
-    // config keeps its world and runs its skin epochs under every rung.
-    let serial = run_serial(&cfg);
-    for takeover in [false, true] {
-        let out = Launch::new().run_resilient(&cfg, &ladder(takeover, ResizePlan::new()));
-        assert_eq!(
-            out.expect("no faults").snapshot,
-            serial,
-            "skin epochs, takeover {takeover}"
-        );
-    }
+    // config keeps its world and runs its skin epochs under relaunch.
+    let out = Launch::new().run_resilient(&cfg, &ladder(ResizePlan::new()));
+    assert_eq!(
+        out.expect("no faults").snapshot,
+        run_serial(&cfg),
+        "skin epochs"
+    );
 }

@@ -116,7 +116,6 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     ladder.checkpoint_interval = 5;
     ladder.sentinel_interval = 5;
     let rungs = Ladder {
-        takeover: true,
         plan: ResizePlan::new().resize(10, 16).resize(20, 9),
         ..Ladder::default()
     };
