@@ -30,22 +30,27 @@
 //!
 //! # Ghost shell frames and delta encoding
 //!
-//! Ghosts ship as `(id, position)` pairs only ([`GhostPart`], 32 bytes):
-//! force evaluation never reads a ghost's velocity, so the 24 velocity
-//! bytes of a full `Particle` never cross the wire. There is no column or
-//! block directory either — the receiver re-bins each ghost by its
-//! position, which also makes empty-cell traffic vanish structurally.
+//! Ghosts ship as `(id, position)` pairs only ([`GhostPart`]): force
+//! evaluation never reads a ghost's velocity, so the 24 velocity bytes of
+//! a full `Particle` never cross the wire. There is no column or block
+//! directory either — the receiver re-bins each ghost by its position,
+//! which also makes empty-cell traffic vanish structurally. A full frame
+//! lists its ghosts in ascending id order, so the ids travel as unsigned
+//! LEB128 gaps — the first id raw, then each id minus the one before, 7
+//! value bits per byte — ahead of the positions, 24 bytes each: a ghost
+//! whose id follows its predecessor's by less than 128 costs 25 bytes,
+//! one that follows by less than 16384 costs 26.
 //!
 //! Between steps, shell membership is mostly stable and positions move by
 //! ~`dt·v`, so a [`DeltaChannel`] pairs each (neighbour, direction) with
 //! its previous frame and sends the diff: a survival bitmap over the
 //! previous membership (ascending id), the survivors' new positions (24
-//! bytes each), and the arrivals (32 bytes each). The sender computes
-//! both encodings' exact sizes and ships whichever is smaller, so a
-//! membership discontinuity (a DLB transfer redrawing the shell, a
-//! moving plane boundary) degrades to a full frame instead of a bloated
-//! delta; an invalid channel — at startup or after a restore — always
-//! sends full. A frame is
+//! bytes each), and the arrivals, gap-encoded like a full frame. The
+//! sender computes both encodings' exact sizes and ships whichever is
+//! smaller, so a membership discontinuity (a DLB transfer redrawing the
+//! shell, a moving plane boundary) degrades to a full frame instead of a
+//! bloated delta; an invalid channel — at startup or after a restore —
+//! always sends full. A frame is
 //! self-describing (`delta` flag), so only the sender needs this logic;
 //! the receiver checks an FNV fingerprint of the membership it holds
 //! against the one the delta was computed from, and a mismatch is a
@@ -79,8 +84,10 @@
 //! # Canonical vs encoded bytes
 //!
 //! [`WireSize::wire_size`] — what the interconnect cost model charges —
-//! is *content-based*: `1 + 8 + 32·n` for a shell frame holding `n`
-//! ghosts, whether it travels as a delta or as a full frame. Virtual
+//! is *content-based*: the full frame's size, `1 + 8 + Σ leb128(gap) +
+//! 24·n` for a shell frame holding `n` ghosts, whether it travels as a
+//! delta or as a full frame (a delta frame carries that size, recorded by
+//! [`DeltaChannel::encode_into`] from the content it decodes to). Virtual
 //! time feeds `t_step` and the run digests, and fallbacks fire on
 //! non-deterministic events (a desync, a restore), so charging the actual
 //! encoding would break bitwise reproducibility. The actual layout size is
@@ -98,7 +105,9 @@ use pcdlb_md::{Particle, Vec3};
 use pcdlb_mp::WireSize;
 
 /// One ghost particle on the wire: id + position. Velocities are never
-/// read from ghosts, so they never travel.
+/// read from ghosts, so they never travel. A ghost has no size of its
+/// own: its id travels as the gap to the id before it in its frame, 1 to
+/// 10 bytes, beside its 24-byte position.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GhostPart {
     /// Particle id.
@@ -107,11 +116,21 @@ pub struct GhostPart {
     pub pos: Vec3,
 }
 
-impl WireSize for GhostPart {
-    fn wire_size(&self) -> usize {
-        // u64 id + 3 × f64 position.
-        32
-    }
+/// Bytes of `v` as an unsigned LEB128 varint: 7 value bits per byte.
+fn leb128_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Bytes of a strictly ascending id list as LEB128 gaps: the first id
+/// raw, then each id minus the one before.
+fn gap_bytes(ids: impl Iterator<Item = u64>) -> usize {
+    let mut prev = 0;
+    ids.map(|id| {
+        let gap = leb128_len(id - prev);
+        prev = id;
+        gap
+    })
+    .sum()
 }
 
 /// FNV-1a over a membership list — the fingerprint a delta frame carries
@@ -205,6 +224,10 @@ pub struct GhostShellFrame {
     pub moved: Vec<Vec3>,
     /// Delta: ghosts not in the previous membership, ascending id.
     pub arrivals: Vec<GhostPart>,
+    /// Delta: gap bytes of the decoded content's ids, recorded by
+    /// [`DeltaChannel::encode_into`] so the frame is charged what its full
+    /// form would be.
+    content_ids: usize,
 }
 
 impl GhostShellFrame {
@@ -217,6 +240,7 @@ impl GhostShellFrame {
         self.survive.clear();
         self.moved.clear();
         self.arrivals.clear();
+        self.content_ids = 0;
     }
 
     /// Number of ghosts the decoded frame holds.
@@ -231,22 +255,28 @@ impl GhostShellFrame {
 
 impl WireSize for GhostShellFrame {
     fn wire_size(&self) -> usize {
-        // Canonical (content-based): delta flag + length-prefixed flat
-        // `(id, pos)` list, regardless of how the frame is encoded.
-        1 + 8 + 32 * self.content_len()
+        // Canonical (content-based): the full frame of the decoded
+        // content — delta flag, length prefix, id gaps, positions —
+        // regardless of how the frame is encoded.
+        let ids = if self.delta {
+            self.content_ids
+        } else {
+            gap_bytes(self.full.iter().map(|g| g.id))
+        };
+        1 + 8 + ids + 24 * self.content_len()
     }
 
     fn encoded_size(&self) -> usize {
         if self.delta {
             // flag + prev_len + prev_check + bitmap + survivor positions
-            // + arrivals (each section length-prefixed).
+            // + gap-encoded arrivals (each section length-prefixed).
             1 + 4
                 + 8
                 + (8 + self.survive.len())
                 + (8 + 24 * self.moved.len())
-                + (8 + 32 * self.arrivals.len())
+                + (8 + gap_bytes(self.arrivals.iter().map(|g| g.id)) + 24 * self.arrivals.len())
         } else {
-            1 + 8 + 32 * self.full.len()
+            self.wire_size()
         }
     }
 }
@@ -320,35 +350,48 @@ impl DeltaChannel {
     /// always produces a full frame. `scratch` is sorted in place and
     /// drained.
     pub fn encode_into(&mut self, delta_ok: bool, frame: &mut GhostShellFrame) {
-        frame.clear();
         self.scratch.sort_unstable_by_key(|e| e.0);
         debug_assert!(
             self.scratch.windows(2).all(|w| w[0].0 < w[1].0),
             "duplicate ghost id staged on a delta channel"
         );
-        // Min-size choice: a merge walk over the two sorted id lists
-        // counts survivors, which fixes both encodings' exact sizes. A
-        // membership discontinuity (a DLB transfer redrew the shell)
-        // simply makes the full frame win — no reset plumbing needed,
-        // since the frame is self-describing either way.
-        let use_delta = delta_ok && self.valid && {
-            let mut survivors = 0usize;
-            let mut j = 0usize;
-            for &id in &self.ids {
-                while j < self.scratch.len() && self.scratch[j].0 < id {
-                    j += 1;
-                }
-                if j < self.scratch.len() && self.scratch[j].0 == id {
-                    survivors += 1;
-                }
+        // Min-size choice. A membership discontinuity (a DLB transfer
+        // redrew the shell) simply makes the full frame win — no reset
+        // plumbing needed, since the frame is self-describing either way.
+        let as_delta = delta_ok && self.valid && self.delta_size() < self.full_size();
+        self.encode_as(as_delta, frame);
+    }
+
+    /// Exact size of the sorted staged content as a full frame.
+    fn full_size(&self) -> usize {
+        9 + gap_bytes(self.scratch.iter().map(|e| e.0)) + 24 * self.scratch.len()
+    }
+
+    /// Exact size of the sorted staged content as a delta against the
+    /// previous frame: section headers, the bitmap, one position per
+    /// ghost and the arrivals' id gaps, which a merge walk over the two
+    /// sorted id lists finds.
+    fn delta_size(&self) -> usize {
+        let (mut arrival_ids, mut prev, mut i) = (0usize, 0u64, 0usize);
+        for &(id, _) in &self.scratch {
+            while i < self.ids.len() && self.ids[i] < id {
+                i += 1;
             }
-            let arrivals = self.scratch.len() - survivors;
-            let delta_size = 37 + self.ids.len().div_ceil(8) + 24 * survivors + 32 * arrivals;
-            let full_size = 9 + 32 * self.scratch.len();
-            delta_size < full_size
-        };
-        if use_delta {
+            if self.ids.get(i) != Some(&id) {
+                arrival_ids += leb128_len(id - prev);
+                prev = id;
+            }
+        }
+        37 + self.ids.len().div_ceil(8) + arrival_ids + 24 * self.scratch.len()
+    }
+
+    /// Write the sorted staged content into `frame`, as a delta or as a
+    /// full frame, then roll the channel forward.
+    pub(crate) fn encode_as(&mut self, delta: bool, frame: &mut GhostShellFrame) {
+        frame.clear();
+        if delta {
             frame.delta = true;
+            frame.content_ids = gap_bytes(self.scratch.iter().map(|e| e.0));
             frame.prev_len = self.ids.len() as u32;
             frame.prev_check = fnv_ids(&self.ids);
             let mut byte = 0u8;
@@ -371,7 +414,6 @@ impl DeltaChannel {
                 }
             }
         } else {
-            frame.delta = false;
             frame
                 .full
                 .extend(self.scratch.iter().map(|&(id, pos)| GhostPart { id, pos }));
@@ -637,23 +679,34 @@ mod tests {
         let mut rx = DeltaChannel::default();
         let mut frame = GhostShellFrame::default();
         let mut out = Vec::new();
-        tx.scratch.extend(shell(10, 0.0));
+        tx.scratch.extend(shell(64, 0.0));
         tx.encode_into(true, &mut frame);
         rx.decode_into(&frame, &mut out).expect("in sync");
-        // Step 2: ids 0,3,…,27 shift; id 0 departs; ids 1 and 50 arrive.
-        let mut next: Vec<(u64, Vec3)> = shell(10, 0.25)[1..].to_vec();
+        // Step 2: ids 3,6,…,189 shift; id 0 departs; ids 1 and 500 arrive.
+        let mut next: Vec<(u64, Vec3)> = shell(64, 0.25)[1..].to_vec();
         next.push((1, Vec3::new(9.0, 9.0, 9.0)));
-        next.push((50, Vec3::new(2.0, 2.0, 2.0)));
+        next.push((500, Vec3::new(2.0, 2.0, 2.0)));
         tx.scratch.extend(next.iter().copied());
         tx.encode_into(true, &mut frame);
         assert!(frame.delta);
-        assert_eq!(frame.moved.len(), 9);
+        assert_eq!(frame.moved.len(), 63);
         assert_eq!(frame.arrivals.len(), 2);
-        // The delta is smaller on the wire than the canonical full frame.
+        // Headers, a 64-bit bitmap, 65 positions, the arrivals' gaps 1
+        // and 499: one survivor id byte saved per 24-byte position.
+        assert_eq!(frame.encoded_size(), 37 + 8 + 24 * 65 + (1 + 2));
+        // The delta is charged its content's full frame: 63 one-byte
+        // gaps, the first id and the gap of 311 to id 500.
+        assert_eq!(frame.wire_size(), 9 + (1 + 63 + 2) + 24 * 65);
         assert!(frame.encoded_size() < frame.wire_size());
         rx.decode_into(&frame, &mut out).expect("in sync");
         next.sort_unstable_by_key(|e| e.0);
         assert_eq!(out, next);
+        let mut fresh = DeltaChannel::default();
+        let mut full = GhostShellFrame::default();
+        fresh.scratch.extend(next.iter().copied());
+        fresh.encode_into(true, &mut full);
+        assert!(!full.delta);
+        assert_eq!(full.wire_size(), frame.wire_size());
     }
 
     #[test]
@@ -676,8 +729,9 @@ mod tests {
     #[test]
     fn total_turnover_ships_full_not_bloated_delta() {
         // Disjoint membership: every previous ghost departs, every new
-        // one arrives. The delta (bitmap + 32-byte arrivals) would exceed
-        // the full frame, so the sender must pick full.
+        // one arrives. The delta (section headers + bitmap + the same
+        // gap-encoded ghosts) would exceed the full frame, so the sender
+        // must pick full.
         let mut tx = DeltaChannel::default();
         let mut rx = DeltaChannel::default();
         let mut frame = GhostShellFrame::default();
@@ -732,13 +786,13 @@ mod tests {
         let mut rx = DeltaChannel::default();
         let mut frame = GhostShellFrame::default();
         let mut out = Vec::new();
-        tx.scratch.extend(shell(4, 0.0));
+        tx.scratch.extend(shell(64, 0.0));
         tx.encode_into(true, &mut frame);
         rx.decode_into(&frame, &mut out).expect("in sync");
         // Receiver's membership record diverges (simulated corruption):
         // same length, different ids, so the fingerprint catches it.
         rx.poison_membership();
-        tx.scratch.extend(shell(4, 0.1));
+        tx.scratch.extend(shell(64, 0.1));
         tx.encode_into(true, &mut frame);
         assert!(frame.delta, "stable shell must have shipped a delta");
         let err = rx
@@ -760,7 +814,7 @@ mod tests {
         // ...and a full frame (what the resync request elicits from the
         // sender) heals the stream completely.
         tx.reset();
-        let content = shell(4, 0.2);
+        let content = shell(64, 0.2);
         tx.scratch.extend(content.iter().copied());
         tx.encode_into(true, &mut frame);
         assert!(!frame.delta, "reset sender must fall back to full");
@@ -768,7 +822,7 @@ mod tests {
             .expect("full frame resyncs");
         assert_eq!(out, content);
         // Back in steady state: deltas flow again.
-        tx.scratch.extend(shell(4, 0.3));
+        tx.scratch.extend(shell(64, 0.3));
         tx.encode_into(true, &mut frame);
         assert!(frame.delta);
         rx.decode_into(&frame, &mut out).expect("in sync again");
@@ -776,18 +830,62 @@ mod tests {
 
     #[test]
     fn shell_frame_canonical_size_is_content_based() {
+        // Gaps 0, 1, 127, 16384, 1 take 1 + 1 + 1 + 3 + 1 = 7 bytes.
+        let content: Vec<(u64, Vec3)> = [0u64, 1, 128, 16512, 16513]
+            .iter()
+            .map(|&id| (id, Vec3::new(id as f64, 0.5, 0.25)))
+            .collect();
         let mut tx = DeltaChannel::default();
+        let mut rx = DeltaChannel::default();
         let mut frame = GhostShellFrame::default();
-        tx.scratch.extend(shell(7, 0.0));
+        let mut out = Vec::new();
+        tx.scratch.extend(content.iter().copied());
         tx.encode_into(true, &mut frame);
-        let full_wire = frame.wire_size();
-        assert_eq!(full_wire, 1 + 8 + 32 * 7);
-        tx.scratch.extend(shell(7, 0.5));
-        tx.encode_into(true, &mut frame);
+        assert!(!frame.delta);
+        assert_eq!(frame.wire_size(), 9 + 7 + 5 * 24);
+        assert_eq!(frame.wire_size(), 136);
+        assert_eq!(frame.encoded_size(), 136);
+        rx.decode_into(&frame, &mut out).expect("in sync");
+        // The same content as a delta against itself: every id survives,
+        // so 5 positions travel behind 37 header bytes and a 1-byte
+        // bitmap — larger than the full frame, which the min-size choice
+        // therefore ships, but charged the same 136 bytes when it travels.
+        tx.scratch.extend(content.iter().copied());
+        tx.encode_as(true, &mut frame);
         assert!(frame.delta);
-        // Same content count ⇒ same canonical size, different encoding.
-        assert_eq!(frame.wire_size(), full_wire);
-        assert_eq!(frame.encoded_size(), 1 + 4 + 8 + (8 + 1) + (8 + 24 * 7) + 8);
+        assert_eq!(frame.wire_size(), 136);
+        assert_eq!(frame.encoded_size(), 37 + 1 + 5 * 24);
+        rx.decode_into(&frame, &mut out).expect("in sync");
+        assert_eq!(out, content);
+        tx.scratch.extend(content.iter().copied());
+        tx.encode_into(true, &mut frame);
+        assert!(!frame.delta, "a larger delta never ships");
+        assert_eq!(frame.wire_size(), 136);
+    }
+
+    #[test]
+    fn a_delta_ships_only_when_strictly_smaller_than_the_full_frame() {
+        // n ids 200 apart, all surviving: the delta costs 28 bytes of
+        // headers and a ⌈n/8⌉-byte bitmap where the full frame costs two
+        // gap bytes per id. At n = 15 both take 399 bytes and the full
+        // frame ships; at n = 16 the delta is 2 bytes smaller.
+        for (n, delta) in [(15u64, false), (16, true)] {
+            let content: Vec<(u64, Vec3)> = (1..=n)
+                .map(|i| (i * 200, Vec3::new(i as f64, 0.0, 0.0)))
+                .collect();
+            let mut tx = DeltaChannel::default();
+            let mut frame = GhostShellFrame::default();
+            tx.scratch.extend(content.iter().copied());
+            tx.encode_into(true, &mut frame);
+            let full = frame.encoded_size();
+            assert_eq!(full, 9 + 2 * n as usize + 24 * n as usize);
+            tx.scratch.extend(content.iter().copied());
+            tx.encode_into(true, &mut frame);
+            assert_eq!(frame.delta, delta, "n = {n}");
+            let as_delta = 37 + (n as usize).div_ceil(8) + 24 * n as usize;
+            assert_eq!(frame.encoded_size(), full.min(as_delta));
+            assert_eq!(frame.wire_size(), full);
+        }
     }
 
     #[test]

@@ -377,7 +377,7 @@ fn the_papers_scenario_launches_on_its_permanent_cells() {
         assert_eq!(record.f_max, floor, "step {}", step + 1);
         let t = record.t_step;
         assert!(
-            (0.0156..0.0160).contains(&t),
+            (0.01551..0.01591).contains(&t),
             "step {} took {t} model_s",
             step + 1
         );
