@@ -87,28 +87,6 @@ impl SpeedSchedule {
     }
 }
 
-/// Test-only fault injection: corrupt one rank's ghost delta receive
-/// channel (neighbour index `nbr`) until a desync fires once, exercising
-/// the degrade-and-resync path end to end. `None` in production.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DesyncInject {
-    /// Rank whose receive channel is corrupted.
-    pub rank: usize,
-    /// Index into that rank's ascending neighbour list.
-    pub nbr: usize,
-    /// How many desyncs to force, back to back (a "resync storm"). Each
-    /// corruption fires on the first delta frame after the previous
-    /// resync completes (the hook leaves a stream that is waiting for its
-    /// full frame alone), so with `skin == 0` `times` mismatches degrade
-    /// exactly `times` steps on the two-round path and `2 × times` on the
-    /// single-exchange path, where the frame in flight behind the failed
-    /// one is lost too; inside a skin epoch delta frames flow on rebuild
-    /// steps only, and one mismatch degrades that neighbour until the
-    /// next rebuild (each degraded step counts). 0 is treated as 1.
-    pub times: u32,
-}
-
 /// Initial particle placement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Lattice {
@@ -396,13 +374,12 @@ pub struct RunConfig {
     /// to the last checkpoint. Like checkpointing, the sentinel gather is
     /// excluded from the per-step stats, so it never perturbs `t_step`.
     pub sentinel_interval: u64,
-    /// Delta-encode ghost shell frames against the previous step's frame
-    /// per (neighbour, direction). The sender ships whichever encoding is
-    /// smaller per frame (a redrawn shell degrades to a full frame), and
-    /// always sends full on an invalid channel (startup, restore).
-    /// Affects only the actual bytes on the wire
-    /// (`bytes_on_wire` counters); the cost model charges the canonical
-    /// content-based size either way, so digests are identical on and off.
+    /// Inert: read by nothing. It selected a delta layout for ghost shell
+    /// frames, deleted because it never reached the cost model and saved
+    /// ~3 % of ghost bytes against the gap-encoded shell frame that is now
+    /// the only layout (DESIGN.md, "Comm-volume diet"). The field stays
+    /// only because the frozen benchmark spells out every field of its
+    /// `RunConfig` literal, like [`RunConfig::overlap`].
     pub delta_ghosts: bool,
     /// Heterogeneous-machine emulation: per-PE speed factors, optionally
     /// drifting over time (see [`SpeedSchedule`]). `None` (the default)
@@ -420,9 +397,11 @@ pub struct RunConfig {
     /// (reporting still shows time), which is the baseline the bench
     /// compares against. No effect without a schedule.
     pub speed_aware: bool,
-    /// Test-only ghost-desync fault injection; `None` in production.
+    /// Inert: `None` is the only value it can hold. It injected faults
+    /// into the delta layout's stream state, which went with that layout;
+    /// it stays for the same reason as [`RunConfig::delta_ghosts`].
     #[doc(hidden)]
-    pub ghost_desync_inject: Option<DesyncInject>,
+    pub ghost_desync_inject: Option<std::convert::Infallible>,
     /// Message-layer configuration: poll/watchdog deadlines, retry and
     /// retransmission budgets, failure-detector horizons, and — for chaos
     /// runs — a seeded lossy-transport profile. The default preserves the

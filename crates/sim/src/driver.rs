@@ -419,7 +419,6 @@ fn assemble(mut results: Vec<PeResult>, launch_transfers: usize) -> Run {
     let comm_virtual: f64 = results.iter().map(|r| r.comm_stats.virtual_comm_s).sum();
     let msgs: u64 = results.iter().map(|r| r.comm_stats.msgs_sent).sum();
     let bytes: u64 = results.iter().map(|r| r.comm_stats.bytes_sent).sum();
-    let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
     let retransmits: u64 = results.iter().map(|r| r.comm_stats.retransmits).sum();
     let suspicions: u64 = results.iter().map(|r| r.comm_stats.suspicions).sum();
     let cells_per_rank: Vec<usize> = results.iter().map(|r| r.cells).collect();
@@ -428,7 +427,6 @@ fn assemble(mut results: Vec<PeResult>, launch_transfers: usize) -> Run {
     report.comm_virtual_s = comm_virtual;
     report.msgs_sent = msgs;
     report.bytes_sent = bytes;
-    report.ghost_desyncs = desyncs;
     report.retransmits = retransmits;
     report.suspicions = suspicions;
     report.cells_per_rank = cells_per_rank;

@@ -151,7 +151,6 @@ pub(crate) fn run_pe(
         comm_stats: comm.stats(),
         phase_times: pe.phase_times(),
         wire_bytes: pe.wire_bytes(),
-        ghost_desyncs: pe.ghost_desyncs(),
         cells: pe.owned_cells(),
     }
 }

@@ -3,10 +3,9 @@
 //! `tags::STEP_FRAME`, in the three kinds of [`Exchange`] — round 1 and
 //! the shells of a two-round rebuild step, a mid-epoch refresh written
 //! through the slot routes, or migrants and ghosts in a single frame.
-//! Ghost sections are `(id, pos)` pairs delta-encoded per channel (see
-//! [`crate::frame`]); a stream that cannot be applied is a *desync* — the
-//! receiver degrades for the step and asks for a full frame with the
-//! resync bit of its next one. What the balancer puts into a step's first
+//! A ghost section is the whole boundary shell as `(id, pos)` pairs, ids
+//! ascending (see [`crate::frame`]); a mid-epoch refresh is its positions
+//! alone. What the balancer puts into a step's first
 //! frame and hears from it is [`super::balance`]'s; the first frames of a
 //! balancing run's rebuild step also carry, as migrants, the particles of
 //! the columns whose transfers landed at the top of the step.
@@ -53,24 +52,10 @@ pub(super) struct Channels {
     migrate_staging: BTreeMap<Col, Vec<Particle>>,
     /// Per-neighbour emigrant staging.
     migrate_out: Vec<Vec<Particle>>,
-    /// Per-neighbour ghost delta channels, send side: reset when the peer
-    /// asks for a resync, so the next frame is a full fallback.
-    send_chan: Vec<DeltaChannel>,
-    /// Per-neighbour ghost delta channels, receive side. Never reset in
-    /// steady state — a full frame is self-describing and resynchronises
-    /// the channel on arrival. A [`DesyncError`](crate::frame::DesyncError)
-    /// resets the channel and raises the matching `ghost_resync_req` bit.
-    recv_chan: Vec<DeltaChannel>,
-    /// Per-neighbour ghost-resync requests, pending for the next frame
-    /// that can carry one (see [`Channels::desync`]).
-    ghost_resync_req: Vec<bool>,
-    /// Ghost frames that could not be applied — a delta decode that
-    /// failed, a mid-epoch refresh that did not fit the recorded routes —
-    /// and were absorbed by degrading.
-    ghost_desyncs: u64,
-    /// Desyncs the test-only [`DesyncInject`](crate::config::DesyncInject)
-    /// hook has forced so far.
-    desyncs_injected: u32,
+    /// Per-neighbour ghost shell codecs: the shell for a neighbour is
+    /// staged on its codec and packed from there, and its frames are
+    /// unpacked through the same codec.
+    codec: Vec<DeltaChannel>,
     /// A single-exchange step's own departers whose new cell borders this
     /// PE: it ships them away and keeps seeing them as ghosts, so they
     /// are staged at the send and binned with the received ghosts.
@@ -82,7 +67,7 @@ pub(super) struct Channels {
     /// Retained ghost re-binning staging; key set kept equal to the
     /// ghost columns' so the per-step scatter reuses every allocation.
     ghost_staging: BTreeMap<Col, Vec<Particle>>,
-    /// Retained delta-decode output scratch.
+    /// Retained decode output scratch.
     ghost_decode: Vec<(u64, Vec3)>,
     /// Per-neighbour in-place ghost update routes, recorded at each
     /// rebuild step ([`PeState::record_ghost_slot_routes`]): the slot
@@ -100,19 +85,11 @@ impl Channels {
     pub(super) fn new(n_nbrs: usize) -> Self {
         Self {
             migrate_out: vec![Vec::new(); n_nbrs],
-            send_chan: (0..n_nbrs).map(|_| DeltaChannel::default()).collect(),
-            recv_chan: (0..n_nbrs).map(|_| DeltaChannel::default()).collect(),
-            ghost_resync_req: vec![false; n_nbrs],
+            codec: (0..n_nbrs).map(|_| DeltaChannel::default()).collect(),
             ghost_tally: vec![(0, 0); n_nbrs],
             ghost_slot_routes: vec![Vec::new(); n_nbrs],
             ..Self::default()
         }
-    }
-
-    /// Ghost frames that could not be applied and were absorbed by
-    /// degrading (always 0 on a healthy protocol).
-    pub(super) fn desyncs(&self) -> u64 {
-        self.ghost_desyncs
     }
 
     /// Keep the staging key sets equal to the owned and the ghost
@@ -136,20 +113,6 @@ impl Channels {
             .unwrap_or_else(|| panic!("rank {rank}: missing storage for owned column {col:?}"))
             .push(*p);
     }
-
-    /// A ghost frame from neighbour `i` could not be applied: degrade —
-    /// run this step without that neighbour's (fresh) ghosts — and ask
-    /// for a full-frame resync in the next frame that can carry the
-    /// request rather than killing the world over one bad stream. On the
-    /// two-round path that is the next rebuild step's round 1, and the
-    /// same step's round 2 heals the stream. A single-exchange rank's
-    /// next frame crosses the peer's next frame in flight: that one is
-    /// still a delta against the lost state and is dropped (and counted)
-    /// the same way, and the full frame arrives one rebuild step later.
-    fn desync(&mut self, i: usize) {
-        self.ghost_resync_req[i] = true;
-        self.ghost_desyncs += 1;
-    }
 }
 
 impl PeState {
@@ -157,7 +120,7 @@ impl PeState {
     /// `migrate_staging`, departers into `migrate_out` by new owner. With
     /// `announce` (the single-exchange step) a departer is also staged as
     /// a ghost for everyone but its new owner whose cells border its new
-    /// cell — on the neighbour's send channel, or in `kept_ghosts` when
+    /// cell — on the neighbour's codec, or in `kept_ghosts` when
     /// that is this PE — since no round 2 of the new owner will carry it.
     fn rebin_owned(&mut self, announce: bool) {
         let ch = &mut self.exchange;
@@ -195,8 +158,8 @@ impl PeState {
                         if r == rank {
                             ch.kept_ghosts.push((p.id, p.pos));
                         } else {
-                            let chan = &mut ch.send_chan[topology.index_of(r)];
-                            chan.scratch.push((p.id, p.pos));
+                            let codec = &mut ch.codec[topology.index_of(r)];
+                            codec.scratch.push((p.id, p.pos));
                         }
                     }
                 }
@@ -254,13 +217,9 @@ impl PeState {
         }
     }
 
-    /// Fill the migrant section of the frame for neighbour `i` — its
-    /// emigrants by id, plus a pending ghost-resync request (zero wire
-    /// bytes: it rides the presence header) — and account its bytes.
+    /// Fill the migrant section of the frame for neighbour `i` with its
+    /// emigrants by id, and account its bytes.
     fn fill_migrants(&mut self, i: usize, frame: &mut StepFrame) {
-        // A ghost frame that could not be applied asks this neighbour to
-        // restart its delta stream with a full frame.
-        frame.resync = std::mem::take(&mut self.exchange.ghost_resync_req[i]);
         let out = &self.exchange.migrate_out[i];
         frame.migrants.parts.extend_from_slice(out);
         // Deterministic payloads: order emigrants by id.
@@ -313,7 +272,7 @@ impl PeState {
             // The decision section stays on the balancer's account.
             let decision_bytes = frame.decision_size();
             self.wire.dlb += decision_bytes as u64;
-            self.wire.migrate += (frame.encoded_size() - decision_bytes) as u64;
+            self.wire.migrate += (frame.wire_size() - decision_bytes) as u64;
             comm.send(nb, tags::STEP_FRAME, Arc::clone(&buf));
             self.exchange.step_pool.checkin(buf);
         }
@@ -337,12 +296,6 @@ impl PeState {
                 incoming.has_migrants && !incoming.has_ghosts,
                 "rank {rank}: round-1 frame from {nb} has the wrong sections"
             );
-            if incoming.resync {
-                // The peer could not apply one of our ghost frames:
-                // restart the stream so this step's round-2 frame (sent
-                // after round-1 receives) arrives full and resyncs it.
-                self.exchange.send_chan[i].reset();
-            }
             self.balance.hear(nb, incoming.load, incoming.decision);
             self.stage_immigrants(&incoming.migrants.parts);
         }
@@ -354,13 +307,12 @@ impl PeState {
     /// Phase 4 (round 2), send half: post the boundary-shell ghosts to
     /// the neighbours, one pooled [`StepFrame`] per neighbour along the
     /// cached routes. Each frame ships `(id, pos)` pairs only — no
-    /// velocities, no column directory, nothing for empty cells — and is
-    /// delta-encoded against the previous rebuild step's frame on the
-    /// same channel whenever the channel is valid (see [`DeltaChannel`]).
+    /// velocities, no column directory, nothing for empty cells — packed
+    /// by the neighbour's [`DeltaChannel`].
     ///
     /// [`Exchange::Refresh`] (mid-epoch): the shells are frozen, the frame
     /// is a positions-only refresh packed straight off the same routes,
-    /// and the delta channels are not touched.
+    /// and the codecs are not touched.
     ///
     /// [`Exchange::Single`]: phase 2 happens here too. The PE re-bins
     /// locally first and each frame carries both sections — *migrants*,
@@ -383,7 +335,6 @@ impl PeState {
         } else {
             self.refresh_caches();
         }
-        let delta_ok = self.cfg.delta_ghosts;
         for i in 0..self.topology.neighbors().len() {
             let nb = self.topology.neighbors()[i];
             let mut buf = self.exchange.step_pool.checkout();
@@ -397,16 +348,11 @@ impl PeState {
                     // The decision section stays on the balancer's account.
                     decision_bytes = frame.decision_size();
                     migrant_bytes =
-                        frame.migrants.encoded_size() + frame.load.map_or(0, |l| l.wire_size());
+                        frame.migrants.wire_size() + frame.load.map_or(0, |l| l.wire_size());
                 }
-                Exchange::Refresh => {
-                    frame.begin_refresh();
-                    if self.topology.exchanges_once() {
-                        frame.resync = std::mem::take(&mut self.exchange.ghost_resync_req[i]);
-                    }
-                }
+                Exchange::Refresh => frame.begin_refresh(),
             }
-            let chan = &mut self.exchange.send_chan[i];
+            let codec = &mut self.exchange.codec[i];
             let mut baseline = 8u64;
             for (col, span) in &self.topology.ghost_routes()[i] {
                 let slab = &self.columns[col];
@@ -416,15 +362,16 @@ impl PeState {
                 if exchange == Exchange::Refresh {
                     frame.refresh.pos.extend(parts.iter().map(|p| p.pos));
                 } else {
-                    chan.scratch.extend(parts.iter().map(|p| (p.id, p.pos)));
+                    codec.scratch.extend(parts.iter().map(|p| (p.id, p.pos)));
                 }
             }
             if exchange != Exchange::Refresh {
-                chan.encode_into(delta_ok, &mut frame.ghosts);
+                // (The flag is ignored: a shell has one layout.)
+                codec.encode_into(false, &mut frame.ghosts);
             }
             self.wire.dlb += decision_bytes as u64;
             self.wire.migrate += migrant_bytes as u64;
-            self.wire.ghost += (frame.encoded_size() - migrant_bytes - decision_bytes) as u64;
+            self.wire.ghost += (frame.wire_size() - migrant_bytes - decision_bytes) as u64;
             // Pre-diet layout: full particles with a per-column directory.
             self.wire.ghost_baseline += baseline;
             comm.send(nb, tags::STEP_FRAME, Arc::clone(&buf));
@@ -434,11 +381,10 @@ impl PeState {
     }
 
     /// Phase 4 (round 2), receive half. On rebuild steps (every step with
-    /// `skin == 0`): decode the neighbours' ghost frames through the
-    /// per-channel delta state, re-bin each ghost by its position into
-    /// the retained staging lists, and rebuild the ghost slabs in place —
-    /// same `(cell, id)` order as before, no allocation in the steady
-    /// state; an [`Exchange::Single`] frame also brings the step's
+    /// `skin == 0`): decode the neighbours' ghost frames, re-bin each
+    /// ghost by its position into the retained staging lists, and
+    /// rebuild the ghost slabs in place — same `(cell, id)` order as
+    /// before, no allocation in the steady state; an [`Exchange::Single`] frame also brings the step's
     /// immigrants, which are merged into the owned columns. Mid-epoch
     /// ([`Exchange::Refresh`]): the frames are positions-only refreshes of
     /// the identical membership, written straight into the frozen slab
@@ -492,40 +438,12 @@ impl PeState {
                 "rank {rank}: rebuild-step ghost frame from {nb} has the wrong sections"
             );
             if single {
-                if frame.resync {
-                    // Too late for the frame in hand (the peer sent it
-                    // before it saw ours): its next rebuild frame is full.
-                    self.exchange.send_chan[i].reset();
-                }
                 self.balance.hear(nb, frame.load, frame.decision);
-                // Whatever becomes of the ghost section, the migrants are
-                // applied: they exist nowhere else any more.
                 self.stage_immigrants(&frame.migrants.parts);
             }
             let ch = &mut self.exchange;
-            // Fault-injection hook (tests only): corrupt this channel's
-            // membership record, whenever the stream is healthy, until
-            // `times` desyncs have fired — back-to-back corruptions model
-            // a resync storm.
-            let poisoned = self.cfg.ghost_desync_inject.is_some_and(|inject| {
-                inject.rank == rank
-                    && inject.nbr == i
-                    && ch.desyncs_injected < inject.times.max(1)
-                    && ch.recv_chan[i].is_valid()
-            });
-            if poisoned {
-                ch.recv_chan[i].poison_membership();
-            }
             let mut decoded = std::mem::take(&mut ch.ghost_decode);
-            if ch.recv_chan[i]
-                .decode_into(&frame.ghosts, &mut decoded)
-                .is_err()
-            {
-                // A desynchronised delta stream: the decode delivered
-                // nothing and reset the channel.
-                ch.desync(i);
-                ch.desyncs_injected += poisoned as u32;
-            }
+            let Ok(()) = ch.codec[i].decode_into(&frame.ghosts, &mut decoded);
             for &(id, pos) in &decoded {
                 self.stage_ghost(id, pos);
             }
@@ -570,9 +488,9 @@ impl PeState {
     /// neighbour's pack order without a sort or an id lookup. Each route
     /// is proven against the ghosts this step's frames brought for the
     /// cells that neighbour owns (count and id sum, tallied as they were
-    /// binned — whichever channel carried them: on a single-exchange step
+    /// binned — whichever frame carried them: on a single-exchange step
     /// a particle entering a neighbour's shell is announced by the rank
-    /// it left; after a desync the lost ghosts are in neither), and in
+    /// it left), and in
     /// debug builds every cell's run is checked to be in ascending id
     /// order, since a refresh carries no ids to catch a slot mix-up
     /// later. All buffers are retained.
@@ -626,27 +544,14 @@ impl PeState {
                 frame.has_refresh && !frame.has_ghosts && !frame.has_migrants,
                 "rank {rank}: mid-epoch frame from {nb} has the wrong sections"
             );
-            let ch = &mut self.exchange;
-            if frame.resync {
-                // Only a single-exchange peer asks mid-epoch: its next
-                // rebuild frame is its first chance otherwise, and ours
-                // would cross it.
-                ch.send_chan[i].reset();
-            }
-            let have = ch.ghost_slot_routes[i]
-                .iter()
-                .map(|(_, run)| run.len())
-                .sum();
-            let Ok(mut fresh) = frame.refresh.positions_for(have) else {
-                // The rebuild step's decode from this neighbour desynced,
-                // so none of its ghosts were binned and no route covers
-                // them: they stay out for the rest of the epoch (the
-                // layout is intact) and the next rebuild step heals the
-                // stream.
-                ch.desync(i);
-                continue;
-            };
-            for (col, run) in &ch.ghost_slot_routes[i] {
+            let routes = &self.exchange.ghost_slot_routes[i];
+            let mut fresh = &frame.refresh.pos[..];
+            assert_eq!(
+                fresh.len(),
+                routes.iter().map(|(_, run)| run.len()).sum::<usize>(),
+                "rank {rank}: refresh from {nb} does not cover the ghosts its routes hold"
+            );
+            for (col, run) in routes {
                 let slab =
                     (self.ghosts.get_mut(col)).expect("route targets an expected ghost column");
                 let (now, rest) = fresh.split_at(run.len());
@@ -662,150 +567,12 @@ impl PeState {
 #[cfg(test)]
 mod tests {
     use super::super::initial_particles;
-    use super::super::testkit::{fresh, run_world, shape_cfg};
+    use super::super::testkit::{fresh, shape_cfg};
     use super::*;
     use crate::config::RunConfig;
     use crate::launch::Placed;
     use crate::report::StepRecord;
     use pcdlb_domain::DomainShape;
-
-    /// `shape_cfg` with a poisoned ghost receive channel on rank 1.
-    fn desync_cfg(shape: DomainShape, steps: u64, times: u32) -> RunConfig {
-        let mut cfg = shape_cfg(shape);
-        cfg.steps = steps;
-        cfg.sentinel_interval = 2;
-        cfg.ghost_desync_inject = Some(crate::config::DesyncInject {
-            rank: 1,
-            nbr: 0,
-            times,
-        });
-        cfg
-    }
-
-    /// Ghost frames one forced desync costs with `skin == 0`. Two rounds:
-    /// the resync bit rides the next step's round 1 and that step's
-    /// round 2 is already full — one. Single exchange: the bit rides the
-    /// next step's only frame, which crosses the peer's in flight; that
-    /// one is still a delta against the lost state and is dropped too,
-    /// and the full frame arrives the step after — two.
-    fn frames_lost_per_desync(cfg: &RunConfig, shape: DomainShape) -> u64 {
-        1 + fresh(0, cfg, shape).exchanges_once() as u64
-    }
-
-    #[test]
-    fn ghost_desync_degrades_and_resyncs() {
-        // A poisoned ghost delta channel must not kill the world: the
-        // receiver degrades, requests a full-frame resync via the resync
-        // bit of its next frame, and the stream heals — one forced desync
-        // over the whole run costs exactly the frames in flight until the
-        // full frame can arrive, with conservation intact (the sentinel
-        // would abort the run otherwise; a single-exchange frame's
-        // migrants are applied even when its ghost section is dropped).
-        // In every shape.
-        for shape in DomainShape::ALL {
-            let cfg = desync_cfg(shape, 12, 1);
-            let results = run_world(&cfg, shape);
-            assert_eq!(
-                results.report.ghost_desyncs,
-                frames_lost_per_desync(&cfg, shape),
-                "{shape:?}: the poisoned stream desyncs once and the resync heals it"
-            );
-            let snapshot = results.snapshot.as_ref().expect("rank 0 snapshot");
-            assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
-            // The uninjected run is desync-free.
-            let mut clean_cfg = cfg.clone();
-            clean_cfg.ghost_desync_inject = None;
-            let clean = run_world(&clean_cfg, shape);
-            assert_eq!(clean.report.ghost_desyncs, 0);
-        }
-    }
-
-    #[test]
-    fn ghost_resync_storm_degrades_a_fixed_number_of_steps_per_mismatch() {
-        // Back-to-back fingerprint mismatches on one link: each forced
-        // desync degrades exactly the steps its resync takes (so `times`
-        // corruptions drop exactly `times` × that many frames — never
-        // more), the stream heals after the storm, and the run completes
-        // with conservation intact rather than livelocking in
-        // degrade/resync ping-pong.
-        for shape in DomainShape::ALL {
-            let cfg = desync_cfg(shape, 16, 3);
-            let results = run_world(&cfg, shape);
-            assert_eq!(
-                results.report.ghost_desyncs,
-                3 * frames_lost_per_desync(&cfg, shape),
-                "{shape:?}: a fixed price per injected mismatch, no further echo"
-            );
-            let snapshot = results.snapshot.as_ref().expect("rank 0 snapshot");
-            assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
-        }
-    }
-
-    #[test]
-    fn ghost_resync_storm_in_full_frame_mode_never_desyncs() {
-        // With delta encoding off the sender always ships full frames, so
-        // membership poison has nothing to mismatch against: the storm
-        // injector is inert and the run completes without a single desync
-        // (the full-frame path cannot livelock on resync requests).
-        for shape in DomainShape::ALL {
-            let mut cfg = desync_cfg(shape, 16, 3);
-            cfg.delta_ghosts = false;
-            let results = run_world(&cfg, shape);
-            assert_eq!(
-                results.report.ghost_desyncs, 0,
-                "{shape:?}: full frames decode unconditionally; poison cannot desync them"
-            );
-            let snapshot = results.snapshot.as_ref().expect("rank 0 snapshot");
-            assert_eq!(snapshot.len(), cfg.n_particles);
-        }
-    }
-
-    #[test]
-    fn ghost_desync_inside_a_skin_epoch_degrades_until_the_next_rebuild() {
-        // With frozen epochs a delta stream only flows — and can only
-        // heal — on rebuild steps. One poisoned rebuild-step decode
-        // leaves that neighbour's ghosts out of the slabs, so no route
-        // covers its mid-epoch refreshes: each is a typed, counted
-        // degrade (never a silently refreshed prefix), the resync bit
-        // rides the next rebuild step's round 1, and the full frame it
-        // elicits heals the link. Conservation holds throughout (the
-        // sentinel would abort the run otherwise). In every shape, walked
-        // and replayed.
-        for shape in DomainShape::ALL {
-            for verlet in [false, true] {
-                let mut cfg = desync_cfg(shape, 40, 1);
-                cfg.skin = 0.1;
-                cfg.verlet = verlet;
-                let results = run_world(&cfg, shape);
-                let rebuilds: Vec<u64> = results
-                    .report
-                    .records
-                    .iter()
-                    .filter(|r| r.rebuilt)
-                    .map(|r| r.step)
-                    .collect();
-                assert!(
-                    (3..20).contains(&rebuilds.len()),
-                    "{shape:?}: epochs engage and the run outlasts the heal: {rebuilds:?}"
-                );
-                // The first rebuild step's delta hits the poison; every
-                // step up to the second rebuild step is degraded.
-                assert_eq!(
-                    results.report.ghost_desyncs,
-                    rebuilds[1] - rebuilds[0],
-                    "{shape:?} verlet {verlet}: degraded from step {} until the rebuild at {}",
-                    rebuilds[0],
-                    rebuilds[1]
-                );
-                let snapshot = results.snapshot.as_ref().expect("rank 0 snapshot");
-                assert_eq!(snapshot.len(), cfg.n_particles, "conservation holds");
-                // The uninjected epochs are desync-free.
-                cfg.ghost_desync_inject = None;
-                let clean = run_world(&cfg, shape);
-                assert_eq!(clean.report.ghost_desyncs, 0);
-            }
-        }
-    }
 
     /// Ids in the order this PE packs a refresh for each neighbour, and
     /// in the order it writes each neighbour's refresh into its slabs.
@@ -1005,52 +772,5 @@ mod tests {
                 b.t_step
             );
         }
-    }
-
-    #[test]
-    fn a_desynced_single_exchange_frame_still_delivers_its_migrants() {
-        // Rank 1's first delta from rank 0 is poisoned, and that very
-        // frame carries a particle leaving rank 0 for rank 1: the ghost
-        // section is dropped, the migrant is not — it exists nowhere else
-        // any more.
-        let cfg = desync_cfg(DomainShape::Cube, 1, 1);
-        let initial = initial_particles(&cfg);
-        // Rank 0 is block (0, 0, 0) of 3³ cells; rank 1 lies across
-        // x = L/2, the far face of cell column (2, 0).
-        let half = 0.5 * cfg.box_len();
-        let bin = |v: f64| axis_bin(v, cfg.cell_len(), cfg.nc);
-        let in_edge_column =
-            |p: &&Particle| (bin(p.pos.x), bin(p.pos.y)) == (2, 0) && bin(p.pos.z) < 3;
-        // (The one nearest the face, so the nudge crowds nobody.)
-        let nearest = |a: &&Particle, b: &&Particle| a.pos.x.total_cmp(&b.pos.x);
-        let mover = initial.iter().filter(in_edge_column).max_by(nearest);
-        let mover = mover.expect("the column is populated").id;
-        let seen = drive_cube(
-            &cfg,
-            &initial,
-            |pe| {
-                if pe.rank == 0 {
-                    let slab = pe.columns.get_mut(&Col::new(2, 0)).unwrap();
-                    let p = slab.particles_mut().iter_mut().find(|p| p.id == mover);
-                    let p = p.expect("rank 0 adopted it");
-                    p.pos.x = half - 1e-6;
-                    p.vel.x = 1.0;
-                }
-            },
-            |pe, _| {
-                (
-                    pe.ghost_desyncs(),
-                    pe.particles().map(|p| p.id).collect::<Vec<_>>(),
-                )
-            },
-        );
-        let (desyncs, owned): (Vec<u64>, Vec<&Vec<u64>>) =
-            seen.iter().map(|(_, (d, ids))| (*d, ids)).unzip();
-        assert_eq!(desyncs, [0, 1, 0, 0, 0, 0, 0, 0]);
-        assert!(owned[1].contains(&mover) && !owned[0].contains(&mover));
-        assert_eq!(
-            owned.iter().map(|ids| ids.len()).sum::<usize>(),
-            cfg.n_particles
-        );
     }
 }

@@ -91,10 +91,6 @@ pub struct PeResult {
     pub phase_times: PhaseTimes,
     /// This rank's per-phase actual-vs-baseline byte counts.
     pub wire_bytes: WireBytes,
-    /// Ghost delta decodes this rank absorbed by degrading (skip one
-    /// neighbour's ghosts for a step + full-frame resync). Always 0 on a
-    /// healthy protocol.
-    pub ghost_desyncs: u64,
     /// Cells this rank owned after the last step.
     pub cells: usize,
 }
@@ -295,12 +291,6 @@ impl PeState {
     pub fn wire_bytes(&self) -> WireBytes {
         self.wire
     }
-
-    /// Ghost delta decodes that failed and were absorbed by degrading
-    /// (always 0 on a healthy protocol).
-    pub fn ghost_desyncs(&self) -> u64 {
-        self.exchange.desyncs()
-    }
 }
 
 /// What the modules' tests share: one config per shape, its initial
@@ -334,13 +324,6 @@ mod testkit {
     /// condition (no launch plan).
     pub(super) fn fresh(rank: usize, cfg: &RunConfig, shape: DomainShape) -> PeState {
         PeState::new(rank, cfg, shape, &placed(cfg), &LaunchPlan::default())
-    }
-
-    pub(super) fn run_world(cfg: &RunConfig, shape: DomainShape) -> crate::driver::Run {
-        crate::driver::Launch::new()
-            .shape(shape)
-            .snapshot()
-            .run(cfg)
     }
 }
 

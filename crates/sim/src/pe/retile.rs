@@ -123,7 +123,7 @@ impl PeState {
             frame.parts.extend_from_slice(slab.particles());
         }
         for (to, frame) in frames {
-            self.wire.dlb += frame.encoded_size() as u64;
+            self.wire.dlb += frame.wire_size() as u64;
             comm.send(to, tags::RETILE_XFER, frame);
         }
         mine.len() as u64
@@ -154,8 +154,7 @@ impl PeState {
 
     /// Rebuild every view on the re-tile's tiling and planned ownership,
     /// as a restore rebuilds them from a checkpoint: the decomposition,
-    /// the topology (its caches are redrawn at their next use, and the
-    /// ghost streams ship full frames where the shells changed), the
+    /// the topology (its caches are redrawn at their next use), the
     /// balancer's loads in hand — the plan's, nothing in flight. The
     /// neighbour set is read off the home tiles, before the plan lends
     /// anything: on any rectilinear tiling every rank borders the same

@@ -285,10 +285,6 @@ impl PeState {
                 .or_insert_with(|| CellSlab::empty(nc));
         }
         self.exchange.follow_keys(&self.columns, &self.ghosts);
-        // No delta-channel reset here: an ownership move may redraw the
-        // shells discontinuously, but the sender picks the smaller of
-        // delta and full encodings per frame, so a redrawn shell just
-        // ships as a full frame and both ends roll forward off it.
     }
 
     /// Whether decision `d` can change what [`PeState::refresh_caches`]

@@ -103,22 +103,23 @@ impl PhaseTimes {
     }
 }
 
-/// Actual bytes shipped per communication phase, summed over a run, next
-/// to the bytes the same content would have cost as plain full frames.
-/// "Actual" means the current encoding (delta ghost frames, coalesced
-/// step messages, shell-only ghosts); "baseline" reconstructs the pre-diet
-/// layout (full `Particle` ghosts per route column with an 8-byte
-/// per-column header, separate migrate/load messages). The ratio
-/// `ghost_baseline / ghost` is the comm-volume-diet figure of merit.
+/// Bytes shipped per communication phase, summed over a run, next to the
+/// bytes the same content would have cost in the pre-diet layout. The
+/// shipped bytes are the `wire_size` the cost model charges (coalesced
+/// step messages, shell-only ghosts with gap-encoded ids); "baseline"
+/// reconstructs the pre-diet layout (full `Particle` ghosts per route
+/// column with an 8-byte per-column header, separate migrate/load
+/// messages). The ratio `ghost_baseline / ghost` is the comm-volume-diet
+/// figure of merit.
 /// Deterministic given a deterministic trajectory — unlike [`PhaseTimes`]
 /// these are byte counts, not clocks — so CI can gate on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireBytes {
-    /// Ghost-phase bytes actually shipped (encoded frames).
+    /// Ghost-phase bytes shipped.
     pub ghost: u64,
-    /// Ghost-phase bytes under the pre-diet full-frame layout.
+    /// Ghost-phase bytes under the pre-diet layout.
     pub ghost_baseline: u64,
-    /// Migration-phase bytes actually shipped (round-1 step frames,
+    /// Migration-phase bytes shipped (round-1 step frames,
     /// including the DLB loads that ride along).
     pub migrate: u64,
     /// Migration + load bytes under the pre-diet separate-message layout.
@@ -138,7 +139,7 @@ impl WireBytes {
         self.dlb += other.dlb;
     }
 
-    /// Total bytes actually shipped across tracked phases.
+    /// Total bytes shipped across tracked phases.
     pub fn total(&self) -> u64 {
         self.ghost + self.migrate + self.dlb
     }
@@ -155,9 +156,6 @@ pub struct RunReport {
     pub msgs_sent: u64,
     /// Total bytes sent across all PEs (wire-size accounting).
     pub bytes_sent: u64,
-    /// Ghost delta-channel desyncs summed over all PEs (each one degraded
-    /// a single step on a single link and forced a full-frame resync).
-    pub ghost_desyncs: u64,
     /// Link-layer retransmissions summed over all PEs — always zero over
     /// the perfect in-process transport.
     pub retransmits: u64,

@@ -38,12 +38,6 @@ impl RefEncode for u64 {
     }
 }
 
-impl RefEncode for u32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
-
 impl RefEncode for u8 {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(*self);
@@ -179,21 +173,10 @@ fn encode_ghosts(ghosts: &[GhostPart], out: &mut Vec<u8>) {
 }
 
 impl RefEncode for GhostShellFrame {
-    /// The *actual* layout (what `encoded_size` reports): a 1-byte delta
-    /// flag, then either the compact full list or the delta sections (u32
-    /// prev_len, u64 fingerprint, then the length-prefixed bitmap and
-    /// survivor positions, and the arrivals as a compact list).
+    /// Kind byte 0, then the compact list.
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.delta as u8).encode(out);
-        if self.delta {
-            self.prev_len.encode(out);
-            self.prev_check.encode(out);
-            self.survive.encode(out);
-            self.moved.encode(out);
-            encode_ghosts(&self.arrivals, out);
-        } else {
-            encode_ghosts(&self.full, out);
-        }
+        0u8.encode(out);
+        encode_ghosts(&self.parts, out);
     }
 }
 
@@ -202,8 +185,8 @@ impl RefEncode for GhostShellFrame {
 enum CompactError {
     /// The input ends inside the frame.
     Truncated,
-    /// The flag byte is not a full frame's 0.
-    NotFull(u8),
+    /// The kind byte is not a shell frame's 0.
+    NotShell(u8),
     /// A varint runs past the 10 bytes a `u64` needs.
     VarintTooLong,
     /// A gap, or the id it leads to, exceeds `u64::MAX`.
@@ -256,14 +239,14 @@ impl Reader<'_> {
     }
 }
 
-/// Reference decoder of a full shell frame: flag byte, length prefix, id
+/// Reference decoder of a shell frame: kind byte, length prefix, id
 /// gaps, positions. Every malformed input is a typed error; nothing is
 /// sized from the length prefix, so a lying prefix costs no memory.
 fn decode_full(bytes: &[u8]) -> Result<Vec<GhostPart>, CompactError> {
     let mut r = Reader { bytes };
     match r.take::<1>()? {
         [0] => {}
-        [flag] => return Err(CompactError::NotFull(flag)),
+        [kind] => return Err(CompactError::NotShell(kind)),
     }
     let n = u64::from_le_bytes(r.take::<8>()?);
     let mut ids = Vec::new();
@@ -288,10 +271,10 @@ fn decode_full(bytes: &[u8]) -> Result<Vec<GhostPart>, CompactError> {
 }
 
 impl RefEncode for GhostRefresh {
-    /// The ghost section's third encoding, after full (kind byte 0) and
-    /// delta (1): kind byte 2, then the length-prefixed positions.
+    /// The ghost section's second kind, after the shell frame (kind byte
+    /// 0): kind byte 1, then the length-prefixed positions.
     fn encode(&self, out: &mut Vec<u8>) {
-        2u8.encode(out);
+        1u8.encode(out);
         self.pos.encode(out);
     }
 }
@@ -301,13 +284,10 @@ impl RefEncode for StepFrame {
     /// Option-encoded load, the decision section when its header bit is
     /// set, 1-byte presence header + ghost section (a shell frame or a
     /// mid-epoch refresh; its own first byte says which). The
-    /// ghost-resync request bit rides bit 1 of the round-1 presence
-    /// header and the decision's presence bit 2, so neither costs a wire
-    /// byte.
+    /// decision's presence rides bit 1 of the migrant presence header,
+    /// so it costs no wire byte.
     fn encode(&self, out: &mut Vec<u8>) {
-        let header = (self.has_migrants as u8)
-            | ((self.resync as u8) << 1)
-            | ((self.decision.is_some() as u8) << 2);
+        let header = (self.has_migrants as u8) | ((self.decision.is_some() as u8) << 1);
         header.encode(out);
         if self.has_migrants {
             self.migrants.encode(out);
@@ -345,16 +325,6 @@ fn check<T: WireSize + RefEncode>(value: &T, what: &str) {
         value.wire_size(),
         value.encoded_len(),
         "WireSize mismatch for {what}"
-    );
-}
-
-/// For frames whose canonical and actual layouts diverge (delta ghost
-/// frames): the reference encoder pins the actual layout.
-fn check_encoded<T: WireSize + RefEncode>(value: &T, what: &str) {
-    assert_eq!(
-        value.encoded_size(),
-        value.encoded_len(),
-        "encoded_size mismatch for {what}"
     );
 }
 
@@ -405,14 +375,8 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
         check(&transfer, "decision section");
         dlb.begin_round1(Some(0.75), Some(transfer));
         check(&Arc::new(dlb.clone()), "round-1 step frame with decision");
-        check_encoded(&Arc::new(dlb.clone()), "round-1 step frame with decision");
-        // Canonical = encoded = the frame it always was + the section.
+        // The frame it always was + the section.
         assert_eq!(dlb.wire_size(), plain + 40);
-        let mut resync = StepFrame::default();
-        resync.begin_round1(None, None);
-        resync.resync = true;
-        // The resync bit packs into the presence header: same byte count.
-        check(&Arc::new(resync), "round-1 step frame with resync bit");
     }
     // pe/exchange.rs: STEP_FRAME round 2 — or a single-exchange step's one
     // frame — carries the ghost shell; no message carries a bare one.
@@ -424,26 +388,14 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
             tx.scratch.push((i * 200, Vec3::new(i as f64, 1.0, 1.5)));
         }
         tx.encode_into(true, &mut frame.ghosts);
-        assert!(!frame.ghosts.delta, "first frame is full");
-        check(&Arc::new(frame.clone()), "round-2 step frame, full ghosts");
-        // Second frame on the channel: a real delta (moves + one leave +
-        // one join), enough survivors for the delta to win on size.
-        for i in 1..40u64 {
-            tx.scratch.push((i * 200, Vec3::new(i as f64, 1.25, 1.5)));
-        }
-        tx.scratch.push((11, Vec3::new(3.0, 3.0, 3.0)));
-        tx.encode_into(true, &mut frame.ghosts);
-        assert!(frame.ghosts.delta);
-        check_encoded(&frame.ghosts, "delta ghost shell");
-        check_encoded(&Arc::new(frame.clone()), "round-2 step frame, delta");
-        // The canonical charge stays content-based under either encoding:
-        // ids 11, 200, 400, …, 7800 take 1 + 2 + 38 × 2 gap bytes.
-        assert_eq!(frame.ghosts.wire_size(), 1 + 8 + (1 + 2 + 38 * 2) + 24 * 40);
+        check(&Arc::new(frame.clone()), "round-2 step frame");
+        // Ids 0, 200, 400, …, 7800 take 1 + 39 × 2 gap bytes.
+        assert_eq!(frame.ghosts.wire_size(), 1 + 8 + (1 + 39 * 2) + 24 * 40);
         check(&GhostShellFrame::default(), "empty ghost shell");
     }
     // pe/exchange.rs: STEP_FRAME on a mid-epoch step carries the positions-only
-    // refresh and nothing else — one layout, so canonical == encoded, at
-    // 24 bytes per ghost where the shell frame adds each id's gap.
+    // refresh and nothing else, at 24 bytes per ghost where the shell
+    // frame adds each id's gap.
     {
         let mut frame = StepFrame::default();
         frame.begin_refresh();
@@ -453,10 +405,8 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
             frame.refresh.pos.push(Vec3::new(i as f64, 1.25, 1.5));
         }
         check(&frame.refresh, "ghost refresh");
-        check_encoded(&frame.refresh, "ghost refresh");
         assert_eq!(frame.refresh.wire_size(), 1 + 8 + 24 * 6);
-        check(&Arc::new(frame.clone()), "refresh step frame");
-        check_encoded(&Arc::new(frame), "refresh step frame");
+        check(&Arc::new(frame), "refresh step frame");
     }
     // pe/bookkeeping.rs: KE_GATHER carries Vec<(u64, f64)>.
     check(&vec![(0u64, 0.5f64), (3u64, 1.25f64)], "KE gather");
@@ -492,8 +442,8 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
 }
 
 /// A shell frame holding `ids` (strictly ascending), built the way the
-/// exchange builds one: staged on a channel and encoded full.
-fn full_frame(ids: &[u64]) -> GhostShellFrame {
+/// exchange builds one: staged on a codec and packed.
+fn shell_frame(ids: &[u64]) -> GhostShellFrame {
     let mut tx = DeltaChannel::default();
     tx.scratch.extend(ids.iter().map(|&id| (id, position(id))));
     let mut frame = GhostShellFrame::default();
@@ -505,31 +455,18 @@ fn position(id: u64) -> Vec3 {
     Vec3::new(id as f64, -((id % 97) as f64), 0.5)
 }
 
-/// Both ends' pins on one id set: the full frame's charge is its
-/// reference encoding and decodes back to it, and a delta frame of the
-/// same set, diffed against `prev`, is charged exactly that full frame.
-fn check_compact(prev: &[u64], ids: &[u64]) {
-    let frame = full_frame(ids);
+/// Both ends' pins on one id set: the frame's charge is its reference
+/// encoding, which decodes back to it, and so does the codec.
+fn check_compact(ids: &[u64]) {
+    let frame = shell_frame(ids);
     let mut bytes = Vec::new();
     frame.encode(&mut bytes);
-    assert_eq!(frame.wire_size(), bytes.len(), "full frame of {ids:?}");
-    assert_eq!(frame.encoded_size(), bytes.len());
-    assert_eq!(decode_full(&bytes), Ok(frame.full.clone()));
-    let (mut tx, mut rx) = (DeltaChannel::default(), DeltaChannel::default());
-    let mut delta = GhostShellFrame::default();
+    assert_eq!(frame.wire_size(), bytes.len(), "shell frame of {ids:?}");
+    assert_eq!(decode_full(&bytes), Ok(frame.parts.clone()));
     let mut out = Vec::new();
-    tx.scratch.extend(prev.iter().map(|&id| (id, Vec3::ZERO)));
-    tx.encode_into(false, &mut delta);
-    rx.decode_into(&delta, &mut out)
-        .expect("full frames always decode");
-    tx.scratch.extend(ids.iter().map(|&id| (id, position(id))));
-    tx.encode_as(true, &mut delta);
-    assert!(delta.delta);
-    check_encoded(&delta, "delta ghost shell");
-    rx.decode_into(&delta, &mut out).expect("in sync");
+    let Ok(()) = DeltaChannel::default().decode_into(&frame, &mut out);
     let decoded: Vec<GhostPart> = out.iter().map(|&(id, pos)| GhostPart { id, pos }).collect();
-    assert_eq!(decoded, frame.full);
-    assert_eq!(delta.wire_size(), bytes.len(), "delta frame of {ids:?}");
+    assert_eq!(decoded, frame.parts);
 }
 
 #[test]
@@ -537,13 +474,12 @@ fn the_compact_layout_prices_its_gaps_at_the_varint_boundaries() {
     // Gaps 127, 128, 16383, 16384 take 1, 2, 2, 3 bytes; the first id 0
     // one byte, the last gap to u64::MAX ten.
     let ids = [0, 127, 255, 16638, 33022, u64::MAX];
-    let frame = full_frame(&ids);
+    let frame = shell_frame(&ids);
     assert_eq!(frame.wire_size(), 9 + (1 + 1 + 2 + 2 + 3 + 10) + 24 * 6);
-    check_compact(&[], &ids);
-    check_compact(&ids[1..4], &ids);
-    check_compact(&ids, &ids[2..]);
-    check_compact(&[], &[u64::MAX]);
-    check_compact(&[0], &[]);
+    check_compact(&ids);
+    check_compact(&ids[2..]);
+    check_compact(&[u64::MAX]);
+    check_compact(&[]);
 }
 
 proptest::proptest! {
@@ -551,7 +487,7 @@ proptest::proptest! {
     /// Any strictly ascending id set — from 0 or from anywhere, through
     /// gaps on both sides of each varint byte boundary, up to `u64::MAX` —
     /// round-trips through the reference layout at the size `wire_size`
-    /// charges, full or as a delta against a thinned copy of itself.
+    /// charges, and so does every thinned copy of it.
     #[test]
     fn prop_compact_frames_round_trip_at_their_charge(
         from_zero in proptest::strategy::any::<bool>(),
@@ -573,16 +509,15 @@ proptest::proptest! {
             ids.push(u64::MAX);
         }
         let thinned: Vec<u64> = ids.iter().copied().step_by(keep as usize).collect();
-        check_compact(&[], &ids);
-        check_compact(&thinned, &ids);
-        check_compact(&ids, &thinned);
+        check_compact(&ids);
+        check_compact(&thinned);
     }
 }
 
 #[test]
 fn the_reference_decoder_refuses_malformed_frames_with_typed_errors() {
     let mut good = Vec::new();
-    full_frame(&[3, 5, 300]).encode(&mut good);
+    shell_frame(&[3, 5, 300]).encode(&mut good);
     // Every strict prefix ends inside the frame.
     for cut in 0..good.len() {
         assert_eq!(
@@ -597,9 +532,10 @@ fn the_reference_decoder_refuses_malformed_frames_with_typed_errors() {
         decode_full(&trailing),
         Err(CompactError::Trailing { bytes: 1 })
     );
-    let mut delta = good.clone();
-    delta[0] = 1;
-    assert_eq!(decode_full(&delta), Err(CompactError::NotFull(1)));
+    // A refresh's kind byte.
+    let mut refresh = good.clone();
+    refresh[0] = 1;
+    assert_eq!(decode_full(&refresh), Err(CompactError::NotShell(1)));
     let frame = |n: u64, gaps: &[u8]| {
         let mut bytes = vec![0];
         bytes.extend_from_slice(&n.to_le_bytes());

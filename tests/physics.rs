@@ -1,6 +1,7 @@
 //! Cross-crate physics validation: the parallel stack must reproduce
 //! textbook molecular-dynamics behaviour, not just agree with itself.
 
+use pcdlb::md::analysis::radial_distribution;
 use pcdlb::md::{observe, Vec3};
 use pcdlb::sim::{run, run_serial, Launch, RunConfig};
 
@@ -131,4 +132,47 @@ fn work_model_load_tracks_particle_distribution() {
         thin_early < early && thin_late < late,
         "early {thin_early:.2} vs {early:.2}, late {thin_late:.2} vs {late:.2}"
     );
+}
+
+#[test]
+fn both_force_paths_give_a_liquid_first_peak_and_the_same_rdf() {
+    // One seeded gas (ρ* = 0.256, T* = 0.722, 928 particles on a 2 × 2
+    // torus), thermalised for 400 steps under the paper's thermostat,
+    // run through each surviving force path: the AoS half-shell walk at
+    // skin 0 and the Verlet replay at the benchmark's skin of 0.06.
+    // Each g(r) must put its first peak where a Lennard-Jones fluid
+    // does, near 2^(1/6) σ ≈ 1.12 σ (measured: the 1.1–1.2 σ bin, g =
+    // 2.18, in both). Measured bin by bin, the two g(r) differ by 0.0 —
+    // the replay reproduces the walk bitwise — where seeds 1–6 of the
+    // same gas differ by up to 0.19; the gate allows 1e-12.
+    const PEAK_WINDOW: std::ops::Range<f64> = 1.05..1.25;
+    const TOLERANCE: f64 = 1e-12;
+    let rdf = |verlet: bool| {
+        let mut cfg = RunConfig::from_p_m_density(4, 3, 0.256);
+        cfg.steps = 400;
+        cfg.dlb = false;
+        cfg.seed = 3;
+        if verlet {
+            cfg.skin = 0.06;
+            cfg.verlet = true;
+        }
+        let (_, snapshot) = Launch::new().snapshot().run(&cfg).into_snapshot();
+        radial_distribution(&snapshot, cfg.box_len(), 3.0, 30)
+    };
+    let (walked, replayed) = (rdf(false), rdf(true));
+    for (path, g) in [("walk", &walked), ("Verlet replay", &replayed)] {
+        let peak = g.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1));
+        let (r_peak, g_peak) = peak.expect("g(r) has bins");
+        assert!(
+            PEAK_WINDOW.contains(&r_peak) && g_peak > 1.5,
+            "{path}: first peak g = {g_peak:.3} at r = {r_peak:.2} σ, \
+             outside {PEAK_WINDOW:?} σ"
+        );
+    }
+    for ((r, a), (_, b)) in walked.iter().zip(&replayed) {
+        assert!(
+            (a - b).abs() <= TOLERANCE,
+            "g({r:.2} σ): walk {a:.6} vs Verlet replay {b:.6}"
+        );
+    }
 }

@@ -58,7 +58,6 @@ fn run(cfg: &RunConfig, shape: DomainShape) -> RunReport {
         digest_particles(&run_serial(cfg)),
         "{shape:?} diverged from the serial reference"
     );
-    assert_eq!(report.ghost_desyncs, 0);
     report
 }
 
