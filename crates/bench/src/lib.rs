@@ -688,13 +688,17 @@ fn shapes_measured(o: &Opts, done: &[Done<'_>], out: &mut dyn Write) -> io::Resu
 }
 
 const SHAPES_MEASURED_NOTE: &str = "
-# model_ms uses the T3E postal cost model. Expected: plane cheapest
-# on the small machine (~3 msgs/PE/step against the pillar's ~4; the
-# 2x2x2 block grid has 7 distinct neighbour ranks and sends them one
-# frame each per step, ~8 msgs). At mid-size the pillar is cheapest:
-# the plane ships the most bytes, the cube the fewest but in ~28 small
-# messages (26 neighbours), and the pillar sits between on both axes
-# — the regimes the analytic `shapes` bench predicts (paper Sec. 2.2).
+# model_ms uses the T3E postal cost model. Every exchange is staged
+# along the rank torus: one frame per distinct rank one step away along
+# an axis (2 on a ring and on the 2x2 torus, 4 on larger tori, 3 on the
+# 2x2x2 block grid, 6 on larger ones), the diagonal neighbours' shares
+# riding them. Expected: plane cheapest on the small machine (~3
+# msgs/PE/step, as many as the 2x2 torus sends; the 2x2x2 block grid
+# ~4). At mid-size the analytic `shapes` bench, which prices one
+# message per neighbour (paper Sec. 2.2), has the pillar cheapest;
+# measured, the cube is: its 26 neighbours cost it ~7 messages, not
+# ~28, and it ships the fewest bytes. The plane ships the most, and
+# the pillar sits between on bytes.
 ";
 
 /// One concentrating workload, unbalanced and balanced every k steps.

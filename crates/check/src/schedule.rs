@@ -1,17 +1,19 @@
 //! Extraction of the per-step SPMD send/recv schedule.
 //!
 //! The simulator's step (`pcdlb-sim`'s one engine, for every domain
-//! shape) has a fixed communication structure per phase: sends to the
-//! rank's distinct neighbours in ascending rank order, then the matching
-//! receives in the same order; collectives are gathers and binomial-tree
+//! shape) has a fixed communication structure per phase: a neighbourhood
+//! exchange staged along the axes of the rank torus — per stage, x then
+//! y then z, a send to each distinct rank one step away along the axis
+//! (one at a side of 2, two from 3: −1, then +1), then the matching
+//! receives in the same order, a rank relaying in its later stages what
+//! the earlier ones brought; collectives are gathers and binomial-tree
 //! broadcasts over namespaced tags. This module re-derives that structure
-//! from the topology each shape lays its ranks out on —
-//! [`Torus2d::distinct_neighbors8`] for the square pillar, the ring for
-//! the plane, [`Torus3d`] for the cube — and from [`tags::TAG_TABLE`], so
-//! the verifier and the simulator agree on the wire protocol by
-//! construction, not by transcription. Whether a step has two
-//! neighbourhood exchanges or one is the engine's own answer
-//! ([`exchanges_once`]).
+//! from the torus each shape lays its ranks out on — [`Torus2d`] for the
+//! square pillar, the ring for the plane, [`Torus3d`] for the cube
+//! ([`shape_stages`]) — and from [`tags::TAG_TABLE`], so the verifier and
+//! the simulator agree on the wire protocol by construction, not by
+//! transcription. Whether a step has two neighbourhood exchanges or one
+//! is the engine's own answer ([`exchanges_once`]).
 //!
 //! A balancing step has no exchange of its own, and nothing in it depends
 //! on what the balancer decides: loads and decisions ride the step's first
@@ -138,8 +140,48 @@ pub fn shape_neighbors(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
     nbrs
 }
 
-/// Whether the step engine sends migrants and ghosts in one frame per
-/// neighbour when `p` ranks are laid out for `shape` and the run does
+/// Rank `r`'s hops when `p` ranks are laid out for `shape`, stage by
+/// stage — the ranks its staged exchange sends a frame to and receives
+/// one from: along each axis of the rank torus (x, then y, then z; the
+/// rank number counts x fastest) the ranks one step away, one along a
+/// side of 2, two (−1, then +1) along a longer one, none along a side
+/// of 1.
+pub fn shape_stages(shape: DomainShape, p: usize, r: usize) -> Vec<Vec<usize>> {
+    let sides = match shape {
+        DomainShape::SquarePillar => {
+            let t = Torus2d::square(p);
+            [t.cols(), t.rows(), 1]
+        }
+        DomainShape::Plane => [p, 1, 1],
+        DomainShape::Cube => [(p as f64).cbrt().round() as usize; 3],
+    };
+    let coords = [
+        r % sides[0],
+        r / sides[0] % sides[1],
+        r / (sides[0] * sides[1]),
+    ];
+    let rank = |c: [usize; 3]| (c[2] * sides[1] + c[1]) * sides[0] + c[0];
+    (0..3)
+        .filter(|&axis| sides[axis] > 1)
+        .map(|axis| {
+            let dirs: &[usize] = if sides[axis] == 2 {
+                &[1]
+            } else {
+                &[sides[axis] - 1, 1]
+            };
+            (dirs.iter())
+                .map(|&d| {
+                    let mut c = coords;
+                    c[axis] = (c[axis] + d) % sides[axis];
+                    rank(c)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Whether the step engine sends migrants and ghosts in one exchange
+/// when `p` ranks are laid out for `shape` and the run does
 /// (not) balance — its own predicate ([`PeState::exchanges_once`]: the
 /// neighbour set closed two cells out, on the one ownership of a run
 /// that does not balance, on every ownership the balancer can reach of
@@ -175,21 +217,20 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
     let mut ranks = Vec::with_capacity(p);
     for r in 0..p {
         let mut ops: Vec<PhasedOp> = Vec::new();
-        let nbrs = shape_neighbors(shape, p, r);
+        let stages = shape_stages(shape, p, r);
         // Phase: the re-tile check — the work map gathered to rank 0, its
         // decision broadcast back.
         if opts.retile_check {
             gather_ops(&mut ops, CommPhase::RetileCheck, p, r, tags::RETILE_GATHER);
             bcast_ops(&mut ops, CommPhase::RetileCheck, p, r, tags::RETILE_BCAST);
         }
-        // Phase: migration — round 1 of the coalesced step message
-        // (migrants + the balancer's loads and decisions): sends to all
-        // distinct neighbours (ascending), then the matching receives in
-        // the same order. Per-(src, dst, tag) FIFO keeps round 1 and round 2 of
-        // the shared STEP_FRAME tag matched. A single-exchange step has
-        // no round 1: its migrants ride the ghost frames below.
+        // Phase: migration — round 1 of the step frames (migrants + the
+        // balancer's loads and decisions), staged. Per-(src, dst, tag)
+        // FIFO keeps round 1 and round 2 of the shared STEP_FRAME tag
+        // matched. A single-exchange step has no round 1: its migrants
+        // ride the ghost frames below.
         if !single {
-            neighbourhood_exchange(&mut ops, CommPhase::Migrate, r, &nbrs, tags::STEP_FRAME);
+            neighbourhood_exchange(&mut ops, CommPhase::Migrate, &stages, tags::STEP_FRAME);
         }
         // Phase: the re-tile move — a frame to every new owner (ascending),
         // then one from every old owner (ascending).
@@ -208,9 +249,9 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
                 .into_iter()
                 .map(|from| retile(Op::Recv { from, tag })),
         );
-        // Phase: ghosts — round 2 of the coalesced step message, or the
-        // one frame of a single-exchange step.
-        neighbourhood_exchange(&mut ops, CommPhase::Ghost, r, &nbrs, tags::STEP_FRAME);
+        // Phase: ghosts — round 2 of the step frames, or the one exchange
+        // of a single-exchange step.
+        neighbourhood_exchange(&mut ops, CommPhase::Ghost, &stages, tags::STEP_FRAME);
         if opts.thermostat {
             gather_ops(&mut ops, CommPhase::Thermostat, p, r, tags::KE_GATHER);
             bcast_ops(&mut ops, CommPhase::Thermostat, p, r, tags::KE_BCAST);
@@ -232,27 +273,28 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
     StepSchedule { p, ranks }
 }
 
-/// The simulator's neighbourhood pattern: send one message to every
-/// distinct neighbour (ascending rank), then receive one from each in
-/// the same order.
+/// The simulator's staged neighbourhood exchange: per stage, one frame
+/// to every rank of the stage, then one from each in the same order —
+/// the stage's frames go out only once the stage before is in.
 fn neighbourhood_exchange(
     ops: &mut Vec<PhasedOp>,
     phase: CommPhase,
-    _rank: usize,
-    nbrs: &[usize],
+    stages: &[Vec<usize>],
     tag: u64,
 ) {
-    for &nb in nbrs {
-        ops.push(PhasedOp {
-            phase,
-            op: Op::Send { to: nb, tag },
-        });
-    }
-    for &nb in nbrs {
-        ops.push(PhasedOp {
-            phase,
-            op: Op::Recv { from: nb, tag },
-        });
+    for stage in stages {
+        for &to in stage {
+            ops.push(PhasedOp {
+                phase,
+                op: Op::Send { to, tag },
+            });
+        }
+        for &from in stage {
+            ops.push(PhasedOp {
+                phase,
+                op: Op::Recv { from, tag },
+            });
+        }
     }
 }
 
@@ -334,64 +376,85 @@ mod tests {
     }
 
     #[test]
-    fn migrate_phase_is_one_message_per_distinct_neighbour() {
+    fn migrate_phase_is_one_message_per_hop() {
+        // A 4 × 4 torus: two hops along x, then two along y, every stage's
+        // frames out before its frames in.
         let s = step_schedule(4, &balancing());
         assert_eq!(s.p, 16);
+        let torus = Torus2d::new(4, 4);
         for (r, ops) in s.ranks.iter().enumerate() {
             let sends = sends_in(ops, CommPhase::Migrate);
-            let nbrs = Torus2d::new(4, 4).distinct_neighbors8(r);
-            assert_eq!(sends.len(), nbrs.len());
-            for (op, nb) in sends.iter().zip(&nbrs) {
-                assert_eq!(
-                    *op,
-                    Op::Send {
-                        to: *nb,
-                        tag: tags::STEP_FRAME
-                    }
-                );
-            }
+            let hops = [(0, -1), (0, 1), (-1, 0), (1, 0)].map(|(di, dj)| torus.neighbor(r, di, dj));
+            let to: Vec<usize> = sends
+                .iter()
+                .map(|op| match op {
+                    Op::Send { to, tag } if *tag == tags::STEP_FRAME => *to,
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            assert_eq!(to, hops, "rank {r}");
+            let migrate: Vec<Op> = (ops.iter().filter(|o| o.phase == CommPhase::Migrate))
+                .map(|o| o.op)
+                .collect();
+            assert!(
+                matches!(migrate[2], Op::Recv { .. }),
+                "x's frames in before y's out"
+            );
+            assert!(matches!(migrate[4], Op::Send { .. }));
         }
     }
 
     #[test]
     fn small_torus_dedups_neighbours() {
-        // On 2×2 every rank has only 3 distinct neighbours — and, too
-        // small a torus to balance, sends them its one frame per step.
+        // On 2×2 every rank has 3 distinct neighbours, one hop along each
+        // axis — and, too small a torus to balance, sends its one
+        // exchange per step: 2 frames.
         let s = step_schedule(2, &ScheduleOpts::default());
         for ops in &s.ranks {
             assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 0);
-            assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 3);
+            assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 2);
         }
     }
 
     #[test]
-    fn ring_and_block_grids_exchange_with_their_distinct_neighbours() {
+    fn ring_and_block_grids_exchange_along_their_axes() {
         // The ring's two neighbours coincide at P = 2; on the 2×2×2
         // torus all 26 directions lead to the same 7 ranks, and from
-        // k = 3 up they are 26 different ones.
+        // k = 3 up they are 26 different ones. The frames go to the
+        // distinct ranks one step away along each axis: 1 on the ring of
+        // 2, 2 on longer rings, 2 on the 2 × 2 torus, 4 on larger ones, 3
+        // on the 2 × 2 × 2 cube, 6 on larger ones.
         assert_eq!(shape_neighbors(DomainShape::Plane, 5, 0), [1, 4]);
         assert_eq!(shape_neighbors(DomainShape::Plane, 2, 1), [0]);
         assert!(shape_neighbors(DomainShape::Plane, 1, 0).is_empty());
         assert_eq!(shape_neighbors(DomainShape::Cube, 8, 3).len(), 7);
         assert_eq!(shape_neighbors(DomainShape::Cube, 27, 13).len(), 26);
+        assert_eq!(shape_stages(DomainShape::Plane, 5, 0), [vec![4, 1]]);
+        assert_eq!(shape_stages(DomainShape::Plane, 2, 1), [vec![0]]);
+        assert!(shape_stages(DomainShape::Plane, 1, 0).is_empty());
+        assert_eq!(shape_stages(DomainShape::Cube, 8, 3), [[2], [1], [7]]);
+        assert_eq!(
+            shape_stages(DomainShape::Cube, 27, 13),
+            [[12, 14], [10, 16], [4, 22]]
+        );
         // The cube has no balancer: one exchange per step on both grids
         // `verify` sweeps. The plane and the pillar from a torus side of 4
         // keep their two rounds where the run balances, and only there;
         // the 3 × 3 torus, where every rank a column can reach neighbours
-        // every rank that can hold it, sends one frame whether it balances
-        // or not — a re-tile two rounds.
-        for (shape, p, nbrs) in [
-            (DomainShape::Cube, 8, 7),
-            (DomainShape::Cube, 27, 26),
-            (DomainShape::SquarePillar, 9, 8),
-            (DomainShape::SquarePillar, 16, 8),
+        // every rank that can hold it, sends one exchange whether it
+        // balances or not — a re-tile two rounds.
+        for (shape, p, frames) in [
+            (DomainShape::Cube, 8, 3),
+            (DomainShape::Cube, 27, 6),
+            (DomainShape::SquarePillar, 9, 4),
+            (DomainShape::SquarePillar, 16, 4),
             (DomainShape::Plane, 3, 2),
         ] {
             assert!(exchanges_once(shape, p, false));
             let s = shape_schedule(shape, p, &ScheduleOpts::default());
             for ops in &s.ranks {
                 assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 0);
-                assert_eq!(sends_in(ops, CommPhase::Ghost).len(), nbrs);
+                assert_eq!(sends_in(ops, CommPhase::Ghost).len(), frames);
             }
         }
         assert!(exchanges_once(DomainShape::SquarePillar, 9, true));
@@ -410,18 +473,18 @@ mod tests {
         for (opts, rounds) in [(balancing(), 1), (retiling, 2)] {
             let s = step_schedule(3, &opts);
             for ops in &s.ranks {
-                assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 8 * (rounds - 1));
-                assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 8);
+                assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 4 * (rounds - 1));
+                assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 4);
             }
         }
     }
 
     #[test]
-    fn neighbour_sets_are_the_ones_the_engine_derives() {
-        // The engine finds its neighbours from `owner_of` adjacency; the
-        // schedules here use ring / torus arithmetic. Pin the two together
-        // for every rank of every shape, so the verified schedules are the
-        // engine's.
+    fn neighbour_sets_and_stages_are_the_ones_the_engine_derives() {
+        // The engine finds its neighbours from `owner_of` adjacency and
+        // its hops from the decomposition's rank torus; the schedules here
+        // use ring / torus arithmetic. Pin the two together for every rank
+        // of every shape, so the verified schedules are the engine's.
         use pcdlb_sim::pe::initial_particles;
         for (shape, p) in [
             (DomainShape::SquarePillar, 4),
@@ -437,9 +500,15 @@ mod tests {
             cfg.dlb = false;
             let initial = Placed::new(&cfg, &initial_particles(&cfg));
             for r in 0..p {
+                let pe = PeState::new(r, &cfg, shape, &initial, &LaunchPlan::default());
                 assert_eq!(
-                    PeState::new(r, &cfg, shape, &initial, &LaunchPlan::default()).neighbors(),
+                    pe.neighbors(),
                     shape_neighbors(shape, p, r),
+                    "{shape:?} P = {p} rank {r}"
+                );
+                assert_eq!(
+                    pe.stages(),
+                    shape_stages(shape, p, r),
                     "{shape:?} P = {p} rank {r}"
                 );
             }

@@ -471,7 +471,7 @@ mod tests {
             .iter()
             .filter(|o| o.phase == CommPhase::Ghost)
             .count();
-        assert_eq!(ghosts, 16, "8 sends + 8 recvs on a 4×4 torus");
+        assert_eq!(ghosts, 8, "4 sends + 4 recvs on a 4×4 torus");
         assert!(verify_schedule(&s).is_empty());
         // Collective rounds stay inside the namespaced range — the re-tile
         // check's too.

@@ -21,10 +21,10 @@
 //!    step's first frames bring are applied at the top of the next
 //!    rebuild step, and the moved column's particles travel in that
 //!    step's first frames from the giver, as migrants: a balancing step
-//!    sends what a plain domain-decomposition step sends — one frame per
-//!    neighbour where every rank a column can reach is a neighbour of
-//!    every rank that can hold it (a torus side of 3), two rounds
-//!    elsewhere — whatever the balancer decided.
+//!    sends what a plain domain-decomposition step sends — one exchange
+//!    where every rank a column can reach is a neighbour of every rank
+//!    that can hold it (a torus side of 3), two rounds elsewhere —
+//!    whatever the balancer decided.
 //!
 //! **In flight.** A neighbour's load in hand was measured by the force
 //! pass *before* the step that announced it, so a transfer that lands
@@ -159,23 +159,27 @@ pub mod tags {
     /// another when the run re-tiles, in one frame per (old owner, new
     /// owner) pair — the two need not be torus neighbours.
     pub const RETILE_XFER: u64 = 4;
-    /// The coalesced per-neighbour step message: each rebuild step (every
-    /// step without a Verlet skin) a rank sends exactly two framed
-    /// messages to each of its 8 neighbours under this one tag — round 1
-    /// carries boundary-crossing migrants (the particles of a column whose
+    /// The step message: a neighbourhood exchange travels the rank torus
+    /// one axis at a time — x, then y, then z — a rank sending one frame
+    /// under this one tag to each distinct rank one step away along the
+    /// axis (on a 2-D torus 4 a round, 2 at a side of 2; on the cube 6,
+    /// 3 at a side of 2) and relaying, in its later stages, the sections
+    /// the earlier ones brought for ranks further on, so a diagonal
+    /// neighbour's share rides the face frames. Each rebuild step (every
+    /// step without a Verlet skin) has two rounds: round 1 carries
+    /// boundary-crossing migrants (the particles of a column whose
     /// transfer from the sender landed at the top of the step among them)
-    /// plus, in a balancing run, the sender's last-step load and (on DLB
-    /// steps) the decision it took at the top of the step, round 2 carries
-    /// the delta-encodable boundary-shell ghost frame. Sub-frame presence
-    /// headers inside the frame distinguish the rounds; per-(src,dst,tag)
-    /// FIFO ordering keeps the two rounds matched. A decomposition whose
-    /// neighbour sets stay closed two cells out under every ownership it
-    /// can reach — one whose ownership never changes, or the balancing
-    /// 3 × 3 torus — sends both sections in one frame per neighbour
-    /// instead, with the load and the decision. No column travels in a
-    /// message of its own.
-    /// Between the rebuilds of a skin epoch a step sends one message per
-    /// neighbour: the positions-only ghost refresh.
+    /// plus, in a balancing run, every rank's last-step load and (on DLB
+    /// steps) the decision it took at the top of the step; round 2
+    /// carries the boundary-shell ghosts, their ids as LEB128 gaps. A
+    /// presence byte inside the frame says which kinds of section travel;
+    /// per-(src,dst,tag) FIFO ordering keeps the rounds matched. A
+    /// decomposition whose neighbour sets stay closed two cells out under
+    /// every ownership it can reach — one whose ownership never changes,
+    /// or the balancing 3 × 3 torus — sends both in one exchange instead,
+    /// with the loads and the decisions. No column travels in a message of
+    /// its own. Between the rebuilds of a skin epoch a step sends one
+    /// exchange: the positions-only ghost refresh.
     pub const STEP_FRAME: u64 = 16;
     /// Phase 5 (collective): kinetic-energy gather to rank 0.
     pub const KE_GATHER: u64 = 10;
@@ -278,7 +282,7 @@ pub mod tags {
     /// checks this table for uniqueness per namespace and builds the
     /// per-phase message-flow graph from it.
     pub const TAG_TABLE: &[TagSpec] = &[
-        // STEP_FRAME is the one per-neighbour point-to-point tag of the
+        // STEP_FRAME is the one neighbourhood point-to-point tag of the
         // steady-state step: round 1 in the Migrate phase, round 2 in the
         // Ghost phase. The table records the first phase that uses it;
         // FIFO per (src, dst, tag) keeps the rounds unambiguous.

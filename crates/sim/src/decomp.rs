@@ -33,6 +33,11 @@ pub(crate) trait Decomposition {
     /// the z-invariant shapes (plane, pillar), one block for the cube.
     fn z_extent(&self, rank: usize) -> Range<usize>;
 
+    /// The torus the ranks are laid out on: its `[x, y, z]` sides, the
+    /// rank number counting x fastest. A step's frames travel its axes one
+    /// at a time ([`crate::pe`]'s staged exchange).
+    fn rank_torus(&self) -> [usize; 3];
+
     /// The tile layout this view's homes are cut on, where the shape has
     /// one (the square pillar): what a checkpoint carries to rebuild it.
     fn tiling(&self) -> Option<PillarLayout> {
@@ -166,6 +171,12 @@ impl Decomposition for Pillar {
 
     fn z_extent(&self, _rank: usize) -> Range<usize> {
         0..self.layout.grid().nc()
+    }
+
+    /// The torus row-major: a tile row runs along x.
+    fn rank_torus(&self) -> [usize; 3] {
+        let torus = self.layout.torus();
+        [torus.cols(), torus.rows(), 1]
     }
 
     fn tiling(&self) -> Option<PillarLayout> {

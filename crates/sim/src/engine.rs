@@ -161,8 +161,7 @@ pub(crate) fn run_pe(
 /// round 1 carrying the load the initial force pass measured.
 pub(crate) fn announce_loads(comm: &mut Comm, pe: &mut PeState) {
     if pe.balances() {
-        pe.step_send_round1(comm);
-        pe.step_recv_round1(comm);
+        pe.exchange(comm, Exchange::Migrants);
     }
 }
 
@@ -213,8 +212,7 @@ pub(crate) fn step_pe(comm: &mut Comm, pe: &mut PeState, step: u64) -> Option<St
     // just taken, which land at the next rebuild step (retained particles
     // stay staged inside each PE).
     if exchange == Exchange::Shells {
-        pe.step_send_round1(comm);
-        pe.step_recv_round1(comm);
+        pe.exchange(comm, Exchange::Migrants);
     }
     // A re-tile: every column whose owner changes goes straight to its
     // new owner, and the views follow the new tiling.
@@ -233,11 +231,10 @@ pub(crate) fn step_pe(comm: &mut Comm, pe: &mut PeState, step: u64) -> Option<St
     pe.collect_stats(comm, step, transferred, wall)
 }
 
-/// Phases 4–5: post every frame, then receive, then compute. `exchange`
-/// says what the frames carry: the shells, a mid-epoch refresh, or a
+/// Phases 4–5: the staged exchange, then compute. `exchange` says what
+/// the frames carry: the shells, a mid-epoch refresh, or a
 /// single-exchange step's migrants and ghosts together.
 pub(crate) fn exchange_ghosts_and_compute(comm: &mut Comm, pe: &mut PeState, exchange: Exchange) {
-    pe.ghosts_send(comm, exchange);
-    pe.ghosts_recv(comm, exchange);
+    pe.exchange(comm, exchange);
     pe.compute_forces();
 }

@@ -175,10 +175,10 @@ impl Balance {
         self.decisions.extend(self.my_decision.take());
     }
 
-    /// What neighbour `nb`'s frame brought.
-    pub(super) fn hear(&mut self, nb: usize, load: Option<f64>, decision: Option<Transfer>) {
-        debug_assert_eq!(load.is_some(), self.enabled, "loads ride a balancing run");
-        self.nbr_loads.extend(load.map(|load| (nb, load)));
+    /// What neighbour `nb`'s load section brought.
+    pub(super) fn hear(&mut self, nb: usize, load: f64, decision: Option<Transfer>) {
+        debug_assert!(self.enabled, "loads ride a balancing run");
+        self.nbr_loads.push((nb, load));
         self.decisions.extend(decision);
     }
 
@@ -424,6 +424,9 @@ mod tests {
         fn z_extent(&self, _: usize) -> Range<usize> {
             unreachable!("a landing asks for no extent")
         }
+        fn rank_torus(&self) -> [usize; 3] {
+            unreachable!("a landing asks for no torus")
+        }
         fn excludes(&self, a: &DlbDecision, b: &DlbDecision) -> bool {
             (a.from, a.to) == (b.to, b.from)
         }
@@ -450,8 +453,8 @@ mod tests {
         balance.my_decision = Some(work(give(1, 0), 5.0));
         assert_eq!(balance.announce(7.0).0, Some(7.0));
         balance.open_round();
-        balance.hear(2, Some(1.0), Some(work(give(2, 3), 1.0)));
-        balance.hear(0, Some(4.0), Some(work(give(0, 1), 1e16)));
+        balance.hear(2, 1.0, Some(work(give(2, 3), 1.0)));
+        balance.hear(0, 4.0, Some(work(give(0, 1), 1e16)));
         // 0 → 1 and 1 → 0 cross one boundary: both are void, to both
         // ranks. What stands is not applied but pending — what a
         // checkpoint carries of it — and lands at the top of the next
@@ -474,8 +477,8 @@ mod tests {
         // that announce them: it is not booked again. On the step 2 → 1
         // lands, this PE's own load is booked up and announced so.
         balance.open_round();
-        balance.hear(2, Some(0.0), Some(work(give(2, 1), 2.0)));
-        balance.hear(0, Some(5.0), None);
+        balance.hear(2, 0.0, Some(work(give(2, 1), 2.0)));
+        balance.hear(0, 5.0, None);
         balance.defer(&ring);
         balance.land(&mut ring);
         balance.book(one);
@@ -485,8 +488,8 @@ mod tests {
         // whatever order it was heard in: (1 + 1e16) + 1 is 1e16,
         // (1 + 1) + 1e16 is not.
         balance.open_round();
-        balance.hear(2, Some(1.0), Some(work(give(3, 2), 1.0)));
-        balance.hear(0, Some(5.0), Some(work(give(0, 2), 1e16)));
+        balance.hear(2, 1.0, Some(work(give(3, 2), 1.0)));
+        balance.hear(0, 5.0, Some(work(give(0, 2), 1e16)));
         balance.defer(&ring);
         balance.land(&mut ring);
         assert_eq!(ring.0[2..], [give(0, 2), give(3, 2)]);
@@ -495,8 +498,8 @@ mod tests {
         assert_eq!(balance.own(1, 9.0, one), 9.0);
         // A re-tile drops what is pending, and nothing lands.
         balance.open_round();
-        balance.hear(2, Some(1.0), Some(work(give(2, 1), 1.0)));
-        balance.hear(0, Some(5.0), None);
+        balance.hear(2, 1.0, Some(work(give(2, 1), 1.0)));
+        balance.hear(0, 5.0, None);
         balance.defer(&ring);
         balance.drop_pending();
         assert!(balance.landed().is_empty() && balance.held(2).1.next().is_none());
@@ -614,7 +617,7 @@ mod tests {
         // force pass of the step its cells change hands in the giver
         // measures that much less and the receiver that much more — to the
         // motion of the two steps in between — whoever they are, column
-        // (pillar, one frame per neighbour) or plane (two rounds): the
+        // (pillar, one exchange) or plane (two rounds): the
         // step after it was decided either way. Checked on every transfer
         // whose two ends take part in no other transfer that step.
         for (shape, p) in [(DomainShape::SquarePillar, 9), (DomainShape::Plane, 3)] {

@@ -12,7 +12,7 @@
 //! 2. **round 1** (rebuild steps only — every step with `skin == 0`):
 //!    migrants to their new owners, and in a balancing run the loads and
 //!    decisions that ride along; none where a rebuild step is a single
-//!    exchange ([`PeState::exchanges_once`]): phase 4's frame carries
+//!    exchange ([`PeState::exchanges_once`]): phase 4's frames carry
 //!    all of it — `exchange`;
 //! 3. **DLB** (optional): decided ahead of phase 1, at the top of the
 //!    step, by the shape's balancer rule on the loads in hand. The
@@ -37,6 +37,11 @@
 //! steps after the tiling was last chosen, a check ahead of phase 1, and
 //! on a re-tile step, after round 1, the move of every column whose owner
 //! changes.
+//!
+//! Every exchange is staged along the rank torus, one axis at a time,
+//! with a frame per hop — to each distinct rank one torus step away
+//! along the axis — and a diagonal neighbour's share relayed (`exchange`,
+//! and `topology`'s routing).
 //!
 //! The neighbour set, ghost routes, cell classes and home list are all
 //! derived from `Decomposition::owner_of` in `topology`; checkpoint
@@ -71,6 +76,8 @@ use crate::report::{PhaseTimes, RunReport, WireBytes};
 pub use audit::SentinelReport;
 pub(crate) use exchange::Exchange;
 pub(crate) use retile::Held;
+#[cfg(test)]
+pub(crate) use topology::{ahead, behind_first_hop, bit_offset, dest_bit, RankTorus};
 pub(crate) use topology::{all_columns, cells_around};
 
 /// A PE's cell columns — owned or ghost — by column: contiguous
@@ -218,13 +225,16 @@ impl PeState {
         }
     }
 
-    /// The ranks this PE exchanges its step frames with, ascending.
+    /// The ranks this PE exchanges items with, ascending: those owning a
+    /// cell next to one of its own. Its frames go to the ones one torus
+    /// step away along an axis ([`PeState::stages`]) and reach the others
+    /// through them.
     pub fn neighbors(&self) -> &[usize] {
         self.topology.neighbors()
     }
 
     /// Whether a rebuild step of this run is a single exchange — migrants
-    /// and ghosts in one frame per neighbour — rather than two rounds.
+    /// and ghosts in one staged exchange — rather than two rounds.
     /// True when the closure test holds: every rank owning a cell within
     /// two cells of one of this PE's is the PE itself or a neighbour — on
     /// the one ownership of a run that does not balance (the shape has no

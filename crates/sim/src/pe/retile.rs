@@ -275,8 +275,8 @@ mod tests {
         // ranks a column passes between — on the re-tile step, all inside
         // the step; after it the comm lap is empty on every rank, so
         // nothing is charged to the next step or to no step at all. (On the
-        // 3 × 3 torus every other step sends one frame per neighbour,
-        // whatever columns the two runs move.)
+        // 3 × 3 torus every other step sends one exchange, whatever
+        // columns the two runs move.)
         let cfg = cluster(9);
         let comm_after = |follow| {
             drive(&cfg, follow, |_, pe, comm| {

@@ -1,9 +1,23 @@
 //! Who is around a PE: everything the engine derives from
-//! `Decomposition::owner_of` — the neighbour set and the closure test
-//! behind the single exchange (fixed for the run), and the caches rebuilt
-//! when ownership changes (cell classes, ghost routes, home list). Cold:
-//! nothing here runs in the steady-state step, so the file is off the
-//! lint's hot-path list.
+//! `Decomposition::owner_of` — the neighbour set, the closure test
+//! behind the single exchange and the hops of the staged exchange (fixed
+//! for the run), and the caches rebuilt when ownership changes (cell
+//! classes, ghost routes, the sections this PE originates, home list).
+//! Cold: nothing here runs in the steady-state step, so the file is off
+//! the lint's hot-path list.
+//!
+//! # Routing
+//!
+//! A step's frames travel the rank torus one axis at a time — x, then y,
+//! then z — one frame per hop: to each distinct rank one torus step away
+//! along the axis (one at a side of 2, two from 3). An item for a
+//! neighbour one step away on several axes rides the hop of its first
+//! such axis and is relayed along the others ([`Hop`]). Destinations are
+//! named by their offset from the item's origin ([`dest_bit`]); a
+//! section's mask is the set of its final destinations behind the hop it
+//! takes out of its origin, and a relay decides what it keeps and what it
+//! passes on from the mask and the origin alone ([`ahead`]), reading no
+//! ownership.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -52,6 +66,129 @@ pub(super) struct Home {
 /// them, ascending and merged.
 pub(super) type Route = Vec<(Col, Range<usize>)>;
 
+/// A destination's bit in a section mask: its offset from the section's
+/// origin, at most one torus step per axis, as base-3 digits — 0, +1 and
+/// −1 as 0, 1 and 2 — x lowest. Along a side of 2 both ways lead to the
+/// same rank, which is always +1.
+pub(crate) fn dest_bit(d: [i64; 3]) -> u32 {
+    let digit = |v: i64| match v {
+        0 => 0,
+        1 => 1,
+        _ => 2,
+    };
+    1 << (digit(d[0]) + 3 * digit(d[1]) + 9 * digit(d[2]))
+}
+
+/// The offset bit `i` of a mask names ([`dest_bit`]'s inverse).
+pub(crate) fn bit_offset(i: u32) -> [i64; 3] {
+    let v = |digit: u32| [0, 1, -1][digit as usize];
+    [v(i % 3), v(i / 3 % 3), v(i / 9)]
+}
+
+/// The destinations an item at offset `at` from its origin still reaches
+/// through a hop along `axis` by `dir`: every offset that equals `at` on
+/// the axes before and is `dir` on this one. From the origin itself
+/// (`at` = 0) that is everything behind the hop.
+pub(crate) fn ahead(at: [i64; 3], axis: usize, dir: i64) -> u32 {
+    (0..27)
+        .filter(|&i| {
+            let d = bit_offset(i);
+            (0..axis).all(|a| d[a] == at[a]) && d[axis] == dir
+        })
+        .fold(0, |mask, i| mask | 1 << i)
+}
+
+/// The destinations behind the first hop on the way to offset `d`.
+pub(crate) fn behind_first_hop(d: [i64; 3]) -> u32 {
+    let axis = (0..3)
+        .find(|&a| d[a] != 0)
+        .expect("an offset to another rank");
+    ahead([0; 3], axis, d[axis])
+}
+
+/// The torus the ranks are laid out on (`Decomposition::rank_torus`):
+/// its `[x, y, z]` sides, x fastest in the rank number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RankTorus(pub(crate) [usize; 3]);
+
+impl RankTorus {
+    fn coords(&self, rank: usize) -> [usize; 3] {
+        let [x, y, _] = self.0;
+        [rank % x, rank / x % y, rank / (x * y)]
+    }
+
+    /// The rank one step from `rank` along `axis` by `dir`.
+    fn step(&self, rank: usize, axis: usize, dir: i64) -> usize {
+        let mut c = self.coords(rank);
+        let side = self.0[axis];
+        c[axis] = (c[axis] as i64 + dir).rem_euclid(side as i64) as usize;
+        (c[2] * self.0[1] + c[1]) * self.0[0] + c[0]
+    }
+
+    /// `to`'s offset from `from`, or `None` where it lies more than one
+    /// torus step away on some axis. Along a side of 2 it is +1.
+    pub(crate) fn offset(&self, from: usize, to: usize) -> Option<[i64; 3]> {
+        let (a, b) = (self.coords(from), self.coords(to));
+        let mut d = [0; 3];
+        for axis in 0..3 {
+            let side = self.0[axis];
+            d[axis] = match (b[axis] + side - a[axis]) % side {
+                0 => 0,
+                1 => 1,
+                s if s == side - 1 => -1,
+                _ => return None,
+            };
+        }
+        Some(d)
+    }
+
+    /// `rank`'s hops, stage by stage — x, then y, then z; along each axis
+    /// of side 2 one hop, along each longer one two (−1, then +1), along
+    /// a side of 1 none.
+    fn hops(&self, rank: usize) -> Vec<Hop> {
+        let mut hops = Vec::new();
+        for axis in 0..3 {
+            let dirs: &[i64] = match self.0[axis] {
+                1 => &[],
+                2 => &[1],
+                _ => &[-1, 1],
+            };
+            for &dir in dirs {
+                hops.push(Hop {
+                    axis,
+                    dir,
+                    rank: self.step(rank, axis, dir),
+                    behind: ahead([0; 3], axis, dir),
+                });
+            }
+        }
+        hops
+    }
+}
+
+/// One hop of the staged exchange: a frame to the rank one torus step
+/// away along `axis`, and one back from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Hop {
+    pub(crate) axis: usize,
+    /// The way along it: +1 or −1.
+    pub(crate) dir: i64,
+    /// The rank at the other end.
+    pub(crate) rank: usize,
+    /// The destinations behind the hop, as offsets from this PE: what a
+    /// section this PE originates for it may name.
+    pub(crate) behind: u32,
+}
+
+/// A section this PE originates for its ghosts: the owned cells whose
+/// destinations behind hop `hop` are exactly `mask`.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) struct SectionRoute {
+    pub(super) mask: u32,
+    pub(super) hop: usize,
+    pub(super) route: Route,
+}
+
 /// One PE's neighbourhood, as its decomposition's answers imply it.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct Topology {
@@ -63,6 +200,16 @@ pub(super) struct Topology {
     /// cells, ascending. Fixed for the run: balancers only ever move
     /// cells between ranks that are neighbours already.
     neighbors: Vec<usize>,
+    /// Each neighbour's bit in a section mask ([`dest_bit`]), parallel
+    /// to `neighbors`.
+    nbr_bits: Vec<u32>,
+    /// The rank torus, and this PE's hops on it in the order the staged
+    /// exchange takes them. Fixed for the run.
+    torus: RankTorus,
+    hops: Vec<Hop>,
+    /// `ahead(at, hop)` for every offset `at` (by its bit index) and hop,
+    /// `hops.len()` per offset: what a relay reads off a section's mask.
+    onward: Vec<u32>,
     /// Whether a rebuild step is one exchange (see
     /// [`PeState::exchanges_once`]). Fixed for the run; a re-tile
     /// recomputes it on the new tiling and lands on the same answer.
@@ -73,6 +220,10 @@ pub(super) struct Topology {
     /// Per-neighbour ghost routing (parallel to `neighbors`): the runs of
     /// owned cells each neighbour needs as ghosts.
     ghost_routes: Vec<Route>,
+    /// The same cells by section: each owned cell joins, for every hop,
+    /// the section of the neighbours behind that hop that need it.
+    /// Ascending by mask.
+    sections: Vec<SectionRoute>,
     /// Home columns this PE sees — owned ∪ ghost, ascending. The force
     /// passes iterate this list; the ghost entries' keys double as the
     /// expected ghost-receive set.
@@ -104,6 +255,15 @@ impl Topology {
             }
         }
         let neighbors: Vec<usize> = nbrs.into_iter().collect();
+        let torus = RankTorus(decomp.rank_torus());
+        let hops = torus.hops(rank);
+        let nbr_bits = neighbors
+            .iter()
+            .map(|&nb| match torus.offset(rank, nb) {
+                Some(d) => dest_bit(d),
+                None => panic!("rank {rank}: neighbour {nb} is more than one torus step away"),
+            })
+            .collect();
         // One exchange per rebuild step needs a neighbour set closed two
         // cells out: a particle leaving for a cell next to ours is
         // announced by us to every rank bordering that cell, so each of
@@ -136,7 +296,17 @@ impl Topology {
             nc,
             own_z,
             ghost_routes: vec![Vec::new(); neighbors.len()],
+            sections: Vec::new(),
             neighbors,
+            nbr_bits,
+            onward: (0..27)
+                .flat_map(|i| {
+                    hops.iter()
+                        .map(move |h| ahead(bit_offset(i), h.axis, h.dir))
+                })
+                .collect(),
+            hops,
+            torus,
             single_exchange,
             dirty: true,
             homes: Vec::new(),
@@ -166,6 +336,69 @@ impl Topology {
 
     pub(super) fn ghost_routes(&self) -> &[Route] {
         &self.ghost_routes
+    }
+
+    pub(super) fn sections(&self) -> &[SectionRoute] {
+        &self.sections
+    }
+
+    pub(super) fn torus(&self) -> &RankTorus {
+        &self.torus
+    }
+
+    pub(super) fn hops(&self) -> &[Hop] {
+        &self.hops
+    }
+
+    /// Neighbour `i`'s bit in a section mask.
+    pub(super) fn nbr_bit(&self, i: usize) -> u32 {
+        self.nbr_bits[i]
+    }
+
+    /// Every neighbour's bit.
+    pub(super) fn nbr_mask(&self) -> u32 {
+        self.nbr_bits.iter().fold(0, |m, b| m | b)
+    }
+
+    /// The hop a section this PE originates with `mask` takes: the first
+    /// axis, and the way along it, of the destinations it names.
+    pub(super) fn hop_of(&self, mask: u32) -> usize {
+        let d = bit_offset(mask.trailing_zeros());
+        let behind = behind_first_hop(d);
+        (self.hops.iter().position(|h| h.behind == behind))
+            .unwrap_or_else(|| panic!("rank {}: no hop toward {d:?}", self.rank))
+    }
+
+    /// The hops from `from` on that a section of `mask` held here, at
+    /// offset `at` from its origin, takes on: bit `j` for hop `from + j`.
+    fn onward(&self, mask: u32, at: [i64; 3], from: usize) -> u32 {
+        let n = self.hops.len();
+        let row = dest_bit(at).trailing_zeros() as usize * n;
+        let reach = &self.onward[row + from..row + n];
+        (reach.iter().enumerate())
+            .filter(|(_, &ahead)| mask & ahead != 0)
+            .fold(0, |bits, (j, _)| bits | 1 << j)
+    }
+
+    /// Where a section from `origin` of `mask`, received before hop
+    /// `later`, goes from here: whether this PE is one of its destinations,
+    /// and the hops from `later` on it takes ([`Topology::onward`]).
+    pub(super) fn passage(&self, origin: usize, mask: u32, later: usize) -> (bool, u32) {
+        let at = self.offset_from(origin);
+        let onward = self.onward(mask, at, later);
+        let mine = mask & dest_bit(at) != 0;
+        debug_assert!(
+            mine || onward != 0,
+            "rank {}: a section from {origin} for nobody here",
+            self.rank
+        );
+        (mine, onward)
+    }
+
+    /// This PE's offset from `origin`, a neighbour or itself.
+    fn offset_from(&self, origin: usize) -> [i64; 3] {
+        (self.torus.offset(origin, self.rank))
+            .unwrap_or_else(|| panic!("rank {}: a section from {origin}, no neighbour", self.rank))
     }
 
     pub(super) fn homes(&self) -> &[Home] {
@@ -214,18 +447,36 @@ impl Topology {
         for r in &mut self.ghost_routes {
             r.clear();
         }
+        self.sections.clear();
         // Classify every owned cell by who owns the cells around it, on a
         // scratch grid over the whole box (indexed like the cell grid).
         let mut grid = vec![CellClass::Unseen; nc * nc * nc];
         let column = |col: Col| (col.cx * nc + col.cy) * nc..(col.cx * nc + col.cy + 1) * nc;
         for col in owned {
             for span in owned_spans(nc, &self.own_z) {
+                let mut dests = 0;
                 for (ncol, nspan, owner) in foreign_around(decomp, nc, rank, col, span.clone()) {
                     grid[column(ncol)][nspan].fill(CellClass::Ghost);
                     let i = self.index_of(owner);
                     // Owned cells are visited in ascending (column, z)
-                    // order, so the route stays sorted.
+                    // order, so the routes stay sorted.
                     push_run(&mut self.ghost_routes[i], col, span.clone());
+                    dests |= self.nbr_bits[i];
+                }
+                for (hop, h) in self.hops.iter().enumerate() {
+                    let mask = dests & h.behind;
+                    if mask == 0 {
+                        continue;
+                    }
+                    let at = match self.sections.binary_search_by_key(&mask, |s| s.mask) {
+                        Ok(at) => at,
+                        Err(at) => {
+                            let route = Vec::new();
+                            self.sections.insert(at, SectionRoute { mask, hop, route });
+                            at
+                        }
+                    };
+                    push_run(&mut self.sections[at].route, col, span.clone());
                 }
                 grid[column(col)][span].fill(CellClass::Owned);
             }
@@ -285,6 +536,22 @@ impl PeState {
                 .or_insert_with(|| CellSlab::empty(nc));
         }
         self.exchange.follow_keys(&self.columns, &self.ghosts);
+    }
+
+    /// The ranks this PE's staged exchange sends a frame to and receives
+    /// one from, stage by stage: along each axis of the rank torus (x,
+    /// then y, then z) the distinct ranks one step away.
+    pub fn stages(&self) -> Vec<Vec<usize>> {
+        let mut stages: Vec<Vec<usize>> = Vec::new();
+        let mut axis = None;
+        for hop in self.topology.hops() {
+            if axis != Some(hop.axis) {
+                stages.push(Vec::new());
+                axis = Some(hop.axis);
+            }
+            stages.last_mut().expect("a stage per axis").push(hop.rank);
+        }
+        stages
     }
 
     /// Whether decision `d` can change what [`PeState::refresh_caches`]

@@ -113,6 +113,10 @@ impl Decomposition for Plane {
         0..self.nc
     }
 
+    fn rank_torus(&self) -> [usize; 3] {
+        [self.p, 1, 1]
+    }
+
     fn has_balancer(&self) -> bool {
         true
     }

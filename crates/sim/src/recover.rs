@@ -754,9 +754,10 @@ pub(crate) mod tests {
         let cfg = recovery_cfg();
         let reference = fault_free(&cfg);
         // Kill rank 2 deep enough into the run that a checkpoint exists
-        // (it sends some four messages a step: step 5's gather is its
-        // 25th or so).
-        let kill = |launch, rank| (launch == 0 && rank == 2).then(|| FaultPlan::kill_at(90));
+        // (it sends some three messages a step — a frame per hop and its
+        // stats — so step 5's gather is its 18th or so, and its 70th send
+        // falls in step 21, after the checkpoint of step 20).
+        let kill = |launch, rank| (launch == 0 && rank == 2).then(|| FaultPlan::kill_at(70));
         let out = faulted(kill)
             .run_resilient(&cfg, &ladder())
             .expect("second attempt recovers");

@@ -127,6 +127,11 @@ pub struct WireBytes {
     /// DLB decision and re-tile column bytes (same layout before and
     /// after the diet; tracked for the per-phase breakdown).
     pub dlb: u64,
+    /// Of the shipped bytes, those of the sections a rank passed on in
+    /// the staged exchange without being one of their destinations: what
+    /// a diagonal neighbour's items cost on the way through a relay that
+    /// does not need them (none on even tiles).
+    pub relayed: u64,
 }
 
 impl WireBytes {
@@ -137,6 +142,7 @@ impl WireBytes {
         self.migrate += other.migrate;
         self.migrate_baseline += other.migrate_baseline;
         self.dlb += other.dlb;
+        self.relayed += other.relayed;
     }
 
     /// Total bytes shipped across tracked phases.

@@ -55,6 +55,19 @@
 //! `digest_particles` equalled the serial reference's before and after,
 //! 0x826fdc6cb9d33bf0, 0xd096064b90c85112, 0x8867d430d90fb7db,
 //! 0x4cfb21a79597db90, 0xe36790baf1274e34 and 0x33920bd8f57f4c11.
+//! All six were re-captured when the step's frames began to travel the
+//! rank torus one axis at a time, a diagonal neighbour's share relayed
+//! (3 frames a step instead of 7 on the cube, 2 instead of 3 on the
+//! 2 × 2 tiles, 4 instead of 8 on the 3 × 3): only `t_step` moved — a
+//! scratch build of the parent and of this change ran all six and
+//! hashed every record field but `t_step` and `wall_s` to the same value,
+//! and `digest_particles` equalled the serial reference's before and
+//! after, the six values above. Old → new: 0x12a2a9e6c1fac360 →
+//! 0x3ed54524f9374ed8, 0x4c742fd87671def3 → 0xd0fdea32e6ea6072,
+//! 0x45acd78ad9c66120 → 0x580548b20e24415b, 0xb83f1ef202f1aced →
+//! 0x8f1b6a355a4ca7f7 (the ring's frames were already one per hop; its
+//! section headers are smaller), 0x9e30932c1788c2a4 → 0x3678a94926a68500,
+//! 0x3dca02c97b51f4b9 → 0x8f71839d8e5e5603.
 //! An engine change that is meant to be a pure move
 //! must leave all six alone; one that means to move them says so in
 //! CHANGES.md and re-captures them here.
@@ -91,7 +104,7 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     verlet.skin = 0.06;
     verlet.verlet = true;
     // 6×6-column tiles on the 3×3 torus, a clustered start (123 columns
-    // planned away at launch), one frame per neighbour and the balancer on
+    // planned away at launch), one exchange a step and the balancer on
     // every step (64 transfers), the tiling checked at steps 2, 4, 8 and 16
     // and kept.
     let mut balancing = gas(9, 18, 0.03);
@@ -106,7 +119,7 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
     ring.skin = 0.06;
     ring.dlb = true;
     // 6³-cell blocks on the 2×2×2 torus: per-cell classes, one exchange
-    // per step with seven neighbours.
+    // per step with seven neighbours, three frames.
     let cube = gas(8, 12, 0.1);
     // 4×4-column tiles on the 3×3 torus, then 3×3 on the 4×4 and back: a
     // balancing run through the resilient terminal — a checkpoint and a
@@ -141,12 +154,12 @@ fn four_runs_land_on_the_digests_of_the_commit_that_pinned_them() {
         resized.digest,
     ];
     let pinned: [u64; 6] = [
-        0x12a2a9e6c1fac360,
-        0x4c742fd87671def3,
-        0x45acd78ad9c66120,
-        0xb83f1ef202f1aced,
-        0x9e30932c1788c2a4,
-        0x3dca02c97b51f4b9,
+        0x3ed54524f9374ed8,
+        0xd0fdea32e6ea6072,
+        0x580548b20e24415b,
+        0x8f1b6a355a4ca7f7,
+        0x3678a94926a68500,
+        0x8f71839d8e5e5603,
     ];
     let hex = |digests: [u64; 6]| digests.map(|d| format!("{d:#018x}"));
     assert_eq!(

@@ -361,7 +361,9 @@ fn the_papers_scenario_launches_on_its_permanent_cells() {
     // it: the plan lent rank 0, in the corner, a column of rank 4's tile
     // in the middle of the core, and handing it back would leave rank 4
     // at or above rank 0, so the run keeps it where the plan put it.
-    // (On the paper's scheme: tiles cut once, at launch.)
+    // (On the paper's scheme: tiles cut once, at launch.) A step takes
+    // 15.38 model_ms, its frames staged along the torus axes; 15.51 while
+    // every neighbour had a frame of its own.
     let mut cfg = papers_scenario();
     cfg.steps = 3;
     let report = Launch::new().fixed_tiles().run(&cfg).report;
@@ -377,7 +379,7 @@ fn the_papers_scenario_launches_on_its_permanent_cells() {
         assert_eq!(record.f_max, floor, "step {}", step + 1);
         let t = record.t_step;
         assert!(
-            (0.01551..0.01591).contains(&t),
+            (0.01536..0.01576).contains(&t),
             "step {} took {t} model_s",
             step + 1
         );

@@ -1,18 +1,25 @@
 //! Tier-1's view of what a step sends, in closed form, so that an empty
 //! round cannot creep back unnoticed:
 //!
+//! - every exchange is staged along the rank torus: per round a rank
+//!   sends one frame to each distinct rank one torus step away along an
+//!   axis (its *hops* — 2 on a ring of 3 or more, 1 on a ring of 2, 2 on
+//!   the 2 × 2 torus, 4 on larger ones, 3 on the 2 × 2 × 2 cube, 6 on
+//!   larger ones) and receives one from each; a diagonal neighbour's
+//!   share rides those frames;
 //! - the frozen skin epochs (the recommended configuration: `skin > 0`,
 //!   `verlet`) land on the serial reference bit for bit, and a mid-epoch
-//!   step costs exactly one message per neighbour — the positions-only
-//!   ghost refresh;
-//! - a run that does not balance sends one message per neighbour on its
-//!   rebuild steps too: migrants and ghosts share the frame;
+//!   step costs exactly one frame per hop — the positions-only ghost
+//!   refresh;
+//! - a run that does not balance sends one frame per hop on its rebuild
+//!   steps too: migrants and ghosts share the exchange;
 //! - so does a run that balances on the 3 × 3 torus, where every rank a
 //!   column can reach neighbours every rank that can hold it; a run that
-//!   balances elsewhere sends two. Either way the decision was taken a
-//!   step ahead and rides the step's first frames, and the column travels
-//!   in the giver's first frames of the next rebuild step, so a DLB step
-//!   sends what a DDM step with as many rounds sends, whatever moves.
+//!   balances elsewhere sends two rounds. Either way the decision was
+//!   taken a step ahead and rides the step's first frames, and the column
+//!   travels in the giver's first frames of the next rebuild step, so a
+//!   DLB step sends what a DDM step with as many rounds sends, whatever
+//!   moves.
 //!
 //! Every balancing run also sends, once per launch, the announcement of
 //! the initial loads (a column moves only if it leaves its receiver below
@@ -61,13 +68,13 @@ fn run(cfg: &RunConfig, shape: DomainShape) -> RunReport {
     report
 }
 
-/// Messages a healthy run sends over all ranks, each rank having `nbrs`
-/// neighbours and sending `rounds` frames to each on a rebuild step, given
+/// Messages a healthy run sends over all ranks, each rank having `hops`
+/// hops and sending `rounds` frames along each on a rebuild step, given
 /// which steps its report says rebuilt. No column moves in a message of
 /// its own, in the run or at launch.
-fn expected_msgs(cfg: &RunConfig, nbrs: u64, rounds: u64, report: &RunReport) -> u64 {
+fn expected_msgs(cfg: &RunConfig, hops: u64, rounds: u64, report: &RunReport) -> u64 {
     let (p, steps) = (cfg.p as u64, cfg.steps);
-    let nbrs = p * nbrs;
+    let nbrs = p * hops;
     let rebuilds = report.records.iter().filter(|r| r.rebuilt).count() as u64;
     // A gather or a broadcast over P ranks is P − 1 sends.
     let coll = p - 1;
@@ -85,7 +92,7 @@ fn expected_msgs(cfg: &RunConfig, nbrs: u64, rounds: u64, report: &RunReport) ->
 }
 
 #[test]
-fn frozen_epochs_match_serial_and_send_one_message_per_neighbour_mid_epoch() {
+fn frozen_epochs_match_serial_and_send_one_frame_per_hop_mid_epoch() {
     let cfg = gas(4, 6, 0.06);
     let report = run(&cfg, DomainShape::SquarePillar);
     let rebuilds = report.records.iter().filter(|r| r.rebuilt).count() as u64;
@@ -93,7 +100,7 @@ fn frozen_epochs_match_serial_and_send_one_message_per_neighbour_mid_epoch() {
         (2..STEPS / 2).contains(&rebuilds),
         "degenerate epoch schedule: {rebuilds}/{STEPS} rebuilds"
     );
-    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 3, 1, &report));
+    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 2, 1, &report));
 }
 
 #[test]
@@ -101,11 +108,41 @@ fn every_step_rebuilds_without_a_skin_in_one_exchange_where_nothing_balances() {
     let cfg = gas(4, 6, 0.0);
     let report = run(&cfg, DomainShape::SquarePillar);
     assert!(report.records.iter().all(|r| r.rebuilt));
-    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 3, 1, &report));
-    // Message for message: the initial exchange and one frame per
-    // neighbour and step (12 + 40 · 12), the collectives (147). The same
-    // run sent 1119 while migrants and ghosts travelled apart.
-    assert_eq!(report.msgs_sent, 639);
+    assert_eq!(report.msgs_sent, expected_msgs(&cfg, 2, 1, &report));
+    // Message for message: the initial exchange and one frame per hop and
+    // step (8 + 40 · 8), the collectives (147). The same run sent 639
+    // while every neighbour had a frame of its own, and 1119 while
+    // migrants and ghosts travelled apart.
+    assert_eq!(report.msgs_sent, 475);
+}
+
+#[test]
+fn a_ddm_run_sends_a_frame_per_hop_along_each_torus_axis() {
+    // One DDM run of the ring, the 2 × 2 × 2 cube and the 3 × 3 × 3 cube,
+    // every step one exchange: each rank sends a frame to, and receives
+    // one from, every distinct rank one step away along an axis — two on
+    // the ring, one per axis at a side of 2, two per axis from 3 — plus
+    // the collectives. A neighbour one step away on several axes gets its
+    // share through the frames of the others.
+    // Pinned too: what each sends, 41 exchanges (the initial one and 40
+    // steps) and the collectives. While every distinct neighbour had a
+    // frame of its own — 2, 7 and 26 of them — the three sent 475, 2639
+    // and 30056.
+    for (shape, p, nc, hops, pinned) in [
+        (DomainShape::Plane, 4, 8, 2, 475),
+        (DomainShape::Cube, 8, 6, 3, 1327),
+        (DomainShape::Cube, 27, 6, 6, 7916),
+    ] {
+        let cfg = gas(p, nc, 0.0);
+        let report = run(&cfg, shape);
+        assert!(report.records.iter().all(|r| r.rebuilt));
+        assert_eq!(
+            report.msgs_sent,
+            expected_msgs(&cfg, hops, 1, &report),
+            "{shape:?} P = {p}"
+        );
+        assert_eq!(report.msgs_sent, pinned, "{shape:?} P = {p}");
+    }
 }
 
 #[test]
@@ -115,16 +152,16 @@ fn a_balancing_step_sends_what_a_plain_step_with_as_many_rounds_sends() {
     // launch plan has moved columns before the first step — without a
     // message. Every step is a DLB step; none has a message of its own.
     // The plane's boundaries keep moving and the 4×4 torus moves a few
-    // columns, inside its two rounds. The 3×3 torus sends one frame per
-    // neighbour — every rank a column can reach there neighbours every
-    // rank that can hold it — and its balancer is idle for the whole run:
+    // columns, inside its two rounds. The 3×3 torus sends one exchange —
+    // every rank a column can reach there neighbours every rank that can
+    // hold it — and its balancer is idle for the whole run:
     // a column moves only if it leaves its receiver below its giver, and
     // on these 2 × 2 tiles every movable column outweighs the gap it
     // would close; `columns_move_during_skin_epochs_once_the_load_gathers`
     // moves its columns.
-    for (shape, p, nc, nbrs, rounds) in [
-        (DomainShape::SquarePillar, 9, 6, 8, 1),
-        (DomainShape::SquarePillar, 16, 8, 8, 2),
+    for (shape, p, nc, hops, rounds) in [
+        (DomainShape::SquarePillar, 9, 6, 4, 1),
+        (DomainShape::SquarePillar, 16, 8, 4, 2),
         (DomainShape::Plane, 3, 9, 2, 2),
     ] {
         let mut cfg = gas(p, nc, 0.0);
@@ -144,7 +181,7 @@ fn a_balancing_step_sends_what_a_plain_step_with_as_many_rounds_sends() {
         );
         assert_eq!(
             report.msgs_sent,
-            expected_msgs(&cfg, nbrs, rounds, &report),
+            expected_msgs(&cfg, hops, rounds, &report),
             "{shape:?} P = {p}"
         );
     }
@@ -216,7 +253,7 @@ fn columns_move_during_skin_epochs_once_the_load_gathers() {
     // multiple of 3 — moves them, also where that rebuild is off the
     // multiple. Each rides the giver's first frames of the next rebuild
     // step, where it counts: round 1 on 3 × 3 tiles of the 4 × 4 torus,
-    // the one frame on 4 × 4 tiles of the 3 × 3 torus.
+    // the one exchange on 4 × 4 tiles of the 3 × 3 torus.
     let k = 3;
     for (p, m, rounds) in [(16, 3, 2), (9, 4, 1)] {
         let mut cfg = RunConfig::from_p_m_density(p, m, 0.256);
@@ -243,7 +280,7 @@ fn columns_move_during_skin_epochs_once_the_load_gathers() {
         );
         assert_eq!(
             report.msgs_sent,
-            expected_msgs(&cfg, 8, rounds, &report),
+            expected_msgs(&cfg, 4, rounds, &report),
             "P = {p}"
         );
     }
