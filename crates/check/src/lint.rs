@@ -21,7 +21,8 @@
 //!   allowlisted as guarding a local invariant (a poisoned lock, a
 //!   just-checked index) that no remote input can violate.
 //! - `unbounded-recv-in-recovery-path`: no indefinitely blocking
-//!   `.recv(...)` in the files recovery flows through (`pcdlb-sim`'s step
+//!   `.recv(...)` or `.recv_payload(...)` in the files recovery flows
+//!   through (`pcdlb-sim`'s step
 //!   engine — every module of `pe/`, the run loop in `engine.rs` and the
 //!   decompositions — plus `driver.rs`' ladder loop, `recover.rs` and the
 //!   resize barrier in `elastic.rs`). A recovery path waiting
@@ -186,10 +187,10 @@ const RULES: &[Rule] = &[
             "crates/sim/src/recover.rs",
             "crates/sim/src/elastic.rs",
         ],
-        // `.recv(` / `.recv::<` match the indefinitely blocking receive
-        // only: `recv_deadline` and `try_recv` have a different character
-        // after "recv" and stay legal.
-        patterns: &[".recv(", ".recv::<"],
+        // `.recv(` / `.recv::<` / `.recv_payload(` match the indefinitely
+        // blocking receives only: `recv_deadline` and `try_recv` have a
+        // different character after "recv" and stay legal.
+        patterns: &[".recv(", ".recv::<", ".recv_payload("],
     },
     Rule {
         name: "per-step-allocation-in-hot-path",
@@ -541,6 +542,7 @@ mod tests {
                 "    let x: () = comm.recv(0, tags::RESIZE_GO);\n",
                 "    let y = comm.recv::<()>(1, tags::RESIZE_READY);\n",
                 "    let ok = comm.recv_deadline::<()>(0, tags::RESIZE_GO, t);\n",
+                "    let raw = comm.recv_payload(0, tags::RESIZE_GO);\n",
                 "}\n",
             ),
         )]);
@@ -551,7 +553,7 @@ mod tests {
             .filter(|f| f.rule == "unbounded-recv-in-recovery-path")
             .map(|f| f.line)
             .collect();
-        assert_eq!(lines, vec![2, 3], "deadline-bounded receives stay legal");
+        assert_eq!(lines, vec![2, 3, 5], "deadline-bounded receives stay legal");
     }
 
     #[test]

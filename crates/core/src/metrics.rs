@@ -12,8 +12,6 @@
 //!   maximum number of cells that contain no particle" (Sec. 4.2);
 //! - trajectory points in `(n, C₀/C)` space (Fig. 9).
 
-use pcdlb_mp::WireSize;
-
 /// Per-PE cell statistics for one time step (3-D cell counts, i.e.
 /// columns × `nc` cells per column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,12 +24,6 @@ pub struct PeCellStats {
     pub empty_cells: usize,
     /// Particles currently owned.
     pub particles: usize,
-}
-
-impl WireSize for PeCellStats {
-    fn wire_size(&self) -> usize {
-        4 * 8
-    }
 }
 
 /// One point of the `(n, C₀/C)` trajectory (paper Fig. 9).

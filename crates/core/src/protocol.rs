@@ -140,7 +140,6 @@
 use std::fmt;
 
 use pcdlb_domain::{Col, OwnershipMap, PillarLayout};
-use pcdlb_mp::WireSize;
 
 use crate::permanent::{is_movable, movable_columns};
 
@@ -181,11 +180,11 @@ pub mod tags {
     /// its own. Between the rebuilds of a skin epoch a step sends one
     /// exchange: the positions-only ghost refresh.
     pub const STEP_FRAME: u64 = 16;
-    /// Phase 5 (collective): kinetic-energy gather to rank 0.
+    /// Phase 7 (collective): kinetic-energy gather to rank 0.
     pub const KE_GATHER: u64 = 10;
-    /// Phase 5 (collective): thermostat scale factor broadcast from rank 0.
+    /// Phase 7 (collective): thermostat scale factor broadcast from rank 0.
     pub const KE_BCAST: u64 = 11;
-    /// Phase 6 (collective): per-step stats gather to rank 0.
+    /// Phase 8 (collective): per-step stats gather to rank 0.
     pub const STATS: u64 = 12;
     /// End of run (collective): final particle snapshot gather to rank 0.
     pub const SNAPSHOT: u64 = 13;
@@ -234,16 +233,19 @@ pub mod tags {
         /// Runs before any particle state mutates, on the work the last
         /// force pass measured.
         RetileCheck,
-        /// Round-1 coalesced exchange (8-neighbourhood): boundary-crossing
-        /// particle migration, with the balancer's traffic riding along —
-        /// last-step loads (the former standalone load exchange) and, on
-        /// DLB steps, the decisions (the former decision broadcast).
+        /// Round-1 coalesced exchange, staged along the rank torus one hop
+        /// at a time (a diagonal neighbour's items relayed through a face
+        /// neighbour): boundary-crossing particle migration, with the
+        /// balancer's traffic riding along — last-step loads (the former
+        /// standalone load exchange) and, on DLB steps, the decisions (the
+        /// former decision broadcast).
         Migrate,
         /// Re-tile column movement (decision-driven, after round 1 of a
         /// re-tile step): one frame per (old owner, new owner) pair, which
         /// need not be neighbours.
         Retile,
-        /// Ghost-layer exchange (8-neighbourhood).
+        /// Ghost-layer exchange, staged along the rank torus one hop at a
+        /// time like `Migrate`.
         Ghost,
         /// Thermostat gather + broadcast (collectives).
         Thermostat,
@@ -457,11 +459,8 @@ pub struct DlbDecision {
     pub to: usize,
 }
 
-impl WireSize for DlbDecision {
-    fn wire_size(&self) -> usize {
-        16 + 8 + 8
-    }
-}
+// Column, giver, receiver: 32 bytes.
+pcdlb_mp::wire_struct!(DlbDecision { col, from, to });
 
 /// A decision as it travels and is remembered: with the work that moves
 /// with it (see the module docs, *in flight*).
@@ -474,11 +473,8 @@ pub struct Transfer {
     pub work: f64,
 }
 
-impl WireSize for Transfer {
-    fn wire_size(&self) -> usize {
-        self.decision.wire_size() + 8
-    }
-}
+// The decision, then the work: 40 bytes.
+pcdlb_mp::wire_struct!(Transfer { decision, work });
 
 /// Bring the neighbour `loads` in hand up to date with the transfers
 /// applied since they were measured: each one's work comes off the

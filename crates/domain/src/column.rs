@@ -7,7 +7,6 @@
 //! cells).
 
 use pcdlb_mp::topology::NEIGHBOR_OFFSETS_8;
-use pcdlb_mp::WireSize;
 
 /// Cross-section coordinates of a column, each in `0..nc`.
 ///
@@ -26,11 +25,8 @@ impl Col {
     }
 }
 
-impl WireSize for Col {
-    fn wire_size(&self) -> usize {
-        16
-    }
-}
+// `cx`, `cy`: 16 bytes.
+pcdlb_mp::wire_struct!(Col { cx, cy });
 
 /// The `nc × nc` periodic cross-section grid of columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

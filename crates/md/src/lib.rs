@@ -41,8 +41,6 @@ pub use soa::SoaField;
 pub use vec3::Vec3;
 pub use verlet::{DispTracker, SegAction, SegKind, Segment, VerletList};
 
-use pcdlb_mp::WireSize;
-
 /// One particle: identity, position and velocity. Forces are held in
 /// per-cell side arrays so that ghost copies (which never need forces)
 /// stay lean on the wire.
@@ -57,11 +55,8 @@ pub struct Particle {
     pub vel: Vec3,
 }
 
-impl WireSize for Particle {
-    fn wire_size(&self) -> usize {
-        8 + 6 * 8
-    }
-}
+// Id, position, velocity: 56 bytes.
+pcdlb_mp::wire_struct!(Particle { id, pos, vel });
 
 impl Particle {
     /// A particle at rest.
@@ -79,10 +74,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn particle_wire_size_counts_id_pos_vel() {
-        let p = Particle::at_rest(3, Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(p.wire_size(), 56);
+    fn a_particle_travels_as_id_pos_vel() {
+        use pcdlb_mp::wire::{decode_all, encoded_len, Encode};
+        let mut p = Particle::at_rest(3, Vec3::new(1.0, 2.0, 3.0));
+        p.vel = Vec3::new(-0.5, 0.25, 8.0);
+        assert_eq!(encoded_len(&p), 56);
         let v = vec![p; 10];
-        assert_eq!(v.wire_size(), 8 + 560);
+        assert_eq!(encoded_len(&v), 8 + 560);
+        let mut bytes = Vec::new();
+        v.encode(&mut bytes);
+        assert_eq!(decode_all::<Vec<Particle>>(&bytes), Ok(v));
     }
 }

@@ -8,8 +8,6 @@
 
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use pcdlb_mp::WireSize;
-
 /// A 3-component `f64` vector.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
@@ -136,11 +134,8 @@ impl Neg for Vec3 {
     }
 }
 
-impl WireSize for Vec3 {
-    fn wire_size(&self) -> usize {
-        24
-    }
-}
+// x, y, z: 24 bytes.
+pcdlb_mp::wire_struct!(Vec3 { x, y, z });
 
 #[cfg(test)]
 mod tests {

@@ -10,10 +10,8 @@
 //! Tags passed in are offset into a reserved high range so that collective
 //! traffic can never collide with application point-to-point tags.
 
-use std::any::Any;
-
 use crate::comm::{Comm, Tag};
-use crate::wire::WireSize;
+use crate::wire::{Decode, Encode};
 
 /// Collective tags live above this bit so they cannot collide with
 /// application tags (which the simulator keeps below it). Public so the
@@ -57,7 +55,7 @@ pub fn barrier(comm: &mut Comm, tag: Tag) {
 /// run-to-run for a fixed `P`.
 pub fn reduce<T, F>(comm: &mut Comm, tag: Tag, value: T, op: F) -> Option<T>
 where
-    T: Any + Send + WireSize,
+    T: Encode + Decode,
     F: Fn(T, T) -> T,
 {
     let p = comm.size();
@@ -95,10 +93,7 @@ where
 /// Binomial-tree broadcast from rank 0. All ranks must call it; rank 0
 /// passes the value, other ranks pass a placeholder via `None` and get the
 /// broadcast value back.
-pub fn bcast<T>(comm: &mut Comm, tag: Tag, value: Option<T>) -> T
-where
-    T: Any + Send + WireSize + Clone,
-{
+pub fn bcast<T: Encode + Decode>(comm: &mut Comm, tag: Tag, value: Option<T>) -> T {
     let p = comm.size();
     let rank = comm.rank();
     if rank == 0 {
@@ -116,7 +111,7 @@ where
         if rank.is_multiple_of(2 * step) {
             let dst = rank + step;
             if dst < p {
-                let v = have.as_ref().expect("bcast: holder has value").clone();
+                let v = have.as_ref().expect("bcast: holder has value");
                 comm.send(dst, ctag(tag, step as u64), v);
             }
         } else if rank % (2 * step) == step {
@@ -133,7 +128,7 @@ where
 /// order. All ranks receive the combined value.
 pub fn allreduce<T, F>(comm: &mut Comm, tag: Tag, value: T, op: F) -> T
 where
-    T: Any + Send + WireSize + Clone,
+    T: Encode + Decode,
     F: Fn(T, T) -> T,
 {
     let reduced = reduce(comm, tag, value, op);
@@ -142,10 +137,7 @@ where
 
 /// Gather every rank's value to rank 0 in rank order. Only rank 0 receives
 /// `Some(vec)`.
-pub fn gather<T>(comm: &mut Comm, tag: Tag, value: T) -> Option<Vec<T>>
-where
-    T: Any + Send + WireSize,
-{
+pub fn gather<T: Encode + Decode>(comm: &mut Comm, tag: Tag, value: T) -> Option<Vec<T>> {
     let p = comm.size();
     let rank = comm.rank();
     if rank == 0 {

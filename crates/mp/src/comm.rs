@@ -10,12 +10,16 @@
 //!   different `(src, tag)` are buffered and delivered to later receives
 //!   (MPI's non-overtaking rule holds per `(src, tag)` pair because each
 //!   sender's messages travel a FIFO channel).
-//! - Message payloads are typed; receiving with the wrong type panics with
-//!   a diagnostic, since in an SPMD program that is always a protocol bug.
-//! - Payloads move between threads by pointer, never re-encoded; a hot
-//!   path that wants to reuse its send buffers across steps sends
-//!   `Arc<T>` values drawn from a [`crate::pool::BufferPool`] (the cost
-//!   model charges the inner `T`'s wire size either way).
+//! - A message is its bytes ([`crate::wire`]): `send` encodes the value
+//!   into a payload buffer, `recv` decodes it, and the payload's length is
+//!   what the cost model and the counters charge. A payload that does not
+//!   decode as the type the receiver asks for panics with a diagnostic,
+//!   since in an SPMD program that is always a protocol bug.
+//! - Payload buffers circulate: a send takes one from this rank's spare
+//!   list, the wire carries it, and the receive that consumes it puts it
+//!   on the receiver's spare list, so a steady exchange allocates none.
+//!   A frame with a layout of its own goes out through [`Comm::send_with`]
+//!   and comes in through [`Comm::recv_payload`] and [`Comm::recycle`].
 //!
 //! # Two layers
 //!
@@ -54,7 +58,6 @@
 //! Every send/receive also charges the [`CostModel`] time to the rank's
 //! communication clock and bumps its [`CommStats`] counters.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -66,7 +69,7 @@ use crate::channel::{Receiver, RecvTimeoutError, Sender};
 use crate::cost::CostModel;
 use crate::link::{Closed, Link};
 use crate::transport::{LossyProfile, Partition};
-use crate::wire::WireSize;
+use crate::wire::{decode_all, Decode, Encode};
 use crate::world::Shared;
 
 /// Message tag. Programs namespace tags themselves (the simulator uses one
@@ -92,7 +95,7 @@ pub struct CommConfig {
     /// Inert: nothing reads it. A send either reaches the wire or names a
     /// dead peer, and a lost frame is retransmitted, never re-sent. Kept
     /// only because the benchmark's configuration literal names every
-    /// field; removed with the knob census (ROADMAP item 4(i)).
+    /// field; removed with the knob census (ROADMAP item 5(i)).
     pub send_retry_limit: u32,
     /// Retransmission attempts per unacked frame over a lossy link before
     /// escalating into the fault ladder as a
@@ -378,9 +381,8 @@ pub(crate) struct Envelope {
     pub(crate) src: usize,
     pub(crate) dst: usize,
     pub(crate) tag: Tag,
-    pub(crate) wire_bytes: usize,
-    pub(crate) payload: Box<dyn Any + Send>,
-    pub(crate) type_name: &'static str,
+    /// The encoded message; its length is what the message costs.
+    pub(crate) payload: Vec<u8>,
     /// Per-(src, dst) link sequence number, stamped by the link layer; 0
     /// and unused without one.
     pub(crate) rseq: u64,
@@ -399,22 +401,15 @@ pub(crate) struct Envelope {
 }
 
 impl Envelope {
-    /// The one envelope constructor: `value` from rank `src` to rank
+    /// The one envelope constructor: `payload` from rank `src` to rank
     /// `dst`. Link sequence and (`check`) FIFO sequence numbers start at
     /// 0, for the layers that stamp them.
-    pub(crate) fn new<T: Any + Send + WireSize>(
-        src: usize,
-        dst: usize,
-        tag: Tag,
-        value: T,
-    ) -> Self {
+    pub(crate) fn new(src: usize, dst: usize, tag: Tag, payload: Vec<u8>) -> Self {
         Self {
             src,
             dst,
             tag,
-            wire_bytes: value.wire_size(),
-            payload: Box::new(value),
-            type_name: std::any::type_name::<T>(),
+            payload,
             rseq: 0,
             hollow: false,
             #[cfg(feature = "check")]
@@ -430,7 +425,7 @@ pub struct CommStats {
     pub msgs_sent: u64,
     /// Messages received by this rank.
     pub msgs_recvd: u64,
-    /// Total bytes sent (wire-size accounting).
+    /// Total payload bytes sent.
     pub bytes_sent: u64,
     /// Total bytes received.
     pub bytes_recvd: u64,
@@ -462,6 +457,8 @@ pub struct Comm {
     inbox: Receiver<Envelope>,
     /// Arrived-but-unmatched messages, searched before the channel.
     pending: VecDeque<Envelope>,
+    /// Payload buffers consumed here, for the next sends to fill.
+    spare: Vec<Vec<u8>>,
     model: CostModel,
     /// The world's configuration: the poll quantum and watchdog pace
     /// every blocking receive.
@@ -505,6 +502,7 @@ impl Comm {
             senders,
             inbox,
             pending: VecDeque::new(),
+            spare: Vec::new(),
             model,
             cfg: cfg.clone(),
             world,
@@ -591,18 +589,32 @@ impl Comm {
         &self.model
     }
 
-    /// Send `value` to rank `dst` with `tag`. Never blocks. Sending to
-    /// self is allowed (the message is delivered through the same
-    /// mailbox). Panics with the [`CommError`] diagnostic if the
-    /// destination is gone — naming the peer and tag, and noting a world
-    /// abort when that is the cause; programs that want to survive a dead
-    /// peer use [`Comm::try_send`].
-    pub fn send<T>(&mut self, dst: usize, tag: Tag, value: T)
-    where
-        T: Any + Send + WireSize,
-    {
-        if let Err(e) = self.try_send(dst, tag, value) {
-            panic!("{e}");
+    /// Send `value` to rank `dst` with `tag`. Never blocks; returns the
+    /// bytes the message took. Sending to self is allowed (the message is
+    /// delivered through the same mailbox). Panics with the [`CommError`]
+    /// diagnostic if the destination is gone — naming the peer and tag,
+    /// and noting a world abort when that is the cause; programs that want
+    /// to survive a dead peer use [`Comm::try_send`].
+    pub fn send<T: Encode>(&mut self, dst: usize, tag: Tag, value: T) -> usize {
+        self.send_with(dst, tag, |out| {
+            value.encode(out);
+            out.len()
+        })
+    }
+
+    /// Send the payload `encode` writes — into an empty buffer — to rank
+    /// `dst` with `tag`, and return what `encode` returns: the one send
+    /// path, for a frame whose writer reports what it wrote. Panics like
+    /// [`Comm::send`].
+    pub fn send_with<R>(
+        &mut self,
+        dst: usize,
+        tag: Tag,
+        encode: impl FnOnce(&mut Vec<u8>) -> R,
+    ) -> R {
+        match self.post(dst, tag, encode) {
+            Ok(r) => r,
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -610,20 +622,30 @@ impl Comm {
     /// world abort) comes back as `Err(CommError)`
     /// instead of a panic. Accounting (stats, virtual time) reflects the
     /// attempt either way.
-    pub fn try_send<T>(&mut self, dst: usize, tag: Tag, value: T) -> Result<(), CommError>
-    where
-        T: Any + Send + WireSize,
-    {
+    pub fn try_send<T: Encode>(&mut self, dst: usize, tag: Tag, value: T) -> Result<(), CommError> {
+        self.post(dst, tag, |out| value.encode(out))
+    }
+
+    /// Encode into a spare payload buffer and put it on the wire.
+    fn post<R>(
+        &mut self,
+        dst: usize,
+        tag: Tag,
+        encode: impl FnOnce(&mut Vec<u8>) -> R,
+    ) -> Result<R, CommError> {
         assert!(
             dst < self.size,
             "send: dst {dst} out of range (size {})",
             self.size
         );
         let src = self.rank;
-        let env = Envelope::new(src, dst, tag, value);
-        let t = self.model.message_time(src, dst, env.wire_bytes);
+        let mut payload = self.spare.pop().unwrap_or_default();
+        payload.clear();
+        let written = encode(&mut payload);
+        let env = Envelope::new(src, dst, tag, payload);
+        let t = self.model.message_time(src, dst, env.payload.len());
         self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += env.wire_bytes as u64;
+        self.stats.bytes_sent += env.payload.len() as u64;
         self.stats.virtual_comm_s += t;
         self.lap_virtual_s += t;
         #[cfg(feature = "check")]
@@ -649,7 +671,7 @@ impl Comm {
                 seq: sent_seq,
             });
         }
-        res
+        res.map(|()| written)
     }
 
     /// Route one application envelope to rank `dst`: a plain mailbox
@@ -695,21 +717,35 @@ impl Comm {
     }
 
     /// Receive the next message from `src` with `tag`, blocking until one
-    /// arrives or the world watchdog expires. Panics with the
-    /// [`CommError`] diagnostic on abort, timeout, or a transport fault,
-    /// and on payload type mismatch; [`Comm::recv_deadline`] is the
-    /// `Result`-returning form.
-    pub fn recv<T>(&mut self, src: usize, tag: Tag) -> T
-    where
-        T: Any + Send + WireSize,
-    {
+    /// arrives or the world watchdog expires, and decode it. Panics with
+    /// the [`CommError`] diagnostic on abort, timeout, or a transport
+    /// fault, and on a payload that does not decode as `T`;
+    /// [`Comm::recv_deadline`] is the `Result`-returning form.
+    pub fn recv<T: Decode>(&mut self, src: usize, tag: Tag) -> T {
+        let payload = self.recv_payload(src, tag);
+        self.decode(src, tag, payload)
+    }
+
+    /// Receive the next message from `src` with `tag`, like
+    /// [`Comm::recv`], as its raw payload — for a frame with a layout of
+    /// its own. Hand the buffer back with [`Comm::recycle`] once read.
+    pub fn recv_payload(&mut self, src: usize, tag: Tag) -> Vec<u8> {
         match self.recv_envelope(src, tag, None) {
             Ok(env) => {
                 #[cfg(feature = "check")]
                 Self::emit_recv(&env, false);
-                self.unpack(env)
+                self.charge(env)
             }
             Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Keep a consumed payload buffer for the next sends to fill.
+    pub fn recycle(&mut self, payload: Vec<u8>) {
+        // Enough for every frame a step has in flight; a rank that
+        // receives more than it sends (a gather's root) drops the rest.
+        if self.spare.len() < 4 * self.size.max(8) {
+            self.spare.push(payload);
         }
     }
 
@@ -717,21 +753,19 @@ impl Comm {
     /// for a message from `src` with `tag`. Every failure — dead peer,
     /// world abort, deadline expiry, transport fault —
     /// comes back as `Err(CommError)`. A zero `timeout` makes this a
-    /// structured probe. Payload type mismatch still panics (it is a
-    /// protocol bug, not a runtime fault).
-    pub fn recv_deadline<T>(
+    /// structured probe. A payload that does not decode as `T` still
+    /// panics (it is a protocol bug, not a runtime fault).
+    pub fn recv_deadline<T: Decode>(
         &mut self,
         src: usize,
         tag: Tag,
         timeout: Duration,
-    ) -> Result<T, CommError>
-    where
-        T: Any + Send + WireSize,
-    {
+    ) -> Result<T, CommError> {
         let env = self.recv_envelope(src, tag, Some(timeout))?;
         #[cfg(feature = "check")]
         Self::emit_recv(&env, true);
-        Ok(self.unpack(env))
+        let payload = self.charge(env);
+        Ok(self.decode(src, tag, payload))
     }
 
     /// The blocking-receive engine shared by `recv` and `recv_deadline`:
@@ -925,10 +959,7 @@ impl Comm {
     /// every ghost-exchange phase uses): sends `value` to `peer` with
     /// `tag` and receives that peer's message with the same tag. Safe
     /// against deadlock because sends never block. `peer` may be `self`.
-    pub fn sendrecv<T>(&mut self, peer: usize, tag: Tag, value: T) -> T
-    where
-        T: Any + Send + WireSize,
-    {
+    pub fn sendrecv<T: Encode + Decode>(&mut self, peer: usize, tag: Tag, value: T) -> T {
         self.send(peer, tag, value);
         self.recv(peer, tag)
     }
@@ -936,10 +967,7 @@ impl Comm {
     /// Non-blocking receive: `Some(value)` if a matching message has
     /// already arrived, else `None`. Panics on a transport fault like
     /// `recv` does.
-    pub fn try_recv<T>(&mut self, src: usize, tag: Tag) -> Option<T>
-    where
-        T: Any + Send + WireSize,
-    {
+    pub fn try_recv<T: Decode>(&mut self, src: usize, tag: Tag) -> Option<T> {
         #[cfg(feature = "check")]
         if self.delivery.is_some() {
             // Under a policy, a physically-arrived message is only visible
@@ -954,7 +982,8 @@ impl Comm {
             }
             let env = self.match_pending(src, tag)?;
             Self::emit_recv(&env, true);
-            return Some(self.unpack(env));
+            let payload = self.charge(env);
+            return Some(self.decode(src, tag, payload));
         }
         // Polling loops must still drive retransmission/heartbeats, or a
         // dropped frame both sides are try_recv-ing for would never be
@@ -968,30 +997,30 @@ impl Comm {
         let env = self.match_pending(src, tag)?;
         #[cfg(feature = "check")]
         Self::emit_recv(&env, true);
-        Some(self.unpack(env))
+        let payload = self.charge(env);
+        Some(self.decode(src, tag, payload))
     }
 
-    fn unpack<T>(&mut self, env: Envelope) -> T
-    where
-        T: Any + Send + WireSize,
-    {
-        let t = self.model.message_time(env.src, env.dst, env.wire_bytes);
+    /// Charge a consumed message to this rank: virtual time and counters.
+    fn charge(&mut self, env: Envelope) -> Vec<u8> {
+        let t = self.model.message_time(env.src, env.dst, env.payload.len());
         self.stats.msgs_recvd += 1;
-        self.stats.bytes_recvd += env.wire_bytes as u64;
+        self.stats.bytes_recvd += env.payload.len() as u64;
         self.stats.virtual_comm_s += t;
         self.lap_virtual_s += t;
-        let src = env.src;
-        let tag = env.tag;
-        let sent_type = env.type_name;
-        match env.payload.downcast::<T>() {
-            Ok(b) => *b,
-            Err(_) => panic!(
-                "recv type mismatch on rank {} for (src={src}, tag={tag}): \
-                 sender sent `{sent_type}`, receiver expected `{}`",
-                self.rank,
-                std::any::type_name::<T>()
-            ),
-        }
+        env.payload
+    }
+
+    /// Decode a consumed payload as `T` and keep its buffer.
+    fn decode<T: Decode>(&mut self, src: usize, tag: Tag, payload: Vec<u8>) -> T {
+        let value = decode_all::<T>(&payload);
+        self.recycle(payload);
+        value.unwrap_or_else(|e| {
+            panic!(
+                "rank {} recv(src={src}, tag={tag}): the payload does not decode: {e:?}",
+                self.rank
+            )
+        })
     }
 
     /// Number of buffered (arrived, unmatched) messages. Exposed for tests
@@ -1380,6 +1409,27 @@ mod tests {
     }
 
     #[test]
+    fn payload_buffers_circulate_from_receiver_to_its_next_sends() {
+        // Rank 1 consumes three messages and keeps their buffers; its
+        // next sends fill them instead of allocating.
+        let out = World::new(2).run(|comm| {
+            if comm.rank() == 0 {
+                for i in 0..3u64 {
+                    assert_eq!(comm.send(1, 1, vec![i; 4]), 8 + 4 * 8);
+                }
+                comm.recv::<u64>(1, 2)
+            } else {
+                let sum: u64 = (0..3).map(|_| comm.recv::<Vec<u64>>(0, 1)[0]).sum();
+                let kept = comm.spare.len();
+                comm.send(0, 2, sum);
+                assert_eq!(comm.spare.len(), kept - 1, "a spare buffer was filled");
+                kept as u64
+            }
+        });
+        assert_eq!(out, [3, 3]);
+    }
+
+    #[test]
     fn interleaved_tags_do_not_overtake_within_a_stream() {
         // Non-overtaking is per (src, tag): interleaving two tag streams
         // from one sender must not reorder either stream, no matter how
@@ -1595,7 +1645,7 @@ mod tests {
         fn envelope(seq: u64) -> super::Envelope {
             super::Envelope {
                 seq,
-                ..super::Envelope::new(0, 0, 1, seq)
+                ..super::Envelope::new(0, 0, 1, seq.to_le_bytes().to_vec())
             }
         }
         World::new(1).run(|comm| {

@@ -2,13 +2,14 @@
 //!
 //! The paper this workspace reproduces ran on a Cray T3E using MPI and
 //! Fortran 90. This crate is the substitute for that substrate: it gives an
-//! SPMD program the same primitives MPI gives — ranks, typed point-to-point
+//! SPMD program the same primitives MPI gives — ranks, point-to-point
 //! messages matched on `(source, tag)`, and collectives (barrier, reduce,
 //! broadcast, gather, allreduce) built *on top of* point-to-point, exactly
 //! as they would be on a distributed-memory machine.
 //!
 //! Each rank runs as an OS thread; messages travel over the in-tree
-//! [`channel`] module's unbounded MPMC channels.
+//! [`channel`] module's unbounded MPMC channels, each as its encoding in
+//! the one byte format of [`wire`].
 //! Because every receive names its source and tag, the data flow of a
 //! program written against this crate is deterministic regardless of how
 //! the OS schedules the threads.
@@ -66,5 +67,5 @@ pub use fault::FaultPlan;
 pub use pool::BufferPool;
 pub use topology::{Torus2d, Torus3d};
 pub use transport::{LossyProfile, Partition};
-pub use wire::WireSize;
+pub use wire::{Decode, DecodeError, Encode};
 pub use world::{RankFailure, World, WorldError};

@@ -34,31 +34,14 @@ use std::time::{Duration, Instant};
 use crate::channel::Sender;
 use crate::comm::{CommConfig, CommError, CommStats, Envelope, Tag};
 use crate::transport::Fate;
-use crate::wire::WireSize;
+use crate::wire::{decode_all, Encode};
 
 /// Wire tag reserved for link-layer control frames (acks, heartbeats).
 /// Application tags use [`crate::collectives::COLLECTIVE_BIT`] and below;
-/// control frames are intercepted at admission and never delivered.
+/// control frames are intercepted at admission and never delivered, and
+/// stay outside every statistic. An ack carries its cumulative and
+/// selective acks; a heartbeat is empty — its arrival is all it says.
 pub(crate) const LINK_CTRL_TAG: Tag = Tag::MAX;
-
-/// Link-layer control payloads.
-#[derive(Debug, Clone)]
-enum LinkCtrl {
-    /// Cumulative + selective acknowledgement of the reverse-direction
-    /// link: all `rseq < cum` delivered in order; `sacks` lists
-    /// out-of-order frames held in the reorder buffer, which the sender
-    /// need not retransmit.
-    Ack { cum: u64, sacks: Vec<u64> },
-    /// Pure liveness signal while blocked in a receive.
-    Heartbeat,
-}
-
-impl WireSize for LinkCtrl {
-    /// Control frames stay outside every statistic.
-    fn wire_size(&self) -> usize {
-        0
-    }
-}
 
 /// One frame awaiting acknowledgement on a sender's directed link.
 struct PendingFrame {
@@ -242,7 +225,7 @@ impl Link {
             Fate::Deliver | Fate::Duplicate => {}
         }
         let copy = (fate == Fate::Duplicate && env.tag != LINK_CTRL_TAG).then(|| Envelope {
-            payload: Box::new(()),
+            payload: Vec::new(),
             hollow: true,
             ..env
         });
@@ -271,19 +254,27 @@ impl Link {
 
     /// Put a control frame on the wire to `host`. Never tracked or
     /// retransmitted, and abandoned if the peer's mailbox is gone.
-    fn send_ctrl(&mut self, host: usize, ctrl: LinkCtrl, wire: &[Sender<Envelope>], now: Instant) {
-        let env = Envelope::new(self.rank, host, LINK_CTRL_TAG, ctrl);
+    fn send_ctrl(
+        &mut self,
+        host: usize,
+        payload: Vec<u8>,
+        wire: &[Sender<Envelope>],
+        now: Instant,
+    ) {
+        let env = Envelope::new(self.rank, host, LINK_CTRL_TAG, payload);
         let _ = self.emit(host, env, wire, now);
     }
 
     /// Acknowledge the receive state of `host`'s link: the cumulative
-    /// next-expected sequence plus up to 16 selective acks for frames
-    /// parked in the reorder buffer.
+    /// next-expected sequence (all `rseq` below it delivered in order)
+    /// plus up to 16 selective acks for frames parked in the reorder
+    /// buffer, which the sender need not retransmit.
     pub(crate) fn ack(&mut self, host: usize, wire: &[Sender<Envelope>], now: Instant) {
         let rx = &self.rx[host];
-        let cum = rx.expected;
-        let sacks = rx.buffer.keys().take(16).copied().collect();
-        self.send_ctrl(host, LinkCtrl::Ack { cum, sacks }, wire, now);
+        let sacks: Vec<u64> = rx.buffer.keys().take(16).copied().collect();
+        let mut payload = Vec::new();
+        (rx.expected, sacks).encode(&mut payload);
+        self.send_ctrl(host, payload, wire, now);
     }
 
     /// First look at a physically arrived frame: evidence that its host
@@ -295,10 +286,9 @@ impl Link {
         if env.tag != LINK_CTRL_TAG {
             return Some(env);
         }
-        let Ok(ctrl) = env.payload.downcast::<LinkCtrl>() else {
-            return None;
-        };
-        let LinkCtrl::Ack { cum, sacks } = *ctrl else {
+        // A heartbeat, or a control frame that does not decode, has
+        // nothing more to say.
+        let Ok((cum, sacks)) = decode_all::<(u64, Vec<u64>)>(&env.payload) else {
             return None;
         };
         let base = self.cfg.retransmit_base;
@@ -411,7 +401,7 @@ impl Link {
         if now.duration_since(self.last_heartbeat) >= self.cfg.heartbeat {
             self.last_heartbeat = now;
             for host in (0..self.tx.len()).filter(|&h| h != me) {
-                self.send_ctrl(host, LinkCtrl::Heartbeat, wire, now);
+                self.send_ctrl(host, Vec::new(), wire, now);
             }
         }
         self.evaluate_suspicion(now, stats)
@@ -459,7 +449,7 @@ impl Link {
             let probe = env.unwrap_or_else(|| Envelope {
                 rseq,
                 hollow: true,
-                ..Envelope::new(rank, host, 0, ())
+                ..Envelope::new(rank, host, 0, Vec::new())
             });
             stats.retransmits += 1;
             #[cfg(feature = "check")]
@@ -571,7 +561,7 @@ mod tests {
     fn frame(rseq: u64, value: u64) -> Envelope {
         Envelope {
             rseq,
-            ..Envelope::new(0, 1, 5, value)
+            ..Envelope::new(0, 1, 5, value.to_le_bytes().to_vec())
         }
     }
 
@@ -586,14 +576,11 @@ mod tests {
 
     /// `(cum, sacks)` of an ack frame.
     fn ack_of(env: &Envelope) -> (u64, Vec<u64>) {
-        match env.payload.downcast_ref::<LinkCtrl>() {
-            Some(LinkCtrl::Ack { cum, sacks }) => (*cum, sacks.clone()),
-            other => panic!("not an ack: {other:?}"),
-        }
+        decode_all(&env.payload).expect("an ack")
     }
 
     fn value(env: Envelope) -> u64 {
-        *env.payload.downcast::<u64>().expect("a u64 payload")
+        decode_all(&env.payload).expect("a u64 payload")
     }
 
     #[test]
@@ -650,7 +637,7 @@ mod tests {
         let quiet = cfg(LossyProfile::new(1));
         let (mut a, mut b) = (Link::new(0, 2, &quiet, t0), Link::new(1, 2, &quiet, t0));
         for v in [10u64, 11] {
-            assert!(a.send(1, Envelope::new(0, 1, 5, v), &wire, t0).is_ok());
+            assert!(a.send(1, frame(0, v), &wire, t0).is_ok());
         }
         let mut sent = drain(&inbox[1]).into_iter();
         let (first, second) = (sent.next().expect("rseq 0"), sent.next().expect("rseq 1"));
@@ -698,7 +685,7 @@ mod tests {
         // A second copy of the payload, and a header-only duplicate: both
         // are suppressed, and each is answered with a fresh ack.
         let hollow = Envelope {
-            payload: Box::new(()),
+            payload: Vec::new(),
             hollow: true,
             ..frame(0, 10)
         };

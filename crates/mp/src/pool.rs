@@ -1,33 +1,26 @@
-//! Reusable send-buffer pooling for steady-state allocation-free messaging.
+//! Reusable buffer pooling for a steady state without allocation.
 //!
-//! Payloads in this substrate already move between ranks by pointer (the
-//! ranks share an address space — see [`crate::wire`]), but a sender that
-//! builds a fresh `Vec` per message still allocates every step. A
-//! [`BufferPool`] lets a rank keep a small set of `Arc`-backed buffers
-//! alive across steps: the sender checks a buffer out, fills it in place
-//! (the allocation's capacity is retained from previous steps), sends a
-//! clone of the `Arc`, and checks the buffer back in. Once the receiver
-//! drops its clone the slot's strong count falls back to 1 and the next
-//! checkout reuses the same allocation — zero copies, zero re-encoding,
-//! and after warm-up zero allocation.
-//!
-//! Cost accounting is unaffected: `Arc<T>` charges the inner value's
-//! [`crate::WireSize`], so a pooled send is byte-identical to sending the
-//! value directly.
+//! A rank that builds a fresh value per step — an outgoing frame, say —
+//! allocates every step. A [`BufferPool`] lets it keep a small set of
+//! `Arc`-backed buffers alive across steps: it checks a buffer out,
+//! fills it in place (the allocation's capacity is retained from previous
+//! steps), uses it, and checks it back in; the next checkout reuses the
+//! same allocation. What travels between ranks is never the buffer but
+//! its encoding (see [`crate::wire`]).
 //!
 //! The pool is deliberately not thread-safe (each rank owns its own); what
 //! makes reuse sound is the `Arc` strong count. A slot with
 //! `strong_count == 1` is owned solely by the pool, and since clones can
 //! only be minted from existing handles, no other thread can resurrect a
 //! reference once the count has fallen to 1 — so handing that slot out as
-//! a uniquely-owned buffer is race-free. A slot still shared with an
-//! in-flight message (count > 1) is simply skipped; the worst a racing
-//! receiver-side drop can cause is one extra allocation, never aliasing.
+//! a uniquely-owned buffer is race-free. A slot still shared with a clone
+//! held elsewhere (count > 1) is simply skipped; the worst a racing drop
+//! can cause is one extra allocation, never aliasing.
 
 // Under `--cfg loom` the pool runs on the loom-shim `Arc`, whose clone /
 // drop / strong-count operations are schedule points — the loom tests
 // model-check the uniqueness argument above under every interleaving of a
-// receiver-side drop with a checkout.
+// clone's drop on another thread with a checkout.
 #[cfg(loom)]
 use loom::sync::Arc;
 #[cfg(not(loom))]
@@ -40,8 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(all(feature = "check", not(loom)))]
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(0);
 
-/// A pool of reusable `Arc`-backed message buffers. See the module docs
-/// for the checkout → fill → send-clone → checkin protocol.
+/// A pool of reusable `Arc`-backed buffers. See the module docs for the
+/// checkout → fill → checkin protocol.
 ///
 /// In `check` builds every checkout and checkin is recorded on the
 /// thread's protocol event log (see [`crate::check`]), keyed by a
@@ -66,10 +59,9 @@ impl<T: Default> BufferPool<T> {
     }
 
     /// Hand out a buffer that is guaranteed uniquely owned (so
-    /// `Arc::get_mut` succeeds): a checked-in slot whose receiver has
-    /// dropped its clone if one exists, otherwise a fresh default value.
-    /// The caller fills it, sends `Arc::clone`s of it, and returns it via
-    /// [`BufferPool::checkin`].
+    /// `Arc::get_mut` succeeds): a checked-in slot no clone of which is
+    /// left if one exists, otherwise a fresh default value. The caller
+    /// fills it and returns it via [`BufferPool::checkin`].
     pub fn checkout(&mut self) -> Arc<T> {
         let buf = match self.slots.iter().position(|s| Arc::strong_count(s) == 1) {
             Some(i) => self.slots.swap_remove(i),
@@ -83,7 +75,7 @@ impl<T: Default> BufferPool<T> {
         buf
     }
 
-    /// Return a buffer to the pool. In-flight clones are fine: the slot
+    /// Return a buffer to the pool. Outstanding clones are fine: the slot
     /// only becomes reusable once they are dropped.
     pub fn checkin(&mut self, buf: Arc<T>) {
         #[cfg(all(feature = "check", not(loom)))]
@@ -94,9 +86,9 @@ impl<T: Default> BufferPool<T> {
         self.slots.push(buf);
     }
 
-    /// Number of slots currently held (reusable or awaiting their
-    /// receivers). Bounded by the peak number of concurrently in-flight
-    /// messages, not by the number of steps.
+    /// Number of slots currently held (reusable or awaiting the drop of
+    /// their clones). Bounded by the peak number checked out at once, not
+    /// by the number of steps.
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -129,7 +121,6 @@ impl<T> Drop for BufferPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::World;
 
     #[test]
     fn checkout_reuses_released_allocations() {
@@ -153,7 +144,7 @@ mod tests {
         let in_flight = Arc::clone(&a);
         let ptr = a.as_ptr();
         pool.checkin(a);
-        // The receiver still holds a clone: checkout must not alias it.
+        // Another holder keeps a clone: checkout must not alias it.
         let b = pool.checkout();
         assert_ne!(b.as_ptr(), ptr);
         assert!(Arc::get_mut(&mut pool.checkout()).is_some());
@@ -165,32 +156,5 @@ mod tests {
             found |= s.as_ptr() == ptr;
         }
         assert!(found);
-    }
-
-    #[test]
-    fn pooled_send_moves_by_pointer_and_charges_inner_bytes() {
-        // End-to-end through Comm: the receiver sees the sender's exact
-        // allocation (no copy, no re-encode) and the cost model charges
-        // the inner value's wire size, same as an unpooled send.
-        let tag = 7;
-        let out = World::new(2).run(move |comm| {
-            if comm.rank() == 0 {
-                let mut pool: BufferPool<Vec<f64>> = BufferPool::new();
-                let mut buf = pool.checkout();
-                Arc::get_mut(&mut buf)
-                    .unwrap()
-                    .extend_from_slice(&[1.0, 2.0, 3.0]);
-                let ptr = buf.as_ptr() as usize;
-                comm.send(1, tag, Arc::clone(&buf));
-                pool.checkin(buf);
-                assert_eq!(comm.stats().bytes_sent, 8 + 3 * 8);
-                ptr
-            } else {
-                let got: Arc<Vec<f64>> = comm.recv(0, tag);
-                assert_eq!(*got, vec![1.0, 2.0, 3.0]);
-                got.as_ptr() as usize
-            }
-        });
-        assert_eq!(out[0], out[1], "receiver observed the sender's allocation");
     }
 }

@@ -363,7 +363,7 @@ pub struct RunConfig {
     /// (DESIGN.md, "Removed: the overlapped schedule"). The field stays,
     /// set in [`RunConfig::new`], only because the frozen benchmark
     /// spells out every field of its `RunConfig` literal; it goes with
-    /// ROADMAP item 1 (i)'s knob census, when that literal may change.
+    /// ROADMAP item 5 (i)'s knob census, when that literal may change.
     pub overlap: bool,
     /// Run the global invariant sentinel every this many steps. 0 disables
     /// (the default). When it fires, the ranks gather their particle count

@@ -71,12 +71,13 @@ use std::ops::Range;
 use pcdlb_core::permanent::is_permanent;
 use pcdlb_core::protocol::{DlbDecision, DlbProtocol};
 use pcdlb_domain::{Col, DomainShape, OwnershipMap, PillarLayout};
+use pcdlb_md::Vec3;
 use pcdlb_md::{axis_bin, Particle};
-use pcdlb_mp::{CostModel, Torus2d, WireSize};
+use pcdlb_mp::wire::encoded_len;
+use pcdlb_mp::{CostModel, Torus2d};
 
 use crate::config::{LoadMetric, RunConfig, SpeedSchedule};
 use crate::decomp::{decomposition, Decomposition};
-use crate::frame::ParticleFrame;
 use crate::pe::{all_columns, cells_around, Held};
 
 /// A world's particles placed in their cells, once per world: one
@@ -508,15 +509,40 @@ pub(crate) struct Retile {
     pub(crate) moves: Vec<DlbDecision>,
 }
 
-impl WireSize for Retile {
-    fn wire_size(&self) -> usize {
-        // The cut starts of both axes, then the three lists.
-        let side = self.tiling.torus().rows();
-        2 * (8 + 8 * side)
-            + self.decisions.wire_size()
-            + self.loads.wire_size()
-            + self.moves.wire_size()
+/// A re-tile as it travels: the cut starts of both axes of its tiling,
+/// then the three lists.
+pub(crate) type RetileWire = (
+    (Vec<usize>, Vec<usize>),
+    Vec<DlbDecision>,
+    Vec<f64>,
+    Vec<DlbDecision>,
+);
+
+impl Retile {
+    /// What travels of it.
+    pub(crate) fn into_wire(self) -> RetileWire {
+        let cuts = (self.tiling.xs(), self.tiling.ys());
+        (cuts, self.decisions, self.loads, self.moves)
     }
+
+    /// The re-tile that travelled as `wire`, its cuts laid on the grid and
+    /// torus of `on`; an error names the rule the cuts break.
+    pub(crate) fn from_wire(wire: RetileWire, on: PillarLayout) -> Result<Self, String> {
+        let ((xs, ys), decisions, loads, moves) = wire;
+        Ok(Self {
+            tiling: PillarLayout::rectilinear(on.grid().nc(), on.torus(), &xs, &ys)?,
+            decisions,
+            loads,
+            moves,
+        })
+    }
+}
+
+/// The bytes of the message that moves `n` particles of a re-tile, as
+/// the codec writes it.
+fn xfer_bytes(n: usize) -> usize {
+    let particle = encoded_len(&Particle::at_rest(0, Vec3::ZERO));
+    encoded_len(&Vec::<Particle>::new()) + n * particle
 }
 
 /// The plan a re-tile check of a run of `cfg` makes on the work map `work`
@@ -649,7 +675,7 @@ pub(crate) fn check(
     }
     let mut paid = vec![0.0; p];
     for (&(from, to), &n) in &frames {
-        let t = model.message_time(from, to, ParticleFrame::wire_size_of(n));
+        let t = model.message_time(from, to, xfer_bytes(n));
         paid[from] += t;
         paid[to] += t;
     }

@@ -38,8 +38,6 @@ pub mod plane;
 pub mod recover;
 pub mod report;
 mod stats;
-#[cfg(test)]
-mod wire_check;
 
 pub use config::{ConfigError, Lattice, LoadMetric, RunConfig, SpeedSchedule};
 pub use digest::{digest_particles, digest_records, digest_recovery, digest_report, digest_run};

@@ -1,5 +1,6 @@
 //! Reading a PE's whole state out and putting it back: checkpoint gather
-//! and restore, the invariant sentinel, the final snapshot. Collective,
+//! and restore, the invariant sentinel, the final snapshot — and the step
+//! frames a run's last exchange brought, for decoder tests. Collective,
 //! on an interval or on demand — cold, so off the lint's hot-path list —
 //! and digest-neutral: each gather's virtual comm cost is discarded.
 
@@ -10,13 +11,41 @@ use pcdlb_core::protocol::{tags, DlbDecision, Transfer};
 use pcdlb_domain::{Col, DomainShape};
 use pcdlb_md::checkpoint::Checkpoint;
 use pcdlb_md::Particle;
-use pcdlb_mp::{collectives, Comm};
+use pcdlb_mp::{collectives, Comm, World};
 
-use super::PeState;
+use super::{initial_particles, Exchange, PeState};
 use crate::config::RunConfig;
-use crate::launch::Placed;
+use crate::engine::{announce_loads, exchange_ghosts_and_compute, step_pe};
+use crate::frame::Arrival;
+use crate::launch::{LaunchPlan, Placed};
 use crate::recover::SimCheckpoint;
 use crate::report::StepRecord;
+
+/// The step frames every rank received in the last exchange of a run of
+/// `cfg` on `shape` — `cfg.steps` steps from its own initial condition on
+/// the even home tiles, nothing planned — each with what its receiver
+/// knew of the hop it came over: real frames for decoder tests.
+#[doc(hidden)]
+pub fn received_frames(cfg: &RunConfig, shape: DomainShape) -> Vec<(Arrival, Vec<u8>)> {
+    crate::decomp::validate(cfg, shape);
+    let placed = Placed::new(cfg, &initial_particles(cfg));
+    let world = World::new(cfg.p)
+        .with_cost_model(crate::decomp::cost_model(shape, cfg))
+        .with_comm_config(&cfg.comm);
+    let ranks = world.run(|comm| {
+        let mut pe = PeState::new(comm.rank(), cfg, shape, &placed, &LaunchPlan::default());
+        exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
+        announce_loads(comm, &mut pe);
+        for step in 1..=cfg.steps {
+            step_pe(comm, &mut pe, step);
+        }
+        let inbox = pe.exchange.inbox().iter().enumerate();
+        inbox
+            .map(|(h, frame)| (pe.topology.arrival(h), frame.clone()))
+            .collect::<Vec<_>>()
+    });
+    ranks.into_iter().flatten().collect()
+}
 
 impl PeState {
     /// Rebuild a square-pillar PE's state from a distributed checkpoint:

@@ -18,16 +18,20 @@
 //! applies as if it had all come at once — immigrants and ghosts are
 //! binned by position, loads and decisions heard in ascending origin.
 //!
-//! A ghost section is a shell as `(id, pos)` pairs, ids ascending (see
-//! [`crate::frame`]); a mid-epoch refresh section its positions alone.
+//! Each frame travels as its encoding ([`crate::frame`]): a PE builds
+//! its outgoing frames in place and encodes each into the message; it
+//! decodes each incoming one — checked against the hop it came over —
+//! and copies the bytes of a section it passes on verbatim. A ghost
+//! section is a shell as `(id, pos)` pairs, ids ascending; a mid-epoch
+//! refresh section its positions alone.
 //! What the balancer puts into a step's first frames and hears from them
 //! is [`super::balance`]'s; the first frames of a balancing run's rebuild
 //! step also carry, as migrants, the particles of the columns whose
 //! transfers landed at the top of the step.
 //!
 //! Allocation-free in the steady state: staging lists, per-neighbour
-//! outboxes, per-section codecs and routes and pooled frames are reused
-//! across steps.
+//! outboxes, per-section codecs and routes, pooled frames, the decoded
+//! frame and the received payloads are reused across steps.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -42,10 +46,7 @@ use pcdlb_mp::{BufferPool, Comm};
 use super::topology::{behind_first_hop, dest_bit, foreign_around, push_run, CellClass, Route};
 use super::{PeState, Slabs};
 use crate::clock::WallTimer;
-use crate::frame::{
-    ghost_section_size, migrant_section_size, refresh_section_size, DeltaChannel, LoadSection,
-    StepFrame,
-};
+use crate::frame::{DeltaChannel, FrameBytes, Received, SectionHead, StepFrame};
 
 /// What a step's neighbourhood exchange carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,8 +112,13 @@ pub(super) struct Channels {
     refreshed: usize,
     /// This exchange's outgoing frames, one per hop.
     out: Vec<Arc<StepFrame>>,
-    /// Pooled step-frame send buffers, reused across steps.
+    /// Pooled outgoing step frames, refilled every exchange.
     step_pool: BufferPool<StepFrame>,
+    /// The payloads of the last exchange's incoming frames, by hop: kept
+    /// until the next exchange replaces them.
+    inbox: Vec<Vec<u8>>,
+    /// The incoming frame being taken in, decoded.
+    received: Received,
 }
 
 impl Channels {
@@ -145,6 +151,11 @@ impl Channels {
         (self.migrate_staging.get_mut(&col))
             .unwrap_or_else(|| panic!("rank {rank}: missing storage for owned column {col:?}"))
             .push(*p);
+    }
+
+    /// The payloads of the last exchange's incoming frames, by hop.
+    pub(super) fn inbox(&self) -> &[Vec<u8>] {
+        &self.inbox
     }
 
     /// The shell codec of the section of `mask`; a mask first met here
@@ -358,6 +369,9 @@ impl PeState {
         }
         self.open_receipt(exchange);
         let hops = self.topology.hops().len();
+        if self.exchange.inbox.len() < hops {
+            self.exchange.inbox.resize_with(hops, Vec::default);
+        }
         let mut first = 0;
         while first < hops {
             // One stage: every hop along one axis — all its frames out,
@@ -368,17 +382,15 @@ impl PeState {
                 end += 1;
             }
             for (h, buf) in out.iter().enumerate().take(end).skip(first) {
-                self.account(buf, exchange);
-                comm.send(
-                    self.topology.hops()[h].rank,
-                    tags::STEP_FRAME,
-                    Arc::clone(buf),
-                );
+                let to = self.topology.hops()[h].rank;
+                let took = comm.send_with(to, tags::STEP_FRAME, |bytes| buf.encode_into(bytes));
+                self.account(took, exchange);
             }
             for h in first..end {
                 let from = self.topology.hops()[h].rank;
-                let frame: Arc<StepFrame> = comm.recv(from, tags::STEP_FRAME);
-                self.take_in(&frame, end, &mut out[end..]);
+                let payload = comm.recv_payload(from, tags::STEP_FRAME);
+                comm.recycle(std::mem::replace(&mut self.exchange.inbox[h], payload));
+                self.take_in(h, end, &mut out[end..]);
             }
             first = end;
         }
@@ -409,9 +421,7 @@ impl PeState {
             // Deterministic payloads: order emigrants by id.
             parts.sort_unstable_by_key(|p| p.id);
             let hop = self.topology.hop_of(mask);
-            frame_mut(&mut out[hop])
-                .migrants
-                .push(mask, rank, |v| v.extend_from_slice(parts));
+            frame_mut(&mut out[hop]).push_migrants(mask, rank, parts);
             // Pre-diet layout: one flat particle message per neighbour,
             // plus a separate 8-byte load message where a load rides along.
             self.wire.migrate_baseline +=
@@ -422,12 +432,7 @@ impl PeState {
             for (buf, hop) in out.iter_mut().zip(self.topology.hops()) {
                 let mask = all & hop.behind;
                 if mask != 0 {
-                    frame_mut(buf).loads.push(LoadSection {
-                        mask,
-                        origin: rank,
-                        load,
-                        decision,
-                    });
+                    frame_mut(buf).push_load(mask, rank, load, decision);
                 }
             }
         }
@@ -449,9 +454,7 @@ impl PeState {
         for (mask, codec) in &mut self.exchange.shells {
             if !codec.scratch.is_empty() {
                 let hop = self.topology.hop_of(*mask);
-                frame_mut(&mut out[hop])
-                    .ghosts
-                    .push(*mask, rank, |v| codec.pack_into(v));
+                codec.pack_into(frame_mut(&mut out[hop]), *mask, rank);
             }
         }
         self.count_ghost_baseline();
@@ -462,16 +465,13 @@ impl PeState {
     fn originate_refresh(&mut self, out: &mut [Arc<StepFrame>]) {
         let rank = self.rank;
         for section in self.topology.sections() {
-            frame_mut(&mut out[section.hop])
-                .refresh
-                .push(section.mask, rank, |v| {
-                    for (col, span) in &section.route {
-                        let slab = &self.columns[col];
-                        let parts = &slab.particles()
-                            [slab.range(span.start).start..slab.range(span.end - 1).end];
-                        v.extend(parts.iter().map(|p| p.pos));
-                    }
-                });
+            let runs = section.route.iter().map(|(col, span)| {
+                let slab = &self.columns[col];
+                &slab.particles()[slab.range(span.start).start..slab.range(span.end - 1).end]
+            });
+            let n = runs.clone().map(<[Particle]>::len).sum();
+            let pos = runs.flatten().map(|p| p.pos);
+            frame_mut(&mut out[section.hop]).push_refresh(section.mask, rank, n, pos);
         }
         self.count_ghost_baseline();
     }
@@ -490,18 +490,17 @@ impl PeState {
         }
     }
 
-    /// Account one outgoing frame's bytes — relayed sections included —
-    /// to its phases: the decisions to the balancer, migrants and loads to
-    /// migration, the ghost kinds to the ghost phase; the presence byte to
-    /// the exchange's own phase.
-    fn account(&mut self, frame: &StepFrame, exchange: Exchange) {
-        let decisions = frame.decision_size() as u64;
-        self.wire.dlb += decisions;
-        self.wire.migrate += (frame.migrant_size() + frame.load_size()) as u64 - decisions;
-        self.wire.ghost += frame.ghost_size() as u64;
+    /// Account what one outgoing frame's encoding took — relayed
+    /// sections included — to its phases: the decisions to the balancer,
+    /// migrants and loads to migration, the ghost kinds to the ghost
+    /// phase; the presence byte to the exchange's own phase.
+    fn account(&mut self, took: FrameBytes, exchange: Exchange) {
+        self.wire.dlb += took.decisions as u64;
+        self.wire.migrate += (took.migrants + took.loads - took.decisions) as u64;
+        self.wire.ghost += took.ghosts as u64;
         match exchange {
-            Exchange::Migrants => self.wire.migrate += 1,
-            _ => self.wire.ghost += 1,
+            Exchange::Migrants => self.wire.migrate += took.presence as u64,
+            _ => self.wire.ghost += took.presence as u64,
         }
     }
 
@@ -532,60 +531,66 @@ impl PeState {
         }
     }
 
-    /// One received stage frame: keep the sections that name this PE,
-    /// and copy each one that names ranks beyond it into the frames of
-    /// the later hops that lead there (`out[j]` is hop `later + j`).
-    fn take_in(&mut self, frame: &StepFrame, later: usize, out: &mut [Arc<StepFrame>]) {
+    /// The frame received over hop `h`: decode it, keep the sections
+    /// that name this PE, and copy each one that names ranks beyond it
+    /// into the frames of the later hops that lead there (`out[j]` is hop
+    /// `later + j`). A frame that does not decode is a protocol fault.
+    fn take_in(&mut self, h: usize, later: usize, out: &mut [Arc<StepFrame>]) {
+        let payload = std::mem::take(&mut self.exchange.inbox[h]);
+        let mut frame = std::mem::take(&mut self.exchange.received);
+        let arrival = self.topology.arrival(h);
+        if let Err(e) = frame.decode(&payload, arrival) {
+            let from = self.topology.hops()[h].rank;
+            panic!(
+                "rank {}: a malformed step frame from {from}: {e:?}",
+                self.rank
+            );
+        }
         for (head, parts) in frame.migrants.iter() {
-            let copy = |f: &mut StepFrame| f.migrants.copy(head, parts);
-            let size = || migrant_section_size(head, parts);
-            if self.pass_on(head.origin, head.mask, later, out, size, copy) {
+            if self.pass_on(head, &payload, later, out) {
                 self.stage_immigrants(parts);
             }
         }
-        for l in &frame.loads {
-            let copy = |f: &mut StepFrame| f.loads.push(*l);
-            if self.pass_on(l.origin, l.mask, later, out, || l.size(), copy) {
-                self.exchange.heard.push((l.origin, l.load, l.decision));
+        for (head, load) in frame.loads.iter() {
+            if self.pass_on(head, &payload, later, out) {
+                let (load, decision) = load[0];
+                self.exchange.heard.push((head.origin, load, decision));
             }
         }
         for (head, parts) in frame.ghosts.iter() {
-            let copy = |f: &mut StepFrame| f.ghosts.copy(head, parts);
-            let size = || ghost_section_size(head, parts);
-            if self.pass_on(head.origin, head.mask, later, out, size, copy) {
-                for g in parts {
-                    self.stage_ghost(g.id, g.pos, head.origin, head.mask);
+            if self.pass_on(head, &payload, later, out) {
+                for &(id, pos) in parts {
+                    self.stage_ghost(id, pos, head.origin, head.mask);
                 }
             }
         }
         for (head, fresh) in frame.refresh.iter() {
-            let copy = |f: &mut StepFrame| f.refresh.copy(head, fresh);
-            let size = || refresh_section_size(head, fresh);
-            if self.pass_on(head.origin, head.mask, later, out, size, copy) {
+            if self.pass_on(head, &payload, later, out) {
                 self.write_refresh(head.origin, head.mask, fresh);
             }
         }
+        self.exchange.received = frame;
+        self.exchange.inbox[h] = payload;
     }
 
-    /// Pass one received section, from `origin` for `mask`, on to the
-    /// frames of the later hops it takes (`copy` into each), counting its
-    /// `size` as relayed where this PE does not need it. Returns whether
-    /// this PE is one of its destinations.
+    /// Pass one received section on, its bytes in `payload` verbatim, to
+    /// the frames of the later hops it takes, counting them as relayed
+    /// where this PE does not need it. Returns whether this PE is one of
+    /// its destinations.
     fn pass_on(
         &mut self,
-        origin: usize,
-        mask: u32,
+        head: &SectionHead,
+        payload: &[u8],
         later: usize,
         out: &mut [Arc<StepFrame>],
-        size: impl Fn() -> usize,
-        copy: impl Fn(&mut StepFrame),
     ) -> bool {
-        let (mine, onward) = self.topology.passage(origin, mask, later);
+        let (mine, onward) = self.topology.passage(head.origin, head.mask, later);
+        let raw = head.raw(payload);
         for j in set_bits(onward) {
-            copy(frame_mut(&mut out[j]));
+            frame_mut(&mut out[j]).relay(head, raw);
         }
         if !mine {
-            self.wire.relayed += (size() * onward.count_ones() as usize) as u64;
+            self.wire.relayed += (raw.len() * onward.count_ones() as usize) as u64;
         }
         mine
     }
@@ -968,16 +973,11 @@ mod tests {
         let mut section = StepFrame::default();
         let torus = super::super::topology::RankTorus([4, 4, 1]);
         let mask = dest_bit(torus.offset(5, 8).expect("a diagonal neighbour"));
-        let mut ids = column.clone();
-        ids.sort_unstable();
-        section.ghosts.push(mask, 5, |v| {
-            let parts = ids.iter().map(|&id| crate::frame::GhostPart {
-                id,
-                pos: Vec3::ZERO,
-            });
-            v.extend(parts)
-        });
-        let size = (section.ghost_size() - 1) as u64; // (the list's count byte)
+        let mut shell = DeltaChannel::default();
+        (shell.scratch).extend(column.iter().map(|&id| (id, Vec3::ZERO)));
+        shell.pack_into(&mut section, mask, 5);
+        let took = section.encode_into(&mut Vec::new());
+        let size = (took.ghosts - 1) as u64; // (the list's count byte)
         assert_eq!(relayed[4].3.ghost, direct[4].3.ghost + size);
         assert_eq!(relayed[4].3.relayed, direct[4].3.relayed + size);
         assert_eq!(relayed[4].4.bytes_sent, direct[4].4.bytes_sent + size);

@@ -73,10 +73,9 @@ use crate::decomp::{decomposition, Decomposition};
 use crate::launch::{LaunchPlan, Placed};
 use crate::report::{PhaseTimes, RunReport, WireBytes};
 
-pub use audit::SentinelReport;
+pub use audit::{received_frames, SentinelReport};
 pub(crate) use exchange::Exchange;
 pub(crate) use retile::Held;
-#[cfg(test)]
 pub(crate) use topology::{ahead, behind_first_hop, bit_offset, dest_bit, RankTorus};
 pub(crate) use topology::{all_columns, cells_around};
 

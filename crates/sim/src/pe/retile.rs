@@ -14,19 +14,17 @@
 //! steady-state step.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use pcdlb_core::protocol::tags;
 use pcdlb_domain::{Col, DomainShape, PillarLayout};
 use pcdlb_md::cells::CellSlab;
 use pcdlb_md::Particle;
-use pcdlb_mp::{collectives, Comm, WireSize};
+use pcdlb_mp::{collectives, Comm};
 
 use super::topology::{all_columns, Topology};
 use super::PeState;
 use crate::decomp::decomposition;
-use crate::frame::ParticleFrame;
-use crate::launch::{check, Retile};
+use crate::launch::{check, Retile, RetileWire};
 
 /// Each owned column with its work and particle count: one rank's part
 /// of a check's work map.
@@ -100,11 +98,23 @@ impl PeState {
     /// which decides on the whole work map and broadcasts what it decided
     /// — `None` keeps the tiling. A re-tile plans from who holds what: the
     /// decisions still pending are dropped before the step's round 1.
-    pub(crate) fn retile_check(&mut self, comm: &mut Comm, step: u64) -> Option<Arc<Retile>> {
+    pub(crate) fn retile_check(&mut self, comm: &mut Comm, step: u64) -> Option<Retile> {
         let held = collectives::gather(comm, tags::RETILE_GATHER, self.held());
         let (model, since) = (*comm.cost_model(), step - self.chosen_at());
-        let decided = held.map(|held| check(&self.cfg, step, since, &held, &model).map(Arc::new));
-        let retile: Option<Arc<Retile>> = collectives::bcast(comm, tags::RETILE_BCAST, decided);
+        let decided = held.map(|held| check(&self.cfg, step, since, &held, &model));
+        let wire = collectives::bcast(
+            comm,
+            tags::RETILE_BCAST,
+            decided.map(|r| r.map(Retile::into_wire)),
+        );
+        let on = self
+            .tiling()
+            .expect("a re-tiling run is on a pillar tiling");
+        let rank = self.rank;
+        let retile = wire.map(|w: RetileWire| {
+            Retile::from_wire(w, on)
+                .unwrap_or_else(|e| panic!("rank {rank}: a re-tile's cuts: {e}"))
+        });
         if let Some(r) = &retile {
             (self.retiling.history).push((step, r.tiling, r.moves.len()));
             self.balance.drop_pending();
@@ -116,15 +126,16 @@ impl PeState {
     /// one frame per new owner. Returns the number of columns sent.
     pub(crate) fn retile_send(&mut self, comm: &mut Comm, r: &Retile) -> u64 {
         let mine: Vec<_> = r.moves.iter().filter(|d| d.from == self.rank).collect();
-        let mut frames: BTreeMap<usize, ParticleFrame> = BTreeMap::new();
+        let mut frames: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
         for d in &mine {
             let slab = (self.columns.remove(&d.col)).expect("the old owner holds the column");
-            let frame = frames.entry(d.to).or_default();
-            frame.parts.extend_from_slice(slab.particles());
+            frames
+                .entry(d.to)
+                .or_default()
+                .extend_from_slice(slab.particles());
         }
-        for (to, frame) in frames {
-            self.wire.dlb += frame.wire_size() as u64;
-            comm.send(to, tags::RETILE_XFER, frame);
+        for (to, parts) in frames {
+            self.wire.dlb += comm.send(to, tags::RETILE_XFER, parts) as u64;
         }
         mine.len() as u64
     }
@@ -138,8 +149,8 @@ impl PeState {
             staging.entry(d.from).or_default().insert(d.col, Vec::new());
         }
         for (from, mut columns) in staging {
-            let frame: ParticleFrame = comm.recv(from, tags::RETILE_XFER);
-            for p in frame.parts {
+            let parts: Vec<Particle> = comm.recv(from, tags::RETILE_XFER);
+            for p in parts {
                 let col = self.cell_of(p.pos).0;
                 (columns.get_mut(&col))
                     .expect("a moved particle lies in a column moved to this PE")

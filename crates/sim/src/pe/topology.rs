@@ -29,6 +29,7 @@ use pcdlb_md::cells::CellSlab;
 use super::walk::FORWARD_XY;
 use super::PeState;
 use crate::decomp::Decomposition;
+use crate::frame::Arrival;
 
 /// What a cell is to this PE. Derived purely from the decomposition's
 /// ownership answers, so it only changes when ownership does. The class
@@ -348,6 +349,12 @@ impl Topology {
 
     pub(super) fn hops(&self) -> &[Hop] {
         &self.hops
+    }
+
+    /// What this PE knows of the frame hop `h` brings it.
+    pub(super) fn arrival(&self, h: usize) -> Arrival {
+        let hop = &self.hops[h];
+        Arrival::new(self.torus, hop.rank, self.rank, hop.axis)
     }
 
     /// Neighbour `i`'s bit in a section mask.

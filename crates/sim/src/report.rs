@@ -105,8 +105,9 @@ impl PhaseTimes {
 
 /// Bytes shipped per communication phase, summed over a run, next to the
 /// bytes the same content would have cost in the pre-diet layout. The
-/// shipped bytes are the `wire_size` the cost model charges (coalesced
-/// step messages, shell-only ghosts with gap-encoded ids); "baseline"
+/// shipped bytes are the encoded payload bytes the cost model charges
+/// (coalesced step messages, shell-only ghosts with gap-encoded ids);
+/// "baseline"
 /// reconstructs the pre-diet layout (full `Particle` ghosts per route
 /// column with an 8-byte per-column header, separate migrate/load
 /// messages). The ratio `ghost_baseline / ghost` is the comm-volume-diet

@@ -7,7 +7,7 @@
 use pcdlb_core::metrics::{concentration_point, PeCellStats};
 use pcdlb_core::protocol::tags;
 use pcdlb_md::observe;
-use pcdlb_mp::{collectives, Comm, WireSize};
+use pcdlb_mp::{collectives, Comm};
 
 use crate::config::{LoadMetric, RunConfig};
 use crate::report::StepRecord;
@@ -27,11 +27,19 @@ pub(crate) struct StatsPacket {
     pub transferred: u64,
 }
 
-impl WireSize for StatsPacket {
-    fn wire_size(&self) -> usize {
-        10 * 8
-    }
-}
+// The ten fields in order, 8 bytes each.
+pcdlb_mp::wire_struct!(StatsPacket {
+    cells,
+    empty_cells,
+    particles,
+    force_virtual,
+    force_wall,
+    comm_virtual_delta,
+    pair_checks,
+    potential,
+    kinetic,
+    transferred
+});
 
 /// Gather packets to rank 0 and assemble the step record there
 /// (`None` on other ranks).
