@@ -31,7 +31,7 @@ use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_domain::DomainShape;
 use pcdlb_mp::collectives::ctag;
 use pcdlb_mp::{Torus2d, Torus3d};
-use pcdlb_sim::{pe::PeState, LaunchPlan, Placed, RunConfig};
+use pcdlb_sim::{LaunchPlan, RunConfig};
 
 /// One point-to-point operation of the schedule. Tags are *wire* tags:
 /// collective rounds already carry their namespaced
@@ -182,10 +182,12 @@ pub fn shape_stages(shape: DomainShape, p: usize, r: usize) -> Vec<Vec<usize>> {
 
 /// Whether the step engine sends migrants and ghosts in one exchange
 /// when `p` ranks are laid out for `shape` and the run does
-/// (not) balance — its own predicate ([`PeState::exchanges_once`]: the
+/// (not) balance — its own predicate
+/// ([`pcdlb_sim::pe::PeState::exchanges_once`]: the
 /// neighbour set closed two cells out, on the one ownership of a run
 /// that does not balance, on every ownership the balancer can reach of
-/// one that does), asked of rank 0 (every rank agrees) on a grid with two
+/// one that does), as the launch asks it (`LaunchPlan::unplanned`: once,
+/// of rank 0 — every rank agrees) on a grid with two
 /// cells per rank and axis, where every grid that can say yes does. (A
 /// grid one cell per rank wide says no from a torus side of 4 up and runs
 /// the two-round step: the balancing schedule.)
@@ -198,8 +200,7 @@ pub fn exchanges_once(shape: DomainShape, p: usize, dlb: bool) -> bool {
     // Only ownership is asked about: no particles, no physics.
     let mut cfg = RunConfig::new(0, 2 * side, p, 1.0);
     cfg.dlb = dlb;
-    let none = LaunchPlan::default();
-    PeState::new(0, &cfg, shape, &Placed::new(&cfg, &[]), &none).exchanges_once()
+    LaunchPlan::unplanned(shape, &cfg).exchanges_once
 }
 
 /// Build the per-step schedule of `p` ranks decomposed as `shape`: the
@@ -359,6 +360,7 @@ pub fn bcast_ops(ops: &mut Vec<PhasedOp>, phase: CommPhase, p: usize, rank: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcdlb_sim::{pe::PeState, Placed};
 
     fn sends_in(ops: &[PhasedOp], phase: CommPhase) -> Vec<Op> {
         ops.iter()
@@ -499,8 +501,9 @@ mod tests {
             let mut cfg = RunConfig::new(216, 12, p, 0.005);
             cfg.dlb = false;
             let initial = Placed::new(&cfg, &initial_particles(&cfg));
+            let unplanned = LaunchPlan::unplanned(shape, &cfg);
             for r in 0..p {
-                let pe = PeState::new(r, &cfg, shape, &initial, &LaunchPlan::default());
+                let pe = PeState::new(r, &cfg, shape, &initial, &unplanned);
                 assert_eq!(
                     pe.neighbors(),
                     shape_neighbors(shape, p, r),

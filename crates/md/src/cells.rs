@@ -111,12 +111,24 @@ impl CellCoord {
 /// `(cell index, particle id)` plus a CSR-style offset table, replacing
 /// nested `Vec<Vec<Particle>>`. Cell `i` occupies
 /// `parts[offsets[i]..offsets[i+1]]`.
+///
+/// A rebuild is a counting sort: each particle's cell is computed once,
+/// the particles are bucketed by cell in input order, and each cell's few
+/// particles are then put in id order by insertion sort. `(cell, id)`
+/// keys are unique (particle ids are), so this is exactly the order a
+/// comparison sort on them gives. Its per-particle scratch is kept in the
+/// slab, so a rebuild allocates nothing once the buffers have grown to
+/// their working size.
 #[derive(Debug, Clone, Default)]
 pub struct CellSlab {
     /// `n_cells + 1` offsets into `parts`; monotonically non-decreasing.
     offsets: Vec<usize>,
     /// All particles, grouped by cell, each group sorted by id.
     parts: Vec<Particle>,
+    /// Rebuild scratch: the cell of each input particle, and the input
+    /// index of each slot of `parts`.
+    cells: Vec<usize>,
+    order: Vec<usize>,
 }
 
 impl CellSlab {
@@ -124,57 +136,76 @@ impl CellSlab {
     pub fn empty(n_cells: usize) -> Self {
         Self {
             offsets: vec![0; n_cells + 1],
-            parts: Vec::new(),
+            ..Self::default()
         }
     }
 
-    /// Build from an arbitrary particle list: sorts by
-    /// `(cell_of(p), p.id)` and records the cell boundaries. `cell_of`
-    /// must return an index `< n_cells` for every particle.
-    pub fn build<F>(n_cells: usize, mut parts: Vec<Particle>, cell_of: F) -> Self
+    /// Build from an arbitrary particle list, in `(cell_of(p), p.id)`
+    /// order (see [`CellSlab::rebuild_from`]). `cell_of` must return an
+    /// index `< n_cells` for every particle.
+    pub fn build<F>(n_cells: usize, parts: &[Particle], cell_of: F) -> Self
     where
         F: Fn(&Particle) -> usize,
     {
-        parts.sort_by_cached_key(|p| {
-            let c = cell_of(p);
-            debug_assert!(c < n_cells, "cell index {c} out of range (< {n_cells})");
-            (c, p.id)
-        });
-        let mut offsets = vec![0usize; n_cells + 1];
-        for p in &parts {
-            offsets[cell_of(p) + 1] += 1;
-        }
-        for i in 0..n_cells {
-            offsets[i + 1] += offsets[i];
-        }
-        Self { offsets, parts }
+        let mut slab = Self::default();
+        slab.sort_from(n_cells, parts, cell_of);
+        slab
     }
 
-    /// Rebuild the slab in place from a drained particle list, reusing
-    /// both internal buffers — the steady-state rebinning path of the
-    /// parallel simulator, which must not allocate once the buffers have
-    /// grown to their working capacity. The sort is unstable, which is
-    /// safe because `(cell, id)` keys are unique (particle ids are), and
-    /// `sort_unstable_by_key` needs no scratch allocation (unlike the
-    /// `sort_by_cached_key` used by [`CellSlab::build`]).
+    /// Rebuild the slab in place from a particle list, which is drained:
+    /// a counting sort by `cell_of`, ids ascending inside a cell. Reuses
+    /// every internal buffer — the steady-state rebinning path of both
+    /// simulators, which must not allocate once the buffers have grown to
+    /// their working capacity.
     pub fn rebuild_from<F>(&mut self, n_cells: usize, parts: &mut Vec<Particle>, cell_of: F)
     where
         F: Fn(&Particle) -> usize,
     {
-        self.parts.clear();
-        self.parts.append(parts);
-        self.parts.sort_unstable_by_key(|p| {
+        self.sort_from(n_cells, parts, cell_of);
+        parts.clear();
+    }
+
+    /// The counting sort behind [`CellSlab::build`] and
+    /// [`CellSlab::rebuild_from`].
+    fn sort_from<F>(&mut self, n_cells: usize, parts: &[Particle], cell_of: F)
+    where
+        F: Fn(&Particle) -> usize,
+    {
+        self.cells.clear();
+        self.cells.extend(parts.iter().map(|p| {
             let c = cell_of(p);
             debug_assert!(c < n_cells, "cell index {c} out of range (< {n_cells})");
-            (c, p.id)
-        });
-        self.rebuild_offsets(n_cells, cell_of);
+            c
+        }));
+        self.offsets.clear();
+        self.offsets.resize(n_cells + 1, 0);
+        for &c in &self.cells {
+            self.offsets[c + 1] += 1;
+        }
+        for i in 0..n_cells {
+            self.offsets[i + 1] += self.offsets[i];
+        }
+        // Bucket by cell, `offsets[c]` the next free slot of cell `c`:
+        // afterwards it holds the end of cell `c`, the start of `c + 1`.
+        self.order.clear();
+        self.order.resize(parts.len(), 0);
+        for (i, &c) in self.cells.iter().enumerate() {
+            self.order[self.offsets[c]] = i;
+            self.offsets[c] += 1;
+        }
+        self.offsets.copy_within(0..n_cells, 1);
+        self.offsets[0] = 0;
+        self.parts.clear();
+        self.parts.extend(self.order.iter().map(|&i| parts[i]));
+        for cell in self.offsets.windows(2) {
+            sort_by_id(&mut self.parts[cell[0]..cell[1]]);
+        }
     }
 
     /// Rebuild the slab in place from a slice that is *already* in the
-    /// canonical `(cell, id)` order — the ghost-receive path, whose
-    /// sender ships each column's flat array in exactly that order. No
-    /// sort, no allocation once the buffers have grown to capacity.
+    /// canonical `(cell, id)` order — the launch's placement
+    /// (`Placed`), which every rank adopts its columns out of. No sort,
+    /// no allocation once the buffers have grown to capacity.
     pub fn rebuild_sorted<F>(&mut self, n_cells: usize, parts: &[Particle], cell_of: F)
     where
         F: Fn(&Particle) -> usize,
@@ -187,14 +218,6 @@ impl CellSlab {
                 .all(|w| (cell_of(&w[0]), w[0].id) < (cell_of(&w[1]), w[1].id)),
             "rebuild_sorted input is not in (cell, id) order"
         );
-        self.rebuild_offsets(n_cells, cell_of);
-    }
-
-    /// Recompute the CSR offset table for the current (sorted) `parts`.
-    fn rebuild_offsets<F>(&mut self, n_cells: usize, cell_of: F)
-    where
-        F: Fn(&Particle) -> usize,
-    {
         self.offsets.clear();
         self.offsets.resize(n_cells + 1, 0);
         for p in &self.parts {
@@ -232,6 +255,11 @@ impl CellSlab {
         &self.parts[self.range(cell)]
     }
 
+    /// The particles of a run of consecutive cells, in slab order.
+    pub fn run(&self, cells: Range<usize>) -> &[Particle] {
+        &self.parts[self.offsets[cells.start]..self.offsets[cells.end]]
+    }
+
     /// All particles in cell-major order.
     pub fn particles(&self) -> &[Particle] {
         &self.parts
@@ -243,14 +271,24 @@ impl CellSlab {
         &mut self.parts
     }
 
-    /// Consume the slab, returning the flat particle array.
-    pub fn into_particles(self) -> Vec<Particle> {
-        self.parts
-    }
-
     /// Number of cells containing no particles.
     pub fn empty_cells(&self) -> usize {
         self.offsets.windows(2).filter(|w| w[0] == w[1]).count()
+    }
+}
+
+/// Put one cell's particles in id order: insertion sort, since a cell
+/// holds a few particles and a rebuild meets them nearly in order (the
+/// last rebuild's order, bucketed stably).
+fn sort_by_id(cell: &mut [Particle]) {
+    for i in 1..cell.len() {
+        let p = cell[i];
+        let mut j = i;
+        while j > 0 && cell[j - 1].id > p.id {
+            cell[j] = cell[j - 1];
+            j -= 1;
+        }
+        cell[j] = p;
     }
 }
 
@@ -417,14 +455,15 @@ impl CellGrid {
         self.rebuild();
     }
 
+    /// Re-bin the slab's particles and the staged inserts together. The
+    /// slab's particles pass through `staged`, so both buffers are kept
+    /// and a rebin allocates nothing in the steady state.
     fn rebuild(&mut self) {
-        let mut parts = std::mem::take(&mut self.slab).into_particles();
-        parts.append(&mut self.staged);
+        self.staged.append(&mut self.slab.parts);
         let total = self.total_cells();
-        // Capture geometry by value: the closure must not borrow `self`.
         let (nc, cell_len) = (self.nc, self.cell_len);
         let axis = move |v: f64| axis_bin(v, cell_len, nc);
-        self.slab = CellSlab::build(total, parts, |p| {
+        self.slab.rebuild_from(total, &mut self.staged, |p| {
             (axis(p.pos.x) * nc + axis(p.pos.y)) * nc + axis(p.pos.z)
         });
     }
@@ -631,7 +670,7 @@ mod tests {
             let i = [3u64, 0, 7, 1].iter().position(|&x| x == p.id).unwrap();
             cells[i]
         };
-        let slab = CellSlab::build(4, parts, by_id);
+        let slab = CellSlab::build(4, &parts, by_id);
         assert_eq!(slab.n_cells(), 4);
         assert_eq!(slab.len(), 4);
         assert_eq!(slab.cell(0).len(), 1);
@@ -651,7 +690,7 @@ mod tests {
             |id: u64, cell: usize| Particle::at_rest(id, Vec3::new(cell as f64 + 0.5, 0.0, 0.0));
         let cell_of = |p: &Particle| p.pos.x as usize;
         let parts = vec![mk(7, 2), mk(1, 0), mk(3, 2), mk(2, 0)];
-        let built = CellSlab::build(4, parts.clone(), cell_of);
+        let built = CellSlab::build(4, &parts, cell_of);
         let mut slab = CellSlab::empty(4);
         let mut staging = parts;
         slab.rebuild_from(4, &mut staging, cell_of);
@@ -674,13 +713,44 @@ mod tests {
         let cell_of = |p: &Particle| p.pos.x as usize;
         // Already in (cell, id) order, as a ghost sender would ship it.
         let parts = vec![mk(1, 0), mk(2, 0), mk(3, 2), mk(7, 2)];
-        let built = CellSlab::build(4, parts.clone(), cell_of);
+        let built = CellSlab::build(4, &parts, cell_of);
         let mut slab = CellSlab::empty(4);
         slab.rebuild_sorted(4, &parts, cell_of);
         assert_eq!(slab.particles(), built.particles());
         assert_eq!(slab.offsets, built.offsets);
         assert_eq!(slab.range(2), 2..4);
         assert_eq!(slab.empty_cells(), 2);
+    }
+
+    /// A coordinate on an axis of `nc` cells of length `len`, by `kind`:
+    /// anywhere, exactly on a cell edge, a hair below 0, or exactly `L` —
+    /// the last two are what [`axis_bin`] folds onto the last cell.
+    fn edge_coord(kind: usize, f: f64, nc: usize, len: f64) -> f64 {
+        match kind {
+            0 => f * nc as f64 * len,
+            1 => (f * nc as f64).floor() * len,
+            2 => -(f + 1e-3) * 1e-13,
+            _ => nc as f64 * len,
+        }
+    }
+
+    /// The slab order by definition: a comparison sort on `(cell, id)`,
+    /// and the offsets counted from it.
+    fn reference(
+        n_cells: usize,
+        parts: &[Particle],
+        cell_of: impl Fn(&Particle) -> usize,
+    ) -> (Vec<Particle>, Vec<usize>) {
+        let mut sorted = parts.to_vec();
+        sorted.sort_by_key(|p| (cell_of(p), p.id));
+        let mut offsets = vec![0; n_cells + 1];
+        for p in &sorted {
+            offsets[cell_of(p) + 1] += 1;
+        }
+        for i in 0..n_cells {
+            offsets[i + 1] += offsets[i];
+        }
+        (sorted, offsets)
     }
 
     proptest! {
@@ -698,6 +768,55 @@ mod tests {
             for (c, ps) in g.iter_cells() {
                 for p in ps {
                     prop_assert_eq!(g.cell_of(p.pos), c);
+                }
+            }
+        }
+
+        #[test]
+        fn prop_counting_sort_is_the_comparison_sort_order(
+            axes in proptest::collection::vec(
+                ((0usize..4, 0.0f64..1.0), (0usize..4, 0.0f64..1.0), (0usize..4, 0.0f64..1.0), 0u64..1 << 40),
+                0..160,
+            ),
+            nc in 2usize..6,
+        ) {
+            // Ids unique and in no particular order: each particle's rank
+            // under a random key.
+            let len = 1.7;
+            let mut keys: Vec<(u64, usize)> = axes.iter().enumerate().map(|(i, a)| (a.3, i)).collect();
+            keys.sort_unstable();
+            let mut parts = vec![Particle::at_rest(0, Vec3::ZERO); axes.len()];
+            for (id, &(_, i)) in keys.iter().enumerate() {
+                let ((kx, fx), (ky, fy), (kz, fz), _) = axes[i];
+                let pos = Vec3::new(
+                    edge_coord(kx, fx, nc, len),
+                    edge_coord(ky, fy, nc, len),
+                    edge_coord(kz, fz, nc, len),
+                );
+                parts[i] = Particle::at_rest(id as u64, pos);
+            }
+            let n_cells = nc * nc * nc;
+            let bin = |v: f64| axis_bin(v, len, nc);
+            let cell_of = |p: &Particle| (bin(p.pos.x) * nc + bin(p.pos.y)) * nc + bin(p.pos.z);
+            let (sorted, offsets) = reference(n_cells, &parts, cell_of);
+            let built = CellSlab::build(n_cells, &parts, cell_of);
+            prop_assert_eq!(built.particles(), &sorted[..]);
+            prop_assert_eq!(&built.offsets, &offsets);
+            // In place, from the built slab's own order reversed, twice:
+            // the second rebuild of the same size grows no buffer.
+            let mut slab = CellSlab::empty(n_cells);
+            for round in 0..2 {
+                let mut staging: Vec<Particle> = built.particles().iter().rev().copied().collect();
+                let caps = |s: &CellSlab| {
+                    [s.parts.capacity(), s.offsets.capacity(), s.cells.capacity(), s.order.capacity()]
+                };
+                let before = caps(&slab);
+                slab.rebuild_from(n_cells, &mut staging, cell_of);
+                prop_assert!(staging.is_empty());
+                prop_assert_eq!(slab.particles(), &sorted[..]);
+                prop_assert_eq!(&slab.offsets, &offsets);
+                if round == 1 {
+                    prop_assert_eq!(before, caps(&slab));
                 }
             }
         }

@@ -69,6 +69,40 @@ impl Particle {
     }
 }
 
+/// `items`, one per particle of a run in any order, each put at its
+/// particle's id: ids are `0..n` by construction ([`init`]), so slot `id`
+/// is the item's and no sort is needed — the result is in ascending id
+/// order. A gather that lost or duplicated a particle fails here, naming
+/// the id: one outside `0..n`, one met twice, or one never met.
+pub fn place_by_id<T: Copy>(
+    n: usize,
+    items: impl IntoIterator<Item = T>,
+    id: impl Fn(&T) -> u64,
+) -> Vec<T> {
+    let mut items = items.into_iter().peekable();
+    // Every slot starts as a copy of the first item and is overwritten.
+    let Some(&first) = items.peek() else {
+        assert!(n == 0, "particle id 0 is missing");
+        return Vec::new();
+    };
+    let (mut placed, mut seen) = (vec![first; n], vec![false; n]);
+    for item in items {
+        let i = id(&item);
+        let at = (usize::try_from(i).ok())
+            .filter(|&at| at < n)
+            .unwrap_or_else(|| panic!("particle id {i} is outside 0..{n}"));
+        assert!(
+            !std::mem::replace(&mut seen[at], true),
+            "particle id {i} came twice"
+        );
+        placed[at] = item;
+    }
+    if let Some(missing) = seen.iter().position(|&s| !s) {
+        panic!("particle id {missing} is missing");
+    }
+    placed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,5 +118,22 @@ mod tests {
         let mut bytes = Vec::new();
         v.encode(&mut bytes);
         assert_eq!(decode_all::<Vec<Particle>>(&bytes), Ok(v));
+    }
+
+    #[test]
+    fn placing_by_id_orders_a_permutation_and_names_a_duplicate_or_a_gap() {
+        let ids = [3u64, 0, 4, 1, 2];
+        assert_eq!(place_by_id(5, ids, |&i| i), [0, 1, 2, 3, 4]);
+        let caught = |ids: &'static [u64]| {
+            let run = std::panic::catch_unwind(|| place_by_id(5, ids.iter().copied(), |&i| i));
+            let payload = run.expect_err("an id set that is not 0..5");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("a message")
+        };
+        assert_eq!(caught(&[3, 0, 4, 3, 2]), "particle id 3 came twice");
+        assert_eq!(caught(&[3, 0, 4, 2]), "particle id 1 is missing");
+        assert_eq!(caught(&[3, 0, 4, 1, 5]), "particle id 5 is outside 0..5");
     }
 }

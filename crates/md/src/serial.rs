@@ -120,7 +120,10 @@ pub fn compute_forces_half_shell(
 
 impl SerialSim {
     /// Build a simulator over `nc³` cells in a box of side `box_len`,
-    /// asserting the cell size is compatible with the cutoff. Initial
+    /// asserting the cell size is compatible with the cutoff. The
+    /// particles' ids are `0..n`, as [`crate::init`] numbers them: the
+    /// snapshot and the thermostat's sum place each particle at its id
+    /// ([`crate::place_by_id`]). Initial
     /// forces are evaluated by the first [`SerialSim::step`], after
     /// [`SerialSim::set_pull`] and [`SerialSim::with_skin`] have had
     /// their say — once, not per call.
@@ -250,9 +253,8 @@ impl SerialSim {
     /// All particles, sorted by id — the canonical snapshot used to
     /// compare simulators.
     pub fn snapshot(&self) -> Vec<Particle> {
-        let mut v: Vec<Particle> = self.grid.particles().to_vec();
-        v.sort_unstable_by_key(|p| p.id);
-        v
+        let parts = self.grid.particles();
+        crate::place_by_id(parts.len(), parts.iter().copied(), |p| p.id)
     }
 
     /// Advance one velocity-Verlet step (with migration/rebinning and the
@@ -338,13 +340,9 @@ impl SerialSim {
     /// canonical order shared with the parallel simulator's thermostat
     /// gather, so both produce bitwise identical scale factors.
     pub fn kinetic_energy_id_ordered(&self) -> f64 {
-        let mut kes: Vec<(u64, f64)> = self
-            .grid
-            .particles()
-            .iter()
-            .map(|p| (p.id, 0.5 * p.vel.norm2()))
-            .collect();
-        kes.sort_unstable_by_key(|&(id, _)| id);
+        let parts = self.grid.particles();
+        let kes = parts.iter().map(|p| (p.id, 0.5 * p.vel.norm2()));
+        let kes = crate::place_by_id(parts.len(), kes, |&(id, _)| id);
         kes.iter().map(|&(_, ke)| ke).sum()
     }
 

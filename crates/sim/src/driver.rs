@@ -298,6 +298,9 @@ impl Launch {
         // `remap_drained_checkpoint`).
         let (placed, plan) = self.fresh(cfg);
         let mut launch_transfers = plan.decisions.len();
+        // The closure answer of the generation's launch plan: a relaunch
+        // restores with it.
+        let mut exchanges_once = plan.exchanges_once;
         let mut failures = Vec::new();
         let mut launches = 0;
         let mut generations = Vec::with_capacity(segments.len());
@@ -316,7 +319,9 @@ impl Launch {
                 let ck = guard
                     .as_mut()
                     .expect("the previous generation drained a checkpoint");
-                launch_transfers += remap_drained_checkpoint(ck, &seg_cfg, seg.start, retile);
+                let gen_plan = remap_drained_checkpoint(ck, &seg_cfg, seg.start, retile);
+                launch_transfers += gen_plan.decisions.len();
+                exchanges_once = gen_plan.exchanges_once;
             }
             let (drain, sync) = (gen < last_gen, gen > 0);
             let program = Program {
@@ -330,9 +335,9 @@ impl Launch {
                 // holds: the previous attempt's on a relaunch, the
                 // predecessor's drain, or none at all (step 0).
                 let ckpt = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
-                let start = ckpt
-                    .as_ref()
-                    .map_or(Start::Fresh(&placed, &plan), Start::Restore);
+                let start = (ckpt.as_ref()).map_or(Start::Fresh(&placed, &plan), |ck| {
+                    Start::Restore(ck, exchanges_once)
+                });
                 let outcome = world.try_run(|comm: &mut Comm| {
                     if sync {
                         resize_barrier(comm);

@@ -43,7 +43,7 @@ use pcdlb_domain::DomainShape;
 use pcdlb_mp::{Comm, CommError};
 
 use crate::config::RunConfig;
-use crate::launch::{launch_plan, Placed};
+use crate::launch::{launch_plan, LaunchPlan, Placed};
 use crate::recover::SimCheckpoint;
 
 /// One planned resize: after `at_step` completes, the world continues on
@@ -166,16 +166,17 @@ pub(crate) fn resize_barrier(comm: &mut Comm) {
 /// balancer would have taken it, as a fresh run does, instead of shedding
 /// its hot tiles one column a step all over again. `retiles` says whether
 /// the generation re-tiles in place as it runs (its tiles may then be one
-/// column wide, see [`launch_plan`]). Returns the number of transfers
-/// planned. The loads and in-flight transfers the old torus's balancer
-/// held say nothing about the new one's ranks: they are dropped, and the
-/// new generation announces its loads afresh.
+/// column wide, see [`launch_plan`]). Returns the generation's launch
+/// plan: its transfers and its closure answer. The loads and in-flight
+/// transfers the old torus's balancer held say nothing about the new
+/// one's ranks: they are dropped, and the new generation announces its
+/// loads afresh.
 pub(crate) fn remap_drained_checkpoint(
     ck: &mut SimCheckpoint,
     cfg: &RunConfig,
     boundary: u64,
     retiles: bool,
-) -> usize {
+) -> LaunchPlan {
     assert_eq!(
         ck.md.step, boundary,
         "drain checkpoint at step {} but the resize boundary is {boundary}",
@@ -215,7 +216,7 @@ pub(crate) fn remap_drained_checkpoint(
     ck.tiling = layout;
     ck.loads.clear();
     ck.transfers.clear();
-    plan.decisions.len()
+    plan
 }
 
 #[cfg(test)]

@@ -58,8 +58,10 @@ pub(crate) enum Start<'a> {
     /// rank) and the launch plan — the tiling and the transfers made on it
     /// ([`crate::launch::launch_plan`], computed once per world too).
     Fresh(&'a Placed, &'a LaunchPlan),
-    /// A distributed checkpoint (square pillar only).
-    Restore(&'a SimCheckpoint),
+    /// A distributed checkpoint (square pillar only), and the closure
+    /// answer of the launch plan of its generation
+    /// ([`LaunchPlan::exchanges_once`]).
+    Restore(&'a SimCheckpoint, bool),
 }
 
 /// Drive this rank's PE through the whole simulation — the one SPMD run
@@ -83,7 +85,7 @@ pub(crate) fn run_pe(
     let mut start_step = 0;
     let mut records: Vec<StepRecord> = Vec::new();
     let mut pe = match start {
-        Start::Restore(ck) => {
+        Start::Restore(ck, exchanges_once) => {
             assert_eq!(
                 shape,
                 DomainShape::SquarePillar,
@@ -93,7 +95,7 @@ pub(crate) fn run_pe(
             if rank == 0 {
                 records = ck.records.clone();
             }
-            PeState::from_checkpoint(rank, cfg, ck)
+            PeState::from_checkpoint(rank, cfg, ck, exchanges_once)
         }
         Start::Fresh(placed, plan) => PeState::new(rank, cfg, shape, placed, plan),
     };
@@ -109,7 +111,7 @@ pub(crate) fn run_pe(
     // A launch that starts with no neighbour loads in hand — a fresh run,
     // a generation restarted on another torus — announces the ones just
     // measured. The run is not charged for it (the lap below).
-    let loads_in_hand = matches!(start, Start::Restore(ck) if !ck.loads.is_empty());
+    let loads_in_hand = matches!(start, Start::Restore(ck, _) if !ck.loads.is_empty());
     if !loads_in_hand {
         announce_loads(comm, &mut pe);
     }

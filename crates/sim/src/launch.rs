@@ -71,6 +71,7 @@ use std::ops::Range;
 use pcdlb_core::permanent::is_permanent;
 use pcdlb_core::protocol::{DlbDecision, DlbProtocol};
 use pcdlb_domain::{Col, DomainShape, OwnershipMap, PillarLayout};
+use pcdlb_md::cells::CellSlab;
 use pcdlb_md::Vec3;
 use pcdlb_md::{axis_bin, Particle};
 use pcdlb_mp::wire::encoded_len;
@@ -78,21 +79,20 @@ use pcdlb_mp::{CostModel, Torus2d};
 
 use crate::config::{LoadMetric, RunConfig, SpeedSchedule};
 use crate::decomp::{decomposition, Decomposition};
-use crate::pe::{all_columns, cells_around, Held};
+use crate::pe::{all_columns, cells_around, exchanges_once, Held};
 
 /// A world's particles placed in their cells, once per world: one
 /// counting sort by (column, z cell), ids ascending inside a cell — the
-/// order every column slab keeps. The launch plan reads the occupancies
+/// order every column slab keeps, and the slab rebuild's own
+/// ([`CellSlab::rebuild_from`]). The launch plan reads the occupancies
 /// off it and every rank takes its columns' runs out of it, so nobody
 /// bins the world a second time.
 #[derive(Debug, Clone)]
 pub struct Placed {
     nc: usize,
-    /// Every particle, in (column, z cell, id) order.
-    parts: Vec<Particle>,
-    /// `nc³ + 1` offsets into `parts`; cell `(col, cz)` is entry
-    /// `(col.cx · nc + col.cy) · nc + cz`.
-    offsets: Vec<usize>,
+    /// Every particle, in (column, z cell, id) order; cell `(col, cz)` is
+    /// cell `(col.cx · nc + col.cy) · nc + cz` of the slab.
+    cells: CellSlab,
 }
 
 impl Placed {
@@ -100,34 +100,15 @@ impl Placed {
     pub fn new(cfg: &RunConfig, particles: &[Particle]) -> Self {
         let (nc, cell_len) = (cfg.nc, cfg.cell_len());
         let bin = |v: f64| axis_bin(v, cell_len, nc);
-        let cells: Vec<usize> = particles
-            .iter()
-            .map(|p| (bin(p.pos.x) * nc + bin(p.pos.y)) * nc + bin(p.pos.z))
-            .collect();
-        let mut offsets = vec![0usize; nc * nc * nc + 1];
-        for &c in &cells {
-            offsets[c + 1] += 1;
-        }
-        for c in 0..nc * nc * nc {
-            offsets[c + 1] += offsets[c];
-        }
-        let mut cursor = offsets.clone();
-        let mut order = vec![0usize; particles.len()];
-        for (i, &c) in cells.iter().enumerate() {
-            order[cursor[c]] = i;
-            cursor[c] += 1;
-        }
-        let mut parts: Vec<Particle> = order.into_iter().map(|i| particles[i]).collect();
-        for cell in offsets.windows(2) {
-            parts[cell[0]..cell[1]].sort_unstable_by_key(|p| p.id);
-        }
-        Self { nc, parts, offsets }
+        let cell = |p: &Particle| (bin(p.pos.x) * nc + bin(p.pos.y)) * nc + bin(p.pos.z);
+        let cells = CellSlab::build(nc * nc * nc, particles, cell);
+        Self { nc, cells }
     }
 
     /// The particles in cells `z` of column `col`, in (z cell, id) order.
     pub(crate) fn column(&self, col: Col, z: Range<usize>) -> &[Particle] {
         let base = (col.cx * self.nc + col.cy) * self.nc;
-        &self.parts[self.offsets[base + z.start]..self.offsets[base + z.end]]
+        self.cells.run(base + z.start..base + z.end)
     }
 
     /// The work map: each column's full-shell candidate-pair count, in
@@ -138,10 +119,8 @@ impl Placed {
     /// at a time.
     pub fn column_work(&self) -> Vec<u64> {
         let nc = self.nc;
-        let occupancy: Vec<u64> = self
-            .offsets
-            .windows(2)
-            .map(|cell| (cell[1] - cell[0]) as u64)
+        let occupancy: Vec<u64> = (0..self.cells.n_cells())
+            .map(|cell| self.cells.range(cell).len() as u64)
             .collect();
         let mut around = occupancy.clone();
         for stride in [1, nc, nc * nc] {
@@ -167,7 +146,8 @@ impl Placed {
 /// Where a run launches: the tiling its home tiles are cut on and the
 /// transfers its balancer's own rule makes from there on the initial
 /// condition's exact work map, before a rank thread starts (see
-/// [`launch_plan`]). No transfers for a run that does not balance.
+/// [`launch_plan`]), and whether its rebuild steps are single exchanges.
+/// No transfers for a run that does not balance.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaunchPlan {
     /// The tiling a square-pillar run launches on; `None` for the other
@@ -185,9 +165,28 @@ pub struct LaunchPlan {
     /// The per-rank loads the plan ends on, in the unit the balancer
     /// decides in — what the launch's first force pass measures.
     pub loads: Vec<f64>,
+    /// Whether a rebuild step is one exchange, migrants and ghosts
+    /// together ([`crate::pe::PeState::exchanges_once`]): the closure test,
+    /// asked once per launch and handed to every rank — on a fresh start,
+    /// a relaunch from a checkpoint and a resized generation alike. A
+    /// default plan says no: two rounds.
+    pub exchanges_once: bool,
 }
 
 impl LaunchPlan {
+    /// A launch of `cfg` on `shape` with nothing planned — what
+    /// [`launch_plan`] makes of a run that does not balance: the even home
+    /// tiles, no transfers, and the closure answer on them.
+    pub fn unplanned(shape: DomainShape, cfg: &RunConfig) -> Self {
+        let pillar = shape == DomainShape::SquarePillar;
+        let layout = pillar.then(|| PillarLayout::new(cfg.nc, cfg.torus()));
+        Self {
+            exchanges_once: exchanges_once(shape, cfg, layout.as_ref()),
+            layout,
+            ..Self::default()
+        }
+    }
+
     /// The transfers of each applied iteration, in order.
     pub fn rounds(&self) -> impl Iterator<Item = &[DlbDecision]> {
         let starts = std::iter::once(&0).chain(&self.round_ends);
@@ -418,6 +417,8 @@ fn recut(
 /// but a [`Launch::fixed_tiles`] one's): then the cut may leave a tile one
 /// column wide. No constant, and no option of the run is read for it. A
 /// run that does not balance plans nothing and keeps the even tiling.
+/// On the tiling it lands on, the closure test is asked once for the
+/// whole world ([`LaunchPlan::exchanges_once`]).
 /// Pure in `cfg` and the work map; `step` is the step whose force pass
 /// measured it (the processor speeds of that step weigh it).
 ///
@@ -429,14 +430,24 @@ pub fn launch_plan(
     work: &[u64],
     retiles: bool,
 ) -> LaunchPlan {
+    if !cfg.dlb {
+        return LaunchPlan::unplanned(shape, cfg);
+    }
+    let mut plan = plan_tiles(shape, cfg, step, work, retiles);
+    plan.exchanges_once = exchanges_once(shape, cfg, plan.layout.as_ref());
+    plan
+}
+
+/// The tiling and the transfers of a balancing run's [`launch_plan`].
+fn plan_tiles(
+    shape: DomainShape,
+    cfg: &RunConfig,
+    step: u64,
+    work: &[u64],
+    retiles: bool,
+) -> LaunchPlan {
     let pillar = shape == DomainShape::SquarePillar;
     let even = pillar.then(|| PillarLayout::new(cfg.nc, cfg.torus()));
-    if !cfg.dlb {
-        return LaunchPlan {
-            layout: even,
-            ..LaunchPlan::default()
-        };
-    }
     let costs = Costs::new(cfg, step, work);
     let plan = plan_on(shape, cfg, &costs, even);
     let Some(even) = even.filter(|even| at_the_wall(even, &plan)) else {
@@ -481,14 +492,17 @@ pub fn launch_plan_on(
     step: u64,
     work: &[u64],
 ) -> LaunchPlan {
-    if !cfg.dlb {
-        return LaunchPlan {
+    let shape = DomainShape::SquarePillar;
+    let mut plan = if cfg.dlb {
+        plan_on(shape, cfg, &Costs::new(cfg, step, work), Some(layout))
+    } else {
+        LaunchPlan {
             layout: Some(layout),
             ..LaunchPlan::default()
-        };
-    }
-    let costs = Costs::new(cfg, step, work);
-    plan_on(DomainShape::SquarePillar, cfg, &costs, Some(layout))
+        }
+    };
+    plan.exchanges_once = exchanges_once(shape, cfg, Some(&layout));
+    plan
 }
 
 /// A re-tile, as [`check`] decides it and every rank applies it: the new
@@ -575,7 +589,13 @@ pub fn retile_plan(cfg: &RunConfig, step: u64, work: &[u64]) -> LaunchPlan {
             }
         }
         match best {
-            Some(lower) => plan = lower,
+            // (The closure answer holds on every tiling.)
+            Some(lower) => {
+                plan = LaunchPlan {
+                    exchanges_once: plan.exchanges_once,
+                    ..lower
+                }
+            }
             None => return plan,
         }
     }

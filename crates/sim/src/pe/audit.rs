@@ -10,7 +10,7 @@ use std::ops::Range;
 use pcdlb_core::protocol::{tags, DlbDecision, Transfer};
 use pcdlb_domain::{Col, DomainShape};
 use pcdlb_md::checkpoint::Checkpoint;
-use pcdlb_md::Particle;
+use pcdlb_md::{place_by_id, Particle};
 use pcdlb_mp::{collectives, Comm, World};
 
 use super::{initial_particles, Exchange, PeState};
@@ -33,7 +33,8 @@ pub fn received_frames(cfg: &RunConfig, shape: DomainShape) -> Vec<(Arrival, Vec
         .with_cost_model(crate::decomp::cost_model(shape, cfg))
         .with_comm_config(&cfg.comm);
     let ranks = world.run(|comm| {
-        let mut pe = PeState::new(comm.rank(), cfg, shape, &placed, &LaunchPlan::default());
+        let plan = LaunchPlan::unplanned(shape, cfg);
+        let mut pe = PeState::new(comm.rank(), cfg, shape, &placed, &plan);
         exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
         announce_loads(comm, &mut pe);
         for step in 1..=cfg.steps {
@@ -52,7 +53,8 @@ impl PeState {
     /// start from the home tiles of the checkpointed tiling (the one a
     /// re-tile left, if any), replay the checkpointed ownership into this
     /// rank's view and stage the checkpointed particles into the columns
-    /// this rank owns.
+    /// this rank owns; `exchanges_once` is the launch's closure answer
+    /// ([`crate::launch::LaunchPlan::exchanges_once`]).
     /// Pillar only — a checkpoint records one owner per column, which is
     /// what the pillar's balancer moves; recovery and elastic runs are
     /// validated pillar-only upstream.
@@ -62,14 +64,20 @@ impl PeState {
     /// the saved positions are exactly the positions those forces were
     /// evaluated at (velocity Verlet only touches velocities after the
     /// force pass).
-    pub fn from_checkpoint(rank: usize, cfg: &RunConfig, ck: &SimCheckpoint) -> Self {
+    pub fn from_checkpoint(
+        rank: usize,
+        cfg: &RunConfig,
+        ck: &SimCheckpoint,
+        exchanges_once: bool,
+    ) -> Self {
         assert_eq!(
             ck.md.particles.len(),
             cfg.n_particles,
             "checkpoint particle count does not match the configuration"
         );
         let tiling = ck.tiling_for(cfg).unwrap_or_else(|e| panic!("{e}"));
-        let mut pe = Self::scaffold(rank, cfg, DomainShape::SquarePillar, Some(&tiling));
+        let shape = DomainShape::SquarePillar;
+        let mut pe = Self::scaffold(rank, cfg, shape, Some(&tiling), exchanges_once);
         // Replayed as decisions already made — "`col` now belongs to
         // `owner`" — so the windowed view filters them as it did live.
         for &(col, owner) in &ck.ownership {
@@ -174,14 +182,14 @@ impl PeState {
         let _ = comm.lap_virtual_comm();
     }
 
-    /// Gather the full particle set to rank 0, sorted by id.
+    /// Gather the full particle set to rank 0, in id order: the root puts
+    /// each particle at its id ([`place_by_id`]), and fails naming the id
+    /// where the gathered ids are not exactly `0..N`, each once.
     pub fn gather_snapshot(&self, comm: &mut Comm) -> Option<Vec<Particle>> {
         let own: Vec<Particle> = self.particles().copied().collect();
-        collectives::gather(comm, tags::SNAPSHOT, own).map(|chunks| {
-            let mut all: Vec<Particle> = chunks.into_iter().flatten().collect();
-            all.sort_unstable_by_key(|p| p.id);
-            all
-        })
+        let n = self.cfg.n_particles;
+        collectives::gather(comm, tags::SNAPSHOT, own)
+            .map(|chunks| place_by_id(n, chunks.into_iter().flatten(), |p| p.id))
     }
 }
 
@@ -262,6 +270,29 @@ fn validate_sentinel(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_snapshot_gather_that_lost_or_doubled_a_particle_names_it() {
+        // The root puts every gathered particle at its id: a set that is
+        // not exactly 0..N, each once, fails there, not as a later digest
+        // mismatch. Particle 7 is relabelled 3 — 3 twice, 7 missing — on
+        // a 2 × 2 pillar whose ranks adopt it from the one placement.
+        let shape = DomainShape::SquarePillar;
+        let cfg = super::super::testkit::shape_cfg(shape);
+        let mut particles = initial_particles(&cfg);
+        particles[7].id = 3;
+        let placed = Placed::new(&cfg, &particles);
+        let plan = LaunchPlan::unplanned(shape, &cfg);
+        let gathered = std::panic::catch_unwind(|| {
+            World::new(cfg.p).run(|comm| {
+                let pe = PeState::new(comm.rank(), &cfg, shape, &placed, &plan);
+                pe.gather_snapshot(comm)
+            })
+        });
+        let payload = gathered.expect_err("a snapshot of a wrong id set");
+        let message = payload.downcast_ref::<String>().expect("a message");
+        assert!(message.contains("particle id 3 came twice"), "{message}");
+    }
 
     #[test]
     fn sentinel_accepts_an_exact_partition_with_conserved_count() {

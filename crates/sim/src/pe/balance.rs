@@ -516,13 +516,9 @@ mod tests {
         cfg.dlb = true;
         cfg.dlb_min_gain = gain;
         let nobody = Placed::new(&cfg, &[]);
-        let mut pe = PeState::new(
-            rank,
-            &cfg,
-            DomainShape::SquarePillar,
-            &nobody,
-            &LaunchPlan::default(),
-        );
+        let shape = DomainShape::SquarePillar;
+        let plan = LaunchPlan::unplanned(shape, &cfg);
+        let mut pe = PeState::new(rank, &cfg, shape, &nobody, &plan);
         pe.force.set_load(own);
         pe.balance.nbr_loads = pe
             .neighbors()
@@ -632,7 +628,7 @@ mod tests {
             // Per rank and step: the load before, the transfers whose cells
             // changed hands, the load after.
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                let none = LaunchPlan::default();
+                let none = LaunchPlan::unplanned(shape, &cfg);
                 let mut pe = PeState::new(comm.rank(), &cfg, shape, &initial, &none);
                 crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
                 crate::engine::announce_loads(comm, &mut pe);

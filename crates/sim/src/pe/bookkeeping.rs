@@ -4,8 +4,8 @@
 //! a broadcast back.
 
 use pcdlb_core::protocol::tags;
-use pcdlb_md::observe;
 use pcdlb_md::verlet::{self, DispTracker};
+use pcdlb_md::{observe, place_by_id};
 use pcdlb_mp::{collectives, Comm};
 
 use super::PeState;
@@ -82,7 +82,8 @@ impl PeState {
     }
 
     /// Phase 7: periodic global velocity rescale via an id-ordered
-    /// kinetic energy sum (bitwise identical to the serial reference),
+    /// kinetic energy sum (bitwise identical to the serial reference; the
+    /// root puts each energy at its particle's id, [`place_by_id`]),
     /// on the steps the thermostat fires. Rank 0 computes the scale
     /// factor from the gathered energies and broadcasts it; every PE
     /// rescales its velocities.
@@ -97,9 +98,8 @@ impl PeState {
             .collect();
         let gathered = collectives::gather(comm, tags::KE_GATHER, kes);
         let scale = gathered.map(|chunks| {
-            let mut all: Vec<(u64, f64)> = chunks.into_iter().flatten().collect();
-            all.sort_unstable_by_key(|&(id, _)| id);
-            debug_assert_eq!(all.len(), self.cfg.n_particles);
+            let n = self.cfg.n_particles;
+            let all = place_by_id(n, chunks.into_iter().flatten(), |&(id, _)| id);
             let ke: f64 = all.iter().map(|&(_, k)| k).sum();
             let t_now = observe::temperature_from_ke(ke, self.cfg.n_particles);
             th.scale_factor(t_now)
@@ -181,7 +181,7 @@ mod tests {
             let laps: Vec<f64> = pcdlb_mp::World::new(cfg.p)
                 .with_cost_model(crate::decomp::cost_model(shape, &cfg))
                 .run(|comm| {
-                    let none = crate::launch::LaunchPlan::default();
+                    let none = crate::launch::LaunchPlan::unplanned(shape, &cfg);
                     let start = crate::engine::Start::Fresh(&initial, &none);
                     let program = crate::engine::Program {
                         shape,

@@ -31,9 +31,10 @@
 //!
 //! Allocation-free in the steady state: staging lists, per-neighbour
 //! outboxes, per-section codecs and routes, pooled frames, the decoded
-//! frame and the received payloads are reused across steps.
+//! frame and the received payloads are reused across steps. Nor does a
+//! particle cost a map lookup: a staging list is one index away, by
+//! column or by home.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pcdlb_core::protocol::{tags, Transfer};
@@ -44,7 +45,7 @@ use pcdlb_md::{axis_bin, Particle};
 use pcdlb_mp::{BufferPool, Comm};
 
 use super::topology::{behind_first_hop, dest_bit, foreign_around, push_run, CellClass, Route};
-use super::{PeState, Slabs};
+use super::PeState;
 use crate::clock::WallTimer;
 use crate::frame::{DeltaChannel, FrameBytes, Received, SectionHead, StepFrame};
 
@@ -70,10 +71,13 @@ pub(crate) enum Exchange {
 /// them.
 #[derive(Default)]
 pub(super) struct Channels {
-    /// Retained-particle staging for migration; key set kept equal to
-    /// the owned columns' so the per-step rebinning reuses every
-    /// allocation.
-    migrate_staging: BTreeMap<Col, Vec<Particle>>,
+    /// Retained-particle staging for migration: one list per column of
+    /// the box, by column index `cx · nc + cy`, so the per-step rebinning
+    /// reuses every allocation whatever the owned columns are.
+    migrate_staging: Vec<Vec<Particle>>,
+    /// How many particles were staged into `migrate_staging` since the
+    /// owned columns were last rebuilt from it.
+    staged: usize,
     /// Per-neighbour emigrant staging (parallel to the neighbour list).
     migrate_out: Vec<Vec<Particle>>,
     /// Per-section ghost shell codecs, ascending by mask: the shell this
@@ -92,9 +96,10 @@ pub(super) struct Channels {
     /// its owner sent it in this rebuild step; 0 where the owner sent
     /// nothing for it (`skin > 0` only).
     cell_masks: Vec<u32>,
-    /// Retained ghost re-binning staging; key set kept equal to the
-    /// ghost columns' so the per-step scatter reuses every allocation.
-    ghost_staging: BTreeMap<Col, Vec<Particle>>,
+    /// Retained ghost re-binning staging, one list per home column
+    /// (parallel to the topology's home list; only the ghost homes' are
+    /// used), so the per-step scatter reuses every allocation.
+    ghost_staging: Vec<Vec<Particle>>,
     /// The loads and decisions this exchange brought: origin, load,
     /// decision.
     heard: Vec<(usize, f64, Option<Transfer>)>,
@@ -122,35 +127,39 @@ pub(super) struct Channels {
 }
 
 impl Channels {
-    /// Channels to `n_nbrs` neighbours. Once per run.
-    pub(super) fn new(n_nbrs: usize) -> Self {
+    /// Channels to `n_nbrs` neighbours in a box of `nc × nc` columns.
+    /// Once per run.
+    pub(super) fn new(n_nbrs: usize, nc: usize) -> Self {
         Self {
+            migrate_staging: vec![Vec::new(); nc * nc],
             migrate_out: vec![Vec::new(); n_nbrs],
             ghost_tally: vec![(0, 0); n_nbrs],
             ..Self::default()
         }
     }
 
-    /// Keep the staging key sets equal to the owned and the ghost
-    /// columns', preserving the allocations of surviving columns. Runs
-    /// when ownership changed, never in the steady state.
-    pub(super) fn follow_keys(&mut self, columns: &Slabs, ghosts: &Slabs) {
-        for (staging, slabs) in [
-            (&mut self.migrate_staging, columns),
-            (&mut self.ghost_staging, ghosts),
-        ] {
-            staging.retain(|c, _| slabs.contains_key(c));
-            for &c in slabs.keys() {
-                staging.entry(c).or_default();
-            }
-        }
+    /// One ghost staging list per home column, preserving the allocations
+    /// of the lists that stay. Runs when ownership changed, never in the
+    /// steady state.
+    pub(super) fn follow_homes(&mut self, homes: usize) {
+        self.ghost_staging.resize_with(homes, Vec::new);
     }
 
-    /// Stage `p` as a particle of owned column `col` for the rebuild.
-    fn keep(&mut self, rank: usize, col: Col, p: &Particle) {
-        (self.migrate_staging.get_mut(&col))
-            .unwrap_or_else(|| panic!("rank {rank}: missing storage for owned column {col:?}"))
-            .push(*p);
+    /// Stage `p` as a particle of the owned column of index `at`
+    /// (`cx · nc + cy`) for the rebuild.
+    fn keep(&mut self, at: usize, p: &Particle) {
+        self.migrate_staging[at].push(*p);
+        self.staged += 1;
+    }
+
+    /// The owned columns took `taken` staged particles: every one staged,
+    /// or some lie in a column this PE holds no slab of.
+    fn take_staged(&mut self, rank: usize, taken: usize) {
+        assert_eq!(
+            taken, self.staged,
+            "rank {rank}: particles staged for a column it does not own"
+        );
+        self.staged = 0;
     }
 
     /// The payloads of the last exchange's incoming frames, by hop.
@@ -192,9 +201,10 @@ impl PeState {
     /// owner will carry it.
     fn rebin_owned(&mut self, announce: bool) {
         let ch = &mut self.exchange;
-        for v in ch.migrate_staging.values_mut() {
+        for v in &mut ch.migrate_staging {
             v.clear();
         }
+        ch.staged = 0;
         for v in &mut ch.migrate_out {
             v.clear();
         }
@@ -209,7 +219,7 @@ impl PeState {
                 let (ncol, ncz) = (Col::new(bin(p.pos.x), bin(p.pos.y)), bin(p.pos.z));
                 let owner = decomp.owner_of(ncol, ncz);
                 if owner == rank {
-                    ch.keep(rank, ncol, p);
+                    ch.keep(ncol.cx * nc + ncol.cy, p);
                     continue;
                 }
                 ch.migrate_out[topology.index_of(owner)].push(*p);
@@ -257,7 +267,6 @@ impl PeState {
             if d.to == self.rank {
                 for col in self.decomp.granule(&d) {
                     self.columns.insert(col, CellSlab::empty(self.nc));
-                    self.exchange.migrate_staging.entry(col).or_default();
                 }
             }
         }
@@ -279,25 +288,28 @@ impl PeState {
     /// Rebuild every owned column in place from its staged particles.
     fn rebuild_columns(&mut self) {
         let (nc, zbin) = (self.nc, self.zbin());
+        let ch = &mut self.exchange;
+        let mut rebuilt = 0;
         for (col, slab) in self.columns.iter_mut() {
-            let staged = (self.exchange.migrate_staging.get_mut(col))
-                .expect("staging key set matches the owned columns");
+            let staged = &mut ch.migrate_staging[col.cx * nc + col.cy];
+            rebuilt += staged.len();
             slab.rebuild_from(nc, staged, zbin);
         }
+        ch.take_staged(self.rank, rebuilt);
     }
 
     /// Stage the immigrants of one received section into their columns.
     fn stage_immigrants(&mut self, parts: &[Particle]) {
         let rank = self.rank;
         for p in parts {
-            let (ncol, ncz) = self.cell_of(p.pos);
+            let col = self.col_of(p.pos);
             debug_assert_eq!(
-                self.decomp.owner_of(ncol, ncz),
+                self.decomp.owner_of(col, self.cell_of(p.pos).1),
                 rank,
-                "rank {rank}: received particle {} for column {ncol:?} it does not own",
+                "rank {rank}: received particle {} for column {col:?} it does not own",
                 p.id
             );
-            self.exchange.keep(rank, ncol, p);
+            self.exchange.keep(col.cx * self.nc + col.cy, p);
         }
     }
 
@@ -445,9 +457,7 @@ impl PeState {
         for section in self.topology.sections() {
             let codec = self.exchange.shell(section.mask);
             for (col, span) in &section.route {
-                let slab = &self.columns[col];
-                let parts =
-                    &slab.particles()[slab.range(span.start).start..slab.range(span.end - 1).end];
+                let parts = self.columns[col].run(span.clone());
                 codec.scratch.extend(parts.iter().map(|p| (p.id, p.pos)));
             }
         }
@@ -465,10 +475,8 @@ impl PeState {
     fn originate_refresh(&mut self, out: &mut [Arc<StepFrame>]) {
         let rank = self.rank;
         for section in self.topology.sections() {
-            let runs = section.route.iter().map(|(col, span)| {
-                let slab = &self.columns[col];
-                &slab.particles()[slab.range(span.start).start..slab.range(span.end - 1).end]
-            });
+            let runs =
+                (section.route.iter()).map(|(col, span)| self.columns[col].run(span.clone()));
             let n = runs.clone().map(<[Particle]>::len).sum();
             let pos = runs.flatten().map(|p| p.pos);
             frame_mut(&mut out[section.hop]).push_refresh(section.mask, rank, n, pos);
@@ -482,8 +490,7 @@ impl PeState {
         for route in self.topology.ghost_routes() {
             let mut baseline = 8u64;
             for (col, span) in route {
-                let slab = &self.columns[col];
-                let n = slab.range(span.end - 1).end - slab.range(span.start).start;
+                let n = self.columns[col].run(span.clone()).len();
                 baseline += 24 + 56 * n as u64;
             }
             self.wire.ghost_baseline += baseline;
@@ -509,7 +516,7 @@ impl PeState {
         self.exchange.heard.clear();
         match exchange {
             Exchange::Shells | Exchange::Single => {
-                for v in self.exchange.ghost_staging.values_mut() {
+                for v in &mut self.exchange.ghost_staging {
                     v.clear();
                 }
                 if self.cfg.skin > 0.0 {
@@ -605,10 +612,13 @@ impl PeState {
             }
             Exchange::Shells | Exchange::Single => {
                 let (nc, zbin) = (self.nc, self.zbin());
-                for (col, slab) in self.ghosts.iter_mut() {
-                    let staged = (self.exchange.ghost_staging.get_mut(col))
-                        .expect("ghost staging key set matches the expected ghost columns");
-                    slab.rebuild_from(nc, staged, zbin);
+                // The ghost slabs and the ghost homes are the same columns,
+                // both ascending (`PeState::refresh_caches`).
+                let homes = self.topology.homes().iter().enumerate();
+                let ghost_homes = homes.filter(|(_, h)| h.ghost);
+                for ((col, slab), (hi, home)) in self.ghosts.iter_mut().zip(ghost_homes) {
+                    assert_eq!(*col, home.col, "ghost slabs follow the ghost homes");
+                    slab.rebuild_from(nc, &mut self.exchange.ghost_staging[hi], zbin);
                 }
                 if exchange == Exchange::Single {
                     self.hear_round();
@@ -644,19 +654,16 @@ impl PeState {
     /// `origin`, note the section for the cell.
     fn stage_ghost(&mut self, id: u64, pos: Vec3, origin: usize, mask: u32) {
         let rank = self.rank;
-        let (col, cz) = self.cell_of(pos);
-        (self.exchange.ghost_staging.get_mut(&col))
-            .unwrap_or_else(|| panic!("rank {rank}: received unexpected ghost column {col:?}"))
-            .push(Particle::at_rest(id, pos));
+        let col = self.col_of(pos);
+        let hi = self.topology.ghost_home(col);
+        self.exchange.ghost_staging[hi].push(Particle::at_rest(id, pos));
         if self.cfg.skin > 0.0 {
+            let cz = axis_bin(pos.z, self.cell_len, self.nc);
             let owner = self.decomp.owner_of(col, cz);
             let (n, sum) = &mut self.exchange.ghost_tally[self.topology.index_of(owner)];
             *n += 1;
             *sum = sum.wrapping_add(id);
             if owner == origin {
-                let homes = self.topology.homes();
-                let hi = (homes.binary_search_by_key(&col, |h| h.col))
-                    .expect("a ghost column is a home column");
                 let noted = &mut self.exchange.cell_masks[hi * self.nc + cz];
                 debug_assert!(
                     *noted == 0 || *noted == mask,
@@ -671,14 +678,17 @@ impl PeState {
     /// columns, which [`PeState::exchange`] rebuilt from the stayers.
     fn adopt_arrivals(&mut self) {
         let (nc, zbin) = (self.nc, self.zbin());
-        for (col, staged) in self.exchange.migrate_staging.iter_mut() {
+        let ch = &mut self.exchange;
+        let mut adopted = 0;
+        for (col, slab) in self.columns.iter_mut() {
+            let staged = &mut ch.migrate_staging[col.cx * nc + col.cy];
             if !staged.is_empty() {
-                let slab =
-                    (self.columns.get_mut(col)).expect("staging key set matches the owned columns");
+                adopted += staged.len();
                 staged.extend_from_slice(slab.particles());
                 slab.rebuild_from(nc, staged, zbin);
             }
         }
+        ch.take_staged(self.rank, adopted);
     }
 
     /// The mask of the section `owner` packs its cell `(col, cz)` into
@@ -813,8 +823,8 @@ impl PeState {
 
 #[cfg(test)]
 mod tests {
-    use super::super::initial_particles;
     use super::super::testkit::{fresh, shape_cfg};
+    use super::super::{initial_particles, Slabs};
     use super::*;
     use crate::config::RunConfig;
     use crate::launch::Placed;
@@ -828,10 +838,7 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn refresh_orders(pe: &PeState) -> (Vec<(u32, Vec<u64>)>, Vec<(usize, u32, Vec<u64>)>) {
         let packed = pe.topology.sections().iter().map(|s| {
-            let cells = s.route.iter().flat_map(|(col, span)| {
-                let slab = &pe.columns[col];
-                &slab.particles()[slab.range(span.start).start..slab.range(span.end - 1).end]
-            });
+            let cells = (s.route.iter()).flat_map(|(col, span)| pe.columns[col].run(span.clone()));
             (s.mask, cells.map(|p| p.id).collect())
         });
         let routed = pe
@@ -928,7 +935,7 @@ mod tests {
         let run = |decisions: Vec<DlbDecision>| {
             let plan = crate::launch::LaunchPlan {
                 decisions,
-                ..Default::default()
+                ..crate::launch::LaunchPlan::unplanned(DomainShape::SquarePillar, &cfg)
             };
             pcdlb_mp::World::new(cfg.p).run(|comm| {
                 let shape = DomainShape::SquarePillar;
@@ -1004,7 +1011,7 @@ mod tests {
         pcdlb_mp::World::new(cfg.p)
             .with_cost_model(crate::decomp::cost_model(shape, cfg))
             .run(|comm| {
-                let none = crate::launch::LaunchPlan::default();
+                let none = crate::launch::LaunchPlan::unplanned(shape, cfg);
                 let mut pe = PeState::new(comm.rank(), cfg, shape, &initial, &none);
                 setup(&mut pe);
                 crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);

@@ -77,7 +77,7 @@ pub use audit::{received_frames, SentinelReport};
 pub(crate) use exchange::Exchange;
 pub(crate) use retile::Held;
 pub(crate) use topology::{ahead, behind_first_hop, bit_offset, dest_bit, RankTorus};
-pub(crate) use topology::{all_columns, cells_around};
+pub(crate) use topology::{all_columns, cells_around, exchanges_once};
 
 /// A PE's cell columns — owned or ghost — by column: contiguous
 /// (cell, id)-sorted particle storage with `nc` cells per column, indexed
@@ -169,7 +169,8 @@ impl PeState {
         placed: &Placed,
         plan: &LaunchPlan,
     ) -> Self {
-        let mut pe = Self::scaffold(rank, cfg, shape, plan.layout.as_ref());
+        let tiling = plan.layout.as_ref();
+        let mut pe = Self::scaffold(rank, cfg, shape, tiling, plan.exchanges_once);
         for d in &plan.decisions {
             pe.decomp.apply(d);
         }
@@ -180,16 +181,18 @@ impl PeState {
     /// The state shell shared by [`PeState::new`] and
     /// [`PeState::from_checkpoint`]: everything but the particle columns,
     /// every cell at its home under `tiling` (see
-    /// `decomp::decomposition`). Once per run.
+    /// `decomp::decomposition`), a rebuild step one exchange where the
+    /// launch says so (`exchanges_once`). Once per run.
     fn scaffold(
         rank: usize,
         cfg: &RunConfig,
         shape: DomainShape,
         tiling: Option<&PillarLayout>,
+        exchanges_once: bool,
     ) -> Self {
         let decomp = decomposition(shape, rank, cfg, tiling);
         let balances = decomp.has_balancer() && cfg.dlb;
-        let topology = topology::Topology::new(&*decomp, cfg.nc, rank, !balances);
+        let topology = topology::Topology::new(&*decomp, cfg.nc, rank, exchanges_once);
         Self {
             cfg: cfg.clone(),
             rank,
@@ -202,7 +205,7 @@ impl PeState {
             cur_step: 0,
             wire: WireBytes::default(),
             phase: PhaseTimes::default(),
-            exchange: exchange::Channels::new(topology.neighbors().len()),
+            exchange: exchange::Channels::new(topology.neighbors().len(), cfg.nc),
             topology,
             force: force::Force::default(),
             balance: balance::Balance::new(balances),
@@ -247,9 +250,11 @@ impl PeState {
     /// its boundaries go, never. Every rank of a world reaches the same
     /// answer: where ownership is fixed the layouts are
     /// translation-symmetric, and a balancing run's answer holds on any
-    /// tiling (the re-tiles of a run included) or on none.
+    /// tiling (the re-tiles of a run included) or on none. So the launch
+    /// tests it once ([`crate::launch::LaunchPlan::exchanges_once`]) and
+    /// every rank takes its answer.
     pub fn exchanges_once(&self) -> bool {
-        self.topology.exchanges_once()
+        self.topology.single_exchange()
     }
 
     /// The tiling this PE's home tiles are cut on (the square pillar's;
@@ -276,6 +281,12 @@ impl PeState {
     fn cell_of(&self, pos: Vec3) -> (Col, usize) {
         let f = |v: f64| axis_bin(v, self.cell_len, self.nc);
         (Col::new(f(pos.x), f(pos.y)), f(pos.z))
+    }
+
+    /// The column `pos` lies in.
+    fn col_of(&self, pos: Vec3) -> Col {
+        let f = |v: f64| axis_bin(v, self.cell_len, self.nc);
+        Col::new(f(pos.x), f(pos.y))
     }
 
     /// The key a column slab sorts by: a particle's z cell.
@@ -330,9 +341,15 @@ mod testkit {
     }
 
     /// A PE adopting its home cells' share of the config's own initial
-    /// condition (no launch plan).
+    /// condition (nothing planned).
     pub(super) fn fresh(rank: usize, cfg: &RunConfig, shape: DomainShape) -> PeState {
-        PeState::new(rank, cfg, shape, &placed(cfg), &LaunchPlan::default())
+        PeState::new(
+            rank,
+            cfg,
+            shape,
+            &placed(cfg),
+            &LaunchPlan::unplanned(shape, cfg),
+        )
     }
 }
 

@@ -151,13 +151,13 @@ impl PeState {
         for (from, mut columns) in staging {
             let parts: Vec<Particle> = comm.recv(from, tags::RETILE_XFER);
             for p in parts {
-                let col = self.cell_of(p.pos).0;
+                let col = self.col_of(p.pos);
                 (columns.get_mut(&col))
                     .expect("a moved particle lies in a column moved to this PE")
                     .push(p);
             }
             for (col, parts) in columns {
-                self.columns.insert(col, CellSlab::build(nc, parts, zbin));
+                self.columns.insert(col, CellSlab::build(nc, &parts, zbin));
             }
         }
         self.adopt_tiling(r);
@@ -170,11 +170,11 @@ impl PeState {
     /// neighbour set is read off the home tiles, before the plan lends
     /// anything: on any rectilinear tiling every rank borders the same
     /// eight torus neighbours there, so the channels stay, and so does the
-    /// single exchange where it held.
+    /// launch's closure answer, which holds on any tiling.
     fn adopt_tiling(&mut self, r: &Retile) {
         let rank = self.rank;
         let mut decomp = decomposition(DomainShape::SquarePillar, rank, &self.cfg, Some(&r.tiling));
-        let topology = Topology::new(&*decomp, self.nc, rank, false);
+        let topology = Topology::new(&*decomp, self.nc, rank, self.exchanges_once());
         for d in &r.decisions {
             decomp.apply(d);
         }
@@ -186,8 +186,8 @@ impl PeState {
             "rank {rank}: the columns held are not the ones planned"
         );
         assert_eq!(
-            (topology.neighbors(), topology.exchanges_once()),
-            (self.topology.neighbors(), self.topology.exchanges_once()),
+            topology.neighbors(),
+            self.topology.neighbors(),
             "rank {rank}: a re-tile changed the neighbour set"
         );
         self.topology = topology;

@@ -1,10 +1,13 @@
 //! Who is around a PE: everything the engine derives from
-//! `Decomposition::owner_of` — the neighbour set, the closure test
-//! behind the single exchange and the hops of the staged exchange (fixed
-//! for the run), and the caches rebuilt when ownership changes (cell
-//! classes, ghost routes, the sections this PE originates, home list).
-//! Cold: nothing here runs in the steady-state step, so the file is off
-//! the lint's hot-path list.
+//! `Decomposition::owner_of` — the neighbour set and the hops of the
+//! staged exchange (fixed for the run), the closure test behind the
+//! single exchange (once per launch, [`exchanges_once`]), and the caches
+//! rebuilt when ownership changes (cell classes, ghost routes, the
+//! sections this PE originates, home list and its dense index). Not in
+//! the steady-state step, but [`Topology::refresh`] runs whenever a
+//! transfer redraws a PE's caches — on a balancing run that is a rank-step
+//! in five — so it keeps its scratch and the file is on the lint's
+//! hot-path list.
 //!
 //! # Routing
 //!
@@ -19,16 +22,16 @@
 //! passes on from the mask and the origin alone ([`ahead`]), reading no
 //! ownership.
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 
 use pcdlb_core::protocol::DlbDecision;
-use pcdlb_domain::Col;
+use pcdlb_domain::{Col, DomainShape, PillarLayout};
 use pcdlb_md::cells::CellSlab;
 
 use super::walk::FORWARD_XY;
 use super::PeState;
-use crate::decomp::Decomposition;
+use crate::config::RunConfig;
+use crate::decomp::{decomposition, Decomposition};
 use crate::frame::Arrival;
 
 /// What a cell is to this PE. Derived purely from the decomposition's
@@ -109,7 +112,7 @@ pub(crate) fn behind_first_hop(d: [i64; 3]) -> u32 {
 
 /// The torus the ranks are laid out on (`Decomposition::rank_torus`):
 /// its `[x, y, z]` sides, x fastest in the rank number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RankTorus(pub(crate) [usize; 3]);
 
 impl RankTorus {
@@ -191,7 +194,7 @@ pub(super) struct SectionRoute {
 }
 
 /// One PE's neighbourhood, as its decomposition's answers imply it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(super) struct Topology {
     rank: usize,
     nc: usize,
@@ -212,8 +215,8 @@ pub(super) struct Topology {
     /// `hops.len()` per offset: what a relay reads off a section's mask.
     onward: Vec<u32>,
     /// Whether a rebuild step is one exchange (see
-    /// [`PeState::exchanges_once`]). Fixed for the run; a re-tile
-    /// recomputes it on the new tiling and lands on the same answer.
+    /// [`PeState::exchanges_once`]): the launch's answer, which every
+    /// rank shares and a re-tile keeps.
     single_exchange: bool,
     /// True when the owned-column set, or the ownership of a column
     /// bordering it, changed since the caches below were rebuilt.
@@ -231,87 +234,52 @@ pub(super) struct Topology {
     homes: Vec<Home>,
     /// Per-cell classes, `nc` per home column.
     cell_class: Vec<CellClass>,
+    /// Each column's position in `homes`, by column index `cx · nc + cy`;
+    /// [`NOT_HOME`] where this PE sees none of its cells.
+    home_at: Vec<usize>,
+    /// [`Topology::refresh`]'s scratch: one class per cell of the box,
+    /// indexed like the cell grid.
+    grid: Vec<CellClass>,
 }
+
+/// [`Topology`]'s `home_at` entry of a column that is no home.
+const NOT_HOME: usize = usize::MAX;
 
 impl Topology {
     /// The neighbour set of `rank` from the decomposition's starting
     /// state — every other rank owning a cell adjacent to one of its own —
-    /// and the closure test: where ownership is `fixed` for the run, on
-    /// that ownership; where the balancer moves it, on every ownership it
-    /// can reach. The caches start dirty.
-    pub(super) fn new(decomp: &dyn Decomposition, nc: usize, rank: usize, fixed: bool) -> Self {
-        let own_z = decomp.z_extent(rank);
-        let mut nbrs: BTreeSet<usize> = BTreeSet::new();
-        // The foreign cells next to ours: the shell the closure test
-        // looks out from.
-        let mut shell: BTreeSet<(Col, usize, usize)> = BTreeSet::new();
-        for col in all_columns(nc).filter(|&col| decomp.owner_of(col, own_z.start) == rank) {
-            for span in owned_spans(nc, &own_z) {
-                for (ncol, nspan, owner) in foreign_around(decomp, nc, rank, col, span) {
-                    nbrs.insert(owner);
-                    if fixed {
-                        shell.insert((ncol, nspan.start, nspan.end));
-                    }
-                }
-            }
-        }
-        let neighbors: Vec<usize> = nbrs.into_iter().collect();
+    /// and its hops; `single_exchange` is the launch's closure answer
+    /// ([`exchanges_once`]). The caches start dirty.
+    pub(super) fn new(
+        decomp: &dyn Decomposition,
+        nc: usize,
+        rank: usize,
+        single_exchange: bool,
+    ) -> Self {
+        let neighbors = Owners::new(decomp, nc, rank).neighbors_of(rank);
         let torus = RankTorus(decomp.rank_torus());
         let hops = torus.hops(rank);
-        let nbr_bits = neighbors
-            .iter()
-            .map(|&nb| match torus.offset(rank, nb) {
-                Some(d) => dest_bit(d),
-                None => panic!("rank {rank}: neighbour {nb} is more than one torus step away"),
-            })
-            .collect();
-        // One exchange per rebuild step needs a neighbour set closed two
-        // cells out: a particle leaving for a cell next to ours is
-        // announced by us to every rank bordering that cell, so each of
-        // those must be a neighbour — on the one ownership of the run, or
-        // on every ownership the balancer can reach: no column this PE
-        // may come to hold lies within two of one a stranger may hold.
-        // (A shape that does not bound where its balancer takes a cell
-        // keeps two rounds.)
-        let single_exchange = if fixed {
-            shell.iter().all(|&(col, z0, z1)| {
-                foreign_around(decomp, nc, rank, col, z0..z1)
-                    .all(|f| neighbors.binary_search(&f.2).is_ok())
-            })
-        } else {
-            let reach: Option<Vec<[usize; 4]>> = all_columns(nc).map(|c| decomp.reach(c)).collect();
-            own_z.len() == nc
-                && reach.is_some_and(|reach| {
-                    let holders = |c: Col| reach[c.cx * nc + c.cy];
-                    let near = |r: usize| r == rank || neighbors.binary_search(&r).is_ok();
-                    let strange = |&c: &Col| !holders(c).into_iter().all(near);
-                    all_columns(nc).filter(strange).all(|col| {
-                        let mut two_out = cells_around(nc, col, 0..nc)
-                            .flat_map(|(c, _)| cells_around(nc, c, 0..nc));
-                        two_out.all(|(c, _)| !holders(c).contains(&rank))
-                    })
-                })
+        let bit = |nb: usize| match torus.offset(rank, nb) {
+            Some(d) => dest_bit(d),
+            None => panic!("rank {rank}: neighbour {nb} is more than one torus step away"),
+        };
+        let onward = |i| {
+            hops.iter()
+                .map(move |h| ahead(bit_offset(i), h.axis, h.dir))
         };
         Self {
             rank,
             nc,
-            own_z,
+            own_z: decomp.z_extent(rank),
+            nbr_bits: neighbors.iter().map(|&nb| bit(nb)).collect(),
             ghost_routes: vec![Vec::new(); neighbors.len()],
-            sections: Vec::new(),
+            onward: (0..27).flat_map(onward).collect(),
             neighbors,
-            nbr_bits,
-            onward: (0..27)
-                .flat_map(|i| {
-                    hops.iter()
-                        .map(move |h| ahead(bit_offset(i), h.axis, h.dir))
-                })
-                .collect(),
             hops,
             torus,
             single_exchange,
             dirty: true,
-            homes: Vec::new(),
-            cell_class: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -331,7 +299,7 @@ impl Topology {
         &self.neighbors
     }
 
-    pub(super) fn exchanges_once(&self) -> bool {
+    pub(super) fn single_exchange(&self) -> bool {
         self.single_exchange
     }
 
@@ -412,6 +380,19 @@ impl Topology {
         &self.homes
     }
 
+    /// The position in the home list of `col`, which has a ghost slab:
+    /// one index read. Anything else is a ghost this PE does not expect.
+    pub(super) fn ghost_home(&self, col: Col) -> usize {
+        let hi = self.home_at[col.cx * self.nc + col.cy];
+        if hi == NOT_HOME || !self.homes[hi].ghost {
+            panic!(
+                "rank {}: received unexpected ghost column {col:?}",
+                self.rank
+            );
+        }
+        hi
+    }
+
     /// The classes of the `nc` cells of home column `hi`.
     pub(super) fn classes(&self, hi: usize) -> &[CellClass] {
         &self.cell_class[hi * self.nc..(hi + 1) * self.nc]
@@ -451,13 +432,19 @@ impl Topology {
             return false;
         }
         let (nc, rank) = (self.nc, self.rank);
+        // Every route is refilled in place; a section that ends up with
+        // none goes at the end, so the ones that stay keep their buffers.
         for r in &mut self.ghost_routes {
             r.clear();
         }
-        self.sections.clear();
+        for s in &mut self.sections {
+            s.route.clear();
+        }
         // Classify every owned cell by who owns the cells around it, on a
         // scratch grid over the whole box (indexed like the cell grid).
-        let mut grid = vec![CellClass::Unseen; nc * nc * nc];
+        let mut grid = std::mem::take(&mut self.grid);
+        grid.clear();
+        grid.resize(nc * nc * nc, CellClass::Unseen);
         let column = |col: Col| (col.cx * nc + col.cy) * nc..(col.cx * nc + col.cy + 1) * nc;
         for col in owned {
             for span in owned_spans(nc, &self.own_z) {
@@ -488,13 +475,17 @@ impl Topology {
                 grid[column(col)][span].fill(CellClass::Owned);
             }
         }
+        self.sections.retain(|s| !s.route.is_empty());
         // The home list: every column with a cell this PE sees, ascending,
         // each with its forward cross-section columns resolved.
         self.homes.clear();
         self.cell_class.clear();
+        self.home_at.clear();
+        self.home_at.resize(nc * nc, NOT_HOME);
         for col in all_columns(nc) {
             let classes = &grid[column(col)];
             if classes.iter().any(|&c| c != CellClass::Unseen) {
+                self.home_at[col.cx * nc + col.cy] = self.homes.len();
                 self.homes.push(Home {
                     col,
                     owned: classes.contains(&CellClass::Owned),
@@ -504,15 +495,14 @@ impl Topology {
                 self.cell_class.extend_from_slice(classes);
             }
         }
+        self.grid = grid;
         for hi in 0..self.homes.len() {
             let col = self.homes[hi].col;
             self.homes[hi].ring = std::array::from_fn(|g| {
                 let (dx, dy) = FORWARD_XY[g];
                 let (ncol, sx, sy) = wrap_col(nc, box_len, col, dx, dy);
-                self.homes
-                    .binary_search_by_key(&ncol, |h| h.col)
-                    .ok()
-                    .map(|ni| (ni, sx, sy))
+                let ni = self.home_at[ncol.cx * nc + ncol.cy];
+                (ni != NOT_HOME).then_some((ni, sx, sy))
             });
         }
         true
@@ -521,28 +511,27 @@ impl Topology {
 
 impl PeState {
     /// Bring the ownership-derived caches up to date (see
-    /// [`Topology::refresh`]) and keep the key sets that follow them —
-    /// the ghost slabs' and the exchange staging's — equal to the
-    /// expected receive set and the owned columns, preserving the
-    /// allocations of surviving columns.
+    /// [`Topology::refresh`]) and keep what follows them — the ghost
+    /// slabs' key set equal to the expected receive set, the ghost
+    /// staging one list per home — preserving the allocations of
+    /// surviving columns.
     pub(super) fn refresh_caches(&mut self) {
         let owned = self.columns.keys().copied();
         if !self.topology.refresh(&*self.decomp, self.box_len, owned) {
             return;
         }
-        let nc = self.nc;
-        let homes = self.topology.homes();
+        let (nc, topology) = (self.nc, &self.topology);
         let ghost_home = |c: &Col| {
-            let at = homes.binary_search_by_key(c, |h| h.col);
-            at.is_ok_and(|hi| homes[hi].ghost)
+            let hi = topology.home_at[c.cx * nc + c.cy];
+            hi != NOT_HOME && topology.homes[hi].ghost
         };
         self.ghosts.retain(|c, _| ghost_home(c));
-        for home in homes.iter().filter(|h| h.ghost) {
+        for home in topology.homes().iter().filter(|h| h.ghost) {
             self.ghosts
                 .entry(home.col)
                 .or_insert_with(|| CellSlab::empty(nc));
         }
-        self.exchange.follow_keys(&self.columns, &self.ghosts);
+        self.exchange.follow_homes(topology.homes().len());
     }
 
     /// The ranks this PE's staged exchange sends a frame to and receives
@@ -570,6 +559,145 @@ impl PeState {
             || d.to == self.rank
             || cells_around(self.nc, d.col, 0..self.nc).any(|(c, _)| self.columns.contains_key(&c))
     }
+}
+
+/// Who owns each span of the box, cut the way the ranks of the world cut
+/// their own — whole columns, or single cells where a rank owns a z block
+/// of its columns: the decomposition is asked once per span, and the
+/// neighbour and closure scans grow bitmaps over the spans instead of
+/// asking it around each one. Indexed `(cx · nc + cy) · zs + z`, with `zs`
+/// 1 for whole columns and `nc` for cells.
+#[derive(Debug)]
+struct Owners {
+    nc: usize,
+    /// Spans per column: 1 (whole columns) or `nc` (cells).
+    zs: usize,
+    /// How many ranks the world has.
+    ranks: usize,
+    owner: Vec<usize>,
+}
+
+impl Owners {
+    /// `decomp`'s ownership, cut like the spans of `rank`.
+    fn new(decomp: &dyn Decomposition, nc: usize, rank: usize) -> Self {
+        let zs = if decomp.z_extent(rank) == (0..nc) {
+            1
+        } else {
+            nc
+        };
+        let mut owner = Vec::with_capacity(nc * nc * zs);
+        for col in all_columns(nc) {
+            owner.extend((0..zs).map(|z| decomp.owner_of(col, z)));
+        }
+        let ranks = decomp.rank_torus().iter().product();
+        Self {
+            nc,
+            zs,
+            ranks,
+            owner,
+        }
+    }
+
+    /// The spans one periodic step or less from a `marked` one, each axis
+    /// in turn — so a step may be diagonal: every span
+    /// [`cells_around`] a marked one.
+    fn grow(&self, marked: &mut [bool]) {
+        let (nc, zs) = (self.nc, self.zs);
+        for (stride, side) in [(nc * zs, nc), (zs, nc), (1, zs)] {
+            if side == 1 {
+                continue;
+            }
+            let before = marked.to_vec();
+            // Lines along the axis: `base + at · stride` for `at` in
+            // `0..side`, one per `base`.
+            for block in (0..marked.len()).step_by(side * stride) {
+                for base in block..block + stride {
+                    for at in 0..side {
+                        let prev = if at == 0 { side - 1 } else { at - 1 };
+                        let next = if at + 1 == side { 0 } else { at + 1 };
+                        marked[base + at * stride] |=
+                            before[base + prev * stride] || before[base + next * stride];
+                    }
+                }
+            }
+        }
+    }
+
+    /// The spans `rank` owns, marked.
+    fn own(&self, rank: usize) -> Vec<bool> {
+        self.owner.iter().map(|&o| o == rank).collect()
+    }
+
+    /// The ranks other than `rank` owning a span adjacent to one of its
+    /// own, ascending: a bitmap over the ranks, read out in order.
+    fn neighbors_of(&self, rank: usize) -> Vec<usize> {
+        let mut near = self.own(rank);
+        self.grow(&mut near);
+        let mut ranks = vec![false; self.ranks];
+        for (&o, _) in self.owner.iter().zip(&near).filter(|(_, &n)| n) {
+            ranks[o] = true;
+        }
+        (0..self.ranks).filter(|&r| r != rank && ranks[r]).collect()
+    }
+}
+
+/// The closure test for `rank`, whose neighbours are `neighbors`, on
+/// `decomp`'s ownership (`owners`): one exchange per rebuild step needs a
+/// neighbour set closed two cells out. A particle leaving for a cell next
+/// to ours is announced by us to every rank bordering that cell, so each
+/// of those must be a neighbour — on the one ownership of the run
+/// (`fixed`): every span within two steps of one of ours is ours or a
+/// neighbour's; or on every ownership the balancer can reach: no column
+/// this PE may come to hold lies within two of one a stranger may hold.
+/// (A shape that does not bound where its balancer takes a cell keeps two
+/// rounds.)
+fn closed(
+    decomp: &dyn Decomposition,
+    owners: &Owners,
+    rank: usize,
+    neighbors: &[usize],
+    fixed: bool,
+) -> bool {
+    let nc = owners.nc;
+    let near = |r: usize| r == rank || neighbors.binary_search(&r).is_ok();
+    if fixed {
+        let mut two_out = owners.own(rank);
+        owners.grow(&mut two_out);
+        owners.grow(&mut two_out);
+        let mut reached = owners.owner.iter().zip(&two_out).filter(|(_, &m)| m);
+        return reached.all(|(&o, _)| near(o));
+    }
+    let reach: Option<Vec<[usize; 4]>> = all_columns(nc).map(|c| decomp.reach(c)).collect();
+    owners.zs == 1
+        && reach.is_some_and(|reach| {
+            let holders = |c: Col| reach[c.cx * nc + c.cy];
+            let strange = |&c: &Col| !holders(c).into_iter().all(near);
+            all_columns(nc).filter(strange).all(|col| {
+                let mut two_out =
+                    cells_around(nc, col, 0..nc).flat_map(|(c, _)| cells_around(nc, c, 0..nc));
+                two_out.all(|(c, _)| !holders(c).contains(&rank))
+            })
+        })
+}
+
+/// Whether a rebuild step of a launch of `cfg` on `shape`, from the home
+/// tiles of `tiling` (the even ones where `None`), is a single exchange:
+/// the closure test ([`PeState::exchanges_once`]) where ownership is
+/// fixed for the run, or over every ownership the balancer can reach
+/// where `cfg.dlb` switches the shape's balancer on. Every rank of a world
+/// reaches the same answer, so the launch asks once, on rank 0's view,
+/// and hands the answer to every rank it starts
+/// ([`crate::launch::LaunchPlan::exchanges_once`]).
+pub(crate) fn exchanges_once(
+    shape: DomainShape,
+    cfg: &RunConfig,
+    tiling: Option<&PillarLayout>,
+) -> bool {
+    let decomp = decomposition(shape, 0, cfg, tiling);
+    let fixed = !(decomp.has_balancer() && cfg.dlb);
+    let owners = Owners::new(&*decomp, cfg.nc, 0);
+    let neighbors = owners.neighbors_of(0);
+    closed(&*decomp, &owners, 0, &neighbors, fixed)
 }
 
 /// Append the run `(col, run)` to a route that is built in ascending
@@ -820,6 +948,112 @@ mod tests {
     }
 
     #[test]
+    fn the_launch_closure_answer_is_every_ranks_own() {
+        // The launch asks the closure test once, of rank 0's view; each
+        // rank used to ask it of its own. On every shape and grid the
+        // parity suites run (`parity_lattice`: the slab and the cluster on
+        // 1, 2 × 2 and balancing 3 × 3 pillars; `parity_matrix`: its nine
+        // rows, with and without the balancer where one can run, and its
+        // deep-interior grids), the 27- and 64-rank cubes, and the
+        // balancing 3 × 3, 4 × 4 and 5 × 5 tori from an even gas and from
+        // a cluster their launch re-tiles, on the tiling the launch plan
+        // chose, every rank's own test gives the launch's answer.
+        use crate::config::Lattice;
+        use crate::launch::{launch_plan, Placed};
+        use DomainShape::{Cube, Plane, SquarePillar};
+        let gas = Lattice::SimpleCubic;
+        let slab = Lattice::SlabY { fill: 0.4 };
+        let lattice_cluster = Lattice::Cluster { fill: 0.55 };
+        let cluster = Lattice::Cluster { fill: 0.45 };
+        let lattice_n = (0.25 * (2.56f64 * 6.0).powi(3)).round() as usize;
+        let mut cases = Vec::new();
+        for lattice in [slab, lattice_cluster] {
+            for (p, dlb) in [(1, false), (4, false), (9, true)] {
+                cases.push((SquarePillar, p, 6, lattice_n, dlb, lattice));
+            }
+        }
+        for (shape, p) in [
+            (SquarePillar, 1),
+            (SquarePillar, 4),
+            (SquarePillar, 9),
+            (Plane, 1),
+            (Plane, 2),
+            (Plane, 3),
+            (Cube, 1),
+            (Cube, 8),
+            (Cube, 27),
+        ] {
+            cases.push((shape, p, 6, 583, false, gas));
+            if shape == Plane && p == 3 || shape == SquarePillar && p == 9 {
+                cases.push((shape, p, 6, 583, true, gas));
+            }
+        }
+        for (shape, p, nc) in [
+            (SquarePillar, 4, 12),
+            (SquarePillar, 4, 16),
+            (Plane, 3, 12),
+            (Plane, 2, 12),
+            (Cube, 8, 16),
+            (Cube, 8, 20),
+            (Cube, 27, 6),
+            (Cube, 27, 9),
+            (Cube, 64, 4),
+            (Cube, 64, 8),
+        ] {
+            cases.push((shape, p, nc, 1000, false, gas));
+        }
+        for (p, nc) in [(9, 6), (9, 12), (16, 8), (16, 12), (25, 10), (25, 15)] {
+            for lattice in [gas, cluster] {
+                cases.push((SquarePillar, p, nc, 8 * nc * nc, true, lattice));
+            }
+        }
+        let mut answers = [0; 2];
+        for (shape, p, nc, n, dlb, lattice) in cases {
+            let mut cfg = RunConfig::new(n, nc, p, n as f64 / (3.0 * nc as f64).powi(3));
+            (cfg.dlb, cfg.lattice, cfg.seed) = (dlb, lattice, 5);
+            crate::decomp::validate(&cfg, shape);
+            let work = Placed::new(&cfg, &super::super::initial_particles(&cfg)).column_work();
+            for retiles in [false, true] {
+                let plan = launch_plan(shape, &cfg, 0, &work, retiles);
+                let tiling = plan.layout.as_ref();
+                for rank in 0..p {
+                    let case = format!("{shape:?} P = {p} nc = {nc} {lattice:?} rank {rank}");
+                    let decomp = decomposition(shape, rank, &cfg, tiling);
+                    let fixed = !(decomp.has_balancer() && cfg.dlb);
+                    // The rank's own test as each rank ran it, span by
+                    // span through `owner_of`: its neighbours, the foreign
+                    // spans next to its own, and who owns what is around
+                    // those.
+                    let own_z = decomp.z_extent(rank);
+                    let own = all_columns(nc).filter(|&c| decomp.owner_of(c, own_z.start) == rank);
+                    let spans: Vec<_> = own
+                        .flat_map(|c| owned_spans(nc, &own_z).map(move |z| (c, z)))
+                        .collect();
+                    let around = |(c, z): &(Col, Range<usize>)| {
+                        foreign_around(&*decomp, nc, rank, *c, z.clone()).collect::<Vec<_>>()
+                    };
+                    let shell: Vec<_> = spans.iter().flat_map(around).collect();
+                    let mut neighbors: Vec<usize> = shell.iter().map(|f| f.2).collect();
+                    neighbors.sort_unstable();
+                    neighbors.dedup();
+                    let owners = Owners::new(&*decomp, nc, rank);
+                    assert_eq!(owners.neighbors_of(rank), neighbors, "{case}");
+                    let near = |r: &usize| neighbors.binary_search(r).is_ok();
+                    let own_answer = if fixed {
+                        let mut beyond = shell.iter().flat_map(|f| around(&(f.0, f.1.clone())));
+                        beyond.all(|f| near(&f.2))
+                    } else {
+                        closed(&*decomp, &owners, rank, &neighbors, false)
+                    };
+                    assert_eq!(own_answer, plan.exchanges_once, "{case} on {tiling:?}");
+                }
+                answers[usize::from(plan.exchanges_once)] += 1;
+            }
+        }
+        assert!(answers.iter().all(|&n| n > 0), "{answers:?} no, yes");
+    }
+
+    #[test]
     fn a_bare_decomposition_yields_the_class_map_and_routes_a_pe_derives() {
         // No particles, no world, no PE: the neighbour set, the closure
         // test, the class map, the routes and the home list follow from
@@ -834,20 +1068,19 @@ mod tests {
             (DomainShape::Cube, 5, vec![]),
             (DomainShape::SquarePillar, 4, vec![gift]),
         ] {
-            let plan = crate::launch::LaunchPlan {
-                decisions,
-                ..Default::default()
-            };
             let mut cfg = shape_cfg(shape);
             if shape == DomainShape::SquarePillar {
                 cfg = RunConfig::from_p_m_density(9, 3, 0.05);
             }
+            let plan = crate::launch::LaunchPlan {
+                decisions,
+                ..crate::launch::LaunchPlan::unplanned(shape, &cfg)
+            };
             let mut decomp = decomposition(shape, rank, &cfg, None);
             for d in &plan.decisions {
                 decomp.apply(d);
             }
-            let fixed = !(decomp.has_balancer() && cfg.dlb);
-            let mut bare = Topology::new(&*decomp, cfg.nc, rank, fixed);
+            let mut bare = Topology::new(&*decomp, cfg.nc, rank, plan.exchanges_once);
             let z0 = bare.own_z().start;
             let owned = all_columns(cfg.nc).filter(|&c| decomp.owner_of(c, z0) == rank);
             assert!(bare.refresh(&*decomp, cfg.box_len(), owned));

@@ -724,7 +724,7 @@ pub(crate) mod tests {
         let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
         assert_eq!((at_5.md.step, steps(&at_5.retiles)), (5, vec![2]));
         let resume = program(true, false);
-        let start = Start::Restore(&at_5);
+        let start = Start::Restore(&at_5, plan.exchanges_once);
         let mut restored = world().run(|comm| run_pe(comm, &cfg, resume, start, None));
         let rank0 = restored.swap_remove(0);
         let report = rank0.report.expect("rank 0 reports");

@@ -271,10 +271,11 @@ fn a_uniform_map_and_a_run_that_does_not_balance_plan_nothing() {
         .decisions
         .is_empty());
     cfg.dlb = false;
-    let unplanned = LaunchPlan {
-        layout: Some(PillarLayout::new(cfg.nc, cfg.torus())),
-        ..LaunchPlan::default()
-    };
+    let unplanned = LaunchPlan::unplanned(pillar, &cfg);
+    assert_eq!(
+        unplanned.layout,
+        Some(PillarLayout::new(cfg.nc, cfg.torus()))
+    );
     for retiles in [false, true] {
         assert_eq!(launch_plan(pillar, &cfg, 0, &work, retiles), unplanned);
     }
@@ -282,7 +283,7 @@ fn a_uniform_map_and_a_run_that_does_not_balance_plan_nothing() {
     cfg.p = 27;
     assert_eq!(
         launch_plan(DomainShape::Cube, &cfg, 0, &work, false),
-        Default::default()
+        LaunchPlan::unplanned(DomainShape::Cube, &cfg)
     );
 }
 
