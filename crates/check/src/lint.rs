@@ -25,7 +25,7 @@
 //!   through (`pcdlb-sim`'s step
 //!   engine — every module of `pe/`, the run loop in `engine.rs` and the
 //!   decompositions — plus `driver.rs`' ladder loop, `recover.rs` and the
-//!   resize barrier in `elastic.rs`). A recovery path waiting
+//!   resize remap in `elastic.rs`). A recovery path waiting
 //!   forever on a peer that may already be dead defeats the no-hang
 //!   guarantee; waits there must be `recv_deadline` (which
 //!   escalates to a world abort) or an audited step-schedule receive
@@ -185,7 +185,7 @@ const RULES: &[Rule] = &[
             "crates/sim/src/plane.rs",
             "crates/sim/src/cube.rs",
             // The ladder's generations × attempts loop, the checkpoint it
-            // restores and the barrier a resized generation starts behind.
+            // restores and the remap a resized generation starts from.
             "crates/sim/src/driver.rs",
             "crates/sim/src/recover.rs",
             "crates/sim/src/elastic.rs",

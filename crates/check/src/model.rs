@@ -23,9 +23,8 @@
 //!   either way), so swapping the two deliveries provably reaches the
 //!   same state; the alternative is pruned (`pruned_independent`). An
 //!   alternative is dependent — and forked — when either message is
-//!   consumed through a probe (`try_recv` / `recv_deadline`, as in the
-//!   resize barrier) or is never consumed at all (its delivery races a
-//!   death or shutdown).
+//!   consumed through a probe (`try_recv` / `recv_deadline`) or is never
+//!   consumed at all (its delivery races a death or shutdown).
 //! - **Sleep sets.** A fork target identical to one already queued or
 //!   explored (same full per-rank prefix) is skipped
 //!   (`pruned_sleep`) — the backtrack-set dedup of DPOR.
@@ -80,6 +79,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use pcdlb_core::protocol::tags;
 use pcdlb_mp::check::{
     install_event_log, new_event_log, ChoiceTrace, DeliveryPolicy, EventLog, ProtocolEvent,
     ReplayPolicy, SeededPolicy, TraceHandle,
@@ -711,10 +711,22 @@ fn run_once(
             let (report, snapshot) = launch.run(&case.cfg).into_snapshot();
             digest_run(&report, &snapshot, case.cfg.load_metric)
         }
-        Some(_) => {
+        Some((rank, op)) => {
             let outcome = launch
                 .run_resilient(&relaunch_cfg(case), &model_ladder())
                 .map_err(|e| format!("relaunch run failed to complete: {e:?}"))?;
+            // The kill fired, on a step frame: a relaunch case that
+            // relaunches nothing, or dies elsewhere, checks another case.
+            let killed = format!("rank {rank} killed by injected fault at send op {op} ");
+            let on_a_frame = format!("tag={})", tags::STEP_FRAME);
+            let fired = (outcome.failures.iter().flat_map(|e| &e.failures))
+                .any(|f| f.message.contains(&killed) && f.message.contains(&on_a_frame));
+            if !fired {
+                return Err(format!(
+                    "the kill of rank {rank} at send op {op} did not fire on a step frame: {:?}",
+                    outcome.failures
+                ));
+            }
             outcome.digest
         }
     };
@@ -902,13 +914,26 @@ pub fn standard_cases(steps: u64, max_runs_2x2: usize, max_runs: usize) -> Vec<M
         max_runs,
         kill,
     };
-    // Kill rank 1 at its 24th send op on launch 0.
-    let kill = Some((1, 24));
+    // Kill rank 1 on launch 0 at a send op of a step exchange (0-based,
+    // counted from the first step: a launch sends nothing): on the 2×2,
+    // the first frame of step 6, after the checkpoint of step 4; on the
+    // 3×3, a frame of step 3, before its checkpoint. `run_once` fails a
+    // case whose kill does not fire on a step frame.
     vec![
         case("2x2", model_config_2x2(steps), max_runs_2x2, None),
-        case("2x2-relaunch", model_config_2x2(steps), max_runs, kill),
+        case(
+            "2x2-relaunch",
+            model_config_2x2(steps),
+            max_runs,
+            Some((1, 20)),
+        ),
         case("3x3", model_config_3x3(steps), max_runs, None),
-        case("3x3-relaunch", model_config_3x3(steps), max_runs, kill),
+        case(
+            "3x3-relaunch",
+            model_config_3x3(steps),
+            max_runs,
+            Some((1, 16)),
+        ),
     ]
 }
 

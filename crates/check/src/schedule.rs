@@ -26,6 +26,13 @@
 //! the verifier sweeps representative ones. A check step keeps the two
 //! rounds wherever a step has them; on the 3 × 3 torus a step that
 //! re-tiles has them, one that keeps its tiling sends its one frame.
+//!
+//! The step is the whole protocol: a launch sends nothing — no initial
+//! ghost exchange, no load announcement, on a fresh start, a relaunch or
+//! a resized generation (every rank adopts its ghost cells from the
+//! launch's placement and its neighbours' loads from the launch plan or
+//! the checkpoint) — so there are no launch stages to model, and a run
+//! is its steps' schedules back to back.
 
 use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_domain::DomainShape;
@@ -200,7 +207,8 @@ pub fn exchanges_once(shape: DomainShape, p: usize, dlb: bool) -> bool {
     // Only ownership is asked about: no particles, no physics.
     let mut cfg = RunConfig::new(0, 2 * side, p, 1.0);
     cfg.dlb = dlb;
-    LaunchPlan::unplanned(shape, &cfg).exchanges_once
+    let no_work = vec![0; cfg.nc * cfg.nc];
+    LaunchPlan::unplanned(shape, &cfg, &no_work).exchanges_once
 }
 
 /// Build the per-step schedule of `p` ranks decomposed as `shape`: the
@@ -501,7 +509,7 @@ mod tests {
             let mut cfg = RunConfig::new(216, 12, p, 0.005);
             cfg.dlb = false;
             let initial = Placed::new(&cfg, &initial_particles(&cfg));
-            let unplanned = LaunchPlan::unplanned(shape, &cfg);
+            let unplanned = LaunchPlan::unplanned(shape, &cfg, &initial.column_work());
             for r in 0..p {
                 let pe = PeState::new(r, &cfg, shape, &initial, &unplanned);
                 assert_eq!(

@@ -377,13 +377,13 @@ fn violated(out: &Outcome, what: &str) -> bool {
 #[test]
 fn a_kill_that_never_fires_is_caught() {
     // Mutation: the checkpoint-gather row kills on a tag its ranks never
-    // send — a run without a resize plan crosses no READY barrier — so
-    // the run completes untouched and "every kill fires" must fail.
+    // send — a run that does not balance moves no column in a re-tile —
+    // so the run completes untouched and "every kill fires" must fail.
     let mut r = row("2x2 checkpoint-gather kills");
     r.kills = Kills::Runs(vec![vec![(
         0,
         1,
-        FaultPlan::kill_on_tag(tags::RESIZE_READY, 0),
+        FaultPlan::kill_on_tag(tags::RETILE_XFER, 0),
     )]]);
     let out = run(vec![r]).expect("no hang").remove(0);
     assert_eq!((out.runs, out.fired), (1, 0));

@@ -70,9 +70,9 @@
 //! call the run's rule on the same loads. Every planned transfer is a
 //! `choose` result on a map every earlier one has been folded into —
 //! Cases 1–3, the permanent wall and the checker's search cover a plan as
-//! they cover a run — and the run itself starts as before: it announces
-//! the loads its first force pass measured (they are the plan's, to the
-//! bit) and step 1 decides on them.
+//! they cover a run — and the run itself starts where the plan ends: every
+//! rank holds the plan's loads, which are what its first force pass
+//! measures, to the bit, and step 1 decides on them.
 //!
 //! The decision rule, with `PE(i, j)` deciding and `PE_fast` the receiver
 //! under consideration (paper's exact cases):
@@ -147,7 +147,7 @@ use crate::permanent::{is_movable, movable_columns};
 /// simulator (`pcdlb-sim`) and the static protocol verifier
 /// (`pcdlb-check`) agree on the wire protocol by construction.
 ///
-/// Tags 4 and 16–18 are matched point-to-point; 10–15 and 19–22
+/// Tags 4 and 16 are matched point-to-point; 10–15 and 19–22
 /// are *collective* tags, which `pcdlb_mp::collectives` moves into a
 /// disjoint namespace by setting
 /// [`pcdlb_mp::collectives::COLLECTIVE_BIT`] on the wire, so a collective
@@ -196,13 +196,6 @@ pub mod tags {
     /// — per-rank particle counts and owned columns, checked for global
     /// conservation and exact ownership partition.
     pub const SENTINEL: u64 = 15;
-    /// Resize barrier (p2p, elastic worlds): READY announcement to the
-    /// barrier root after a relaunched generation comes up on the remapped
-    /// torus.
-    pub const RESIZE_READY: u64 = 17;
-    /// Resize barrier (p2p, elastic worlds): root GO release once every
-    /// rank of the new generation has reported READY.
-    pub const RESIZE_GO: u64 = 18;
     /// Skin epochs (collective): per-rank max predicted squared travel
     /// gathered to rank 0 at the top of each step (skin > 0 runs only).
     pub const REBUILD_GATHER: u64 = 19;
@@ -259,11 +252,6 @@ pub mod tags {
         /// the baseline step schedule: present only when the sentinel is
         /// enabled, and always downstream of `Checkpoint`.
         Sentinel,
-        /// Elastic resize barrier (p2p, elastic worlds only): runs once at
-        /// the start of each relaunched generation, before the first step
-        /// on the remapped torus. Never part of the per-step schedule; its
-        /// receives are deadline-bounded.
-        Resize,
     }
 
     /// One row of [`TAG_TABLE`]: a tag, its name, the phase that uses it,
@@ -329,18 +317,6 @@ pub mod tags {
             name: "SENTINEL",
             phase: CommPhase::Sentinel,
             collective: true,
-        },
-        TagSpec {
-            tag: RESIZE_READY,
-            name: "RESIZE_READY",
-            phase: CommPhase::Resize,
-            collective: false,
-        },
-        TagSpec {
-            tag: RESIZE_GO,
-            name: "RESIZE_GO",
-            phase: CommPhase::Resize,
-            collective: false,
         },
         TagSpec {
             tag: REBUILD_GATHER,

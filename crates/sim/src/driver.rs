@@ -33,12 +33,11 @@ use pcdlb_domain::{DomainShape, PillarLayout};
 use pcdlb_md::Particle;
 use pcdlb_mp::{Comm, World, WorldError};
 
+use crate::clock::WallTimer;
 use crate::config::{ensure, ConfigError, LoadMetric, RunConfig};
 use crate::digest::digest_recovery;
-use crate::elastic::{
-    remap_drained_checkpoint, resize_barrier, ResizeGeneration, ResizePlan, ResizeStage,
-};
-use crate::engine::{run_pe, Program, Start};
+use crate::elastic::{remap_drained_checkpoint, ResizeGeneration, ResizePlan, ResizeStage};
+use crate::engine::{launch, run_launched, run_pe, Program, Start};
 use crate::launch::{launch_plan, LaunchPlan, Placed};
 use crate::pe::{initial_particles, PeResult};
 use crate::recover::{RecoveryError, SimCheckpoint};
@@ -307,12 +306,7 @@ impl Launch {
         let mut last_results = Vec::new();
 
         for (gen, seg) in segments.iter().enumerate() {
-            let mut seg_cfg = cfg.clone();
-            seg_cfg.p = seg.p;
-            seg_cfg.steps = seg.end;
-            // DLB needs a torus side ≥ 3: a generation too small for it
-            // runs DDM-only, and DLB resumes on the next big-enough torus.
-            seg_cfg.dlb = cfg.dlb && seg.p >= 9;
+            let seg_cfg = generation(cfg, seg.p, seg.end);
             let retile = self.retiles(&seg_cfg);
             if gen > 0 {
                 let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
@@ -323,7 +317,7 @@ impl Launch {
                 launch_transfers += gen_plan.decisions.len();
                 exchanges_once = gen_plan.exchanges_once;
             }
-            let (drain, sync) = (gen < last_gen, gen > 0);
+            let drain = gen < last_gen;
             let program = Program {
                 snapshot: true,
                 ..self.program(&seg_cfg, seg.start, drain)
@@ -335,15 +329,16 @@ impl Launch {
                 // holds: the previous attempt's on a relaunch, the
                 // predecessor's drain, or none at all (step 0).
                 let ckpt = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
-                let start = (ckpt.as_ref()).map_or(Start::Fresh(&placed, &plan), |ck| {
-                    Start::Restore(ck, exchanges_once)
+                // A restore's particles are placed here, once per launch.
+                let restored = ckpt.map(|ck| {
+                    let placed = Placed::new(&seg_cfg, &ck.md.particles);
+                    (ck, placed)
                 });
-                let outcome = world.try_run(|comm: &mut Comm| {
-                    if sync {
-                        resize_barrier(comm);
-                    }
-                    run_pe(comm, &seg_cfg, program, start, Some(&sink))
+                let start = (restored.as_ref()).map_or(Start::Fresh(&placed, &plan), |(ck, at)| {
+                    Start::Restore(ck, at, exchanges_once)
                 });
+                let outcome = world
+                    .try_run(|comm: &mut Comm| run_pe(comm, &seg_cfg, program, start, Some(&sink)));
                 match outcome {
                     Ok(results) => Some((attempt + 1, results)),
                     Err(e) => {
@@ -389,6 +384,61 @@ impl Launch {
             generations,
         })
     }
+
+    /// For tests: run `cfg` as this launch would — from its own initial
+    /// condition, or where `restart` says: from the checkpoint a first
+    /// world of `cfg.p` ranks drains at `restart.at_step`, relaunched on
+    /// `restart.p` ranks (on the same torus, as the ladder relaunches a
+    /// world; on another, as it starts a resized generation, remapped the
+    /// same way) — reading every rank's messages and bytes sent at the
+    /// top of the measured world's first step. Returns those and the
+    /// measured world's run, its snapshot gathered.
+    #[doc(hidden)]
+    pub fn sent_before_first_step(
+        &self,
+        cfg: &RunConfig,
+        restart: Option<ResizeStage>,
+    ) -> (Vec<(u64, u64)>, Run) {
+        crate::decomp::validate(cfg, self.shape);
+        let (placed, plan) = self.fresh(cfg);
+        let measured = |cfg: &RunConfig, program: Program, start: Start| {
+            let program = Program {
+                snapshot: true,
+                ..program
+            };
+            let ranks = self.world(cfg, 0).run(|comm| {
+                let run_start = WallTimer::start();
+                let pe = launch(comm.rank(), cfg, program.shape, program.retile, start);
+                let sent = comm.stats();
+                let result = run_launched(comm, cfg, program, start, pe, None, run_start);
+                ((sent.msgs_sent, sent.bytes_sent), result)
+            });
+            let (sent, results): (Vec<_>, Vec<_>) = ranks.into_iter().unzip();
+            (sent, assemble(results, plan.decisions.len()))
+        };
+        let Some(ResizeStage { at_step, p }) = restart else {
+            let start = Start::Fresh(&placed, &plan);
+            return measured(cfg, self.program(cfg, 0, false), start);
+        };
+        let first = generation(cfg, cfg.p, at_step);
+        let sink = Mutex::new(None);
+        let (drain, start) = (self.program(&first, 0, true), Start::Fresh(&placed, &plan));
+        self.world(&first, 0)
+            .run(|comm| run_pe(comm, &first, drain, start, Some(&sink)));
+        let mut ck = (sink.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .expect("the first world drained a checkpoint");
+        let next = generation(cfg, p, cfg.steps);
+        let (launched, exchanges_once) = if p == cfg.p {
+            (0, plan.exchanges_once)
+        } else {
+            let retile = self.retiles(&next);
+            let gen_plan = remap_drained_checkpoint(&mut ck, &next, at_step, retile);
+            (at_step, gen_plan.exchanges_once)
+        };
+        let at = Placed::new(&next, &ck.md.particles);
+        let start = Start::Restore(&ck, &at, exchanges_once);
+        measured(&next, self.program(&next, launched, false), start)
+    }
 }
 
 /// Run a configuration to completion on the square pillar; returns rank
@@ -409,6 +459,19 @@ pub fn run_with_phase_times(cfg: &RunConfig) -> (RunReport, PhaseTimes, WireByte
 /// reference.
 pub fn run_with_snapshot(cfg: &RunConfig) -> (RunReport, Vec<Particle>) {
     Launch::new().snapshot().run(cfg).into_snapshot()
+}
+
+/// The configuration of a world generation of `cfg` on `p` ranks that
+/// runs to step `steps`. DLB needs a torus side ≥ 3: a generation too
+/// small for it runs DDM-only, and DLB resumes on the next big-enough
+/// torus.
+fn generation(cfg: &RunConfig, p: usize, steps: u64) -> RunConfig {
+    RunConfig {
+        p,
+        steps,
+        dlb: cfg.dlb && p >= 9,
+        ..cfg.clone()
+    }
 }
 
 /// Fold the per-rank results of a completed world, in rank order, into

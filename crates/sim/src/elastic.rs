@@ -26,9 +26,12 @@
 //!    on the way through: exact particle-count conservation and an exact
 //!    one-owner-per-column partition.
 //! 3. **Resume** — a fresh world launches on the new PE set (its channels
-//!    are new, so no frame of the drained world can reach it), and a
-//!    deadline-bounded RESIZE_READY/GO barrier (`resize_barrier`) holds
-//!    the first step until every rank of the remapped torus is up.
+//!    are new, so no frame of the drained world can reach it), every rank
+//!    restored from the remapped checkpoint. Like every launch it sends
+//!    nothing before the first step: all of a world's channels exist
+//!    before any rank runs, so a rank that reaches step 1 first only
+//!    buffers its frames for the others, and a rank that dies before it
+//!    aborts the world as a death mid-step does.
 //!
 //! Each generation keeps the relaunch rung underneath it: a rank death
 //! relaunches the generation from its own last checkpoint (at worst the
@@ -38,9 +41,7 @@
 //! uninterrupted serial run — no matter how many resizes, in which
 //! direction, at which boundaries.
 
-use pcdlb_core::protocol::tags;
 use pcdlb_domain::DomainShape;
-use pcdlb_mp::{Comm, CommError};
 
 use crate::config::RunConfig;
 use crate::launch::{launch_plan, LaunchPlan, Placed};
@@ -125,34 +126,6 @@ pub struct ResizeGeneration {
     pub attempts: usize,
 }
 
-/// The resize barrier, before the first step of a resumed generation:
-/// every rank reports READY to rank 0, which answers GO once all have
-/// reported, so no rank races ahead into the new torus against a peer
-/// that has not come up yet. Every receive is bounded by the watchdog; a
-/// timeout or a dead peer panics the rank, which aborts the world, and
-/// the generation relaunches — the barrier can never hang.
-pub(crate) fn resize_barrier(comm: &mut Comm) {
-    let timeout = comm.watchdog();
-    let fail = |awaiting: &str, e: CommError| -> ! {
-        panic!("resize barrier failed awaiting {awaiting}: {e}");
-    };
-    if comm.rank() == 0 {
-        for r in 1..comm.size() {
-            if let Err(e) = comm.recv_deadline::<()>(r, tags::RESIZE_READY, timeout) {
-                fail("READY", e);
-            }
-        }
-        for r in 1..comm.size() {
-            comm.send(r, tags::RESIZE_GO, ());
-        }
-    } else {
-        comm.send(0, tags::RESIZE_READY, ());
-        if let Err(e) = comm.recv_deadline::<()>(0, tags::RESIZE_GO, timeout) {
-            fail("GO", e);
-        }
-    }
-}
-
 /// Audit a drained checkpoint and rewrite its ownership view onto the
 /// torus of `cfg`, the next generation's configuration. The audits are
 /// the resize-boundary conservation laws: the checkpoint sits exactly on
@@ -169,8 +142,11 @@ pub(crate) fn resize_barrier(comm: &mut Comm) {
 /// column wide, see [`launch_plan`]). Returns the generation's launch
 /// plan: its transfers and its closure answer. The loads and in-flight
 /// transfers the old torus's balancer held say nothing about the new
-/// one's ranks: they are dropped, and the new generation announces its
-/// loads afresh.
+/// one's ranks: the transfers are dropped, and the loads replaced by the
+/// ones the plan ends on (none where the generation does not balance) —
+/// what the generation's first force pass measures, which every rank
+/// resumes from, on its first launch and on a relaunch before its first
+/// checkpoint alike.
 pub(crate) fn remap_drained_checkpoint(
     ck: &mut SimCheckpoint,
     cfg: &RunConfig,
@@ -214,7 +190,7 @@ pub(crate) fn remap_drained_checkpoint(
         ck.ownership[slot[grid.index(d.col)]].1 = d.to;
     }
     ck.tiling = layout;
-    ck.loads.clear();
+    ck.loads.clone_from(&plan.loads);
     ck.transfers.clear();
     plan
 }
@@ -452,29 +428,6 @@ mod tests {
             .expect("the first generation relaunches from step 0");
         assert_eq!(out.attempts, 4, "one relaunch on top of three generations");
         assert_eq!(out.generations[0].attempts, 2);
-        assert_eq!(out.digest, reference.digest);
-        assert_eq!(out.snapshot, reference.snapshot);
-    }
-
-    #[cfg(feature = "check")]
-    #[test]
-    fn kill_during_the_resize_barrier_relaunches_the_generation() {
-        use pcdlb_core::protocol::tags;
-        use pcdlb_mp::FaultPlan;
-        let cfg = elastic_cfg();
-        let plan = ResizePlan::new().resize(8, 16).resize(16, 4);
-        let reference = run_plan(&cfg, plan.clone());
-        // Launch 1 is the first post-remap generation; rank 2 dies on its
-        // RESIZE_READY send, i.e. inside the barrier itself. Rank 0 gives
-        // up on its READY, and the generation relaunches from the drain.
-        let kill = |launch, rank| {
-            (launch == 1 && rank == 2).then(|| FaultPlan::kill_on_tag(tags::RESIZE_READY, 0))
-        };
-        let out = faulted(kill)
-            .run_resilient(&cfg, &ladder(plan))
-            .expect("the second generation relaunches from the drain");
-        assert_eq!(out.attempts, 4, "one relaunch on top of three generations");
-        assert_eq!(out.generations[1].attempts, 2);
         assert_eq!(out.digest, reference.digest);
         assert_eq!(out.snapshot, reference.snapshot);
     }

@@ -50,18 +50,54 @@ pub(crate) struct Program {
     pub(crate) drain: bool,
 }
 
-/// Where a launch's particles come from.
+/// Where a launch's particles come from. Either way every rank adopts
+/// its cells — owned and ghost — out of one placement the launch thread
+/// made, and its balancer resumes from loads every rank already holds.
 #[derive(Clone, Copy)]
 pub(crate) enum Start<'a> {
     /// The world's shared initial condition ([`crate::pe::initial_particles`],
     /// generated and placed in its cells once per world, not once per
-    /// rank) and the launch plan — the tiling and the transfers made on it
-    /// ([`crate::launch::launch_plan`], computed once per world too).
+    /// rank) and the launch plan — the tiling, the transfers made on it
+    /// and the loads they end on ([`crate::launch::launch_plan`],
+    /// computed once per world too).
     Fresh(&'a Placed, &'a LaunchPlan),
-    /// A distributed checkpoint (square pillar only), and the closure
-    /// answer of the launch plan of its generation
-    /// ([`LaunchPlan::exchanges_once`]).
-    Restore(&'a SimCheckpoint, bool),
+    /// A distributed checkpoint (square pillar only), its particles placed
+    /// once per launch, and the closure answer of the launch plan of its
+    /// generation ([`LaunchPlan::exchanges_once`]). A resized
+    /// generation's checkpoint carries its plan's loads
+    /// ([`crate::elastic`]).
+    Restore(&'a SimCheckpoint, &'a Placed, bool),
+}
+
+/// Launch this rank's PE, ready for its first step — the one launch every
+/// start takes: [`PeState::new`] from a fresh start, or
+/// [`PeState::from_checkpoint`]; then, on a re-tiling run (`retile`: the
+/// step the tiling was chosen at), the slow loop. It is given no `Comm`:
+/// a launch sends nothing, whatever it starts from, since what a first
+/// exchange would have brought — the ghost cells, the neighbours' loads —
+/// every rank already holds.
+pub(crate) fn launch(
+    rank: usize,
+    cfg: &RunConfig,
+    shape: DomainShape,
+    retile: Option<u64>,
+    start: Start,
+) -> PeState {
+    let mut pe = match start {
+        Start::Restore(ck, placed, exchanges_once) => {
+            assert_eq!(
+                shape,
+                DomainShape::SquarePillar,
+                "only the square pillar restores from a checkpoint"
+            );
+            PeState::from_checkpoint(rank, cfg, ck, placed, exchanges_once)
+        }
+        Start::Fresh(placed, plan) => PeState::new(rank, cfg, shape, placed, plan),
+    };
+    if let Some(launched) = retile {
+        pe.follow_the_load(launched);
+    }
+    pe
 }
 
 /// Drive this rank's PE through the whole simulation — the one SPMD run
@@ -74,56 +110,39 @@ pub(crate) fn run_pe(
     start: Start,
     sink: Option<&Mutex<Option<SimCheckpoint>>>,
 ) -> PeResult {
-    let Program {
-        shape,
-        retile,
-        snapshot: want_snapshot,
-        drain,
-    } = program;
     let run_start = WallTimer::start();
+    let pe = launch(comm.rank(), cfg, program.shape, program.retile, start);
+    run_launched(comm, cfg, program, start, pe, sink, run_start)
+}
+
+/// [`run_pe`] from the top of the first step: the steps, the checkpoints
+/// and the final gathers of a launched PE.
+pub(crate) fn run_launched(
+    comm: &mut Comm,
+    cfg: &RunConfig,
+    program: Program,
+    start: Start,
+    mut pe: PeState,
+    sink: Option<&Mutex<Option<SimCheckpoint>>>,
+    run_start: WallTimer,
+) -> PeResult {
     let rank = comm.rank();
     let mut start_step = 0;
     let mut records: Vec<StepRecord> = Vec::new();
-    let mut pe = match start {
-        Start::Restore(ck, exchanges_once) => {
-            assert_eq!(
-                shape,
-                DomainShape::SquarePillar,
-                "only the square pillar restores from a checkpoint"
-            );
-            start_step = ck.md.step;
-            if rank == 0 {
-                records = ck.records.clone();
-            }
-            PeState::from_checkpoint(rank, cfg, ck, exchanges_once)
+    if let Start::Restore(ck, ..) = start {
+        start_step = ck.md.step;
+        // (Only rank 0, the stats gather's root, holds records or reads
+        // them.)
+        if rank == 0 {
+            records = ck.records.clone();
         }
-        Start::Fresh(placed, plan) => PeState::new(rank, cfg, shape, placed, plan),
-    };
-    if let Some(launched) = retile {
-        pe.follow_the_load(launched);
     }
-
-    // Initial forces need an initial ghost exchange. On a restore this
-    // recomputes exactly the force array the checkpointed run held (see
-    // `PeState::from_checkpoint`). Construction/restore is a rebuild
-    // boundary, so the initial exchange always re-bins.
-    exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
-    // A launch that starts with no neighbour loads in hand — a fresh run,
-    // a generation restarted on another torus — announces the ones just
-    // measured. The run is not charged for it (the lap below).
-    let loads_in_hand = matches!(start, Start::Restore(ck, _) if !ck.loads.is_empty());
-    if !loads_in_hand {
-        announce_loads(comm, &mut pe);
-    }
-    let _ = comm.lap_virtual_comm();
-
     for step in start_step + 1..=cfg.steps {
         records.extend(step_pe(comm, &mut pe, step));
         let periodic_ckpt = cfg.checkpoint_interval > 0
             && step.is_multiple_of(cfg.checkpoint_interval)
             && step < cfg.steps;
-        if periodic_ckpt || (drain && step == cfg.steps) {
-            // (Only rank 0, the gather's root, holds records or reads them.)
+        if periodic_ckpt || (program.drain && step == cfg.steps) {
             let ck = pe.take_checkpoint(comm, step, &records);
             if let (Some(ck), Some(sink)) = (ck, sink) {
                 *sink.lock().unwrap_or_else(PoisonError::into_inner) = Some(ck);
@@ -133,7 +152,7 @@ pub(crate) fn run_pe(
     }
 
     // (`Some` on rank 0, the gather's root, only.)
-    let snapshot = if want_snapshot {
+    let snapshot = if program.snapshot {
         pe.gather_snapshot(comm)
     } else {
         None
@@ -154,16 +173,6 @@ pub(crate) fn run_pe(
         phase_times: pe.phase_times(),
         wire_bytes: pe.wire_bytes(),
         cells: pe.owned_cells(),
-    }
-}
-
-/// The launch announcement of a balancing run (a no-op in any other):
-/// the balancer decides each step on loads announced the step before, so
-/// before the first step every rank sends its neighbours one migrant-free
-/// round 1 carrying the load the initial force pass measured.
-pub(crate) fn announce_loads(comm: &mut Comm, pe: &mut PeState) {
-    if pe.balances() {
-        pe.exchange(comm, Exchange::Migrants);
     }
 }
 

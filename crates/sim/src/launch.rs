@@ -163,7 +163,9 @@ pub struct LaunchPlan {
     /// each applied one: strictly decreasing.
     pub peaks: Vec<f64>,
     /// The per-rank loads the plan ends on, in the unit the balancer
-    /// decides in — what the launch's first force pass measures.
+    /// decides in — what the launch's first force pass measures, and so
+    /// what every rank's balancer starts from: no rank announces its load
+    /// before the first step. Empty for a run that does not balance.
     pub loads: Vec<f64>,
     /// Whether a rebuild step is one exchange, migrants and ghosts
     /// together ([`crate::pe::PeState::exchanges_once`]): the closure test,
@@ -176,13 +178,21 @@ pub struct LaunchPlan {
 impl LaunchPlan {
     /// A launch of `cfg` on `shape` with nothing planned — what
     /// [`launch_plan`] makes of a run that does not balance: the even home
-    /// tiles, no transfers, and the closure answer on them.
-    pub fn unplanned(shape: DomainShape, cfg: &RunConfig) -> Self {
+    /// tiles, no transfers, and the closure answer on them; where the run
+    /// balances, the loads the home tiles carry on the work map `work`
+    /// ([`Placed::column_work`]), which every rank starts from.
+    pub fn unplanned(shape: DomainShape, cfg: &RunConfig, work: &[u64]) -> Self {
         let pillar = shape == DomainShape::SquarePillar;
         let layout = pillar.then(|| PillarLayout::new(cfg.nc, cfg.torus()));
+        let views = cfg.dlb.then(|| home_views(shape, cfg, layout.as_ref()));
+        let loads = match views.filter(|views| views[0].has_balancer()) {
+            Some(views) => Costs::new(cfg, 0, work).loads_under(&owners(&views, cfg.nc), cfg.p),
+            None => Vec::new(),
+        };
         Self {
             exchanges_once: exchanges_once(shape, cfg, layout.as_ref()),
             layout,
+            loads,
             ..Self::default()
         }
     }
@@ -431,7 +441,7 @@ pub fn launch_plan(
     retiles: bool,
 ) -> LaunchPlan {
     if !cfg.dlb {
-        return LaunchPlan::unplanned(shape, cfg);
+        return LaunchPlan::unplanned(shape, cfg, work);
     }
     let mut plan = plan_tiles(shape, cfg, step, work, retiles);
     plan.exchanges_once = exchanges_once(shape, cfg, plan.layout.as_ref());
@@ -709,6 +719,32 @@ pub(crate) fn check(
     })
 }
 
+/// Every rank's view of `shape` at the start of a run, every cell at its
+/// home under `layout` (see `decomp::decomposition`).
+fn home_views(
+    shape: DomainShape,
+    cfg: &RunConfig,
+    layout: Option<&PillarLayout>,
+) -> Vec<Box<dyn Decomposition>> {
+    (0..cfg.p)
+        .map(|rank| decomposition(shape, rank, cfg, layout))
+        .collect()
+}
+
+/// The owner of each column, in column index order, as `views` — one per
+/// rank — say: every rank's view is exact about its own.
+fn owners(views: &[Box<dyn Decomposition>], nc: usize) -> Vec<usize> {
+    let mut owner = vec![0usize; nc * nc];
+    for (rank, view) in views.iter().enumerate() {
+        for col in all_columns(nc) {
+            if view.owner_of(col, 0) == rank {
+                owner[col.cx * nc + col.cy] = rank;
+            }
+        }
+    }
+    owner
+}
+
 /// Run `shape`'s balancer to its floor on the exact work map behind
 /// `costs`, from the home tiles of `layout`, before any rank exists —
 /// paper Sec. 2.3's steps 2–3, iterated. Every rank's view is built as
@@ -732,9 +768,7 @@ fn plan_on(
     layout: Option<PillarLayout>,
 ) -> LaunchPlan {
     let (nc, p) = (cfg.nc, cfg.p);
-    let mut views: Vec<Box<dyn Decomposition>> = (0..p)
-        .map(|rank| decomposition(shape, rank, cfg, layout.as_ref()))
-        .collect();
+    let mut views = home_views(shape, cfg, layout.as_ref());
     if !views[0].has_balancer() {
         return LaunchPlan::default();
     }
@@ -742,17 +776,10 @@ fn plan_on(
         layout,
         ..LaunchPlan::default()
     };
-    // Who owns each column (every rank's view is exact about its own)
-    // and, from that, who borders whom: the engine's neighbour sets.
+    // Who owns each column, and from that who borders whom: the engine's
+    // neighbour sets.
     let index = |col: Col| col.cx * nc + col.cy;
-    let mut owner = vec![0usize; nc * nc];
-    for (rank, view) in views.iter().enumerate() {
-        for col in all_columns(nc) {
-            if view.owner_of(col, 0) == rank {
-                owner[index(col)] = rank;
-            }
-        }
-    }
+    let mut owner = owners(&views, nc);
     let mut neighbors = vec![Vec::new(); p];
     for col in all_columns(nc) {
         let here = owner[index(col)];

@@ -13,9 +13,9 @@ use pcdlb_md::checkpoint::Checkpoint;
 use pcdlb_md::{place_by_id, Particle};
 use pcdlb_mp::{collectives, Comm, World};
 
-use super::{initial_particles, Exchange, PeState};
+use super::{initial_particles, Origin, PeState};
 use crate::config::RunConfig;
-use crate::engine::{announce_loads, exchange_ghosts_and_compute, step_pe};
+use crate::engine::{launch, step_pe, Start};
 use crate::frame::Arrival;
 use crate::launch::{LaunchPlan, Placed};
 use crate::recover::SimCheckpoint;
@@ -29,14 +29,13 @@ use crate::report::StepRecord;
 pub fn received_frames(cfg: &RunConfig, shape: DomainShape) -> Vec<(Arrival, Vec<u8>)> {
     crate::decomp::validate(cfg, shape);
     let placed = Placed::new(cfg, &initial_particles(cfg));
+    let plan = LaunchPlan::unplanned(shape, cfg, &placed.column_work());
     let world = World::new(cfg.p)
         .with_cost_model(crate::decomp::cost_model(shape, cfg))
         .with_comm_config(&cfg.comm);
     let ranks = world.run(|comm| {
-        let plan = LaunchPlan::unplanned(shape, cfg);
-        let mut pe = PeState::new(comm.rank(), cfg, shape, &placed, &plan);
-        exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
-        announce_loads(comm, &mut pe);
+        let start = Start::Fresh(&placed, &plan);
+        let mut pe = launch(comm.rank(), cfg, shape, None, start);
         for step in 1..=cfg.steps {
             step_pe(comm, &mut pe, step);
         }
@@ -49,25 +48,29 @@ pub fn received_frames(cfg: &RunConfig, shape: DomainShape) -> Vec<(Arrival, Vec
 }
 
 impl PeState {
-    /// Rebuild a square-pillar PE's state from a distributed checkpoint:
-    /// start from the home tiles of the checkpointed tiling (the one a
-    /// re-tile left, if any), replay the checkpointed ownership into this
-    /// rank's view and stage the checkpointed particles into the columns
-    /// this rank owns; `exchanges_once` is the launch's closure answer
-    /// ([`crate::launch::LaunchPlan::exchanges_once`]).
+    /// Launch a square-pillar PE from a distributed checkpoint, ready for
+    /// the step after it: start from the home tiles of the checkpointed
+    /// tiling (the one a re-tile left, if any), replay the checkpointed
+    /// ownership into this rank's view, adopt the cells this rank owns and
+    /// the ghost cells around them out of `placed` — the checkpoint's
+    /// particles, placed once per launch — resume the balancer from what
+    /// the checkpoint carries of it and compute the forces;
+    /// `exchanges_once` is the launch's closure answer
+    /// ([`crate::launch::LaunchPlan::exchanges_once`]). Like
+    /// [`PeState::new`] it sends nothing.
     /// Pillar only — a checkpoint records one owner per column, which is
     /// what the pillar's balancer moves; recovery and elastic runs are
     /// validated pillar-only upstream.
     ///
-    /// Forces are *not* stored in the checkpoint — the caller recomputes
-    /// them, which reproduces the checkpointed run's force array bitwise:
-    /// the saved positions are exactly the positions those forces were
-    /// evaluated at (velocity Verlet only touches velocities after the
-    /// force pass).
+    /// Forces are *not* stored in the checkpoint: the launch's force pass
+    /// reproduces the checkpointed run's force array bitwise — the saved
+    /// positions are exactly the positions those forces were evaluated at
+    /// (velocity Verlet only touches velocities after the force pass).
     pub fn from_checkpoint(
         rank: usize,
         cfg: &RunConfig,
         ck: &SimCheckpoint,
+        placed: &Placed,
         exchanges_once: bool,
     ) -> Self {
         assert_eq!(
@@ -76,26 +79,31 @@ impl PeState {
             "checkpoint particle count does not match the configuration"
         );
         let tiling = ck.tiling_for(cfg).unwrap_or_else(|e| panic!("{e}"));
-        let shape = DomainShape::SquarePillar;
-        let mut pe = Self::scaffold(rank, cfg, shape, Some(&tiling), exchanges_once);
         // Replayed as decisions already made — "`col` now belongs to
         // `owner`" — so the windowed view filters them as it did live.
-        for &(col, owner) in &ck.ownership {
-            pe.decomp.apply(&DlbDecision {
+        let decisions: Vec<DlbDecision> = (ck.ownership.iter())
+            .map(|&(col, owner)| DlbDecision {
                 col,
                 from: owner,
                 to: owner,
-            });
-        }
-        pe.adopt_particles(&Placed::new(cfg, &ck.md.particles));
-        pe.restore_retiles(&ck.retiles);
-        // The initial force pass after a restore recomputes the
-        // checkpointed step's forces — with drifting speeds, its
-        // published load numbers must use the checkpointed step too.
+            })
+            .collect();
+        let origin = Origin {
+            shape: DomainShape::SquarePillar,
+            tiling: Some(&tiling),
+            decisions: &decisions,
+        };
+        let mut pe = Self::scaffold(rank, cfg, &origin, exchanges_once);
+        // The force pass after a restore recomputes the checkpointed
+        // step's forces — with drifting speeds, its published load numbers
+        // must use the checkpointed step too.
         pe.cur_step = ck.md.step;
+        pe.adopt(placed, &origin);
+        pe.restore_retiles(&ck.retiles);
         // What the balancer holds between steps.
         let neighbors = pe.topology.neighbors();
         pe.balance.restore(rank, cfg.p, neighbors, ck);
+        pe.compute_forces();
         pe
     }
 
@@ -282,7 +290,7 @@ mod tests {
         let mut particles = initial_particles(&cfg);
         particles[7].id = 3;
         let placed = Placed::new(&cfg, &particles);
-        let plan = LaunchPlan::unplanned(shape, &cfg);
+        let plan = LaunchPlan::unplanned(shape, &cfg, &placed.column_work());
         let gathered = std::panic::catch_unwind(|| {
             World::new(cfg.p).run(|comm| {
                 let pe = PeState::new(comm.rank(), &cfg, shape, &placed, &plan);

@@ -102,10 +102,15 @@ impl Balance {
         self.last_rebuild
     }
 
-    /// Start over from per-rank `loads` every rank holds (a checkpoint's,
-    /// a re-tile's): this PE's own as announced, its `neighbors`' as heard,
-    /// nothing landed and nothing pending.
+    /// Start over from per-rank `loads` every rank holds (a launch plan's,
+    /// a checkpoint's, a re-tile's): this PE's own as announced, its
+    /// `neighbors`' as heard, nothing landed and nothing pending.
     pub(super) fn resume(&mut self, rank: usize, neighbors: &[usize], loads: &[f64]) {
+        assert!(
+            rank < loads.len() && neighbors.iter().all(|&nb| nb < loads.len()),
+            "rank {rank}: a balancing start resumes from every rank's load, and it holds {}",
+            loads.len()
+        );
         self.announced_load = Some(loads[rank]);
         self.nbr_loads.clear();
         self.nbr_loads
@@ -218,10 +223,10 @@ impl Balance {
 
     /// Resume at the step of checkpoint `ck` (a rebuild step in every
     /// schedule) holding what it carried: every rank's last announced
-    /// load and the pending decisions — of which this PE heard its own and
-    /// its `neighbors`'; they land at the next rebuild step. A checkpoint
-    /// without loads (a drain remapped onto another torus, a generation
-    /// that did not balance) leaves the launch to announce them.
+    /// load — or, on a drain remapped onto another torus, the loads of the
+    /// generation's launch plan — and the pending decisions, of which this
+    /// PE heard its own and its `neighbors`'; they land at the next
+    /// rebuild step.
     pub(super) fn restore(
         &mut self,
         rank: usize,
@@ -230,7 +235,7 @@ impl Balance {
         ck: &SimCheckpoint,
     ) {
         self.last_rebuild = ck.md.step;
-        if self.enabled && !ck.loads.is_empty() {
+        if self.enabled {
             assert_eq!(
                 ck.loads.len(),
                 p,
@@ -406,7 +411,6 @@ fn on_receiver(cfg: &RunConfig, step: u64) -> impl Fn(usize, usize) -> f64 + '_ 
 #[cfg(test)]
 mod tests {
     use super::super::testkit::{fresh, placed};
-    use super::super::Exchange;
     use super::*;
     use crate::config::{Lattice, RunConfig};
     use crate::launch::{LaunchPlan, Placed};
@@ -517,7 +521,7 @@ mod tests {
         cfg.dlb_min_gain = gain;
         let nobody = Placed::new(&cfg, &[]);
         let shape = DomainShape::SquarePillar;
-        let plan = LaunchPlan::unplanned(shape, &cfg);
+        let plan = LaunchPlan::unplanned(shape, &cfg, &nobody.column_work());
         let mut pe = PeState::new(rank, &cfg, shape, &nobody, &plan);
         pe.force.set_load(own);
         pe.balance.nbr_loads = pe
@@ -588,8 +592,6 @@ mod tests {
         crate::decomp::validate(&cfg, shape);
         let moved = pcdlb_mp::World::new(cfg.p).run(|comm| {
             let mut pe = fresh(comm.rank(), &cfg, shape);
-            crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
-            crate::engine::announce_loads(comm, &mut pe);
             pe.balance.nbr_loads[0].1 = 0.5 * pe.force.load();
             pe.begin_step(1); // the step the ring's one boundary may move on
             pe.dlb_decide();
@@ -625,13 +627,12 @@ mod tests {
             crate::decomp::validate(&cfg, shape);
             // No launch plan: the balancer has the whole shed before it.
             let initial = placed(&cfg);
+            let none = LaunchPlan::unplanned(shape, &cfg, &initial.column_work());
             // Per rank and step: the load before, the transfers whose cells
             // changed hands, the load after.
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                let none = LaunchPlan::unplanned(shape, &cfg);
-                let mut pe = PeState::new(comm.rank(), &cfg, shape, &initial, &none);
-                crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
-                crate::engine::announce_loads(comm, &mut pe);
+                let start = crate::engine::Start::Fresh(&initial, &none);
+                let mut pe = crate::engine::launch(comm.rank(), &cfg, shape, None, start);
                 let mut steps = Vec::new();
                 for step in 1..=cfg.steps {
                     let before = pe.force.load();

@@ -181,7 +181,8 @@ mod tests {
             let laps: Vec<f64> = pcdlb_mp::World::new(cfg.p)
                 .with_cost_model(crate::decomp::cost_model(shape, &cfg))
                 .run(|comm| {
-                    let none = crate::launch::LaunchPlan::unplanned(shape, &cfg);
+                    let work = initial.column_work();
+                    let none = crate::launch::LaunchPlan::unplanned(shape, &cfg, &work);
                     let start = crate::engine::Start::Fresh(&initial, &none);
                     let program = crate::engine::Program {
                         shape,

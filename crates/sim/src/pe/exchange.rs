@@ -45,18 +45,19 @@ use pcdlb_md::{axis_bin, Particle};
 use pcdlb_mp::{BufferPool, Comm};
 
 use super::topology::{behind_first_hop, dest_bit, foreign_around, push_run, CellClass, Route};
-use super::PeState;
+use super::{Origin, PeState};
 use crate::clock::WallTimer;
+use crate::decomp::Decomposition;
 use crate::frame::{DeltaChannel, FrameBytes, Received, SectionHead, StepFrame};
+use crate::launch::Placed;
 
 /// What a step's neighbourhood exchange carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Exchange {
-    /// Round 1 of a two-round rebuild step, and a balancing launch's
-    /// announcement: migrants, and in a balancing run loads and decisions.
+    /// Round 1 of a two-round rebuild step: migrants, and in a balancing
+    /// run loads and decisions.
     Migrants,
-    /// Round 2 of a two-round rebuild step, and the initial exchange of
-    /// every run: the boundary shells.
+    /// Round 2 of a two-round rebuild step: the boundary shells.
     Shells,
     /// A mid-epoch step's only exchange: new positions of the frozen
     /// shells.
@@ -324,8 +325,7 @@ impl PeState {
     /// place, and the neighbours' loads and decisions are heard — merged
     /// with this PE's own, the decisions land at the top of the next
     /// rebuild step ([`PeState::dlb_defer`]). Two-round rebuild steps
-    /// only, and once before a balancing launch's first step, migrant-free,
-    /// to announce the loads.
+    /// only.
     ///
     /// [`Exchange::Shells`] (phase 4, round 2): the boundary-shell ghosts
     /// along the cached routes — `(id, pos)` pairs only, no velocities,
@@ -693,12 +693,14 @@ impl PeState {
 
     /// The mask of the section `owner` packs its cell `(col, cz)` into
     /// for this PE: the neighbours of `owner` bordering the cell, behind
-    /// `owner`'s hop toward this PE. Read off the ownership view, and so
-    /// asked only for a cell whose owner sent no ghost of it this rebuild
-    /// step — on a single-exchange step, where every particle now in the
-    /// cell was announced by the rank it left, and the view is exact two
-    /// cells out (the closure test).
-    fn refresh_mask(&self, owner: usize, col: Col, cz: usize) -> u32 {
+    /// `owner`'s hop toward this PE. Read off the ownership `view`, and so
+    /// asked only where that is exact two cells out of this PE: for a cell
+    /// whose owner sent no ghost of it this rebuild step — on a
+    /// single-exchange step, where every particle now in the cell was
+    /// announced by the rank it left, on this PE's own view (the closure
+    /// test) — and at the launch, on the owner's own view
+    /// ([`PeState::adopt_ghosts`]).
+    fn refresh_mask(&self, view: &dyn Decomposition, owner: usize, col: Col, cz: usize) -> u32 {
         let nc = self.nc;
         let span = if self.topology.own_z().len() == nc {
             0..nc
@@ -710,9 +712,67 @@ impl PeState {
             (torus.offset(owner, r))
                 .unwrap_or_else(|| panic!("rank {}: {r} is no neighbour of {owner}", self.rank))
         };
-        let around = foreign_around(&*self.decomp, nc, owner, col, span);
+        let around = foreign_around(view, nc, owner, col, span);
         let dests = around.fold(0, |mask, (.., r)| mask | dest_bit(offset(r)));
         dests & behind_first_hop(offset(self.rank))
+    }
+
+    /// The launch's ghost cells, taken out of `placed` as the shells a
+    /// first exchange would have brought: for every ghost home, the runs
+    /// of its cells the caches class [`CellClass::Ghost`], as `(id, pos)`
+    /// at rest, in the placement's (cell, id) order — the slab's own, so
+    /// nothing is binned or sorted. Under skin epochs the slot routes of
+    /// the first epoch follow, each ghost cell under the section its
+    /// owner packs it in: read off the owner's own view as `origin`
+    /// starts it — exact around every cell the owner holds, as the one
+    /// the owner packs by — and proven against the ghosts adopted for
+    /// each neighbour's cells.
+    pub(super) fn adopt_ghosts(&mut self, placed: &Placed, origin: &Origin) {
+        let (nc, zbin) = (self.nc, self.zbin());
+        let homes = self.topology.homes().iter().enumerate();
+        let ghost_homes = homes.filter(|(_, h)| h.ghost);
+        for ((col, slab), (hi, home)) in self.ghosts.iter_mut().zip(ghost_homes) {
+            assert_eq!(*col, home.col, "ghost slabs follow the ghost homes");
+            let classes = self.topology.classes(hi);
+            let staged = &mut self.exchange.ghost_staging[hi];
+            let mut cz = 0;
+            while cz < nc {
+                let end = (cz..nc)
+                    .find(|&z| classes[z] != CellClass::Ghost)
+                    .unwrap_or(nc);
+                let run = placed.column(*col, cz..end);
+                staged.extend(run.iter().map(|p| Particle::at_rest(p.id, p.pos)));
+                cz = end + 1;
+            }
+            slab.rebuild_sorted(nc, staged, zbin);
+            staged.clear();
+        }
+        if self.cfg.skin == 0.0 {
+            return;
+        }
+        let nbrs = self.topology.neighbors();
+        let views: Vec<_> = nbrs.iter().map(|&nb| origin.view(nb, &self.cfg)).collect();
+        self.exchange.ghost_tally.fill((0, 0));
+        let mut masks = std::mem::take(&mut self.exchange.cell_masks);
+        masks.clear();
+        masks.resize(self.topology.homes().len() * nc, 0);
+        for (hi, home) in self.topology.homes().iter().enumerate() {
+            let Some(slab) = self.ghosts.get(&home.col) else {
+                continue;
+            };
+            for cz in (0..nc).filter(|&cz| !slab.range(cz).is_empty()) {
+                let owner = self.decomp.owner_of(home.col, cz);
+                let i = self.topology.index_of(owner);
+                let (n, sum) = &mut self.exchange.ghost_tally[i];
+                for p in slab.cell(cz) {
+                    *n += 1;
+                    *sum = sum.wrapping_add(p.id);
+                }
+                masks[hi * nc + cz] = self.refresh_mask(&*views[i], owner, home.col, cz);
+            }
+        }
+        self.exchange.cell_masks = masks;
+        self.record_ghost_slot_routes();
     }
 
     /// Record the in-place update routes for the epoch that starts here.
@@ -752,12 +812,13 @@ impl PeState {
                     home.col
                 );
                 let owner = self.decomp.owner_of(home.col, cz);
+                let view = &*self.decomp;
                 let mask = match self.exchange.cell_masks[hi * nc + cz] {
-                    0 => self.refresh_mask(owner, home.col, cz),
+                    0 => self.refresh_mask(view, owner, home.col, cz),
                     noted => {
                         debug_assert!(
                             !self.exchanges_once()
-                                || noted == self.refresh_mask(owner, home.col, cz),
+                                || noted == self.refresh_mask(view, owner, home.col, cz),
                             "rank {rank}: {owner} sent ({:?}, {cz}) in another section",
                             home.col
                         );
@@ -872,8 +933,6 @@ mod tests {
             crate::decomp::validate(&cfg, shape);
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
                 let mut pe = fresh(comm.rank(), &cfg, shape);
-                crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
-                crate::engine::announce_loads(comm, &mut pe);
                 let mut orders = vec![refresh_orders(&pe)];
                 let mut transfers = 0;
                 for step in 1..=cfg.steps {
@@ -932,15 +991,19 @@ mod tests {
         };
         let far = Col::new(7, 4);
         let placed = super::super::testkit::placed(&cfg);
+        let shape = DomainShape::SquarePillar;
+        let unplanned = crate::launch::LaunchPlan::unplanned(shape, &cfg, &placed.column_work());
         let run = |decisions: Vec<DlbDecision>| {
             let plan = crate::launch::LaunchPlan {
                 decisions,
-                ..crate::launch::LaunchPlan::unplanned(DomainShape::SquarePillar, &cfg)
+                ..unplanned.clone()
             };
             pcdlb_mp::World::new(cfg.p).run(|comm| {
-                let shape = DomainShape::SquarePillar;
-                let mut pe = PeState::new(comm.rank(), &cfg, shape, &placed, &plan);
-                crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
+                let start = crate::engine::Start::Fresh(&placed, &plan);
+                let mut pe = crate::engine::launch(comm.rank(), &cfg, shape, None, start);
+                // (The launch adopted the ghosts; one shell exchange
+                // brings them again, over the wire.)
+                pe.exchange(comm, Exchange::Shells);
                 let ids = |slabs: &Slabs| -> Vec<u64> {
                     let slab = slabs.get(&far);
                     slab.into_iter()
@@ -998,7 +1061,7 @@ mod tests {
     }
 
     /// Run `cfg.steps` steps of the cube on the engine, one PE per rank,
-    /// after `setup` has had its way with each fresh PE; `look`
+    /// after `setup` has had its way with each launched PE; `look`
     /// reads each PE when the steps are done.
     fn drive_cube<T: Send>(
         cfg: &RunConfig,
@@ -1011,11 +1074,10 @@ mod tests {
         pcdlb_mp::World::new(cfg.p)
             .with_cost_model(crate::decomp::cost_model(shape, cfg))
             .run(|comm| {
-                let none = crate::launch::LaunchPlan::unplanned(shape, cfg);
-                let mut pe = PeState::new(comm.rank(), cfg, shape, &initial, &none);
+                let none = crate::launch::LaunchPlan::unplanned(shape, cfg, &[]);
+                let start = crate::engine::Start::Fresh(&initial, &none);
+                let mut pe = crate::engine::launch(comm.rank(), cfg, shape, None, start);
                 setup(&mut pe);
-                crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
-                let _ = comm.lap_virtual_comm();
                 let mut records = Vec::new();
                 for step in 1..=cfg.steps {
                     records.extend(crate::engine::step_pe(comm, &mut pe, step));

@@ -362,8 +362,6 @@ impl Force {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::placed;
-    use super::super::Exchange;
-    use super::*;
     use crate::config::{Lattice, RunConfig};
     use pcdlb_domain::DomainShape;
 
@@ -393,8 +391,8 @@ mod tests {
                 let plan = crate::launch::launch_plan(shape, &cfg, 0, &work, false);
                 assert!(!plan.decisions.is_empty(), "{shape:?}: nothing planned");
                 let measured = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                    let mut pe = PeState::new(comm.rank(), &cfg, shape, &initial, &plan);
-                    crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
+                    let start = crate::engine::Start::Fresh(&initial, &plan);
+                    let pe = crate::engine::launch(comm.rank(), &cfg, shape, None, start);
                     pe.force.load().to_bits()
                 });
                 let planned: Vec<u64> = plan.loads.iter().map(|l| l.to_bits()).collect();

@@ -43,6 +43,11 @@
 //! along the axis — and a diagonal neighbour's share relayed (`exchange`,
 //! and `topology`'s routing).
 //!
+//! A PE is launched without a message ([`PeState::new`],
+//! [`PeState::from_checkpoint`]): its owned and ghost cells are taken out
+//! of the launch's one placement, its balancer resumes from loads every
+//! rank holds, and it computes its first forces.
+//!
 //! The neighbour set, ghost routes, cell classes and home list are all
 //! derived from `Decomposition::owner_of` in `topology`; checkpoint
 //! gather and restore, the sentinel and the snapshot are in `audit`.
@@ -63,6 +68,7 @@ mod walk;
 
 use std::collections::BTreeMap;
 
+use pcdlb_core::protocol::DlbDecision;
 use pcdlb_domain::{Col, DomainShape, PillarLayout};
 use pcdlb_md::cells::CellSlab;
 use pcdlb_md::vec3::Vec3;
@@ -83,6 +89,33 @@ pub(crate) use topology::{all_columns, cells_around, exchanges_once};
 /// (cell, id)-sorted particle storage with `nc` cells per column, indexed
 /// by the z cell index.
 type Slabs = BTreeMap<Col, CellSlab>;
+
+/// Where a launch starts every rank's view: `shape`'s home cells under
+/// `tiling` (see `decomp::decomposition`), then `decisions` replayed as
+/// decisions already made — a launch plan's transfers, or a checkpoint's
+/// ownership. Every rank's view, its own and its neighbours', is built
+/// from it alike.
+struct Origin<'a> {
+    shape: DomainShape,
+    tiling: Option<&'a PillarLayout>,
+    decisions: &'a [DlbDecision],
+}
+
+impl Origin<'_> {
+    /// `rank`'s view at the launch.
+    fn view(&self, rank: usize, cfg: &RunConfig) -> Box<dyn Decomposition> {
+        let mut view = decomposition(self.shape, rank, cfg, self.tiling);
+        self.replay(&mut *view);
+        view
+    }
+
+    /// Replay the decisions into `view`, every cell of which is at home.
+    fn replay(&self, view: &mut dyn Decomposition) {
+        for d in self.decisions {
+            view.apply(d);
+        }
+    }
+}
 
 /// What each rank hands back to the driver when the run finishes.
 pub struct PeResult {
@@ -157,11 +190,15 @@ pub struct PeState {
 }
 
 impl PeState {
-    /// Build the PE's state on a fresh world: start from the home tiles of
-    /// `plan`'s tiling, replay its transfers ([`crate::launch::launch_plan`];
-    /// an empty plan for a run that does not balance) into this rank's
-    /// view, as decisions already made, and adopt the cells it then owns
-    /// out of `placed`, the world's whole initial condition.
+    /// Launch the PE on a fresh world, ready for its first step: start
+    /// from the home tiles of `plan`'s tiling, replay its transfers
+    /// ([`crate::launch::launch_plan`]; none for a run that does not
+    /// balance) into this rank's view, as decisions already made, adopt
+    /// the cells it then owns and the ghost cells around them out of
+    /// `placed`, the world's whole initial condition, resume the balancer
+    /// from the loads the plan ends on and compute the first forces. It
+    /// sends nothing: everything a neighbour would have told it, the
+    /// placement and the plan already hold.
     pub fn new(
         rank: usize,
         cfg: &RunConfig,
@@ -169,30 +206,32 @@ impl PeState {
         placed: &Placed,
         plan: &LaunchPlan,
     ) -> Self {
-        let tiling = plan.layout.as_ref();
-        let mut pe = Self::scaffold(rank, cfg, shape, tiling, plan.exchanges_once);
-        for d in &plan.decisions {
-            pe.decomp.apply(d);
+        let origin = Origin {
+            shape,
+            tiling: plan.layout.as_ref(),
+            decisions: &plan.decisions,
+        };
+        let mut pe = Self::scaffold(rank, cfg, &origin, plan.exchanges_once);
+        pe.adopt(placed, &origin);
+        if pe.balances() {
+            pe.balance
+                .resume(rank, pe.topology.neighbors(), &plan.loads);
         }
-        pe.adopt_particles(placed);
+        pe.compute_forces();
         pe
     }
 
     /// The state shell shared by [`PeState::new`] and
-    /// [`PeState::from_checkpoint`]: everything but the particle columns,
-    /// every cell at its home under `tiling` (see
-    /// `decomp::decomposition`), a rebuild step one exchange where the
-    /// launch says so (`exchanges_once`). Once per run.
-    fn scaffold(
-        rank: usize,
-        cfg: &RunConfig,
-        shape: DomainShape,
-        tiling: Option<&PillarLayout>,
-        exchanges_once: bool,
-    ) -> Self {
-        let decomp = decomposition(shape, rank, cfg, tiling);
-        let balances = decomp.has_balancer() && cfg.dlb;
+    /// [`PeState::from_checkpoint`]: everything but the particles, this
+    /// rank's view of where `origin` starts the run — its neighbour set
+    /// read off the home cells, before anything is replayed — and a
+    /// rebuild step one exchange where the launch says so
+    /// (`exchanges_once`). Once per run.
+    fn scaffold(rank: usize, cfg: &RunConfig, origin: &Origin, exchanges_once: bool) -> Self {
+        let mut decomp = decomposition(origin.shape, rank, cfg, origin.tiling);
         let topology = topology::Topology::new(&*decomp, cfg.nc, rank, exchanges_once);
+        origin.replay(&mut *decomp);
+        let balances = decomp.has_balancer() && cfg.dlb;
         Self {
             cfg: cfg.clone(),
             rank,
@@ -212,6 +251,15 @@ impl PeState {
             bookkeeping: bookkeeping::Bookkeeping::new(),
             retiling: retile::Retiling::default(),
         }
+    }
+
+    /// Take this PE's cells out of `placed`: the owned columns, then —
+    /// once the caches say which they are — the ghost cells around them
+    /// ([`PeState::adopt_ghosts`]).
+    fn adopt(&mut self, placed: &Placed, origin: &Origin) {
+        self.adopt_particles(placed);
+        self.refresh_caches();
+        self.adopt_ghosts(placed, origin);
     }
 
     /// Create a column for every column this PE owns a cell of, filled
@@ -340,16 +388,13 @@ mod testkit {
         Placed::new(cfg, &initial_particles(cfg))
     }
 
-    /// A PE adopting its home cells' share of the config's own initial
-    /// condition (nothing planned).
+    /// A PE launched on its home cells' share of the config's own initial
+    /// condition (nothing planned), as the engine launches every rank.
     pub(super) fn fresh(rank: usize, cfg: &RunConfig, shape: DomainShape) -> PeState {
-        PeState::new(
-            rank,
-            cfg,
-            shape,
-            &placed(cfg),
-            &LaunchPlan::unplanned(shape, cfg),
-        )
+        let placed = placed(cfg);
+        let plan = LaunchPlan::unplanned(shape, cfg, &placed.column_work());
+        let start = crate::engine::Start::Fresh(&placed, &plan);
+        crate::engine::launch(rank, cfg, shape, None, start)
     }
 }
 

@@ -198,7 +198,6 @@ impl PeState {
 
 #[cfg(test)]
 mod tests {
-    use super::super::Exchange;
     use super::*;
     use crate::config::{Lattice, RunConfig};
     use crate::launch::{launch_plan, Placed};
@@ -230,13 +229,9 @@ mod tests {
         pcdlb_mp::World::new(cfg.p)
             .with_cost_model(crate::decomp::cost_model(shape, cfg))
             .run(|comm| {
-                let mut pe = PeState::new(comm.rank(), cfg, shape, &placed, &plan);
-                if follow {
-                    pe.follow_the_load(0);
-                }
-                crate::engine::exchange_ghosts_and_compute(comm, &mut pe, Exchange::Shells);
-                crate::engine::announce_loads(comm, &mut pe);
-                let _ = comm.lap_virtual_comm();
+                let start = crate::engine::Start::Fresh(&placed, &plan);
+                let retile = follow.then_some(0);
+                let mut pe = crate::engine::launch(comm.rank(), cfg, shape, retile, start);
                 (1..=cfg.steps)
                     .map(|step| {
                         crate::engine::step_pe(comm, &mut pe, step);

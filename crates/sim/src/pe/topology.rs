@@ -1072,9 +1072,10 @@ mod tests {
             if shape == DomainShape::SquarePillar {
                 cfg = RunConfig::from_p_m_density(9, 3, 0.05);
             }
+            let placed = crate::launch::Placed::new(&cfg, &[]);
             let plan = crate::launch::LaunchPlan {
                 decisions,
-                ..crate::launch::LaunchPlan::unplanned(shape, &cfg)
+                ..crate::launch::LaunchPlan::unplanned(shape, &cfg, &placed.column_work())
             };
             let mut decomp = decomposition(shape, rank, &cfg, None);
             for d in &plan.decisions {
@@ -1084,9 +1085,7 @@ mod tests {
             let z0 = bare.own_z().start;
             let owned = all_columns(cfg.nc).filter(|&c| decomp.owner_of(c, z0) == rank);
             assert!(bare.refresh(&*decomp, cfg.box_len(), owned));
-            let placed = crate::launch::Placed::new(&cfg, &[]);
-            let mut pe = PeState::new(rank, &cfg, shape, &placed, &plan);
-            pe.refresh_caches();
+            let pe = PeState::new(rank, &cfg, shape, &placed, &plan);
             assert!(bare == pe.topology, "{shape:?}");
             let routed: usize = bare.ghost_routes().iter().map(Vec::len).sum();
             assert!(routed > 0 && !bare.homes().is_empty(), "{shape:?}");

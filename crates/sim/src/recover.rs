@@ -55,9 +55,10 @@ pub struct SimCheckpoint {
     /// Rank 0's step records for steps `1..=md.step`.
     pub records: Vec<StepRecord>,
     /// The load each rank last announced to its neighbours, by rank: what
-    /// every neighbour holds for it when the next step decides. Empty when
-    /// the run does not balance, or when the state was remapped onto
-    /// another torus — a launch restored from it announces afresh.
+    /// every neighbour holds for it when the next step decides, and what
+    /// a launch restored from it resumes its balancer from. Empty when the
+    /// run does not balance; on a drain remapped onto another torus, the
+    /// loads the new generation's launch plan ends on.
     pub loads: Vec<f64>,
     /// The decisions the last rebuild step's frames brought, with their
     /// work, ascending `from`: not applied yet — their givers still hold
@@ -724,7 +725,8 @@ pub(crate) mod tests {
         let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
         assert_eq!((at_5.md.step, steps(&at_5.retiles)), (5, vec![2]));
         let resume = program(true, false);
-        let start = Start::Restore(&at_5, plan.exchanges_once);
+        let placed_5 = Placed::new(&cfg, &at_5.md.particles);
+        let start = Start::Restore(&at_5, &placed_5, plan.exchanges_once);
         let mut restored = world().run(|comm| run_pe(comm, &cfg, resume, start, None));
         let rank0 = restored.swap_remove(0);
         let report = rank0.report.expect("rank 0 reports");

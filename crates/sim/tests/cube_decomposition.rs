@@ -54,12 +54,12 @@ fn one_cell_blocks_on_the_smallest_torus_match_serial() {
 }
 
 /// Point-to-point frames a healthy run of the cube sends over all ranks:
-/// the initial ghost exchange, then `per_rebuild` frames per hop on
-/// rebuild steps and one refresh on every other step. A rank's hops are
-/// the distinct ranks one torus step away along each axis: 3 on the
-/// 2 × 2 × 2 torus, 6 from side 3 up.
+/// `per_rebuild` frames per hop on rebuild steps and one refresh on every
+/// other step — none before the first step, since a launch sends nothing.
+/// A rank's hops are the distinct ranks one torus step away along each
+/// axis: 3 on the 2 × 2 × 2 torus, 6 from side 3 up.
 fn step_frames(cfg: &RunConfig, hops_per_rank: u64, rebuilds: u64, per_rebuild: u64) -> u64 {
-    let per_hop = 1 + rebuilds * per_rebuild + (cfg.steps - rebuilds);
+    let per_hop = rebuilds * per_rebuild + (cfg.steps - rebuilds);
     cfg.p as u64 * hops_per_rank * per_hop
 }
 

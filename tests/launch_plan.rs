@@ -16,7 +16,12 @@
 //! - an even map keeps the even tiling and plans nothing, and a run that
 //!   does not balance chooses and plans nothing at all;
 //! - on the paper's scenario the chosen tiling and what it buys are
-//!   pinned, and the run's first step reads what the plan ended on.
+//!   pinned, and the run's first step reads what the plan ended on;
+//! - a launch sends nothing, on every shape and every start — fresh, a
+//!   relaunch from a checkpoint, a resized generation: every rank adopts
+//!   its ghost cells from the launch's placement and its neighbours'
+//!   loads from the launch plan (or the checkpoint), and lands on the
+//!   records and particles of the commit whose launches still sent them.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -27,8 +32,8 @@ use pcdlb::domain::{OwnershipMap, PillarLayout};
 use pcdlb::md::{Particle, Vec3};
 use pcdlb::sim::pe::initial_particles;
 use pcdlb::sim::{
-    launch_plan, launch_plan_on, run, DomainShape, Lattice, Launch, LaunchPlan, LoadMetric, Placed,
-    RunConfig,
+    digest_particles, digest_records, launch_plan, launch_plan_on, run, DomainShape, Lattice,
+    Launch, LaunchPlan, LoadMetric, Placed, ResizeStage, RunConfig,
 };
 
 /// `occupancy[(cx·nc + cy)·nc + cz]` particles at the centre of each cell.
@@ -271,7 +276,7 @@ fn a_uniform_map_and_a_run_that_does_not_balance_plan_nothing() {
         .decisions
         .is_empty());
     cfg.dlb = false;
-    let unplanned = LaunchPlan::unplanned(pillar, &cfg);
+    let unplanned = LaunchPlan::unplanned(pillar, &cfg, &work);
     assert_eq!(
         unplanned.layout,
         Some(PillarLayout::new(cfg.nc, cfg.torus()))
@@ -283,7 +288,7 @@ fn a_uniform_map_and_a_run_that_does_not_balance_plan_nothing() {
     cfg.p = 27;
     assert_eq!(
         launch_plan(DomainShape::Cube, &cfg, 0, &work, false),
-        LaunchPlan::unplanned(DomainShape::Cube, &cfg)
+        LaunchPlan::unplanned(DomainShape::Cube, &cfg, &work)
     );
 }
 
@@ -410,4 +415,79 @@ fn the_papers_scenario_launches_on_its_permanent_cells() {
     assert_eq!(ddm.launch_transfers, 0);
     assert!(ddm.tiling.is_some_and(|l| l.is_even()));
     assert!(ddm.records[0].t_step > 3.0 * t);
+}
+
+#[test]
+fn a_launch_sends_nothing_and_lands_where_a_launch_that_sent_did() {
+    // Every rank of every start reads 0 messages and 0 bytes sent when its
+    // first step begins. 30 steps later each run's records and particles
+    // are the ones pinned from the commit whose launches still sent an
+    // initial ghost exchange and, where the run balances, a load
+    // announcement (a relaunch lands on the uninterrupted run's, as
+    // recovery must).
+    use DomainShape::{Cube, Plane};
+    let mut pillar = RunConfig::from_p_m_density(4, 3, 0.256);
+    pillar.dlb = false;
+    pillar.seed = 1;
+    pillar.steps = 30;
+    let mut verlet = pillar.clone();
+    verlet.skin = 0.06;
+    verlet.verlet = true;
+    let mut cluster = papers_scenario();
+    cluster.steps = 30;
+    let mut plane = RunConfig::new(2000, 9, 3, 2000.0 / 27.0f64.powi(3));
+    plane.lattice = Lattice::Cluster { fill: 0.7 };
+    plane.dlb = true;
+    plane.seed = 1;
+    plane.steps = 30;
+    let cube = {
+        let n = (0.1 * 36.0f64.powi(3)) as usize;
+        let mut cfg = RunConfig::new(n, 12, 8, n as f64 / 36.0f64.powi(3));
+        cfg.steps = 30;
+        cfg.seed = 1;
+        cfg.thermostat_interval = 5;
+        cfg.dlb = false;
+        cfg
+    };
+    let relaunch = ResizeStage { at_step: 12, p: 9 };
+    let resize = ResizeStage { at_step: 15, p: 16 };
+    let fixed = Launch::new().fixed_tiles();
+    let cases = [
+        ("2 × 2 DDM pillar", Launch::new(), &pillar, None),
+        ("3 × 3 cluster, re-tiling", Launch::new(), &cluster, None),
+        ("3 × 3 cluster, fixed tiles", fixed, &cluster, None),
+        ("balancing plane", Launch::new().shape(Plane), &plane, None),
+        ("2³ cube", Launch::new().shape(Cube), &cube, None),
+        ("skin-0.06 Verlet pillar", Launch::new(), &verlet, None),
+        (
+            "relaunch at step 12",
+            Launch::new(),
+            &cluster,
+            Some(relaunch),
+        ),
+        ("9 → 16 at step 15", Launch::new(), &cluster, Some(resize)),
+    ];
+    let pinned: [(u64, u64); 8] = [
+        (0xca0f6fae9e055011, 0x5c593d3181d241e8),
+        (0x5e56965a292effa4, 0x51f0ddfc6fcb5f2b),
+        (0x5e56965a292effa4, 0x13eb616820e19579),
+        (0x138f86b47daa8de2, 0x3f9d06c17d4f6696),
+        (0x05df17b2bc7fa908, 0xf31ba5adaa4ec318),
+        (0xca0f6fae9e055011, 0x4328675b54b482a5),
+        (0x5e56965a292effa4, 0x51f0ddfc6fcb5f2b),
+        (0x5e56965a292effa4, 0xbab57d74964fb9dc),
+    ];
+    for ((what, launch, cfg, restart), (particles, records)) in cases.into_iter().zip(pinned) {
+        let (sent, run) = launch.sent_before_first_step(cfg, restart);
+        let p = restart.map_or(cfg.p, |r| r.p);
+        assert_eq!(sent, vec![(0, 0); p], "{what}: sent before the first step");
+        assert!(run.report.msgs_sent > 0, "{what}: the steps send");
+        let snapshot = run.snapshot.expect("a snapshot");
+        let got = (
+            digest_particles(&snapshot),
+            digest_records(&run.report, cfg.load_metric),
+        );
+        let hex = |(a, b): (u64, u64)| format!("{a:#018x} {b:#018x}");
+        assert_eq!(hex(got), hex((particles, records)), "{what}");
+    }
 }

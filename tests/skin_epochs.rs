@@ -21,13 +21,14 @@
 //!   DLB step sends what a DDM step with as many rounds sends, whatever
 //!   moves.
 //!
-//! Every balancing run also sends, once per launch, the announcement of
-//! the initial loads (a column moves only if it leaves its receiver below
-//! its giver, so the columns that move are shown on a start whose load
-//! gathers after launch). The launch plan — where the balancer's rule
-//! takes the initial condition before a thread starts — sends nothing: a
+//! Nothing is sent before the first step: every rank adopts its ghost
+//! cells from the launch's placement and its neighbours' loads from the
+//! launch plan. The launch plan — where the balancer's rule takes the
+//! initial condition before a thread starts — sends nothing either: a
 //! planned launch's messages are an unplanned one's, column for column
-//! that moves in the run.
+//! that moves in the run (a column moves only if it leaves its receiver
+//! below its giver, so the columns that move are shown on a start whose
+//! load gathers after launch).
 
 use pcdlb::sim::{
     digest_particles, run_serial, DomainShape, Lattice, Launch, RunConfig, RunReport,
@@ -78,11 +79,9 @@ fn expected_msgs(cfg: &RunConfig, hops: u64, rounds: u64, report: &RunReport) ->
     let rebuilds = report.records.iter().filter(|r| r.rebuilt).count() as u64;
     // A gather or a broadcast over P ranks is P − 1 sends.
     let coll = p - 1;
-    // Point to point: the initial ghost exchange; a balancing run's
-    // announcement of its initial loads; per rebuild step its rounds; the
-    // refresh alone on every other step.
-    let announcement = if cfg.dlb { nbrs } else { 0 };
-    let p2p = nbrs + announcement + rebuilds * rounds * nbrs + (steps - rebuilds) * nbrs;
+    // Point to point: per rebuild step its rounds; the refresh alone on
+    // every other step; nothing at launch.
+    let p2p = rebuilds * rounds * nbrs + (steps - rebuilds) * nbrs;
     // Collectives: the rebuild decision (gather + broadcast, every step,
     // skin epochs only), the thermostat (gather + broadcast), the stats
     // gather (every step) and the final snapshot gather.
@@ -109,11 +108,11 @@ fn every_step_rebuilds_without_a_skin_in_one_exchange_where_nothing_balances() {
     let report = run(&cfg, DomainShape::SquarePillar);
     assert!(report.records.iter().all(|r| r.rebuilt));
     assert_eq!(report.msgs_sent, expected_msgs(&cfg, 2, 1, &report));
-    // Message for message: the initial exchange and one frame per hop and
-    // step (8 + 40 · 8), the collectives (147). The same run sent 639
-    // while every neighbour had a frame of its own, and 1119 while
-    // migrants and ghosts travelled apart.
-    assert_eq!(report.msgs_sent, 475);
+    // Message for message: one frame per hop and step (40 · 8), the
+    // collectives (147). The same run sent 475 with an initial exchange at
+    // launch, 639 while every neighbour had a frame of its own, and 1119
+    // while migrants and ghosts travelled apart.
+    assert_eq!(report.msgs_sent, 467);
 }
 
 #[test]
@@ -124,14 +123,14 @@ fn a_ddm_run_sends_a_frame_per_hop_along_each_torus_axis() {
     // the ring, one per axis at a side of 2, two per axis from 3 — plus
     // the collectives. A neighbour one step away on several axes gets its
     // share through the frames of the others.
-    // Pinned too: what each sends, 41 exchanges (the initial one and 40
-    // steps) and the collectives. While every distinct neighbour had a
-    // frame of its own — 2, 7 and 26 of them — the three sent 475, 2639
-    // and 30056.
+    // Pinned too: what each sends, 40 exchanges (one a step, none at
+    // launch) and the collectives. With an initial exchange at launch the
+    // three sent 475, 1327 and 7916; while every distinct neighbour had a
+    // frame of its own — 2, 7 and 26 of them — 475, 2639 and 30056.
     for (shape, p, nc, hops, pinned) in [
-        (DomainShape::Plane, 4, 8, 2, 475),
-        (DomainShape::Cube, 8, 6, 3, 1327),
-        (DomainShape::Cube, 27, 6, 6, 7916),
+        (DomainShape::Plane, 4, 8, 2, 467),
+        (DomainShape::Cube, 8, 6, 3, 1303),
+        (DomainShape::Cube, 27, 6, 6, 7754),
     ] {
         let cfg = gas(p, nc, 0.0);
         let report = run(&cfg, shape);
