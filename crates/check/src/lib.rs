@@ -26,9 +26,8 @@
 //!    consumption, sleep-set dedup, visited-state hashing), adds seeded
 //!    pseudo-random orders the reduction never runs, and checks one
 //!    digest, per-stream sequence gaplessness, non-overtaking
-//!    consumption, pool checkout/checkin balance and sentinel
-//!    conservation on every trace — each violation reported with its
-//!    minimal offending event window.
+//!    consumption and sentinel conservation on every trace — each
+//!    violation reported with its minimal offending event window.
 //!
 //! A fourth property arrived with the recovery ladder and the lossy
 //! transport:

@@ -37,7 +37,7 @@
 //!   (`frame.rs`, the run loop in `engine.rs` and the per-step modules of
 //!   `pe/` in `pcdlb-sim`; the cell slab's rebuild in `pcdlb-md`, which
 //!   both engines run every step). The step is allocation-free by
-//!   construction — pooled frames, retained scratch — and a stray
+//!   construction — retained frames and scratch — and a stray
 //!   allocation silently reintroduces per-step heap churn. `pe/topology.rs`
 //!   is listed too: `Topology::refresh` runs whenever a transfer redraws a
 //!   PE's caches, on a balancing run a rank-step in five. A file in which

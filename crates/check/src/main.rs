@@ -90,8 +90,8 @@ fn usage() {
          \u{20}          interleavings with partial-order reduction, then 24\n\
          \u{20}          seeded delivery orders per fault-free case, checking one\n\
          \u{20}          digest and the typed safety properties (seq gaplessness,\n\
-         \u{20}          non-overtaking, pool balance, link acks, suspicion\n\
-         \u{20}          episodes, sentinel conservation) on every trace; 6-step\n\
+         \u{20}          non-overtaking, link acks, suspicion episodes, sentinel\n\
+         \u{20}          conservation) on every trace; 6-step\n\
          \u{20}          2x2 and 3x3 cases, fault-free and with a death that\n\
          \u{20}          relaunches (200 runs for the fault-free 2x2 case, 100\n\
          \u{20}          for the others); emits a JSON summary line\n\

@@ -9,7 +9,7 @@
 //! prefix with every rank thread bound to a protocol event log
 //! ([`ProtocolEvent`]): sends, admissions, delivery choices (with the
 //! full candidate set), consumptions (flagged when made through a
-//! timing-sensitive probe), pool checkouts/checkins, link-layer acks,
+//! timing-sensitive probe), link-layer acks,
 //! retransmissions and suspicions, and the simulator's conservation
 //! sentinels.
 //!
@@ -62,7 +62,6 @@
 //! | `send-gapless`      | per (src, dst) stream, sent seqs are 0, 1, 2, … with no gap            |
 //! | `admit-gapless`     | per (dst, src) stream, admitted seqs are 0, 1, 2, …                    |
 //! | `recv-non-overtaking` | per (dst, src, tag), consumed seqs strictly increase                 |
-//! | `pool-balance`      | every checkin matches an outstanding checkout; clean pool drop leaves none outstanding |
 //! | `ack-monotone`      | per link, the cumulative ack only moves forward                        |
 //! | `retransmit-valid`  | no frame is retransmitted once the cumulative ack covers it            |
 //! | `suspect-episodic`  | suspicion of a peer is raised and cleared alternately                  |
@@ -222,8 +221,6 @@ struct ThreadState {
     admit: BTreeMap<(usize, usize), u64>,
     /// (dst, src, tag) → last consumed seq.
     recv: BTreeMap<(usize, usize, Tag), u64>,
-    /// pool id → outstanding checked-out slots.
-    pools: BTreeMap<u64, BTreeSet<usize>>,
     /// Link layer: (src, dst) → last cumulative-ack point observed.
     acks: BTreeMap<(usize, usize), u64>,
     /// Failure detector: (rank, peer) pairs currently under suspicion.
@@ -294,54 +291,6 @@ pub fn check_thread_properties(rank: usize, events: &[ProtocolEvent]) -> Vec<Pro
                     }
                 }
                 st.recv.insert(key, seq);
-            }
-            ProtocolEvent::PoolCheckout { pool, slot } => {
-                if !st.pools.entry(pool).or_default().insert(slot) {
-                    out.push(PropertyViolation {
-                        property: "pool-balance",
-                        rank,
-                        detail: format!(
-                            "pool {pool} handed out slot {slot:#x} while it was already checked out"
-                        ),
-                        trace: window(events, i, |e| {
-                            matches!(e, ProtocolEvent::PoolCheckout { pool: p, .. }
-                                     | ProtocolEvent::PoolCheckin { pool: p, .. } if *p == pool)
-                        }),
-                    });
-                }
-            }
-            ProtocolEvent::PoolCheckin { pool, slot } => {
-                if !st.pools.entry(pool).or_default().remove(&slot) {
-                    out.push(PropertyViolation {
-                        property: "pool-balance",
-                        rank,
-                        detail: format!(
-                            "pool {pool} checkin of slot {slot:#x} that was not checked out (double checkin or foreign buffer)"
-                        ),
-                        trace: window(events, i, |e| {
-                            matches!(e, ProtocolEvent::PoolCheckout { pool: p, .. }
-                                     | ProtocolEvent::PoolCheckin { pool: p, .. } if *p == pool)
-                        }),
-                    });
-                }
-            }
-            ProtocolEvent::PoolDrop { pool, panicking } => {
-                let outstanding = st.pools.remove(&pool).unwrap_or_default();
-                if !panicking && !outstanding.is_empty() {
-                    out.push(PropertyViolation {
-                        property: "pool-balance",
-                        rank,
-                        detail: format!(
-                            "pool {pool} dropped cleanly with {} buffer(s) still checked out",
-                            outstanding.len()
-                        ),
-                        trace: window(events, i, |e| {
-                            matches!(e, ProtocolEvent::PoolCheckout { pool: p, .. }
-                                     | ProtocolEvent::PoolCheckin { pool: p, .. }
-                                     | ProtocolEvent::PoolDrop { pool: p, .. } if *p == pool)
-                        }),
-                    });
-                }
             }
             ProtocolEvent::AckAdvance { src, dst, cum } => {
                 let prev = st.acks.get(&(src, dst)).copied();
@@ -1057,55 +1006,6 @@ mod tests {
             ev_send(0, 1, 7, 0), // fresh world: seq restarts
         ];
         assert!(check_thread_properties(0, &relaunch).is_empty());
-    }
-
-    #[test]
-    fn pool_double_checkin_and_leak_are_caught() {
-        let double = vec![
-            ProtocolEvent::Birth { rank: 0 },
-            ProtocolEvent::PoolCheckout {
-                pool: 1,
-                slot: 0x10,
-            },
-            ProtocolEvent::PoolCheckin {
-                pool: 1,
-                slot: 0x10,
-            },
-            ProtocolEvent::PoolCheckin {
-                pool: 1,
-                slot: 0x10,
-            },
-        ];
-        let v = check_thread_properties(0, &double);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].property, "pool-balance");
-        let leak = vec![
-            ProtocolEvent::Birth { rank: 0 },
-            ProtocolEvent::PoolCheckout {
-                pool: 1,
-                slot: 0x10,
-            },
-            ProtocolEvent::PoolDrop {
-                pool: 1,
-                panicking: false,
-            },
-        ];
-        let v = check_thread_properties(0, &leak);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].detail.contains("still checked out"));
-        // Unwind teardown legitimately abandons in-flight buffers.
-        let unwind = vec![
-            ProtocolEvent::Birth { rank: 0 },
-            ProtocolEvent::PoolCheckout {
-                pool: 1,
-                slot: 0x10,
-            },
-            ProtocolEvent::PoolDrop {
-                pool: 1,
-                panicking: true,
-            },
-        ];
-        assert!(check_thread_properties(0, &unwind).is_empty());
     }
 
     #[test]

@@ -14,16 +14,12 @@ use pcdlb_sim::Launch;
 // Hand-built traces
 // ---------------------------------------------------------------------------
 
-/// A small legal per-rank trace exercising the stream and pool
-/// properties: a send stream, an admitted stream under two tags, ordered
-/// consumption, and a balanced pool session.
+/// A small legal per-rank trace exercising the stream properties: a
+/// send stream, an admitted stream under two tags, and ordered
+/// consumption.
 fn legal_thread_trace() -> Vec<ProtocolEvent> {
     vec![
         ProtocolEvent::Birth { rank: 0 },
-        ProtocolEvent::PoolCheckout {
-            pool: 1,
-            slot: 0xa0,
-        },
         ProtocolEvent::Send {
             src: 0,
             dst: 1,
@@ -68,14 +64,6 @@ fn legal_thread_trace() -> Vec<ProtocolEvent> {
             tag: 9,
             seq: 2,
         },
-        ProtocolEvent::PoolCheckin {
-            pool: 1,
-            slot: 0xa0,
-        },
-        ProtocolEvent::PoolDrop {
-            pool: 1,
-            panicking: false,
-        },
     ]
 }
 
@@ -103,21 +91,6 @@ fn skipped_seq_increment_is_caught_by_send_gapless() {
     assert_eq!(v.len(), 1, "exactly the targeted property fires: {v:?}");
     assert_eq!(v[0].property, "send-gapless");
     assert!(v[0].detail.contains("seq 1 expected"), "{}", v[0].detail);
-}
-
-/// Mutation: double-checkin a pool buffer.
-#[test]
-fn double_checkin_is_caught_by_pool_balance() {
-    let mut t = legal_thread_trace();
-    let pos = t
-        .iter()
-        .position(|e| matches!(e, ProtocolEvent::PoolCheckin { .. }))
-        .expect("trace has a checkin");
-    t.insert(pos + 1, t[pos]);
-    let v = check_thread_properties(0, &t);
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].property, "pool-balance");
-    assert!(v[0].detail.contains("double checkin"), "{}", v[0].detail);
 }
 
 /// Mutation: consume seq 1 before seq 0 on the same stream.
@@ -190,7 +163,7 @@ fn captured_logs_are_clean_and_mutations_are_caught() {
 
     // Seeded corruption: one sentinel report loses a particle; the
     // round's conservation sum no longer matches.
-    let mut mutated = logs.clone();
+    let mut mutated = logs;
     let (rank, pos, ev) = find_sentinel(&mutated).expect("sentinel interval fired");
     if let ProtocolEvent::Sentinel {
         rank: r,
@@ -208,17 +181,6 @@ fn captured_logs_are_clean_and_mutations_are_caught() {
     assert!(
         v.iter().any(|v| v.property == "sentinel-conservation"),
         "losing a particle must break the sentinel sum: {v:?}"
-    );
-
-    // Seeded duplication: replay a pool checkin.
-    let mut mutated = logs;
-    let (rank, pos) = find_checkin(&mutated).expect("pools cycle during a run");
-    let dup = mutated[rank][pos];
-    mutated[rank].insert(pos + 1, dup);
-    let v = check_all_properties(n_particles, p, &mutated);
-    assert!(
-        v.iter().any(|v| v.property == "pool-balance"),
-        "a replayed checkin must unbalance the pool: {v:?}"
     );
 }
 
@@ -247,17 +209,6 @@ fn find_sentinel(logs: &[Vec<ProtocolEvent>]) -> Option<(usize, usize, ProtocolE
         for (i, ev) in events.iter().enumerate() {
             if matches!(ev, ProtocolEvent::Sentinel { count, .. } if *count > 0) {
                 return Some((rank, i, *ev));
-            }
-        }
-    }
-    None
-}
-
-fn find_checkin(logs: &[Vec<ProtocolEvent>]) -> Option<(usize, usize)> {
-    for (rank, events) in logs.iter().enumerate() {
-        for (i, ev) in events.iter().enumerate() {
-            if matches!(ev, ProtocolEvent::PoolCheckin { .. }) {
-                return Some((rank, i));
             }
         }
     }

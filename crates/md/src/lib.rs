@@ -21,7 +21,6 @@
 
 pub mod analysis;
 pub mod cells;
-pub mod checkpoint;
 pub mod force;
 pub mod init;
 pub mod integrate;

@@ -221,13 +221,6 @@ impl SerialSim {
         self.step_count
     }
 
-    /// Set the absolute step counter when resuming from a checkpoint
-    /// (the periodic thermostat fires on absolute step numbers, so a
-    /// resumed run must keep counting where the saved one stopped).
-    pub fn resume_at(&mut self, step: u64) {
-        self.step_count = step;
-    }
-
     /// Work counters of the most recent force evaluation. A fresh or
     /// reconfigured simulator has none until its next step.
     pub fn last_work(&self) -> WorkCounters {

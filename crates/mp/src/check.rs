@@ -238,28 +238,6 @@ pub enum ProtocolEvent {
         /// Consumed through a deadline/probe receive.
         probe: bool,
     },
-    /// A buffer left a [`BufferPool`](crate::pool::BufferPool).
-    PoolCheckout {
-        /// Process-unique pool id.
-        pool: u64,
-        /// Address identity of the checked-out buffer.
-        slot: usize,
-    },
-    /// A buffer was returned to a pool.
-    PoolCheckin {
-        /// Process-unique pool id.
-        pool: u64,
-        /// Address identity of the returned buffer.
-        slot: usize,
-    },
-    /// A pool was dropped. `panicking` distinguishes unwind teardown
-    /// (where outstanding buffers are expected) from a clean drop.
-    PoolDrop {
-        /// Process-unique pool id.
-        pool: u64,
-        /// Whether the owning thread was panicking at drop time.
-        panicking: bool,
-    },
     /// Application-level conservation report: this rank owned `count`
     /// particles when the step-`step` sentinel fired (emitted by the
     /// simulator, not by `Comm`).
@@ -336,13 +314,6 @@ impl std::fmt::Display for ProtocolEvent {
                 f,
                 "recv {src}->{dst} tag {tag} seq {seq}{}",
                 if probe { " (probe)" } else { "" }
-            ),
-            PoolCheckout { pool, slot } => write!(f, "pool {pool} checkout {slot:#x}"),
-            PoolCheckin { pool, slot } => write!(f, "pool {pool} checkin {slot:#x}"),
-            PoolDrop { pool, panicking } => write!(
-                f,
-                "pool {pool} drop{}",
-                if panicking { " (panicking)" } else { "" }
             ),
             Sentinel { rank, step, count } => {
                 write!(f, "sentinel r{rank} step {step} count {count}")

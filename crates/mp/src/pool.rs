@@ -26,36 +26,17 @@ use loom::sync::Arc;
 #[cfg(not(loom))]
 use std::sync::Arc;
 
-#[cfg(all(feature = "check", not(loom)))]
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-unique pool ids for the `check`-mode event trace.
-#[cfg(all(feature = "check", not(loom)))]
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(0);
-
 /// A pool of reusable `Arc`-backed buffers. See the module docs for the
 /// checkout → fill → checkin protocol.
-///
-/// In `check` builds every checkout and checkin is recorded on the
-/// thread's protocol event log (see [`crate::check`]), keyed by a
-/// process-unique pool id and the buffer's address identity — the model
-/// checker's balance property (no leak, no double-checkin) is a predicate
-/// over those events.
 #[derive(Debug)]
 pub struct BufferPool<T> {
     slots: Vec<Arc<T>>,
-    #[cfg(all(feature = "check", not(loom)))]
-    id: u64,
 }
 
 impl<T: Default> BufferPool<T> {
     /// An empty pool; buffers are created on demand.
     pub fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            #[cfg(all(feature = "check", not(loom)))]
-            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-        }
+        Self { slots: Vec::new() }
     }
 
     /// Hand out a buffer that is guaranteed uniquely owned (so
@@ -63,26 +44,15 @@ impl<T: Default> BufferPool<T> {
     /// left if one exists, otherwise a fresh default value. The caller
     /// fills it and returns it via [`BufferPool::checkin`].
     pub fn checkout(&mut self) -> Arc<T> {
-        let buf = match self.slots.iter().position(|s| Arc::strong_count(s) == 1) {
+        match self.slots.iter().position(|s| Arc::strong_count(s) == 1) {
             Some(i) => self.slots.swap_remove(i),
             None => Arc::new(T::default()),
-        };
-        #[cfg(all(feature = "check", not(loom)))]
-        crate::check::emit(crate::check::ProtocolEvent::PoolCheckout {
-            pool: self.id,
-            slot: Arc::as_ptr(&buf) as usize,
-        });
-        buf
+        }
     }
 
     /// Return a buffer to the pool. Outstanding clones are fine: the slot
     /// only becomes reusable once they are dropped.
     pub fn checkin(&mut self, buf: Arc<T>) {
-        #[cfg(all(feature = "check", not(loom)))]
-        crate::check::emit(crate::check::ProtocolEvent::PoolCheckin {
-            pool: self.id,
-            slot: Arc::as_ptr(&buf) as usize,
-        });
         self.slots.push(buf);
     }
 
@@ -102,19 +72,6 @@ impl<T: Default> BufferPool<T> {
 impl<T: Default> Default for BufferPool<T> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Closes the pool's event stream: the balance property treats a
-/// non-panicking drop with buffers still outstanding as a leak, while an
-/// unwind (rank death) legitimately abandons in-flight buffers.
-#[cfg(all(feature = "check", not(loom)))]
-impl<T> Drop for BufferPool<T> {
-    fn drop(&mut self) {
-        crate::check::emit(crate::check::ProtocolEvent::PoolDrop {
-            pool: self.id,
-            panicking: std::thread::panicking(),
-        });
     }
 }
 

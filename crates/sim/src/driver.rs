@@ -331,7 +331,7 @@ impl Launch {
                 let ckpt = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
                 // A restore's particles are placed here, once per launch.
                 let restored = ckpt.map(|ck| {
-                    let placed = Placed::new(&seg_cfg, &ck.md.particles);
+                    let placed = Placed::new(&seg_cfg, &ck.particles);
                     (ck, placed)
                 });
                 let start = (restored.as_ref()).map_or(Start::Fresh(&placed, &plan), |(ck, at)| {
@@ -357,7 +357,7 @@ impl Launch {
                 let guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
                 let ck = guard.as_ref().expect("drain deposits a checkpoint");
                 assert_eq!(
-                    ck.md.step, seg.end,
+                    ck.step, seg.end,
                     "drain checkpoint must sit exactly on the resize boundary"
                 );
             }
@@ -435,7 +435,7 @@ impl Launch {
             let gen_plan = remap_drained_checkpoint(&mut ck, &next, at_step, retile);
             (at_step, gen_plan.exchanges_once)
         };
-        let at = Placed::new(&next, &ck.md.particles);
+        let at = Placed::new(&next, &ck.particles);
         let start = Start::Restore(&ck, &at, exchanges_once);
         measured(&next, self.program(&next, launched, false), start)
     }

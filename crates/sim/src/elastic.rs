@@ -154,18 +154,18 @@ pub(crate) fn remap_drained_checkpoint(
     retiles: bool,
 ) -> LaunchPlan {
     assert_eq!(
-        ck.md.step, boundary,
+        ck.step, boundary,
         "drain checkpoint at step {} but the resize boundary is {boundary}",
-        ck.md.step
+        ck.step
     );
     assert_eq!(
-        ck.md.particles.len(),
+        ck.particles.len(),
         cfg.n_particles,
         "resize drain lost particles: checkpoint holds {} of {}",
-        ck.md.particles.len(),
+        ck.particles.len(),
         cfg.n_particles
     );
-    let work = Placed::new(cfg, &ck.md.particles).column_work();
+    let work = Placed::new(cfg, &ck.particles).column_work();
     let plan = launch_plan(DomainShape::SquarePillar, cfg, boundary, &work, retiles);
     let layout = plan.tiling();
     let grid = layout.grid();

@@ -130,7 +130,7 @@ pub(crate) fn run_launched(
     let mut start_step = 0;
     let mut records: Vec<StepRecord> = Vec::new();
     if let Start::Restore(ck, ..) = start {
-        start_step = ck.md.step;
+        start_step = ck.step;
         // (Only rank 0, the stats gather's root, holds records or reads
         // them.)
         if rank == 0 {

@@ -1,7 +1,7 @@
 //! The step frame: the one layout a neighbourhood exchange travels in.
 //!
-//! A rank builds each outgoing frame in place — a [`StepFrame`] from a
-//! [`pcdlb_mp::BufferPool`], refilled every step, its sections already in
+//! A rank builds each outgoing frame in place — a [`StepFrame`] it keeps
+//! per hop, cleared and refilled every step, its sections already in
 //! their wire form — and [`StepFrame::encode_into`] writes it into the
 //! message payload. The receiver decodes the payload into retained
 //! buffers ([`Received::decode`]), checking every byte against what it

@@ -9,7 +9,6 @@ use std::ops::Range;
 
 use pcdlb_core::protocol::{tags, DlbDecision, Transfer};
 use pcdlb_domain::{Col, DomainShape};
-use pcdlb_md::checkpoint::Checkpoint;
 use pcdlb_md::{place_by_id, Particle};
 use pcdlb_mp::{collectives, Comm, World};
 
@@ -74,11 +73,16 @@ impl PeState {
         exchanges_once: bool,
     ) -> Self {
         assert_eq!(
-            ck.md.particles.len(),
+            ck.particles.len(),
             cfg.n_particles,
             "checkpoint particle count does not match the configuration"
         );
-        let tiling = ck.tiling_for(cfg).unwrap_or_else(|e| panic!("{e}"));
+        let tiling = ck.tiling;
+        assert_eq!(
+            (tiling.grid().nc(), tiling.num_ranks()),
+            (cfg.nc, cfg.p),
+            "checkpoint tiled for another (nc, P) than the configuration's"
+        );
         // Replayed as decisions already made — "`col` now belongs to
         // `owner`" — so the windowed view filters them as it did live.
         let decisions: Vec<DlbDecision> = (ck.ownership.iter())
@@ -97,7 +101,7 @@ impl PeState {
         // The force pass after a restore recomputes the checkpointed
         // step's forces — with drifting speeds, its published load numbers
         // must use the checkpointed step too.
-        pe.cur_step = ck.md.step;
+        pe.cur_step = ck.step;
         pe.adopt(placed, &origin);
         pe.restore_retiles(&ck.retiles);
         // What the balancer holds between steps.
@@ -112,7 +116,9 @@ impl PeState {
     /// is rank 0's per-step series so far, embedded so a restore can
     /// reproduce the full report. A balancing run also gathers what its
     /// next decision rests on: the load each rank last announced and the
-    /// decision it gave that is still pending. The gather's
+    /// decision it gave that is still pending. The root puts each
+    /// particle at its id ([`place_by_id`]), failing as the snapshot
+    /// gather does where a particle was lost or doubled. The gather's
     /// virtual comm cost is excluded from the next step's delta, so
     /// checkpointing never changes any reported `t_step`.
     pub(crate) fn take_checkpoint(
@@ -144,8 +150,10 @@ impl PeState {
                 ownership.extend(cols.into_iter().map(|c| (c, rank)));
             }
             ownership.sort_unstable_by_key(|&(c, _)| c);
+            let n = self.cfg.n_particles;
             SimCheckpoint {
-                md: Checkpoint::new(step, self.box_len, particles),
+                step,
+                particles: place_by_id(n, particles, |p| p.id),
                 ownership,
                 tiling,
                 records: records.to_vec(),
@@ -283,23 +291,38 @@ mod tests {
     fn a_snapshot_gather_that_lost_or_doubled_a_particle_names_it() {
         // The root puts every gathered particle at its id: a set that is
         // not exactly 0..N, each once, fails there, not as a later digest
-        // mismatch. Particle 7 is relabelled 3 — 3 twice, 7 missing — on
-        // a 2 × 2 pillar whose ranks adopt it from the one placement.
+        // mismatch or a count mismatch at restore. Particle 7 is
+        // relabelled 3 — 3 twice, 7 missing — on a 2 × 2 pillar whose
+        // ranks adopt it from the one placement; the snapshot and the
+        // checkpoint gather both name it.
         let shape = DomainShape::SquarePillar;
         let cfg = super::super::testkit::shape_cfg(shape);
         let mut particles = initial_particles(&cfg);
         particles[7].id = 3;
         let placed = Placed::new(&cfg, &particles);
         let plan = LaunchPlan::unplanned(shape, &cfg, &placed.column_work());
-        let gathered = std::panic::catch_unwind(|| {
-            World::new(cfg.p).run(|comm| {
-                let pe = PeState::new(comm.rank(), &cfg, shape, &placed, &plan);
-                pe.gather_snapshot(comm)
-            })
-        });
-        let payload = gathered.expect_err("a snapshot of a wrong id set");
-        let message = payload.downcast_ref::<String>().expect("a message");
-        assert!(message.contains("particle id 3 came twice"), "{message}");
+        type Gather = fn(&mut PeState, &mut Comm) -> Option<Vec<Particle>>;
+        let gathers: [(&str, Gather); 2] = [
+            ("snapshot", |pe, comm| pe.gather_snapshot(comm)),
+            ("checkpoint", |pe, comm| {
+                let ck = pe.take_checkpoint(comm, 0, &[]);
+                ck.map(|ck| ck.particles)
+            }),
+        ];
+        for (what, gather) in gathers {
+            let gathered = std::panic::catch_unwind(|| {
+                World::new(cfg.p).run(|comm| {
+                    let mut pe = PeState::new(comm.rank(), &cfg, shape, &placed, &plan);
+                    gather(&mut pe, comm)
+                })
+            });
+            let payload = gathered.expect_err(what);
+            let message = payload.downcast_ref::<String>().expect("a message");
+            assert!(
+                message.contains("particle id 3 came twice"),
+                "{what}: {message}"
+            );
+        }
     }
 
     #[test]

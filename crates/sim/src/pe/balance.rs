@@ -234,7 +234,7 @@ impl Balance {
         neighbors: &[usize],
         ck: &SimCheckpoint,
     ) {
-        self.last_rebuild = ck.md.step;
+        self.last_rebuild = ck.step;
         if self.enabled {
             assert_eq!(
                 ck.loads.len(),

@@ -30,19 +30,17 @@
 //! transfers landed at the top of the step.
 //!
 //! Allocation-free in the steady state: staging lists, per-neighbour
-//! outboxes, per-section codecs and routes, pooled frames, the decoded
+//! outboxes, per-section codecs and routes, retained frames, the decoded
 //! frame and the received payloads are reused across steps. Nor does a
 //! particle cost a map lookup: a staging list is one index away, by
 //! column or by home.
-
-use std::sync::Arc;
 
 use pcdlb_core::protocol::{tags, Transfer};
 use pcdlb_domain::Col;
 use pcdlb_md::cells::CellSlab;
 use pcdlb_md::vec3::Vec3;
 use pcdlb_md::{axis_bin, Particle};
-use pcdlb_mp::{BufferPool, Comm};
+use pcdlb_mp::Comm;
 
 use super::topology::{behind_first_hop, dest_bit, foreign_around, push_run, CellClass, Route};
 use super::{Origin, PeState};
@@ -116,10 +114,9 @@ pub(super) struct Channels {
     /// wrote.
     routed: usize,
     refreshed: usize,
-    /// This exchange's outgoing frames, one per hop.
-    out: Vec<Arc<StepFrame>>,
-    /// Pooled outgoing step frames, refilled every exchange.
-    step_pool: BufferPool<StepFrame>,
+    /// This exchange's outgoing frames, one per hop, cleared at each
+    /// exchange; what leaves the rank is a frame's encoding.
+    out: Vec<StepFrame>,
     /// The payloads of the last exchange's incoming frames, by hop: kept
     /// until the next exchange replaces them.
     inbox: Vec<Vec<u8>>,
@@ -180,11 +177,6 @@ impl Channels {
         };
         &mut self.shells[at].1
     }
-}
-
-/// An outgoing frame, filled before it is sent.
-fn frame_mut(buf: &mut Arc<StepFrame>) -> &mut StepFrame {
-    Arc::get_mut(buf).expect("an outgoing frame is uniquely owned until it is sent")
 }
 
 /// The indices of the set bits of `bits`, ascending.
@@ -365,11 +357,8 @@ impl PeState {
             Exchange::Shells | Exchange::Refresh => self.refresh_caches(),
         }
         let mut out = std::mem::take(&mut self.exchange.out);
-        for _ in self.topology.hops() {
-            let mut buf = self.exchange.step_pool.checkout();
-            frame_mut(&mut buf).clear();
-            out.push(buf);
-        }
+        out.resize_with(self.topology.hops().len(), StepFrame::default);
+        out.iter_mut().for_each(StepFrame::clear);
         match exchange {
             Exchange::Migrants => self.originate_migrants(&mut out, load, decision),
             Exchange::Single => {
@@ -406,9 +395,6 @@ impl PeState {
             }
             first = end;
         }
-        for buf in out.drain(..) {
-            self.exchange.step_pool.checkin(buf);
-        }
         self.exchange.out = out;
         self.close_receipt(exchange);
         let elapsed = t0.elapsed_s();
@@ -422,7 +408,7 @@ impl PeState {
     /// for — and in a balancing run its load sections, one per hop.
     fn originate_migrants(
         &mut self,
-        out: &mut [Arc<StepFrame>],
+        out: &mut [StepFrame],
         load: Option<f64>,
         decision: Option<Transfer>,
     ) {
@@ -433,7 +419,7 @@ impl PeState {
             // Deterministic payloads: order emigrants by id.
             parts.sort_unstable_by_key(|p| p.id);
             let hop = self.topology.hop_of(mask);
-            frame_mut(&mut out[hop]).push_migrants(mask, rank, parts);
+            out[hop].push_migrants(mask, rank, parts);
             // Pre-diet layout: one flat particle message per neighbour,
             // plus a separate 8-byte load message where a load rides along.
             self.wire.migrate_baseline +=
@@ -444,7 +430,7 @@ impl PeState {
             for (buf, hop) in out.iter_mut().zip(self.topology.hops()) {
                 let mask = all & hop.behind;
                 if mask != 0 {
-                    frame_mut(buf).push_load(mask, rank, load, decision);
+                    buf.push_load(mask, rank, load, decision);
                 }
             }
         }
@@ -452,7 +438,7 @@ impl PeState {
 
     /// This PE's own ghost sections: each section's route cells, plus on a
     /// single-exchange step the departers staged for it, ascending id.
-    fn originate_shells(&mut self, out: &mut [Arc<StepFrame>]) {
+    fn originate_shells(&mut self, out: &mut [StepFrame]) {
         let rank = self.rank;
         for section in self.topology.sections() {
             let codec = self.exchange.shell(section.mask);
@@ -464,7 +450,7 @@ impl PeState {
         for (mask, codec) in &mut self.exchange.shells {
             if !codec.scratch.is_empty() {
                 let hop = self.topology.hop_of(*mask);
-                codec.pack_into(frame_mut(&mut out[hop]), *mask, rank);
+                codec.pack_into(&mut out[hop], *mask, rank);
             }
         }
         self.count_ghost_baseline();
@@ -472,14 +458,14 @@ impl PeState {
 
     /// This PE's own refresh sections: the positions of each section's
     /// route cells, in route order.
-    fn originate_refresh(&mut self, out: &mut [Arc<StepFrame>]) {
+    fn originate_refresh(&mut self, out: &mut [StepFrame]) {
         let rank = self.rank;
         for section in self.topology.sections() {
             let runs =
                 (section.route.iter()).map(|(col, span)| self.columns[col].run(span.clone()));
             let n = runs.clone().map(<[Particle]>::len).sum();
             let pos = runs.flatten().map(|p| p.pos);
-            frame_mut(&mut out[section.hop]).push_refresh(section.mask, rank, n, pos);
+            out[section.hop].push_refresh(section.mask, rank, n, pos);
         }
         self.count_ghost_baseline();
     }
@@ -542,7 +528,7 @@ impl PeState {
     /// that name this PE, and copy each one that names ranks beyond it
     /// into the frames of the later hops that lead there (`out[j]` is hop
     /// `later + j`). A frame that does not decode is a protocol fault.
-    fn take_in(&mut self, h: usize, later: usize, out: &mut [Arc<StepFrame>]) {
+    fn take_in(&mut self, h: usize, later: usize, out: &mut [StepFrame]) {
         let payload = std::mem::take(&mut self.exchange.inbox[h]);
         let mut frame = std::mem::take(&mut self.exchange.received);
         let arrival = self.topology.arrival(h);
@@ -589,12 +575,12 @@ impl PeState {
         head: &SectionHead,
         payload: &[u8],
         later: usize,
-        out: &mut [Arc<StepFrame>],
+        out: &mut [StepFrame],
     ) -> bool {
         let (mine, onward) = self.topology.passage(head.origin, head.mask, later);
         let raw = head.raw(payload);
         for j in set_bits(onward) {
-            frame_mut(&mut out[j]).relay(head, raw);
+            out[j].relay(head, raw);
         }
         if !mine {
             self.wire.relayed += (raw.len() * onward.count_ones() as usize) as u64;

@@ -4,8 +4,8 @@
 //! node failure; here: an injected fault or a real bug). The scheme is
 //! the classic coordinated checkpoint: every `cfg.checkpoint_interval`
 //! steps the ranks gather their particles and ownership view to rank 0
-//! ([`SimCheckpoint`]), which embeds `pcdlb_md::checkpoint`'s exact
-//! bit-preserving text format. A resilient launch
+//! ([`SimCheckpoint`]), which keeps it in memory: the checkpoint never
+//! leaves the process, so nothing is serialised. A resilient launch
 //! ([`Launch::run_resilient`](crate::driver::Launch::run_resilient))
 //! launches the world, and when any rank fails it tears the world down
 //! cleanly (collecting per-rank diagnostics), restores the last
@@ -21,30 +21,25 @@
 //! [`digest_run`](crate::digest::digest_run).
 
 use std::fmt;
-use std::io::{self, BufRead, BufWriter, Write};
 
-use pcdlb_core::protocol::{DlbDecision, Transfer};
+use pcdlb_core::protocol::Transfer;
 use pcdlb_domain::{Col, PillarLayout};
-use pcdlb_md::checkpoint::Checkpoint;
-use pcdlb_mp::{Torus2d, WorldError};
+use pcdlb_md::Particle;
+use pcdlb_mp::WorldError;
 
-use crate::config::RunConfig;
 use crate::report::StepRecord;
 
-/// The first line of a serialised [`SimCheckpoint`]. Version 2 added the
-/// `tiling` section, version 3 the `retiles` section; an older file is
-/// refused by name.
-const SIM_MAGIC: &str = "pcdlb-sim-checkpoint v3";
-
-/// A restartable distributed simulation state: the global MD state (as a
-/// [`Checkpoint`] in `pcdlb-md`'s exact format), the DLB ownership map
-/// and the tiling whose home tiles it started from, rank 0's per-step
-/// records up to the checkpointed step, and — the balancer decides a step
-/// ahead — what its next decision rests on.
+/// A restartable distributed simulation state: the step it was taken at,
+/// every particle, the DLB ownership map and the tiling whose home tiles
+/// it started from, rank 0's per-step records up to the checkpointed
+/// step, and — the balancer decides a step ahead — what its next decision
+/// rests on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimCheckpoint {
-    /// Particle phase space + step counter + box, id-sorted.
-    pub md: Checkpoint,
+    /// Steps completed when the checkpoint was taken.
+    pub step: u64,
+    /// Every particle's phase space, in ascending id order.
+    pub particles: Vec<Particle>,
     /// `(column, owner)` for every column, in column order.
     pub ownership: Vec<(Col, usize)>,
     /// The tiling the run stands on at the checkpointed step — the one it
@@ -52,7 +47,7 @@ pub struct SimCheckpoint {
     /// home to which column, and so which columns are permanent. A
     /// relaunch and a sentinel rollback both rebuild their views on it.
     pub tiling: PillarLayout,
-    /// Rank 0's step records for steps `1..=md.step`.
+    /// Rank 0's step records for steps `1..=step`.
     pub records: Vec<StepRecord>,
     /// The load each rank last announced to its neighbours, by rank: what
     /// every neighbour holds for it when the next step decides, and what
@@ -68,257 +63,6 @@ pub struct SimCheckpoint {
     /// The run's re-tiles up to the checkpointed step, as
     /// `RunReport::retiles` lists them: `(step, tiling, columns moved)`.
     pub retiles: Vec<(u64, PillarLayout, usize)>,
-}
-
-impl SimCheckpoint {
-    /// Serialise to any writer: a sim magic line, the embedded MD
-    /// checkpoint text, then `ownership`, `tiling`, `records`, `loads`,
-    /// `transfers` and `retiles` sections. All `f64`s travel as IEEE-754
-    /// bit patterns in hex, so a round trip is exact.
-    pub fn write_to(&self, w: impl Write) -> io::Result<()> {
-        let mut w = BufWriter::new(w);
-        writeln!(w, "{SIM_MAGIC}")?;
-        self.md.write_to(&mut w)?;
-        writeln!(w, "ownership {}", self.ownership.len())?;
-        for &(c, owner) in &self.ownership {
-            writeln!(w, "{} {} {}", c.cx, c.cy, owner)?;
-        }
-        let join = |starts: Vec<usize>, by: &str| {
-            let starts: Vec<String> = starts.iter().map(usize::to_string).collect();
-            starts.join(by)
-        };
-        let (nc, side) = (self.tiling.grid().nc(), self.tiling.torus().rows());
-        writeln!(w, "tiling {nc} {side}")?;
-        writeln!(w, "{}", join(self.tiling.xs(), " "))?;
-        writeln!(w, "{}", join(self.tiling.ys(), " "))?;
-        writeln!(w, "records {}", self.records.len())?;
-        for r in &self.records {
-            writeln!(
-                w,
-                "{} {:016x} {:016x} {:016x} {:016x} {:016x} {} {:016x} {:016x} {} {} {:016x} {:016x} {:016x} {}",
-                r.step,
-                r.t_step.to_bits(),
-                r.f_max.to_bits(),
-                r.f_ave.to_bits(),
-                r.f_min.to_bits(),
-                r.wall_s.to_bits(),
-                r.pair_checks,
-                r.c0_over_c.to_bits(),
-                r.n_factor.to_bits(),
-                r.max_cells,
-                r.transfers,
-                r.kinetic.to_bits(),
-                r.potential.to_bits(),
-                r.temperature.to_bits(),
-                r.rebuilt as u8,
-            )?;
-        }
-        writeln!(w, "loads {}", self.loads.len())?;
-        for load in &self.loads {
-            writeln!(w, "{:016x}", load.to_bits())?;
-        }
-        writeln!(w, "transfers {}", self.transfers.len())?;
-        for t in &self.transfers {
-            let DlbDecision { col, from, to } = t.decision;
-            let work = t.work.to_bits();
-            writeln!(w, "{} {} {from} {to} {work:016x}", col.cx, col.cy)?;
-        }
-        // A re-tile's tiling cuts the checkpoint's grid on its torus: one
-        // line each, its cut starts comma-separated.
-        writeln!(w, "retiles {}", self.retiles.len())?;
-        for (step, tiling, moved) in &self.retiles {
-            let (xs, ys) = (join(tiling.xs(), ","), join(tiling.ys(), ","));
-            writeln!(w, "{step} {moved} {xs} {ys}")?;
-        }
-        w.flush()
-    }
-
-    /// Parse from any reader. Errors carry the offending line.
-    pub fn read_from(r: impl io::Read) -> io::Result<Self> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let lines: Vec<String> = io::BufReader::new(r).lines().collect::<io::Result<_>>()?;
-        let mut it = lines.iter().map(String::as_str);
-        let magic = it.next().ok_or_else(|| bad("empty checkpoint"))?;
-        for (old, lacks) in [("v1", "their tiling"), ("v2", "their re-tiles")] {
-            if magic.trim() == format!("pcdlb-sim-checkpoint {old}") {
-                return Err(bad(&format!(
-                    "`{}` is a version {} checkpoint, written before checkpoints carried \
-                     {lacks}; this build reads `{SIM_MAGIC}` only",
-                    magic.trim(),
-                    &old[1..]
-                )));
-            }
-        }
-        if magic.trim() != SIM_MAGIC {
-            return Err(bad(&format!("bad sim magic line: `{magic}`")));
-        }
-        // The MD block runs until the `ownership` section header; particle
-        // lines always start with a digit, so the split is unambiguous.
-        let rest: Vec<&str> = it.collect();
-        let own_at = rest
-            .iter()
-            .position(|l| l.trim_start().starts_with("ownership "))
-            .ok_or_else(|| bad("missing ownership section"))?;
-        let md = Checkpoint::read_from(rest[..own_at].join("\n").as_bytes())?;
-
-        let mut it = rest[own_at..].iter();
-        let parse_header = |line: &str, what: &str| -> io::Result<usize> {
-            let f: Vec<&str> = line.split_whitespace().collect();
-            if f.len() != 2 || f[0] != what {
-                return Err(bad(&format!("bad {what} header: `{line}`")));
-            }
-            f[1].parse()
-                .map_err(|_| bad(&format!("bad {what} count: `{line}`")))
-        };
-        let n_own = parse_header(it.next().expect("position found the header"), "ownership")?;
-        let mut ownership = Vec::new();
-        for _ in 0..n_own {
-            let line = it
-                .next()
-                .ok_or_else(|| bad("truncated ownership section"))?;
-            let f: Vec<&str> = line.split_whitespace().collect();
-            if f.len() != 3 {
-                return Err(bad(&format!("bad ownership line: `{line}`")));
-            }
-            let cx = f[0].parse().map_err(|_| bad("bad cx"))?;
-            let cy = f[1].parse().map_err(|_| bad("bad cy"))?;
-            let owner = f[2].parse().map_err(|_| bad("bad owner"))?;
-            ownership.push((Col::new(cx, cy), owner));
-        }
-        // The cuts: a header naming the grid and the torus side, then one
-        // line of starts per axis. `PillarLayout::rectilinear` judges
-        // them — a cut set that does not tile its ring once is an error
-        // here, not a panic in some rank's scaffold.
-        let tiling_line = it.next().ok_or_else(|| bad("missing tiling section"))?;
-        let (nc, side) = match tiling_line.split_whitespace().collect::<Vec<_>>()[..] {
-            ["tiling", nc, side] => nc.parse::<usize>().ok().zip(side.parse::<usize>().ok()),
-            _ => None,
-        }
-        .ok_or_else(|| bad(&format!("bad tiling header: `{tiling_line}`")))?;
-        let mut cuts = || -> io::Result<Vec<usize>> {
-            let line = it.next().ok_or_else(|| bad("truncated tiling section"))?;
-            let starts: Result<Vec<usize>, _> = line.split_whitespace().map(str::parse).collect();
-            starts.map_err(|_| bad(&format!("bad tiling line: `{line}`")))
-        };
-        let (xs, ys) = (cuts()?, cuts()?);
-        if side == 0 || side > PillarLayout::MAX_SIDE {
-            return Err(bad(&format!("bad tiling: torus side {side}")));
-        }
-        let torus = Torus2d::new(side, side);
-        let tiling = PillarLayout::rectilinear(nc, torus, &xs, &ys)
-            .map_err(|e| bad(&format!("bad tiling: {e}")))?;
-        let rec_line = it.next().ok_or_else(|| bad("missing records section"))?;
-        let n_rec = parse_header(rec_line, "records")?;
-        let hex = |s: &str| -> io::Result<f64> {
-            Ok(f64::from_bits(
-                u64::from_str_radix(s, 16).map_err(|_| bad("bad f64 bits"))?,
-            ))
-        };
-        let mut records = Vec::new();
-        for _ in 0..n_rec {
-            let line = it.next().ok_or_else(|| bad("truncated records section"))?;
-            let f: Vec<&str> = line.split_whitespace().collect();
-            if f.len() != 15 {
-                return Err(bad(&format!("bad record line: `{line}`")));
-            }
-            records.push(StepRecord {
-                step: f[0].parse().map_err(|_| bad("bad step"))?,
-                t_step: hex(f[1])?,
-                f_max: hex(f[2])?,
-                f_ave: hex(f[3])?,
-                f_min: hex(f[4])?,
-                wall_s: hex(f[5])?,
-                pair_checks: f[6].parse().map_err(|_| bad("bad pair_checks"))?,
-                c0_over_c: hex(f[7])?,
-                n_factor: hex(f[8])?,
-                max_cells: f[9].parse().map_err(|_| bad("bad max_cells"))?,
-                transfers: f[10].parse().map_err(|_| bad("bad transfers"))?,
-                kinetic: hex(f[11])?,
-                potential: hex(f[12])?,
-                temperature: hex(f[13])?,
-                rebuilt: f[14].parse::<u8>().map_err(|_| bad("bad rebuilt"))? != 0,
-            });
-        }
-        let loads_line = it.next().ok_or_else(|| bad("missing loads section"))?;
-        let n_loads = parse_header(loads_line, "loads")?;
-        let mut loads = Vec::new();
-        for _ in 0..n_loads {
-            let line = it.next().ok_or_else(|| bad("truncated loads section"))?;
-            loads.push(hex(line.trim()).map_err(|_| bad(&format!("bad load line: `{line}`")))?);
-        }
-        let transfers_line = it.next().ok_or_else(|| bad("missing transfers section"))?;
-        let n_transfers = parse_header(transfers_line, "transfers")?;
-        let mut transfers = Vec::new();
-        for _ in 0..n_transfers {
-            let line = it
-                .next()
-                .ok_or_else(|| bad("truncated transfers section"))?;
-            let parsed = match line.split_whitespace().collect::<Vec<_>>()[..] {
-                [cx, cy, from, to, work] => (|| {
-                    let col = Col::new(cx.parse().ok()?, cy.parse().ok()?);
-                    let (from, to) = (from.parse().ok()?, to.parse().ok()?);
-                    let decision = DlbDecision { col, from, to };
-                    let work = hex(work).ok()?;
-                    Some(Transfer { decision, work })
-                })(),
-                _ => None,
-            };
-            transfers.push(parsed.ok_or_else(|| bad(&format!("bad transfer line: `{line}`")))?);
-        }
-        let retiles_line = it.next().ok_or_else(|| bad("missing retiles section"))?;
-        let n_retiles = parse_header(retiles_line, "retiles")?;
-        let mut retiles = Vec::new();
-        for _ in 0..n_retiles {
-            let line = it.next().ok_or_else(|| bad("truncated retiles section"))?;
-            let starts =
-                |s: &str| -> Option<Vec<usize>> { s.split(',').map(|v| v.parse().ok()).collect() };
-            let parsed = match line.split_whitespace().collect::<Vec<_>>()[..] {
-                [step, moved, xs, ys] => (|| {
-                    let (step, moved) = (step.parse().ok()?, moved.parse().ok()?);
-                    let layout = PillarLayout::rectilinear(nc, torus, &starts(xs)?, &starts(ys)?);
-                    Some((step, layout.ok()?, moved))
-                })(),
-                _ => None,
-            };
-            retiles.push(parsed.ok_or_else(|| bad(&format!("bad retile line: `{line}`")))?);
-        }
-        if it.any(|line| !line.trim().is_empty()) {
-            return Err(bad("trailing lines after the retiles section"));
-        }
-        Ok(Self {
-            md,
-            ownership,
-            tiling,
-            records,
-            loads,
-            transfers,
-            retiles,
-        })
-    }
-
-    /// The checkpointed tiling as the layout of a run of `cfg` — an error
-    /// when it was cut for another grid or another torus.
-    pub fn tiling_for(&self, cfg: &RunConfig) -> io::Result<PillarLayout> {
-        let (nc, p) = (self.tiling.grid().nc(), self.tiling.num_ranks());
-        if (nc, p) != (cfg.nc, cfg.p) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint tiled for nc = {nc}, P = {p}; the configuration has nc = {}, P = {}",
-                    cfg.nc, cfg.p
-                ),
-            ));
-        }
-        Ok(self.tiling)
-    }
-
-    /// Serialise to an in-memory string (small systems, tests).
-    pub fn to_string_repr(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_to(&mut buf)
-            .expect("in-memory write cannot fail");
-        String::from_utf8(buf).expect("checkpoint text is ASCII")
-    }
 }
 
 /// The run kept failing: a world generation died on every attempt its
@@ -350,7 +94,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::config::{Lattice, RunConfig};
     use crate::digest::{digest_records, digest_recovery};
-    use crate::driver::{run, run_with_snapshot, Ladder, LadderOutcome, Launch};
+    use crate::driver::{run_with_snapshot, Ladder, LadderOutcome, Launch};
     use crate::elastic::ResizePlan;
     use crate::pe::initial_particles;
 
@@ -397,245 +141,6 @@ pub(crate) mod tests {
                 comm.set_fault_plan(plan);
             }
         })
-    }
-
-    fn transfer(from: usize, to: usize, work: f64) -> Transfer {
-        let col = Col::new(from, to);
-        let decision = DlbDecision { col, from, to };
-        Transfer { decision, work }
-    }
-
-    #[test]
-    fn sim_checkpoint_round_trip_is_exact() {
-        let cfg = recovery_cfg();
-        let ck = SimCheckpoint {
-            md: Checkpoint::new(7, cfg.box_len(), initial_particles(&cfg)),
-            ownership: vec![(Col::new(0, 0), 0), (Col::new(3, 2), 3)],
-            tiling: PillarLayout::rectilinear(4, cfg.torus(), &[3, 1], &[0, 2]).unwrap(),
-            records: run(&cfg).records,
-            loads: vec![0.1, 0.25, -0.0, 1e-300],
-            transfers: vec![transfer(3, 0, 0.1 / 3.0), transfer(1, 2, 0.0)],
-            retiles: vec![
-                (
-                    2,
-                    PillarLayout::rectilinear(4, cfg.torus(), &[1, 2], &[0, 3]).unwrap(),
-                    5,
-                ),
-                (16, PillarLayout::new(4, cfg.torus()), 0),
-            ],
-        };
-        let text = ck.to_string_repr();
-        let back = SimCheckpoint::read_from(text.as_bytes()).expect("parse");
-        assert_eq!(ck.md, back.md);
-        assert_eq!(ck.ownership, back.ownership);
-        assert_eq!(ck.tiling, back.tiling);
-        let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&ck.loads), bits(&back.loads));
-        assert_eq!(ck.transfers, back.transfers);
-        assert_eq!(ck.retiles, back.retiles);
-        assert_eq!(ck.records.len(), back.records.len());
-        for (a, b) in ck.records.iter().zip(&back.records) {
-            assert_eq!(a, b, "record round trip must be bitwise exact");
-        }
-    }
-
-    #[test]
-    fn corrupt_sim_checkpoints_are_rejected_with_context() {
-        assert!(SimCheckpoint::read_from("".as_bytes()).is_err());
-        assert!(SimCheckpoint::read_from("wrong\n".as_bytes()).is_err());
-        let no_sections = "pcdlb-sim-checkpoint v3\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n";
-        let e = SimCheckpoint::read_from(no_sections.as_bytes()).unwrap_err();
-        assert!(e.to_string().contains("ownership"), "{e}");
-        // A checkpoint of a format before the `tiling` or the `retiles`
-        // section is turned away by its version, not by the section it
-        // lacks.
-        for old in [1, 2] {
-            let text = no_sections.replace("sim-checkpoint v3", &format!("sim-checkpoint v{old}"));
-            let e = SimCheckpoint::read_from(text.as_bytes()).unwrap_err();
-            assert!(
-                e.to_string().contains(&format!("version {old} checkpoint")),
-                "{e}"
-            );
-        }
-        let truncated = format!("{no_sections}ownership 2\n0 0 0\n");
-        let e = SimCheckpoint::read_from(truncated.as_bytes()).unwrap_err();
-        assert!(e.to_string().contains("truncated"), "{e}");
-        // A count no file backs is an error, not an allocation of its size.
-        for n in ["18446744073709551615", "1000000000000"] {
-            for text in [
-                format!("{no_sections}ownership {n}\n0 0 0\n"),
-                format!("{no_sections}ownership 0\ntiling 4 2\n0 2\n0 2\nrecords {n}\n"),
-            ] {
-                let e = SimCheckpoint::read_from(text.as_bytes()).expect_err(&text);
-                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "`{text}`: {e}");
-                assert!(e.to_string().contains("truncated"), "`{text}`: {e}");
-            }
-        }
-    }
-
-    #[test]
-    fn malformed_decide_ahead_sections_are_typed_errors() {
-        // What the balancer's next decision rests on rides the tail of
-        // the checkpoint. Cut that tail anywhere, mis-size its counts or
-        // garble a line: the reader answers with an error naming the
-        // section — it never panics, never allocates for a count it has
-        // not seen the lines of, and never hands back a shortened state.
-        let head = "pcdlb-sim-checkpoint v3\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
-                    ownership 0\ntiling 4 2\n0 2\n0 2\nrecords 0\n";
-        let load = format!("{:016x}", 0.5f64.to_bits());
-        let tail = format!("loads 2\n{load}\n{load}\ntransfers 1\n3 0 3 0 {load}\nretiles 0\n");
-        let whole = format!("{head}{tail}");
-        let ck = SimCheckpoint::read_from(whole.as_bytes()).expect("well-formed");
-        assert_eq!(ck.loads, [0.5, 0.5]);
-        assert_eq!(ck.transfers, [transfer(3, 0, 0.5)]);
-        // Every proper prefix that ends on a line boundary is short of
-        // something, and the error says of what.
-        for (cut, _) in tail.match_indices('\n').rev().skip(1) {
-            let text = format!("{head}{}", &tail[..=cut]);
-            let e = SimCheckpoint::read_from(text.as_bytes()).expect_err(&text);
-            let msg = e.to_string();
-            assert!(
-                msg.contains("missing") || msg.contains("truncated"),
-                "cut at {cut}: {msg}"
-            );
-        }
-        let e = SimCheckpoint::read_from(head.as_bytes()).unwrap_err();
-        assert!(e.to_string().contains("missing loads"), "{e}");
-        for (garbled, what) in [
-            // Counts that disagree with the lines that follow.
-            (tail.replace("loads 2", "loads 3"), "bad load line"),
-            (tail.replace("loads 2", "loads 1"), "bad transfers header"),
-            (
-                tail.replace("transfers 1", "transfers 2"),
-                "bad transfer line",
-            ),
-            (
-                tail.replace("transfers 1", "transfers 0"),
-                "bad retiles header",
-            ),
-            (
-                tail.replace("loads 2", "loads 18446744073709551615"),
-                "bad load line",
-            ),
-            (tail.replace("loads 2", "loads -1"), "bad loads count"),
-            (
-                tail.replace("transfers 1", "transfers many"),
-                "bad transfers count",
-            ),
-            (
-                tail.replace("transfers 1", "transfers"),
-                "bad transfers header",
-            ),
-            // Lines of the wrong shape.
-            (tail.replace("3 0 3 0", "3 0 3"), "bad transfer line"),
-            (tail.replace("3 0 3 0", "3 0 3 0 0"), "bad transfer line"),
-            (tail.replace("3 0 3 0", "3 0 -3 0"), "bad transfer line"),
-            (tail.replacen(&load, "0.5", 1), "bad load line"),
-            (tail.replacen(&load, "", 1), "bad load line"),
-        ] {
-            let text = format!("{head}{garbled}");
-            let e = SimCheckpoint::read_from(text.as_bytes()).expect_err(&text);
-            assert!(e.to_string().contains(what), "`{garbled}`: {e}");
-        }
-    }
-
-    #[test]
-    fn malformed_tiling_sections_are_typed_errors() {
-        // The cuts a restored rank builds its home tiles on come off the
-        // file: a cut set that does not tile its ring once, a torus no
-        // layout describes, a line cut short or garbled — each is an
-        // error naming the tiling, never a panic in a rank's scaffold and
-        // never an allocation sized by a number in the file.
-        let head = "pcdlb-sim-checkpoint v3\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
-                    ownership 0\n";
-        let tail = "records 0\nloads 0\ntransfers 0\nretiles 0\n";
-        let read = |tiling: &str| {
-            let text = format!("{head}{tiling}{tail}");
-            SimCheckpoint::read_from(text.as_bytes())
-        };
-        let ck = read("tiling 12 3\n0 2 3\n2 3 5\n").expect("well-formed");
-        assert_eq!(ck.tiling.to_string(), "2·1·9 from 0 × 1·2·9 from 2");
-        assert_eq!(ck.tiling.num_ranks(), 9);
-        for (tiling, what) in [
-            ("", "bad tiling header"),
-            ("tiling 12\n0 2 3\n2 3 5\n", "bad tiling header"),
-            ("tiling 12 three\n0 2 3\n2 3 5\n", "bad tiling header"),
-            ("tiling 12 3\n0 2 3\n", "bad tiling line"),
-            ("tiling 12 3\n0 2 x\n2 3 5\n", "bad tiling line"),
-            ("tiling 12 3\n0 2 -3\n2 3 5\n", "bad tiling line"),
-            // Cuts that do not cover each axis once.
-            ("tiling 12 3\n0 2\n2 3 5\n", "2 x cuts"),
-            ("tiling 12 3\n0 2 3\n2 3 5 7\n", "4 y cuts"),
-            ("tiling 12 3\n0 2 2\n2 3 5\n", "do not cover"),
-            ("tiling 12 3\n0 3 2\n2 3 5\n", "do not cover"),
-            ("tiling 12 3\n0 2 12\n2 3 5\n", "off the 12-column grid"),
-            // Sizes no layout has.
-            ("tiling 12 0\n\n\n", "torus side 0"),
-            ("tiling 12 33\n0\n0\n", "torus side 33"),
-            (
-                "tiling 12 18446744073709551615\n0\n0\n",
-                "torus side 18446744073709551615",
-            ),
-            ("tiling 1 1\n0\n0\n", "off the supported range"),
-            (
-                "tiling 18446744073709551615 1\n0\n0\n",
-                "off the supported range",
-            ),
-        ] {
-            let e = read(tiling).expect_err(tiling);
-            assert!(e.to_string().contains(what), "`{tiling}`: {e}");
-        }
-        let e = SimCheckpoint::read_from(head.as_bytes()).unwrap_err();
-        assert!(e.to_string().contains("missing tiling"), "{e}");
-        let cut = format!("{head}tiling 12 3\n0 2 3\n");
-        let e = SimCheckpoint::read_from(cut.as_bytes()).unwrap_err();
-        assert!(e.to_string().contains("truncated tiling"), "{e}");
-        // Well-formed cuts for another grid or torus than the run's.
-        assert!(ck.tiling_for(&busy_balancer_cfg()).is_ok());
-        for (p, nc) in [(16, 12), (9, 9)] {
-            let other = RunConfig::new(1000, nc, p, 0.05);
-            let e = ck.tiling_for(&other).unwrap_err();
-            assert!(e.to_string().contains("nc = 12, P = 9"), "{e}");
-        }
-    }
-
-    #[test]
-    fn malformed_retile_sections_are_typed_errors() {
-        // The re-tile history rides the end of the checkpoint, each entry
-        // a tiling of the checkpoint's own grid and torus: an entry whose
-        // cuts do not tile that ring, or a line of the wrong shape, is an
-        // error naming the section.
-        let head = "pcdlb-sim-checkpoint v3\npcdlb-checkpoint v1\nstep 0 box 0 n 0\n\
-                    ownership 0\ntiling 12 3\n0 4 8\n0 4 8\nrecords 0\nloads 0\ntransfers 0\n";
-        let read = |retiles: &str| SimCheckpoint::read_from(format!("{head}{retiles}").as_bytes());
-        let ck =
-            read("retiles 2\n64 65 0,2,3 2,3,11\n128 13 0,2,3 2,10,11\n").expect("well-formed");
-        let entries: Vec<String> = ck
-            .retiles
-            .iter()
-            .map(|(step, tiling, moved)| format!("{step} {tiling} {moved}"))
-            .collect();
-        assert_eq!(
-            entries,
-            [
-                "64 2·1·9 from 0 × 1·8·3 from 2 65",
-                "128 2·1·9 from 0 × 8·1·3 from 2 13"
-            ]
-        );
-        for (retiles, what) in [
-            ("", "missing retiles"),
-            ("retiles 1\n", "truncated retiles"),
-            ("retiles 1\n64 65 0,2,3\n", "bad retile line"),
-            ("retiles 1\n64 65 0,2 2,3,11\n", "bad retile line"),
-            ("retiles 1\n64 65 0,2,12 2,3,11\n", "bad retile line"),
-            ("retiles 1\n64 x 0,2,3 2,3,11\n", "bad retile line"),
-            ("retiles 1\n64 65 0,2,3 2;3;11\n", "bad retile line"),
-            ("retiles 0\n64 65 0,2,3 2,3,11\n", "trailing lines"),
-            ("retiles many\n", "bad retiles count"),
-        ] {
-            let e = read(retiles).expect_err(retiles);
-            assert!(e.to_string().contains(what), "`{retiles}`: {e}");
-        }
     }
 
     /// 3×3, m = 4, the cluster on rank 0's tile of the paper's tiling —
@@ -723,9 +228,9 @@ pub(crate) mod tests {
         let start = Start::Fresh(&placed, &plan);
         world().run(|comm| run_pe(comm, &to_5, drain, start, Some(&sink)));
         let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
-        assert_eq!((at_5.md.step, steps(&at_5.retiles)), (5, vec![2]));
+        assert_eq!((at_5.step, steps(&at_5.retiles)), (5, vec![2]));
         let resume = program(true, false);
-        let placed_5 = Placed::new(&cfg, &at_5.md.particles);
+        let placed_5 = Placed::new(&cfg, &at_5.particles);
         let start = Start::Restore(&at_5, &placed_5, plan.exchanges_once);
         let mut restored = world().run(|comm| run_pe(comm, &cfg, resume, start, None));
         let rank0 = restored.swap_remove(0);
@@ -834,7 +339,7 @@ pub(crate) mod tests {
         let start = Start::Fresh(&placed, &plan);
         pcdlb_mp::World::new(to_5.p).run(|comm| run_pe(comm, &to_5, program, start, Some(&sink)));
         let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
-        assert_eq!(at_5.md.step, 5);
+        assert_eq!(at_5.step, 5);
         assert!(!at_5.transfers.is_empty(), "nothing pending at step 5");
         // Rank 4 is the south-east neighbour the hot rank cannot send to.
         // It dies on its sixth stats gather: in step 6, the step that
