@@ -35,8 +35,9 @@
 //!   (`Vec::new`, `Vec::with_capacity`, `vec![`, `BTreeMap::new`,
 //!   `BTreeSet::new`, `.to_vec()`, `.collect()`) in the files the steady-state step flows through
 //!   (`frame.rs`, the run loop in `engine.rs` and the per-step modules of
-//!   `pe/` in `pcdlb-sim`; the cell slab's rebuild in `pcdlb-md`, which
-//!   both engines run every step). The step is allocation-free by
+//!   `pe/` in `pcdlb-sim`; in `pcdlb-md` the cell slab's rebuild, which
+//!   both engines run every step, the SoA/Verlet force path and the
+//!   serial simulator's step). The step is allocation-free by
 //!   construction — retained frames and scratch — and a stray
 //!   allocation silently reintroduces per-step heap churn. `pe/topology.rs`
 //!   is listed too: `Topology::refresh` runs whenever a transfer redraws a
@@ -216,10 +217,11 @@ const RULES: &[Rule] = &[
             "crates/sim/src/decomp.rs",
             "crates/sim/src/plane.rs",
             "crates/sim/src/cube.rs",
-            // The SoA/Verlet force path and the slab rebuild run every
-            // step: scratch must be retained (reset + reuse), never
-            // reallocated per pass.
+            // The SoA/Verlet force path, the slab rebuild and the serial
+            // simulator's step run every step: scratch must be retained
+            // (reset + reuse), never reallocated per pass.
             "crates/md/src/cells.rs",
+            "crates/md/src/serial.rs",
             "crates/md/src/soa.rs",
             "crates/md/src/verlet.rs",
         ],

@@ -330,13 +330,12 @@ impl PairKernel {
     /// each in-range combination's potential and virial (`None` skips the
     /// energy accumulation entirely, leaving the f64 counters untouched).
     ///
-    /// The overlapped SPMD schedule needs this split because it evaluates
-    /// a pair straddling the interior/boundary frontier twice — once per
-    /// pass, storing one side each — and must credit the pair's energy
-    /// exactly once, at the pass that owns the pair's *home* cell, with
-    /// the same weight (`0.5 × owned sides`) the fused single pass uses.
-    /// Any other assignment would permute the f64 energy sums between the
-    /// fused and overlapped schedules and break their bitwise parity.
+    /// [`PairKernel::accumulate_pair`] is this call with the credit
+    /// `0.5 × stored sides`: a pair an owned cell shares with a ghost is
+    /// evaluated on both PEs, each storing its own side and crediting
+    /// half. The split is the kernel-level form of a Verlet replay's
+    /// [`crate::verlet::SegAction`], which names stores and credit
+    /// separately, and what the SoA mirror is cross-checked against.
     /// Force storage and the u64 work counters still follow `fa`/`fb`.
     #[allow(clippy::too_many_arguments)]
     pub fn accumulate_pair_credited(

@@ -78,15 +78,33 @@ pub fn place_by_id<T: Copy>(
     items: impl IntoIterator<Item = T>,
     id: impl Fn(&T) -> u64,
 ) -> Vec<T> {
+    let (mut placed, mut seen) = (Vec::new(), Vec::new());
+    let items = items.into_iter().map(|item| (id(&item), item));
+    place_by_id_into(&mut placed, &mut seen, n, items);
+    placed
+}
+
+/// [`place_by_id`] of `(id, value)` items into buffers the caller keeps:
+/// `placed` is refilled with the values in ascending id order, `seen` is
+/// the scratch that catches a lost or duplicated id (same failures).
+/// Neither allocates once it has held `n` items.
+pub fn place_by_id_into<T: Copy>(
+    placed: &mut Vec<T>,
+    seen: &mut Vec<bool>,
+    n: usize,
+    items: impl IntoIterator<Item = (u64, T)>,
+) {
     let mut items = items.into_iter().peekable();
+    placed.clear();
     // Every slot starts as a copy of the first item and is overwritten.
-    let Some(&first) = items.peek() else {
+    let Some(&(_, first)) = items.peek() else {
         assert!(n == 0, "particle id 0 is missing");
-        return Vec::new();
+        return;
     };
-    let (mut placed, mut seen) = (vec![first; n], vec![false; n]);
-    for item in items {
-        let i = id(&item);
+    placed.resize(n, first);
+    seen.clear();
+    seen.resize(n, false);
+    for (i, item) in items {
         let at = (usize::try_from(i).ok())
             .filter(|&at| at < n)
             .unwrap_or_else(|| panic!("particle id {i} is outside 0..{n}"));
@@ -99,7 +117,6 @@ pub fn place_by_id<T: Copy>(
     if let Some(missing) = seen.iter().position(|&s| !s) {
         panic!("particle id {missing} is missing");
     }
-    placed
 }
 
 #[cfg(test)]

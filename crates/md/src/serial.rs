@@ -13,6 +13,8 @@
 //! from a single distance evaluation. Forces live in one flat array
 //! aligned with the grid's contiguous particle storage.
 
+use std::ops::Range;
+
 use crate::cells::{CellGrid, HALF_OFFSETS_13};
 use crate::force::{disjoint_ranges_mut, PairKernel, WorkCounters};
 use crate::integrate::{kick, kick_drift, kick_drift_nowrap};
@@ -70,6 +72,9 @@ pub struct SerialSim {
     soa: SoaField,
     vlist: VerletList,
     last_rebuild: bool,
+    /// [`SerialSim::kinetic_energy_id_ordered`]'s energies by id and
+    /// seen flags, kept between steps.
+    ke_scratch: (Vec<f64>, Vec<bool>),
 }
 
 /// One half-shell force pass over a canonicalized grid: intra-cell
@@ -160,6 +165,7 @@ impl SerialSim {
             soa: SoaField::new(),
             vlist: VerletList::new(),
             last_rebuild: true,
+            ke_scratch: Default::default(),
         }
     }
 
@@ -331,12 +337,14 @@ impl SerialSim {
 
     /// Kinetic energy summed in ascending particle-id order — the
     /// canonical order shared with the parallel simulator's thermostat
-    /// gather, so both produce bitwise identical scale factors.
-    pub fn kinetic_energy_id_ordered(&self) -> f64 {
+    /// gather, so both produce bitwise identical scale factors. Placed in
+    /// retained scratch: a step allocates nothing for it.
+    pub fn kinetic_energy_id_ordered(&mut self) -> f64 {
         let parts = self.grid.particles();
         let kes = parts.iter().map(|p| (p.id, 0.5 * p.vel.norm2()));
-        let kes = crate::place_by_id(parts.len(), kes, |&(id, _)| id);
-        kes.iter().map(|&(_, ke)| ke).sum()
+        let (placed, seen) = &mut self.ke_scratch;
+        crate::place_by_id_into(placed, seen, parts.len(), kes);
+        placed.iter().sum()
     }
 
     /// Recompute all forces from scratch in the canonical order. With
@@ -372,32 +380,63 @@ impl SerialSim {
     /// Record the Verlet segment list from the current (canonicalized)
     /// binning: the exact walk of [`compute_forces_half_shell`] — intra,
     /// the 13 forward offsets with their wrap shifts, then the pull —
-    /// with candidate pairs admitted within `r_c + skin`.
+    /// with candidate pairs admitted within `r_c + skin`, into room
+    /// reserved at the walk's candidate bound.
     fn rebuild_verlet(&mut self) {
         let n = self.grid.num_particles();
         self.soa.reset(n, n);
         self.soa.load_positions(0, self.grid.particles());
         self.vlist.clear();
+        let mut bound = 0;
+        for_each_block(&self.grid, |block| {
+            bound += match block {
+                Block::Intra(h) => VerletList::intra_candidates(h.len()),
+                Block::Pair(h, nb, _) => VerletList::pair_candidates(h.len(), nb.len()),
+                Block::Pull(_) => 0,
+            }
+        });
+        self.vlist.reserve(bound);
         let reach = self.kernel.lj.rcut + self.skin;
         let reach2 = reach * reach;
-        for idx in 0..self.grid.total_cells() {
-            let hr = self.grid.cell_range(idx);
-            if hr.is_empty() {
-                continue;
-            }
-            let home = self.grid.coord_of(idx);
-            self.vlist.record_intra(&self.soa, hr.clone(), reach2, 0, 0);
-            for offset in HALF_OFFSETS_13 {
-                let (ncell, shift) = self.grid.wrap_neighbor(home, offset);
-                let nr = self.grid.cell_range(self.grid.index(ncell));
-                if nr.is_empty() {
-                    continue;
-                }
-                self.vlist
-                    .record_pair(&self.soa, hr.clone(), nr, shift, reach2, 0, 0, 0);
-            }
-            self.vlist.record_pull(hr, 0, 0);
+        let (soa, vlist, pull) = (&self.soa, &mut self.vlist, &self.pull);
+        for_each_block(&self.grid, |block| match block {
+            Block::Intra(h) => vlist.record_intra(soa, h, reach2, 0, 0),
+            Block::Pair(h, nb, shift) => vlist.record_pair(soa, h, nb, shift, reach2, 0, 0, 0),
+            Block::Pull(h) => vlist.record_pull(pull, h, 0, 0),
+        });
+    }
+}
+
+/// One kernel block of the serial half-shell walk, as slot ranges of the
+/// grid's particle storage.
+enum Block {
+    /// A home cell's intra triangle.
+    Intra(Range<usize>),
+    /// A home cell against one forward neighbour cell and its shift.
+    Pair(Range<usize>, Range<usize>, Vec3),
+    /// The external pull on a home cell.
+    Pull(Range<usize>),
+}
+
+/// The blocks of [`compute_forces_half_shell`]'s walk in its order:
+/// for each non-empty home cell ascending, the intra triangle, the
+/// non-empty forward neighbours of [`HALF_OFFSETS_13`], then the pull.
+fn for_each_block(grid: &CellGrid, mut f: impl FnMut(Block)) {
+    for idx in 0..grid.total_cells() {
+        let hr = grid.cell_range(idx);
+        if hr.is_empty() {
+            continue;
         }
+        let home = grid.coord_of(idx);
+        f(Block::Intra(hr.clone()));
+        for offset in HALF_OFFSETS_13 {
+            let (ncell, shift) = grid.wrap_neighbor(home, offset);
+            let nr = grid.cell_range(grid.index(ncell));
+            if !nr.is_empty() {
+                f(Block::Pair(hr.clone(), nr, shift));
+            }
+        }
+        f(Block::Pull(hr));
     }
 }
 

@@ -3,30 +3,44 @@
 //! A [`VerletList`] is a flat CSR-style recording of one canonical
 //! half-shell force walk over a frozen cell binning: the walk is run
 //! once at a *rebuild step* with the widened reach `r_c + skin`,
-//! recording — in exact walk order — one [`Segment`] per kernel call
-//! (intra-cell triangle, cell-vs-cell pair block, or external-pull
-//! sweep) and, for the pair kinds, the candidate pairs that fell within
-//! the reach. Until the next rebuild, every step *replays* the recording
-//! against fresh positions: the same segments, the same pairs, the same
-//! floating-point expressions in the same per-slot order — which makes
-//! the replayed force sums **bitwise identical** to re-running the full
-//! walk over the frozen binning, while touching only
-//! `~ρ·4π(r_c+skin)³/3` candidates per particle instead of the whole
-//! 27-cell neighbourhood.
+//! recording — in exact walk order — the candidate pairs of every
+//! kernel block (intra-cell triangle or cell-vs-cell pair block) that
+//! fell within the reach, and a table of [`Segment`]s over them. Until
+//! the next rebuild, every step *replays* the recording against fresh
+//! positions: the same pairs, the same floating-point expressions in the
+//! same per-slot order — which makes the replayed force sums **bitwise
+//! identical** to re-running the full walk over the frozen binning,
+//! while touching only `~ρ·4π(r_c+skin)³/3` candidates per particle
+//! instead of the whole 27-cell neighbourhood.
+//!
+//! A segment is one intra triangle, one external-pull sweep over a home
+//! cell's slots (recorded only while a pull is on), or a *run* of
+//! consecutive pair blocks that replay alike: same class codes, bucket
+//! and periodic shift. Such a run merges into one segment, its pairs
+//! already contiguous and in walk order, so merging changes neither the
+//! pairs nor the order they are replayed in. Shifts live in a small table
+//! on the list (at most the 27 periodic images), which keeps a segment at
+//! 24 bytes.
 //!
 //! Work accounting stays in the paper's full-shell directed-check
-//! units: each pair segment caches its build-time candidate count
-//! (`|a|·|b|`, occupancy-based and constant while the binning is
-//! frozen), so `pair_checks` totals are identical whether a step walked
-//! or replayed — DLB decisions and the figures are numerically
-//! unchanged.
+//! units: each segment caches its build-time candidate count (`|a|·|b|`
+//! summed over its pair blocks, occupancy-based and constant while the
+//! binning is frozen), so `pair_checks` totals are identical whether a
+//! step walked or replayed — DLB decisions and the figures are
+//! numerically unchanged.
 //!
-//! Segments carry two caller-defined *class codes* (`ca`, `cb` — e.g.
-//! interior / frontier / ghost in the pillar decomposition) and a work
-//! *bucket*; replay takes a policy closure mapping a segment to store
-//! flags and an energy credit, which is how the overlapped
-//! interior/frontier schedule replays the same recording twice per step
-//! with complementary stores.
+//! Segments carry two caller-defined *class codes* (`ca`, `cb` — the
+//! pillar decomposition's owned / ghost) and a work *bucket*; replay
+//! takes a policy closure mapping a segment to store flags and an energy
+//! credit, which is how the parallel engines store only the owned sides
+//! of a block and credit half of a pair a ghost shares.
+//!
+//! A rebuild records into room reserved once, at the walk's candidate
+//! bound ([`VerletList::reserve`]): the branch-free sweep writes every
+//! candidate at the cursor, so the bound — `Σ|a|·|b|` over the pair
+//! blocks plus `Σ n(n−1)/2` over the intra triangles — is the most it
+//! can touch, and the recording itself never reallocates the pair
+//! storage.
 
 use std::ops::Range;
 
@@ -46,7 +60,9 @@ pub enum SegKind {
     Pull,
 }
 
-/// One recorded kernel call of the frozen walk.
+/// One recorded kernel call of the frozen walk, or — for `Pair` — a run
+/// of consecutive pair blocks with the same class codes, bucket and
+/// shift. 24 bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct Segment {
     /// Segment kind.
@@ -55,16 +71,17 @@ pub struct Segment {
     pub ca: u8,
     /// Caller-defined class code of the neighbour side (pair segments).
     pub cb: u8,
+    /// Index into the list's shift table: the periodic-image shift
+    /// applied to the neighbour side (`Pair` segments).
+    shift: u8,
     /// Index into the replay's `WorkCounters` slice.
     pub bucket: u32,
     /// Range into the pair list (`Intra`/`Pair`) or the flat slot range
     /// (`Pull`).
     start: u32,
     end: u32,
-    /// Periodic-image shift applied to the neighbour side.
-    shift: Vec3,
-    /// Build-time candidate count in full-shell units: `|a|·|b|` for
-    /// pair segments, `n·(n−1)` for intra segments.
+    /// Build-time candidate count in full-shell units: `|a|·|b|` summed
+    /// over a pair segment's blocks, `n·(n−1)` for intra segments.
     occ: u64,
 }
 
@@ -107,7 +124,13 @@ pub struct VerletList {
     pairs: Vec<(u32, u32)>,
     /// The recorder's cursor: number of recorded pairs.
     n_pairs: usize,
+    /// The candidate bound of the recording under way, once
+    /// [`VerletList::reserve`] has made room for it.
+    reserved: Option<usize>,
     segs: Vec<Segment>,
+    /// The distinct neighbour-side shifts, in order of first use;
+    /// `Segment::shift` indexes it.
+    shifts: Vec<Vec3>,
 }
 
 impl VerletList {
@@ -116,10 +139,36 @@ impl VerletList {
         Self::default()
     }
 
-    /// Drop the recording, retaining capacity.
+    /// Drop the recording and its reservation, retaining capacity.
     pub fn clear(&mut self) {
         self.n_pairs = 0;
+        self.reserved = None;
         self.segs.clear();
+        self.shifts.clear();
+    }
+
+    /// Make room, once, for a recording whose blocks scan at most
+    /// `bound` candidates — [`VerletList::pair_candidates`] and
+    /// [`VerletList::intra_candidates`] summed over the walk's blocks,
+    /// everything the branch-free sweeps can write — so recording them
+    /// never reallocates the pair storage. Only capacity is taken: the
+    /// sweeps initialise what they reach, which on a gas is a fraction
+    /// of the bound. Call after [`VerletList::clear`]; the recording then
+    /// stays inside the bound (debug builds assert it). A list recorded
+    /// without a reservation grows its storage block by block instead.
+    pub fn reserve(&mut self, bound: usize) {
+        self.pairs.reserve(bound.saturating_sub(self.pairs.len()));
+        self.reserved = Some(bound);
+    }
+
+    /// Candidates a pair block of `a` against `b` slots scans: `a·b`.
+    pub fn pair_candidates(a: usize, b: usize) -> usize {
+        a * b
+    }
+
+    /// Candidates the intra triangle over `n` slots scans: `n(n−1)/2`.
+    pub fn intra_candidates(n: usize) -> usize {
+        n * n.saturating_sub(1) / 2
     }
 
     /// Total recorded (half) pairs.
@@ -128,10 +177,15 @@ impl VerletList {
     }
 
     /// Room for `candidates` more pairs behind the cursor, as a slice
-    /// the sweep can write every candidate into. Grows the storage only
-    /// past its high-water mark, once per block — never per candidate.
+    /// the sweep can write every candidate into. The storage is extended
+    /// only past its high-water mark, once per block — never per
+    /// candidate — and inside a reservation without reallocating.
     fn room(&mut self, candidates: usize) -> &mut [(u32, u32)] {
         let end = self.n_pairs + candidates;
+        debug_assert!(
+            self.reserved.is_none_or(|bound| end <= bound),
+            "a block writes past the reserved candidate bound"
+        );
         if self.pairs.len() < end {
             self.pairs.resize(end, (0, 0));
         }
@@ -173,7 +227,7 @@ impl VerletList {
         // simply overwritten by the next candidate. Same pairs, same
         // order as testing first and pushing the hits.
         let start = self.n_pairs;
-        let out = self.room(a.len() * b.len());
+        let out = self.room(Self::pair_candidates(a.len(), b.len()));
         let (xs, ys, zs) = (&soa.xs[b.clone()], &soa.ys[b.clone()], &soa.zs[b.clone()]);
         let mut at = 0usize;
         for i in a.clone() {
@@ -187,16 +241,44 @@ impl VerletList {
             }
         }
         self.n_pairs += at;
-        self.segs.push(Segment {
-            kind: SegKind::Pair,
-            ca,
-            cb,
-            bucket,
-            start: start as u32,
-            end: self.n_pairs as u32,
-            shift,
-            occ: a.len() as u64 * b.len() as u64,
-        });
+        let shift = self.shift_index(shift);
+        let (end, occ) = (self.n_pairs as u32, a.len() as u64 * b.len() as u64);
+        // A block replaying like the segment before it extends that
+        // segment: its pairs already follow on in the pair list.
+        match self.segs.last_mut() {
+            Some(last)
+                if last.kind == SegKind::Pair
+                    && (last.ca, last.cb, last.bucket, last.shift) == (ca, cb, bucket, shift) =>
+            {
+                debug_assert_eq!(last.end as usize, start);
+                last.end = end;
+                last.occ += occ;
+            }
+            _ => self.segs.push(Segment {
+                kind: SegKind::Pair,
+                ca,
+                cb,
+                shift,
+                bucket,
+                start: start as u32,
+                end,
+                occ,
+            }),
+        }
+    }
+
+    /// `shift`'s index in the shift table, bit for bit (a `-0.0` is not
+    /// a `0.0`: replay must add exactly what the walk adds).
+    fn shift_index(&mut self, shift: Vec3) -> u8 {
+        let bits = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        let at = match self.shifts.iter().position(|s| bits(s) == bits(&shift)) {
+            Some(at) => at,
+            None => {
+                self.shifts.push(shift);
+                self.shifts.len() - 1
+            }
+        };
+        u8::try_from(at).expect("more than 256 distinct periodic shifts")
     }
 
     /// Record one intra-cell triangle over slots `r` (candidates with
@@ -214,7 +296,7 @@ impl VerletList {
             return;
         }
         let start = self.n_pairs;
-        let out = self.room(r.len() * (r.len() - 1) / 2);
+        let out = self.room(Self::intra_candidates(r.len()));
         let mut at = 0usize;
         for i in r.clone() {
             for j in (i + 1)..r.end {
@@ -231,29 +313,30 @@ impl VerletList {
             kind: SegKind::Intra,
             ca,
             cb: ca,
+            shift: 0,
             bucket,
             start: start as u32,
             end: self.n_pairs as u32,
-            shift: Vec3::ZERO,
             occ: n * (n - 1),
         });
     }
 
-    /// Record one external-pull sweep over slots `r`. No-op for empty
-    /// ranges; recorded even when the pull is currently `None` (replay
-    /// checks, so enabling a pull later needs no list rebuild).
-    pub fn record_pull(&mut self, r: Range<usize>, ca: u8, bucket: u32) {
-        if r.is_empty() {
+    /// Record one sweep of `pull` over slots `r`. No-op for empty ranges
+    /// and for a pull that is off (`ExternalPull::None`): a list records
+    /// the pull it was built with, and a caller that changes the pull
+    /// rebuilds the list.
+    pub fn record_pull(&mut self, pull: &ExternalPull, r: Range<usize>, ca: u8, bucket: u32) {
+        if r.is_empty() || pull.is_none() {
             return;
         }
         self.segs.push(Segment {
             kind: SegKind::Pull,
             ca,
             cb: ca,
+            shift: 0,
             bucket,
             start: r.start as u32,
             end: r.end as u32,
-            shift: Vec3::ZERO,
             occ: 0,
         });
     }
@@ -342,7 +425,8 @@ impl VerletList {
         w: &mut WorkCounters,
     ) {
         let ps = &self.pairs[seg.start as usize..seg.end as usize];
-        let (sx, sy, sz) = (seg.shift.x, seg.shift.y, seg.shift.z);
+        let shift = self.shifts[seg.shift as usize];
+        let (sx, sy, sz) = (shift.x, shift.y, shift.z);
         for &(i, j) in ps {
             let (i, j) = (i as usize, j as usize);
             let rx = (soa.xs[j] + sx) - soa.xs[i];
@@ -497,31 +581,81 @@ mod tests {
         grid
     }
 
-    /// Record the serial walk over `grid` into `list` (single bucket 0,
-    /// single class 0).
-    fn record_walk(grid: &CellGrid, soa: &mut SoaField, list: &mut VerletList, reach: f64) {
-        let n = grid.num_particles();
-        soa.reset(n, n);
-        soa.load_positions(0, grid.particles());
-        list.clear();
-        let reach2 = reach * reach;
+    /// One block of the serial walk: home slots, neighbour slots and
+    /// shift (`None` for the intra triangle), home and neighbour cells.
+    type WalkBlock = (Range<usize>, Option<(Range<usize>, Vec3)>, usize, usize);
+
+    /// The serial walk's blocks over `grid`, one list per non-empty home
+    /// cell in walk order: its intra triangle (no neighbour), then its
+    /// non-empty forward neighbours; the pull follows them.
+    fn walk_blocks(grid: &CellGrid) -> Vec<Vec<WalkBlock>> {
+        let mut homes = Vec::new();
         for idx in 0..grid.total_cells() {
             let hr = grid.cell_range(idx);
             if hr.is_empty() {
                 continue;
             }
-            let home = grid.coord_of(idx);
-            list.record_intra(soa, hr.clone(), reach2, 0, 0);
+            let mut blocks = vec![(hr.clone(), None, idx, idx)];
             for offset in HALF_OFFSETS_13 {
-                let (ncell, shift) = grid.wrap_neighbor(home, offset);
-                let nr = grid.cell_range(grid.index(ncell));
-                if nr.is_empty() {
-                    continue;
+                let (ncell, shift) = grid.wrap_neighbor(grid.coord_of(idx), offset);
+                let nidx = grid.index(ncell);
+                let nr = grid.cell_range(nidx);
+                if !nr.is_empty() {
+                    blocks.push((hr.clone(), Some((nr, shift)), idx, nidx));
                 }
-                list.record_pair(soa, hr.clone(), nr, shift, reach2, 0, 0, 0);
             }
-            list.record_pull(hr, 0, 0);
+            homes.push(blocks);
         }
+        homes
+    }
+
+    /// The walk's candidate bound: what [`VerletList::reserve`] takes.
+    fn walk_bound(grid: &CellGrid) -> usize {
+        let blocks = walk_blocks(grid).into_iter().flatten();
+        blocks
+            .map(|(h, nb, ..)| match nb {
+                None => VerletList::intra_candidates(h.len()),
+                Some((nr, _)) => VerletList::pair_candidates(h.len(), nr.len()),
+            })
+            .sum()
+    }
+
+    /// Record the walk's blocks into `list` behind what it holds; cell
+    /// `c`'s class code and work bucket are `key(c)`.
+    fn record_blocks(
+        grid: &CellGrid,
+        soa: &SoaField,
+        list: &mut VerletList,
+        reach: f64,
+        pull: &ExternalPull,
+        key: impl Fn(usize) -> (u8, u32),
+    ) {
+        let reach2 = reach * reach;
+        for blocks in walk_blocks(grid) {
+            let home = blocks[0].0.clone();
+            let (ca, bucket) = key(blocks[0].2);
+            for (hr, nb, _, nidx) in blocks {
+                match nb {
+                    None => list.record_intra(soa, hr, reach2, ca, bucket),
+                    Some((nr, shift)) => {
+                        let cb = key(nidx).0;
+                        list.record_pair(soa, hr, nr, shift, reach2, ca, cb, bucket)
+                    }
+                }
+            }
+            list.record_pull(pull, home, ca, bucket);
+        }
+    }
+
+    /// Record the serial walk over `grid` into `list` (single bucket 0,
+    /// single class 0, no pull), reserved at its candidate bound.
+    fn record_walk(grid: &CellGrid, soa: &mut SoaField, list: &mut VerletList, reach: f64) {
+        let n = grid.num_particles();
+        soa.reset(n, n);
+        soa.load_positions(0, grid.particles());
+        list.clear();
+        list.reserve(walk_bound(grid));
+        record_blocks(grid, soa, list, reach, &ExternalPull::None, |_| (0, 0));
     }
 
     #[test]
@@ -535,7 +669,12 @@ mod tests {
             let w_walk = compute_forces_half_shell(&grid, &kernel, &pull, &mut walk_forces);
             let mut soa = SoaField::new();
             let mut list = VerletList::new();
-            record_walk(&grid, &mut soa, &mut list, kernel.lj.rcut + skin);
+            let n = grid.num_particles();
+            soa.reset(n, n);
+            soa.load_positions(0, grid.particles());
+            record_blocks(&grid, &soa, &mut list, kernel.lj.rcut + skin, &pull, |_| {
+                (0, 0)
+            });
             soa.zero_forces();
             let mut work = [WorkCounters::default()];
             list.replay(
@@ -661,20 +800,23 @@ mod tests {
         pairs
     }
 
-    /// A 3×3×3 grid (every forward offset wraps somewhere, so shifts are
-    /// non-zero) with `occ[c]` particles in cell `c`, on a jittered
-    /// sub-lattice so no two coincide.
-    fn grid_with_occupancy(occ: &[usize]) -> CellGrid {
-        let mut grid = CellGrid::new(3, 9.0);
+    /// An `nc³` grid of 3σ cells with `occ[c]` particles in cell `c`, on
+    /// a jittered sub-lattice so no two coincide.
+    fn grid_with_occupancy(nc: usize, occ: &[usize]) -> CellGrid {
+        let mut grid = CellGrid::new(nc, 3.0 * nc as f64);
         let mut id = 0u64;
-        for (c, &n) in occ.iter().enumerate() {
-            let origin = Vec3::new((c / 9) as f64, (c / 3 % 3) as f64, (c % 3) as f64) * 3.0;
+        for (c, &n) in occ.iter().enumerate().take(nc * nc * nc) {
+            let origin = Vec3::new(
+                (c / (nc * nc)) as f64,
+                (c / nc % nc) as f64,
+                (c % nc) as f64,
+            );
             for k in 0..n {
                 let jitter = (id.wrapping_mul(0x9e37_79b9) % 101) as f64 * 1e-3;
                 let slot = Vec3::new((k / 25) as f64, (k / 5 % 5) as f64, (k % 5) as f64);
                 grid.insert(Particle::at_rest(
                     id,
-                    origin + slot * 0.58 + Vec3::new(0.1 + jitter, 0.1, 0.1 + 0.5 * jitter),
+                    origin * 3.0 + slot * 0.58 + Vec3::new(0.1 + jitter, 0.1, 0.1 + 0.5 * jitter),
                 ));
                 id += 1;
             }
@@ -683,15 +825,82 @@ mod tests {
         grid
     }
 
+    /// A segment as (kind, ca, cb, bucket, shift bits, start, end, occ).
+    type SegRow = (SegKind, u8, u8, u32, [u64; 3], usize, usize, u64);
+
+    /// What a recording of [`record_blocks`] must hold, built block by
+    /// block from the push reference: the flat pair list, and the
+    /// segments — a pair block merged into the segment before it exactly
+    /// when that is a pair segment with its class codes, bucket and
+    /// shift.
+    fn expected_recording(
+        grid: &CellGrid,
+        soa: &SoaField,
+        reach: f64,
+        pull: &ExternalPull,
+        key: impl Fn(usize) -> (u8, u32),
+    ) -> (Vec<(u32, u32)>, Vec<SegRow>) {
+        let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        let (mut pairs, mut segs) = (Vec::new(), Vec::<SegRow>::new());
+        for blocks in walk_blocks(grid) {
+            let home = blocks[0].0.clone();
+            let (ca, bucket) = key(blocks[0].2);
+            for (hr, nb, _, nidx) in blocks {
+                let start = pairs.len();
+                let n = hr.len() as u64;
+                let (kind, cb, shift, occ) = match nb {
+                    None if hr.len() < 2 => continue,
+                    None => {
+                        pairs.extend(reference_block(
+                            soa,
+                            hr.clone(),
+                            hr,
+                            Vec3::ZERO,
+                            reach * reach,
+                            true,
+                        ));
+                        (SegKind::Intra, ca, Vec3::ZERO, n * (n - 1))
+                    }
+                    Some((nr, shift)) => {
+                        let occ = n * nr.len() as u64;
+                        pairs.extend(reference_block(soa, hr, nr, shift, reach * reach, false));
+                        (SegKind::Pair, key(nidx).0, shift, occ)
+                    }
+                };
+                let seg = (kind, ca, cb, bucket, bits(shift), start, pairs.len(), occ);
+                match segs.last_mut() {
+                    Some(last)
+                        if kind == SegKind::Pair
+                            && (last.0, last.1, last.2, last.3, last.4)
+                                == (seg.0, seg.1, seg.2, seg.3, seg.4) =>
+                    {
+                        last.6 = seg.6;
+                        last.7 += occ;
+                    }
+                    _ => segs.push(seg),
+                }
+            }
+            if !pull.is_none() {
+                let (s, e) = (home.start, home.end);
+                segs.push((SegKind::Pull, ca, ca, bucket, bits(Vec3::ZERO), s, e, 0));
+            }
+        }
+        (pairs, segs)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
         #[test]
         fn prop_branch_free_recorder_equals_the_push_recorder(
-            draws in proptest::collection::vec(0usize..100, 27..28)
+            draws in proptest::collection::vec(0usize..100, 64..65),
+            nc in 3usize..5,
+            pull_on in 0u8..2,
         ) {
             use proptest::prelude::*;
             // A third of the cells empty, some with one particle (no
-            // intra segment), most small, a few above 64.
+            // intra segment), most small, a few above 64. On 3³ every
+            // home has forward offsets that wrap, so shifts change
+            // inside each home's run of blocks and merges must break.
             let occ: Vec<usize> = draws
                 .iter()
                 .map(|&d| match d {
@@ -701,56 +910,66 @@ mod tests {
                     _ => d - 20,
                 })
                 .collect();
-            let grid = grid_with_occupancy(&occ);
+            let grid = grid_with_occupancy(nc, &occ);
             let kernel = PairKernel::new(LennardJones::paper());
             let reach = kernel.lj.rcut + 0.4;
+            let pull = if pull_on == 1 { ExternalPull::Center { k: 0.02 } } else { ExternalPull::None };
+            // Class codes and buckets that change along the walk: a
+            // bucket per column of cells along z (as the parallel
+            // engines bucket), a class per x parity.
+            let key = |c: usize| ((c / (nc * nc) % 2) as u8, (c / nc) as u32);
             let mut soa = SoaField::new();
             let mut list = VerletList::new();
+            let np = grid.num_particles();
+            soa.reset(np, np);
+            soa.load_positions(0, grid.particles());
             // Record twice: the second pass reuses the written-through
             // tail of the pair storage, which must not leak into it.
-            record_walk(&grid, &mut soa, &mut list, reach);
-            record_walk(&grid, &mut soa, &mut list, reach);
-            let mut expect = Vec::new();
-            let mut seg = list.segs.iter().filter(|s| s.kind != SegKind::Pull);
-            for idx in 0..grid.total_cells() {
-                let hr = grid.cell_range(idx);
-                if hr.len() >= 2 {
-                    let s = seg.next().expect("intra segment recorded");
-                    prop_assert_eq!(s.kind, SegKind::Intra);
-                    prop_assert_eq!(s.start as usize, expect.len());
-                    expect.extend(reference_block(
-                        &soa, hr.clone(), hr.clone(), Vec3::ZERO, reach * reach, true,
-                    ));
-                    prop_assert_eq!(s.end as usize, expect.len());
-                }
-                if hr.is_empty() {
-                    continue;
-                }
-                for offset in HALF_OFFSETS_13 {
-                    let (ncell, shift) = grid.wrap_neighbor(grid.coord_of(idx), offset);
-                    let nr = grid.cell_range(grid.index(ncell));
-                    if nr.is_empty() {
-                        continue;
-                    }
-                    let s = seg.next().expect("pair segment recorded");
-                    prop_assert_eq!((s.kind, s.shift), (SegKind::Pair, shift));
-                    prop_assert_eq!(s.start as usize, expect.len());
-                    expect.extend(reference_block(&soa, hr.clone(), nr, shift, reach * reach, false));
-                    prop_assert_eq!(s.end as usize, expect.len());
+            for _ in 0..2 {
+                list.clear();
+                list.reserve(walk_bound(&grid));
+                record_blocks(&grid, &soa, &mut list, reach, &pull, key);
+            }
+            let (pairs, segs) = expected_recording(&grid, &soa, reach, &pull, key);
+            prop_assert_eq!(&list.pairs[..list.num_pairs()], &pairs[..]);
+            let got: Vec<SegRow> = list
+                .segs
+                .iter()
+                .map(|s| {
+                    let pair = s.kind == SegKind::Pair;
+                    let shift = if pair { list.shifts[s.shift as usize] } else { Vec3::ZERO };
+                    let bits = [shift.x.to_bits(), shift.y.to_bits(), shift.z.to_bits()];
+                    (s.kind, s.ca, s.cb, s.bucket, bits, s.start as usize, s.end as usize, s.occ)
+                })
+                .collect();
+            prop_assert_eq!(&got, &segs);
+            // Σ occ per bucket, block by block: the full-shell
+            // accounting survives merging.
+            let mut occ_of = vec![0u64; nc * nc];
+            for blocks in walk_blocks(&grid) {
+                let bucket = key(blocks[0].2).1 as usize;
+                for (hr, nb, ..) in blocks {
+                    let h = hr.len() as u64;
+                    occ_of[bucket] += match nb {
+                        None => h * h.saturating_sub(1),
+                        Some((nr, _)) => h * nr.len() as u64,
+                    };
                 }
             }
-            prop_assert!(seg.next().is_none());
-            prop_assert_eq!(&list.pairs[..list.num_pairs()], &expect[..]);
+            let mut seg_occ = vec![0u64; nc * nc];
+            for s in &list.segs {
+                seg_occ[s.bucket as usize] += s.occ;
+            }
+            prop_assert_eq!(seg_occ, occ_of);
             prop_assert_eq!(list.audit_missing(&soa, grid.box_len(), kernel.lj.rcut), 0);
             // And the replay of the recording is the walk, bit for bit.
             let mut walk_forces = Vec::new();
-            let w_walk =
-                compute_forces_half_shell(&grid, &kernel, &ExternalPull::None, &mut walk_forces);
+            let w_walk = compute_forces_half_shell(&grid, &kernel, &pull, &mut walk_forces);
             soa.zero_forces();
-            let mut work = [WorkCounters::default()];
+            let mut work = vec![WorkCounters::default(); nc * nc];
             list.replay(
                 &kernel,
-                &ExternalPull::None,
+                &pull,
                 grid.box_len(),
                 &mut soa,
                 |_| Some(SegAction::fused()),
@@ -762,8 +981,9 @@ mod tests {
                 f.iter().map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect()
             };
             prop_assert_eq!(bits(&walk_forces), bits(&replay_forces));
-            prop_assert_eq!(w_walk.pair_checks, work[0].pair_checks);
-            prop_assert_eq!(w_walk.potential.to_bits(), work[0].potential.to_bits());
+            let total = |f: fn(&WorkCounters) -> u64| work.iter().map(f).sum::<u64>();
+            prop_assert_eq!(w_walk.pair_checks, total(|w| w.pair_checks));
+            prop_assert_eq!(w_walk.interacting_pairs, total(|w| w.interacting_pairs));
         }
     }
 
@@ -794,15 +1014,73 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_only_records_nonempty_blocks() {
+    fn rebuild_only_records_nonempty_blocks_and_a_pull_that_is_on() {
         let mut soa = SoaField::new();
         soa.reset(4, 4);
         let mut list = VerletList::new();
+        let pull = ExternalPull::Center { k: 0.02 };
         list.record_pair(&soa, 0..0, 0..4, Vec3::ZERO, 1.0, 0, 0, 0);
         list.record_intra(&soa, 2..3, 1.0, 0, 0);
-        list.record_pull(1..1, 0, 0);
-        assert!(list.is_empty(), "empty blocks must not record segments");
-        list.record_pull(0..2, 0, 0);
+        list.record_pull(&pull, 1..1, 0, 0);
+        list.record_pull(&ExternalPull::None, 0..2, 0, 0);
+        assert!(
+            list.is_empty(),
+            "empty blocks and an off pull record nothing"
+        );
+        list.record_pull(&pull, 0..2, 0, 0);
         assert_eq!(list.num_segments(), 1);
+    }
+
+    #[test]
+    fn a_segment_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Segment>(), 24);
+    }
+
+    #[test]
+    fn a_reserved_rebuild_never_regrows_the_pair_storage() {
+        let grid = gas_grid(800, 4, 12.0, 5);
+        let reach = LennardJones::paper().rcut + 0.4;
+        let mut soa = SoaField::new();
+        let n = grid.num_particles();
+        soa.reset(n, n);
+        soa.load_positions(0, grid.particles());
+        let mut list = VerletList::new();
+        for _ in 0..2 {
+            list.clear();
+            let bound = walk_bound(&grid);
+            list.reserve(bound);
+            let capacity = list.pairs.capacity();
+            record_blocks(&grid, &soa, &mut list, reach, &ExternalPull::None, |_| {
+                (0, 0)
+            });
+            assert_eq!(
+                list.pairs.capacity(),
+                capacity,
+                "the recording grew the storage"
+            );
+            assert!(list.num_pairs() <= bound);
+        }
+        // One class, one bucket: a home's forward blocks that share a
+        // shift replay as one segment.
+        let blocks: usize = walk_blocks(&grid).iter().map(Vec::len).sum();
+        assert!(
+            list.num_segments() < blocks,
+            "{} segments",
+            list.num_segments()
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reserved candidate bound")]
+    fn recording_past_the_reservation_is_caught() {
+        let grid = gas_grid(200, 4, 12.0, 6);
+        let mut soa = SoaField::new();
+        let n = grid.num_particles();
+        soa.reset(n, n);
+        soa.load_positions(0, grid.particles());
+        let mut list = VerletList::new();
+        list.reserve(walk_bound(&grid) / 8);
+        record_blocks(&grid, &soa, &mut list, 2.9, &ExternalPull::None, |_| (0, 0));
     }
 }

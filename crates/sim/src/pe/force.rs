@@ -285,7 +285,8 @@ impl PeState {
     /// the home columns (the slot layout `force_prologue` just made) and
     /// run the exact half-shell walk with the widened reach `r_c + skin`,
     /// recording every kernel block — classes and work buckets ride along
-    /// so the replay stores and credits what the walk would.
+    /// so the replay stores and credits what the walk would — into room
+    /// reserved at the walk's candidate bound.
     fn rebuild_verlet(&mut self) {
         let n_owned = self.force.forces.len();
         let n_ghost: usize = self.ghosts.values().map(CellSlab::len).sum();
@@ -293,8 +294,18 @@ impl PeState {
         self.reload_soa();
         let reach = self.cfg.lj.rcut + self.cfg.skin;
         let reach2 = reach * reach;
+        let pull = self.cfg.pull();
         let mut vlist = std::mem::take(&mut self.force.vlist);
         vlist.clear();
+        let mut bound = 0;
+        self.walk().for_each_block(|_, block| {
+            bound += match block {
+                Block::Intra(h) => VerletList::intra_candidates(h.parts.len()),
+                Block::Pair(h, n, _) => VerletList::pair_candidates(h.parts.len(), n.parts.len()),
+                Block::Pull(_) => 0,
+            }
+        });
+        vlist.reserve(bound);
         let soa = &self.force.soa;
         self.walk().for_each_block(|bucket, block| {
             let bucket = bucket as u32;
@@ -312,7 +323,7 @@ impl PeState {
                     n.class as u8,
                     bucket,
                 ),
-                Block::Pull(h) => vlist.record_pull(h.slots(), h.class as u8, bucket),
+                Block::Pull(h) => vlist.record_pull(&pull, h.slots(), h.class as u8, bucket),
             }
         });
         self.force.vlist = vlist;
