@@ -20,8 +20,8 @@
 //!    simulation digest ([`pcdlb_sim::digest`]) must be bit-identical no
 //!    matter in which order messages from different sources arrive. A
 //!    stateful model checker re-runs the simulator under a controlled
-//!    scheduler (`pcdlb-mp`'s `check` feature) with full protocol event
-//!    tracing, prunes commuting delivery choices with a dynamic
+//!    scheduler ([`pcdlb_mp::check`]'s delivery policies) with full
+//!    protocol event tracing, prunes commuting delivery choices with a dynamic
 //!    partial-order reduction (independence from blocking exact-match
 //!    consumption, sleep-set dedup, visited-state hashing), adds seeded
 //!    pseudo-random orders the reduction never runs, and checks one

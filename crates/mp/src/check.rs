@@ -1,12 +1,14 @@
 //! Model-checking hooks: controlled message-delivery scheduling.
 //!
-//! Only compiled with the `check` feature. The real network delivers each
+//! Compiled in every build and inert until a caller installs something:
+//! a policy ([`Comm::set_delivery_policy`](crate::Comm::set_delivery_policy)),
+//! an event log ([`install_event_log`]). The real network delivers each
 //! rank's incoming messages in some arrival order the program cannot
 //! control; a correct SPMD program must compute the same result under
 //! *every* such order. This module makes the arrival order a first-class,
 //! replayable choice:
 //!
-//! - [`Comm`](crate::Comm) (in `check` builds) parks arrived messages in
+//! - [`Comm`](crate::Comm), under a policy, parks arrived messages in
 //!   per-source FIFO streams instead of a single arrival queue;
 //! - whenever the rank needs a message delivered, the installed
 //!   [`DeliveryPolicy`] picks which stream's head message "arrives" next;

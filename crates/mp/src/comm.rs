@@ -23,11 +23,12 @@
 //!
 //! # Two layers
 //!
-//! `Comm` itself is matching: the pending buffer and the `check` build's
-//! delivery streams. Below it sits the link layer (the crate-private
-//! `link` module), which a `Comm` holds only when its [`CommConfig`]
-//! names a lossy profile (`chaos`): sequence numbers, acks, reordering,
-//! retransmission and the φ failure detector. Over the in-process
+//! `Comm` itself is matching: the pending buffer and, under an installed
+//! delivery policy ([`crate::check`]), the per-source streams. Below it
+//! sits the link layer (the crate-private `link` module), which a `Comm`
+//! holds only when its [`CommConfig`] names a lossy profile (`chaos`):
+//! sequence numbers, acks, reordering, retransmission and the φ failure
+//! detector. Over the in-process
 //! channels there is no link, and a send is one mailbox push.
 //!
 //! One OS thread holds one rank for the life of its world. A dead rank is
@@ -38,11 +39,10 @@
 //!
 //! Every failure a rank can observe is a [`CommError`]: a dead peer, a
 //! world abort (another rank panicked), a watchdog/deadline expiry, or a
-//! transport fault — a lossy link whose
-//! retransmission budget ran out, a minority side that fences itself,
-//! or (`check` builds) an arrival that breaks per-source FIFO order. The
-//! fast-path API (`send`, `recv`, `sendrecv`) panics with the error's
-//! message, which in an SPMD simulation is the right default:
+//! transport fault — a lossy link whose retransmission budget ran out, a
+//! minority side that fences itself, or an arrival that breaks per-source
+//! FIFO order. The fast-path API (`send`, `recv`, `sendrecv`) panics with
+//! the error's message, which in an SPMD simulation is the right default:
 //! the world tears down and [`crate::world::World::try_run`] turns the
 //! per-rank panics into per-rank diagnostics. Programs that want to
 //! *handle* failure (e.g. a deadline-bounded barrier) use
@@ -236,9 +236,9 @@ pub enum CommErrorKind {
     Timeout,
     /// The link failed: a frame over a lossy transport stayed
     /// unacknowledged through its whole retransmission budget, this rank
-    /// fenced itself as the minority side of a partition, or (`check`
-    /// builds) a per-source sequence-number check failed at arrival — a
-    /// message arrived twice or out of FIFO order.
+    /// fenced itself as the minority side of a partition, or a
+    /// per-source sequence-number check failed at arrival — a message
+    /// arrived twice or out of FIFO order.
     Transport,
 }
 
@@ -309,7 +309,6 @@ impl CommError {
         )
     }
 
-    #[cfg(feature = "check")]
     fn transport(rank: usize, peer: usize, tag: Tag, expected: u64, got: u64) -> Self {
         let what = if got < expected {
             "duplicated or replayed"
@@ -396,14 +395,13 @@ pub(crate) struct Envelope {
     /// Checked at arrival, so a FIFO bug — a message that arrives twice
     /// or overtakes an earlier one — is a structured error, not silent
     /// corruption.
-    #[cfg(feature = "check")]
     pub(crate) seq: u64,
 }
 
 impl Envelope {
     /// The one envelope constructor: `payload` from rank `src` to rank
-    /// `dst`. Link sequence and (`check`) FIFO sequence numbers start at
-    /// 0, for the layers that stamp them.
+    /// `dst`. Link and FIFO sequence numbers start at 0, for the layers
+    /// that stamp them.
     pub(crate) fn new(src: usize, dst: usize, tag: Tag, payload: Vec<u8>) -> Self {
         Self {
             src,
@@ -412,10 +410,17 @@ impl Envelope {
             payload,
             rseq: 0,
             hollow: false,
-            #[cfg(feature = "check")]
             seq: 0,
         }
     }
+}
+
+/// An installed delivery policy and the per-source streams arrived
+/// messages park in, in per-source FIFO order, until it moves one to
+/// `pending`.
+struct Delivery {
+    policy: Box<dyn crate::check::DeliveryPolicy>,
+    streams: Vec<VecDeque<Envelope>>,
 }
 
 /// Communication counters for one rank.
@@ -448,10 +453,8 @@ pub struct Comm {
     /// Virtual comm seconds accrued since the last lap.
     lap_virtual_s: f64,
     /// Next sequence number to stamp on a send, per destination.
-    #[cfg(feature = "check")]
     send_seq: Vec<u64>,
     /// Next sequence number expected at arrival, per source.
-    #[cfg(feature = "check")]
     recv_seq: Vec<u64>,
     senders: Vec<Sender<Envelope>>,
     inbox: Receiver<Envelope>,
@@ -467,16 +470,10 @@ pub struct Comm {
     world: Arc<Shared>,
     /// The link layer, present only under a chaos profile.
     link: Option<Link>,
-    /// Per-source arrival streams (`check` mode): messages park here, in
-    /// per-source FIFO order, until the delivery policy moves one to
-    /// `pending`. Empty and unused when no policy is installed.
-    #[cfg(feature = "check")]
-    streams: Vec<VecDeque<Envelope>>,
-    /// The controlled scheduler deciding cross-source delivery order.
-    #[cfg(feature = "check")]
-    delivery: Option<Box<dyn crate::check::DeliveryPolicy>>,
+    /// The controlled scheduler deciding cross-source delivery order,
+    /// with the streams its messages park in; `None` = arrival order.
+    delivery: Option<Delivery>,
     /// Installed kill site (see [`crate::fault`]); `None` = never dies.
-    #[cfg(feature = "check")]
     injector: Option<crate::fault::FaultInjector>,
 }
 
@@ -495,9 +492,7 @@ impl Comm {
             size,
             stats: CommStats::default(),
             lap_virtual_s: 0.0,
-            #[cfg(feature = "check")]
             send_seq: vec![0; size],
-            #[cfg(feature = "check")]
             recv_seq: vec![0; size],
             senders,
             inbox,
@@ -510,28 +505,25 @@ impl Comm {
                 .chaos
                 .is_some()
                 .then(|| Link::new(rank, size, cfg, Instant::now())),
-            #[cfg(feature = "check")]
-            streams: (0..size).map(|_| VecDeque::new()).collect(),
-            #[cfg(feature = "check")]
             delivery: None,
-            #[cfg(feature = "check")]
             injector: None,
         }
     }
 
     /// Install a delivery policy: from now on, arrived messages become
-    /// visible to receives only when the policy delivers them (`check`
-    /// builds; see [`crate::check`]). Call it from
+    /// visible to receives only when the policy delivers them (see
+    /// [`crate::check`]). Call it from
     /// [`World::with_start_hook`](crate::World::with_start_hook).
-    #[cfg(feature = "check")]
     pub fn set_delivery_policy(&mut self, policy: Box<dyn crate::check::DeliveryPolicy>) {
-        self.delivery = Some(policy);
+        self.delivery = Some(Delivery {
+            policy,
+            streams: (0..self.size).map(|_| VecDeque::new()).collect(),
+        });
     }
 
-    /// Arm the fault injector with the send at which this rank dies
-    /// (`check` builds; see [`crate::fault`]). Call it from
+    /// Arm the fault injector with the send at which this rank dies (see
+    /// [`crate::fault`]). Call it from
     /// [`World::with_start_hook`](crate::World::with_start_hook).
-    #[cfg(feature = "check")]
     pub fn set_fault_plan(&mut self, plan: crate::fault::FaultPlan) {
         self.injector = Some(crate::fault::FaultInjector::new(plan));
     }
@@ -642,36 +634,24 @@ impl Comm {
         let mut payload = self.spare.pop().unwrap_or_default();
         payload.clear();
         let written = encode(&mut payload);
-        let env = Envelope::new(src, dst, tag, payload);
+        let seq = self.send_seq[dst];
+        self.send_seq[dst] += 1;
+        let env = Envelope {
+            seq,
+            ..Envelope::new(src, dst, tag, payload)
+        };
         let t = self.model.message_time(src, dst, env.payload.len());
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += env.payload.len() as u64;
         self.stats.virtual_comm_s += t;
         self.lap_virtual_s += t;
-        #[cfg(feature = "check")]
-        let env = {
-            let seq = self.send_seq[dst];
-            self.send_seq[dst] += 1;
-            Envelope { seq, ..env }
-        };
-        #[cfg(feature = "check")]
-        let sent_seq = env.seq;
-        #[cfg(feature = "check")]
         if let Some(op) = self.injector.as_mut().and_then(|i| i.next_action(tag)) {
             panic!("rank {src} killed by injected fault at send op {op} (dst={dst}, tag={tag})");
         }
-        let res = self.dispatch(dst, env);
+        self.dispatch(dst, env)?;
         // Only a message that reached the wire counts as sent.
-        #[cfg(feature = "check")]
-        if res.is_ok() {
-            crate::check::emit(crate::check::ProtocolEvent::Send {
-                src,
-                dst,
-                tag,
-                seq: sent_seq,
-            });
-        }
-        res.map(|()| written)
+        crate::check::emit(crate::check::ProtocolEvent::Send { src, dst, tag, seq });
+        Ok(written)
     }
 
     /// Route one application envelope to rank `dst`: a plain mailbox
@@ -705,7 +685,6 @@ impl Comm {
     /// Record a consumption event for `env`. `probe` marks the
     /// timing-sensitive paths (`try_recv`, `recv_deadline`) whose outcome
     /// depends on what has been delivered so far.
-    #[cfg(feature = "check")]
     fn emit_recv(env: &Envelope, probe: bool) {
         crate::check::emit(crate::check::ProtocolEvent::Recv {
             dst: env.dst,
@@ -732,7 +711,6 @@ impl Comm {
     pub fn recv_payload(&mut self, src: usize, tag: Tag) -> Vec<u8> {
         match self.recv_envelope(src, tag, None) {
             Ok(env) => {
-                #[cfg(feature = "check")]
                 Self::emit_recv(&env, false);
                 self.charge(env)
             }
@@ -762,17 +740,16 @@ impl Comm {
         timeout: Duration,
     ) -> Result<T, CommError> {
         let env = self.recv_envelope(src, tag, Some(timeout))?;
-        #[cfg(feature = "check")]
         Self::emit_recv(&env, true);
         let payload = self.charge(env);
         Ok(self.decode(src, tag, payload))
     }
 
     /// The blocking-receive engine shared by `recv` and `recv_deadline`:
-    /// match the pending buffer, advance the
-    /// delivery policy (`check` builds), and otherwise wait on the mailbox
-    /// in `poll`-sized slices so the abort flag and the deadline are both
-    /// observed promptly. `None` timeout means the world watchdog.
+    /// match the pending buffer, advance the delivery policy (if one is
+    /// installed), and otherwise wait on the mailbox in `poll`-sized
+    /// slices so the abort flag and the deadline are both observed
+    /// promptly. `None` timeout means the world watchdog.
     fn recv_envelope(
         &mut self,
         src: usize,
@@ -791,7 +768,6 @@ impl Comm {
             if let Some(env) = self.match_pending(src, tag) {
                 return Ok(env);
             }
-            #[cfg(feature = "check")]
             if self.delivery.is_some() {
                 self.drain_inbox()?;
                 if self.deliver_one() {
@@ -827,7 +803,7 @@ impl Comm {
 
     /// Accept one physically-arrived envelope: the link layer consumes
     /// its control frames, suppresses duplicates and reorders; in-order
-    /// frames go to the pending buffer (or stream, policy mode).
+    /// frames go to the pending buffer (or a stream, under a policy).
     fn admit(&mut self, env: Envelope) -> Result<(), CommError> {
         let env = match &mut self.link {
             Some(link) => match link.intercept(env, Instant::now()) {
@@ -856,26 +832,22 @@ impl Comm {
     }
 
     /// Final delivery of one in-order envelope: verify its per-source
-    /// sequence number (`check` builds) and route it to its stream
-    /// (policy mode) or straight to the pending buffer. Under a link
-    /// layer this runs at its in-order delivery point, so the exact-FIFO
-    /// check holds under chaos exactly as it does over a perfect channel.
+    /// sequence number and route it to its stream (under a policy) or
+    /// straight to the pending buffer. Under a link layer this runs at
+    /// its in-order delivery point, so the exact-FIFO check holds under
+    /// chaos exactly as it does over a perfect channel.
     fn deliver_now(&mut self, env: Envelope) -> Result<(), CommError> {
-        #[cfg(feature = "check")]
-        {
-            self.note_arrival(&env)?;
-            crate::check::emit(crate::check::ProtocolEvent::Admit {
-                dst: env.dst,
-                src: env.src,
-                tag: env.tag,
-                seq: env.seq,
-            });
-            if self.delivery.is_some() {
-                self.streams[env.src].push_back(env);
-                return Ok(());
-            }
+        self.note_arrival(&env)?;
+        crate::check::emit(crate::check::ProtocolEvent::Admit {
+            dst: env.dst,
+            src: env.src,
+            tag: env.tag,
+            seq: env.seq,
+        });
+        match &mut self.delivery {
+            Some(d) => d.streams[env.src].push_back(env),
+            None => self.pending.push_back(env),
         }
-        self.pending.push_back(env);
         Ok(())
     }
 
@@ -883,7 +855,6 @@ impl Comm {
     /// FIFO, so arrivals are always in send order, and any gap or repeat
     /// is a FIFO bug in the substrate, reported against the arriving
     /// message's source and tag.
-    #[cfg(feature = "check")]
     fn note_arrival(&mut self, env: &Envelope) -> Result<(), CommError> {
         let expected = self.recv_seq[env.src];
         if env.seq != expected {
@@ -906,15 +877,16 @@ impl Comm {
     }
 
     /// Ask the policy to deliver one stream-head message into `pending`.
-    /// Returns false when every stream is empty.
-    #[cfg(feature = "check")]
+    /// Returns false when every stream is empty or no policy is installed.
     fn deliver_one(&mut self) -> bool {
+        let Some(Delivery { policy, streams }) = &mut self.delivery else {
+            return false;
+        };
         // (src, tag, seq) of each stream head, parallel to `candidates` —
         // the event trace records the full choice so the model checker can
         // reconstruct it.
         let mut heads: Vec<(usize, Tag, u64)> = Vec::new();
-        let candidates: Vec<crate::check::Candidate> = self
-            .streams
+        let candidates: Vec<crate::check::Candidate> = streams
             .iter()
             .enumerate()
             .filter_map(|(src, q)| {
@@ -928,7 +900,6 @@ impl Comm {
             return false;
         }
         let dst = self.rank;
-        let policy = self.delivery.as_mut().expect("deliver_one needs a policy");
         let i = policy.choose(dst, &candidates);
         assert!(
             i < candidates.len(),
@@ -948,7 +919,7 @@ impl Comm {
             seq,
             arity: candidates.len(),
         });
-        let env = self.streams[candidates[i].src]
+        let env = streams[candidates[i].src]
             .pop_front()
             .expect("candidate stream had a head");
         self.pending.push_back(env);
@@ -968,23 +939,6 @@ impl Comm {
     /// already arrived, else `None`. Panics on a transport fault like
     /// `recv` does.
     pub fn try_recv<T: Decode>(&mut self, src: usize, tag: Tag) -> Option<T> {
-        #[cfg(feature = "check")]
-        if self.delivery.is_some() {
-            // Under a policy, a physically-arrived message is only visible
-            // once delivered: advance the schedule by at most one delivery
-            // per poll, so the policy controls which source a racing
-            // `try_recv` loop observes first.
-            if let Err(e) = self.drain_inbox() {
-                panic!("{e}");
-            }
-            if !self.pending.iter().any(|e| e.src == src && e.tag == tag) {
-                self.deliver_one();
-            }
-            let env = self.match_pending(src, tag)?;
-            Self::emit_recv(&env, true);
-            let payload = self.charge(env);
-            return Some(self.decode(src, tag, payload));
-        }
         // Polling loops must still drive retransmission/heartbeats, or a
         // dropped frame both sides are try_recv-ing for would never be
         // repaired.
@@ -994,8 +948,14 @@ impl Comm {
         if let Err(e) = self.drain_inbox() {
             panic!("{e}");
         }
+        // Under a policy, a physically-arrived message is only visible
+        // once delivered: advance the schedule by at most one delivery per
+        // poll, so the policy controls which source a racing `try_recv`
+        // loop observes first.
+        if self.delivery.is_some() && !self.pending.iter().any(|e| e.src == src && e.tag == tag) {
+            self.deliver_one();
+        }
         let env = self.match_pending(src, tag)?;
-        #[cfg(feature = "check")]
         Self::emit_recv(&env, true);
         let payload = self.charge(env);
         Some(self.decode(src, tag, payload))
@@ -1637,7 +1597,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "check")]
     fn an_arrival_that_skips_or_repeats_a_seq_is_a_transport_error() {
         // The FIFO check at admission, fed by hand: nothing on the wire
         // can skip or repeat a sequence number unless the substrate is

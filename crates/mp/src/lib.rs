@@ -46,12 +46,10 @@
 //! ```
 
 pub mod channel;
-#[cfg(feature = "check")]
 pub mod check;
 pub mod collectives;
 pub mod comm;
 pub mod cost;
-#[cfg(feature = "check")]
 pub mod fault;
 mod link;
 pub mod pool;
@@ -62,7 +60,6 @@ pub mod world;
 
 pub use comm::{Comm, CommConfig, CommError, CommErrorKind, CommStats, Tag};
 pub use cost::CostModel;
-#[cfg(feature = "check")]
 pub use fault::FaultPlan;
 pub use pool::BufferPool;
 pub use topology::{Torus2d, Torus3d};

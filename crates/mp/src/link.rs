@@ -302,7 +302,6 @@ impl Link {
             // head-of-line frame.
             lt.backoff = base;
             lt.next_retx = (!lt.pending.is_empty()).then(|| now + base);
-            #[cfg(feature = "check")]
             crate::check::emit(crate::check::ProtocolEvent::AckAdvance {
                 src: self.rank,
                 dst: from,
@@ -334,7 +333,6 @@ impl Link {
         h.intervals.push_back(dt);
         if h.suspected {
             h.suspected = false;
-            #[cfg(feature = "check")]
             crate::check::emit(crate::check::ProtocolEvent::Unsuspect {
                 rank: self.rank,
                 peer: host,
@@ -452,7 +450,6 @@ impl Link {
                 ..Envelope::new(rank, host, 0, Vec::new())
             });
             stats.retransmits += 1;
-            #[cfg(feature = "check")]
             crate::check::emit(crate::check::ProtocolEvent::Retransmit {
                 src: self.rank,
                 dst: host,
@@ -502,7 +499,6 @@ impl Link {
             if !h.suspected {
                 h.suspected = true;
                 stats.suspicions += 1;
-                #[cfg(feature = "check")]
                 crate::check::emit(crate::check::ProtocolEvent::Suspect {
                     rank: self.rank,
                     peer: host,

@@ -3,8 +3,11 @@
 //! The paper arranges PEs as a virtual 2-D torus (square-pillar domains,
 //! Sec. 2.2) running on a machine whose physical interconnect is a 3-D
 //! torus (the Cray T3E, Sec. 3.1). [`Torus2d`] provides the rank↔coordinate
-//! maps and the 8-neighbourhood used by the load balancer; [`Torus3d`]
-//! provides hop distances for the physical-interconnect cost model.
+//! maps and the 8-neighbourhood used by the load balancer, and the hop
+//! distances of the cost model ([`crate::CostModel`]; the cube and the ring
+//! pay a flat hop). [`Torus3d`] provides the rank↔coordinate maps of a
+//! 3-D torus (x fastest), the cube decomposition's rank numbering, through
+//! which `pcdlb-check` names a cube rank's neighbours.
 
 /// Offsets of the 8 neighbours of a cell/PE in a 2-D torus, in row-major
 /// scan order: NW, N, NE, W, E, SW, S, SE (with `i` increasing "south" and
@@ -121,8 +124,8 @@ impl Torus2d {
     }
 }
 
-/// A 3-D torus, used to model the T3E's physical interconnect when mapping
-/// virtual 2-D ranks onto physical nodes.
+/// A 3-D torus of `nx × ny × nz` ranks, x fastest: the cube
+/// decomposition's rank arrangement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Torus3d {
     nx: usize,
@@ -154,15 +157,6 @@ impl Torus3d {
         let y = (rank / self.nx) % self.ny;
         let z = rank / (self.nx * self.ny);
         (x, y, z)
-    }
-
-    /// Minimum hop count between two ranks.
-    pub fn hops(&self, a: usize, b: usize) -> usize {
-        let (ax, ay, az) = self.coords(a);
-        let (bx, by, bz) = self.coords(b);
-        wrapped_dist(ax, bx, self.nx)
-            + wrapped_dist(ay, by, self.ny)
-            + wrapped_dist(az, bz, self.nz)
     }
 
     /// A cubic torus of side `k` (the cube-domain decomposition's PE
@@ -266,18 +260,6 @@ mod tests {
         assert_eq!(t.hops(0, 21), 6); // (0,0)→(3,3): 3+3
     }
 
-    #[test]
-    fn torus3d_coords_roundtrip_and_hops() {
-        let t = Torus3d::new(2, 3, 4);
-        assert_eq!(t.len(), 24);
-        for r in 0..t.len() {
-            let (x, y, z) = t.coords(r);
-            assert_eq!(z * 6 + y * 2 + x, r);
-        }
-        assert_eq!(t.hops(0, 1), 1);
-        assert_eq!(t.hops(0, t.len() - 1), 1 + 1 + 1); // all dims wrap
-    }
-
     proptest! {
         #[test]
         fn prop_hops_symmetric_and_triangle(rows in 1usize..8, cols in 1usize..8,
@@ -342,9 +324,10 @@ mod torus3d_extra_tests {
     fn neighbor_moves_one_step() {
         let t = Torus3d::cube(27);
         let r = t.rank_wrapped(1, 1, 1); // center
-        assert_eq!(t.hops(r, t.neighbor(r, 1, 0, 0)), 1);
-        assert_eq!(t.hops(r, t.neighbor(r, 1, 1, 0)), 2);
-        assert_eq!(t.hops(r, t.neighbor(r, 1, 1, 1)), 3);
+        assert_eq!(t.coords(t.neighbor(r, 1, 0, 0)), (2, 1, 1));
+        assert_eq!(t.coords(t.neighbor(r, 1, -1, 0)), (2, 0, 1));
+        assert_eq!(t.coords(t.neighbor(r, 1, 1, 1)), (2, 2, 2));
+        assert_eq!(t.coords(t.neighbor(r, 2, 0, 0)), (0, 1, 1), "wraps");
         assert_eq!(t.neighbor(r, 0, 0, 0), r);
     }
 }

@@ -11,9 +11,9 @@
 //! winning panic it joins every rank and returns a [`WorldError`] carrying
 //! one diagnostic per failed rank — the clean-teardown surface a recovery
 //! driver (e.g. `pcdlb-sim`'s resilient launch) builds on. Those two are
-//! the only launchers; `check` builds add one hook, [`World::with_start_hook`], for what each rank
-//! thread does before the program (install a delivery policy, arm a kill
-//! site, bind an event log).
+//! the only launchers; one hook, [`World::with_start_hook`], says what
+//! each rank thread does before the program (install a delivery policy,
+//! arm a kill site, bind an event log).
 //!
 //! Every launch builds a fresh channel set and joins every rank thread
 //! before it returns, so no frame of one world can reach the next, however
@@ -59,12 +59,10 @@ impl std::fmt::Display for WorldError {
 
 impl std::error::Error for WorldError {}
 
-/// What each rank thread runs before the program (`check` builds).
-#[cfg(feature = "check")]
+/// What each rank thread runs before the program.
 #[derive(Clone)]
 struct StartHook(Arc<dyn Fn(&mut Comm) + Send + Sync>);
 
-#[cfg(feature = "check")]
 impl std::fmt::Debug for StartHook {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("StartHook(..)")
@@ -87,7 +85,6 @@ pub struct World {
     size: usize,
     model: CostModel,
     comm: CommConfig,
-    #[cfg(feature = "check")]
     start: Option<StartHook>,
 }
 
@@ -100,7 +97,6 @@ impl World {
             size,
             model: CostModel::default(),
             comm: CommConfig::default(),
-            #[cfg(feature = "check")]
             start: None,
         }
     }
@@ -125,12 +121,11 @@ impl World {
     }
 
     /// Run `hook` on every rank's own thread, once, before the program
-    /// starts (`check` builds) — the one place a model checker or fault
-    /// sweep prepares a rank: [`Comm::set_delivery_policy`],
+    /// starts — the one place a model checker, a fault sweep or a test
+    /// prepares a rank: [`Comm::set_delivery_policy`],
     /// [`Comm::set_fault_plan`],
     /// [`install_event_log`](crate::check::install_event_log). Applies to
     /// every launcher.
-    #[cfg(feature = "check")]
     pub fn with_start_hook(mut self, hook: impl Fn(&mut Comm) + Send + Sync + 'static) -> Self {
         self.start = Some(StartHook(Arc::new(hook)));
         self
@@ -221,12 +216,10 @@ impl World {
                 .map(|(rank, rx)| {
                     let senders = senders.clone();
                     let (model, cfg, f) = (self.model, &self.comm, &f);
-                    #[cfg(feature = "check")]
                     let start = self.start.as_ref();
                     let world = Arc::clone(&world);
                     scope.spawn(move || {
                         let mut comm = Comm::new(rank, senders, rx, model, cfg, Arc::clone(&world));
-                        #[cfg(feature = "check")]
                         if let Some(StartHook(hook)) = start {
                             hook(&mut comm);
                         }
@@ -394,7 +387,6 @@ mod tests {
         assert_eq!(res.ok(), Some(true), "try_run must contain the panic");
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn start_hook_runs_once_per_rank_on_its_thread_before_the_program() {
         use std::sync::Mutex;

@@ -1,16 +1,16 @@
 //! Wall-clock instrumentation, gated behind the off-by-default
 //! `wallclock-instrumentation` feature.
 //!
-//! The simulator crate is deterministic by design: with the default
-//! `LoadMetric::WorkModel`, every reported quantity is a pure function of
-//! the configuration. Reading a real clock is exactly the hazard
-//! `pcdlb-check lint` flags in this crate, so the only sanctioned access
-//! point is this module. With the feature disabled (the default, and what
-//! CI tests), [`WallTimer`] reports `0.0` for every interval: the
-//! `wall_s` / `force_wall` report fields become inert and
-//! `LoadMetric::WallClock` degenerates to a no-transfer balancer (no PE is
-//! ever strictly "heavier" than another). Enable the feature for real
-//! timing studies; the physics trajectory is bitwise identical either way.
+//! The simulator crate is deterministic by design: under the work model
+//! (`LoadMetric::WorkModel`, the one load metric), every reported quantity
+//! except the wall times is a pure function of the configuration.
+//! Reading a real clock is exactly the hazard `pcdlb-check lint` flags in
+//! this crate, so the only sanctioned access point is this module. With
+//! the feature disabled (the default, and what CI tests), [`WallTimer`]
+//! reports `0.0` for every interval, so the `wall_s` / `force_wall`
+//! fields read 0. No balancer decision reads a wall time: enable the
+//! feature for real timing studies; the physics trajectory is bitwise
+//! identical either way.
 
 #[cfg(feature = "wallclock-instrumentation")]
 mod imp {

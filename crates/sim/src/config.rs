@@ -14,7 +14,8 @@ use pcdlb_mp::comm::CommConfigError;
 use pcdlb_mp::{CommConfig, Torus2d};
 
 /// How per-PE load (the force-computation "time" fed to the balancer and
-/// reported as Fmax/Fave/Fmin) is measured.
+/// reported as Fmax/Fave/Fmin) is measured. One metric: a measured one
+/// (wall or CPU time) is new work that must first win a benchmark row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoadMetric {
     /// Deterministic work model: `seconds = pair_checks × sec_per_pair`.
@@ -26,10 +27,6 @@ pub enum LoadMetric {
         /// default 5×10⁻⁸ s ≈ 30 flops on the T3E's 600 MFLOPS Alpha.
         sec_per_pair: f64,
     },
-    /// Real wall-clock measurement of the force phase (noisy when ranks
-    /// timeshare cores; kept for completeness and for machines with
-    /// enough cores).
-    WallClock,
 }
 
 impl Default for LoadMetric {
@@ -157,8 +154,6 @@ pub enum ConfigError {
     CubeBalances,
     /// Cells shorter than the cutoff.
     CellBelowCutoff { cell_len: f64, rcut: f64 },
-    /// A speed schedule with the `WallClock` metric.
-    SpeedNeedsWorkModel,
     /// A speed schedule without base factors.
     SpeedNoBase,
     /// A speed base factor not > 0.
@@ -235,11 +230,6 @@ impl fmt::Display for ConfigError {
             CellBelowCutoff { cell_len, rcut } => write!(
                 f,
                 "cell length {cell_len:.4} below cutoff {rcut}; reduce nc or density"
-            ),
-            SpeedNeedsWorkModel => write!(
-                f,
-                "a speed schedule models time on top of the work model; \
-                 it cannot combine with the WallClock metric"
             ),
             SpeedNoBase => write!(f, "speed schedule needs base factors"),
             SpeedFactor => write!(f, "speed factors must be > 0"),
@@ -387,8 +377,7 @@ pub struct RunConfig {
     /// installed, each rank's modelled force time becomes
     /// `work / speed(rank, step)` — the imbalance the balancer sees (and
     /// Fmax/Fave/Fmin report) is then *time* imbalance, which differs
-    /// from work imbalance exactly when speeds differ. Requires the
-    /// [`LoadMetric::WorkModel`] metric.
+    /// from work imbalance exactly when speeds differ.
     pub speed: Option<SpeedSchedule>,
     /// With a [`SpeedSchedule`] installed, feed the speed-adjusted *time*
     /// to the DLB decision (equalise time on unequal processors — the
@@ -625,8 +614,6 @@ impl RunConfig {
         let (cell_len, rcut, skin) = (self.cell_len(), self.lj.rcut, self.skin);
         ensure(cell_len >= rcut - 1e-12, CellBelowCutoff { cell_len, rcut })?;
         if let Some(s) = &self.speed {
-            let modelled = matches!(self.load_metric, LoadMetric::WorkModel { .. });
-            ensure(modelled, SpeedNeedsWorkModel)?;
             ensure(!s.base.is_empty(), SpeedNoBase)?;
             ensure(s.base.iter().all(|&b| b > 0.0), SpeedFactor)?;
             for &value in &s.base {
@@ -977,15 +964,6 @@ mod tests {
         // Same base, different phase: at some step the two ranks must
         // disagree, or the drift could never create imbalance.
         assert!((0..32).any(|t| s.speed(0, t) != s.speed(1, t)));
-    }
-
-    #[test]
-    #[should_panic(expected = "WallClock")]
-    fn speed_schedule_requires_the_work_model() {
-        let mut c = RunConfig::from_p_m_density(9, 2, 0.2);
-        c.load_metric = LoadMetric::WallClock;
-        c.speed = Some(SpeedSchedule::fixed(vec![1.0, 0.5]));
-        c.validate();
     }
 
     #[test]

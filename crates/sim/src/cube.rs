@@ -67,7 +67,9 @@ impl Cube {
 }
 
 impl Decomposition for Cube {
-    /// Rank numbering is [`pcdlb_mp::Torus3d`]'s: x fastest.
+    /// Rank `(bz·k + by)·k + bx` of block `(bx, by, bz)`: x fastest, the
+    /// numbering [`pcdlb_mp::Torus3d`] maps, so `pcdlb-check` can name a
+    /// cube rank's neighbours with it.
     fn owner_of(&self, col: Col, cz: usize) -> usize {
         (self.block[cz] * self.k + self.block[col.cy]) * self.k + self.block[col.cx]
     }

@@ -5,10 +5,13 @@
 //! bit-identical across all of them. The digest therefore covers exactly
 //! the state that *must* be delivery-order independent — the final
 //! particle phase-space (ids, position bits, velocity bits) and the
-//! deterministic per-step report series — and excludes wall-clock
-//! measurements (`wall_s`, and the force times under
-//! [`LoadMetric::WallClock`]),
-//! which legitimately vary run to run.
+//! deterministic per-step report series — and excludes the wall-clock
+//! measurement `wall_s`, which legitimately varies run to run.
+//!
+//! Every `digest_*` function still takes a [`LoadMetric`]. It is inert:
+//! the one metric is the deterministic work model, whose force times
+//! are always digested. The parameter stays only because the frozen
+//! benchmark passes it, like [`RunConfig::overlap`](crate::RunConfig::overlap).
 
 use pcdlb_md::Particle;
 
@@ -71,14 +74,11 @@ pub fn digest_particles(particles: &[Particle]) -> u64 {
     h.finish()
 }
 
-/// Digest of the delivery-order-independent parts of a run report.
-///
-/// `load_metric` controls whether the force-time series is included: under
-/// the deterministic work model it must reproduce exactly; under wall
-/// clocks it is measurement noise and is skipped.
-pub fn digest_report(report: &RunReport, load_metric: LoadMetric) -> u64 {
+/// Digest of the delivery-order-independent parts of a run report
+/// (the [`LoadMetric`] is inert; see the [module docs](self)).
+pub fn digest_report(report: &RunReport, _load_metric: LoadMetric) -> u64 {
     let mut h = Fnv1a::new();
-    absorb_records(&mut h, report, load_metric);
+    absorb_records(&mut h, report);
     h.write_u64(report.msgs_sent);
     h.write_u64(report.bytes_sent);
     h.finish()
@@ -90,23 +90,20 @@ pub fn digest_report(report: &RunReport, load_metric: LoadMetric) -> u64 {
 /// differ from an uninterrupted run even though every simulated quantity
 /// is bitwise identical; this is the digest crash-recovery parity is
 /// asserted on.
-pub fn digest_records(report: &RunReport, load_metric: LoadMetric) -> u64 {
+pub fn digest_records(report: &RunReport, _load_metric: LoadMetric) -> u64 {
     let mut h = Fnv1a::new();
-    absorb_records(&mut h, report, load_metric);
+    absorb_records(&mut h, report);
     h.finish()
 }
 
-fn absorb_records(h: &mut Fnv1a, report: &RunReport, load_metric: LoadMetric) {
-    let deterministic_loads = matches!(load_metric, LoadMetric::WorkModel { .. });
+fn absorb_records(h: &mut Fnv1a, report: &RunReport) {
     h.write_u64(report.records.len() as u64);
     for r in &report.records {
         h.write_u64(r.step);
-        if deterministic_loads {
-            h.write_f64(r.t_step);
-            h.write_f64(r.f_max);
-            h.write_f64(r.f_ave);
-            h.write_f64(r.f_min);
-        }
+        h.write_f64(r.t_step);
+        h.write_f64(r.f_max);
+        h.write_f64(r.f_ave);
+        h.write_f64(r.f_min);
         h.write_u64(r.pair_checks);
         h.write_f64(r.c0_over_c);
         h.write_f64(r.n_factor);
@@ -250,7 +247,7 @@ mod tests {
     #[test]
     fn report_digest_ignores_wall_clock_fields() {
         let rec = record();
-        let mut a = RunReport {
+        let a = RunReport {
             records: vec![rec],
             ..Default::default()
         };
@@ -263,10 +260,5 @@ mod tests {
         // But deterministic series are covered.
         b.records[0].kinetic += 1e-13;
         assert_ne!(digest_report(&a, wm), digest_report(&b, wm));
-        // Under wall-clock loads, the force-time series is excluded too.
-        a.records[0].f_max = 0.9;
-        let base = digest_report(&b, LoadMetric::WallClock);
-        a.records[0].kinetic = b.records[0].kinetic;
-        assert_eq!(digest_report(&a, LoadMetric::WallClock), base);
     }
 }

@@ -4,8 +4,8 @@
 //! [`Launch`] says *how* a [`RunConfig`] is started — the domain shape,
 //! whether the final particle state is gathered, whether a balancing
 //! square pillar's tiles follow the load or stay where the launch cut them
-//! ([`Launch::fixed_tiles`]) and, in `check` builds, what every rank thread
-//! does before the program — and has two terminals:
+//! ([`Launch::fixed_tiles`]) and what every rank thread does before the
+//! program ([`Launch::on_start`]) — and has two terminals:
 //!
 //! - [`Launch::run`], the **plain** launch: any shape, one world; a rank's
 //!   panic resurfaces on the caller with its original payload.
@@ -34,7 +34,7 @@ use pcdlb_md::Particle;
 use pcdlb_mp::{Comm, World, WorldError};
 
 use crate::clock::WallTimer;
-use crate::config::{ensure, ConfigError, LoadMetric, RunConfig};
+use crate::config::{ensure, ConfigError, RunConfig};
 use crate::digest::digest_recovery;
 use crate::elastic::{remap_drained_checkpoint, ResizeGeneration, ResizePlan, ResizeStage};
 use crate::engine::{launch, run_launched, run_pe, Program, Start};
@@ -44,8 +44,7 @@ use crate::recover::{RecoveryError, SimCheckpoint};
 use crate::report::{PhaseTimes, RunReport, WireBytes};
 
 /// What every rank thread runs before the program, given the launch
-/// number and the rank's endpoint (`check` builds).
-#[cfg(feature = "check")]
+/// number and the rank's endpoint.
 type StartHook = std::sync::Arc<dyn Fn(usize, &mut Comm) + Send + Sync>;
 
 /// How to launch a [`RunConfig`] — see the [module docs](self).
@@ -54,7 +53,6 @@ pub struct Launch {
     shape: DomainShape,
     snapshot: bool,
     fixed_tiles: bool,
-    #[cfg(feature = "check")]
     on_start: Option<StartHook>,
 }
 
@@ -167,7 +165,6 @@ impl Launch {
             shape: DomainShape::SquarePillar,
             snapshot: false,
             fixed_tiles: false,
-            #[cfg(feature = "check")]
             on_start: None,
         }
     }
@@ -176,23 +173,19 @@ impl Launch {
     /// the paper's scheme. The tiles are cut once, none under two columns
     /// wide so every tile keeps a movable column for the in-run balancer,
     /// and the run never checks its tiling again. Without it a balancing
-    /// square pillar (under the work model) launches on tiles as thin as
-    /// one column and re-examines them 2, 4, 8, … steps after they were
-    /// last chosen, re-tiling in place where the modelled saving pays for
-    /// the move ([`crate::launch`], [`crate::pe`]). No effect on any other
-    /// run.
+    /// square pillar launches on tiles as thin as one column and
+    /// re-examines them 2, 4, 8, … steps after they were last chosen,
+    /// re-tiling in place where the modelled saving pays for the move
+    /// ([`crate::launch`], [`crate::pe`]). No effect on any other run.
     pub fn fixed_tiles(mut self) -> Self {
         self.fixed_tiles = true;
         self
     }
 
     /// Whether a run of `cfg` re-tiles in place: a balancing square pillar
-    /// on the deterministic work model, launched without
-    /// [`Launch::fixed_tiles`]. (Under wall-clock loads a modelled saving
-    /// and a modelled move cost are not on one ruler.)
+    /// launched without [`Launch::fixed_tiles`].
     fn retiles(&self, cfg: &RunConfig) -> bool {
-        let modelled = matches!(cfg.load_metric, LoadMetric::WorkModel { .. });
-        !self.fixed_tiles && self.shape == DomainShape::SquarePillar && cfg.dlb && modelled
+        !self.fixed_tiles && self.shape == DomainShape::SquarePillar && cfg.dlb
     }
 
     /// What the ranks of a launch of `cfg` run, its tiling chosen at step
@@ -219,11 +212,10 @@ impl Launch {
     }
 
     /// Run `hook(launch, comm)` on every rank's own thread before the
-    /// program (`check` builds): the one place a sweep or model checker
+    /// program: the one place a sweep, a model checker or a test
     /// installs an event log, a delivery policy or a fault plan. `launch`
     /// numbers the worlds of a run from 0, across generations and
     /// relaunches alike (a plain launch is launch 0).
-    #[cfg(feature = "check")]
     pub fn on_start(mut self, hook: impl Fn(usize, &mut Comm) + Send + Sync + 'static) -> Self {
         self.on_start = Some(std::sync::Arc::new(hook));
         self
@@ -231,12 +223,10 @@ impl Launch {
 
     /// The world one launch of the (validated) `cfg` runs in: the only
     /// place a `World` is built.
-    #[cfg_attr(not(feature = "check"), allow(unused_variables))]
     fn world(&self, cfg: &RunConfig, launch: usize) -> World {
         let world = World::new(cfg.p)
             .with_cost_model(crate::decomp::cost_model(self.shape, cfg))
             .with_comm_config(&cfg.comm);
-        #[cfg(feature = "check")]
         if let Some(hook) = self.on_start.clone() {
             return world.with_start_hook(move |comm| hook(launch, comm));
         }

@@ -201,7 +201,6 @@ mod tests {
 
     use crate::config::Lattice;
     use crate::driver::{run, run_serial, Ladder, LadderOutcome, Launch};
-    #[cfg(feature = "check")]
     use crate::recover::tests::faulted;
     use crate::recover::tests::recovery_cfg;
     use crate::SpeedSchedule;
@@ -406,7 +405,6 @@ mod tests {
         run_plan(&cfg, ResizePlan::new().resize(8, 9));
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn kill_during_the_drain_gather_relaunches_the_generation() {
         use pcdlb_core::protocol::tags;

@@ -218,8 +218,7 @@ struct Costs<'a> {
     nc: usize,
     /// [`Placed::column_work`], in column index order.
     work: &'a [u64],
-    /// Seconds per candidate pair; 1 where the run balances wall time
-    /// (the `WallClock` metric plans in work units).
+    /// Seconds per candidate pair.
     unit: f64,
     /// The processor speeds, where the run balances time, at `step` — the
     /// step whose force pass the launch repeats.
@@ -230,13 +229,11 @@ struct Costs<'a> {
 impl<'a> Costs<'a> {
     fn new(cfg: &'a RunConfig, step: u64, work: &'a [u64]) -> Self {
         assert_eq!(work.len(), cfg.nc * cfg.nc, "one work entry per column");
+        let LoadMetric::WorkModel { sec_per_pair } = cfg.load_metric;
         Self {
             nc: cfg.nc,
             work,
-            unit: match cfg.load_metric {
-                LoadMetric::WorkModel { sec_per_pair } => sec_per_pair,
-                LoadMetric::WallClock => 1.0,
-            },
+            unit: sec_per_pair,
             speeds: cfg.speed.as_ref().filter(|_| cfg.speed_aware),
             step,
         }

@@ -183,7 +183,6 @@ impl PeState {
         }
         let own_cols: Vec<Col> = self.columns.keys().copied().collect();
         let count = self.num_particles() as u64;
-        #[cfg(feature = "check")]
         pcdlb_mp::check::emit(pcdlb_mp::check::ProtocolEvent::Sentinel {
             rank: comm.rank(),
             step,

@@ -341,11 +341,9 @@ impl PeState {
         }
         force.last_work = work;
         force.last_force_wall = dt;
-        // Raw metric value: modelled work seconds or measured wall.
-        let raw = match self.cfg.load_metric {
-            LoadMetric::WorkModel { sec_per_pair } => work.pair_checks as f64 * sec_per_pair,
-            LoadMetric::WallClock => dt,
-        };
+        // Raw metric value: modelled work seconds.
+        let LoadMetric::WorkModel { sec_per_pair } = self.cfg.load_metric;
+        let raw = work.pair_checks as f64 * sec_per_pair;
         // On a heterogeneous machine the *reported* force time is the
         // modelled elapsed time on this step's processor speed; the
         // *balanced* quantity is that time only under the speed-aware

@@ -130,9 +130,15 @@ pub(crate) mod tests {
             .expect("no faults")
     }
 
+    /// A run's records with `wall_s`, which real clocks
+    /// (`wallclock-instrumentation`) make vary run to run, zeroed.
+    fn clockless(outcome: &LadderOutcome) -> Vec<StepRecord> {
+        let records = outcome.report.records.iter();
+        records.map(|r| StepRecord { wall_s: 0.0, ..*r }).collect()
+    }
+
     /// A launch whose rank threads run under the plans `plans(launch,
     /// rank)` gives them.
-    #[cfg(feature = "check")]
     pub(crate) fn faulted(
         plans: impl Fn(usize, usize) -> Option<pcdlb_mp::FaultPlan> + Send + Sync + 'static,
     ) -> Launch {
@@ -254,7 +260,6 @@ pub(crate) mod tests {
         assert_eq!(out.digest, digest_recovery(&rep, &snap, cfg.load_metric));
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn recovery_restores_the_last_checkpoint_and_matches_bitwise() {
         use pcdlb_mp::FaultPlan;
@@ -306,7 +311,6 @@ pub(crate) mod tests {
         assert_eq!(out.snapshot, plain.snapshot);
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn a_working_balancer_survives_a_death_bitwise() {
         use crate::engine::{run_pe, Program, Start};
@@ -356,7 +360,6 @@ pub(crate) mod tests {
         assert_eq!(relaunched.snapshot, reference.snapshot);
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn a_run_on_uneven_tiles_is_restored_bitwise() {
         use pcdlb_core::protocol::tags;
@@ -385,7 +388,7 @@ pub(crate) mod tests {
         let relaunched = relaunched.expect("recovers");
         assert_eq!(relaunched.attempts, 2, "the run was restored, not replayed");
         assert_eq!(relaunched.digest, reference.digest, "relaunch");
-        assert_eq!(relaunched.report.records, reference.report.records);
+        assert_eq!(clockless(&relaunched), clockless(&reference));
         assert_eq!(relaunched.snapshot, reference.snapshot);
         assert_eq!(relaunched.report.tiling, Some(tiling));
         assert_eq!(
@@ -394,7 +397,6 @@ pub(crate) mod tests {
         );
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn a_planned_launch_survives_a_death_before_its_first_checkpoint_bitwise() {
         use pcdlb_core::protocol::tags;
@@ -420,7 +422,7 @@ pub(crate) mod tests {
             relaunched.digest, reference.digest,
             "relaunch from the initial condition"
         );
-        assert_eq!(relaunched.report.records, reference.report.records);
+        assert_eq!(clockless(&relaunched), clockless(&reference));
         assert_eq!(relaunched.snapshot, reference.snapshot);
         assert_eq!(
             relaunched.report.launch_transfers,
@@ -429,7 +431,6 @@ pub(crate) mod tests {
         assert_eq!(relaunched.report.tiling, Some(tiling));
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn a_re_tile_survives_a_death_inside_it_and_restores_onto_its_tiling() {
         use pcdlb_core::protocol::tags;
@@ -493,7 +494,6 @@ pub(crate) mod tests {
         }
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn recovery_gives_up_after_max_attempts_with_all_diagnostics() {
         use pcdlb_mp::FaultPlan;
@@ -506,7 +506,6 @@ pub(crate) mod tests {
         assert!(err.to_string().contains("all 3 attempt(s)"), "{err}");
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn a_resilient_launch_takes_its_deadlines_from_the_config() {
         // The ladder has no timing of its own: every world it launches

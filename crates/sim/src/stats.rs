@@ -9,7 +9,7 @@ use pcdlb_core::protocol::tags;
 use pcdlb_md::observe;
 use pcdlb_mp::{collectives, Comm};
 
-use crate::config::{LoadMetric, RunConfig};
+use crate::config::RunConfig;
 use crate::report::StepRecord;
 
 /// One rank's contribution to a step record.
@@ -53,10 +53,7 @@ pub(crate) fn collect_step_record(
 ) -> Option<StepRecord> {
     let gathered = collectives::gather(comm, tags::STATS, packet)?;
 
-    let load = |s: &StatsPacket| match cfg.load_metric {
-        LoadMetric::WorkModel { .. } => s.force_virtual,
-        LoadMetric::WallClock => s.force_wall,
-    };
+    let load = |s: &StatsPacket| s.force_virtual;
     let f_max = gathered.iter().map(&load).fold(f64::MIN, f64::max);
     let f_min = gathered.iter().map(&load).fold(f64::MAX, f64::min);
     let f_ave = gathered.iter().map(&load).sum::<f64>() / gathered.len() as f64;

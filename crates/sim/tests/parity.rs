@@ -4,7 +4,7 @@
 //! cell ownership between PEs — it must never change the physics.
 
 use pcdlb_md::Particle;
-use pcdlb_sim::{run_serial, run_with_snapshot, LoadMetric, RunConfig};
+use pcdlb_sim::{run_serial, run_with_snapshot, RunConfig};
 
 /// A small supercooled-gas config: P PEs, nc cells/side, short run. N is
 /// derived so the cell size comes out at ≈2.56 ≥ r_c, as in the paper.
@@ -88,15 +88,6 @@ fn dlb_on_and_off_produce_identical_trajectories() {
     let (_, snap_on) = run_with_snapshot(&on);
     let (_, snap_off) = run_with_snapshot(&off);
     assert_bitwise_equal(&snap_on, &snap_off);
-}
-
-#[test]
-fn wallclock_load_metric_does_not_change_physics() {
-    let mut a = small_cfg(9, 6, 20, true);
-    a.load_metric = LoadMetric::WallClock;
-    let (_, snap_a) = run_with_snapshot(&a);
-    let serial = run_serial(&a);
-    assert_bitwise_equal(&snap_a, &serial);
 }
 
 #[test]

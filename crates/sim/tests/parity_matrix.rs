@@ -206,7 +206,6 @@ fn checkpoint_cadence_forces_rebuild_boundaries() {
 /// bitwise those of the uninterrupted run. Two worlds: the 2 × 2 DDM gas
 /// and a 3 × 3 clustered world whose balancer moves columns (and whose
 /// tiles follow the load) while the epochs run.
-#[cfg(feature = "check")]
 #[test]
 fn skin_epochs_restore_across_the_checkpoint_cadence_bitwise() {
     use pcdlb_core::protocol::tags;

@@ -1,16 +1,22 @@
 //! Tier-1's view of the front door: one launch description, a plain and a
 //! resilient terminal, and a recovery ladder whose rungs are data. Without
 //! faults every rung runs the same physics as the plain launch, in one
-//! launch per world generation; an illegal composition is refused before
-//! any rank thread starts.
+//! launch per world generation, and a rank killed mid-run costs one more
+//! launch and nothing else; an illegal composition is refused before any
+//! rank thread starts.
 
+use std::time::Duration;
+
+use pcdlb::mp::FaultPlan;
 use pcdlb::sim::{
     digest_recovery, run_serial, DomainShape, Ladder, Lattice, Launch, ResizePlan, RunConfig,
 };
 
 /// The 2×2 recovery workload: DDM only (P = 4 cannot run DLB), clustered
 /// start so migration and ghost traffic are busy, thermostat firing
-/// mid-run, a checkpoint every 5 of 24 steps.
+/// mid-run, a checkpoint every 5 of 24 steps. A tight poll so an abort
+/// propagates fast, a watchdog short enough that a wedged receive fails
+/// the test promptly.
 fn recovery_cfg() -> RunConfig {
     let mut cfg = RunConfig::new(216, 4, 4, 0.2);
     cfg.dlb = false;
@@ -19,6 +25,8 @@ fn recovery_cfg() -> RunConfig {
     cfg.lattice = Lattice::Cluster { fill: 0.8 };
     cfg.seed = 11;
     cfg.checkpoint_interval = 5;
+    cfg.comm.poll = Duration::from_millis(2);
+    cfg.comm.watchdog = Duration::from_secs(20);
     cfg
 }
 
@@ -40,21 +48,41 @@ fn every_rung_matches_the_plain_launch_and_serial_bitwise() {
     // A resize changes who computes what, so its per-step records (and
     // with them the digest) are its own; the physics is everybody's.
     let grow_and_shrink = ResizePlan::new().resize(8, 16).resize(16, 4);
-    for (rung, ladder, generations) in [
-        ("relaunch", ladder(ResizePlan::new()), 1),
-        ("4 → 16 → 4", ladder(grow_and_shrink), 3),
+    // Rank 2 of the first launch dies at its 70th send (some three a step,
+    // so in step 21, after the checkpoint of step 20); the relaunch
+    // restores that checkpoint.
+    let killed = Launch::new().on_start(|launch, comm| {
+        if launch == 0 && comm.rank() == 2 {
+            comm.set_fault_plan(FaultPlan::kill_at(70));
+        }
+    });
+    for (rung, launch, ladder, generations, deaths) in [
+        ("relaunch", Launch::new(), ladder(ResizePlan::new()), 1, 0),
+        ("4 → 16 → 4", Launch::new(), ladder(grow_and_shrink), 3, 0),
+        ("killed", killed, ladder(ResizePlan::new()), 1, 1),
     ] {
-        let out = Launch::new()
+        let out = launch
             .run_resilient(&cfg, &ladder)
-            .expect("no faults");
+            .expect("every rung completes");
         if generations == 1 {
             assert_eq!(out.digest, digest, "{rung}");
         }
         assert_eq!(out.report.records.len(), cfg.steps as usize, "{rung}");
         assert_eq!(out.snapshot, serial, "{rung}");
         assert_eq!(out.generations.len(), generations, "{rung}");
-        assert_eq!(out.attempts, generations, "{rung}: one launch each");
-        assert!(out.failures.is_empty(), "{rung}");
+        assert_eq!(
+            out.attempts,
+            generations + deaths,
+            "{rung}: one launch each, one more per death"
+        );
+        assert_eq!(out.failures.len(), deaths, "{rung}");
+        for failed in &out.failures {
+            assert!(
+                (failed.failures.iter())
+                    .any(|f| f.rank == 2 && f.message.contains("killed by injected fault")),
+                "{rung}: the diagnostics name the injected kill: {failed}"
+            );
+        }
     }
 }
 

@@ -101,10 +101,8 @@ fn heaviest_is_walled(layout: &PillarLayout, plan: &LaunchPlan) -> bool {
 }
 
 fn sec_per_pair(cfg: &RunConfig) -> f64 {
-    match cfg.load_metric {
-        LoadMetric::WorkModel { sec_per_pair } => sec_per_pair,
-        LoadMetric::WallClock => unreachable!("the default metric is the work model"),
-    }
+    let LoadMetric::WorkModel { sec_per_pair } = cfg.load_metric;
+    sec_per_pair
 }
 
 proptest! {
