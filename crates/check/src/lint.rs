@@ -5,8 +5,8 @@
 //! - `wallclock-in-deterministic-crate`: no `Instant::now` / `SystemTime`
 //!   in `pcdlb-md`, `pcdlb-core`, `pcdlb-domain`, `pcdlb-sim`. Physics and
 //!   protocol decisions must be wall-clock free; the only sanctioned clock
-//!   access is `pcdlb-sim`'s `clock` module, which is feature-gated and
-//!   allowlisted in `lint-allow.txt`.
+//!   access is `pcdlb-sim`'s `clock` module, whose timers feed only the
+//!   reported wall times and which is allowlisted in `lint-allow.txt`.
 //! - `hash-iteration-in-protocol-code`: no `HashMap`/`HashSet` in
 //!   `pcdlb-mp`, `pcdlb-sim` or the protocol module — hash iteration
 //!   order varies between runs, which silently breaks bitwise

@@ -311,14 +311,14 @@ pub fn check_thread_properties(rank: usize, events: &[ProtocolEvent]) -> Vec<Pro
                 }
                 st.acks.insert((src, dst), cum);
             }
-            ProtocolEvent::Retransmit { src, dst, rseq } => {
+            ProtocolEvent::Retransmit { src, dst, seq } => {
                 if let Some(&cum) = st.acks.get(&(src, dst)) {
-                    if rseq < cum {
+                    if seq < cum {
                         out.push(PropertyViolation {
                             property: "retransmit-valid",
                             rank,
                             detail: format!(
-                                "link {src}->{dst} retransmitted rseq {rseq} already covered by cum {cum}"
+                                "link {src}->{dst} retransmitted seq {seq} already covered by cum {cum}"
                             ),
                             trace: window(events, i, |e| {
                                 matches!(e, ProtocolEvent::Retransmit { src: s, dst: d, .. }
@@ -919,7 +919,7 @@ mod tests {
             ProtocolEvent::Retransmit {
                 src: 0,
                 dst: 1,
-                rseq: 0,
+                seq: 0,
             },
             ProtocolEvent::AckAdvance {
                 src: 0,
@@ -929,7 +929,7 @@ mod tests {
             ProtocolEvent::Retransmit {
                 src: 0,
                 dst: 1,
-                rseq: 1,
+                seq: 1,
             },
             ProtocolEvent::AckAdvance {
                 src: 0,
@@ -964,7 +964,7 @@ mod tests {
             ProtocolEvent::Retransmit {
                 src: 0,
                 dst: 1,
-                rseq: 2,
+                seq: 2,
             },
         ];
         let v = check_thread_properties(0, &stale_retx);

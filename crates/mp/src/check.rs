@@ -251,18 +251,18 @@ pub enum ProtocolEvent {
         /// Particles owned by this rank at that step.
         count: u64,
     },
-    /// The link layer retransmitted frame `rseq` on the link
+    /// The link layer retransmitted frame `seq` on the link
     /// `src -> dst` (lossy transports only).
     Retransmit {
         /// Sending rank.
         src: usize,
         /// Destination rank.
         dst: usize,
-        /// Link sequence number of the retransmitted frame.
-        rseq: u64,
+        /// Sequence number of the retransmitted frame.
+        seq: u64,
     },
     /// A cumulative ack advanced the sender's link window: every frame
-    /// with `rseq < cum` on `src -> dst` is now known delivered.
+    /// with `seq < cum` on `src -> dst` is now known delivered.
     AckAdvance {
         /// Sending rank (whose window advanced).
         src: usize,
@@ -320,7 +320,7 @@ impl std::fmt::Display for ProtocolEvent {
             Sentinel { rank, step, count } => {
                 write!(f, "sentinel r{rank} step {step} count {count}")
             }
-            Retransmit { src, dst, rseq } => write!(f, "retx {src}->{dst} rseq {rseq}"),
+            Retransmit { src, dst, seq } => write!(f, "retx {src}->{dst} seq {seq}"),
             AckAdvance { src, dst, cum } => write!(f, "ack-advance {src}->{dst} cum {cum}"),
             Suspect { rank, peer } => write!(f, "suspect r{rank} ? r{peer}"),
             Unsuspect { rank, peer } => write!(f, "unsuspect r{rank} ? r{peer}"),

@@ -60,7 +60,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,7 +70,6 @@ use crate::cost::CostModel;
 use crate::link::{Closed, Link};
 use crate::transport::{LossyProfile, Partition};
 use crate::wire::{decode_all, Decode, Encode};
-use crate::world::Shared;
 
 /// Message tag. Programs namespace tags themselves (the simulator uses one
 /// constant per communication phase).
@@ -331,7 +330,7 @@ impl CommError {
         rank: usize,
         peer: usize,
         tag: Tag,
-        rseq: u64,
+        seq: u64,
         budget: u32,
     ) -> Self {
         Self::new(
@@ -340,7 +339,7 @@ impl CommError {
             peer,
             tag,
             format!(
-                "rank {rank} link to rank {peer} (tag={tag}): frame rseq {rseq} is still \
+                "rank {rank} link to rank {peer} (tag={tag}): frame seq {seq} is still \
                  unacknowledged after {budget} retransmissions — peer unreachable, \
                  escalating into the fault ladder"
             ),
@@ -382,33 +381,29 @@ pub(crate) struct Envelope {
     pub(crate) tag: Tag,
     /// The encoded message; its length is what the message costs.
     pub(crate) payload: Vec<u8>,
-    /// Per-(src, dst) link sequence number, stamped by the link layer; 0
-    /// and unused without one.
-    pub(crate) rseq: u64,
     /// A header-only retransmission probe: the payload copy already
     /// physically reached the receiver's mailbox (the channel underneath
     /// is reliable), so this frame exists only to elicit a fresh ack or
     /// to be suppressed as a duplicate, and is never delivered to the
     /// application.
     pub(crate) hollow: bool,
-    /// Per (sender, destination) sequence number, assigned at send time.
-    /// Checked at arrival, so a FIFO bug — a message that arrives twice
-    /// or overtakes an earlier one — is a structured error, not silent
-    /// corruption.
+    /// Per (sender, destination) sequence number, assigned at send time
+    /// (0 on the link layer's unsequenced acks and heartbeats). A lossy
+    /// link orders, acks and retransmits by it. Checked at arrival, so a
+    /// FIFO bug — a message that arrives twice or overtakes an earlier
+    /// one — is a structured error, not silent corruption.
     pub(crate) seq: u64,
 }
 
 impl Envelope {
     /// The one envelope constructor: `payload` from rank `src` to rank
-    /// `dst`. Link and FIFO sequence numbers start at 0, for the layers
-    /// that stamp them.
+    /// `dst`. The sequence number starts at 0, for `Comm::post` to stamp.
     pub(crate) fn new(src: usize, dst: usize, tag: Tag, payload: Vec<u8>) -> Self {
         Self {
             src,
             dst,
             tag,
             payload,
-            rseq: 0,
             hollow: false,
             seq: 0,
         }
@@ -466,8 +461,9 @@ pub struct Comm {
     /// The world's configuration: the poll quantum and watchdog pace
     /// every blocking receive.
     cfg: CommConfig,
-    /// What every rank of the world shares: clock start and abort flag.
-    world: Arc<Shared>,
+    /// The world's abort flag, shared by every rank: set when any rank
+    /// panics.
+    abort: Arc<AtomicBool>,
     /// The link layer, present only under a chaos profile.
     link: Option<Link>,
     /// The controlled scheduler deciding cross-source delivery order,
@@ -484,7 +480,7 @@ impl Comm {
         inbox: Receiver<Envelope>,
         model: CostModel,
         cfg: &CommConfig,
-        world: Arc<Shared>,
+        abort: Arc<AtomicBool>,
     ) -> Self {
         let size = senders.len();
         Self {
@@ -500,7 +496,7 @@ impl Comm {
             spare: Vec::new(),
             model,
             cfg: cfg.clone(),
-            world,
+            abort,
             link: cfg
                 .chaos
                 .is_some()
@@ -548,15 +544,7 @@ impl Comm {
 
     /// True once any rank of the world has raised the abort flag.
     fn aborting(&self) -> bool {
-        self.world.abort.load(Ordering::Relaxed)
-    }
-
-    /// Seconds of wall time since the world started (`MPI_Wtime`
-    /// equivalent). On a timeshared host this measures elapsed real time,
-    /// not per-rank compute; experiments that need per-rank *load* use the
-    /// simulator's deterministic work model instead.
-    pub fn wtime(&self) -> f64 {
-        self.world.started.elapsed().as_secs_f64()
+        self.abort.load(Ordering::Relaxed)
     }
 
     /// Communication counters accumulated so far.

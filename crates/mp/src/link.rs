@@ -7,10 +7,10 @@
 //! (`chaos`), every rank holds one [`Link`], and each frame between two
 //! hosts passes through it:
 //!
-//! - **Sender:** a per-host link sequence number (`rseq`), the profile's
-//!   fate for the frame — delivered, dropped, duplicated, or held back
-//!   for `k` later frames — and a pending window until the cumulative
-//!   ack passes it. A dropped payload is kept and retransmitted with
+//! - **Sender:** the frame's per-(source, destination) sequence number
+//!   (`seq`, stamped by `Comm::post`), the profile's fate for the frame
+//!   — delivered, dropped, duplicated, or held back for `k` later frames
+//!   — and a pending window until the cumulative ack passes it. A dropped payload is kept and retransmitted with
 //!   exponential backoff; once a copy has reached the peer's mailbox,
 //!   retransmissions are header-only probes that elicit a fresh ack. A
 //!   payload that never left this host through the whole
@@ -45,7 +45,7 @@ pub(crate) const LINK_CTRL_TAG: Tag = Tag::MAX;
 
 /// One frame awaiting acknowledgement on a sender's directed link.
 struct PendingFrame {
-    rseq: u64,
+    seq: u64,
     /// Retransmission attempts so far (0 = only the original send).
     attempts: u32,
     /// Selectively acked: physically at the receiver, awaiting only the
@@ -61,15 +61,13 @@ struct PendingFrame {
 /// Sender-side state of one directed link (this host → peer host).
 #[derive(Default)]
 struct LinkTx {
-    /// Next link sequence number to stamp.
-    next_rseq: u64,
     /// Physical transmission attempts on this link so far — the index
     /// the profile's fate consumes. Monotone, so partition windows
     /// progress under retransmit pressure.
     frame_index: u64,
-    /// Cumulative ack received: every `rseq < cum` is delivered.
+    /// Cumulative ack received: every `seq < cum` is delivered.
     cum: u64,
-    /// Unacknowledged frames, ascending by `rseq`.
+    /// Unacknowledged frames, ascending by `seq`.
     pending: VecDeque<PendingFrame>,
     /// Frames held back by a `Delay` fate: `(release_frame, held_since,
     /// frame)`. Released once `frame_index` passes `release_frame` or
@@ -84,7 +82,7 @@ struct LinkTx {
 /// Receiver-side state of one directed link (peer host → this host).
 #[derive(Default)]
 struct LinkRx {
-    /// Next in-order link sequence number expected.
+    /// Next in-order sequence number expected.
     expected: u64,
     /// Out-of-window arrivals parked until the gap fills (bounded
     /// reordering buffer; `BTreeMap` for deterministic iteration).
@@ -163,23 +161,21 @@ impl Link {
     }
 
     /// Send an application frame to peer `host` (loopback is not a
-    /// link): stamp its link sequence number, put it on the wire, and
-    /// track it until the cumulative ack passes it.
+    /// link): put it on the wire, and track it by its sequence number
+    /// until the cumulative ack passes it.
     pub(crate) fn send(
         &mut self,
         host: usize,
-        mut env: Envelope,
+        env: Envelope,
         wire: &[Sender<Envelope>],
         now: Instant,
     ) -> Result<(), Closed> {
-        let rseq = self.tx[host].next_rseq;
-        self.tx[host].next_rseq += 1;
-        env.rseq = rseq;
+        let seq = env.seq;
         let retained = self.emit(host, env, wire, now)?;
         let base = self.cfg.retransmit_base;
         let lt = &mut self.tx[host];
         lt.pending.push_back(PendingFrame {
-            rseq,
+            seq,
             attempts: 0,
             sacked: false,
             env: retained,
@@ -197,7 +193,7 @@ impl Link {
     /// dropped frame comes back (the caller keeps an application payload
     /// for retransmission); a delayed one waits in the hold queue. A
     /// duplicated application frame is followed by a header-only copy
-    /// with the same link sequence number, which the receiver's
+    /// with the same sequence number, which the receiver's
     /// duplicate suppression absorbs; if the receiver has already left,
     /// nobody needs the copy and it is abandoned. Control frames are
     /// idempotent and never duplicated.
@@ -266,7 +262,7 @@ impl Link {
     }
 
     /// Acknowledge the receive state of `host`'s link: the cumulative
-    /// next-expected sequence (all `rseq` below it delivered in order)
+    /// next-expected sequence (all `seq` below it delivered in order)
     /// plus up to 16 selective acks for frames parked in the reorder
     /// buffer, which the sender need not retransmit.
     pub(crate) fn ack(&mut self, host: usize, wire: &[Sender<Envelope>], now: Instant) {
@@ -295,7 +291,7 @@ impl Link {
         let lt = &mut self.tx[from];
         if cum > lt.cum {
             lt.cum = cum;
-            while lt.pending.front().is_some_and(|p| p.rseq < cum) {
+            while lt.pending.front().is_some_and(|p| p.seq < cum) {
                 lt.pending.pop_front();
             }
             // Progress: restart the backoff ladder for the new
@@ -309,7 +305,7 @@ impl Link {
             });
         }
         for s in sacks {
-            if let Some(pf) = lt.pending.iter_mut().find(|p| p.rseq == s) {
+            if let Some(pf) = lt.pending.iter_mut().find(|p| p.seq == s) {
                 // Physically at the receiver: drop the payload copy and
                 // stop retransmitting it.
                 pf.sacked = true;
@@ -358,14 +354,14 @@ impl Link {
         let host = env.src;
         let rx = &mut self.rx[host];
         if env.hollow {
-            if env.rseq >= rx.expected {
+            if env.seq >= rx.expected {
                 return None;
             }
-        } else if env.rseq == rx.expected {
+        } else if env.seq == rx.expected {
             rx.expected += 1;
             return Some(env);
-        } else if env.rseq > rx.expected {
-            rx.buffer.entry(env.rseq).or_insert(env);
+        } else if env.seq > rx.expected {
+            rx.buffer.entry(env.seq).or_insert(env);
         }
         self.ack(host, wire, now);
         None
@@ -432,10 +428,10 @@ impl Link {
             };
             let pf = &mut lt.pending[pos];
             pf.attempts += 1;
-            let (rseq, env) = (pf.rseq, pf.env.take());
+            let (seq, env) = (pf.seq, pf.env.take());
             if pf.attempts > budget {
                 if env.is_some() {
-                    return Err(CommError::retransmit_exhausted(rank, host, 0, rseq, budget));
+                    return Err(CommError::retransmit_exhausted(rank, host, 0, seq, budget));
                 }
                 // The payload physically reached the peer's mailbox; only
                 // the acks are missing (peer likely exited). Stop probing.
@@ -445,7 +441,7 @@ impl Link {
             // Payload already at the receiver: a header-only probe
             // elicits a fresh ack.
             let probe = env.unwrap_or_else(|| Envelope {
-                rseq,
+                seq,
                 hollow: true,
                 ..Envelope::new(rank, host, 0, Vec::new())
             });
@@ -453,7 +449,7 @@ impl Link {
             crate::check::emit(crate::check::ProtocolEvent::Retransmit {
                 src: self.rank,
                 dst: host,
-                rseq,
+                seq,
             });
             match self.emit(host, probe, wire, now) {
                 // Dropped again: keep the payload for the next try.
@@ -553,10 +549,10 @@ mod tests {
         }
     }
 
-    /// Application frame `rseq` from host 0 to host 1 carrying `value`.
-    fn frame(rseq: u64, value: u64) -> Envelope {
+    /// Application frame `seq` from host 0 to host 1 carrying `value`.
+    fn frame(seq: u64, value: u64) -> Envelope {
         Envelope {
-            rseq,
+            seq,
             ..Envelope::new(0, 1, 5, value.to_le_bytes().to_vec())
         }
     }
@@ -565,9 +561,9 @@ mod tests {
         std::iter::from_fn(|| inbox.try_recv().ok()).collect()
     }
 
-    /// `(rseq, hollow)` of each frame.
+    /// `(seq, hollow)` of each frame.
     fn headers(frames: &[Envelope]) -> Vec<(u64, bool)> {
-        frames.iter().map(|e| (e.rseq, e.hollow)).collect()
+        frames.iter().map(|e| (e.seq, e.hollow)).collect()
     }
 
     /// `(cum, sacks)` of an ack frame.
@@ -597,7 +593,7 @@ mod tests {
         assert_eq!(err.kind, CommErrorKind::Transport);
         assert!(
             err.message()
-                .contains("rseq 0 is still unacknowledged after 3 retransmissions"),
+                .contains("seq 0 is still unacknowledged after 3 retransmissions"),
             "{err}"
         );
         assert_eq!(stats.retransmits, 3);
@@ -632,19 +628,19 @@ mod tests {
         let t0 = Instant::now();
         let quiet = cfg(LossyProfile::new(1));
         let (mut a, mut b) = (Link::new(0, 2, &quiet, t0), Link::new(1, 2, &quiet, t0));
-        for v in [10u64, 11] {
-            assert!(a.send(1, frame(0, v), &wire, t0).is_ok());
+        for (seq, v) in [(0, 10u64), (1, 11)] {
+            assert!(a.send(1, frame(seq, v), &wire, t0).is_ok());
         }
         let mut sent = drain(&inbox[1]).into_iter();
-        let (first, second) = (sent.next().expect("rseq 0"), sent.next().expect("rseq 1"));
-        assert_eq!((first.rseq, second.rseq), (0, 1));
-        // The wire holds rseq 0 back: rseq 1 arrives first and is parked.
+        let (first, second) = (sent.next().expect("seq 0"), sent.next().expect("seq 1"));
+        assert_eq!((first.seq, second.seq), (0, 1));
+        // The wire holds seq 0 back: seq 1 arrives first and is parked.
         let second = b.intercept(second, t0).expect("an application frame");
         assert!(b.accept(second, &wire, t0).is_none(), "parked");
         let ack = inbox[0].try_recv().expect("host 1 acks the early frame");
         assert_eq!(ack_of(&ack), (0, vec![1]));
         assert!(a.intercept(ack, t0).is_none(), "host 0 consumes the ack");
-        // Host 0 probes for rseq 0 only: rseq 1 is sacked.
+        // Host 0 probes for seq 0 only: seq 1 is sacked.
         let mut stats = CommStats::default();
         for i in 1..=2 {
             let pass = a.maintain(t0 + ms(5 * i), &wire, &mut stats);
@@ -657,8 +653,8 @@ mod tests {
             assert!(b.accept(probe, &wire, t0).is_none());
         }
         assert!(inbox[0].try_recv().is_err(), "no ack for an early probe");
-        // The gap fills: rseq 0, then the parked rseq 1, in order.
-        let first = b.accept(first, &wire, t0).expect("rseq 0 is next");
+        // The gap fills: seq 0, then the parked seq 1, in order.
+        let first = b.accept(first, &wire, t0).expect("seq 0 is next");
         let parked = std::iter::from_fn(|| b.next_in_order(0));
         let delivered: Vec<u64> = std::iter::once(first).chain(parked).map(value).collect();
         assert_eq!(delivered, [10, 11]);

@@ -36,7 +36,7 @@ pub(crate) enum Fate {
     /// The frame vanishes; the sender keeps the payload for retransmit.
     Drop,
     /// The frame is delivered twice (the copy travels as a header-only
-    /// duplicate with the same link sequence number, so the receiver's
+    /// duplicate with the same sequence number, so the receiver's
     /// duplicate suppression absorbs it).
     Duplicate,
     /// The frame is delivered late: up to `k` subsequent frames on the

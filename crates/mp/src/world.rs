@@ -21,7 +21,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::channel::unbounded;
 
@@ -67,16 +66,6 @@ impl std::fmt::Debug for StartHook {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("StartHook(..)")
     }
-}
-
-/// What every rank of one launch shares, behind one `Arc`: the start of
-/// its clock and the abort flag.
-pub(crate) struct Shared {
-    /// The common epoch for wall timestamps.
-    pub(crate) started: Instant,
-    /// Set when any rank panics; receives poll it so a dead peer aborts
-    /// the world instead of deadlocking it.
-    pub(crate) abort: AtomicBool,
 }
 
 /// Configuration for an SPMD launch.
@@ -201,10 +190,9 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        let world = Arc::new(Shared {
-            started: Instant::now(),
-            abort: AtomicBool::new(false),
-        });
+        // Set when any rank panics; receives poll it so a dead peer
+        // aborts the world instead of deadlocking it.
+        let abort = Arc::new(AtomicBool::new(false));
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..self.size).map(|_| unbounded::<Envelope>()).unzip();
 
@@ -217,9 +205,9 @@ impl World {
                     let senders = senders.clone();
                     let (model, cfg, f) = (self.model, &self.comm, &f);
                     let start = self.start.as_ref();
-                    let world = Arc::clone(&world);
+                    let abort = Arc::clone(&abort);
                     scope.spawn(move || {
-                        let mut comm = Comm::new(rank, senders, rx, model, cfg, Arc::clone(&world));
+                        let mut comm = Comm::new(rank, senders, rx, model, cfg, Arc::clone(&abort));
                         if let Some(StartHook(hook)) = start {
                             hook(&mut comm);
                         }
@@ -233,7 +221,7 @@ impl World {
                         }
                         if result.is_err() {
                             // Wake every rank blocked on this rank's output.
-                            world.abort.store(true, Ordering::SeqCst);
+                            abort.store(true, Ordering::SeqCst);
                         }
                         result
                     })
@@ -410,16 +398,6 @@ mod tests {
         };
         expect_one_each("run", world.run(program));
         expect_one_each("try_run", world.try_run(program).expect("no failures"));
-    }
-
-    #[test]
-    fn wtime_is_monotonic() {
-        let out = World::new(2).run(|comm| {
-            let a = comm.wtime();
-            let b = comm.wtime();
-            b >= a
-        });
-        assert!(out.into_iter().all(|ok| ok));
     }
 
     #[test]

@@ -70,8 +70,8 @@ pub struct Run {
     /// Final particle state, id-sorted, when [`Launch::snapshot`] asked for
     /// it (the gather costs P − 1 messages).
     pub snapshot: Option<Vec<Particle>>,
-    /// Wall-clock phase breakdown summed over all ranks: all zeros unless
-    /// the `wallclock-instrumentation` feature is enabled.
+    /// Wall-clock phase breakdown summed over all ranks: measured, so it
+    /// varies run to run, and read by no decision or digest.
     pub phases: PhaseTimes,
     /// Per-phase bytes on the wire summed over all ranks: always live, and
     /// deterministic.

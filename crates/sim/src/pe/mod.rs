@@ -125,8 +125,7 @@ pub struct PeResult {
     pub snapshot: Option<Vec<Particle>>,
     /// This rank's communication counters.
     pub comm_stats: pcdlb_mp::CommStats,
-    /// This rank's accumulated wall-clock phase breakdown (all zeros
-    /// without the `wallclock-instrumentation` feature).
+    /// This rank's accumulated wall-clock phase breakdown.
     pub phase_times: PhaseTimes,
     /// This rank's per-phase actual-vs-baseline byte counts.
     pub wire_bytes: WireBytes,
@@ -349,8 +348,7 @@ impl PeState {
         self.cur_step = step;
     }
 
-    /// This PE's accumulated wall-clock phase breakdown (all zeros
-    /// without the `wallclock-instrumentation` feature).
+    /// This PE's accumulated wall-clock phase breakdown.
     pub fn phase_times(&self) -> PhaseTimes {
         self.phase
     }

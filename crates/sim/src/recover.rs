@@ -130,8 +130,8 @@ pub(crate) mod tests {
             .expect("no faults")
     }
 
-    /// A run's records with `wall_s`, which real clocks
-    /// (`wallclock-instrumentation`) make vary run to run, zeroed.
+    /// A run's records with `wall_s`, which the real clock makes vary run
+    /// to run, zeroed.
     fn clockless(outcome: &LadderOutcome) -> Vec<StepRecord> {
         let records = outcome.report.records.iter();
         records.map(|r| StepRecord { wall_s: 0.0, ..*r }).collect()

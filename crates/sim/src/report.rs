@@ -70,11 +70,10 @@ impl StepRecord {
     }
 }
 
-/// Wall-clock seconds accumulated per step phase, summed over a run. All
-/// zeros unless the `wallclock-instrumentation` feature is enabled (the
-/// timers compile to no-ops otherwise); purely informational — phase
-/// times never feed `StepRecord`, digests, or DLB decisions, so enabling
-/// the feature cannot perturb a run's reported results.
+/// Wall-clock seconds accumulated per step phase, summed over a run.
+/// Measured, so they vary run to run; purely informational — phase times
+/// never feed `StepRecord`, digests, or DLB decisions, so they cannot
+/// perturb a run's reported results.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
     /// Force computation.

@@ -57,8 +57,8 @@ fn cfg(p: usize, mode: Mode) -> RunConfig {
     cfg
 }
 
-/// A run's step records with `wall_s` zeroed: the one field a real clock
-/// fills under `wallclock-instrumentation` (and 0 without it).
+/// A run's step records with `wall_s` zeroed: the one field the real
+/// clock fills, so the one that varies run to run.
 fn clockless(report: &RunReport) -> Vec<StepRecord> {
     let records = report.records.iter();
     records.map(|r| StepRecord { wall_s: 0.0, ..*r }).collect()

@@ -41,7 +41,11 @@ fn ladder(plan: ResizePlan) -> Ladder {
 fn every_rung_matches_the_plain_launch_and_serial_bitwise() {
     let cfg = recovery_cfg();
     let serial = run_serial(&cfg);
-    let (report, snapshot) = Launch::new().snapshot().run(&cfg).into_snapshot();
+    let run = Launch::new().snapshot().run(&cfg);
+    // The wall clocks run in every build; no digest or decision reads them.
+    assert!(run.phases.force > 0.0, "force pass timed: {:?}", run.phases);
+    assert!(run.report.wall_s > 0.0, "run timed: {}", run.report.wall_s);
+    let (report, snapshot) = run.into_snapshot();
     assert_eq!(snapshot, serial, "plain launch");
     let digest = digest_recovery(&report, &snapshot, cfg.load_metric);
 
