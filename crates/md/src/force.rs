@@ -51,9 +51,6 @@ pub struct WorkCounters {
     /// summing over all home cells (serial) or all PEs (parallel) yields
     /// the total potential exactly once.
     pub potential: f64,
-    /// Virial `Σ r·F`, ½-weighted like the potential; enters the pressure
-    /// as `P = ρT + W/(3V)`.
-    pub virial: f64,
 }
 
 impl WorkCounters {
@@ -62,7 +59,6 @@ impl WorkCounters {
         self.pair_checks += o.pair_checks;
         self.interacting_pairs += o.interacting_pairs;
         self.potential += o.potential;
-        self.virial += o.virial;
     }
 }
 
@@ -264,7 +260,6 @@ impl PairKernel {
                     // when repulsive: F_t = -(F/r)·r, with r = nb - t.
                     *f -= r * for_r;
                     w.potential += 0.5 * self.lj.energy_r2(r2);
-                    w.virial += 0.5 * for_r * r2;
                 }
             }
         }
@@ -274,7 +269,7 @@ impl PairKernel {
     /// evaluated once (`i < j` over the id-sorted slice) and both
     /// reactions applied. Work accounting stays in the paper's
     /// *full-shell* units: every pair counts as two directed checks, and
-    /// the potential/virial carry their full (2 × ½) weight, so
+    /// the potential carries its full (2 × ½) weight, so
     /// [`WorkCounters`] totals are identical to evaluating both
     /// directions.
     pub fn accumulate_intra(&self, parts: &[Particle], forces: &mut [Vec3], w: &mut WorkCounters) {
@@ -295,7 +290,6 @@ impl PairKernel {
                     forces[i] -= f;
                     forces[j] += f;
                     w.potential += self.lj.energy_r2(r2);
-                    w.virial += for_r * r2;
                 }
             }
         }
@@ -309,9 +303,10 @@ impl PairKernel {
     /// Work accounting scales with the number of stored sides, keeping
     /// the full-shell invariants: with both sides stored a combination
     /// counts as two directed checks (as the seed kernel's two mirrored
-    /// calls did); with one side stored it counts as one, exactly the
-    /// directed check the owning PE used to perform, so per-PE and
-    /// global [`WorkCounters`] totals are unchanged.
+    /// calls did) and its whole potential; with one side stored it counts
+    /// as one check and half the potential — exactly the directed check
+    /// the owning PE used to perform, the ghost's owner booking the other
+    /// half — so per-PE and global [`WorkCounters`] totals are unchanged.
     pub fn accumulate_pair(
         &self,
         a: &[Particle],
@@ -321,70 +316,27 @@ impl PairKernel {
         shift: Vec3,
         w: &mut WorkCounters,
     ) {
-        let stores = fa.is_some() as u64 + fb.is_some() as u64;
-        self.accumulate_pair_credited(a, fa, b, fb, shift, Some(0.5 * stores as f64), w);
-    }
-
-    /// [`PairKernel::accumulate_pair`] with the energy/virial credit
-    /// decoupled from the stored sides: `credit` is the weight applied to
-    /// each in-range combination's potential and virial (`None` skips the
-    /// energy accumulation entirely, leaving the f64 counters untouched).
-    ///
-    /// [`PairKernel::accumulate_pair`] is this call with the credit
-    /// `0.5 × stored sides`: a pair an owned cell shares with a ghost is
-    /// evaluated on both PEs, each storing its own side and crediting
-    /// half. The split is the kernel-level form of a Verlet replay's
-    /// [`crate::verlet::SegAction`], which names stores and credit
-    /// separately, and what the SoA mirror is cross-checked against.
-    /// Force storage and the u64 work counters still follow `fa`/`fb`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn accumulate_pair_credited(
-        &self,
-        a: &[Particle],
-        fa: Option<&mut [Vec3]>,
-        b: &[Particle],
-        fb: Option<&mut [Vec3]>,
-        shift: Vec3,
-        credit: Option<f64>,
-        w: &mut WorkCounters,
-    ) {
-        match (fa, fb, credit) {
-            (Some(fa), Some(fb), Some(c)) => {
-                self.pair_impl::<true, true, true>(a, fa, b, fb, shift, c, w)
-            }
-            (Some(fa), None, Some(c)) => {
-                self.pair_impl::<true, false, true>(a, fa, b, &mut [], shift, c, w)
-            }
-            (None, Some(fb), Some(c)) => {
-                self.pair_impl::<false, true, true>(a, &mut [], b, fb, shift, c, w)
-            }
-            (Some(fa), Some(fb), None) => {
-                self.pair_impl::<true, true, false>(a, fa, b, fb, shift, 0.0, w)
-            }
-            (Some(fa), None, None) => {
-                self.pair_impl::<true, false, false>(a, fa, b, &mut [], shift, 0.0, w)
-            }
-            (None, Some(fb), None) => {
-                self.pair_impl::<false, true, false>(a, &mut [], b, fb, shift, 0.0, w)
-            }
-            (None, None, _) => {}
+        match (fa, fb) {
+            (Some(fa), Some(fb)) => self.pair_impl::<true, true>(a, fa, b, fb, shift, w),
+            (Some(fa), None) => self.pair_impl::<true, false>(a, fa, b, &mut [], shift, w),
+            (None, Some(fb)) => self.pair_impl::<false, true>(a, &mut [], b, fb, shift, w),
+            (None, None) => {}
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn pair_impl<const SA: bool, const SB: bool, const CREDIT: bool>(
+    fn pair_impl<const SA: bool, const SB: bool>(
         &self,
         a: &[Particle],
         fa: &mut [Vec3],
         b: &[Particle],
         fb: &mut [Vec3],
         shift: Vec3,
-        credit: f64,
         w: &mut WorkCounters,
     ) {
         debug_assert!(!SA || a.len() == fa.len());
         debug_assert!(!SB || b.len() == fb.len());
         let stores = SA as u64 + SB as u64;
+        let credit = 0.5 * stores as f64;
         let rcut2 = self.lj.rcut2();
         w.pair_checks += stores * a.len() as u64 * b.len() as u64;
         for (i, pa) in a.iter().enumerate() {
@@ -401,10 +353,7 @@ impl PairKernel {
                     if SB {
                         fb[j] += f;
                     }
-                    if CREDIT {
-                        w.potential += credit * self.lj.energy_r2(r2);
-                        w.virial += credit * for_r * r2;
-                    }
+                    w.potential += credit * self.lj.energy_r2(r2);
                 }
             }
         }
@@ -497,19 +446,16 @@ mod tests {
             pair_checks: 1,
             interacting_pairs: 1,
             potential: 2.0,
-            virial: 3.0,
         };
         let b = WorkCounters {
             pair_checks: 10,
             interacting_pairs: 5,
             potential: -1.0,
-            virial: 1.0,
         };
         a.merge(&b);
         assert_eq!(a.pair_checks, 11);
         assert_eq!(a.interacting_pairs, 6);
         assert_eq!(a.potential, 1.0);
-        assert_eq!(a.virial, 4.0);
     }
 
     fn gas_cell(id0: u64, n: usize, origin: Vec3, seed: u64) -> Vec<Particle> {
@@ -568,7 +514,6 @@ mod tests {
         assert_eq!(w.pair_checks, w_full.pair_checks);
         assert_eq!(w.interacting_pairs, w_full.interacting_pairs);
         assert!((w.potential - w_full.potential).abs() < 1e-12);
-        assert!((w.virial - w_full.virial).abs() < 1e-12);
         // The home side sees the identical expression → bitwise equal.
         assert_eq!(fa, fa_full);
         // The reaction side agrees to rounding (the mirrored full-shell
@@ -594,64 +539,44 @@ mod tests {
         assert_eq!(fa, fa_ref);
         assert_eq!(w.interacting_pairs, w_ref.interacting_pairs);
         assert_eq!(w.potential, w_ref.potential);
-        assert_eq!(w.virial, w_ref.virial);
     }
 
     #[test]
-    fn credited_split_evaluation_matches_fused_bitwise() {
-        // The overlapped schedule's contract: evaluating a pair twice —
-        // once storing each side — with the full credit attached to
-        // exactly one evaluation reproduces the fused both-sides call
-        // bitwise (forces, energy, and counters alike).
+    fn one_sided_stores_book_half_the_both_sides_potential() {
+        // A pair block an owned cell shares with a ghost is evaluated on
+        // both PEs, each storing its own side: each call books half the
+        // checks and half the potential of the both-sides call — bitwise,
+        // since halving every term halves every partial sum exactly — and
+        // stores exactly the forces the both-sides call stores there.
         let k = PairKernel::new(LennardJones::paper());
         let a = gas_cell(0, 9, Vec3::ZERO, 5);
         let b = gas_cell(100, 11, Vec3::new(2.56, 0.0, 0.0), 6);
         let shift = Vec3::new(0.75, -1.25, 0.5);
-        let mut fa_fused = vec![Vec3::ZERO; a.len()];
-        let mut fb_fused = vec![Vec3::ZERO; b.len()];
-        let mut w_fused = WorkCounters::default();
+        let mut fa_both = vec![Vec3::ZERO; a.len()];
+        let mut fb_both = vec![Vec3::ZERO; b.len()];
+        let mut w_both = WorkCounters::default();
         k.accumulate_pair(
             &a,
-            Some(&mut fa_fused),
+            Some(&mut fa_both),
             &b,
-            Some(&mut fb_fused),
+            Some(&mut fb_both),
             shift,
-            &mut w_fused,
+            &mut w_both,
         );
+        assert!(w_both.interacting_pairs > 0);
         let mut fa = vec![Vec3::ZERO; a.len()];
+        let mut w_a = WorkCounters::default();
+        k.accumulate_pair(&a, Some(&mut fa), &b, None, shift, &mut w_a);
         let mut fb = vec![Vec3::ZERO; b.len()];
-        let mut w = WorkCounters::default();
-        k.accumulate_pair_credited(&a, None, &b, Some(&mut fb), shift, None, &mut w);
-        k.accumulate_pair_credited(&a, Some(&mut fa), &b, None, shift, Some(1.0), &mut w);
-        assert_eq!(fa, fa_fused);
-        assert_eq!(fb, fb_fused);
-        assert_eq!(w.pair_checks, w_fused.pair_checks);
-        assert_eq!(w.interacting_pairs, w_fused.interacting_pairs);
-        assert_eq!(w.potential.to_bits(), w_fused.potential.to_bits());
-        assert_eq!(w.virial.to_bits(), w_fused.virial.to_bits());
-    }
-
-    #[test]
-    fn credit_none_leaves_energy_untouched() {
-        let k = PairKernel::new(LennardJones::paper());
-        let a = gas_cell(0, 6, Vec3::ZERO, 8);
-        let b = gas_cell(50, 6, Vec3::new(2.56, 0.0, 0.0), 9);
-        let mut fa = vec![Vec3::ZERO; a.len()];
-        let mut w = WorkCounters {
-            potential: -3.5,
-            virial: 2.25,
-            ..WorkCounters::default()
-        };
-        k.accumulate_pair_credited(&a, Some(&mut fa), &b, None, Vec3::ZERO, None, &mut w);
-        // Not even a `+= 0.0` happened: -0.0 + 0.0 would flip the sign bit.
-        assert_eq!(w.potential.to_bits(), (-3.5f64).to_bits());
-        assert_eq!(w.virial.to_bits(), 2.25f64.to_bits());
-        assert!(w.pair_checks > 0);
-        // Forces still match the plain single-side call.
-        let mut fa_ref = vec![Vec3::ZERO; a.len()];
-        let mut w_ref = WorkCounters::default();
-        k.accumulate_pair(&a, Some(&mut fa_ref), &b, None, Vec3::ZERO, &mut w_ref);
-        assert_eq!(fa, fa_ref);
+        let mut w_b = WorkCounters::default();
+        k.accumulate_pair(&a, None, &b, Some(&mut fb), shift, &mut w_b);
+        assert_eq!(fa, fa_both);
+        assert_eq!(fb, fb_both);
+        for w in [w_a, w_b] {
+            assert_eq!(w.potential.to_bits(), (0.5 * w_both.potential).to_bits());
+            assert_eq!(2 * w.pair_checks, w_both.pair_checks);
+            assert_eq!(2 * w.interacting_pairs, w_both.interacting_pairs);
+        }
     }
 
     #[test]

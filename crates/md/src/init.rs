@@ -2,10 +2,16 @@
 //!
 //! The paper starts supercooled-gas runs from uniform conditions at a
 //! given reduced density ρ* and temperature T*; particles then concentrate
-//! over the course of the run (Sec. 3.2). We place particles on a simple
-//! cubic (or FCC) lattice filling the periodic box uniformly, draw
-//! velocities from the Maxwell–Boltzmann distribution, remove the net
-//! momentum and rescale to exactly T*.
+//! over the course of the run (Sec. 3.2). We place particles on the sites
+//! of a simple cubic lattice over the periodic box, draw velocities from
+//! the Maxwell–Boltzmann distribution, remove the net momentum and
+//! rescale to exactly T*.
+//!
+//! The start is uniform only when `n` is a perfect cube. Sites are filled
+//! in lexicographic order, so `n < side³` leaves the last x-layers empty:
+//! the gas workloads' 7422 particles on 20³ sites leave 1.445 layers, a
+//! 2.2 σ slab, unfilled. Spreading the missing sites over the lattice is
+//! ROADMAP item 16; it moves every digest, so it waits for that re-pin.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,10 +20,12 @@ use crate::observe;
 use crate::vec3::Vec3;
 use crate::Particle;
 
-/// Place `n` particles on a simple cubic lattice inside a cubic box of
-/// side `box_len`, ids `0..n` in lexicographic site order. Sites are
-/// offset by half a spacing so no particle sits exactly on the periodic
-/// boundary.
+/// Place `n` particles on a simple cubic lattice of `side = ⌈∛n⌉` sites
+/// a side inside a cubic box of side `box_len`, ids `0..n` in
+/// lexicographic site order (x slowest). The first `n` sites are taken,
+/// so unless `n = side³` the last x-layers stay empty or part-filled (see
+/// the module doc). Sites are offset by half a spacing so no particle
+/// sits exactly on the periodic boundary.
 pub fn simple_cubic(n: usize, box_len: f64) -> Vec<Particle> {
     assert!(n > 0, "need at least one particle");
     let side = (n as f64).cbrt().ceil() as usize;
@@ -35,40 +43,6 @@ pub fn simple_cubic(n: usize, box_len: f64) -> Vec<Particle> {
                     (iz as f64 + 0.5) * spacing,
                 );
                 out.push(Particle::at_rest(out.len() as u64, pos));
-            }
-        }
-    }
-    out
-}
-
-/// Place particles on an FCC lattice (4 per conventional cell) — the
-/// densest-packing start used when a condensed-phase initial state is
-/// wanted. Produces exactly `n` particles, truncating the last cells.
-pub fn fcc(n: usize, box_len: f64) -> Vec<Particle> {
-    assert!(n > 0, "need at least one particle");
-    let cells = ((n as f64) / 4.0).cbrt().ceil() as usize;
-    let a = box_len / cells as f64;
-    const BASIS: [(f64, f64, f64); 4] = [
-        (0.25, 0.25, 0.25),
-        (0.75, 0.75, 0.25),
-        (0.75, 0.25, 0.75),
-        (0.25, 0.75, 0.75),
-    ];
-    let mut out = Vec::with_capacity(n);
-    'fill: for ix in 0..cells {
-        for iy in 0..cells {
-            for iz in 0..cells {
-                for (bx, by, bz) in BASIS {
-                    if out.len() == n {
-                        break 'fill;
-                    }
-                    let pos = Vec3::new(
-                        (ix as f64 + bx) * a,
-                        (iy as f64 + by) * a,
-                        (iz as f64 + bz) * a,
-                    );
-                    out.push(Particle::at_rest(out.len() as u64, pos));
-                }
             }
         }
     }
@@ -161,24 +135,17 @@ mod tests {
     }
 
     #[test]
-    fn fcc_places_exactly_n() {
-        for n in [4, 32, 100, 256] {
-            let ps = fcc(n, 10.0);
-            assert_eq!(ps.len(), n);
+    fn sc_leaves_the_last_x_layers_of_a_part_filled_lattice_empty() {
+        // The gas workloads' start: 7422 particles on 20³ sites fill 18
+        // x-layers of 400, 222 sites of the next, and none of the last.
+        let box_len = 30.72;
+        let ps = simple_cubic(7422, box_len);
+        let mut per_layer = [0usize; 20];
+        for p in &ps {
+            per_layer[(p.pos.x / (box_len / 20.0)) as usize] += 1;
         }
-    }
-
-    #[test]
-    fn fcc_nearest_neighbor_distance() {
-        // Full 2×2×2-cell FCC: nearest-neighbour distance a/√2.
-        let ps = fcc(32, 8.0); // a = 4
-        let mut min2 = f64::INFINITY;
-        for i in 0..ps.len() {
-            for j in 0..i {
-                min2 = min2.min((ps[i].pos - ps[j].pos).norm2());
-            }
-        }
-        assert!((min2.sqrt() - 4.0 / 2f64.sqrt()).abs() < 1e-9);
+        assert!(per_layer[..18].iter().all(|&c| c == 400));
+        assert_eq!((per_layer[18], per_layer[19]), (222, 0));
     }
 
     #[test]

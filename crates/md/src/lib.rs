@@ -8,7 +8,7 @@
 //! - a uniform cell grid with cells no smaller than `r_c`, so all
 //!   interactions are found within a cell and its 26 neighbours;
 //! - the velocity form of the Verlet integrator;
-//! - simple-cubic / FCC lattice initial conditions with Maxwell–Boltzmann
+//! - simple-cubic lattice initial conditions with Maxwell–Boltzmann
 //!   velocities;
 //! - velocity-rescaling temperature control every `k` steps (paper: 50);
 //! - a serial reference simulator whose pair-enumeration order is shared

@@ -1,7 +1,7 @@
-//! Observables: kinetic/potential energy, temperature, pressure.
+//! Observables: kinetic energy and temperature.
 //!
 //! Reduced units throughout (k_B = m = 1): `KE = ½ Σ v²`,
-//! `T = 2·KE / (3N)`, `P = ρT + W/(3V)` with `W = Σ r·F` the virial.
+//! `T = 2·KE / (3N)`.
 
 use crate::vec3::Vec3;
 
@@ -29,12 +29,6 @@ pub fn temperature_from_ke(ke: f64, n: usize) -> f64 {
     2.0 * ke / (3.0 * n as f64)
 }
 
-/// Virial pressure `P = ρT + W/(3V)`.
-pub fn pressure(n: usize, volume: f64, temperature: f64, virial: f64) -> f64 {
-    let rho = n as f64 / volume;
-    rho * temperature + virial / (3.0 * volume)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,19 +54,6 @@ mod tests {
             temperature(vels.iter().copied()),
             temperature_from_ke(ke, vels.len())
         );
-    }
-
-    #[test]
-    fn ideal_gas_pressure_has_zero_virial() {
-        // W = 0 → P = ρT.
-        let p = pressure(100, 50.0, 2.0, 0.0);
-        assert!((p - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn repulsive_virial_raises_pressure() {
-        assert!(pressure(100, 50.0, 2.0, 30.0) > pressure(100, 50.0, 2.0, 0.0));
-        assert!(pressure(100, 50.0, 2.0, -30.0) < pressure(100, 50.0, 2.0, 0.0));
     }
 
     #[test]

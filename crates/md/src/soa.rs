@@ -143,18 +143,17 @@ impl PairKernel {
                     soa.fys[j] += fy;
                     soa.fzs[j] += fz;
                     w.potential += self.lj.energy_r2(r2);
-                    w.virial += for_r * r2;
                 }
             }
         }
     }
 
-    /// SoA mirror of [`PairKernel::accumulate_pair_credited`]: every
+    /// SoA mirror of [`PairKernel::accumulate_pair`]: every
     /// `(i ∈ a, j ∈ b)` combination once, `b` displaced by `shift`,
     /// with runtime store flags instead of const generics. `sa`/`sb`
     /// select which side's forces are stored (both sides must be owned
-    /// slots when stored); `credit` weights the energy/virial or skips
-    /// them entirely. Bitwise identical to the AoS kernel.
+    /// slots when stored), and the potential is credited ½ per stored
+    /// side. Bitwise identical to the AoS kernel.
     #[allow(clippy::too_many_arguments)]
     pub fn accumulate_pair_soa(
         &self,
@@ -164,7 +163,6 @@ impl PairKernel {
         shift: Vec3,
         sa: bool,
         sb: bool,
-        credit: Option<f64>,
         w: &mut WorkCounters,
     ) {
         if !sa && !sb {
@@ -180,14 +178,14 @@ impl PairKernel {
                 let rz = (soa.zs[j] + shift.z) - soa.zs[i];
                 let r2 = rx * rx + ry * ry + rz * rz;
                 if r2 < rcut2 {
-                    self.soa_hit(soa, i, j, rx, ry, rz, r2, sa, sb, credit, stores, w);
+                    self.soa_hit(soa, i, j, rx, ry, rz, r2, sa, sb, stores, w);
                 }
             }
         }
     }
 
-    /// Apply one in-range pair: stores and energy credit, in the AoS
-    /// kernel's exact expression order.
+    /// Apply one in-range pair: stores and the ½-per-stored-side energy
+    /// credit, in the AoS kernel's exact expression order.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn soa_hit(
@@ -201,7 +199,6 @@ impl PairKernel {
         r2: f64,
         sa: bool,
         sb: bool,
-        credit: Option<f64>,
         stores: u64,
         w: &mut WorkCounters,
     ) {
@@ -218,10 +215,7 @@ impl PairKernel {
             soa.fys[j] += fy;
             soa.fzs[j] += fz;
         }
-        if let Some(c) = credit {
-            w.potential += c * self.lj.energy_r2(r2);
-            w.virial += c * for_r * r2;
-        }
+        w.potential += 0.5 * stores as f64 * self.lj.energy_r2(r2);
     }
 }
 
@@ -257,16 +251,7 @@ pub fn compute_forces_half_shell_soa(
             if nr.is_empty() {
                 continue;
             }
-            kernel.accumulate_pair_soa(
-                soa,
-                hr.clone(),
-                nr,
-                shift,
-                true,
-                true,
-                Some(1.0),
-                &mut work,
-            );
+            kernel.accumulate_pair_soa(soa, hr.clone(), nr, shift, true, true, &mut work);
         }
         if !pull.is_none() {
             for i in hr {
@@ -317,7 +302,6 @@ mod tests {
             assert_eq!(w_aos.pair_checks, w_soa.pair_checks);
             assert_eq!(w_aos.interacting_pairs, w_soa.interacting_pairs);
             assert_eq!(w_aos.potential.to_bits(), w_soa.potential.to_bits());
-            assert_eq!(w_aos.virial.to_bits(), w_soa.virial.to_bits());
         }
     }
 
@@ -342,41 +326,27 @@ mod tests {
             found.expect("some neighbour cell is non-empty")
         };
         for (sa, sb) in [(true, true), (true, false), (false, true)] {
-            for credit in [None, Some(1.0), Some(0.5)] {
-                let mut soa = SoaField::new();
-                soa.reset(parts.len(), parts.len());
-                soa.load_positions(0, parts);
-                let mut w_soa = WorkCounters::default();
-                kernel.accumulate_pair_soa(
-                    &mut soa,
-                    hr.clone(),
-                    nr.clone(),
-                    shift,
-                    sa,
-                    sb,
-                    credit,
-                    &mut w_soa,
-                );
-                let mut forces = vec![Vec3::ZERO; parts.len()];
-                let mut w_aos = WorkCounters::default();
-                let (fa, fb) =
-                    crate::force::disjoint_ranges_mut(&mut forces, hr.clone(), nr.clone());
-                kernel.accumulate_pair_credited(
-                    &grid.particles()[hr.clone()],
-                    sa.then_some(fa),
-                    &grid.particles()[nr.clone()],
-                    sb.then_some(fb),
-                    shift,
-                    credit,
-                    &mut w_aos,
-                );
-                for (i, f) in forces.iter().enumerate() {
-                    assert_eq!(*f, soa.force(i), "slot {i} sa={sa} sb={sb}");
-                }
-                assert_eq!(w_aos.pair_checks, w_soa.pair_checks);
-                assert_eq!(w_aos.potential.to_bits(), w_soa.potential.to_bits());
-                assert_eq!(w_aos.virial.to_bits(), w_soa.virial.to_bits());
+            let mut soa = SoaField::new();
+            soa.reset(parts.len(), parts.len());
+            soa.load_positions(0, parts);
+            let mut w_soa = WorkCounters::default();
+            kernel.accumulate_pair_soa(&mut soa, hr.clone(), nr.clone(), shift, sa, sb, &mut w_soa);
+            let mut forces = vec![Vec3::ZERO; parts.len()];
+            let mut w_aos = WorkCounters::default();
+            let (fa, fb) = crate::force::disjoint_ranges_mut(&mut forces, hr.clone(), nr.clone());
+            kernel.accumulate_pair(
+                &grid.particles()[hr.clone()],
+                sa.then_some(fa),
+                &grid.particles()[nr.clone()],
+                sb.then_some(fb),
+                shift,
+                &mut w_aos,
+            );
+            for (i, f) in forces.iter().enumerate() {
+                assert_eq!(*f, soa.force(i), "slot {i} sa={sa} sb={sb}");
             }
+            assert_eq!(w_aos.pair_checks, w_soa.pair_checks);
+            assert_eq!(w_aos.potential.to_bits(), w_soa.potential.to_bits());
         }
     }
 

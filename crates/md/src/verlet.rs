@@ -31,9 +31,11 @@
 //!
 //! Segments carry two caller-defined *class codes* (`ca`, `cb` — the
 //! pillar decomposition's owned / ghost) and a work *bucket*; replay
-//! takes a policy closure mapping a segment to store flags and an energy
-//! credit, which is how the parallel engines store only the owned sides
-//! of a block and credit half of a pair a ghost shares.
+//! takes a policy closure mapping a segment to the sides it stores,
+//! which is how the parallel engines store only the owned sides of a
+//! block. A pair segment's potential is credited ½ per stored side, so a
+//! pair a ghost shares is booked half here and half on the ghost's
+//! owner.
 //!
 //! A rebuild records into room reserved once, at the walk's candidate
 //! bound ([`VerletList::reserve`]): the branch-free sweep writes every
@@ -85,31 +87,23 @@ pub struct Segment {
     occ: u64,
 }
 
-/// Per-segment replay decision returned by the policy closure.
+/// Per-segment replay decision returned by the policy closure: which
+/// sides of a `Pair` segment store forces. Intra and pull segments run
+/// whatever the flags say.
 #[derive(Debug, Clone, Copy)]
 pub struct SegAction {
     /// Store forces on the home side (`Pair` segments).
     pub sa: bool,
     /// Store forces on the neighbour side (`Pair` segments).
     pub sb: bool,
-    /// Run home-owned work: the intra triangle and the pull sweep.
-    pub run_home: bool,
-    /// Energy/virial weight for `Pair` segments (`None` skips the f64
-    /// accumulators entirely — not even a `+= 0.0`).
-    pub credit: Option<f64>,
 }
 
 impl SegAction {
-    /// The fused single-pass action: store both sides, run home work,
-    /// full credit — what the serial simulator and the sequenced
-    /// parallel schedule use for owned-only segments.
+    /// The fused single-pass action: store both sides, full credit —
+    /// what the serial simulator uses, and the step engine for a segment
+    /// with no ghost side.
     pub fn fused() -> Self {
-        Self {
-            sa: true,
-            sb: true,
-            run_home: true,
-            credit: Some(1.0),
-        }
+        Self { sa: true, sb: true }
     }
 }
 
@@ -343,8 +337,10 @@ impl VerletList {
 
     /// Replay the recording against the positions in `soa`, accumulating
     /// forces there and work into `work[segment.bucket]`. The `policy`
-    /// closure decides, per segment, what to store and credit (`None`
-    /// skips the segment entirely); passing
+    /// closure decides, per segment, which sides store (`None` skips the
+    /// segment entirely); a pair segment books `pair_checks`,
+    /// `interacting_pairs` and ½ of its potential per stored side, as
+    /// [`PairKernel::accumulate_pair`] does. Passing
     /// `|_| Some(SegAction::fused())` reproduces the fused walk.
     pub fn replay<F>(
         &self,
@@ -363,9 +359,6 @@ impl VerletList {
             let w = &mut work[seg.bucket as usize];
             match seg.kind {
                 SegKind::Intra => {
-                    if !act.run_home {
-                        continue;
-                    }
                     w.pair_checks += seg.occ;
                     for &(i, j) in &self.pairs[seg.start as usize..seg.end as usize] {
                         let (i, j) = (i as usize, j as usize);
@@ -384,7 +377,6 @@ impl VerletList {
                             soa.fys[j] += fy;
                             soa.fzs[j] += fz;
                             w.potential += kernel.lj.energy_r2(r2);
-                            w.virial += for_r * r2;
                         }
                     }
                 }
@@ -397,7 +389,7 @@ impl VerletList {
                     self.replay_pair_block(kernel, seg, act, stores, rcut2, soa, w);
                 }
                 SegKind::Pull => {
-                    if !act.run_home || pull.is_none() {
+                    if pull.is_none() {
                         continue;
                     }
                     for slot in seg.start as usize..seg.end as usize {
@@ -499,10 +491,7 @@ fn pair_hit(
         soa.fys[j] += fy;
         soa.fzs[j] += fz;
     }
-    if let Some(c) = act.credit {
-        w.potential += c * kernel.lj.energy_r2(r2);
-        w.virial += c * for_r * r2;
-    }
+    w.potential += 0.5 * stores as f64 * kernel.lj.energy_r2(r2);
 }
 
 /// Squared magnitude of the largest *predicted* per-step velocity: for
@@ -691,7 +680,6 @@ mod tests {
             assert_eq!(w_walk.pair_checks, work[0].pair_checks);
             assert_eq!(w_walk.interacting_pairs, work[0].interacting_pairs);
             assert_eq!(w_walk.potential.to_bits(), work[0].potential.to_bits());
-            assert_eq!(w_walk.virial.to_bits(), work[0].virial.to_bits());
         }
     }
 
@@ -730,6 +718,52 @@ mod tests {
         assert_eq!(walk_forces, replay_forces);
         assert_eq!(w_walk.potential.to_bits(), work[0].potential.to_bits());
         assert_eq!(w_walk.pair_checks, work[0].pair_checks);
+    }
+
+    #[test]
+    fn a_one_sided_replay_books_half_the_fused_potential() {
+        // The step engine replays a pair block it shares with a ghost
+        // storing its own side only: that side's forces are the fused
+        // replay's, bitwise, and the block books half its checks and
+        // exactly half its potential.
+        let grid = gas_grid(400, 4, 12.0, 7);
+        let kernel = PairKernel::new(LennardJones::paper());
+        let (hr, nr, shift) = walk_blocks(&grid)
+            .into_iter()
+            .flatten()
+            .find_map(|(hr, nb, ..)| nb.map(|(nr, shift)| (hr, nr, shift)))
+            .expect("the gas has a pair block");
+        let n = grid.num_particles();
+        let mut soa = SoaField::new();
+        soa.reset(n, n);
+        soa.load_positions(0, grid.particles());
+        let mut list = VerletList::new();
+        let reach = kernel.lj.rcut + 0.4;
+        list.record_pair(&soa, hr.clone(), nr.clone(), shift, reach * reach, 0, 1, 0);
+        let mut replay = |act: SegAction| {
+            soa.zero_forces();
+            let mut work = [WorkCounters::default()];
+            list.replay(
+                &kernel,
+                &ExternalPull::None,
+                grid.box_len(),
+                &mut soa,
+                |_| Some(act),
+                &mut work,
+            );
+            let mut forces = Vec::new();
+            soa.fold_forces(&mut forces);
+            (forces, work[0])
+        };
+        let (f_fused, w_fused) = replay(SegAction::fused());
+        assert!(w_fused.interacting_pairs > 0);
+        for (sa, side) in [(true, hr), (false, nr)] {
+            let (f, w) = replay(SegAction { sa, sb: !sa });
+            assert_eq!(f[side.clone()], f_fused[side]);
+            assert_eq!(w.potential.to_bits(), (0.5 * w_fused.potential).to_bits());
+            assert_eq!(2 * w.pair_checks, w_fused.pair_checks);
+            assert_eq!(2 * w.interacting_pairs, w_fused.interacting_pairs);
+        }
     }
 
     #[test]

@@ -87,10 +87,12 @@ impl SpeedSchedule {
 /// Initial particle placement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Lattice {
-    /// Simple cubic (uniform gas start; the paper's supercooled-gas runs).
+    /// Simple cubic over the whole box (the paper's supercooled-gas
+    /// start). [`pcdlb_md::init::simple_cubic`] fills its sites in
+    /// lexicographic order, so unless the particle count is a perfect
+    /// cube the last x-layers stay empty or part-filled; ROADMAP item 16
+    /// spreads them.
     SimpleCubic,
-    /// Face-centred cubic.
-    Fcc,
     /// Simple cubic confined to the corner sub-box `[0, fill·L)³` — an
     /// artificially concentrated start that makes DDM load imbalance (and
     /// hence DLB activity) immediate, used by tests and demos without

@@ -420,10 +420,6 @@ impl PeState {
             parts.sort_unstable_by_key(|p| p.id);
             let hop = self.topology.hop_of(mask);
             out[hop].push_migrants(mask, rank, parts);
-            // Pre-diet layout: one flat particle message per neighbour,
-            // plus a separate 8-byte load message where a load rides along.
-            self.wire.migrate_baseline +=
-                (8 + 56 * parts.len() as u64) + if load.is_some() { 8 } else { 0 };
         }
         if let Some(load) = load {
             let all = self.topology.nbr_mask();

@@ -10,7 +10,7 @@ use pcdlb_md::cells::CellSlab;
 use pcdlb_md::force::{disjoint_ranges_mut, PairKernel, WorkCounters};
 use pcdlb_md::integrate::{kick, kick_drift, kick_drift_nowrap};
 use pcdlb_md::vec3::Vec3;
-use pcdlb_md::verlet::{SegAction, SegKind, Segment, VerletList};
+use pcdlb_md::verlet::{SegAction, Segment, VerletList};
 use pcdlb_md::SoaField;
 
 use super::topology::CellClass;
@@ -94,29 +94,17 @@ impl Force {
     }
 }
 
-/// The replay policy: what the live walk does with a recorded segment
-/// (its home and neighbour class codes are `CellClass as u8`) — store the
-/// non-ghost sides, credit ½ · owned sides — so replaying the recording
-/// reproduces the walk bitwise, including the full-shell `pair_checks`
-/// accounting.
+/// The replay policy: what the live walk does with a recorded pair
+/// segment (its home and neighbour class codes are `CellClass as u8`) —
+/// store the owned sides, the replay crediting ½ of the potential per
+/// stored side — so replaying the recording reproduces the walk bitwise,
+/// including the full-shell `pair_checks` accounting. Intra triangles and
+/// pull sweeps run whatever the flags say.
 fn replay_action(seg: &Segment) -> SegAction {
     let owned = CellClass::Owned as u8;
-    match seg.kind {
-        SegKind::Intra | SegKind::Pull => SegAction {
-            sa: true,
-            sb: true,
-            run_home: true,
-            credit: None,
-        },
-        SegKind::Pair => {
-            let (sa, sb) = (seg.ca == owned, seg.cb == owned);
-            SegAction {
-                sa,
-                sb,
-                run_home: false,
-                credit: Some(0.5 * (sa as u64 + sb as u64) as f64),
-            }
-        }
+    SegAction {
+        sa: seg.ca == owned,
+        sb: seg.cb == owned,
     }
 }
 
@@ -245,7 +233,7 @@ impl PeState {
     /// re-record the walk over the fresh binning (ghosts included, reach
     /// `r_c + skin`), then — every step — replay the recording against
     /// positions refreshed from the authoritative slabs, with the
-    /// store/credit policy of [`replay_action`]. The replayed sums are
+    /// store policy of [`replay_action`]. The replayed sums are
     /// bitwise identical to the live walk over the same frozen binning.
     fn force_pass_verlet(&mut self) {
         if self.bookkeeping.rebuilding() {

@@ -140,7 +140,6 @@ pub struct PeResult {
 pub fn initial_particles(cfg: &RunConfig) -> Vec<Particle> {
     let mut ps = match cfg.lattice {
         Lattice::SimpleCubic => init::simple_cubic(cfg.n_particles, cfg.box_len()),
-        Lattice::Fcc => init::fcc(cfg.n_particles, cfg.box_len()),
         Lattice::Cluster { fill } => {
             assert!(fill > 0.0 && fill <= 1.0, "cluster fill must be in (0, 1]");
             init::simple_cubic(cfg.n_particles, fill * cfg.box_len())

@@ -103,14 +103,13 @@ impl PhaseTimes {
 }
 
 /// Bytes shipped per communication phase, summed over a run, next to the
-/// bytes the same content would have cost in the pre-diet layout. The
-/// shipped bytes are the encoded payload bytes the cost model charges
-/// (coalesced step messages, shell-only ghosts with gap-encoded ids);
-/// "baseline"
-/// reconstructs the pre-diet layout (full `Particle` ghosts per route
-/// column with an 8-byte per-column header, separate migrate/load
-/// messages). The ratio `ghost_baseline / ghost` is the comm-volume-diet
-/// figure of merit.
+/// bytes the ghosts would have cost in the pre-diet layout. The shipped
+/// bytes are the encoded payload bytes the cost model charges (coalesced
+/// step messages, shell-only ghosts with gap-encoded ids);
+/// `ghost_baseline` reconstructs the pre-diet ghost layout (full
+/// `Particle` ghosts per route column with an 8-byte per-column header).
+/// The ratio `ghost_baseline / ghost` is the comm-volume-diet figure of
+/// merit.
 /// Deterministic given a deterministic trajectory — unlike [`PhaseTimes`]
 /// these are byte counts, not clocks — so CI can gate on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,8 +121,6 @@ pub struct WireBytes {
     /// Migration-phase bytes shipped (round-1 step frames,
     /// including the DLB loads that ride along).
     pub migrate: u64,
-    /// Migration + load bytes under the pre-diet separate-message layout.
-    pub migrate_baseline: u64,
     /// DLB decision and re-tile column bytes (same layout before and
     /// after the diet; tracked for the per-phase breakdown).
     pub dlb: u64,
@@ -140,7 +137,6 @@ impl WireBytes {
         self.ghost += other.ghost;
         self.ghost_baseline += other.ghost_baseline;
         self.migrate += other.migrate;
-        self.migrate_baseline += other.migrate_baseline;
         self.dlb += other.dlb;
         self.relayed += other.relayed;
     }
