@@ -5,12 +5,6 @@
 
 use crate::vec3::Vec3;
 
-/// Kinetic energy of a velocity stream, summed in iteration order (callers
-/// that need bitwise reproducibility iterate in particle-id order).
-pub fn kinetic_energy(vels: impl Iterator<Item = Vec3>) -> f64 {
-    vels.map(|v| 0.5 * v.norm2()).sum()
-}
-
 /// Instantaneous temperature `2·KE / (3N)` of a velocity stream.
 pub fn temperature(vels: impl Iterator<Item = Vec3>) -> f64 {
     let mut ke = 0.0;
@@ -34,12 +28,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinetic_energy_of_unit_speeds() {
-        let vels = vec![Vec3::new(1.0, 0.0, 0.0); 10];
-        assert_eq!(kinetic_energy(vels.into_iter()), 5.0);
-    }
-
-    #[test]
     fn temperature_matches_equipartition() {
         // Each particle with |v|² = 3 contributes KE 1.5 → T = 1.
         let vels = vec![Vec3::new(1.0, 1.0, 1.0); 7];
@@ -49,7 +37,7 @@ mod tests {
     #[test]
     fn temperature_from_ke_is_consistent() {
         let vels: Vec<Vec3> = (0..5).map(|i| Vec3::splat(i as f64 * 0.1)).collect();
-        let ke = kinetic_energy(vels.iter().copied());
+        let ke = vels.iter().map(|v| 0.5 * v.norm2()).sum();
         assert_eq!(
             temperature(vels.iter().copied()),
             temperature_from_ke(ke, vels.len())

@@ -60,8 +60,10 @@
 //!
 //! Launch-time code: it allocates freely and is called from the driver
 //! ([`crate::driver`]), the elastic remap ([`crate::elastic`]) and rank
-//! 0 of a check step only (where the refinement plans 54 to 216 tilings
-//! on the paper's scenario, a few milliseconds).
+//! 0 of a check step only. There the refinement weighs 36 tilings per
+//! descent step on the paper's scenario, but plans only those whose
+//! permanent columns alone do not already reach the best floor found
+//! (EXPERIMENTS.md, "A cheap re-tile search", has what a check costs).
 //!
 //! [`Launch::fixed_tiles`]: crate::driver::Launch::fixed_tiles
 
@@ -79,7 +81,7 @@ use pcdlb_mp::{CostModel, Torus2d};
 
 use crate::config::{LoadMetric, RunConfig, SpeedSchedule};
 use crate::decomp::{decomposition, Decomposition};
-use crate::pe::{all_columns, cells_around, exchanges_once, Held};
+use crate::pe::{all_columns, exchanges_once, Held, Owners};
 
 /// A world's particles placed in their cells, once per world: one
 /// counting sort by (column, z cell), ids ascending inside a cell — the
@@ -184,7 +186,8 @@ impl LaunchPlan {
     pub fn unplanned(shape: DomainShape, cfg: &RunConfig, work: &[u64]) -> Self {
         let pillar = shape == DomainShape::SquarePillar;
         let layout = pillar.then(|| PillarLayout::new(cfg.nc, cfg.torus()));
-        let views = cfg.dlb.then(|| home_views(shape, cfg, layout.as_ref()));
+        let home = |rank| decomposition(shape, rank, cfg, layout.as_ref());
+        let views = cfg.dlb.then(|| (0..cfg.p).map(home).collect::<Vec<_>>());
         let loads = match views.filter(|views| views[0].has_balancer()) {
             Some(views) => Costs::new(cfg, 0, work).loads_under(&owners(&views, cfg.nc), cfg.p),
             None => Vec::new(),
@@ -209,6 +212,22 @@ impl LaunchPlan {
     pub fn tiling(&self) -> PillarLayout {
         self.layout
             .expect("the launch plan of a square-pillar run names its tiling")
+    }
+
+    /// The largest per-rank load the plan ends on: what the run starts on.
+    fn floor(&self) -> f64 {
+        let last = self.peaks.last();
+        *last.expect("a balancing plan has a first peak")
+    }
+
+    /// Who owns each column when a square-pillar plan ends: its tiling's
+    /// home tiles, every planned transfer applied.
+    fn ownership(&self) -> OwnershipMap {
+        let mut map = OwnershipMap::initial(self.tiling());
+        for d in &self.decisions {
+            DlbProtocol::apply(&mut map, d);
+        }
+        map
     }
 }
 
@@ -255,6 +274,20 @@ impl<'a> Costs<'a> {
         let load = |(rank, &checks)| self.load(rank, checks);
         checks.iter().enumerate().map(load).collect()
     }
+
+    /// The wall bound of `layout`: the largest per-rank load of the
+    /// permanent columns of its home tiles. A permanent column never leaves
+    /// its home (paper Sec. 4), so no plan on `layout` ends below it.
+    fn wall_bound(&self, layout: &PillarLayout) -> f64 {
+        let mut checks = vec![0u64; layout.num_ranks()];
+        for (col, &w) in all_columns(self.nc).zip(self.work) {
+            if is_permanent(layout, col) {
+                checks[layout.home_rank(col)] += w;
+            }
+        }
+        let load = |(rank, &checks)| self.load(rank, checks);
+        checks.iter().enumerate().map(load).fold(0.0, f64::max)
+    }
 }
 
 fn peak(loads: &[f64]) -> f64 {
@@ -274,20 +307,20 @@ fn peak(loads: &[f64]) -> f64 {
 /// fixed, the periodic cut of this axis with the smallest largest tile
 /// load is found exactly ([`recut`]); a re-cut is kept only if it
 /// *strictly* lowers the largest load, and the refinement stops when
-/// neither axis does — so an even work map keeps the even tiling. Where
+/// neither axis does — so an even work map keeps the even tiling (whose
+/// largest load, `even_peak`, the even plan has read already). Where
 /// the tiles are cut once (`retiles` off) every tile stays at least two
 /// columns wide, the paper's smallest `m`: a tile one column wide is all
 /// wall, and a launch that cut the load into such tiles would leave the
 /// run's balancer nothing to move next to it. A run that re-tiles as the
 /// load moves cuts them as thin as one column. No parameter; pure in
 /// `cfg` and the work map.
-fn choose_tiling(cfg: &RunConfig, costs: &Costs, retiles: bool) -> PillarLayout {
+fn choose_tiling(cfg: &RunConfig, costs: &Costs, even_peak: f64, retiles: bool) -> PillarLayout {
     let (nc, torus) = (cfg.nc, cfg.torus());
     // Fixed tiles keep a movable column each (`m = 1` has none to keep).
     let min_width = if retiles { 1 } else { 2.min(nc / torus.rows()) };
     let even = PillarLayout::new(nc, torus);
-    let home: Vec<usize> = all_columns(nc).map(|col| even.home_rank(col)).collect();
-    let mut best = peak(&costs.loads_under(&home, cfg.p));
+    let mut best = even_peak;
     let mut cuts = [even.xs(), even.ys()];
     // An axis is settled when no re-cut of it lowers the largest load with
     // the other where it stands: after a failed attempt, or its own re-cut.
@@ -440,53 +473,31 @@ pub fn launch_plan(
     if !cfg.dlb {
         return LaunchPlan::unplanned(shape, cfg, work);
     }
-    let mut plan = plan_tiles(shape, cfg, step, work, retiles);
+    let pillar = shape == DomainShape::SquarePillar;
+    let even = pillar.then(|| PillarLayout::new(cfg.nc, cfg.torus()));
+    let costs = Costs::new(cfg, step, work);
+    let mut plan = plan_on(shape, cfg, &costs, even);
+    if pillar && at_the_wall(&plan) {
+        let cut = choose_tiling(cfg, &costs, plan.peaks[0], retiles);
+        let recut = (Some(cut) != even).then(|| plan_on(shape, cfg, &costs, Some(cut)));
+        if let Some(lower) = recut.filter(|recut| recut.floor() < plan.floor()) {
+            plan = lower;
+        }
+    }
     plan.exchanges_once = exchanges_once(shape, cfg, plan.layout.as_ref());
     plan
 }
 
-/// The tiling and the transfers of a balancing run's [`launch_plan`].
-fn plan_tiles(
-    shape: DomainShape,
-    cfg: &RunConfig,
-    step: u64,
-    work: &[u64],
-    retiles: bool,
-) -> LaunchPlan {
-    let pillar = shape == DomainShape::SquarePillar;
-    let even = pillar.then(|| PillarLayout::new(cfg.nc, cfg.torus()));
-    let costs = Costs::new(cfg, step, work);
-    let plan = plan_on(shape, cfg, &costs, even);
-    let Some(even) = even.filter(|even| at_the_wall(even, &plan)) else {
-        return plan;
-    };
-    let cut = choose_tiling(cfg, &costs, retiles);
-    if cut == even {
-        return plan;
-    }
-    let recut = plan_on(shape, cfg, &costs, Some(cut));
-    let floor = |plan: &LaunchPlan| *plan.peaks.last().expect("a pillar plan has a first peak");
-    if floor(&recut) < floor(&plan) {
-        recut
-    } else {
-        plan
-    }
-}
-
-/// Whether `plan`, made on `layout`, ends at the paper's DLB limit: a PE
+/// Whether a square-pillar `plan` ends at the paper's DLB limit: a PE
 /// carrying the largest load owns nothing but permanent columns — it has
 /// shed its movable block and holds no borrowed column it could return.
-fn at_the_wall(layout: &PillarLayout, plan: &LaunchPlan) -> bool {
-    let mut map = OwnershipMap::initial(*layout);
-    for d in &plan.decisions {
-        DlbProtocol::apply(&mut map, d);
-    }
-    let top = peak(&plan.loads);
+fn at_the_wall(plan: &LaunchPlan) -> bool {
+    let (layout, map) = (plan.tiling(), plan.ownership());
     let walled = |rank: usize| {
         let owned = map.owned_columns(rank);
-        owned.iter().all(|&col| is_permanent(layout, col))
+        owned.iter().all(|&col| is_permanent(&layout, col))
     };
-    (0..plan.loads.len()).any(|rank| plan.loads[rank] == top && walled(rank))
+    (0..plan.loads.len()).any(|rank| plan.loads[rank] == plan.floor() && walled(rank))
 }
 
 /// [`launch_plan`] on a tiling of the caller's choice, whatever the
@@ -579,32 +590,39 @@ fn xfer_bytes(n: usize) -> usize {
 /// constant; pure in `cfg` and the work map, so a restored run replays
 /// it. The launch itself keeps the chooser's tiling: it is inside a run's
 /// set-up time, and its first check (step 2) refines it.
+///
+/// A tiling is planned only if its **wall bound** — the largest per-rank
+/// load of its home tiles' permanent columns (paper Sec. 4), priced with
+/// the plan's own ruler — is below the lowest floor found so far. A plan
+/// never moves a permanent column, so no plan ends below its tiling's
+/// wall bound; and the descent takes only a strictly lower floor. So a
+/// tiling skipped could not have been taken, and the plan is the one the
+/// full search returns.
 pub fn retile_plan(cfg: &RunConfig, step: u64, work: &[u64]) -> LaunchPlan {
     let mut plan = launch_plan(DomainShape::SquarePillar, cfg, step, work, true);
     if !cfg.dlb {
         return plan;
     }
     let costs = Costs::new(cfg, step, work);
-    let floor = |plan: &LaunchPlan| *plan.peaks.last().expect("a pillar plan has a first peak");
     loop {
-        let tiling = plan.tiling();
         let mut best: Option<LaunchPlan> = None;
-        for nearby in one_cut_away(&tiling) {
-            let next = plan_on(DomainShape::SquarePillar, cfg, &costs, Some(nearby));
-            if floor(&next) < floor(best.as_ref().unwrap_or(&plan)) {
-                best = Some(next);
-            }
-        }
-        match best {
-            // (The closure answer holds on every tiling.)
-            Some(lower) => {
-                plan = LaunchPlan {
-                    exchanges_once: plan.exchanges_once,
-                    ..lower
+        for nearby in one_cut_away(plan.tiling()) {
+            let bar = best.as_ref().unwrap_or(&plan).floor();
+            if costs.wall_bound(&nearby) < bar {
+                let next = plan_on(DomainShape::SquarePillar, cfg, &costs, Some(nearby));
+                if next.floor() < bar {
+                    best = Some(next);
                 }
             }
-            None => return plan,
         }
+        let Some(lower) = best else {
+            return plan;
+        };
+        // (The closure answer holds on every tiling.)
+        plan = LaunchPlan {
+            exchanges_once: plan.exchanges_once,
+            ..lower
+        };
     }
 }
 
@@ -612,31 +630,21 @@ pub fn retile_plan(cfg: &RunConfig, step: u64, work: &[u64]) -> LaunchPlan {
 /// cut moved to any other start strictly between its two neighbours (no
 /// tile is left empty); axis 0 first, then cut by cut, each ascending
 /// round the ring from the cut before it.
-fn one_cut_away(tiling: &PillarLayout) -> Vec<PillarLayout> {
+fn one_cut_away(tiling: PillarLayout) -> impl Iterator<Item = PillarLayout> {
     let (nc, torus) = (tiling.grid().nc(), tiling.torus());
     let side = torus.rows();
-    let mut out = Vec::new();
-    for axis in 0..2 {
-        let starts = [tiling.xs(), tiling.ys()][axis].clone();
-        for k in 0..side {
-            let (before, after) = (starts[(k + side - 1) % side], starts[(k + 1) % side]);
-            let between = (1..(after + nc - before) % nc).map(|d| (before + d) % nc);
-            for at in between.filter(|&at| at != starts[k]) {
-                let mut moved = starts.clone();
-                moved[k] = at;
-                let (xs, ys) = if axis == 0 {
-                    (moved, tiling.ys())
-                } else {
-                    (tiling.xs(), moved)
-                };
-                let layout = PillarLayout::rectilinear(nc, torus, &xs, &ys);
-                out.push(
-                    layout.expect("a cut moved between its neighbours keeps the ring's order"),
-                );
-            }
-        }
-    }
-    out
+    let cuts = (0..2).flat_map(move |axis| (0..side).map(move |k| (axis, k)));
+    cuts.flat_map(move |(axis, k)| {
+        let mut starts = [tiling.xs(), tiling.ys()];
+        let ring = &starts[axis];
+        let (before, here, after) = (ring[(k + side - 1) % side], ring[k], ring[(k + 1) % side]);
+        let between = (1..(after + nc - before) % nc).map(move |d| (before + d) % nc);
+        between.filter(move |&at| at != here).map(move |at| {
+            starts[axis][k] = at;
+            let layout = PillarLayout::rectilinear(nc, torus, &starts[0], &starts[1]);
+            layout.expect("a cut moved between its neighbours keeps the ring's order")
+        })
+    })
 }
 
 /// The re-tile check of step `step` of a re-tiling run, `since` steps
@@ -682,12 +690,7 @@ pub(crate) fn check(
     let measured = step - 1;
     let now = peak(&Costs::new(cfg, measured, &work).loads_under(&owner, p));
     let plan = retile_plan(cfg, measured, &work);
-    let floor = *plan.peaks.last()?;
-    let tiling = plan.tiling();
-    let mut planned = OwnershipMap::initial(tiling);
-    for d in &plan.decisions {
-        DlbProtocol::apply(&mut planned, d);
-    }
+    let planned = plan.ownership();
     let moves: Vec<DlbDecision> = all_columns(nc)
         .map(|col| DlbDecision {
             col,
@@ -707,25 +710,13 @@ pub(crate) fn check(
         paid[to] += t;
     }
     let horizon = (1u64 << since.ilog2()) / 2;
-    let saving = (now - floor) * horizon as f64;
+    let saving = (now - plan.floor()) * horizon as f64;
     (!moves.is_empty() && saving > peak(&paid)).then_some(Retile {
-        tiling,
+        tiling: plan.tiling(),
         decisions: plan.decisions,
         loads: plan.loads,
         moves,
     })
-}
-
-/// Every rank's view of `shape` at the start of a run, every cell at its
-/// home under `layout` (see `decomp::decomposition`).
-fn home_views(
-    shape: DomainShape,
-    cfg: &RunConfig,
-    layout: Option<&PillarLayout>,
-) -> Vec<Box<dyn Decomposition>> {
-    (0..cfg.p)
-        .map(|rank| decomposition(shape, rank, cfg, layout))
-        .collect()
 }
 
 /// The owner of each column, in column index order, as `views` — one per
@@ -765,7 +756,9 @@ fn plan_on(
     layout: Option<PillarLayout>,
 ) -> LaunchPlan {
     let (nc, p) = (cfg.nc, cfg.p);
-    let mut views = home_views(shape, cfg, layout.as_ref());
+    // Every rank's view, every cell at its home (see `decomp::decomposition`).
+    let home = |rank| decomposition(shape, rank, cfg, layout.as_ref());
+    let mut views: Vec<_> = (0..p).map(home).collect();
     if !views[0].has_balancer() {
         return LaunchPlan::default();
     }
@@ -777,19 +770,8 @@ fn plan_on(
     // neighbour sets.
     let index = |col: Col| col.cx * nc + col.cy;
     let mut owner = owners(&views, nc);
-    let mut neighbors = vec![Vec::new(); p];
-    for col in all_columns(nc) {
-        let here = owner[index(col)];
-        for (near, _) in cells_around(nc, col, 0..nc) {
-            let there = owner[index(near)];
-            if there != here && !neighbors[here].contains(&there) {
-                neighbors[here].push(there);
-            }
-        }
-    }
-    for nbrs in &mut neighbors {
-        nbrs.sort_unstable();
-    }
+    let at_home = Owners::of_columns(nc, p, owner.clone());
+    let neighbors: Vec<Vec<usize>> = (0..p).map(|rank| at_home.neighbors_of(rank)).collect();
     plan.loads = costs.loads_under(&owner, p);
     plan.peaks.push(peak(&plan.loads));
     // The plane moves each boundary on every other step.
@@ -850,10 +832,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn floor(plan: &LaunchPlan) -> f64 {
-        *plan.peaks.last().expect("a pillar plan has a first peak")
-    }
-
     /// A balancing run on the `side × side` torus with `m × m` tiles, and
     /// a work map for it drawn from `seed`: a light random background
     /// and a hot random rectangle, as a cluster leaves one.
@@ -873,11 +851,38 @@ mod tests {
         (cfg, work)
     }
 
+    /// The search [`retile_plan`] replaces: every tiling one cut away is
+    /// planned, and none of those plans, nor the one it starts from, ends
+    /// below its tiling's wall bound.
+    fn full_descent(cfg: &RunConfig, step: u64, work: &[u64]) -> LaunchPlan {
+        let costs = Costs::new(cfg, step, work);
+        let walled = |plan: &LaunchPlan| plan.floor() >= costs.wall_bound(&plan.tiling());
+        let mut plan = launch_plan(DomainShape::SquarePillar, cfg, step, work, true);
+        assert!(walled(&plan), "{} plans below its wall", plan.tiling());
+        loop {
+            let mut best: Option<LaunchPlan> = None;
+            for nearby in one_cut_away(plan.tiling()) {
+                let next = plan_on(DomainShape::SquarePillar, cfg, &costs, Some(nearby));
+                assert!(walled(&next), "{nearby} plans below its wall");
+                if next.floor() < best.as_ref().unwrap_or(&plan).floor() {
+                    best = Some(next);
+                }
+            }
+            let Some(lower) = best else {
+                return plan;
+            };
+            plan = LaunchPlan {
+                exchanges_once: plan.exchanges_once,
+                ..lower
+            };
+        }
+    }
+
     #[test]
     fn every_tiling_one_cut_away_differs_in_one_cut() {
         let tiling = PillarLayout::arbitrary(3, 9, 7);
         let cuts = |l: &PillarLayout| [l.xs(), l.ys()].concat();
-        let near = one_cut_away(&tiling);
+        let near: Vec<PillarLayout> = one_cut_away(tiling).collect();
         // Every cut moves to every other start between its neighbours:
         // the widths of the two tiles beside it, less one each, summed
         // over the cuts of both axes — twice the ring less the tiles.
@@ -905,10 +910,10 @@ mod tests {
             let costs = Costs::new(&cfg, 1, &work);
             let chooser = launch_plan(DomainShape::SquarePillar, &cfg, 1, &work, true);
             let refined = retile_plan(&cfg, 1, &work);
-            prop_assert!(floor(&refined) <= floor(&chooser));
-            for nearby in one_cut_away(&refined.tiling()) {
+            prop_assert!(refined.floor() <= chooser.floor());
+            for nearby in one_cut_away(refined.tiling()) {
                 let next = plan_on(DomainShape::SquarePillar, &cfg, &costs, Some(nearby));
-                prop_assert!(floor(&next) >= floor(&refined), "{} plans lower", nearby);
+                prop_assert!(next.floor() >= refined.floor(), "{} plans lower", nearby);
             }
             // The run stands on an uneven tiling, every column at home.
             let standing = PillarLayout::arbitrary(side, cfg.nc - side, seed);
@@ -921,6 +926,34 @@ mod tests {
                 prop_assert_eq!(r.tiling, refined.tiling());
                 prop_assert_eq!(r.loads, refined.loads);
             }
+        }
+
+        /// The wall bound skips no tiling the descent would take: on 3 × 3
+        /// tori at m = 2 and 4 and the 4 × 4 at m = 3, with and without a
+        /// static machine's speeds in the ruler, a check's plan is the full
+        /// search's bit for bit.
+        #[test]
+        fn prop_the_wall_bound_skips_no_tiling_the_descent_would_take(
+            grid in 0usize..3,
+            seed in any::<u64>(),
+            speeds in any::<bool>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let (side, m) = [(3, 2), (3, 4), (4, 3)][grid];
+            let (mut cfg, work) = world(side, m, seed);
+            if speeds {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(!seed);
+                let base = (0..cfg.p).map(|_| 0.5 + 1.5 * rng.gen::<f64>()).collect();
+                (cfg.speed, cfg.speed_aware) = (Some(SpeedSchedule::fixed(base)), true);
+            }
+            let (fast, full) = (retile_plan(&cfg, 1, &work), full_descent(&cfg, 1, &work));
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(fast.layout, full.layout);
+            prop_assert_eq!(&fast.decisions, &full.decisions);
+            prop_assert_eq!(&fast.round_ends, &full.round_ends);
+            prop_assert_eq!(bits(&fast.peaks), bits(&full.peaks));
+            prop_assert_eq!(bits(&fast.loads), bits(&full.loads));
+            prop_assert_eq!(fast.exchanges_once, full.exchanges_once);
         }
     }
 }

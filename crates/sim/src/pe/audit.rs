@@ -201,7 +201,8 @@ impl PeState {
     /// each particle at its id ([`place_by_id`]), and fails naming the id
     /// where the gathered ids are not exactly `0..N`, each once.
     pub fn gather_snapshot(&self, comm: &mut Comm) -> Option<Vec<Particle>> {
-        let own: Vec<Particle> = self.particles().copied().collect();
+        let mut own = Vec::with_capacity(self.num_particles());
+        own.extend(self.particles().copied());
         let n = self.cfg.n_particles;
         collectives::gather(comm, tags::SNAPSHOT, own)
             .map(|chunks| place_by_id(n, chunks.into_iter().flatten(), |p| p.id))

@@ -92,10 +92,8 @@ impl PeState {
         if !th.fires_at(step) {
             return;
         }
-        let kes: Vec<(u64, f64)> = self
-            .particles()
-            .map(|p| (p.id, 0.5 * p.vel.norm2()))
-            .collect();
+        let mut kes = Vec::with_capacity(self.num_particles());
+        kes.extend(self.particles().map(|p| (p.id, 0.5 * p.vel.norm2())));
         let gathered = collectives::gather(comm, tags::KE_GATHER, kes);
         let scale = gathered.map(|chunks| {
             let n = self.cfg.n_particles;

@@ -83,7 +83,7 @@ pub use audit::{received_frames, SentinelReport};
 pub(crate) use exchange::Exchange;
 pub(crate) use retile::Held;
 pub(crate) use topology::{ahead, behind_first_hop, bit_offset, dest_bit, RankTorus};
-pub(crate) use topology::{all_columns, cells_around, exchanges_once};
+pub(crate) use topology::{all_columns, exchanges_once, Owners};
 
 /// A PE's cell columns — owned or ghost — by column: contiguous
 /// (cell, id)-sorted particle storage with `nc` cells per column, indexed

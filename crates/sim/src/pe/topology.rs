@@ -568,7 +568,7 @@ impl PeState {
 /// asking it around each one. Indexed `(cx · nc + cy) · zs + z`, with `zs`
 /// 1 for whole columns and `nc` for cells.
 #[derive(Debug)]
-struct Owners {
+pub(crate) struct Owners {
     nc: usize,
     /// Spans per column: 1 (whole columns) or `nc` (cells).
     zs: usize,
@@ -593,6 +593,17 @@ impl Owners {
         Self {
             nc,
             zs,
+            ranks,
+            owner,
+        }
+    }
+
+    /// Whole columns of a world of `ranks`, column `cx · nc + cy` owned by
+    /// `owner[cx · nc + cy]`.
+    pub(crate) fn of_columns(nc: usize, ranks: usize, owner: Vec<usize>) -> Self {
+        Self {
+            nc,
+            zs: 1,
             ranks,
             owner,
         }
@@ -630,7 +641,7 @@ impl Owners {
 
     /// The ranks other than `rank` owning a span adjacent to one of its
     /// own, ascending: a bitmap over the ranks, read out in order.
-    fn neighbors_of(&self, rank: usize) -> Vec<usize> {
+    pub(crate) fn neighbors_of(&self, rank: usize) -> Vec<usize> {
         let mut near = self.own(rank);
         self.grow(&mut near);
         let mut ranks = vec![false; self.ranks];
@@ -743,7 +754,7 @@ pub(super) fn foreign_around(
 /// The span `(col, span)` and the spans around it, as `(column, z span)`:
 /// a whole column and its 8 cross-section neighbours, or a single cell
 /// and its 26 periodic neighbours.
-pub(crate) fn cells_around(
+pub(super) fn cells_around(
     nc: usize,
     col: Col,
     span: Range<usize>,
