@@ -9,11 +9,12 @@
 //! the earlier ones brought; collectives are gathers and binomial-tree
 //! broadcasts over namespaced tags. This module re-derives that structure
 //! from the torus each shape lays its ranks out on — [`Torus2d`] for the
-//! square pillar, the ring for the plane, [`Torus3d`] for the cube
-//! ([`shape_stages`]) — and from [`tags::TAG_TABLE`], so the verifier and
-//! the simulator agree on the wire protocol by construction, not by
-//! transcription. Whether a step has two neighbourhood exchanges or one
-//! is the engine's own answer ([`exchanges_once`]).
+//! square pillar, the ring for the plane, a `k × k × k` torus numbered x
+//! fastest for the cube ([`shape_stages`]) — and from
+//! [`tags::TAG_TABLE`], so the verifier and the simulator agree on the
+//! wire protocol by construction, not by transcription. Whether a step
+//! has two neighbourhood exchanges or one is the engine's own answer
+//! ([`exchanges_once`]).
 //!
 //! A balancing step has no exchange of its own, and nothing in it depends
 //! on what the balancer decides: loads and decisions ride the step's first
@@ -37,8 +38,8 @@
 use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_domain::DomainShape;
 use pcdlb_mp::collectives::ctag;
-use pcdlb_mp::{Torus2d, Torus3d};
-use pcdlb_sim::{LaunchPlan, RunConfig};
+use pcdlb_mp::Torus2d;
+use pcdlb_sim::RunConfig;
 
 /// One point-to-point operation of the schedule. Tags are *wire* tags:
 /// collective rounds already carry their namespaced
@@ -135,10 +136,11 @@ pub fn shape_neighbors(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
         DomainShape::SquarePillar => return Torus2d::square(p).distinct_neighbors8(r),
         DomainShape::Plane => vec![(r + p - 1) % p, (r + 1) % p],
         DomainShape::Cube => {
-            let t = Torus3d::cube(p);
-            (0..27i64)
-                .map(|d| t.neighbor(r, d / 9 - 1, d / 3 % 3 - 1, d % 3 - 1))
-                .collect()
+            // Every offset of −1, 0 or +1 per axis, as steps on of
+            // `k − 1`, `k` or `k + 1`.
+            let sides = torus_sides(shape, p);
+            let offset = |d: usize| [d % 3, d / 3 % 3, d / 9].map(|u| u + sides[0] - 1);
+            (0..27).map(|d| moved(sides, r, offset(d))).collect()
         }
     };
     nbrs.sort_unstable();
@@ -154,20 +156,7 @@ pub fn shape_neighbors(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
 /// side of 2, two (−1, then +1) along a longer one, none along a side
 /// of 1.
 pub fn shape_stages(shape: DomainShape, p: usize, r: usize) -> Vec<Vec<usize>> {
-    let sides = match shape {
-        DomainShape::SquarePillar => {
-            let t = Torus2d::square(p);
-            [t.cols(), t.rows(), 1]
-        }
-        DomainShape::Plane => [p, 1, 1],
-        DomainShape::Cube => [(p as f64).cbrt().round() as usize; 3],
-    };
-    let coords = [
-        r % sides[0],
-        r / sides[0] % sides[1],
-        r / (sides[0] * sides[1]),
-    ];
-    let rank = |c: [usize; 3]| (c[2] * sides[1] + c[1]) * sides[0] + c[0];
+    let sides = torus_sides(shape, p);
     (0..3)
         .filter(|&axis| sides[axis] > 1)
         .map(|axis| {
@@ -178,13 +167,39 @@ pub fn shape_stages(shape: DomainShape, p: usize, r: usize) -> Vec<Vec<usize>> {
             };
             (dirs.iter())
                 .map(|&d| {
-                    let mut c = coords;
-                    c[axis] = (c[axis] + d) % sides[axis];
-                    rank(c)
+                    let mut step = [0; 3];
+                    step[axis] = d;
+                    moved(sides, r, step)
                 })
                 .collect()
         })
         .collect()
+}
+
+/// The sides (x, y, z) of the rank torus `p` ranks are laid out on for
+/// `shape`.
+fn torus_sides(shape: DomainShape, p: usize) -> [usize; 3] {
+    match shape {
+        DomainShape::SquarePillar => {
+            let t = Torus2d::square(p);
+            [t.cols(), t.rows(), 1]
+        }
+        DomainShape::Plane => [p, 1, 1],
+        DomainShape::Cube => [(p as f64).cbrt().round() as usize; 3],
+    }
+}
+
+/// The rank `step[axis]` steps on from rank `r` along each axis of the
+/// torus of `sides`, the rank number counting x fastest (`side − 1` steps
+/// on is one back).
+fn moved(sides: [usize; 3], r: usize, step: [usize; 3]) -> usize {
+    let at = [
+        r % sides[0],
+        r / sides[0] % sides[1],
+        r / (sides[0] * sides[1]),
+    ];
+    let c = |axis: usize| (at[axis] + step[axis]) % sides[axis];
+    (c(2) * sides[1] + c(1)) * sides[0] + c(0)
 }
 
 /// Whether the step engine sends migrants and ghosts in one exchange
@@ -193,22 +208,16 @@ pub fn shape_stages(shape: DomainShape, p: usize, r: usize) -> Vec<Vec<usize>> {
 /// ([`pcdlb_sim::pe::PeState::exchanges_once`]: the
 /// neighbour set closed two cells out, on the one ownership of a run
 /// that does not balance, on every ownership the balancer can reach of
-/// one that does), as the launch asks it (`LaunchPlan::unplanned`: once,
-/// of rank 0 — every rank agrees) on a grid with two
+/// one that does), as a launch asks it ([`pcdlb_sim::pe::exchanges_once`]:
+/// once per world, of rank 0 — every rank agrees) on a grid with two
 /// cells per rank and axis, where every grid that can say yes does. (A
 /// grid one cell per rank wide says no from a torus side of 4 up and runs
 /// the two-round step: the balancing schedule.)
 pub fn exchanges_once(shape: DomainShape, p: usize, dlb: bool) -> bool {
-    let side = match shape {
-        DomainShape::SquarePillar => Torus2d::square(p).rows(),
-        DomainShape::Plane => p,
-        DomainShape::Cube => (p as f64).cbrt().round() as usize,
-    };
     // Only ownership is asked about: no particles, no physics.
-    let mut cfg = RunConfig::new(0, 2 * side, p, 1.0);
+    let mut cfg = RunConfig::new(0, 2 * torus_sides(shape, p)[0], p, 1.0);
     cfg.dlb = dlb;
-    let no_work = vec![0; cfg.nc * cfg.nc];
-    LaunchPlan::unplanned(shape, &cfg, &no_work).exchanges_once
+    pcdlb_sim::pe::exchanges_once(shape, &cfg)
 }
 
 /// Build the per-step schedule of `p` ranks decomposed as `shape`: the
@@ -368,7 +377,7 @@ pub fn bcast_ops(ops: &mut Vec<PhasedOp>, phase: CommPhase, p: usize, rank: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcdlb_sim::{pe::PeState, Placed};
+    use pcdlb_sim::{engine::Start, pe::PeState, LaunchPlan, Placed};
 
     fn sends_in(ops: &[PhasedOp], phase: CommPhase) -> Vec<Op> {
         ops.iter()
@@ -510,8 +519,9 @@ mod tests {
             cfg.dlb = false;
             let initial = Placed::new(&cfg, &initial_particles(&cfg));
             let unplanned = LaunchPlan::unplanned(shape, &cfg, &initial.column_work());
+            let start = Start::fresh(shape, &cfg, &initial, &unplanned);
             for r in 0..p {
-                let pe = PeState::new(r, &cfg, shape, &initial, &unplanned);
+                let pe = PeState::new(r, &cfg, &start);
                 assert_eq!(
                     pe.neighbors(),
                     shape_neighbors(shape, p, r),

@@ -44,10 +44,10 @@
 //! FIFO order. The fast-path API (`send`, `recv`, `sendrecv`) panics with
 //! the error's message, which in an SPMD simulation is the right default:
 //! the world tears down and [`crate::world::World::try_run`] turns the
-//! per-rank panics into per-rank diagnostics. Programs that want to
-//! *handle* failure (e.g. a deadline-bounded barrier) use
-//! [`Comm::try_send`] and [`Comm::recv_deadline`], which return `Result`
-//! instead.
+//! per-rank panics into per-rank diagnostics. A program that wants to
+//! *handle* a failure it waits on (e.g. a deadline-bounded barrier) uses
+//! [`Comm::recv_deadline`], which returns `Result` instead; a send never
+//! waits, so a failed one always tears the world down.
 //!
 //! Blocking receives are bounded by a **watchdog deadline**
 //! ([`CommConfig::watchdog`], 60 s by default): a peer that
@@ -573,8 +573,7 @@ impl Comm {
     /// bytes the message took. Sending to self is allowed (the message is
     /// delivered through the same mailbox). Panics with the [`CommError`]
     /// diagnostic if the destination is gone — naming the peer and tag,
-    /// and noting a world abort when that is the cause; programs that want
-    /// to survive a dead peer use [`Comm::try_send`].
+    /// and noting a world abort when that is the cause.
     pub fn send<T: Encode>(&mut self, dst: usize, tag: Tag, value: T) -> usize {
         self.send_with(dst, tag, |out| {
             value.encode(out);
@@ -582,37 +581,16 @@ impl Comm {
         })
     }
 
-    /// Send the payload `encode` writes — into an empty buffer — to rank
-    /// `dst` with `tag`, and return what `encode` returns: the one send
-    /// path, for a frame whose writer reports what it wrote. Panics like
-    /// [`Comm::send`].
+    /// Send the payload `encode` writes — into a spare buffer, emptied —
+    /// to rank `dst` with `tag`, and return what `encode` returns: the one
+    /// send path, for a frame whose writer reports what it wrote. Panics
+    /// like [`Comm::send`].
     pub fn send_with<R>(
         &mut self,
         dst: usize,
         tag: Tag,
         encode: impl FnOnce(&mut Vec<u8>) -> R,
     ) -> R {
-        match self.post(dst, tag, encode) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible send: like [`Comm::send`], but a dead destination (or a
-    /// world abort) comes back as `Err(CommError)`
-    /// instead of a panic. Accounting (stats, virtual time) reflects the
-    /// attempt either way.
-    pub fn try_send<T: Encode>(&mut self, dst: usize, tag: Tag, value: T) -> Result<(), CommError> {
-        self.post(dst, tag, |out| value.encode(out))
-    }
-
-    /// Encode into a spare payload buffer and put it on the wire.
-    fn post<R>(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        encode: impl FnOnce(&mut Vec<u8>) -> R,
-    ) -> Result<R, CommError> {
         assert!(
             dst < self.size,
             "send: dst {dst} out of range (size {})",
@@ -636,10 +614,12 @@ impl Comm {
         if let Some(op) = self.injector.as_mut().and_then(|i| i.next_action(tag)) {
             panic!("rank {src} killed by injected fault at send op {op} (dst={dst}, tag={tag})");
         }
-        self.dispatch(dst, env)?;
+        if let Err(e) = self.dispatch(dst, env) {
+            panic!("{e}");
+        }
         // Only a message that reached the wire counts as sent.
         crate::check::emit(crate::check::ProtocolEvent::Send { src, dst, tag, seq });
-        Ok(written)
+        written
     }
 
     /// Route one application envelope to rank `dst`: a plain mailbox
@@ -1010,7 +990,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use super::{Comm, CommConfig, CommError, CommErrorKind};
+    use super::{Comm, CommConfig, CommErrorKind};
     use crate::transport::{LossyProfile, Partition};
     use crate::world::World;
     use std::time::Duration;
@@ -1538,50 +1518,50 @@ mod tests {
         );
     }
 
+    /// Rank `rank`'s diagnostic in a world that failed.
+    fn failure_of(err: &crate::WorldError, rank: usize) -> &str {
+        let failure = err.failures.iter().find(|f| f.rank == rank);
+        &failure
+            .unwrap_or_else(|| panic!("rank {rank} did not fail: {err}"))
+            .message
+    }
+
     #[test]
-    fn try_send_reports_world_abort_with_peer_and_tag() {
+    fn send_reports_world_abort_with_peer_and_tag() {
         let out = World::new(2).try_run(|comm| {
             if comm.rank() == 0 {
                 panic!("rank 0 dies immediately");
             }
-            // Keep sending until rank 0's mailbox closes; the error must
-            // carry the abort diagnostic plus the peer and tag.
-            let err: CommError = loop {
-                if let Err(e) = comm.try_send(0, 17, 1u8) {
-                    break e;
-                }
+            // Keep sending until rank 0's mailbox closes; the send's panic
+            // must carry the abort diagnostic plus the peer and tag.
+            loop {
+                comm.send(0, 17, 1u8);
                 std::thread::sleep(Duration::from_millis(1));
-            };
-            assert_eq!(err.kind, CommErrorKind::Aborted);
-            assert_eq!((err.peer, err.tag), (0, 17));
-            assert!(err.message().contains("another rank panicked"));
-            true
+            }
         });
         let err = out.expect_err("world must report rank 0's death");
-        assert!(err.failures.iter().any(|f| f.rank == 0));
+        assert!(failure_of(&err, 0).contains("rank 0 dies immediately"));
+        let expected = "rank 1 aborting send(peer=0, tag=17): another rank panicked";
+        assert_eq!(failure_of(&err, 1), expected);
     }
 
     #[test]
-    fn try_send_reports_a_peer_that_exited_cleanly() {
-        // Rank 1 exits without panicking: no abort flag, so the error is
-        // PeerDead and names the destination and tag.
-        let out = World::new(2).run(|comm| {
-            if comm.rank() == 0 {
-                let err: CommError = loop {
-                    if let Err(e) = comm.try_send(1, 8, 2u8) {
-                        break e;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                };
-                assert_eq!(err.kind, CommErrorKind::PeerDead);
-                assert_eq!((err.peer, err.tag), (1, 8));
-                assert!(err.message().contains("peer rank 1 is gone"));
-                1
-            } else {
-                0
+    fn send_reports_a_peer_that_exited_cleanly() {
+        // Rank 1 exits without panicking: no abort flag, so the failure is
+        // a dead peer, named with the destination and tag.
+        let out = World::new(2).try_run(|comm| {
+            while comm.rank() == 0 {
+                comm.send(1, 8, 2u8);
+                std::thread::sleep(Duration::from_millis(1));
             }
         });
-        assert_eq!(out, vec![1, 0]);
+        let err = out.expect_err("rank 0's send must fail");
+        assert_eq!(err.failures.len(), 1, "{err}");
+        let sender = failure_of(&err, 0);
+        assert!(
+            sender.starts_with("rank 0 send(peer=1, tag=8): peer rank 1 is gone"),
+            "{sender}"
+        );
     }
 
     #[test]

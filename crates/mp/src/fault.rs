@@ -1,8 +1,8 @@
 //! Seeded rank deaths.
 //!
 //! A [`FaultPlan`] names the one site where a rank dies: its `n`-th
-//! **send op** (the 0-based count of `send`/`try_send` calls the rank has
-//! made), or its `n`-th send carrying one wire tag. Because an SPMD
+//! **send op** (the 0-based count of the rank's sends, `send` and
+//! `send_with` alike), or its `n`-th send carrying one wire tag. Because an SPMD
 //! rank's send sequence is itself deterministic (that is the substrate's
 //! core guarantee), a plan pins the death to an exact protocol site — the
 //! same plan always kills the rank at the same message of the same phase,

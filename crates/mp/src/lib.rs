@@ -62,7 +62,7 @@ pub use comm::{Comm, CommConfig, CommError, CommErrorKind, CommStats, Tag};
 pub use cost::CostModel;
 pub use fault::FaultPlan;
 pub use pool::BufferPool;
-pub use topology::{Torus2d, Torus3d};
+pub use topology::Torus2d;
 pub use transport::{LossyProfile, Partition};
 pub use wire::{Decode, DecodeError, Encode};
 pub use world::{RankFailure, World, WorldError};

@@ -5,9 +5,7 @@
 //! torus (the Cray T3E, Sec. 3.1). [`Torus2d`] provides the rank↔coordinate
 //! maps and the 8-neighbourhood used by the load balancer, and the hop
 //! distances of the cost model ([`crate::CostModel`]; the cube and the ring
-//! pay a flat hop). [`Torus3d`] provides the rank↔coordinate maps of a
-//! 3-D torus (x fastest), the cube decomposition's rank numbering, through
-//! which `pcdlb-check` names a cube rank's neighbours.
+//! pay a flat hop).
 
 /// Offsets of the 8 neighbours of a cell/PE in a 2-D torus, in row-major
 /// scan order: NW, N, NE, W, E, SW, S, SE (with `i` increasing "south" and
@@ -124,68 +122,6 @@ impl Torus2d {
     }
 }
 
-/// A 3-D torus of `nx × ny × nz` ranks, x fastest: the cube
-/// decomposition's rank arrangement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Torus3d {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-}
-
-impl Torus3d {
-    /// A torus with the given extents. Panics if any extent is zero.
-    pub fn new(nx: usize, ny: usize, nz: usize) -> Self {
-        assert!(nx > 0 && ny > 0 && nz > 0, "torus extents must be positive");
-        Self { nx, ny, nz }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.nx * self.ny * self.nz
-    }
-
-    /// True when the torus has exactly one rank (never, extents ≥ 1 each).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Coordinates of `rank` (x fastest).
-    pub fn coords(&self, rank: usize) -> (usize, usize, usize) {
-        assert!(rank < self.len(), "rank {rank} out of range for {self:?}");
-        let x = rank % self.nx;
-        let y = (rank / self.nx) % self.ny;
-        let z = rank / (self.nx * self.ny);
-        (x, y, z)
-    }
-
-    /// A cubic torus of side `k` (the cube-domain decomposition's PE
-    /// arrangement); `p` must be a perfect cube.
-    pub fn cube(p: usize) -> Self {
-        let k = (p as f64).cbrt().round() as usize;
-        assert_eq!(
-            k * k * k,
-            p,
-            "cubic torus needs a perfect-cube rank count, got {p}"
-        );
-        Self::new(k, k, k)
-    }
-
-    /// Rank at `(x, y, z)` after periodic wrapping.
-    pub fn rank_wrapped(&self, x: i64, y: i64, z: i64) -> usize {
-        let x = x.rem_euclid(self.nx as i64) as usize;
-        let y = y.rem_euclid(self.ny as i64) as usize;
-        let z = z.rem_euclid(self.nz as i64) as usize;
-        z * self.nx * self.ny + y * self.nx + x
-    }
-
-    /// The neighbour of `rank` at offset `(dx, dy, dz)` with wrap.
-    pub fn neighbor(&self, rank: usize, dx: i64, dy: i64, dz: i64) -> usize {
-        let (x, y, z) = self.coords(rank);
-        self.rank_wrapped(x as i64 + dx, y as i64 + dy, z as i64 + dz)
-    }
-}
-
 fn wrapped_dist(a: usize, b: usize, extent: usize) -> usize {
     let d = a.abs_diff(b);
     d.min(extent - d)
@@ -289,45 +225,5 @@ mod tests {
                 prop_assert!(t.hops(r, n) <= 2); // diagonal = 2 hops on a mesh metric
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod torus3d_extra_tests {
-    use super::*;
-
-    #[test]
-    fn cube_accepts_perfect_cubes() {
-        assert_eq!(Torus3d::cube(27).len(), 27);
-        assert_eq!(Torus3d::cube(1).len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "perfect-cube")]
-    fn cube_rejects_non_cubes() {
-        let _ = Torus3d::cube(9);
-    }
-
-    #[test]
-    fn rank_wrapped_roundtrips_coords() {
-        let t = Torus3d::cube(27);
-        for r in 0..t.len() {
-            let (x, y, z) = t.coords(r);
-            assert_eq!(t.rank_wrapped(x as i64, y as i64, z as i64), r);
-        }
-        // Wraps are periodic.
-        assert_eq!(t.rank_wrapped(-1, 0, 0), t.rank_wrapped(2, 0, 0));
-        assert_eq!(t.rank_wrapped(3, 4, -2), t.rank_wrapped(0, 1, 1));
-    }
-
-    #[test]
-    fn neighbor_moves_one_step() {
-        let t = Torus3d::cube(27);
-        let r = t.rank_wrapped(1, 1, 1); // center
-        assert_eq!(t.coords(t.neighbor(r, 1, 0, 0)), (2, 1, 1));
-        assert_eq!(t.coords(t.neighbor(r, 1, -1, 0)), (2, 0, 1));
-        assert_eq!(t.coords(t.neighbor(r, 1, 1, 1)), (2, 2, 2));
-        assert_eq!(t.coords(t.neighbor(r, 2, 0, 0)), (0, 1, 1), "wraps");
-        assert_eq!(t.neighbor(r, 0, 0, 0), r);
     }
 }

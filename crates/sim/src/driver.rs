@@ -192,7 +192,6 @@ impl Launch {
     /// `launched`.
     fn program(&self, cfg: &RunConfig, launched: u64, drain: bool) -> Program {
         Program {
-            shape: self.shape,
             retile: self.retiles(cfg).then_some(launched),
             snapshot: self.snapshot,
             drain,
@@ -251,8 +250,8 @@ impl Launch {
         let world = self.world(cfg, 0);
         let (placed, plan) = self.fresh(cfg);
         let program = self.program(cfg, 0, false);
-        let start = Start::Fresh(&placed, &plan);
-        let results = world.run(|comm| run_pe(comm, cfg, program, start, None));
+        let start = Start::fresh(self.shape, cfg, &placed, &plan);
+        let results = world.run(|comm| run_pe(comm, cfg, program, &start, None));
         assemble(results, plan.decisions.len())
     }
 
@@ -287,9 +286,6 @@ impl Launch {
         // `remap_drained_checkpoint`).
         let (placed, plan) = self.fresh(cfg);
         let mut launch_transfers = plan.decisions.len();
-        // The closure answer of the generation's launch plan: a relaunch
-        // restores with it.
-        let mut exchanges_once = plan.exchanges_once;
         let mut failures = Vec::new();
         let mut launches = 0;
         let mut generations = Vec::with_capacity(segments.len());
@@ -303,9 +299,7 @@ impl Launch {
                 let ck = guard
                     .as_mut()
                     .expect("the previous generation drained a checkpoint");
-                let gen_plan = remap_drained_checkpoint(ck, &seg_cfg, seg.start, retile);
-                launch_transfers += gen_plan.decisions.len();
-                exchanges_once = gen_plan.exchanges_once;
+                launch_transfers += remap_drained_checkpoint(ck, &seg_cfg, seg.start, retile);
             }
             let drain = gen < last_gen;
             let program = Program {
@@ -324,11 +318,13 @@ impl Launch {
                     let placed = Placed::new(&seg_cfg, &ck.particles);
                     (ck, placed)
                 });
-                let start = (restored.as_ref()).map_or(Start::Fresh(&placed, &plan), |(ck, at)| {
-                    Start::Restore(ck, at, exchanges_once)
+                let start = match &restored {
+                    Some((ck, at)) => Start::restore(&seg_cfg, ck, at),
+                    None => Start::fresh(self.shape, &seg_cfg, &placed, &plan),
+                };
+                let outcome = world.try_run(|comm: &mut Comm| {
+                    run_pe(comm, &seg_cfg, program, &start, Some(&sink))
                 });
-                let outcome = world
-                    .try_run(|comm: &mut Comm| run_pe(comm, &seg_cfg, program, start, Some(&sink)));
                 match outcome {
                     Ok(results) => Some((attempt + 1, results)),
                     Err(e) => {
@@ -391,14 +387,14 @@ impl Launch {
     ) -> (Vec<(u64, u64)>, Run) {
         crate::decomp::validate(cfg, self.shape);
         let (placed, plan) = self.fresh(cfg);
-        let measured = |cfg: &RunConfig, program: Program, start: Start| {
+        let measured = |cfg: &RunConfig, program: Program, start: &Start| {
             let program = Program {
                 snapshot: true,
                 ..program
             };
             let ranks = self.world(cfg, 0).run(|comm| {
                 let run_start = WallTimer::start();
-                let pe = launch(comm.rank(), cfg, program.shape, program.retile, start);
+                let pe = launch(comm.rank(), cfg, program.retile, start);
                 let sent = comm.stats();
                 let result = run_launched(comm, cfg, program, start, pe, None, run_start);
                 ((sent.msgs_sent, sent.bytes_sent), result)
@@ -407,27 +403,27 @@ impl Launch {
             (sent, assemble(results, plan.decisions.len()))
         };
         let Some(ResizeStage { at_step, p }) = restart else {
-            let start = Start::Fresh(&placed, &plan);
-            return measured(cfg, self.program(cfg, 0, false), start);
+            let start = Start::fresh(self.shape, cfg, &placed, &plan);
+            return measured(cfg, self.program(cfg, 0, false), &start);
         };
         let first = generation(cfg, cfg.p, at_step);
         let sink = Mutex::new(None);
-        let (drain, start) = (self.program(&first, 0, true), Start::Fresh(&placed, &plan));
+        let drain = self.program(&first, 0, true);
+        let start = Start::fresh(self.shape, &first, &placed, &plan);
         self.world(&first, 0)
-            .run(|comm| run_pe(comm, &first, drain, start, Some(&sink)));
+            .run(|comm| run_pe(comm, &first, drain, &start, Some(&sink)));
         let mut ck = (sink.into_inner().unwrap_or_else(PoisonError::into_inner))
             .expect("the first world drained a checkpoint");
         let next = generation(cfg, p, cfg.steps);
-        let (launched, exchanges_once) = if p == cfg.p {
-            (0, plan.exchanges_once)
+        let launched = if p == cfg.p {
+            0
         } else {
-            let retile = self.retiles(&next);
-            let gen_plan = remap_drained_checkpoint(&mut ck, &next, at_step, retile);
-            (at_step, gen_plan.exchanges_once)
+            remap_drained_checkpoint(&mut ck, &next, at_step, self.retiles(&next));
+            at_step
         };
         let at = Placed::new(&next, &ck.particles);
-        let start = Start::Restore(&ck, &at, exchanges_once);
-        measured(&next, self.program(&next, launched, false), start)
+        let start = Start::restore(&next, &ck, &at);
+        measured(&next, self.program(&next, launched, false), &start)
     }
 }
 

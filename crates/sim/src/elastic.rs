@@ -27,7 +27,8 @@
 //!    one-owner-per-column partition.
 //! 3. **Resume** — a fresh world launches on the new PE set (its channels
 //!    are new, so no frame of the drained world can reach it), every rank
-//!    restored from the remapped checkpoint. Like every launch it sends
+//!    restored from the remapped checkpoint as a relaunch is
+//!    ([`crate::engine::Start`]). Like every launch it sends
 //!    nothing before the first step: all of a world's channels exist
 //!    before any rank runs, so a rank that reaches step 1 first only
 //!    buffers its frames for the others, and a rank that dies before it
@@ -44,7 +45,7 @@
 use pcdlb_domain::DomainShape;
 
 use crate::config::RunConfig;
-use crate::launch::{launch_plan, LaunchPlan, Placed};
+use crate::launch::{launch_plan, Placed};
 use crate::recover::SimCheckpoint;
 
 /// One planned resize: after `at_step` completes, the world continues on
@@ -139,20 +140,21 @@ pub struct ResizeGeneration {
 /// balancer would have taken it, as a fresh run does, instead of shedding
 /// its hot tiles one column a step all over again. `retiles` says whether
 /// the generation re-tiles in place as it runs (its tiles may then be one
-/// column wide, see [`launch_plan`]). Returns the generation's launch
-/// plan: its transfers and its closure answer. The loads and in-flight
-/// transfers the old torus's balancer held say nothing about the new
-/// one's ranks: the transfers are dropped, and the loads replaced by the
-/// ones the plan ends on (none where the generation does not balance) —
-/// what the generation's first force pass measures, which every rank
-/// resumes from, on its first launch and on a relaunch before its first
-/// checkpoint alike.
+/// column wide, see [`launch_plan`]). Returns the number of transfers the
+/// generation's launch plan makes. The loads and in-flight transfers the
+/// old torus's balancer held say nothing about the new one's ranks: the
+/// transfers are dropped, and the loads replaced by the ones the plan ends
+/// on (none where the generation does not balance) — what the
+/// generation's first force pass measures, which every rank resumes from,
+/// on its first launch and on a relaunch before its first checkpoint
+/// alike. Every launch of the generation then starts from the checkpoint
+/// like any relaunch ([`crate::engine::Start`]).
 pub(crate) fn remap_drained_checkpoint(
     ck: &mut SimCheckpoint,
     cfg: &RunConfig,
     boundary: u64,
     retiles: bool,
-) -> LaunchPlan {
+) -> usize {
     assert_eq!(
         ck.step, boundary,
         "drain checkpoint at step {} but the resize boundary is {boundary}",
@@ -190,9 +192,9 @@ pub(crate) fn remap_drained_checkpoint(
         ck.ownership[slot[grid.index(d.col)]].1 = d.to;
     }
     ck.tiling = layout;
-    ck.loads.clone_from(&plan.loads);
+    ck.loads = plan.loads;
     ck.transfers.clear();
-    plan
+    plan.decisions.len()
 }
 
 #[cfg(test)]

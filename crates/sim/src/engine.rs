@@ -1,7 +1,11 @@
 //! The run loop: how a rank takes its PE through a whole simulation and
 //! how one step is sequenced, for every domain shape. The phases are
 //! [`crate::pe`]'s; this module is their order. Every launch
-//! ([`crate::driver`]) enters `run_pe` once per rank thread.
+//! ([`crate::driver`]) enters `run_pe` once per rank thread, from one
+//! [`Start`] — a fresh run is a restore at step 0 — that the launch thread
+//! worked out once: every rank builds its view, adopts its cells and
+//! resumes its balancer from it the same way ([`PeState::new`]), and the
+//! run loop reads the step and the records it resumes from.
 //!
 //! A balancing decision lands one way on every shape and torus: the step's
 //! first frames carry it, every PE applies it at the top of the next
@@ -22,21 +26,21 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use pcdlb_domain::DomainShape;
+use pcdlb_core::protocol::{DlbDecision, Transfer};
+use pcdlb_domain::{Col, DomainShape, PillarLayout};
 use pcdlb_mp::Comm;
 
 use crate::clock::WallTimer;
 use crate::config::RunConfig;
 use crate::launch::{LaunchPlan, Placed};
-use crate::pe::{Exchange, PeResult, PeState};
+use crate::pe::{exchanges_once, Exchange, PeResult, PeState};
 use crate::recover::SimCheckpoint;
 use crate::report::{RunReport, StepRecord};
 
-/// What a launch asks of its ranks besides the configuration: the front
-/// door's choices ([`crate::driver::Launch`]).
+/// What a launch asks of its ranks besides the configuration and where
+/// they start: the front door's choices ([`crate::driver::Launch`]).
 #[derive(Clone, Copy)]
 pub(crate) struct Program {
-    pub(crate) shape: DomainShape,
     /// Check the tiling at doubling steps from the step it was last chosen
     /// and re-tile in place where it pays (a balancing square pillar
     /// without `Launch::fixed_tiles`): `Some` of the step the launch chose
@@ -50,50 +54,128 @@ pub(crate) struct Program {
     pub(crate) drain: bool,
 }
 
-/// Where a launch's particles come from. Either way every rank adopts
-/// its cells — owned and ghost — out of one placement the launch thread
-/// made, and its balancer resumes from loads every rank already holds.
-#[derive(Clone, Copy)]
-pub(crate) enum Start<'a> {
-    /// The world's shared initial condition ([`crate::pe::initial_particles`],
-    /// generated and placed in its cells once per world, not once per
-    /// rank) and the launch plan — the tiling, the transfers made on it
-    /// and the loads they end on ([`crate::launch::launch_plan`],
-    /// computed once per world too).
-    Fresh(&'a Placed, &'a LaunchPlan),
-    /// A distributed checkpoint (square pillar only), its particles placed
-    /// once per launch, and the closure answer of the launch plan of its
-    /// generation ([`LaunchPlan::exchanges_once`]). A resized
-    /// generation's checkpoint carries its plan's loads
+/// Where a launch starts every rank, worked out once per launch on the
+/// launch thread — one form for every start: a fresh run is a restore at
+/// step 0. Every rank builds its view from it alike — the home tiles of
+/// `tiling`, then `decisions` replayed as decisions already made (paper
+/// Sec. 2.3: every PE starts on its home domain and cells move from
+/// there) — adopts its cells, owned and ghost, out of one placement, and
+/// resumes its balancer from loads every rank already holds.
+pub struct Start<'a> {
+    pub(crate) shape: DomainShape,
+    /// Every particle, placed in its cell once per launch, not once per
+    /// rank.
+    pub(crate) placed: &'a Placed,
+    /// The last step done: 0, or the checkpoint's.
+    pub(crate) step: u64,
+    /// The tiling the home tiles are cut on (the square pillar's; `None`
+    /// for the other shapes: see `decomp::decomposition`).
+    pub(crate) tiling: Option<PillarLayout>,
+    /// What rebuilds ownership from the home tiles: a launch plan's
+    /// transfers, or a checkpoint's ownership.
+    pub(crate) decisions: Vec<DlbDecision>,
+    /// Every rank's load, which the balancer resumes from (none where the
+    /// run does not balance), and the decisions still pending, which land
+    /// at the first rebuild step.
+    pub(crate) loads: &'a [f64],
+    pub(crate) transfers: &'a [Transfer],
+    /// Rank 0's step records up to `step`.
+    pub(crate) records: &'a [StepRecord],
+    /// The re-tiles up to `step`: `(step, tiling, columns moved)`.
+    pub(crate) retiles: &'a [(u64, PillarLayout, usize)],
+    /// Whether a rebuild step is one exchange
+    /// ([`PeState::exchanges_once`]), asked once per launch.
+    pub(crate) exchanges_once: bool,
+}
+
+impl<'a> Start<'a> {
+    /// A fresh run of `cfg` on `shape`: the world's shared initial
+    /// condition ([`crate::pe::initial_particles`], generated and placed
+    /// once per world) and its launch plan — the tiling, the transfers
+    /// made on it and the loads they end on
+    /// ([`crate::launch::launch_plan`], computed once per world too). Step
+    /// 0, nothing pending.
+    pub fn fresh(
+        shape: DomainShape,
+        cfg: &RunConfig,
+        placed: &'a Placed,
+        plan: &'a LaunchPlan,
+    ) -> Self {
+        Self {
+            shape,
+            placed,
+            step: 0,
+            tiling: plan.layout,
+            decisions: plan.decisions.clone(),
+            loads: &plan.loads,
+            transfers: &[],
+            records: &[],
+            retiles: &[],
+            exchanges_once: closure(shape, cfg, plan.layout),
+        }
+    }
+
+    /// A relaunch of `cfg` from a distributed checkpoint (square pillar
+    /// only — a checkpoint records one owner per column, which is what the
+    /// pillar's balancer moves), its particles placed once per launch: a
+    /// sentinel rollback, a relaunch after a death, or a resized
+    /// generation, whose checkpoint carries its launch plan
     /// ([`crate::elastic`]).
-    Restore(&'a SimCheckpoint, &'a Placed, bool),
+    pub(crate) fn restore(cfg: &RunConfig, ck: &'a SimCheckpoint, placed: &'a Placed) -> Self {
+        assert_eq!(
+            ck.particles.len(),
+            cfg.n_particles,
+            "checkpoint particle count does not match the configuration"
+        );
+        assert_eq!(
+            (ck.tiling.grid().nc(), ck.tiling.num_ranks()),
+            (cfg.nc, cfg.p),
+            "checkpoint tiled for another (nc, P) than the configuration's"
+        );
+        let shape = DomainShape::SquarePillar;
+        // Replayed as decisions already made — "`col` now belongs to
+        // `owner`" — so the windowed view filters them as it did live.
+        let stay = |&(col, owner): &(Col, usize)| DlbDecision {
+            col,
+            from: owner,
+            to: owner,
+        };
+        let decisions = ck.ownership.iter().map(stay).collect();
+        Self {
+            shape,
+            placed,
+            step: ck.step,
+            tiling: Some(ck.tiling),
+            decisions,
+            loads: &ck.loads,
+            transfers: &ck.transfers,
+            records: &ck.records,
+            retiles: &ck.retiles,
+            exchanges_once: closure(shape, cfg, Some(ck.tiling)),
+        }
+    }
+}
+
+/// The closure answer of a world of `cfg` on `shape` launched on
+/// `tiling`: the world's own ([`exchanges_once`], on the even tiling). A
+/// run that does not balance never leaves the even tiling, and a
+/// balancing run's answer is the same on every tiling.
+fn closure(shape: DomainShape, cfg: &RunConfig, tiling: Option<PillarLayout>) -> bool {
+    assert!(
+        cfg.dlb || tiling.is_none_or(|t| t.is_even()),
+        "a run that does not balance launches on the even tiling, not on {tiling:?}"
+    );
+    exchanges_once(shape, cfg)
 }
 
 /// Launch this rank's PE, ready for its first step — the one launch every
-/// start takes: [`PeState::new`] from a fresh start, or
-/// [`PeState::from_checkpoint`]; then, on a re-tiling run (`retile`: the
+/// start takes: [`PeState::new`], then, on a re-tiling run (`retile`: the
 /// step the tiling was chosen at), the slow loop. It is given no `Comm`:
 /// a launch sends nothing, whatever it starts from, since what a first
 /// exchange would have brought — the ghost cells, the neighbours' loads —
 /// every rank already holds.
-pub(crate) fn launch(
-    rank: usize,
-    cfg: &RunConfig,
-    shape: DomainShape,
-    retile: Option<u64>,
-    start: Start,
-) -> PeState {
-    let mut pe = match start {
-        Start::Restore(ck, placed, exchanges_once) => {
-            assert_eq!(
-                shape,
-                DomainShape::SquarePillar,
-                "only the square pillar restores from a checkpoint"
-            );
-            PeState::from_checkpoint(rank, cfg, ck, placed, exchanges_once)
-        }
-        Start::Fresh(placed, plan) => PeState::new(rank, cfg, shape, placed, plan),
-    };
+pub(crate) fn launch(rank: usize, cfg: &RunConfig, retile: Option<u64>, start: &Start) -> PeState {
+    let mut pe = PeState::new(rank, cfg, start);
     if let Some(launched) = retile {
         pe.follow_the_load(launched);
     }
@@ -107,11 +189,11 @@ pub(crate) fn run_pe(
     comm: &mut Comm,
     cfg: &RunConfig,
     program: Program,
-    start: Start,
+    start: &Start,
     sink: Option<&Mutex<Option<SimCheckpoint>>>,
 ) -> PeResult {
     let run_start = WallTimer::start();
-    let pe = launch(comm.rank(), cfg, program.shape, program.retile, start);
+    let pe = launch(comm.rank(), cfg, program.retile, start);
     run_launched(comm, cfg, program, start, pe, sink, run_start)
 }
 
@@ -121,23 +203,18 @@ pub(crate) fn run_launched(
     comm: &mut Comm,
     cfg: &RunConfig,
     program: Program,
-    start: Start,
+    start: &Start,
     mut pe: PeState,
     sink: Option<&Mutex<Option<SimCheckpoint>>>,
     run_start: WallTimer,
 ) -> PeResult {
     let rank = comm.rank();
-    let mut start_step = 0;
+    // (Only rank 0, the stats gather's root, holds records or reads them.)
     let mut records: Vec<StepRecord> = Vec::new();
-    if let Start::Restore(ck, ..) = start {
-        start_step = ck.step;
-        // (Only rank 0, the stats gather's root, holds records or reads
-        // them.)
-        if rank == 0 {
-            records = ck.records.clone();
-        }
+    if rank == 0 {
+        records.extend_from_slice(start.records);
     }
-    for step in start_step + 1..=cfg.steps {
+    for step in start.step + 1..=cfg.steps {
         records.extend(step_pe(comm, &mut pe, step));
         let periodic_ckpt = cfg.checkpoint_interval > 0
             && step.is_multiple_of(cfg.checkpoint_interval)

@@ -41,7 +41,8 @@
 //! the in-run balancer has something next to the load later; a run that
 //! re-tiles as the load moves has a better answer for later, and its
 //! tiles may be one column wide. The layout travels with the plan
-//! ([`LaunchPlan::layout`]) to every rank's scaffold, into every
+//! ([`LaunchPlan::layout`]) into the launch's start
+//! ([`crate::engine::Start`]) and every rank's view, into every
 //! checkpoint (so a relaunch and a sentinel rollback rebuild the same home
 //! tiles), through the elastic remap (which
 //! launches each generation afresh from the drained particles) and into
@@ -81,7 +82,7 @@ use pcdlb_mp::{CostModel, Torus2d};
 
 use crate::config::{LoadMetric, RunConfig, SpeedSchedule};
 use crate::decomp::{decomposition, Decomposition};
-use crate::pe::{all_columns, exchanges_once, Held, Owners};
+use crate::pe::{all_columns, Held, Owners};
 
 /// A world's particles placed in their cells, once per world: one
 /// counting sort by (column, z cell), ids ascending inside a cell — the
@@ -148,8 +149,9 @@ impl Placed {
 /// Where a run launches: the tiling its home tiles are cut on and the
 /// transfers its balancer's own rule makes from there on the initial
 /// condition's exact work map, before a rank thread starts (see
-/// [`launch_plan`]), and whether its rebuild steps are single exchanges.
-/// No transfers for a run that does not balance.
+/// [`launch_plan`]). No transfers for a run that does not balance. (Whether
+/// its rebuild steps are single exchanges is a fact of the world, not of
+/// the plan: [`crate::pe::exchanges_once`].)
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaunchPlan {
     /// The tiling a square-pillar run launches on; `None` for the other
@@ -169,19 +171,13 @@ pub struct LaunchPlan {
     /// what every rank's balancer starts from: no rank announces its load
     /// before the first step. Empty for a run that does not balance.
     pub loads: Vec<f64>,
-    /// Whether a rebuild step is one exchange, migrants and ghosts
-    /// together ([`crate::pe::PeState::exchanges_once`]): the closure test,
-    /// asked once per launch and handed to every rank — on a fresh start,
-    /// a relaunch from a checkpoint and a resized generation alike. A
-    /// default plan says no: two rounds.
-    pub exchanges_once: bool,
 }
 
 impl LaunchPlan {
     /// A launch of `cfg` on `shape` with nothing planned — what
     /// [`launch_plan`] makes of a run that does not balance: the even home
-    /// tiles, no transfers, and the closure answer on them; where the run
-    /// balances, the loads the home tiles carry on the work map `work`
+    /// tiles and no transfers; where the run balances, the loads the home
+    /// tiles carry on the work map `work`
     /// ([`Placed::column_work`]), which every rank starts from.
     pub fn unplanned(shape: DomainShape, cfg: &RunConfig, work: &[u64]) -> Self {
         let pillar = shape == DomainShape::SquarePillar;
@@ -193,7 +189,6 @@ impl LaunchPlan {
             None => Vec::new(),
         };
         Self {
-            exchanges_once: exchanges_once(shape, cfg, layout.as_ref()),
             layout,
             loads,
             ..Self::default()
@@ -457,8 +452,6 @@ fn recut(
 /// but a [`Launch::fixed_tiles`] one's): then the cut may leave a tile one
 /// column wide. No constant, and no option of the run is read for it. A
 /// run that does not balance plans nothing and keeps the even tiling.
-/// On the tiling it lands on, the closure test is asked once for the
-/// whole world ([`LaunchPlan::exchanges_once`]).
 /// Pure in `cfg` and the work map; `step` is the step whose force pass
 /// measured it (the processor speeds of that step weigh it).
 ///
@@ -484,7 +477,6 @@ pub fn launch_plan(
             plan = lower;
         }
     }
-    plan.exchanges_once = exchanges_once(shape, cfg, plan.layout.as_ref());
     plan
 }
 
@@ -502,7 +494,9 @@ fn at_the_wall(plan: &LaunchPlan) -> bool {
 
 /// [`launch_plan`] on a tiling of the caller's choice, whatever the
 /// chooser would have said: how the tests and the example read what
-/// choosing bought.
+/// choosing bought. A run that does not balance plans nothing, and
+/// launches on the even tiling only (the one its closure answer is
+/// asked on, [`crate::pe::exchanges_once`]).
 #[doc(hidden)]
 pub fn launch_plan_on(
     layout: PillarLayout,
@@ -510,17 +504,14 @@ pub fn launch_plan_on(
     step: u64,
     work: &[u64],
 ) -> LaunchPlan {
-    let shape = DomainShape::SquarePillar;
-    let mut plan = if cfg.dlb {
-        plan_on(shape, cfg, &Costs::new(cfg, step, work), Some(layout))
-    } else {
-        LaunchPlan {
+    if !cfg.dlb {
+        return LaunchPlan {
             layout: Some(layout),
             ..LaunchPlan::default()
-        }
-    };
-    plan.exchanges_once = exchanges_once(shape, cfg, Some(&layout));
-    plan
+        };
+    }
+    let costs = Costs::new(cfg, step, work);
+    plan_on(DomainShape::SquarePillar, cfg, &costs, Some(layout))
 }
 
 /// A re-tile, as [`check`] decides it and every rank applies it: the new
@@ -618,11 +609,7 @@ pub fn retile_plan(cfg: &RunConfig, step: u64, work: &[u64]) -> LaunchPlan {
         let Some(lower) = best else {
             return plan;
         };
-        // (The closure answer holds on every tiling.)
-        plan = LaunchPlan {
-            exchanges_once: plan.exchanges_once,
-            ..lower
-        };
+        plan = lower;
     }
 }
 
@@ -871,10 +858,7 @@ mod tests {
             let Some(lower) = best else {
                 return plan;
             };
-            plan = LaunchPlan {
-                exchanges_once: plan.exchanges_once,
-                ..lower
-            };
+            plan = lower;
         }
     }
 
@@ -953,7 +937,6 @@ mod tests {
             prop_assert_eq!(&fast.round_ends, &full.round_ends);
             prop_assert_eq!(bits(&fast.peaks), bits(&full.peaks));
             prop_assert_eq!(bits(&fast.loads), bits(&full.loads));
-            prop_assert_eq!(fast.exchanges_once, full.exchanges_once);
         }
     }
 }

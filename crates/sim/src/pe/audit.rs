@@ -1,20 +1,21 @@
-//! Reading a PE's whole state out and putting it back: checkpoint gather
-//! and restore, the invariant sentinel, the final snapshot — and the step
-//! frames a run's last exchange brought, for decoder tests. Collective,
+//! Reading a PE's whole state out: the checkpoint gather (a relaunch puts
+//! it back through the one launch, [`crate::engine::Start`]), the
+//! invariant sentinel, the final snapshot — and the step frames a run's
+//! last exchange brought, for decoder tests. Collective,
 //! on an interval or on demand — cold, so off the lint's hot-path list —
 //! and digest-neutral: each gather's virtual comm cost is discarded.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use pcdlb_core::protocol::{tags, DlbDecision, Transfer};
+use pcdlb_core::protocol::{tags, Transfer};
 use pcdlb_domain::{Col, DomainShape};
 use pcdlb_md::{place_by_id, Particle};
 use pcdlb_mp::{collectives, Comm, World};
 
-use super::{initial_particles, Origin, PeState};
+use super::{initial_particles, PeState};
 use crate::config::RunConfig;
-use crate::engine::{launch, step_pe, Start};
+use crate::engine::{step_pe, Start};
 use crate::frame::Arrival;
 use crate::launch::{LaunchPlan, Placed};
 use crate::recover::SimCheckpoint;
@@ -32,9 +33,9 @@ pub fn received_frames(cfg: &RunConfig, shape: DomainShape) -> Vec<(Arrival, Vec
     let world = World::new(cfg.p)
         .with_cost_model(crate::decomp::cost_model(shape, cfg))
         .with_comm_config(&cfg.comm);
+    let start = Start::fresh(shape, cfg, &placed, &plan);
     let ranks = world.run(|comm| {
-        let start = Start::Fresh(&placed, &plan);
-        let mut pe = launch(comm.rank(), cfg, shape, None, start);
+        let mut pe = PeState::new(comm.rank(), cfg, &start);
         for step in 1..=cfg.steps {
             step_pe(comm, &mut pe, step);
         }
@@ -47,70 +48,6 @@ pub fn received_frames(cfg: &RunConfig, shape: DomainShape) -> Vec<(Arrival, Vec
 }
 
 impl PeState {
-    /// Launch a square-pillar PE from a distributed checkpoint, ready for
-    /// the step after it: start from the home tiles of the checkpointed
-    /// tiling (the one a re-tile left, if any), replay the checkpointed
-    /// ownership into this rank's view, adopt the cells this rank owns and
-    /// the ghost cells around them out of `placed` — the checkpoint's
-    /// particles, placed once per launch — resume the balancer from what
-    /// the checkpoint carries of it and compute the forces;
-    /// `exchanges_once` is the launch's closure answer
-    /// ([`crate::launch::LaunchPlan::exchanges_once`]). Like
-    /// [`PeState::new`] it sends nothing.
-    /// Pillar only — a checkpoint records one owner per column, which is
-    /// what the pillar's balancer moves; recovery and elastic runs are
-    /// validated pillar-only upstream.
-    ///
-    /// Forces are *not* stored in the checkpoint: the launch's force pass
-    /// reproduces the checkpointed run's force array bitwise — the saved
-    /// positions are exactly the positions those forces were evaluated at
-    /// (velocity Verlet only touches velocities after the force pass).
-    pub fn from_checkpoint(
-        rank: usize,
-        cfg: &RunConfig,
-        ck: &SimCheckpoint,
-        placed: &Placed,
-        exchanges_once: bool,
-    ) -> Self {
-        assert_eq!(
-            ck.particles.len(),
-            cfg.n_particles,
-            "checkpoint particle count does not match the configuration"
-        );
-        let tiling = ck.tiling;
-        assert_eq!(
-            (tiling.grid().nc(), tiling.num_ranks()),
-            (cfg.nc, cfg.p),
-            "checkpoint tiled for another (nc, P) than the configuration's"
-        );
-        // Replayed as decisions already made — "`col` now belongs to
-        // `owner`" — so the windowed view filters them as it did live.
-        let decisions: Vec<DlbDecision> = (ck.ownership.iter())
-            .map(|&(col, owner)| DlbDecision {
-                col,
-                from: owner,
-                to: owner,
-            })
-            .collect();
-        let origin = Origin {
-            shape: DomainShape::SquarePillar,
-            tiling: Some(&tiling),
-            decisions: &decisions,
-        };
-        let mut pe = Self::scaffold(rank, cfg, &origin, exchanges_once);
-        // The force pass after a restore recomputes the checkpointed
-        // step's forces — with drifting speeds, its published load numbers
-        // must use the checkpointed step too.
-        pe.cur_step = ck.step;
-        pe.adopt(placed, &origin);
-        pe.restore_retiles(&ck.retiles);
-        // What the balancer holds between steps.
-        let neighbors = pe.topology.neighbors();
-        pe.balance.restore(rank, cfg.p, neighbors, ck);
-        pe.compute_forces();
-        pe
-    }
-
     /// Gather a restartable distributed checkpoint to rank 0
     /// (collective; every rank must call it at the same step). `records`
     /// is rank 0's per-step series so far, embedded so a restore can
@@ -301,6 +238,7 @@ mod tests {
         particles[7].id = 3;
         let placed = Placed::new(&cfg, &particles);
         let plan = LaunchPlan::unplanned(shape, &cfg, &placed.column_work());
+        let start = Start::fresh(shape, &cfg, &placed, &plan);
         type Gather = fn(&mut PeState, &mut Comm) -> Option<Vec<Particle>>;
         let gathers: [(&str, Gather); 2] = [
             ("snapshot", |pe, comm| pe.gather_snapshot(comm)),
@@ -312,7 +250,7 @@ mod tests {
         for (what, gather) in gathers {
             let gathered = std::panic::catch_unwind(|| {
                 World::new(cfg.p).run(|comm| {
-                    let mut pe = PeState::new(comm.rank(), &cfg, shape, &placed, &plan);
+                    let mut pe = PeState::new(comm.rank(), &cfg, &start);
                     gather(&mut pe, comm)
                 })
             });

@@ -29,7 +29,7 @@ use super::PeState;
 use crate::clock::WallTimer;
 use crate::config::RunConfig;
 use crate::decomp::Decomposition;
-use crate::recover::SimCheckpoint;
+use crate::engine::Start;
 
 /// What the balancer knows between steps.
 #[derive(Default)]
@@ -221,33 +221,26 @@ impl Balance {
         (self.announced_load, given.copied())
     }
 
-    /// Resume at the step of checkpoint `ck` (a rebuild step in every
-    /// schedule) holding what it carried: every rank's last announced
-    /// load — or, on a drain remapped onto another torus, the loads of the
-    /// generation's launch plan — and the pending decisions, of which this
-    /// PE heard its own and its `neighbors`'; they land at the next
-    /// rebuild step.
-    pub(super) fn restore(
-        &mut self,
-        rank: usize,
-        p: usize,
-        neighbors: &[usize],
-        ck: &SimCheckpoint,
-    ) {
-        self.last_rebuild = ck.step;
+    /// Resume at the step a launch `start`s after (a rebuild step in every
+    /// schedule) holding what it carries: every rank's load — a launch
+    /// plan's, or the last one each announced before a checkpoint — and
+    /// the pending decisions, of which this PE heard its own and its
+    /// `neighbors`'; they land at the next rebuild step.
+    pub(super) fn restore(&mut self, rank: usize, p: usize, neighbors: &[usize], start: &Start) {
+        self.last_rebuild = start.step;
         if self.enabled {
             assert_eq!(
-                ck.loads.len(),
+                start.loads.len(),
                 p,
-                "checkpoint announces {} loads for {p} ranks",
-                ck.loads.len()
+                "a balancing start holds {} loads for {p} ranks",
+                start.loads.len()
             );
-            self.resume(rank, neighbors, &ck.loads);
+            self.resume(rank, neighbors, start.loads);
             let heard = |t: &&Transfer| {
                 let from = t.decision.from;
                 from == rank || neighbors.binary_search(&from).is_ok()
             };
-            self.pending.extend(ck.transfers.iter().filter(heard));
+            self.pending.extend(start.transfers.iter().filter(heard));
         }
     }
 }
@@ -522,7 +515,7 @@ mod tests {
         let nobody = Placed::new(&cfg, &[]);
         let shape = DomainShape::SquarePillar;
         let plan = LaunchPlan::unplanned(shape, &cfg, &nobody.column_work());
-        let mut pe = PeState::new(rank, &cfg, shape, &nobody, &plan);
+        let mut pe = PeState::new(rank, &cfg, &Start::fresh(shape, &cfg, &nobody, &plan));
         pe.force.set_load(own);
         pe.balance.nbr_loads = pe
             .neighbors()
@@ -630,9 +623,9 @@ mod tests {
             let none = LaunchPlan::unplanned(shape, &cfg, &initial.column_work());
             // Per rank and step: the load before, the transfers whose cells
             // changed hands, the load after.
+            let start = Start::fresh(shape, &cfg, &initial, &none);
             let ranks = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                let start = crate::engine::Start::Fresh(&initial, &none);
-                let mut pe = crate::engine::launch(comm.rank(), &cfg, shape, None, start);
+                let mut pe = PeState::new(comm.rank(), &cfg, &start);
                 let mut steps = Vec::new();
                 for step in 1..=cfg.steps {
                     let before = pe.force.load();

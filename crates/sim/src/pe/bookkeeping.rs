@@ -176,19 +176,17 @@ mod tests {
             cfg.checkpoint_interval = 3;
             cfg.sentinel_interval = 2;
             let initial = placed(&cfg);
+            let none = crate::launch::LaunchPlan::unplanned(shape, &cfg, &initial.column_work());
+            let start = crate::engine::Start::fresh(shape, &cfg, &initial, &none);
             let laps: Vec<f64> = pcdlb_mp::World::new(cfg.p)
                 .with_cost_model(crate::decomp::cost_model(shape, &cfg))
                 .run(|comm| {
-                    let work = initial.column_work();
-                    let none = crate::launch::LaunchPlan::unplanned(shape, &cfg, &work);
-                    let start = crate::engine::Start::Fresh(&initial, &none);
                     let program = crate::engine::Program {
-                        shape,
                         retile: None,
                         snapshot: false,
                         drain: false,
                     };
-                    crate::engine::run_pe(comm, &cfg, program, start, None);
+                    crate::engine::run_pe(comm, &cfg, program, &start, None);
                     comm.lap_virtual_comm()
                 });
             assert!(laps.iter().all(|&l| l == 0.0), "{shape:?}: {laps:?}");

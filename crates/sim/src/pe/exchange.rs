@@ -980,9 +980,9 @@ mod tests {
                 decisions,
                 ..unplanned.clone()
             };
+            let start = crate::engine::Start::fresh(shape, &cfg, &placed, &plan);
             pcdlb_mp::World::new(cfg.p).run(|comm| {
-                let start = crate::engine::Start::Fresh(&placed, &plan);
-                let mut pe = crate::engine::launch(comm.rank(), &cfg, shape, None, start);
+                let mut pe = PeState::new(comm.rank(), &cfg, &start);
                 // (The launch adopted the ghosts; one shell exchange
                 // brings them again, over the wire.)
                 pe.exchange(comm, Exchange::Shells);
@@ -1053,12 +1053,12 @@ mod tests {
     ) -> Vec<(Vec<StepRecord>, T)> {
         let shape = DomainShape::Cube;
         let initial = Placed::new(cfg, initial);
+        let none = crate::launch::LaunchPlan::unplanned(shape, cfg, &[]);
+        let start = crate::engine::Start::fresh(shape, cfg, &initial, &none);
         pcdlb_mp::World::new(cfg.p)
             .with_cost_model(crate::decomp::cost_model(shape, cfg))
             .run(|comm| {
-                let none = crate::launch::LaunchPlan::unplanned(shape, cfg, &[]);
-                let start = crate::engine::Start::Fresh(&initial, &none);
-                let mut pe = crate::engine::launch(comm.rank(), cfg, shape, None, start);
+                let mut pe = PeState::new(comm.rank(), cfg, &start);
                 setup(&mut pe);
                 let mut records = Vec::new();
                 for step in 1..=cfg.steps {

@@ -387,9 +387,9 @@ mod tests {
                 let work = initial.column_work();
                 let plan = crate::launch::launch_plan(shape, &cfg, 0, &work, false);
                 assert!(!plan.decisions.is_empty(), "{shape:?}: nothing planned");
+                let start = crate::engine::Start::fresh(shape, &cfg, &initial, &plan);
                 let measured = pcdlb_mp::World::new(cfg.p).run(|comm| {
-                    let start = crate::engine::Start::Fresh(&initial, &plan);
-                    let pe = crate::engine::launch(comm.rank(), &cfg, shape, None, start);
+                    let pe = super::PeState::new(comm.rank(), &cfg, &start);
                     pe.force.load().to_bits()
                 });
                 let planned: Vec<u64> = plan.loads.iter().map(|l| l.to_bits()).collect();

@@ -43,10 +43,11 @@
 //! along the axis — and a diagonal neighbour's share relayed (`exchange`,
 //! and `topology`'s routing).
 //!
-//! A PE is launched without a message ([`PeState::new`],
-//! [`PeState::from_checkpoint`]): its owned and ghost cells are taken out
-//! of the launch's one placement, its balancer resumes from loads every
-//! rank holds, and it computes its first forces.
+//! A PE is launched without a message, one way from every start
+//! ([`PeState::new`] of a [`crate::engine::Start`], fresh or restored):
+//! its owned and ghost cells are taken out of the launch's one placement,
+//! its balancer resumes from loads every rank holds, and it computes its
+//! first forces.
 //!
 //! The neighbour set, ghost routes, cell classes and home list are all
 //! derived from `Decomposition::owner_of` in `topology`; checkpoint
@@ -76,25 +77,27 @@ use pcdlb_md::{axis_bin, init, Particle};
 
 use crate::config::{Lattice, RunConfig};
 use crate::decomp::{decomposition, Decomposition};
-use crate::launch::{LaunchPlan, Placed};
+use crate::engine::Start;
+use crate::launch::Placed;
 use crate::report::{PhaseTimes, RunReport, WireBytes};
 
 pub use audit::{received_frames, SentinelReport};
 pub(crate) use exchange::Exchange;
 pub(crate) use retile::Held;
+pub use topology::exchanges_once;
 pub(crate) use topology::{ahead, behind_first_hop, bit_offset, dest_bit, RankTorus};
-pub(crate) use topology::{all_columns, exchanges_once, Owners};
+pub(crate) use topology::{all_columns, Owners};
 
 /// A PE's cell columns — owned or ghost — by column: contiguous
 /// (cell, id)-sorted particle storage with `nc` cells per column, indexed
 /// by the z cell index.
 type Slabs = BTreeMap<Col, CellSlab>;
 
-/// Where a launch starts every rank's view: `shape`'s home cells under
-/// `tiling` (see `decomp::decomposition`), then `decisions` replayed as
-/// decisions already made — a launch plan's transfers, or a checkpoint's
-/// ownership. Every rank's view, its own and its neighbours', is built
-/// from it alike.
+/// Where every rank's view starts: `shape`'s home cells under `tiling`
+/// (see `decomp::decomposition`), then `decisions` replayed as decisions
+/// already made — a launch's ([`crate::engine::Start`]) or a re-tile's.
+/// Every rank's view, its own and its neighbours', is built from it
+/// alike.
 struct Origin<'a> {
     shape: DomainShape,
     tiling: Option<&'a PillarLayout>,
@@ -102,11 +105,27 @@ struct Origin<'a> {
 }
 
 impl Origin<'_> {
-    /// `rank`'s view at the launch.
+    /// `rank`'s view at the start.
     fn view(&self, rank: usize, cfg: &RunConfig) -> Box<dyn Decomposition> {
         let mut view = decomposition(self.shape, rank, cfg, self.tiling);
         self.replay(&mut *view);
         view
+    }
+
+    /// `rank`'s own view at the start, with its topology: the neighbour
+    /// set read off the home cells, before anything is replayed, and a
+    /// rebuild step one exchange where the world says so
+    /// (`exchanges_once`).
+    fn own_view(
+        &self,
+        rank: usize,
+        cfg: &RunConfig,
+        exchanges_once: bool,
+    ) -> (Box<dyn Decomposition>, topology::Topology) {
+        let mut view = decomposition(self.shape, rank, cfg, self.tiling);
+        let topology = topology::Topology::new(&*view, cfg.nc, rank, exchanges_once);
+        self.replay(&mut *view);
+        (view, topology)
     }
 
     /// Replay the decisions into `view`, every cell of which is at home.
@@ -188,49 +207,28 @@ pub struct PeState {
 }
 
 impl PeState {
-    /// Launch the PE on a fresh world, ready for its first step: start
-    /// from the home tiles of `plan`'s tiling, replay its transfers
-    /// ([`crate::launch::launch_plan`]; none for a run that does not
-    /// balance) into this rank's view, as decisions already made, adopt
-    /// the cells it then owns and the ghost cells around them out of
-    /// `placed`, the world's whole initial condition, resume the balancer
-    /// from the loads the plan ends on and compute the first forces. It
-    /// sends nothing: everything a neighbour would have told it, the
-    /// placement and the plan already hold.
-    pub fn new(
-        rank: usize,
-        cfg: &RunConfig,
-        shape: DomainShape,
-        placed: &Placed,
-        plan: &LaunchPlan,
-    ) -> Self {
+    /// Launch the PE, ready for the step after `start.step` — the one
+    /// constructor every start takes, fresh or restored
+    /// ([`crate::engine::Start`]): start from the home tiles of its tiling,
+    /// replay its decisions into this rank's view, adopt the cells it then
+    /// owns and the ghost cells around them out of its placement, carry on
+    /// from its re-tiles, resume the balancer from its loads and pending
+    /// transfers and compute the first forces. It sends nothing:
+    /// everything a neighbour would have told it, the start already holds.
+    ///
+    /// Forces are *not* stored in a checkpoint: the launch's force pass
+    /// reproduces the checkpointed run's force array bitwise — the saved
+    /// positions are exactly the positions those forces were evaluated at
+    /// (velocity Verlet only touches velocities after the force pass).
+    pub fn new(rank: usize, cfg: &RunConfig, start: &Start) -> Self {
         let origin = Origin {
-            shape,
-            tiling: plan.layout.as_ref(),
-            decisions: &plan.decisions,
+            shape: start.shape,
+            tiling: start.tiling.as_ref(),
+            decisions: &start.decisions,
         };
-        let mut pe = Self::scaffold(rank, cfg, &origin, plan.exchanges_once);
-        pe.adopt(placed, &origin);
-        if pe.balances() {
-            pe.balance
-                .resume(rank, pe.topology.neighbors(), &plan.loads);
-        }
-        pe.compute_forces();
-        pe
-    }
-
-    /// The state shell shared by [`PeState::new`] and
-    /// [`PeState::from_checkpoint`]: everything but the particles, this
-    /// rank's view of where `origin` starts the run — its neighbour set
-    /// read off the home cells, before anything is replayed — and a
-    /// rebuild step one exchange where the launch says so
-    /// (`exchanges_once`). Once per run.
-    fn scaffold(rank: usize, cfg: &RunConfig, origin: &Origin, exchanges_once: bool) -> Self {
-        let mut decomp = decomposition(origin.shape, rank, cfg, origin.tiling);
-        let topology = topology::Topology::new(&*decomp, cfg.nc, rank, exchanges_once);
-        origin.replay(&mut *decomp);
+        let (decomp, topology) = origin.own_view(rank, cfg, start.exchanges_once);
         let balances = decomp.has_balancer() && cfg.dlb;
-        Self {
+        let mut pe = Self {
             cfg: cfg.clone(),
             rank,
             nc: cfg.nc,
@@ -239,7 +237,10 @@ impl PeState {
             decomp,
             columns: BTreeMap::new(),
             ghosts: BTreeMap::new(),
-            cur_step: 0,
+            // The first force pass recomputes the forces of the step the
+            // start left off at — with drifting speeds, its published load
+            // numbers must use that step too.
+            cur_step: start.step,
             wire: WireBytes::default(),
             phase: PhaseTimes::default(),
             exchange: exchange::Channels::new(topology.neighbors().len(), cfg.nc),
@@ -248,7 +249,13 @@ impl PeState {
             balance: balance::Balance::new(balances),
             bookkeeping: bookkeeping::Bookkeeping::new(),
             retiling: retile::Retiling::default(),
-        }
+        };
+        pe.adopt(start.placed, &origin);
+        pe.restore_retiles(start.retiles);
+        pe.balance
+            .restore(rank, cfg.p, pe.topology.neighbors(), start);
+        pe.compute_forces();
+        pe
     }
 
     /// Take this PE's cells out of `placed`: the owned columns, then —
@@ -294,11 +301,11 @@ impl PeState {
     /// balancing pillar passes on the 3 × 3 torus, where every rank is
     /// every other's neighbour, and the plane, which does not bound where
     /// its boundaries go, never. Every rank of a world reaches the same
-    /// answer: where ownership is fixed the layouts are
+    /// answer: where ownership is fixed the layouts are the even tiles and
     /// translation-symmetric, and a balancing run's answer holds on any
-    /// tiling (the re-tiles of a run included) or on none. So the launch
-    /// tests it once ([`crate::launch::LaunchPlan::exchanges_once`]) and
-    /// every rank takes its answer.
+    /// tiling (the re-tiles of a run included) or on none. So it is a fact
+    /// of the world ([`exchanges_once`]), which a launch asks once
+    /// ([`crate::engine::Start`]) and every rank takes.
     pub fn exchanges_once(&self) -> bool {
         self.topology.single_exchange()
     }
@@ -363,6 +370,7 @@ impl PeState {
 #[cfg(test)]
 mod testkit {
     use super::*;
+    use crate::launch::LaunchPlan;
 
     /// One config per shape on the same physics: roomy cells (≈3.0) so a
     /// skin fits, a clustered start so the ghost shells actually change.
@@ -390,8 +398,7 @@ mod testkit {
     pub(super) fn fresh(rank: usize, cfg: &RunConfig, shape: DomainShape) -> PeState {
         let placed = placed(cfg);
         let plan = LaunchPlan::unplanned(shape, cfg, &placed.column_work());
-        let start = crate::engine::Start::Fresh(&placed, &plan);
-        crate::engine::launch(rank, cfg, shape, None, start)
+        PeState::new(rank, cfg, &Start::fresh(shape, cfg, &placed, &plan))
     }
 }
 

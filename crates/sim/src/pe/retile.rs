@@ -21,9 +21,8 @@ use pcdlb_md::cells::CellSlab;
 use pcdlb_md::Particle;
 use pcdlb_mp::{collectives, Comm};
 
-use super::topology::{all_columns, Topology};
-use super::PeState;
-use crate::decomp::decomposition;
+use super::topology::all_columns;
+use super::{Origin, PeState};
 use crate::launch::{check, Retile, RetileWire};
 
 /// Each owned column with its work and particle count: one rank's part
@@ -164,20 +163,21 @@ impl PeState {
     }
 
     /// Rebuild every view on the re-tile's tiling and planned ownership,
-    /// as a restore rebuilds them from a checkpoint: the decomposition,
-    /// the topology (its caches are redrawn at their next use), the
-    /// balancer's loads in hand — the plan's, nothing in flight. The
-    /// neighbour set is read off the home tiles, before the plan lends
-    /// anything: on any rectilinear tiling every rank borders the same
-    /// eight torus neighbours there, so the channels stay, and so does the
-    /// launch's closure answer, which holds on any tiling.
+    /// as a launch builds them ([`Origin`]): the decomposition, the
+    /// topology (its caches are redrawn at their next use), the balancer's
+    /// loads in hand — the plan's, nothing in flight. The neighbour set is
+    /// read off the home tiles, before the plan lends anything: on any
+    /// rectilinear tiling every rank borders the same eight torus
+    /// neighbours there, so the channels stay, and so does the world's
+    /// closure answer, which holds on any tiling.
     fn adopt_tiling(&mut self, r: &Retile) {
         let rank = self.rank;
-        let mut decomp = decomposition(DomainShape::SquarePillar, rank, &self.cfg, Some(&r.tiling));
-        let topology = Topology::new(&*decomp, self.nc, rank, self.exchanges_once());
-        for d in &r.decisions {
-            decomp.apply(d);
-        }
+        let origin = Origin {
+            shape: DomainShape::SquarePillar,
+            tiling: Some(&r.tiling),
+            decisions: &r.decisions,
+        };
+        let (decomp, topology) = origin.own_view(rank, &self.cfg, self.exchanges_once());
         self.decomp = decomp;
         debug_assert!(
             all_columns(self.nc)
@@ -226,12 +226,12 @@ mod tests {
         let shape = DomainShape::SquarePillar;
         let placed = Placed::new(cfg, &initial_particles(cfg));
         let plan = launch_plan(shape, cfg, 0, &placed.column_work(), true);
+        let start = crate::engine::Start::fresh(shape, cfg, &placed, &plan);
         pcdlb_mp::World::new(cfg.p)
             .with_cost_model(crate::decomp::cost_model(shape, cfg))
             .run(|comm| {
-                let start = crate::engine::Start::Fresh(&placed, &plan);
                 let retile = follow.then_some(0);
-                let mut pe = crate::engine::launch(comm.rank(), cfg, shape, retile, start);
+                let mut pe = crate::engine::launch(comm.rank(), cfg, retile, &start);
                 (1..=cfg.steps)
                     .map(|step| {
                         crate::engine::step_pe(comm, &mut pe, step);
@@ -329,8 +329,9 @@ mod tests {
         let placed = Placed::new(&cfg, &initial_particles(&cfg));
         let shape = DomainShape::SquarePillar;
         let plan = launch_plan(shape, &cfg, 0, &placed.column_work(), true);
+        let start = crate::engine::Start::fresh(shape, &cfg, &placed, &plan);
         let checks = |rebuilds: &dyn Fn(u64) -> bool| {
-            let mut pe = PeState::new(0, &cfg, shape, &placed, &plan);
+            let mut pe = PeState::new(0, &cfg, &start);
             pe.follow_the_load(0);
             let tiling = pe.tiling().expect("a pillar PE has a tiling");
             let mut due = Vec::new();

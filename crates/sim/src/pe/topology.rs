@@ -1,7 +1,7 @@
 //! Who is around a PE: everything the engine derives from
 //! `Decomposition::owner_of` — the neighbour set and the hops of the
 //! staged exchange (fixed for the run), the closure test behind the
-//! single exchange (once per launch, [`exchanges_once`]), and the caches
+//! single exchange (once per world, [`exchanges_once`]), and the caches
 //! rebuilt when ownership changes (cell classes, ghost routes, the
 //! sections this PE originates, home list and its dense index). Not in
 //! the steady-state step, but [`Topology::refresh`] runs whenever a
@@ -25,7 +25,7 @@
 use std::ops::Range;
 
 use pcdlb_core::protocol::DlbDecision;
-use pcdlb_domain::{Col, DomainShape, PillarLayout};
+use pcdlb_domain::{Col, DomainShape};
 use pcdlb_md::cells::CellSlab;
 
 use super::walk::FORWARD_XY;
@@ -215,7 +215,7 @@ pub(super) struct Topology {
     /// `hops.len()` per offset: what a relay reads off a section's mask.
     onward: Vec<u32>,
     /// Whether a rebuild step is one exchange (see
-    /// [`PeState::exchanges_once`]): the launch's answer, which every
+    /// [`PeState::exchanges_once`]): the world's answer, which every
     /// rank shares and a re-tile keeps.
     single_exchange: bool,
     /// True when the owned-column set, or the ownership of a column
@@ -248,7 +248,7 @@ const NOT_HOME: usize = usize::MAX;
 impl Topology {
     /// The neighbour set of `rank` from the decomposition's starting
     /// state — every other rank owning a cell adjacent to one of its own —
-    /// and its hops; `single_exchange` is the launch's closure answer
+    /// and its hops; `single_exchange` is the world's closure answer
     /// ([`exchanges_once`]). The caches start dirty.
     pub(super) fn new(
         decomp: &dyn Decomposition,
@@ -691,20 +691,17 @@ fn closed(
         })
 }
 
-/// Whether a rebuild step of a launch of `cfg` on `shape`, from the home
-/// tiles of `tiling` (the even ones where `None`), is a single exchange:
-/// the closure test ([`PeState::exchanges_once`]) where ownership is
-/// fixed for the run, or over every ownership the balancer can reach
-/// where `cfg.dlb` switches the shape's balancer on. Every rank of a world
-/// reaches the same answer, so the launch asks once, on rank 0's view,
-/// and hands the answer to every rank it starts
-/// ([`crate::launch::LaunchPlan::exchanges_once`]).
-pub(crate) fn exchanges_once(
-    shape: DomainShape,
-    cfg: &RunConfig,
-    tiling: Option<&PillarLayout>,
-) -> bool {
-    let decomp = decomposition(shape, 0, cfg, tiling);
+/// Whether a rebuild step of a world of `cfg` on `shape` is a single
+/// exchange: the closure test ([`PeState::exchanges_once`]) on the even
+/// home tiles where ownership is fixed for the run, or over every
+/// ownership the balancer can reach where `cfg.dlb` switches the shape's
+/// balancer on. A fact of the world: every rank reaches the same answer,
+/// a run that does not balance never leaves the even tiling, and a
+/// balancing run's answer is the same on every tiling. So a launch asks
+/// once, on rank 0's view, and hands the answer to every rank it starts
+/// ([`crate::engine::Start`]); a re-tile keeps it.
+pub fn exchanges_once(shape: DomainShape, cfg: &RunConfig) -> bool {
+    let decomp = decomposition(shape, 0, cfg, None);
     let fixed = !(decomp.has_balancer() && cfg.dlb);
     let owners = Owners::new(&*decomp, cfg.nc, 0);
     let neighbors = owners.neighbors_of(0);
@@ -960,15 +957,16 @@ mod tests {
 
     #[test]
     fn the_launch_closure_answer_is_every_ranks_own() {
-        // The launch asks the closure test once, of rank 0's view; each
-        // rank used to ask it of its own. On every shape and grid the
-        // parity suites run (`parity_lattice`: the slab and the cluster on
-        // 1, 2 × 2 and balancing 3 × 3 pillars; `parity_matrix`: its nine
-        // rows, with and without the balancer where one can run, and its
-        // deep-interior grids), the 27- and 64-rank cubes, and the
-        // balancing 3 × 3, 4 × 4 and 5 × 5 tori from an even gas and from
-        // a cluster their launch re-tiles, on the tiling the launch plan
-        // chose, every rank's own test gives the launch's answer.
+        // A launch asks the closure test once, of rank 0's view on the
+        // even tiling; each rank used to ask it of its own. On every shape
+        // and grid the parity suites run (`parity_lattice`: the slab and
+        // the cluster on 1, 2 × 2 and balancing 3 × 3 pillars;
+        // `parity_matrix`: its nine rows, with and without the balancer
+        // where one can run, and its deep-interior grids), the 27- and
+        // 64-rank cubes, and the balancing 3 × 3, 4 × 4 and 5 × 5 tori
+        // from an even gas and from a cluster their launch re-tiles, on
+        // the tiling the launch plan chose, every rank's own test gives
+        // the world's answer.
         use crate::config::Lattice;
         use crate::launch::{launch_plan, Placed};
         use DomainShape::{Cube, Plane, SquarePillar};
@@ -1024,9 +1022,12 @@ mod tests {
             (cfg.dlb, cfg.lattice, cfg.seed) = (dlb, lattice, 5);
             crate::decomp::validate(&cfg, shape);
             let work = Placed::new(&cfg, &super::super::initial_particles(&cfg)).column_work();
+            let world = exchanges_once(shape, &cfg);
             for retiles in [false, true] {
                 let plan = launch_plan(shape, &cfg, 0, &work, retiles);
                 let tiling = plan.layout.as_ref();
+                // A run that does not balance stands on the even tiling.
+                assert!(dlb || tiling.is_none_or(|t| t.is_even()), "{tiling:?}");
                 for rank in 0..p {
                     let case = format!("{shape:?} P = {p} nc = {nc} {lattice:?} rank {rank}");
                     let decomp = decomposition(shape, rank, &cfg, tiling);
@@ -1056,12 +1057,43 @@ mod tests {
                     } else {
                         closed(&*decomp, &owners, rank, &neighbors, false)
                     };
-                    assert_eq!(own_answer, plan.exchanges_once, "{case} on {tiling:?}");
+                    assert_eq!(own_answer, world, "{case} on {tiling:?}");
                 }
-                answers[usize::from(plan.exchanges_once)] += 1;
+                answers[usize::from(world)] += 1;
             }
         }
         assert!(answers.iter().all(|&n| n > 0), "{answers:?} no, yes");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        /// A balancing square pillar's closure answer does not depend on
+        /// its tiling: on a tiling drawn at random — tiles one column wide,
+        /// tiles wrapping the box edge, shifted origins — every rank's
+        /// test over the ownerships its balancer can reach gives the
+        /// world's answer, which a launch asks on the even tiling and a
+        /// re-tile keeps. (A run that does not balance has no such
+        /// freedom: it never leaves the even tiling.)
+        #[test]
+        fn prop_a_balancing_pillars_closure_answer_holds_on_every_tiling(
+            side in 3usize..7,
+            m in 2usize..5,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let nc = side * m;
+            let mut cfg = RunConfig::new(1000, nc, side * side, 0.01);
+            cfg.dlb = true;
+            let shape = DomainShape::SquarePillar;
+            let world = exchanges_once(shape, &cfg);
+            let tiling = pcdlb_domain::PillarLayout::arbitrary(side, nc - side, seed);
+            for rank in 0..cfg.p {
+                let decomp = decomposition(shape, rank, &cfg, Some(&tiling));
+                let owners = Owners::new(&*decomp, nc, rank);
+                let neighbors = owners.neighbors_of(rank);
+                let answer = closed(&*decomp, &owners, rank, &neighbors, false);
+                proptest::prop_assert_eq!(answer, world, "rank {} on {}", rank, tiling);
+            }
+        }
     }
 
     #[test]
@@ -1092,11 +1124,13 @@ mod tests {
             for d in &plan.decisions {
                 decomp.apply(d);
             }
-            let mut bare = Topology::new(&*decomp, cfg.nc, rank, plan.exchanges_once);
+            let once = exchanges_once(shape, &cfg);
+            let mut bare = Topology::new(&*decomp, cfg.nc, rank, once);
             let z0 = bare.own_z().start;
             let owned = all_columns(cfg.nc).filter(|&c| decomp.owner_of(c, z0) == rank);
             assert!(bare.refresh(&*decomp, cfg.box_len(), owned));
-            let pe = PeState::new(rank, &cfg, shape, &placed, &plan);
+            let start = crate::engine::Start::fresh(shape, &cfg, &placed, &plan);
+            let pe = PeState::new(rank, &cfg, &start);
             assert!(bare == pe.topology, "{shape:?}");
             let routed: usize = bare.ghost_routes().iter().map(Vec::len).sum();
             assert!(routed > 0 && !bare.homes().is_empty(), "{shape:?}");

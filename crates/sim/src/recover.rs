@@ -219,7 +219,6 @@ pub(crate) mod tests {
                 .with_comm_config(&cfg.comm)
         };
         let program = |snapshot, drain| Program {
-            shape,
             retile: Some(0),
             snapshot,
             drain,
@@ -231,14 +230,14 @@ pub(crate) mod tests {
         let placed = Placed::new(&to_5, &initial_particles(&to_5));
         let plan = launch_plan(shape, &to_5, 0, &placed.column_work(), true);
         let drain = program(false, true);
-        let start = Start::Fresh(&placed, &plan);
-        world().run(|comm| run_pe(comm, &to_5, drain, start, Some(&sink)));
+        let start = Start::fresh(shape, &to_5, &placed, &plan);
+        world().run(|comm| run_pe(comm, &to_5, drain, &start, Some(&sink)));
         let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
         assert_eq!((at_5.step, steps(&at_5.retiles)), (5, vec![2]));
         let resume = program(true, false);
         let placed_5 = Placed::new(&cfg, &at_5.particles);
-        let start = Start::Restore(&at_5, &placed_5, plan.exchanges_once);
-        let mut restored = world().run(|comm| run_pe(comm, &cfg, resume, start, None));
+        let start = Start::restore(&cfg, &at_5, &placed_5);
+        let mut restored = world().run(|comm| run_pe(comm, &cfg, resume, &start, None));
         let rank0 = restored.swap_remove(0);
         let report = rank0.report.expect("rank 0 reports");
         let snapshot = rank0.snapshot.expect("rank 0 gathers the snapshot");
@@ -335,13 +334,12 @@ pub(crate) mod tests {
         let placed = Placed::new(&to_5, &initial_particles(&to_5));
         let plan = launch_plan(shape, &to_5, 0, &placed.column_work(), true);
         let program = Program {
-            shape,
             retile: Some(0),
             snapshot: false,
             drain: true,
         };
-        let start = Start::Fresh(&placed, &plan);
-        pcdlb_mp::World::new(to_5.p).run(|comm| run_pe(comm, &to_5, program, start, Some(&sink)));
+        let start = Start::fresh(shape, &to_5, &placed, &plan);
+        pcdlb_mp::World::new(to_5.p).run(|comm| run_pe(comm, &to_5, program, &start, Some(&sink)));
         let at_5 = sink.into_inner().unwrap().expect("a drain at step 5");
         assert_eq!(at_5.step, 5);
         assert!(!at_5.transfers.is_empty(), "nothing pending at step 5");
