@@ -20,17 +20,17 @@
 //!   be converted to a structured `CommError` or individually audited and
 //!   allowlisted as guarding a local invariant (a poisoned lock, a
 //!   just-checked index) that no remote input can violate.
-//! - `unbounded-recv-in-recovery-path`: no indefinitely blocking
-//!   `.recv(...)` or `.recv_payload(...)` in the files recovery flows
-//!   through (`pcdlb-sim`'s step
+//! - `unbounded-recv-in-recovery-path`: no unaudited `.recv(...)` or
+//!   `.recv_payload(...)` in the files recovery flows through
+//!   (`pcdlb-sim`'s step
 //!   engine — every module of `pe/`, the run loop in `engine.rs` and the
 //!   decompositions — plus `driver.rs`' ladder loop, `recover.rs` and the
-//!   resize remap in `elastic.rs`). A recovery path waiting
-//!   forever on a peer that may already be dead defeats the no-hang
-//!   guarantee; waits there must be `recv_deadline` (which
-//!   escalates to a world abort) or an audited step-schedule receive
-//!   whose matching send the static verifier proves and whose liveness
-//!   the watchdog bounds — each allowlisted individually.
+//!   resize remap in `elastic.rs`). A recovery path waiting on a peer
+//!   that may already be dead defeats the no-hang guarantee, and every
+//!   receive waits until its message is there or the world watchdog
+//!   fires; so each receive in those files must be a step-schedule
+//!   receive whose matching send the static verifier proves and whose
+//!   wait the watchdog bounds, audited and allowlisted line by line.
 //! - `per-step-allocation-in-hot-path`: no allocating constructors
 //!   (`Vec::new`, `Vec::with_capacity`, `vec![`, `BTreeMap::new`,
 //!   `BTreeSet::new`, `.to_vec()`, `.collect()`) in the files the steady-state step flows through
@@ -191,9 +191,8 @@ const RULES: &[Rule] = &[
             "crates/sim/src/recover.rs",
             "crates/sim/src/elastic.rs",
         ],
-        // `.recv(` / `.recv::<` / `.recv_payload(` match the indefinitely
-        // blocking receives only: `recv_deadline` and `try_recv` have a
-        // different character after "recv" and stay legal.
+        // `.recv(` / `.recv::<` / `.recv_payload(` match both receives a
+        // program has: `Comm::recv` and `Comm::recv_payload`.
         patterns: &[".recv(", ".recv::<", ".recv_payload("],
     },
     Rule {
@@ -544,14 +543,13 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_recv_in_recovery_path_is_flagged_but_deadline_recv_is_not() {
+    fn every_receive_in_a_recovery_path_is_flagged() {
         let fx = Fixture::new(&[(
             "crates/sim/src/elastic.rs",
             concat!(
                 "fn barrier(comm: &mut Comm) {\n",
                 "    let x: () = comm.recv(0, tags::RESIZE_GO);\n",
                 "    let y = comm.recv::<()>(1, tags::RESIZE_READY);\n",
-                "    let ok = comm.recv_deadline::<()>(0, tags::RESIZE_GO, t);\n",
                 "    let raw = comm.recv_payload(0, tags::RESIZE_GO);\n",
                 "}\n",
             ),
@@ -563,7 +561,7 @@ mod tests {
             .filter(|f| f.rule == "unbounded-recv-in-recovery-path")
             .map(|f| f.line)
             .collect();
-        assert_eq!(lines, vec![2, 3, 5], "deadline-bounded receives stay legal");
+        assert_eq!(lines, vec![2, 3, 4], "each receive form is a finding");
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! Each run executes the actual simulator under a [`ReplayPolicy`]
 //! prefix with every rank thread bound to a protocol event log
 //! ([`ProtocolEvent`]): sends, admissions, delivery choices (with the
-//! full candidate set), consumptions (flagged when made through a
-//! timing-sensitive probe), link-layer acks,
+//! full candidate set), consumptions, link-layer acks,
 //! retransmissions and suspicions, and the simulator's conservation
 //! sentinels.
 //!
@@ -17,14 +16,13 @@
 //! choice points — but only *dependent* ones:
 //!
 //! - **Independence.** Two delivery alternatives at a choice point
-//!   commute when both messages are later consumed by *blocking
-//!   exact-match* receives. Blocking `recv(src, tag)` consumption cannot
-//!   observe inter-stream delivery order (per-source FIFO is preserved
-//!   either way), so swapping the two deliveries provably reaches the
-//!   same state; the alternative is pruned (`pruned_independent`). An
+//!   commute when both messages are later consumed. Every receive is a
+//!   blocking exact-match `recv(src, tag)`, which cannot observe
+//!   inter-stream delivery order (per-source FIFO is preserved either
+//!   way), so swapping the two deliveries provably reaches the same
+//!   state; the alternative is pruned (`pruned_independent`). An
 //!   alternative is dependent — and forked — when either message is
-//!   consumed through a probe (`try_recv` / `recv_deadline`) or is never
-//!   consumed at all (its delivery races a death or shutdown).
+//!   never consumed (its delivery races a death or shutdown).
 //! - **Sleep sets.** A fork target identical to one already queued or
 //!   explored (same full per-rank prefix) is skipped
 //!   (`pruned_sleep`) — the backtrack-set dedup of DPOR.
@@ -271,9 +269,7 @@ pub fn check_thread_properties(rank: usize, events: &[ProtocolEvent]) -> Vec<Pro
                     });
                 }
             }
-            ProtocolEvent::Recv {
-                dst, src, tag, seq, ..
-            } => {
+            ProtocolEvent::Recv { dst, src, tag, seq } => {
                 let key = (dst, src, tag);
                 if let Some(&last) = st.recv.get(&key) {
                     if seq <= last {
@@ -488,11 +484,10 @@ fn choice_points(events: &[ProtocolEvent]) -> Vec<Choice> {
     out
 }
 
-/// How each delivered message was eventually consumed in the first
-/// launch segment: `Some(probe)` when a matching `Recv` exists, `None`
-/// when it was never consumed.
-fn consumption(events: &[ProtocolEvent]) -> BTreeMap<(usize, usize, Tag, u64), bool> {
-    let mut map = BTreeMap::new();
+/// The messages consumed in the first launch segment, as
+/// `(dst, src, tag, seq)`.
+fn consumption(events: &[ProtocolEvent]) -> BTreeSet<(usize, usize, Tag, u64)> {
+    let mut consumed = BTreeSet::new();
     let mut births = 0;
     for ev in events {
         match *ev {
@@ -502,37 +497,21 @@ fn consumption(events: &[ProtocolEvent]) -> BTreeMap<(usize, usize, Tag, u64), b
                     break;
                 }
             }
-            ProtocolEvent::Recv {
-                dst,
-                src,
-                tag,
-                seq,
-                probe,
-            } => {
-                // A message is consumed once; keep the strongest signal
-                // (probe) if the key somehow repeats.
-                let e = map.entry((dst, src, tag, seq)).or_insert(probe);
-                *e = *e || probe;
+            ProtocolEvent::Recv { dst, src, tag, seq } => {
+                consumed.insert((dst, src, tag, seq));
             }
             _ => {}
         }
     }
-    map
+    consumed
 }
 
 /// Is swapping the delivery of `candidates[alt]` ahead of
 /// `candidates[taken]` observable? See the module docs: only when either
-/// message is probe-consumed or never consumed.
-fn dependent(
-    choice: &Choice,
-    alt: usize,
-    consumed: &BTreeMap<(usize, usize, Tag, u64), bool>,
-) -> bool {
-    let observable = |c: &(usize, usize, Tag, u64)| match consumed.get(c) {
-        Some(&probe) => probe, // probe consumption sees ordering
-        None => true,          // never consumed: races shutdown/death
-    };
-    observable(&choice.candidates[choice.taken]) || observable(&choice.candidates[alt])
+/// message is never consumed — its delivery races a death or shutdown.
+fn dependent(choice: &Choice, alt: usize, consumed: &BTreeSet<(usize, usize, Tag, u64)>) -> bool {
+    let unconsumed = |c| !consumed.contains(c);
+    unconsumed(&choice.candidates[choice.taken]) || unconsumed(&choice.candidates[alt])
 }
 
 /// Order-preserving hash of a full per-rank choice-trace set: one value
@@ -1070,18 +1049,23 @@ mod tests {
     }
 
     #[test]
-    fn blocking_consumption_is_independent_probe_is_dependent() {
+    fn consumed_is_independent_never_consumed_is_dependent() {
         let choice = Choice {
             candidates: vec![(2, 0, 7, 0), (2, 3, 9, 1)],
             taken: 1,
         };
-        let mut consumed = BTreeMap::new();
-        consumed.insert((2, 0, 7, 0), false);
-        consumed.insert((2, 3, 9, 1), false);
-        assert!(!dependent(&choice, 0, &consumed), "both blocking: commute");
-        consumed.insert((2, 0, 7, 0), true);
-        assert!(dependent(&choice, 0, &consumed), "probe consumption");
+        let mut consumed = BTreeSet::from([(2, 0, 7, 0), (2, 3, 9, 1)]);
+        assert!(!dependent(&choice, 0, &consumed), "both consumed: commute");
         consumed.remove(&(2, 0, 7, 0));
-        assert!(dependent(&choice, 0, &consumed), "unconsumed message");
+        assert!(
+            dependent(&choice, 0, &consumed),
+            "the alternative never consumed"
+        );
+        consumed.insert((2, 0, 7, 0));
+        consumed.remove(&(2, 3, 9, 1));
+        assert!(
+            dependent(&choice, 0, &consumed),
+            "the taken one never consumed"
+        );
     }
 }

@@ -7,14 +7,13 @@
 //! (one at a side of 2, two from 3: −1, then +1), then the matching
 //! receives in the same order, a rank relaying in its later stages what
 //! the earlier ones brought; collectives are gathers and binomial-tree
-//! broadcasts over namespaced tags. This module re-derives that structure
-//! from the torus each shape lays its ranks out on — [`Torus2d`] for the
-//! square pillar, the ring for the plane, a `k × k × k` torus numbered x
-//! fastest for the cube ([`shape_stages`]) — and from
-//! [`tags::TAG_TABLE`], so the verifier and the simulator agree on the
-//! wire protocol by construction, not by transcription. Whether a step
-//! has two neighbourhood exchanges or one is the engine's own answer
-//! ([`exchanges_once`]).
+//! broadcasts over namespaced tags. This module reads that structure off
+//! the engine itself — every rank of a particle-free world launched as the
+//! simulator launches one, its hops stage by stage ([`PeState::stages`])
+//! and whether a step has two neighbourhood exchanges or one
+//! ([`PeState::exchanges_once`]) — and off [`tags::TAG_TABLE`], so the
+//! verifier and the simulator agree on the wire protocol by construction,
+//! not by transcription.
 //!
 //! A balancing step has no exchange of its own, and nothing in it depends
 //! on what the balancer decides: loads and decisions ride the step's first
@@ -39,7 +38,9 @@ use pcdlb_core::protocol::tags::{self, CommPhase};
 use pcdlb_domain::DomainShape;
 use pcdlb_mp::collectives::ctag;
 use pcdlb_mp::Torus2d;
-use pcdlb_sim::RunConfig;
+use pcdlb_sim::engine::Start;
+use pcdlb_sim::pe::PeState;
+use pcdlb_sim::{LaunchPlan, Placed, RunConfig};
 
 /// One point-to-point operation of the schedule. Tags are *wire* tags:
 /// collective rounds already carry their namespaced
@@ -87,7 +88,7 @@ pub struct StepSchedule {
 pub struct ScheduleOpts {
     /// The run balances (`cfg.dlb` on a shape with a balancer): rebuild
     /// steps keep two rounds where the engine says so
-    /// ([`exchanges_once`]).
+    /// ([`PeState::exchanges_once`]).
     pub dlb: bool,
     /// The step checks the tiling (a re-tiling run's check step): the
     /// work-map gather and the decision broadcast ahead of round 1.
@@ -128,96 +129,24 @@ pub fn step_schedule(side: usize, opts: &ScheduleOpts) -> StepSchedule {
     shape_schedule(DomainShape::SquarePillar, side * side, opts)
 }
 
-/// Rank `r`'s distinct neighbours (ascending, `r` excluded) when `p`
-/// ranks are laid out for `shape` — the ranks the step engine exchanges
-/// its step frames with.
-pub fn shape_neighbors(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
-    let mut nbrs = match shape {
-        DomainShape::SquarePillar => return Torus2d::square(p).distinct_neighbors8(r),
-        DomainShape::Plane => vec![(r + p - 1) % p, (r + 1) % p],
-        DomainShape::Cube => {
-            // Every offset of −1, 0 or +1 per axis, as steps on of
-            // `k − 1`, `k` or `k + 1`.
-            let sides = torus_sides(shape, p);
-            let offset = |d: usize| [d % 3, d / 3 % 3, d / 9].map(|u| u + sides[0] - 1);
-            (0..27).map(|d| moved(sides, r, offset(d))).collect()
-        }
+/// Every rank of `p` laid out for `shape`, launched by the engine on a
+/// world with no particles and two cells per rank and axis of the rank
+/// torus, balancing or not: only ownership is asked about, no physics. On
+/// that grid every world that can exchange once does (a grid one cell per
+/// rank wide says no from a torus side of 4 up and runs the two-round
+/// step: the balancing schedule).
+fn engine_ranks(shape: DomainShape, p: usize, dlb: bool) -> Vec<PeState> {
+    let side = match shape {
+        DomainShape::SquarePillar => Torus2d::square(p).cols(),
+        DomainShape::Plane => p,
+        DomainShape::Cube => (p as f64).cbrt().round() as usize,
     };
-    nbrs.sort_unstable();
-    nbrs.dedup();
-    nbrs.retain(|&n| n != r);
-    nbrs
-}
-
-/// Rank `r`'s hops when `p` ranks are laid out for `shape`, stage by
-/// stage — the ranks its staged exchange sends a frame to and receives
-/// one from: along each axis of the rank torus (x, then y, then z; the
-/// rank number counts x fastest) the ranks one step away, one along a
-/// side of 2, two (−1, then +1) along a longer one, none along a side
-/// of 1.
-pub fn shape_stages(shape: DomainShape, p: usize, r: usize) -> Vec<Vec<usize>> {
-    let sides = torus_sides(shape, p);
-    (0..3)
-        .filter(|&axis| sides[axis] > 1)
-        .map(|axis| {
-            let dirs: &[usize] = if sides[axis] == 2 {
-                &[1]
-            } else {
-                &[sides[axis] - 1, 1]
-            };
-            (dirs.iter())
-                .map(|&d| {
-                    let mut step = [0; 3];
-                    step[axis] = d;
-                    moved(sides, r, step)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// The sides (x, y, z) of the rank torus `p` ranks are laid out on for
-/// `shape`.
-fn torus_sides(shape: DomainShape, p: usize) -> [usize; 3] {
-    match shape {
-        DomainShape::SquarePillar => {
-            let t = Torus2d::square(p);
-            [t.cols(), t.rows(), 1]
-        }
-        DomainShape::Plane => [p, 1, 1],
-        DomainShape::Cube => [(p as f64).cbrt().round() as usize; 3],
-    }
-}
-
-/// The rank `step[axis]` steps on from rank `r` along each axis of the
-/// torus of `sides`, the rank number counting x fastest (`side − 1` steps
-/// on is one back).
-fn moved(sides: [usize; 3], r: usize, step: [usize; 3]) -> usize {
-    let at = [
-        r % sides[0],
-        r / sides[0] % sides[1],
-        r / (sides[0] * sides[1]),
-    ];
-    let c = |axis: usize| (at[axis] + step[axis]) % sides[axis];
-    (c(2) * sides[1] + c(1)) * sides[0] + c(0)
-}
-
-/// Whether the step engine sends migrants and ghosts in one exchange
-/// when `p` ranks are laid out for `shape` and the run does
-/// (not) balance — its own predicate
-/// ([`pcdlb_sim::pe::PeState::exchanges_once`]: the
-/// neighbour set closed two cells out, on the one ownership of a run
-/// that does not balance, on every ownership the balancer can reach of
-/// one that does), as a launch asks it ([`pcdlb_sim::pe::exchanges_once`]:
-/// once per world, of rank 0 — every rank agrees) on a grid with two
-/// cells per rank and axis, where every grid that can say yes does. (A
-/// grid one cell per rank wide says no from a torus side of 4 up and runs
-/// the two-round step: the balancing schedule.)
-pub fn exchanges_once(shape: DomainShape, p: usize, dlb: bool) -> bool {
-    // Only ownership is asked about: no particles, no physics.
-    let mut cfg = RunConfig::new(0, 2 * torus_sides(shape, p)[0], p, 1.0);
+    let mut cfg = RunConfig::new(0, 2 * side, p, 1.0);
     cfg.dlb = dlb;
-    pcdlb_sim::pe::exchanges_once(shape, &cfg)
+    let placed = Placed::new(&cfg, &[]);
+    let plan = LaunchPlan::unplanned(shape, &cfg, &placed.column_work());
+    let start = Start::fresh(shape, &cfg, &placed, &plan);
+    (0..p).map(|r| PeState::new(r, &cfg, &start)).collect()
 }
 
 /// Build the per-step schedule of `p` ranks decomposed as `shape`: the
@@ -228,14 +157,15 @@ pub fn shape_schedule(shape: DomainShape, p: usize, opts: &ScheduleOpts) -> Step
         !retiles || (shape == DomainShape::SquarePillar && opts.dlb && opts.retile_check),
         "only a balancing square pillar checks, and it re-tiles on a check step"
     );
+    let pes = engine_ranks(shape, p, opts.dlb);
     // A step that re-tiles has two rounds, whatever the others have.
-    let single = exchanges_once(shape, p, opts.dlb) && opts.retile.is_empty();
+    let single = pes[0].exchanges_once() && opts.retile.is_empty();
     let mut moves = opts.retile.clone();
     moves.sort_unstable();
     let mut ranks = Vec::with_capacity(p);
-    for r in 0..p {
+    for (r, pe) in pes.iter().enumerate() {
         let mut ops: Vec<PhasedOp> = Vec::new();
-        let stages = shape_stages(shape, p, r);
+        let stages = pe.stages();
         // Phase: the re-tile check — the work map gathered to rank 0, its
         // decision broadcast back.
         if opts.retile_check {
@@ -377,12 +307,25 @@ pub fn bcast_ops(ops: &mut Vec<PhasedOp>, phase: CommPhase, p: usize, rank: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcdlb_sim::{engine::Start, pe::PeState, LaunchPlan, Placed};
 
     fn sends_in(ops: &[PhasedOp], phase: CommPhase) -> Vec<Op> {
         ops.iter()
             .filter(|o| o.phase == phase && matches!(o.op, Op::Send { .. }))
             .map(|o| o.op)
+            .collect()
+    }
+
+    /// Where rank `r`'s frames go, in order, in a step of `p` ranks laid
+    /// out for `shape` that does not balance.
+    fn hops(shape: DomainShape, p: usize, r: usize) -> Vec<usize> {
+        let s = shape_schedule(shape, p, &ScheduleOpts::default());
+        let to = |op: &Op| match *op {
+            Op::Send { to, .. } => to,
+            Op::Recv { .. } => unreachable!("sends_in keeps sends"),
+        };
+        sends_in(&s.ranks[r], CommPhase::Ghost)
+            .iter()
+            .map(to)
             .collect()
     }
 
@@ -437,25 +380,15 @@ mod tests {
 
     #[test]
     fn ring_and_block_grids_exchange_along_their_axes() {
-        // The ring's two neighbours coincide at P = 2; on the 2×2×2
-        // torus all 26 directions lead to the same 7 ranks, and from
-        // k = 3 up they are 26 different ones. The frames go to the
-        // distinct ranks one step away along each axis: 1 on the ring of
-        // 2, 2 on longer rings, 2 on the 2 × 2 torus, 4 on larger ones, 3
-        // on the 2 × 2 × 2 cube, 6 on larger ones.
-        assert_eq!(shape_neighbors(DomainShape::Plane, 5, 0), [1, 4]);
-        assert_eq!(shape_neighbors(DomainShape::Plane, 2, 1), [0]);
-        assert!(shape_neighbors(DomainShape::Plane, 1, 0).is_empty());
-        assert_eq!(shape_neighbors(DomainShape::Cube, 8, 3).len(), 7);
-        assert_eq!(shape_neighbors(DomainShape::Cube, 27, 13).len(), 26);
-        assert_eq!(shape_stages(DomainShape::Plane, 5, 0), [vec![4, 1]]);
-        assert_eq!(shape_stages(DomainShape::Plane, 2, 1), [vec![0]]);
-        assert!(shape_stages(DomainShape::Plane, 1, 0).is_empty());
-        assert_eq!(shape_stages(DomainShape::Cube, 8, 3), [[2], [1], [7]]);
-        assert_eq!(
-            shape_stages(DomainShape::Cube, 27, 13),
-            [[12, 14], [10, 16], [4, 22]]
-        );
+        // The frames go to the distinct ranks one step away along each
+        // axis, x first (the rank number counts x fastest), −1 before +1:
+        // 1 on the ring of 2, 2 on longer rings, 2 on the 2 × 2 torus, 4
+        // on larger ones, 3 on the 2 × 2 × 2 cube, 6 on larger ones.
+        assert_eq!(hops(DomainShape::Plane, 5, 0), [4, 1]);
+        assert_eq!(hops(DomainShape::Plane, 2, 1), [0]);
+        assert!(hops(DomainShape::Plane, 1, 0).is_empty());
+        assert_eq!(hops(DomainShape::Cube, 8, 3), [2, 1, 7]);
+        assert_eq!(hops(DomainShape::Cube, 27, 13), [12, 14, 10, 16, 4, 22]);
         // The cube has no balancer: one exchange per step on both grids
         // `verify` sweeps. The plane and the pillar from a torus side of 4
         // keep their two rounds where the run balances, and only there;
@@ -469,16 +402,12 @@ mod tests {
             (DomainShape::SquarePillar, 16, 4),
             (DomainShape::Plane, 3, 2),
         ] {
-            assert!(exchanges_once(shape, p, false));
             let s = shape_schedule(shape, p, &ScheduleOpts::default());
             for ops in &s.ranks {
                 assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 0);
                 assert_eq!(sends_in(ops, CommPhase::Ghost).len(), frames);
             }
         }
-        assert!(exchanges_once(DomainShape::SquarePillar, 9, true));
-        assert!(!exchanges_once(DomainShape::SquarePillar, 16, true));
-        assert!(!exchanges_once(DomainShape::Plane, 3, true));
         let s = shape_schedule(DomainShape::Plane, 3, &balancing());
         for ops in &s.ranks {
             assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 2);
@@ -494,44 +423,6 @@ mod tests {
             for ops in &s.ranks {
                 assert_eq!(sends_in(ops, CommPhase::Migrate).len(), 4 * (rounds - 1));
                 assert_eq!(sends_in(ops, CommPhase::Ghost).len(), 4);
-            }
-        }
-    }
-
-    #[test]
-    fn neighbour_sets_and_stages_are_the_ones_the_engine_derives() {
-        // The engine finds its neighbours from `owner_of` adjacency and
-        // its hops from the decomposition's rank torus; the schedules here
-        // use ring / torus arithmetic. Pin the two together for every rank
-        // of every shape, so the verified schedules are the engine's.
-        use pcdlb_sim::pe::initial_particles;
-        for (shape, p) in [
-            (DomainShape::SquarePillar, 4),
-            (DomainShape::SquarePillar, 9),
-            (DomainShape::SquarePillar, 16),
-            (DomainShape::Plane, 2),
-            (DomainShape::Plane, 3),
-            (DomainShape::Plane, 6),
-            (DomainShape::Cube, 8),
-            (DomainShape::Cube, 27),
-        ] {
-            let mut cfg = RunConfig::new(216, 12, p, 0.005);
-            cfg.dlb = false;
-            let initial = Placed::new(&cfg, &initial_particles(&cfg));
-            let unplanned = LaunchPlan::unplanned(shape, &cfg, &initial.column_work());
-            let start = Start::fresh(shape, &cfg, &initial, &unplanned);
-            for r in 0..p {
-                let pe = PeState::new(r, &cfg, &start);
-                assert_eq!(
-                    pe.neighbors(),
-                    shape_neighbors(shape, p, r),
-                    "{shape:?} P = {p} rank {r}"
-                );
-                assert_eq!(
-                    pe.stages(),
-                    shape_stages(shape, p, r),
-                    "{shape:?} P = {p} rank {r}"
-                );
             }
         }
     }

@@ -43,7 +43,6 @@ fn legal_thread_trace() -> Vec<ProtocolEvent> {
             src: 1,
             tag: 7,
             seq: 0,
-            probe: false,
         },
         ProtocolEvent::Admit {
             dst: 0,
@@ -56,7 +55,6 @@ fn legal_thread_trace() -> Vec<ProtocolEvent> {
             src: 1,
             tag: 7,
             seq: 1,
-            probe: false,
         },
         ProtocolEvent::Admit {
             dst: 0,

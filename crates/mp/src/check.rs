@@ -16,6 +16,12 @@
 //!   so every policy run is a *legal* network behaviour — only the
 //!   cross-source interleaving varies.
 //!
+//! Every receive names its source and tag and blocks until exactly that
+//! message is delivered, so no receive can tell one order from another;
+//! an order can change only which messages a death or a shutdown leaves
+//! unconsumed. The checker runs many orders to show that nothing else
+//! depends on them.
+//!
 //! Policies record a [`ChoiceTrace`] of `(arity, taken)` pairs. The one
 //! explorer is the model checker of the `pcdlb-check` crate
 //! (`pcdlb_check::model`): it runs the same program under many traces —
@@ -157,9 +163,9 @@ impl DeliveryPolicy for SeededPolicy {
 ///
 /// The model checker in `pcdlb-check` consumes these streams: delivery
 /// choice points are reconstructed from the `Candidate*`/`Deliver` runs,
-/// the independence relation is derived from how each delivered message
-/// was eventually consumed (`Recv` with or without `probe`), and the typed
-/// safety properties are predicates over whole per-thread traces.
+/// the independence relation is derived from whether each delivered
+/// message was eventually consumed (a `Recv`), and the typed safety
+/// properties are predicates over whole per-thread traces.
 ///
 /// Every variant is `Copy`; emission is a `Vec` push behind a mutex, so an
 /// instrumented run stays cheap and an uninstrumented one pays only a
@@ -224,10 +230,8 @@ pub enum ProtocolEvent {
         /// Number of candidates offered (≥ 1).
         arity: usize,
     },
-    /// A message was consumed by the application. `probe` marks
-    /// timing-sensitive consumption (`try_recv` / `recv_deadline`), whose
-    /// outcome can observe delivery order — the model checker treats such
-    /// messages as dependent with every racing alternative.
+    /// A message was consumed by the application, through a receive that
+    /// named its source and tag and so cannot observe delivery order.
     Recv {
         /// Consuming rank.
         dst: usize,
@@ -237,8 +241,6 @@ pub enum ProtocolEvent {
         tag: Tag,
         /// Stream sequence number.
         seq: u64,
-        /// Consumed through a deadline/probe receive.
-        probe: bool,
     },
     /// Application-level conservation report: this rank owned `count`
     /// particles when the step-`step` sentinel fired (emitted by the
@@ -306,17 +308,7 @@ impl std::fmt::Display for ProtocolEvent {
                 f,
                 "deliver {src}->{dst} tag {tag} seq {seq} (arity {arity})"
             ),
-            Recv {
-                dst,
-                src,
-                tag,
-                seq,
-                probe,
-            } => write!(
-                f,
-                "recv {src}->{dst} tag {tag} seq {seq}{}",
-                if probe { " (probe)" } else { "" }
-            ),
+            Recv { dst, src, tag, seq } => write!(f, "recv {src}->{dst} tag {tag} seq {seq}"),
             Sentinel { rank, step, count } => {
                 write!(f, "sentinel r{rank} step {step} count {count}")
             }

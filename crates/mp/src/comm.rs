@@ -37,23 +37,22 @@
 //!
 //! # Failure surface
 //!
-//! Every failure a rank can observe is a [`CommError`]: a dead peer, a
-//! world abort (another rank panicked), a watchdog/deadline expiry, or a
+//! A rank meets a failure only inside a send or a receive, and both panic
+//! with its diagnostic, naming the rank, the peer and the tag: a dead
+//! peer, a world abort (another rank panicked), a watchdog expiry, or a
 //! transport fault — a lossy link whose retransmission budget ran out, a
 //! minority side that fences itself, or an arrival that breaks per-source
-//! FIFO order. The fast-path API (`send`, `recv`, `sendrecv`) panics with
-//! the error's message, which in an SPMD simulation is the right default:
-//! the world tears down and [`crate::world::World::try_run`] turns the
-//! per-rank panics into per-rank diagnostics. A program that wants to
-//! *handle* a failure it waits on (e.g. a deadline-bounded barrier) uses
-//! [`Comm::recv_deadline`], which returns `Result` instead; a send never
-//! waits, so a failed one always tears the world down.
+//! FIFO order. In an SPMD simulation that is the right default: the world
+//! tears down, [`crate::world::World::try_run`] turns the per-rank panics
+//! into per-rank diagnostics, and a recovery driver relaunches from them.
+//! There is no receive that returns early or reports what has arrived so
+//! far, so a program cannot tell one delivery order from another.
 //!
-//! Blocking receives are bounded by a **watchdog deadline**
+//! Every receive is bounded by a **watchdog deadline**
 //! ([`CommConfig::watchdog`], 60 s by default): a peer that
 //! exits without sending — which closes no channel, because every rank
 //! keeps a sender to every mailbox — used to hang the world forever; now
-//! it surfaces as a structured timeout within the deadline.
+//! the receive panics with a timeout diagnostic within the deadline.
 //!
 //! Every send/receive also charges the [`CostModel`] time to the rank's
 //! communication clock and bumps its [`CommStats`] counters.
@@ -87,9 +86,9 @@ pub type Tag = u64;
 pub struct CommConfig {
     /// Sleep quantum between abort-flag / deadline checks while blocked.
     pub poll: Duration,
-    /// Watchdog deadline for blocking receives: if no matching message
-    /// arrives within it, the receive fails with a structured
-    /// [`CommError`] instead of hanging forever.
+    /// Watchdog deadline for every receive: if no matching message
+    /// arrives within it, the receive panics with a timeout diagnostic
+    /// instead of hanging forever.
     pub watchdog: Duration,
     /// Inert: nothing reads it. A send either reaches the wire or names a
     /// dead peer, and a lost frame is retransmitted, never re-sent. Kept
@@ -97,8 +96,7 @@ pub struct CommConfig {
     /// field; removed with the knob census (ROADMAP item 5(i)).
     pub send_retry_limit: u32,
     /// Retransmission attempts per unacked frame over a lossy link before
-    /// escalating into the fault ladder as a
-    /// [`CommErrorKind::Transport`] error.
+    /// escalating into the fault ladder as a transport failure.
     pub retransmit_budget: u32,
     /// Backoff before the first retransmission of an unacked frame.
     pub retransmit_base: Duration,
@@ -223,89 +221,31 @@ impl fmt::Display for CommConfigError {
 
 impl std::error::Error for CommConfigError {}
 
-/// What went wrong in a communication call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommErrorKind {
-    /// The peer rank's thread is gone (its mailbox closed) without the
-    /// world having aborted — it exited early or died mid-teardown.
-    PeerDead,
-    /// Another rank panicked; the world is tearing down.
-    Aborted,
-    /// No matching message arrived within the watchdog/deadline window.
-    Timeout,
-    /// The link failed: a frame over a lossy transport stayed
-    /// unacknowledged through its whole retransmission budget, this rank
-    /// fenced itself as the minority side of a partition, or a
-    /// per-source sequence-number check failed at arrival — a message
-    /// arrived twice or out of FIFO order.
-    Transport,
-}
-
-/// Structured communication failure: who observed it, which peer and tag
-/// were involved, and a human-readable diagnostic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommError {
-    /// Failure class.
-    pub kind: CommErrorKind,
-    /// Rank that observed the failure.
-    pub rank: usize,
-    /// Peer rank involved (destination of a send, source of a receive).
-    pub peer: usize,
-    /// Tag of the operation that failed.
-    pub tag: Tag,
-    message: String,
-}
+/// A communication failure's diagnostic: who observed it, which peer
+/// and tag were involved, and what went wrong. Every public path panics
+/// with it; only the crate's own paths hand it on.
+#[derive(Debug)]
+pub(crate) struct CommError(String);
 
 impl CommError {
-    fn new(kind: CommErrorKind, rank: usize, peer: usize, tag: Tag, message: String) -> Self {
-        Self {
-            kind,
-            rank,
-            peer,
-            tag,
-            message,
-        }
-    }
-
-    /// The full diagnostic (also what `Display` prints).
-    pub fn message(&self) -> &str {
-        &self.message
-    }
-
     fn aborted(rank: usize, op: &str, peer: usize, tag: Tag) -> Self {
-        Self::new(
-            CommErrorKind::Aborted,
-            rank,
-            peer,
-            tag,
-            format!("rank {rank} aborting {op}(peer={peer}, tag={tag}): another rank panicked"),
-        )
+        Self(format!(
+            "rank {rank} aborting {op}(peer={peer}, tag={tag}): another rank panicked"
+        ))
     }
 
     fn peer_dead(rank: usize, op: &str, peer: usize, tag: Tag) -> Self {
-        Self::new(
-            CommErrorKind::PeerDead,
-            rank,
-            peer,
-            tag,
-            format!(
-                "rank {rank} {op}(peer={peer}, tag={tag}): peer rank {peer} is gone \
-                 (exited without completing the exchange)"
-            ),
-        )
+        Self(format!(
+            "rank {rank} {op}(peer={peer}, tag={tag}): peer rank {peer} is gone \
+             (exited without completing the exchange)"
+        ))
     }
 
     fn timeout(rank: usize, peer: usize, tag: Tag, waited: Duration) -> Self {
-        Self::new(
-            CommErrorKind::Timeout,
-            rank,
-            peer,
-            tag,
-            format!(
-                "rank {rank} recv(src={peer}, tag={tag}): watchdog deadline expired after \
-                 {waited:?} with no matching message"
-            ),
-        )
+        Self(format!(
+            "rank {rank} recv(src={peer}, tag={tag}): watchdog deadline expired after \
+             {waited:?} with no matching message"
+        ))
     }
 
     fn transport(rank: usize, peer: usize, tag: Tag, expected: u64, got: u64) -> Self {
@@ -314,16 +254,10 @@ impl CommError {
         } else {
             "lost or reordered"
         };
-        Self::new(
-            CommErrorKind::Transport,
-            rank,
-            peer,
-            tag,
-            format!(
-                "rank {rank} detected a transport fault from rank {peer} (tag={tag}): \
-                 expected seq {expected}, got {got} (message {what})"
-            ),
-        )
+        Self(format!(
+            "rank {rank} detected a transport fault from rank {peer} (tag={tag}): \
+             expected seq {expected}, got {got} (message {what})"
+        ))
     }
 
     pub(crate) fn retransmit_exhausted(
@@ -333,17 +267,11 @@ impl CommError {
         seq: u64,
         budget: u32,
     ) -> Self {
-        Self::new(
-            CommErrorKind::Transport,
-            rank,
-            peer,
-            tag,
-            format!(
-                "rank {rank} link to rank {peer} (tag={tag}): frame seq {seq} is still \
-                 unacknowledged after {budget} retransmissions — peer unreachable, \
-                 escalating into the fault ladder"
-            ),
-        )
+        Self(format!(
+            "rank {rank} link to rank {peer} (tag={tag}): frame seq {seq} is still \
+             unacknowledged after {budget} retransmissions — peer unreachable, \
+             escalating into the fault ladder"
+        ))
     }
 
     pub(crate) fn fenced(
@@ -352,27 +280,19 @@ impl CommError {
         live_peers: usize,
         quiet_for: Duration,
     ) -> Self {
-        Self::new(
-            CommErrorKind::Transport,
-            rank,
-            rank,
-            0,
-            format!(
-                "rank {rank} self-fencing: heard from only {reachable} of {live_peers} live \
-                 peers within the suspicion horizon (quietest link silent {quiet_for:?}) — \
-                 this side of the partition is the minority and yields to a relaunch"
-            ),
-        )
+        Self(format!(
+            "rank {rank} self-fencing: heard from only {reachable} of {live_peers} live \
+             peers within the suspicion horizon (quietest link silent {quiet_for:?}) — \
+             this side of the partition is the minority and yields to a relaunch"
+        ))
     }
 }
 
-impl std::fmt::Display for CommError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.message)
+impl fmt::Display for CommError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
     }
 }
-
-impl std::error::Error for CommError {}
 
 /// A message in flight.
 pub(crate) struct Envelope {
@@ -536,8 +456,9 @@ impl Comm {
         self.size
     }
 
-    /// The world watchdog deadline (used by runners to bound their own
-    /// barrier receives).
+    /// The world watchdog deadline, which bounds every receive: how a
+    /// start hook reads what a launch runs under (the recovery ladder's
+    /// tests check that each world it launches takes its configuration's).
     pub fn watchdog(&self) -> Duration {
         self.cfg.watchdog
     }
@@ -571,9 +492,9 @@ impl Comm {
 
     /// Send `value` to rank `dst` with `tag`. Never blocks; returns the
     /// bytes the message took. Sending to self is allowed (the message is
-    /// delivered through the same mailbox). Panics with the [`CommError`]
-    /// diagnostic if the destination is gone — naming the peer and tag,
-    /// and noting a world abort when that is the cause.
+    /// delivered through the same mailbox). Panics with a diagnostic if
+    /// the destination is gone — naming the peer and tag, and noting a
+    /// world abort when that is the cause.
     pub fn send<T: Encode>(&mut self, dst: usize, tag: Tag, value: T) -> usize {
         self.send_with(dst, tag, |out| {
             value.encode(out);
@@ -650,24 +571,12 @@ impl Comm {
         }
     }
 
-    /// Record a consumption event for `env`. `probe` marks the
-    /// timing-sensitive paths (`try_recv`, `recv_deadline`) whose outcome
-    /// depends on what has been delivered so far.
-    fn emit_recv(env: &Envelope, probe: bool) {
-        crate::check::emit(crate::check::ProtocolEvent::Recv {
-            dst: env.dst,
-            src: env.src,
-            tag: env.tag,
-            seq: env.seq,
-            probe,
-        });
-    }
-
     /// Receive the next message from `src` with `tag`, blocking until one
     /// arrives or the world watchdog expires, and decode it. Panics with
-    /// the [`CommError`] diagnostic on abort, timeout, or a transport
-    /// fault, and on a payload that does not decode as `T`;
-    /// [`Comm::recv_deadline`] is the `Result`-returning form.
+    /// a diagnostic on abort, timeout, or a transport fault, and on a
+    /// payload that does not decode as `T`. With [`Comm::recv_payload`]
+    /// this is the only way a program takes a message: every receive
+    /// names its source and tag and waits for exactly that message.
     pub fn recv<T: Decode>(&mut self, src: usize, tag: Tag) -> T {
         let payload = self.recv_payload(src, tag);
         self.decode(src, tag, payload)
@@ -677,9 +586,14 @@ impl Comm {
     /// [`Comm::recv`], as its raw payload — for a frame with a layout of
     /// its own. Hand the buffer back with [`Comm::recycle`] once read.
     pub fn recv_payload(&mut self, src: usize, tag: Tag) -> Vec<u8> {
-        match self.recv_envelope(src, tag, None) {
+        match self.recv_envelope(src, tag) {
             Ok(env) => {
-                Self::emit_recv(&env, false);
+                crate::check::emit(crate::check::ProtocolEvent::Recv {
+                    dst: env.dst,
+                    src,
+                    tag,
+                    seq: env.seq,
+                });
                 self.charge(env)
             }
             Err(e) => panic!("{e}"),
@@ -695,41 +609,17 @@ impl Comm {
         }
     }
 
-    /// Fallible receive with an explicit deadline: blocks up to `timeout`
-    /// for a message from `src` with `tag`. Every failure — dead peer,
-    /// world abort, deadline expiry, transport fault —
-    /// comes back as `Err(CommError)`. A zero `timeout` makes this a
-    /// structured probe. A payload that does not decode as `T` still
-    /// panics (it is a protocol bug, not a runtime fault).
-    pub fn recv_deadline<T: Decode>(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<T, CommError> {
-        let env = self.recv_envelope(src, tag, Some(timeout))?;
-        Self::emit_recv(&env, true);
-        let payload = self.charge(env);
-        Ok(self.decode(src, tag, payload))
-    }
-
-    /// The blocking-receive engine shared by `recv` and `recv_deadline`:
-    /// match the pending buffer, advance the delivery policy (if one is
-    /// installed), and otherwise wait on the mailbox in `poll`-sized
-    /// slices so the abort flag and the deadline are both observed
-    /// promptly. `None` timeout means the world watchdog.
-    fn recv_envelope(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        timeout: Option<Duration>,
-    ) -> Result<Envelope, CommError> {
+    /// The receive engine: match the pending buffer, advance the delivery
+    /// policy (if one is installed), and otherwise wait on the mailbox in
+    /// `poll`-sized slices so the abort flag and the world watchdog are
+    /// both observed promptly.
+    fn recv_envelope(&mut self, src: usize, tag: Tag) -> Result<Envelope, CommError> {
         assert!(
             src < self.size,
             "recv: src {src} out of range (size {})",
             self.size
         );
-        let limit = timeout.unwrap_or(self.cfg.watchdog);
+        let limit = self.cfg.watchdog;
         let deadline = Instant::now() + limit;
         loop {
             self.maintain_links()?;
@@ -894,41 +784,6 @@ impl Comm {
         true
     }
 
-    /// Combined send + receive with a peer (the `MPI_Sendrecv` pattern
-    /// every ghost-exchange phase uses): sends `value` to `peer` with
-    /// `tag` and receives that peer's message with the same tag. Safe
-    /// against deadlock because sends never block. `peer` may be `self`.
-    pub fn sendrecv<T: Encode + Decode>(&mut self, peer: usize, tag: Tag, value: T) -> T {
-        self.send(peer, tag, value);
-        self.recv(peer, tag)
-    }
-
-    /// Non-blocking receive: `Some(value)` if a matching message has
-    /// already arrived, else `None`. Panics on a transport fault like
-    /// `recv` does.
-    pub fn try_recv<T: Decode>(&mut self, src: usize, tag: Tag) -> Option<T> {
-        // Polling loops must still drive retransmission/heartbeats, or a
-        // dropped frame both sides are try_recv-ing for would never be
-        // repaired.
-        if let Err(e) = self.maintain_links() {
-            panic!("{e}");
-        }
-        if let Err(e) = self.drain_inbox() {
-            panic!("{e}");
-        }
-        // Under a policy, a physically-arrived message is only visible
-        // once delivered: advance the schedule by at most one delivery per
-        // poll, so the policy controls which source a racing `try_recv`
-        // loop observes first.
-        if self.delivery.is_some() && !self.pending.iter().any(|e| e.src == src && e.tag == tag) {
-            self.deliver_one();
-        }
-        let env = self.match_pending(src, tag)?;
-        Self::emit_recv(&env, true);
-        let payload = self.charge(env);
-        Some(self.decode(src, tag, payload))
-    }
-
     /// Charge a consumed message to this rank: virtual time and counters.
     fn charge(&mut self, env: Envelope) -> Vec<u8> {
         let t = self.model.message_time(env.src, env.dst, env.payload.len());
@@ -951,9 +806,10 @@ impl Comm {
         })
     }
 
-    /// Number of buffered (arrived, unmatched) messages. Exposed for tests
-    /// and leak assertions at phase boundaries.
-    pub fn pending_len(&self) -> usize {
+    /// Number of buffered (arrived, unmatched) messages, for the tests'
+    /// leak assertions at phase boundaries.
+    #[cfg(test)]
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
@@ -990,7 +846,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use super::{Comm, CommConfig, CommErrorKind};
+    use super::{Comm, CommConfig};
     use crate::transport::{LossyProfile, Partition};
     use crate::world::World;
     use std::time::Duration;
@@ -1301,24 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_returns_none_before_arrival() {
-        let out = World::new(2).run(|comm| {
-            if comm.rank() == 0 {
-                // Wait until rank 1 signals, then send.
-                let _: u8 = comm.recv(1, 0);
-                comm.send(1, 1, 77u8);
-                0
-            } else {
-                assert!(comm.try_recv::<u8>(0, 1).is_none());
-                comm.send(0, 0, 0u8);
-                // Blocking recv still works after a failed try_recv.
-                comm.recv::<u8>(0, 1) as usize
-            }
-        });
-        assert_eq!(out[1], 77);
-    }
-
-    #[test]
     fn stats_count_messages_and_bytes() {
         let out = World::new(2).run(|comm| {
             if comm.rank() == 0 {
@@ -1384,28 +1222,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_mismatches_are_visible_to_try_recv() {
-        // A message buffered while a *different* (src, tag) was being
-        // received must still be found by a later non-blocking probe.
-        let out = World::new(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 4, 11u8); // arrives first, wanted last
-                comm.send(1, 5, 22u8);
-                0
-            } else {
-                let b = comm.recv::<u8>(0, 5);
-                assert_eq!(comm.pending_len(), 1);
-                let a = comm
-                    .try_recv::<u8>(0, 4)
-                    .expect("buffered mismatch must satisfy try_recv");
-                assert_eq!(comm.pending_len(), 0);
-                (a as usize) * 100 + b as usize
-            }
-        });
-        assert_eq!(out[1], 1122);
-    }
-
-    #[test]
     fn blocked_recv_aborts_with_diagnostic_when_peer_panics() {
         // The abort-flag path: rank 1 blocks on a recv whose sender dies
         // first. The timeout poll must notice the abort flag and panic
@@ -1444,49 +1260,6 @@ mod tests {
             });
         });
         assert!(res.is_err());
-    }
-
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "real-time deadline expiry is meaningless under interpretation"
-    )]
-    fn recv_deadline_times_out_then_succeeds() {
-        let out = World::new(2).run(|comm| {
-            if comm.rank() == 0 {
-                // Nothing has been sent yet: the deadline must expire with
-                // a structured error, not a panic or a hang.
-                let early = comm.recv_deadline::<u64>(1, 3, Duration::from_millis(50));
-                let err = early.expect_err("no message yet");
-                assert_eq!(err.kind, CommErrorKind::Timeout);
-                assert_eq!((err.rank, err.peer, err.tag), (0, 1, 3));
-                assert!(err.message().contains("watchdog deadline expired"));
-                comm.send(1, 0, ()); // release the sender
-                comm.recv_deadline::<u64>(1, 3, Duration::from_secs(10))
-                    .expect("message was sent after the signal")
-            } else {
-                let () = comm.recv(0, 0);
-                comm.send(0, 3, 99u64);
-                99
-            }
-        });
-        assert_eq!(out, vec![99, 99]);
-    }
-
-    #[test]
-    fn recv_deadline_zero_acts_as_structured_probe() {
-        let out = World::new(1).run(|comm| {
-            let miss = comm.recv_deadline::<u8>(0, 1, Duration::ZERO);
-            assert_eq!(
-                miss.expect_err("empty mailbox").kind,
-                CommErrorKind::Timeout
-            );
-            comm.send(0, 1, 5u8);
-            // The message is queued but a zero deadline still admits it
-            // only if it reaches pending first; probe via try_recv instead.
-            comm.try_recv::<u8>(0, 1).expect("queued message visible")
-        });
-        assert_eq!(out, vec![5]);
     }
 
     #[test]
@@ -1577,15 +1350,12 @@ mod tests {
         }
         World::new(1).run(|comm| {
             let gap = comm.admit(envelope(1)).expect_err("seq 1 before seq 0");
-            assert_eq!(gap.kind, CommErrorKind::Transport);
-            assert!(gap.message().contains("expected seq 0, got 1"), "{gap}");
+            assert!(gap.0.contains("transport fault"), "{gap}");
+            assert!(gap.0.contains("expected seq 0, got 1"), "{gap}");
             comm.admit(envelope(0)).expect("seq 0 is the one expected");
             let repeat = comm.admit(envelope(0)).expect_err("seq 0 again");
-            assert_eq!(repeat.kind, CommErrorKind::Transport);
-            assert!(
-                repeat.message().contains("duplicated or replayed"),
-                "{repeat}"
-            );
+            assert!(repeat.0.contains("transport fault"), "{repeat}");
+            assert!(repeat.0.contains("duplicated or replayed"), "{repeat}");
         });
     }
 }

@@ -12,7 +12,10 @@
 //! the one byte format of [`wire`].
 //! Because every receive names its source and tag, the data flow of a
 //! program written against this crate is deterministic regardless of how
-//! the OS schedules the threads.
+//! the OS schedules the threads: the only receives, [`Comm::recv`] and
+//! [`Comm::recv_payload`], block until exactly that message is there, and
+//! messages from one source keep their order, so nothing a program can
+//! ask tells it which of two sources' messages arrived first.
 //!
 //! # Lossy substrates
 //!
@@ -58,7 +61,7 @@ pub mod transport;
 pub mod wire;
 pub mod world;
 
-pub use comm::{Comm, CommConfig, CommError, CommErrorKind, CommStats, Tag};
+pub use comm::{Comm, CommConfig, CommStats, Tag};
 pub use cost::CostModel;
 pub use fault::FaultPlan;
 pub use pool::BufferPool;

@@ -28,8 +28,8 @@ use crate::comm::{Comm, CommConfig, Envelope};
 use crate::cost::CostModel;
 
 /// One rank's failure in a [`WorldError`]: the rank id and the panic
-/// message (a [`crate::comm::CommError`] diagnostic for comm-layer
-/// failures).
+/// message (for a comm-layer failure, the diagnostic naming the rank,
+/// the peer and the tag).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankFailure {
     /// Rank that failed.

@@ -494,9 +494,10 @@ fn at_the_wall(plan: &LaunchPlan) -> bool {
 
 /// [`launch_plan`] on a tiling of the caller's choice, whatever the
 /// chooser would have said: how the tests and the example read what
-/// choosing bought. A run that does not balance plans nothing, and
-/// launches on the even tiling only (the one its closure answer is
-/// asked on, [`crate::pe::exchanges_once`]).
+/// choosing bought. Panics on a run that does not balance: it plans
+/// nothing and launches on the even tiling only (the one its closure
+/// answer is asked on, [`crate::pe::exchanges_once`]), so no run could
+/// start from a plan on another.
 #[doc(hidden)]
 pub fn launch_plan_on(
     layout: PillarLayout,
@@ -504,12 +505,10 @@ pub fn launch_plan_on(
     step: u64,
     work: &[u64],
 ) -> LaunchPlan {
-    if !cfg.dlb {
-        return LaunchPlan {
-            layout: Some(layout),
-            ..LaunchPlan::default()
-        };
-    }
+    assert!(
+        cfg.dlb,
+        "launch_plan_on plans a balancing run; one that does not balance keeps the even tiling"
+    );
     let costs = Costs::new(cfg, step, work);
     plan_on(DomainShape::SquarePillar, cfg, &costs, Some(layout))
 }
@@ -860,6 +859,14 @@ mod tests {
             };
             plan = lower;
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "launch_plan_on plans a balancing run")]
+    fn a_plan_on_a_chosen_tiling_is_refused_to_a_run_that_does_not_balance() {
+        let (mut cfg, work) = world(3, 3, 1);
+        cfg.dlb = false;
+        launch_plan_on(PillarLayout::arbitrary(3, 6, 7), &cfg, 0, &work);
     }
 
     #[test]

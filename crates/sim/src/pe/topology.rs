@@ -776,8 +776,8 @@ pub(super) fn cells_around(
 /// One step `d ∈ {−1, 0, 1}` off coordinate `c` of a periodic axis of
 /// `nc` cells: the cell it lands on and the box image it lands in (−1, 0
 /// or 1 — times the box length, the periodic shift of that cell). No
-/// division: the cube's scaffold asks this some 6000 times per rank, the
-/// force walk twice per cell and step.
+/// division: a cube PE's launch (its neighbour set and caches) asks this
+/// some 6000 times per rank, the force walk twice per cell and step.
 pub(super) fn wrap(nc: usize, c: usize, d: i64) -> (usize, f64) {
     match c as i64 + d {
         -1 => (nc - 1, -1.0),
